@@ -154,7 +154,7 @@ pub struct BranchBuilder<'a> {
     guard: Option<Expr>,
     action: Option<CommAction>,
     assigns: Vec<(VarId, Expr)>,
-    tag: Option<String>,
+    tag: Option<std::sync::Arc<str>>,
 }
 
 impl<'a> BranchBuilder<'a> {
@@ -290,7 +290,7 @@ impl<'a> BranchBuilder<'a> {
         if self.tag.is_some() {
             self.err("duplicate tag on branch".into());
         }
-        self.tag = Some(t.to_owned());
+        self.tag = Some(t.into());
         self
     }
 

@@ -98,6 +98,17 @@ pub enum CoreError {
         /// Why the pair was rejected.
         reason: String,
     },
+    /// The spec is larger than a field of the model checker's state
+    /// encoding can count (see [`crate::validate`]'s `MAX_*` constants):
+    /// accepting it would store two different states under one key.
+    TooLarge {
+        /// What there are too many of (e.g. `"message types"`).
+        what: &'static str,
+        /// How many the spec has.
+        count: usize,
+        /// How many the encoding can tell apart.
+        max: usize,
+    },
     /// A builder method was used inconsistently (e.g. `goto` before any
     /// action was chosen).
     Builder(String),
@@ -140,6 +151,9 @@ impl fmt::Display for CoreError {
             CoreError::ReqRepUnsafe { req, repl, reason } => {
                 write!(f, "request/reply pair ({req}, {repl}) is unsafe: {reason}")
             }
+            CoreError::TooLarge { what, count, max } => {
+                write!(f, "{count} {what}, but the state encoding distinguishes at most {max}")
+            }
             CoreError::Builder(msg) => write!(f, "builder misuse: {msg}"),
         }
     }
@@ -166,6 +180,7 @@ mod tests {
             CoreError::TerminalState { process: "remote", state: StateId(2) },
             CoreError::EmptyProcess { process: "home" },
             CoreError::ReqRepUnsafe { req: MsgType(0), repl: MsgType(1), reason: "z".into() },
+            CoreError::TooLarge { what: "message types", count: 300, max: 256 },
             CoreError::Builder("oops".into()),
         ];
         for e in samples {

@@ -69,6 +69,7 @@ pub mod dot;
 pub mod error;
 pub mod expr;
 pub mod ids;
+pub mod inline;
 pub mod pretty;
 pub mod process;
 pub mod refine;

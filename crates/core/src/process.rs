@@ -10,6 +10,7 @@
 use crate::expr::Expr;
 use crate::ids::{MsgType, StateId, SymbolTable, VarId};
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Designates the peer of a communication action.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,8 +103,9 @@ pub struct Branch {
     /// Optional label for the branch (e.g. `"evict"`, `"rw"` on autonomous
     /// guards). Carried through to transition labels so simulators and
     /// workload harnesses can recognize and selectively enable autonomous
-    /// decisions. Semantically inert.
-    pub tag: Option<String>,
+    /// decisions. Semantically inert. Shared, not owned: every transition
+    /// label fired from this branch holds the same allocation.
+    pub tag: Option<Arc<str>>,
 }
 
 /// Classification of a state (paper §2.4).
@@ -199,7 +201,7 @@ impl Process {
 
     /// Initial environment from the variable declarations.
     pub fn initial_env(&self) -> crate::value::Env {
-        crate::value::Env::new(self.vars.iter().map(|v| v.init).collect())
+        self.vars.iter().map(|v| v.init).collect()
     }
 
     /// Finds a state id by name.

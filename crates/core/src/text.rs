@@ -40,6 +40,7 @@ use crate::ids::{MsgType, RemoteId, StateId, SymbolTable, VarId};
 use crate::process::{Branch, CommAction, Peer, Process, ProtocolSpec, State, StateKind, VarDecl};
 use crate::value::Value;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Rendering
@@ -560,7 +561,7 @@ fn parse_branch(
     let mut tag = None;
     let action = if lx.try_keyword("tau") {
         if lx.try_punct("#") {
-            tag = Some(lx.ident()?);
+            tag = Some(lx.ident()?.into());
         }
         CommAction::Tau
     } else if lx.try_keyword("h") {
@@ -614,7 +615,7 @@ fn parse_comm(
     peer: Peer,
     msgs: &mut SymbolTable,
     names: &mut Names,
-    tag: &mut Option<String>,
+    tag: &mut Option<Arc<str>>,
 ) -> Result<CommAction> {
     let line = lx.line();
     let is_send = if lx.try_punct("!") {
@@ -627,7 +628,7 @@ fn parse_comm(
     let mname = lx.ident()?;
     let msg = MsgType(msgs.intern(&mname));
     if lx.try_punct("#") {
-        *tag = Some(lx.ident()?);
+        *tag = Some(lx.ident()?.into());
     }
     if is_send {
         let payload = if lx.try_punct("(") {

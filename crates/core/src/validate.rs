@@ -12,15 +12,37 @@
 //!   never reaches a communication state (checked syntactically, as the
 //!   paper notes is possible);
 //! * plus ordinary referential integrity (no dangling states/variables, no
-//!   terminal states, guards independent of same-branch bindings).
+//!   terminal states, guards independent of same-branch bindings);
+//! * and the **size limits** of the model checker's state encoding, which
+//!   stores a message type and a branch index in one byte and a state id in
+//!   two — a spec past those widths would alias distinct states.
 
 use crate::error::{CoreError, Result};
 use crate::expr::Expr;
 use crate::ids::{StateId, VarId};
 use crate::process::{Branch, CommAction, Peer, Process, ProtocolSpec, StateKind};
 
+/// Most message types a spec may declare: the state encoding stores a
+/// message type in one byte.
+pub const MAX_MSG_TYPES: usize = 1 << 8;
+/// Most branches one state may have: the encoding stores a branch index —
+/// and the home's retry cursor, which runs one past the last branch — in
+/// one byte.
+pub const MAX_BRANCHES: usize = (1 << 8) - 1;
+/// Most states one process may have: the encoding stores a state id in
+/// two bytes.
+pub const MAX_STATES: usize = 1 << 16;
+
+fn check_size(what: &'static str, count: usize, max: usize) -> Result<()> {
+    if count > max {
+        return Err(CoreError::TooLarge { what, count, max });
+    }
+    Ok(())
+}
+
 /// Validates `spec` against all restrictions. Returns the first violation.
 pub fn validate(spec: &ProtocolSpec) -> Result<()> {
+    check_size("message types", spec.msgs.len(), MAX_MSG_TYPES)?;
     validate_process(&spec.home, "home", true)?;
     validate_process(&spec.remote, "remote", false)?;
     Ok(())
@@ -33,12 +55,17 @@ fn validate_process(p: &Process, label: &'static str, is_home: bool) -> Result<(
     if p.state(p.initial).is_none() {
         return Err(CoreError::DanglingState { process: label, state: p.initial });
     }
+    check_size("states in one process", p.states.len(), MAX_STATES)?;
     for (idx, st) in p.states.iter().enumerate() {
         let sid = StateId(idx as u32);
         if st.branches.is_empty() {
             return Err(CoreError::TerminalState { process: label, state: sid });
         }
+        check_size("branches in one state", st.branches.len(), MAX_BRANCHES)?;
         for br in &st.branches {
+            if let Some(m) = br.action.msg() {
+                check_size("message types", m.index() + 1, MAX_MSG_TYPES)?;
+            }
             check_branch(p, label, sid, br, is_home)?;
         }
         match st.kind {

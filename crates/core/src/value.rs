@@ -6,12 +6,14 @@
 //! the model checker can verify data integrity with a bounded state space.
 
 use crate::ids::RemoteId;
+use crate::inline::InlineVec;
 use std::fmt;
 
 /// A runtime value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Value {
     /// The unit value (message with no payload).
+    #[default]
     Unit,
     /// A boolean.
     Bool(bool),
@@ -163,16 +165,21 @@ impl fmt::Display for Value {
     }
 }
 
+/// Variable slots an [`Env`] holds inline. The widest shipped process is
+/// the `update.ccp` home with six variables (every remote has at most one);
+/// a wider process spills to the heap and pays one allocation per copy.
+pub const ENV_INLINE: usize = 6;
+
 /// A variable environment: one value slot per declared variable of a process.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Env {
-    slots: Vec<Value>,
+    slots: InlineVec<Value, ENV_INLINE>,
 }
 
 impl Env {
     /// Creates an environment from initial values.
     pub fn new(initial: Vec<Value>) -> Self {
-        Self { slots: initial }
+        initial.into_iter().collect()
     }
 
     /// Reads variable `idx`.
@@ -210,7 +217,7 @@ impl Env {
 
     /// Compact byte encoding used by the model checker's state store.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        for v in &self.slots {
+        for v in self.values() {
             v.encode(out);
         }
     }
@@ -226,7 +233,7 @@ impl Env {
     /// caller guarantees `buf.len() - pos >= self.max_encoded_len()`.
     #[inline]
     pub fn encode_into(&self, buf: &mut [u8], mut pos: usize) -> usize {
-        for v in &self.slots {
+        for v in self.values() {
             pos = v.encode_into(buf, pos);
         }
         pos
@@ -239,7 +246,7 @@ impl Env {
     /// the encoding — it comes from the process declaration, which the
     /// caller holds.
     pub fn decode(bytes: &[u8], n: usize) -> Option<(Env, usize)> {
-        let mut slots = Vec::with_capacity(n);
+        let mut slots = InlineVec::new();
         let mut off = 0;
         for _ in 0..n {
             let (v, used) = Value::decode(bytes.get(off..)?)?;
@@ -247,6 +254,12 @@ impl Env {
             off += used;
         }
         Some((Env { slots }, off))
+    }
+}
+
+impl FromIterator<Value> for Env {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        Self { slots: iter.into_iter().collect() }
     }
 }
 

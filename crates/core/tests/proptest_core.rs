@@ -224,7 +224,7 @@ fn arb_home_branch(nm: usize, nv: usize, ns: usize) -> impl Strategy<Value = Bra
             action,
             assigns,
             target: StateId(tgt as u32),
-            tag,
+            tag: tag.map(Into::into),
         },
     )
 }
@@ -249,7 +249,7 @@ fn arb_remote_branch(nm: usize, nv: usize, ns: usize) -> impl Strategy<Value = B
             action,
             assigns,
             target: StateId(tgt as u32),
-            tag,
+            tag: tag.map(Into::into),
         },
     )
 }

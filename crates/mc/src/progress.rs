@@ -26,9 +26,9 @@ use crate::parallel::{
     self, pack, unpack, ParallelConfig, FLAG_EXPANDED, FLAG_HAS_SUCC, FLAG_PROGRESS,
 };
 use crate::report::{Outcome, ProgressReport};
-use crate::search::{Budget, SearchObserver};
+use crate::search::{insert_state, Budget, SearchObserver};
 use crate::store::StateStore;
-use crate::trace::{export_trail, trail_to};
+use crate::trace::{export_trail, rebuild_trail, Parent, ROOT};
 use ccr_metrics::profile::SpanKind;
 use ccr_runtime::{Label, TransitionSystem};
 use ccr_trace::NullSink;
@@ -116,27 +116,16 @@ pub fn check_progress_observed<T: TransitionSystem>(
     let mut edge_list: Vec<(u32, u32)> = Vec::new();
     let mut has_progress_edge: Vec<bool> = Vec::new();
     let mut has_successor: Vec<bool> = Vec::new();
-    let mut parents: Vec<Option<(u32, Label)>> = Vec::new();
+    let mut parents: Vec<Parent> = Vec::new();
     let mut complete = true;
+    let fast_cap = sys.max_encoded_len();
 
     let init = sys.initial();
-    sys.encode(&init, &mut enc);
-    store.insert(&enc);
+    insert_state(sys, &init, fast_cap, &mut store, &mut enc);
     has_progress_edge.push(false);
     has_successor.push(false);
-    parents.push(None);
+    parents.push(ROOT);
     frontier.push_back(init);
-    let next_index_of = |store: &mut StateStore,
-                         enc: &[u8],
-                         has_progress_edge: &mut Vec<bool>,
-                         has_successor: &mut Vec<bool>| {
-        let (idx, is_new) = store.insert(enc);
-        if is_new {
-            has_progress_edge.push(false);
-            has_successor.push(false);
-        }
-        (idx, is_new)
-    };
 
     let mut queue_index = 0u32;
     let mut peak_frontier = 1usize;
@@ -151,17 +140,17 @@ pub fn check_progress_observed<T: TransitionSystem>(
         }
         timer.lap(SpanKind::Compute, 1);
         let n_succs = succs.len() as u64;
-        for (label, next) in succs.drain(..) {
-            sys.encode(&next, &mut enc);
-            let (idx, is_new) =
-                next_index_of(&mut store, &enc, &mut has_progress_edge, &mut has_successor);
+        for (ordinal, (label, next)) in succs.drain(..).enumerate() {
+            let (idx, is_new) = insert_state(sys, &next, fast_cap, &mut store, &mut enc);
             has_successor[this_idx as usize] = true;
             edge_list.push((idx, this_idx));
             if is_progress(&label) {
                 has_progress_edge[this_idx as usize] = true;
             }
             if is_new {
-                parents.push(Some((this_idx, label.clone())));
+                has_progress_edge.push(false);
+                has_successor.push(false);
+                parents.push((this_idx, ordinal as u32));
                 if store.len() >= budget.max_states
                     || store.approx_bytes() >= budget.max_bytes
                     || budget.max_time.map(|t| started.elapsed() >= t).unwrap_or(false)
@@ -210,7 +199,7 @@ pub fn check_progress_observed<T: TransitionSystem>(
         (None, None) => None,
     };
     let (witness, witness_outcome) = match bad {
-        Some((idx, out)) => (Some(trail_to(&parents, idx as u32)), Some(out)),
+        Some((idx, out)) => (Some(rebuild_trail(sys, &parents, idx as u32)), Some(out)),
         None => (None, None),
     };
 

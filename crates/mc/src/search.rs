@@ -10,6 +10,7 @@ use crate::persist::{
 };
 use crate::report::{ExploreReport, Outcome};
 use crate::store::StateStore;
+use crate::trace::{rebuild_trail, Parent, ROOT};
 use ccr_metrics::profile::{Profiler, SpanKind};
 use ccr_metrics::status::{RunStatus, StatusWriter};
 use ccr_metrics::timeseries::{Recorder, SampleInput};
@@ -788,10 +789,35 @@ impl DriveRun {
     }
 }
 
+/// Inserts `state` into `store`, encoding it exactly once: straight into
+/// the store's bump arena when the system reports a size bound
+/// (`fast_cap`; a duplicate rolls the bump pointer back), through the
+/// scratch `enc` otherwise. Returns `(index, is_new)`.
+pub(crate) fn insert_state<T: TransitionSystem>(
+    sys: &T,
+    state: &T::State,
+    fast_cap: Option<usize>,
+    store: &mut StateStore,
+    enc: &mut Vec<u8>,
+) -> (u32, bool) {
+    match fast_cap {
+        Some(cap) => {
+            let slot = store.begin_insert(cap);
+            let written = sys.encode_into(state, store.slot_buf(&slot));
+            store.commit_insert(slot, written)
+        }
+        None => {
+            sys.encode(state, enc);
+            store.insert(enc)
+        }
+    }
+}
+
 /// The one serial search driver behind [`explore`], [`explore_dfs`] and
 /// [`crate::trace::explore_traced`]: reachability over `sys` with a
 /// budget, an invariant, optional deadlock detection, BFS or DFS order
-/// (`depth_first`), and optional parent tracking (`track_trails`) for
+/// (`depth_first`), and optional parent tracking (`track_trails`, eight
+/// bytes per state — see [`crate::trace::Parent`]) for
 /// shortest-counterexample reconstruction.
 ///
 /// The wrappers differ only in these two flags and in how they report:
@@ -811,7 +837,7 @@ pub(crate) fn drive<T: TransitionSystem>(
 ) -> DriveRun {
     let started = Instant::now();
     let mut store = persist.as_deref_mut().and_then(|p| p.store.take()).unwrap_or_default();
-    let mut parents: Vec<Option<(u32, Label)>> = Vec::new();
+    let mut parents: Vec<Parent> = Vec::new();
     let mut frontier: VecDeque<(T::State, u32)> = VecDeque::new();
     let mut succs: Vec<(Label, T::State)> = Vec::new();
     let mut enc = Vec::new();
@@ -869,16 +895,9 @@ pub(crate) fn drive<T: TransitionSystem>(
         }
     } else {
         let init = sys.initial();
-        if let Some(cap) = sys.max_encoded_len() {
-            let slot = store.begin_insert(cap);
-            let written = sys.encode_into(&init, store.slot_buf(&slot));
-            store.commit_insert(slot, written);
-        } else {
-            sys.encode(&init, &mut enc);
-            store.insert(&enc);
-        }
+        insert_state(sys, &init, fast_cap, &mut store, &mut enc);
         if track_trails {
-            parents.push(None);
+            parents.push(ROOT);
         }
         if let Some(d) = invariant(&init) {
             done!(Outcome::InvariantViolated(d), track_trails.then(Vec::new));
@@ -929,15 +948,15 @@ pub(crate) fn drive<T: TransitionSystem>(
             None,
         );
         if let Err(e) = sys.successors(&state, &mut succs) {
-            let trail = track_trails.then(|| crate::trace::trail_to(&parents, idx));
+            let trail = track_trails.then(|| rebuild_trail(sys, &parents, idx));
             done!(Outcome::RuntimeFailure(e), trail);
         }
         timer.lap(SpanKind::Compute, 1);
         if check_deadlock && succs.is_empty() {
-            let trail = track_trails.then(|| crate::trace::trail_to(&parents, idx));
+            let trail = track_trails.then(|| rebuild_trail(sys, &parents, idx));
             done!(Outcome::Deadlock, trail);
         }
-        for (label, next) in succs.drain(..) {
+        for (ordinal, (_, next)) in succs.drain(..).enumerate() {
             transitions += 1;
             // Zero-copy fast path: encode the successor exactly once,
             // directly into the store's bump arena; a duplicate rolls the
@@ -964,10 +983,10 @@ pub(crate) fn drive<T: TransitionSystem>(
                 p.crash.tick();
             }
             if track_trails {
-                parents.push(Some((idx, label)));
+                parents.push((idx, ordinal as u32));
             }
             if let Some(d) = invariant(&next) {
-                let trail = track_trails.then(|| crate::trace::trail_to(&parents, nidx));
+                let trail = track_trails.then(|| rebuild_trail(sys, &parents, nidx));
                 done!(Outcome::InvariantViolated(d), trail);
             }
             if budget.exceeded(&store, started) {

@@ -14,7 +14,7 @@
 //! configuration by the test suite and the soundness benchmark.
 
 use crate::report::SimRelReport;
-use crate::search::Budget;
+use crate::search::{insert_state, Budget};
 use crate::store::StateStore;
 use ccr_runtime::abstraction::abs;
 use ccr_runtime::asynch::{AsyncState, AsyncSystem};
@@ -51,9 +51,9 @@ pub fn check_simulation(
         complete: true,
     };
 
+    let fast_cap = async_sys.max_encoded_len();
     let init = async_sys.initial();
-    async_sys.encode(&init, &mut enc);
-    store.insert(&enc);
+    insert_state(async_sys, &init, fast_cap, &mut store, &mut enc);
     frontier.push_back(init);
 
     'outer: while let Some(state) = frontier.pop_front() {
@@ -97,8 +97,7 @@ pub fn check_simulation(
                 }
                 report.mapped_steps += 1;
             }
-            async_sys.encode(&next, &mut enc);
-            let (_, is_new) = store.insert(&enc);
+            let (_, is_new) = insert_state(async_sys, &next, fast_cap, &mut store, &mut enc);
             if is_new {
                 if store.len() >= budget.max_states
                     || store.approx_bytes() >= budget.max_bytes

@@ -152,7 +152,7 @@ fn permute_value(v: Value, perm: &[usize]) -> Value {
 
 /// Relabels every slot of an environment under a remote permutation.
 fn permute_env(env: &Env, perm: &[usize]) -> Env {
-    Env::new(env.values().map(|v| permute_value(v, perm)).collect())
+    env.values().map(|v| permute_value(v, perm)).collect()
 }
 
 /// Id-independent signature bytes of a value *owned by* remote `i`: node
@@ -253,16 +253,14 @@ impl Symmetric for AsyncSystem<'_> {
 
     fn permute(&self, s: &AsyncState, perm: &[usize]) -> AsyncState {
         let mut remotes = s.remotes.clone();
-        let mut to_home = s.to_home.clone();
-        let mut to_remote = s.to_remote.clone();
         for (i, r) in s.remotes.iter().enumerate() {
             remotes[perm[i]] = RemoteState {
                 phase: r.phase,
                 env: permute_env(&r.env, perm),
                 buf: r.buf.map(|(m, v)| (m, v.map(|v| permute_value(v, perm)))),
+                to_home: permute_link(&r.to_home, perm),
+                to_remote: permute_link(&r.to_remote, perm),
             };
-            to_home[perm[i]] = permute_link(&s.to_home[i], perm);
-            to_remote[perm[i]] = permute_link(&s.to_remote[i], perm);
         }
         AsyncState {
             home: HomeState {
@@ -291,8 +289,6 @@ impl Symmetric for AsyncSystem<'_> {
                 cursor: s.home.cursor,
             },
             remotes,
-            to_home,
-            to_remote,
         }
     }
 
@@ -330,7 +326,7 @@ impl Symmetric for AsyncSystem<'_> {
         // This remote's halves of the shared state: its two links, the
         // home-buffer entries it parked, and how the home's bookkeeping
         // refers to it.
-        for link in [&s.to_home[i], &s.to_remote[i]] {
+        for link in [&r.to_home, &r.to_remote] {
             out.push(link.len() as u8);
             for w in link.iter() {
                 signature_wire(w, i, n, out);

@@ -3,9 +3,10 @@
 //! When an invariant fails or a deadlock is found, a bare verdict is far
 //! less useful than the *path* that leads there — SPIN prints a trail, and
 //! so do we. [`explore_traced`] runs the same breadth-first search as
-//! [`crate::search::explore`] but keeps one parent pointer and transition
-//! label per state, reconstructing the shortest event trace to the first
-//! violation. [`export_trail`] replays that trail through the system while
+//! [`crate::search::explore`] but keeps one eight-byte parent pointer per
+//! state (no label — a passing run never reads one), reconstructing the
+//! shortest event trace to the first violation by replay.
+//! [`export_trail`] replays that trail through the system while
 //! narrating every step to a [`TraceSink`], producing a JSONL
 //! counterexample that uses the exact event expansion of a live simulator
 //! trace; [`replay_trail`] re-executes it without narration so tests (and
@@ -62,16 +63,46 @@ impl TracedReport {
     }
 }
 
-/// Reconstructs the label trail from `idx` back to the root through the
-/// parent-pointer array, in firing order.
-pub(crate) fn trail_to(parents: &[Option<(u32, Label)>], idx: u32) -> Vec<Label> {
-    let mut labels = Vec::new();
+/// One entry of a search's trail table, indexed like the state store:
+/// `(parent, ordinal)` — the state this one was first reached from, and
+/// the position of that edge in the parent's successor list.
+pub(crate) type Parent = (u32, u32);
+
+/// The trail-table entry of the initial state (store index 0), which has
+/// no parent; never followed.
+pub(crate) const ROOT: Parent = (0, 0);
+
+/// Rebuilds the label trail from the initial state to state `idx`, in
+/// firing order: walks the parent entries back to the root, then replays
+/// `successors` forward from `initial()`, taking the recorded ordinal at
+/// each step.
+///
+/// The replay visits exactly the states the search did, because a
+/// frontier only ever holds states produced this way — the *actual*
+/// successors (under [`crate::symmetry::Reduced`] too: only the store key
+/// is canonical) — and because successor order is a pure function of the
+/// state, which every pinned state and transition count already rests on.
+pub(crate) fn rebuild_trail<T: TransitionSystem>(
+    sys: &T,
+    parents: &[Parent],
+    idx: u32,
+) -> Vec<Label> {
+    let mut ordinals = Vec::new();
     let mut cur = idx;
-    while let Some(Some((p, l))) = parents.get(cur as usize) {
-        labels.push(l.clone());
-        cur = *p;
+    while cur != 0 {
+        let (parent, ordinal) = parents[cur as usize];
+        ordinals.push(ordinal);
+        cur = parent;
     }
-    labels.reverse();
+    let mut state = sys.initial();
+    let mut succs = Vec::new();
+    let mut labels = Vec::with_capacity(ordinals.len());
+    for &ordinal in ordinals.iter().rev() {
+        sys.successors(&state, &mut succs).expect("the search already expanded this state");
+        let (label, next) = succs.swap_remove(ordinal as usize);
+        labels.push(label);
+        state = next;
+    }
     labels
 }
 
@@ -321,6 +352,48 @@ mod tests {
         assert!(!trail.is_empty());
         let end = replay_trail(&sys, &trail).expect("trail must replay");
         assert_eq!(end.remotes[0].state, r1, "replayed final state violates the invariant");
+    }
+
+    /// Depth-first order reaches states along long, non-shortest paths and
+    /// pops the frontier from the back — the rebuilt trail must still be
+    /// the path the search took. (No public entry point pairs DFS with
+    /// trails, so this drives the engine directly.)
+    #[test]
+    fn depth_first_trails_replay_on_the_broken_spec() {
+        use ccr_core::refine::{refine, RefineOptions};
+        use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
+
+        fn dfs_trail_ends_stuck<T: TransitionSystem>(sys: &T) {
+            let mut null = NullSink;
+            let mut obs = SearchObserver::new(&mut null);
+            let run = crate::search::drive(
+                sys,
+                &Budget::default(),
+                |_| None,
+                true,
+                true,
+                true,
+                &mut obs,
+                None,
+            );
+            assert_eq!(run.outcome, Outcome::Deadlock);
+            let trail = run.trail.expect("trail");
+            let end = replay_trail(sys, &trail).expect("trail must replay");
+            let mut succs = Vec::new();
+            sys.successors(&end, &mut succs).unwrap();
+            assert!(succs.is_empty(), "DFS trail ends in the deadlocked state");
+        }
+
+        let text = include_str!("../../../specs/migratory_broken.ccp");
+        let spec = ccr_core::text::parse_validated(text).expect("parse");
+        let refined = refine(&spec, &RefineOptions::default()).expect("refine");
+        dfs_trail_ends_stuck(&RendezvousSystem::new(&spec, 3));
+        dfs_trail_ends_stuck(&AsyncSystem::new(&refined, 2, AsyncConfig::default()));
+        dfs_trail_ends_stuck(&crate::symmetry::Reduced::new(&AsyncSystem::new(
+            &refined,
+            2,
+            AsyncConfig::default(),
+        )));
     }
 
     #[test]

@@ -64,18 +64,18 @@ pub fn abs(sys: &AsyncSystem<'_>, s: &AsyncState) -> Result<RvState> {
                     .ok_or(RuntimeError::BadState { who })?;
                 let req_msg = br.action.msg().ok_or(RuntimeError::BadState { who })?;
                 // Is our request still pending (in flight or parked at home)?
-                let pending = s.to_home[i].any(|w| w.req_msg() == Some(req_msg))
+                let pending = r.to_home.any(|w| w.req_msg() == Some(req_msg))
                     || s.home.buf.iter().any(|e| e.from == rid && e.msg == req_msg);
                 if pending {
                     // Rule 1: discard the request, revert to the
                     // communication state.
                     Local { state, env: r.env.clone() }
-                } else if s.to_remote[i].any(|w| *w == Wire::Ack) {
+                } else if r.to_remote.any(|w| *w == Wire::Ack) {
                     // Rule 2: consume the ack.
                     let mut env = r.env.clone();
                     apply_assigns(br, &mut env, Some(rid), who)?;
                     Local { state: br.target, env }
-                } else if s.to_remote[i].any(|w| *w == Wire::Nack) {
+                } else if r.to_remote.any(|w| *w == Wire::Nack) {
                     // Rule 3: discard the nack, revert.
                     Local { state, env: r.env.clone() }
                 } else if let Some(&repl) = refined.remote_reply.get(&(state, branch)) {
@@ -85,7 +85,7 @@ pub fn abs(sys: &AsyncSystem<'_>, s: &AsyncState) -> Result<RvState> {
                     let mut env = r.env.clone();
                     apply_assigns(br, &mut env, Some(rid), who)?;
                     let mut local = Local { state: br.target, env };
-                    let reply_val = s.to_remote[i].iter().find_map(|w| match w {
+                    let reply_val = r.to_remote.iter().find_map(|w| match w {
                         Wire::Req { msg, val } if *msg == repl => Some(*val),
                         _ => None,
                     });
@@ -132,18 +132,18 @@ pub fn abs(sys: &AsyncSystem<'_>, s: &AsyncState) -> Result<RvState> {
                 .ok_or(RuntimeError::BadState { who })?;
             let req_msg = br.action.msg().ok_or(RuntimeError::BadState { who })?;
             let t = target.index();
-            let pending = s.to_remote[t].any(|w| w.req_msg() == Some(req_msg))
+            let pending = s.remotes[t].to_remote.any(|w| w.req_msg() == Some(req_msg))
                 || s.remotes[t].buf.map(|(m, _)| m == req_msg).unwrap_or(false);
             if pending {
                 Local { state, env: s.home.env.clone() }
-            } else if s.to_home[t].any(|w| *w == Wire::Ack) {
+            } else if s.remotes[t].to_home.any(|w| *w == Wire::Ack) {
                 let mut env = s.home.env.clone();
                 apply_assigns(br, &mut env, None, who)?;
                 Local { state: br.target, env }
-            } else if s.to_home[t].any(|w| *w == Wire::Nack) {
+            } else if s.remotes[t].to_home.any(|w| *w == Wire::Nack) {
                 Local { state, env: s.home.env.clone() }
             } else if let Some(&repl) = refined.home_reply.get(&(state, branch)) {
-                let reply_val = s.to_home[t].iter().find_map(|w| match w {
+                let reply_val = s.remotes[t].to_home.iter().find_map(|w| match w {
                     Wire::Req { msg, val } if *msg == repl => Some(*val),
                     _ => None,
                 });

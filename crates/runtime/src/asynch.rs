@@ -22,6 +22,7 @@ use crate::system::{Label, LabelKind, SentMsg, TransitionSystem};
 use crate::wire::{Link, Wire};
 use ccr_core::expr::EvalCtx;
 use ccr_core::ids::{MsgType, ProcessId, RemoteId, StateId};
+use ccr_core::inline::InlineVec;
 use ccr_core::process::{Branch, CommAction, Peer, ProtocolSpec, StateKind};
 use ccr_core::refine::RefinedProtocol;
 use ccr_core::value::{Env, Value};
@@ -67,6 +68,20 @@ pub struct BufEntry {
     pub val: Option<Value>,
 }
 
+/// Filler for the home buffer's unused inline slots; never read.
+impl Default for BufEntry {
+    fn default() -> Self {
+        BufEntry { from: RemoteId(0), msg: MsgType(0), val: None }
+    }
+}
+
+/// Requests the home buffer holds inline: the paper's minimal `k = 2`,
+/// which is also [`AsyncConfig::default`] and what every `ccr` verb runs
+/// with. A larger `home_buffer` (the §6 buffer experiments, the hand
+/// baseline's unacked allowance) spills to the heap once it fills past
+/// this.
+pub const HOME_BUF_INLINE: usize = 2;
+
 /// Control phase of the home node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HomePhase {
@@ -93,7 +108,7 @@ pub struct HomeState {
     pub env: Env,
     /// Parked requests (bounded by `home_buffer` plus the unacked
     /// allowance).
-    pub buf: Vec<BufEntry>,
+    pub buf: InlineVec<BufEntry, HOME_BUF_INLINE>,
     /// Output-guard retry cursor (Table 2 row T2: after a nack, try the
     /// *next* output guard; wrap around).
     pub cursor: u32,
@@ -114,7 +129,10 @@ pub enum RemotePhase {
     },
 }
 
-/// Remote node slice of the configuration.
+/// Remote node slice of the configuration, with the two directed links
+/// that connect it to the home: everything indexed by one [`RemoteId`]
+/// sits in one place, so the whole per-remote part of a configuration is
+/// a single allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemoteState {
     /// Control phase.
@@ -123,19 +141,21 @@ pub struct RemoteState {
     pub env: Env,
     /// The one-slot buffer for a pending home request (Table 1).
     pub buf: Option<(MsgType, Option<Value>)>,
+    /// The link this remote → home.
+    pub to_home: Link,
+    /// The link home → this remote.
+    pub to_remote: Link,
 }
 
-/// A global asynchronous configuration.
+/// A global asynchronous configuration. Cloning one — which successor
+/// generation does once per transition — is a flat copy of `home` plus one
+/// allocation for `remotes` (see DESIGN.md, "State layout").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsyncState {
     /// The home node.
     pub home: HomeState,
-    /// The remotes, indexed by [`RemoteId`].
+    /// The remotes and their links, indexed by [`RemoteId`].
     pub remotes: Vec<RemoteState>,
-    /// Links remote `i` → home.
-    pub to_home: Vec<Link>,
-    /// Links home → remote `i`.
-    pub to_remote: Vec<Link>,
 }
 
 impl AsyncState {
@@ -146,8 +166,7 @@ impl AsyncState {
 
     /// Total number of in-flight wire messages.
     pub fn in_flight(&self) -> usize {
-        self.to_home.iter().map(Link::len).sum::<usize>()
-            + self.to_remote.iter().map(Link::len).sum::<usize>()
+        self.remotes.iter().map(|r| r.to_home.len() + r.to_remote.len()).sum()
     }
 }
 
@@ -161,9 +180,24 @@ pub struct AsyncSystem<'a> {
 }
 
 impl<'a> AsyncSystem<'a> {
-    /// Creates the system. Panics if `config.home_buffer < 2` (§3.2).
+    /// Creates the system. Panics if `config.home_buffer < 2` (§3.2), or
+    /// if `n` or a configured capacity is past what the state encoding can
+    /// count: remote ids take two bytes, the home-buffer and link lengths
+    /// one. (The spec-side widths are checked by
+    /// [`ccr_core::validate::validate`].)
     pub fn new(refined: &'a RefinedProtocol, n: u32, config: AsyncConfig) -> Self {
         assert!(config.home_buffer >= 2, "the home buffer must hold at least 2 messages (§3.2)");
+        assert!(n <= 1 << 16, "{n} remotes, but the state encoding stores a remote id in 2 bytes");
+        let buf_cap = config.home_buffer.saturating_add(config.unacked_allowance);
+        assert!(
+            buf_cap <= u8::MAX as usize,
+            "home buffer of {buf_cap} entries, but the state encoding stores its length in 1 byte"
+        );
+        assert!(
+            config.link_capacity <= u8::MAX as usize,
+            "link capacity {}, but the state encoding stores a link's length in 1 byte",
+            config.link_capacity
+        );
         Self { refined, n, config }
     }
 
@@ -301,7 +335,7 @@ impl<'a> AsyncSystem<'a> {
         if !self.refined.home_noack.contains(&entry.msg) {
             let to = ProcessId::Remote(entry.from);
             self.push_link(
-                &mut next.to_remote[entry.from.index()],
+                &mut next.remotes[entry.from.index()].to_remote,
                 Wire::Ack,
                 ProcessId::Home,
                 to,
@@ -358,7 +392,7 @@ impl<'a> AsyncSystem<'a> {
         i: usize,
         out: &mut Vec<(Label, AsyncState)>,
     ) -> Result<()> {
-        let head = match s.to_home[i].head() {
+        let head = match s.remotes[i].to_home.head() {
             Some(w) => *w,
             None => return Ok(()),
         };
@@ -376,7 +410,7 @@ impl<'a> AsyncSystem<'a> {
                 let hb = self.home_branch(state, branch)?;
                 let msg = hb.action.msg().ok_or(RuntimeError::BadState { who: actor })?;
                 let mut next = s.clone();
-                next.to_home[i].pop();
+                next.remotes[i].to_home.pop();
                 Self::apply_assigns(hb, &mut next.home.env, None, actor)?;
                 next.home.phase = HomePhase::At(hb.target);
                 next.home.cursor = 0;
@@ -395,7 +429,7 @@ impl<'a> AsyncSystem<'a> {
                     _ => return Err(RuntimeError::UnexpectedResponse { who: actor, what: "nack" }),
                 };
                 let mut next = s.clone();
-                next.to_home[i].pop();
+                next.remotes[i].to_home.pop();
                 next.home.phase = HomePhase::At(state);
                 next.home.cursor = branch + 1;
                 out.push((
@@ -415,7 +449,7 @@ impl<'a> AsyncSystem<'a> {
                             let reqmsg =
                                 hb.action.msg().ok_or(RuntimeError::BadState { who: actor })?;
                             let mut next = s.clone();
-                            next.to_home[i].pop();
+                            next.remotes[i].to_home.pop();
                             Self::apply_assigns(hb, &mut next.home.env, None, actor)?;
                             let mid = hb.target;
                             // Consume the reply input at the intermediate state.
@@ -457,7 +491,7 @@ impl<'a> AsyncSystem<'a> {
                         // the communication state and park the request in the
                         // reserved ack-buffer slot.
                         let mut next = s.clone();
-                        next.to_home[i].pop();
+                        next.remotes[i].to_home.pop();
                         if next.home.buf.len()
                             >= self.config.home_buffer + self.config.unacked_allowance
                         {
@@ -491,7 +525,7 @@ impl<'a> AsyncSystem<'a> {
                 match self.home_admit(s, rid, msg)? {
                     Admission::Accept(rule) => {
                         let mut next = s.clone();
-                        next.to_home[i].pop();
+                        next.remotes[i].to_home.pop();
                         next.home.buf.push(BufEntry { from: rid, msg, val });
                         out.push((
                             Label::new(actor, LabelKind::Deliver, rule).receiving(SentMsg::req(
@@ -504,9 +538,9 @@ impl<'a> AsyncSystem<'a> {
                     }
                     Admission::Nack => {
                         let mut next = s.clone();
-                        next.to_home[i].pop();
+                        next.remotes[i].to_home.pop();
                         let to = ProcessId::Remote(rid);
-                        self.push_link(&mut next.to_remote[i], Wire::Nack, actor, to)?;
+                        self.push_link(&mut next.remotes[i].to_remote, Wire::Nack, actor, to)?;
                         out.push((
                             Label::new(actor, LabelKind::Nacked, "T6")
                                 .receiving(SentMsg::req(ProcessId::Remote(rid), actor, msg))
@@ -593,7 +627,12 @@ impl<'a> AsyncSystem<'a> {
                 // Optimized reply send: guaranteed accepted; complete now.
                 let mut next = s.clone();
                 let to = ProcessId::Remote(t);
-                self.push_link(&mut next.to_remote[t.index()], Wire::Req { msg, val }, actor, to)?;
+                self.push_link(
+                    &mut next.remotes[t.index()].to_remote,
+                    Wire::Req { msg, val },
+                    actor,
+                    to,
+                )?;
                 Self::apply_assigns(br, &mut next.home.env, None, actor)?;
                 next.home.phase = HomePhase::At(br.target);
                 next.home.cursor = 0;
@@ -621,7 +660,7 @@ impl<'a> AsyncSystem<'a> {
                     let victim = next.home.buf.remove(victim_idx);
                     let to = ProcessId::Remote(victim.from);
                     self.push_link(
-                        &mut next.to_remote[victim.from.index()],
+                        &mut next.remotes[victim.from.index()].to_remote,
                         Wire::Nack,
                         actor,
                         to,
@@ -630,7 +669,12 @@ impl<'a> AsyncSystem<'a> {
                 }
             }
             let to = ProcessId::Remote(t);
-            self.push_link(&mut next.to_remote[t.index()], Wire::Req { msg, val }, actor, to)?;
+            self.push_link(
+                &mut next.remotes[t.index()].to_remote,
+                Wire::Req { msg, val },
+                actor,
+                to,
+            )?;
             next.home.phase = HomePhase::Awaiting { state: st_id, branch: idx as u32, target: t };
             out.push((label.sending(SentMsg::req(actor, to, msg)), next));
             return Ok(());
@@ -645,7 +689,7 @@ impl<'a> AsyncSystem<'a> {
         i: usize,
         out: &mut Vec<(Label, AsyncState)>,
     ) -> Result<()> {
-        let head = match s.to_remote[i].head() {
+        let head = match s.remotes[i].to_remote.head() {
             Some(w) => *w,
             None => return Ok(()),
         };
@@ -660,7 +704,7 @@ impl<'a> AsyncSystem<'a> {
                 let rb = self.remote_branch(rid, state, branch)?;
                 let msg = rb.action.msg().ok_or(RuntimeError::BadState { who: actor })?;
                 let mut next = s.clone();
-                next.to_remote[i].pop();
+                next.remotes[i].to_remote.pop();
                 Self::apply_assigns(rb, &mut next.remotes[i].env, Some(rid), actor)?;
                 next.remotes[i].phase = RemotePhase::At(rb.target);
                 out.push((
@@ -676,7 +720,7 @@ impl<'a> AsyncSystem<'a> {
                     _ => return Err(RuntimeError::UnexpectedResponse { who: actor, what: "nack" }),
                 };
                 let mut next = s.clone();
-                next.to_remote[i].pop();
+                next.remotes[i].to_remote.pop();
                 next.remotes[i].phase = RemotePhase::At(state);
                 out.push((
                     Label::new(actor, LabelKind::Deliver, "T2")
@@ -695,7 +739,7 @@ impl<'a> AsyncSystem<'a> {
                             let reqmsg =
                                 rb.action.msg().ok_or(RuntimeError::BadState { who: actor })?;
                             let mut next = s.clone();
-                            next.to_remote[i].pop();
+                            next.remotes[i].to_remote.pop();
                             Self::apply_assigns(rb, &mut next.remotes[i].env, Some(rid), actor)?;
                             let mid = rb.target;
                             let mid_st = self
@@ -736,7 +780,7 @@ impl<'a> AsyncSystem<'a> {
                         } else {
                             // Table 1 row T3: ignore.
                             let mut next = s.clone();
-                            next.to_remote[i].pop();
+                            next.remotes[i].to_remote.pop();
                             out.push((
                                 Label::new(actor, LabelKind::Deliver, "T3")
                                     .receiving(SentMsg::req(ProcessId::Home, actor, msg)),
@@ -747,7 +791,7 @@ impl<'a> AsyncSystem<'a> {
                     RemotePhase::At(_) => {
                         if s.remotes[i].buf.is_none() {
                             let mut next = s.clone();
-                            next.to_remote[i].pop();
+                            next.remotes[i].to_remote.pop();
                             next.remotes[i].buf = Some((msg, val));
                             out.push((
                                 Label::new(actor, LabelKind::Deliver, "buf")
@@ -810,7 +854,7 @@ impl<'a> AsyncSystem<'a> {
                 let mut next = s.clone();
                 next.remotes[i].buf = None;
                 let to = ProcessId::Home;
-                self.push_link(&mut next.to_home[i], Wire::Req { msg, val }, actor, to)?;
+                self.push_link(&mut next.remotes[i].to_home, Wire::Req { msg, val }, actor, to)?;
                 let key = (st_id, bidx);
                 let label;
                 if self.refined.remote_fire_forget.contains(&key) {
@@ -851,7 +895,7 @@ impl<'a> AsyncSystem<'a> {
                     .tagged(&rb.tag);
                 if !self.refined.remote_noack.contains(&msg) {
                     let to = ProcessId::Home;
-                    self.push_link(&mut next.to_home[i], Wire::Ack, actor, to)?;
+                    self.push_link(&mut next.remotes[i].to_home, Wire::Ack, actor, to)?;
                     label = label.sending(SentMsg::ack(actor, to));
                 }
                 if let CommAction::Recv { bind: Some(v), .. } = &rb.action {
@@ -870,7 +914,7 @@ impl<'a> AsyncSystem<'a> {
                     out.push((Label::new(actor, LabelKind::Deliver, "C3/drop"), next));
                 } else {
                     let to = ProcessId::Home;
-                    self.push_link(&mut next.to_home[i], Wire::Nack, actor, to)?;
+                    self.push_link(&mut next.remotes[i].to_home, Wire::Nack, actor, to)?;
                     out.push((
                         Label::new(actor, LabelKind::Nacked, "C3/nack")
                             .sending(SentMsg::nack(actor, to)),
@@ -897,7 +941,7 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
             home: HomeState {
                 phase: HomePhase::At(self.spec().home.initial),
                 env: self.spec().home.initial_env(),
-                buf: Vec::new(),
+                buf: InlineVec::new(),
                 cursor: 0,
             },
             remotes: (0..self.n)
@@ -905,10 +949,10 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
                     phase: RemotePhase::At(self.spec().remote.initial),
                     env: self.spec().remote.initial_env(),
                     buf: None,
+                    to_home: Link::new(),
+                    to_remote: Link::new(),
                 })
                 .collect(),
-            to_home: (0..self.n).map(|_| Link::new()).collect(),
-            to_remote: (0..self.n).map(|_| Link::new()).collect(),
         }
     }
 
@@ -926,10 +970,10 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
     fn link_occupancy(&self, s: &AsyncState, from: ProcessId, to: ProcessId) -> Option<u32> {
         match (from, to) {
             (ProcessId::Remote(r), ProcessId::Home) => {
-                s.to_home.get(r.index()).map(|l| l.len() as u32)
+                s.remotes.get(r.index()).map(|r| r.to_home.len() as u32)
             }
             (ProcessId::Home, ProcessId::Remote(r)) => {
-                s.to_remote.get(r.index()).map(|l| l.len() as u32)
+                s.remotes.get(r.index()).map(|r| r.to_remote.len() as u32)
             }
             _ => None,
         }
@@ -972,7 +1016,7 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
                 None => out.push(0),
             }
         }
-        for (i, r) in s.remotes.iter().enumerate() {
+        for r in &s.remotes {
             match r.phase {
                 RemotePhase::At(st) => {
                     out.push(0);
@@ -999,8 +1043,8 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
                 }
                 None => out.push(0),
             }
-            s.to_home[i].encode(out);
-            s.to_remote[i].encode(out);
+            r.to_home.encode(out);
+            r.to_remote.encode(out);
         }
     }
 
@@ -1055,7 +1099,7 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
                 }
             }
         }
-        for (i, r) in s.remotes.iter().enumerate() {
+        for r in &s.remotes {
             match r.phase {
                 RemotePhase::At(st) => {
                     buf[pos] = 0;
@@ -1091,8 +1135,8 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
                     pos += 1;
                 }
             }
-            pos = s.to_home[i].encode_into(buf, pos);
-            pos = s.to_remote[i].encode_into(buf, pos);
+            pos = r.to_home.encode_into(buf, pos);
+            pos = r.to_remote.encode_into(buf, pos);
         }
         pos
     }
@@ -1146,7 +1190,7 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
         let env = take_env(&mut off, home_vars)?;
         let cursor = take_u8(&mut off)? as u32;
         let buf_len = take_u8(&mut off)? as usize;
-        let mut buf = Vec::with_capacity(buf_len);
+        let mut buf = InlineVec::new();
         for _ in 0..buf_len {
             let from = RemoteId(take_u16(&mut off)? as u32);
             let msg = MsgType(take_u8(&mut off)? as u32);
@@ -1157,8 +1201,6 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
 
         let n = self.n as usize;
         let mut remotes = Vec::with_capacity(n);
-        let mut to_home = Vec::with_capacity(n);
-        let mut to_remote = Vec::with_capacity(n);
         for _ in 0..n {
             let phase = match take_u8(&mut off)? {
                 0 => RemotePhase::At(StateId(take_u16(&mut off)? as u32)),
@@ -1178,13 +1220,13 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
                 }
                 _ => return None,
             };
-            remotes.push(RemoteState { phase, env, buf });
-            to_home.push(take_link(&mut off)?);
-            to_remote.push(take_link(&mut off)?);
+            let to_home = take_link(&mut off)?;
+            let to_remote = take_link(&mut off)?;
+            remotes.push(RemoteState { phase, env, buf, to_home, to_remote });
         }
         if off != bytes.len() {
             return None; // trailing garbage: not a canonical encoding
         }
-        Some(AsyncState { home, remotes, to_home, to_remote })
+        Some(AsyncState { home, remotes })
     }
 }

@@ -74,17 +74,17 @@ impl LinkRef {
 
     fn link(self, s: &AsyncState) -> &Link {
         if self.to_home {
-            &s.to_home[self.idx]
+            &s.remotes[self.idx].to_home
         } else {
-            &s.to_remote[self.idx]
+            &s.remotes[self.idx].to_remote
         }
     }
 
     fn link_mut(self, s: &mut AsyncState) -> &mut Link {
         if self.to_home {
-            &mut s.to_home[self.idx]
+            &mut s.remotes[self.idx].to_home
         } else {
-            &mut s.to_remote[self.idx]
+            &mut s.remotes[self.idx].to_remote
         }
     }
 
@@ -740,7 +740,7 @@ impl TransitionSystem for FaultClosure<'_> {
             ns.ledger.on_retransmit(i);
             ns.ledger.on_insert_at(e.link, pos);
             self.normalize(&mut ns);
-            let tag = Some(format!("{from}->{to}#{i}"));
+            let tag = Some(format!("{from}->{to}#{i}").into());
             out.push((Label::new(from, LabelKind::Fault, "fault/retransmit").tagged(&tag), ns));
         }
 
@@ -758,7 +758,7 @@ impl TransitionSystem for FaultClosure<'_> {
                     continue;
                 }
                 let (from, to) = l.endpoints();
-                let tag = Some(format!("{from}->{to}"));
+                let tag = Some(format!("{from}->{to}").into());
                 {
                     let mut ns = s.clone();
                     ns.faults_left -= 1;

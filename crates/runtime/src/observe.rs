@@ -31,7 +31,7 @@ pub fn emit_label_events(
         actor: label.actor.to_string(),
         kind: format!("{:?}", label.kind),
         rule: label.rule.to_string(),
-        tag: label.tag.clone(),
+        tag: label.tag.as_deref().map(str::to_owned),
     });
     if let Some(r) = &label.recv {
         sink.emit(&TraceEvent::Recv {

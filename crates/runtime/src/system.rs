@@ -7,6 +7,7 @@
 use crate::error::Result;
 use ccr_core::ids::{MsgType, ProcessId};
 use serde::Serialize;
+use std::sync::Arc;
 
 /// Classification of a global transition, used for reporting and for the
 /// progress checker.
@@ -93,8 +94,9 @@ pub struct Label {
     /// The wire message this step *consumed* from a link, if it was a
     /// delivery step (Table 1–2 rows T1–T6 and `buf`).
     pub recv: Option<SentMsg>,
-    /// The tag of the branch that fired, if any (e.g. `"evict"`).
-    pub tag: Option<String>,
+    /// The tag of the branch that fired, if any (e.g. `"evict"`), shared
+    /// with the [`ccr_core::process::Branch`] it came from.
+    pub tag: Option<Arc<str>>,
 }
 
 impl Label {
@@ -128,7 +130,7 @@ impl Label {
     }
 
     /// Attaches a branch tag.
-    pub fn tagged(mut self, tag: &Option<String>) -> Self {
+    pub fn tagged(mut self, tag: &Option<Arc<str>>) -> Self {
         self.tag.clone_from(tag);
         self
     }

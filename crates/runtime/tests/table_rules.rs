@@ -70,7 +70,7 @@ fn remote_c1_sends_request_and_enters_transient() {
     let (label, s1) = fire(&sys, &s0, by_rule(R0, "C1"), "remote C1");
     assert!(label.emissions().any(|m| m.msg.is_some()));
     assert!(matches!(s1.remotes[0].phase, RemotePhase::Awaiting { .. }));
-    assert_eq!(s1.to_home[0].len(), 1);
+    assert_eq!(s1.remotes[0].to_home.len(), 1);
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn home_buffers_request_then_c1_acks_it() {
     assert!(label.emissions().any(|m| m.is_ack));
     assert!(label.completes.is_some());
     assert!(s3.home.buf.is_empty());
-    assert_eq!(s3.to_remote[0].len(), 1);
+    assert_eq!(s3.remotes[0].to_remote.len(), 1);
     // Remote T1: ack completes the rendezvous.
     let (label, s4) = fire(&sys, &s3, by_rule(R0, "T1"), "remote T1");
     assert!(label.completes.is_some());
@@ -203,7 +203,7 @@ fn remote_t3_ignores_home_request_and_home_t3_implicit_nacks() {
     assert!(label.rule == "C1" || label.rule == "C2", "{}", label.rule);
     // If the inv is still in flight toward r0, deliver it: remote T3
     // ignores it.
-    if !s.to_remote[0].is_empty() {
+    if !s.remotes[0].to_remote.is_empty() {
         let (label, s2) = fire(&sys, &s, |l| l.actor == R0 && l.rule == "T3", "r0 ignores inv");
         assert_eq!(label.kind, ccr_runtime::LabelKind::Deliver);
         // Home then receives LR as an implicit nack (T3) and buffers it.
