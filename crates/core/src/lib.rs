@@ -66,6 +66,7 @@
 
 pub mod builder;
 pub mod dot;
+pub mod encode;
 pub mod error;
 pub mod expr;
 pub mod ids;

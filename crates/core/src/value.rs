@@ -5,6 +5,7 @@
 //! node), or an abstract "data" token which we model as a small integer so
 //! the model checker can verify data integrity with a bounded state space.
 
+use crate::encode::{Identity, Renaming, Sink};
 use crate::ids::RemoteId;
 use crate::inline::InlineVec;
 use std::fmt;
@@ -59,76 +60,80 @@ impl Value {
         }
     }
 
-    /// Compact byte encoding used by the model checker's state store.
-    pub fn encode(self, out: &mut Vec<u8>) {
-        match self {
-            Value::Unit => out.push(0),
-            Value::Bool(false) => out.push(1),
-            Value::Bool(true) => out.push(2),
-            Value::Int(i) => {
-                if let Ok(b) = i8::try_from(i) {
-                    // Small integers (data values, counters) dominate; a
-                    // one-byte form keeps model-checker state keys compact.
-                    out.push(6);
-                    out.push(b as u8);
-                } else {
-                    out.push(3);
-                    out.extend_from_slice(&i.to_le_bytes());
-                }
-            }
-            Value::Node(n) => {
-                out.push(4);
-                out.extend_from_slice(&(n.0 as u16).to_le_bytes());
-            }
-            Value::Mask(m) => {
-                out.push(5);
-                out.extend_from_slice(&m.to_le_bytes());
-            }
+    /// Bit mask of the remotes `0..n` in a [`Value::Mask`], saturating
+    /// at all-ones for `n >= 64`.
+    pub fn remote_bits(n: usize) -> u64 {
+        if n >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << n) - 1
         }
+    }
+
+    /// The value with its remotes renamed by `perm` (`perm[i]` = new
+    /// index of remote `i`): a node identity moves to its new index, the
+    /// mask bits below `perm.len()` are permuted (higher bits pass
+    /// through), everything else is untouched.
+    pub fn renamed(self, perm: &[usize]) -> Value {
+        let n = perm.len();
+        match self {
+            Value::Node(r) if r.index() < n => Value::Node(RemoteId(perm[r.index()] as u32)),
+            Value::Mask(m) => {
+                let mut out = m & !Self::remote_bits(n);
+                for (b, &p) in perm.iter().enumerate() {
+                    if m & (1u64 << b) != 0 {
+                        out |= 1u64 << p;
+                    }
+                }
+                Value::Mask(out)
+            }
+            other => other,
+        }
+    }
+
+    /// Compact byte encoding used by the model checker's state store.
+    #[inline]
+    pub fn encode(self, out: &mut impl Sink) {
+        self.encode_renamed(&Identity, out);
     }
 
     /// Upper bound on the encoded size of any value: the widest forms
     /// (`Int` outside `i8`, `Mask`) take a tag byte plus 8 payload bytes.
     pub const MAX_ENCODED_LEN: usize = 9;
 
-    /// Fast-path encoding into a preallocated slot: writes the same bytes
-    /// as [`Value::encode`] at `buf[pos..]` and returns the new cursor.
-    /// The caller guarantees `buf.len() - pos >= MAX_ENCODED_LEN`.
-    #[inline]
-    pub fn encode_into(self, buf: &mut [u8], pos: usize) -> usize {
-        match self {
-            Value::Unit => {
-                buf[pos] = 0;
-                pos + 1
-            }
-            Value::Bool(false) => {
-                buf[pos] = 1;
-                pos + 1
-            }
-            Value::Bool(true) => {
-                buf[pos] = 2;
-                pos + 1
-            }
+    /// [`Value::encode`] of `ren.value(self)`. This is the one place the
+    /// byte layout of a value is written down; a [`SliceSink`] caller
+    /// guarantees [`Value::MAX_ENCODED_LEN`] bytes of room.
+    ///
+    /// [`SliceSink`]: crate::encode::SliceSink
+    // Always inlined, like every encoder below a system's: a sink handed
+    // to an out-of-line callee has to live in memory, and its cursor is
+    // then stored and reloaded around every call (measured: 13% of
+    // `encode_into` on migratory n=4).
+    #[inline(always)]
+    pub fn encode_renamed(self, ren: &impl Renaming, out: &mut impl Sink) {
+        match ren.value(self) {
+            Value::Unit => out.put(0),
+            Value::Bool(false) => out.put(1),
+            Value::Bool(true) => out.put(2),
             Value::Int(i) => {
                 if let Ok(b) = i8::try_from(i) {
-                    buf[pos] = 6;
-                    buf[pos + 1] = b as u8;
-                    pos + 2
+                    // Small integers (data values, counters) dominate; a
+                    // one-byte form keeps model-checker state keys compact.
+                    out.put(6);
+                    out.put(b as u8);
                 } else {
-                    buf[pos] = 3;
-                    buf[pos + 1..pos + 9].copy_from_slice(&i.to_le_bytes());
-                    pos + 9
+                    out.put(3);
+                    out.put_all(&i.to_le_bytes());
                 }
             }
             Value::Node(n) => {
-                buf[pos] = 4;
-                buf[pos + 1..pos + 3].copy_from_slice(&(n.0 as u16).to_le_bytes());
-                pos + 3
+                out.put(4);
+                out.put_all(&(n.0 as u16).to_le_bytes());
             }
             Value::Mask(m) => {
-                buf[pos] = 5;
-                buf[pos + 1..pos + 9].copy_from_slice(&m.to_le_bytes());
-                pos + 9
+                out.put(5);
+                out.put_all(&m.to_le_bytes());
             }
         }
     }
@@ -216,10 +221,9 @@ impl Env {
     }
 
     /// Compact byte encoding used by the model checker's state store.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        for v in self.values() {
-            v.encode(out);
-        }
+    #[inline]
+    pub fn encode(&self, out: &mut impl Sink) {
+        self.encode_renamed(&Identity, out);
     }
 
     /// Upper bound on the encoded size of this environment.
@@ -228,15 +232,12 @@ impl Env {
         self.slots.len() * Value::MAX_ENCODED_LEN
     }
 
-    /// Fast-path encoding into a preallocated slot: same bytes as
-    /// [`Env::encode`] at `buf[pos..]`, returning the new cursor. The
-    /// caller guarantees `buf.len() - pos >= self.max_encoded_len()`.
-    #[inline]
-    pub fn encode_into(&self, buf: &mut [u8], mut pos: usize) -> usize {
+    /// [`Env::encode`] with every value renamed by `ren`.
+    #[inline(always)]
+    pub fn encode_renamed(&self, ren: &impl Renaming, out: &mut impl Sink) {
         for v in self.values() {
-            pos = v.encode_into(buf, pos);
+            v.encode_renamed(ren, out);
         }
-        pos
     }
 
     /// Inverse of [`Env::encode`] for an environment of exactly `n`
@@ -315,7 +316,8 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_matches_encode_for_every_variant() {
+    fn slot_encoding_matches_the_vec_for_every_variant() {
+        use crate::encode::SliceSink;
         let values = [
             Value::Unit,
             Value::Bool(false),
@@ -334,17 +336,32 @@ mod tests {
             let mut reference = Vec::new();
             v.encode(&mut reference);
             assert!(reference.len() <= Value::MAX_ENCODED_LEN);
-            let mut buf = [0xAAu8; 2 * Value::MAX_ENCODED_LEN];
-            let end = v.encode_into(&mut buf, 3);
-            assert_eq!(&buf[3..end], &reference[..], "{v:?}");
+            let mut buf = [0xAAu8; Value::MAX_ENCODED_LEN];
+            let mut slot = SliceSink::new(&mut buf);
+            v.encode(&mut slot);
+            let end = slot.written();
+            assert_eq!(&buf[..end], &reference[..], "{v:?}");
         }
         let env = Env::new(values.to_vec());
         let mut reference = Vec::new();
         env.encode(&mut reference);
         assert!(reference.len() <= env.max_encoded_len());
         let mut buf = vec![0u8; env.max_encoded_len()];
-        let end = env.encode_into(&mut buf, 0);
+        let mut slot = SliceSink::new(&mut buf);
+        env.encode(&mut slot);
+        let end = slot.written();
         assert_eq!(&buf[..end], &reference[..]);
+    }
+
+    #[test]
+    fn renamed_moves_nodes_and_mask_bits() {
+        let perm = [2usize, 0, 1];
+        assert_eq!(Value::Node(RemoteId(0)).renamed(&perm), Value::Node(RemoteId(2)));
+        assert_eq!(Value::Mask(0b011).renamed(&perm), Value::Mask(0b101));
+        assert_eq!(Value::Int(7).renamed(&perm), Value::Int(7));
+        // Names and bits past the remote count pass through.
+        assert_eq!(Value::Node(RemoteId(3)).renamed(&perm), Value::Node(RemoteId(3)));
+        assert_eq!(Value::Mask(0b1000).renamed(&perm), Value::Mask(0b1000));
     }
 
     #[test]

@@ -22,31 +22,37 @@
 //! bytes, so shard assignment is permutation-independent and the level
 //! counts stay deterministic across thread counts.
 //!
-//! Orbit enumeration is `argmin` over *sorting permutations*: each remote
-//! gets an id-independent signature (its local slice with `self`/`other`
-//! node references abstracted), candidates are exactly the permutations
-//! that sort the signature sequence, and the least encoding among them is
-//! canonical. Equal signatures expand into all their orderings, so the
-//! candidate count is `Π gᵢ!` over signature-group sizes — worst case
-//! `N!` for a fully symmetric state, typically 1–2 once the protocol
-//! breaks symmetry. See `docs/symmetry.md` for the soundness argument and
-//! the fault-mode interaction (scripted per-link faults break symmetry;
+//! The representative is found by *sorting*: each remote gets an
+//! id-independent signature (its local slice with `self`/`other` node
+//! references abstracted), and the candidates are exactly the permutations
+//! that sort the signature sequence. Unless some remote holds *another*
+//! remote's id, remotes with equal signatures are interchangeable
+//! outright, so canonicalizing is one sort and one encode, written from
+//! the state under the renaming — no permuted state is built, nothing is
+//! allocated. Otherwise the `Π gᵢ!` orderings of the equal-signature
+//! groups are encoded and compared. See [`Symmetric`] for the contract and
+//! `docs/symmetry.md` for the lemma, the soundness argument and the
+//! fault-mode interaction (scripted per-link faults break symmetry;
 //! `--symmetry auto` falls back to `off`).
 
-use ccr_core::ids::RemoteId;
-use ccr_core::ids::{MsgType, ProcessId};
+use ccr_core::encode::{Perm, Sink, SliceSink};
+use ccr_core::ids::{MsgType, ProcessId, RemoteId};
 use ccr_core::process::{CommAction, Peer, Process, ProtocolSpec};
 use ccr_core::value::{Env, Value};
 use ccr_metrics::Registry;
-use ccr_runtime::asynch::{AsyncState, AsyncSystem, BufEntry, HomePhase, HomeState, RemoteState};
+use ccr_runtime::asynch::{
+    AsyncState, AsyncSystem, BufEntry, HomePhase, HomeState, RemotePhase, RemoteState,
+};
 use ccr_runtime::rendezvous::{Local, RendezvousSystem, RvState};
 use ccr_runtime::wire::{Link, Wire};
 use ccr_runtime::{Label, TransitionSystem};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// A transition system whose state carries `remote_count()` interchangeable
 /// per-remote components, acted on by the symmetric group: `permute`
-/// renames the remotes and `signature` produces an id-independent
+/// renames the remotes, `encode_renamed` writes the renamed state's bytes
+/// without building it, and `signature` produces an id-independent
 /// discriminator for one remote's slice.
 ///
 /// The contract both implementations uphold (and the proptests check):
@@ -56,9 +62,15 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 ///   buffer senders, `Awaiting` targets, link endpoints) by `π`, where
 ///   `π[i] = j` sends old remote `i` to new slot `j`. It is a group
 ///   action: permuting by `π` then `σ` equals permuting by `σ∘π`.
+/// * **One layout**: `encode_renamed(s, π)` writes exactly
+///   `encode(permute(s, π))`.
 /// * **Equivariance**: `signature(permute(s, π), π[i]) == signature(s, i)`
 ///   — the signature never mentions a concrete remote id, only *self* /
 ///   *other* relationships, so it is constant along the orbit.
+/// * **Exactness**: `signature` returns `true` unless the abstraction
+///   forgot *which* other remote a value owned by remote `i` names. If it
+///   returns `true` for every remote of `s`, any two remotes with equal
+///   signatures can be swapped without changing `s`.
 pub trait Symmetric: TransitionSystem {
     /// Number of remote processes in every state of this system.
     fn remote_count(&self) -> usize;
@@ -75,10 +87,15 @@ pub trait Symmetric: TransitionSystem {
     /// remote `i`) to `s`, producing the relabelled sibling state.
     fn permute(&self, s: &Self::State, perm: &[usize]) -> Self::State;
 
+    /// Appends to `out` the encoding of `permute(s, ren)`, written
+    /// straight from `s`.
+    fn encode_renamed(&self, s: &Self::State, ren: &Perm<'_>, out: &mut impl Sink);
+
     /// Appends an id-independent signature of remote `i`'s slice of `s`
-    /// to `out` (which is *not* cleared). Equal signatures mark remotes
-    /// that are possibly interchangeable in `s`.
-    fn signature(&self, s: &Self::State, i: usize, out: &mut Vec<u8>);
+    /// to `out` (which is *not* cleared) and reports whether it is exact.
+    /// Equal signatures mark remotes that are possibly — if every
+    /// signature of `s` is exact, certainly — interchangeable in `s`.
+    fn signature(&self, s: &Self::State, i: usize, out: &mut Vec<u8>) -> bool;
 }
 
 /// True when every branch of `p` (guard, peer designator, payload,
@@ -120,60 +137,45 @@ pub fn spec_permutable(spec: &ProtocolSpec) -> bool {
     process_permutable(&spec.home) && process_permutable(&spec.remote)
 }
 
-/// Bit mask of the low `n` bits, saturating at all-ones for `n >= 64`.
-fn low_bits(n: usize) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
-/// Relabels one value under a remote permutation: node identities move to
-/// their new index, mask bits below the remote count are permuted (higher
-/// bits pass through), everything else is untouched.
-fn permute_value(v: Value, perm: &[usize]) -> Value {
-    let n = perm.len();
-    match v {
-        Value::Node(r) if r.index() < n => Value::Node(RemoteId(perm[r.index()] as u32)),
-        Value::Mask(m) => {
-            let low = low_bits(n);
-            let mut out = m & !low;
-            for (b, &p) in perm.iter().enumerate() {
-                if m & (1u64 << b) != 0 {
-                    out |= 1u64 << p;
-                }
-            }
-            Value::Mask(out)
-        }
-        other => other,
-    }
-}
-
 /// Relabels every slot of an environment under a remote permutation.
 fn permute_env(env: &Env, perm: &[usize]) -> Env {
-    env.values().map(|v| permute_value(v, perm)).collect()
+    env.values().map(|v| v.renamed(perm)).collect()
 }
 
 /// Id-independent signature bytes of a value *owned by* remote `i`: node
 /// references collapse to self/other markers and masks to (self-bit,
 /// other-popcount), so the bytes are identical for every remote whose
-/// slice looks the same up to renaming.
-fn signature_value(v: Value, i: usize, n: usize, out: &mut Vec<u8>) {
+/// slice looks the same up to renaming. Returns whether the bytes are
+/// exact: only an *other* marker and a non-zero other-popcount forget
+/// something (which other remote).
+fn signature_value(v: Value, i: usize, n: usize, out: &mut Vec<u8>) -> bool {
     match v {
         Value::Node(r) if r.index() < n => {
+            let own = r.index() == i;
             out.push(4);
-            out.push(if r.index() == i { 0xFF } else { 0xFE });
+            out.push(if own { 0xFF } else { 0xFE });
+            own
         }
         Value::Mask(m) => {
-            let low = low_bits(n);
+            let low = Value::remote_bits(n);
+            let others = ((m & low) & !(1u64 << i)).count_ones();
             out.push(5);
             out.push(((m >> i) & 1) as u8);
-            out.push(((m & low) & !(1u64 << i)).count_ones() as u8);
+            out.push(others as u8);
             out.extend_from_slice(&(m & !low).to_le_bytes());
+            others == 0
         }
-        other => other.encode(out),
+        other => {
+            other.encode(out);
+            true
+        }
     }
+}
+
+/// [`signature_value`] of an optional payload, behind a presence flag.
+fn signature_payload(val: Option<Value>, i: usize, n: usize, out: &mut Vec<u8>) -> bool {
+    out.push(val.is_some() as u8);
+    val.is_none_or(|v| signature_value(v, i, n, out))
 }
 
 /// Signature bytes of how a *home-owned* value relates to remote `i`:
@@ -187,25 +189,6 @@ fn signature_home_ref(v: Value, i: usize, n: usize, out: &mut Vec<u8>) {
             out.push(((m >> i) & 1) as u8);
         }
         _ => out.push(0),
-    }
-}
-
-/// Signature bytes of one wire message travelling to or from remote `i`.
-fn signature_wire(w: &Wire, i: usize, n: usize, out: &mut Vec<u8>) {
-    match w {
-        Wire::Req { msg, val } => {
-            out.push(1);
-            out.push(msg.0 as u8);
-            match val {
-                Some(v) => {
-                    out.push(1);
-                    signature_value(*v, i, n, out);
-                }
-                None => out.push(0),
-            }
-        }
-        Wire::Ack => out.push(2),
-        Wire::Nack => out.push(3),
     }
 }
 
@@ -229,16 +212,22 @@ impl Symmetric for RendezvousSystem<'_> {
         }
     }
 
-    fn signature(&self, s: &RvState, i: usize, out: &mut Vec<u8>) {
+    fn encode_renamed(&self, s: &RvState, ren: &Perm<'_>, out: &mut impl Sink) {
+        RendezvousSystem::encode_renamed(self, s, ren, out);
+    }
+
+    fn signature(&self, s: &RvState, i: usize, out: &mut Vec<u8>) -> bool {
         let n = s.remotes.len();
         let r = &s.remotes[i];
+        let mut exact = true;
         out.extend_from_slice(&(r.state.0 as u16).to_le_bytes());
         for v in r.env.values() {
-            signature_value(v, i, n, out);
+            exact &= signature_value(v, i, n, out);
         }
         for v in s.home.env.values() {
             signature_home_ref(v, i, n, out);
         }
+        exact
     }
 }
 
@@ -252,12 +241,13 @@ impl Symmetric for AsyncSystem<'_> {
     }
 
     fn permute(&self, s: &AsyncState, perm: &[usize]) -> AsyncState {
+        let node = |r: RemoteId| RemoteId(perm[r.index()] as u32);
         let mut remotes = s.remotes.clone();
         for (i, r) in s.remotes.iter().enumerate() {
             remotes[perm[i]] = RemoteState {
                 phase: r.phase,
                 env: permute_env(&r.env, perm),
-                buf: r.buf.map(|(m, v)| (m, v.map(|v| permute_value(v, perm)))),
+                buf: r.buf.map(|(m, v)| (m, v.map(|v| v.renamed(perm)))),
                 to_home: permute_link(&r.to_home, perm),
                 to_remote: permute_link(&r.to_remote, perm),
             };
@@ -265,12 +255,10 @@ impl Symmetric for AsyncSystem<'_> {
         AsyncState {
             home: HomeState {
                 phase: match s.home.phase {
-                    HomePhase::At(st) => HomePhase::At(st),
-                    HomePhase::Awaiting { state, branch, target } => HomePhase::Awaiting {
-                        state,
-                        branch,
-                        target: RemoteId(perm[target.index()] as u32),
-                    },
+                    HomePhase::Awaiting { state, branch, target } => {
+                        HomePhase::Awaiting { state, branch, target: node(target) }
+                    }
+                    at => at,
                 },
                 env: permute_env(&s.home.env, perm),
                 // FIFO order is semantic (the C1 scan and victim-nack pick
@@ -281,9 +269,9 @@ impl Symmetric for AsyncSystem<'_> {
                     .buf
                     .iter()
                     .map(|e| BufEntry {
-                        from: RemoteId(perm[e.from.index()] as u32),
-                        msg: e.msg,
-                        val: e.val.map(|v| permute_value(v, perm)),
+                        from: node(e.from),
+                        val: e.val.map(|v| v.renamed(perm)),
+                        ..*e
                     })
                     .collect(),
                 cursor: s.home.cursor,
@@ -292,34 +280,33 @@ impl Symmetric for AsyncSystem<'_> {
         }
     }
 
-    fn signature(&self, s: &AsyncState, i: usize, out: &mut Vec<u8>) {
+    fn encode_renamed(&self, s: &AsyncState, ren: &Perm<'_>, out: &mut impl Sink) {
+        AsyncSystem::encode_renamed(self, s, ren, out);
+    }
+
+    fn signature(&self, s: &AsyncState, i: usize, out: &mut Vec<u8>) -> bool {
         let n = s.remotes.len();
         let r = &s.remotes[i];
+        let mut exact = true;
         match r.phase {
-            ccr_runtime::asynch::RemotePhase::At(st) => {
+            RemotePhase::At(st) => {
                 out.push(0);
                 out.extend_from_slice(&(st.0 as u16).to_le_bytes());
             }
-            ccr_runtime::asynch::RemotePhase::Awaiting { state, branch } => {
+            RemotePhase::Awaiting { state, branch } => {
                 out.push(1);
                 out.extend_from_slice(&(state.0 as u16).to_le_bytes());
                 out.push(branch as u8);
             }
         }
         for v in r.env.values() {
-            signature_value(v, i, n, out);
+            exact &= signature_value(v, i, n, out);
         }
-        match &r.buf {
+        match r.buf {
             Some((m, v)) => {
                 out.push(1);
                 out.push(m.0 as u8);
-                match v {
-                    Some(v) => {
-                        out.push(1);
-                        signature_value(*v, i, n, out);
-                    }
-                    None => out.push(0),
-                }
+                exact &= signature_payload(v, i, n, out);
             }
             None => out.push(0),
         }
@@ -329,7 +316,15 @@ impl Symmetric for AsyncSystem<'_> {
         for link in [&r.to_home, &r.to_remote] {
             out.push(link.len() as u8);
             for w in link.iter() {
-                signature_wire(w, i, n, out);
+                match w {
+                    Wire::Req { msg, val } => {
+                        out.push(1);
+                        out.push(msg.0 as u8);
+                        exact &= signature_payload(*val, i, n, out);
+                    }
+                    Wire::Ack => out.push(2),
+                    Wire::Nack => out.push(3),
+                }
             }
         }
         if let HomePhase::Awaiting { target, .. } = s.home.phase {
@@ -341,19 +336,14 @@ impl Symmetric for AsyncSystem<'_> {
             if e.from.index() == i {
                 out.push(pos as u8);
                 out.push(e.msg.0 as u8);
-                match e.val {
-                    Some(v) => {
-                        out.push(1);
-                        signature_value(v, i, n, out);
-                    }
-                    None => out.push(0),
-                }
+                exact &= signature_payload(e.val, i, n, out);
             }
         }
         out.push(0xFD);
         for v in s.home.env.values() {
             signature_home_ref(v, i, n, out);
         }
+        exact
     }
 }
 
@@ -363,9 +353,7 @@ fn permute_link(link: &Link, perm: &[usize]) -> Link {
     let mut out = Link::new();
     for w in link.iter() {
         out.push(match w {
-            Wire::Req { msg, val } => {
-                Wire::Req { msg: *msg, val: val.map(|v| permute_value(v, perm)) }
-            }
+            Wire::Req { msg, val } => Wire::Req { msg: *msg, val: val.map(|v| v.renamed(perm)) },
             other => *other,
         });
     }
@@ -375,8 +363,9 @@ fn permute_link(link: &Link, perm: &[usize]) -> Link {
 /// What one canonicalization observed, for the orbit metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrbitSample {
-    /// Sorting permutations evaluated (1 when the signature sequence has
-    /// no ties, up to `N!` for a fully symmetric state).
+    /// Sorting permutations whose encodings were compared: 1 when the
+    /// signatures force the order or are all exact, `Π gᵢ!` over the
+    /// equal-signature groups otherwise (up to `N!`).
     pub candidates: u64,
     /// Whether the canonical encoding differs from the state's own — i.e.
     /// the state was not already its orbit representative.
@@ -385,20 +374,18 @@ pub struct OrbitSample {
 
 /// Walks every permutation of `order` that keeps each equal-signature
 /// group within its positions (groups are contiguous after the sort;
-/// `group_end[pos]` is one past the group containing `pos`), converting
-/// each ordering into an old-index → new-index `perm` for `f`.
+/// `group_end[pos]` is one past the group containing `pos`), handing `f`
+/// the old-index → new-index `perm` of each ordering, and the ordering.
 fn for_each_sorting_perm(
     order: &mut [usize],
     group_end: &[usize],
     pos: usize,
     perm: &mut [usize],
-    f: &mut impl FnMut(&[usize]),
+    f: &mut impl FnMut(&[usize], &[usize]),
 ) {
     if pos == order.len() {
-        for (new_pos, &old) in order.iter().enumerate() {
-            perm[old] = new_pos;
-        }
-        f(perm);
+        invert(order, perm);
+        f(perm, order);
         return;
     }
     for k in pos..group_end[pos] {
@@ -408,109 +395,133 @@ fn for_each_sorting_perm(
     }
 }
 
+/// Fills `perm` with the inverse of `order`: `perm[order[slot]] = slot`.
+fn invert(order: &[usize], perm: &mut [usize]) {
+    for (slot, &old) in order.iter().enumerate() {
+        perm[old] = slot;
+    }
+}
+
+/// Working memory of one canonicalization, kept per thread and reused so
+/// that the steady state allocates nothing: the buffers stop growing at
+/// the system's size (a few hundred bytes), and the last four stay empty
+/// unless a state takes the inexact fallback.
+#[derive(Default)]
+struct Scratch {
+    /// The remotes' signatures back to back; remote `i`'s ends at `ends[i]`.
+    sigs: Vec<u8>,
+    ends: Vec<usize>,
+    /// After [`Scratch::solve`], the winning sorting permutation:
+    /// `order[slot]` is the remote placed in `slot`, `perm` its inverse.
+    order: Vec<usize>,
+    perm: Vec<usize>,
+    group_end: Vec<usize>,
+    best_order: Vec<usize>,
+    cand: Vec<u8>,
+    /// The winner's bytes, when more than one candidate was compared.
+    best: Vec<u8>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+impl Scratch {
+    /// Finds the sorting permutation of `s`'s remotes whose renamed
+    /// encoding is least and leaves it in `order`/`perm`.
+    ///
+    /// The stable sort by signature is that permutation outright when no
+    /// two signatures are equal and when all are exact: then remotes with
+    /// equal signatures swap without changing `s`, so every sorting
+    /// permutation produces the same state (the lemma in
+    /// `docs/symmetry.md`). Otherwise the orderings of the equal-signature
+    /// groups are encoded and compared, and `best` keeps the least.
+    ///
+    /// `moved` needs no encoding of `s` itself. A sorting permutation that
+    /// fixes `s` leaves the signature sequence as it is, which is then
+    /// already sorted; so if the stable sort had to move a remote, no
+    /// candidate equals `s`, and if it did not, the first candidate *is*
+    /// `s` and the state moves iff a later one beats it.
+    fn solve<T: Symmetric>(&mut self, sys: &T, s: &T::State) -> OrbitSample {
+        let n = sys.remote_count();
+        let Scratch { sigs, ends, order, perm, group_end, best_order, cand, best } = self;
+        sigs.clear();
+        ends.clear();
+        let mut exact = true;
+        for i in 0..n {
+            exact &= sys.signature(s, i, sigs);
+            ends.push(sigs.len());
+        }
+        let sig = |i: usize| &sigs[if i == 0 { 0 } else { ends[i - 1] }..ends[i]];
+        order.clear();
+        order.extend(0..n);
+        // Breaking ties by index is the stable order, without the merge
+        // buffer a stable sort may allocate.
+        order.sort_unstable_by(|&a, &b| sig(a).cmp(sig(b)).then(a.cmp(&b)));
+        perm.resize(n, 0);
+        invert(order, perm);
+        let unsorted = order.iter().enumerate().any(|(slot, &old)| slot != old);
+        let tied = order.windows(2).any(|w| sig(w[0]) == sig(w[1]));
+        if exact || !tied {
+            return OrbitSample { candidates: 1, moved: unsorted };
+        }
+
+        group_end.clear();
+        while group_end.len() < n {
+            let k = group_end.len();
+            let e = (k + 1..n).find(|&e| sig(order[e]) != sig(order[k])).unwrap_or(n);
+            group_end.resize(e, e);
+        }
+        let mut candidates = 0u64;
+        let mut improved = false;
+        for_each_sorting_perm(order, group_end, 0, perm, &mut |perm, order| {
+            candidates += 1;
+            cand.clear();
+            sys.encode_renamed(s, &Perm::new(perm, order), cand);
+            if candidates == 1 || *cand < *best {
+                improved = candidates > 1;
+                std::mem::swap(best, cand);
+                best_order.clear();
+                best_order.extend_from_slice(order);
+            }
+        });
+        order.copy_from_slice(best_order);
+        invert(order, perm);
+        OrbitSample { candidates, moved: unsorted || improved }
+    }
+}
+
+/// Appends the canonical orbit representative's encoding to `out`.
+fn canonical_into<T: Symmetric>(sys: &T, s: &T::State, out: &mut impl Sink) -> OrbitSample {
+    SCRATCH.with_borrow_mut(|scratch| {
+        let sample = scratch.solve(sys, s);
+        if sample.candidates == 1 {
+            sys.encode_renamed(s, &Perm::new(&scratch.perm, &scratch.order), out);
+        } else {
+            out.put_all(&scratch.best);
+        }
+        sample
+    })
+}
+
 /// Encodes the canonical orbit representative of `s` into `out` (cleared
 /// first, like [`TransitionSystem::encode`]) and reports what the search
-/// over sorting permutations saw.
-///
-/// Soundness: signatures are equivariant, so the *set* of sorting
-/// permutations applied to `s` yields the same candidate state-set for
-/// every member of the orbit — and the minimum of a fixed set does not
-/// depend on where you start. Idempotence follows because the identity
-/// sorts the already-sorted canonical state, so `canon(canon(s))` can
-/// never find anything smaller.
+/// over sorting permutations saw. Why the least encoding among the
+/// sorting permutations is constant on the orbit, and canonicalizing
+/// idempotent, is argued in `docs/symmetry.md` ("Orbit representation").
 pub fn canonical_encode<T: Symmetric>(sys: &T, s: &T::State, out: &mut Vec<u8>) -> OrbitSample {
-    let n = sys.remote_count();
-    if n <= 1 {
-        sys.encode(s, out);
-        return OrbitSample { candidates: 1, moved: false };
-    }
-
-    let mut sigs: Vec<Vec<u8>> = vec![Vec::new(); n];
-    for (i, sig) in sigs.iter_mut().enumerate() {
-        sys.signature(s, i, sig);
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| sigs[a].cmp(&sigs[b]));
-    let mut group_end = vec![0usize; n];
-    let mut k = 0;
-    while k < n {
-        let mut e = k + 1;
-        while e < n && sigs[order[e]] == sigs[order[k]] {
-            e += 1;
-        }
-        for g in group_end.iter_mut().take(e).skip(k) {
-            *g = e;
-        }
-        k = e;
-    }
-
-    let mut perm = vec![0usize; n];
-    let mut best: Vec<u8> = Vec::new();
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut first = true;
-    let mut candidates = 0u64;
-    for_each_sorting_perm(&mut order, &group_end, 0, &mut perm, &mut |perm| {
-        candidates += 1;
-        let cand = sys.permute(s, perm);
-        sys.encode(&cand, &mut scratch);
-        if first || scratch < best {
-            std::mem::swap(&mut best, &mut scratch);
-            first = false;
-        }
-    });
-
-    sys.encode(s, &mut scratch);
-    let moved = best != scratch;
     out.clear();
-    out.extend_from_slice(&best);
-    OrbitSample { candidates, moved }
+    canonical_into(sys, s, out)
 }
 
 /// The canonical orbit representative of `s` itself (the state whose
 /// encoding [`canonical_encode`] produces). Primarily for tests; the
 /// engines only ever need the canonical *bytes*.
 pub fn canonicalize<T: Symmetric>(sys: &T, s: &T::State) -> T::State {
-    let n = sys.remote_count();
-    if n <= 1 {
-        return s.clone();
-    }
-    let mut enc = Vec::new();
-    canonical_encode(sys, s, &mut enc);
-    // Re-run the candidate walk keeping the matching state. Two passes
-    // keep the hot path (`canonical_encode`, used by every engine) free
-    // of state clones it does not need.
-    let mut sigs: Vec<Vec<u8>> = vec![Vec::new(); n];
-    for (i, sig) in sigs.iter_mut().enumerate() {
-        sys.signature(s, i, sig);
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| sigs[a].cmp(&sigs[b]));
-    let mut group_end = vec![0usize; n];
-    let mut k = 0;
-    while k < n {
-        let mut e = k + 1;
-        while e < n && sigs[order[e]] == sigs[order[k]] {
-            e += 1;
-        }
-        for g in group_end.iter_mut().take(e).skip(k) {
-            *g = e;
-        }
-        k = e;
-    }
-    let mut perm = vec![0usize; n];
-    let mut found: Option<T::State> = None;
-    let mut scratch = Vec::new();
-    for_each_sorting_perm(&mut order, &group_end, 0, &mut perm, &mut |perm| {
-        if found.is_some() {
-            return;
-        }
-        let cand = sys.permute(s, perm);
-        sys.encode(&cand, &mut scratch);
-        if scratch == enc {
-            found = Some(cand);
-        }
-    });
-    found.expect("the canonical encoding came from some sorting permutation")
+    SCRATCH.with_borrow_mut(|scratch| {
+        scratch.solve(sys, s);
+        sys.permute(s, &scratch.perm)
+    })
 }
 
 /// Applies the remote permutation `perm` to `s` — a re-export of
@@ -570,6 +581,15 @@ impl<'a, T: Symmetric> Reduced<'a, T> {
         self.canon_total.load(Relaxed)
     }
 
+    fn record(&self, sample: OrbitSample) {
+        self.canon_total.fetch_add(1, Relaxed);
+        self.candidates_total.fetch_add(sample.candidates, Relaxed);
+        self.candidates_max.fetch_max(sample.candidates, Relaxed);
+        if sample.moved {
+            self.moved_total.fetch_add(1, Relaxed);
+        }
+    }
+
     /// Folds this wrapper's orbit counters into `reg`:
     /// `mc_symmetry_orbit_states_total` (canonicalizations),
     /// `mc_symmetry_orbit_moved_total` (states that were not already
@@ -617,16 +637,23 @@ impl<T: Symmetric> TransitionSystem for Reduced<'_, T> {
 
     fn encode(&self, s: &T::State, out: &mut Vec<u8>) {
         if !self.active {
-            self.inner.encode(s, out);
-            return;
+            return self.inner.encode(s, out);
         }
-        let sample = canonical_encode(self.inner, s, out);
-        self.canon_total.fetch_add(1, Relaxed);
-        self.candidates_total.fetch_add(sample.candidates, Relaxed);
-        self.candidates_max.fetch_max(sample.candidates, Relaxed);
-        if sample.moved {
-            self.moved_total.fetch_add(1, Relaxed);
+        self.record(canonical_encode(self.inner, s, out));
+    }
+
+    fn max_encoded_len(&self) -> Option<usize> {
+        // A renaming moves bytes around but never lengthens them.
+        self.inner.max_encoded_len()
+    }
+
+    fn encode_into(&self, s: &T::State, buf: &mut [u8]) -> usize {
+        if !self.active {
+            return self.inner.encode_into(s, buf);
         }
+        let mut slot = SliceSink::new(buf);
+        self.record(canonical_into(self.inner, s, &mut slot));
+        slot.written()
     }
 
     fn decode(&self, bytes: &[u8]) -> Option<T::State> {
@@ -676,16 +703,6 @@ mod tests {
         b.remote(w).recv(gr).goto(v);
         b.remote(v).send(rel).goto(i);
         b.finish().unwrap()
-    }
-
-    #[test]
-    fn permute_value_moves_nodes_and_mask_bits() {
-        let perm = [2usize, 0, 1];
-        assert_eq!(permute_value(Value::Node(RemoteId(0)), &perm), Value::Node(RemoteId(2)));
-        assert_eq!(permute_value(Value::Mask(0b011), &perm), Value::Mask(0b101));
-        assert_eq!(permute_value(Value::Int(7), &perm), Value::Int(7));
-        // Bits past the remote count pass through.
-        assert_eq!(permute_value(Value::Mask(0b1000), &perm), Value::Mask(0b1000));
     }
 
     #[test]
@@ -786,18 +803,5 @@ mod tests {
         assert_eq!(reduced.states, full.states, "identity wrapper");
         assert_eq!(reduced.outcome, full.outcome);
         assert_eq!(red.canon_total(), 0, "no canonicalization happens");
-    }
-
-    #[test]
-    fn fully_symmetric_initial_state_explores_all_orderings() {
-        let spec = token_spec();
-        let sys = RendezvousSystem::new(&spec, 3);
-        let s0 = sys.initial();
-        let mut enc = Vec::new();
-        // All three remotes are identical in the initial state except for
-        // the home's owner variable, which names remote 0.
-        let sample = canonical_encode(&sys, &s0, &mut enc);
-        assert!(sample.candidates >= 2, "ties expand into orderings");
-        assert!(!enc.is_empty());
     }
 }

@@ -1,5 +1,5 @@
 //! Property tests for the canonicalization behind the symmetry reduction
-//! (`crate::symmetry`), on random reachable states of the shipped
+//! (`crate::symmetry`). On random reachable states of the shipped
 //! migratory protocol at both levels:
 //!
 //! * **Idempotence** — canonicalizing a canonical state is the identity;
@@ -13,45 +13,109 @@
 //!   and its canonical representative, for *random* state-sets and
 //!   bounds, not just the shipped coherence invariants.
 //!
+//! and, on every permutable shipped spec plus a sample of the derivation
+//! zoo, at 2–4 remotes:
+//!
+//! * **One layout** — the renaming encoder writes exactly the bytes of
+//!   the materialised permuted state, `encode(permute(s, π))`;
+//! * **Slot path** — `Reduced::encode_into` writes exactly what
+//!   `Reduced::encode` does, within `max_encoded_len`.
+//!
 //! States are drawn by random successor walks from the initial state, so
 //! every tested state is reachable; permutations are random swap
 //! sequences over the remote indices.
 
+use ccr_core::encode::Perm;
 use ccr_core::ids::StateId;
-use ccr_core::refine::{refine, RefineOptions};
+use ccr_core::process::ProtocolSpec;
+use ccr_core::refine::{refine, RefineOptions, RefinedProtocol};
 use ccr_core::text::parse_validated;
+use ccr_core::zoo::ZooSpec;
 use ccr_mc::props::{async_at_most, rv_at_most};
-use ccr_mc::{apply_perm, canonical_encode, canonicalize};
+use ccr_mc::{apply_perm, canonical_encode, canonicalize, spec_permutable, Reduced, Symmetric};
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::TransitionSystem;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::Path;
+use std::sync::OnceLock;
 
 const N: u32 = 3;
 
-fn migratory() -> ccr_core::process::ProtocolSpec {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/migratory.ccp");
+fn shipped(name: &str) -> ProtocolSpec {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs").join(name);
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    parse_validated(&text).expect("migratory.ccp parses")
+    parse_validated(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+fn migratory() -> ProtocolSpec {
+    shipped("migratory.ccp")
+}
+
+/// Every shipped spec the reduction applies to, plus the first eight
+/// permutable, refinable specs of the CI zoo stream (seed 1998).
+fn permutable_specs() -> &'static [RefinedProtocol] {
+    static SPECS: OnceLock<Vec<RefinedProtocol>> = OnceLock::new();
+    SPECS.get_or_init(|| {
+        let shipped = [
+            "migratory.ccp",
+            "migratory_gated.ccp",
+            "migratory_broken.ccp",
+            "token.ccp",
+            "zoo_chain.ccp",
+            "zoo_unsound_pair.ccp",
+        ]
+        .map(shipped);
+        let zoo = (0..).filter_map(|i| ZooSpec::generate(1998, i).build().ok());
+        let specs: Vec<RefinedProtocol> = shipped
+            .into_iter()
+            .chain(zoo)
+            .filter(spec_permutable)
+            .filter_map(|spec| refine(&spec, &RefineOptions::default()).ok())
+            .take(6 + 8)
+            .collect();
+        assert_eq!(specs.len(), 14);
+        assert_eq!(specs[5].spec.name, "zoo_unsound_pair", "all six shipped specs made it");
+        specs
+    })
 }
 
 /// Follows `steps` through the successor relation from the initial state,
 /// indexing each level's successor list modulo its length (stopping early
-/// at a deadlock), so the resulting state is reachable by construction.
+/// at a deadlock or a runtime error — zoo specs may have either), so the
+/// resulting state is reachable by construction.
 fn walk<T: TransitionSystem>(sys: &T, steps: &[u16]) -> T::State {
     let mut s = sys.initial();
     let mut succs = Vec::new();
     for &k in steps {
         succs.clear();
-        sys.successors(&s, &mut succs).expect("walked state executes");
+        if sys.successors(&s, &mut succs).is_err() {
+            break;
+        }
         match succs.get(k as usize % succs.len().max(1)) {
             Some((_, next)) => s = next.clone(),
             None => break,
         }
     }
     s
+}
+
+/// The two byte-level laws of the rebuilt canonicalizer on one state.
+fn assert_one_layout<T: Symmetric>(sys: &T, s: &T::State, perm: &[usize]) {
+    let mut order = vec![0; perm.len()];
+    for (old, &new) in perm.iter().enumerate() {
+        order[new] = old;
+    }
+    let mut renamed = Vec::new();
+    sys.encode_renamed(s, &Perm::new(perm, &order), &mut renamed);
+    assert_eq!(renamed, sys.encoded(&apply_perm(sys, s, perm)), "renamed encode vs permute");
+
+    let red = Reduced::new(sys);
+    let bound = red.max_encoded_len().expect("both executors bound their encodings");
+    let mut slot = vec![0xAA; bound];
+    let written = red.encode_into(s, &mut slot);
+    assert_eq!(&slot[..written], &red.encoded(s)[..], "Reduced slot path vs Vec path");
 }
 
 /// Builds a permutation of `0..n` from a random swap sequence (each word
@@ -74,6 +138,21 @@ fn state_set(bits: u8, spec: &ccr_core::process::ProtocolSpec) -> HashSet<StateI
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn renamed_encoding_is_the_permuted_states_encoding(
+        which in 0usize..14,
+        n in 2u32..=4,
+        steps in proptest::collection::vec(any::<u16>(), 0..40),
+        swaps in proptest::collection::vec(any::<u16>(), 0..8),
+    ) {
+        let refined = &permutable_specs()[which];
+        let perm = perm_from(&swaps, n as usize);
+        let rv = RendezvousSystem::new(&refined.spec, n);
+        assert_one_layout(&rv, &walk(&rv, &steps), &perm);
+        let asys = AsyncSystem::new(refined, n, AsyncConfig::default());
+        assert_one_layout(&asys, &walk(&asys, &steps), &perm);
+    }
 
     #[test]
     fn rv_canonical_encoding_is_constant_on_the_orbit(

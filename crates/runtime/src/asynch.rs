@@ -19,7 +19,8 @@
 
 use crate::error::{Result, RuntimeError};
 use crate::system::{Label, LabelKind, SentMsg, TransitionSystem};
-use crate::wire::{Link, Wire};
+use crate::wire::{encode_payload, Link, Wire};
+use ccr_core::encode::{Identity, Renaming, Sink, SliceSink};
 use ccr_core::expr::EvalCtx;
 use ccr_core::ids::{MsgType, ProcessId, RemoteId, StateId};
 use ccr_core::inline::InlineVec;
@@ -219,6 +220,63 @@ impl<'a> AsyncSystem<'a> {
     /// The configuration parameters.
     pub fn config(&self) -> &AsyncConfig {
         &self.config
+    }
+
+    /// Appends to `out` the encoding of `s` with its remotes renamed by
+    /// `ren`: the bytes [`TransitionSystem::encode`] would produce for the
+    /// renamed state, written straight from `s`. Under a permutation the
+    /// remote slices come out in their new order and every remote-valued
+    /// datum (`Awaiting` target, buffer senders, payloads, variables) under
+    /// its new name; the home buffer keeps its slots, because the C1 scan
+    /// and the victim nack pick by position. `encode` and `encode_into`
+    /// are the [`Identity`] instances, so the state's byte layout is
+    /// written down here and nowhere else.
+    pub fn encode_renamed(&self, s: &AsyncState, ren: &impl Renaming, out: &mut impl Sink) {
+        match s.home.phase {
+            HomePhase::At(st) => {
+                out.put(0);
+                out.put_all(&(st.0 as u16).to_le_bytes());
+            }
+            HomePhase::Awaiting { state, branch, target } => {
+                out.put(1);
+                out.put_all(&(state.0 as u16).to_le_bytes());
+                out.put(branch as u8);
+                out.put_all(&(ren.remote(target).0 as u16).to_le_bytes());
+            }
+        }
+        s.home.env.encode_renamed(ren, out);
+        out.put(s.home.cursor as u8);
+        out.put(s.home.buf.len() as u8);
+        for e in &s.home.buf {
+            out.put_all(&(ren.remote(e.from).0 as u16).to_le_bytes());
+            out.put(e.msg.0 as u8);
+            encode_payload(e.val, ren, out);
+        }
+        for slot in 0..s.remotes.len() {
+            let r = &s.remotes[ren.source(slot)];
+            match r.phase {
+                RemotePhase::At(st) => {
+                    out.put(0);
+                    out.put_all(&(st.0 as u16).to_le_bytes());
+                }
+                RemotePhase::Awaiting { state, branch } => {
+                    out.put(1);
+                    out.put_all(&(state.0 as u16).to_le_bytes());
+                    out.put(branch as u8);
+                }
+            }
+            r.env.encode_renamed(ren, out);
+            match r.buf {
+                Some((m, v)) => {
+                    out.put(1);
+                    out.put(m.0 as u8);
+                    encode_payload(v, ren, out);
+                }
+                None => out.put(0),
+            }
+            r.to_home.encode_renamed(ren, out);
+            r.to_remote.encode_renamed(ren, out);
+        }
     }
 
     fn eval_err(who: ProcessId) -> impl Fn(ccr_core::CoreError) -> RuntimeError {
@@ -990,62 +1048,7 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
 
     fn encode(&self, s: &AsyncState, out: &mut Vec<u8>) {
         out.clear();
-        match s.home.phase {
-            HomePhase::At(st) => {
-                out.push(0);
-                out.extend_from_slice(&(st.0 as u16).to_le_bytes());
-            }
-            HomePhase::Awaiting { state, branch, target } => {
-                out.push(1);
-                out.extend_from_slice(&(state.0 as u16).to_le_bytes());
-                out.push(branch as u8);
-                out.extend_from_slice(&(target.0 as u16).to_le_bytes());
-            }
-        }
-        s.home.env.encode(out);
-        out.push(s.home.cursor as u8);
-        out.push(s.home.buf.len() as u8);
-        for e in &s.home.buf {
-            out.extend_from_slice(&(e.from.0 as u16).to_le_bytes());
-            out.push(e.msg.0 as u8);
-            match e.val {
-                Some(v) => {
-                    out.push(1);
-                    v.encode(out);
-                }
-                None => out.push(0),
-            }
-        }
-        for r in &s.remotes {
-            match r.phase {
-                RemotePhase::At(st) => {
-                    out.push(0);
-                    out.extend_from_slice(&(st.0 as u16).to_le_bytes());
-                }
-                RemotePhase::Awaiting { state, branch } => {
-                    out.push(1);
-                    out.extend_from_slice(&(state.0 as u16).to_le_bytes());
-                    out.push(branch as u8);
-                }
-            }
-            r.env.encode(out);
-            match &r.buf {
-                Some((m, v)) => {
-                    out.push(1);
-                    out.push(m.0 as u8);
-                    match v {
-                        Some(v) => {
-                            out.push(1);
-                            v.encode(out);
-                        }
-                        None => out.push(0),
-                    }
-                }
-                None => out.push(0),
-            }
-            r.to_home.encode(out);
-            r.to_remote.encode(out);
-        }
+        self.encode_renamed(s, &Identity, out);
     }
 
     fn max_encoded_len(&self) -> Option<usize> {
@@ -1065,80 +1068,9 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
     }
 
     fn encode_into(&self, s: &AsyncState, buf: &mut [u8]) -> usize {
-        let mut pos = 0usize;
-        match s.home.phase {
-            HomePhase::At(st) => {
-                buf[pos] = 0;
-                buf[pos + 1..pos + 3].copy_from_slice(&(st.0 as u16).to_le_bytes());
-                pos += 3;
-            }
-            HomePhase::Awaiting { state, branch, target } => {
-                buf[pos] = 1;
-                buf[pos + 1..pos + 3].copy_from_slice(&(state.0 as u16).to_le_bytes());
-                buf[pos + 3] = branch as u8;
-                buf[pos + 4..pos + 6].copy_from_slice(&(target.0 as u16).to_le_bytes());
-                pos += 6;
-            }
-        }
-        pos = s.home.env.encode_into(buf, pos);
-        buf[pos] = s.home.cursor as u8;
-        buf[pos + 1] = s.home.buf.len() as u8;
-        pos += 2;
-        for e in &s.home.buf {
-            buf[pos..pos + 2].copy_from_slice(&(e.from.0 as u16).to_le_bytes());
-            buf[pos + 2] = e.msg.0 as u8;
-            pos += 3;
-            match e.val {
-                Some(v) => {
-                    buf[pos] = 1;
-                    pos = v.encode_into(buf, pos + 1);
-                }
-                None => {
-                    buf[pos] = 0;
-                    pos += 1;
-                }
-            }
-        }
-        for r in &s.remotes {
-            match r.phase {
-                RemotePhase::At(st) => {
-                    buf[pos] = 0;
-                    buf[pos + 1..pos + 3].copy_from_slice(&(st.0 as u16).to_le_bytes());
-                    pos += 3;
-                }
-                RemotePhase::Awaiting { state, branch } => {
-                    buf[pos] = 1;
-                    buf[pos + 1..pos + 3].copy_from_slice(&(state.0 as u16).to_le_bytes());
-                    buf[pos + 3] = branch as u8;
-                    pos += 4;
-                }
-            }
-            pos = r.env.encode_into(buf, pos);
-            match &r.buf {
-                Some((m, v)) => {
-                    buf[pos] = 1;
-                    buf[pos + 1] = m.0 as u8;
-                    pos += 2;
-                    match v {
-                        Some(v) => {
-                            buf[pos] = 1;
-                            pos = v.encode_into(buf, pos + 1);
-                        }
-                        None => {
-                            buf[pos] = 0;
-                            pos += 1;
-                        }
-                    }
-                }
-                None => {
-                    buf[pos] = 0;
-                    pos += 1;
-                }
-            }
-            pos = r.to_home.encode_into(buf, pos);
-            pos = r.to_remote.encode_into(buf, pos);
-        }
-        pos
+        let mut slot = SliceSink::new(buf);
+        self.encode_renamed(s, &Identity, &mut slot);
+        slot.written()
     }
 
     fn decode(&self, bytes: &[u8]) -> Option<AsyncState> {

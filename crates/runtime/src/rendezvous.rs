@@ -7,6 +7,7 @@
 
 use crate::error::{Result, RuntimeError};
 use crate::system::{Label, LabelKind, TransitionSystem};
+use ccr_core::encode::{Identity, Renaming, Sink, SliceSink};
 use ccr_core::expr::EvalCtx;
 use ccr_core::ids::{MsgType, ProcessId, RemoteId, StateId};
 use ccr_core::process::{Branch, CommAction, Peer, Process, ProtocolSpec, StateKind};
@@ -59,6 +60,19 @@ impl<'a> RendezvousSystem<'a> {
     /// Number of remotes.
     pub fn n(&self) -> u32 {
         self.n
+    }
+
+    /// Appends to `out` the encoding of `s` with its remotes renamed by
+    /// `ren` (see `AsyncSystem::encode_renamed`); `encode` and
+    /// `encode_into` are the [`Identity`] instances.
+    pub fn encode_renamed(&self, s: &RvState, ren: &impl Renaming, out: &mut impl Sink) {
+        out.put_all(&(s.home.state.0 as u16).to_le_bytes());
+        s.home.env.encode_renamed(ren, out);
+        for slot in 0..s.remotes.len() {
+            let r = &s.remotes[ren.source(slot)];
+            out.put_all(&(r.state.0 as u16).to_le_bytes());
+            r.env.encode_renamed(ren, out);
+        }
     }
 
     fn home_state<'s>(&'s self, s: &RvState) -> Result<&'s ccr_core::process::State> {
@@ -328,12 +342,7 @@ impl<'a> TransitionSystem for RendezvousSystem<'a> {
 
     fn encode(&self, s: &RvState, out: &mut Vec<u8>) {
         out.clear();
-        out.extend_from_slice(&(s.home.state.0 as u16).to_le_bytes());
-        s.home.env.encode(out);
-        for r in &s.remotes {
-            out.extend_from_slice(&(r.state.0 as u16).to_le_bytes());
-            r.env.encode(out);
-        }
+        self.encode_renamed(s, &Identity, out);
     }
 
     fn max_encoded_len(&self) -> Option<usize> {
@@ -346,13 +355,9 @@ impl<'a> TransitionSystem for RendezvousSystem<'a> {
     }
 
     fn encode_into(&self, s: &RvState, buf: &mut [u8]) -> usize {
-        buf[0..2].copy_from_slice(&(s.home.state.0 as u16).to_le_bytes());
-        let mut pos = s.home.env.encode_into(buf, 2);
-        for r in &s.remotes {
-            buf[pos..pos + 2].copy_from_slice(&(r.state.0 as u16).to_le_bytes());
-            pos = r.env.encode_into(buf, pos + 2);
-        }
-        pos
+        let mut slot = SliceSink::new(buf);
+        self.encode_renamed(s, &Identity, &mut slot);
+        slot.written()
     }
 
     fn decode(&self, bytes: &[u8]) -> Option<RvState> {

@@ -6,6 +6,7 @@
 //! and *check* (rather than assume) that the bound is never exceeded — an
 //! overflow surfaces as [`crate::RuntimeError::LinkOverflow`].
 
+use ccr_core::encode::{Identity, Renaming, Sink};
 use ccr_core::ids::MsgType;
 use ccr_core::ids::{ProcessId, RemoteId};
 use ccr_core::inline::InlineVec;
@@ -32,6 +33,20 @@ pub enum Wire {
     Nack,
 }
 
+/// Encodes an optional payload as a presence flag and the value renamed
+/// by `ren` — the form shared by wire requests, a remote's parked message
+/// and the home's buffered requests.
+#[inline(always)]
+pub(crate) fn encode_payload(val: Option<Value>, ren: &impl Renaming, out: &mut impl Sink) {
+    match val {
+        Some(v) => {
+            out.put(1);
+            v.encode_renamed(ren, out);
+        }
+        None => out.put(0),
+    }
+}
+
 impl Wire {
     /// True for `Req`.
     pub fn is_req(&self) -> bool {
@@ -47,56 +62,26 @@ impl Wire {
     }
 
     /// Compact byte encoding for the state store.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Wire::Req { msg, val } => {
-                out.push(1);
-                out.push(msg.0 as u8);
-                match val {
-                    Some(v) => {
-                        out.push(1);
-                        v.encode(out);
-                    }
-                    None => out.push(0),
-                }
-            }
-            Wire::Ack => out.push(2),
-            Wire::Nack => out.push(3),
-        }
+    #[inline]
+    pub fn encode(&self, out: &mut impl Sink) {
+        self.encode_renamed(&Identity, out);
     }
 
     /// Upper bound on the encoded size of any wire message: a `Req` with
     /// a payload takes tag + msg + flag + one value.
     pub const MAX_ENCODED_LEN: usize = 3 + Value::MAX_ENCODED_LEN;
 
-    /// Fast-path encoding into a preallocated slot: same bytes as
-    /// [`Wire::encode`] at `buf[pos..]`, returning the new cursor. The
-    /// caller guarantees `buf.len() - pos >= MAX_ENCODED_LEN`.
-    #[inline]
-    pub fn encode_into(&self, buf: &mut [u8], pos: usize) -> usize {
+    /// [`Wire::encode`] with the payload renamed by `ren`.
+    #[inline(always)]
+    pub fn encode_renamed(&self, ren: &impl Renaming, out: &mut impl Sink) {
         match self {
             Wire::Req { msg, val } => {
-                buf[pos] = 1;
-                buf[pos + 1] = msg.0 as u8;
-                match val {
-                    Some(v) => {
-                        buf[pos + 2] = 1;
-                        v.encode_into(buf, pos + 3)
-                    }
-                    None => {
-                        buf[pos + 2] = 0;
-                        pos + 3
-                    }
-                }
+                out.put(1);
+                out.put(msg.0 as u8);
+                encode_payload(*val, ren, out);
             }
-            Wire::Ack => {
-                buf[pos] = 2;
-                pos + 1
-            }
-            Wire::Nack => {
-                buf[pos] = 3;
-                pos + 1
-            }
+            Wire::Ack => out.put(2),
+            Wire::Nack => out.put(3),
         }
     }
 
@@ -221,11 +206,9 @@ impl Link {
     }
 
     /// Compact byte encoding for the state store.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.queue.len() as u8);
-        for w in &self.queue {
-            w.encode(out);
-        }
+    #[inline]
+    pub fn encode(&self, out: &mut impl Sink) {
+        self.encode_renamed(&Identity, out);
     }
 
     /// Upper bound on the encoded size of a link that never exceeds
@@ -236,18 +219,14 @@ impl Link {
         1 + capacity * Wire::MAX_ENCODED_LEN
     }
 
-    /// Fast-path encoding into a preallocated slot: same bytes as
-    /// [`Link::encode`] at `buf[pos..]`, returning the new cursor. The
-    /// caller guarantees room for [`Link::max_encoded_len`] of the
-    /// link's capacity bound.
-    #[inline]
-    pub fn encode_into(&self, buf: &mut [u8], pos: usize) -> usize {
-        buf[pos] = self.queue.len() as u8;
-        let mut pos = pos + 1;
+    /// [`Link::encode`] with every payload renamed by `ren` (FIFO order
+    /// kept — in-order delivery is semantic).
+    #[inline(always)]
+    pub fn encode_renamed(&self, ren: &impl Renaming, out: &mut impl Sink) {
+        out.put(self.queue.len() as u8);
         for w in &self.queue {
-            pos = w.encode_into(buf, pos);
+            w.encode_renamed(ren, out);
         }
-        pos
     }
 
     /// Inverse of [`Link::encode`]: reads one link from the front of

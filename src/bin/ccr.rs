@@ -2270,12 +2270,18 @@ fn main() -> ExitCode {
                         check_simulation(&asys, &rv, &budget)
                     };
                     if human {
+                        // Running out of budget refutes nothing: only a
+                        // counterexample edge is a violation.
+                        let verdict = if s.holds() {
+                            "holds".to_string()
+                        } else if s.violation.is_some() {
+                            "VIOLATED".to_string()
+                        } else {
+                            format!("INCOMPLETE (budget exhausted at {} states)", s.async_states)
+                        };
                         println!(
-                            "Equation 1: {} ({} transitions, {} stutters, {} mapped)",
-                            if s.holds() { "holds" } else { "VIOLATED" },
-                            s.transitions_checked,
-                            s.stutters,
-                            s.mapped_steps
+                            "Equation 1: {verdict} ({} transitions, {} stutters, {} mapped)",
+                            s.transitions_checked, s.stutters, s.mapped_steps
                         );
                         if let Some(v) = &s.violation {
                             println!("{v}");

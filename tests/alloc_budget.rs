@@ -9,12 +9,19 @@
 //! more than 1.1 heap allocations. The one allocation in the budget is the
 //! successor's `remotes` vector; home slice, environments, links and
 //! buffers are inline (see DESIGN.md, "State layout").
+//!
+//! The same run under [`Reduced`] must stay inside that budget plus 0.1:
+//! canonicalizing is one sort and one encode into the store's slot, from
+//! per-thread buffers that stop growing after the first few states (it
+//! used to be at least a dozen allocations per state).
 
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
 use ccr_mc::search::{Budget, SearchObserver};
 use ccr_mc::trace::explore_traced_observed;
+use ccr_mc::Reduced;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
+use ccr_runtime::TransitionSystem;
 use ccr_trace::NullSink;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -48,26 +55,49 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-#[test]
-fn serial_explore_stays_within_the_allocation_budget() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("specs/invalidate.ccp");
+fn load(name: &str) -> ccr_core::refine::RefinedProtocol {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("specs").join(name);
     let spec = parse_validated(&std::fs::read_to_string(path).expect("read spec")).expect("parse");
-    let refined = refine(&spec, &RefineOptions::default()).expect("refine");
-    let sys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
+    refine(&spec, &RefineOptions::default()).expect("refine")
+}
+
+/// Explores `sys` with trails and asserts the counts and the allocations
+/// spent per transition.
+fn assert_budget<T: TransitionSystem>(sys: &T, counts: (usize, usize), budget: f64, what: &str) {
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
 
     let before = ALLOCS.load(Relaxed);
-    let report = explore_traced_observed(&sys, &Budget::default(), |_| None, true, &mut obs);
+    let report = explore_traced_observed(sys, &Budget::default(), |_| None, true, &mut obs);
     let allocs = ALLOCS.load(Relaxed) - before;
 
-    assert!(report.outcome.is_complete(), "{:?}", report.outcome);
-    assert_eq!((report.states, report.transitions), (9_304, 20_996));
+    assert!(report.outcome.is_complete(), "{what}: {:?}", report.outcome);
+    assert_eq!((report.states, report.transitions), counts, "{what}");
     let per_transition = allocs as f64 / report.transitions as f64;
-    eprintln!("{allocs} allocations / {} transitions = {per_transition:.3}", report.transitions);
-    assert!(
-        per_transition <= 1.1,
-        "{allocs} allocations over {} transitions = {per_transition:.2} per transition (budget 1.1)",
+    eprintln!(
+        "{what}: {allocs} allocations / {} transitions = {per_transition:.3}",
         report.transitions
     );
+    assert!(
+        per_transition <= budget,
+        "{what}: {allocs} allocations over {} transitions = {per_transition:.2} per transition \
+         (budget {budget})",
+        report.transitions
+    );
+}
+
+// One test, two measurements in sequence: a second `#[test]` would run
+// on another thread and allocate into the first one's count.
+#[test]
+fn serial_explore_stays_within_the_allocation_budget() {
+    let invalidate = load("invalidate.ccp");
+    let sys = AsyncSystem::new(&invalidate, 2, AsyncConfig::default());
+    assert_budget(&sys, (9_304, 20_996), 1.1, "invalidate n=2");
+
+    let migratory = load("migratory.ccp");
+    let sys = AsyncSystem::new(&migratory, 4, AsyncConfig::default());
+    let reduced = Reduced::new(&sys);
+    assert!(reduced.active());
+    assert_budget(&reduced, (1_095, 4_050), 1.2, "migratory n=4 reduced");
+    assert_eq!(reduced.canon_total(), 4_051, "one canonicalization per transition + the root");
 }

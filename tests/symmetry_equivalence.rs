@@ -10,17 +10,26 @@
 //!
 //! The migratory case also pins the headline payoff: at `n=3` the
 //! reduced asynchronous search must visit at most 1/4 of the concrete
-//! states (it actually lands near the `3! = 6`× orbit bound).
+//! states (it actually lands near the `3! = 6`× orbit bound), and at
+//! `n=8` the orbit count itself — a size that is only in reach of a test
+//! because canonicalizing costs one encoding, not `Π gᵢ!` of them.
+//!
+//! The canonicalizer is held against an [`oracle`]: the algorithm as it
+//! stood before the exact-signature collapse (build every sorting
+//! permutation's state, encode it, take the least). On the shipped specs
+//! that pins the lemma the collapse rests on; on [`FORWARD`], a spec
+//! whose remotes hold each other's ids, it pins the enumerating fallback.
 
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
 use ccr_mc::{
-    explore, explore_parallel, explore_parallel_traced_observed, explore_traced, replay_trail,
-    Budget, Outcome, ParallelConfig, Reduced, SearchObserver,
+    canonical_encode, explore, explore_parallel, explore_parallel_traced_observed, explore_traced,
+    replay_trail, Budget, Outcome, ParallelConfig, Reduced, SearchObserver, Symmetric,
 };
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::TransitionSystem;
+use std::collections::HashSet;
 use std::path::Path;
 
 const HEALTHY: [&str; 5] =
@@ -176,4 +185,234 @@ fn broken_spec_reduced_search_finds_replayable_concrete_deadlock() {
             assert!(succs.is_empty(), "n={n} {engine}: replayed trail must end deadlocked");
         }
     }
+}
+
+/// The scale the one-encoding canonicalizer buys: 15,932 orbits at eight
+/// remotes, where enumerating ties cost 34 encodings per state (and 557
+/// at ten).
+#[test]
+fn migratory_async_n8_orbit_count_is_pinned() {
+    let spec = load("migratory.ccp");
+    let refined = refine(&spec, &RefineOptions::default()).expect("migratory refines");
+    let sys = AsyncSystem::new(&refined, 8, AsyncConfig::default());
+    let reduced = explore(&Reduced::new(&sys), &Budget::default(), |_| None, true);
+    assert!(reduced.outcome.is_complete(), "{:?}", reduced.outcome);
+    assert_eq!((reduced.states, reduced.transitions), (15_932, 120_820));
+}
+
+/// What the pre-collapse canonicalizer computes for one state.
+struct Oracle {
+    /// Least encoding over all sorting permutations.
+    bytes: Vec<u8>,
+    /// Number of sorting permutations, `Π gᵢ!`.
+    candidates: u64,
+    /// Whether every remote's signature was exact.
+    exact: bool,
+    /// Whether all sorting permutations encoded to the same bytes.
+    all_alike: bool,
+}
+
+/// The canonicalizer as it was before the exact-signature collapse, and
+/// as plainly as it can be written: of all `n!` orderings of the remotes,
+/// keep those that sort the signature sequence, build each one's state
+/// with `permute`, `encode` it, and take the least.
+fn oracle<T: Symmetric>(sys: &T, s: &T::State) -> Oracle {
+    fn orderings(prefix: &mut Vec<usize>, n: usize, f: &mut impl FnMut(&[usize])) {
+        if prefix.len() == n {
+            return f(prefix);
+        }
+        for i in 0..n {
+            if !prefix.contains(&i) {
+                prefix.push(i);
+                orderings(prefix, n, f);
+                prefix.pop();
+            }
+        }
+    }
+    let n = sys.remote_count();
+    let mut exact = true;
+    let sigs: Vec<Vec<u8>> = (0..n)
+        .map(|i| {
+            let mut sig = Vec::new();
+            exact &= sys.signature(s, i, &mut sig);
+            sig
+        })
+        .collect();
+    let mut encodings = Vec::new();
+    orderings(&mut Vec::new(), n, &mut |order| {
+        if order.windows(2).all(|w| sigs[w[0]] <= sigs[w[1]]) {
+            let mut perm = vec![0; n];
+            for (slot, &old) in order.iter().enumerate() {
+                perm[old] = slot;
+            }
+            encodings.push(sys.encoded(&sys.permute(s, &perm)));
+        }
+    });
+    Oracle {
+        candidates: encodings.len() as u64,
+        exact,
+        all_alike: encodings.iter().all(|e| *e == encodings[0]),
+        bytes: encodings.into_iter().min().expect("the signature sort is a sorting permutation"),
+    }
+}
+
+/// The first `cap` states of `sys` in breadth-first order.
+fn reachable<T: TransitionSystem>(sys: &T, cap: usize) -> Vec<T::State> {
+    let mut states = vec![sys.initial()];
+    let mut seen: HashSet<Vec<u8>> = HashSet::from([sys.encoded(&states[0])]);
+    let mut succs = Vec::new();
+    let mut next = 0;
+    while next < states.len() && states.len() < cap {
+        sys.successors(&states[next].clone(), &mut succs).expect("reachable state executes");
+        for (_, t) in succs.drain(..) {
+            if seen.insert(sys.encoded(&t)) {
+                states.push(t);
+            }
+        }
+        next += 1;
+    }
+    states
+}
+
+/// What a sweep of [`check_against_oracle`] met.
+#[derive(Default)]
+struct Sweep {
+    /// Distinct canonical encodings: the orbits among the states swept.
+    orbits: HashSet<Vec<u8>>,
+    /// States with an equal-signature group of two or more remotes.
+    tied: usize,
+    /// States with an inexact signature.
+    inexact: usize,
+    /// States whose sorting permutations do *not* all encode alike.
+    order_matters: usize,
+}
+
+/// Holds `canonical_encode` against the oracle on every state of `states`:
+/// same bytes, same `moved`, one candidate when every signature is exact
+/// or the order is forced and the oracle's `Π gᵢ!` otherwise — and, the
+/// lemma, exact signatures imply that all sorting permutations agree.
+fn check_against_oracle<T: Symmetric>(sys: &T, states: &[T::State], context: &str) -> Sweep {
+    let mut sweep = Sweep::default();
+    let mut enc = Vec::new();
+    for s in states {
+        let o = oracle(sys, s);
+        assert!(!o.exact || o.all_alike, "{context}: exact signatures, yet the tie order shows");
+        let sample = canonical_encode(sys, s, &mut enc);
+        assert_eq!(enc, o.bytes, "{context}: canonical bytes");
+        assert_eq!(sample.moved, o.bytes != sys.encoded(s), "{context}: moved");
+        assert_eq!(sample.candidates, if o.exact { 1 } else { o.candidates }, "{context}");
+        sweep.tied += usize::from(o.candidates > 1);
+        sweep.inexact += usize::from(!o.exact);
+        sweep.order_matters += usize::from(!o.all_alike);
+        sweep.orbits.insert(o.bytes);
+    }
+    sweep
+}
+
+/// The lemma behind the one-encoding fast path, on the specs it serves:
+/// no remote of a permutable shipped spec ever holds another remote's id,
+/// so every signature is exact, every tie (there are many — the sweeps
+/// start at the fully symmetric initial state) collapses, and the bytes
+/// are the oracle's.
+#[test]
+fn shipped_specs_have_exact_signatures_and_need_one_candidate() {
+    for name in [
+        "migratory.ccp",
+        "migratory_gated.ccp",
+        "migratory_broken.ccp",
+        "token.ccp",
+        "zoo_chain.ccp",
+        "zoo_unsound_pair.ccp",
+    ] {
+        let spec = load(name);
+        let refined = refine(&spec, &RefineOptions::default()).expect("shipped spec refines");
+        for n in [3u32, 4] {
+            let rv = RendezvousSystem::new(&spec, n);
+            let asys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+            for sweep in [
+                check_against_oracle(&rv, &reachable(&rv, 1_500), &format!("{name} rv n={n}")),
+                check_against_oracle(&asys, &reachable(&asys, 1_500), &format!("{name} n={n}")),
+            ] {
+                assert_eq!(sweep.inexact, 0, "{name} n={n}: a remote holds another's id");
+                assert!(sweep.tied > 0, "{name} n={n}: no tie met, the sweep shows nothing");
+            }
+        }
+    }
+}
+
+/// The token protocol with the grant carrying the previous owner's id,
+/// which the requester keeps: a remote-owned value naming *another*
+/// remote, which a signature can only record as "someone else".
+const FORWARD: &str = "\
+protocol forward {
+  messages req, gr, rel;
+  home {
+    var o: node := r0;
+    var j: node := r0;
+    state F init { r(* -> j) ? req -> G; }
+    state G { r(j) ! gr (o) { o := j; } -> E; }
+    state E { r(o) ? rel -> F; }
+  }
+  remote {
+    var prev: node := r0;
+    state I init { h ! req -> W; }
+    state W { h ? gr (bind prev) -> V; }
+    state V { h ! rel -> I; }
+  }
+}";
+
+/// The two cases side by side, on initial states at three remotes where
+/// remotes 1 and 2 tie (the home's owner variable singles out remote 0).
+#[test]
+fn ties_are_enumerated_only_under_an_inexact_signature() {
+    let mut enc = Vec::new();
+    // Token: no remote holds a node id at all, the tie costs nothing.
+    let token = load("token.ccp");
+    let sys = RendezvousSystem::new(&token, 3);
+    let sample = canonical_encode(&sys, &sys.initial(), &mut enc);
+    assert_eq!((sample.candidates, sample.moved), (1, false));
+    assert_eq!(enc, sys.encoded(&sys.initial()));
+
+    // Forward: remotes 1 and 2 both hold remote 0's id — "someone else"
+    // in their signatures — so both orderings of the pair are encoded
+    // and compared. (Self sorts after other: remote 0 moves to the end.)
+    let forward = parse_validated(FORWARD).expect("forward parses");
+    let sys = RendezvousSystem::new(&forward, 3);
+    let s0 = sys.initial();
+    let mut sig = Vec::new();
+    assert!(sys.signature(&s0, 0, &mut sig), "remote 0 names only itself");
+    assert!(!sys.signature(&s0, 1, &mut sig), "remote 1 names remote 0");
+    let sample = canonical_encode(&sys, &s0, &mut enc);
+    assert_eq!((sample.candidates, sample.moved), (2, true));
+    assert_eq!(enc, sys.encoded(&sys.permute(&s0, &[2, 0, 1])));
+}
+
+/// The fallback: with inexact signatures the tie groups are enumerated as
+/// before, the result is the oracle's on every reachable state, and the
+/// quotient the engines explore has exactly the oracle's orbits.
+#[test]
+fn forwarding_spec_enumerates_ties_and_agrees_with_the_oracle() {
+    let spec = parse_validated(FORWARD).expect("forward parses");
+    assert!(ccr_mc::spec_permutable(&spec));
+    let refined = refine(&spec, &RefineOptions::default()).expect("forward refines");
+    let budget = Budget::states(100_000);
+
+    fn assert_quotient<T: Symmetric>(sys: &T, budget: &Budget, context: &str) -> Sweep {
+        let full = reachable(sys, usize::MAX);
+        let sweep = check_against_oracle(sys, &full, context);
+        let reduced = explore(&Reduced::new(sys), budget, |_| None, true);
+        assert!(reduced.outcome.is_complete(), "{context}: {:?}", reduced.outcome);
+        assert_eq!(reduced.states, sweep.orbits.len(), "{context}: orbits explored");
+        assert!(sweep.inexact > 0 && sweep.tied > 0, "{context}: fallback not reached");
+        sweep
+    }
+    for n in [3u32, 4] {
+        let rv = RendezvousSystem::new(&spec, n);
+        let sweep = assert_quotient(&rv, &budget, &format!("forward rv n={n}"));
+        // Two idle remotes, one holding the other's id and one a third
+        // remote's: equal signatures, yet swapping them changes the state.
+        assert!(sweep.order_matters > 0, "forward rv n={n}: every tie was harmless");
+    }
+    let asys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
+    assert_quotient(&asys, &budget, "forward async n=3");
 }
