@@ -1,5 +1,5 @@
 //! Parallel model-checker throughput: the perf trajectory behind the
-//! sharded engine (`ccr_mc::explore_parallel`).
+//! sharded engine (`ccr_mc::search::Search::threads`).
 //!
 //! Measures states/sec of the serial BFS against the parallel engine at
 //! 1, 2, 4, and 8 threads on the async state spaces the paper's Table 3
@@ -50,13 +50,9 @@
 //! `spill` submap records the (ungated) spill/recovery overhead.
 
 use ccr_bench::configs;
-use ccr_mc::parallel::explore_parallel_observed;
 use ccr_mc::progress::check_progress_default;
-use ccr_mc::search::{
-    explore_observed, explore_observed_persist, explore_plain, report_from_manifest, Budget,
-    PersistOpts, SearchObserver, SerialPersist, SerialPersistOpen,
-};
-use ccr_mc::{explore_parallel, CrashSwitch, ExploreReport, ParallelConfig, Reduced};
+use ccr_mc::search::{Budget, PersistOpts, Search, SearchObserver};
+use ccr_mc::{CrashSwitch, Reduced, SearchReport};
 use ccr_metrics::profile::{ProfileAgg, Profiler, SpanKind};
 use ccr_metrics::timeseries::{Recorder, Timeline};
 use ccr_protocols::invalidate::{invalidate_refined, InvalidateOptions};
@@ -81,7 +77,7 @@ const ENCODE_PASSES: usize = 20;
 /// One measured engine configuration (serial or a thread count).
 struct Sample {
     threads: usize,
-    report: ExploreReport,
+    report: SearchReport,
 }
 
 impl Sample {
@@ -90,17 +86,37 @@ impl Sample {
     }
 }
 
+/// One plain, unobserved exploration as `search` runs it.
+fn explore<T>(sys: &T, budget: &Budget, search: &Search<'_>) -> SearchReport
+where
+    T: TransitionSystem + Sync,
+    T::State: Send,
+{
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    search.explore(sys, budget, |_| None, &mut obs)
+}
+
+/// Best-of-`REPEATS` run on the engine `threads` selects (0 = serial).
+fn measure<T>(sys: &T, budget: &Budget, threads: usize) -> SearchReport
+where
+    T: TransitionSystem + Sync,
+    T::State: Send,
+{
+    let search = Search { threads, ..Search::default() };
+    (0..REPEATS)
+        .map(|_| explore(sys, budget, &search))
+        .min_by_key(|r| r.elapsed)
+        .expect("at least one repeat")
+}
+
 /// Best-of-`REPEATS` serial run.
 fn measure_serial<T>(sys: &T, budget: &Budget) -> Sample
 where
     T: TransitionSystem + Sync,
     T::State: Send,
 {
-    let report = (0..REPEATS)
-        .map(|_| explore_plain(sys, budget))
-        .min_by_key(|r| r.elapsed)
-        .expect("at least one repeat");
-    Sample { threads: 1, report }
+    Sample { threads: 1, report: measure(sys, budget, 0) }
 }
 
 /// Best-of-`REPEATS` parallel run at `threads` workers.
@@ -109,12 +125,7 @@ where
     T: TransitionSystem + Sync,
     T::State: Send,
 {
-    let cfg = ParallelConfig::threads(threads);
-    let report = (0..REPEATS)
-        .map(|_| explore_parallel(sys, budget, |_| None, false, &cfg).explore_report())
-        .min_by_key(|r| r.elapsed)
-        .expect("at least one repeat");
-    Sample { threads, report }
+    Sample { threads, report: measure(sys, budget, threads) }
 }
 
 /// Span attribution of one profiled serial run and one profiled
@@ -151,7 +162,8 @@ where
     T: TransitionSystem + Sync,
     T::State: Send,
 {
-    let best_of = |parallel: bool| -> (f64, Profiler) {
+    let best_of = |threads: usize| -> (f64, Profiler) {
+        let search = Search { threads, ..Search::default() };
         (0..REPEATS)
             .map(|_| {
                 let mut null = NullSink;
@@ -159,26 +171,15 @@ where
                 let t = Instant::now();
                 {
                     let mut obs = SearchObserver::new(&mut null).with_profiler(prof.clone());
-                    if parallel {
-                        explore_parallel_observed(
-                            sys,
-                            budget,
-                            |_| None,
-                            false,
-                            &ParallelConfig::threads(1),
-                            &mut obs,
-                        );
-                    } else {
-                        explore_observed(sys, budget, |_| None, false, &mut obs);
-                    }
+                    search.explore(sys, budget, |_| None, &mut obs);
                 }
                 (t.elapsed().as_secs_f64(), prof)
             })
             .min_by(|a, b| a.0.total_cmp(&b.0))
             .expect("at least one repeat")
     };
-    let (serial_profiled_secs, serial_prof) = best_of(false);
-    let (par1_profiled_secs, par1_prof) = best_of(true);
+    let (serial_profiled_secs, serial_prof) = best_of(0);
+    let (par1_profiled_secs, par1_prof) = best_of(1);
     Attribution {
         serial_agg: serial_prof.aggregate(),
         serial_profiled_secs,
@@ -221,8 +222,9 @@ const SAMPLER_INTERVAL_MS: u64 = 50;
 
 /// Flight-recorder cost: a serial exploration with the timeline sampler
 /// attached, against an identically observed run with the recorder
-/// disabled. Both sides best-of-[`REPEATS`], so the share compares two
-/// fastest runs of the same code path and isolates the sampler itself.
+/// disabled. Both sides best-of-[`REPEATS`], their repetitions
+/// interleaved, so the share compares two fastest runs of the same code
+/// path under the same conditions and isolates the sampler itself.
 struct SamplerCost {
     off_secs: f64,
     on_secs: f64,
@@ -244,23 +246,24 @@ where
 {
     let dir = std::env::temp_dir().join(format!("ccr-mc-perf-sampler-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create sampler dir");
-    let timed_run = |recorder: Recorder| -> (f64, ExploreReport) {
+    let timed_run = |recorder: Recorder| -> (f64, SearchReport) {
         let mut null = NullSink;
         let t = Instant::now();
         let report = {
             let mut obs = SearchObserver::new(&mut null)
                 .with_interval(Duration::from_millis(SAMPLER_INTERVAL_MS))
                 .with_timeline(recorder);
-            explore_observed(sys, budget, |_| None, false, &mut obs)
+            Search::default().explore(sys, budget, |_| None, &mut obs)
         };
         (t.elapsed().as_secs_f64(), report)
     };
-    let off_secs = (0..REPEATS)
-        .map(|_| timed_run(Recorder::disabled()).0)
-        .min_by(f64::total_cmp)
-        .expect("at least one repeat");
+    // Off and on alternate (off, on, off, on, …) so that drift over the
+    // measurement — a warming cache, a neighbour waking up — lands on
+    // both sides instead of all on whichever ran second.
+    let mut off_secs = f64::INFINITY;
     let mut best: Option<(f64, PathBuf)> = None;
     for rep in 0..REPEATS {
+        off_secs = off_secs.min(timed_run(Recorder::disabled()).0);
         let path = dir.join(format!("{name}-rep{rep}.jsonl"));
         let recorder =
             Recorder::create(&path, name, SAMPLER_INTERVAL_MS, 5).expect("create sampler timeline");
@@ -465,7 +468,7 @@ const SPILL_CHECKPOINT_MS: u64 = 10;
 struct SpillWorkload {
     name: &'static str,
     description: &'static str,
-    report: ExploreReport,
+    report: SearchReport,
     encoded_len: usize,
     in_memory_secs: f64,
     spill_secs: f64,
@@ -490,21 +493,14 @@ where
     };
     // Best-of-[`REPEATS`] persisted runs, each into a fresh directory
     // (reusing one would turn later repetitions into resumes).
-    let mut best: Option<(f64, PathBuf, ExploreReport)> = None;
+    let mut best: Option<(f64, PathBuf, SearchReport)> = None;
     for rep in 0..REPEATS {
         let root = dir.join(format!("rep{rep}"));
         std::fs::create_dir_all(&root).expect("create spill dir");
+        let fresh = opts(false);
         let t = Instant::now();
-        let report = {
-            let SerialPersistOpen::Run(mut p) =
-                SerialPersist::open(&root, &opts(false)).expect("open spill store")
-            else {
-                panic!("{name}: a fresh spill dir cannot hold a finished run");
-            };
-            let mut null = NullSink;
-            let mut obs = SearchObserver::new(&mut null);
-            explore_observed_persist(sys, &budget, |_| None, false, &mut obs, &mut p)
-        };
+        let report =
+            explore(sys, &budget, &Search { persist: Some((&root, &fresh)), ..Search::default() });
         let secs = t.elapsed().as_secs_f64();
         assert!(
             report.outcome.is_complete(),
@@ -524,14 +520,15 @@ where
     let log_bytes = std::fs::metadata(best_root.join("log")).expect("spill log exists").len();
     // Restoring the finished checkpoint replays no search: it reads the
     // terminal manifest back into a report.
+    let resume = opts(true);
     let t = Instant::now();
-    let SerialPersistOpen::Finished(manifest) =
-        SerialPersist::open(&best_root, &opts(true)).expect("reopen finished spill store")
-    else {
-        panic!("{name}: a finished run must restore from its manifest");
-    };
+    let restored = explore(
+        sys,
+        &budget,
+        &Search { persist: Some((&best_root, &resume)), ..Search::default() },
+    );
     let restore_secs = t.elapsed().as_secs_f64();
-    let restored = report_from_manifest(&manifest);
+    assert!(restored.restored, "{name}: a finished run must restore from its manifest");
     assert_eq!(restored.states, report.states, "{name}: restored states diverged");
     assert_eq!(restored.transitions, report.transitions, "{name}: restored transitions diverged");
     let _ = std::fs::remove_dir_all(&dir);

@@ -7,20 +7,23 @@
 //! Pass `--threads N` to route the reachability runs through the sharded
 //! parallel engine (identical counts, wall-clock drops on large spaces).
 
-use ccr_bench::cli::{explore_threaded, threads_from_args};
+use ccr_bench::cli::threads_from_args;
 use ccr_bench::configs;
-use ccr_mc::search::Budget;
+use ccr_mc::search::{Budget, Search, SearchObserver};
 use ccr_protocols::migratory::{migratory, migratory_refined, MigratoryOptions};
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
+use ccr_trace::NullSink;
 use std::time::Duration;
 
 fn main() {
-    let threads = threads_from_args();
+    let search = Search { threads: threads_from_args(), ..Search::default() };
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
     let opts = MigratoryOptions::checking_with_data(configs::DATA_DOMAIN);
     let spec = migratory(&opts);
-    if threads > 1 {
-        println!("(parallel engine, {threads} threads)");
+    if search.threads > 0 {
+        println!("(parallel engine, {} threads)", search.threads);
     }
     println!("Rendezvous migratory scaling (budget 32 MB, as in the paper):");
     println!(
@@ -35,7 +38,7 @@ fn main() {
     };
     for n in configs::SCALING_NS {
         let sys = RendezvousSystem::new(&spec, n);
-        let r = explore_threaded(&sys, &budget, threads);
+        let r = search.explore(&sys, &budget, |_| None, &mut obs);
         println!(
             "| {:>3} | {:>10} | {:>12} | {:>10} | {:>9.3} |{}",
             n,
@@ -54,7 +57,7 @@ fn main() {
     let refined = migratory_refined(&opts);
     for n in [2u32, 3, 4, 5] {
         let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
-        let r = explore_threaded(&sys, &budget, threads);
+        let r = search.explore(&sys, &budget, |_| None, &mut obs);
         println!(
             "| {:>3} | {:>10} | {:>10} | {:>9.3} | {} |",
             n,

@@ -7,28 +7,31 @@
 //! Pass `--threads N` to route the reachability runs through the sharded
 //! parallel engine (identical counts, wall-clock drops on large spaces).
 
-use ccr_bench::cli::{explore_threaded, threads_from_args};
+use ccr_bench::cli::threads_from_args;
 use ccr_bench::configs;
 use ccr_core::refine::RefinedProtocol;
+use ccr_mc::search::{Search, SearchObserver};
 use ccr_protocols::invalidate::{invalidate_refined, InvalidateOptions};
 use ccr_protocols::migratory::{migratory_refined, MigratoryOptions};
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
+use ccr_trace::NullSink;
 
-fn row(refined: &RefinedProtocol, protocol: &str, n: u32, threads: usize) -> (String, String) {
+fn row(refined: &RefinedProtocol, n: u32, search: &Search<'_>) -> (String, String) {
     let budget = configs::table3_budget();
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
     let asys = AsyncSystem::new(refined, n, AsyncConfig::default());
-    let a = explore_threaded(&asys, &budget, threads);
+    let a = search.explore(&asys, &budget, |_| None, &mut obs);
     let rsys = RendezvousSystem::new(&refined.spec, n);
-    let r = explore_threaded(&rsys, &budget, threads);
-    let _ = protocol;
-    (a.table_cell(), r.table_cell())
+    let r = search.explore(&rsys, &budget, |_| None, &mut obs);
+    (a.explore_report().table_cell(), r.explore_report().table_cell())
 }
 
 fn main() {
-    let threads = threads_from_args();
-    if threads > 1 {
-        println!("(parallel engine, {threads} threads)");
+    let search = Search { threads: threads_from_args(), ..Search::default() };
+    if search.threads > 0 {
+        println!("(parallel engine, {} threads)", search.threads);
     }
     println!("Table 3 reproduction — states visited / seconds for reachability");
     println!(
@@ -46,12 +49,12 @@ fn main() {
 
     let mig = migratory_refined(&MigratoryOptions::checking_with_data(configs::DATA_DOMAIN));
     for n in configs::MIGRATORY_NS {
-        let (a, r) = row(&mig, "Migratory", n, threads);
+        let (a, r) = row(&mig, n, &search);
         println!("| {:<10} | {:>2} | {:>22} | {:>22} |", "Migratory", n, a, r);
     }
     let inv = invalidate_refined(&InvalidateOptions { data_domain: Some(configs::DATA_DOMAIN) });
     for n in configs::INVALIDATE_NS {
-        let (a, r) = row(&inv, "Invalidate", n, threads);
+        let (a, r) = row(&inv, n, &search);
         println!("| {:<10} | {:>2} | {:>22} | {:>22} |", "Invalidate", n, a, r);
     }
     println!();

@@ -1,10 +1,7 @@
-//! Shared command-line parsing and exploration helpers for the report
-//! binaries, so every `--trace`/`--seed`/`--threads` flag behaves the
-//! same across `table3`, `scaling`, `messages`, `buffers`, and `mc_perf`.
+//! Shared command-line parsing for the report binaries, so every
+//! `--trace`/`--seed`/`--threads` flag behaves the same across `table3`,
+//! `scaling`, `messages`, `buffers`, and `mc_perf`.
 
-use ccr_mc::search::{explore_plain, Budget};
-use ccr_mc::{explore_parallel, ExploreReport, ParallelConfig};
-use ccr_runtime::TransitionSystem;
 use ccr_trace::{JsonlSink, NullSink, TraceSink};
 
 /// `--trace <file>` from the command line, as a boxed sink (`NullSink`
@@ -38,8 +35,11 @@ pub fn seed_from_args() -> u64 {
     }
 }
 
-/// `--threads <N>` from the command line (1 when absent: the serial
-/// engine, exactly as before the flag existed).
+/// `--threads <N>` from the command line, as [`ccr_mc::search::Search`]
+/// takes it: 0 when absent (the serial engine, exactly as before the
+/// flag existed), otherwise the sharded engine on `N >= 1` workers.
+/// Complete runs report identical states/transitions either way, so
+/// tables stay comparable across thread counts.
 pub fn threads_from_args() -> usize {
     let args: Vec<String> = std::env::args().collect();
     match args.iter().position(|a| a == "--threads") {
@@ -51,23 +51,6 @@ pub fn threads_from_args() -> usize {
                 },
             )
         }
-        None => 1,
-    }
-}
-
-/// Plain reachability through the engine selected by `threads`: the
-/// serial [`explore_plain`] at 1, the sharded [`explore_parallel`]
-/// otherwise. Complete runs report identical states/transitions either
-/// way, so tables stay comparable across thread counts.
-pub fn explore_threaded<T>(sys: &T, budget: &Budget, threads: usize) -> ExploreReport
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-{
-    if threads > 1 {
-        explore_parallel(sys, budget, |_| None, false, &ParallelConfig::threads(threads))
-            .explore_report()
-    } else {
-        explore_plain(sys, budget)
+        None => 0,
     }
 }

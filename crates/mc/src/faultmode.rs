@@ -14,11 +14,10 @@
 //!   because once the budget is spent and the lost frames are
 //!   retransmitted the network has quiesced.
 
-use crate::parallel::{explore_parallel_traced_observed, ParallelConfig};
-use crate::progress::check_progress_parallel_observed;
+use crate::progress;
 use crate::report::{Outcome, ProgressReport};
-use crate::search::{Budget, SearchObserver};
-use crate::trace::{explore_traced_observed, TracedReport};
+use crate::search::{explore_serial, Budget, SearchObserver};
+use crate::trace::TracedReport;
 use ccr_runtime::asynch::{AsyncState, AsyncSystem};
 use ccr_runtime::FaultClosure;
 use ccr_trace::NullSink;
@@ -43,69 +42,36 @@ impl FaultClosureReport {
     }
 }
 
-/// Explores the fault closure of `sys` with budget `faults`, checking
-/// `invariant` on every reachable base configuration and then checking
-/// progress, reporting heartbeats and any counterexample trail to `obs`.
-pub fn check_fault_closure_observed(
-    sys: &AsyncSystem<'_>,
-    faults: u32,
-    budget: &Budget,
-    mut invariant: impl FnMut(&AsyncState) -> Option<String>,
-    obs: &mut SearchObserver<'_>,
-) -> FaultClosureReport {
-    let closure = FaultClosure::new(sys.clone(), faults);
-    let explore = explore_traced_observed(&closure, budget, |fs| invariant(&fs.base), true, obs);
-    let progress =
-        crate::progress::check_progress_observed(&closure, budget, |l| l.completes.is_some(), obs);
-    FaultClosureReport { budget_faults: faults, explore, progress }
-}
-
-/// [`check_fault_closure_observed`] on the multi-threaded engine: both
-/// the safety exploration and the progress check run with `cfg.threads`
-/// workers. On a complete run the reported counts match the serial
-/// checker at any thread count; see [`crate::parallel`] for the exact
-/// determinism guarantees on violating runs.
-pub fn check_fault_closure_parallel_observed<F>(
-    sys: &AsyncSystem<'_>,
-    faults: u32,
-    budget: &Budget,
-    invariant: F,
-    cfg: &ParallelConfig,
-    obs: &mut SearchObserver<'_>,
-) -> FaultClosureReport
-where
-    F: Fn(&AsyncState) -> Option<String> + Sync,
-{
-    let closure = FaultClosure::new(sys.clone(), faults);
-    let explore = explore_parallel_traced_observed(
-        &closure,
-        budget,
-        |fs: &ccr_runtime::FaultState| invariant(&fs.base),
-        true,
-        cfg,
-        obs,
-    )
-    .traced_report();
-    let progress =
-        check_progress_parallel_observed(&closure, budget, |l| l.completes.is_some(), cfg, obs);
-    FaultClosureReport { budget_faults: faults, explore, progress }
-}
-
-/// [`check_fault_closure_observed`] without live reporting.
+/// Explores the fault closure of `sys` with budget `faults` on the serial
+/// engine, checking `invariant` on every reachable base configuration
+/// (and deadlock freedom, with a counterexample trail), then checks
+/// progress over the same closure.
+///
+/// The closure is an ordinary transition system, so any other way of
+/// running the two checks — threads, an observer — is
+/// [`crate::search::Search::explore`] and
+/// [`crate::search::Search::progress`] over
+/// [`FaultClosure::new`], assembled into the same report.
 pub fn check_fault_closure(
     sys: &AsyncSystem<'_>,
     faults: u32,
     budget: &Budget,
-    invariant: impl FnMut(&AsyncState) -> Option<String>,
+    mut invariant: impl FnMut(&AsyncState) -> Option<String>,
 ) -> FaultClosureReport {
+    let closure = FaultClosure::new(sys.clone(), faults);
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    check_fault_closure_observed(sys, faults, budget, invariant, &mut obs)
+    let explore =
+        explore_serial(&closure, budget, |fs| invariant(&fs.base), true, true, &mut obs, None)
+            .traced_report();
+    let progress = progress::serial(&closure, budget, |l| l.completes.is_some(), &mut obs);
+    FaultClosureReport { budget_faults: faults, explore, progress }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::Search;
     use ccr_core::builder::ProtocolBuilder;
     use ccr_core::expr::Expr;
     use ccr_core::ids::RemoteId;
@@ -159,17 +125,18 @@ mod tests {
         let sys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
         let serial = check_fault_closure(&sys, 1, &Budget::states(2_000_000), |_| None);
         assert!(serial.holds());
+        let closure = FaultClosure::new(sys.clone(), 1);
         for threads in [2usize, 4] {
-            let mut null = ccr_trace::NullSink;
+            let mut null = NullSink;
             let mut obs = SearchObserver::new(&mut null);
-            let par = check_fault_closure_parallel_observed(
-                &sys,
-                1,
-                &Budget::states(2_000_000),
-                |_| None,
-                &ParallelConfig::threads(threads),
-                &mut obs,
-            );
+            let search =
+                Search { check_deadlock: true, trails: true, threads, ..Search::default() };
+            let budget = Budget::states(2_000_000);
+            let par = FaultClosureReport {
+                budget_faults: 1,
+                explore: search.explore(&closure, &budget, |_| None, &mut obs).traced_report(),
+                progress: search.progress(&closure, &budget, |l| l.completes.is_some(), &mut obs),
+            };
             assert!(par.holds(), "t={threads}");
             assert_eq!(par.explore.states, serial.explore.states, "t={threads}");
             assert_eq!(par.progress.states, serial.progress.states, "t={threads}");

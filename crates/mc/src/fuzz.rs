@@ -31,20 +31,19 @@
 //! `migratory_broken`-shaped unsoundness — the completion protocol is
 //! desynchronized), which the pipeline must then catch.
 
+use crate::faultmode::{check_fault_closure, FaultClosureReport};
+use crate::progress::check_progress_default;
 use crate::report::{ExploreReport, Outcome};
-use crate::search::{explore, Budget};
+use crate::search::{explore, Budget, Search, SearchObserver};
 use crate::simrel::check_simulation;
 use crate::symmetry::{spec_permutable, Reduced};
-use crate::{
-    check_fault_closure, check_fault_closure_parallel_observed, check_progress,
-    check_progress_parallel, explore_parallel, ParallelConfig, SearchObserver,
-};
 use ccr_core::process::{CommAction, ProtocolSpec};
 use ccr_core::refine::{refine, BranchKey, RefineOptions, RefinedProtocol, ReqRepMode};
 use ccr_core::text::{parse_validated, to_text};
 use ccr_core::zoo::ZooSpec;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
+use ccr_runtime::FaultClosure;
 use ccr_trace::NullSink;
 use std::fmt;
 
@@ -348,10 +347,12 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
     // Stage 5: parallel re-checks. Each thread count must satisfy the
     // serial contract, and all thread counts must agree byte-identically
     // with each other.
+    let parallel = |threads| Search { check_deadlock: true, threads, ..Search::default() };
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
     let mut prev: Option<(usize, ExploreReport)> = None;
     for &t in &cfg.threads {
-        let par = explore_parallel(&asys, &budget, |_| None, true, &ParallelConfig::threads(t));
-        let par = par.explore_report();
+        let par = parallel(t).explore(&asys, &budget, |_| None, &mut obs).explore_report();
         if let Some(f) = cmp_serial_vs_parallel(&format!("async-{t}t"), &a_serial, &par) {
             verdict.failure = Some(f);
             return verdict;
@@ -369,15 +370,10 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
 
     // Progress: serial vs parallel must agree on the verdict and on the
     // state count (witness trails may legitimately differ in shape).
-    let prog = check_progress(&asys, &budget, |l| l.completes.is_some());
+    let prog = check_progress_default(&asys, &budget);
     verdict.progress_holds = Some(prog.holds());
     if let Some(&t) = cfg.threads.first() {
-        let pprog = check_progress_parallel(
-            &asys,
-            &budget,
-            |l| l.completes.is_some(),
-            &ParallelConfig::threads(t),
-        );
+        let pprog = parallel(t).progress(&asys, &budget, |l| l.completes.is_some(), &mut obs);
         let a = (prog.states, prog.holds(), prog.livelocked_states, prog.deadlocked_states);
         let b = (pprog.states, pprog.holds(), pprog.livelocked_states, pprog.deadlocked_states);
         if a != b {
@@ -396,9 +392,7 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
         let red = Reduced::new(&asys);
         let r_serial = explore(&red, &budget, |_| None, true);
         if let Some(&t) = cfg.threads.first() {
-            let r_par =
-                explore_parallel(&red, &budget, |_| None, true, &ParallelConfig::threads(t));
-            let r_par = r_par.explore_report();
+            let r_par = parallel(t).explore(&red, &budget, |_| None, &mut obs).explore_report();
             if let Some(f) = cmp_serial_vs_parallel(&format!("sym-{t}t"), &r_serial, &r_par) {
                 verdict.failure = Some(f);
                 return verdict;
@@ -438,16 +432,13 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
             return verdict;
         }
         if let Some(&t) = cfg.threads.first() {
-            let mut null = NullSink;
-            let mut obs = SearchObserver::new(&mut null);
-            let pfc = check_fault_closure_parallel_observed(
-                &asys,
-                cfg.fault_budget,
-                &budget,
-                |_| None,
-                &ParallelConfig::threads(t),
-                &mut obs,
-            );
+            let closure = FaultClosure::new(asys.clone(), cfg.fault_budget);
+            let search = Search { trails: true, ..parallel(t) };
+            let pfc = FaultClosureReport {
+                budget_faults: cfg.fault_budget,
+                explore: search.explore(&closure, &budget, |_| None, &mut obs).traced_report(),
+                progress: search.progress(&closure, &budget, |l| l.completes.is_some(), &mut obs),
+            };
             // Same contract as the plain explores: outcome + holds()
             // always agree; counts are byte-identical on non-violating
             // runs and may only overshoot on violating ones.

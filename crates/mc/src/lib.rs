@@ -6,21 +6,29 @@
 //! substitute: an explicit-state engine over any
 //! [`ccr_runtime::TransitionSystem`], providing
 //!
-//! * [`search::explore`] — breadth-first reachability with state and memory
-//!   budgets (runs that exceed the budget report `Unfinished`, mirroring
-//!   the paper's 64 MB limit);
+//! * [`search::Search`] — the one options value every search starts from
+//!   (deadlock check, trails, engine threads, persistence), with
+//!   [`search::Search::explore`] — breadth-first reachability with state
+//!   and memory budgets (runs that exceed the budget report `Unfinished`,
+//!   mirroring the paper's 64 MB limit) — and
+//!   [`search::Search::progress`] — livelock detection: from every
+//!   reachable state some rendezvous completion must remain reachable
+//!   (the §2.5 forward-progress criterion for "at least one remote");
+//!   [`search::explore`], [`search::explore_plain`] and
+//!   [`progress::check_progress_default`] are the serial, unobserved
+//!   conveniences;
 //! * [`props`] — invariant checking (coherence safety) and deadlock
 //!   detection;
 //! * [`simrel::check_simulation`] — the Equation 1 soundness check: every
 //!   asynchronous transition maps under the §4 abstraction function to a
 //!   stutter or to a rendezvous transition;
-//! * [`progress::check_progress`] — livelock detection: from every
-//!   reachable state some rendezvous completion must remain reachable (the
-//!   §2.5 forward-progress criterion for "at least one remote");
-//! * [`parallel::explore_parallel`] — the multi-threaded engine: hash-
+//! * [`parallel`] — the multi-threaded engine behind `threads > 0`: hash-
 //!   sharded visited set behind lock stripes, level-synchronized BFS with
 //!   batched cross-worker exchange, observationally equivalent to the
 //!   serial search (same states/transitions/outcome at any thread count).
+//!
+//! One serial sweep ([`search`]'s `drive`) serves all three questions —
+//! reachability, Equation 1 and progress are checkers observing it.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -38,36 +46,22 @@ pub mod store;
 pub mod symmetry;
 pub mod trace;
 
-pub use faultmode::{
-    check_fault_closure, check_fault_closure_observed, check_fault_closure_parallel_observed,
-    FaultClosureReport,
-};
+pub use faultmode::{check_fault_closure, FaultClosureReport};
 pub use fuzz::{
     fuzz_one, inject_unsound, run_shape, run_spec, shrink_failing, FuzzConfig, FuzzFailure,
     ShrinkResult, SpecVerdict,
 };
-pub use parallel::{
-    explore_parallel, explore_parallel_observed, explore_parallel_observed_persist,
-    explore_parallel_traced_observed, explore_parallel_traced_observed_persist, ParallelConfig,
-    ParallelPersist, ParallelPersistOpen, ParallelReport,
-};
+pub use parallel::{ParallelConfig, ParallelPersist, ParallelPersistOpen};
 pub use persist::{
     CrashSwitch, LockGuard, LogTier, Manifest, ManifestWriter, PersistError, PersistStats, PhaseDir,
 };
-pub use progress::{
-    check_progress, check_progress_default, check_progress_observed, check_progress_parallel,
-    check_progress_parallel_observed,
-};
-pub use report::{ExploreReport, Outcome, ProgressReport, SimRelReport};
+pub use progress::check_progress_default;
+pub use report::{ExploreReport, Outcome, ProgressReport, SearchReport, SimRelReport};
 pub use search::{
-    explore, explore_dfs, explore_observed, explore_observed_persist, report_from_manifest, Budget,
-    PersistOpts, SearchObserver, SerialPersist, SerialPersistOpen, StatusReporter,
-    DEFAULT_HEARTBEAT_INTERVAL,
+    explore, explore_dfs, report_from_manifest, Budget, PersistOpen, PersistOpts, Search,
+    SearchObserver, SerialPersist, SerialPersistOpen, StatusReporter, DEFAULT_HEARTBEAT_INTERVAL,
 };
 pub use symmetry::{
     apply_perm, canonical_encode, canonicalize, spec_permutable, OrbitSample, Reduced, Symmetric,
 };
-pub use trace::{
-    explore_traced, explore_traced_observed, explore_traced_observed_persist, export_trail,
-    replay_trail, TracedReport,
-};
+pub use trace::{export_trail, replay_trail, TracedReport};

@@ -1,7 +1,7 @@
 //! Parallel sharded state-space exploration.
 //!
-//! [`explore_parallel`] partitions encoded states by hash across `S`
-//! shards, each a lock stripe owning its slice of the visited set (the
+//! [`crate::search::Search::explore`] with `threads > 0` runs this engine:
+//! it partitions encoded states by hash across `S` shards, each a lock stripe owning its slice of the visited set (the
 //! arena-backed [`StateStore`]) plus its own frontier queue. `T` worker
 //! threads (spawned with `std::thread::scope` — no detached threads, no
 //! unsafe) each own the shards `s` with `s % T == w` and exchange
@@ -43,28 +43,18 @@
 //! pointer and label per state; a violating run then carries a shortest
 //! (minimal-depth) counterexample trail that replays under
 //! [`crate::trace::replay_trail`].
-//!
-//! # Hash compaction
-//!
-//! [`ParallelConfig::compact_hash`] switches every shard store to 8-byte
-//! hash compaction: distinct states whose 64-bit hashes collide are
-//! conflated, making the run probabilistic (flagged in the report), in
-//! exchange for a much smaller visited set — the escape hatch for spaces
-//! that exceed the byte budget. See `docs/parallel_checking.md`.
 
 use crate::persist::{
     CrashSwitch, LockGuard, LogTier, Manifest, ManifestWriter, PResult, PersistError, PhaseDir,
 };
-use crate::report::{ExploreReport, Outcome};
-use crate::search::{Budget, PersistOpts, SearchObserver};
+use crate::report::{Outcome, SearchReport};
+use crate::search::{Budget, PersistOpen, PersistOpts, SearchObserver};
 use crate::store::{hash_encoded, StateStore};
 use ccr_core::ids::ProcessId;
 use ccr_metrics::profile::{Profiler, SpanKind};
 use ccr_metrics::Registry;
 use ccr_runtime::{Label, LabelKind, TransitionSystem};
-use ccr_trace::NullSink;
 use crossbeam::queue::SegQueue;
-use serde::Serialize;
 use std::path::Path;
 use std::sync::atomic::{
     AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering::AcqRel, Ordering::Acquire,
@@ -73,7 +63,9 @@ use std::sync::atomic::{
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`explore_parallel`] and the parallel progress check.
+/// Tuning knobs of the parallel engine. [`crate::search::Search`] sets
+/// `threads`, `track_trails` and `stall_ms` and leaves the rest at their
+/// defaults.
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
     /// Worker threads (≥ 1). 1 runs the same sharded algorithm on a
@@ -83,8 +75,6 @@ pub struct ParallelConfig {
     /// shards mean finer lock striping and better balance; 64 is plenty
     /// up to 16 threads.
     pub shards: usize,
-    /// Store only 64-bit state hashes (probabilistic, ~12 bytes/state).
-    pub compact_hash: bool,
     /// Keep a parent pointer + label per state so violating runs carry a
     /// replayable counterexample trail. Costs one `Label` per stored
     /// state.
@@ -99,14 +89,7 @@ pub struct ParallelConfig {
 
 impl Default for ParallelConfig {
     fn default() -> Self {
-        Self {
-            threads: 1,
-            shards: 64,
-            compact_hash: false,
-            track_trails: false,
-            batch: 256,
-            stall_ms: 0,
-        }
+        Self { threads: 1, shards: 64, track_trails: false, batch: 256, stall_ms: 0 }
     }
 }
 
@@ -122,92 +105,15 @@ impl ParallelConfig {
         self
     }
 
-    /// Enables 8-byte hash compaction (probabilistic).
-    pub fn with_compaction(mut self) -> Self {
-        self.compact_hash = true;
-        self
-    }
-
     pub(crate) fn shard_count(&self) -> usize {
         self.shards.max(self.threads).max(1).next_power_of_two()
     }
 }
 
-/// Result of a parallel exploration: the [`ExploreReport`] fields plus
-/// the parallel run's own metadata and optional counterexample trail.
-#[derive(Debug, Clone, Serialize)]
-pub struct ParallelReport {
-    /// Distinct states visited.
-    pub states: usize,
-    /// Transitions traversed (successors generated from expanded states).
-    pub transitions: usize,
-    /// Wall time of the search.
-    pub elapsed: Duration,
-    /// Bytes across all shard stores.
-    pub store_bytes: usize,
-    /// Largest BFS level (the level-synchronized frontier high-water
-    /// mark).
-    pub peak_frontier: usize,
-    /// How the run ended.
-    pub outcome: Outcome,
-    /// BFS levels fully expanded.
-    pub depth: usize,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Shard (lock stripe) count.
-    pub shards: usize,
-    /// True when hash compaction was on: `states` counts hash-distinct
-    /// states and a `Complete` outcome is probabilistic.
-    pub probabilistic: bool,
-    /// Shortest trail to the violation, when one was found and
-    /// [`ParallelConfig::track_trails`] was set. Replays under
-    /// [`crate::trace::replay_trail`].
-    pub trail: Option<Vec<Label>>,
-}
-
-impl ParallelReport {
-    /// The serial-shaped view of this report.
-    pub fn explore_report(&self) -> ExploreReport {
-        ExploreReport {
-            states: self.states,
-            transitions: self.transitions,
-            elapsed: self.elapsed,
-            store_bytes: self.store_bytes,
-            peak_frontier: self.peak_frontier,
-            outcome: self.outcome.clone(),
-            probabilistic: self.probabilistic,
-        }
-    }
-
-    /// The trail-carrying serial-shaped view of this report, for callers
-    /// that handle serial and parallel runs uniformly.
-    pub fn traced_report(&self) -> crate::trace::TracedReport {
-        crate::trace::TracedReport {
-            states: self.states,
-            transitions: self.transitions,
-            outcome: self.outcome.clone(),
-            trail: self.trail.clone(),
-        }
-    }
-
-    /// Formats the trail as SPIN-like numbered lines (`actor rule`), or a
-    /// note that none exists.
-    pub fn trail_text(&self) -> String {
-        match &self.trail {
-            None => "(no counterexample)".to_string(),
-            Some(labels) => labels
-                .iter()
-                .enumerate()
-                .map(|(i, l)| {
-                    let completes =
-                        l.completes.map(|(a, m)| format!(" completes {a}:{m}")).unwrap_or_default();
-                    format!("{:>4}: {} [{}]{}", i + 1, l.actor, l.rule, completes)
-                })
-                .collect::<Vec<_>>()
-                .join("\n"),
-        }
-    }
-}
+/// What [`explore_parallel_traced_observed`] returns: the one report
+/// type under the name `benchmark/src/layers.rs` knows it by.
+#[doc(hidden)]
+pub type ParallelReport = SearchReport;
 
 /// Packed state reference: shard in the high 32 bits, dense in-shard
 /// index in the low 32.
@@ -252,9 +158,9 @@ pub(crate) struct ShardData<St> {
 }
 
 impl<St> ShardData<St> {
-    fn new(compact: bool) -> Self {
+    fn new() -> Self {
         Self {
-            store: if compact { StateStore::compact() } else { StateStore::new() },
+            store: StateStore::new(),
             depth: Vec::new(),
             parents: Vec::new(),
             labels: Vec::new(),
@@ -478,7 +384,7 @@ where
             check_deadlock,
             cfg,
             n_shards,
-            stripes: (0..n_shards).map(|_| Mutex::new(ShardData::new(cfg.compact_hash))).collect(),
+            stripes: (0..n_shards).map(|_| Mutex::new(ShardData::new())).collect(),
             inboxes: (0..threads).map(|_| SegQueue::new()).collect(),
             started: Instant::now(),
             arrivals: AtomicUsize::new(0),
@@ -1358,15 +1264,8 @@ struct ResumeData {
     committed: Vec<(u64, u64)>,
 }
 
-/// Result of opening a parallel persistence directory: either a context
-/// to run with, or the terminal manifest of a phase that already
-/// finished.
-pub enum ParallelPersistOpen {
-    /// Run (fresh or resumed) with this context.
-    Run(Box<ParallelPersist>),
-    /// A prior run already finished with this manifest.
-    Finished(Manifest),
-}
+/// What [`ParallelPersist::open`] returns.
+pub type ParallelPersistOpen = PersistOpen<ParallelPersist>;
 
 /// Parallel-engine persistence: the phase directory (one log + index
 /// per shard), its writer lock, and the shared worker-coordination
@@ -1454,11 +1353,6 @@ impl ParallelPersist {
             _lock: lock,
             resume,
         })))
-    }
-
-    /// Search time accumulated by prior runs of this phase.
-    pub fn elapsed_base(&self) -> Duration {
-        self.eng.elapsed_base
     }
 
     /// Concludes a finished run (workers have exited, stripes are free):
@@ -1624,111 +1518,25 @@ where
     }
 }
 
-/// Explores the reachable state space of `sys` breadth-first with
-/// `cfg.threads` workers over `cfg.shards` lock-striped shards. Semantics
-/// match [`crate::search::explore`]; see the module docs for the exact
-/// determinism guarantees.
-pub fn explore_parallel<T, F>(
-    sys: &T,
-    budget: &Budget,
-    invariant: F,
-    check_deadlock: bool,
-    cfg: &ParallelConfig,
-) -> ParallelReport
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-    F: Fn(&T::State) -> Option<String> + Sync,
-{
-    let mut null = NullSink;
-    let mut obs = SearchObserver::new(&mut null);
-    explore_parallel_observed(sys, budget, invariant, check_deadlock, cfg, &mut obs)
-}
-
-/// The shared body of the two observed entry points: build the engine
-/// (no progress judging), run it to completion, assemble the report.
-fn run_assembled<T, F>(
+/// A parallel exploration from sweep to report — the engine's one entry,
+/// behind [`crate::search::Search::explore`]: build the engine (no
+/// progress judging), attach the persistence tiers when there are any
+/// (recovering on resume), run to completion, write the terminal
+/// manifest, and end the observer's stream (the counterexample replayed
+/// to its sink when there is a trail, the bare outcome event otherwise).
+/// Semantics match the serial sweep; see the module docs for the exact
+/// determinism guarantees. Resumed runs report `trail: None`: the
+/// recovered states carry no parent pointers (the violation itself is
+/// still found and reported deterministically).
+pub(crate) fn explore<T, F>(
     sys: &T,
     budget: &Budget,
     invariant: &F,
     check_deadlock: bool,
     cfg: &ParallelConfig,
     obs: &mut SearchObserver<'_>,
-) -> ParallelReport
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-    F: Fn(&T::State) -> Option<String> + Sync,
-{
-    let engine: Engine<'_, T, F, fn(&Label) -> bool> = Engine::new(
-        sys,
-        budget,
-        invariant,
-        None,
-        check_deadlock,
-        cfg,
-        obs.metrics(),
-        obs.profiler(),
-    );
-    let (outcome, trail, _) = run(&engine, obs);
-    assemble(&engine, cfg, outcome, trail)
-}
-
-/// [`explore_parallel`] with heartbeats: the calling thread aggregates
-/// worker counters into [`SearchObserver`] ticks while the workers run.
-pub fn explore_parallel_observed<T, F>(
-    sys: &T,
-    budget: &Budget,
-    invariant: F,
-    check_deadlock: bool,
-    cfg: &ParallelConfig,
-    obs: &mut SearchObserver<'_>,
-) -> ParallelReport
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-    F: Fn(&T::State) -> Option<String> + Sync,
-{
-    let report = run_assembled(sys, budget, &invariant, check_deadlock, cfg, obs);
-    obs.finish(&report.outcome, None);
-    report
-}
-
-/// [`explore_parallel_observed`] with the serial traced-export behavior
-/// of [`crate::trace::explore_traced_observed`]: trails are always
-/// tracked, and on a violation the counterexample is exported to the
-/// observer's sink as a replayed event stream ending with the outcome
-/// (instead of the bare outcome event).
-pub fn explore_parallel_traced_observed<T, F>(
-    sys: &T,
-    budget: &Budget,
-    invariant: F,
-    check_deadlock: bool,
-    cfg: &ParallelConfig,
-    obs: &mut SearchObserver<'_>,
-) -> ParallelReport
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-    F: Fn(&T::State) -> Option<String> + Sync,
-{
-    let cfg = cfg.clone().with_trails();
-    let report = run_assembled(sys, budget, &invariant, check_deadlock, &cfg, obs);
-    crate::trace::conclude_with_trail(sys, &report.outcome, report.trail.as_deref(), obs);
-    report
-}
-
-/// The persist analog of [`run_assembled`]: attach the tiers (recovering
-/// on resume), run, write the terminal manifest.
-fn run_assembled_persist<T, F>(
-    sys: &T,
-    budget: &Budget,
-    invariant: &F,
-    check_deadlock: bool,
-    cfg: &ParallelConfig,
-    obs: &mut SearchObserver<'_>,
-    persist: &ParallelPersist,
-) -> ParallelReport
+    persist: Option<&ParallelPersist>,
+) -> SearchReport
 where
     T: TransitionSystem + Sync,
     T::State: Send,
@@ -1744,102 +1552,47 @@ where
         obs.metrics(),
         obs.profiler(),
     );
-    if let Err(e) = engine.attach_persist(persist) {
-        return ParallelReport {
-            states: 0,
-            transitions: 0,
-            elapsed: Duration::ZERO,
-            store_bytes: 0,
-            peak_frontier: 0,
-            outcome: Outcome::PersistFailure(e.to_string()),
-            depth: 0,
-            threads: cfg.threads.max(1),
-            shards: cfg.shard_count(),
-            probabilistic: cfg.compact_hash,
-            trail: None,
-        };
+    if let Some(p) = persist {
+        if let Err(e) = engine.attach_persist(p) {
+            return SearchReport::persist_failure(&e);
+        }
     }
     let (mut outcome, trail, _) = run(&engine, obs);
-    persist.conclude(&engine, &mut outcome, obs.metrics());
-    let mut report = assemble(&engine, cfg, outcome, trail);
-    report.elapsed += persist.elapsed_base();
-    report
-}
-
-/// [`explore_parallel_observed`] with persistence: every shard's visited
-/// set is backed by an on-disk log (optionally spilling state bytes once
-/// the RAM budget is crossed), the search checkpoints at level
-/// boundaries, and with [`PersistOpts::resume`] a killed run continues
-/// from its last manifest — reproducing the uninterrupted run's counts
-/// and outcome exactly.
-pub fn explore_parallel_observed_persist<T, F>(
-    sys: &T,
-    budget: &Budget,
-    invariant: F,
-    check_deadlock: bool,
-    cfg: &ParallelConfig,
-    obs: &mut SearchObserver<'_>,
-    persist: &ParallelPersist,
-) -> ParallelReport
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-    F: Fn(&T::State) -> Option<String> + Sync,
-{
-    let report = run_assembled_persist(sys, budget, &invariant, check_deadlock, cfg, obs, persist);
-    obs.finish(&report.outcome, None);
-    report
-}
-
-/// [`explore_parallel_traced_observed`] with persistence. Resumed runs
-/// report `trail: None`: the recovered states carry no parent pointers,
-/// so a counterexample cannot be reconstructed across the crash (the
-/// violation itself is still found and reported deterministically).
-pub fn explore_parallel_traced_observed_persist<T, F>(
-    sys: &T,
-    budget: &Budget,
-    invariant: F,
-    check_deadlock: bool,
-    cfg: &ParallelConfig,
-    obs: &mut SearchObserver<'_>,
-    persist: &ParallelPersist,
-) -> ParallelReport
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-    F: Fn(&T::State) -> Option<String> + Sync,
-{
-    let cfg = cfg.clone().with_trails();
-    let report = run_assembled_persist(sys, budget, &invariant, check_deadlock, &cfg, obs, persist);
+    if let Some(p) = persist {
+        p.conclude(&engine, &mut outcome, obs.metrics());
+    }
+    let report = SearchReport {
+        states: engine.states_total(),
+        transitions: engine.transitions_total(),
+        elapsed: engine.started.elapsed() + persist.map_or(Duration::ZERO, |p| p.eng.elapsed_base),
+        store_bytes: engine.store_bytes(),
+        peak_frontier: engine.peak_frontier.load(SeqCst).max(1),
+        outcome,
+        trail,
+        restored: false,
+    };
     crate::trace::conclude_with_trail(sys, &report.outcome, report.trail.as_deref(), obs);
     report
 }
 
-fn assemble<T, F, G>(
-    engine: &Engine<'_, T, F, G>,
+/// [`crate::search::Search::explore`] on `cfg.threads` workers with
+/// trails on. Kept for `benchmark/src/layers.rs` (`benchmark/README.md`,
+/// "Entry points into `ccr-*`").
+#[doc(hidden)]
+pub fn explore_parallel_traced_observed<T, F>(
+    sys: &T,
+    budget: &Budget,
+    invariant: F,
+    check_deadlock: bool,
     cfg: &ParallelConfig,
-    outcome: Outcome,
-    trail: Option<Vec<Label>>,
+    obs: &mut SearchObserver<'_>,
 ) -> ParallelReport
 where
     T: TransitionSystem + Sync,
     T::State: Send,
     F: Fn(&T::State) -> Option<String> + Sync,
-    G: Fn(&Label) -> bool + Sync,
 {
-    ParallelReport {
-        states: engine.states_total(),
-        transitions: engine.transitions_total(),
-        elapsed: engine.started.elapsed(),
-        store_bytes: engine.store_bytes(),
-        peak_frontier: engine.peak_frontier.load(SeqCst).max(1),
-        outcome,
-        depth: engine.level.load(SeqCst),
-        threads: cfg.threads.max(1),
-        shards: engine.n_shards,
-        probabilistic: cfg.compact_hash,
-        trail,
-    }
+    explore(sys, budget, &invariant, check_deadlock, &cfg.clone().with_trails(), obs, None)
 }
 
 #[cfg(test)]
@@ -1851,6 +1604,26 @@ mod tests {
     use ccr_core::ids::RemoteId;
     use ccr_core::value::Value;
     use ccr_runtime::rendezvous::RendezvousSystem;
+    use ccr_trace::NullSink;
+
+    /// The engine's entry, unobserved.
+    fn explore_parallel<T, F>(
+        sys: &T,
+        budget: &Budget,
+        invariant: F,
+        check_deadlock: bool,
+        cfg: &ParallelConfig,
+        persist: Option<&ParallelPersist>,
+    ) -> SearchReport
+    where
+        T: TransitionSystem + Sync,
+        T::State: Send,
+        F: Fn(&T::State) -> Option<String> + Sync,
+    {
+        let mut null = NullSink;
+        let mut obs = SearchObserver::new(&mut null);
+        super::explore(sys, budget, &invariant, check_deadlock, cfg, &mut obs, persist)
+    }
 
     fn token_spec() -> ccr_core::process::ProtocolSpec {
         let mut b = ProtocolBuilder::new("token");
@@ -1894,7 +1667,7 @@ mod tests {
             let serial = explore_plain(&sys, &Budget::default());
             for threads in [1usize, 2, 4] {
                 let cfg = ParallelConfig::threads(threads);
-                let par = explore_parallel(&sys, &Budget::default(), |_| None, false, &cfg);
+                let par = explore_parallel(&sys, &Budget::default(), |_| None, false, &cfg, None);
                 assert_eq!(par.outcome, Outcome::Complete, "n={n} t={threads}");
                 assert_eq!(par.states, serial.states, "n={n} t={threads}");
                 assert_eq!(par.transitions, serial.transitions, "n={n} t={threads}");
@@ -1911,7 +1684,7 @@ mod tests {
         let mut reference: Option<(usize, usize, usize)> = None;
         for threads in [1usize, 2, 4] {
             let cfg = ParallelConfig::threads(threads).with_trails();
-            let par = explore_parallel(&sys, &Budget::default(), |_| None, true, &cfg);
+            let par = explore_parallel(&sys, &Budget::default(), |_| None, true, &cfg, None);
             assert_eq!(par.outcome, Outcome::Deadlock, "t={threads}");
             let key = (par.states, par.transitions, par.trail.as_ref().unwrap().len());
             match &reference {
@@ -1926,7 +1699,7 @@ mod tests {
         let spec = deadlocking_spec();
         let sys = RendezvousSystem::new(&spec, 2);
         let cfg = ParallelConfig::threads(4).with_trails();
-        let par = explore_parallel(&sys, &Budget::default(), |_| None, true, &cfg);
+        let par = explore_parallel(&sys, &Budget::default(), |_| None, true, &cfg, None);
         assert_eq!(par.outcome, Outcome::Deadlock);
         let trail = par.trail.clone().expect("trail");
         let end = crate::trace::replay_trail(&sys, &trail).expect("trail replays");
@@ -1954,6 +1727,7 @@ mod tests {
             },
             false,
             &cfg,
+            None,
         );
         assert!(matches!(par.outcome, Outcome::InvariantViolated(_)));
         let trail = par.trail.clone().expect("trail");
@@ -1966,8 +1740,14 @@ mod tests {
         let spec = token_spec();
         let sys = RendezvousSystem::new(&spec, 2);
         let cfg = ParallelConfig::threads(2).with_trails();
-        let par =
-            explore_parallel(&sys, &Budget::default(), |_| Some("always".into()), false, &cfg);
+        let par = explore_parallel(
+            &sys,
+            &Budget::default(),
+            |_| Some("always".into()),
+            false,
+            &cfg,
+            None,
+        );
         assert!(matches!(par.outcome, Outcome::InvariantViolated(_)));
         assert_eq!(par.states, 1);
         assert_eq!(par.trail.as_deref(), Some(&[][..]));
@@ -1979,70 +1759,27 @@ mod tests {
         let sys = RendezvousSystem::new(&spec, 4);
         let full = explore_plain(&sys, &Budget::default());
         let cfg = ParallelConfig::threads(2);
-        let par = explore_parallel(&sys, &Budget::states(3), |_| None, false, &cfg);
+        let par = explore_parallel(&sys, &Budget::states(3), |_| None, false, &cfg, None);
         assert_eq!(par.outcome, Outcome::Unfinished);
         assert!(par.states >= 3 && par.states < full.states);
-        let tiny = explore_parallel(&sys, &Budget::bytes(64), |_| None, false, &cfg);
+        let tiny = explore_parallel(&sys, &Budget::bytes(64), |_| None, false, &cfg, None);
         assert_eq!(tiny.outcome, Outcome::Unfinished);
-    }
-
-    #[test]
-    fn compact_mode_is_flagged_probabilistic_and_agrees_here() {
-        let spec = token_spec();
-        let sys = RendezvousSystem::new(&spec, 3);
-        let exact = explore_plain(&sys, &Budget::default());
-        let cfg = ParallelConfig::threads(2).with_compaction();
-        let par = explore_parallel(&sys, &Budget::default(), |_| None, false, &cfg);
-        assert!(par.probabilistic);
-        assert!(par.explore_report().probabilistic);
-        // No 64-bit collisions in a space this small: counts agree.
-        assert_eq!(par.states, exact.states);
-        // Dropping the arena makes the store strictly smaller than the
-        // exact parallel store under the same sharding.
-        let full = explore_parallel(
-            &sys,
-            &Budget::default(),
-            |_| None,
-            false,
-            &ParallelConfig::threads(2),
-        );
-        assert!(!full.probabilistic);
-        assert!(par.store_bytes < full.store_bytes);
     }
 
     #[test]
     fn metrics_deterministic_counters_match_serial_at_any_thread_count() {
         let spec = token_spec();
         let sys = RendezvousSystem::new(&spec, 3);
-        let snap_for = |threads: Option<usize>| {
+        let snap_for = |threads: usize| {
             let reg = ccr_metrics::Registry::new();
             let mut null = NullSink;
             let mut obs = SearchObserver::with_metrics(&mut null, reg.clone());
-            match threads {
-                None => {
-                    crate::search::explore_observed(
-                        &sys,
-                        &Budget::default(),
-                        |_| None,
-                        false,
-                        &mut obs,
-                    );
-                }
-                Some(t) => {
-                    explore_parallel_observed(
-                        &sys,
-                        &Budget::default(),
-                        |_| None,
-                        false,
-                        &ParallelConfig::threads(t),
-                        &mut obs,
-                    );
-                }
-            }
+            let search = crate::search::Search { threads, ..Default::default() };
+            search.explore(&sys, &Budget::default(), |_| None, &mut obs);
             reg.snapshot()
         };
-        let serial = snap_for(None);
-        let par: Vec<_> = [1usize, 2, 4].iter().map(|&t| snap_for(Some(t))).collect();
+        let serial = snap_for(0);
+        let par: Vec<_> = [1usize, 2, 4].iter().map(|&t| snap_for(t)).collect();
         for p in &par {
             // The shared serial/parallel counters agree exactly.
             for name in ["mc_runs_total", "mc_states_total", "mc_transitions_total"] {
@@ -2095,16 +1832,13 @@ mod tests {
                     ..Default::default()
                 };
                 let persist = open_par(&root, &opts, &cfg);
-                let mut null = NullSink;
-                let mut obs = SearchObserver::new(&mut null);
-                let par = explore_parallel_observed_persist(
+                let par = explore_parallel(
                     &sys,
                     &Budget::default(),
                     |_| None,
                     false,
                     &cfg,
-                    &mut obs,
-                    &persist,
+                    Some(&persist),
                 );
                 assert_eq!(par.outcome, Outcome::Complete, "t={threads} evict={evict}");
                 assert_eq!(par.states, plain.states, "t={threads} evict={evict}");
@@ -2124,17 +1858,7 @@ mod tests {
         let cfg = ParallelConfig::threads(2);
         let opts = crate::search::PersistOpts { interval: Duration::ZERO, ..Default::default() };
         let persist = open_par(&root, &opts, &cfg);
-        let mut null = NullSink;
-        let mut obs = SearchObserver::new(&mut null);
-        explore_parallel_observed_persist(
-            &sys,
-            &Budget::default(),
-            |_| None,
-            false,
-            &cfg,
-            &mut obs,
-            &persist,
-        );
+        explore_parallel(&sys, &Budget::default(), |_| None, false, &cfg, Some(&persist));
         drop(persist);
         let reopen = crate::search::PersistOpts { resume: true, ..opts };
         match ParallelPersist::open(&root, &reopen, &cfg).expect("reopen") {
@@ -2144,6 +1868,7 @@ mod tests {
                 assert_eq!(m.transitions as usize, plain.transitions);
                 let report = crate::search::report_from_manifest(&m);
                 assert_eq!(report.outcome, Outcome::Complete);
+                assert!(report.restored);
             }
             ParallelPersistOpen::Run(_) => panic!("expected a finished manifest"),
         }
@@ -2193,17 +1918,8 @@ mod tests {
             let cfg = ParallelConfig::threads(resume_threads);
             let reopen = crate::search::PersistOpts { resume: true, ..opts };
             let persist = open_par(&root, &reopen, &cfg);
-            let mut null = NullSink;
-            let mut obs = SearchObserver::new(&mut null);
-            let par = explore_parallel_observed_persist(
-                &sys,
-                &Budget::default(),
-                |_| None,
-                false,
-                &cfg,
-                &mut obs,
-                &persist,
-            );
+            let par =
+                explore_parallel(&sys, &Budget::default(), |_| None, false, &cfg, Some(&persist));
             assert_eq!(par.outcome, Outcome::Complete, "evict={evict}");
             assert_eq!(par.states, plain.states, "evict={evict}");
             assert_eq!(par.transitions, plain.transitions, "evict={evict}");
@@ -2246,9 +1962,9 @@ mod tests {
         let sys = RendezvousSystem::new(&spec, 2);
         let serial = explore_plain(&sys, &Budget::default());
         let cfg = ParallelConfig { threads: 2, shards: 1, ..ParallelConfig::default() };
-        let par = explore_parallel(&sys, &Budget::default(), |_| None, false, &cfg);
+        let par = explore_parallel(&sys, &Budget::default(), |_| None, false, &cfg, None);
         assert_eq!(par.states, serial.states);
         assert_eq!(par.transitions, serial.transitions);
-        assert!(par.shards >= 2, "shards round up to cover the workers");
+        assert!(cfg.shard_count() >= 2, "shards round up to cover the workers");
     }
 }

@@ -15,25 +15,27 @@
 //! contiguous slice per state instead of chasing per-state heap
 //! allocations.
 //!
-//! [`check_progress_parallel`] runs the same check on the multi-threaded
-//! engine of [`crate::parallel`]: workers record reverse edges and
-//! per-state flags during the level-synchronized sweep, shard-local state
-//! indices are renumbered to dense global ids by prefix sums afterwards,
-//! and the backward propagation runs single-threaded on the merged CSR
+//! The forward sweep is not this module's: on the serial engine the
+//! check is a checker on the one serial sweep (`search::drive`) that
+//! keeps the edge list and two flags per state; on the multi-threaded
+//! engine of
+//! [`crate::parallel`] the workers record reverse edges and per-state
+//! flags during the level-synchronized sweep, and shard-local state
+//! indices are renumbered to dense global ids by prefix sums afterwards.
+//! Either way the backward propagation runs single-threaded on the CSR
 //! (it is a fraction of the forward-sweep cost).
+//! [`crate::search::Search::progress`] picks the engine.
 
 use crate::parallel::{
     self, pack, unpack, ParallelConfig, FLAG_EXPANDED, FLAG_HAS_SUCC, FLAG_PROGRESS,
 };
 use crate::report::{Outcome, ProgressReport};
-use crate::search::{insert_state, Budget, SearchObserver};
-use crate::store::StateStore;
-use crate::trace::{export_trail, rebuild_trail, Parent, ROOT};
+use crate::search::{drive, record_search_run, Budget, Checker, Search, SearchObserver};
+use crate::trace::{conclude_with_trail, rebuild_trail};
 use ccr_metrics::profile::SpanKind;
 use ccr_runtime::{Label, TransitionSystem};
 use ccr_trace::NullSink;
 use std::collections::VecDeque;
-use std::time::Instant;
 
 /// Builds the CSR adjacency `(offsets, targets)` over `n` nodes from
 /// `(node, target)` pairs — for the reverse graph, `node` is the edge's
@@ -79,110 +81,75 @@ fn propagate_good(n: usize, offsets: &[u32], targets: &[u32], seed: &[bool]) -> 
     good
 }
 
-/// Explores `sys` and checks that from every reachable state a completing
-/// transition remains reachable.
-///
-/// `is_progress` classifies labels as progress events; the default notion
-/// is `label.completes.is_some()`.
-pub fn check_progress<T: TransitionSystem>(
-    sys: &T,
-    budget: &Budget,
-    is_progress: impl Fn(&Label) -> bool,
-) -> ProgressReport {
-    let mut null = NullSink;
-    let mut obs = SearchObserver::new(&mut null);
-    check_progress_observed(sys, budget, is_progress, &mut obs)
+/// What the progress check keeps of the serial sweep: the reverse graph
+/// as a flat `(dst, src)` edge list — CSR-bucketed after the sweep — and,
+/// per state, whether it has a successor and whether one of its edges is
+/// a progress event.
+struct ForwardGraph<G> {
+    is_progress: G,
+    edges: Vec<(u32, u32)>,
+    has_progress_edge: Vec<bool>,
+    has_successor: Vec<bool>,
+    /// States whose expansion began. Only these have complete successor
+    /// information; unexpanded frontier states are not judged.
+    expanded: usize,
 }
 
-/// [`check_progress`] with live progress reporting: `obs` receives
-/// periodic heartbeats during the forward exploration, and when the check
-/// fails the witness trail (shortest path to the first stuck state) is
-/// exported to the observer's sink as a replayed event stream.
-pub fn check_progress_observed<T: TransitionSystem>(
+impl<T: TransitionSystem, G: Fn(&Label) -> bool> Checker<T> for ForwardGraph<G> {
+    fn on_new(&mut self, _state: &T::State, _idx: u32) -> Option<Outcome> {
+        self.has_progress_edge.push(false);
+        self.has_successor.push(false);
+        None
+    }
+
+    fn on_expand(&mut self, _state: &T::State, idx: u32) -> Option<Outcome> {
+        // A breadth-first sweep expands states in index order.
+        self.expanded = idx as usize + 1;
+        None
+    }
+
+    fn on_insert(&mut self, src: u32, label: &Label, dst: u32, _is_new: bool) {
+        self.has_successor[src as usize] = true;
+        self.edges.push((dst, src));
+        if (self.is_progress)(label) {
+            self.has_progress_edge[src as usize] = true;
+        }
+    }
+}
+
+/// The progress check on the serial engine: explores `sys` and checks
+/// that from every reachable state a transition `is_progress` accepts
+/// remains reachable. `obs` receives periodic heartbeats during the
+/// forward exploration, and when the check fails the witness trail
+/// (shortest path to the first stuck state) is exported to the observer's
+/// sink as a replayed event stream.
+pub(crate) fn serial<T: TransitionSystem>(
     sys: &T,
     budget: &Budget,
     is_progress: impl Fn(&Label) -> bool,
     obs: &mut SearchObserver<'_>,
 ) -> ProgressReport {
-    let started = Instant::now();
-    let mut store = StateStore::new();
-    let mut frontier: VecDeque<T::State> = VecDeque::new();
-    let mut succs = Vec::new();
-    let mut enc = Vec::new();
-    let mut timer = obs.profiler().worker(0);
-
-    // Forward exploration collecting the reverse graph as a flat
-    // `(dst, src)` edge list — CSR-bucketed after the sweep.
-    let mut edge_list: Vec<(u32, u32)> = Vec::new();
-    let mut has_progress_edge: Vec<bool> = Vec::new();
-    let mut has_successor: Vec<bool> = Vec::new();
-    let mut parents: Vec<Parent> = Vec::new();
-    let mut complete = true;
-    let fast_cap = sys.max_encoded_len();
-
-    let init = sys.initial();
-    insert_state(sys, &init, fast_cap, &mut store, &mut enc);
-    has_progress_edge.push(false);
-    has_successor.push(false);
-    parents.push(ROOT);
-    frontier.push_back(init);
-
-    let mut queue_index = 0u32;
-    let mut peak_frontier = 1usize;
-    while let Some(state) = frontier.pop_front() {
-        let this_idx = queue_index;
-        queue_index += 1;
-        peak_frontier = peak_frontier.max(frontier.len() + 1);
-        obs.tick(store.len(), frontier.len() + 1, store.approx_bytes());
-        if sys.successors(&state, &mut succs).is_err() {
-            complete = false;
-            break;
-        }
-        timer.lap(SpanKind::Compute, 1);
-        let n_succs = succs.len() as u64;
-        for (ordinal, (label, next)) in succs.drain(..).enumerate() {
-            let (idx, is_new) = insert_state(sys, &next, fast_cap, &mut store, &mut enc);
-            has_successor[this_idx as usize] = true;
-            edge_list.push((idx, this_idx));
-            if is_progress(&label) {
-                has_progress_edge[this_idx as usize] = true;
-            }
-            if is_new {
-                has_progress_edge.push(false);
-                has_successor.push(false);
-                parents.push((this_idx, ordinal as u32));
-                if store.len() >= budget.max_states
-                    || store.approx_bytes() >= budget.max_bytes
-                    || budget.max_time.map(|t| started.elapsed() >= t).unwrap_or(false)
-                {
-                    complete = false;
-                    frontier.clear();
-                    break;
-                }
-                frontier.push_back(next);
-            }
-        }
-        timer.lap(SpanKind::Encode, n_succs);
-        if !complete {
-            break;
-        }
-    }
+    let mut graph = ForwardGraph {
+        is_progress,
+        edges: Vec::new(),
+        has_progress_edge: Vec::new(),
+        has_successor: Vec::new(),
+        expanded: 0,
+    };
+    let run = drive(sys, budget, &mut graph, false, true, obs, None);
+    let complete = run.outcome.is_complete();
+    let ForwardGraph { edges, has_progress_edge, has_successor, expanded, .. } = graph;
 
     // Backward propagation from progress states over the CSR reverse
     // graph.
-    timer.mark();
-    let n = store.len();
-    let transitions = edge_list.len();
-    let (offsets, targets) = build_csr(n, &edge_list);
-    drop(edge_list);
-    crate::search::record_search_run(obs.metrics(), n, transitions, peak_frontier, &store);
+    let mut timer = obs.profiler().worker(0);
+    let n = run.store.len();
+    let (offsets, targets) = build_csr(n, &edges);
+    drop(edges);
+    record_search_run(obs.metrics(), n, run.transitions, run.peak_frontier, &run.store);
     let good = propagate_good(n, &offsets, &targets, &has_progress_edge);
     timer.lap(SpanKind::Progress, 1);
 
-    // Only states that were actually *expanded* (index < queue_index) have
-    // complete successor information; unexpanded frontier states are not
-    // judged.
-    let expanded = queue_index as usize;
     let deadlocked = (0..expanded).filter(|&i| !has_successor[i]).count();
     let livelocked = (0..expanded).filter(|&i| has_successor[i] && !good[i]).count();
 
@@ -199,24 +166,13 @@ pub fn check_progress_observed<T: TransitionSystem>(
         (None, None) => None,
     };
     let (witness, witness_outcome) = match bad {
-        Some((idx, out)) => (Some(rebuild_trail(sys, &parents, idx as u32)), Some(out)),
+        Some((idx, out)) => (Some(rebuild_trail(sys, &run.parents, idx as u32)), Some(out)),
         None => (None, None),
     };
-
-    if obs.sink().enabled() {
-        match (&witness, &witness_outcome) {
-            (Some(trail), Some(out)) => {
-                export_trail(sys, trail, out, obs.sink());
-            }
-            _ => {
-                let outcome = if complete { Outcome::Complete } else { Outcome::Unfinished };
-                obs.finish(&outcome, None);
-            }
-        }
-    }
+    conclude(sys, complete, witness.as_deref(), witness_outcome.as_ref(), obs);
 
     ProgressReport {
-        states: store.len(),
+        states: n,
         livelocked_states: livelocked,
         deadlocked_states: deadlocked,
         complete,
@@ -225,12 +181,46 @@ pub fn check_progress_observed<T: TransitionSystem>(
     }
 }
 
-/// Convenience: progress = any completed rendezvous.
-pub fn check_progress_default<T: TransitionSystem>(sys: &T, budget: &Budget) -> ProgressReport {
-    check_progress(sys, budget, |l| l.completes.is_some())
+/// The check's ending on the observer's sink, shared by both engines:
+/// the witness replayed as an event stream ending with its outcome, or
+/// the bare `Complete`/`Unfinished` event when nothing is stuck.
+fn conclude<T: TransitionSystem>(
+    sys: &T,
+    complete: bool,
+    witness: Option<&[Label]>,
+    witness_outcome: Option<&Outcome>,
+    obs: &mut SearchObserver<'_>,
+) {
+    let swept = if complete { Outcome::Complete } else { Outcome::Unfinished };
+    conclude_with_trail(sys, witness_outcome.unwrap_or(&swept), witness, obs);
 }
 
-/// [`check_progress`] on the multi-threaded engine: the forward sweep
+/// [`Search::progress`] on the serial engine, with heartbeats and
+/// witness export to `obs`. Kept for `benchmark/src/layers.rs`
+/// (`benchmark/README.md`, "Entry points into `ccr-*`").
+#[doc(hidden)]
+pub fn check_progress_observed<T>(
+    sys: &T,
+    budget: &Budget,
+    is_progress: impl Fn(&Label) -> bool + Sync,
+    obs: &mut SearchObserver<'_>,
+) -> ProgressReport
+where
+    T: TransitionSystem + Sync,
+    T::State: Send,
+{
+    Search::default().progress(sys, budget, is_progress, obs)
+}
+
+/// Convenience: the serial check, unobserved, with progress = any
+/// completed rendezvous (`label.completes.is_some()`).
+pub fn check_progress_default<T: TransitionSystem>(sys: &T, budget: &Budget) -> ProgressReport {
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    serial(sys, budget, |l| l.completes.is_some(), &mut obs)
+}
+
+/// The progress check on the multi-threaded engine: the forward sweep
 /// runs level-synchronized across `cfg.threads` workers (reverse edges
 /// and per-state flags recorded shard-locally), then the backward
 /// propagation runs single-threaded on the merged CSR.
@@ -240,28 +230,8 @@ pub fn check_progress_default<T: TransitionSystem>(sys: &T, budget: &Budget) -> 
 /// The witness is the minimal stuck state by `(depth, encoded state)` —
 /// deterministic across thread counts, always a shortest-depth witness,
 /// though possibly a different same-depth state than the serial checker
-/// picks. Under hash compaction the encoding is unavailable and the
-/// tiebreak falls back to shard order, which is stable for a given
-/// config but not across thread counts.
-pub fn check_progress_parallel<T, G>(
-    sys: &T,
-    budget: &Budget,
-    is_progress: G,
-    cfg: &ParallelConfig,
-) -> ProgressReport
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-    G: Fn(&Label) -> bool + Sync,
-{
-    let mut null = NullSink;
-    let mut obs = SearchObserver::new(&mut null);
-    check_progress_parallel_observed(sys, budget, is_progress, cfg, &mut obs)
-}
-
-/// [`check_progress_parallel`] with heartbeats and witness-trail export,
-/// mirroring [`check_progress_observed`].
-pub fn check_progress_parallel_observed<T, G>(
+/// picks.
+pub(crate) fn sharded<T, G>(
     sys: &T,
     budget: &Budget,
     is_progress: G,
@@ -374,17 +344,7 @@ where
         None => (None, None),
     };
 
-    if obs.sink().enabled() {
-        match (&witness, &witness_outcome) {
-            (Some(trail), Some(out)) => {
-                export_trail(sys, trail, out, obs.sink());
-            }
-            _ => {
-                let o = if complete { Outcome::Complete } else { Outcome::Unfinished };
-                obs.finish(&o, None);
-            }
-        }
-    }
+    conclude(sys, complete, witness.as_deref(), witness_outcome.as_ref(), obs);
 
     ProgressReport {
         states: n,
@@ -406,6 +366,23 @@ mod tests {
     use ccr_core::value::Value;
     use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
     use ccr_runtime::rendezvous::RendezvousSystem;
+
+    /// The check on `threads` workers (0 = serial), unobserved.
+    fn check_progress<T, G>(sys: &T, is_progress: G, threads: usize) -> ProgressReport
+    where
+        T: TransitionSystem + Sync,
+        T::State: Send,
+        G: Fn(&Label) -> bool + Sync,
+    {
+        let mut null = NullSink;
+        let mut obs = SearchObserver::new(&mut null);
+        Search { threads, ..Search::default() }.progress(
+            sys,
+            &Budget::default(),
+            is_progress,
+            &mut obs,
+        )
+    }
 
     fn token_spec() -> ccr_core::process::ProtocolSpec {
         let mut b = ProtocolBuilder::new("token");
@@ -515,7 +492,7 @@ mod tests {
         // old per-state adjacency-list behavior.
         let spec = token_spec();
         let sys = RendezvousSystem::new(&spec, 2);
-        let r = check_progress(&sys, &Budget::default(), |_| false);
+        let r = check_progress(&sys, |_| false, 0);
         assert!(r.complete);
         assert_eq!(r.states, 6);
         assert_eq!(r.livelocked_states, r.states);
@@ -531,13 +508,7 @@ mod tests {
             let sys = RendezvousSystem::new(&spec, n);
             let serial = check_progress_default(&sys, &Budget::default());
             for threads in [1usize, 2, 4] {
-                let cfg = ParallelConfig::threads(threads);
-                let par = check_progress_parallel(
-                    &sys,
-                    &Budget::default(),
-                    |l: &Label| l.completes.is_some(),
-                    &cfg,
-                );
+                let par = check_progress(&sys, |l| l.completes.is_some(), threads);
                 assert_eq!(par.states, serial.states, "n={n} t={threads}");
                 assert_eq!(par.livelocked_states, serial.livelocked_states, "n={n} t={threads}");
                 assert_eq!(par.deadlocked_states, serial.deadlocked_states, "n={n} t={threads}");
@@ -553,13 +524,7 @@ mod tests {
         let refined = refine(&spec, &RefineOptions::default()).unwrap();
         let sys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
         let serial = check_progress_default(&sys, &Budget::default());
-        let cfg = ParallelConfig::threads(4);
-        let par = check_progress_parallel(
-            &sys,
-            &Budget::default(),
-            |l: &Label| l.completes.is_some(),
-            &cfg,
-        );
+        let par = check_progress(&sys, |l| l.completes.is_some(), 4);
         assert_eq!(par.states, serial.states);
         assert_eq!(par.livelocked_states, serial.livelocked_states);
         assert_eq!(par.deadlocked_states, serial.deadlocked_states);
@@ -582,13 +547,7 @@ mod tests {
         let serial = check_progress_default(&sys, &Budget::default());
         let mut reference: Option<(usize, usize, usize)> = None;
         for threads in [1usize, 2, 4] {
-            let cfg = ParallelConfig::threads(threads);
-            let par = check_progress_parallel(
-                &sys,
-                &Budget::default(),
-                |l: &Label| l.completes.is_some(),
-                &cfg,
-            );
+            let par = check_progress(&sys, |l| l.completes.is_some(), threads);
             assert_eq!(par.states, serial.states, "t={threads}");
             assert_eq!(par.deadlocked_states, serial.deadlocked_states, "t={threads}");
             assert_eq!(par.livelocked_states, serial.livelocked_states, "t={threads}");

@@ -73,11 +73,6 @@ pub struct ExploreReport {
     pub peak_frontier: usize,
     /// How the run ended.
     pub outcome: Outcome,
-    /// True when the visited set used 8-byte hash compaction: `states`
-    /// counts hash-distinct states, so a `Complete` outcome is
-    /// probabilistic (distinct states with colliding hashes are
-    /// conflated). Exact searches always report `false`.
-    pub probabilistic: bool,
 }
 
 impl ExploreReport {
@@ -94,6 +89,80 @@ impl ExploreReport {
             Outcome::RuntimeFailure(e) => format!("Error({e})"),
             Outcome::PersistFailure(d) => format!("PersistFailure({d})"),
         }
+    }
+}
+
+/// What one exploration reports, whichever engine ran it — the single
+/// result type of [`crate::search::Search::explore`]. The two serialised
+/// shapes the `--json` documents embed are views of it:
+/// [`SearchReport::explore_report`] (a `ccr table` row) and
+/// [`SearchReport::traced_report`] (a `ccr verify` level).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SearchReport {
+    /// Distinct states visited.
+    pub states: usize,
+    /// Transitions traversed.
+    pub transitions: usize,
+    /// Wall time of the search, summed over the legs of a resumed run.
+    pub elapsed: Duration,
+    /// Approximate memory used by the visited set, in bytes.
+    pub store_bytes: usize,
+    /// Maximum BFS frontier size (the largest level on the sharded
+    /// engine).
+    pub peak_frontier: usize,
+    /// How the run ended.
+    pub outcome: Outcome,
+    /// With trails on, for a violating outcome: the labels along a
+    /// shortest path from the initial state to the offending state, in
+    /// firing order. Replays under [`crate::trace::replay_trail`].
+    pub trail: Option<Vec<Label>>,
+    /// True when nothing was searched: the persisted phase had already
+    /// finished and the counts come from its terminal manifest.
+    pub restored: bool,
+}
+
+impl SearchReport {
+    /// A zero-count report for a persistence context that could not be
+    /// opened or attached.
+    pub(crate) fn persist_failure(e: &crate::persist::PersistError) -> Self {
+        SearchReport {
+            states: 0,
+            transitions: 0,
+            elapsed: Duration::ZERO,
+            store_bytes: 0,
+            peak_frontier: 0,
+            outcome: Outcome::PersistFailure(e.to_string()),
+            trail: None,
+            restored: false,
+        }
+    }
+
+    /// The Table 3-shaped view of this report.
+    pub fn explore_report(&self) -> ExploreReport {
+        ExploreReport {
+            states: self.states,
+            transitions: self.transitions,
+            elapsed: self.elapsed,
+            store_bytes: self.store_bytes,
+            peak_frontier: self.peak_frontier,
+            outcome: self.outcome.clone(),
+        }
+    }
+
+    /// The trail-carrying view of this report.
+    pub fn traced_report(&self) -> crate::trace::TracedReport {
+        crate::trace::TracedReport {
+            states: self.states,
+            transitions: self.transitions,
+            outcome: self.outcome.clone(),
+            trail: self.trail.clone(),
+        }
+    }
+
+    /// Formats the trail as SPIN-like numbered lines (`actor rule`), or a
+    /// note that none exists.
+    pub fn trail_text(&self) -> String {
+        crate::trace::trail_text(self.trail.as_deref())
     }
 }
 
@@ -161,7 +230,6 @@ mod tests {
             store_bytes: 1024,
             peak_frontier: 10,
             outcome: Outcome::Complete,
-            probabilistic: false,
         };
         assert_eq!(r.table_cell(), "54/0.10");
         r.outcome = Outcome::Unfinished;
@@ -191,7 +259,6 @@ mod tests {
             store_bytes: 1024,
             peak_frontier: 10,
             outcome: Outcome::InvariantViolated("two owners".into()),
-            probabilistic: false,
         };
         let json = serde::json::to_string(&r);
         assert!(ccr_trace::json_check::is_valid_json(&json), "{json}");

@@ -5,12 +5,14 @@
 //! memory limit — exceeding it yields [`Outcome::Unfinished`], matching the
 //! paper's "Unfinished" table entries.
 
+use crate::parallel::{self, ParallelConfig, ParallelPersist};
 use crate::persist::{
     CrashSwitch, LockGuard, LogTier, Manifest, ManifestWriter, PResult, PersistError, PhaseDir,
 };
-use crate::report::{ExploreReport, Outcome};
+use crate::progress;
+use crate::report::{ExploreReport, Outcome, ProgressReport, SearchReport};
 use crate::store::StateStore;
-use crate::trace::{rebuild_trail, Parent, ROOT};
+use crate::trace::{conclude_with_trail, rebuild_trail, Parent, ROOT};
 use ccr_metrics::profile::{Profiler, SpanKind};
 use ccr_metrics::status::{RunStatus, StatusWriter};
 use ccr_metrics::timeseries::{Recorder, SampleInput};
@@ -125,6 +127,8 @@ impl Budget {
         Self { max_bytes: b, ..Self::default() }
     }
 
+    /// The one serial budget test: [`drive`] asks it after every newly
+    /// stored state.
     fn exceeded(&self, store: &StateStore, started: Instant) -> bool {
         store.len() >= self.max_states
             || store.approx_bytes() >= self.max_bytes
@@ -528,19 +532,22 @@ impl Default for PersistOpts {
     }
 }
 
-/// Result of opening a serial persistence directory: either a context
-/// to run with, or the terminal manifest of a phase that already
-/// finished (nothing to re-run — synthesize the report).
-pub enum SerialPersistOpen {
+/// Result of opening a persistence directory: either a context to run
+/// with, or the terminal manifest of a phase that already finished
+/// (nothing to re-run — the report is restored from it).
+pub enum PersistOpen<P> {
     /// Run (fresh or resumed) with this context.
-    Run(Box<SerialPersist>),
+    Run(Box<P>),
     /// A prior run already finished with this manifest.
     Finished(Manifest),
 }
 
+/// What [`SerialPersist::open`] returns.
+pub type SerialPersistOpen = PersistOpen<SerialPersist>;
+
 /// Serial-engine persistence: the phase directory, its writer lock, the
-/// recovered (or fresh) store, and the checkpoint cadence. Threaded
-/// through [`drive`] by the `*_persist` wrappers.
+/// recovered (or fresh) store, and the checkpoint cadence. Opened by
+/// [`Search::explore`] and threaded through the serial sweep.
 pub struct SerialPersist {
     dir: PhaseDir,
     _lock: LockGuard,
@@ -724,12 +731,12 @@ impl SerialPersist {
     }
 }
 
-/// Reconstructs an [`ExploreReport`] from the terminal manifest of an
-/// already-finished persisted phase, so `--resume` of a completed run
-/// reports the identical counts without re-searching. A restored
-/// `RuntimeFailure` cannot rebuild its structured error and surfaces as
+/// Reconstructs the report of an already-finished persisted phase from
+/// its terminal manifest, so `--resume` of a completed run reports the
+/// identical counts without re-searching. A restored `RuntimeFailure`
+/// cannot rebuild its structured error and surfaces as
 /// [`Outcome::PersistFailure`] describing the restoration.
-pub fn report_from_manifest(m: &Manifest) -> ExploreReport {
+pub fn report_from_manifest(m: &Manifest) -> SearchReport {
     let detail = m.outcome_detail.clone().unwrap_or_default();
     let outcome = match m.outcome_name.as_deref() {
         Some("Complete") => Outcome::Complete,
@@ -743,24 +750,94 @@ pub fn report_from_manifest(m: &Manifest) -> ExploreReport {
         }
         None => Outcome::PersistFailure("finished manifest without an outcome".to_string()),
     };
-    ExploreReport {
+    SearchReport {
         states: m.states as usize,
         transitions: m.transitions as usize,
         elapsed: Duration::from_millis(m.elapsed_ms),
         store_bytes: 0,
         peak_frontier: m.peak_frontier as usize,
         outcome,
-        probabilistic: false,
+        trail: None,
+        restored: true,
     }
 }
 
-/// The raw result of one [`drive`] run: everything the public wrappers
-/// need to shape an [`ExploreReport`] or a
-/// [`crate::trace::TracedReport`], including the final store (for the
-/// store-shape histograms).
+/// What a search does besides reaching states. [`drive`] owns the sweep
+/// — frontier, visited set, budget, parent table, checkpoints,
+/// heartbeats — and calls these hooks as it goes; a checker keeps
+/// whatever it wants to say about the graph afterwards. Every hook
+/// defaults to "nothing to add", so a checker names only the events it
+/// judges, and a hook that returns an outcome ends the sweep with it
+/// (the trail, when tracked, leads to the state the hook was called
+/// for).
+///
+/// Call order, per sweep: `on_new(root, 0)`; then for each state popped
+/// from the frontier `on_expand`, successor generation, `on_successors`,
+/// and for each successor in order `on_edge`, the store lookup,
+/// `on_insert`, and — when the target was new — `on_new` followed by the
+/// budget test. State indices are dense in discovery order, and a
+/// breadth-first sweep expands them in index order. A resumed persisted
+/// sweep does not re-announce recovered states through `on_new`.
+pub(crate) trait Checker<T: TransitionSystem> {
+    /// `state` was stored for the first time, as `idx` (the root is 0).
+    #[inline]
+    fn on_new(&mut self, _state: &T::State, _idx: u32) -> Option<Outcome> {
+        None
+    }
+
+    /// `state` (index `idx`) is about to be expanded; its successors have
+    /// not been generated yet.
+    #[inline]
+    fn on_expand(&mut self, _state: &T::State, _idx: u32) -> Option<Outcome> {
+        None
+    }
+
+    /// State `idx` has `n` successors.
+    #[inline]
+    fn on_successors(&mut self, _idx: u32, _n: usize) -> Option<Outcome> {
+        None
+    }
+
+    /// The edge `src --label--> next` was generated; `next` has not been
+    /// looked up in the visited set yet.
+    #[inline]
+    fn on_edge(&mut self, _src: &T::State, _label: &Label, _next: &T::State) -> Option<Outcome> {
+        None
+    }
+
+    /// The edge `src --label--> dst` was looked up: its target is state
+    /// `dst`, stored just now when `is_new`.
+    #[inline]
+    fn on_insert(&mut self, _src: u32, _label: &Label, _dst: u32, _is_new: bool) {}
+}
+
+/// Plain reachability as a checker: an invariant on every new state and,
+/// optionally, "no state without successors".
+pub(crate) struct Explore<F> {
+    pub(crate) invariant: F,
+    pub(crate) check_deadlock: bool,
+}
+
+impl<T: TransitionSystem, F: FnMut(&T::State) -> Option<String>> Checker<T> for Explore<F> {
+    #[inline]
+    fn on_new(&mut self, state: &T::State, _idx: u32) -> Option<Outcome> {
+        (self.invariant)(state).map(Outcome::InvariantViolated)
+    }
+
+    #[inline]
+    fn on_successors(&mut self, _idx: u32, n: usize) -> Option<Outcome> {
+        (self.check_deadlock && n == 0).then_some(Outcome::Deadlock)
+    }
+}
+
+/// The raw result of one [`drive`] run: what the sweep itself counted,
+/// plus the visited set and parent table a checker may need afterwards.
 pub(crate) struct DriveRun {
     /// The visited set as it stood when the search ended.
     pub(crate) store: StateStore,
+    /// With `track_trails`: one `(parent, ordinal)` entry per stored
+    /// state, for [`rebuild_trail`]. Empty otherwise.
+    pub(crate) parents: Vec<Parent>,
     /// Transitions generated.
     pub(crate) transitions: usize,
     /// Largest frontier (BFS queue or DFS stack) observed.
@@ -775,61 +852,36 @@ pub(crate) struct DriveRun {
 }
 
 impl DriveRun {
-    /// The serial-shaped public view of this run.
-    pub(crate) fn explore_report(&self) -> ExploreReport {
-        ExploreReport {
+    /// The public view of this run.
+    pub(crate) fn report(self) -> SearchReport {
+        SearchReport {
             states: self.store.len(),
             transitions: self.transitions,
             elapsed: self.elapsed,
             store_bytes: self.store.approx_bytes(),
             peak_frontier: self.peak_frontier,
-            outcome: self.outcome.clone(),
-            probabilistic: false,
+            outcome: self.outcome,
+            trail: self.trail,
+            restored: false,
         }
     }
 }
 
-/// Inserts `state` into `store`, encoding it exactly once: straight into
-/// the store's bump arena when the system reports a size bound
-/// (`fast_cap`; a duplicate rolls the bump pointer back), through the
-/// scratch `enc` otherwise. Returns `(index, is_new)`.
-pub(crate) fn insert_state<T: TransitionSystem>(
-    sys: &T,
-    state: &T::State,
-    fast_cap: Option<usize>,
-    store: &mut StateStore,
-    enc: &mut Vec<u8>,
-) -> (u32, bool) {
-    match fast_cap {
-        Some(cap) => {
-            let slot = store.begin_insert(cap);
-            let written = sys.encode_into(state, store.slot_buf(&slot));
-            store.commit_insert(slot, written)
-        }
-        None => {
-            sys.encode(state, enc);
-            store.insert(enc)
-        }
-    }
-}
-
-/// The one serial search driver behind [`explore`], [`explore_dfs`] and
-/// [`crate::trace::explore_traced`]: reachability over `sys` with a
-/// budget, an invariant, optional deadlock detection, BFS or DFS order
-/// (`depth_first`), and optional parent tracking (`track_trails`, eight
-/// bytes per state — see [`crate::trace::Parent`]) for
-/// shortest-counterexample reconstruction.
+/// The one serial sweep: reachability over `sys` within `budget`, in BFS
+/// or DFS order (`depth_first`), with optional parent tracking
+/// (`track_trails`, eight bytes per state — see [`crate::trace::Parent`])
+/// for shortest-counterexample reconstruction. What the sweep is *for*
+/// is the `checker`'s business ([`Checker`]): plain exploration,
+/// Equation 1 ([`crate::simrel`]) and the progress check
+/// ([`crate::progress`]) are three checkers on this loop.
 ///
-/// The wrappers differ only in these two flags and in how they report:
-/// keeping the expansion loop in one place is what lets a state-space
-/// reduction (e.g. [`crate::symmetry`]) slot in under every serial entry
-/// point at once via [`ccr_runtime::TransitionSystem::encode`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive<T: TransitionSystem>(
+/// Keeping the expansion loop in one place is also what lets a
+/// state-space reduction (e.g. [`crate::symmetry`]) slot in under every
+/// serial check at once via [`ccr_runtime::TransitionSystem::encode`].
+pub(crate) fn drive<T: TransitionSystem, C: Checker<T>>(
     sys: &T,
     budget: &Budget,
-    mut invariant: impl FnMut(&T::State) -> Option<String>,
-    check_deadlock: bool,
+    checker: &mut C,
     depth_first: bool,
     track_trails: bool,
     obs: &mut SearchObserver<'_>,
@@ -852,24 +904,35 @@ pub(crate) fn drive<T: TransitionSystem>(
     // uninterrupted (or fresh) run.
     let track_trails = track_trails && !resumed;
 
+    // Ends the sweep with `$outcome`; `$at`, when given, is the state a
+    // tracked trail leads to.
     macro_rules! done {
-        ($outcome:expr, $trail:expr) => {
+        ($outcome:expr) => {
+            done!($outcome, None::<u32>)
+        };
+        ($outcome:expr, $at:expr) => {
             return DriveRun {
                 transitions,
                 peak_frontier,
                 elapsed: started.elapsed(),
                 outcome: $outcome,
-                trail: $trail,
+                trail: $at.filter(|_| track_trails).map(|at| rebuild_trail(sys, &parents, at)),
                 store,
+                parents,
+            }
+        };
+    }
+    // Ends the sweep when a checker hook, called for state `$at`, says so.
+    macro_rules! check {
+        ($hook:expr, $at:expr) => {
+            if let Some(outcome) = $hook {
+                done!(outcome, Some($at));
             }
         };
     }
 
     if persist.is_some() && depth_first {
-        done!(
-            Outcome::PersistFailure("depth-first search does not support persistence".into()),
-            None
-        );
+        done!(Outcome::PersistFailure("depth-first search does not support persistence".into()));
     }
 
     if resumed {
@@ -878,30 +941,32 @@ pub(crate) fn drive<T: TransitionSystem>(
         peak_frontier = p.peak0 as usize;
         for i in p.head0..store.len() as u32 {
             let Some(bytes) = store.read_entry(i) else {
-                done!(
-                    Outcome::PersistFailure(format!("cannot read recovered state {i} back")),
-                    None
-                );
+                done!(Outcome::PersistFailure(format!("cannot read recovered state {i} back")));
             };
             let Some(state) = sys.decode(&bytes) else {
-                done!(
-                    Outcome::PersistFailure(format!(
-                        "recovered state {i} does not decode (system without decode support?)"
-                    )),
-                    None
-                );
+                done!(Outcome::PersistFailure(format!(
+                    "recovered state {i} does not decode (system without decode support?)"
+                )));
             };
             frontier.push_back((state, i));
         }
     } else {
         let init = sys.initial();
-        insert_state(sys, &init, fast_cap, &mut store, &mut enc);
+        match fast_cap {
+            Some(cap) => {
+                let slot = store.begin_insert(cap);
+                let written = sys.encode_into(&init, store.slot_buf(&slot));
+                store.commit_insert(slot, written);
+            }
+            None => {
+                sys.encode(&init, &mut enc);
+                store.insert(&enc);
+            }
+        }
         if track_trails {
             parents.push(ROOT);
         }
-        if let Some(d) = invariant(&init) {
-            done!(Outcome::InvariantViolated(d), track_trails.then(Vec::new));
-        }
+        check!(checker.on_new(&init, 0), 0);
         frontier.push_back((init, 0));
     }
 
@@ -912,7 +977,7 @@ pub(crate) fn drive<T: TransitionSystem>(
         if let Some(p) = persist.as_deref_mut() {
             if store.tier().is_some_and(LogTier::has_err) {
                 let e = store.tier_mut().and_then(LogTier::take_err).expect("sticky error");
-                done!(Outcome::PersistFailure(e.to_string()), None);
+                done!(Outcome::PersistFailure(e.to_string()));
             }
             // Committing `head = idx` *before* expanding puts the cut
             // between expansions: a resume re-expands this state against
@@ -927,7 +992,7 @@ pub(crate) fn drive<T: TransitionSystem>(
                     started.elapsed(),
                     None,
                 ) {
-                    done!(Outcome::PersistFailure(e.to_string()), None);
+                    done!(Outcome::PersistFailure(e.to_string()));
                 }
                 timer.lap(SpanKind::Checkpoint, 1);
                 if let Some(tier) = store.tier() {
@@ -947,17 +1012,15 @@ pub(crate) fn drive<T: TransitionSystem>(
             Some(transitions as u64),
             None,
         );
+        check!(checker.on_expand(&state, idx), idx);
         if let Err(e) = sys.successors(&state, &mut succs) {
-            let trail = track_trails.then(|| rebuild_trail(sys, &parents, idx));
-            done!(Outcome::RuntimeFailure(e), trail);
+            done!(Outcome::RuntimeFailure(e), Some(idx));
         }
         timer.lap(SpanKind::Compute, 1);
-        if check_deadlock && succs.is_empty() {
-            let trail = track_trails.then(|| rebuild_trail(sys, &parents, idx));
-            done!(Outcome::Deadlock, trail);
-        }
-        for (ordinal, (_, next)) in succs.drain(..).enumerate() {
+        check!(checker.on_successors(idx, succs.len()), idx);
+        for (ordinal, (label, next)) in succs.drain(..).enumerate() {
             transitions += 1;
+            check!(checker.on_edge(&state, &label, &next), idx);
             // Zero-copy fast path: encode the successor exactly once,
             // directly into the store's bump arena; a duplicate rolls the
             // bump pointer back. Systems without a size bound keep the
@@ -976,6 +1039,7 @@ pub(crate) fn drive<T: TransitionSystem>(
                 timer.lap(SpanKind::Insert, 1);
                 r
             };
+            checker.on_insert(idx, &label, nidx, is_new);
             if !is_new {
                 continue;
             }
@@ -985,27 +1049,189 @@ pub(crate) fn drive<T: TransitionSystem>(
             if track_trails {
                 parents.push((idx, ordinal as u32));
             }
-            if let Some(d) = invariant(&next) {
-                let trail = track_trails.then(|| rebuild_trail(sys, &parents, nidx));
-                done!(Outcome::InvariantViolated(d), trail);
-            }
+            check!(checker.on_new(&next, nidx), nidx);
             if budget.exceeded(&store, started) {
-                done!(Outcome::Unfinished, None);
+                done!(Outcome::Unfinished);
             }
             frontier.push_back((next, nidx));
         }
     }
-    DriveRun {
-        transitions,
-        peak_frontier,
-        elapsed: started.elapsed(),
-        outcome: Outcome::Complete,
-        trail: None,
-        store,
+    done!(Outcome::Complete)
+}
+
+/// A serial exploration from sweep to report: [`drive`] under the
+/// [`Explore`] checker, then — in this order — the terminal manifest of
+/// a persisted run, the observer's ending (the counterexample replayed
+/// to its sink when there is a trail, the bare outcome event otherwise)
+/// and the run's metrics. [`Search::explore`] without threads, and every
+/// serial convenience, is this function.
+pub(crate) fn explore_serial<T: TransitionSystem>(
+    sys: &T,
+    budget: &Budget,
+    invariant: impl FnMut(&T::State) -> Option<String>,
+    check_deadlock: bool,
+    trails: bool,
+    obs: &mut SearchObserver<'_>,
+    mut persist: Option<&mut SerialPersist>,
+) -> SearchReport {
+    let mut checker = Explore { invariant, check_deadlock };
+    let mut run = drive(sys, budget, &mut checker, false, trails, obs, persist.as_deref_mut());
+    if let Some(p) = persist.as_deref_mut() {
+        p.conclude(&mut run, obs.metrics());
+    }
+    conclude_with_trail(sys, &run.outcome, run.trail.as_deref(), obs);
+    record_search_run(
+        obs.metrics(),
+        run.store.len(),
+        run.transitions,
+        run.peak_frontier,
+        &run.store,
+    );
+    let mut report = run.report();
+    if let Some(p) = persist {
+        report.elapsed += p.elapsed_base();
+    }
+    report
+}
+
+/// How to run a search — the one options value behind every exploration
+/// and progress check. `Search::default()` is the plain serial sweep: no
+/// deadlock check, no trails, in memory.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Search<'a> {
+    /// Abort with [`Outcome::Deadlock`] on a state with no successors
+    /// (protocols in the paper's model run forever).
+    pub check_deadlock: bool,
+    /// Keep a parent pointer per state so a violating run carries a
+    /// shortest counterexample trail, exported to the observer's sink as
+    /// a replayed event stream.
+    pub trails: bool,
+    /// 0 runs the serial engine; `n > 0` the sharded parallel engine
+    /// with `n` workers (1 is that engine on a single worker). Complete
+    /// runs report identical counts either way — see
+    /// `docs/parallel_checking.md` for violating and unfinished runs.
+    pub threads: usize,
+    /// Fault-injection hook of the parallel engine: each exploration
+    /// worker sleeps this many milliseconds once before its first
+    /// expansion (provokes the stall watchdog on purpose).
+    pub stall_ms: u64,
+    /// Checkpoint the exploration into this phase directory (layout in
+    /// `docs/persistence.md`), resuming or restoring per the options.
+    pub persist: Option<(&'a Path, &'a PersistOpts)>,
+}
+
+/// Runs `search` with the context of an opened persistence directory
+/// (none when the search does not persist) — unless a report already
+/// stands in for the search: restored from a finished phase's manifest,
+/// or the failure to open (foreign lock, corrupt manifest, log truncated
+/// below its committed prefix, unwritable directory — the message names
+/// the offending path).
+fn with_persist<P>(
+    open: Option<PResult<PersistOpen<P>>>,
+    search: impl FnOnce(Option<Box<P>>) -> SearchReport,
+) -> SearchReport {
+    match open {
+        None => search(None),
+        Some(Ok(PersistOpen::Run(p))) => search(Some(p)),
+        Some(Ok(PersistOpen::Finished(m))) => report_from_manifest(&m),
+        Some(Err(e)) => SearchReport::persist_failure(&e),
     }
 }
 
-/// Explores the reachable state space of `sys` breadth-first.
+impl Search<'_> {
+    fn parallel_config(&self) -> ParallelConfig {
+        ParallelConfig {
+            track_trails: self.trails,
+            stall_ms: self.stall_ms,
+            ..ParallelConfig::threads(self.threads)
+        }
+    }
+
+    /// Explores the reachable state space of `sys` breadth-first on the
+    /// engine `threads` selects. `invariant` is evaluated on every newly
+    /// discovered state; returning `Some(description)` aborts with
+    /// [`Outcome::InvariantViolated`]. `obs` receives heartbeats and the
+    /// run's ending.
+    ///
+    /// With `persist`, new states are logged (and spilled past the
+    /// eviction threshold), the frontier is checkpointed on the
+    /// configured cadence, and a resumed context continues from its last
+    /// checkpoint — finishing with the same states, transitions and
+    /// outcome as an uninterrupted run, though without a trail: recovered
+    /// states carry no parent pointers. A phase whose manifest is already
+    /// terminal is not searched again ([`SearchReport::restored`]), and a
+    /// directory that cannot be opened reports
+    /// [`Outcome::PersistFailure`] with zero counts.
+    pub fn explore<T, F>(
+        &self,
+        sys: &T,
+        budget: &Budget,
+        invariant: F,
+        obs: &mut SearchObserver<'_>,
+    ) -> SearchReport
+    where
+        T: TransitionSystem + Sync,
+        T::State: Send,
+        F: Fn(&T::State) -> Option<String> + Sync,
+    {
+        if self.threads == 0 {
+            let open = self.persist.map(|(root, opts)| SerialPersist::open(root, opts));
+            with_persist(open, |mut p| {
+                explore_serial(
+                    sys,
+                    budget,
+                    invariant,
+                    self.check_deadlock,
+                    self.trails,
+                    obs,
+                    p.as_deref_mut(),
+                )
+            })
+        } else {
+            let cfg = self.parallel_config();
+            let open = self.persist.map(|(root, opts)| ParallelPersist::open(root, opts, &cfg));
+            with_persist(open, |p| {
+                parallel::explore(
+                    sys,
+                    budget,
+                    &invariant,
+                    self.check_deadlock,
+                    &cfg,
+                    obs,
+                    p.as_deref(),
+                )
+            })
+        }
+    }
+
+    /// The §2.5 forward-progress check ([`crate::progress`]) on the
+    /// engine `threads` selects; `is_progress` classifies labels as
+    /// progress events. Of the options only `threads` applies: the check
+    /// always keeps parents for its witness, never persists, and is not a
+    /// stall-injection site.
+    pub fn progress<T, G>(
+        &self,
+        sys: &T,
+        budget: &Budget,
+        is_progress: G,
+        obs: &mut SearchObserver<'_>,
+    ) -> ProgressReport
+    where
+        T: TransitionSystem + Sync,
+        T::State: Send,
+        G: Fn(&Label) -> bool + Sync,
+    {
+        if self.threads == 0 {
+            progress::serial(sys, budget, is_progress, obs)
+        } else {
+            let cfg = ParallelConfig::threads(self.threads);
+            progress::sharded(sys, budget, is_progress, &cfg, obs)
+        }
+    }
+}
+
+/// Explores the reachable state space of `sys` breadth-first on the
+/// serial engine, unobserved — [`Search::explore`] for the common case.
 ///
 /// `invariant` is evaluated on every newly discovered state; returning
 /// `Some(description)` aborts with [`Outcome::InvariantViolated`]. When
@@ -1019,56 +1245,7 @@ pub fn explore<T: TransitionSystem>(
 ) -> ExploreReport {
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    explore_observed(sys, budget, invariant, check_deadlock, &mut obs)
-}
-
-/// [`explore`] with live progress reporting: `obs` receives a heartbeat
-/// every few thousand states and the terminal outcome event.
-pub fn explore_observed<T: TransitionSystem>(
-    sys: &T,
-    budget: &Budget,
-    invariant: impl FnMut(&T::State) -> Option<String>,
-    check_deadlock: bool,
-    obs: &mut SearchObserver<'_>,
-) -> ExploreReport {
-    let run = drive(sys, budget, invariant, check_deadlock, false, false, obs, None);
-    obs.finish(&run.outcome, None);
-    record_search_run(
-        obs.metrics(),
-        run.store.len(),
-        run.transitions,
-        run.peak_frontier,
-        &run.store,
-    );
-    run.explore_report()
-}
-
-/// [`explore_observed`] running against a persistence context: new
-/// states are logged (and spilled past the eviction threshold), the
-/// frontier is checkpointed on the context's cadence, and a resumed
-/// context continues from its last checkpoint — finishing with the same
-/// states/transitions/outcome as an uninterrupted run.
-pub fn explore_observed_persist<T: TransitionSystem>(
-    sys: &T,
-    budget: &Budget,
-    invariant: impl FnMut(&T::State) -> Option<String>,
-    check_deadlock: bool,
-    obs: &mut SearchObserver<'_>,
-    persist: &mut SerialPersist,
-) -> ExploreReport {
-    let mut run = drive(sys, budget, invariant, check_deadlock, false, false, obs, Some(persist));
-    persist.conclude(&mut run, obs.metrics());
-    obs.finish(&run.outcome, None);
-    record_search_run(
-        obs.metrics(),
-        run.store.len(),
-        run.transitions,
-        run.peak_frontier,
-        &run.store,
-    );
-    let mut report = run.explore_report();
-    report.elapsed += persist.elapsed_base();
-    report
+    explore_serial(sys, budget, invariant, check_deadlock, false, &mut obs, None).explore_report()
 }
 
 /// Convenience: explore with no invariant and no deadlock check.
@@ -1079,8 +1256,7 @@ pub fn explore_plain<T: TransitionSystem>(sys: &T, budget: &Budget) -> ExploreRe
 /// Depth-first exploration. Visits the same reachable set as [`explore`]
 /// (useful to cross-check the search itself, and as the lower-memory-
 /// frontier mode SPIN defaults to); counterexamples found by the BFS
-/// variant are shorter, so prefer [`crate::trace::explore_traced`] for
-/// debugging.
+/// variant are shorter, so prefer [`Search::trails`] for debugging.
 pub fn explore_dfs<T: TransitionSystem>(
     sys: &T,
     budget: &Budget,
@@ -1089,7 +1265,8 @@ pub fn explore_dfs<T: TransitionSystem>(
 ) -> ExploreReport {
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    drive(sys, budget, invariant, check_deadlock, true, false, &mut obs, None).explore_report()
+    let mut checker = Explore { invariant, check_deadlock };
+    drive(sys, budget, &mut checker, true, false, &mut obs, None).report().explore_report()
 }
 
 #[cfg(test)]
@@ -1228,7 +1405,7 @@ mod tests {
         let sys = RendezvousSystem::new(&spec, 3);
         let mut sink = RingSink::new(256);
         let mut obs = SearchObserver::new(&mut sink).with_interval(Duration::ZERO);
-        let r = explore_observed(&sys, &Budget::default(), |_| None, false, &mut obs);
+        let r = Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs);
         assert!(r.outcome.is_complete());
         let events = sink.into_events();
         assert!(
@@ -1248,7 +1425,7 @@ mod tests {
         let sys = RendezvousSystem::new(&spec, 2);
         let mut null = NullSink;
         let mut obs = SearchObserver::new(&mut null);
-        let r = explore_observed(&sys, &Budget::default(), |_| None, false, &mut obs);
+        let r = Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs);
         assert!(r.outcome.is_complete());
     }
 
@@ -1258,11 +1435,21 @@ mod tests {
         dir
     }
 
-    fn open_run(root: &Path, opts: &PersistOpts) -> SerialPersist {
-        match SerialPersist::open(root, opts).expect("open") {
-            SerialPersistOpen::Run(p) => *p,
-            SerialPersistOpen::Finished(_) => panic!("unexpected finished manifest"),
-        }
+    /// A serial persisted exploration of `sys` into `root`.
+    fn explore_persisted(
+        sys: &RendezvousSystem<'_>,
+        budget: &Budget,
+        root: &Path,
+        opts: &PersistOpts,
+    ) -> SearchReport {
+        let mut null = NullSink;
+        let mut obs = SearchObserver::new(&mut null);
+        Search { persist: Some((root, opts)), ..Search::default() }.explore(
+            sys,
+            budget,
+            |_| None,
+            &mut obs,
+        )
     }
 
     #[test]
@@ -1270,35 +1457,19 @@ mod tests {
         let spec = token_spec();
         let sys = RendezvousSystem::new(&spec, 4);
         let plain = explore_plain(&sys, &Budget::default());
-        let dir = persist_dir("serial-basic");
-
-        // Log-only (no eviction), checkpoint every expansion.
-        let opts = PersistOpts { interval: Duration::ZERO, ..PersistOpts::default() };
-        let mut null = NullSink;
-        let mut obs = SearchObserver::new(&mut null);
-        let mut p = open_run(&dir, &opts);
-        let r =
-            explore_observed_persist(&sys, &Budget::default(), |_| None, false, &mut obs, &mut p);
-        assert_eq!(
-            (r.states, r.transitions, &r.outcome),
-            (plain.states, plain.transitions, &plain.outcome)
-        );
-        drop(p);
-
-        // A spilling run (tiny eviction threshold) explores identically.
-        let dir2 = persist_dir("serial-spill");
-        let opts =
-            PersistOpts { interval: Duration::ZERO, evict_at: 1024, ..PersistOpts::default() };
-        let mut obs = SearchObserver::new(&mut null);
-        let mut p = open_run(&dir2, &opts);
-        let r =
-            explore_observed_persist(&sys, &Budget::default(), |_| None, false, &mut obs, &mut p);
-        assert_eq!(
-            (r.states, r.transitions, &r.outcome),
-            (plain.states, plain.transitions, &plain.outcome)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir2);
+        // Log-only (no eviction), then a spilling run (tiny eviction
+        // threshold); both checkpoint every expansion.
+        for (tag, evict_at) in [("serial-basic", 0usize), ("serial-spill", 1024)] {
+            let dir = persist_dir(tag);
+            let opts = PersistOpts { interval: Duration::ZERO, evict_at, ..PersistOpts::default() };
+            let r = explore_persisted(&sys, &Budget::default(), &dir, &opts);
+            assert_eq!(
+                (r.states, r.transitions, &r.outcome, r.restored),
+                (plain.states, plain.transitions, &plain.outcome, false),
+                "{tag}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1308,25 +1479,35 @@ mod tests {
         let plain = explore_plain(&sys, &Budget::default());
         let dir = persist_dir("serial-finished");
         let opts = PersistOpts { interval: Duration::ZERO, ..PersistOpts::default() };
-        let mut null = NullSink;
-        let mut obs = SearchObserver::new(&mut null);
-        let mut p = open_run(&dir, &opts);
-        let r =
-            explore_observed_persist(&sys, &Budget::default(), |_| None, false, &mut obs, &mut p);
-        assert!(r.outcome.is_complete());
-        drop(p);
-        // Reopening with resume returns the terminal manifest, and the
-        // synthesized report carries the identical counts.
+        let r = explore_persisted(&sys, &Budget::default(), &dir, &opts);
+        assert!(r.outcome.is_complete() && !r.restored);
+        // Resuming a finished phase searches nothing: the report is
+        // restored from the terminal manifest with the identical counts.
         let opts = PersistOpts { resume: true, ..opts };
-        match SerialPersist::open(&dir, &opts).expect("reopen") {
-            SerialPersistOpen::Finished(m) => {
-                let restored = report_from_manifest(&m);
-                assert_eq!(restored.states, plain.states);
-                assert_eq!(restored.transitions, plain.transitions);
-                assert!(restored.outcome.is_complete());
-            }
-            SerialPersistOpen::Run(_) => panic!("expected a finished manifest"),
-        }
+        let restored = explore_persisted(&sys, &Budget::default(), &dir, &opts);
+        assert!(restored.restored);
+        assert_eq!(restored.states, plain.states);
+        assert_eq!(restored.transitions, plain.transitions);
+        assert!(restored.outcome.is_complete());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unopenable_directory_is_a_persist_failure() {
+        let spec = token_spec();
+        let sys = RendezvousSystem::new(&spec, 2);
+        let dir = persist_dir("serial-corrupt");
+        let opts = PersistOpts { interval: Duration::ZERO, ..PersistOpts::default() };
+        explore_persisted(&sys, &Budget::default(), &dir, &opts);
+        std::fs::write(dir.join("manifest.json"), "{broken").unwrap();
+        let opts = PersistOpts { resume: true, ..opts };
+        let r = explore_persisted(&sys, &Budget::default(), &dir, &opts);
+        assert!(
+            matches!(&r.outcome, Outcome::PersistFailure(d) if d.contains("corrupt manifest")),
+            "{:?}",
+            r.outcome
+        );
+        assert_eq!((r.states, r.restored), (0, false));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1343,12 +1524,13 @@ mod tests {
             let opts = PersistOpts { interval: Duration::ZERO, evict_at, ..PersistOpts::default() };
             let mut null = NullSink;
             let mut obs = SearchObserver::new(&mut null);
-            let mut p = open_run(&dir, &opts);
-            let truncated = crate::search::drive(
+            let PersistOpen::Run(mut p) = SerialPersist::open(&dir, &opts).expect("open") else {
+                panic!("unexpected finished manifest");
+            };
+            let truncated = drive(
                 &sys,
                 &Budget::states(plain.states / 2),
-                |_| None,
-                false,
+                &mut Explore { invariant: |_: &_| None, check_deadlock: false },
                 false,
                 false,
                 &mut obs,
@@ -1362,16 +1544,7 @@ mod tests {
 
             // Second leg: resume and finish.
             let opts = PersistOpts { resume: true, ..opts };
-            let mut obs = SearchObserver::new(&mut null);
-            let mut p = open_run(&dir, &opts);
-            let r = explore_observed_persist(
-                &sys,
-                &Budget::default(),
-                |_| None,
-                false,
-                &mut obs,
-                &mut p,
-            );
+            let r = explore_persisted(&sys, &Budget::default(), &dir, &opts);
             assert_eq!(
                 (r.states, r.transitions, &r.outcome),
                 (plain.states, plain.transitions, &plain.outcome),

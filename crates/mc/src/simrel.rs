@@ -13,15 +13,78 @@
 //! checked instance of the paper's hand proof, run per protocol and per
 //! configuration by the test suite and the soundness benchmark.
 
-use crate::report::SimRelReport;
-use crate::search::{insert_state, Budget};
-use crate::store::StateStore;
+use crate::report::{Outcome, SimRelReport};
+use crate::search::{drive, Budget, Checker, SearchObserver};
 use ccr_runtime::abstraction::abs;
 use ccr_runtime::asynch::{AsyncState, AsyncSystem};
-use ccr_runtime::rendezvous::RendezvousSystem;
-use ccr_runtime::{EncodeBuf, TransitionSystem};
-use std::collections::VecDeque;
-use std::time::Instant;
+use ccr_runtime::rendezvous::{RendezvousSystem, RvState};
+use ccr_runtime::{EncodeBuf, Label, TransitionSystem};
+use ccr_trace::NullSink;
+
+/// Equation 1 as a checker on the serial sweep: `abs` of the state being
+/// expanded is computed once, and every edge out of it must map to a
+/// stutter or to a rendezvous step. A failing edge ends the sweep as an
+/// [`Outcome::InvariantViolated`] carrying its description.
+struct Equation1<'a, 's> {
+    async_sys: &'a AsyncSystem<'s>,
+    rv_sys: &'a RendezvousSystem<'s>,
+    /// `abs` of the state being expanded.
+    a: Option<RvState>,
+    rv_succs: Vec<(Label, RvState)>,
+    // Reused across the whole sweep: one allocation each, not one per
+    // transition (`encoded()` would allocate a fresh Vec every time).
+    a_buf: EncodeBuf,
+    a2_buf: EncodeBuf,
+    r_buf: EncodeBuf,
+    stutters: usize,
+    mapped_steps: usize,
+}
+
+impl<'s> Checker<AsyncSystem<'s>> for Equation1<'_, 's> {
+    fn on_expand(&mut self, state: &AsyncState, _idx: u32) -> Option<Outcome> {
+        match abs(self.async_sys, state) {
+            Ok(a) => {
+                self.a_buf.fill(self.rv_sys, &a);
+                self.a = Some(a);
+                None
+            }
+            Err(e) => Some(Outcome::InvariantViolated(format!("abs failed on source state: {e}"))),
+        }
+    }
+
+    fn on_edge(&mut self, state: &AsyncState, label: &Label, next: &AsyncState) -> Option<Outcome> {
+        let a = self.a.as_ref().expect("on_expand precedes the state's edges");
+        let a2 = match abs(self.async_sys, next) {
+            Ok(a2) => a2,
+            Err(e) => {
+                return Some(Outcome::InvariantViolated(format!(
+                    "abs failed after rule {}: {e}",
+                    label.rule
+                )))
+            }
+        };
+        self.a2_buf.fill(self.rv_sys, &a2);
+        if self.a_buf.bytes() == self.a2_buf.bytes() {
+            self.stutters += 1;
+            return None;
+        }
+        // Must be a single rendezvous step abs(q) ->h abs(q').
+        if self.rv_sys.successors(a, &mut self.rv_succs).is_err() {
+            return Some(Outcome::InvariantViolated(
+                "rendezvous successor generation failed".into(),
+            ));
+        }
+        let (rv_sys, r_buf, want) = (self.rv_sys, &mut self.r_buf, self.a2_buf.bytes());
+        if !self.rv_succs.iter().any(|(_, r)| r_buf.fill(rv_sys, r) == want) {
+            return Some(Outcome::InvariantViolated(format!(
+                "async rule {} (actor {}) maps to an impossible rendezvous step:\n  abs(q)  = {:?}\n  abs(q') = {:?}\n  async q = {:?}\n  async q' = {:?}",
+                label.rule, label.actor, a, a2, state, next
+            )));
+        }
+        self.mapped_steps += 1;
+        None
+    }
+}
 
 /// Checks Equation 1 over the reachable states of `async_sys`, mapping into
 /// `rv_sys` (which must be built over the same spec and remote count).
@@ -30,89 +93,32 @@ pub fn check_simulation(
     rv_sys: &RendezvousSystem<'_>,
     budget: &Budget,
 ) -> SimRelReport {
-    let started = Instant::now();
-    let mut store = StateStore::new();
-    let mut frontier: VecDeque<AsyncState> = VecDeque::new();
-    let mut succs = Vec::new();
-    let mut rv_succs = Vec::new();
-    let mut enc = Vec::new();
-    // Reused across the whole sweep: one allocation each, not one per
-    // transition (`encoded()` would allocate a fresh Vec every time).
-    let mut a_buf = EncodeBuf::new();
-    let mut a2_buf = EncodeBuf::new();
-    let mut r_buf = EncodeBuf::new();
-
-    let mut report = SimRelReport {
-        async_states: 0,
-        transitions_checked: 0,
+    let mut checker = Equation1 {
+        async_sys,
+        rv_sys,
+        a: None,
+        rv_succs: Vec::new(),
+        a_buf: EncodeBuf::new(),
+        a2_buf: EncodeBuf::new(),
+        r_buf: EncodeBuf::new(),
         stutters: 0,
         mapped_steps: 0,
-        violation: None,
-        complete: true,
     };
-
-    let fast_cap = async_sys.max_encoded_len();
-    let init = async_sys.initial();
-    insert_state(async_sys, &init, fast_cap, &mut store, &mut enc);
-    frontier.push_back(init);
-
-    'outer: while let Some(state) = frontier.pop_front() {
-        let a = match abs(async_sys, &state) {
-            Ok(a) => a,
-            Err(e) => {
-                report.violation = Some(format!("abs failed on source state: {e}"));
-                break;
-            }
-        };
-        a_buf.fill(rv_sys, &a);
-        if async_sys.successors(&state, &mut succs).is_err() {
-            report.violation = Some("async successor generation failed".into());
-            break;
-        }
-        for (label, next) in succs.drain(..) {
-            report.transitions_checked += 1;
-            let a2 = match abs(async_sys, &next) {
-                Ok(a2) => a2,
-                Err(e) => {
-                    report.violation = Some(format!("abs failed after rule {}: {e}", label.rule));
-                    break 'outer;
-                }
-            };
-            a2_buf.fill(rv_sys, &a2);
-            if a_buf.bytes() == a2_buf.bytes() {
-                report.stutters += 1;
-            } else {
-                // Must be a single rendezvous step abs(q) ->h abs(q').
-                if rv_sys.successors(&a, &mut rv_succs).is_err() {
-                    report.violation = Some("rendezvous successor generation failed".into());
-                    break 'outer;
-                }
-                let matched = rv_succs.iter().any(|(_, r)| r_buf.fill(rv_sys, r) == a2_buf.bytes());
-                if !matched {
-                    report.violation = Some(format!(
-                        "async rule {} (actor {}) maps to an impossible rendezvous step:\n  abs(q)  = {:?}\n  abs(q') = {:?}\n  async q = {:?}\n  async q' = {:?}",
-                        label.rule, label.actor, a, a2, state, next
-                    ));
-                    break 'outer;
-                }
-                report.mapped_steps += 1;
-            }
-            let (_, is_new) = insert_state(async_sys, &next, fast_cap, &mut store, &mut enc);
-            if is_new {
-                if store.len() >= budget.max_states
-                    || store.approx_bytes() >= budget.max_bytes
-                    || budget.max_time.map(|t| started.elapsed() >= t).unwrap_or(false)
-                {
-                    report.complete = false;
-                    break 'outer;
-                }
-                frontier.push_back(next);
-            }
-        }
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    let run = drive(async_sys, budget, &mut checker, false, false, &mut obs, None);
+    SimRelReport {
+        async_states: run.store.len(),
+        transitions_checked: run.transitions,
+        stutters: checker.stutters,
+        mapped_steps: checker.mapped_steps,
+        complete: run.outcome != Outcome::Unfinished,
+        violation: match run.outcome {
+            Outcome::InvariantViolated(edge) => Some(edge),
+            Outcome::RuntimeFailure(_) => Some("async successor generation failed".into()),
+            _ => None,
+        },
     }
-
-    report.async_states = store.len();
-    report
 }
 
 #[cfg(test)]

@@ -19,12 +19,6 @@
 //!   header and allocator round-trip (~48 bytes of overhead per state in
 //!   the old layout).
 //!
-//! An opt-in **hash-compaction** mode ([`StateStore::compact`]) stores only
-//! the 64-bit hash per state. Distinct states that collide are conflated,
-//! so a run using it is *probabilistic* (reported as such in
-//! [`crate::report::ExploreReport`]); in exchange the per-state footprint
-//! drops to ~12 bytes, letting runs squeeze under the paper's 64 MB budget.
-//!
 //! The store tracks its memory footprint from the real capacities of its
 //! buffers so searches can enforce a byte budget the way the paper's SPIN
 //! runs enforced 64 MB.
@@ -121,7 +115,7 @@ pub struct StateStore {
     hashes: Vec<u64>,
     /// Slot → dense entry index, or `EMPTY`.
     slots: Vec<u32>,
-    /// Dense index → `(arena offset, length)`. Unused in compact mode.
+    /// Dense index → `(arena offset, length)`.
     entries: Vec<(u32, u32)>,
     /// Bump arena holding every key's bytes back to back. Committed data
     /// occupies `arena[..data]`; the vector's length is a high-water mark
@@ -132,8 +126,6 @@ pub struct StateStore {
     /// Logical length of committed arena data (the bump pointer).
     data: usize,
     len: u32,
-    /// Hash-compaction: drop the key bytes, keep only the 64-bit hash.
-    compact: bool,
     /// Optional disk tier: every new state is appended to its log, and
     /// when the tier's eviction threshold is crossed the arena is
     /// released wholesale — evicted entries keep their dense index and
@@ -147,25 +139,11 @@ impl StateStore {
         Self::default()
     }
 
-    /// Creates an empty store in 8-byte hash-compaction mode: only state
-    /// hashes are kept, so distinct states that collide are conflated and
-    /// any search over the store is probabilistic.
-    pub fn compact() -> Self {
-        Self { compact: true, ..Self::default() }
-    }
-
-    /// True when the store runs in hash-compaction mode.
-    pub fn is_compact(&self) -> bool {
-        self.compact
-    }
-
     /// Attaches a disk tier. Callers attach either to an empty store
     /// (fresh run) or right after replaying that tier's log through
     /// [`StateStore::rebuild_insert`] (recovery — entry `i` must be
-    /// record `i`). Incompatible with hash-compaction mode, which keeps
-    /// no key bytes to spill.
+    /// record `i`).
     pub fn attach_tier(&mut self, tier: Box<LogTier>) {
-        assert!(!self.compact, "hash-compaction and a disk tier are mutually exclusive");
         debug_assert_eq!(tier.records(), self.len());
         self.tier = Some(tier);
     }
@@ -210,12 +188,10 @@ impl StateStore {
                 let new_idx = self.len;
                 self.slots[i] = new_idx;
                 self.hashes[i] = hash;
-                if !self.compact {
-                    let off = self.data;
-                    debug_assert!(off + enc.len() <= u32::MAX as usize, "arena overflow");
-                    self.push_bytes(enc);
-                    self.entries.push((off as u32, enc.len() as u32));
-                }
+                let off = self.data;
+                debug_assert!(off + enc.len() <= u32::MAX as usize, "arena overflow");
+                self.push_bytes(enc);
+                self.entries.push((off as u32, enc.len() as u32));
                 self.len += 1;
                 if let Some(tier) = self.tier.as_deref_mut() {
                     tier.append(depth, enc);
@@ -226,7 +202,7 @@ impl StateStore {
                 }
                 return (new_idx, true);
             }
-            if self.hashes[i] == hash && (self.compact || self.stored_eq(idx, enc)) {
+            if self.hashes[i] == hash && self.stored_eq(idx, enc) {
                 return (idx, false);
             }
             i = (i + 1) & mask;
@@ -305,21 +281,19 @@ impl StateStore {
                 if let Some(tier) = self.tier.as_deref_mut() {
                     tier.append(depth, &self.arena[start..start + written]);
                 }
-                if !self.compact {
-                    // Commit: advance the bump pointer past the slot —
-                    // the encode was the arena write.
-                    self.data = start + written;
-                    self.entries.push((start as u32, written as u32));
-                    if let Some(tier) = self.tier.as_deref() {
-                        let evict_at = tier.evict_at;
-                        if evict_at > 0 && self.data > 0 && self.approx_bytes() > evict_at {
-                            self.evict_arena();
-                        }
+                // Commit: advance the bump pointer past the slot — the
+                // encode was the arena write.
+                self.data = start + written;
+                self.entries.push((start as u32, written as u32));
+                if let Some(tier) = self.tier.as_deref() {
+                    let evict_at = tier.evict_at;
+                    if evict_at > 0 && self.data > 0 && self.approx_bytes() > evict_at {
+                        self.evict_arena();
                     }
                 }
                 return (new_idx, true);
             }
-            if self.hashes[i] == hash && (self.compact || self.slot_eq(idx, start, written)) {
+            if self.hashes[i] == hash && self.slot_eq(idx, start, written) {
                 // Rollback: the bump pointer never moved, so the
                 // committed arena is byte-identical to the moment the
                 // slot was opened.
@@ -383,7 +357,6 @@ impl StateStore {
     /// insert when appended). `payload == None` rebuilds an
     /// already-evicted entry from the index alone.
     pub fn rebuild_insert(&mut self, hash: u64, payload: Option<&[u8]>, len: u32) {
-        debug_assert!(!self.compact, "rebuild into a compact store");
         if self.slots.is_empty() || (self.len as usize + 1) * 8 > self.slots.len() * 7 {
             self.grow();
         }
@@ -419,19 +392,19 @@ impl StateStore {
             if idx == EMPTY {
                 return None;
             }
-            if self.hashes[i] == hash && (self.compact || self.stored_eq(idx, enc)) {
+            if self.hashes[i] == hash && self.stored_eq(idx, enc) {
                 return Some(idx);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// The encoded bytes of state `idx`, or `None` in compact mode
-    /// (where only hashes are retained) or when the entry was evicted
-    /// to the disk tier. Used by the parallel engine to order witnesses
-    /// deterministically; evicted callers use [`StateStore::read_entry`].
+    /// The encoded bytes of state `idx`, or `None` when the entry was
+    /// evicted to the disk tier. Used by the parallel engine to order
+    /// witnesses deterministically; evicted callers use
+    /// [`StateStore::read_entry`].
     pub fn key_bytes(&self, idx: u32) -> Option<&[u8]> {
-        if self.compact || idx >= self.len {
+        if idx >= self.len {
             return None;
         }
         let (off, len) = self.entries[idx as usize];
@@ -442,11 +415,10 @@ impl StateStore {
     }
 
     /// The encoded bytes of state `idx` as an owned copy, read back from
-    /// the disk tier when the entry was evicted. `None` in compact mode,
-    /// out of range, or on a tier read error (which also sets the tier's
-    /// sticky error).
+    /// the disk tier when the entry was evicted. `None` out of range or
+    /// on a tier read error (which also sets the tier's sticky error).
     pub fn read_entry(&self, idx: u32) -> Option<Vec<u8>> {
-        if self.compact || idx >= self.len {
+        if idx >= self.len {
             return None;
         }
         let (off, len) = self.entries[idx as usize];
@@ -509,7 +481,6 @@ impl StateStore {
     }
 
     /// Encoded length in bytes of every stored state, in insertion order.
-    /// Empty in hash-compaction mode, where key bytes are not kept.
     pub fn entry_lengths(&self) -> impl Iterator<Item = u64> + '_ {
         self.entries.iter().map(|&(_, len)| u64::from(len))
     }
@@ -620,27 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_mode_dedups_by_hash_and_stays_small() {
-        let mut full = StateStore::new();
-        let mut compact = StateStore::compact();
-        assert!(compact.is_compact() && !full.is_compact());
-        for i in 0u32..10_000 {
-            let k = (i % 1000).to_le_bytes();
-            full.insert(&k);
-            compact.insert(&k);
-        }
-        assert_eq!(full.len(), 1000);
-        // No collisions expected among 1000 64-bit hashes.
-        assert_eq!(compact.len(), 1000);
-        assert!(
-            compact.approx_bytes() < full.approx_bytes(),
-            "compact {} vs full {}",
-            compact.approx_bytes(),
-            full.approx_bytes()
-        );
-    }
-
-    #[test]
     fn hashed_insert_agrees_with_plain_insert() {
         let mut a = StateStore::new();
         let mut b = StateStore::new();
@@ -695,18 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_mode_slot_inserts_keep_no_bytes() {
-        let mut st = StateStore::compact();
-        for i in 0u32..100 {
-            let slot = st.begin_insert(8);
-            st.slot_buf(&slot)[..4].copy_from_slice(&(i % 40).to_le_bytes());
-            st.commit_insert(slot, 4);
-        }
-        assert_eq!(st.len(), 40);
-        assert_eq!(st.data, 0);
-    }
-
-    #[test]
     fn shape_iterators_cover_every_entry() {
         let mut store = StateStore::new();
         assert_eq!(store.probe_displacements().count(), 0);
@@ -725,13 +663,5 @@ mod tests {
         assert_eq!(store.entry_lengths().filter(|&l| l == 8).count(), 250);
         // Displacements are small for a healthy table (load factor 7/8).
         assert!(store.probe_displacements().all(|d| d < store.len() as u64));
-
-        // Compact mode keeps no key bytes, but still probes.
-        let mut compact = StateStore::compact();
-        for i in 0u32..100 {
-            compact.insert(&i.to_le_bytes());
-        }
-        assert_eq!(compact.entry_lengths().count(), 0);
-        assert_eq!(compact.probe_displacements().count(), 100);
     }
 }

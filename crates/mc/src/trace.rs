@@ -2,10 +2,10 @@
 //!
 //! When an invariant fails or a deadlock is found, a bare verdict is far
 //! less useful than the *path* that leads there — SPIN prints a trail, and
-//! so do we. [`explore_traced`] runs the same breadth-first search as
-//! [`crate::search::explore`] but keeps one eight-byte parent pointer per
-//! state (no label — a passing run never reads one), reconstructing the
-//! shortest event trace to the first violation by replay.
+//! so do we. With [`crate::search::Search::trails`] the breadth-first
+//! search keeps one eight-byte parent pointer per state (no label — a
+//! passing run never reads one), reconstructing the shortest event trace
+//! to the first violation by replay.
 //! [`export_trail`] replays that trail through the system while
 //! narrating every step to a [`TraceSink`], producing a JSONL
 //! counterexample that uses the exact event expansion of a live simulator
@@ -13,10 +13,10 @@
 //! sceptical users) can confirm the final state really is the bad one.
 
 use crate::report::Outcome;
-use crate::search::{Budget, SearchObserver};
+use crate::search::{explore_serial, Budget, SearchObserver, SerialPersist};
 use ccr_runtime::observe::emit_label_events;
 use ccr_runtime::{Label, TransitionSystem};
-use ccr_trace::{NullSink, TraceEvent, TraceSink};
+use ccr_trace::{TraceEvent, TraceSink};
 
 /// A reachability result carrying an optional counterexample trail.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -36,19 +36,7 @@ impl TracedReport {
     /// Formats a trail as SPIN-like numbered lines (`actor rule`), or a
     /// note that none exists.
     pub fn trail_text(&self) -> String {
-        match &self.trail {
-            None => "(no counterexample)".to_string(),
-            Some(labels) => labels
-                .iter()
-                .enumerate()
-                .map(|(i, l)| {
-                    let completes =
-                        l.completes.map(|(a, m)| format!(" completes {a}:{m}")).unwrap_or_default();
-                    format!("{:>4}: {} [{}]{}", i + 1, l.actor, l.rule, completes)
-                })
-                .collect::<Vec<_>>()
-                .join("\n"),
-        }
+        trail_text(self.trail.as_deref())
     }
 
     /// Exports the counterexample as a replayed event stream on `sink`
@@ -60,6 +48,24 @@ impl TracedReport {
         sink: &mut dyn TraceSink,
     ) -> Option<T::State> {
         export_trail(sys, self.trail.as_deref()?, &self.outcome, sink)
+    }
+}
+
+/// Formats a trail as SPIN-like numbered lines (`actor rule`), or a note
+/// that none exists.
+pub(crate) fn trail_text(trail: Option<&[Label]>) -> String {
+    match trail {
+        None => "(no counterexample)".to_string(),
+        Some(labels) => labels
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                let completes =
+                    l.completes.map(|(a, m)| format!(" completes {a}:{m}")).unwrap_or_default();
+                format!("{:>4}: {} [{}]{}", i + 1, l.actor, l.rule, completes)
+            })
+            .collect::<Vec<_>>()
+            .join("\n"),
     }
 }
 
@@ -165,23 +171,10 @@ pub fn export_trail<T: TransitionSystem>(
     Some(state)
 }
 
-/// Breadth-first exploration with parent tracking; returns the shortest
-/// trail to the first invariant violation or deadlock.
-pub fn explore_traced<T: TransitionSystem>(
-    sys: &T,
-    budget: &Budget,
-    invariant: impl FnMut(&T::State) -> Option<String>,
-    check_deadlock: bool,
-) -> TracedReport {
-    let mut null = NullSink;
-    let mut obs = SearchObserver::new(&mut null);
-    explore_traced_observed(sys, budget, invariant, check_deadlock, &mut obs)
-}
-
-/// [`explore_traced`] with live progress reporting: `obs` receives
-/// periodic heartbeats while searching, and on a violation the full
-/// counterexample is exported to the observer's sink as a replayed event
-/// stream (followed by the terminal outcome event).
+/// [`crate::search::Search::explore`] on the serial engine with trails on. Kept for
+/// `benchmark/src/layers.rs` (`benchmark/README.md`, "Entry points into
+/// `ccr-*`").
+#[doc(hidden)]
 pub fn explore_traced_observed<T: TransitionSystem>(
     sys: &T,
     budget: &Budget,
@@ -189,67 +182,26 @@ pub fn explore_traced_observed<T: TransitionSystem>(
     check_deadlock: bool,
     obs: &mut SearchObserver<'_>,
 ) -> TracedReport {
-    let run = crate::search::drive(sys, budget, invariant, check_deadlock, false, true, obs, None);
-    let report = TracedReport {
-        states: run.store.len(),
-        transitions: run.transitions,
-        outcome: run.outcome,
-        trail: run.trail,
-    };
-    conclude_with_trail(sys, &report.outcome, report.trail.as_deref(), obs);
-    crate::search::record_search_run(
-        obs.metrics(),
-        report.states,
-        run.transitions,
-        run.peak_frontier,
-        &run.store,
-    );
-    report
+    explore_serial(sys, budget, invariant, check_deadlock, true, obs, None).traced_report()
 }
 
-/// [`explore_traced_observed`] against a persistence context (see
-/// [`crate::search::explore_observed_persist`]). On a *resumed* run the
-/// recovered states carry no parent pointers, so a violating outcome
-/// reports `trail: None` — counts and outcome are still byte-identical
-/// to an uninterrupted run.
+/// [`explore_traced_observed`] against a persistence context the caller
+/// opened (what [`crate::search::Search::persist`] does by itself). Kept for
+/// `benchmark/src/layers.rs`, like its sibling.
+#[doc(hidden)]
 pub fn explore_traced_observed_persist<T: TransitionSystem>(
     sys: &T,
     budget: &Budget,
     invariant: impl FnMut(&T::State) -> Option<String>,
     check_deadlock: bool,
     obs: &mut SearchObserver<'_>,
-    persist: &mut crate::search::SerialPersist,
+    persist: &mut SerialPersist,
 ) -> TracedReport {
-    let mut run = crate::search::drive(
-        sys,
-        budget,
-        invariant,
-        check_deadlock,
-        false,
-        true,
-        obs,
-        Some(persist),
-    );
-    persist.conclude(&mut run, obs.metrics());
-    let report = TracedReport {
-        states: run.store.len(),
-        transitions: run.transitions,
-        outcome: run.outcome,
-        trail: run.trail,
-    };
-    conclude_with_trail(sys, &report.outcome, report.trail.as_deref(), obs);
-    crate::search::record_search_run(
-        obs.metrics(),
-        report.states,
-        run.transitions,
-        run.peak_frontier,
-        &run.store,
-    );
-    report
+    explore_serial(sys, budget, invariant, check_deadlock, true, obs, Some(persist)).traced_report()
 }
 
-/// Shared ending for trail-carrying searches (serial and parallel): when
-/// the observer's sink is live, a violating run exports its
+/// Shared ending of every search (serial and parallel): when the
+/// observer's sink is live, a run that carries a trail exports its
 /// counterexample as a replayed event stream ending with the outcome,
 /// and a trail-less run emits the bare outcome event.
 pub(crate) fn conclude_with_trail<T: TransitionSystem>(
@@ -272,9 +224,29 @@ pub(crate) fn conclude_with_trail<T: TransitionSystem>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::SearchReport;
+    use crate::search::Search;
     use ccr_core::builder::ProtocolBuilder;
     use ccr_runtime::rendezvous::RendezvousSystem;
-    use ccr_trace::RingSink;
+    use ccr_trace::{NullSink, RingSink};
+
+    /// A serial traced exploration, unobserved.
+    fn explore_traced<T, F>(
+        sys: &T,
+        budget: &Budget,
+        invariant: F,
+        check_deadlock: bool,
+    ) -> SearchReport
+    where
+        T: TransitionSystem + Sync,
+        T::State: Send,
+        F: Fn(&T::State) -> Option<String> + Sync,
+    {
+        let mut null = NullSink;
+        let mut obs = SearchObserver::new(&mut null);
+        Search { check_deadlock, trails: true, ..Search::default() }
+            .explore(sys, budget, invariant, &mut obs)
+    }
 
     fn deadlocking_spec() -> ccr_core::process::ProtocolSpec {
         let mut b = ProtocolBuilder::new("dead");
@@ -366,11 +338,12 @@ mod tests {
         fn dfs_trail_ends_stuck<T: TransitionSystem>(sys: &T) {
             let mut null = NullSink;
             let mut obs = SearchObserver::new(&mut null);
+            let mut checker =
+                crate::search::Explore { invariant: |_: &T::State| None, check_deadlock: true };
             let run = crate::search::drive(
                 sys,
                 &Budget::default(),
-                |_| None,
-                true,
+                &mut checker,
                 true,
                 true,
                 &mut obs,
@@ -403,7 +376,7 @@ mod tests {
         let r = explore_traced(&sys, &Budget::default(), |_| None, true);
         assert_eq!(r.outcome, Outcome::Deadlock);
         let mut sink = RingSink::new(64);
-        let end = r.export(&sys, &mut sink).expect("trail replays");
+        let end = r.traced_report().export(&sys, &mut sink).expect("trail replays");
         let mut succs = Vec::new();
         sys.successors(&end, &mut succs).unwrap();
         assert!(succs.is_empty(), "exported trail ends in the deadlocked state");

@@ -147,20 +147,13 @@ use ccr_core::dot::{dot_automaton, dot_spec};
 use ccr_core::refine::{refine, RefineOptions, ReqRepMode};
 use ccr_core::text::{parse_validated, to_text};
 use ccr_faults::{parse_fault_spec, FaultPlan, FaultRates, FaultSpec, FaultStats};
-use ccr_mc::faultmode::{check_fault_closure_observed, check_fault_closure_parallel_observed};
-use ccr_mc::parallel::{
-    explore_parallel_traced_observed, explore_parallel_traced_observed_persist, ParallelConfig,
-    ParallelPersist, ParallelPersistOpen,
-};
-use ccr_mc::progress::{check_progress_observed, check_progress_parallel_observed};
-use ccr_mc::report::ExploreReport;
+use ccr_mc::faultmode::FaultClosureReport;
+use ccr_mc::report::SearchReport;
 use ccr_mc::search::{
-    explore_observed, report_from_manifest, Budget, PersistOpts, SearchObserver, SerialPersist,
-    SerialPersistOpen, StatusReporter, DEFAULT_HEARTBEAT_INTERVAL,
+    Budget, PersistOpts, Search, SearchObserver, StatusReporter, DEFAULT_HEARTBEAT_INTERVAL,
 };
 use ccr_mc::simrel::check_simulation;
-use ccr_mc::trace::{explore_traced_observed, explore_traced_observed_persist, TracedReport};
-use ccr_mc::{CrashSwitch, Manifest, Reduced, Symmetric};
+use ccr_mc::{CrashSwitch, Reduced};
 use ccr_metrics::jsonval::Json;
 use ccr_metrics::profile::{parse_folded, ProfileAgg, Profiler, SpanKind};
 use ccr_metrics::status::{RunStatus, StatusWriter};
@@ -172,12 +165,38 @@ use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::sched::RandomSched;
 use ccr_runtime::sim::Simulator;
-use ccr_runtime::{FaultHarness, TransitionSystem};
+use ccr_runtime::{FaultClosure, FaultHarness, TransitionSystem};
 use ccr_trace::{JsonlSink, NullSink, TeeSink, TraceEvent, TraceSink};
 use serde::{MapSer, Serialize, Serializer};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+/// Writes to standard output for the `print!`/`println!` of this file.
+/// A reader that went away (`ccr report <run-dir> | head -1`) is not an
+/// error of ours: the process ends quietly, as a tool killed by SIGPIPE
+/// would, instead of panicking the way the standard macros do.
+fn print_or_end(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// Shadows the standard macro for the rest of the file: same output,
+/// closed-pipe handling of [`print_or_end`].
+macro_rules! print {
+    ($($arg:tt)*) => { print_or_end(format_args!($($arg)*)) };
+}
+
+/// Shadows the standard macro for the rest of the file, like [`print!`].
+macro_rules! println {
+    () => { print_or_end(format_args!("\n")) };
+    ($($arg:tt)*) => { print_or_end(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 /// Number of seeded random walks run by `verify --faults`.
 const FAULT_WALKS: u32 = 3;
@@ -537,230 +556,31 @@ impl TraceSink for ProgressSink {
     }
 }
 
-/// Traced exploration (deadlock check on, no invariant) on the serial or
-/// the sharded parallel engine, depending on `--threads`.
-fn explore_cli<T>(
-    sys: &T,
-    budget: &Budget,
-    threads: usize,
-    stall_ms: u64,
-    obs: &mut SearchObserver<'_>,
-) -> TracedReport
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-{
-    if threads > 0 {
-        let mut cfg = ParallelConfig::threads(threads).with_trails();
-        cfg.stall_ms = stall_ms;
-        explore_parallel_traced_observed(sys, budget, |_| None, true, &cfg, obs).traced_report()
-    } else {
-        explore_traced_observed(sys, budget, |_| None, true, obs)
-    }
-}
-
-/// Plain exploration (for `ccr table`) on the serial or parallel engine.
-fn explore_plain_cli<T>(
-    sys: &T,
-    budget: &Budget,
-    threads: usize,
-    obs: &mut SearchObserver<'_>,
-) -> ExploreReport
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-{
-    if threads > 0 {
-        let cfg = ParallelConfig::threads(threads);
-        ccr_mc::parallel::explore_parallel_observed(sys, budget, |_| None, false, &cfg, obs)
-            .explore_report()
-    } else {
-        explore_observed(sys, budget, |_| None, false, obs)
-    }
-}
-
-/// [`explore_cli`] over the symmetry-reduced quotient when `reduce` is
-/// set (orbit metrics flushed to `registry`), the concrete system
-/// otherwise. Trails are concrete either way: the reduced frontier
-/// holds first-discovered orbit representatives and real labels.
-fn explore_cli_sym<T>(
-    sys: &T,
-    reduce: bool,
-    budget: &Budget,
-    threads: usize,
-    stall_ms: u64,
-    obs: &mut SearchObserver<'_>,
-    registry: &Registry,
-) -> TracedReport
-where
-    T: Symmetric + Sync,
-    T::State: Send,
-{
-    if reduce {
-        let red = Reduced::new(sys);
-        let report = explore_cli(&red, budget, threads, stall_ms, obs);
-        red.record_metrics(registry);
-        report
-    } else {
-        explore_cli(sys, budget, threads, stall_ms, obs)
-    }
-}
-
-/// Persisted variant of [`explore_cli`]: the sweep checkpoints into the
-/// phase directory `root` (layout in `docs/persistence.md`), and a
-/// phase whose manifest is already terminal short-circuits to the
-/// restored report — the `bool` in the result. Open failures (foreign
-/// lock, corrupt manifest, log truncated below its committed prefix,
-/// unwritable directory) surface as `Err` carrying the offending path.
-fn explore_cli_persist<T>(
-    sys: &T,
-    budget: &Budget,
-    threads: usize,
-    obs: &mut SearchObserver<'_>,
-    root: &Path,
-    popts: &PersistOpts,
-) -> Result<(TracedReport, bool), String>
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-{
-    let restored = |m: &Manifest| {
-        let r = report_from_manifest(m);
-        TracedReport {
-            states: r.states,
-            transitions: r.transitions,
-            outcome: r.outcome,
-            trail: None,
+/// Evaluates `$run` with `$s` bound to the system a search phase should
+/// sweep: `$sys` itself, or — when `$reduce` is set — its symmetry-reduced
+/// quotient, whose orbit metrics are flushed to `$registry` afterwards.
+/// Sound for explorations and for the progress check alike (whether *a*
+/// completion exists from a state is an orbit property), and trails stay
+/// concrete either way: the reduced frontier holds first-discovered orbit
+/// representatives and real labels. Under `--spill-dir` the logs of a
+/// reduced phase hold canonical representatives — which is why
+/// `meta.json` records the resolved choice for `--resume` to replay.
+///
+/// This is the one decision the CLI takes per phase; which engine runs
+/// it, and whether it persists, is [`Search`]'s.
+macro_rules! with_symmetry {
+    ($sys:expr, $reduce:expr, $registry:expr, |$s:ident| $run:expr) => {
+        if $reduce {
+            let red = Reduced::new($sys);
+            let $s = &red;
+            let report = $run;
+            red.record_metrics($registry);
+            report
+        } else {
+            let $s = $sys;
+            $run
         }
     };
-    if threads > 0 {
-        let cfg = ParallelConfig::threads(threads).with_trails();
-        match ParallelPersist::open(root, popts, &cfg).map_err(|e| e.to_string())? {
-            ParallelPersistOpen::Finished(m) => Ok((restored(&m), true)),
-            ParallelPersistOpen::Run(p) => Ok((
-                explore_parallel_traced_observed_persist(
-                    sys,
-                    budget,
-                    |_| None,
-                    true,
-                    &cfg,
-                    obs,
-                    &p,
-                )
-                .traced_report(),
-                false,
-            )),
-        }
-    } else {
-        match SerialPersist::open(root, popts).map_err(|e| e.to_string())? {
-            SerialPersistOpen::Finished(m) => Ok((restored(&m), true)),
-            SerialPersistOpen::Run(mut p) => Ok((
-                explore_traced_observed_persist(sys, budget, |_| None, true, obs, &mut p),
-                false,
-            )),
-        }
-    }
-}
-
-/// [`explore_cli_persist`] over the symmetry-reduced quotient when
-/// `reduce` is set, as in [`explore_cli_sym`]. The logs then hold
-/// canonical orbit representatives — which is why `meta.json` records
-/// the resolved reduction choice for `--resume` to replay.
-#[allow(clippy::too_many_arguments)]
-fn explore_cli_sym_persist<T>(
-    sys: &T,
-    reduce: bool,
-    budget: &Budget,
-    threads: usize,
-    obs: &mut SearchObserver<'_>,
-    registry: &Registry,
-    root: &Path,
-    popts: &PersistOpts,
-) -> Result<(TracedReport, bool), String>
-where
-    T: Symmetric + Sync,
-    T::State: Send,
-{
-    if reduce {
-        let red = Reduced::new(sys);
-        let report = explore_cli_persist(&red, budget, threads, obs, root, popts)?;
-        red.record_metrics(registry);
-        Ok(report)
-    } else {
-        explore_cli_persist(sys, budget, threads, obs, root, popts)
-    }
-}
-
-/// [`explore_plain_cli`] with optional symmetry reduction, as in
-/// [`explore_cli_sym`].
-fn explore_plain_cli_sym<T>(
-    sys: &T,
-    reduce: bool,
-    budget: &Budget,
-    threads: usize,
-    obs: &mut SearchObserver<'_>,
-    registry: &Registry,
-) -> ExploreReport
-where
-    T: Symmetric + Sync,
-    T::State: Send,
-{
-    if reduce {
-        let red = Reduced::new(sys);
-        let report = explore_plain_cli(&red, budget, threads, obs);
-        red.record_metrics(registry);
-        report
-    } else {
-        explore_plain_cli(sys, budget, threads, obs)
-    }
-}
-
-/// The progress check (serial or parallel per `--threads`) with optional
-/// symmetry reduction. Sound on the quotient: progress labels are
-/// permutation-invariant (`completes` carries an actor, but whether *a*
-/// completion exists from a state is an orbit property).
-fn progress_cli_sym<T>(
-    sys: &T,
-    reduce: bool,
-    budget: &Budget,
-    threads: usize,
-    obs: &mut SearchObserver<'_>,
-    registry: &Registry,
-) -> ccr_mc::report::ProgressReport
-where
-    T: Symmetric + Sync,
-    T::State: Send,
-{
-    fn run<S>(
-        sys: &S,
-        budget: &Budget,
-        threads: usize,
-        obs: &mut SearchObserver<'_>,
-    ) -> ccr_mc::report::ProgressReport
-    where
-        S: TransitionSystem + Sync,
-        S::State: Send,
-    {
-        if threads > 0 {
-            check_progress_parallel_observed(
-                sys,
-                budget,
-                |l| l.completes.is_some(),
-                &ParallelConfig::threads(threads),
-                obs,
-            )
-        } else {
-            check_progress_observed(sys, budget, |l| l.completes.is_some(), obs)
-        }
-    }
-    if reduce {
-        let red = Reduced::new(sys);
-        let report = run(&red, budget, threads, obs);
-        red.record_metrics(registry);
-        report
-    } else {
-        run(sys, budget, threads, obs)
-    }
 }
 
 /// Builds the `--status` writer, creating missing parent directories up
@@ -2142,7 +1962,18 @@ fn main() -> ExitCode {
             // `--async` skips the rendezvous level (and the checks that
             // need it): the async exploration alone, for profiling and
             // benchmarking the parallel engine.
-            let r: Option<TracedReport> = if args.async_only {
+            // Both reachability sweeps of `verify`: deadlock check and
+            // trails on, the engine `--threads` picks, checkpointing into
+            // the phase's subdirectory under `--spill-dir`.
+            let search = Search {
+                check_deadlock: true,
+                trails: true,
+                threads,
+                stall_ms: args.inject_stall_ms,
+                persist: None,
+            };
+            let phase_dir = |phase: &str| spill_root.as_ref().map(|root| root.join(phase));
+            let r: Option<SearchReport> = if args.async_only {
                 None
             } else {
                 let rr = {
@@ -2156,39 +1987,15 @@ fn main() -> ExitCode {
                         &timeline,
                         "explore/rendezvous",
                     );
-                    match &spill_root {
-                        Some(root) => match explore_cli_sym_persist(
-                            &rv,
-                            reduce,
-                            &budget,
-                            threads,
-                            &mut obs,
-                            &registry,
-                            &root.join("rendezvous"),
-                            &popts,
-                        ) {
-                            Ok((rep, restored)) => {
-                                if restored && human {
-                                    println!("rendezvous level: restored from finished checkpoint");
-                                }
-                                rep
-                            }
-                            Err(e) => {
-                                eprintln!("ccr: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        },
-                        None => explore_cli_sym(
-                            &rv,
-                            reduce,
-                            &budget,
-                            threads,
-                            args.inject_stall_ms,
-                            &mut obs,
-                            &registry,
-                        ),
-                    }
+                    let dir = phase_dir("rendezvous");
+                    let search = Search { persist: dir.as_deref().map(|d| (d, &popts)), ..search };
+                    with_symmetry!(&rv, reduce, &registry, |s| {
+                        search.explore(s, &budget, |_| None, &mut obs)
+                    })
                 };
+                if rr.restored && human {
+                    println!("rendezvous level: restored from finished checkpoint");
+                }
                 if let ccr_mc::Outcome::PersistFailure(msg) = &rr.outcome {
                     eprintln!("ccr: persistence failure: {msg}");
                 }
@@ -2218,41 +2025,15 @@ fn main() -> ExitCode {
                         &timeline,
                         "explore/async",
                     );
-                    match &spill_root {
-                        Some(root) => match explore_cli_sym_persist(
-                            &asys,
-                            reduce,
-                            &budget,
-                            threads,
-                            &mut obs,
-                            &registry,
-                            &root.join("async"),
-                            &popts,
-                        ) {
-                            Ok((rep, restored)) => {
-                                if restored && human {
-                                    println!(
-                                        "asynchronous level: restored from finished checkpoint"
-                                    );
-                                }
-                                rep
-                            }
-                            Err(e) => {
-                                eprintln!("ccr: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        },
-                        None => explore_cli_sym(
-                            &asys,
-                            reduce,
-                            &budget,
-                            threads,
-                            args.inject_stall_ms,
-                            &mut obs,
-                            &registry,
-                        ),
-                    }
+                    let dir = phase_dir("async");
+                    let search = Search { persist: dir.as_deref().map(|d| (d, &popts)), ..search };
+                    with_symmetry!(&asys, reduce, &registry, |s| {
+                        search.explore(s, &budget, |_| None, &mut obs)
+                    })
                 };
+                if ar.restored && human {
+                    println!("asynchronous level: restored from finished checkpoint");
+                }
                 if let ccr_mc::Outcome::PersistFailure(msg) = &ar.outcome {
                     eprintln!("ccr: persistence failure: {msg}");
                 }
@@ -2301,7 +2082,9 @@ fn main() -> ExitCode {
                                 &timeline,
                                 "check/progress",
                             );
-                            progress_cli_sym(&asys, reduce, &budget, threads, &mut obs, &registry)
+                            with_symmetry!(&asys, reduce, &registry, |s| {
+                                search.progress(s, &budget, |l| l.completes.is_some(), &mut obs)
+                            })
                         };
                         if human {
                             println!(
@@ -2342,17 +2125,21 @@ fn main() -> ExitCode {
                             &timeline,
                             "check/fault-closure",
                         );
-                        if threads > 0 {
-                            check_fault_closure_parallel_observed(
-                                &asys,
-                                f,
+                        // Safety, then progress, over every placement of
+                        // up to `f` faults: the closure is one more
+                        // transition system for the same two checks.
+                        let closure = FaultClosure::new(asys.clone(), f);
+                        FaultClosureReport {
+                            budget_faults: f,
+                            explore: search
+                                .explore(&closure, &budget, |_| None, &mut obs)
+                                .traced_report(),
+                            progress: search.progress(
+                                &closure,
                                 &budget,
-                                |_| None,
-                                &ParallelConfig::threads(threads),
+                                |l| l.completes.is_some(),
                                 &mut obs,
-                            )
-                        } else {
-                            check_fault_closure_observed(&asys, f, &budget, |_| None, &mut obs)
+                            ),
                         }
                     };
                     if human {
@@ -2453,8 +2240,8 @@ fn main() -> ExitCode {
                         m.entry("spill_bytes", &args.spill_bytes);
                         m.entry("resumed", &args.resume);
                     }
-                    m.entry("rendezvous", &r);
-                    m.entry("asynchronous", &a);
+                    m.entry("rendezvous", &r.as_ref().map(SearchReport::traced_report));
+                    m.entry("asynchronous", &a.as_ref().map(SearchReport::traced_report));
                     m.entry("equation1", &sim);
                     m.entry("progress", &prog);
                     m.entry("fault_closure", &fclosure);
@@ -2566,6 +2353,7 @@ fn main() -> ExitCode {
                 }
                 println!("| {:>3} | {:>18} | {:>18} |", "N", "asynchronous", "rendezvous");
             }
+            let search = Search { threads: args.engine_threads(), ..Search::default() };
             let mut rows = Vec::new();
             for n in 1..=args.n {
                 let rv = {
@@ -2579,14 +2367,10 @@ fn main() -> ExitCode {
                         &timeline,
                         "explore/rendezvous",
                     );
-                    explore_plain_cli_sym(
-                        &RendezvousSystem::new(&spec, n),
-                        reduce,
-                        &budget,
-                        args.engine_threads(),
-                        &mut obs,
-                        &registry,
-                    )
+                    let sys = RendezvousSystem::new(&spec, n);
+                    with_symmetry!(&sys, reduce, &registry, |s| {
+                        search.explore(s, &budget, |_| None, &mut obs).explore_report()
+                    })
                 };
                 let asy = {
                     let _p = registry.phase("explore/async");
@@ -2599,14 +2383,10 @@ fn main() -> ExitCode {
                         &timeline,
                         "explore/async",
                     );
-                    explore_plain_cli_sym(
-                        &AsyncSystem::new(&refined, n, AsyncConfig::default()),
-                        reduce,
-                        &budget,
-                        args.engine_threads(),
-                        &mut obs,
-                        &registry,
-                    )
+                    let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+                    with_symmetry!(&sys, reduce, &registry, |s| {
+                        search.explore(s, &budget, |_| None, &mut obs).explore_report()
+                    })
                 };
                 if !args.json {
                     println!("| {:>3} | {:>18} | {:>18} |", n, asy.table_cell(), rv.table_cell());

@@ -43,6 +43,15 @@
 //! // rendezvous step — the refinement is sound.
 //! let sim = check_simulation(&asys, &rv, &Budget::default());
 //! assert!(sim.holds());
+//!
+//! // Every search starts from one options value. The same space with the
+//! // deadlock check and counterexample trails on, on two worker threads:
+//! let mut sink = ccr_trace::NullSink;
+//! let mut obs = SearchObserver::new(&mut sink);
+//! let search = Search { check_deadlock: true, trails: true, threads: 2, ..Search::default() };
+//! let r3 = search.explore(&asys, &Budget::default(), |_| None, &mut obs);
+//! assert_eq!((r3.states, r3.transitions), (r2.states, r2.transitions));
+//! assert!(search.progress(&asys, &Budget::default(), |l| l.completes.is_some(), &mut obs).holds());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,7 +74,7 @@ pub mod prelude {
     pub use ccr_dsm::machine::{Machine, MachineConfig};
     pub use ccr_dsm::workload::{HotSpot, Migrating, ProducerConsumer, ReadMostly, Workload};
     pub use ccr_mc::progress::check_progress_default;
-    pub use ccr_mc::search::{explore, explore_plain, Budget};
+    pub use ccr_mc::search::{explore, explore_plain, Budget, Search, SearchObserver};
     pub use ccr_mc::simrel::check_simulation;
     pub use ccr_protocols::hand::migratory_hand;
     pub use ccr_protocols::invalidate::{invalidate, invalidate_refined, InvalidateOptions};

@@ -4,7 +4,7 @@
 //! exact and repeat run to run. This binary installs a counting global
 //! allocator (which is why it is its own test binary with a single test:
 //! nothing else may allocate while the count is taken) and pins the cost
-//! of one asynchronous transition in `explore_traced_observed` — successor
+//! of one asynchronous transition of a traced serial exploration — successor
 //! generation, encoding, store and frontier growth, trail table — at no
 //! more than 1.1 heap allocations. The one allocation in the budget is the
 //! successor's `remotes` vector; home slice, environments, links and
@@ -17,8 +17,7 @@
 
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
-use ccr_mc::search::{Budget, SearchObserver};
-use ccr_mc::trace::explore_traced_observed;
+use ccr_mc::search::{Budget, Search, SearchObserver};
 use ccr_mc::Reduced;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::TransitionSystem;
@@ -63,12 +62,17 @@ fn load(name: &str) -> ccr_core::refine::RefinedProtocol {
 
 /// Explores `sys` with trails and asserts the counts and the allocations
 /// spent per transition.
-fn assert_budget<T: TransitionSystem>(sys: &T, counts: (usize, usize), budget: f64, what: &str) {
+fn assert_budget<T>(sys: &T, counts: (usize, usize), budget: f64, what: &str)
+where
+    T: TransitionSystem + Sync,
+    T::State: Send,
+{
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
+    let search = Search { check_deadlock: true, trails: true, ..Search::default() };
 
     let before = ALLOCS.load(Relaxed);
-    let report = explore_traced_observed(sys, &Budget::default(), |_| None, true, &mut obs);
+    let report = search.explore(sys, &Budget::default(), |_| None, &mut obs);
     let allocs = ALLOCS.load(Relaxed) - before;
 
     assert!(report.outcome.is_complete(), "{what}: {:?}", report.outcome);

@@ -13,8 +13,8 @@ use ccr_dsm::workload::Migrating;
 use ccr_faults::{FaultKind, FaultPlan, FaultRates, FaultSpec, ScriptedFault};
 use ccr_mc::faultmode::check_fault_closure;
 use ccr_mc::report::Outcome;
-use ccr_mc::search::Budget;
-use ccr_mc::trace::{explore_traced, replay_trail};
+use ccr_mc::search::{explore, Budget, Search, SearchObserver};
+use ccr_mc::trace::replay_trail;
 use ccr_protocols::invalidate::{invalidate_refined, InvalidateOptions};
 use ccr_protocols::migratory::{migratory_refined, MigratoryOptions};
 use ccr_protocols::props::migratory_async_invariant;
@@ -112,7 +112,7 @@ fn fault_closure_holds_for_budget_two_on_migratory() {
     );
     // The adversary genuinely enlarges the state space: the closure at
     // budget 2 reaches strictly more states than the fault-free system.
-    let plain = explore_traced(&sys, &Budget::states(2_000_000), |_| None, true);
+    let plain = explore(&sys, &Budget::states(2_000_000), |_| None, true);
     assert!(matches!(plain.outcome, Outcome::Complete));
     assert!(
         report.explore.states > plain.states,
@@ -187,7 +187,14 @@ fn broken_spec_yields_replayable_async_deadlock_witness() {
     let spec = parse_validated(&spec_text("migratory_broken.ccp")).expect("parse");
     let refined = refine(&spec, &RefineOptions::default()).expect("refine");
     let sys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
-    let report = explore_traced(&sys, &Budget::states(2_000_000), |_| None, true);
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    let report = Search { check_deadlock: true, trails: true, ..Search::default() }.explore(
+        &sys,
+        &Budget::states(2_000_000),
+        |_| None,
+        &mut obs,
+    );
     assert!(
         matches!(report.outcome, Outcome::Deadlock),
         "broken spec must deadlock: {:?}",

@@ -3,8 +3,7 @@
 //! surface, the `ccr verify --metrics` CLI contract, and the
 //! `ccr bench diff` regression gate's exit codes.
 
-use ccr_mc::parallel::{explore_parallel_observed, ParallelConfig};
-use ccr_mc::search::{explore_observed, Budget, SearchObserver};
+use ccr_mc::search::{Budget, Search, SearchObserver};
 use ccr_metrics::jsonval::Json;
 use ccr_metrics::{promcheck, Registry};
 use ccr_protocols::migratory::{migratory_refined, MigratoryOptions};
@@ -13,35 +12,22 @@ use ccr_trace::NullSink;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// One full serial exploration of the async migratory space at `n`,
-/// metered into a fresh registry.
-fn serial_snapshot(n: u32) -> ccr_metrics::Snapshot {
-    let refined = migratory_refined(&MigratoryOptions::default());
-    let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
-    let reg = Registry::new();
-    let mut null = NullSink;
-    let mut obs = SearchObserver::with_metrics(&mut null, reg.clone());
-    let r = explore_observed(&sys, &Budget::default(), |_| None, false, &mut obs);
-    assert!(r.outcome.is_complete());
-    reg.snapshot()
-}
-
+/// One full exploration of the async migratory space at `n` on the
+/// engine `threads` selects (0 = serial), metered into a fresh registry.
 fn parallel_snapshot(n: u32, threads: usize) -> ccr_metrics::Snapshot {
     let refined = migratory_refined(&MigratoryOptions::default());
     let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
     let reg = Registry::new();
     let mut null = NullSink;
     let mut obs = SearchObserver::with_metrics(&mut null, reg.clone());
-    let r = explore_parallel_observed(
-        &sys,
-        &Budget::default(),
-        |_| None,
-        false,
-        &ParallelConfig::threads(threads),
-        &mut obs,
-    );
+    let search = Search { threads, ..Search::default() };
+    let r = search.explore(&sys, &Budget::default(), |_| None, &mut obs);
     assert!(r.outcome.is_complete());
     reg.snapshot()
+}
+
+fn serial_snapshot(n: u32) -> ccr_metrics::Snapshot {
+    parallel_snapshot(n, 0)
 }
 
 #[test]

@@ -5,14 +5,14 @@
 use ccr_core::text::parse_validated;
 use ccr_dsm::machine::{Machine, MachineConfig};
 use ccr_dsm::workload::Migrating;
-use ccr_mc::search::Budget;
-use ccr_mc::trace::{explore_traced, replay_trail};
+use ccr_mc::search::{Budget, Search, SearchObserver};
+use ccr_mc::trace::replay_trail;
 use ccr_protocols::migratory::{migratory_refined, MigratoryOptions};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::sched::RandomSched;
 use ccr_runtime::system::TransitionSystem;
 use ccr_trace::json_check::is_valid_json;
-use ccr_trace::JsonlSink;
+use ccr_trace::{JsonlSink, NullSink};
 use std::path::Path;
 
 fn spec_text(name: &str) -> String {
@@ -57,7 +57,14 @@ fn different_seeds_yield_different_traces() {
 fn broken_spec_counterexample_replays_to_a_stuck_state() {
     let spec = parse_validated(&spec_text("migratory_broken.ccp")).expect("parse");
     let rv = RendezvousSystem::new(&spec, 2);
-    let report = explore_traced(&rv, &Budget::states(100_000), |_| None, true);
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    let report = Search { check_deadlock: true, trails: true, ..Search::default() }.explore(
+        &rv,
+        &Budget::states(100_000),
+        |_| None,
+        &mut obs,
+    );
     let trail = report.trail.as_ref().expect("broken spec must yield a counterexample");
     assert!(!trail.is_empty());
     let end = replay_trail(&rv, trail).expect("counterexample must replay");

@@ -8,8 +8,8 @@
 
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
-use ccr_mc::search::{explore, Budget, SearchObserver};
-use ccr_mc::{explore_parallel, explore_parallel_traced_observed, ParallelConfig, Reduced};
+use ccr_mc::search::{explore, Budget, Search, SearchObserver};
+use ccr_mc::{Reduced, SearchReport};
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::TransitionSystem;
@@ -30,7 +30,23 @@ fn load(name: &str) -> ccr_core::process::ProtocolSpec {
     parse_validated(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
-/// Serial exploration vs. `explore_parallel` at each thread count:
+/// One unobserved exploration on `threads` workers, deadlock check on.
+fn explore_parallel<T>(sys: &T, budget: &Budget, threads: usize, trails: bool) -> SearchReport
+where
+    T: TransitionSystem + Sync,
+    T::State: Send,
+{
+    let mut null = ccr_trace::NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    Search { check_deadlock: true, trails, threads, ..Search::default() }.explore(
+        sys,
+        budget,
+        |_| None,
+        &mut obs,
+    )
+}
+
+/// Serial exploration vs. the parallel engine at each thread count:
 /// states, transitions, and outcome must match exactly.
 fn assert_matches_serial<T>(sys: &T, budget: &Budget, context: &str)
 where
@@ -39,12 +55,10 @@ where
 {
     let serial = explore(sys, budget, |_| None, true);
     for threads in THREADS {
-        let par = explore_parallel(sys, budget, |_| None, true, &ParallelConfig::threads(threads));
+        let par = explore_parallel(sys, budget, threads, false);
         assert_eq!(par.states, serial.states, "{context} t={threads}: states");
         assert_eq!(par.transitions, serial.transitions, "{context} t={threads}: transitions");
         assert_eq!(par.outcome, serial.outcome, "{context} t={threads}: outcome");
-        assert_eq!(par.threads, threads, "{context}: report must carry the thread count");
-        assert!(!par.probabilistic, "{context}: exact mode must not be flagged probabilistic");
     }
 }
 
@@ -82,16 +96,7 @@ fn broken_spec_same_classification_and_replayable_trail_at_every_thread_count() 
 
     let mut counts = Vec::new();
     for threads in THREADS {
-        let mut null = ccr_trace::NullSink;
-        let mut obs = SearchObserver::new(&mut null);
-        let par = explore_parallel_traced_observed(
-            &sys,
-            &budget,
-            |_| None,
-            true,
-            &ParallelConfig::threads(threads),
-            &mut obs,
-        );
+        let par = explore_parallel(&sys, &budget, threads, true);
         // Same classification as the serial checker.
         assert_eq!(par.outcome, serial.outcome, "t={threads}: outcome");
         counts.push((par.states, par.transitions, par.trail.clone()));
@@ -147,27 +152,10 @@ fn termination_detection_torture_on_the_broken_spec() {
             for threads in TORTURE_THREADS {
                 for rep in 0..REPEATS {
                     let ctx = format!("{context} t={threads} rep={rep}");
-                    let mut null = ccr_trace::NullSink;
-                    let mut obs = SearchObserver::new(&mut null);
-                    let cfg = ParallelConfig::threads(threads);
                     let par = if symmetry {
-                        explore_parallel_traced_observed(
-                            &Reduced::new(&sys),
-                            &budget,
-                            |_| None,
-                            true,
-                            &cfg,
-                            &mut obs,
-                        )
+                        explore_parallel(&Reduced::new(&sys), &budget, threads, true)
                     } else {
-                        explore_parallel_traced_observed(
-                            &sys,
-                            &budget,
-                            |_| None,
-                            true,
-                            &cfg,
-                            &mut obs,
-                        )
+                        explore_parallel(&sys, &budget, threads, true)
                     };
                     assert_eq!(par.outcome, serial.outcome, "{ctx}: outcome");
                     let row = (par.states, par.transitions, par.trail.clone());

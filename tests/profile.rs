@@ -11,9 +11,7 @@
 
 use ccr_bench::diff::{diff_strs, DiffOptions};
 use ccr_core::text::parse_validated;
-use ccr_mc::parallel::explore_parallel_observed;
-use ccr_mc::search::{explore_observed, Budget, SearchObserver};
-use ccr_mc::ParallelConfig;
+use ccr_mc::search::{Budget, Search, SearchObserver};
 use ccr_metrics::profile::{parse_folded, ProfileAgg, Profiler, SpanKind};
 use ccr_metrics::Registry;
 use ccr_runtime::rendezvous::RendezvousSystem;
@@ -50,7 +48,7 @@ fn traced_metered_run(profile: bool) -> (Vec<u8>, String) {
     {
         let mut obs = SearchObserver::with_metrics(&mut sink, registry.clone())
             .with_profiler(profiler.clone());
-        explore_observed(&sys, &Budget::default(), |_| None, false, &mut obs);
+        Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs);
     }
     profiler.publish(&registry);
     (sink.into_inner().expect("vec sink"), registry.snapshot().to_json())
@@ -78,18 +76,8 @@ fn span_counts(sys: &RendezvousSystem<'_>, threads: usize) -> (u64, u64, u64) {
     let mut null = ccr_trace::NullSink;
     {
         let mut obs = SearchObserver::new(&mut null).with_profiler(profiler.clone());
-        if threads == 0 {
-            explore_observed(sys, &Budget::default(), |_| None, false, &mut obs);
-        } else {
-            explore_parallel_observed(
-                sys,
-                &Budget::default(),
-                |_| None,
-                false,
-                &ParallelConfig::threads(threads),
-                &mut obs,
-            );
-        }
+        let search = Search { threads, ..Search::default() };
+        search.explore(sys, &Budget::default(), |_| None, &mut obs);
     }
     let agg = profiler.aggregate();
     (
@@ -124,14 +112,8 @@ fn folded_stacks_round_trip_through_the_parser() {
     let mut null = ccr_trace::NullSink;
     {
         let mut obs = SearchObserver::new(&mut null).with_profiler(profiler.clone());
-        explore_parallel_observed(
-            &sys,
-            &Budget::default(),
-            |_| None,
-            false,
-            &ParallelConfig::threads(2),
-            &mut obs,
-        );
+        let search = Search { threads: 2, ..Search::default() };
+        search.explore(&sys, &Budget::default(), |_| None, &mut obs);
     }
     let agg = profiler.aggregate();
     let folded = profiler.folded();

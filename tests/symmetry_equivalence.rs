@@ -22,9 +22,10 @@
 
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
+use ccr_mc::search::Search;
 use ccr_mc::{
-    canonical_encode, explore, explore_parallel, explore_parallel_traced_observed, explore_traced,
-    replay_trail, Budget, Outcome, ParallelConfig, Reduced, SearchObserver, Symmetric,
+    canonical_encode, explore, replay_trail, Budget, Outcome, Reduced, SearchObserver,
+    SearchReport, Symmetric,
 };
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
@@ -40,6 +41,23 @@ fn load(name: &str) -> ccr_core::process::ProtocolSpec {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs").join(name);
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     parse_validated(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+/// One unobserved exploration with the deadlock check and trails on, on
+/// `threads` workers (0 = the serial engine).
+fn explore_traced<T>(sys: &T, budget: &Budget, threads: usize) -> SearchReport
+where
+    T: TransitionSystem + Sync,
+    T::State: Send,
+{
+    let mut null = ccr_trace::NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    Search { check_deadlock: true, trails: true, threads, ..Search::default() }.explore(
+        sys,
+        budget,
+        |_| None,
+        &mut obs,
+    )
 }
 
 /// Full vs reduced exploration of `sys`, serial and at 4 threads. The
@@ -63,7 +81,7 @@ where
         full.states
     );
 
-    let par = explore_parallel(&red, budget, |_| None, true, &ParallelConfig::threads(4));
+    let par = explore_traced(&red, budget, 4);
     assert_eq!(par.outcome, reduced.outcome, "{context}: parallel reduced outcome");
     assert_eq!(par.states, reduced.states, "{context}: parallel reduced states");
     assert_eq!(par.transitions, reduced.transitions, "{context}: parallel reduced transitions");
@@ -157,23 +175,14 @@ fn broken_spec_reduced_search_finds_replayable_concrete_deadlock() {
     let budget = Budget::states(500_000);
     for n in [2u32, 3] {
         let sys = RendezvousSystem::new(&spec, n);
-        let full = explore_traced(&sys, &budget, |_| None, true);
+        let full = explore_traced(&sys, &budget, 0);
         assert_eq!(full.outcome, Outcome::Deadlock, "n={n}: broken spec must deadlock");
 
         let red = Reduced::new(&sys);
-        let serial = explore_traced(&red, &budget, |_| None, true);
+        let serial = explore_traced(&red, &budget, 0);
         assert_eq!(serial.outcome, full.outcome, "n={n}: reduced violation kind");
 
-        let mut null = ccr_trace::NullSink;
-        let mut obs = SearchObserver::new(&mut null);
-        let par = explore_parallel_traced_observed(
-            &red,
-            &budget,
-            |_| None,
-            true,
-            &ParallelConfig::threads(4),
-            &mut obs,
-        );
+        let par = explore_traced(&red, &budget, 4);
         assert_eq!(par.outcome, full.outcome, "n={n}: parallel reduced violation kind");
 
         for (engine, trail) in [("serial", &serial.trail), ("parallel", &par.trail)] {

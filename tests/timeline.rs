@@ -15,7 +15,7 @@
 
 use ccr_bench::diff::{diff_strs, DiffOptions};
 use ccr_core::text::parse_validated;
-use ccr_mc::search::{explore_observed, Budget, SearchObserver};
+use ccr_mc::search::{Budget, Search, SearchObserver};
 use ccr_metrics::jsonval::Json;
 use ccr_metrics::timeseries::{Recorder, Timeline};
 use ccr_metrics::Registry;
@@ -50,7 +50,7 @@ fn traced_metered_run(timeline: Option<&Path>) -> (Vec<u8>, String) {
     let report = {
         let mut obs = SearchObserver::with_metrics(&mut sink, registry.clone())
             .with_timeline(recorder.clone());
-        explore_observed(&sys, &Budget::default(), |_| None, false, &mut obs)
+        Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs)
     };
     recorder.finish(report.outcome.name(), report.states as u64, report.transitions as u64);
     recorder.publish(&registry);
@@ -87,7 +87,7 @@ fn zero_interval_timeline(dir: &Path, rep: usize) -> Timeline {
         let mut obs = SearchObserver::new(&mut null)
             .with_interval(Duration::ZERO)
             .with_timeline(recorder.clone());
-        explore_observed(&sys, &Budget::default(), |_| None, false, &mut obs)
+        Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs)
     };
     recorder.finish(report.outcome.name(), report.states as u64, report.transitions as u64);
     assert!(recorder.take_error().is_none());

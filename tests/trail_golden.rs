@@ -10,10 +10,12 @@
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
 use ccr_mc::progress::check_progress_default;
-use ccr_mc::{explore_traced, replay_trail, Budget, Outcome, Reduced, Symmetric};
+use ccr_mc::search::{Search, SearchObserver};
+use ccr_mc::{replay_trail, Budget, Outcome, Reduced, Symmetric};
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::{Label, TransitionSystem};
+use ccr_trace::NullSink;
 use std::path::Path;
 
 fn root() -> &'static Path {
@@ -39,13 +41,20 @@ fn assert_replays_to_a_stuck_state<T: TransitionSystem>(sys: &T, trail: &[Label]
 
 /// BFS deadlock trail of `sys`, found concretely and in the quotient;
 /// both must replay on the concrete system.
-fn assert_bfs_trails_replay<T: Symmetric>(sys: &T, context: &str) {
+fn assert_bfs_trails_replay<T>(sys: &T, context: &str)
+where
+    T: Symmetric + Sync,
+    T::State: Send,
+{
     let budget = Budget::states(100_000);
-    let full = explore_traced(sys, &budget, |_| None, true);
+    let search = Search { check_deadlock: true, trails: true, ..Search::default() };
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    let full = search.explore(sys, &budget, |_| None, &mut obs);
     assert_eq!(full.outcome, Outcome::Deadlock, "{context}");
     assert_replays_to_a_stuck_state(sys, full.trail.as_deref().expect("trail"), context);
 
-    let reduced = explore_traced(&Reduced::new(sys), &budget, |_| None, true);
+    let reduced = search.explore(&Reduced::new(sys), &budget, |_| None, &mut obs);
     assert_eq!(reduced.outcome, Outcome::Deadlock, "{context} (reduced)");
     let trail = reduced.trail.as_deref().expect("reduced trail");
     assert_replays_to_a_stuck_state(sys, trail, &format!("{context} (reduced)"));

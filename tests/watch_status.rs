@@ -170,3 +170,50 @@ fn watch_fails_on_a_dead_run_but_tolerates_a_live_writer() {
         .expect("run watch");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
+
+/// A reader that goes away (`ccr watch status.json | head -1`) ends the
+/// verb quietly: no panic text, exit 0. The watcher prints one line per
+/// new snapshot, so closing the pipe after the first line and writing
+/// another snapshot forces a print into the closed pipe.
+#[test]
+fn a_closed_stdout_ends_the_verb_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    let dir = tmp_dir("pipe");
+    let path = dir.join("status.json");
+    let writer = StatusWriter::create(&path);
+    let mut status = RunStatus {
+        spec: "specs/migratory.ccp".into(),
+        phase: "explore/async".into(),
+        pid: Some(std::process::id() as u64),
+        ..RunStatus::default()
+    };
+    writer.write(&mut status).expect("status write");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+        .arg("watch")
+        .arg(&path)
+        .args(["--interval", "0.02"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run watch");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("first line");
+    assert!(first.contains("explore/async"), "{first}");
+    drop(stdout);
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let exit = loop {
+        status.states += 1;
+        writer.write(&mut status).expect("status write");
+        if let Some(exit) = child.try_wait().expect("poll watch") {
+            break exit;
+        }
+        assert!(std::time::Instant::now() < deadline, "watch kept running without a reader");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut err = String::new();
+    child.stderr.take().expect("piped stderr").read_to_string(&mut err).expect("stderr");
+    assert_eq!(exit.code(), Some(0), "a closed pipe is not a failure: {err}");
+    assert!(err.is_empty(), "nothing to say about a reader that left: {err}");
+}
