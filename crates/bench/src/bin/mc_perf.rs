@@ -51,7 +51,7 @@
 
 use ccr_bench::configs;
 use ccr_mc::progress::check_progress_default;
-use ccr_mc::search::{Budget, PersistOpts, Search, SearchObserver};
+use ccr_mc::search::{Budget, PersistOpts, Search, SearchObserver, Telemetry};
 use ccr_mc::{CrashSwitch, Reduced, SearchReport};
 use ccr_metrics::profile::{ProfileAgg, Profiler, SpanKind};
 use ccr_metrics::timeseries::{Recorder, Timeline};
@@ -167,13 +167,13 @@ where
         (0..REPEATS)
             .map(|_| {
                 let mut null = NullSink;
-                let prof = Profiler::new();
+                let telemetry = Telemetry { profiler: Profiler::new(), ..Telemetry::off() };
                 let t = Instant::now();
                 {
-                    let mut obs = SearchObserver::new(&mut null).with_profiler(prof.clone());
+                    let mut obs = SearchObserver::for_phase(&mut null, &telemetry, "explore");
                     search.explore(sys, budget, |_| None, &mut obs);
                 }
-                (t.elapsed().as_secs_f64(), prof)
+                (t.elapsed().as_secs_f64(), telemetry.profiler)
             })
             .min_by(|a, b| a.0.total_cmp(&b.0))
             .expect("at least one repeat")
@@ -246,16 +246,25 @@ where
 {
     let dir = std::env::temp_dir().join(format!("ccr-mc-perf-sampler-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create sampler dir");
-    let timed_run = |recorder: Recorder| -> (f64, SearchReport) {
+    // Times one exploration with `timeline` attached, then closes the
+    // flight record (a write error there fails the measurement).
+    let timed_run = |timeline: Recorder| -> f64 {
+        let telemetry = Telemetry {
+            timeline,
+            interval: Duration::from_millis(SAMPLER_INTERVAL_MS),
+            ..Telemetry::off()
+        };
         let mut null = NullSink;
         let t = Instant::now();
         let report = {
-            let mut obs = SearchObserver::new(&mut null)
-                .with_interval(Duration::from_millis(SAMPLER_INTERVAL_MS))
-                .with_timeline(recorder);
+            let mut obs = SearchObserver::for_phase(&mut null, &telemetry, "explore");
             Search::default().explore(sys, budget, |_| None, &mut obs)
         };
-        (t.elapsed().as_secs_f64(), report)
+        let secs = t.elapsed().as_secs_f64();
+        telemetry
+            .finish(&report.outcome, report.states as u64, report.transitions as u64)
+            .unwrap_or_else(|e| panic!("{name}: sampler write failed: {e}"));
+        secs
     };
     // Off and on alternate (off, on, off, on, …) so that drift over the
     // measurement — a warming cache, a neighbour waking up — lands on
@@ -263,13 +272,11 @@ where
     let mut off_secs = f64::INFINITY;
     let mut best: Option<(f64, PathBuf)> = None;
     for rep in 0..REPEATS {
-        off_secs = off_secs.min(timed_run(Recorder::disabled()).0);
+        off_secs = off_secs.min(timed_run(Recorder::disabled()));
         let path = dir.join(format!("{name}-rep{rep}.jsonl"));
         let recorder =
             Recorder::create(&path, name, SAMPLER_INTERVAL_MS, 5).expect("create sampler timeline");
-        let (secs, report) = timed_run(recorder.clone());
-        recorder.finish(report.outcome.name(), report.states as u64, report.transitions as u64);
-        assert!(recorder.take_error().is_none(), "{name}: sampler write failed");
+        let secs = timed_run(recorder);
         if best.as_ref().is_none_or(|(b, _)| secs < *b) {
             best = Some((secs, path));
         }

@@ -25,8 +25,9 @@
 //!   gauges, and histogram bucket counts alike. Phases are wall-clock
 //!   and are ignored.
 //!
-//! `diff_strs` is the library entry; [`cli`] is the `ccr bench diff`
-//! front end (exit 0 clean, 1 on regression, 2 on usage/parse errors).
+//! `diff_strs` is the library entry; [`run`] is `ccr bench diff` behind
+//! the binary's flag parser (exit 0 clean, 1 on regression, 2 on
+//! unreadable or unparsable input).
 
 use ccr_metrics::jsonval::Json;
 use std::collections::BTreeSet;
@@ -354,46 +355,11 @@ fn diff_snapshot(old: &Json, new: &Json) -> DiffReport {
     rep
 }
 
-/// The `ccr bench diff` front end. `args` excludes the `bench` word
-/// itself: `["diff", old, new, --tolerance T, --bytes-tolerance B]`.
-pub fn cli(args: &[String]) -> std::process::ExitCode {
+/// `ccr bench diff <old.json> <new.json>` once the command line is
+/// parsed: reads both files, compares them under `opts` and prints the
+/// findings.
+pub fn run(old_path: &str, new_path: &str, opts: &DiffOptions) -> std::process::ExitCode {
     use std::process::ExitCode;
-    let usage = || {
-        eprintln!(
-            "usage: ccr bench diff <old.json> <new.json> \
-             [--tolerance T] [--bytes-tolerance B] [--counts-only] \
-             [--min-engine-overhead R]"
-        );
-        ExitCode::from(2)
-    };
-    if args.first().map(String::as_str) != Some("diff") {
-        return usage();
-    }
-    let mut files = Vec::new();
-    let mut opts = DiffOptions::default();
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tolerance" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if (0.0..1.0).contains(&t) => opts.tolerance = t,
-                _ => return usage(),
-            },
-            "--bytes-tolerance" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if (0.0..1.0).contains(&t) => opts.bytes_tolerance = t,
-                _ => return usage(),
-            },
-            "--counts-only" => opts.counts_only = true,
-            "--min-engine-overhead" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if (0.0..=1.0).contains(&r) => opts.min_engine_overhead = Some(r),
-                _ => return usage(),
-            },
-            _ if a.starts_with('-') => return usage(),
-            _ => files.push(a.clone()),
-        }
-    }
-    let [old_path, new_path] = files.as_slice() else {
-        return usage();
-    };
     let read = |path: &str| {
         std::fs::read_to_string(path).map_err(|e| {
             eprintln!("ccr bench diff: cannot read {path}: {e}");
@@ -402,7 +368,7 @@ pub fn cli(args: &[String]) -> std::process::ExitCode {
     let (Ok(old), Ok(new)) = (read(old_path), read(new_path)) else {
         return ExitCode::from(2);
     };
-    match diff_strs(&old, &new, &opts) {
+    match diff_strs(&old, &new, opts) {
         Ok(rep) => {
             print!("{}", rep.render());
             if rep.ok() {

@@ -59,7 +59,7 @@ pub use progress::check_progress_default;
 pub use report::{ExploreReport, Outcome, ProgressReport, SearchReport, SimRelReport};
 pub use search::{
     explore, explore_dfs, report_from_manifest, Budget, PersistOpen, PersistOpts, Search,
-    SearchObserver, SerialPersist, SerialPersistOpen, StatusReporter, DEFAULT_HEARTBEAT_INTERVAL,
+    SearchObserver, SerialPersist, SerialPersistOpen, Telemetry, DEFAULT_HEARTBEAT_INTERVAL,
 };
 pub use symmetry::{
     apply_perm, canonical_encode, canonicalize, spec_permutable, OrbitSample, Reduced, Symmetric,

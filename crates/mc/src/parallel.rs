@@ -52,6 +52,7 @@ use crate::search::{Budget, PersistOpen, PersistOpts, SearchObserver};
 use crate::store::{hash_encoded, StateStore};
 use ccr_core::ids::ProcessId;
 use ccr_metrics::profile::{Profiler, SpanKind};
+use ccr_metrics::timeseries::SampleInput;
 use ccr_metrics::Registry;
 use ccr_runtime::{Label, LabelKind, TransitionSystem};
 use crossbeam::queue::SegQueue;
@@ -1420,7 +1421,7 @@ where
     F: Fn(&T::State) -> Option<String> + Sync,
     G: Fn(&Label) -> bool + Sync,
 {
-    let reg = obs.metrics().clone();
+    let reg = obs.telemetry().registry.clone();
     if engine.resumed {
         // The frontier and counters were restored from the manifest by
         // `attach_persist`; re-seeding would double-count the root.
@@ -1430,7 +1431,9 @@ where
     }
     let threads = engine.cfg.threads.max(1);
     let mut edges: Vec<(u64, u64)> = Vec::new();
-    let quantum = obs.interval().min(Duration::from_millis(100)).max(Duration::from_millis(1));
+    let mut queues: Vec<u64> = Vec::new();
+    let quantum =
+        obs.telemetry().interval.min(Duration::from_millis(100)).max(Duration::from_millis(1));
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads).map(|w| scope.spawn(move || engine.worker(w))).collect();
         // Pump heartbeats until the last level's decision flips the
@@ -1449,24 +1452,29 @@ where
             if finished {
                 break;
             }
-            // Refresh the diagnostics the flight recorder snapshots on
-            // this tick: termination epoch, inbox depths, and (when the
-            // run persists) the committed spill volume. Cheap atomic
-            // reads, and only taken when something will consume them.
-            if obs.timeline().enabled() {
-                let queues: Vec<u64> = engine.inboxes.iter().map(|q| q.len() as u64).collect();
-                obs.set_engine_diag(Some(engine.epoch.load(Acquire) as u64), &queues);
+            let mut at = SampleInput {
+                states: engine.states_total() as u64,
+                transitions: engine.transitions_total() as u64,
+                frontier: engine.frontier_len() as u64,
+                store_bytes: engine.bytes_total() as u64,
+                depth: Some(engine.level.load(SeqCst) as u64),
+                ..SampleInput::default()
+            };
+            // What only the flight recorder snapshots: termination epoch,
+            // inbox depths, and (when the run persists) the committed
+            // spill volume. Cheap atomic reads, and only taken when
+            // something will consume them.
+            if obs.telemetry().timeline.enabled() {
+                queues.clear();
+                queues.extend(engine.inboxes.iter().map(|q| q.len() as u64));
+                at.epoch = Some(engine.epoch.load(Acquire) as u64);
+                at.queues = &queues;
                 if let Some(p) = engine.persist {
-                    obs.set_persist_gauges(p.committed_bytes(), 0, p.checkpoints());
+                    at.spill_bytes = p.committed_bytes();
+                    at.checkpoint_seq = p.checkpoints();
                 }
             }
-            obs.tick_paced(
-                engine.states_total(),
-                engine.frontier_len(),
-                engine.bytes_total(),
-                Some(engine.transitions_total() as u64),
-                Some(engine.level.load(SeqCst) as u64),
-            );
+            obs.tick(&at, true);
         }
         for h in handles {
             let mut worker_edges = h.join().expect("worker panicked");
@@ -1549,8 +1557,8 @@ where
         None,
         check_deadlock,
         cfg,
-        obs.metrics(),
-        obs.profiler(),
+        &obs.telemetry().registry,
+        &obs.telemetry().profiler,
     );
     if let Some(p) = persist {
         if let Err(e) = engine.attach_persist(p) {
@@ -1559,7 +1567,7 @@ where
     }
     let (mut outcome, trail, _) = run(&engine, obs);
     if let Some(p) = persist {
-        p.conclude(&engine, &mut outcome, obs.metrics());
+        p.conclude(&engine, &mut outcome, &obs.telemetry().registry);
     }
     let report = SearchReport {
         states: engine.states_total(),
@@ -1598,7 +1606,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{explore, explore_plain};
+    use crate::search::{explore, explore_plain, Telemetry};
     use ccr_core::builder::ProtocolBuilder;
     use ccr_core::expr::Expr;
     use ccr_core::ids::RemoteId;
@@ -1773,7 +1781,8 @@ mod tests {
         let snap_for = |threads: usize| {
             let reg = ccr_metrics::Registry::new();
             let mut null = NullSink;
-            let mut obs = SearchObserver::with_metrics(&mut null, reg.clone());
+            let telemetry = Telemetry { registry: reg.clone(), ..Telemetry::off() };
+            let mut obs = SearchObserver::for_phase(&mut null, &telemetry, "explore");
             let search = crate::search::Search { threads, ..Default::default() };
             search.explore(&sys, &Budget::default(), |_| None, &mut obs);
             reg.snapshot()
@@ -1906,8 +1915,8 @@ mod tests {
                     None,
                     false,
                     &cfg,
-                    obs.metrics(),
-                    obs.profiler(),
+                    &obs.telemetry().registry,
+                    &obs.telemetry().profiler,
                 );
                 engine.attach_persist(&persist).expect("attach");
                 let (outcome, _, _) = run(&engine, &mut obs);
@@ -1940,8 +1949,9 @@ mod tests {
         let mut obs = SearchObserver::new(&mut null);
         let inv = |_: &ccr_runtime::rendezvous::RvState| None;
         let budget = Budget::states(4);
+        let (reg, prof) = (&obs.telemetry().registry, &obs.telemetry().profiler);
         let mut engine: Engine<'_, _, _, fn(&Label) -> bool> =
-            Engine::new(&sys, &budget, &inv, None, false, &cfg, obs.metrics(), obs.profiler());
+            Engine::new(&sys, &budget, &inv, None, false, &cfg, reg, prof);
         engine.attach_persist(&persist).expect("attach");
         let _ = run(&engine, &mut obs);
         drop(engine);

@@ -142,11 +142,11 @@ pub(crate) fn serial<T: TransitionSystem>(
 
     // Backward propagation from progress states over the CSR reverse
     // graph.
-    let mut timer = obs.profiler().worker(0);
+    let mut timer = obs.telemetry().profiler.worker(0);
     let n = run.store.len();
     let (offsets, targets) = build_csr(n, &edges);
     drop(edges);
-    record_search_run(obs.metrics(), n, run.transitions, run.peak_frontier, &run.store);
+    record_search_run(&obs.telemetry().registry, n, run.transitions, run.peak_frontier, &run.store);
     let good = propagate_good(n, &offsets, &targets, &has_progress_edge);
     timer.lap(SpanKind::Progress, 1);
 
@@ -251,14 +251,14 @@ where
         Some(&is_progress),
         false,
         cfg,
-        obs.metrics(),
-        obs.profiler(),
+        &obs.telemetry().registry,
+        &obs.telemetry().profiler,
     );
     let (outcome, _, edges) = parallel::run(&engine, obs);
     let complete = outcome.is_complete();
     // The single-threaded graph pass below (renumber, CSR, propagate) is
     // the progress check's own cost — charge it to the coordinator.
-    let mut timer = obs.profiler().worker(0);
+    let mut timer = obs.telemetry().profiler.worker(0);
 
     // Renumber shard-local indices to dense global ids by prefix sums,
     // and pull each shard's flags and depths into flat arrays.

@@ -88,11 +88,8 @@ pub(crate) fn record_store_shape(reg: &Registry, store: &StateStore) {
     for displacement in store.probe_displacements() {
         probes.observe(displacement);
     }
-    let lengths = reg.histogram(
-        "mc_state_bytes",
-        "Encoded state length in bytes (no samples in compact-hash mode)",
-        STATE_BYTES_BOUNDS,
-    );
+    let lengths =
+        reg.histogram("mc_state_bytes", "Encoded state length in bytes", STATE_BYTES_BOUNDS);
     for len in store.entry_lengths() {
         lengths.observe(len);
     }
@@ -146,62 +143,121 @@ pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
 /// tests can demand a beat per tick).
 const PROBE_EVERY: u32 = 16;
 
-/// Live status reporting for a run: maintains a [`RunStatus`] document
-/// and rewrites a status file (atomic rename, see
-/// [`ccr_metrics::status`]) so `ccr watch` can follow the run from
-/// another process.
-pub struct StatusReporter {
+/// Which telemetry is on for a run: the one decision every search phase
+/// of an invocation shares. Build it once (`Telemetry { registry,
+/// ..Telemetry::off() }`), hand it to [`SearchObserver::for_phase`] for
+/// each phase, and end the run with [`Telemetry::finish`].
+///
+/// Every part is a null object when off — a disabled registry, profiler
+/// and recorder, no status file — so [`Telemetry::off`] costs a search
+/// nothing and leaves no trace in its outputs.
+#[derive(Clone)]
+pub struct Telemetry {
+    /// Metrics registry searches fold their run totals and store-shape
+    /// histograms into.
+    pub registry: Registry,
+    /// Span profiler the engines time themselves into; status snapshots
+    /// and timeline samples carry its per-kind split.
+    pub profiler: Profiler,
+    /// Live status file (atomic rename, see [`ccr_metrics::status`]) that
+    /// `ccr watch` follows from another process, rewritten on the
+    /// heartbeat interval even when the trace sink is disabled.
+    pub status: Option<StatusWriter>,
+    /// Flight recorder: one delta-encoded sample per heartbeat interval.
+    pub timeline: Recorder,
+    /// Wall-clock cadence of heartbeats, status snapshots and timeline
+    /// samples. `Duration::ZERO` beats on every tick (test use).
+    pub interval: Duration,
+    /// Spec name stamped on status snapshots.
+    pub spec: String,
+    /// State count ETAs are computed against: a finite budget cap, so an
+    /// upper bound on remaining work, not a prediction (`None`: no ETA).
+    pub eta_target: Option<u64>,
+    /// When the run began: the terminal status snapshot reports elapsed
+    /// time and the whole-run rate from here.
+    pub started: Instant,
+}
+
+impl Telemetry {
+    /// All telemetry off, heartbeats at [`DEFAULT_HEARTBEAT_INTERVAL`].
+    pub fn off() -> Self {
+        Telemetry {
+            registry: Registry::disabled(),
+            profiler: Profiler::disabled(),
+            status: None,
+            timeline: Recorder::disabled(),
+            interval: DEFAULT_HEARTBEAT_INTERVAL,
+            spec: String::new(),
+            eta_target: None,
+            started: Instant::now(),
+        }
+    }
+
+    /// Ends the run, in the order the artifacts depend on each other:
+    /// the profiler's (nondeterministic-tagged) counters go into the
+    /// registry, the flight record gets its end record and folds its own
+    /// counters in — so a metrics snapshot taken afterwards is complete —
+    /// and the terminal status snapshot (`finished`, exact final counts,
+    /// whole-run average rate) is written last. A sticky timeline write
+    /// error is the only failure; recording never aborts a search, so
+    /// this is where it surfaces.
+    pub fn finish(&self, outcome: &Outcome, states: u64, transitions: u64) -> Result<(), String> {
+        self.profiler.publish(&self.registry);
+        self.timeline.finish(outcome.name(), states, transitions);
+        self.timeline.publish(&self.registry);
+        if let Some(e) = self.timeline.take_error() {
+            return Err(format!("timeline: {e}"));
+        }
+        if let Some(writer) = &self.status {
+            StatusReporter::new(writer.clone(), &self.spec, "done", None).finalize(
+                outcome,
+                states,
+                transitions,
+                self.started.elapsed(),
+                &self.profiler,
+            );
+        }
+        Ok(())
+    }
+}
+
+/// Maintains the [`RunStatus`] document of one phase and rewrites the
+/// status file behind it.
+struct StatusReporter {
     writer: StatusWriter,
     status: RunStatus,
     target_states: Option<u64>,
 }
 
 impl StatusReporter {
-    /// A reporter writing snapshots for `spec` through `writer`.
-    pub fn new(writer: StatusWriter, spec: &str) -> Self {
+    fn new(writer: StatusWriter, spec: &str, phase: &str, target_states: Option<u64>) -> Self {
         StatusReporter {
             writer,
             status: RunStatus {
                 spec: spec.to_string(),
-                phase: "start".to_string(),
+                phase: phase.to_string(),
                 pid: Some(std::process::id() as u64),
                 ..RunStatus::default()
             },
-            target_states: None,
+            target_states,
         }
     }
 
-    /// Names the phase stamped on subsequent snapshots.
-    pub fn set_phase(&mut self, phase: &str) {
-        self.status.phase = phase.to_string();
-    }
-
-    /// Sets the state-count target ETAs are computed against (a finite
-    /// budget cap; `None` disables ETA).
-    pub fn set_target(&mut self, target: Option<u64>) {
-        self.target_states = target;
-    }
-
-    /// Writes one live snapshot. Write errors are deliberately dropped:
-    /// status is advisory and must never abort a verification.
-    #[allow(clippy::too_many_arguments)]
-    pub fn update(
+    /// Writes one live snapshot.
+    fn update(
         &mut self,
-        states: u64,
-        transitions: u64,
-        frontier: u64,
-        depth: Option<u64>,
+        at: &SampleInput<'_>,
         states_per_sec: f64,
-        store_bytes: u64,
         elapsed: Duration,
         profiler: &Profiler,
     ) {
+        let states = at.states;
         self.status.states = states;
-        self.status.transitions = transitions;
-        self.status.frontier = frontier;
-        self.status.depth = depth;
+        self.status.transitions = at.transitions;
+        self.status.frontier = at.frontier;
+        self.status.depth = at.depth;
         self.status.states_per_sec = states_per_sec;
-        self.status.store_bytes = store_bytes;
+        self.status.store_bytes = at.store_bytes;
         self.status.elapsed_ms = elapsed.as_millis() as u64;
         self.status.eta_ms = match (self.target_states, states_per_sec > 0.0) {
             (Some(target), true) if target > states => {
@@ -209,6 +265,13 @@ impl StatusReporter {
             }
             _ => None,
         };
+        self.write(profiler);
+    }
+
+    /// Rewrites the file with the profiler's current split folded in.
+    /// Write errors are deliberately dropped: status is advisory and
+    /// must never abort a verification.
+    fn write(&mut self, profiler: &Profiler) {
         if profiler.enabled() {
             self.status.set_spans(&profiler.aggregate());
         }
@@ -217,7 +280,7 @@ impl StatusReporter {
 
     /// Writes the terminal snapshot: exact final counts, `finished`,
     /// and the outcome name.
-    pub fn finalize(
+    fn finalize(
         &mut self,
         outcome: &Outcome,
         states: u64,
@@ -236,245 +299,118 @@ impl StatusReporter {
         self.status.elapsed_ms = elapsed.as_millis() as u64;
         self.status.finished = true;
         self.status.outcome = Some(outcome.name().to_string());
-        if profiler.enabled() {
-            self.status.set_spans(&profiler.aggregate());
-        }
-        let _ = self.writer.write(&mut self.status);
+        self.write(profiler);
     }
 }
 
-/// Live progress reporting for a search: periodic [`TraceEvent::Heartbeat`]
-/// events (states visited, frontier size, store bytes, exploration rate)
-/// emitted to a [`TraceSink`] on a wall-clock interval, plus an optional
-/// live status file and span profiler shared with the engines.
+/// One search phase's view of the run's [`Telemetry`]: periodic
+/// [`TraceEvent::Heartbeat`] events (states visited, frontier size,
+/// store bytes, exploration rate) to a [`TraceSink`], live status
+/// snapshots and timeline samples, all on one wall-clock interval, plus
+/// the registry and profiler the engines record into.
 ///
-/// With a disabled sink and no status reporter the per-expansion cost is
-/// one comparison.
+/// With a disabled sink, no status file and no recorder the
+/// per-expansion cost is the one comparison at the top of
+/// [`SearchObserver::tick`].
 pub struct SearchObserver<'s> {
     sink: &'s mut dyn TraceSink,
     beats: bool,
-    interval: Duration,
+    /// Whether a tick has anywhere to report to: the sink, a status
+    /// file or the flight recorder.
+    live: bool,
+    telemetry: Telemetry,
+    status: Option<StatusReporter>,
     started: Instant,
-    last_states: usize,
+    last_states: u64,
     last_time: Instant,
     probe_countdown: u32,
-    metrics: Registry,
-    profiler: Profiler,
-    status: Option<StatusReporter>,
-    timeline: Recorder,
-    /// Latest persist-path cumulatives, pushed by whichever engine owns
-    /// the spill log so timeline samples can carry them.
-    spill_bytes: u64,
-    compacted_bytes: u64,
-    checkpoint_seq: u64,
-    /// Latest parallel-engine diagnostics (termination epoch, inbox
-    /// depths), pushed by the pump loop before each tick.
-    engine_epoch: Option<u64>,
-    engine_queues: Vec<u64>,
 }
 
 impl<'s> SearchObserver<'s> {
     /// Heartbeats to `sink` at [`DEFAULT_HEARTBEAT_INTERVAL`] (silenced
-    /// by a disabled sink), with metrics off (the null registry).
+    /// by a disabled sink) and nothing else: [`Telemetry::off`].
     pub fn new(sink: &'s mut dyn TraceSink) -> Self {
-        Self::with_metrics(sink, Registry::disabled())
+        Self::for_phase(sink, &Telemetry::off(), "")
     }
 
-    /// Like [`SearchObserver::new`], but also carrying a metrics
-    /// registry: searches driven through this observer fold their run
-    /// totals and store-shape histograms into it.
-    pub fn with_metrics(sink: &'s mut dyn TraceSink, metrics: Registry) -> Self {
+    /// The observer of one named phase of a run: heartbeats to `sink`,
+    /// everything else as `telemetry` says. Status snapshots are stamped
+    /// with `phase`, and the flight recorder starts a new phase record.
+    pub fn for_phase(sink: &'s mut dyn TraceSink, telemetry: &Telemetry, phase: &str) -> Self {
         let now = Instant::now();
         let beats = sink.enabled();
+        let status = telemetry.status.as_ref().map(|writer| {
+            StatusReporter::new(writer.clone(), &telemetry.spec, phase, telemetry.eta_target)
+        });
+        telemetry.timeline.set_phase(phase);
         Self {
             sink,
             beats,
-            interval: DEFAULT_HEARTBEAT_INTERVAL,
+            live: beats || status.is_some() || telemetry.timeline.enabled(),
+            telemetry: telemetry.clone(),
+            status,
             started: now,
             last_states: 0,
             last_time: now,
             probe_countdown: 1,
-            metrics,
-            profiler: Profiler::disabled(),
-            status: None,
-            timeline: Recorder::disabled(),
-            spill_bytes: 0,
-            compacted_bytes: 0,
-            checkpoint_seq: 0,
-            engine_epoch: None,
-            engine_queues: Vec::new(),
         }
     }
 
-    /// Sets the wall-clock heartbeat interval. `Duration::ZERO` beats on
-    /// every tick (test use).
-    pub fn with_interval(mut self, interval: Duration) -> Self {
-        self.interval = interval;
-        self
+    /// The telemetry this observer reports into ([`Telemetry::off`]
+    /// unless built with [`SearchObserver::for_phase`]).
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
     }
 
-    /// Attaches a span profiler: engines driven through this observer
-    /// time themselves into it, and status snapshots carry its per-kind
-    /// split.
-    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = profiler;
-        self
-    }
-
-    /// Attaches a live status reporter; snapshots are written on the
-    /// heartbeat interval even when the trace sink is disabled.
-    pub fn with_status(mut self, status: StatusReporter) -> Self {
-        self.status = Some(status);
-        self
-    }
-
-    /// The metrics registry searches record into (null unless built with
-    /// [`SearchObserver::with_metrics`]).
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    /// The wall-clock heartbeat interval.
-    pub fn interval(&self) -> Duration {
-        self.interval
-    }
-
-    /// The span profiler engines time themselves into (null unless
-    /// attached with [`SearchObserver::with_profiler`]).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    /// Attaches a flight recorder: one delta-encoded telemetry sample is
-    /// appended per heartbeat interval. A disabled recorder (the
-    /// default) adds one branch to the early-out check and nothing else.
-    pub fn with_timeline(mut self, timeline: Recorder) -> Self {
-        self.timeline = timeline;
-        self
-    }
-
-    /// The attached flight recorder (disabled unless set with
-    /// [`SearchObserver::with_timeline`]).
-    pub fn timeline(&self) -> &Recorder {
-        &self.timeline
-    }
-
-    /// Updates the persist-path cumulatives carried on timeline samples.
-    /// Engines with a spill log call this when the numbers move
-    /// (checkpoints, evictions, compactions).
-    pub fn set_persist_gauges(&mut self, spill_bytes: u64, compacted_bytes: u64, checkpoints: u64) {
-        self.spill_bytes = spill_bytes;
-        self.compacted_bytes = compacted_bytes;
-        self.checkpoint_seq = checkpoints;
-    }
-
-    /// Updates the parallel-engine diagnostics (termination-detection
-    /// epoch, per-worker inbox depths) carried on timeline samples and
-    /// stall records. The pump loop calls this before each tick.
-    pub fn set_engine_diag(&mut self, epoch: Option<u64>, queues: &[u64]) {
-        self.engine_epoch = epoch;
-        self.engine_queues.clear();
-        self.engine_queues.extend_from_slice(queues);
-    }
-
-    /// The attached status reporter, if any.
-    pub fn status_mut(&mut self) -> Option<&mut StatusReporter> {
-        self.status.as_mut()
-    }
-
-    /// Called by searches once per expanded state.
+    /// Called by searches once per expanded state with what the engine
+    /// knows at that point (cumulative counts are absolute; fields an
+    /// engine does not track stay at their defaults). A caller that is
+    /// already wall-clock paced — the parallel pump loop sleeps a quantum
+    /// between ticks — says so, and the clock is read on this tick
+    /// instead of being amortised over `PROBE_EVERY` calls, which would
+    /// stretch the sampling interval sixteenfold.
     #[inline]
-    pub fn tick(&mut self, states: usize, frontier: usize, store_bytes: usize) {
-        self.tick_full(states, frontier, store_bytes, None, None);
+    pub fn tick(&mut self, at: &SampleInput<'_>, paced: bool) {
+        if self.live {
+            self.beat(at, paced);
+        }
     }
 
-    /// [`SearchObserver::tick`] with the extra fields only some engines
-    /// track: cumulative transitions and the current BFS depth.
-    pub fn tick_full(
-        &mut self,
-        states: usize,
-        frontier: usize,
-        store_bytes: usize,
-        transitions: Option<u64>,
-        depth: Option<u64>,
-    ) {
-        if !self.beats && self.status.is_none() && !self.timeline.enabled() {
-            return;
+    /// The live half of [`SearchObserver::tick`]: probe the clock when
+    /// the countdown says so, and report once per interval.
+    fn beat(&mut self, at: &SampleInput<'_>, paced: bool) {
+        if !paced {
+            self.probe_countdown -= 1;
+            if self.probe_countdown != 0 {
+                return;
+            }
         }
-        self.probe_countdown -= 1;
-        if self.probe_countdown != 0 {
-            return;
-        }
+        let interval = self.telemetry.interval;
         let now = Instant::now();
-        if now.duration_since(self.last_time) < self.interval {
+        if now.duration_since(self.last_time) < interval {
             self.probe_countdown = PROBE_EVERY;
             return;
         }
-        self.probe_countdown = if self.interval.is_zero() { 1 } else { PROBE_EVERY };
+        self.probe_countdown = if interval.is_zero() { 1 } else { PROBE_EVERY };
         let dt = now.duration_since(self.last_time).as_secs_f64();
         let rate =
-            if dt > 0.0 { (states.saturating_sub(self.last_states)) as f64 / dt } else { 0.0 };
+            if dt > 0.0 { at.states.saturating_sub(self.last_states) as f64 / dt } else { 0.0 };
         let elapsed = now.duration_since(self.started);
         if self.beats {
             self.sink.emit(&TraceEvent::Heartbeat {
-                states: states as u64,
-                frontier: frontier as u64,
-                store_bytes: store_bytes as u64,
+                states: at.states,
+                frontier: at.frontier,
+                store_bytes: at.store_bytes,
                 states_per_sec: rate as u64,
                 elapsed_ms: elapsed.as_millis() as u64,
             });
         }
         if let Some(status) = &mut self.status {
-            status.update(
-                states as u64,
-                transitions.unwrap_or(0),
-                frontier as u64,
-                depth,
-                rate,
-                store_bytes as u64,
-                elapsed,
-                &self.profiler,
-            );
+            status.update(at, rate, elapsed, &self.telemetry.profiler);
         }
-        if self.timeline.enabled() {
-            self.timeline.sample(
-                &SampleInput {
-                    states: states as u64,
-                    transitions: transitions.unwrap_or(0),
-                    frontier: frontier as u64,
-                    store_bytes: store_bytes as u64,
-                    depth,
-                    spill_bytes: self.spill_bytes,
-                    compacted_bytes: self.compacted_bytes,
-                    checkpoint_seq: self.checkpoint_seq,
-                    epoch: self.engine_epoch,
-                    queues: &self.engine_queues,
-                },
-                &self.profiler,
-            );
-        }
-        self.last_states = states;
+        self.telemetry.timeline.sample(at, &self.telemetry.profiler);
+        self.last_states = at.states;
         self.last_time = now;
-    }
-
-    /// Like [`SearchObserver::tick_full`], but for callers that are
-    /// already wall-clock paced (the parallel pump loop, which sleeps a
-    /// quantum between calls): skips the call-count probe that amortizes
-    /// `Instant::now()` across hot per-expansion call sites and goes
-    /// straight to the interval check. Without this, a pump loop pacing
-    /// at the sampling interval would only observe every
-    /// `PROBE_EVERY`-th tick and the recorder would sample at 16× the
-    /// requested interval.
-    pub fn tick_paced(
-        &mut self,
-        states: usize,
-        frontier: usize,
-        store_bytes: usize,
-        transitions: Option<u64>,
-        depth: Option<u64>,
-    ) {
-        self.probe_countdown = 1;
-        self.tick_full(states, frontier, store_bytes, transitions, depth);
     }
 
     /// Emits the terminal [`TraceEvent::Outcome`] and flushes the sink.
@@ -486,15 +422,6 @@ impl<'s> SearchObserver<'s> {
                 steps,
             });
             self.sink.flush();
-        }
-    }
-
-    /// Writes the terminal status snapshot with exact final counts (a
-    /// no-op without an attached reporter).
-    pub fn record_final(&mut self, outcome: &Outcome, states: u64, transitions: u64) {
-        let elapsed = self.started.elapsed();
-        if let Some(status) = &mut self.status {
-            status.finalize(outcome, states, transitions, elapsed, &self.profiler);
         }
     }
 
@@ -895,7 +822,8 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>>(
     let mut enc = Vec::new();
     let mut transitions = 0usize;
     let mut peak_frontier = 0usize;
-    let mut timer = obs.profiler().worker(0);
+    let mut timer = obs.telemetry().profiler.worker(0);
+    let mut at = SampleInput::default();
     let fast_cap = sys.max_encoded_len();
     let resumed = persist.as_deref().is_some_and(|p| p.resumed);
     // A resumed run has no parent pointers for recovered states, so
@@ -997,21 +925,17 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>>(
                 timer.lap(SpanKind::Checkpoint, 1);
                 if let Some(tier) = store.tier() {
                     let stats = tier.stats();
-                    obs.set_persist_gauges(
-                        stats.bytes_appended,
-                        stats.compacted_bytes,
-                        stats.checkpoints,
-                    );
+                    at.spill_bytes = stats.bytes_appended;
+                    at.compacted_bytes = stats.compacted_bytes;
+                    at.checkpoint_seq = stats.checkpoints;
                 }
             }
         }
-        obs.tick_full(
-            store.len(),
-            frontier.len() + 1,
-            store.approx_bytes(),
-            Some(transitions as u64),
-            None,
-        );
+        at.states = store.len() as u64;
+        at.transitions = transitions as u64;
+        at.frontier = frontier.len() as u64 + 1;
+        at.store_bytes = store.approx_bytes() as u64;
+        obs.tick(&at, false);
         check!(checker.on_expand(&state, idx), idx);
         if let Err(e) = sys.successors(&state, &mut succs) {
             done!(Outcome::RuntimeFailure(e), Some(idx));
@@ -1077,16 +1001,11 @@ pub(crate) fn explore_serial<T: TransitionSystem>(
     let mut checker = Explore { invariant, check_deadlock };
     let mut run = drive(sys, budget, &mut checker, false, trails, obs, persist.as_deref_mut());
     if let Some(p) = persist.as_deref_mut() {
-        p.conclude(&mut run, obs.metrics());
+        p.conclude(&mut run, &obs.telemetry().registry);
     }
     conclude_with_trail(sys, &run.outcome, run.trail.as_deref(), obs);
-    record_search_run(
-        obs.metrics(),
-        run.store.len(),
-        run.transitions,
-        run.peak_frontier,
-        &run.store,
-    );
+    let reg = &obs.telemetry().registry;
+    record_search_run(reg, run.store.len(), run.transitions, run.peak_frontier, &run.store);
     let mut report = run.report();
     if let Some(p) = persist {
         report.elapsed += p.elapsed_base();
@@ -1404,7 +1323,11 @@ mod tests {
         let spec = token_spec();
         let sys = RendezvousSystem::new(&spec, 3);
         let mut sink = RingSink::new(256);
-        let mut obs = SearchObserver::new(&mut sink).with_interval(Duration::ZERO);
+        let mut obs = SearchObserver::for_phase(
+            &mut sink,
+            &Telemetry { interval: Duration::ZERO, ..Telemetry::off() },
+            "explore",
+        );
         let r = Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs);
         assert!(r.outcome.is_complete());
         let events = sink.into_events();

@@ -285,28 +285,44 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// Consumes a run of ASCII digits; an empty run is an error.
+    fn digits(&mut self) -> Result<(), String> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("expected a digit"));
+        }
+        Ok(())
+    }
+
+    /// RFC 8259 `number`: no leading zeros, and a fraction or exponent,
+    /// once begun, has at least one digit — stricter than `f64::from_str`,
+    /// which the scanned text is handed to.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zero in number"));
+            }
+        } else {
+            self.digits()?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
@@ -344,9 +360,69 @@ mod tests {
         assert_eq!(Json::parse("-7").unwrap().as_u64(), None);
     }
 
+    /// The accept corpus of the syntax validator this parser replaced
+    /// (`ccr_trace::json_check`): whatever it called well-formed parses.
     #[test]
-    fn rejects_malformed_input() {
-        for bad in ["{", "[1,", "\"x", "{\"a\" 1}", "tru", "1 2", "{\"a\":}", "nul"] {
+    fn accepts_well_formed() {
+        for ok in [
+            "null",
+            "true",
+            "0",
+            "-0",
+            "-12.5e3",
+            "1E+2",
+            "0.5",
+            "\"a\\nb\\u00e9\"",
+            "\"\\ud83d\\ude00\"",
+            "[]",
+            "[1,2,[3]]",
+            "{}",
+            "{\"a\":1,\"b\":{\"c\":[true,null]}}",
+            "  {\"x\" : 0}  ",
+        ] {
+            assert!(Json::parse(ok).is_ok(), "should accept {ok:?}");
+        }
+    }
+
+    /// Its reject corpus, and the cases this parser's own tests had:
+    /// leading zeros, dangling fractions and exponents, trailing commas,
+    /// bare control characters and lone surrogates are all refused.
+    #[test]
+    fn rejects_malformed() {
+        for bad in [
+            "",
+            "{",
+            "}",
+            "[1,",
+            "[1,]",
+            "{\"a\":1,}",
+            "{\"a\":}",
+            "{a:1}",
+            "01",
+            "-01",
+            "1.",
+            "1.e5",
+            ".5",
+            "1e",
+            "1e+",
+            "-",
+            "+1",
+            "\"unterminated",
+            "\"x",
+            "\"a\nb\"",
+            "\"a\u{1}b\"",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            "\"\\ud800x\"",
+            "\"\\udc00\"",
+            "\"\\ud800\\u0041\"",
+            "nul",
+            "tru",
+            "1 2",
+            "[1] []",
+            "{\"a\" 1}",
+        ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
     }

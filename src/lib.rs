@@ -74,7 +74,7 @@ pub mod prelude {
     pub use ccr_dsm::machine::{Machine, MachineConfig};
     pub use ccr_dsm::workload::{HotSpot, Migrating, ProducerConsumer, ReadMostly, Workload};
     pub use ccr_mc::progress::check_progress_default;
-    pub use ccr_mc::search::{explore, explore_plain, Budget, Search, SearchObserver};
+    pub use ccr_mc::search::{explore, explore_plain, Budget, Search, SearchObserver, Telemetry};
     pub use ccr_mc::simrel::check_simulation;
     pub use ccr_protocols::hand::migratory_hand;
     pub use ccr_protocols::invalidate::{invalidate, invalidate_refined, InvalidateOptions};

@@ -97,15 +97,23 @@ fn engine_states_match_spec_states() {
 
 #[test]
 fn threaded_matches_machine_msgs_per_op_roughly() {
-    // The threaded engines and the verified global machine should agree on
-    // the protocol's message economy (messages per operation) within a
-    // generous tolerance — they run the same tables under different
-    // schedules.
+    // The threaded engines and the verified global machine run the same
+    // tables, so they share the protocol's static message economy: under
+    // *any* schedule an acquisition costs at least the `req`/`gr` round
+    // `refine` prices (one message each: the pair's ack is elided), and
+    // whatever else the home sees — revocations, nacks, retries — only
+    // adds to it. How much it adds depends on thread timing, so only the
+    // deterministic machine is also held to a ceiling; the threaded run's
+    // own liveness under a deadline is `ccr-dsm`'s
+    // `threaded_migratory_reaches_target`.
     use ccr_dsm::machine::{Machine, MachineConfig};
     use ccr_dsm::workload::Migrating;
     use ccr_runtime::sched::RandomSched;
 
     let refined = migratory_refined(&MigratoryOptions::default());
+    let cost = |name: &str| refined.message_cost(refined.spec.msg_by_name(name).expect(name));
+    let floor = f64::from(cost("req") + cost("gr"));
+    assert_eq!(floor, 2.0, "migratory's acquisition is a request/reply pair");
 
     let config = MachineConfig::standard(&refined, 4, 100_000);
     let machine = Machine::new(&refined, config);
@@ -113,15 +121,20 @@ fn threaded_matches_machine_msgs_per_op_roughly() {
     let mut sched = RandomSched::new(6);
     let report = machine.run("derived", &mut wl, &mut sched).unwrap();
     let machine_mpo = report.msgs_per_op.unwrap();
+    // Seeded, hence exact run to run: an acquisition plus the `inv`/`ID`
+    // round that revokes the line from its holder is the static price of
+    // a migration; nacked retries may at most double it.
+    let migration = floor + f64::from(cost("inv") + cost("ID"));
+    assert!(machine_mpo >= floor, "machine {machine_mpo:.2} below the static floor {floor}");
+    assert!(machine_mpo < 2.0 * migration, "machine {machine_mpo:.2} vs static {migration}");
 
     let tconfig = ThreadedConfig { n: 4, target_ops: 2_000, ..Default::default() };
     let treport = run_threaded(&refined, &tconfig);
-    assert!(treport.error.is_none());
-    assert!(treport.reached_target);
-    let threaded_mpo = treport.home_messages as f64 / treport.ops as f64;
-
+    assert!(treport.error.is_none(), "{:?}", treport.error);
     assert!(
-        (machine_mpo / threaded_mpo) < 3.0 && (threaded_mpo / machine_mpo) < 3.0,
-        "machine {machine_mpo:.2} vs threaded {threaded_mpo:.2}"
+        treport.home_messages as f64 >= floor * treport.ops as f64,
+        "threaded: {} messages for {} operations, below the static floor {floor}",
+        treport.home_messages,
+        treport.ops
     );
 }

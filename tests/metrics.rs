@@ -3,7 +3,7 @@
 //! surface, the `ccr verify --metrics` CLI contract, and the
 //! `ccr bench diff` regression gate's exit codes.
 
-use ccr_mc::search::{Budget, Search, SearchObserver};
+use ccr_mc::search::{Budget, Search, SearchObserver, Telemetry};
 use ccr_metrics::jsonval::Json;
 use ccr_metrics::{promcheck, Registry};
 use ccr_protocols::migratory::{migratory_refined, MigratoryOptions};
@@ -19,7 +19,8 @@ fn parallel_snapshot(n: u32, threads: usize) -> ccr_metrics::Snapshot {
     let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
     let reg = Registry::new();
     let mut null = NullSink;
-    let mut obs = SearchObserver::with_metrics(&mut null, reg.clone());
+    let telemetry = Telemetry { registry: reg.clone(), ..Telemetry::off() };
+    let mut obs = SearchObserver::for_phase(&mut null, &telemetry, "explore");
     let search = Search { threads, ..Search::default() };
     let r = search.explore(&sys, &Budget::default(), |_| None, &mut obs);
     assert!(r.outcome.is_complete());

@@ -7,11 +7,11 @@ use ccr_dsm::machine::{Machine, MachineConfig};
 use ccr_dsm::workload::Migrating;
 use ccr_mc::search::{Budget, Search, SearchObserver};
 use ccr_mc::trace::replay_trail;
+use ccr_metrics::jsonval::Json;
 use ccr_protocols::migratory::{migratory_refined, MigratoryOptions};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::sched::RandomSched;
 use ccr_runtime::system::TransitionSystem;
-use ccr_trace::json_check::is_valid_json;
 use ccr_trace::{JsonlSink, NullSink};
 use std::path::Path;
 
@@ -40,7 +40,7 @@ fn same_seed_yields_byte_identical_jsonl_traces() {
     assert_eq!(a, b, "traced runs with the same seed must be byte-identical");
     let text = String::from_utf8(a).expect("utf8");
     for line in text.lines() {
-        assert!(is_valid_json(line), "{line}");
+        assert!(Json::parse(line).is_ok(), "{line}");
     }
 }
 
@@ -92,7 +92,7 @@ fn cli_trace_flag_writes_a_replayable_counterexample() {
     let lines: Vec<&str> = text.lines().collect();
     assert!(!lines.is_empty(), "counterexample trace must be non-empty");
     for line in &lines {
-        assert!(is_valid_json(line), "{line}");
+        assert!(Json::parse(line).is_ok(), "{line}");
     }
     assert!(lines.iter().any(|l| l.contains("\"Step\"")), "{text}");
     assert!(
@@ -112,7 +112,7 @@ fn cli_json_report_is_valid_and_holds() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     let line = stdout.trim();
-    assert!(is_valid_json(line), "{line}");
+    assert!(Json::parse(line).is_ok(), "{line}");
     assert!(line.contains("\"holds\":true"), "{line}");
     assert!(line.contains("\"equation1\""), "{line}");
 }
@@ -157,6 +157,6 @@ fn cli_json_table_is_valid() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     let line = stdout.trim();
-    assert!(is_valid_json(line), "{line}");
+    assert!(Json::parse(line).is_ok(), "{line}");
     assert!(line.contains("\"rows\""), "{line}");
 }

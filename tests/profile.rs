@@ -11,7 +11,7 @@
 
 use ccr_bench::diff::{diff_strs, DiffOptions};
 use ccr_core::text::parse_validated;
-use ccr_mc::search::{Budget, Search, SearchObserver};
+use ccr_mc::search::{Budget, Search, SearchObserver, Telemetry};
 use ccr_metrics::profile::{parse_folded, ProfileAgg, Profiler, SpanKind};
 use ccr_metrics::Registry;
 use ccr_runtime::rendezvous::RendezvousSystem;
@@ -42,16 +42,20 @@ fn spec_text(name: &str) -> String {
 fn traced_metered_run(profile: bool) -> (Vec<u8>, String) {
     let spec = parse_validated(&spec_text("migratory.ccp")).expect("parse");
     let sys = RendezvousSystem::new(&spec, 3);
-    let registry = Registry::new();
-    let profiler = if profile { Profiler::new() } else { Profiler::disabled() };
+    let telemetry = Telemetry {
+        registry: Registry::new(),
+        profiler: if profile { Profiler::new() } else { Profiler::disabled() },
+        ..Telemetry::off()
+    };
     let mut sink = JsonlSink::new(Vec::new());
-    {
-        let mut obs = SearchObserver::with_metrics(&mut sink, registry.clone())
-            .with_profiler(profiler.clone());
-        Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs);
-    }
-    profiler.publish(&registry);
-    (sink.into_inner().expect("vec sink"), registry.snapshot().to_json())
+    let report = {
+        let mut obs = SearchObserver::for_phase(&mut sink, &telemetry, "explore");
+        Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs)
+    };
+    telemetry
+        .finish(&report.outcome, report.states as u64, report.transitions as u64)
+        .expect("nothing to fail without a recorder");
+    (sink.into_inner().expect("vec sink"), telemetry.registry.snapshot().to_json())
 }
 
 #[test]
@@ -72,14 +76,14 @@ fn profiling_off_is_invisible_in_traces_and_deterministic_snapshots() {
 /// Deterministic span counts of one profiled run:
 /// (compute, encode, insert).
 fn span_counts(sys: &RendezvousSystem<'_>, threads: usize) -> (u64, u64, u64) {
-    let profiler = Profiler::new();
+    let telemetry = Telemetry { profiler: Profiler::new(), ..Telemetry::off() };
     let mut null = ccr_trace::NullSink;
     {
-        let mut obs = SearchObserver::new(&mut null).with_profiler(profiler.clone());
+        let mut obs = SearchObserver::for_phase(&mut null, &telemetry, "explore");
         let search = Search { threads, ..Search::default() };
         search.explore(sys, &Budget::default(), |_| None, &mut obs);
     }
-    let agg = profiler.aggregate();
+    let agg = telemetry.profiler.aggregate();
     (
         agg.kind(SpanKind::Compute).count,
         agg.kind(SpanKind::Encode).count,
@@ -108,10 +112,11 @@ fn deterministic_span_counts_match_serial_at_every_thread_count() {
 fn folded_stacks_round_trip_through_the_parser() {
     let spec = parse_validated(&spec_text("migratory.ccp")).expect("parse");
     let sys = RendezvousSystem::new(&spec, 2);
-    let profiler = Profiler::new();
+    let telemetry = Telemetry { profiler: Profiler::new(), ..Telemetry::off() };
+    let profiler = &telemetry.profiler;
     let mut null = ccr_trace::NullSink;
     {
-        let mut obs = SearchObserver::new(&mut null).with_profiler(profiler.clone());
+        let mut obs = SearchObserver::for_phase(&mut null, &telemetry, "explore");
         let search = Search { threads: 2, ..Search::default() };
         search.explore(&sys, &Budget::default(), |_| None, &mut obs);
     }

@@ -15,7 +15,7 @@
 
 use ccr_bench::diff::{diff_strs, DiffOptions};
 use ccr_core::text::parse_validated;
-use ccr_mc::search::{Budget, Search, SearchObserver};
+use ccr_mc::search::{Budget, Search, SearchObserver, Telemetry};
 use ccr_metrics::jsonval::Json;
 use ccr_metrics::timeseries::{Recorder, Timeline};
 use ccr_metrics::Registry;
@@ -41,21 +41,23 @@ fn tmp_dir(tag: &str) -> PathBuf {
 fn traced_metered_run(timeline: Option<&Path>) -> (Vec<u8>, String) {
     let spec = parse_validated(&spec_text("migratory.ccp")).expect("parse");
     let sys = RendezvousSystem::new(&spec, 3);
-    let registry = Registry::new();
-    let recorder = match timeline {
-        Some(path) => Recorder::create(path, "migratory", 0, 5).expect("create recorder"),
-        None => Recorder::disabled(),
+    let telemetry = Telemetry {
+        registry: Registry::new(),
+        timeline: match timeline {
+            Some(path) => Recorder::create(path, "migratory", 0, 5).expect("create recorder"),
+            None => Recorder::disabled(),
+        },
+        ..Telemetry::off()
     };
     let mut sink = JsonlSink::new(Vec::new());
     let report = {
-        let mut obs = SearchObserver::with_metrics(&mut sink, registry.clone())
-            .with_timeline(recorder.clone());
+        let mut obs = SearchObserver::for_phase(&mut sink, &telemetry, "explore");
         Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs)
     };
-    recorder.finish(report.outcome.name(), report.states as u64, report.transitions as u64);
-    recorder.publish(&registry);
-    assert!(recorder.take_error().is_none());
-    (sink.into_inner().expect("vec sink"), registry.snapshot().to_json())
+    telemetry
+        .finish(&report.outcome, report.states as u64, report.transitions as u64)
+        .expect("no timeline write error");
+    (sink.into_inner().expect("vec sink"), telemetry.registry.snapshot().to_json())
 }
 
 #[test]
@@ -81,16 +83,19 @@ fn zero_interval_timeline(dir: &Path, rep: usize) -> Timeline {
     let spec = parse_validated(&spec_text("migratory.ccp")).expect("parse");
     let sys = RendezvousSystem::new(&spec, 2);
     let path = dir.join(format!("rep{rep}.jsonl"));
-    let recorder = Recorder::create(&path, "migratory", 0, 5).expect("create recorder");
+    let telemetry = Telemetry {
+        timeline: Recorder::create(&path, "migratory", 0, 5).expect("create recorder"),
+        interval: Duration::ZERO,
+        ..Telemetry::off()
+    };
     let mut null = ccr_trace::NullSink;
     let report = {
-        let mut obs = SearchObserver::new(&mut null)
-            .with_interval(Duration::ZERO)
-            .with_timeline(recorder.clone());
+        let mut obs = SearchObserver::for_phase(&mut null, &telemetry, "explore");
         Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs)
     };
-    recorder.finish(report.outcome.name(), report.states as u64, report.transitions as u64);
-    assert!(recorder.take_error().is_none());
+    telemetry
+        .finish(&report.outcome, report.states as u64, report.transitions as u64)
+        .expect("no timeline write error");
     let timeline = Timeline::read(&path).expect("read timeline");
     timeline.validate().expect("timeline validates");
     timeline
