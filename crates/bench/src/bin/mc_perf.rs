@@ -1,19 +1,19 @@
-//! Parallel model-checker throughput: the perf trajectory behind the
-//! sharded engine (`ccr_mc::search::Search::threads`).
+//! Model-checker throughput with and without threads: the perf
+//! trajectory behind `ccr_mc::search::Search::threads`.
 //!
-//! Measures states/sec of the serial BFS against the parallel engine at
-//! 1, 2, 4, and 8 threads on the async state spaces the paper's Table 3
-//! exercises (the 1-thread row isolates the sharded engine's overhead
+//! Measures states/sec of the serial sweep against the same sweep fed by
+//! 1, 2, 4, and 8 worker threads on the async state spaces the paper's
+//! Table 3 exercises (the 1-thread row isolates what the hand-off costs
 //! from actual parallelism), plus visited-set bytes per state for the
 //! arena-backed store against an estimate of the previous
 //! `HashMap<Vec<u8>, u32>` layout. Results go to `BENCH_mc.json`
 //! (override with `--out <file>`) so future changes have a baseline to
 //! regress against.
 //!
-//! The JSON records `host_parallelism`; on a single-core host (CI
-//! containers included) parallel speedup is physically impossible and
-//! the speedup columns measure pure engine overhead, so read them
-//! against that field.
+//! The JSON records `host_parallelism`; on a host with fewer cores than
+//! threads (CI containers included: the sweep is one more thread than
+//! `--threads` says) the speedup columns measure contention, not
+//! scaling, so read them against that field.
 //!
 //! Each workload also records per-phase wall times (`phases`): the
 //! encode microbench, the serial exploration, and one forward-progress
@@ -28,10 +28,11 @@
 //! absolutely by `ccr bench diff` (skipped under `--counts-only`).
 //!
 //! Each workload additionally runs one *profiled* serial and one
-//! profiled 1-thread parallel repetition (the timed best-of samples stay
-//! unprofiled) and records the span `attribution`: how much of the
-//! 1-thread-vs-serial gap the engine's ship/drain/barrier-wait spans
-//! account for (`overhead_explained`). Attribution is timing-based and
+//! profiled 1-thread repetition (the timed best-of samples stay
+//! unprofiled) and records the span `attribution`: both runs' per-kind
+//! spans, and how much of the sweep's and its worker's time went into
+//! handing chunks over and waiting for each other (ship/drain/
+//! barrier-wait: `sync_overhead_share`). Attribution is timing-based and
 //! not gated by `ccr bench diff`. `--profile <path>` writes the headline
 //! workload's 1-thread folded stacks for flamegraph tooling.
 //!
@@ -39,7 +40,7 @@
 //!
 //! The headline workload is the asynchronous migratory protocol at
 //! n=3 (data domain widened and home buffer k=3 so the space is large
-//! enough that thread startup and level barriers are noise); each
+//! enough that thread startup is noise); each
 //! configuration is run `REPEATS` times and the fastest run is kept.
 //! `migratory_async_n3_sym` re-runs the headline space under the
 //! symmetry reduction (`ccr_mc::Reduced`): its `states` value is the
@@ -67,7 +68,7 @@ use std::time::{Duration, Instant};
 
 /// Fastest-of-N repetitions, to strip scheduler noise from the ratios.
 const REPEATS: usize = 3;
-/// Thread counts measured against the serial engine.
+/// Thread counts measured against the serial run.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// States in the encode-phase sample (breadth-first from the initial
 /// state) and passes per timed repetition of that microbench.
@@ -97,7 +98,7 @@ where
     search.explore(sys, budget, |_| None, &mut obs)
 }
 
-/// Best-of-`REPEATS` run on the engine `threads` selects (0 = serial).
+/// Best-of-`REPEATS` run on `threads` workers (0 = serial).
 fn measure<T>(sys: &T, budget: &Budget, threads: usize) -> SearchReport
 where
     T: TransitionSystem + Sync,
@@ -119,7 +120,7 @@ where
     Sample { threads: 1, report: measure(sys, budget, 0) }
 }
 
-/// Best-of-`REPEATS` parallel run at `threads` workers.
+/// Best-of-`REPEATS` threaded run at `threads` workers.
 fn measure_parallel<T>(sys: &T, budget: &Budget, threads: usize) -> Sample
 where
     T: TransitionSystem + Sync,
@@ -129,22 +130,23 @@ where
 }
 
 /// Span attribution of one profiled serial run and one profiled
-/// 1-thread parallel run: where the sharded engine's 1-thread overhead
-/// over the serial BFS actually goes (shipping batches, draining
-/// inboxes, waiting at level barriers).
+/// 1-thread run: what the sweep still does itself when a worker feeds it
+/// (insert), what moved to the worker (compute, encode), and what the
+/// two spend handing chunks over and waiting for each other.
 struct Attribution {
     serial_agg: ProfileAgg,
     serial_profiled_secs: f64,
     par1_agg: ProfileAgg,
     par1_profiled_secs: f64,
-    /// Folded stacks of the profiled 1-thread parallel run, for
-    /// `--profile <path>`.
+    /// Folded stacks of the profiled 1-thread run, for `--profile
+    /// <path>`.
     par1_folded: String,
 }
 
 impl Attribution {
-    /// Seconds the 1-thread parallel worker spent in ship + drain +
-    /// barrier-wait spans — the engine's coordination machinery.
+    /// Seconds the 1-thread run's sweep and worker together spent in
+    /// ship + drain + barrier-wait spans: the hand-off, and each waiting
+    /// for the other.
     fn sync_overhead_secs(&self) -> f64 {
         [SpanKind::Ship, SpanKind::Drain, SpanKind::BarrierWait]
             .iter()
@@ -153,7 +155,7 @@ impl Attribution {
     }
 }
 
-/// Profiled serial and 1-thread parallel runs, best-of-[`REPEATS`] like
+/// Profiled serial and 1-thread runs, best-of-[`REPEATS`] like
 /// the unprofiled timed samples (so profiled-vs-unprofiled deltas
 /// measure profiling overhead, not first-run noise). A fresh profiler
 /// per repetition; the fastest repetition's aggregate is kept.
@@ -416,14 +418,13 @@ where
     );
     let mut enc = Vec::new();
     sys.encode(&sys.initial(), &mut enc);
-    let gap = attribution.par1_profiled_secs - attribution.serial_profiled_secs;
     let delta = |kind: SpanKind| {
         attribution.par1_agg.kind(kind).secs() - attribution.serial_agg.kind(kind).secs()
     };
     eprintln!(
         "{name}: 1t gap {:.3}s — compute {:+.3}s, encode {:+.3}s, insert {:+.3}s, \
-         ship+drain+barrier {:.3}s",
-        gap,
+         ship+drain+barrier {:.3}s (over two threads)",
+        attribution.par1_profiled_secs - attribution.serial_profiled_secs,
         delta(SpanKind::Compute),
         delta(SpanKind::Encode),
         delta(SpanKind::Insert),
@@ -470,7 +471,7 @@ const SPILL_CHECKPOINT_MS: u64 = 10;
 /// `states`/`transitions` counts are gated exactly by `ccr bench diff`
 /// — spilling must not change the answer — while the `spill` submap
 /// records the overhead axes (wall-time ratio against the in-memory
-/// serial engine, committed log bytes, finished-checkpoint restore
+/// serial run, committed log bytes, finished-checkpoint restore
 /// time), which are timing-based and not gated.
 struct SpillWorkload {
     name: &'static str,
@@ -699,9 +700,9 @@ fn main() {
                                 e.entry("states_per_sec", &p.states_per_sec());
                                 let ratio = p.states_per_sec() / w.serial.states_per_sec();
                                 if p.threads == 1 {
-                                    // At one thread the ratio measures the
-                                    // parallel engine's fixed overhead over
-                                    // the serial engine — not scaling — so
+                                    // At one thread the ratio measures what
+                                    // handing the work to a worker costs
+                                    // over doing it inline — not scaling — so
                                     // name it what it is, and let the gate
                                     // (`ccr bench diff --min-engine-overhead`)
                                     // assert it directly.
@@ -745,9 +746,12 @@ fn main() {
                         e.entry("samples", &w.sampler.samples);
                         e.end();
                     });
-                    // Span attribution: where the sharded engine's
-                    // 1-thread overhead over the serial BFS goes.
-                    // Timing-based — `ccr bench diff` does not gate it.
+                    // Span attribution of the profiled serial and
+                    // 1-thread runs. The 1-thread spans are summed over
+                    // the sweep and its worker, which run concurrently,
+                    // so they add up to about twice that run's wall
+                    // time. Timing-based — `ccr bench diff` does not
+                    // gate it.
                     row.entry_with("attribution", |ser| {
                         let a = &w.attribution;
                         let mut e = ser.begin_map();
@@ -762,34 +766,7 @@ fn main() {
                             "sync_overhead_share",
                             &if par1_total > 0.0 { sync / par1_total } else { 0.0 },
                         );
-                        // The 1-thread-vs-serial gap (profiled best-of
-                        // timings, so both sides carry the same probe
-                        // cost), decomposed span by span: at one worker
-                        // every successor routes to the local shard, so
-                        // the gap sits in the sharded compute/encode
-                        // paths rather than in shipping proper. The
-                        // per-span deltas sum to ~the gap — the full
-                        // answer to "where does the 1-thread overhead
-                        // go".
-                        let gap = a.par1_profiled_secs - a.serial_profiled_secs;
-                        e.entry("gap_secs", &gap);
-                        e.entry_with("gap_attribution", |ser| {
-                            let mut g = ser.begin_map();
-                            for kind in SpanKind::ALL {
-                                let delta =
-                                    a.par1_agg.kind(kind).secs() - a.serial_agg.kind(kind).secs();
-                                if delta.abs() > 1e-9 {
-                                    g.entry(
-                                        kind.name(),
-                                        &if gap > 0.0 { delta / gap } else { 0.0 },
-                                    );
-                                }
-                            }
-                            g.end();
-                        });
-                        // Share of the gap in engine-coordination spans
-                        // alone (ship + drain + barrier-wait).
-                        e.entry("overhead_explained", &if gap > 0.0 { sync / gap } else { 0.0 });
+                        e.entry("gap_secs", &(a.par1_profiled_secs - a.serial_profiled_secs));
                         e.end();
                     });
                     row.end();

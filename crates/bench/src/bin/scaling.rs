@@ -4,8 +4,9 @@
 //!
 //! Run: `cargo run --release -p ccr-bench --bin scaling`
 //!
-//! Pass `--threads N` to route the reachability runs through the sharded
-//! parallel engine (identical counts, wall-clock drops on large spaces).
+//! Pass `--threads N` to have `N` worker threads generate the successors
+//! of the reachability runs (identical reports; see
+//! `docs/parallel_checking.md` for what that buys on which host).
 
 use ccr_bench::cli::threads_from_args;
 use ccr_bench::configs;
@@ -23,7 +24,7 @@ fn main() {
     let opts = MigratoryOptions::checking_with_data(configs::DATA_DOMAIN);
     let spec = migratory(&opts);
     if search.threads > 0 {
-        println!("(parallel engine, {} threads)", search.threads);
+        println!("({} worker threads)", search.threads);
     }
     println!("Rendezvous migratory scaling (budget 32 MB, as in the paper):");
     println!(

@@ -4,8 +4,9 @@
 //!
 //! Run: `cargo run --release -p ccr-bench --bin table3`
 //!
-//! Pass `--threads N` to route the reachability runs through the sharded
-//! parallel engine (identical counts, wall-clock drops on large spaces).
+//! Pass `--threads N` to have `N` worker threads generate the successors
+//! of the reachability runs (identical reports; see
+//! `docs/parallel_checking.md` for what that buys on which host).
 
 use ccr_bench::cli::threads_from_args;
 use ccr_bench::configs;
@@ -31,7 +32,7 @@ fn row(refined: &RefinedProtocol, n: u32, search: &Search<'_>) -> (String, Strin
 fn main() {
     let search = Search { threads: threads_from_args(), ..Search::default() };
     if search.threads > 0 {
-        println!("(parallel engine, {} threads)", search.threads);
+        println!("({} worker threads)", search.threads);
     }
     println!("Table 3 reproduction — states visited / seconds for reachability");
     println!(

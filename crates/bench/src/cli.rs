@@ -36,10 +36,10 @@ pub fn seed_from_args() -> u64 {
 }
 
 /// `--threads <N>` from the command line, as [`ccr_mc::search::Search`]
-/// takes it: 0 when absent (the serial engine, exactly as before the
-/// flag existed), otherwise the sharded engine on `N >= 1` workers.
-/// Complete runs report identical states/transitions either way, so
-/// tables stay comparable across thread counts.
+/// takes it: 0 when absent (successors generated inline, exactly as
+/// before the flag existed), otherwise by `N >= 1` worker threads.
+/// Every run reports the same either way, so tables stay comparable
+/// across thread counts.
 pub fn threads_from_args() -> usize {
     let args: Vec<String> = std::env::args().collect();
     match args.iter().position(|a| a == "--threads") {

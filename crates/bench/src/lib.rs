@@ -10,14 +10,14 @@
 //!   derived (no request/reply optimization) vs the hand-written baseline.
 //! * `buffers` — §6 buffer-size sweep: nack rate, fairness, starvation.
 //! * `calib`   — raw state-space calibration (development aid).
-//! * `mc_perf` — parallel-checker throughput: states/sec serial vs 2/4/8
-//!   threads and store bytes per state, written to `BENCH_mc.json`.
+//! * `mc_perf` — checker throughput: states/sec serial vs 1/2/4/8
+//!   worker threads and store bytes per state, written to `BENCH_mc.json`.
 //! * `gen_specs` — regenerates the textual `.ccp` specs under `specs/`
 //!   from the protocol constructors (kept in sync by `tests/shipped_specs.rs`).
 //!
 //! The reachability binaries (`table3`, `scaling`, `mc_perf`) take
-//! `--threads N` to route exploration through the sharded parallel
-//! engine; see [`cli`] for the shared flag parsing.
+//! `--threads N` to feed the exploration from `N` worker threads; see
+//! [`cli`] for the shared flag parsing.
 //!
 //! Criterion benches (`cargo bench -p ccr-bench`): `table3`, `refinement`,
 //! `simulation`.

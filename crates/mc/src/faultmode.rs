@@ -16,7 +16,7 @@
 
 use crate::progress;
 use crate::report::{Outcome, ProgressReport};
-use crate::search::{explore_serial, Budget, SearchObserver};
+use crate::search::{explore_with, Budget, Inline, SearchObserver};
 use crate::trace::TracedReport;
 use ccr_runtime::asynch::{AsyncState, AsyncSystem};
 use ccr_runtime::FaultClosure;
@@ -42,8 +42,8 @@ impl FaultClosureReport {
     }
 }
 
-/// Explores the fault closure of `sys` with budget `faults` on the serial
-/// engine, checking `invariant` on every reachable base configuration
+/// Explores the fault closure of `sys` with budget `faults` on the
+/// calling thread, checking `invariant` on every reachable base configuration
 /// (and deadlock freedom, with a counterexample trail), then checks
 /// progress over the same closure.
 ///
@@ -61,10 +61,11 @@ pub fn check_fault_closure(
     let closure = FaultClosure::new(sys.clone(), faults);
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
+    let src = || Inline::new(&closure, false);
+    let safety = |fs: &ccr_runtime::FaultState| invariant(&fs.base);
     let explore =
-        explore_serial(&closure, budget, |fs| invariant(&fs.base), true, true, &mut obs, None)
-            .traced_report();
-    let progress = progress::serial(&closure, budget, |l| l.completes.is_some(), &mut obs);
+        explore_with(&closure, budget, src(), safety, true, true, &mut obs, None).traced_report();
+    let progress = progress::check(&closure, budget, src(), |l| l.completes.is_some(), &mut obs);
     FaultClosureReport { budget_faults: faults, explore, progress }
 }
 

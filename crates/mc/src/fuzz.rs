@@ -13,15 +13,18 @@
 //!    (safety: no executor runtime failure; deadlock/livelock are allowed —
 //!    random protocols block all the time — but must be *reported*, not
 //!    crashed on);
-//! 5. **parallel re-check** at 2 and 4 threads — states, transitions and
-//!    outcome must be byte-identical to serial;
+//! 5. **threaded re-check** at 2 and 4 threads — states, transitions and
+//!    outcome must equal the serial run's on every outcome, violating and
+//!    unfinished runs included, and so must the whole progress report;
 //! 6. **symmetry re-check** — when the spec passes the scalarset test, the
-//!    reduced system must agree with itself across engines and with the
-//!    full system on the verdict;
-//! 7. **bounded fault-closure** — serial and parallel closures must agree.
+//!    reduced system must report the same with and without threads and
+//!    agree with the full system on the verdict;
+//! 7. **bounded fault-closure** — the serial and the threaded closure
+//!    reports must be equal.
 //!
-//! A spec *fails* when any stage errors, Equation 1 is violated, an engine
-//! pair disagrees, or an executor assertion trips. Failures feed the
+//! A spec *fails* when any stage errors, Equation 1 is violated, a
+//! threaded run differs from its serial twin, or an executor assertion
+//! trips. Failures feed the
 //! [`shrink_failing`] greedy shrinker, which walks
 //! [`ZooSpec::shrink_candidates`] until no strictly smaller shape still
 //! fails.
@@ -31,7 +34,7 @@
 //! `migratory_broken`-shaped unsoundness — the completion protocol is
 //! desynchronized), which the pipeline must then catch.
 
-use crate::faultmode::{check_fault_closure, FaultClosureReport};
+use crate::faultmode::check_fault_closure;
 use crate::progress::check_progress_default;
 use crate::report::{ExploreReport, Outcome};
 use crate::search::{explore, Budget, Search, SearchObserver};
@@ -56,7 +59,7 @@ pub struct FuzzConfig {
     /// State budget per exploration stage (an `Unfinished` stage is not a
     /// failure, it just bounds the differential claim to the prefix).
     pub budget_states: usize,
-    /// Thread counts for the parallel re-checks.
+    /// Thread counts for the threaded re-checks.
     pub threads: Vec<usize>,
     /// Fault budget for the closure stage; 0 disables it.
     pub fault_budget: u32,
@@ -101,9 +104,10 @@ pub enum FuzzFailure {
         /// The runtime error message.
         detail: String,
     },
-    /// Two engine configurations disagreed on states/transitions/outcome.
+    /// Two runs that must agree (serial and threaded, full and reduced)
+    /// did not.
     Mismatch {
-        /// Which pair of engines disagreed.
+        /// Which pair disagreed.
         what: String,
         /// Both sides, rendered.
         detail: String,
@@ -214,59 +218,21 @@ pub fn inject_unsound(refined: &mut RefinedProtocol) -> bool {
     }
 }
 
-/// The documented serial-vs-parallel contract (see [`crate::parallel`]):
-/// on `Complete`/`Unfinished` runs the counts are byte-identical; on
-/// violating runs the outcome still matches but the parallel engine
-/// finishes the violation's level, so its counts may *exceed* the serial
-/// early-exit counts (never undershoot them).
-fn cmp_serial_vs_parallel(
-    what: &str,
-    serial: &ExploreReport,
-    par: &ExploreReport,
+/// Threads are invisible: `threaded` must be `serial`, field for field.
+fn cmp_threaded<R: PartialEq + fmt::Debug>(
+    what: String,
+    serial: &R,
+    threaded: &R,
 ) -> Option<FuzzFailure> {
-    let violating = !matches!(serial.outcome, Outcome::Complete | Outcome::Unfinished);
-    let ok = if violating {
-        serial.outcome == par.outcome
-            && par.states >= serial.states
-            && par.transitions >= serial.transitions
-    } else {
-        key_of(serial) == key_of(par)
-    };
-    if ok {
-        None
-    } else {
-        Some(FuzzFailure::Mismatch {
-            what: what.to_string(),
-            detail: format!(
-                "serial (states={}, transitions={}, outcome={:?}) vs {what} (states={}, transitions={}, outcome={:?})",
-                serial.states, serial.transitions, serial.outcome, par.states, par.transitions, par.outcome
-            ),
-        })
-    }
+    (serial != threaded).then(|| FuzzFailure::Mismatch {
+        detail: format!("serial {serial:?} vs {what} {threaded:?}"),
+        what,
+    })
 }
 
-/// Parallel runs must be byte-identical *across thread counts*, violating
-/// or not.
-fn cmp_parallel_pair(
-    what: &str,
-    a: (usize, &ExploreReport),
-    b: (usize, &ExploreReport),
-) -> Option<FuzzFailure> {
-    if key_of(a.1) == key_of(b.1) {
-        None
-    } else {
-        Some(FuzzFailure::Mismatch {
-            what: what.to_string(),
-            detail: format!(
-                "{}t (states={}, transitions={}, outcome={:?}) vs {}t (states={}, transitions={}, outcome={:?})",
-                a.0, a.1.states, a.1.transitions, a.1.outcome, b.0, b.1.states, b.1.transitions, b.1.outcome
-            ),
-        })
-    }
-}
-
-fn key_of(r: &ExploreReport) -> (usize, usize, &Outcome) {
-    (r.states, r.transitions, &r.outcome)
+/// Everything a report says but its wall time.
+fn key_of(r: &ExploreReport) -> (usize, usize, usize, usize, &Outcome) {
+    (r.states, r.transitions, r.store_bytes, r.peak_frontier, &r.outcome)
 }
 
 /// Runs one spec through the full differential pipeline.
@@ -344,56 +310,37 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
         }
     }
 
-    // Stage 5: parallel re-checks. Each thread count must satisfy the
-    // serial contract, and all thread counts must agree byte-identically
-    // with each other.
-    let parallel = |threads| Search { check_deadlock: true, threads, ..Search::default() };
+    // Stage 5: threaded re-checks, exploration and progress.
+    let threaded = |threads| Search { check_deadlock: true, threads, ..Search::default() };
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    let mut prev: Option<(usize, ExploreReport)> = None;
     for &t in &cfg.threads {
-        let par = parallel(t).explore(&asys, &budget, |_| None, &mut obs).explore_report();
-        if let Some(f) = cmp_serial_vs_parallel(&format!("async-{t}t"), &a_serial, &par) {
+        let fed = threaded(t).explore(&asys, &budget, |_| None, &mut obs).explore_report();
+        if let Some(f) = cmp_threaded(format!("async-{t}t"), &key_of(&a_serial), &key_of(&fed)) {
             verdict.failure = Some(f);
             return verdict;
         }
-        if let Some((pt, ref prep)) = prev {
-            if let Some(f) =
-                cmp_parallel_pair(&format!("async-{pt}t-vs-{t}t"), (pt, prep), (t, &par))
-            {
-                verdict.failure = Some(f);
-                return verdict;
-            }
-        }
-        prev = Some((t, par));
     }
-
-    // Progress: serial vs parallel must agree on the verdict and on the
-    // state count (witness trails may legitimately differ in shape).
     let prog = check_progress_default(&asys, &budget);
     verdict.progress_holds = Some(prog.holds());
     if let Some(&t) = cfg.threads.first() {
-        let pprog = parallel(t).progress(&asys, &budget, |l| l.completes.is_some(), &mut obs);
-        let a = (prog.states, prog.holds(), prog.livelocked_states, prog.deadlocked_states);
-        let b = (pprog.states, pprog.holds(), pprog.livelocked_states, pprog.deadlocked_states);
-        if a != b {
-            verdict.failure = Some(FuzzFailure::Mismatch {
-                what: format!("progress-{t}t"),
-                detail: format!("serial {a:?} vs parallel {b:?}"),
-            });
+        let fed = threaded(t).progress(&asys, &budget, |l| l.completes.is_some(), &mut obs);
+        if let Some(f) = cmp_threaded(format!("progress-{t}t"), &prog, &fed) {
+            verdict.failure = Some(f);
             return verdict;
         }
     }
 
-    // Stage 6: symmetry. The reduced system must agree with itself across
-    // engines; against the full system only the verdict is comparable
-    // (orbit counts differ by construction), and only when both finished.
+    // Stage 6: symmetry. The reduced system must report the same with and
+    // without threads; against the full system only the verdict is
+    // comparable (orbit counts differ by construction), and only when
+    // both finished.
     if permutable {
         let red = Reduced::new(&asys);
         let r_serial = explore(&red, &budget, |_| None, true);
         if let Some(&t) = cfg.threads.first() {
-            let r_par = parallel(t).explore(&red, &budget, |_| None, &mut obs).explore_report();
-            if let Some(f) = cmp_serial_vs_parallel(&format!("sym-{t}t"), &r_serial, &r_par) {
+            let fed = threaded(t).explore(&red, &budget, |_| None, &mut obs).explore_report();
+            if let Some(f) = cmp_threaded(format!("sym-{t}t"), &key_of(&r_serial), &key_of(&fed)) {
                 verdict.failure = Some(f);
                 return verdict;
             }
@@ -422,7 +369,7 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
         }
     }
 
-    // Stage 7: bounded fault closure, serial vs parallel.
+    // Stage 7: bounded fault closure, serial vs threaded.
     if cfg.fault_budget > 0 {
         let fc = check_fault_closure(&asys, cfg.fault_budget, &budget, |_| None);
         verdict.fault_holds = Some(fc.holds());
@@ -433,33 +380,14 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
         }
         if let Some(&t) = cfg.threads.first() {
             let closure = FaultClosure::new(asys.clone(), cfg.fault_budget);
-            let search = Search { trails: true, ..parallel(t) };
-            let pfc = FaultClosureReport {
-                budget_faults: cfg.fault_budget,
-                explore: search.explore(&closure, &budget, |_| None, &mut obs).traced_report(),
-                progress: search.progress(&closure, &budget, |l| l.completes.is_some(), &mut obs),
-            };
-            // Same contract as the plain explores: outcome + holds()
-            // always agree; counts are byte-identical on non-violating
-            // runs and may only overshoot on violating ones.
-            let violating = !matches!(fc.explore.outcome, Outcome::Complete | Outcome::Unfinished);
-            let counts_ok = if violating {
-                pfc.explore.states >= fc.explore.states
-                    && pfc.explore.transitions >= fc.explore.transitions
-            } else {
-                pfc.explore.states == fc.explore.states
-                    && pfc.explore.transitions == fc.explore.transitions
-            };
-            if fc.explore.outcome != pfc.explore.outcome || fc.holds() != pfc.holds() || !counts_ok
-            {
-                verdict.failure = Some(FuzzFailure::Mismatch {
-                    what: format!("fault-{t}t"),
-                    detail: format!(
-                        "serial (states={}, transitions={}, outcome={:?}, holds={}) vs parallel (states={}, transitions={}, outcome={:?}, holds={})",
-                        fc.explore.states, fc.explore.transitions, fc.explore.outcome, fc.holds(),
-                        pfc.explore.states, pfc.explore.transitions, pfc.explore.outcome, pfc.holds()
-                    ),
-                });
+            let search = Search { trails: true, ..threaded(t) };
+            let fed = (
+                search.explore(&closure, &budget, |_| None, &mut obs).traced_report(),
+                search.progress(&closure, &budget, |l| l.completes.is_some(), &mut obs),
+            );
+            let serial = (fc.explore, fc.progress);
+            if let Some(f) = cmp_threaded(format!("fault-{t}t"), &serial, &fed) {
+                verdict.failure = Some(f);
                 return verdict;
             }
         }

@@ -7,7 +7,7 @@
 //! [`ccr_runtime::TransitionSystem`], providing
 //!
 //! * [`search::Search`] — the one options value every search starts from
-//!   (deadlock check, trails, engine threads, persistence), with
+//!   (deadlock check, trails, worker threads, persistence), with
 //!   [`search::Search::explore`] — breadth-first reachability with state
 //!   and memory budgets (runs that exceed the budget report `Unfinished`,
 //!   mirroring the paper's 64 MB limit) — and
@@ -15,20 +15,20 @@
 //!   reachable state some rendezvous completion must remain reachable
 //!   (the §2.5 forward-progress criterion for "at least one remote");
 //!   [`search::explore`], [`search::explore_plain`] and
-//!   [`progress::check_progress_default`] are the serial, unobserved
+//!   [`progress::check_progress_default`] are the unthreaded, unobserved
 //!   conveniences;
 //! * [`props`] — invariant checking (coherence safety) and deadlock
 //!   detection;
 //! * [`simrel::check_simulation`] — the Equation 1 soundness check: every
 //!   asynchronous transition maps under the §4 abstraction function to a
-//!   stutter or to a rendezvous transition;
-//! * [`parallel`] — the multi-threaded engine behind `threads > 0`: hash-
-//!   sharded visited set behind lock stripes, level-synchronized BFS with
-//!   batched cross-worker exchange, observationally equivalent to the
-//!   serial search (same states/transitions/outcome at any thread count).
+//!   stutter or to a rendezvous transition.
 //!
-//! One serial sweep ([`search`]'s `drive`) serves all three questions —
-//! reachability, Equation 1 and progress are checkers observing it.
+//! One sweep ([`search`]'s `drive`) serves all three questions —
+//! reachability, Equation 1 and progress are checkers observing it — at
+//! every thread count: `threads > 0` moves successor generation and
+//! encoding to worker threads and changes nothing else, so a threaded
+//! search reports exactly what the serial one does
+//! (`docs/parallel_checking.md`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -51,15 +51,15 @@ pub use fuzz::{
     fuzz_one, inject_unsound, run_shape, run_spec, shrink_failing, FuzzConfig, FuzzFailure,
     ShrinkResult, SpecVerdict,
 };
-pub use parallel::{ParallelConfig, ParallelPersist, ParallelPersistOpen};
+pub use parallel::ParallelConfig;
 pub use persist::{
     CrashSwitch, LockGuard, LogTier, Manifest, ManifestWriter, PersistError, PersistStats, PhaseDir,
 };
 pub use progress::check_progress_default;
 pub use report::{ExploreReport, Outcome, ProgressReport, SearchReport, SimRelReport};
 pub use search::{
-    explore, explore_dfs, report_from_manifest, Budget, PersistOpen, PersistOpts, Search,
-    SearchObserver, SerialPersist, SerialPersistOpen, Telemetry, DEFAULT_HEARTBEAT_INTERVAL,
+    explore, explore_dfs, report_from_manifest, Budget, PersistOpts, Search, SearchObserver,
+    SerialPersist, SerialPersistOpen, Telemetry, DEFAULT_HEARTBEAT_INTERVAL,
 };
 pub use symmetry::{
     apply_perm, canonical_encode, canonicalize, spec_permutable, OrbitSample, Reduced, Symmetric,

@@ -7,23 +7,24 @@
 //! this module turns the store into a bounded-memory, kill-safe tier.
 //! The on-disk layout of one search phase directory is:
 //!
-//! * **`log`** (serial) / **`shard-NNN.log`** (parallel, one per shard)
-//!   — an append-only record log: a 16-byte versioned header
+//! * **`log`** — an append-only record log: a 16-byte versioned header
 //!   (`CCRLOG1\0`, version, reserved) followed by records of
 //!   `[payload_len u32][check u32][depth u32][payload]`, all
 //!   little-endian. `check` is the truncated splitmix-finalized FxHash
 //!   of `depth ‖ payload`, so torn or corrupted records are detected
 //!   individually. Record order is store insertion order: record `i`
-//!   *is* dense state index `i`.
-//! * **`idx`** / **`shard-NNN.idx`** — the hash64 → offset index,
+//!   *is* dense state index `i`. (`depth` is always 0: it told the
+//!   deleted sharded engine which BFS level a recovered state belonged
+//!   to; the sweep's frontier is a cursor.)
+//! * **`idx`** — the hash64 → offset index,
 //!   rewritten at every checkpoint: header (`CCRIDX1\0`, version,
 //!   record count, covered log bytes) then one
 //!   `[hash u64][offset u64][depth u32][len u32]` row per record and a
 //!   trailing checksum. Missing or stale index files are not an error —
 //!   the index is rebuilt from the log by a full checksum scan.
 //! * **`manifest.json`** — the checkpoint: committed log bytes and
-//!   record counts per shard, search counters, and the frontier cursor
-//!   (`head` for the serial engine, `level` for the parallel one).
+//!   record count, search counters, and the frontier cursor (`head`:
+//!   the index of the next state to expand).
 //!   Written atomically (write-temp-then-rename, the `status.rs`
 //!   discipline) with a monotonic `seq`. Everything in the log *beyond*
 //!   the committed byte count is an uncommitted (dead) tail: recovery
@@ -118,8 +119,8 @@ impl fmt::Display for PersistError {
 /// Alias for persistence results.
 pub type PResult<T> = std::result::Result<T, PersistError>;
 
-/// Plain per-tier counters, merged across shards and folded into the
-/// metrics registry at the end of a run.
+/// Plain per-tier counters, folded into the metrics registry at the end
+/// of a run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PersistStats {
     /// Records appended to the log.
@@ -145,24 +146,11 @@ pub struct PersistStats {
 }
 
 impl PersistStats {
-    /// Accumulates another tier's counters.
-    pub fn merge(&mut self, o: &PersistStats) {
-        self.records_appended += o.records_appended;
-        self.bytes_appended += o.bytes_appended;
-        self.evictions += o.evictions;
-        self.evicted_bytes += o.evicted_bytes;
-        self.disk_reads += o.disk_reads;
-        self.checkpoints += o.checkpoints;
-        self.recovered_records += o.recovered_records;
-        self.torn_bytes += o.torn_bytes;
-        self.idx_rebuilds += o.idx_rebuilds;
-        self.compacted_bytes += o.compacted_bytes;
-    }
-
     /// Folds the counters into `reg` as `mc_persist_*` totals.
     /// Spill/recovery volume is deterministic for a given run shape, but
-    /// disk-read counts depend on flush timing in the parallel engine,
-    /// so everything timing-adjacent registers as nondeterministic.
+    /// eviction, disk-read and checkpoint counts depend on flush and
+    /// checkpoint timing, so everything timing-adjacent registers as
+    /// nondeterministic.
     pub fn publish(&self, reg: &Registry) {
         if !reg.enabled() {
             return;
@@ -200,7 +188,7 @@ pub struct RecInfo {
     pub offset: u64,
     /// Payload length.
     pub len: u32,
-    /// BFS depth recorded with the state (0 in the serial engine).
+    /// The record's depth column (always 0, see the module docs).
     pub depth: u32,
     /// Full 64-bit hash of the payload ([`crate::store::hash_encoded`]).
     pub hash: u64,
@@ -229,7 +217,7 @@ fn file_header() -> [u8; FILE_HEADER as usize] {
 ///
 /// Reads go through a `RefCell<File>` with explicit seeks so shared
 /// (`&self`) lookups work from the store's probe path; the tier is
-/// still single-writer — in the parallel engine each shard owns one.
+/// still single-writer.
 #[derive(Debug)]
 pub struct LogTier {
     file: RefCell<File>,
@@ -756,7 +744,9 @@ impl Drop for LockGuard {
 pub struct Manifest {
     /// On-disk format version.
     pub version: u32,
-    /// `"serial"` or `"parallel"`.
+    /// `"serial"`, the one kind written. (`"parallel"` in directories
+    /// left by binaries that still had the sharded engine; refused on
+    /// resume.)
     pub kind: String,
     /// Monotonic checkpoint sequence number.
     pub seq: u64,
@@ -775,15 +765,17 @@ pub struct Manifest {
     pub peak_frontier: u64,
     /// Milliseconds of search time accumulated (across resumes).
     pub elapsed_ms: u64,
-    /// Serial engine: dense index of the next frontier state to expand.
+    /// Dense index of the next frontier state to expand.
     pub head: u64,
-    /// Parallel engine: BFS depth of the checkpointed frontier.
+    /// Always 0 (the sharded engine's BFS depth of the frontier).
     pub level: u64,
-    /// Worker threads of the run that wrote the checkpoint.
+    /// Always 1, whatever `--threads` was: a checkpoint does not depend
+    /// on it.
     pub threads: u64,
-    /// Shard count (1 for the serial engine).
+    /// Always 1 (the sharded engine's log count).
     pub shards: u64,
-    /// Committed `(bytes, records)` per shard, in shard order.
+    /// Committed `(bytes, records)` of the log (one entry; the sharded
+    /// engine wrote one per shard).
     pub committed: Vec<(u64, u64)>,
     /// Whether the run evicts (spills) or only logs.
     pub evict: bool,
@@ -930,40 +922,24 @@ impl ManifestWriter {
 pub struct PhaseDir {
     /// The phase directory itself.
     pub root: PathBuf,
-    shards: usize,
 }
 
 impl PhaseDir {
     /// Lays out (and creates) the directory for one search phase.
-    /// `shards == 1` uses the serial names (`log`/`idx`); more shards
-    /// use `shard-NNN.log`/`.idx`.
-    pub fn create(root: impl Into<PathBuf>, shards: usize) -> PResult<PhaseDir> {
+    pub fn create(root: impl Into<PathBuf>) -> PResult<PhaseDir> {
         let root = root.into();
         std::fs::create_dir_all(&root).map_err(|e| PersistError::io(&root, e))?;
-        Ok(PhaseDir { root, shards })
+        Ok(PhaseDir { root })
     }
 
-    /// Shard count this layout was created for.
-    pub fn shards(&self) -> usize {
-        self.shards
+    /// The log path.
+    pub fn log(&self) -> PathBuf {
+        self.root.join("log")
     }
 
-    /// The log path of shard `s`.
-    pub fn log(&self, s: usize) -> PathBuf {
-        if self.shards == 1 {
-            self.root.join("log")
-        } else {
-            self.root.join(format!("shard-{s:03}.log"))
-        }
-    }
-
-    /// The index path of shard `s`.
-    pub fn idx(&self, s: usize) -> PathBuf {
-        if self.shards == 1 {
-            self.root.join("idx")
-        } else {
-            self.root.join(format!("shard-{s:03}.idx"))
-        }
+    /// The index path.
+    pub fn idx(&self) -> PathBuf {
+        self.root.join("idx")
     }
 
     /// The lock file path.
@@ -976,8 +952,9 @@ impl PhaseDir {
         self.root.join("manifest.json")
     }
 
-    /// Removes stale log/idx/manifest files for a fresh start (the lock
-    /// is held by the caller and kept).
+    /// Removes stale log/idx/manifest files — a sharded-era directory's
+    /// `shard-NNN.*` included — for a fresh start (the lock is held by
+    /// the caller and kept).
     pub fn wipe(&self) -> PResult<()> {
         for entry in std::fs::read_dir(&self.root).map_err(|e| PersistError::io(&self.root, e))? {
             let entry = entry.map_err(|e| PersistError::io(&self.root, e))?;
@@ -1236,13 +1213,14 @@ mod tests {
     #[test]
     fn phase_dir_wipe_keeps_the_lock() {
         let dir = tmp("phasedir");
-        let pd = PhaseDir::create(dir.join("phase"), 4).unwrap();
+        let pd = PhaseDir::create(dir.join("phase")).unwrap();
         let _guard = LockGuard::acquire(pd.lock()).unwrap();
-        std::fs::write(pd.log(2), b"stale").unwrap();
-        std::fs::write(pd.manifest(), b"stale").unwrap();
+        let stale = [pd.log(), pd.manifest(), pd.root.join("shard-002.log")];
+        for path in &stale {
+            std::fs::write(path, b"stale").unwrap();
+        }
         pd.wipe().unwrap();
-        assert!(!pd.log(2).exists());
-        assert!(!pd.manifest().exists());
+        assert!(stale.iter().all(|path| !path.exists()));
         assert!(pd.lock().exists(), "wipe must not break the held lock");
         std::fs::remove_dir_all(&dir).unwrap();
     }

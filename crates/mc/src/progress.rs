@@ -15,22 +15,17 @@
 //! contiguous slice per state instead of chasing per-state heap
 //! allocations.
 //!
-//! The forward sweep is not this module's: on the serial engine the
-//! check is a checker on the one serial sweep (`search::drive`) that
-//! keeps the edge list and two flags per state; on the multi-threaded
-//! engine of
-//! [`crate::parallel`] the workers record reverse edges and per-state
-//! flags during the level-synchronized sweep, and shard-local state
-//! indices are renumbered to dense global ids by prefix sums afterwards.
-//! Either way the backward propagation runs single-threaded on the CSR
-//! (it is a fraction of the forward-sweep cost).
-//! [`crate::search::Search::progress`] picks the engine.
+//! The forward sweep is not this module's: the check is a checker on the
+//! one sweep (`search::drive`) that keeps the edge list and two flags per
+//! state — at every thread count, since
+//! [`crate::search::Search::threads`] only moves successor generation off
+//! the sweep's thread. The backward propagation runs single-threaded on
+//! the CSR (it is a fraction of the forward-sweep cost).
 
-use crate::parallel::{
-    self, pack, unpack, ParallelConfig, FLAG_EXPANDED, FLAG_HAS_SUCC, FLAG_PROGRESS,
-};
 use crate::report::{Outcome, ProgressReport};
-use crate::search::{drive, record_search_run, Budget, Checker, Search, SearchObserver};
+use crate::search::{
+    drive, record_search_run, Budget, Checker, Inline, Search, SearchObserver, Source,
+};
 use crate::trace::{conclude_with_trail, rebuild_trail};
 use ccr_metrics::profile::SpanKind;
 use ccr_runtime::{Label, TransitionSystem};
@@ -81,7 +76,7 @@ fn propagate_good(n: usize, offsets: &[u32], targets: &[u32], seed: &[bool]) -> 
     good
 }
 
-/// What the progress check keeps of the serial sweep: the reverse graph
+/// What the progress check keeps of the sweep: the reverse graph
 /// as a flat `(dst, src)` edge list — CSR-bucketed after the sweep — and,
 /// per state, whether it has a successor and whether one of its edges is
 /// a progress event.
@@ -117,15 +112,16 @@ impl<T: TransitionSystem, G: Fn(&Label) -> bool> Checker<T> for ForwardGraph<G> 
     }
 }
 
-/// The progress check on the serial engine: explores `sys` and checks
-/// that from every reachable state a transition `is_progress` accepts
-/// remains reachable. `obs` receives periodic heartbeats during the
-/// forward exploration, and when the check fails the witness trail
+/// The progress check: explores `sys`, expanding what `src` hands back,
+/// and checks that from every reachable state a transition `is_progress`
+/// accepts remains reachable. `obs` receives periodic heartbeats during
+/// the forward exploration, and when the check fails the witness trail
 /// (shortest path to the first stuck state) is exported to the observer's
 /// sink as a replayed event stream.
-pub(crate) fn serial<T: TransitionSystem>(
+pub(crate) fn check<T: TransitionSystem>(
     sys: &T,
     budget: &Budget,
+    src: impl Source<T>,
     is_progress: impl Fn(&Label) -> bool,
     obs: &mut SearchObserver<'_>,
 ) -> ProgressReport {
@@ -136,7 +132,7 @@ pub(crate) fn serial<T: TransitionSystem>(
         has_successor: Vec::new(),
         expanded: 0,
     };
-    let run = drive(sys, budget, &mut graph, false, true, obs, None);
+    let run = drive(sys, budget, &mut graph, src, true, obs, None);
     let complete = run.outcome.is_complete();
     let ForwardGraph { edges, has_progress_edge, has_successor, expanded, .. } = graph;
 
@@ -169,7 +165,11 @@ pub(crate) fn serial<T: TransitionSystem>(
         Some((idx, out)) => (Some(rebuild_trail(sys, &run.parents, idx as u32)), Some(out)),
         None => (None, None),
     };
-    conclude(sys, complete, witness.as_deref(), witness_outcome.as_ref(), obs);
+    // The check's ending on the observer's sink: the witness replayed as
+    // an event stream ending with its outcome, or the bare
+    // `Complete`/`Unfinished` event when nothing is stuck.
+    let swept = if complete { Outcome::Complete } else { Outcome::Unfinished };
+    conclude_with_trail(sys, witness_outcome.as_ref().unwrap_or(&swept), witness.as_deref(), obs);
 
     ProgressReport {
         states: n,
@@ -181,21 +181,7 @@ pub(crate) fn serial<T: TransitionSystem>(
     }
 }
 
-/// The check's ending on the observer's sink, shared by both engines:
-/// the witness replayed as an event stream ending with its outcome, or
-/// the bare `Complete`/`Unfinished` event when nothing is stuck.
-fn conclude<T: TransitionSystem>(
-    sys: &T,
-    complete: bool,
-    witness: Option<&[Label]>,
-    witness_outcome: Option<&Outcome>,
-    obs: &mut SearchObserver<'_>,
-) {
-    let swept = if complete { Outcome::Complete } else { Outcome::Unfinished };
-    conclude_with_trail(sys, witness_outcome.unwrap_or(&swept), witness, obs);
-}
-
-/// [`Search::progress`] on the serial engine, with heartbeats and
+/// [`Search::progress`] without threads, with heartbeats and
 /// witness export to `obs`. Kept for `benchmark/src/layers.rs`
 /// (`benchmark/README.md`, "Entry points into `ccr-*`").
 #[doc(hidden)]
@@ -212,148 +198,12 @@ where
     Search::default().progress(sys, budget, is_progress, obs)
 }
 
-/// Convenience: the serial check, unobserved, with progress = any
-/// completed rendezvous (`label.completes.is_some()`).
+/// Convenience: the check on the calling thread alone, unobserved, with
+/// progress = any completed rendezvous (`label.completes.is_some()`).
 pub fn check_progress_default<T: TransitionSystem>(sys: &T, budget: &Budget) -> ProgressReport {
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    serial(sys, budget, |l| l.completes.is_some(), &mut obs)
-}
-
-/// The progress check on the multi-threaded engine: the forward sweep
-/// runs level-synchronized across `cfg.threads` workers (reverse edges
-/// and per-state flags recorded shard-locally), then the backward
-/// propagation runs single-threaded on the merged CSR.
-///
-/// On a complete exploration the counts (`states`, `livelocked_states`,
-/// `deadlocked_states`) equal the serial checker's at any thread count.
-/// The witness is the minimal stuck state by `(depth, encoded state)` —
-/// deterministic across thread counts, always a shortest-depth witness,
-/// though possibly a different same-depth state than the serial checker
-/// picks.
-pub(crate) fn sharded<T, G>(
-    sys: &T,
-    budget: &Budget,
-    is_progress: G,
-    cfg: &ParallelConfig,
-    obs: &mut SearchObserver<'_>,
-) -> ProgressReport
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-    G: Fn(&Label) -> bool + Sync,
-{
-    let invariant = |_: &T::State| None::<String>;
-    let engine = parallel::Engine::new(
-        sys,
-        budget,
-        &invariant,
-        Some(&is_progress),
-        false,
-        cfg,
-        &obs.telemetry().registry,
-        &obs.telemetry().profiler,
-    );
-    let (outcome, _, edges) = parallel::run(&engine, obs);
-    let complete = outcome.is_complete();
-    // The single-threaded graph pass below (renumber, CSR, propagate) is
-    // the progress check's own cost — charge it to the coordinator.
-    let mut timer = obs.telemetry().profiler.worker(0);
-
-    // Renumber shard-local indices to dense global ids by prefix sums,
-    // and pull each shard's flags and depths into flat arrays.
-    let n_shards = engine.stripes.len();
-    let mut base = vec![0u32; n_shards + 1];
-    let mut flags: Vec<u8> = Vec::new();
-    let mut depths: Vec<u32> = Vec::new();
-    for (s, stripe) in engine.stripes.iter().enumerate() {
-        let sh = stripe.lock().expect("stripe");
-        base[s + 1] = base[s] + sh.store.len() as u32;
-        flags.extend_from_slice(&sh.flags);
-        depths.extend_from_slice(&sh.depth);
-    }
-    let n = base[n_shards] as usize;
-    let to_global = |r: u64| {
-        let (s, i) = unpack(r);
-        base[s] + i
-    };
-
-    let mapped: Vec<(u32, u32)> =
-        edges.iter().map(|&(d, s)| (to_global(d), to_global(s))).collect();
-    drop(edges);
-    let (offsets, targets) = build_csr(n, &mapped);
-    drop(mapped);
-    let seed: Vec<bool> = flags.iter().map(|f| f & FLAG_PROGRESS != 0).collect();
-    let good = propagate_good(n, &offsets, &targets, &seed);
-    timer.lap(SpanKind::Progress, 1);
-
-    // Judge only expanded states, as in the serial checker.
-    let mut deadlocked = 0usize;
-    let mut livelocked = 0usize;
-    for i in 0..n {
-        if flags[i] & FLAG_EXPANDED == 0 {
-            continue;
-        }
-        if flags[i] & FLAG_HAS_SUCC == 0 {
-            deadlocked += 1;
-        } else if !good[i] {
-            livelocked += 1;
-        }
-    }
-
-    // Witness: minimal stuck state by (depth, encoded bytes, kind), one
-    // candidate per shard then a global minimum.
-    let mut best: Option<(u32, Vec<u8>, u8, u64)> = None;
-    for (s, stripe) in engine.stripes.iter().enumerate() {
-        let sh = stripe.lock().expect("stripe");
-        for i in 0..sh.store.len() as u32 {
-            let gi = (base[s] + i) as usize;
-            let f = flags[gi];
-            if f & FLAG_EXPANDED == 0 {
-                continue;
-            }
-            let rank = if f & FLAG_HAS_SUCC == 0 {
-                0u8
-            } else if !good[gi] {
-                1u8
-            } else {
-                continue;
-            };
-            let d = depths[gi];
-            if let Some((bd, _, _, _)) = &best {
-                if d > *bd {
-                    continue;
-                }
-            }
-            let enc = sh.store.key_bytes(i).map(<[u8]>::to_vec).unwrap_or_default();
-            let cand = (d, enc, rank, pack(s, i));
-            let better = match &best {
-                None => true,
-                Some(b) => (cand.0, &cand.1, cand.2) < (b.0, &b.1, b.2),
-            };
-            if better {
-                best = Some(cand);
-            }
-        }
-    }
-    let (witness, witness_outcome) = match best {
-        Some((_, _, rank, state_ref)) => {
-            let out = if rank == 0 { Outcome::Deadlock } else { Outcome::Livelock };
-            (Some(engine.trail_to(state_ref)), Some(out))
-        }
-        None => (None, None),
-    };
-
-    conclude(sys, complete, witness.as_deref(), witness_outcome.as_ref(), obs);
-
-    ProgressReport {
-        states: n,
-        livelocked_states: livelocked,
-        deadlocked_states: deadlocked,
-        complete,
-        witness,
-        witness_outcome,
-    }
+    check(sys, budget, Inline::new(sys, false), |l| l.completes.is_some(), &mut obs)
 }
 
 #[cfg(test)]
@@ -502,37 +352,29 @@ mod tests {
     }
 
     #[test]
-    fn parallel_progress_matches_serial_on_healthy_specs() {
+    fn threads_do_not_change_the_report() {
+        fn same_at_every_thread_count<T>(sys: &T, what: &str) -> ProgressReport
+        where
+            T: TransitionSystem + Sync,
+            T::State: Send,
+        {
+            let serial = check_progress(sys, |l| l.completes.is_some(), 0);
+            for threads in [1usize, 2, 4] {
+                let fed = check_progress(sys, |l| l.completes.is_some(), threads);
+                assert_eq!(fed, serial, "{what} t={threads}");
+            }
+            serial
+        }
         let spec = token_spec();
         for n in [2u32, 3] {
-            let sys = RendezvousSystem::new(&spec, n);
-            let serial = check_progress_default(&sys, &Budget::default());
-            for threads in [1usize, 2, 4] {
-                let par = check_progress(&sys, |l| l.completes.is_some(), threads);
-                assert_eq!(par.states, serial.states, "n={n} t={threads}");
-                assert_eq!(par.livelocked_states, serial.livelocked_states, "n={n} t={threads}");
-                assert_eq!(par.deadlocked_states, serial.deadlocked_states, "n={n} t={threads}");
-                assert!(par.complete && par.holds(), "n={n} t={threads}");
-                assert!(par.witness.is_none());
-            }
+            let r = same_at_every_thread_count(&RendezvousSystem::new(&spec, n), "token rv");
+            assert!(r.complete && r.holds() && r.witness.is_none(), "n={n}");
         }
-    }
-
-    #[test]
-    fn parallel_progress_on_async_refinement_matches_serial() {
-        let spec = token_spec();
         let refined = refine(&spec, &RefineOptions::default()).unwrap();
         let sys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
-        let serial = check_progress_default(&sys, &Budget::default());
-        let par = check_progress(&sys, |l| l.completes.is_some(), 4);
-        assert_eq!(par.states, serial.states);
-        assert_eq!(par.livelocked_states, serial.livelocked_states);
-        assert_eq!(par.deadlocked_states, serial.deadlocked_states);
-        assert_eq!(par.holds(), serial.holds());
-    }
+        assert!(same_at_every_thread_count(&sys, "token async").holds());
 
-    #[test]
-    fn parallel_progress_finds_deadlock_and_witness_replays() {
+        // A deadlocking spec: the witness is the serial one, trail included.
         let mut b = ProtocolBuilder::new("dead");
         let m = b.msg("m");
         let never = b.msg("never");
@@ -543,25 +385,8 @@ mod tests {
         b.remote(r0).send(m).goto(r1);
         b.remote(r1).recv(never).goto(r0);
         let spec = b.finish().unwrap();
-        let sys = RendezvousSystem::new(&spec, 2);
-        let serial = check_progress_default(&sys, &Budget::default());
-        let mut reference: Option<(usize, usize, usize)> = None;
-        for threads in [1usize, 2, 4] {
-            let par = check_progress(&sys, |l| l.completes.is_some(), threads);
-            assert_eq!(par.states, serial.states, "t={threads}");
-            assert_eq!(par.deadlocked_states, serial.deadlocked_states, "t={threads}");
-            assert_eq!(par.livelocked_states, serial.livelocked_states, "t={threads}");
-            assert_eq!(par.witness_outcome, Some(Outcome::Deadlock), "t={threads}");
-            let trail = par.witness.clone().expect("witness trail");
-            let end = crate::trace::replay_trail(&sys, &trail).expect("witness replays");
-            let mut succs = Vec::new();
-            sys.successors(&end, &mut succs).unwrap();
-            assert!(succs.is_empty(), "witness leads to a stuck state");
-            let key = (par.states, par.deadlocked_states, trail.len());
-            match &reference {
-                None => reference = Some(key),
-                Some(r) => assert_eq!(&key, r, "t={threads}"),
-            }
-        }
+        let r = same_at_every_thread_count(&RendezvousSystem::new(&spec, 2), "dead rv");
+        assert_eq!(r.witness_outcome, Some(Outcome::Deadlock));
+        assert!(r.witness.is_some());
     }
 }

@@ -92,7 +92,7 @@ impl ExploreReport {
     }
 }
 
-/// What one exploration reports, whichever engine ran it — the single
+/// What one exploration reports, at whatever thread count — the single
 /// result type of [`crate::search::Search::explore`]. The two serialised
 /// shapes the `--json` documents embed are views of it:
 /// [`SearchReport::explore_report`] (a `ccr table` row) and
@@ -107,8 +107,7 @@ pub struct SearchReport {
     pub elapsed: Duration,
     /// Approximate memory used by the visited set, in bytes.
     pub store_bytes: usize,
-    /// Maximum BFS frontier size (the largest level on the sharded
-    /// engine).
+    /// Maximum BFS frontier size.
     pub peak_frontier: usize,
     /// How the run ended.
     pub outcome: Outcome,

@@ -4,21 +4,28 @@
 //! states visited and wall time, with a budget standing in for SPIN's 64 MB
 //! memory limit — exceeding it yields [`Outcome::Unfinished`], matching the
 //! paper's "Unfinished" table entries.
+//!
+//! There is one sweep, [`drive`], on the calling thread at every thread
+//! count. What [`Search::threads`] selects is only where a state's
+//! successors and their encodings come from: generated inline
+//! ([`Inline`]), or by worker threads that expand the frontier ahead of
+//! the sweep in chunks it merges strictly in discovery order ([`Fed`]) —
+//! see `docs/parallel_checking.md`.
 
-use crate::parallel::{self, ParallelConfig, ParallelPersist};
 use crate::persist::{
     CrashSwitch, LockGuard, LogTier, Manifest, ManifestWriter, PResult, PersistError, PhaseDir,
 };
 use crate::progress;
 use crate::report::{ExploreReport, Outcome, ProgressReport, SearchReport};
-use crate::store::StateStore;
+use crate::store::{hash_encoded, StateStore};
 use crate::trace::{conclude_with_trail, rebuild_trail, Parent, ROOT};
-use ccr_metrics::profile::{Profiler, SpanKind};
+use ccr_metrics::profile::{Profiler, SpanKind, SpanTimer};
 use ccr_metrics::status::{RunStatus, StatusWriter};
 use ccr_metrics::timeseries::{Recorder, SampleInput};
 use ccr_metrics::Registry;
-use ccr_runtime::{Label, TransitionSystem};
+use ccr_runtime::{Label, RuntimeError, TransitionSystem};
 use ccr_trace::{NullSink, TraceEvent, TraceSink};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -27,38 +34,18 @@ use std::time::{Duration, Instant};
 pub(crate) const PROBE_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32];
 /// Inclusive `le` bounds for the encoded-state-length histogram.
 pub(crate) const STATE_BYTES_BOUNDS: &[u64] = &[8, 16, 24, 32, 48, 64, 96, 128];
-/// Inclusive `le` bounds for the per-level frontier-size histogram.
-pub(crate) const LEVEL_FRONTIER_BOUNDS: &[u64] = &[16, 64, 256, 1024, 4096, 16384, 65536, 262144];
 
 /// Folds one finished search into `reg` (a no-op on a null registry):
 /// the deterministic run totals plus the post-hoc store-shape
-/// histograms. Serial explorers call this once per run; the parallel
-/// engine records the same names from its own totals so serial and
-/// parallel snapshots of the same state space agree on every
-/// deterministic counter.
+/// histograms — probe displacements (tagged nondeterministic: a property
+/// of the table layout, not of the state space) and encoded state
+/// lengths (a multiset property of the reachable set).
 pub(crate) fn record_search_run(
     reg: &Registry,
     states: usize,
     transitions: usize,
     peak_frontier: usize,
     store: &StateStore,
-) {
-    if !reg.enabled() {
-        return;
-    }
-    record_run_totals(reg, states, transitions, peak_frontier, store.approx_bytes());
-    record_store_shape(reg, store);
-}
-
-/// The deterministic run totals alone — shared between the serial
-/// explorers (which have one store) and the parallel engine (which sums
-/// its shard stripes before calling).
-pub(crate) fn record_run_totals(
-    reg: &Registry,
-    states: usize,
-    transitions: usize,
-    peak_frontier: usize,
-    store_bytes: usize,
 ) {
     if !reg.enabled() {
         return;
@@ -70,16 +57,7 @@ pub(crate) fn record_run_totals(
     reg.gauge("mc_peak_frontier", "Largest BFS frontier observed in any run")
         .record_max(peak_frontier as u64);
     reg.gauge("mc_store_bytes", "Largest state-store footprint observed in any run")
-        .record_max(store_bytes as u64);
-}
-
-/// Post-hoc store-shape histograms: probe displacements (insertion-order
-/// dependent, hence tagged nondeterministic) and encoded state lengths
-/// (a multiset property of the reachable set, hence deterministic).
-pub(crate) fn record_store_shape(reg: &Registry, store: &StateStore) {
-    if !reg.enabled() {
-        return;
-    }
+        .record_max(store.approx_bytes() as u64);
     let probes = reg.histogram_nondet(
         "mc_store_probe_len",
         "Open-addressing probe displacement per occupied slot",
@@ -124,8 +102,8 @@ impl Budget {
         Self { max_bytes: b, ..Self::default() }
     }
 
-    /// The one serial budget test: [`drive`] asks it after every newly
-    /// stored state.
+    /// The one budget test: [`drive`] asks it after every newly stored
+    /// state.
     fn exceeded(&self, store: &StateStore, started: Instant) -> bool {
         store.len() >= self.max_states
             || store.approx_bytes() >= self.max_bytes
@@ -156,7 +134,7 @@ pub struct Telemetry {
     /// Metrics registry searches fold their run totals and store-shape
     /// histograms into.
     pub registry: Registry,
-    /// Span profiler the engines time themselves into; status snapshots
+    /// Span profiler the sweep and its workers time themselves into; status snapshots
     /// and timeline samples carry its per-kind split.
     pub profiler: Profiler,
     /// Live status file (atomic rename, see [`ccr_metrics::status`]) that
@@ -307,7 +285,7 @@ impl StatusReporter {
 /// [`TraceEvent::Heartbeat`] events (states visited, frontier size,
 /// store bytes, exploration rate) to a [`TraceSink`], live status
 /// snapshots and timeline samples, all on one wall-clock interval, plus
-/// the registry and profiler the engines record into.
+/// the registry and profiler the search records into.
 ///
 /// With a disabled sink, no status file and no recorder the
 /// per-expansion cost is the one comparison at the top of
@@ -362,11 +340,11 @@ impl<'s> SearchObserver<'s> {
         &self.telemetry
     }
 
-    /// Called by searches once per expanded state with what the engine
-    /// knows at that point (cumulative counts are absolute; fields an
-    /// engine does not track stay at their defaults). A caller that is
-    /// already wall-clock paced — the parallel pump loop sleeps a quantum
-    /// between ticks — says so, and the clock is read on this tick
+    /// Called by the sweep once per expanded state with what it knows at
+    /// that point (cumulative counts are absolute; fields it does not
+    /// track stay at their defaults). A caller that is already
+    /// wall-clock paced — the sweep waiting a quantum at a time for its
+    /// workers' next chunk — says so, and the clock is read on this tick
     /// instead of being amortised over `PROBE_EVERY` calls, which would
     /// stretch the sampling interval sixteenfold.
     #[inline]
@@ -435,8 +413,7 @@ impl<'s> SearchObserver<'s> {
 #[derive(Debug, Clone)]
 pub struct PersistOpts {
     /// Wall-clock checkpoint cadence; `Duration::ZERO` checkpoints at
-    /// every opportunity (every expansion serially, every level in the
-    /// parallel engine).
+    /// every opportunity (every expansion).
     pub interval: Duration,
     /// Store-byte threshold that evicts the arena to disk; 0 keeps all
     /// state bytes in RAM (log-only mode: crash-safe, not RAM-capped).
@@ -459,22 +436,21 @@ impl Default for PersistOpts {
     }
 }
 
-/// Result of opening a persistence directory: either a context to run
-/// with, or the terminal manifest of a phase that already finished
-/// (nothing to re-run — the report is restored from it).
-pub enum PersistOpen<P> {
+/// What [`SerialPersist::open`] returns: either a context to run with,
+/// or the terminal manifest of a phase that already finished (nothing to
+/// re-run — the report is restored from it).
+pub enum SerialPersistOpen {
     /// Run (fresh or resumed) with this context.
-    Run(Box<P>),
+    Run(Box<SerialPersist>),
     /// A prior run already finished with this manifest.
     Finished(Manifest),
 }
 
-/// What [`SerialPersist::open`] returns.
-pub type SerialPersistOpen = PersistOpen<SerialPersist>;
-
-/// Serial-engine persistence: the phase directory, its writer lock, the
+/// The sweep's persistence: the phase directory, its writer lock, the
 /// recovered (or fresh) store, and the checkpoint cadence. Opened by
-/// [`Search::explore`] and threaded through the serial sweep.
+/// [`Search::explore`] and threaded through [`drive`]; checkpoints cut
+/// between expansions, so they are the same at every thread count and a
+/// run resumes at any other.
 pub struct SerialPersist {
     dir: PhaseDir,
     _lock: LockGuard,
@@ -498,26 +474,29 @@ impl SerialPersist {
     /// [`SerialPersistOpen::Finished`] instead. Without `opts.resume`
     /// any stale files are wiped and a fresh log is created.
     pub fn open(root: &Path, opts: &PersistOpts) -> PResult<SerialPersistOpen> {
-        let dir = PhaseDir::create(root, 1)?;
+        let dir = PhaseDir::create(root)?;
         let lock = LockGuard::acquire(dir.lock())?;
         let prior = if opts.resume { Manifest::read(&dir.manifest())? } else { None };
+        // The one manifest kind. (Binaries that still had the sharded
+        // engine wrote `parallel` ones, one log per shard; their stopped
+        // runs counted differently, so not even a finished one is read.)
+        if let Some(m) = prior.as_ref().filter(|m| m.kind != "serial") {
+            return Err(PersistError::new(
+                dir.manifest(),
+                format!("manifest kind `{}`, expected `serial`", m.kind),
+            ));
+        }
         let (store, resumed, head0, transitions0, peak0, elapsed_base, seq0) = match prior {
             Some(m) if m.finished => return Ok(SerialPersistOpen::Finished(m)),
             Some(m) => {
-                if m.kind != "serial" {
-                    return Err(PersistError::new(
-                        dir.manifest(),
-                        format!("manifest kind `{}`, expected `serial`", m.kind),
-                    ));
-                }
                 let &(bytes, records) = m.committed.first().ok_or_else(|| {
                     PersistError::new(dir.manifest(), "manifest has no committed entry")
                 })?;
                 let mut store = StateStore::new();
                 let keep_payloads = opts.evict_at == 0;
                 let tier = LogTier::recover(
-                    dir.log(0),
-                    &dir.idx(0),
+                    dir.log(),
+                    &dir.idx(),
                     Some(bytes),
                     opts.evict_at,
                     !keep_payloads,
@@ -527,7 +506,7 @@ impl SerialPersist {
                 )?;
                 if tier.records() as u64 != records {
                     return Err(PersistError::new(
-                        dir.log(0),
+                        dir.log(),
                         format!(
                             "log holds {} committed records, manifest says {records}",
                             tier.records()
@@ -548,7 +527,7 @@ impl SerialPersist {
             None => {
                 dir.wipe()?;
                 let mut store = StateStore::new();
-                store.attach_tier(Box::new(LogTier::create(dir.log(0), opts.evict_at)?));
+                store.attach_tier(Box::new(LogTier::create(dir.log(), opts.evict_at)?));
                 (store, false, 0, 0, 0, Duration::ZERO, 0)
             }
         };
@@ -595,7 +574,7 @@ impl SerialPersist {
         elapsed: Duration,
         finished: Option<&Outcome>,
     ) -> PResult<()> {
-        let idx_path = self.dir.idx(0);
+        let idx_path = self.dir.idx();
         let states = store.len() as u64;
         let tier = store.tier_mut().expect("persist run without a tier");
         let (bytes, records) = tier.sync();
@@ -794,22 +773,507 @@ impl DriveRun {
     }
 }
 
-/// The one serial sweep: reachability over `sys` within `budget`, in BFS
-/// or DFS order (`depth_first`), with optional parent tracking
-/// (`track_trails`, eight bytes per state — see [`crate::trace::Parent`])
-/// for shortest-counterexample reconstruction. What the sweep is *for*
-/// is the `checker`'s business ([`Checker`]): plain exploration,
-/// Equation 1 ([`crate::simrel`]) and the progress check
-/// ([`crate::progress`]) are three checkers on this loop.
+/// Where a sweep's successors and their encodings come from — the one
+/// thing [`Search::threads`] selects. [`drive`] is monomorphised over it:
+/// [`Inline`] generates and encodes on the sweep's own thread, [`Fed`]
+/// takes both from worker threads running ahead of the sweep. Either way
+/// the source also holds the frontier, since handing states out for
+/// expansion is what the two do differently.
+pub(crate) trait Source<T: TransitionSystem> {
+    /// Whether states come back in the order they went in (index order).
+    /// Checkpoints rest on it.
+    fn breadth_first(&self) -> bool {
+        true
+    }
+
+    /// Queues a stored state for expansion.
+    fn push(&mut self, state: T::State, idx: u32);
+
+    /// States queued and not yet handed back by [`Source::pop`].
+    fn len(&self) -> usize;
+
+    /// The next state to expand; `Ok(None)` once the frontier is spent.
+    /// A source that has to wait calls `idle` once per heartbeat quantum
+    /// with its queue depths, and gives up with `Err` when that returns
+    /// true.
+    fn pop(
+        &mut self,
+        timer: &mut SpanTimer,
+        idle: &mut dyn FnMut(&[u64]) -> bool,
+    ) -> Result<Option<(T::State, u32)>, Outcome>;
+
+    /// Leaves the successors of `state` — the state last popped — in
+    /// `succs`.
+    fn expand(
+        &mut self,
+        sys: &T,
+        state: &T::State,
+        succs: &mut Vec<(Label, T::State)>,
+    ) -> ccr_runtime::Result<()>;
+
+    /// Looks `next` — the following successor of that state, in order —
+    /// up in `store`, storing it when new.
+    fn insert(
+        &mut self,
+        sys: &T,
+        store: &mut StateStore,
+        next: &T::State,
+        timer: &mut SpanTimer,
+    ) -> (u32, bool);
+
+    /// The sweep is done with `state`: an expanded state, or a successor
+    /// that was already stored.
+    fn discard(&mut self, _state: T::State) {}
+}
+
+/// Encodes `state` and looks it up in `store`, storing it when new. With
+/// a size bound (`fast_cap`) the state is encoded exactly once, directly
+/// into the store's bump arena, and a duplicate rolls the bump pointer
+/// back; systems without one keep the reference encode-to-`Vec` path.
+#[inline]
+fn encode_insert<T: TransitionSystem>(
+    sys: &T,
+    store: &mut StateStore,
+    state: &T::State,
+    fast_cap: Option<usize>,
+    enc: &mut Vec<u8>,
+    timer: &mut SpanTimer,
+) -> (u32, bool) {
+    if let Some(cap) = fast_cap {
+        let slot = store.begin_insert(cap);
+        let written = sys.encode_into(state, store.slot_buf(&slot));
+        timer.lap(SpanKind::Encode, 1);
+        let r = store.commit_insert(slot, written);
+        timer.lap(SpanKind::Insert, 1);
+        r
+    } else {
+        sys.encode(state, enc);
+        timer.lap(SpanKind::Encode, 1);
+        let r = store.insert(enc);
+        timer.lap(SpanKind::Insert, 1);
+        r
+    }
+}
+
+/// The serial source: a queue (or, `depth_first`, a stack) of states,
+/// each expanded and its successors encoded when the sweep gets to it.
+pub(crate) struct Inline<S> {
+    frontier: VecDeque<(S, u32)>,
+    depth_first: bool,
+    fast_cap: Option<usize>,
+    enc: Vec<u8>,
+}
+
+impl<S> Inline<S> {
+    pub(crate) fn new<T: TransitionSystem<State = S>>(sys: &T, depth_first: bool) -> Self {
+        Inline {
+            frontier: VecDeque::new(),
+            depth_first,
+            fast_cap: sys.max_encoded_len(),
+            enc: Vec::new(),
+        }
+    }
+}
+
+impl<T: TransitionSystem> Source<T> for Inline<T::State> {
+    fn breadth_first(&self) -> bool {
+        !self.depth_first
+    }
+
+    #[inline]
+    fn push(&mut self, state: T::State, idx: u32) {
+        self.frontier.push_back((state, idx));
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.frontier.len()
+    }
+
+    #[inline]
+    fn pop(
+        &mut self,
+        _timer: &mut SpanTimer,
+        _idle: &mut dyn FnMut(&[u64]) -> bool,
+    ) -> Result<Option<(T::State, u32)>, Outcome> {
+        Ok(if self.depth_first { self.frontier.pop_back() } else { self.frontier.pop_front() })
+    }
+
+    #[inline]
+    fn expand(
+        &mut self,
+        sys: &T,
+        state: &T::State,
+        succs: &mut Vec<(Label, T::State)>,
+    ) -> ccr_runtime::Result<()> {
+        sys.successors(state, succs)
+    }
+
+    #[inline]
+    fn insert(
+        &mut self,
+        sys: &T,
+        store: &mut StateStore,
+        next: &T::State,
+        timer: &mut SpanTimer,
+    ) -> (u32, bool) {
+        encode_insert(sys, store, next, self.fast_cap, &mut self.enc, timer)
+    }
+}
+
+/// Frontier states per chunk, and chunks handed out and not yet merged
+/// per worker. Together they bound what the workers' head start holds in
+/// memory (states × fan-out successors each): at 64 × 2 the large-store
+/// shape peaks within 2% of the serial run's RSS at one worker, and
+/// 128 × 4 was no faster on either benchmark shape.
+const CHUNK_STATES: usize = 64;
+const CHUNKS_PER_WORKER: u64 = 2;
+
+/// A run of frontier states in discovery order, and — once a worker has
+/// been over it — everything the sweep needs to merge them: each state's
+/// successor list and every successor's hash and encoding. The buffers
+/// cycle: a merged chunk goes out again as a later job, so in the steady
+/// state nothing is allocated, and nothing a worker allocated is freed
+/// on the sweep's thread (`spent` carries the states the sweep is done
+/// with back to a worker to drop).
+struct Chunk<T: TransitionSystem> {
+    seq: u64,
+    states: VecDeque<(T::State, u32)>,
+    /// `succs[i]` are the successors of the chunk's `i`-th state.
+    succs: Vec<Vec<(Label, T::State)>>,
+    /// The first state `successors` failed on, with its error; the states
+    /// after it were not expanded (the sweep never gets past it).
+    failed: Option<(usize, RuntimeError)>,
+    /// Per successor, in order: its hash, and where its encoding ends in
+    /// `bytes` (it starts where the one before ends).
+    keys: Vec<(u64, usize)>,
+    bytes: Vec<u8>,
+    spent: Vec<T::State>,
+}
+
+impl<T: TransitionSystem> Chunk<T> {
+    fn new() -> Self {
+        Chunk {
+            seq: 0,
+            states: VecDeque::new(),
+            succs: Vec::new(),
+            failed: None,
+            keys: Vec::new(),
+            bytes: Vec::new(),
+            spent: Vec::new(),
+        }
+    }
+
+    /// The worker's half of an expansion, for every state of the chunk:
+    /// generate, encode, hash. Workers contribute time to the profile;
+    /// the span *counts* are charged when the sweep merges the state.
+    fn expand(&mut self, sys: &T, enc: &mut Vec<u8>, timer: &mut SpanTimer) {
+        self.spent.clear();
+        self.keys.clear();
+        self.bytes.clear();
+        self.failed = None;
+        if self.succs.len() < self.states.len() {
+            self.succs.resize_with(self.states.len(), Vec::new);
+        }
+        let fast_cap = sys.max_encoded_len();
+        for (i, (state, _)) in self.states.iter().enumerate() {
+            if let Err(e) = sys.successors(state, &mut self.succs[i]) {
+                self.failed = Some((i, e));
+                return;
+            }
+            timer.lap(SpanKind::Compute, 0);
+            for (_, next) in &self.succs[i] {
+                let start = self.bytes.len();
+                if let Some(cap) = fast_cap {
+                    self.bytes.resize(start + cap, 0);
+                    let written = sys.encode_into(next, &mut self.bytes[start..]);
+                    self.bytes.truncate(start + written);
+                } else {
+                    sys.encode(next, enc);
+                    self.bytes.extend_from_slice(enc);
+                }
+                self.keys.push((hash_encoded(&self.bytes[start..]), self.bytes.len()));
+            }
+            timer.lap(SpanKind::Encode, 0);
+        }
+    }
+}
+
+/// What a worker sends back: an expanded chunk, or `None` from the drop
+/// guard of a worker that is unwinding.
+type Expanded<T> = Option<Chunk<T>>;
+
+/// Tells the sweep that this worker died: with in-order merging, a chunk
+/// that never comes back would otherwise block it forever.
+struct Poison<'a, T: TransitionSystem>(&'a Sender<Expanded<T>>);
+
+impl<T: TransitionSystem> Drop for Poison<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.0.send(None);
+        }
+    }
+}
+
+/// One expansion worker: chunks in, expanded chunks out, until the sweep
+/// hangs up.
+fn work<T: TransitionSystem>(
+    sys: &T,
+    jobs: Receiver<Chunk<T>>,
+    done: Sender<Expanded<T>>,
+    stall_ms: u64,
+    mut timer: SpanTimer,
+) {
+    let _poison = Poison::<T>(&done);
+    // Injected stall (CI watchdog exercise): the sweep sees no chunk come
+    // back while the run is demonstrably alive.
+    if stall_ms > 0 {
+        std::thread::sleep(Duration::from_millis(stall_ms));
+    }
+    let mut enc = Vec::new();
+    timer.mark();
+    loop {
+        let job = jobs.recv();
+        timer.lap(SpanKind::BarrierWait, 1);
+        let Ok(mut chunk) = job else { return };
+        chunk.expand(sys, &mut enc, &mut timer);
+        if done.send(Some(chunk)).is_err() {
+            return;
+        }
+        timer.lap(SpanKind::Ship, 1);
+    }
+}
+
+/// The threaded source: the frontier goes out to the workers in chunks,
+/// in discovery order and ahead of the sweep, and the expanded chunks
+/// are merged strictly by sequence number — so the sweep sees every
+/// state, successor and encoding in exactly the order [`Inline`] would
+/// have produced them, and every index, count, stop point, trail and
+/// checkpoint is the serial run's by construction. One consumer knows
+/// when nothing is outstanding; there is no termination protocol.
+pub(crate) struct Fed<T: TransitionSystem> {
+    /// Discovered, not yet handed out.
+    frontier: VecDeque<(T::State, u32)>,
+    /// Discovered, not yet popped: the serial frontier length.
+    pending: usize,
+    jobs: Sender<Chunk<T>>,
+    /// The workers' end of `jobs`, kept to take back what is still queued
+    /// when the sweep ends early.
+    queued: Receiver<Chunk<T>>,
+    done: Receiver<Expanded<T>>,
+    workers: u64,
+    quantum: Duration,
+    /// Chunks handed out, received back, and taken up for merging.
+    sent: u64,
+    received: u64,
+    merged: u64,
+    /// Received out of order, waiting for their turn.
+    ready: Vec<Chunk<T>>,
+    /// The chunk being merged, and the sweep's place in it: the state
+    /// last popped, the next key, the start of its bytes.
+    cur: Chunk<T>,
+    at: usize,
+    key: usize,
+    byte: usize,
+    /// Merged chunks, to go out again.
+    spare: Vec<Chunk<T>>,
+}
+
+impl<T: TransitionSystem> Fed<T> {
+    /// Hands out frontier states while there is room in flight: full
+    /// chunks, and a partial one only when a worker would otherwise idle.
+    fn dispatch(&mut self, timer: &mut SpanTimer) {
+        while self.sent - self.merged < CHUNKS_PER_WORKER * self.workers
+            && (self.frontier.len() >= CHUNK_STATES
+                || (!self.frontier.is_empty() && self.sent - self.received < self.workers))
+        {
+            let mut chunk = self.spare.pop().unwrap_or_else(Chunk::new);
+            chunk.seq = self.sent;
+            let n = self.frontier.len().min(CHUNK_STATES);
+            chunk.states.extend(self.frontier.drain(..n));
+            // A failed send means the workers are gone; the wait for this
+            // chunk reports it.
+            let _ = self.jobs.send(chunk);
+            self.sent += 1;
+            timer.lap(SpanKind::Ship, 1);
+        }
+    }
+
+    /// Makes the next chunk in sequence the current one, waiting for it a
+    /// heartbeat quantum at a time.
+    fn next_chunk(
+        &mut self,
+        timer: &mut SpanTimer,
+        idle: &mut dyn FnMut(&[u64]) -> bool,
+    ) -> Result<(), Outcome> {
+        loop {
+            if let Some(i) = self.ready.iter().position(|c| c.seq == self.merged) {
+                let merged = std::mem::replace(&mut self.cur, self.ready.swap_remove(i));
+                self.spare.push(merged);
+                self.merged += 1;
+                (self.at, self.key, self.byte) = (0, 0, 0);
+                timer.lap(SpanKind::Drain, 1);
+                return Ok(());
+            }
+            match self.done.recv_timeout(self.quantum) {
+                Ok(Some(chunk)) => {
+                    self.received += 1;
+                    self.ready.push(chunk);
+                }
+                Ok(None) | Err(RecvTimeoutError::Disconnected) => panic!("worker panicked"),
+                Err(RecvTimeoutError::Timeout) => {
+                    if idle(&[self.sent - self.received, self.ready.len() as u64]) {
+                        return Err(Outcome::Unfinished);
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl<T: TransitionSystem> Source<T> for Fed<T> {
+    fn push(&mut self, state: T::State, idx: u32) {
+        self.frontier.push_back((state, idx));
+        self.pending += 1;
+    }
+
+    fn len(&self) -> usize {
+        self.pending
+    }
+
+    fn pop(
+        &mut self,
+        timer: &mut SpanTimer,
+        idle: &mut dyn FnMut(&[u64]) -> bool,
+    ) -> Result<Option<(T::State, u32)>, Outcome> {
+        loop {
+            self.dispatch(timer);
+            if let Some(next) = self.cur.states.pop_front() {
+                self.pending -= 1;
+                return Ok(Some(next));
+            }
+            if self.merged == self.sent {
+                return Ok(None);
+            }
+            self.next_chunk(timer, idle)?;
+        }
+    }
+
+    fn expand(
+        &mut self,
+        _sys: &T,
+        _state: &T::State,
+        succs: &mut Vec<(Label, T::State)>,
+    ) -> ccr_runtime::Result<()> {
+        let i = self.at;
+        self.at += 1;
+        if let Some((_, e)) = self.cur.failed.take_if(|(at, _)| *at == i) {
+            return Err(e);
+        }
+        // The sweep's drained buffer goes back into the chunk.
+        std::mem::swap(succs, &mut self.cur.succs[i]);
+        Ok(())
+    }
+
+    fn insert(
+        &mut self,
+        _sys: &T,
+        store: &mut StateStore,
+        _next: &T::State,
+        timer: &mut SpanTimer,
+    ) -> (u32, bool) {
+        let (hash, end) = self.cur.keys[self.key];
+        let enc = &self.cur.bytes[self.byte..end];
+        (self.key, self.byte) = (self.key + 1, end);
+        timer.lap(SpanKind::Encode, 1);
+        let r = store.insert_hashed(hash, enc);
+        timer.lap(SpanKind::Insert, 1);
+        r
+    }
+
+    fn discard(&mut self, state: T::State) {
+        self.cur.spent.push(state);
+    }
+}
+
+/// An ended sweep wants no more than the chunks already being expanded:
+/// what is still queued is taken back before the workers are hung up on.
+impl<T: TransitionSystem> Drop for Fed<T> {
+    fn drop(&mut self) {
+        while self.queued.try_recv().is_ok() {}
+    }
+}
+
+/// Runs `sweep` with a source fed by `threads` scoped workers (profiled
+/// as workers `1..=threads`; the sweep is worker 0), each sleeping
+/// `stall_ms` before its first chunk. The workers are gone when this
+/// returns, and a worker's panic is the search's — the sweep re-raises it
+/// instead of waiting for a chunk that will not come, and the scope does
+/// if the sweep ended before it needed that chunk.
+fn feed<T, R>(
+    sys: &T,
+    threads: usize,
+    stall_ms: u64,
+    telemetry: &Telemetry,
+    sweep: impl FnOnce(Fed<T>) -> R,
+) -> R
+where
+    T: TransitionSystem + Sync,
+    T::State: Send,
+{
+    let (jobs, queued) = unbounded();
+    let (outbox, done) = unbounded();
+    telemetry
+        .registry
+        .gauge_nondet("mc_workers", "Worker threads used by the widest threaded search")
+        .record_max(threads as u64);
+    std::thread::scope(|scope| {
+        for w in 1..=threads {
+            let (inbox, outbox) = (queued.clone(), outbox.clone());
+            let timer = telemetry.profiler.worker(w);
+            scope.spawn(move || work(sys, inbox, outbox, stall_ms, timer));
+        }
+        drop(outbox);
+        sweep(Fed {
+            frontier: VecDeque::new(),
+            pending: 0,
+            jobs,
+            queued,
+            done,
+            workers: threads as u64,
+            quantum: telemetry.interval.clamp(Duration::from_millis(1), Duration::from_millis(100)),
+            sent: 0,
+            received: 0,
+            merged: 0,
+            ready: Vec::new(),
+            cur: Chunk::new(),
+            at: 0,
+            key: 0,
+            byte: 0,
+            spare: Vec::new(),
+        })
+    })
+}
+
+/// The one sweep: reachability over `sys` within `budget`, expanding the
+/// states `src` hands back — in BFS order, or DFS from an [`Inline`]
+/// stack — with optional parent tracking (`track_trails`, eight bytes per
+/// state — see [`crate::trace::Parent`]) for shortest-counterexample
+/// reconstruction. What the sweep is *for* is the `checker`'s business
+/// ([`Checker`]): plain exploration, Equation 1 ([`crate::simrel`]) and
+/// the progress check ([`crate::progress`]) are three checkers on this
+/// loop.
 ///
 /// Keeping the expansion loop in one place is also what lets a
 /// state-space reduction (e.g. [`crate::symmetry`]) slot in under every
-/// serial check at once via [`ccr_runtime::TransitionSystem::encode`].
-pub(crate) fn drive<T: TransitionSystem, C: Checker<T>>(
+/// check at once via [`ccr_runtime::TransitionSystem::encode`], and what
+/// makes threads invisible: every count, index and stop point below is
+/// decided here, on one thread, whatever `src` is.
+pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
     sys: &T,
     budget: &Budget,
     checker: &mut C,
-    depth_first: bool,
+    mut src: S,
     track_trails: bool,
     obs: &mut SearchObserver<'_>,
     mut persist: Option<&mut SerialPersist>,
@@ -817,14 +1281,11 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>>(
     let started = Instant::now();
     let mut store = persist.as_deref_mut().and_then(|p| p.store.take()).unwrap_or_default();
     let mut parents: Vec<Parent> = Vec::new();
-    let mut frontier: VecDeque<(T::State, u32)> = VecDeque::new();
     let mut succs: Vec<(Label, T::State)> = Vec::new();
-    let mut enc = Vec::new();
     let mut transitions = 0usize;
     let mut peak_frontier = 0usize;
     let mut timer = obs.telemetry().profiler.worker(0);
     let mut at = SampleInput::default();
-    let fast_cap = sys.max_encoded_len();
     let resumed = persist.as_deref().is_some_and(|p| p.resumed);
     // A resumed run has no parent pointers for recovered states, so
     // trail reconstruction is disabled: the counts and outcome are
@@ -859,7 +1320,7 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>>(
         };
     }
 
-    if persist.is_some() && depth_first {
+    if persist.is_some() && !src.breadth_first() {
         done!(Outcome::PersistFailure("depth-first search does not support persistence".into()));
     }
 
@@ -876,32 +1337,36 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>>(
                     "recovered state {i} does not decode (system without decode support?)"
                 )));
             };
-            frontier.push_back((state, i));
+            src.push(state, i);
         }
     } else {
+        // The root is nobody's successor: encoded here whatever the
+        // source, and charged to no span.
         let init = sys.initial();
-        match fast_cap {
-            Some(cap) => {
-                let slot = store.begin_insert(cap);
-                let written = sys.encode_into(&init, store.slot_buf(&slot));
-                store.commit_insert(slot, written);
-            }
-            None => {
-                sys.encode(&init, &mut enc);
-                store.insert(&enc);
-            }
-        }
+        let mut unprofiled = Profiler::disabled().worker(0);
+        let cap = sys.max_encoded_len();
+        encode_insert(sys, &mut store, &init, cap, &mut Vec::new(), &mut unprofiled);
         if track_trails {
             parents.push(ROOT);
         }
         check!(checker.on_new(&init, 0), 0);
-        frontier.push_back((init, 0));
+        src.push(init, 0);
     }
 
-    while let Some((state, idx)) =
-        if depth_first { frontier.pop_back() } else { frontier.pop_front() }
-    {
-        peak_frontier = peak_frontier.max(frontier.len() + 1);
+    loop {
+        // While the source waits for its workers the sweep stays alive to
+        // its observer — heartbeats, status, the stall watchdog — and to
+        // the wall-clock budget.
+        let popped = src.pop(&mut timer, &mut |queues| {
+            obs.tick(&SampleInput { queues, ..at.clone() }, true);
+            budget.max_time.is_some_and(|t| started.elapsed() >= t)
+        });
+        let (state, idx) = match popped {
+            Ok(Some(next)) => next,
+            Ok(None) => done!(Outcome::Complete),
+            Err(outcome) => done!(outcome),
+        };
+        peak_frontier = peak_frontier.max(src.len() + 1);
         if let Some(p) = persist.as_deref_mut() {
             if store.tier().is_some_and(LogTier::has_err) {
                 let e = store.tier_mut().and_then(LogTier::take_err).expect("sticky error");
@@ -933,11 +1398,11 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>>(
         }
         at.states = store.len() as u64;
         at.transitions = transitions as u64;
-        at.frontier = frontier.len() as u64 + 1;
+        at.frontier = src.len() as u64 + 1;
         at.store_bytes = store.approx_bytes() as u64;
         obs.tick(&at, false);
         check!(checker.on_expand(&state, idx), idx);
-        if let Err(e) = sys.successors(&state, &mut succs) {
+        if let Err(e) = src.expand(sys, &state, &mut succs) {
             done!(Outcome::RuntimeFailure(e), Some(idx));
         }
         timer.lap(SpanKind::Compute, 1);
@@ -945,26 +1410,10 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>>(
         for (ordinal, (label, next)) in succs.drain(..).enumerate() {
             transitions += 1;
             check!(checker.on_edge(&state, &label, &next), idx);
-            // Zero-copy fast path: encode the successor exactly once,
-            // directly into the store's bump arena; a duplicate rolls the
-            // bump pointer back. Systems without a size bound keep the
-            // reference encode-to-Vec path.
-            let (nidx, is_new) = if let Some(cap) = fast_cap {
-                let slot = store.begin_insert(cap);
-                let written = sys.encode_into(&next, store.slot_buf(&slot));
-                timer.lap(SpanKind::Encode, 1);
-                let r = store.commit_insert(slot, written);
-                timer.lap(SpanKind::Insert, 1);
-                r
-            } else {
-                sys.encode(&next, &mut enc);
-                timer.lap(SpanKind::Encode, 1);
-                let r = store.insert(&enc);
-                timer.lap(SpanKind::Insert, 1);
-                r
-            };
+            let (nidx, is_new) = src.insert(sys, &mut store, &next, &mut timer);
             checker.on_insert(idx, &label, nidx, is_new);
             if !is_new {
+                src.discard(next);
                 continue;
             }
             if let Some(p) = persist.as_deref() {
@@ -977,29 +1426,34 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>>(
             if budget.exceeded(&store, started) {
                 done!(Outcome::Unfinished);
             }
-            frontier.push_back((next, nidx));
+            src.push(next, nidx);
         }
+        src.discard(state);
     }
-    done!(Outcome::Complete)
 }
 
-/// A serial exploration from sweep to report: [`drive`] under the
+/// An exploration from sweep to report: [`drive`] over `src` under the
 /// [`Explore`] checker, then — in this order — the terminal manifest of
 /// a persisted run, the observer's ending (the counterexample replayed
 /// to its sink when there is a trail, the bare outcome event otherwise)
-/// and the run's metrics. [`Search::explore`] without threads, and every
-/// serial convenience, is this function.
-pub(crate) fn explore_serial<T: TransitionSystem>(
+/// and the run's metrics. [`Search::explore`], and every serial
+/// convenience, is this function.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn explore_with<T: TransitionSystem>(
     sys: &T,
     budget: &Budget,
-    invariant: impl FnMut(&T::State) -> Option<String>,
+    src: impl Source<T>,
+    mut invariant: impl FnMut(&T::State) -> Option<String>,
     check_deadlock: bool,
     trails: bool,
     obs: &mut SearchObserver<'_>,
     mut persist: Option<&mut SerialPersist>,
 ) -> SearchReport {
+    // Type-erased, so the sweep is compiled once per system and source,
+    // not once more per caller's closure.
+    let invariant: &mut dyn FnMut(&T::State) -> Option<String> = &mut invariant;
     let mut checker = Explore { invariant, check_deadlock };
-    let mut run = drive(sys, budget, &mut checker, false, trails, obs, persist.as_deref_mut());
+    let mut run = drive(sys, budget, &mut checker, src, trails, obs, persist.as_deref_mut());
     if let Some(p) = persist.as_deref_mut() {
         p.conclude(&mut run, &obs.telemetry().registry);
     }
@@ -1025,50 +1479,24 @@ pub struct Search<'a> {
     /// shortest counterexample trail, exported to the observer's sink as
     /// a replayed event stream.
     pub trails: bool,
-    /// 0 runs the serial engine; `n > 0` the sharded parallel engine
-    /// with `n` workers (1 is that engine on a single worker). Complete
-    /// runs report identical counts either way — see
-    /// `docs/parallel_checking.md` for violating and unfinished runs.
+    /// Worker threads generating and encoding successors ahead of the
+    /// sweep; 0 does both inline. The sweep itself — and so every count,
+    /// outcome, trail, witness and checkpoint — is the same at every
+    /// value (`docs/parallel_checking.md`).
     pub threads: usize,
-    /// Fault-injection hook of the parallel engine: each exploration
-    /// worker sleeps this many milliseconds once before its first
-    /// expansion (provokes the stall watchdog on purpose).
+    /// Fault-injection hook of a threaded search: each worker sleeps
+    /// this many milliseconds once before its first chunk (provokes the
+    /// stall watchdog on purpose).
     pub stall_ms: u64,
     /// Checkpoint the exploration into this phase directory (layout in
     /// `docs/persistence.md`), resuming or restoring per the options.
     pub persist: Option<(&'a Path, &'a PersistOpts)>,
 }
 
-/// Runs `search` with the context of an opened persistence directory
-/// (none when the search does not persist) — unless a report already
-/// stands in for the search: restored from a finished phase's manifest,
-/// or the failure to open (foreign lock, corrupt manifest, log truncated
-/// below its committed prefix, unwritable directory — the message names
-/// the offending path).
-fn with_persist<P>(
-    open: Option<PResult<PersistOpen<P>>>,
-    search: impl FnOnce(Option<Box<P>>) -> SearchReport,
-) -> SearchReport {
-    match open {
-        None => search(None),
-        Some(Ok(PersistOpen::Run(p))) => search(Some(p)),
-        Some(Ok(PersistOpen::Finished(m))) => report_from_manifest(&m),
-        Some(Err(e)) => SearchReport::persist_failure(&e),
-    }
-}
-
 impl Search<'_> {
-    fn parallel_config(&self) -> ParallelConfig {
-        ParallelConfig {
-            track_trails: self.trails,
-            stall_ms: self.stall_ms,
-            ..ParallelConfig::threads(self.threads)
-        }
-    }
-
-    /// Explores the reachable state space of `sys` breadth-first on the
-    /// engine `threads` selects. `invariant` is evaluated on every newly
-    /// discovered state; returning `Some(description)` aborts with
+    /// Explores the reachable state space of `sys` breadth-first.
+    /// `invariant` is evaluated on every newly discovered state;
+    /// returning `Some(description)` aborts with
     /// [`Outcome::InvariantViolated`]. `obs` receives heartbeats and the
     /// run's ending.
     ///
@@ -1079,7 +1507,9 @@ impl Search<'_> {
     /// outcome as an uninterrupted run, though without a trail: recovered
     /// states carry no parent pointers. A phase whose manifest is already
     /// terminal is not searched again ([`SearchReport::restored`]), and a
-    /// directory that cannot be opened reports
+    /// directory that cannot be opened (foreign lock, corrupt manifest,
+    /// log truncated below its committed prefix, unwritable directory —
+    /// the message names the offending path) reports
     /// [`Outcome::PersistFailure`] with zero counts.
     pub fn explore<T, F>(
         &self,
@@ -1093,41 +1523,28 @@ impl Search<'_> {
         T::State: Send,
         F: Fn(&T::State) -> Option<String> + Sync,
     {
+        let mut persist = match self.persist.map(|(root, opts)| SerialPersist::open(root, opts)) {
+            None => None,
+            Some(Ok(SerialPersistOpen::Run(p))) => Some(p),
+            Some(Ok(SerialPersistOpen::Finished(m))) => return report_from_manifest(&m),
+            Some(Err(e)) => return SearchReport::persist_failure(&e),
+        };
+        let persist = persist.as_deref_mut();
+        let (deadlock, trails) = (self.check_deadlock, self.trails);
         if self.threads == 0 {
-            let open = self.persist.map(|(root, opts)| SerialPersist::open(root, opts));
-            with_persist(open, |mut p| {
-                explore_serial(
-                    sys,
-                    budget,
-                    invariant,
-                    self.check_deadlock,
-                    self.trails,
-                    obs,
-                    p.as_deref_mut(),
-                )
-            })
+            let src = Inline::new(sys, false);
+            explore_with(sys, budget, src, invariant, deadlock, trails, obs, persist)
         } else {
-            let cfg = self.parallel_config();
-            let open = self.persist.map(|(root, opts)| ParallelPersist::open(root, opts, &cfg));
-            with_persist(open, |p| {
-                parallel::explore(
-                    sys,
-                    budget,
-                    &invariant,
-                    self.check_deadlock,
-                    &cfg,
-                    obs,
-                    p.as_deref(),
-                )
+            feed(sys, self.threads, self.stall_ms, &obs.telemetry().clone(), |src| {
+                explore_with(sys, budget, src, invariant, deadlock, trails, obs, persist)
             })
         }
     }
 
-    /// The §2.5 forward-progress check ([`crate::progress`]) on the
-    /// engine `threads` selects; `is_progress` classifies labels as
-    /// progress events. Of the options only `threads` applies: the check
-    /// always keeps parents for its witness, never persists, and is not a
-    /// stall-injection site.
+    /// The §2.5 forward-progress check ([`crate::progress`]);
+    /// `is_progress` classifies labels as progress events. Of the options
+    /// only `threads` applies: the check always keeps parents for its
+    /// witness, never persists, and is not a stall-injection site.
     pub fn progress<T, G>(
         &self,
         sys: &T,
@@ -1141,16 +1558,18 @@ impl Search<'_> {
         G: Fn(&Label) -> bool + Sync,
     {
         if self.threads == 0 {
-            progress::serial(sys, budget, is_progress, obs)
+            progress::check(sys, budget, Inline::new(sys, false), is_progress, obs)
         } else {
-            let cfg = ParallelConfig::threads(self.threads);
-            progress::sharded(sys, budget, is_progress, &cfg, obs)
+            feed(sys, self.threads, 0, &obs.telemetry().clone(), |src| {
+                progress::check(sys, budget, src, is_progress, obs)
+            })
         }
     }
 }
 
 /// Explores the reachable state space of `sys` breadth-first on the
-/// serial engine, unobserved — [`Search::explore`] for the common case.
+/// calling thread alone, unobserved — [`Search::explore`] for the common
+/// case.
 ///
 /// `invariant` is evaluated on every newly discovered state; returning
 /// `Some(description)` aborts with [`Outcome::InvariantViolated`]. When
@@ -1164,7 +1583,9 @@ pub fn explore<T: TransitionSystem>(
 ) -> ExploreReport {
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    explore_serial(sys, budget, invariant, check_deadlock, false, &mut obs, None).explore_report()
+    let src = Inline::new(sys, false);
+    explore_with(sys, budget, src, invariant, check_deadlock, false, &mut obs, None)
+        .explore_report()
 }
 
 /// Convenience: explore with no invariant and no deadlock check.
@@ -1185,7 +1606,9 @@ pub fn explore_dfs<T: TransitionSystem>(
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
     let mut checker = Explore { invariant, check_deadlock };
-    drive(sys, budget, &mut checker, true, false, &mut obs, None).report().explore_report()
+    drive(sys, budget, &mut checker, Inline::new(sys, true), false, &mut obs, None)
+        .report()
+        .explore_report()
 }
 
 #[cfg(test)]
@@ -1358,21 +1781,35 @@ mod tests {
         dir
     }
 
-    /// A serial persisted exploration of `sys` into `root`.
+    /// A persisted exploration of `sys` into `root` on `threads` workers.
     fn explore_persisted(
         sys: &RendezvousSystem<'_>,
         budget: &Budget,
         root: &Path,
         opts: &PersistOpts,
+        threads: usize,
     ) -> SearchReport {
         let mut null = NullSink;
         let mut obs = SearchObserver::new(&mut null);
-        Search { persist: Some((root, opts)), ..Search::default() }.explore(
+        Search { threads, persist: Some((root, opts)), ..Search::default() }.explore(
             sys,
             budget,
             |_| None,
             &mut obs,
         )
+    }
+
+    /// `search` over `sys`, unobserved, with its wall time zeroed so
+    /// reports compare whole.
+    fn explore_timeless<T>(sys: &T, search: Search<'_>, budget: &Budget) -> SearchReport
+    where
+        T: TransitionSystem + Sync,
+        T::State: Send,
+    {
+        let mut null = NullSink;
+        let mut obs = SearchObserver::new(&mut null);
+        let report = search.explore(sys, budget, |_| None, &mut obs);
+        SearchReport { elapsed: Duration::ZERO, ..report }
     }
 
     #[test]
@@ -1381,11 +1818,17 @@ mod tests {
         let sys = RendezvousSystem::new(&spec, 4);
         let plain = explore_plain(&sys, &Budget::default());
         // Log-only (no eviction), then a spilling run (tiny eviction
-        // threshold); both checkpoint every expansion.
-        for (tag, evict_at) in [("serial-basic", 0usize), ("serial-spill", 1024)] {
+        // threshold); both checkpoint every expansion, without threads
+        // and with.
+        for (tag, evict_at, threads) in [
+            ("basic", 0usize, 0usize),
+            ("spill", 1024, 0),
+            ("basic-2t", 0, 2),
+            ("spill-2t", 1024, 2),
+        ] {
             let dir = persist_dir(tag);
             let opts = PersistOpts { interval: Duration::ZERO, evict_at, ..PersistOpts::default() };
-            let r = explore_persisted(&sys, &Budget::default(), &dir, &opts);
+            let r = explore_persisted(&sys, &Budget::default(), &dir, &opts, threads);
             assert_eq!(
                 (r.states, r.transitions, &r.outcome, r.restored),
                 (plain.states, plain.transitions, &plain.outcome, false),
@@ -1402,12 +1845,12 @@ mod tests {
         let plain = explore_plain(&sys, &Budget::default());
         let dir = persist_dir("serial-finished");
         let opts = PersistOpts { interval: Duration::ZERO, ..PersistOpts::default() };
-        let r = explore_persisted(&sys, &Budget::default(), &dir, &opts);
+        let r = explore_persisted(&sys, &Budget::default(), &dir, &opts, 0);
         assert!(r.outcome.is_complete() && !r.restored);
         // Resuming a finished phase searches nothing: the report is
         // restored from the terminal manifest with the identical counts.
         let opts = PersistOpts { resume: true, ..opts };
-        let restored = explore_persisted(&sys, &Budget::default(), &dir, &opts);
+        let restored = explore_persisted(&sys, &Budget::default(), &dir, &opts, 2);
         assert!(restored.restored);
         assert_eq!(restored.states, plain.states);
         assert_eq!(restored.transitions, plain.transitions);
@@ -1421,10 +1864,10 @@ mod tests {
         let sys = RendezvousSystem::new(&spec, 2);
         let dir = persist_dir("serial-corrupt");
         let opts = PersistOpts { interval: Duration::ZERO, ..PersistOpts::default() };
-        explore_persisted(&sys, &Budget::default(), &dir, &opts);
+        explore_persisted(&sys, &Budget::default(), &dir, &opts, 0);
         std::fs::write(dir.join("manifest.json"), "{broken").unwrap();
         let opts = PersistOpts { resume: true, ..opts };
-        let r = explore_persisted(&sys, &Budget::default(), &dir, &opts);
+        let r = explore_persisted(&sys, &Budget::default(), &dir, &opts, 0);
         assert!(
             matches!(&r.outcome, Outcome::PersistFailure(d) if d.contains("corrupt manifest")),
             "{:?}",
@@ -1436,45 +1879,162 @@ mod tests {
 
     #[test]
     fn resume_from_mid_run_checkpoint_reproduces_counts() {
+        /// The leg that "crashes": stops under a state budget and is
+        /// never concluded.
+        fn first_leg<'s>(
+            sys: &RendezvousSystem<'s>,
+            states: usize,
+            src: impl Source<RendezvousSystem<'s>>,
+            p: &mut SerialPersist,
+        ) {
+            let mut null = NullSink;
+            let mut obs = SearchObserver::new(&mut null);
+            let mut checker = Explore { invariant: |_: &_| None, check_deadlock: false };
+            let truncated =
+                drive(sys, &Budget::states(states), &mut checker, src, false, &mut obs, Some(p));
+            assert_eq!(truncated.outcome, Outcome::Unfinished);
+        }
         let spec = token_spec();
         let sys = RendezvousSystem::new(&spec, 4);
         let plain = explore_plain(&sys, &Budget::default());
-        for evict_at in [0usize, 512] {
-            let dir = persist_dir(&format!("serial-resume-{evict_at}"));
+        // A checkpoint is the same at every thread count, serial
+        // included, so any leg resumes any other.
+        for (crash_threads, resume_threads, evict_at) in
+            [(0usize, 0usize, 0usize), (0, 0, 512), (0, 2, 0), (4, 0, 512), (2, 4, 0)]
+        {
+            let tag = format!("resume-{crash_threads}-{resume_threads}-{evict_at}");
+            let dir = persist_dir(&tag);
             // First leg: checkpoint every expansion, abandon mid-run via a
             // state budget (the checkpoint written before the budget hit
             // plays the role of the last pre-crash checkpoint).
             let opts = PersistOpts { interval: Duration::ZERO, evict_at, ..PersistOpts::default() };
-            let mut null = NullSink;
-            let mut obs = SearchObserver::new(&mut null);
-            let PersistOpen::Run(mut p) = SerialPersist::open(&dir, &opts).expect("open") else {
+            let SerialPersistOpen::Run(mut p) = SerialPersist::open(&dir, &opts).expect("open")
+            else {
                 panic!("unexpected finished manifest");
             };
-            let truncated = drive(
-                &sys,
-                &Budget::states(plain.states / 2),
-                &mut Explore { invariant: |_: &_| None, check_deadlock: false },
-                false,
-                false,
-                &mut obs,
-                Some(&mut p),
-            );
-            assert_eq!(truncated.outcome, Outcome::Unfinished);
+            let half = plain.states / 2;
+            if crash_threads == 0 {
+                first_leg(&sys, half, Inline::new(&sys, false), &mut p);
+            } else {
+                feed(&sys, crash_threads, 0, &Telemetry::off(), |src| {
+                    first_leg(&sys, half, src, &mut p)
+                });
+            }
             // Simulate the crash: drop without concluding (the terminal
             // manifest is never written; the log keeps an unflushed tail).
             drop(p);
-            drop(truncated);
 
             // Second leg: resume and finish.
             let opts = PersistOpts { resume: true, ..opts };
-            let r = explore_persisted(&sys, &Budget::default(), &dir, &opts);
+            let r = explore_persisted(&sys, &Budget::default(), &dir, &opts, resume_threads);
             assert_eq!(
                 (r.states, r.transitions, &r.outcome),
                 (plain.states, plain.transitions, &plain.outcome),
-                "evict_at={evict_at}"
+                "{tag}"
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn threads_do_not_change_where_a_search_stops() {
+        let spec = token_spec();
+        let sys = RendezvousSystem::new(&spec, 4);
+        let traced = Search { trails: true, ..Search::default() };
+        // A violated initial state: one state stored, an empty trail.
+        for threads in [0usize, 2] {
+            let mut null = NullSink;
+            let mut obs = SearchObserver::new(&mut null);
+            let r = Search { threads, ..traced }.explore(
+                &sys,
+                &Budget::default(),
+                |_| Some("always".into()),
+                &mut obs,
+            );
+            assert!(matches!(r.outcome, Outcome::InvariantViolated(_)), "t={threads}");
+            assert_eq!((r.states, r.trail.as_deref()), (1, Some(&[][..])), "t={threads}");
+        }
+        // Budgets stop at exactly the state (or byte) the serial run
+        // stops at, not at the end of whatever the workers got to.
+        let full = explore_plain(&sys, &Budget::default()).states;
+        for budget in [Budget::states(3), Budget::states(full / 2), Budget::bytes(64)] {
+            let serial = explore_timeless(&sys, traced, &budget);
+            assert_eq!(serial.outcome, Outcome::Unfinished);
+            for threads in [1usize, 2, 4] {
+                let fed = explore_timeless(&sys, Search { threads, ..traced }, &budget);
+                assert_eq!(fed, serial, "{budget:?} t={threads}");
+            }
+        }
+    }
+
+    /// A ring of `n` counters, each stepping one or two places on, where
+    /// expanding `bad` fails — with a runtime error, or by panicking.
+    struct Ring {
+        n: u32,
+        bad: u32,
+        panics: bool,
+    }
+
+    impl TransitionSystem for Ring {
+        type State = u32;
+
+        fn initial(&self) -> u32 {
+            0
+        }
+
+        fn successors(&self, s: &u32, out: &mut Vec<(Label, u32)>) -> ccr_runtime::Result<()> {
+            use ccr_core::ids::ProcessId;
+            out.clear();
+            if *s == self.bad {
+                assert!(!self.panics, "the marked state was expanded");
+                return Err(RuntimeError::BadState { who: ProcessId::Home });
+            }
+            let label = Label::new(ProcessId::Home, ccr_runtime::LabelKind::Tau, "step");
+            out.extend([1, 2].map(|step| (label.clone(), (s + step) % self.n)));
+            Ok(())
+        }
+
+        fn encode(&self, s: &u32, out: &mut Vec<u8>) {
+            out.clear();
+            out.extend_from_slice(&s.to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn a_runtime_failure_on_a_worker_is_reported_as_the_serial_one() {
+        // Far enough in that several chunks are in flight when it is hit.
+        let sys = Ring { n: 20_000, bad: 9_001, panics: false };
+        let traced = Search { trails: true, ..Search::default() };
+        let serial = explore_timeless(&sys, traced, &Budget::default());
+        assert!(matches!(serial.outcome, Outcome::RuntimeFailure(_)), "{:?}", serial.outcome);
+        assert!(serial.trail.as_ref().is_some_and(|t| !t.is_empty()));
+        for threads in [1usize, 2, 4] {
+            let fed = explore_timeless(&sys, Search { threads, ..traced }, &Budget::default());
+            assert_eq!(fed, serial, "t={threads}");
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_is_a_panic_of_the_search_not_a_hang() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let search = std::panic::catch_unwind(|| {
+                let sys = Ring { n: 20_000, bad: 9_001, panics: true };
+                explore_timeless(
+                    &sys,
+                    Search { threads: 2, ..Search::default() },
+                    &Budget::default(),
+                )
+            });
+            let _ = tx.send(search.is_err());
+        });
+        // With in-order merging the sweep waits for exactly the chunk the
+        // dead worker held; it must be woken, not left to time out.
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(60)),
+            Ok(true),
+            "the search must panic with its worker, within the deadline"
+        );
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //! configuration by the test suite and the soundness benchmark.
 
 use crate::report::{Outcome, SimRelReport};
-use crate::search::{drive, Budget, Checker, SearchObserver};
+use crate::search::{drive, Budget, Checker, Inline, SearchObserver};
 use ccr_runtime::abstraction::abs;
 use ccr_runtime::asynch::{AsyncState, AsyncSystem};
 use ccr_runtime::rendezvous::{RendezvousSystem, RvState};
 use ccr_runtime::{EncodeBuf, Label, TransitionSystem};
 use ccr_trace::NullSink;
 
-/// Equation 1 as a checker on the serial sweep: `abs` of the state being
+/// Equation 1 as a checker on the sweep: `abs` of the state being
 /// expanded is computed once, and every edge out of it must map to a
 /// stutter or to a rendezvous step. A failing edge ends the sweep as an
 /// [`Outcome::InvariantViolated`] carrying its description.
@@ -106,7 +106,8 @@ pub fn check_simulation(
     };
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    let run = drive(async_sys, budget, &mut checker, false, false, &mut obs, None);
+    let src = Inline::new(async_sys, false);
+    let run = drive(async_sys, budget, &mut checker, src, false, &mut obs, None);
     SimRelReport {
         async_states: run.store.len(),
         transitions_checked: run.transitions,

@@ -4,8 +4,8 @@
 //! States are stored by their canonical byte encodings. Hashing uses a
 //! local FxHash-style multiply-xor hasher (fast on short byte strings, per
 //! the Rust perf-book guidance) followed by a splitmix-style finalizer, so
-//! the store adds no external dependency and the same 64-bit hash drives
-//! slot probing here and shard routing in the parallel engine.
+//! the store adds no external dependency; a threaded search computes the
+//! same 64-bit hash on its workers and hands it to the store.
 //!
 //! Two deliberate layout choices keep the constant factors down:
 //!
@@ -66,7 +66,7 @@ impl Hasher for FxHasher {
 pub type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 
 /// Splitmix64 finalizer: spreads FxHash entropy into the low bits used for
-/// slot probing and the high bits used for shard routing.
+/// slot probing.
 #[inline]
 pub(crate) fn mix(mut h: u64) -> u64 {
     h ^= h >> 30;
@@ -76,9 +76,8 @@ pub(crate) fn mix(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Hashes an encoded state. The same value is used for slot probing,
-/// duplicate detection (full 64-bit compare before any byte compare) and,
-/// in the parallel engine, shard routing (top bits).
+/// Hashes an encoded state. The same value is used for slot probing and
+/// duplicate detection (full 64-bit compare before any byte compare).
 #[inline]
 pub fn hash_encoded(enc: &[u8]) -> u64 {
     let mut h = FxHasher::default();
@@ -165,18 +164,13 @@ impl StateStore {
     }
 
     /// [`StateStore::insert`] with the hash precomputed by
-    /// [`hash_encoded`] — the parallel engine hashes once on the sending
-    /// side for shard routing and reuses the value here.
+    /// [`hash_encoded`] — a threaded search's workers hash each successor
+    /// ahead of the sweep, which inserts by that value. With a disk tier
+    /// attached, new states are appended to its log (the record's depth
+    /// column is always 0: the sweep's frontier is a cursor, not a
+    /// level), and crossing the tier's eviction threshold releases the
+    /// arena wholesale.
     pub fn insert_hashed(&mut self, hash: u64, enc: &[u8]) -> (u32, bool) {
-        self.insert_hashed_depth(hash, enc, 0)
-    }
-
-    /// [`StateStore::insert_hashed`] recording a BFS depth with the
-    /// state when a disk tier is attached (the depth identifies which
-    /// frontier a recovered state belongs to; tierless stores ignore
-    /// it). New states are appended to the tier's log, and crossing the
-    /// tier's eviction threshold releases the arena wholesale.
-    pub fn insert_hashed_depth(&mut self, hash: u64, enc: &[u8], depth: u32) -> (u32, bool) {
         if self.slots.is_empty() || (self.len as usize + 1) * 8 > self.slots.len() * 7 {
             self.grow();
         }
@@ -194,7 +188,7 @@ impl StateStore {
                 self.entries.push((off as u32, enc.len() as u32));
                 self.len += 1;
                 if let Some(tier) = self.tier.as_deref_mut() {
-                    tier.append(depth, enc);
+                    tier.append(0, enc);
                     let evict_at = tier.evict_at;
                     if evict_at > 0 && self.data > 0 && self.approx_bytes() > evict_at {
                         self.evict_arena();
@@ -212,10 +206,9 @@ impl StateStore {
     /// Begins a zero-copy insert: reserves `max_len` writable bytes at
     /// the arena tail and returns the slot handle. The caller encodes the
     /// candidate state directly into [`StateStore::slot_buf`] and then
-    /// resolves the slot with [`StateStore::commit_insert`] (or the
-    /// depth-tagged variant) — exactly one `begin_insert` may be
-    /// outstanding at a time, and no other store method may run in
-    /// between.
+    /// resolves the slot with [`StateStore::commit_insert`] — exactly one
+    /// `begin_insert` may be outstanding at a time, and no other store
+    /// method may run in between.
     pub fn begin_insert(&mut self, max_len: usize) -> ArenaSlot {
         let start = self.data;
         if self.arena.len() < start + max_len {
@@ -250,18 +243,6 @@ impl StateStore {
     /// byte-identical. Returns `(index, is_new)` like
     /// [`StateStore::insert`].
     pub fn commit_insert(&mut self, slot: ArenaSlot, written: usize) -> (u32, bool) {
-        self.commit_insert_depth(slot, written, 0)
-    }
-
-    /// [`StateStore::commit_insert`] recording a BFS depth with the state
-    /// when a disk tier is attached (see
-    /// [`StateStore::insert_hashed_depth`]).
-    pub fn commit_insert_depth(
-        &mut self,
-        slot: ArenaSlot,
-        written: usize,
-        depth: u32,
-    ) -> (u32, bool) {
         let start = slot.start;
         debug_assert_eq!(start, self.data, "slots must be resolved in open order");
         let hash = hash_encoded(&self.arena[start..start + written]);
@@ -279,7 +260,7 @@ impl StateStore {
                 debug_assert!(start + written <= u32::MAX as usize, "arena overflow");
                 self.len += 1;
                 if let Some(tier) = self.tier.as_deref_mut() {
-                    tier.append(depth, &self.arena[start..start + written]);
+                    tier.append(0, &self.arena[start..start + written]);
                 }
                 // Commit: advance the bump pointer past the slot — the
                 // encode was the arena write.
@@ -400,9 +381,8 @@ impl StateStore {
     }
 
     /// The encoded bytes of state `idx`, or `None` when the entry was
-    /// evicted to the disk tier. Used by the parallel engine to order
-    /// witnesses deterministically; evicted callers use
-    /// [`StateStore::read_entry`].
+    /// evicted to the disk tier ([`StateStore::read_entry`] reads those
+    /// back).
     pub fn key_bytes(&self, idx: u32) -> Option<&[u8]> {
         if idx >= self.len {
             return None;
@@ -470,8 +450,7 @@ impl StateStore {
     /// Probe displacement (distance from the hash's home slot, in slots)
     /// of every occupied slot, in table order. Computed post-hoc by
     /// rescanning the table, so histogramming probe lengths costs the
-    /// search's hot path nothing. Displacements depend on insertion
-    /// order, which under parallel exploration depends on scheduling.
+    /// search's hot path nothing.
     pub fn probe_displacements(&self) -> impl Iterator<Item = u64> + '_ {
         let mask = self.slots.len().wrapping_sub(1);
         self.slots.iter().enumerate().filter(|(_, &slot)| slot != EMPTY).map(move |(i, _)| {

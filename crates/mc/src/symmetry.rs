@@ -9,18 +9,16 @@
 //! member with the lexicographically least [`TransitionSystem::encode`]
 //! bytes.
 //!
-//! The [`Reduced`] wrapper plugs the reduction in under every engine at
-//! once. Engines identify states solely through `encode` (the serial
-//! [`crate::search::drive`], the parallel engine's shard hashing, the
-//! progress checkers' CSR indices); `Reduced` delegates everything except
-//! `encode`, which it redirects to the canonical representative's bytes.
+//! The [`Reduced`] wrapper plugs the reduction in under every check at
+//! once. The sweep ([`crate::search::drive`], whose store indices are the
+//! progress checker's CSR ids) identifies states solely through `encode`;
+//! `Reduced` delegates everything except `encode`, which it redirects to
+//! the canonical representative's bytes — on whichever thread encodes.
 //! Frontier states stay *concrete* (the first-discovered member of each
 //! orbit), and recorded labels are real transitions fired from those
 //! concrete states — so counterexample trails are genuine executions that
 //! replay on the unreduced system, with no witness-permutation
-//! bookkeeping. Sharding in the parallel engine hashes the canonical
-//! bytes, so shard assignment is permutation-independent and the level
-//! counts stay deterministic across thread counts.
+//! bookkeeping.
 //!
 //! The representative is found by *sorting*: each remote gets an
 //! id-independent signature (its local slice with `self`/`other` node
@@ -596,27 +594,42 @@ impl<'a, T: Symmetric> Reduced<'a, T> {
     /// canonical), `mc_symmetry_orbit_candidates_total` (sorting
     /// permutations evaluated) and the `mc_symmetry_orbit_candidates_max`
     /// gauge. Call once after each reduced search phase.
-    pub fn record_metrics(&self, reg: &Registry) {
+    ///
+    /// The counters count encodings wherever they ran. `exact` says they
+    /// are the sweep's own: always without threads, and on a threaded
+    /// search that ran to completion. A threaded search that stopped
+    /// early leaves encodings its workers did ahead of the stop in them —
+    /// how many depends on scheduling — so they are then registered
+    /// nondeterministic.
+    pub fn record_metrics(&self, reg: &Registry, exact: bool) {
         if !reg.enabled() {
             return;
         }
-        reg.counter("mc_symmetry_orbit_states_total", "States canonicalized by symmetry reduction")
-            .add(self.canon_total.load(Relaxed));
-        reg.counter(
+        let counter = |name: &str, help: &str, value: &AtomicU64| {
+            let c = if exact { reg.counter(name, help) } else { reg.counter_nondet(name, help) };
+            c.add(value.load(Relaxed));
+        };
+        counter(
+            "mc_symmetry_orbit_states_total",
+            "States canonicalized by symmetry reduction",
+            &self.canon_total,
+        );
+        counter(
             "mc_symmetry_orbit_moved_total",
             "Canonicalized states that were not already orbit representatives",
-        )
-        .add(self.moved_total.load(Relaxed));
-        reg.counter(
+            &self.moved_total,
+        );
+        counter(
             "mc_symmetry_orbit_candidates_total",
             "Sorting permutations evaluated across all canonicalizations",
-        )
-        .add(self.candidates_total.load(Relaxed));
-        reg.gauge(
+            &self.candidates_total,
+        );
+        let (name, help) = (
             "mc_symmetry_orbit_candidates_max",
             "Largest sorting-permutation set met by one canonicalization",
-        )
-        .record_max(self.candidates_max.load(Relaxed));
+        );
+        let max = if exact { reg.gauge(name, help) } else { reg.gauge_nondet(name, help) };
+        max.record_max(self.candidates_max.load(Relaxed));
     }
 }
 

@@ -13,13 +13,13 @@
 //! sceptical users) can confirm the final state really is the bad one.
 
 use crate::report::Outcome;
-use crate::search::{explore_serial, Budget, SearchObserver, SerialPersist};
+use crate::search::{explore_with, Budget, Inline, SearchObserver, SerialPersist};
 use ccr_runtime::observe::emit_label_events;
 use ccr_runtime::{Label, TransitionSystem};
 use ccr_trace::{TraceEvent, TraceSink};
 
 /// A reachability result carrying an optional counterexample trail.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct TracedReport {
     /// States visited.
     pub states: usize,
@@ -171,7 +171,7 @@ pub fn export_trail<T: TransitionSystem>(
     Some(state)
 }
 
-/// [`crate::search::Search::explore`] on the serial engine with trails on. Kept for
+/// [`crate::search::Search::explore`] without threads, with trails on. Kept for
 /// `benchmark/src/layers.rs` (`benchmark/README.md`, "Entry points into
 /// `ccr-*`").
 #[doc(hidden)]
@@ -182,7 +182,8 @@ pub fn explore_traced_observed<T: TransitionSystem>(
     check_deadlock: bool,
     obs: &mut SearchObserver<'_>,
 ) -> TracedReport {
-    explore_serial(sys, budget, invariant, check_deadlock, true, obs, None).traced_report()
+    let src = Inline::new(sys, false);
+    explore_with(sys, budget, src, invariant, check_deadlock, true, obs, None).traced_report()
 }
 
 /// [`explore_traced_observed`] against a persistence context the caller
@@ -197,10 +198,12 @@ pub fn explore_traced_observed_persist<T: TransitionSystem>(
     obs: &mut SearchObserver<'_>,
     persist: &mut SerialPersist,
 ) -> TracedReport {
-    explore_serial(sys, budget, invariant, check_deadlock, true, obs, Some(persist)).traced_report()
+    let src = Inline::new(sys, false);
+    explore_with(sys, budget, src, invariant, check_deadlock, true, obs, Some(persist))
+        .traced_report()
 }
 
-/// Shared ending of every search (serial and parallel): when the
+/// Shared ending of every search: when the
 /// observer's sink is live, a run that carries a trail exports its
 /// counterexample as a replayed event stream ending with the outcome,
 /// and a trail-less run emits the bare outcome event.
@@ -230,7 +233,7 @@ mod tests {
     use ccr_runtime::rendezvous::RendezvousSystem;
     use ccr_trace::{NullSink, RingSink};
 
-    /// A serial traced exploration, unobserved.
+    /// A traced exploration, unobserved.
     fn explore_traced<T, F>(
         sys: &T,
         budget: &Budget,
@@ -340,11 +343,12 @@ mod tests {
             let mut obs = SearchObserver::new(&mut null);
             let mut checker =
                 crate::search::Explore { invariant: |_: &T::State| None, check_deadlock: true };
+            let stack = Inline::new(sys, true);
             let run = crate::search::drive(
                 sys,
                 &Budget::default(),
                 &mut checker,
-                true,
+                stack,
                 true,
                 &mut obs,
                 None,

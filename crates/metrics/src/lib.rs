@@ -158,6 +158,7 @@ impl Registry {
             help: help.to_string(),
             nondet,
         });
+        entry.nondet |= nondet;
         match pick(&entry.metric) {
             Some(cell) => wrap(Some(cell)),
             None => panic!("metric `{name}` already registered as a {}", entry.metric.kind()),
@@ -166,7 +167,8 @@ impl Registry {
 
     /// Register (or look up) a monotonic counter. Re-registering the same
     /// name returns a handle to the same cell; the first registration
-    /// fixes the help text and determinism tag.
+    /// fixes the help text, and the metric is nondeterministic once any
+    /// registration says so.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
         self.counter_tagged(name, help, false)
     }
@@ -702,9 +704,14 @@ mod tests {
         reg.counter("states_total", "det").add(10);
         reg.counter_nondet("flushes_total", "nondet").add(3);
         reg.histogram_nondet("probe", "nondet", &[1]).observe(0);
+        // One nondeterministic contribution taints the whole metric, in
+        // whichever order the registrations come.
+        reg.counter("orbits_total", "det so far").add(4);
+        reg.counter_nondet("orbits_total", "and now not").add(1);
         drop(reg.phase("explore"));
         let snap = reg.snapshot();
-        assert_eq!(snap.nondeterministic, vec!["flushes_total", "probe"]);
+        assert_eq!(snap.nondeterministic, vec!["flushes_total", "orbits_total", "probe"]);
+        assert_eq!(snap.counters["orbits_total"], 5);
         let det = snap.deterministic();
         assert!(det.counters.contains_key("states_total"));
         assert!(!det.counters.contains_key("flushes_total"));

@@ -1,8 +1,8 @@
-//! Per-worker, per-level span timelines for the search engines.
+//! Per-worker span timelines for the search.
 //!
 //! The phase timers in the parent module answer "how long did the
 //! explore phase take"; this module answers "where inside the explore
-//! did worker 3 spend level 12" — the attribution the parallel-engine
+//! did worker 3 spend its time" — the attribution the `--threads`
 //! performance work runs on. A [`Profiler`] follows the registry's
 //! null-object pattern: [`Profiler::disabled`] hands out timers whose
 //! every call is one branch, so the instrumentation can stay compiled
@@ -15,20 +15,21 @@
 //! the previous lap to a [`SpanKind`] — one clock read per span
 //! boundary, not two per span. Kinds partition a worker's wall time:
 //!
-//! | kind           | parallel engine                            | serial engines      |
+//! | kind           | the sweep (worker 0)                       | `--threads` workers (1..=T) |
 //! |----------------|--------------------------------------------|---------------------|
-//! | `compute`      | `successors()` per expanded state          | same                |
-//! | `encode`       | successor encode + hash + routing (incl. outbox append) | successor encode into the arena slot |
-//! | `insert`       | local-shard duplicate probe + hashed commit | in-arena duplicate probe + slot commit |
-//! | `ship`         | cross-worker batch handoff (`flush`)       | —                   |
-//! | `drain`        | consuming inbound batches (incl. waiting for them mid-drain) | — |
-//! | `barrier_wait` | level wind-down: straggler wait, both barriers, the leader's decision, frontier swap | — |
-//! | `progress`     | CSR build + backward livelock propagation  | same                |
+//! | `compute`      | `successors()` per expanded state (threaded: the count only) | `successors()`, time only |
+//! | `encode`       | successor encode into the arena slot (threaded: the count only) | successor encode + hash, time only |
+//! | `insert`       | duplicate probe + commit, per successor    | —                   |
+//! | `ship`         | threaded: handing a chunk of frontier states out | handing an expanded chunk back |
+//! | `drain`        | threaded: waiting for the next chunk in order | —                |
+//! | `barrier_wait` | —                                          | waiting for a chunk to expand |
+//! | `progress`     | CSR build + backward livelock propagation  | —                   |
+//! | `checkpoint`   | log sync, index rewrite, manifest          | —                   |
 //!
-//! Timers accumulate into thread-local buffers (`(level, kind)` rows)
-//! and merge into the shared profiler at batch granularity — every
-//! [`FLUSH_LAPS`] laps, at level boundaries, and on drop — so the
-//! per-lap path touches no shared memory.
+//! Timers accumulate into thread-local buffers (one row of kinds) and
+//! merge into the shared profiler at batch granularity — every
+//! [`FLUSH_LAPS`] laps and on drop — so the per-lap path touches no
+//! shared memory.
 //!
 //! # Determinism
 //!
@@ -38,8 +39,8 @@
 //! are identical whether profiling ran or not. Span *counts* for
 //! `compute` (states expanded), `encode` (successors processed) and
 //! `insert` (store insertions attempted) are properties of the state
-//! space: on a complete run they are equal for the serial engine and
-//! the parallel engine at any thread count (see
+//! space, charged by the sweep as it expands each state whoever
+//! generated the successors: they are equal at every thread count (see
 //! [`SpanKind::deterministic_count`]).
 
 use crate::Registry;
@@ -48,8 +49,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Laps between automatic flushes of a timer's local buffer into the
-/// shared profiler (a mutex acquisition); level boundaries and drop
-/// flush too.
+/// shared profiler (a mutex acquisition); drop flushes too.
 pub const FLUSH_LAPS: u32 = 4096;
 
 /// What a span interval was spent on. See the module docs for the
@@ -58,16 +58,16 @@ pub const FLUSH_LAPS: u32 = 4096;
 pub enum SpanKind {
     /// Successor generation (`successors()`).
     Compute,
-    /// Successor encoding, hashing and routing.
+    /// Successor encoding and hashing.
     Encode,
-    /// State-store insertion: duplicate probe plus arena commit (serial:
-    /// in-place slot commit; parallel: local-shard hashed insert).
+    /// State-store insertion: duplicate probe plus arena commit (inline:
+    /// in-place slot commit; threaded: insert by the worker's hash).
     Insert,
-    /// Cross-worker batch handoff.
+    /// Handing a chunk between the sweep and a worker.
     Ship,
-    /// Inbound batch consumption.
+    /// The sweep waiting for the next chunk in order.
     Drain,
-    /// Level synchronization: straggler wait, barriers, decision, swap.
+    /// A worker waiting for a chunk to expand.
     BarrierWait,
     /// Livelock-check graph work (CSR build + backward propagation).
     Progress,
@@ -75,7 +75,7 @@ pub enum SpanKind {
     Checkpoint,
 }
 
-/// Number of span kinds (the fixed width of every per-level row).
+/// Number of span kinds (the fixed width of every row).
 pub const N_SPAN_KINDS: usize = 8;
 
 impl SpanKind {
@@ -124,19 +124,19 @@ impl SpanKind {
     }
 
     /// Whether this kind's aggregate *count* is a property of the state
-    /// space (identical for serial and parallel engines at any thread
-    /// count on a complete run) rather than of the schedule.
+    /// space (identical at every thread count) rather than of the
+    /// schedule.
     pub fn deterministic_count(self) -> bool {
         matches!(self, SpanKind::Compute | SpanKind::Encode | SpanKind::Insert)
     }
 }
 
-/// Accumulated time and unit count for one `(worker, level, kind)` cell.
+/// Accumulated time and unit count for one `(worker, kind)` cell.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SpanTotals {
     /// Wall-clock nanoseconds charged to this cell.
     pub nanos: u64,
-    /// Work units (kind-specific: states, successors, batches, levels).
+    /// Work units (kind-specific: states, successors, chunks).
     pub count: u64,
 }
 
@@ -158,44 +158,9 @@ fn row_is_zero(row: &Row) -> bool {
     row.iter().all(|t| t.nanos == 0 && t.count == 0)
 }
 
-/// One worker's spans: level-less totals (serial engines) plus one row
-/// per BFS level (the parallel engine).
-#[derive(Default, Clone)]
-struct Timeline {
-    flat: Row,
-    levels: Vec<Row>,
-}
-
-impl Timeline {
-    fn merge(&mut self, other: &Timeline) {
-        for (k, t) in other.flat.iter().enumerate() {
-            self.flat[k].add(*t);
-        }
-        if self.levels.len() < other.levels.len() {
-            self.levels.resize(other.levels.len(), Row::default());
-        }
-        for (row, orow) in self.levels.iter_mut().zip(other.levels.iter()) {
-            for (k, t) in orow.iter().enumerate() {
-                row[k].add(*t);
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        self.flat = Row::default();
-        for row in &mut self.levels {
-            *row = Row::default();
-        }
-    }
-
-    fn is_zero(&self) -> bool {
-        row_is_zero(&self.flat) && self.levels.iter().all(row_is_zero)
-    }
-}
-
 #[derive(Default)]
 struct ProfInner {
-    workers: Mutex<BTreeMap<usize, Timeline>>,
+    workers: Mutex<BTreeMap<usize, Row>>,
 }
 
 /// Handle to a span store, or the null profiler when profiling is off.
@@ -227,9 +192,8 @@ impl Profiler {
         SpanTimer {
             shared: self.inner.clone(),
             worker,
-            level: None,
             last: Instant::now(),
-            local: Timeline::default(),
+            local: Row::default(),
             pending: 0,
         }
     }
@@ -239,48 +203,26 @@ impl Profiler {
         let mut agg = ProfileAgg::default();
         let Some(inner) = &self.inner else { return agg };
         let workers = inner.workers.lock().unwrap();
-        for (&worker, timeline) in workers.iter() {
-            let mut kinds = Row::default();
-            for (k, t) in timeline.flat.iter().enumerate() {
-                kinds[k].add(*t);
-            }
-            for row in &timeline.levels {
-                for (k, t) in row.iter().enumerate() {
-                    kinds[k].add(*t);
-                }
-            }
-            agg.workers.push(WorkerAgg { worker, kinds });
-        }
+        agg.workers.extend(workers.iter().map(|(&worker, &kinds)| WorkerAgg { worker, kinds }));
         agg
     }
 
-    /// Renders the whole store as folded stacks (one
-    /// `frame;frame;frame value` line per nonzero cell, value in
-    /// nanoseconds) — the input format of flamegraph tooling. Lines are
-    /// ordered by worker, then level (level-less rows first), then kind.
+    /// Renders the whole store as folded stacks (one `worker<N>;<kind>
+    /// value` line per nonzero cell, value in nanoseconds) — the input
+    /// format of flamegraph tooling. Lines are ordered by worker, then
+    /// kind.
     pub fn folded(&self) -> String {
         let mut out = String::new();
         let Some(inner) = &self.inner else { return out };
         let workers = inner.workers.lock().unwrap();
-        for (&worker, timeline) in workers.iter() {
-            for (k, t) in timeline.flat.iter().enumerate() {
+        for (&worker, row) in workers.iter() {
+            for (k, t) in row.iter().enumerate() {
                 if t.nanos > 0 || t.count > 0 {
                     out.push_str(&format!(
                         "worker{worker};{} {}\n",
                         SpanKind::ALL[k].name(),
                         t.nanos
                     ));
-                }
-            }
-            for (level, row) in timeline.levels.iter().enumerate() {
-                for (k, t) in row.iter().enumerate() {
-                    if t.nanos > 0 || t.count > 0 {
-                        out.push_str(&format!(
-                            "worker{worker};L{level};{} {}\n",
-                            SpanKind::ALL[k].name(),
-                            t.nanos
-                        ));
-                    }
                 }
             }
         }
@@ -321,9 +263,8 @@ impl Profiler {
 pub struct SpanTimer {
     shared: Option<Arc<ProfInner>>,
     worker: usize,
-    level: Option<u32>,
     last: Instant,
-    local: Timeline,
+    local: Row,
     pending: u32,
 }
 
@@ -345,17 +286,7 @@ impl SpanTimer {
         let now = Instant::now();
         let nanos = u64::try_from(now.duration_since(self.last).as_nanos()).unwrap_or(u64::MAX);
         self.last = now;
-        let row = match self.level {
-            None => &mut self.local.flat,
-            Some(level) => {
-                let level = level as usize;
-                if self.local.levels.len() <= level {
-                    self.local.levels.resize(level + 1, Row::default());
-                }
-                &mut self.local.levels[level]
-            }
-        };
-        row[kind.idx()].add(SpanTotals { nanos, count });
+        self.local[kind.idx()].add(SpanTotals { nanos, count });
         self.pending += 1;
         if self.pending >= FLUSH_LAPS {
             self.flush();
@@ -371,29 +302,19 @@ impl SpanTimer {
         }
     }
 
-    /// Directs subsequent laps to BFS level `level` and flushes the
-    /// local buffer (level boundaries are the parallel engine's natural
-    /// batch edge).
-    pub fn set_level(&mut self, level: u32) {
-        if self.shared.is_none() {
-            return;
-        }
-        if self.level != Some(level) {
-            self.flush();
-            self.level = Some(level);
-        }
-    }
-
     /// Merges the local buffer into the shared profiler.
     pub fn flush(&mut self) {
         let Some(shared) = &self.shared else { return };
         self.pending = 0;
-        if self.local.is_zero() {
+        if row_is_zero(&self.local) {
             return;
         }
         let mut workers = shared.workers.lock().unwrap();
-        workers.entry(self.worker).or_default().merge(&self.local);
-        self.local.clear();
+        let row = workers.entry(self.worker).or_default();
+        for (k, t) in self.local.iter().enumerate() {
+            row[k].add(*t);
+        }
+        self.local = Row::default();
     }
 }
 
@@ -403,10 +324,10 @@ impl Drop for SpanTimer {
     }
 }
 
-/// One worker's per-kind totals, summed over levels.
+/// One worker's per-kind totals.
 #[derive(Debug, Clone)]
 pub struct WorkerAgg {
-    /// Worker index (0 for the serial engines).
+    /// Worker index (0 is the sweep).
     pub worker: usize,
     /// Totals indexed in [`SpanKind::ALL`] order.
     pub kinds: Row,
@@ -528,7 +449,6 @@ mod tests {
         assert!(!prof.enabled());
         let mut t = prof.worker(0);
         t.lap(SpanKind::Compute, 5);
-        t.set_level(3);
         t.lap(SpanKind::Encode, 1);
         t.flush();
         drop(t);
@@ -537,13 +457,12 @@ mod tests {
     }
 
     #[test]
-    fn laps_accumulate_per_worker_and_level() {
+    fn laps_accumulate_per_worker() {
         let prof = Profiler::new();
         let mut t0 = prof.worker(0);
-        t0.set_level(0);
         t0.lap(SpanKind::Compute, 2);
         t0.lap(SpanKind::Encode, 7);
-        t0.set_level(1);
+        t0.flush();
         t0.lap(SpanKind::BarrierWait, 1);
         drop(t0);
         let mut t1 = prof.worker(1);
@@ -556,16 +475,15 @@ mod tests {
         assert_eq!(agg.kind(SpanKind::Encode).count, 7);
         assert_eq!(agg.kind(SpanKind::BarrierWait).count, 1);
         let folded = prof.folded();
-        assert!(folded.contains("worker0;L0;compute "));
-        assert!(folded.contains("worker0;L1;barrier_wait "));
-        assert!(folded.contains("worker1;compute "), "level-less rows have no level frame");
+        assert!(folded.contains("worker0;compute "));
+        assert!(folded.contains("worker0;barrier_wait "));
+        assert!(folded.contains("worker1;compute "));
     }
 
     #[test]
     fn folded_round_trips_through_the_parser() {
         let prof = Profiler::new();
         let mut t = prof.worker(2);
-        t.set_level(0);
         t.lap(SpanKind::Compute, 1);
         t.lap(SpanKind::Ship, 4);
         drop(t);
@@ -580,6 +498,12 @@ mod tests {
                 assert_eq!(r.kind(kind).nanos, a.kind(kind).nanos, "{}", kind.name());
             }
         }
+        // Profiles written while the search still had BFS levels carry an
+        // `L<n>` frame in the middle; they aggregate all the same.
+        let old =
+            parse_folded("worker1;L12;barrier_wait 48\nworker1;L13;barrier_wait 2\n").unwrap();
+        let old = ProfileAgg::from_folded(&old).unwrap();
+        assert_eq!((old.workers[0].worker, old.kind(SpanKind::BarrierWait).nanos), (1, 50));
     }
 
     #[test]

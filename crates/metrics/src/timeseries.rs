@@ -36,7 +36,9 @@
 //! * `stall` — the watchdog: no forward progress (neither states nor
 //!   transitions advanced) across `stall_after` consecutive samples.
 //!   Carries the evidence a stuck run needs: per-worker dominant span
-//!   over the stalled window, queue depths, frontier, epoch counter.
+//!   over the stalled window, chunk-queue depths, frontier (`epoch`
+//!   stays in the schema for files written by the sharded engine; the
+//!   sweep has none and writes `null`).
 //!   Emitted once per stall episode; progress re-arms it.
 //! * `end` — terminal record: outcome, final absolutes of the last
 //!   phase, total sample/stall counts. [`Timeline::validate`] checks
@@ -94,9 +96,12 @@ pub struct SampleInput<'a> {
     pub compacted_bytes: u64,
     /// Checkpoints (manifests) committed so far.
     pub checkpoint_seq: u64,
-    /// The parallel engine's termination-detection epoch counter.
+    /// Always `None`: the termination-detection epoch of the deleted
+    /// sharded engine, kept because the schema (version 1) names it.
     pub epoch: Option<u64>,
-    /// Per-worker inbox depths (parallel engine only).
+    /// A threaded sweep waiting for its workers: `[chunks handed out and
+    /// not yet back, chunks back and waiting their turn]`. Empty
+    /// otherwise.
     pub queues: &'a [u64],
 }
 
@@ -500,9 +505,10 @@ pub struct StallRecord {
     pub states: u64,
     /// Frontier at the stall.
     pub frontier: u64,
-    /// Termination-detection epoch, when the parallel engine ran.
+    /// Termination-detection epoch, in files the sharded engine wrote.
     pub epoch: Option<u64>,
-    /// Per-worker inbox depths.
+    /// Chunk-queue depths `[handed out, back and waiting]` (per-worker
+    /// inbox depths in files the sharded engine wrote).
     pub queues: Vec<u64>,
     /// Per-worker `(worker, dominant span, share)` over the window.
     pub workers: Vec<(u64, String, f64)>,

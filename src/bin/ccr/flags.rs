@@ -158,7 +158,7 @@ pub const FLAGS: &[Flag] = &[
     flag("--refined", "", Switch, None, SPEC,
         "dot: draw the refined home and remote automata"),
     flag("--threads", "T", Count(1, USIZE), None, SPEC,
-        "run searches on the sharded parallel engine with T workers (absent: serial engine)"),
+        "generate successors on T worker threads ahead of the one sweep (same results; absent: inline)"),
     flag("--symmetry", "MODE", Choice(&["on", "off", "auto"]), Some("auto"), SPEC,
         "dedupe states equal up to renaming the remotes (docs/symmetry.md)"),
     flag("--async", "", Switch, None, SPEC,
@@ -184,7 +184,7 @@ pub const FLAGS: &[Flag] = &[
     flag("--stall-after", "K", Count(1, U32), Some("5"), SPEC,
         "with --timeline, record a stall diagnostic after K intervals without progress"),
     flag("--inject-stall-ms", "MS", Count(0, ANY), Some("0"), SPEC,
-        "test hook: each parallel worker sleeps MS ms before its first expansion"),
+        "test hook: with --threads, each worker sleeps MS ms before its first chunk"),
     flag("--run-dir", "DIR", Text, None, SPEC,
         "write trace, metrics, profile, status, timeline and verify.json under DIR"),
     flag("--spill-dir", "DIR", Text, None, SPEC,

@@ -53,11 +53,13 @@
 //! parser over that table generates `--help` and every misuse message
 //! (exit code 2); `tests/cli_flags.rs` checks this header against it.
 //!
-//! `--threads T` (verify/table) runs the explorations and the progress
-//! check on the sharded parallel engine with `T` worker threads — see
-//! `docs/parallel_checking.md`. Results are observationally equivalent
-//! to the serial engine; Equation 1 stays serial (it is cheap relative
-//! to the asynchronous sweep).
+//! `--threads T` (verify/table) has `T` worker threads generate and
+//! encode successors ahead of the sweep, for the explorations and the
+//! progress check — see `docs/parallel_checking.md`. The sweep itself
+//! stays on one thread, so every count, outcome, trail, witness and
+//! checkpoint is the one a run without the flag reports; Equation 1
+//! runs without workers (it is cheap relative to the asynchronous
+//! sweep).
 //!
 //! `--symmetry on|off|auto` (verify/table, default `auto`) dedupes
 //! permutation-equivalent global states — the remotes are identical, so
@@ -91,8 +93,8 @@
 //!   nothing.
 //! * `--metrics-format json|prometheus` — snapshot encoding (default
 //!   `json`; `prometheus` writes text exposition format 0.0.4).
-//! * `--profile PATH|-` — record per-worker, per-level span timelines
-//!   (compute/encode/ship/drain/barrier-wait/progress) and write them as
+//! * `--profile PATH|-` — record per-worker span timelines
+//!   (compute/encode/insert/ship/drain/barrier-wait/progress) and write them as
 //!   folded stacks to PATH (`-` = stdout), plus an attribution summary
 //!   (human output and the `profile` key of the JSON report). See
 //!   docs/observability.md, "Profiling and live runs".
@@ -106,20 +108,21 @@
 //!   to PATH, for `ccr timeline` analysis. Off by default; when off the
 //!   run is byte-identical to one without the flag.
 //! * `--stall-after K` — stall watchdog threshold: with `--timeline`,
-//!   emit a stall diagnostic record (per-worker span states, queue and
-//!   frontier depths, epoch counters) after K sampling intervals with
-//!   no forward progress (default 5).
-//! * `--inject-stall-ms MS` — fault-injection test hook: each parallel
-//!   worker sleeps MS milliseconds once before its first expansion, so
-//!   CI can provoke the stall watchdog deterministically.
+//!   emit a stall diagnostic record (per-worker span states, chunk
+//!   queue and frontier depths) after K sampling intervals with no
+//!   forward progress (default 5).
+//! * `--inject-stall-ms MS` — fault-injection test hook: with
+//!   `--threads`, each worker sleeps MS milliseconds once before its
+//!   first chunk, so CI can provoke the stall watchdog
+//!   deterministically.
 //! * `--run-dir DIR` — shorthand: write trace.jsonl, metrics.json,
 //!   profile.folded, status.json, timeline.jsonl and verify.json under
 //!   DIR (creating it), ready for `ccr report DIR`. Explicit flags win
 //!   over the shorthand paths.
 //! * `--async` (verify) — async-level-only mode: skip the rendezvous
 //!   level, Equation 1, progress and fault phases; explore only the
-//!   refined asynchronous level. This is the engine-profiling loop:
-//!   one phase, one state space.
+//!   refined asynchronous level. This is the profiling loop: one
+//!   phase, one state space.
 //!
 //! Persistence flags (verify only, see `docs/persistence.md`):
 //!
@@ -207,11 +210,11 @@ fn misuse(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Worker count handed to the searches: 0 — `--threads` absent — selects
-/// the serial engine. Any explicit `T`, including 1, selects the sharded
-/// parallel engine: a 1-worker parallel run is how the engine's
-/// coordination overhead (ship/drain/barrier-wait spans) is measured
-/// against the serial baseline.
+/// Worker count handed to the searches: 0 — `--threads` absent —
+/// generates successors inline. Any explicit `T`, including 1, moves that
+/// to `T` worker threads: a 1-worker run is how the hand-off overhead
+/// (ship/drain/barrier-wait spans) is measured against the inline
+/// baseline.
 fn engine_threads(p: &Parsed) -> usize {
     p.count("--threads").unwrap_or(0) as usize
 }

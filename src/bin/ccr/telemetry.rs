@@ -67,7 +67,10 @@ impl TraceSink for RunSink {
 
 /// Evaluates `$run` with `$s` bound to the system a search phase should
 /// sweep: `$sys` itself, or — when `$reduce` is set — its symmetry-reduced
-/// quotient, whose orbit metrics are flushed to `$registry` afterwards.
+/// quotient, whose orbit metrics are flushed to `$registry` afterwards
+/// (`$exact` of the report: whether its orbit counters are the sweep's
+/// own — always without threads, and with them once the phase has swept
+/// everything).
 /// Sound for explorations and for the progress check alike (whether *a*
 /// completion exists from a state is an orbit property), and trails stay
 /// concrete either way: the reduced frontier holds first-discovered orbit
@@ -75,15 +78,15 @@ impl TraceSink for RunSink {
 /// reduced phase hold canonical representatives — which is why
 /// `meta.json` records the resolved choice for `--resume` to replay.
 ///
-/// This is the one decision the CLI takes per phase; which engine runs
-/// it, and whether it persists, is [`Search`]'s.
+/// This is the one decision the CLI takes per phase; how many threads
+/// feed it, and whether it persists, is [`Search`]'s.
 macro_rules! with_symmetry {
-    ($sys:expr, $reduce:expr, $registry:expr, |$s:ident| $run:expr) => {
+    ($sys:expr, $reduce:expr, $registry:expr, $exact:expr, |$s:ident| $run:expr) => {
         if $reduce {
             let red = Reduced::new($sys);
             let $s = &red;
             let report = $run;
-            red.record_metrics($registry);
+            red.record_metrics($registry, $exact(&report));
             report
         } else {
             let $s = $sys;
@@ -191,7 +194,10 @@ impl Run {
         let registry = &self.telemetry.registry;
         let _p = registry.phase(phase);
         let mut obs = SearchObserver::for_phase(&mut self.sink, &self.telemetry, phase);
-        with_symmetry!(sys, reduce, registry, |s| search.explore(s, budget, |_| None, &mut obs))
+        let exact = |r: &SearchReport| search.threads == 0 || r.outcome.is_complete();
+        with_symmetry!(sys, reduce, registry, exact, |s| {
+            search.explore(s, budget, |_| None, &mut obs)
+        })
     }
 
     /// The forward-progress phase, likewise.
@@ -210,7 +216,8 @@ impl Run {
         let registry = &self.telemetry.registry;
         let _p = registry.phase(phase);
         let mut obs = SearchObserver::for_phase(&mut self.sink, &self.telemetry, phase);
-        with_symmetry!(sys, reduce, registry, |s| {
+        let exact = |r: &ProgressReport| search.threads == 0 || r.complete;
+        with_symmetry!(sys, reduce, registry, exact, |s| {
             search.progress(s, budget, |l| l.completes.is_some(), &mut obs)
         })
     }
@@ -277,9 +284,11 @@ pub fn share(part: u64, whole: u64) -> f64 {
     }
 }
 
-/// Share of worker time across the parallel engine's exchange machinery
-/// (ship + drain + barrier-wait) — the "how much of the run is overhead,
-/// not search" bucket the roadmap's parallel-performance work keys on.
+/// Share of worker time spent handing chunks between the sweep and its
+/// `--threads` workers (ship), the sweep waiting for the next chunk in
+/// order (drain) and workers waiting for work (barrier-wait) — the "how
+/// much of the run is hand-off, not search" bucket. Zero without
+/// `--threads`.
 pub fn sync_overhead_share(agg: &ProfileAgg) -> f64 {
     let nanos: u64 = [SpanKind::Ship, SpanKind::Drain, SpanKind::BarrierWait]
         .iter()

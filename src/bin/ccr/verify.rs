@@ -41,9 +41,8 @@ const FAULT_WALK_STEPS: u64 = 20_000;
 /// `<dir>/meta.json` beneath the command line, so the resumed search
 /// rebuilds the state space the checkpoint belongs to: the spec path
 /// becomes the positional, and each recorded value stands where its flag
-/// was not given. `--threads` is safe to override (checkpoints are
-/// thread-count agnostic), though serial and parallel checkpoints don't
-/// mix and a parallel manifest pins its shard count.
+/// was not given. `--threads` is safe to override: a checkpoint is the
+/// same at every thread count.
 pub fn replay_meta(p: &mut Parsed, dir: &str) -> Result<(), ExitCode> {
     let path = format!("{dir}/meta.json");
     let fail = |msg: String| {
@@ -62,7 +61,7 @@ pub fn replay_meta(p: &mut Parsed, dir: &str) -> Result<(), ExitCode> {
             p.record(flag, Value::Count(v));
         }
     }
-    // `engine_threads: 0` is the serial engine: `--threads` absent.
+    // `engine_threads: 0` is `--threads` absent.
     if let Some(t) = num("engine_threads").filter(|t| *t > 0) {
         p.record("--threads", Value::Count(t));
     }
@@ -353,7 +352,7 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
         write_meta(root, p, reduce)?;
     }
     // Both reachability sweeps of `verify`: deadlock check and trails on,
-    // the engine `--threads` picks, checkpointing into the phase's
+    // successors from `--threads` workers, checkpointing into the phase's
     // subdirectory under `--spill-dir`.
     let search = Search {
         check_deadlock: true,
@@ -386,8 +385,7 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
 
     let rv = RendezvousSystem::new(spec, n);
     // `--async` skips the rendezvous level (and the checks that need
-    // it): the async exploration alone, for profiling and benchmarking
-    // the parallel engine.
+    // it): the async exploration alone, for profiling and benchmarking.
     let r: Option<SearchReport> = (!async_only).then(|| {
         let dir = phase_dir("rendezvous");
         let search = Search { persist: dir.as_deref().map(|d| (d, &popts)), ..search };

@@ -12,8 +12,8 @@ use ccr_trace::NullSink;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// One full exploration of the async migratory space at `n` on the
-/// engine `threads` selects (0 = serial), metered into a fresh registry.
+/// One full exploration of the async migratory space at `n` on `threads`
+/// workers (0 = none), metered into a fresh registry.
 fn parallel_snapshot(n: u32, threads: usize) -> ccr_metrics::Snapshot {
     let refined = migratory_refined(&MigratoryOptions::default());
     let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
@@ -43,22 +43,17 @@ fn identical_serial_runs_yield_identical_snapshots() {
 
 #[test]
 fn parallel_deterministic_view_is_thread_count_independent() {
-    let views: Vec<ccr_metrics::Snapshot> =
-        [1usize, 2, 4].iter().map(|&t| parallel_snapshot(2, t)).collect();
     let serial = serial_snapshot(2);
-    for v in &views {
-        // The shared counters agree with the serial engine exactly.
-        for name in ["mc_runs_total", "mc_states_total", "mc_transitions_total"] {
-            assert_eq!(serial.counters[name], v.counters[name], "{name}");
-        }
-        // Timing-dependent metrics are declared, not silently mixed in.
-        for name in ["mc_batches_flushed_total", "mc_batches_drained_total", "mc_workers"] {
-            assert!(v.nondeterministic.contains(&name.to_string()), "{name} untagged");
-        }
+    assert!(serial.counters["mc_states_total"] > 0);
+    for threads in [1usize, 2, 4] {
+        let v = parallel_snapshot(2, threads);
+        // The one thing a threaded run adds is declared, not silently
+        // mixed in ...
+        assert!(v.nondeterministic.contains(&"mc_workers".to_string()), "mc_workers untagged");
+        assert_eq!(v.gauges["mc_workers"], threads as u64);
+        // ... and everything else is the serial run's, byte for byte.
+        assert_eq!(v.deterministic().to_json(), serial.deterministic().to_json(), "t={threads}");
     }
-    let dets: Vec<String> = views.iter().map(|v| v.deterministic().to_json()).collect();
-    assert_eq!(dets[0], dets[1]);
-    assert_eq!(dets[1], dets[2]);
 }
 
 #[test]
@@ -97,11 +92,24 @@ fn cli_snapshot(extra: &[&str]) -> Json {
 fn cli_parallel_snapshot_counters_equal_the_serial_runs() {
     let serial = cli_snapshot(&[]);
     let parallel = cli_snapshot(&["--threads", "4"]);
+    // Every metric not declared nondeterministic is the serial run's.
+    let deterministic = |j: &Json, section: &str| -> Vec<(String, String)> {
+        let tagged = j.get("nondeterministic").and_then(Json::as_array).expect("tag list");
+        let entries = j.get(section).and_then(Json::as_object).expect("section");
+        entries
+            .iter()
+            .filter(|(name, _)| !tagged.iter().any(|t| t.as_str() == Some(name)))
+            .map(|(name, value)| (name.clone(), format!("{value:?}")))
+            .collect()
+    };
+    for section in ["counters", "gauges", "histograms"] {
+        assert_eq!(deterministic(&serial, section), deterministic(&parallel, section), "{section}");
+    }
     for name in ["mc_runs_total", "mc_states_total", "mc_transitions_total"] {
         let get = |j: &Json| j.path(&format!("counters.{name}")).and_then(Json::as_u64);
-        assert_eq!(get(&serial), get(&parallel), "{name}");
         assert!(get(&serial).expect("present") > 0, "{name} vacuous");
     }
+    assert_eq!(parallel.path("gauges.mc_workers").and_then(Json::as_u64), Some(4));
     // The verify pipeline runs through its phases either way.
     for phase in ["parse", "refine", "explore/rendezvous", "explore/async", "check/progress"] {
         assert!(

@@ -5,11 +5,14 @@
 //!   and a **kill -9 → `--resume`** run (`--crash-after-states`, which
 //!   aborts the process without destructors or flushes) both finish
 //!   with byte-identical states/transitions/outcome versus an
-//!   uninterrupted in-memory run — on every shipped spec, serial and at
-//!   4 threads;
+//!   uninterrupted in-memory run — on every shipped spec, without
+//!   threads and at 4;
+//! * a checkpoint is the same at every thread count, so a crashed run
+//!   resumes at any other — serial included;
 //! * corruption inside the committed region (bit rot, truncation below
-//!   the manifest, a garbled manifest) fails safe with a diagnostic and
-//!   a nonzero exit instead of wrong answers.
+//!   the manifest, a garbled manifest) and a manifest of the deleted
+//!   sharded format fail safe with a diagnostic and a nonzero exit
+//!   instead of wrong answers.
 
 use ccr_metrics::jsonval::Json;
 use std::path::{Path, PathBuf};
@@ -67,7 +70,7 @@ fn sweep_counts(stdout: &[u8]) -> Vec<(String, u64, u64, String)> {
     out
 }
 
-/// One spec × one engine: uninterrupted vs spill vs crash+resume.
+/// One spec × one thread count: uninterrupted vs spill vs crash+resume.
 fn check_spec(spec: &str, threads: Option<&str>, dir: &Path) {
     let spec_path = format!("specs/{spec}");
     let tag = threads.map(|t| format!("{t}t")).unwrap_or_else(|| "serial".into());
@@ -149,39 +152,82 @@ fn spill_and_crash_resume_match_uninterrupted_parallel() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A crashed run can also be resumed on a different thread count: the
-/// checkpoint fixes the shard count, not the worker count.
+/// A crashed run resumes at any thread count, serial included: the
+/// checkpoint cuts between expansions of the one sweep, which is the
+/// same sweep whoever generates its successors. Each resume must be
+/// byte-identical to the uninterrupted run.
 #[test]
 fn resume_across_thread_counts() {
     let dir = tmp("threads");
-    let d = dir.join("crash");
-    let base = sweep_counts(
-        &ccr(&["verify", "specs/token.ccp", "-n", "3", "--threads", "4", "--json"]).stdout,
-    );
-    let crash = ccr(&[
-        "verify",
-        "specs/token.ccp",
-        "-n",
-        "3",
-        "--threads",
-        "4",
-        "--json",
-        "--spill-dir",
-        &d.display().to_string(),
-        "--checkpoint-interval",
-        "0",
-        "--crash-after-states",
-        "60",
-    ]);
-    assert!(!crash.status.success());
-    let resumed =
-        ccr(&["verify", "--resume", &d.display().to_string(), "--threads", "1", "--json"]);
-    assert_eq!(
-        sweep_counts(&resumed.stdout),
-        base,
-        "stderr: {}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
+    let base = ccr(&["verify", "specs/token.ccp", "-n", "3", "--json"]);
+    assert!(base.status.success());
+    let with_threads = |args: &mut Vec<String>, threads: Option<&str>| {
+        if let Some(t) = threads {
+            args.extend(["--threads".to_string(), t.to_string()]);
+        }
+    };
+    for (crash, resume) in [(Some("4"), None), (None, Some("2")), (Some("2"), Some("4"))] {
+        let d = dir.join(format!("crash-{}-{}", crash.unwrap_or("0"), resume.unwrap_or("0")));
+        let d = d.display().to_string();
+        let mut args: Vec<String> =
+            ["verify", "specs/token.ccp", "-n", "3", "--json", "--spill-dir", &d]
+                .map(String::from)
+                .to_vec();
+        args.extend(["--checkpoint-interval", "0", "--crash-after-states", "60"].map(String::from));
+        with_threads(&mut args, crash);
+        let crashed = ccr(&args.iter().map(String::as_str).collect::<Vec<_>>());
+        assert!(!crashed.status.success(), "crash={crash:?}");
+        // `--resume` replays the crashed run's `--threads` unless told
+        // otherwise, and the flag has no value for "none": a serial
+        // resume says so the way a serial first leg does, in `meta.json`.
+        if resume.is_none() {
+            let meta = format!("{d}/meta.json");
+            let text = std::fs::read_to_string(&meta).unwrap();
+            let serial = text.replace("\"engine_threads\":4", "\"engine_threads\":0");
+            assert_ne!(text, serial, "{text}");
+            std::fs::write(&meta, serial).unwrap();
+        }
+        let mut args: Vec<String> = ["verify", "--resume", &d, "--json"].map(String::from).to_vec();
+        with_threads(&mut args, resume);
+        let resumed = ccr(&args.iter().map(String::as_str).collect::<Vec<_>>());
+        assert_eq!(
+            sweep_counts(&resumed.stdout),
+            sweep_counts(&base.stdout),
+            "crash={crash:?} resume={resume:?}\nstderr: {}",
+            String::from_utf8_lossy(&resumed.stderr)
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A spill directory written by a binary that still had the sharded
+/// engine says `"kind":"parallel"` in its manifest (and keeps one log per
+/// shard). Nothing reads that format any more: `--resume` must refuse it
+/// with the typed diagnostic — the path and the kind — not guess.
+#[test]
+fn a_sharded_era_manifest_is_refused_by_name() {
+    let dir = tmp("sharded");
+    let d = dir.join("old");
+    let done =
+        ccr(&["verify", "specs/token.ccp", "-n", "2", "--spill-dir", &d.display().to_string()]);
+    assert!(done.status.success());
+    // Hand-written: what that engine committed at a level boundary, and
+    // what it left when it finished — either is refused, since a stopped
+    // sharded run did not count what the sweep counts.
+    let manifest = d.join("async/manifest.json");
+    let current = std::fs::read_to_string(&manifest).unwrap();
+    assert!(current.contains(r#""kind":"serial""#), "{current}");
+    for (finished, outcome) in [("false", "null"), ("true", r#""Complete""#)] {
+        let old = format!(
+            r#"{{"version":1,"kind":"parallel","seq":8,"finished":{finished},"outcome_name":{outcome},"outcome_detail":null,"states":31,"transitions":53,"peak_frontier":5,"elapsed_ms":113,"head":0,"level":8,"threads":2,"shards":2,"committed":[{{"bytes":16,"records":0}},{{"bytes":53,"records":1}}],"evict":false}}"#
+        );
+        std::fs::write(&manifest, format!("{old}\n")).unwrap();
+        let out = ccr(&["verify", "--resume", &d.display().to_string()]);
+        assert_eq!(out.status.code(), Some(1), "finished={finished}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("manifest kind `parallel`, expected `serial`"), "{err}");
+        assert!(err.contains("async/manifest.json"), "{err}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,8 +1,8 @@
 //! Differential soundness harness for the symmetry reduction: for every
 //! shipped spec the quotient search (over [`ccr_mc::Reduced`]) must agree
 //! with the full concrete search — same outcome on the healthy specs,
-//! same violation kind on the deliberately broken one — on both the
-//! serial and the 4-thread parallel engine, at both protocol levels.
+//! same violation kind on the deliberately broken one — without threads
+//! and on four, at both protocol levels.
 //! Counterexample trails found in the quotient must replay step for step
 //! on the *unreduced* system: the reduction dedupes orbits but its
 //! frontier holds concrete first-discovered representatives, so every
@@ -44,7 +44,7 @@ fn load(name: &str) -> ccr_core::process::ProtocolSpec {
 }
 
 /// One unobserved exploration with the deadlock check and trails on, on
-/// `threads` workers (0 = the serial engine).
+/// `threads` workers (0 = none).
 fn explore_traced<T>(sys: &T, budget: &Budget, threads: usize) -> SearchReport
 where
     T: TransitionSystem + Sync,
@@ -62,9 +62,8 @@ where
 
 /// Full vs reduced exploration of `sys`, serial and at 4 threads. The
 /// outcomes must be identical; the reduced searches must agree with each
-/// other exactly (canonicalization happens before shard hashing, so the
-/// parallel quotient is as deterministic as the serial one) and must
-/// never visit more states than the concrete search.
+/// other exactly (the workers canonicalize, the one sweep deduplicates)
+/// and must never visit more states than the concrete search.
 fn assert_reduction_sound<T>(sys: &T, budget: &Budget, context: &str) -> (usize, usize)
 where
     T: ccr_mc::Symmetric + Sync,
@@ -128,9 +127,7 @@ fn scalarset_detection_matches_the_shipped_specs() {
 #[test]
 fn healthy_specs_async_refinement_reduced_matches_full() {
     // Above the largest concrete space this test sweeps (invalidate at
-    // n=2): every run completes, so serial and parallel counts are
-    // exactly comparable (the level-synchronized parallel engine
-    // overshoots a state budget by finishing its level). n=3 runs only
+    // n=2): every run completes. n=3 runs only
     // for the scalarset-clean specs — for the `first()` users the
     // reduction is the identity (proven at n=2 and on the rendezvous
     // level), and their concrete n=3 spaces are millions of states
