@@ -14,9 +14,9 @@
 //!   because once the budget is spent and the lost frames are
 //!   retransmitted the network has quiesced.
 
-use crate::progress;
+use crate::progress::check_progress_default;
 use crate::report::{Outcome, ProgressReport};
-use crate::search::{explore_with, Budget, Inline, SearchObserver};
+use crate::search::{explore_with, Budget, SearchObserver};
 use crate::trace::TracedReport;
 use ccr_runtime::asynch::{AsyncState, AsyncSystem};
 use ccr_runtime::FaultClosure;
@@ -61,11 +61,10 @@ pub fn check_fault_closure(
     let closure = FaultClosure::new(sys.clone(), faults);
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    let src = || Inline::new(&closure, false);
     let safety = |fs: &ccr_runtime::FaultState| invariant(&fs.base);
     let explore =
-        explore_with(&closure, budget, src(), safety, true, true, &mut obs, None).traced_report();
-    let progress = progress::check(&closure, budget, src(), |l| l.completes.is_some(), &mut obs);
+        explore_with(&closure, budget, safety, true, true, &mut obs, None).traced_report();
+    let progress = check_progress_default(&closure, budget);
     FaultClosureReport { budget_faults: faults, explore, progress }
 }
 

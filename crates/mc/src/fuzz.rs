@@ -8,7 +8,12 @@
 //!    [`ccr_core::text`];
 //! 3. **refine** (both with and without the req/repl optimization) and the
 //!    **Equation 1** check: no reachable asynchronous transition may fall
-//!    outside the stuttering simulation;
+//!    outside the stuttering simulation — and the **fused** re-check:
+//!    Equation 1 and the progress check riding the exploration's sweep
+//!    ([`Search::verify`], and [`Search::explore_progress`] on the
+//!    symmetry quotient) must report what the three report on sweeps of
+//!    their own, with and without threads, whether or not the refinement
+//!    is sound;
 //! 4. **serial model-check** of the rendezvous and asynchronous systems
 //!    (safety: no executor runtime failure; deadlock/livelock are allowed —
 //!    random protocols block all the time — but must be *reported*, not
@@ -36,7 +41,7 @@
 
 use crate::faultmode::check_fault_closure;
 use crate::progress::check_progress_default;
-use crate::report::{ExploreReport, Outcome};
+use crate::report::{ExploreReport, Outcome, SearchReport, SimRelReport};
 use crate::search::{explore, Budget, Search, SearchObserver};
 use crate::simrel::check_simulation;
 use crate::symmetry::{spec_permutable, Reduced};
@@ -49,6 +54,7 @@ use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::FaultClosure;
 use ccr_trace::NullSink;
 use std::fmt;
+use std::time::Duration;
 
 /// Tuning for one fuzzing run. Everything here is part of the reproducible
 /// fingerprint: the same config + seed must give the same verdicts.
@@ -235,6 +241,66 @@ fn key_of(r: &ExploreReport) -> (usize, usize, usize, usize, &Outcome) {
     (r.states, r.transitions, r.store_bytes, r.peak_frontier, &r.outcome)
 }
 
+/// The `fused` stage. The exploration, Equation 1 (`sim`, already
+/// checked alone) and the progress check on one sweep of `asys` must
+/// report what each reports on a sweep of its own — with the deadlock
+/// check off, so that the riders see the whole space, and on, where a
+/// deadlock ends the sweep and only the exploration is comparable — and
+/// so must the exploration and the progress check on one sweep of the
+/// symmetry quotient.
+fn fused_mismatch(
+    asys: &AsyncSystem<'_>,
+    rv: &RendezvousSystem<'_>,
+    sim: &SimRelReport,
+    budget: &Budget,
+    cfg: &FuzzConfig,
+    permutable: bool,
+) -> Option<FuzzFailure> {
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    let timeless = |r: SearchReport| SearchReport { elapsed: Duration::ZERO, ..r };
+    let completes = |l: &ccr_runtime::Label| l.completes.is_some();
+    // Whether a sweep the exploration ended this way showed its riders
+    // what sweeps of their own would have seen.
+    let rode_it_all = |o: &Outcome| !matches!(o, Outcome::Deadlock | Outcome::InvariantViolated(_));
+    let prog = check_progress_default(asys, budget);
+    let red = Reduced::new(asys);
+    let red_prog = permutable.then(|| check_progress_default(&red, budget));
+    for check_deadlock in [false, true] {
+        let alone = Search { check_deadlock, trails: true, ..Search::default() };
+        let a = timeless(alone.explore(asys, budget, |_| None, &mut obs));
+        let red_a = permutable.then(|| timeless(alone.explore(&red, budget, |_| None, &mut obs)));
+        for threads in std::iter::once(0).chain(cfg.threads.first().copied()) {
+            let search = Search { threads, ..alone };
+            let what = |on: &str| format!("fused-{on}-{threads}t");
+            let (fa, fsim, graph) = search.verify(asys, rv, budget, |_| None, completes, &mut obs);
+            let fa = timeless(fa);
+            let mut failure = cmp_threaded(what("explore"), &a, &fa);
+            if rode_it_all(&a.outcome) {
+                let fprog = graph.check(asys, &mut obs);
+                failure = failure
+                    .or_else(|| cmp_threaded(what("equation1"), sim, &fsim))
+                    .or_else(|| cmp_threaded(what("progress"), &prog, &fprog));
+            }
+            if let (Some(red_a), Some(red_prog)) = (&red_a, &red_prog) {
+                let (fa, graph) =
+                    search.explore_progress(&red, budget, |_| None, completes, &mut obs);
+                failure =
+                    failure.or_else(|| cmp_threaded(what("sym-explore"), red_a, &timeless(fa)));
+                if rode_it_all(&red_a.outcome) {
+                    let fprog = graph.check(&red, &mut obs);
+                    failure =
+                        failure.or_else(|| cmp_threaded(what("sym-progress"), red_prog, &fprog));
+                }
+            }
+            if failure.is_some() {
+                return failure;
+            }
+        }
+    }
+    None
+}
+
 /// Runs one spec through the full differential pipeline.
 pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
     let budget = Budget::states(cfg.budget_states);
@@ -256,6 +322,7 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
     // Equation 1 only — it shares the executor with Auto mode, so the
     // differential battery below would be redundant work.
     let rv = RendezvousSystem::new(spec, cfg.n);
+    let permutable = spec_permutable(spec);
     match refine(spec, &RefineOptions { reqrep: ReqRepMode::Off }) {
         Err(e) => return SpecVerdict::failed(&name, FuzzFailure::Refine(e.to_string())),
         Ok(mut refined) => {
@@ -264,6 +331,9 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
             }
             let asys = AsyncSystem::new(&refined, cfg.n, AsyncConfig::default());
             let sim = check_simulation(&asys, &rv, &budget);
+            if let Some(f) = fused_mismatch(&asys, &rv, &sim, &budget, cfg, permutable) {
+                return SpecVerdict::failed(&name, f);
+            }
             if let Some(v) = sim.violation {
                 return SpecVerdict::failed(
                     &name,
@@ -284,6 +354,9 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
     let asys = AsyncSystem::new(&refined, cfg.n, AsyncConfig::default());
 
     let sim = check_simulation(&asys, &rv, &budget);
+    if let Some(f) = fused_mismatch(&asys, &rv, &sim, &budget, cfg, permutable) {
+        return SpecVerdict::failed(&name, f);
+    }
     if let Some(v) = sim.violation {
         return SpecVerdict::failed(&name, FuzzFailure::Soundness { mode: "auto", detail: v });
     }
@@ -291,7 +364,6 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
     // Stage 4: serial model checks.
     let rv_serial = explore(&rv, &budget, |_| None, true);
     let a_serial = explore(&asys, &budget, |_| None, true);
-    let permutable = spec_permutable(spec);
     let mut verdict = SpecVerdict {
         name: name.clone(),
         permutable,

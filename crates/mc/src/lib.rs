@@ -24,7 +24,9 @@
 //!   stutter or to a rendezvous transition.
 //!
 //! One sweep ([`search`]'s `drive`) serves all three questions —
-//! reachability, Equation 1 and progress are checkers observing it — at
+//! reachability, Equation 1 and progress are checkers observing it, each
+//! on a call of its own or, with [`search::Search::verify`] and
+//! [`search::Search::explore_progress`], all on the same one — at
 //! every thread count: `threads > 0` moves successor generation and
 //! encoding to worker threads and changes nothing else, so a threaded
 //! search reports exactly what the serial one does
@@ -55,7 +57,7 @@ pub use parallel::ParallelConfig;
 pub use persist::{
     CrashSwitch, LockGuard, LogTier, Manifest, ManifestWriter, PersistError, PersistStats, PhaseDir,
 };
-pub use progress::check_progress_default;
+pub use progress::{check_progress_default, ProgressGraph};
 pub use report::{ExploreReport, Outcome, ProgressReport, SearchReport, SimRelReport};
 pub use search::{
     explore, explore_dfs, report_from_manifest, Budget, PersistOpts, Search, SearchObserver,

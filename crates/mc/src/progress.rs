@@ -19,14 +19,18 @@
 //! one sweep (`search::drive`) that keeps the edge list and two flags per
 //! state — at every thread count, since
 //! [`crate::search::Search::threads`] only moves successor generation off
-//! the sweep's thread. The backward propagation runs single-threaded on
-//! the CSR (it is a fraction of the forward-sweep cost).
+//! the sweep's thread — and it need not be a sweep of its own either:
+//! [`crate::search::Search::explore_progress`] and
+//! [`crate::search::Search::verify`] record the same [`ProgressGraph`]
+//! off the exploration's sweep. The backward propagation runs
+//! single-threaded on the CSR (it is a fraction of the forward-sweep
+//! cost), whenever the graph's owner asks for the report.
 
 use crate::report::{Outcome, ProgressReport};
 use crate::search::{
-    drive, record_search_run, Budget, Checker, Inline, Search, SearchObserver, Source,
+    drive, record_search_run, Budget, Checker, DriveRun, Inline, Search, SearchObserver,
 };
-use crate::trace::{conclude_with_trail, rebuild_trail};
+use crate::trace::{conclude_with_trail, rebuild_trail, Parent};
 use ccr_metrics::profile::SpanKind;
 use ccr_runtime::{Label, TransitionSystem};
 use ccr_trace::NullSink;
@@ -76,109 +80,162 @@ fn propagate_good(n: usize, offsets: &[u32], targets: &[u32], seed: &[bool]) -> 
     good
 }
 
-/// What the progress check keeps of the sweep: the reverse graph
-/// as a flat `(dst, src)` edge list — CSR-bucketed after the sweep — and,
-/// per state, whether it has a successor and whether one of its edges is
-/// a progress event.
-struct ForwardGraph<G> {
-    is_progress: G,
+/// What the progress check keeps of a sweep — its own, or an
+/// exploration's it rode: the reverse graph as a flat `(dst, src)` edge
+/// list — CSR-bucketed by [`ProgressGraph::check`] — and, per state,
+/// whether it has a successor and whether one of its edges is a progress
+/// event; then the sweep's parent table, for the witness.
+///
+/// The edge list is eight bytes per transition for as long as the graph
+/// lives, which on a shared sweep includes the exploration itself.
+pub struct ProgressGraph {
     edges: Vec<(u32, u32)>,
     has_progress_edge: Vec<bool>,
     has_successor: Vec<bool>,
     /// States whose expansion began. Only these have complete successor
     /// information; unexpanded frontier states are not judged.
     expanded: usize,
+    parents: Vec<Parent>,
+    /// Whether the sweep ran out of states rather than budget.
+    complete: bool,
+}
+
+/// The progress check as a checker: fills in a [`ProgressGraph`].
+pub(crate) struct ForwardGraph<G> {
+    is_progress: G,
+    seen: ProgressGraph,
+}
+
+impl<G> ForwardGraph<G> {
+    pub(crate) fn new(is_progress: G) -> Self {
+        let seen = ProgressGraph {
+            edges: Vec::new(),
+            has_progress_edge: Vec::new(),
+            has_successor: Vec::new(),
+            expanded: 0,
+            parents: Vec::new(),
+            complete: false,
+        };
+        ForwardGraph { is_progress, seen }
+    }
+
+    /// The graph of a finished sweep, given the parent table it kept and
+    /// whether it saw everything.
+    pub(crate) fn swept(self, parents: Vec<Parent>, complete: bool) -> ProgressGraph {
+        ProgressGraph { parents, complete, ..self.seen }
+    }
 }
 
 impl<T: TransitionSystem, G: Fn(&Label) -> bool> Checker<T> for ForwardGraph<G> {
+    const CHECKS: bool = true;
+
     fn on_new(&mut self, _state: &T::State, _idx: u32) -> Option<Outcome> {
-        self.has_progress_edge.push(false);
-        self.has_successor.push(false);
+        self.seen.has_progress_edge.push(false);
+        self.seen.has_successor.push(false);
         None
     }
 
     fn on_expand(&mut self, _state: &T::State, idx: u32) -> Option<Outcome> {
         // A breadth-first sweep expands states in index order.
-        self.expanded = idx as usize + 1;
+        self.seen.expanded = idx as usize + 1;
         None
     }
 
-    fn on_insert(&mut self, src: u32, label: &Label, dst: u32, _is_new: bool) {
-        self.has_successor[src as usize] = true;
-        self.edges.push((dst, src));
+    fn on_edge(
+        &mut self,
+        src: u32,
+        _state: &T::State,
+        label: &Label,
+        dst: u32,
+        _next: &T::State,
+        _is_new: bool,
+    ) -> Option<Outcome> {
+        self.seen.has_successor[src as usize] = true;
+        self.seen.edges.push((dst, src));
         if (self.is_progress)(label) {
-            self.has_progress_edge[src as usize] = true;
+            self.seen.has_progress_edge[src as usize] = true;
+        }
+        None
+    }
+}
+
+impl ProgressGraph {
+    /// The check itself: from every state the sweep expanded, is a
+    /// progress edge still reachable? `sys` is the system that was swept
+    /// (under [`crate::symmetry::Reduced`], the reduction or the system
+    /// it wraps: they have the same states and successors); it is only
+    /// replayed along the witness. `obs` gets the check's ending on its
+    /// sink — the witness trail (shortest path to the first stuck state)
+    /// as a replayed event stream ending with its outcome, or the bare
+    /// `Complete`/`Unfinished` event when nothing is stuck.
+    pub fn check<T: TransitionSystem>(
+        self,
+        sys: &T,
+        obs: &mut SearchObserver<'_>,
+    ) -> ProgressReport {
+        let ProgressGraph { edges, has_progress_edge, has_successor, expanded, parents, complete } =
+            self;
+
+        // Backward propagation from progress states over the CSR reverse
+        // graph.
+        let mut timer = obs.telemetry().profiler.worker(0);
+        let n = has_successor.len();
+        let (offsets, targets) = build_csr(n, &edges);
+        drop(edges);
+        let good = propagate_good(n, &offsets, &targets, &has_progress_edge);
+        timer.lap(SpanKind::Progress, 1);
+
+        let deadlocked = (0..expanded).filter(|&i| !has_successor[i]).count();
+        let livelocked = (0..expanded).filter(|&i| has_successor[i] && !good[i]).count();
+
+        // Witness: shortest trail (BFS order = insertion order) to the
+        // first stuck state of either kind.
+        let first_dead = (0..expanded).find(|&i| !has_successor[i]);
+        let first_live = (0..expanded).find(|&i| has_successor[i] && !good[i]);
+        let bad = match (first_dead, first_live) {
+            (Some(d), Some(l)) => {
+                Some(if d <= l { (d, Outcome::Deadlock) } else { (l, Outcome::Livelock) })
+            }
+            (Some(d), None) => Some((d, Outcome::Deadlock)),
+            (None, Some(l)) => Some((l, Outcome::Livelock)),
+            (None, None) => None,
+        };
+        let (witness, witness_outcome) = match bad {
+            Some((idx, out)) => (Some(rebuild_trail(sys, &parents, idx as u32)), Some(out)),
+            None => (None, None),
+        };
+        let swept = if complete { Outcome::Complete } else { Outcome::Unfinished };
+        conclude_with_trail(
+            sys,
+            witness_outcome.as_ref().unwrap_or(&swept),
+            witness.as_deref(),
+            obs,
+        );
+
+        ProgressReport {
+            states: n,
+            livelocked_states: livelocked,
+            deadlocked_states: deadlocked,
+            complete,
+            witness,
+            witness_outcome,
         }
     }
 }
 
-/// The progress check: explores `sys`, expanding what `src` hands back,
-/// and checks that from every reachable state a transition `is_progress`
-/// accepts remains reachable. `obs` receives periodic heartbeats during
-/// the forward exploration, and when the check fails the witness trail
-/// (shortest path to the first stuck state) is exported to the observer's
-/// sink as a replayed event stream.
-pub(crate) fn check<T: TransitionSystem>(
+/// The ending of a sweep the check had to itself: the run's metrics,
+/// then the report. The visited set is let go first; only the graph and
+/// the parent table outlive the sweep.
+pub(crate) fn swept_alone<T: TransitionSystem, G>(
     sys: &T,
-    budget: &Budget,
-    src: impl Source<T>,
-    is_progress: impl Fn(&Label) -> bool,
+    graph: ForwardGraph<G>,
+    run: DriveRun,
     obs: &mut SearchObserver<'_>,
 ) -> ProgressReport {
-    let mut graph = ForwardGraph {
-        is_progress,
-        edges: Vec::new(),
-        has_progress_edge: Vec::new(),
-        has_successor: Vec::new(),
-        expanded: 0,
-    };
-    let run = drive(sys, budget, &mut graph, src, true, obs, None);
-    let complete = run.outcome.is_complete();
-    let ForwardGraph { edges, has_progress_edge, has_successor, expanded, .. } = graph;
-
-    // Backward propagation from progress states over the CSR reverse
-    // graph.
-    let mut timer = obs.telemetry().profiler.worker(0);
-    let n = run.store.len();
-    let (offsets, targets) = build_csr(n, &edges);
-    drop(edges);
-    record_search_run(&obs.telemetry().registry, n, run.transitions, run.peak_frontier, &run.store);
-    let good = propagate_good(n, &offsets, &targets, &has_progress_edge);
-    timer.lap(SpanKind::Progress, 1);
-
-    let deadlocked = (0..expanded).filter(|&i| !has_successor[i]).count();
-    let livelocked = (0..expanded).filter(|&i| has_successor[i] && !good[i]).count();
-
-    // Witness: shortest trail (BFS order = insertion order) to the first
-    // stuck state of either kind.
-    let first_dead = (0..expanded).find(|&i| !has_successor[i]);
-    let first_live = (0..expanded).find(|&i| has_successor[i] && !good[i]);
-    let bad = match (first_dead, first_live) {
-        (Some(d), Some(l)) => {
-            Some(if d <= l { (d, Outcome::Deadlock) } else { (l, Outcome::Livelock) })
-        }
-        (Some(d), None) => Some((d, Outcome::Deadlock)),
-        (None, Some(l)) => Some((l, Outcome::Livelock)),
-        (None, None) => None,
-    };
-    let (witness, witness_outcome) = match bad {
-        Some((idx, out)) => (Some(rebuild_trail(sys, &run.parents, idx as u32)), Some(out)),
-        None => (None, None),
-    };
-    // The check's ending on the observer's sink: the witness replayed as
-    // an event stream ending with its outcome, or the bare
-    // `Complete`/`Unfinished` event when nothing is stuck.
-    let swept = if complete { Outcome::Complete } else { Outcome::Unfinished };
-    conclude_with_trail(sys, witness_outcome.as_ref().unwrap_or(&swept), witness.as_deref(), obs);
-
-    ProgressReport {
-        states: n,
-        livelocked_states: livelocked,
-        deadlocked_states: deadlocked,
-        complete,
-        witness,
-        witness_outcome,
-    }
+    let DriveRun { store, parents, transitions, peak_frontier, outcome, .. } = run;
+    record_search_run(&obs.telemetry().registry, store.len(), transitions, peak_frontier, &store);
+    drop(store);
+    graph.swept(parents, outcome.is_complete()).check(sys, obs)
 }
 
 /// [`Search::progress`] without threads, with heartbeats and
@@ -203,7 +260,9 @@ where
 pub fn check_progress_default<T: TransitionSystem>(sys: &T, budget: &Budget) -> ProgressReport {
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    check(sys, budget, Inline::new(sys, false), |l| l.completes.is_some(), &mut obs)
+    let mut graph = ForwardGraph::new(|l: &Label| l.completes.is_some());
+    let run = drive(sys, budget, &mut graph, Inline::new(sys, false), true, &mut obs, None);
+    swept_alone(sys, graph, run, &mut obs)
 }
 
 #[cfg(test)]

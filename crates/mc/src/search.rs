@@ -10,19 +10,25 @@
 //! successors and their encodings come from: generated inline
 //! ([`Inline`]), or by worker threads that expand the frontier ahead of
 //! the sweep in chunks it merges strictly in discovery order ([`Fed`]) —
-//! see `docs/parallel_checking.md`.
+//! see `docs/parallel_checking.md`. What a sweep is *for* is its
+//! checker's business, and checkers share: [`Search::verify`] answers
+//! reachability, Equation 1 and forward progress on one call of it
+//! (DESIGN.md, "Who rides which sweep").
 
 use crate::persist::{
     CrashSwitch, LockGuard, LogTier, Manifest, ManifestWriter, PResult, PersistError, PhaseDir,
 };
-use crate::progress;
-use crate::report::{ExploreReport, Outcome, ProgressReport, SearchReport};
+use crate::progress::{self, ForwardGraph, ProgressGraph};
+use crate::report::{ExploreReport, Outcome, ProgressReport, SearchReport, SimRelReport};
+use crate::simrel::Equation1;
 use crate::store::{hash_encoded, StateStore};
 use crate::trace::{conclude_with_trail, rebuild_trail, Parent, ROOT};
 use ccr_metrics::profile::{Profiler, SpanKind, SpanTimer};
 use ccr_metrics::status::{RunStatus, StatusWriter};
 use ccr_metrics::timeseries::{Recorder, SampleInput};
 use ccr_metrics::Registry;
+use ccr_runtime::asynch::{AsyncState, AsyncSystem};
+use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::{Label, RuntimeError, TransitionSystem};
 use ccr_trace::{NullSink, TraceEvent, TraceSink};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -679,12 +685,24 @@ pub fn report_from_manifest(m: &Manifest) -> SearchReport {
 ///
 /// Call order, per sweep: `on_new(root, 0)`; then for each state popped
 /// from the frontier `on_expand`, successor generation, `on_successors`,
-/// and for each successor in order `on_edge`, the store lookup,
-/// `on_insert`, and — when the target was new — `on_new` followed by the
-/// budget test. State indices are dense in discovery order, and a
-/// breadth-first sweep expands them in index order. A resumed persisted
-/// sweep does not re-announce recovered states through `on_new`.
+/// and for each successor in order the store lookup, `on_edge`, and —
+/// when the target was new — `on_new` followed by the budget test. State
+/// indices are dense in discovery order, and a breadth-first sweep
+/// expands them in index order. A resumed persisted sweep does not
+/// re-announce recovered states through `on_new`.
+///
+/// Checkers compose: a pair `(A, B)` is the checker that shows every
+/// event to `A`, then to `B`, and ends the sweep with the first outcome
+/// either returns; [`Riding`] turns a member's outcome into a latched
+/// verdict, so that it rides a sweep another member owns.
 pub(crate) trait Checker<T: TransitionSystem> {
+    /// Whether this checker's per-edge work gets a profile row of its
+    /// own: the sweep then laps [`SpanKind::Check`] after every
+    /// `on_edge`, instead of leaving that time to the next span. Decided
+    /// at compile time, so a plain exploration has neither the row nor
+    /// the lap.
+    const CHECKS: bool = false;
+
     /// `state` was stored for the first time, as `idx` (the root is 0).
     #[inline]
     fn on_new(&mut self, _state: &T::State, _idx: u32) -> Option<Outcome> {
@@ -704,17 +722,123 @@ pub(crate) trait Checker<T: TransitionSystem> {
         None
     }
 
-    /// The edge `src --label--> next` was generated; `next` has not been
-    /// looked up in the visited set yet.
+    /// The edge `state --label--> next` was generated and its target
+    /// looked up: `state` is stored as `src` and `next` as `dst` — just
+    /// now when `is_new`, in which case its `on_new` follows.
     #[inline]
-    fn on_edge(&mut self, _src: &T::State, _label: &Label, _next: &T::State) -> Option<Outcome> {
+    fn on_edge(
+        &mut self,
+        _src: u32,
+        _state: &T::State,
+        _label: &Label,
+        _dst: u32,
+        _next: &T::State,
+        _is_new: bool,
+    ) -> Option<Outcome> {
         None
     }
 
-    /// The edge `src --label--> dst` was looked up: its target is state
-    /// `dst`, stored just now when `is_new`.
+    /// Called by the sweep after every `on_edge`.
     #[inline]
-    fn on_insert(&mut self, _src: u32, _label: &Label, _dst: u32, _is_new: bool) {}
+    fn lap(timer: &mut SpanTimer) {
+        if Self::CHECKS {
+            timer.lap(SpanKind::Check, 1);
+        }
+    }
+}
+
+impl<T: TransitionSystem, A: Checker<T>, B: Checker<T>> Checker<T> for (A, B) {
+    const CHECKS: bool = A::CHECKS || B::CHECKS;
+
+    #[inline]
+    fn on_new(&mut self, state: &T::State, idx: u32) -> Option<Outcome> {
+        self.0.on_new(state, idx).or_else(|| self.1.on_new(state, idx))
+    }
+
+    #[inline]
+    fn on_expand(&mut self, state: &T::State, idx: u32) -> Option<Outcome> {
+        self.0.on_expand(state, idx).or_else(|| self.1.on_expand(state, idx))
+    }
+
+    #[inline]
+    fn on_successors(&mut self, idx: u32, n: usize) -> Option<Outcome> {
+        self.0.on_successors(idx, n).or_else(|| self.1.on_successors(idx, n))
+    }
+
+    #[inline]
+    fn on_edge(
+        &mut self,
+        src: u32,
+        state: &T::State,
+        label: &Label,
+        dst: u32,
+        next: &T::State,
+        is_new: bool,
+    ) -> Option<Outcome> {
+        self.0
+            .on_edge(src, state, label, dst, next, is_new)
+            .or_else(|| self.1.on_edge(src, state, label, dst, next, is_new))
+    }
+}
+
+/// A checker on a sweep it must not end. Only the exploration may end a
+/// shared sweep — its report is the complete one either way — so a rider
+/// that reaches a verdict *latches* it here and goes quiet: the sweep
+/// goes on, and the rider sees no later event (its own counts stop where
+/// a sweep of its own would have).
+pub(crate) struct Riding<C> {
+    pub(crate) checker: C,
+    pub(crate) verdict: Option<Outcome>,
+}
+
+impl<C> Riding<C> {
+    pub(crate) fn new(checker: C) -> Self {
+        Riding { checker, verdict: None }
+    }
+}
+
+impl<T: TransitionSystem, C: Checker<T>> Checker<T> for Riding<C> {
+    const CHECKS: bool = C::CHECKS;
+
+    #[inline]
+    fn on_new(&mut self, state: &T::State, idx: u32) -> Option<Outcome> {
+        if self.verdict.is_none() {
+            self.verdict = self.checker.on_new(state, idx);
+        }
+        None
+    }
+
+    #[inline]
+    fn on_expand(&mut self, state: &T::State, idx: u32) -> Option<Outcome> {
+        if self.verdict.is_none() {
+            self.verdict = self.checker.on_expand(state, idx);
+        }
+        None
+    }
+
+    #[inline]
+    fn on_successors(&mut self, idx: u32, n: usize) -> Option<Outcome> {
+        if self.verdict.is_none() {
+            self.verdict = self.checker.on_successors(idx, n);
+        }
+        None
+    }
+
+    #[inline]
+    fn on_edge(
+        &mut self,
+        src: u32,
+        state: &T::State,
+        label: &Label,
+        dst: u32,
+        next: &T::State,
+        is_new: bool,
+    ) -> Option<Outcome> {
+        if self.verdict.is_none() {
+            self.verdict = self.checker.on_edge(src, state, label, dst, next, is_new);
+        }
+        None
+    }
 }
 
 /// Plain reachability as a checker: an invariant on every new state and,
@@ -1409,9 +1533,10 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
         check!(checker.on_successors(idx, succs.len()), idx);
         for (ordinal, (label, next)) in succs.drain(..).enumerate() {
             transitions += 1;
-            check!(checker.on_edge(&state, &label, &next), idx);
             let (nidx, is_new) = src.insert(sys, &mut store, &next, &mut timer);
-            checker.on_insert(idx, &label, nidx, is_new);
+            let judged = checker.on_edge(idx, &state, &label, nidx, &next, is_new);
+            C::lap(&mut timer);
+            check!(judged, idx);
             if !is_new {
                 src.discard(next);
                 continue;
@@ -1432,17 +1557,37 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
     }
 }
 
-/// An exploration from sweep to report: [`drive`] over `src` under the
-/// [`Explore`] checker, then — in this order — the terminal manifest of
-/// a persisted run, the observer's ending (the counterexample replayed
-/// to its sink when there is a trail, the bare outcome event otherwise)
-/// and the run's metrics. [`Search::explore`], and every serial
-/// convenience, is this function.
-#[allow(clippy::too_many_arguments)]
+/// The exploration's ending, whatever rode its sweep — in this order:
+/// the terminal manifest of a persisted run, the observer's ending (the
+/// counterexample replayed to its sink when there is a trail, the bare
+/// outcome event otherwise) and the run's metrics. Returns the report
+/// and the parent table the sweep kept (empty without trails).
+fn explored<T: TransitionSystem>(
+    sys: &T,
+    mut run: DriveRun,
+    obs: &mut SearchObserver<'_>,
+    mut persist: Option<&mut SerialPersist>,
+) -> (SearchReport, Vec<Parent>) {
+    if let Some(p) = persist.as_deref_mut() {
+        p.conclude(&mut run, &obs.telemetry().registry);
+    }
+    conclude_with_trail(sys, &run.outcome, run.trail.as_deref(), obs);
+    let reg = &obs.telemetry().registry;
+    record_search_run(reg, run.store.len(), run.transitions, run.peak_frontier, &run.store);
+    let parents = std::mem::take(&mut run.parents);
+    let mut report = run.report();
+    if let Some(p) = persist {
+        report.elapsed += p.elapsed_base();
+    }
+    (report, parents)
+}
+
+/// An unthreaded exploration from sweep to report: [`drive`] under the
+/// [`Explore`] checker alone, then [`explored`]. Every serial
+/// convenience is this function.
 pub(crate) fn explore_with<T: TransitionSystem>(
     sys: &T,
     budget: &Budget,
-    src: impl Source<T>,
     mut invariant: impl FnMut(&T::State) -> Option<String>,
     check_deadlock: bool,
     trails: bool,
@@ -1453,18 +1598,9 @@ pub(crate) fn explore_with<T: TransitionSystem>(
     // not once more per caller's closure.
     let invariant: &mut dyn FnMut(&T::State) -> Option<String> = &mut invariant;
     let mut checker = Explore { invariant, check_deadlock };
-    let mut run = drive(sys, budget, &mut checker, src, trails, obs, persist.as_deref_mut());
-    if let Some(p) = persist.as_deref_mut() {
-        p.conclude(&mut run, &obs.telemetry().registry);
-    }
-    conclude_with_trail(sys, &run.outcome, run.trail.as_deref(), obs);
-    let reg = &obs.telemetry().registry;
-    record_search_run(reg, run.store.len(), run.transitions, run.peak_frontier, &run.store);
-    let mut report = run.report();
-    if let Some(p) = persist {
-        report.elapsed += p.elapsed_base();
-    }
-    report
+    let src = Inline::new(sys, false);
+    let run = drive(sys, budget, &mut checker, src, trails, obs, persist.as_deref_mut());
+    explored(sys, run, obs, persist).0
 }
 
 /// How to run a search — the one options value behind every exploration
@@ -1494,6 +1630,33 @@ pub struct Search<'a> {
 }
 
 impl Search<'_> {
+    /// One sweep of `sys` under `checker`: the one place a [`Source`] is
+    /// chosen. Every entry point below is this call with its own
+    /// checker — one member, or several sharing the sweep — followed by
+    /// its members' endings.
+    pub(crate) fn sweep<T, C>(
+        &self,
+        sys: &T,
+        budget: &Budget,
+        checker: &mut C,
+        trails: bool,
+        obs: &mut SearchObserver<'_>,
+        persist: Option<&mut SerialPersist>,
+    ) -> DriveRun
+    where
+        T: TransitionSystem + Sync,
+        T::State: Send,
+        C: Checker<T>,
+    {
+        if self.threads == 0 {
+            drive(sys, budget, checker, Inline::new(sys, false), trails, obs, persist)
+        } else {
+            feed(sys, self.threads, self.stall_ms, &obs.telemetry().clone(), |src| {
+                drive(sys, budget, checker, src, trails, obs, persist)
+            })
+        }
+    }
+
     /// Explores the reachable state space of `sys` breadth-first.
     /// `invariant` is evaluated on every newly discovered state;
     /// returning `Some(description)` aborts with
@@ -1529,22 +1692,19 @@ impl Search<'_> {
             Some(Ok(SerialPersistOpen::Finished(m))) => return report_from_manifest(&m),
             Some(Err(e)) => return SearchReport::persist_failure(&e),
         };
-        let persist = persist.as_deref_mut();
-        let (deadlock, trails) = (self.check_deadlock, self.trails);
-        if self.threads == 0 {
-            let src = Inline::new(sys, false);
-            explore_with(sys, budget, src, invariant, deadlock, trails, obs, persist)
-        } else {
-            feed(sys, self.threads, self.stall_ms, &obs.telemetry().clone(), |src| {
-                explore_with(sys, budget, src, invariant, deadlock, trails, obs, persist)
-            })
-        }
+        // Type-erased, so the sweep is compiled once per system and
+        // source, not once more per caller's closure.
+        let invariant: &dyn Fn(&T::State) -> Option<String> = &invariant;
+        let mut checker = Explore { invariant, check_deadlock: self.check_deadlock };
+        let run = self.sweep(sys, budget, &mut checker, self.trails, obs, persist.as_deref_mut());
+        explored(sys, run, obs, persist.as_deref_mut()).0
     }
 
-    /// The §2.5 forward-progress check ([`crate::progress`]);
-    /// `is_progress` classifies labels as progress events. Of the options
-    /// only `threads` applies: the check always keeps parents for its
-    /// witness, never persists, and is not a stall-injection site.
+    /// The §2.5 forward-progress check ([`crate::progress`]) on a sweep
+    /// of its own; `is_progress` classifies labels as progress events. Of
+    /// the options only `threads` applies: the check always keeps parents
+    /// for its witness, never persists, and is not a stall-injection
+    /// site.
     pub fn progress<T, G>(
         &self,
         sys: &T,
@@ -1557,13 +1717,109 @@ impl Search<'_> {
         T::State: Send,
         G: Fn(&Label) -> bool + Sync,
     {
-        if self.threads == 0 {
-            progress::check(sys, budget, Inline::new(sys, false), is_progress, obs)
-        } else {
-            feed(sys, self.threads, 0, &obs.telemetry().clone(), |src| {
-                progress::check(sys, budget, src, is_progress, obs)
-            })
+        let mut graph = ForwardGraph::new(is_progress);
+        let alone = Search { stall_ms: 0, ..*self };
+        let run = alone.sweep(sys, budget, &mut graph, true, obs, None);
+        progress::swept_alone(sys, graph, run, obs)
+    }
+
+    /// [`Search::explore`] with riders on its sweep, in memory. Only the
+    /// exploration ends the sweep, and its ending and report are those of
+    /// [`Search::explore`]; what the riders saw comes back with the
+    /// parent table, which is always kept (the progress witness is read
+    /// off it) while the exploration's own trail still answers to
+    /// `trails`.
+    fn explore_ridden<T, F, R>(
+        &self,
+        sys: &T,
+        budget: &Budget,
+        invariant: &F,
+        riders: R,
+        obs: &mut SearchObserver<'_>,
+    ) -> (SearchReport, R, Vec<Parent>)
+    where
+        T: TransitionSystem + Sync,
+        T::State: Send,
+        F: Fn(&T::State) -> Option<String> + Sync,
+        R: Checker<T>,
+    {
+        let invariant: &dyn Fn(&T::State) -> Option<String> = invariant;
+        let mut checker = (Explore { invariant, check_deadlock: self.check_deadlock }, riders);
+        let mut run = self.sweep(sys, budget, &mut checker, true, obs, None);
+        if !self.trails {
+            run.trail = None;
         }
+        let (report, parents) = explored(sys, run, obs, None);
+        (report, checker.1, parents)
+    }
+
+    /// [`Search::explore`] with the progress check riding the same sweep:
+    /// one expansion of every state answers both. The report is the one
+    /// `explore` gives, and the returned graph is what
+    /// [`Search::progress`] would have recorded on a sweep of its own, as
+    /// long as the exploration ran out (`Complete`) or out of budget — a
+    /// violation that ends the exploration leaves a prefix nobody should
+    /// judge. [`ProgressGraph::check`] turns it into the report, whenever
+    /// the caller gets to it.
+    ///
+    /// `persist` is not consulted: riders must be shown every state, and
+    /// a resumed sweep does not re-announce the ones it recovered.
+    /// Checkpointed runs explore with [`Search::explore`] and check
+    /// separately.
+    pub fn explore_progress<T, F, G>(
+        &self,
+        sys: &T,
+        budget: &Budget,
+        invariant: F,
+        is_progress: G,
+        obs: &mut SearchObserver<'_>,
+    ) -> (SearchReport, ProgressGraph)
+    where
+        T: TransitionSystem + Sync,
+        T::State: Send,
+        F: Fn(&T::State) -> Option<String> + Sync,
+        G: Fn(&Label) -> bool + Sync,
+    {
+        let graph = ForwardGraph::new(is_progress);
+        let (report, graph, parents) = self.explore_ridden(sys, budget, &invariant, graph, obs);
+        let complete = report.outcome.is_complete();
+        (report, graph.swept(parents, complete))
+    }
+
+    /// All three questions `ccr verify` asks of the asynchronous level on
+    /// one sweep of it: [`Search::explore`], Equation 1 into `rv_sys`
+    /// ([`crate::simrel::check_simulation`]) and the progress check, with
+    /// every state expanded once and abstracted once. The exploration's
+    /// report is `explore`'s; the Equation 1 report is
+    /// `check_simulation`'s — a violating edge is latched with the counts
+    /// as they stood, and the sweep goes on — unless the exploration
+    /// found something of its own first, which reads as an incomplete
+    /// check; the graph is as for [`Search::explore_progress`], `persist`
+    /// likewise.
+    ///
+    /// Only the concrete system can be swept this way: Equation 1's memo
+    /// is keyed by stored index, and under [`crate::symmetry::Reduced`]
+    /// an index is an orbit, not a state.
+    pub fn verify<F, G>(
+        &self,
+        async_sys: &AsyncSystem<'_>,
+        rv_sys: &RendezvousSystem<'_>,
+        budget: &Budget,
+        invariant: F,
+        is_progress: G,
+        obs: &mut SearchObserver<'_>,
+    ) -> (SearchReport, SimRelReport, ProgressGraph)
+    where
+        F: Fn(&AsyncState) -> Option<String> + Sync,
+        G: Fn(&Label) -> bool + Sync,
+    {
+        let riders =
+            (Riding::new(Equation1::new(async_sys, rv_sys)), ForwardGraph::new(is_progress));
+        let (report, (equation1, graph), parents) =
+            self.explore_ridden(async_sys, budget, &invariant, riders, obs);
+        let equation1 = equation1.report(&report.outcome);
+        let complete = report.outcome.is_complete();
+        (report, equation1, graph.swept(parents, complete))
     }
 }
 
@@ -1583,9 +1839,7 @@ pub fn explore<T: TransitionSystem>(
 ) -> ExploreReport {
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    let src = Inline::new(sys, false);
-    explore_with(sys, budget, src, invariant, check_deadlock, false, &mut obs, None)
-        .explore_report()
+    explore_with(sys, budget, invariant, check_deadlock, false, &mut obs, None).explore_report()
 }
 
 /// Convenience: explore with no invariant and no deadlock check.

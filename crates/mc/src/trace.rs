@@ -13,7 +13,7 @@
 //! sceptical users) can confirm the final state really is the bad one.
 
 use crate::report::Outcome;
-use crate::search::{explore_with, Budget, Inline, SearchObserver, SerialPersist};
+use crate::search::{explore_with, Budget, SearchObserver, SerialPersist};
 use ccr_runtime::observe::emit_label_events;
 use ccr_runtime::{Label, TransitionSystem};
 use ccr_trace::{TraceEvent, TraceSink};
@@ -182,8 +182,7 @@ pub fn explore_traced_observed<T: TransitionSystem>(
     check_deadlock: bool,
     obs: &mut SearchObserver<'_>,
 ) -> TracedReport {
-    let src = Inline::new(sys, false);
-    explore_with(sys, budget, src, invariant, check_deadlock, true, obs, None).traced_report()
+    explore_with(sys, budget, invariant, check_deadlock, true, obs, None).traced_report()
 }
 
 /// [`explore_traced_observed`] against a persistence context the caller
@@ -198,9 +197,7 @@ pub fn explore_traced_observed_persist<T: TransitionSystem>(
     obs: &mut SearchObserver<'_>,
     persist: &mut SerialPersist,
 ) -> TracedReport {
-    let src = Inline::new(sys, false);
-    explore_with(sys, budget, src, invariant, check_deadlock, true, obs, Some(persist))
-        .traced_report()
+    explore_with(sys, budget, invariant, check_deadlock, true, obs, Some(persist)).traced_report()
 }
 
 /// Shared ending of every search: when the
@@ -343,7 +340,7 @@ mod tests {
             let mut obs = SearchObserver::new(&mut null);
             let mut checker =
                 crate::search::Explore { invariant: |_: &T::State| None, check_deadlock: true };
-            let stack = Inline::new(sys, true);
+            let stack = crate::search::Inline::new(sys, true);
             let run = crate::search::drive(
                 sys,
                 &Budget::default(),

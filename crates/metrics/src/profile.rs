@@ -20,6 +20,7 @@
 //! | `compute`      | `successors()` per expanded state (threaded: the count only) | `successors()`, time only |
 //! | `encode`       | successor encode into the arena slot (threaded: the count only) | successor encode + hash, time only |
 //! | `insert`       | duplicate probe + commit, per successor    | —                   |
+//! | `check`        | a checker's per-edge work (Equation 1, the progress check's edge list), per successor; absent from a plain exploration | — |
 //! | `ship`         | threaded: handing a chunk of frontier states out | handing an expanded chunk back |
 //! | `drain`        | threaded: waiting for the next chunk in order | —                |
 //! | `barrier_wait` | —                                          | waiting for a chunk to expand |
@@ -37,8 +38,9 @@
 //! [`Profiler::publish`] registers every `profile_*` metric through the
 //! `_nondet` constructors, so [`crate::Snapshot::deterministic`] views
 //! are identical whether profiling ran or not. Span *counts* for
-//! `compute` (states expanded), `encode` (successors processed) and
-//! `insert` (store insertions attempted) are properties of the state
+//! `compute` (states expanded), `encode` (successors processed),
+//! `insert` (store insertions attempted) and `check` (edges a checker
+//! judged) are properties of the state
 //! space, charged by the sweep as it expands each state whoever
 //! generated the successors: they are equal at every thread count (see
 //! [`SpanKind::deterministic_count`]).
@@ -63,6 +65,10 @@ pub enum SpanKind {
     /// State-store insertion: duplicate probe plus arena commit (inline:
     /// in-place slot commit; threaded: insert by the worker's hash).
     Insert,
+    /// What a checker other than plain exploration does with each edge:
+    /// Equation 1's judgement, the progress check's edge list. A plain
+    /// exploration never laps it.
+    Check,
     /// Handing a chunk between the sweep and a worker.
     Ship,
     /// The sweep waiting for the next chunk in order.
@@ -76,7 +82,7 @@ pub enum SpanKind {
 }
 
 /// Number of span kinds (the fixed width of every row).
-pub const N_SPAN_KINDS: usize = 8;
+pub const N_SPAN_KINDS: usize = 9;
 
 impl SpanKind {
     /// Every kind, in canonical (output) order.
@@ -84,6 +90,7 @@ impl SpanKind {
         SpanKind::Compute,
         SpanKind::Encode,
         SpanKind::Insert,
+        SpanKind::Check,
         SpanKind::Ship,
         SpanKind::Drain,
         SpanKind::BarrierWait,
@@ -96,11 +103,12 @@ impl SpanKind {
             SpanKind::Compute => 0,
             SpanKind::Encode => 1,
             SpanKind::Insert => 2,
-            SpanKind::Ship => 3,
-            SpanKind::Drain => 4,
-            SpanKind::BarrierWait => 5,
-            SpanKind::Progress => 6,
-            SpanKind::Checkpoint => 7,
+            SpanKind::Check => 3,
+            SpanKind::Ship => 4,
+            SpanKind::Drain => 5,
+            SpanKind::BarrierWait => 6,
+            SpanKind::Progress => 7,
+            SpanKind::Checkpoint => 8,
         }
     }
 
@@ -110,6 +118,7 @@ impl SpanKind {
             SpanKind::Compute => "compute",
             SpanKind::Encode => "encode",
             SpanKind::Insert => "insert",
+            SpanKind::Check => "check",
             SpanKind::Ship => "ship",
             SpanKind::Drain => "drain",
             SpanKind::BarrierWait => "barrier_wait",
@@ -127,7 +136,7 @@ impl SpanKind {
     /// space (identical at every thread count) rather than of the
     /// schedule.
     pub fn deterministic_count(self) -> bool {
-        matches!(self, SpanKind::Compute | SpanKind::Encode | SpanKind::Insert)
+        matches!(self, SpanKind::Compute | SpanKind::Encode | SpanKind::Insert | SpanKind::Check)
     }
 }
 

@@ -1,17 +1,22 @@
 //! The telemetry of one `verify`/`table` invocation: what the
 //! observability flags turn on, set up once ([`Run::start`]), handed to
-//! every search phase ([`Run::explore`], [`Run::progress`]) and torn down
-//! once ([`Run::profile_out`], [`Run::finish`]). Also the one metrics
+//! every search phase ([`Run::explore`], [`Run::explore_ridden`],
+//! [`Run::equation1`], [`Run::progress`], [`Run::progress_of`]) and torn
+//! down once ([`Run::profile_out`], [`Run::finish`]). Also the one metrics
 //! snapshot writer and the profile renderings `report` shares.
 
 use crate::flags::Parsed;
-use ccr_mc::report::{ProgressReport, SearchReport};
+use ccr_mc::report::{ProgressReport, SearchReport, SimRelReport};
 use ccr_mc::search::{Budget, Search, SearchObserver, Telemetry};
-use ccr_mc::{Outcome, Reduced, Symmetric};
+use ccr_mc::simrel::check_simulation_observed;
+use ccr_mc::{Outcome, ProgressGraph, Reduced, Symmetric};
 use ccr_metrics::profile::{ProfileAgg, Profiler, SpanKind};
 use ccr_metrics::status::StatusWriter;
 use ccr_metrics::timeseries::{process_rss_bytes, Recorder};
 use ccr_metrics::Registry;
+use ccr_runtime::asynch::AsyncSystem;
+use ccr_runtime::rendezvous::RendezvousSystem;
+use ccr_runtime::{Label, TransitionSystem};
 use ccr_trace::{JsonlSink, TraceEvent, TraceSink};
 use serde::MapSer;
 use std::fs::File;
@@ -200,7 +205,66 @@ impl Run {
         })
     }
 
-    /// The forward-progress phase, likewise.
+    /// The asynchronous level's reachability phase with the checks that
+    /// can ride its sweep on it (DESIGN.md, "who rides which sweep"): the
+    /// progress check always — its graph comes back for
+    /// [`Run::progress_of`] — and Equation 1 when the sweep is over the
+    /// concrete space, where its by-index memo is sound. Under `reduce`
+    /// it keeps a sweep of its own ([`Run::equation1`]).
+    pub fn explore_ridden(
+        &mut self,
+        search: &Search<'_>,
+        asys: &AsyncSystem<'_>,
+        rv: &RendezvousSystem<'_>,
+        reduce: bool,
+        phase: &str,
+        budget: &Budget,
+    ) -> (SearchReport, Option<SimRelReport>, ProgressGraph) {
+        let registry = &self.telemetry.registry;
+        let _p = registry.phase(phase);
+        let mut obs = SearchObserver::for_phase(&mut self.sink, &self.telemetry, phase);
+        let completes = |l: &Label| l.completes.is_some();
+        if reduce {
+            let red = Reduced::new(asys);
+            let (report, graph) =
+                search.explore_progress(&red, budget, |_| None, completes, &mut obs);
+            red.record_metrics(registry, search.threads == 0 || report.outcome.is_complete());
+            (report, None, graph)
+        } else {
+            let (report, equation1, graph) =
+                search.verify(asys, rv, budget, |_| None, completes, &mut obs);
+            (report, Some(equation1), graph)
+        }
+    }
+
+    /// Equation 1 on a sweep of its own, over the concrete space.
+    pub fn equation1(
+        &mut self,
+        asys: &AsyncSystem<'_>,
+        rv: &RendezvousSystem<'_>,
+        phase: &str,
+        budget: &Budget,
+    ) -> SimRelReport {
+        let _p = self.telemetry.registry.phase(phase);
+        let mut obs = SearchObserver::for_phase(&mut self.sink, &self.telemetry, phase);
+        check_simulation_observed(asys, rv, budget, &mut obs)
+    }
+
+    /// The forward-progress phase when the exploration's sweep already
+    /// recorded its graph: the analysis alone.
+    pub fn progress_of<T: TransitionSystem>(
+        &mut self,
+        graph: ProgressGraph,
+        sys: &T,
+        phase: &str,
+    ) -> ProgressReport {
+        let _p = self.telemetry.registry.phase(phase);
+        let mut obs = SearchObserver::for_phase(&mut self.sink, &self.telemetry, phase);
+        graph.check(sys, &mut obs)
+    }
+
+    /// The forward-progress phase on a sweep of its own, as
+    /// [`Run::explore`] runs one.
     pub fn progress<T>(
         &mut self,
         search: &Search<'_>,

@@ -11,7 +11,6 @@ use ccr_faults::{parse_fault_spec, FaultPlan, FaultRates, FaultSpec, FaultStats}
 use ccr_mc::faultmode::FaultClosureReport;
 use ccr_mc::report::SearchReport;
 use ccr_mc::search::{Budget, PersistOpts, Search, SearchObserver};
-use ccr_mc::simrel::check_simulation;
 use ccr_mc::{CrashSwitch, Outcome};
 use ccr_metrics::jsonval::Json;
 use ccr_metrics::Registry;
@@ -400,17 +399,29 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
     let mut sim = None;
     let mut prog = None;
     if r_ok {
-        let dir = phase_dir("async");
-        let persisted = Search { persist: dir.as_deref().map(|d| (d, &popts)), ..search };
-        let ar = run.explore(&persisted, &asys, reduce, "explore/async", &budget);
+        // The checks ride the exploration's sweep whenever it is in
+        // memory: every state is then expanded once for all of them. A
+        // checkpointed sweep carries no riders — resumed, it would not
+        // show them the states it recovered — so `--spill-dir` keeps one
+        // sweep per question.
+        let ride = spill_root.is_none() && !async_only;
+        let (ar, rode, graph) = if ride {
+            let (ar, rode, graph) =
+                run.explore_ridden(&search, &asys, &rv, reduce, "explore/async", &budget);
+            (ar, rode, Some(graph))
+        } else {
+            let dir = phase_dir("async");
+            let persisted = Search { persist: dir.as_deref().map(|d| (d, &popts)), ..search };
+            (run.explore(&persisted, &asys, reduce, "explore/async", &budget), None, None)
+        };
         announce("asynchronous", &ar);
         let a_ok = ar.outcome.is_complete();
         a = Some(ar);
+        // What rode is reported under the conditions its own sweep used
+        // to run under: Equation 1 once the exploration completed,
+        // progress once Equation 1 held.
         if a_ok && !async_only {
-            let s = {
-                let _p = run.telemetry.registry.phase("check/equation1");
-                check_simulation(&asys, &rv, &budget)
-            };
+            let s = rode.unwrap_or_else(|| run.equation1(&asys, &rv, "check/equation1", &budget));
             if human {
                 // Running out of budget refutes nothing: only a
                 // counterexample edge is a violation.
@@ -432,7 +443,10 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
             let s_ok = s.holds();
             sim = Some(s);
             if s_ok {
-                let p = run.progress(&search, &asys, reduce, "check/progress", &budget);
+                let p = match graph {
+                    Some(graph) => run.progress_of(graph, &asys, "check/progress"),
+                    None => run.progress(&search, &asys, reduce, "check/progress", &budget),
+                };
                 if human {
                     println!(
                         "forward progress: {} ({} states, {} livelocked, {} deadlocked)",

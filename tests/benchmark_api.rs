@@ -5,7 +5,13 @@
 //! would otherwise first be noticed when the benchmark pipeline fails to
 //! build. This file names every `ccr-*` item listed under "Entry points
 //! into `ccr-*`" in `benchmark/README.md`, with the signature the adapter
-//! uses it at; it is compile-only — building it is the test.
+//! uses it at; that part is compile-only — building it is the test.
+//!
+//! The benchmark's traced run also fails an op ("in-process op") when the
+//! line `layers.rs::verify` composes from those entry points differs from
+//! what `ccr verify --json` prints. `the_composed_verify_line_is_the_clis`
+//! repeats that comparison here, so a `ccr verify` that drifts from the
+//! separate entry points by a byte breaks `cargo test`, not the pipeline.
 //!
 //! An entry may be dropped here only together with the benchmark change
 //! that stops using it (and its line in that README list); until then a
@@ -221,3 +227,143 @@ fn telemetry_surface() {
 
 #[test]
 fn the_benchmark_adapter_surface_compiles() {}
+
+/// `benchmark/src/layers.rs::verify` without its spans: the `ccr verify
+/// --json` line for `--symmetry on|off [--async] --budget B`, composed
+/// phase by phase from the separate pinned entry points. One cell is the
+/// CLI's rather than the adapter's: under `--symmetry on` the progress
+/// check runs on the quotient, where the adapter would run it on the
+/// concrete system (no workload pairs symmetry with a full verify).
+fn composed_verify_line(
+    path: &str,
+    n: u32,
+    symmetry: bool,
+    async_only: bool,
+    budget_states: usize,
+) -> String {
+    fn explore<T: TransitionSystem>(sys: &T, budget: &Budget) -> TracedReport {
+        let mut null = NullSink;
+        let mut obs = SearchObserver::new(&mut null);
+        explore_traced_observed(sys, budget, |_| None, true, &mut obs)
+    }
+    fn progress<T>(sys: &T, budget: &Budget) -> ProgressReport
+    where
+        T: TransitionSystem + Sync,
+        T::State: Send,
+    {
+        let mut null = NullSink;
+        let mut obs = SearchObserver::new(&mut null);
+        check_progress_observed(sys, budget, |l| l.completes.is_some(), &mut obs)
+    }
+    let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let spec = parse_validated(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let refined = refine(&spec, &RefineOptions { reqrep: ReqRepMode::Auto }).expect("refines");
+    let budget = Budget::states(budget_states);
+    let reduce = symmetry && spec_permutable(&spec);
+    let rv = RendezvousSystem::new(&spec, n);
+    let rendezvous = (!async_only).then(|| {
+        if reduce {
+            explore(&Reduced::new(&rv), &budget)
+        } else {
+            explore(&rv, &budget)
+        }
+    });
+    let rv_ok = rendezvous.as_ref().is_none_or(|r| r.outcome == Outcome::Complete);
+    let asys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+    let mut asynchronous = None;
+    let mut equation1 = None;
+    let mut progress_report = None;
+    if rv_ok {
+        let a =
+            if reduce { explore(&Reduced::new(&asys), &budget) } else { explore(&asys, &budget) };
+        let a_ok = a.outcome == Outcome::Complete;
+        asynchronous = Some(a);
+        if a_ok && !async_only {
+            let s = check_simulation(&asys, &rv, &budget);
+            let s_ok = s.holds();
+            equation1 = Some(s);
+            if s_ok {
+                progress_report = Some(if reduce {
+                    progress(&Reduced::new(&asys), &budget)
+                } else {
+                    progress(&asys, &budget)
+                });
+            }
+        }
+    }
+    let a_ok = asynchronous.as_ref().is_some_and(|a| a.outcome == Outcome::Complete);
+    let holds = rv_ok
+        && a_ok
+        && (async_only
+            || (equation1.as_ref().is_some_and(SimRelReport::holds)
+                && progress_report.as_ref().is_some_and(ProgressReport::holds)));
+    let mut s = serde::Serializer::new();
+    let mut m = s.begin_map();
+    m.entry("spec", spec.name.as_str());
+    m.entry("command", "verify");
+    m.entry("n", &n);
+    m.entry("budget_states", &budget_states);
+    m.entry("optimized", &true);
+    m.entry("threads", &1usize);
+    m.entry("symmetry", if reduce { "on" } else { "off" });
+    m.entry("seed", &0u64);
+    m.entry("async_only", &async_only);
+    m.entry("rendezvous", &rendezvous);
+    m.entry("asynchronous", &asynchronous);
+    m.entry("equation1", &equation1);
+    m.entry("progress", &progress_report);
+    m.entry("fault_closure", &None::<bool>);
+    m.entry("fault_walk", &None::<bool>);
+    m.entry("holds", &holds);
+    m.end();
+    s.into_string()
+}
+
+/// The budget the comparison below runs under, so that the debug build
+/// stays inside a tier-1 time budget. The two asynchronous spaces past
+/// it at n=3 (invalidate, update) pin the `Unfinished` shape of the
+/// document instead; every rendezvous space fits.
+const COMPOSED_BUDGET: usize = 50_000;
+
+#[test]
+fn the_composed_verify_line_is_the_clis() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut full_verdicts, mut unfinished) = (0, 0);
+    for name in [
+        "invalidate",
+        "migratory",
+        "migratory_broken",
+        "migratory_gated",
+        "token",
+        "update",
+        "zoo_chain",
+        "zoo_unsound_pair",
+    ] {
+        let path = root.join(format!("specs/{name}.ccp"));
+        let path = path.to_str().expect("utf-8 path");
+        for symmetry in [false, true] {
+            for async_only in [false, true] {
+                let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"));
+                cmd.args(["verify", path, "-n", "3", "--json", "--budget"])
+                    .arg(COMPOSED_BUDGET.to_string())
+                    .args(["--symmetry", if symmetry { "on" } else { "off" }]);
+                if async_only {
+                    cmd.arg("--async");
+                }
+                let out = cmd.output().expect("spawn ccr");
+                let printed = String::from_utf8(out.stdout).expect("utf-8");
+                let composed = composed_verify_line(path, 3, symmetry, async_only, COMPOSED_BUDGET);
+                let context = format!("{name} symmetry={symmetry} async={async_only}");
+                assert_eq!(printed.trim_end(), composed, "{context}");
+                assert_eq!(
+                    out.status.success(),
+                    composed.ends_with("\"holds\":true}"),
+                    "{context}"
+                );
+                full_verdicts += usize::from(composed.contains("\"progress\":{"));
+                unfinished += usize::from(composed.contains("\"Unfinished\""));
+            }
+        }
+    }
+    assert!(full_verdicts >= 8 && unfinished >= 2, "{full_verdicts} {unfinished}");
+}

@@ -119,6 +119,40 @@ fn cli_parallel_snapshot_counters_equal_the_serial_runs() {
     }
 }
 
+/// `mc_runs_total` counts sweeps, and the phase set says which checks
+/// had one of their own: on the concrete space the exploration carries
+/// Equation 1 and the progress check; on the quotient Equation 1 sweeps
+/// the concrete space alone; a checkpointed run carries nothing.
+/// `check/progress` is the post-sweep analysis whenever the check rode.
+#[test]
+fn cli_run_totals_say_who_rode_which_sweep() {
+    let dir = tmp_dir("riders");
+    let spill = dir.join("spill");
+    let spill = spill.to_str().expect("utf-8 path");
+    for (flags, runs, equation1_sweeps_alone) in [
+        (&["--symmetry", "off"][..], 2, false),
+        (&["--symmetry", "on"], 3, true),
+        (&["--symmetry", "off", "--threads", "2"], 2, false),
+        (&["--symmetry", "off", "--spill-dir", spill], 4, true),
+        (&["--symmetry", "off", "--async"], 1, false),
+    ] {
+        let snap = cli_snapshot(flags);
+        let counter = |name: &str| snap.path(&format!("counters.{name}")).and_then(Json::as_u64);
+        assert_eq!(counter("mc_runs_total"), Some(runs), "{flags:?}");
+        let phase = |name: &str| snap.path("phases").and_then(|p| p.get(name)).is_some();
+        assert_eq!(phase("check/equation1"), equation1_sweeps_alone, "{flags:?}");
+        assert_eq!(phase("check/progress"), !flags.contains(&"--async"), "{flags:?}");
+    }
+    // migratory n=2: 18 rendezvous and 156 asynchronous states, each
+    // counted once per sweep that stored it.
+    let states = |flags: &[&str]| {
+        cli_snapshot(flags).path("counters.mc_states_total").and_then(Json::as_u64)
+    };
+    assert_eq!(states(&["--symmetry", "off"]), Some(18 + 156));
+    assert_eq!(states(&["--symmetry", "off", "--spill-dir", spill]), Some(18 + 3 * 156));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_prometheus_file_output_validates() {
     let dir = tmp_dir("prom");

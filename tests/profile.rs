@@ -7,13 +7,18 @@
 //!   insert count transitions, so they match the serial engine at every
 //!   thread count on every shipped spec (timings are wall-clock and
 //!   schedule-dependent — only the counts are pinned);
+//! * the `check` span is the riders': a sweep that carries Equation 1 or
+//!   the progress check laps it once per edge, so their work is not
+//!   charged to `encode`, and a plain exploration has no such row;
 //! * the folded-stack encoding round-trips.
 
 use ccr_bench::diff::{diff_strs, DiffOptions};
+use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
 use ccr_mc::search::{Budget, Search, SearchObserver, Telemetry};
 use ccr_metrics::profile::{parse_folded, ProfileAgg, Profiler, SpanKind};
 use ccr_metrics::Registry;
+use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_trace::JsonlSink;
 use std::path::Path;
@@ -105,6 +110,43 @@ fn deterministic_span_counts_match_serial_at_every_thread_count() {
                 "{name}: (compute, encode, insert) span counts diverged at {threads} threads"
             );
         }
+    }
+}
+
+#[test]
+fn the_check_span_is_lapped_once_per_edge_for_riders_and_never_for_a_plain_exploration() {
+    let spec = parse_validated(&spec_text("migratory.ccp")).expect("parse");
+    let refined = refine(&spec, &RefineOptions::default()).expect("refine");
+    let rv = RendezvousSystem::new(&spec, 3);
+    let asys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
+    let budget = Budget::default();
+    /// (check laps, check nanos, encode laps) of one profiled run.
+    fn profiled(run: impl FnOnce(&mut SearchObserver<'_>)) -> (u64, u64, u64) {
+        let telemetry = Telemetry { profiler: Profiler::new(), ..Telemetry::off() };
+        let mut null = ccr_trace::NullSink;
+        run(&mut SearchObserver::for_phase(&mut null, &telemetry, "explore"));
+        let agg = telemetry.profiler.aggregate();
+        let check = agg.kind(SpanKind::Check);
+        (check.count, check.nanos, agg.kind(SpanKind::Encode).count)
+    }
+    let completes = |l: &ccr_runtime::Label| l.completes.is_some();
+    for threads in [0usize, 2] {
+        let search = Search { threads, ..Search::default() };
+        let plain = profiled(|obs| {
+            search.explore(&asys, &budget, |_| None, obs);
+        });
+        assert_eq!((plain.0, plain.1), (0, 0), "t={threads}: no row, no lap");
+        let transitions = plain.2;
+        assert!(transitions > 0);
+        let ridden = profiled(|obs| {
+            search.verify(&asys, &rv, &budget, |_| None, completes, obs);
+        });
+        assert_eq!((ridden.0, ridden.2), (transitions, transitions), "t={threads}");
+        assert!(ridden.1 > 0, "t={threads}: the riders' time has a row of its own");
+        let alone = profiled(|obs| {
+            search.progress(&asys, &budget, completes, obs);
+        });
+        assert_eq!((alone.0, alone.2), (transitions, transitions), "t={threads}");
     }
 }
 

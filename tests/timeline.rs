@@ -174,6 +174,43 @@ fn cli_timeline_round_trips_a_run_dir() {
     assert_eq!(merged.path("timeline.spec").and_then(Json::as_str), Some("specs/migratory.ccp"));
 }
 
+/// Under `--symmetry on` Equation 1 still sweeps the concrete space on
+/// its own — the longest phase of a default `ccr verify` — and that sweep
+/// is sampled like any other; when it rides the exploration's sweep
+/// there is no such phase, and `check/progress` is an analysis that
+/// expands nothing.
+#[test]
+fn equation_1_is_sampled_when_it_sweeps_alone() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = tmp_dir("equation1");
+    let phases = |symmetry: &str| {
+        let path = dir.join(format!("{symmetry}.jsonl"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+            .args(["verify", "specs/migratory.ccp", "-n", "3", "--symmetry", symmetry])
+            .args(["--progress-interval", "0", "--timeline"])
+            .arg(&path)
+            .current_dir(root)
+            .output()
+            .expect("run ccr");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let timeline = Timeline::read(&path).expect("timeline written");
+        timeline.validate().expect("timeline validates");
+        let samples = |phase: usize| timeline.points.iter().filter(|p| p.phase == phase).count();
+        let names = timeline.phases.iter().map(|(_, name)| name.clone());
+        names.enumerate().map(|(i, name)| (name, samples(i))).collect::<Vec<_>>()
+    };
+    let on = phases("on");
+    let names: Vec<&str> = on.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["explore/rendezvous", "explore/async", "check/equation1", "check/progress"]);
+    // One sample per expansion at interval 0: the 2,082 concrete states.
+    assert_eq!(on[2].1, 2082, "{on:?}");
+    assert_eq!(on[3].1, 0, "{on:?}");
+    let off = phases("off");
+    let names: Vec<&str> = off.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["explore/rendezvous", "explore/async", "check/progress"]);
+    assert_eq!((off[1].1, off[2].1), (2082, 0), "{off:?}");
+}
+
 #[test]
 fn injected_stall_trips_the_watchdog_through_the_cli() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
