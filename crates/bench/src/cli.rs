@@ -1,38 +1,39 @@
 //! Shared command-line parsing for the report binaries, so every
 //! `--trace`/`--seed`/`--threads` flag behaves the same across `table3`,
-//! `scaling`, `messages`, `buffers`, and `mc_perf`.
+//! `scaling`, `messages` and `buffers`.
 
 use ccr_trace::{JsonlSink, NullSink, TraceSink};
+
+/// The word after `flag` on the command line, `None` when the flag is
+/// absent. A flag given last, without its value, is misuse.
+fn value_of(flag: &str) -> Option<String> {
+    let mut args = std::env::args().skip_while(|a| a != flag);
+    args.next()?;
+    Some(args.next().unwrap_or_else(|| misuse(&format!("{flag} requires an argument"))))
+}
+
+/// Ends the process the way every report binary diagnoses its flags.
+fn misuse(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
 
 /// `--trace <file>` from the command line, as a boxed sink (`NullSink`
 /// when absent).
 pub fn sink_from_args() -> Box<dyn TraceSink> {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--trace") {
-        Some(i) => {
-            let path = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--trace requires a file argument");
-                std::process::exit(2);
-            });
-            Box::new(JsonlSink::create(path).unwrap_or_else(|e| {
-                eprintln!("cannot create {path}: {e}");
-                std::process::exit(2);
-            }))
-        }
+    match value_of("--trace") {
+        Some(path) => Box::new(
+            JsonlSink::create(&path)
+                .unwrap_or_else(|e| misuse(&format!("cannot create {path}: {e}"))),
+        ),
         None => Box::new(NullSink),
     }
 }
 
 /// `--seed <N>` from the command line (0 when absent: the canonical run).
 pub fn seed_from_args() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--seed") {
-        Some(i) => args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-            eprintln!("--seed requires an integer argument");
-            std::process::exit(2);
-        }),
-        None => 0,
-    }
+    value_of("--seed")
+        .map_or(0, |s| s.parse().unwrap_or_else(|_| misuse("--seed requires an integer argument")))
 }
 
 /// `--threads <N>` from the command line, as [`ccr_mc::search::Search`]
@@ -41,16 +42,10 @@ pub fn seed_from_args() -> u64 {
 /// Every run reports the same either way, so tables stay comparable
 /// across thread counts.
 pub fn threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--threads") {
-        Some(i) => {
-            args.get(i + 1).and_then(|s| s.parse().ok()).filter(|&t: &usize| t >= 1).unwrap_or_else(
-                || {
-                    eprintln!("--threads requires an integer argument >= 1");
-                    std::process::exit(2);
-                },
-            )
-        }
-        None => 0,
-    }
+    value_of("--threads").map_or(0, |s| {
+        s.parse()
+            .ok()
+            .filter(|&t| t >= 1)
+            .unwrap_or_else(|| misuse("--threads requires an integer argument >= 1"))
+    })
 }

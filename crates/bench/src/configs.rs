@@ -1,5 +1,5 @@
-//! Shared experiment configurations, so the binaries, the Criterion
-//! benches and EXPERIMENTS.md all describe the same runs.
+//! Shared experiment configurations, so the binaries and EXPERIMENTS.md
+//! describe the same runs.
 
 use ccr_mc::search::Budget;
 use std::time::Duration;

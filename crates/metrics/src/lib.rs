@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod diff;
 pub mod jsonval;
 pub mod profile;
 pub mod promcheck;

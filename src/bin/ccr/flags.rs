@@ -73,7 +73,7 @@ pub const VERBS: &[VerbRow] = &[
     VerbRow { verb: Verb::Fuzz, name: "fuzz", positionals: &[],
         help: "differential derivation fuzzing over the seeded spec zoo" },
     VerbRow { verb: Verb::BenchDiff, name: "bench diff", positionals: &["<old.json>", "<new.json>"],
-        help: "perf-regression gate over BENCH_*.json reports or metrics snapshots" },
+        help: "compare two metrics snapshots: every deterministic metric must be equal" },
 ];
 
 /// What a flag takes, and the range its value is checked against.
@@ -86,8 +86,6 @@ pub enum Kind {
     /// Finite fractional seconds, at least the floor, that fit a
     /// [`Duration`].
     Seconds(f64),
-    /// A fraction in `[0, 1)`, or in `[0, 1]` when the flag says so.
-    Ratio { closed: bool },
     /// A path or other free text.
     Text,
     /// One of the listed words.
@@ -124,86 +122,86 @@ const fn flag(
     Flag { name, metavar, kind, default, verbs, help }
 }
 
-// The six spec verbs share one flag set (narrowing it per verb is future
-// work); `verify`-only rules live with `verify`'s argument checks.
-const SPEC: u16 = Verb::Fmt.bit()
-    | Verb::Check.bit()
-    | Verb::Refine.bit()
-    | Verb::Dot.bit()
-    | Verb::Verify.bit()
-    | Verb::Table.bit();
+// Each verb takes exactly the flags its `run` reads, so a flag of
+// another verb is the parser's "not a flag of" misuse rather than a value
+// nobody looks at.
+const VERIFY: u16 = Verb::Verify.bit();
+/// The verbs that search, and so take the engine and artifact flags.
+const SEARCH: u16 = VERIFY | Verb::Table.bit();
+/// The verbs that refine the spec.
+const REFINE: u16 = SEARCH | Verb::Refine.bit() | Verb::Dot.bit();
+const DOT: u16 = Verb::Dot.bit();
 const WATCH: u16 = Verb::Watch.bit();
 const FUZZ: u16 = Verb::Fuzz.bit();
-const DIFF: u16 = Verb::BenchDiff.bit();
-const JSON: u16 = SPEC | FUZZ | Verb::Report.bit() | Verb::Timeline.bit();
-const ALL: u16 = JSON | WATCH | DIFF;
+const JSON: u16 = SEARCH | FUZZ | Verb::Report.bit() | Verb::Timeline.bit();
+const ALL: u16 = u16::MAX;
 
 const ANY: u64 = u64::MAX;
 const U32: u64 = u32::MAX as u64;
 const USIZE: u64 = usize::MAX as u64;
-use Kind::{Choice, Count, Ratio, Seconds, Switch, Text};
+use Kind::{Choice, Count, Seconds, Switch, Text};
 
 #[rustfmt::skip]
 pub const FLAGS: &[Flag] = &[
     flag("--help", "", Switch, None, ALL,
         "print this verb's usage and exit (also -h)"),
-    flag("-n", "N", Count(0, U32), Some("2"), SPEC | FUZZ,
+    flag("-n", "N", Count(0, U32), Some("2"), SEARCH | FUZZ,
         "number of remote nodes (table: sweep 1..=N)"),
-    flag("--budget", "STATES", Count(0, USIZE), Some("2000000"), SPEC,
+    flag("--budget", "STATES", Count(0, USIZE), Some("2000000"), SEARCH,
         "state budget per search; exceeding it reports Unfinished"),
     flag("--budget", "STATES", Count(0, USIZE), Some("20000"), FUZZ,
         "state budget per search of each generated spec"),
-    flag("--no-opt", "", Switch, None, SPEC,
+    flag("--no-opt", "", Switch, None, REFINE,
         "refine without the §3.3 request/reply optimisation"),
-    flag("--refined", "", Switch, None, SPEC,
+    flag("--refined", "", Switch, None, DOT,
         "dot: draw the refined home and remote automata"),
-    flag("--threads", "T", Count(1, USIZE), None, SPEC,
+    flag("--threads", "T", Count(1, USIZE), None, SEARCH,
         "generate successors on T worker threads ahead of the one sweep (same results; absent: inline)"),
-    flag("--symmetry", "MODE", Choice(&["on", "off", "auto"]), Some("auto"), SPEC,
+    flag("--symmetry", "MODE", Choice(&["on", "off", "auto"]), Some("auto"), SEARCH,
         "dedupe states equal up to renaming the remotes (docs/symmetry.md)"),
-    flag("--async", "", Switch, None, SPEC,
+    flag("--async", "", Switch, None, VERIFY,
         "verify: explore only the refined asynchronous level"),
     flag("--json", "", Switch, None, JSON,
         "one machine-readable JSON document on stdout instead of the human rendering"),
-    flag("--trace", "FILE", Text, None, SPEC,
+    flag("--trace", "FILE", Text, None, SEARCH,
         "write heartbeats and any counterexample as a JSONL event stream"),
-    flag("--progress", "", Switch, None, SPEC,
+    flag("--progress", "", Switch, None, SEARCH,
         "print live heartbeats (states, frontier, rate) to stderr"),
-    flag("--progress-interval", "SECS", Seconds(0.0), Some("1.0"), SPEC,
+    flag("--progress-interval", "SECS", Seconds(0.0), Some("1.0"), SEARCH,
         "wall-clock heartbeat, status and timeline cadence"),
-    flag("--metrics", "PATH|-", Text, None, SPEC | FUZZ,
+    flag("--metrics", "PATH|-", Text, None, SEARCH | FUZZ,
         "collect pipeline metrics and write the snapshot (- = stdout, as the final line)"),
-    flag("--metrics-format", "FORMAT", Choice(&["json", "prometheus"]), Some("json"), SPEC | FUZZ,
+    flag("--metrics-format", "FORMAT", Choice(&["json", "prometheus"]), Some("json"), SEARCH | FUZZ,
         "snapshot encoding (prometheus = text exposition format 0.0.4)"),
-    flag("--profile", "PATH|-", Text, None, SPEC,
+    flag("--profile", "PATH|-", Text, None, SEARCH,
         "record per-worker span timelines and write them as folded stacks"),
-    flag("--status", "PATH", Text, None, SPEC,
+    flag("--status", "PATH", Text, None, SEARCH,
         "maintain a live status file for `ccr watch`"),
-    flag("--timeline", "PATH", Text, None, SPEC,
+    flag("--timeline", "PATH", Text, None, SEARCH,
         "flight recorder: append one JSONL sample per interval for `ccr timeline`"),
-    flag("--stall-after", "K", Count(1, U32), Some("5"), SPEC,
+    flag("--stall-after", "K", Count(1, U32), Some("5"), SEARCH,
         "with --timeline, record a stall diagnostic after K intervals without progress"),
-    flag("--inject-stall-ms", "MS", Count(0, ANY), Some("0"), SPEC,
+    flag("--inject-stall-ms", "MS", Count(0, ANY), Some("0"), VERIFY,
         "test hook: with --threads, each worker sleeps MS ms before its first chunk"),
-    flag("--run-dir", "DIR", Text, None, SPEC,
+    flag("--run-dir", "DIR", Text, None, SEARCH,
         "write trace, metrics, profile, status, timeline and verify.json under DIR"),
-    flag("--spill-dir", "DIR", Text, None, SPEC,
+    flag("--spill-dir", "DIR", Text, None, VERIFY,
         "verify: checkpoint both reachability sweeps under DIR (docs/persistence.md)"),
-    flag("--spill-bytes", "B", Count(0, USIZE), Some("0"), SPEC,
+    flag("--spill-bytes", "B", Count(0, USIZE), Some("0"), VERIFY,
         "in-memory budget of each sweep's visited set before spilling (0 = keep all)"),
-    flag("--checkpoint-interval", "SECS", Seconds(0.0), Some("1.0"), SPEC,
+    flag("--checkpoint-interval", "SECS", Seconds(0.0), Some("1.0"), VERIFY,
         "wall-clock checkpoint cadence (0 = at every opportunity)"),
-    flag("--resume", "DIR", Text, None, SPEC,
+    flag("--resume", "DIR", Text, None, VERIFY,
         "verify: restart a --spill-dir run; takes the place of <spec.ccp>"),
-    flag("--crash-after-states", "N", Count(0, ANY), None, SPEC,
+    flag("--crash-after-states", "N", Count(0, ANY), None, VERIFY,
         "test hook: abort as by kill -9 after N newly inserted states"),
-    flag("--faults", "SPEC", Text, None, SPEC,
+    flag("--faults", "SPEC", Text, None, VERIFY,
         "verify: seeded random walks under wire faults, e.g. drop=0.05,dup=0.02"),
-    flag("--seed", "N", Count(0, ANY), Some("0"), SPEC,
+    flag("--seed", "N", Count(0, ANY), Some("0"), VERIFY,
         "base seed of the fault walks"),
     flag("--seed", "S", Count(0, ANY), Some("1"), FUZZ,
         "seed of the spec stream"),
-    flag("--fault-budget", "F", Count(0, U32), None, SPEC,
+    flag("--fault-budget", "F", Count(0, U32), None, VERIFY,
         "verify: model-check safety and progress under up to F drop/duplicate faults"),
     flag("--fault-budget", "F", Count(0, U32), Some("1"), FUZZ,
         "fault budget of each spec's fault-closure check"),
@@ -223,14 +221,6 @@ pub const FLAGS: &[Flag] = &[
         "write every generated spec (and shrunk failures) under DIR"),
     flag("--inject-broken", "", Switch, None, FUZZ,
         "break one refinement annotation per spec; the sweep must then fail"),
-    flag("--tolerance", "T", Ratio { closed: false }, Some("0.1"), DIFF,
-        "largest allowed relative throughput drop or phase-time growth"),
-    flag("--bytes-tolerance", "B", Ratio { closed: false }, Some("0.1"), DIFF,
-        "largest allowed relative growth in bytes per state"),
-    flag("--counts-only", "", Switch, None, DIFF,
-        "gate the exact counts alone; skip every timing and memory threshold"),
-    flag("--min-engine-overhead", "R", Ratio { closed: true }, None, DIFF,
-        "floor on the new report's 1-thread engine_overhead ratio"),
 ];
 
 /// A checked flag value.
@@ -239,7 +229,6 @@ pub enum Value {
     On,
     Count(u64),
     Seconds(Duration),
-    Ratio(f64),
     Text(String),
 }
 
@@ -266,10 +255,6 @@ impl Flag {
                 .and_then(|s| Duration::try_from_secs_f64(s).ok())
                 .map(Value::Seconds)
                 .ok_or_else(|| bad(format!("a finite number of seconds >= {min}"))),
-            Ratio { closed } => match raw.parse::<f64>() {
-                Ok(r) if (0.0..1.0).contains(&r) || (closed && r == 1.0) => Ok(Value::Ratio(r)),
-                _ => Err(bad(format!("a number in [0, 1{}", if closed { "]" } else { ")" }))),
-            },
         }
     }
 }
@@ -350,6 +335,13 @@ pub fn parse(verb: Verb, argv: &[String]) -> Result<Parsed, Misuse> {
 }
 
 impl Parsed {
+    /// Whether the verb takes the flag at all: asking a verb for the
+    /// value of a flag that is not its own is a bug, so shared code asks
+    /// this first.
+    pub fn takes(&self, name: &str) -> bool {
+        row(self.verb, name).is_some()
+    }
+
     /// Whether the flag was on the command line or [`Parsed::record`]ed
     /// (as opposed to taking its table default).
     pub fn given(&self, name: &str) -> bool {
@@ -400,10 +392,6 @@ impl Parsed {
             .unwrap_or_else(|| panic!("{name} has no default"))
     }
 
-    pub fn ratio(&self, name: &str) -> Option<f64> {
-        self.get(name, |v| if let Value::Ratio(r) = v { Some(*r) } else { None })
-    }
-
     pub fn text(&self, name: &str) -> Option<String> {
         self.get(name, |v| if let Value::Text(s) = v { Some(s.clone()) } else { None })
     }
@@ -427,8 +415,6 @@ pub fn usage(verb: Verb) -> String {
         let range = match f.kind {
             Count(min, ANY) if min > 0 => format!(" (at least {min})"),
             Seconds(min) if min > 0.0 => format!(" (at least {min})"),
-            Ratio { closed: false } => " (in [0, 1))".to_string(),
-            Ratio { closed: true } => " (in [0, 1])".to_string(),
             Choice(words) => format!(" ({})", words.join("|")),
             _ => String::new(),
         };

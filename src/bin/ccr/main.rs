@@ -38,11 +38,10 @@
 //!             [--metrics-format json|prometheus]
 //!                                         differential derivation fuzzing
 //!                                         over the seeded spec zoo
-//! ccr bench diff <old.json> <new.json> [--tolerance T]
-//!             [--bytes-tolerance B] [--counts-only]
-//!             [--min-engine-overhead R]   perf-regression gate over
-//!                                         BENCH_*.json reports or
-//!                                         --metrics snapshots
+//! ccr bench diff <old.json> <new.json>   compare two --metrics snapshots:
+//!                                         every deterministic metric
+//!                                         must be equal (timings are
+//!                                         `ccr-benchmark compare`'s)
 //! ccr <verb> --help                       the verb's generated usage
 //!                                         (also -h; `ccr --help` lists
 //!                                         the verbs)
@@ -111,7 +110,7 @@
 //!   emit a stall diagnostic record (per-worker span states, chunk
 //!   queue and frontier depths) after K sampling intervals with no
 //!   forward progress (default 5).
-//! * `--inject-stall-ms MS` — fault-injection test hook: with
+//! * `--inject-stall-ms MS` (verify) — fault-injection test hook: with
 //!   `--threads`, each worker sleeps MS milliseconds once before its
 //!   first chunk, so CI can provoke the stall watchdog
 //!   deterministically.
@@ -234,35 +233,39 @@ fn refined(
     })
 }
 
-/// The six verbs that take a spec: check the rules between their flags,
-/// read and validate the spec, then run the verb.
+/// The six verbs that take a spec: read and validate the spec, then run
+/// the verb. Each verb's flags are the rows of the table that name it;
+/// what is left here are the rules between `verify`'s persistence flags.
 fn spec_verb(mut p: Parsed) -> Result<ExitCode, ExitCode> {
-    let persists = p.given("--resume") || p.given("--spill-dir");
-    let crashes = p.given("--crash-after-states");
-    if p.given("--resume") && p.given("--spill-dir") {
-        return Err(misuse(
-            "--spill-dir conflicts with --resume (the resume directory is the spill directory)",
-        ));
-    }
-    if p.verb != Verb::Verify && (persists || crashes) {
-        return Err(misuse("--spill-dir/--resume/--crash-after-states apply to `verify` only"));
-    }
-    if crashes && !persists {
-        return Err(misuse(
-            "--crash-after-states needs --spill-dir (it exercises the crash-recovery harness)",
-        ));
-    }
-    if let Some(dir) = p.text("--resume") {
-        verify::replay_meta(&mut p, &dir)?;
+    if p.verb == Verb::Verify {
+        let persists = p.given("--resume") || p.given("--spill-dir");
+        if p.given("--resume") && p.given("--spill-dir") {
+            return Err(misuse(
+                "--spill-dir conflicts with --resume (the resume directory is the spill directory)",
+            ));
+        }
+        if p.given("--crash-after-states") && !persists {
+            return Err(misuse(
+                "--crash-after-states needs --spill-dir (it exercises the crash-recovery harness)",
+            ));
+        }
+        if let Some(dir) = p.text("--resume") {
+            verify::replay_meta(&mut p, &dir)?;
+        }
     }
     let p = &p;
-    if let Some(dir) = p.text("--run-dir") {
-        std::fs::create_dir_all(&dir).map_err(|e| telemetry::io_failure("create", &dir, e))?;
-    }
     // One registry for the whole invocation: real when `--metrics` asked
-    // for a snapshot, null (every record a no-op) otherwise.
-    let metered = telemetry::artifact(p, "--metrics", "metrics.json").is_some();
-    let registry = if metered { Registry::new() } else { Registry::disabled() };
+    // for a snapshot, null (every record a no-op) otherwise. Only the
+    // verbs that search take the artifact flags.
+    let mut registry = Registry::disabled();
+    if p.takes("--run-dir") {
+        if let Some(dir) = p.text("--run-dir") {
+            std::fs::create_dir_all(&dir).map_err(|e| telemetry::io_failure("create", &dir, e))?;
+        }
+        if telemetry::artifact(p, "--metrics", "metrics.json").is_some() {
+            registry = Registry::new();
+        }
+    }
     let parse_phase = registry.phase("parse");
     let file = &p.positionals[0];
     let src = std::fs::read_to_string(file).map_err(|e| telemetry::io_failure("read", file, e))?;
@@ -361,16 +364,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             })
         }
-        Verb::BenchDiff => ccr_bench::diff::run(
-            &p.positionals[0],
-            &p.positionals[1],
-            &ccr_bench::diff::DiffOptions {
-                tolerance: p.ratio("--tolerance").expect("has a default"),
-                bytes_tolerance: p.ratio("--bytes-tolerance").expect("has a default"),
-                counts_only: p.on("--counts-only"),
-                min_engine_overhead: p.ratio("--min-engine-overhead"),
-            },
-        ),
+        Verb::BenchDiff => ccr_metrics::diff::run(&p.positionals[0], &p.positionals[1]),
         _ => spec_verb(p).unwrap_or_else(|code| code),
     }
 }

@@ -79,13 +79,6 @@ fn bad_values(kind: Kind) -> Vec<String> {
             }
             bad
         }
-        Kind::Ratio { closed } => {
-            let mut bad = words(&["-0.1", "1.5", "NaN", "inf", "half"]);
-            if !closed {
-                bad.push("1.0".to_string());
-            }
-            bad
-        }
     }
 }
 
@@ -120,7 +113,6 @@ fn table_defaults_pass_their_own_check() {
             match flag.kind {
                 Kind::Count(..) => assert!(p.count(flag.name).is_some()),
                 Kind::Seconds(min) => assert!(p.secs(flag.name).as_secs_f64() >= min),
-                Kind::Ratio { .. } => assert!(p.ratio(flag.name).is_some()),
                 _ => assert!(p.text(flag.name).is_some()),
             }
         }
@@ -157,6 +149,30 @@ fn structural_misuse_and_the_rules_between_flags_exit_2() {
         assert_misuse(&s(&[verb, "specs/token.ccp", "--crash-after-states", "5"]));
         assert_misuse(&s(&[verb, "--resume", "/tmp/r"]));
     }
+    // Each spec verb takes the flags its own run reads and no other's: a
+    // flag that used to be accepted and ignored is now refused by name.
+    let run_dir = std::env::temp_dir().join(format!("ccr-cli-flags-{}", std::process::id()));
+    let run_dir = run_dir.to_str().expect("utf-8 path");
+    for foreign in [
+        &["fmt", "specs/token.ccp", "--run-dir", run_dir, "--faults", "bogus", "--threads", "4"][..],
+        &["check", "specs/token.ccp", "--metrics", "-"],
+        &["refine", "specs/token.ccp", "--json"],
+        &["dot", "specs/token.ccp", "-n", "3"],
+        &["table", "specs/token.ccp", "-n", "1", "--faults", "bogus=1"],
+        &["table", "specs/token.ccp", "-n", "1", "--fault-budget", "2"],
+        &["table", "specs/token.ccp", "-n", "1", "--spill-bytes", "10"],
+        &["verify", "specs/token.ccp", "--refined"],
+    ] {
+        assert_misuse(&s(foreign));
+        let stderr = String::from_utf8_lossy(&ccr(&s(foreign)).stderr).into_owned();
+        assert!(stderr.contains("is not a flag of `ccr "), "{foreign:?}: {stderr}");
+    }
+    assert!(!Path::new(run_dir).exists(), "a refused `fmt --run-dir` must create nothing");
+    assert!(!flags::usage(Verb::Fmt).contains("--spill-dir"));
+    assert_eq!(
+        flags_in(&flags::usage(Verb::BenchDiff)),
+        BTreeSet::from(["--help".to_string(), "-h".to_string()])
+    );
     assert_misuse(&s(&["verify", "specs/token.ccp", "--crash-after-states", "5"]));
     assert_misuse(&s(&["verify", "specs/migratory.ccp", "--faults", "drop=2"]));
     assert_misuse(&s(&["verify", "specs/migratory.ccp", "--faults", "melt=0.1"]));

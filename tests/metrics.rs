@@ -175,19 +175,23 @@ fn cli_prometheus_file_output_validates() {
 #[test]
 fn bench_diff_exit_codes_gate_regressions() {
     let dir = tmp_dir("diff");
-    let doc = |rate: f64| {
-        format!(
-            r#"{{"bench":"mc_perf","workloads":[{{"name":"w","states":10,"transitions":20,
-              "encoded_len_bytes":8,"serial":{{"secs":1.0,"states_per_sec":{rate}}},
-              "parallel":[],"store":{{"arena_bytes_per_state":20.0}}}}]}}"#
-        )
+    // Two `--metrics` snapshots of one state space, written by the CLI.
+    let snapshot = |name: &str, n: &str| {
+        let path = dir.join(name);
+        let out = Command::new(env!("CARGO_BIN_EXE_ccr"))
+            .args(["verify", "specs/migratory.ccp", "--async", "-n", n, "--metrics"])
+            .arg(&path)
+            .current_dir(repo_root())
+            .output()
+            .expect("run ccr");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        path
     };
-    let old = dir.join("old.json");
-    let same = dir.join("same.json");
-    let slow = dir.join("slow.json");
-    std::fs::write(&old, doc(1000.0)).unwrap();
-    std::fs::write(&same, doc(1000.0)).unwrap();
-    std::fs::write(&slow, doc(500.0)).unwrap();
+    let old = snapshot("old.json", "2");
+    let same = snapshot("same.json", "2");
+    let grown = snapshot("grown.json", "3");
+    let bench = dir.join("bench.json");
+    std::fs::write(&bench, r#"{"bench":"recorder","workloads":[]}"#).unwrap();
     let run = |new: &Path, extra: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_ccr"))
             .args(["bench", "diff"])
@@ -197,34 +201,26 @@ fn bench_diff_exit_codes_gate_regressions() {
             .output()
             .expect("run ccr bench diff")
     };
-    // Identical inputs: exit 0.
+    // The same run twice: wall-clock phases and nondeterministic metrics
+    // differ, every deterministic one is equal — exit 0.
     let out = run(&same, &[]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
-    // A 50% throughput drop beyond the default tolerance: exit nonzero.
-    let out = run(&slow, &[]);
+    // A deterministic counter changed (a larger state space): exit 1.
+    let out = run(&grown, &[]);
     assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stdout));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSION"));
-    // The same drop passes when the caller loosens the gate past it.
-    let out = run(&slow, &["--tolerance", "0.6"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
-    // Usage errors exit 2, distinct from a regression.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("REGRESSION: mc_states_total"), "{stdout}");
+    // Misuse exits 2, distinct from a regression: an unreadable file, a
+    // bench report (with a pointer to the tool that compares those), and
+    // any flag: the verb has no thresholds to set.
     let out = run(Path::new("does-not-exist.json"), &[]);
     assert_eq!(out.status.code(), Some(2));
+    let out = run(&bench, &[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("ccr-benchmark compare"), "{stderr}");
+    let out = run(&same, &["--json"]);
+    assert_eq!(out.status.code(), Some(2));
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn checked_in_bench_baseline_diffs_cleanly_against_itself() {
-    let baseline = repo_root().join("BENCH_mc.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_ccr"))
-        .args(["bench", "diff"])
-        .arg(&baseline)
-        .arg(&baseline)
-        .output()
-        .expect("run ccr bench diff");
-    assert!(
-        out.status.success(),
-        "baseline must be self-consistent: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
 }

@@ -343,7 +343,7 @@ fn resume_and_flag_misuse_are_clean_errors() {
     let out = ccr(&["table", "specs/token.ccp", "--spill-dir", "/tmp/x"]);
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("apply to `verify` only"), "{err}");
+    assert!(err.contains("`--spill-dir` is not a flag of `ccr table`"), "{err}");
 
     let out = ccr(&["verify", "specs/token.ccp", "--crash-after-states", "10"]);
     assert!(!out.status.success());

@@ -12,10 +12,10 @@
 //!   charged to `encode`, and a plain exploration has no such row;
 //! * the folded-stack encoding round-trips.
 
-use ccr_bench::diff::{diff_strs, DiffOptions};
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
 use ccr_mc::search::{Budget, Search, SearchObserver, Telemetry};
+use ccr_metrics::diff::diff_strs;
 use ccr_metrics::profile::{parse_folded, ProfileAgg, Profiler, SpanKind};
 use ccr_metrics::Registry;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
@@ -72,9 +72,9 @@ fn profiling_off_is_invisible_in_traces_and_deterministic_snapshots() {
     // The profiler publishes only nondeterministic-tagged counters, so
     // the deterministic view of the two snapshots must be identical
     // (`ccr bench diff` skips nondet-tagged metrics).
-    let rep = diff_strs(&snap_off, &snap_on, &DiffOptions::default()).expect("comparable");
+    let rep = diff_strs(&snap_off, &snap_on).expect("comparable");
     assert!(rep.ok(), "deterministic snapshot drifted with profiling on: {:?}", rep.regressions);
-    let rep = diff_strs(&snap_on, &snap_off, &DiffOptions::default()).expect("comparable");
+    let rep = diff_strs(&snap_on, &snap_off).expect("comparable");
     assert!(rep.ok(), "deterministic snapshot drifted with profiling off: {:?}", rep.regressions);
 }
 

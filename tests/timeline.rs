@@ -13,9 +13,9 @@
 //! * the injected-stall hook (`--inject-stall-ms`) trips the stall
 //!   watchdog end to end through the CLI.
 
-use ccr_bench::diff::{diff_strs, DiffOptions};
 use ccr_core::text::parse_validated;
 use ccr_mc::search::{Budget, Search, SearchObserver, Telemetry};
+use ccr_metrics::diff::diff_strs;
 use ccr_metrics::jsonval::Json;
 use ccr_metrics::timeseries::{Recorder, Timeline};
 use ccr_metrics::Registry;
@@ -70,9 +70,9 @@ fn recording_off_is_invisible_in_traces_and_deterministic_snapshots() {
     // The recorder publishes only nondeterministic-tagged counters, so
     // the deterministic view of the two snapshots must be identical
     // (`ccr bench diff` skips nondet-tagged metrics).
-    let rep = diff_strs(&snap_off, &snap_on, &DiffOptions::default()).expect("comparable");
+    let rep = diff_strs(&snap_off, &snap_on).expect("comparable");
     assert!(rep.ok(), "deterministic snapshot drifted with recording on: {:?}", rep.regressions);
-    let rep = diff_strs(&snap_on, &snap_off, &DiffOptions::default()).expect("comparable");
+    let rep = diff_strs(&snap_on, &snap_off).expect("comparable");
     assert!(rep.ok(), "deterministic snapshot drifted with recording off: {:?}", rep.regressions);
 }
 
