@@ -51,6 +51,15 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         }
     }
 
+    /// Empties the vector. A spilled one gives its heap buffer back, for
+    /// the reason [`InlineVec::remove`] moves a short one inline again.
+    pub fn clear(&mut self) {
+        match &mut self.0 {
+            Repr::Inline { len, .. } => *len = 0,
+            Repr::Heap(_) => *self = Self::new(),
+        }
+    }
+
     /// Inserts `v` at position `i <= len`, shifting later elements back.
     /// Panics when `i > len`, like `Vec::insert`.
     pub fn insert(&mut self, i: usize, v: T) {
@@ -210,6 +219,18 @@ mod tests {
         let b: InlineVec<u32, 2> = [9].into_iter().collect();
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
+    }
+
+    #[test]
+    fn clear_empties_either_representation() {
+        let mut inline: InlineVec<u32, 2> = [1, 2].into_iter().collect();
+        inline.clear();
+        assert!(inline.is_empty());
+        let mut spilled: InlineVec<u32, 2> = [1, 2, 3].into_iter().collect();
+        spilled.clear();
+        assert!(spilled.is_empty() && !spilled.spilled());
+        spilled.push(9);
+        assert_eq!(&spilled[..], &[9]);
     }
 
     #[test]

@@ -241,20 +241,21 @@ impl Env {
     }
 
     /// Inverse of [`Env::encode`] for an environment of exactly `n`
-    /// variables: reads `n` values from the front of `bytes`, returning
-    /// the environment and the number of bytes consumed, or `None` when
-    /// the input is truncated or corrupt. The slot count is not part of
-    /// the encoding — it comes from the process declaration, which the
-    /// caller holds.
-    pub fn decode(bytes: &[u8], n: usize) -> Option<(Env, usize)> {
-        let mut slots = InlineVec::new();
+    /// variables: reads `n` values from the front of `bytes` into this
+    /// environment, replacing its slots (nothing is allocated while `n`
+    /// fits inline), and returns the number of bytes consumed — or `None`
+    /// when the input is truncated or corrupt, with the slots unspecified.
+    /// The slot count is not part of the encoding — it comes from the
+    /// process declaration, which the caller holds.
+    pub fn decode_into(&mut self, bytes: &[u8], n: usize) -> Option<usize> {
+        self.slots.clear();
         let mut off = 0;
         for _ in 0..n {
             let (v, used) = Value::decode(bytes.get(off..)?)?;
-            slots.push(v);
+            self.slots.push(v);
             off += used;
         }
-        Some((Env { slots }, off))
+        Some(off)
     }
 }
 

@@ -20,6 +20,7 @@ enum Op {
     Insert(usize, u16),
     Remove(usize),
     Swap(usize, usize),
+    Clear,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -28,6 +29,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..8, any::<u16>()).prop_map(|(i, v)| Op::Insert(i, v)),
         (0usize..8).prop_map(Op::Remove),
         (0usize..8, 0usize..8).prop_map(|(i, j)| Op::Swap(i, j)),
+        Just(Op::Clear),
     ]
 }
 
@@ -52,6 +54,10 @@ fn apply(op: &Op, model: &mut Vec<u16>, v: &mut InlineVec<u16, N>) {
             let (i, j) = (i % model.len(), j % model.len());
             model.swap(i, j);
             v.swap(i, j);
+        }
+        Op::Clear => {
+            model.clear();
+            v.clear();
         }
         Op::Remove(_) | Op::Swap(..) => {}
     }

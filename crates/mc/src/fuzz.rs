@@ -6,8 +6,10 @@
 //! 1. **build + validate** — the shape lowers to a §2.4-valid spec;
 //! 2. **text round-trip** — `parse(print(spec)) == spec` through
 //!    [`ccr_core::text`];
-//! 3. **refine** (both with and without the req/repl optimization) and the
-//!    **Equation 1** check: no reachable asynchronous transition may fall
+//! 3. **refine** (both with and without the req/repl optimization), the
+//!    **inplace** check — successors built in the sweep's scratch state
+//!    must be the owned ones, and the scratch state must come back as it
+//!    was ([`inplace_divergence`]) — and the **Equation 1** check: no reachable asynchronous transition may fall
 //!    outside the stuttering simulation — and the **fused** re-check:
 //!    Equation 1 and the progress check riding the exploration's sweep
 //!    ([`Search::verify`], and [`Search::explore_progress`] on the
@@ -44,6 +46,7 @@ use crate::progress::check_progress_default;
 use crate::report::{ExploreReport, Outcome, SearchReport, SimRelReport};
 use crate::search::{explore, Budget, Search, SearchObserver};
 use crate::simrel::check_simulation;
+use crate::store::StateStore;
 use crate::symmetry::{spec_permutable, Reduced};
 use ccr_core::process::{CommAction, ProtocolSpec};
 use ccr_core::refine::{refine, BranchKey, RefineOptions, RefinedProtocol, ReqRepMode};
@@ -51,9 +54,11 @@ use ccr_core::text::{parse_validated, to_text};
 use ccr_core::zoo::ZooSpec;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
-use ccr_runtime::FaultClosure;
+use ccr_runtime::{EncodeBuf, FaultClosure, TransitionSystem};
 use ccr_trace::NullSink;
+use std::collections::VecDeque;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 /// Tuning for one fuzzing run. Everything here is part of the reproducible
@@ -224,6 +229,58 @@ pub fn inject_unsound(refined: &mut RefinedProtocol) -> bool {
     }
 }
 
+/// The `inplace` stage, over at most `max_states` states of `sys` in
+/// breadth-first order: at each one
+/// [`TransitionSystem::for_each_successor`] must show exactly what
+/// [`TransitionSystem::successors`] returns — the same labels on the same
+/// states (so the same encodings) in the same order, and the same error
+/// if there is one — and leave its scratch state equal to the state
+/// expanded. Returns the first divergence, described.
+pub fn inplace_divergence<T: TransitionSystem>(sys: &T, max_states: usize) -> Option<String> {
+    let mut seen = StateStore::new();
+    let mut queue = VecDeque::from([sys.initial()]);
+    let mut key = EncodeBuf::new();
+    seen.insert(key.fill(sys, &queue[0]));
+    let mut owned = Vec::new();
+    // The rules of the successors shown in place, and how many of them
+    // came as `owned` has them.
+    let mut shown = Vec::new();
+    let mut expanded = 0usize;
+    while let Some(s) = queue.pop_front() {
+        let generated = sys.successors(&s, &mut owned);
+        let mut scratch = s.clone();
+        shown.clear();
+        let mut same = 0;
+        let lent = sys.for_each_successor(&s, &mut scratch, |label, next| {
+            if owned.get(shown.len()).is_some_and(|(l, n)| *l == label && n == next) {
+                same += 1;
+            }
+            shown.push(label.rule);
+            ControlFlow::Continue(())
+        });
+        let at = format!("state #{expanded} ({:02x?})", sys.encoded(&s));
+        if scratch != s {
+            return Some(format!("{at}: the scratch state was not put back"));
+        }
+        if generated != lent {
+            return Some(format!("{at}: successors {generated:?}, in place {lent:?}"));
+        }
+        if same != owned.len() || same != shown.len() {
+            let rules: Vec<_> = owned.iter().map(|(l, _)| l.rule).collect();
+            return Some(format!(
+                "{at}: successors {rules:?}, in place {shown:?}, the first {same} alike"
+            ));
+        }
+        expanded += 1;
+        for (_, next) in owned.drain(..) {
+            if seen.len() < max_states && seen.insert(key.fill(sys, &next)).1 {
+                queue.push_back(next);
+            }
+        }
+    }
+    None
+}
+
 /// Threads are invisible: `threaded` must be `serial`, field for field.
 fn cmp_threaded<R: PartialEq + fmt::Debug>(
     what: String,
@@ -234,6 +291,16 @@ fn cmp_threaded<R: PartialEq + fmt::Debug>(
         detail: format!("serial {serial:?} vs {what} {threaded:?}"),
         what,
     })
+}
+
+/// [`inplace_divergence`] as a stage of the pipeline.
+fn inplace_mismatch(
+    asys: &AsyncSystem<'_>,
+    mode: &'static str,
+    cfg: &FuzzConfig,
+) -> Option<FuzzFailure> {
+    inplace_divergence(asys, cfg.budget_states)
+        .map(|detail| FuzzFailure::Mismatch { what: format!("inplace-{mode}"), detail })
 }
 
 /// Everything a report says but its wall time.
@@ -330,6 +397,9 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
                 inject_unsound(&mut refined);
             }
             let asys = AsyncSystem::new(&refined, cfg.n, AsyncConfig::default());
+            if let Some(f) = inplace_mismatch(&asys, "off", cfg) {
+                return SpecVerdict::failed(&name, f);
+            }
             let sim = check_simulation(&asys, &rv, &budget);
             if let Some(f) = fused_mismatch(&asys, &rv, &sim, &budget, cfg, permutable) {
                 return SpecVerdict::failed(&name, f);
@@ -352,6 +422,9 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
         inject_unsound(&mut refined);
     }
     let asys = AsyncSystem::new(&refined, cfg.n, AsyncConfig::default());
+    if let Some(f) = inplace_mismatch(&asys, "auto", cfg) {
+        return SpecVerdict::failed(&name, f);
+    }
 
     let sim = check_simulation(&asys, &rv, &budget);
     if let Some(f) = fused_mismatch(&asys, &rv, &sim, &budget, cfg, permutable) {

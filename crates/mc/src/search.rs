@@ -33,6 +33,7 @@ use ccr_runtime::{Label, RuntimeError, TransitionSystem};
 use ccr_trace::{NullSink, TraceEvent, TraceSink};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -684,12 +685,14 @@ pub fn report_from_manifest(m: &Manifest) -> SearchReport {
 /// for).
 ///
 /// Call order, per sweep: `on_new(root, 0)`; then for each state popped
-/// from the frontier `on_expand`, successor generation, `on_successors`,
-/// and for each successor in order the store lookup, `on_edge`, and —
-/// when the target was new — `on_new` followed by the budget test. State
-/// indices are dense in discovery order, and a breadth-first sweep
-/// expands them in index order. A resumed persisted sweep does not
-/// re-announce recovered states through `on_new`.
+/// from the frontier `on_expand`, then for each successor in order, as
+/// it is generated, the store lookup, `on_edge`, and — when the target
+/// was new — `on_new` followed by the budget test; then `on_successors`.
+/// A successor is lent to these hooks for the call and is gone (rewritten
+/// into the next one) when they return. State indices are dense in
+/// discovery order, and a breadth-first sweep expands them in index
+/// order. A resumed persisted sweep does not re-announce recovered states
+/// through `on_new`.
 ///
 /// Checkers compose: a pair `(A, B)` is the checker that shows every
 /// event to `A`, then to `B`, and ends the sweep with the first outcome
@@ -716,7 +719,7 @@ pub(crate) trait Checker<T: TransitionSystem> {
         None
     }
 
-    /// State `idx` has `n` successors.
+    /// State `idx` had `n` successors, all of them seen by now.
     #[inline]
     fn on_successors(&mut self, _idx: u32, _n: usize) -> Option<Outcome> {
         None
@@ -910,33 +913,43 @@ pub(crate) trait Source<T: TransitionSystem> {
         true
     }
 
-    /// Queues a stored state for expansion.
-    fn push(&mut self, state: T::State, idx: u32);
+    /// Queues `state`, just stored in `store` as `idx`, for expansion.
+    fn push(&mut self, sys: &T, store: &StateStore, state: &T::State, idx: u32);
+
+    /// Queues stored state `idx` of a recovered `store`, of which only
+    /// its key is left, for expansion.
+    fn requeue(&mut self, sys: &T, store: &StateStore, idx: u32) -> Result<(), Outcome>;
 
     /// States queued and not yet handed back by [`Source::pop`].
     fn len(&self) -> usize;
 
-    /// The next state to expand; `Ok(None)` once the frontier is spent.
-    /// A source that has to wait calls `idle` once per heartbeat quantum
-    /// with its queue depths, and gives up with `Err` when that returns
-    /// true.
+    /// Leaves the next state to expand in `into` and returns its index;
+    /// `Ok(None)` once the frontier is spent. A source that has to wait
+    /// calls `idle` once per heartbeat quantum with its queue depths, and
+    /// gives up with `Err` when that returns true.
     fn pop(
         &mut self,
+        sys: &T,
+        store: &StateStore,
+        into: &mut T::State,
         timer: &mut SpanTimer,
         idle: &mut dyn FnMut(&[u64]) -> bool,
-    ) -> Result<Option<(T::State, u32)>, Outcome>;
+    ) -> Result<Option<u32>, Outcome>;
 
-    /// Leaves the successors of `state` — the state last popped — in
-    /// `succs`.
+    /// Shows `visit` — which gets the source back, to [`Source::insert`]
+    /// and [`Source::push`] with — the successors of `state`, the state
+    /// last popped, in order until it breaks. `scratch` is a second state
+    /// to build them in.
     fn expand(
         &mut self,
         sys: &T,
         state: &T::State,
-        succs: &mut Vec<(Label, T::State)>,
+        scratch: &mut T::State,
+        visit: impl FnMut(&mut Self, Label, &T::State) -> ControlFlow<()>,
     ) -> ccr_runtime::Result<()>;
 
-    /// Looks `next` — the following successor of that state, in order —
-    /// up in `store`, storing it when new.
+    /// Looks `next` — the successor being visited — up in `store`,
+    /// storing it when new.
     fn insert(
         &mut self,
         sys: &T,
@@ -944,10 +957,6 @@ pub(crate) trait Source<T: TransitionSystem> {
         next: &T::State,
         timer: &mut SpanTimer,
     ) -> (u32, bool);
-
-    /// The sweep is done with `state`: an expanded state, or a successor
-    /// that was already stored.
-    fn discard(&mut self, _state: T::State) {}
 }
 
 /// Encodes `state` and looks it up in `store`, storing it when new. With
@@ -979,34 +988,74 @@ fn encode_insert<T: TransitionSystem>(
     }
 }
 
-/// The serial source: a queue (or, `depth_first`, a stack) of states,
-/// each expanded and its successors encoded when the sweep gets to it.
-pub(crate) struct Inline<S> {
-    frontier: VecDeque<(S, u32)>,
+/// The serial source: a queue (or, `depth_first`, a stack) of pending
+/// states, each decoded, expanded in place and its successors encoded
+/// when the sweep gets to it. A pending state is an index: its bytes are
+/// the visited set's own copy wherever that is the state
+/// ([`Inline::reads_store`]), and otherwise a snapshot taken when it was
+/// stored, in the one byte queue beside the indices. No decoded state
+/// waits here.
+pub(crate) struct Inline {
+    /// Per pending state its stored index and the length of its snapshot
+    /// in `side` (nothing, when it is read back from the store).
+    frontier: VecDeque<(u32, u32)>,
+    /// The pending states' snapshots, back to back in frontier order.
+    side: VecDeque<u8>,
     depth_first: bool,
     fast_cap: Option<usize>,
+    key_is_snapshot: bool,
     enc: Vec<u8>,
 }
 
-impl<S> Inline<S> {
-    pub(crate) fn new<T: TransitionSystem<State = S>>(sys: &T, depth_first: bool) -> Self {
+impl Inline {
+    pub(crate) fn new<T: TransitionSystem>(sys: &T, depth_first: bool) -> Self {
         Inline {
             frontier: VecDeque::new(),
+            side: VecDeque::new(),
             depth_first,
             fast_cap: sys.max_encoded_len(),
+            key_is_snapshot: sys.key_is_snapshot(),
             enc: Vec::new(),
         }
     }
+
+    /// Whether pending states are read back from `store`: its key has to
+    /// be the state — not an orbit's representative, not a sorted ledger —
+    /// and has to stay in memory, which a disk tier does not promise.
+    fn reads_store(&self, store: &StateStore) -> bool {
+        self.key_is_snapshot && store.tier().is_none()
+    }
 }
 
-impl<T: TransitionSystem> Source<T> for Inline<T::State> {
+impl<T: TransitionSystem> Source<T> for Inline {
     fn breadth_first(&self) -> bool {
         !self.depth_first
     }
 
     #[inline]
-    fn push(&mut self, state: T::State, idx: u32) {
-        self.frontier.push_back((state, idx));
+    fn push(&mut self, sys: &T, store: &StateStore, state: &T::State, idx: u32) {
+        let snapshot = if self.reads_store(store) {
+            0
+        } else {
+            sys.snapshot_into(state, &mut self.enc);
+            self.side.extend(&self.enc);
+            self.enc.len()
+        };
+        self.frontier.push_back((idx, snapshot as u32));
+    }
+
+    fn requeue(&mut self, _sys: &T, store: &StateStore, idx: u32) -> Result<(), Outcome> {
+        let snapshot = if self.reads_store(store) {
+            0
+        } else {
+            // The key stands in for the snapshot nobody took: the state
+            // it decodes to is the one a resumed sweep has always used.
+            let key = store.read_entry(idx).ok_or_else(|| unreadable(idx))?;
+            self.side.extend(&key);
+            key.len()
+        };
+        self.frontier.push_back((idx, snapshot as u32));
+        Ok(())
     }
 
     #[inline]
@@ -1017,10 +1066,31 @@ impl<T: TransitionSystem> Source<T> for Inline<T::State> {
     #[inline]
     fn pop(
         &mut self,
+        sys: &T,
+        store: &StateStore,
+        into: &mut T::State,
         _timer: &mut SpanTimer,
         _idle: &mut dyn FnMut(&[u64]) -> bool,
-    ) -> Result<Option<(T::State, u32)>, Outcome> {
-        Ok(if self.depth_first { self.frontier.pop_back() } else { self.frontier.pop_front() })
+    ) -> Result<Option<u32>, Outcome> {
+        let next =
+            if self.depth_first { self.frontier.pop_back() } else { self.frontier.pop_front() };
+        let Some((idx, len)) = next else { return Ok(None) };
+        let restored = if self.reads_store(store) {
+            store.key_bytes(idx).is_some_and(|key| sys.decode_into(key, into))
+        } else {
+            let len = len as usize;
+            let at = if self.depth_first { self.side.len() - len } else { 0 };
+            self.enc.clear();
+            self.enc.extend(self.side.drain(at..at + len));
+            sys.restore_into(&self.enc, into)
+        };
+        if restored {
+            Ok(Some(idx))
+        } else {
+            Err(Outcome::PersistFailure(format!(
+                "pending state {idx} does not decode (system without decode support?)"
+            )))
+        }
     }
 
     #[inline]
@@ -1028,9 +1098,14 @@ impl<T: TransitionSystem> Source<T> for Inline<T::State> {
         &mut self,
         sys: &T,
         state: &T::State,
-        succs: &mut Vec<(Label, T::State)>,
+        scratch: &mut T::State,
+        mut visit: impl FnMut(&mut Self, Label, &T::State) -> ControlFlow<()>,
     ) -> ccr_runtime::Result<()> {
-        sys.successors(state, succs)
+        scratch.clone_from(state);
+        let generated =
+            sys.for_each_successor(state, scratch, |label, next| visit(self, label, next));
+        debug_assert!(*scratch == *state, "an expansion must leave its scratch state as it was");
+        generated
     }
 
     #[inline]
@@ -1045,6 +1120,11 @@ impl<T: TransitionSystem> Source<T> for Inline<T::State> {
     }
 }
 
+/// A recovered store that cannot produce the bytes of one of its states.
+fn unreadable(idx: u32) -> Outcome {
+    Outcome::PersistFailure(format!("cannot read recovered state {idx} back"))
+}
+
 /// Frontier states per chunk, and chunks handed out and not yet merged
 /// per worker. Together they bound what the workers' head start holds in
 /// memory (states × fan-out successors each): at 64 × 2 the large-store
@@ -1057,16 +1137,17 @@ const CHUNKS_PER_WORKER: u64 = 2;
 /// been over it — everything the sweep needs to merge them: each state's
 /// successor list and every successor's hash and encoding. The buffers
 /// cycle: a merged chunk goes out again as a later job, so in the steady
-/// state nothing is allocated, and nothing a worker allocated is freed
-/// on the sweep's thread (`spent` carries the states the sweep is done
-/// with back to a worker to drop).
+/// state the lists and byte arena are not reallocated, and nothing a
+/// worker allocated is freed on the sweep's thread (`spent` carries the
+/// states the sweep is done with back to a worker to drop).
 struct Chunk<T: TransitionSystem> {
     seq: u64,
     states: VecDeque<(T::State, u32)>,
     /// `succs[i]` are the successors of the chunk's `i`-th state.
     succs: Vec<Vec<(Label, T::State)>>,
-    /// The first state `successors` failed on, with its error; the states
-    /// after it were not expanded (the sweep never gets past it).
+    /// The first state `successors` failed on, with its error. Its list
+    /// holds what was generated before the failure; the states after it
+    /// were not expanded (the sweep never gets past it).
     failed: Option<(usize, RuntimeError)>,
     /// Per successor, in order: its hash, and where its encoding ends in
     /// `bytes` (it starts where the one before ends).
@@ -1101,10 +1182,7 @@ impl<T: TransitionSystem> Chunk<T> {
         }
         let fast_cap = sys.max_encoded_len();
         for (i, (state, _)) in self.states.iter().enumerate() {
-            if let Err(e) = sys.successors(state, &mut self.succs[i]) {
-                self.failed = Some((i, e));
-                return;
-            }
+            let generated = sys.successors(state, &mut self.succs[i]);
             timer.lap(SpanKind::Compute, 0);
             for (_, next) in &self.succs[i] {
                 let start = self.bytes.len();
@@ -1119,6 +1197,10 @@ impl<T: TransitionSystem> Chunk<T> {
                 self.keys.push((hash_encoded(&self.bytes[start..]), self.bytes.len()));
             }
             timer.lap(SpanKind::Encode, 0);
+            if let Err(e) = generated {
+                self.failed = Some((i, e));
+                return;
+            }
         }
     }
 }
@@ -1201,6 +1283,11 @@ pub(crate) struct Fed<T: TransitionSystem> {
     byte: usize,
     /// Merged chunks, to go out again.
     spare: Vec<Chunk<T>>,
+    /// While `expand` shows the sweep a worker's successor: the index the
+    /// sweep has queued it under, if it has. The worker's own copy then
+    /// goes into the frontier; nothing is cloned on the sweep's thread.
+    showing: bool,
+    kept: Option<u32>,
 }
 
 impl<T: TransitionSystem> Fed<T> {
@@ -1256,9 +1343,28 @@ impl<T: TransitionSystem> Fed<T> {
 }
 
 impl<T: TransitionSystem> Source<T> for Fed<T> {
-    fn push(&mut self, state: T::State, idx: u32) {
+    /// The workers expand owned states, so a pending state is one here:
+    /// the successor `expand` is showing, which it owns — or a copy of the
+    /// root.
+    fn push(&mut self, _sys: &T, _store: &StateStore, state: &T::State, idx: u32) {
+        if self.showing {
+            self.kept = Some(idx);
+        } else {
+            self.frontier.push_back((state.clone(), idx));
+        }
+        self.pending += 1;
+    }
+
+    fn requeue(&mut self, sys: &T, store: &StateStore, idx: u32) -> Result<(), Outcome> {
+        let key = store.read_entry(idx).ok_or_else(|| unreadable(idx))?;
+        let state = sys.decode(&key).ok_or_else(|| {
+            Outcome::PersistFailure(format!(
+                "recovered state {idx} does not decode (system without decode support?)"
+            ))
+        })?;
         self.frontier.push_back((state, idx));
         self.pending += 1;
+        Ok(())
     }
 
     fn len(&self) -> usize {
@@ -1267,14 +1373,20 @@ impl<T: TransitionSystem> Source<T> for Fed<T> {
 
     fn pop(
         &mut self,
+        _sys: &T,
+        _store: &StateStore,
+        into: &mut T::State,
         timer: &mut SpanTimer,
         idle: &mut dyn FnMut(&[u64]) -> bool,
-    ) -> Result<Option<(T::State, u32)>, Outcome> {
+    ) -> Result<Option<u32>, Outcome> {
         loop {
             self.dispatch(timer);
-            if let Some(next) = self.cur.states.pop_front() {
+            if let Some((state, idx)) = self.cur.states.pop_front() {
                 self.pending -= 1;
-                return Ok(Some(next));
+                // The state expanded before this one goes back to a
+                // worker to drop.
+                self.cur.spent.push(std::mem::replace(into, state));
+                return Ok(Some(idx));
             }
             if self.merged == self.sent {
                 return Ok(None);
@@ -1287,16 +1399,27 @@ impl<T: TransitionSystem> Source<T> for Fed<T> {
         &mut self,
         _sys: &T,
         _state: &T::State,
-        succs: &mut Vec<(Label, T::State)>,
+        _scratch: &mut T::State,
+        mut visit: impl FnMut(&mut Self, Label, &T::State) -> ControlFlow<()>,
     ) -> ccr_runtime::Result<()> {
         let i = self.at;
         self.at += 1;
-        if let Some((_, e)) = self.cur.failed.take_if(|(at, _)| *at == i) {
-            return Err(e);
+        let mut succs = std::mem::take(&mut self.cur.succs[i]);
+        let mut visiting = true;
+        self.showing = true;
+        for (label, next) in succs.drain(..) {
+            visiting = visiting && visit(self, label, &next).is_continue();
+            match self.kept.take() {
+                Some(idx) => self.frontier.push_back((next, idx)),
+                None => self.cur.spent.push(next),
+            }
         }
-        // The sweep's drained buffer goes back into the chunk.
-        std::mem::swap(succs, &mut self.cur.succs[i]);
-        Ok(())
+        self.showing = false;
+        self.cur.succs[i] = succs;
+        match self.cur.failed.take_if(|(at, _)| *at == i) {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
     }
 
     fn insert(
@@ -1313,10 +1436,6 @@ impl<T: TransitionSystem> Source<T> for Fed<T> {
         let r = store.insert_hashed(hash, enc);
         timer.lap(SpanKind::Insert, 1);
         r
-    }
-
-    fn discard(&mut self, state: T::State) {
-        self.cur.spent.push(state);
     }
 }
 
@@ -1375,6 +1494,8 @@ where
             key: 0,
             byte: 0,
             spare: Vec::new(),
+            showing: false,
+            kept: None,
         })
     })
 }
@@ -1405,7 +1526,10 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
     let started = Instant::now();
     let mut store = persist.as_deref_mut().and_then(|p| p.store.take()).unwrap_or_default();
     let mut parents: Vec<Parent> = Vec::new();
-    let mut succs: Vec<(Label, T::State)> = Vec::new();
+    // The two decoded states of the sweep: the one being expanded, and
+    // the one its successors are built in.
+    let mut state = sys.initial();
+    let mut scratch = state.clone();
     let mut transitions = 0usize;
     let mut peak_frontier = 0usize;
     let mut timer = obs.telemetry().profiler.worker(0);
@@ -1452,41 +1576,36 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
         let p = persist.as_deref().expect("resumed without persist");
         transitions = p.transitions0 as usize;
         peak_frontier = p.peak0 as usize;
+        // Recovered states wait like any other pending state, and are
+        // decoded when the sweep gets to them.
         for i in p.head0..store.len() as u32 {
-            let Some(bytes) = store.read_entry(i) else {
-                done!(Outcome::PersistFailure(format!("cannot read recovered state {i} back")));
-            };
-            let Some(state) = sys.decode(&bytes) else {
-                done!(Outcome::PersistFailure(format!(
-                    "recovered state {i} does not decode (system without decode support?)"
-                )));
-            };
-            src.push(state, i);
+            if let Err(outcome) = src.requeue(sys, &store, i) {
+                done!(outcome);
+            }
         }
     } else {
         // The root is nobody's successor: encoded here whatever the
         // source, and charged to no span.
-        let init = sys.initial();
         let mut unprofiled = Profiler::disabled().worker(0);
         let cap = sys.max_encoded_len();
-        encode_insert(sys, &mut store, &init, cap, &mut Vec::new(), &mut unprofiled);
+        encode_insert(sys, &mut store, &state, cap, &mut Vec::new(), &mut unprofiled);
         if track_trails {
             parents.push(ROOT);
         }
-        check!(checker.on_new(&init, 0), 0);
-        src.push(init, 0);
+        check!(checker.on_new(&state, 0), 0);
+        src.push(sys, &store, &state, 0);
     }
 
     loop {
         // While the source waits for its workers the sweep stays alive to
         // its observer — heartbeats, status, the stall watchdog — and to
         // the wall-clock budget.
-        let popped = src.pop(&mut timer, &mut |queues| {
+        let popped = src.pop(sys, &store, &mut state, &mut timer, &mut |queues| {
             obs.tick(&SampleInput { queues, ..at.clone() }, true);
             budget.max_time.is_some_and(|t| started.elapsed() >= t)
         });
-        let (state, idx) = match popped {
-            Ok(Some(next)) => next,
+        let idx = match popped {
+            Ok(Some(idx)) => idx,
             Ok(None) => done!(Outcome::Complete),
             Err(outcome) => done!(outcome),
         };
@@ -1526,34 +1645,50 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
         at.store_bytes = store.approx_bytes() as u64;
         obs.tick(&at, false);
         check!(checker.on_expand(&state, idx), idx);
-        if let Err(e) = src.expand(sys, &state, &mut succs) {
+        // What ended the sweep in the middle of this expansion, and the
+        // state a trail to it leads to.
+        let mut ended: Option<(Outcome, Option<u32>)> = None;
+        let mut ordinal = 0u32;
+        let generated = src.expand(sys, &state, &mut scratch, |src, label, next| {
+            // Since the last lap, the source made this successor.
+            timer.lap(SpanKind::Compute, 0);
+            transitions += 1;
+            let (nidx, is_new) = src.insert(sys, &mut store, next, &mut timer);
+            let judged = checker.on_edge(idx, &state, &label, nidx, next, is_new);
+            C::lap(&mut timer);
+            let nth = ordinal;
+            ordinal += 1;
+            if let Some(outcome) = judged {
+                ended = Some((outcome, Some(idx)));
+            } else if is_new {
+                if let Some(p) = persist.as_deref() {
+                    p.crash.tick();
+                }
+                if track_trails {
+                    parents.push((idx, nth));
+                }
+                if let Some(outcome) = checker.on_new(next, nidx) {
+                    ended = Some((outcome, Some(nidx)));
+                } else if budget.exceeded(&store, started) {
+                    ended = Some((Outcome::Unfinished, None));
+                } else {
+                    src.push(sys, &store, next, nidx);
+                }
+            }
+            if ended.is_some() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        if let Some((outcome, leads_to)) = ended {
+            done!(outcome, leads_to);
+        }
+        if let Err(e) = generated {
             done!(Outcome::RuntimeFailure(e), Some(idx));
         }
         timer.lap(SpanKind::Compute, 1);
-        check!(checker.on_successors(idx, succs.len()), idx);
-        for (ordinal, (label, next)) in succs.drain(..).enumerate() {
-            transitions += 1;
-            let (nidx, is_new) = src.insert(sys, &mut store, &next, &mut timer);
-            let judged = checker.on_edge(idx, &state, &label, nidx, &next, is_new);
-            C::lap(&mut timer);
-            check!(judged, idx);
-            if !is_new {
-                src.discard(next);
-                continue;
-            }
-            if let Some(p) = persist.as_deref() {
-                p.crash.tick();
-            }
-            if track_trails {
-                parents.push((idx, ordinal as u32));
-            }
-            check!(checker.on_new(&next, nidx), nidx);
-            if budget.exceeded(&store, started) {
-                done!(Outcome::Unfinished);
-            }
-            src.push(next, nidx);
-        }
-        src.discard(state);
+        check!(checker.on_successors(idx, ordinal as usize), idx);
     }
 }
 
@@ -2222,7 +2357,8 @@ mod tests {
     }
 
     /// A ring of `n` counters, each stepping one or two places on, where
-    /// expanding `bad` fails — with a runtime error, or by panicking.
+    /// expanding `bad` fails — with a runtime error once its successors
+    /// are out, or by panicking.
     struct Ring {
         n: u32,
         bad: u32,
@@ -2239,18 +2375,22 @@ mod tests {
         fn successors(&self, s: &u32, out: &mut Vec<(Label, u32)>) -> ccr_runtime::Result<()> {
             use ccr_core::ids::ProcessId;
             out.clear();
+            let label = Label::new(ProcessId::Home, ccr_runtime::LabelKind::Tau, "step");
+            out.extend([1, 2].map(|step| (label.clone(), (s + step) % self.n)));
             if *s == self.bad {
                 assert!(!self.panics, "the marked state was expanded");
                 return Err(RuntimeError::BadState { who: ProcessId::Home });
             }
-            let label = Label::new(ProcessId::Home, ccr_runtime::LabelKind::Tau, "step");
-            out.extend([1, 2].map(|step| (label.clone(), (s + step) % self.n)));
             Ok(())
         }
 
         fn encode(&self, s: &u32, out: &mut Vec<u8>) {
             out.clear();
             out.extend_from_slice(&s.to_le_bytes());
+        }
+
+        fn decode(&self, bytes: &[u8]) -> Option<u32> {
+            bytes.try_into().ok().map(u32::from_le_bytes)
         }
     }
 
@@ -2262,6 +2402,10 @@ mod tests {
         let serial = explore_timeless(&sys, traced, &Budget::default());
         assert!(matches!(serial.outcome, Outcome::RuntimeFailure(_)), "{:?}", serial.outcome);
         assert!(serial.trail.as_ref().is_some_and(|t| !t.is_empty()));
+        // What the failing expansion generated before it failed has been
+        // through the sweep — stored and counted — at every thread count.
+        assert_eq!(serial.transitions, 2 * (sys.bad as usize + 1));
+        assert_eq!(serial.states, sys.bad as usize + 3);
         for threads in [1usize, 2, 4] {
             let fed = explore_timeless(&sys, Search { threads, ..traced }, &Budget::default());
             assert_eq!(fed, serial, "t={threads}");

@@ -45,6 +45,7 @@ use ccr_runtime::rendezvous::{Local, RendezvousSystem, RvState};
 use ccr_runtime::wire::{Link, Wire};
 use ccr_runtime::{Label, TransitionSystem};
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// A transition system whose state carries `remote_count()` interchangeable
@@ -648,6 +649,15 @@ impl<T: Symmetric> TransitionSystem for Reduced<'_, T> {
         self.inner.successors(s, out)
     }
 
+    fn for_each_successor(
+        &self,
+        s: &T::State,
+        scratch: &mut T::State,
+        visit: impl FnMut(Label, &T::State) -> ControlFlow<()>,
+    ) -> ccr_runtime::Result<()> {
+        self.inner.for_each_successor(s, scratch, visit)
+    }
+
     fn encode(&self, s: &T::State, out: &mut Vec<u8>) {
         if !self.active {
             return self.inner.encode(s, out);
@@ -675,6 +685,24 @@ impl<T: Symmetric> TransitionSystem for Reduced<'_, T> {
         // decoder reconstructs it, and re-encoding canonicalizes to the
         // same bytes (canonicalization is idempotent).
         self.inner.decode(bytes)
+    }
+
+    fn decode_into(&self, bytes: &[u8], into: &mut T::State) -> bool {
+        self.inner.decode_into(bytes, into)
+    }
+
+    /// A key is the orbit's representative, not the member that was
+    /// reached: the sweep has to keep that one itself.
+    fn key_is_snapshot(&self) -> bool {
+        !self.active && self.inner.key_is_snapshot()
+    }
+
+    fn snapshot_into(&self, s: &T::State, out: &mut Vec<u8>) {
+        self.inner.snapshot_into(s, out);
+    }
+
+    fn restore_into(&self, bytes: &[u8], into: &mut T::State) -> bool {
+        self.inner.restore_into(bytes, into)
     }
 
     fn link_occupancy(&self, s: &T::State, from: ProcessId, to: ProcessId) -> Option<u32> {

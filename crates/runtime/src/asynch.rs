@@ -19,14 +19,16 @@
 
 use crate::error::{Result, RuntimeError};
 use crate::system::{Label, LabelKind, SentMsg, TransitionSystem};
-use crate::wire::{encode_payload, Link, Wire};
+use crate::wire::{encode_payload, Link, Reader, Wire};
 use ccr_core::encode::{Identity, Renaming, Sink, SliceSink};
 use ccr_core::expr::EvalCtx;
 use ccr_core::ids::{MsgType, ProcessId, RemoteId, StateId};
 use ccr_core::inline::InlineVec;
-use ccr_core::process::{Branch, CommAction, Peer, ProtocolSpec, StateKind};
-use ccr_core::refine::RefinedProtocol;
+use ccr_core::process::{Branch, CommAction, Peer, Process, ProtocolSpec, StateKind};
+use ccr_core::refine::{BranchKey, RefinedProtocol};
 use ccr_core::value::{Env, Value};
+use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 /// Execution parameters of the asynchronous semantics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,15 +150,30 @@ pub struct RemoteState {
     pub to_remote: Link,
 }
 
-/// A global asynchronous configuration. Cloning one — which successor
-/// generation does once per transition — is a flat copy of `home` plus one
-/// allocation for `remotes` (see DESIGN.md, "State layout").
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A global asynchronous configuration. Cloning one — which
+/// [`TransitionSystem::successors`] does once per transition, for callers
+/// that keep the successor — is a flat copy of `home` plus one allocation
+/// for `remotes`; the model checker's sweep rewrites one in place instead
+/// (see DESIGN.md, "State layout").
+#[derive(Debug, PartialEq, Eq)]
 pub struct AsyncState {
     /// The home node.
     pub home: HomeState,
     /// The remotes and their links, indexed by [`RemoteId`].
     pub remotes: Vec<RemoteState>,
+}
+
+impl Clone for AsyncState {
+    fn clone(&self) -> Self {
+        AsyncState { home: self.home.clone(), remotes: self.remotes.clone() }
+    }
+
+    /// Keeps the `remotes` allocation: the sweep copies the state it
+    /// expands over its scratch state once per expansion.
+    fn clone_from(&mut self, source: &Self) {
+        self.home.clone_from(&source.home);
+        self.remotes.clone_from(&source.remotes);
+    }
 }
 
 impl AsyncState {
@@ -178,6 +195,79 @@ pub struct AsyncSystem<'a> {
     refined: &'a RefinedProtocol,
     n: u32,
     config: AsyncConfig,
+    notes: Annotations,
+}
+
+/// The refinement's annotations as the rules read them: one flag per
+/// message type and one slot per `(state, branch)` of the spec, indexed
+/// directly. [`RefinedProtocol`] keeps them in std hash sets and maps,
+/// and the rules ask about once per generated transition — some from
+/// inside a scan of the home buffer — so the tables are built once, in
+/// [`AsyncSystem::new`].
+#[derive(Debug, Clone)]
+struct Annotations {
+    unacked: Vec<bool>,
+    home_noack: Vec<bool>,
+    remote_noack: Vec<bool>,
+    home_fire_forget: Vec<Vec<bool>>,
+    remote_fire_forget: Vec<Vec<bool>>,
+    home_reply: Vec<Vec<Option<MsgType>>>,
+    remote_reply: Vec<Vec<Option<MsgType>>>,
+}
+
+impl Annotations {
+    fn new(refined: &RefinedProtocol) -> Self {
+        let per_msg = |set: &HashSet<MsgType>| {
+            let mut flags = vec![false; refined.spec.msgs.len()];
+            for m in set {
+                if let Some(flag) = flags.get_mut(m.index()) {
+                    *flag = true;
+                }
+            }
+            flags
+        };
+        // A key outside the spec's shape names no branch a rule can ask
+        // about, so it has no slot.
+        fn per_branch<V: Clone + Default>(
+            process: &Process,
+            entries: impl Iterator<Item = (BranchKey, V)>,
+        ) -> Vec<Vec<V>> {
+            let mut table: Vec<Vec<V>> =
+                process.states.iter().map(|st| vec![V::default(); st.branches.len()]).collect();
+            for ((state, branch), v) in entries {
+                if let Some(slot) =
+                    table.get_mut(state.index()).and_then(|st| st.get_mut(branch as usize))
+                {
+                    *slot = v;
+                }
+            }
+            table
+        }
+        let flagged = |process, set: &HashSet<BranchKey>| {
+            per_branch(process, set.iter().map(|&key| (key, true)))
+        };
+        let replies = |process, map: &HashMap<BranchKey, MsgType>| {
+            per_branch(process, map.iter().map(|(&key, &m)| (key, Some(m))))
+        };
+        let (home, remote) = (&refined.spec.home, &refined.spec.remote);
+        Annotations {
+            unacked: per_msg(&refined.unacked),
+            home_noack: per_msg(&refined.home_noack),
+            remote_noack: per_msg(&refined.remote_noack),
+            home_fire_forget: flagged(home, &refined.home_fire_forget),
+            remote_fire_forget: flagged(remote, &refined.remote_fire_forget),
+            home_reply: replies(home, &refined.home_reply),
+            remote_reply: replies(remote, &refined.remote_reply),
+        }
+    }
+}
+
+fn flag(flags: &[bool], m: MsgType) -> bool {
+    flags.get(m.index()).copied().unwrap_or(false)
+}
+
+fn slot<V: Copy + Default>(table: &[Vec<V>], state: StateId, branch: u32) -> V {
+    table.get(state.index()).and_then(|st| st.get(branch as usize)).copied().unwrap_or_default()
 }
 
 impl<'a> AsyncSystem<'a> {
@@ -199,7 +289,7 @@ impl<'a> AsyncSystem<'a> {
             "link capacity {}, but the state encoding stores a link's length in 1 byte",
             config.link_capacity
         );
-        Self { refined, n, config }
+        Self { refined, n, config, notes: Annotations::new(refined) }
     }
 
     /// The refined protocol being executed.
@@ -384,48 +474,55 @@ impl<'a> AsyncSystem<'a> {
     /// consumed silently (request/reply-optimized or unacked).
     fn home_consume(
         &self,
-        next: &mut AsyncState,
+        next: &mut impl Slices,
         idx: usize,
         hb: &Branch,
     ) -> Result<Option<SentMsg>> {
-        let entry = next.home.buf.remove(idx);
+        let entry = next.home_mut().buf.remove(idx);
         let mut sent = None;
-        if !self.refined.home_noack.contains(&entry.msg) {
+        if !flag(&self.notes.home_noack, entry.msg) {
             let to = ProcessId::Remote(entry.from);
             self.push_link(
-                &mut next.remotes[entry.from.index()].to_remote,
+                &mut next.remote_mut(entry.from.index()).to_remote,
                 Wire::Ack,
                 ProcessId::Home,
                 to,
             )?;
             sent = Some(SentMsg::ack(ProcessId::Home, to));
         }
+        let home = next.home_mut();
         if let CommAction::Recv { from, bind, .. } = &hb.action {
             if let Peer::AnyRemote { bind: Some(v) } = from {
-                next.home.env.set(v.index(), Value::Node(entry.from));
+                home.env.set(v.index(), Value::Node(entry.from));
             }
             if let (Some(v), Some(val)) = (bind, entry.val) {
-                next.home.env.set(v.index(), val);
+                home.env.set(v.index(), val);
             }
         }
-        Self::apply_assigns(hb, &mut next.home.env, None, ProcessId::Home)?;
-        next.home.phase = HomePhase::At(hb.target);
-        next.home.cursor = 0;
+        Self::apply_assigns(hb, &mut home.env, None, ProcessId::Home)?;
+        home.phase = HomePhase::At(hb.target);
+        home.cursor = 0;
         Ok(sent)
+    }
+
+    /// Whether `e` is an ordinary buffered request — one that awaits an
+    /// ack or nack, unlike the hand baseline's unacknowledged messages.
+    fn ordinary(&self, e: &BufEntry) -> bool {
+        !flag(&self.notes.unacked, e.msg)
     }
 
     /// Admission decision for a request arriving at the home (Table 2 rows
     /// T4/T5/T6 and the analogous rule outside transient states).
     fn home_admit(&self, s: &AsyncState, from: RemoteId, msg: MsgType) -> Result<Admission> {
         // Unacknowledged messages (hand baseline) must always be sunk.
-        if self.refined.unacked.contains(&msg) {
+        if flag(&self.notes.unacked, msg) {
             let cap = self.config.home_buffer + self.config.unacked_allowance;
             if s.home.buf.len() >= cap {
                 return Err(RuntimeError::UnackedFlood);
             }
             return Ok(Admission::Accept("buf"));
         }
-        if s.home.buf.iter().any(|e| e.from == from && !self.refined.unacked.contains(&e.msg)) {
+        if s.home.buf.iter().any(|e| e.from == from && self.ordinary(e)) {
             return Err(RuntimeError::DuplicateRequest { from });
         }
         let (comm_state, reserved) = match s.home.phase {
@@ -444,12 +541,7 @@ impl<'a> AsyncSystem<'a> {
     }
 
     /// Generates the delivery transition for the head of `to_home[i]`.
-    fn deliver_to_home(
-        &self,
-        s: &AsyncState,
-        i: usize,
-        out: &mut Vec<(Label, AsyncState)>,
-    ) -> Result<()> {
+    fn deliver_to_home(&self, s: &AsyncState, i: usize, em: &mut impl Emitter) -> Result<()> {
         let head = match s.remotes[i].to_home.head() {
             Some(w) => *w,
             None => return Ok(()),
@@ -458,26 +550,24 @@ impl<'a> AsyncSystem<'a> {
         let actor = ProcessId::Home;
         match head {
             Wire::Ack => {
-                let (state, branch, target) = match s.home.phase {
+                let (state, branch) = match s.home.phase {
                     HomePhase::Awaiting { state, branch, target } if target == rid => {
-                        (state, branch, target)
+                        (state, branch)
                     }
                     _ => return Err(RuntimeError::UnexpectedResponse { who: actor, what: "ack" }),
                 };
-                let _ = target;
                 let hb = self.home_branch(state, branch)?;
                 let msg = hb.action.msg().ok_or(RuntimeError::BadState { who: actor })?;
-                let mut next = s.clone();
-                next.remotes[i].to_home.pop();
-                Self::apply_assigns(hb, &mut next.home.env, None, actor)?;
-                next.home.phase = HomePhase::At(hb.target);
-                next.home.cursor = 0;
-                out.push((
-                    Label::new(actor, LabelKind::Complete, "T1")
+                em.successor(|next| {
+                    next.remote_mut(i).to_home.pop();
+                    let home = next.home_mut();
+                    Self::apply_assigns(hb, &mut home.env, None, actor)?;
+                    home.phase = HomePhase::At(hb.target);
+                    home.cursor = 0;
+                    Ok(Label::new(actor, LabelKind::Complete, "T1")
                         .completing(actor, msg)
-                        .receiving(SentMsg::ack(ProcessId::Remote(rid), actor)),
-                    next,
-                ));
+                        .receiving(SentMsg::ack(ProcessId::Remote(rid), actor)))
+                })
             }
             Wire::Nack => {
                 let (state, branch) = match s.home.phase {
@@ -486,135 +576,110 @@ impl<'a> AsyncSystem<'a> {
                     }
                     _ => return Err(RuntimeError::UnexpectedResponse { who: actor, what: "nack" }),
                 };
-                let mut next = s.clone();
-                next.remotes[i].to_home.pop();
-                next.home.phase = HomePhase::At(state);
-                next.home.cursor = branch + 1;
-                out.push((
-                    Label::new(actor, LabelKind::Deliver, "T2")
-                        .receiving(SentMsg::nack(ProcessId::Remote(rid), actor)),
-                    next,
-                ));
+                em.successor(|next| {
+                    next.remote_mut(i).to_home.pop();
+                    let home = next.home_mut();
+                    home.phase = HomePhase::At(state);
+                    home.cursor = branch + 1;
+                    Ok(Label::new(actor, LabelKind::Deliver, "T2")
+                        .receiving(SentMsg::nack(ProcessId::Remote(rid), actor)))
+                })
             }
             Wire::Req { msg, val } => {
+                let received = SentMsg::req(ProcessId::Remote(rid), actor, msg);
                 if let HomePhase::Awaiting { state, branch, target } = s.home.phase {
                     if target == rid {
-                        let key = (state, branch);
-                        if self.refined.home_reply.get(&key) == Some(&msg) {
+                        if slot(&self.notes.home_reply, state, branch) == Some(msg) {
                             // Optimized reply: completes our request and the
                             // follow-up input in one delivery.
                             let hb = self.home_branch(state, branch)?;
                             let reqmsg =
                                 hb.action.msg().ok_or(RuntimeError::BadState { who: actor })?;
-                            let mut next = s.clone();
-                            next.remotes[i].to_home.pop();
-                            Self::apply_assigns(hb, &mut next.home.env, None, actor)?;
-                            let mid = hb.target;
-                            // Consume the reply input at the intermediate state.
-                            let mid_st = self
-                                .spec()
-                                .home
-                                .state(mid)
-                                .ok_or(RuntimeError::BadState { who: actor })?;
-                            let mut landed = false;
-                            for (_, rb) in mid_st.recvs() {
-                                if self.home_recv_matches(&next.home.env, rb, rid, msg)? {
-                                    if let CommAction::Recv { from, bind, .. } = &rb.action {
-                                        if let Peer::AnyRemote { bind: Some(v) } = from {
-                                            next.home.env.set(v.index(), Value::Node(rid));
+                            return em.successor(|next| {
+                                next.remote_mut(i).to_home.pop();
+                                let home = next.home_mut();
+                                Self::apply_assigns(hb, &mut home.env, None, actor)?;
+                                let mid = hb.target;
+                                // Consume the reply input at the intermediate state.
+                                let mid_st = self
+                                    .spec()
+                                    .home
+                                    .state(mid)
+                                    .ok_or(RuntimeError::BadState { who: actor })?;
+                                let mut landed = false;
+                                for (_, rb) in mid_st.recvs() {
+                                    if self.home_recv_matches(&home.env, rb, rid, msg)? {
+                                        if let CommAction::Recv { from, bind, .. } = &rb.action {
+                                            if let Peer::AnyRemote { bind: Some(v) } = from {
+                                                home.env.set(v.index(), Value::Node(rid));
+                                            }
+                                            if let (Some(v), Some(value)) = (bind, val) {
+                                                home.env.set(v.index(), value);
+                                            }
                                         }
-                                        if let (Some(v), Some(value)) = (bind, val) {
-                                            next.home.env.set(v.index(), value);
-                                        }
+                                        Self::apply_assigns(rb, &mut home.env, None, actor)?;
+                                        home.phase = HomePhase::At(rb.target);
+                                        home.cursor = 0;
+                                        landed = true;
+                                        break;
                                     }
-                                    Self::apply_assigns(rb, &mut next.home.env, None, actor)?;
-                                    next.home.phase = HomePhase::At(rb.target);
-                                    next.home.cursor = 0;
-                                    landed = true;
-                                    break;
                                 }
-                            }
-                            if !landed {
-                                return Err(RuntimeError::ReplyNotAwaited { who: actor });
-                            }
-                            out.push((
-                                Label::new(actor, LabelKind::Complete, "T1/reply")
+                                if !landed {
+                                    return Err(RuntimeError::ReplyNotAwaited { who: actor });
+                                }
+                                Ok(Label::new(actor, LabelKind::Complete, "T1/reply")
                                     .completing(actor, reqmsg)
-                                    .receiving(SentMsg::req(ProcessId::Remote(rid), actor, msg)),
-                                next,
-                            ));
-                            return Ok(());
+                                    .receiving(received))
+                            });
                         }
                         // Implicit nack (rule R3 / Table 2 row T3): revert to
                         // the communication state and park the request in the
                         // reserved ack-buffer slot.
-                        let mut next = s.clone();
-                        next.remotes[i].to_home.pop();
-                        if next.home.buf.len()
+                        if s.home.buf.len()
                             >= self.config.home_buffer + self.config.unacked_allowance
                         {
                             return Err(RuntimeError::HomeBufferOverflow);
                         }
-                        if next
-                            .home
-                            .buf
-                            .iter()
-                            .any(|e| e.from == rid && !self.refined.unacked.contains(&e.msg))
-                            && !self.refined.unacked.contains(&msg)
+                        if !flag(&self.notes.unacked, msg)
+                            && s.home.buf.iter().any(|e| e.from == rid && self.ordinary(e))
                         {
                             return Err(RuntimeError::DuplicateRequest { from: rid });
                         }
-                        next.home.buf.push(BufEntry { from: rid, msg, val });
-                        next.home.phase = HomePhase::At(state);
-                        next.home.cursor = branch + 1;
-                        out.push((
-                            Label::new(actor, LabelKind::Deliver, "T3").receiving(SentMsg::req(
-                                ProcessId::Remote(rid),
-                                actor,
-                                msg,
-                            )),
-                            next,
-                        ));
-                        return Ok(());
+                        return em.successor(|next| {
+                            next.remote_mut(i).to_home.pop();
+                            let home = next.home_mut();
+                            home.buf.push(BufEntry { from: rid, msg, val });
+                            home.phase = HomePhase::At(state);
+                            home.cursor = branch + 1;
+                            Ok(Label::new(actor, LabelKind::Deliver, "T3").receiving(received))
+                        });
                     }
                 }
                 // Ordinary admission (Table 2 rows T4/T5/T6, also used
                 // outside transient states).
                 match self.home_admit(s, rid, msg)? {
-                    Admission::Accept(rule) => {
-                        let mut next = s.clone();
-                        next.remotes[i].to_home.pop();
-                        next.home.buf.push(BufEntry { from: rid, msg, val });
-                        out.push((
-                            Label::new(actor, LabelKind::Deliver, rule).receiving(SentMsg::req(
-                                ProcessId::Remote(rid),
-                                actor,
-                                msg,
-                            )),
-                            next,
-                        ));
-                    }
-                    Admission::Nack => {
-                        let mut next = s.clone();
-                        next.remotes[i].to_home.pop();
+                    Admission::Accept(rule) => em.successor(|next| {
+                        next.remote_mut(i).to_home.pop();
+                        next.home_mut().buf.push(BufEntry { from: rid, msg, val });
+                        Ok(Label::new(actor, LabelKind::Deliver, rule).receiving(received))
+                    }),
+                    Admission::Nack => em.successor(|next| {
+                        let r = next.remote_mut(i);
+                        r.to_home.pop();
                         let to = ProcessId::Remote(rid);
-                        self.push_link(&mut next.remotes[i].to_remote, Wire::Nack, actor, to)?;
-                        out.push((
-                            Label::new(actor, LabelKind::Nacked, "T6")
-                                .receiving(SentMsg::req(ProcessId::Remote(rid), actor, msg))
-                                .sending(SentMsg::nack(actor, to)),
-                            next,
-                        ));
-                    }
+                        self.push_link(&mut r.to_remote, Wire::Nack, actor, to)?;
+                        Ok(Label::new(actor, LabelKind::Nacked, "T6")
+                            .receiving(received)
+                            .sending(SentMsg::nack(actor, to)))
+                    }),
                 }
             }
         }
-        Ok(())
     }
 
     /// Generates the home's spontaneous transitions (Table 2 rows C1/C2 and
     /// internal taus).
-    fn home_step(&self, s: &AsyncState, out: &mut Vec<(Label, AsyncState)>) -> Result<()> {
+    fn home_step(&self, s: &AsyncState, em: &mut impl Emitter) -> Result<()> {
         let st_id = match s.home.phase {
             HomePhase::At(st) => st,
             HomePhase::Awaiting { .. } => return Ok(()),
@@ -627,11 +692,13 @@ impl<'a> AsyncSystem<'a> {
         if st.kind == StateKind::Internal {
             for br in &st.branches {
                 if br.action.is_tau() && Self::guard_ok(&br.guard, ctx, actor)? {
-                    let mut next = s.clone();
-                    Self::apply_assigns(br, &mut next.home.env, None, actor)?;
-                    next.home.phase = HomePhase::At(br.target);
-                    next.home.cursor = 0;
-                    out.push((Label::new(actor, LabelKind::Tau, "tau").tagged(&br.tag), next));
+                    em.successor(|next| {
+                        let home = next.home_mut();
+                        Self::apply_assigns(br, &mut home.env, None, actor)?;
+                        home.phase = HomePhase::At(br.target);
+                        home.cursor = 0;
+                        Ok(Label::new(actor, LabelKind::Tau, "tau").tagged(&br.tag))
+                    })?;
                 }
             }
             return Ok(());
@@ -644,14 +711,15 @@ impl<'a> AsyncSystem<'a> {
             for (_, hb) in st.recvs() {
                 if self.home_recv_matches(&s.home.env, hb, entry.from, entry.msg)? {
                     c1_found = true;
-                    let mut next = s.clone();
-                    let sent = self.home_consume(&mut next, idx, hb)?;
-                    let mut label = Label::new(actor, LabelKind::Complete, "C1")
-                        .completing(ProcessId::Remote(entry.from), entry.msg);
-                    if let Some(m) = sent {
-                        label = label.sending(m);
-                    }
-                    out.push((label, next));
+                    em.successor(|next| {
+                        let sent = self.home_consume(next, idx, hb)?;
+                        let label = Label::new(actor, LabelKind::Complete, "C1")
+                            .completing(ProcessId::Remote(entry.from), entry.msg);
+                        Ok(match sent {
+                            Some(m) => label.sending(m),
+                            None => label,
+                        })
+                    })?;
                 }
             }
         }
@@ -680,73 +748,65 @@ impl<'a> AsyncSystem<'a> {
                 Some(e) => Some(e.eval(ctx).map_err(Self::eval_err(actor))?),
                 None => None,
             };
-            let key = (st_id, idx as u32);
-            if self.refined.home_fire_forget.contains(&key) {
+            let to = ProcessId::Remote(t);
+            if slot(&self.notes.home_fire_forget, st_id, idx as u32) {
                 // Optimized reply send: guaranteed accepted; complete now.
-                let mut next = s.clone();
-                let to = ProcessId::Remote(t);
+                return em.successor(|next| {
+                    self.push_link(
+                        &mut next.remote_mut(t.index()).to_remote,
+                        Wire::Req { msg, val },
+                        actor,
+                        to,
+                    )?;
+                    let home = next.home_mut();
+                    Self::apply_assigns(br, &mut home.env, None, actor)?;
+                    home.phase = HomePhase::At(br.target);
+                    home.cursor = 0;
+                    Ok(Label::new(actor, LabelKind::Complete, "C2/reply")
+                        .completing(actor, msg)
+                        .sending(SentMsg::req(actor, to, msg))
+                        .tagged(&br.tag))
+                });
+            }
+            // Condition (c): skip remotes with a pending (ordinary) request —
+            // they are blocked as active parties and cannot accept ours.
+            if s.home.buf.iter().any(|e| e.from == t && self.ordinary(e)) {
+                continue;
+            }
+            return em.successor(|next| {
+                let mut label = Label::new(actor, LabelKind::Request, "C2").tagged(&br.tag);
+                // Reserve the ack buffer, nacking the oldest ordinary request
+                // if the buffer is full.
+                if s.home.buf.iter().filter(|e| self.ordinary(e)).count() >= self.config.home_buffer
+                {
+                    if let Some(victim_idx) = s.home.buf.iter().position(|e| self.ordinary(e)) {
+                        let victim = next.home_mut().buf.remove(victim_idx);
+                        let to = ProcessId::Remote(victim.from);
+                        self.push_link(
+                            &mut next.remote_mut(victim.from.index()).to_remote,
+                            Wire::Nack,
+                            actor,
+                            to,
+                        )?;
+                        label = label.sending(SentMsg::nack(actor, to));
+                    }
+                }
                 self.push_link(
-                    &mut next.remotes[t.index()].to_remote,
+                    &mut next.remote_mut(t.index()).to_remote,
                     Wire::Req { msg, val },
                     actor,
                     to,
                 )?;
-                Self::apply_assigns(br, &mut next.home.env, None, actor)?;
-                next.home.phase = HomePhase::At(br.target);
-                next.home.cursor = 0;
-                out.push((
-                    Label::new(actor, LabelKind::Complete, "C2/reply")
-                        .completing(actor, msg)
-                        .sending(SentMsg::req(actor, to, msg))
-                        .tagged(&br.tag),
-                    next,
-                ));
-                return Ok(());
-            }
-            // Condition (c): skip remotes with a pending (ordinary) request —
-            // they are blocked as active parties and cannot accept ours.
-            if s.home.buf.iter().any(|e| e.from == t && !self.refined.unacked.contains(&e.msg)) {
-                continue;
-            }
-            let mut next = s.clone();
-            let mut label = Label::new(actor, LabelKind::Request, "C2").tagged(&br.tag);
-            // Reserve the ack buffer, nacking the oldest ordinary request if
-            // the buffer is full.
-            let ordinary = |e: &BufEntry| !self.refined.unacked.contains(&e.msg);
-            if next.home.buf.iter().filter(|e| ordinary(e)).count() >= self.config.home_buffer {
-                if let Some(victim_idx) = next.home.buf.iter().position(ordinary) {
-                    let victim = next.home.buf.remove(victim_idx);
-                    let to = ProcessId::Remote(victim.from);
-                    self.push_link(
-                        &mut next.remotes[victim.from.index()].to_remote,
-                        Wire::Nack,
-                        actor,
-                        to,
-                    )?;
-                    label = label.sending(SentMsg::nack(actor, to));
-                }
-            }
-            let to = ProcessId::Remote(t);
-            self.push_link(
-                &mut next.remotes[t.index()].to_remote,
-                Wire::Req { msg, val },
-                actor,
-                to,
-            )?;
-            next.home.phase = HomePhase::Awaiting { state: st_id, branch: idx as u32, target: t };
-            out.push((label.sending(SentMsg::req(actor, to, msg)), next));
-            return Ok(());
+                next.home_mut().phase =
+                    HomePhase::Awaiting { state: st_id, branch: idx as u32, target: t };
+                Ok(label.sending(SentMsg::req(actor, to, msg)))
+            });
         }
         Ok(())
     }
 
     /// Generates the delivery transition for the head of `to_remote[i]`.
-    fn deliver_to_remote(
-        &self,
-        s: &AsyncState,
-        i: usize,
-        out: &mut Vec<(Label, AsyncState)>,
-    ) -> Result<()> {
+    fn deliver_to_remote(&self, s: &AsyncState, i: usize, em: &mut impl Emitter) -> Result<()> {
         let head = match s.remotes[i].to_remote.head() {
             Some(w) => *w,
             None => return Ok(()),
@@ -761,44 +821,49 @@ impl<'a> AsyncSystem<'a> {
                 };
                 let rb = self.remote_branch(rid, state, branch)?;
                 let msg = rb.action.msg().ok_or(RuntimeError::BadState { who: actor })?;
-                let mut next = s.clone();
-                next.remotes[i].to_remote.pop();
-                Self::apply_assigns(rb, &mut next.remotes[i].env, Some(rid), actor)?;
-                next.remotes[i].phase = RemotePhase::At(rb.target);
-                out.push((
-                    Label::new(actor, LabelKind::Complete, "T1")
+                em.successor(|next| {
+                    let r = next.remote_mut(i);
+                    r.to_remote.pop();
+                    Self::apply_assigns(rb, &mut r.env, Some(rid), actor)?;
+                    r.phase = RemotePhase::At(rb.target);
+                    Ok(Label::new(actor, LabelKind::Complete, "T1")
                         .completing(actor, msg)
-                        .receiving(SentMsg::ack(ProcessId::Home, actor)),
-                    next,
-                ));
+                        .receiving(SentMsg::ack(ProcessId::Home, actor)))
+                })
             }
             Wire::Nack => {
                 let state = match s.remotes[i].phase {
                     RemotePhase::Awaiting { state, .. } => state,
                     _ => return Err(RuntimeError::UnexpectedResponse { who: actor, what: "nack" }),
                 };
-                let mut next = s.clone();
-                next.remotes[i].to_remote.pop();
-                next.remotes[i].phase = RemotePhase::At(state);
-                out.push((
-                    Label::new(actor, LabelKind::Deliver, "T2")
-                        .receiving(SentMsg::nack(ProcessId::Home, actor)),
-                    next,
-                ));
+                em.successor(|next| {
+                    let r = next.remote_mut(i);
+                    r.to_remote.pop();
+                    r.phase = RemotePhase::At(state);
+                    Ok(Label::new(actor, LabelKind::Deliver, "T2")
+                        .receiving(SentMsg::nack(ProcessId::Home, actor)))
+                })
             }
             Wire::Req { msg, val } => {
+                let received = SentMsg::req(ProcessId::Home, actor, msg);
                 match s.remotes[i].phase {
                     RemotePhase::Awaiting { state, branch } => {
-                        let key = (state, branch);
-                        if self.refined.remote_reply.get(&key) == Some(&msg) {
-                            // Optimized reply: complete the request and the
-                            // follow-up input atomically.
-                            let rb = self.remote_branch(rid, state, branch)?;
-                            let reqmsg =
-                                rb.action.msg().ok_or(RuntimeError::BadState { who: actor })?;
-                            let mut next = s.clone();
-                            next.remotes[i].to_remote.pop();
-                            Self::apply_assigns(rb, &mut next.remotes[i].env, Some(rid), actor)?;
+                        if slot(&self.notes.remote_reply, state, branch) != Some(msg) {
+                            // Table 1 row T3: ignore.
+                            return em.successor(|next| {
+                                next.remote_mut(i).to_remote.pop();
+                                Ok(Label::new(actor, LabelKind::Deliver, "T3").receiving(received))
+                            });
+                        }
+                        // Optimized reply: complete the request and the
+                        // follow-up input atomically.
+                        let rb = self.remote_branch(rid, state, branch)?;
+                        let reqmsg =
+                            rb.action.msg().ok_or(RuntimeError::BadState { who: actor })?;
+                        em.successor(|next| {
+                            let r = next.remote_mut(i);
+                            r.to_remote.pop();
+                            Self::apply_assigns(rb, &mut r.env, Some(rid), actor)?;
                             let mid = rb.target;
                             let mid_st = self
                                 .spec()
@@ -812,15 +877,10 @@ impl<'a> AsyncSystem<'a> {
                                 {
                                     if *m == msg {
                                         if let (Some(v), Some(value)) = (bind, val) {
-                                            next.remotes[i].env.set(v.index(), value);
+                                            r.env.set(v.index(), value);
                                         }
-                                        Self::apply_assigns(
-                                            fb,
-                                            &mut next.remotes[i].env,
-                                            Some(rid),
-                                            actor,
-                                        )?;
-                                        next.remotes[i].phase = RemotePhase::At(fb.target);
+                                        Self::apply_assigns(fb, &mut r.env, Some(rid), actor)?;
+                                        r.phase = RemotePhase::At(fb.target);
                                         landed = true;
                                         break;
                                     }
@@ -829,50 +889,27 @@ impl<'a> AsyncSystem<'a> {
                             if !landed {
                                 return Err(RuntimeError::ReplyNotAwaited { who: actor });
                             }
-                            out.push((
-                                Label::new(actor, LabelKind::Complete, "T1/reply")
-                                    .completing(actor, reqmsg)
-                                    .receiving(SentMsg::req(ProcessId::Home, actor, msg)),
-                                next,
-                            ));
-                        } else {
-                            // Table 1 row T3: ignore.
-                            let mut next = s.clone();
-                            next.remotes[i].to_remote.pop();
-                            out.push((
-                                Label::new(actor, LabelKind::Deliver, "T3")
-                                    .receiving(SentMsg::req(ProcessId::Home, actor, msg)),
-                                next,
-                            ));
-                        }
+                            Ok(Label::new(actor, LabelKind::Complete, "T1/reply")
+                                .completing(actor, reqmsg)
+                                .receiving(received))
+                        })
                     }
-                    RemotePhase::At(_) => {
-                        if s.remotes[i].buf.is_none() {
-                            let mut next = s.clone();
-                            next.remotes[i].to_remote.pop();
-                            next.remotes[i].buf = Some((msg, val));
-                            out.push((
-                                Label::new(actor, LabelKind::Deliver, "buf")
-                                    .receiving(SentMsg::req(ProcessId::Home, actor, msg)),
-                                next,
-                            ));
-                        }
-                        // Buffer occupied: the message waits on the link.
-                    }
+                    // Buffer occupied: the message waits on the link.
+                    RemotePhase::At(_) if s.remotes[i].buf.is_some() => Ok(()),
+                    RemotePhase::At(_) => em.successor(|next| {
+                        let r = next.remote_mut(i);
+                        r.to_remote.pop();
+                        r.buf = Some((msg, val));
+                        Ok(Label::new(actor, LabelKind::Deliver, "buf").receiving(received))
+                    }),
                 }
             }
         }
-        Ok(())
     }
 
     /// Generates remote `i`'s spontaneous transitions (Table 1 rows C1–C3
     /// plus taus).
-    fn remote_step(
-        &self,
-        s: &AsyncState,
-        i: usize,
-        out: &mut Vec<(Label, AsyncState)>,
-    ) -> Result<()> {
+    fn remote_step(&self, s: &AsyncState, i: usize, em: &mut impl Emitter) -> Result<()> {
         let st_id = match s.remotes[i].phase {
             RemotePhase::At(st) => st,
             RemotePhase::Awaiting { .. } => return Ok(()),
@@ -885,10 +922,12 @@ impl<'a> AsyncSystem<'a> {
         // Tau branches (autonomous decisions; allowed alongside inputs).
         for br in &st.branches {
             if br.action.is_tau() && Self::guard_ok(&br.guard, ctx, actor)? {
-                let mut next = s.clone();
-                Self::apply_assigns(br, &mut next.remotes[i].env, Some(rid), actor)?;
-                next.remotes[i].phase = RemotePhase::At(br.target);
-                out.push((Label::new(actor, LabelKind::Tau, "tau").tagged(&br.tag), next));
+                em.successor(|next| {
+                    let r = next.remote_mut(i);
+                    Self::apply_assigns(br, &mut r.env, Some(rid), actor)?;
+                    r.phase = RemotePhase::At(br.target);
+                    Ok(Label::new(actor, LabelKind::Tau, "tau").tagged(&br.tag))
+                })?;
             }
         }
         if st.kind == StateKind::Internal {
@@ -899,39 +938,38 @@ impl<'a> AsyncSystem<'a> {
             // Active state (C1/C2): send the request; a buffered home
             // request, if any, is deleted (the home will treat our request
             // as an implicit nack of its own).
-            if Self::guard_ok(&br.guard, ctx, actor)? {
-                let (msg, payload) = match &br.action {
-                    CommAction::Send { msg, payload, .. } => (*msg, payload),
-                    _ => unreachable!("sends() yields Send branches"),
-                };
-                let val = match payload {
-                    Some(e) => Some(e.eval(ctx).map_err(Self::eval_err(actor))?),
-                    None => None,
-                };
-                let rule = if s.remotes[i].buf.is_some() { "C2" } else { "C1" };
-                let mut next = s.clone();
-                next.remotes[i].buf = None;
+            if !Self::guard_ok(&br.guard, ctx, actor)? {
+                return Ok(());
+            }
+            let (msg, payload) = match &br.action {
+                CommAction::Send { msg, payload, .. } => (*msg, payload),
+                _ => unreachable!("sends() yields Send branches"),
+            };
+            let val = match payload {
+                Some(e) => Some(e.eval(ctx).map_err(Self::eval_err(actor))?),
+                None => None,
+            };
+            let rule = if s.remotes[i].buf.is_some() { "C2" } else { "C1" };
+            return em.successor(|next| {
+                let r = next.remote_mut(i);
+                r.buf = None;
                 let to = ProcessId::Home;
-                self.push_link(&mut next.remotes[i].to_home, Wire::Req { msg, val }, actor, to)?;
-                let key = (st_id, bidx);
-                let label;
-                if self.refined.remote_fire_forget.contains(&key) {
+                self.push_link(&mut r.to_home, Wire::Req { msg, val }, actor, to)?;
+                if slot(&self.notes.remote_fire_forget, st_id, bidx) {
                     // Unacknowledged send (hand baseline): proceed at once.
-                    Self::apply_assigns(br, &mut next.remotes[i].env, Some(rid), actor)?;
-                    next.remotes[i].phase = RemotePhase::At(br.target);
-                    label = Label::new(actor, LabelKind::Complete, "C1/unacked")
+                    Self::apply_assigns(br, &mut r.env, Some(rid), actor)?;
+                    r.phase = RemotePhase::At(br.target);
+                    Ok(Label::new(actor, LabelKind::Complete, "C1/unacked")
                         .completing(actor, msg)
                         .sending(SentMsg::req(actor, to, msg))
-                        .tagged(&br.tag);
+                        .tagged(&br.tag))
                 } else {
-                    next.remotes[i].phase = RemotePhase::Awaiting { state: st_id, branch: bidx };
-                    label = Label::new(actor, LabelKind::Request, rule)
+                    r.phase = RemotePhase::Awaiting { state: st_id, branch: bidx };
+                    Ok(Label::new(actor, LabelKind::Request, rule)
                         .sending(SentMsg::req(actor, to, msg))
-                        .tagged(&br.tag);
+                        .tagged(&br.tag))
                 }
-                out.push((label, next));
-            }
-            return Ok(());
+            });
         }
 
         // Passive state (C3): serve the buffered home request.
@@ -946,42 +984,172 @@ impl<'a> AsyncSystem<'a> {
                     continue;
                 }
                 matched = true;
-                let mut next = s.clone();
-                next.remotes[i].buf = None;
-                let mut label = Label::new(actor, LabelKind::Complete, "C3")
-                    .completing(ProcessId::Home, msg)
-                    .tagged(&rb.tag);
-                if !self.refined.remote_noack.contains(&msg) {
-                    let to = ProcessId::Home;
-                    self.push_link(&mut next.remotes[i].to_home, Wire::Ack, actor, to)?;
-                    label = label.sending(SentMsg::ack(actor, to));
-                }
-                if let CommAction::Recv { bind: Some(v), .. } = &rb.action {
-                    if let Some(value) = val {
-                        next.remotes[i].env.set(v.index(), value);
+                em.successor(|next| {
+                    let r = next.remote_mut(i);
+                    r.buf = None;
+                    let mut label = Label::new(actor, LabelKind::Complete, "C3")
+                        .completing(ProcessId::Home, msg)
+                        .tagged(&rb.tag);
+                    if !flag(&self.notes.remote_noack, msg) {
+                        let to = ProcessId::Home;
+                        self.push_link(&mut r.to_home, Wire::Ack, actor, to)?;
+                        label = label.sending(SentMsg::ack(actor, to));
                     }
-                }
-                Self::apply_assigns(rb, &mut next.remotes[i].env, Some(rid), actor)?;
-                next.remotes[i].phase = RemotePhase::At(rb.target);
-                out.push((label, next));
+                    if let CommAction::Recv { bind: Some(v), .. } = &rb.action {
+                        if let Some(value) = val {
+                            r.env.set(v.index(), value);
+                        }
+                    }
+                    Self::apply_assigns(rb, &mut r.env, Some(rid), actor)?;
+                    r.phase = RemotePhase::At(rb.target);
+                    Ok(label)
+                })?;
             }
             if !matched {
-                let mut next = s.clone();
-                next.remotes[i].buf = None;
-                if self.config.drop_unmatched {
-                    out.push((Label::new(actor, LabelKind::Deliver, "C3/drop"), next));
-                } else {
+                em.successor(|next| {
+                    let r = next.remote_mut(i);
+                    r.buf = None;
+                    if self.config.drop_unmatched {
+                        return Ok(Label::new(actor, LabelKind::Deliver, "C3/drop"));
+                    }
                     let to = ProcessId::Home;
-                    self.push_link(&mut next.remotes[i].to_home, Wire::Nack, actor, to)?;
-                    out.push((
-                        Label::new(actor, LabelKind::Nacked, "C3/nack")
-                            .sending(SentMsg::nack(actor, to)),
-                        next,
-                    ));
-                }
+                    self.push_link(&mut r.to_home, Wire::Nack, actor, to)?;
+                    Ok(Label::new(actor, LabelKind::Nacked, "C3/nack")
+                        .sending(SentMsg::nack(actor, to)))
+                })?;
             }
         }
         Ok(())
+    }
+
+    /// Every rule of Tables 1–2 over `s`, in the order successors are
+    /// numbered: the home's own step, then per remote the two deliveries
+    /// and its step.
+    fn step_all(&self, s: &AsyncState, em: &mut impl Emitter) -> Result<()> {
+        self.home_step(s, em)?;
+        for i in 0..s.remotes.len() {
+            self.deliver_to_home(s, i, em)?;
+            self.deliver_to_remote(s, i, em)?;
+            self.remote_step(s, i, em)?;
+        }
+        Ok(())
+    }
+}
+
+/// The writable slices of a successor under construction. They start out
+/// as the parent's.
+trait Slices {
+    /// The home slice.
+    fn home_mut(&mut self) -> &mut HomeState;
+
+    /// Remote `i`'s slice, links included.
+    fn remote_mut(&mut self, i: usize) -> &mut RemoteState;
+}
+
+/// Where the rules of Tables 1–2 put the successors of the state they are
+/// reading. A rule hands over a closure that rewrites the slices it needs
+/// and returns the label; it cannot tell whether those slices belong to a
+/// fresh copy of the parent ([`Owned`], behind
+/// [`TransitionSystem::successors`]) or to the sweep's one scratch state,
+/// lent out and then put back as it was ([`InPlace`], behind
+/// [`TransitionSystem::for_each_successor`]).
+trait Emitter {
+    /// What `build` writes to.
+    type Next: Slices;
+
+    /// One successor: `build` turns a state equal to the parent into it
+    /// and names the transition. An error from `build` is the rule's.
+    fn successor(&mut self, build: impl FnOnce(&mut Self::Next) -> Result<Label>) -> Result<()>;
+}
+
+/// Emits owned successors: one clone of the parent per successor, made
+/// for a consumer that keeps it (a simulator's next configuration, a
+/// worker's list).
+struct Owned<'a> {
+    parent: &'a AsyncState,
+    out: &'a mut Vec<(Label, AsyncState)>,
+}
+
+impl Slices for AsyncState {
+    fn home_mut(&mut self) -> &mut HomeState {
+        &mut self.home
+    }
+
+    fn remote_mut(&mut self, i: usize) -> &mut RemoteState {
+        &mut self.remotes[i]
+    }
+}
+
+impl Emitter for Owned<'_> {
+    type Next = AsyncState;
+
+    #[inline]
+    fn successor(&mut self, build: impl FnOnce(&mut AsyncState) -> Result<Label>) -> Result<()> {
+        let mut next = self.parent.clone();
+        let label = build(&mut next)?;
+        self.out.push((label, next));
+        Ok(())
+    }
+}
+
+/// Emits each successor in one scratch state that equals the parent
+/// between successors: the accessors record which slices a rule took, and
+/// after the visit exactly those are copied back from the parent. A rule
+/// touches the home and at most two remotes (the C2 victim's link and the
+/// target's); past that the whole remote vector is restored.
+struct InPlace<'a, V> {
+    parent: &'a AsyncState,
+    scratch: &'a mut AsyncState,
+    visit: V,
+    stopped: bool,
+    home: bool,
+    remotes: [usize; 2],
+    taken: usize,
+}
+
+impl<V> Slices for InPlace<'_, V> {
+    fn home_mut(&mut self) -> &mut HomeState {
+        self.home = true;
+        &mut self.scratch.home
+    }
+
+    fn remote_mut(&mut self, i: usize) -> &mut RemoteState {
+        if !self.remotes.iter().take(self.taken).any(|&t| t == i) {
+            if let Some(free) = self.remotes.get_mut(self.taken) {
+                *free = i;
+            }
+            self.taken += 1;
+        }
+        &mut self.scratch.remotes[i]
+    }
+}
+
+impl<V: FnMut(Label, &AsyncState) -> ControlFlow<()>> Emitter for InPlace<'_, V> {
+    type Next = Self;
+
+    #[inline]
+    fn successor(&mut self, build: impl FnOnce(&mut Self) -> Result<Label>) -> Result<()> {
+        let built = build(self).map(|label| {
+            if !self.stopped {
+                self.stopped = (self.visit)(label, self.scratch).is_break();
+            }
+        });
+        // Put back every slice taken, whether or not the rule got as far
+        // as a successor.
+        if self.home {
+            self.scratch.home.clone_from(&self.parent.home);
+            self.home = false;
+        }
+        match self.remotes.get(..self.taken) {
+            Some(taken) => {
+                for &i in taken {
+                    self.scratch.remotes[i].clone_from(&self.parent.remotes[i]);
+                }
+            }
+            None => self.scratch.remotes.clone_from(&self.parent.remotes),
+        }
+        self.taken = 0;
+        built
     }
 }
 
@@ -1016,13 +1184,25 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
 
     fn successors(&self, s: &AsyncState, out: &mut Vec<(Label, AsyncState)>) -> Result<()> {
         out.clear();
-        self.home_step(s, out)?;
-        for i in 0..s.remotes.len() {
-            self.deliver_to_home(s, i, out)?;
-            self.deliver_to_remote(s, i, out)?;
-            self.remote_step(s, i, out)?;
-        }
-        Ok(())
+        self.step_all(s, &mut Owned { parent: s, out })
+    }
+
+    fn for_each_successor(
+        &self,
+        s: &AsyncState,
+        scratch: &mut AsyncState,
+        visit: impl FnMut(Label, &AsyncState) -> ControlFlow<()>,
+    ) -> Result<()> {
+        let mut em = InPlace {
+            parent: s,
+            scratch,
+            visit,
+            stopped: false,
+            home: false,
+            remotes: [0; 2],
+            taken: 0,
+        };
+        self.step_all(s, &mut em)
     }
 
     fn link_occupancy(&self, s: &AsyncState, from: ProcessId, to: ProcessId) -> Option<u32> {
@@ -1074,91 +1254,75 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
     }
 
     fn decode(&self, bytes: &[u8]) -> Option<AsyncState> {
-        let home_vars = self.spec().home.initial_env().len();
-        let remote_vars = self.spec().remote.initial_env().len();
-        let mut off = 0usize;
-        let take_u8 = |off: &mut usize| -> Option<u8> {
-            let b = *bytes.get(*off)?;
-            *off += 1;
-            Some(b)
-        };
-        let take_u16 = |off: &mut usize| -> Option<u16> {
-            let b: [u8; 2] = bytes.get(*off..*off + 2)?.try_into().ok()?;
-            *off += 2;
-            Some(u16::from_le_bytes(b))
-        };
-        let take_env = |off: &mut usize, n: usize| -> Option<Env> {
-            let (env, used) = Env::decode(bytes.get(*off..)?, n)?;
-            *off += used;
-            Some(env)
-        };
-        let take_val = |off: &mut usize| -> Option<Option<Value>> {
-            match take_u8(off)? {
-                0 => Some(None),
-                1 => {
-                    let (v, used) = Value::decode(bytes.get(*off..)?)?;
-                    *off += used;
-                    Some(Some(v))
-                }
-                _ => None,
-            }
-        };
-        let take_link = |off: &mut usize| -> Option<Link> {
-            let (link, used) = Link::decode(bytes.get(*off..)?).ok()?;
-            *off += used;
-            Some(link)
-        };
+        let mut s = self.initial();
+        self.decode_into(bytes, &mut s).then_some(s)
+    }
 
-        let phase = match take_u8(&mut off)? {
-            0 => HomePhase::At(StateId(take_u16(&mut off)? as u32)),
+    /// The one reader of the layout [`AsyncSystem::encode_renamed`]
+    /// writes. Allocates only to give `into` its `n` remotes if it has
+    /// another number, or where a buffer outgrows its inline room.
+    fn decode_into(&self, bytes: &[u8], into: &mut AsyncState) -> bool {
+        let mut r = Reader::new(bytes);
+        self.parse_into(&mut r, into).is_some() && r.at_end()
+    }
+
+    fn key_is_snapshot(&self) -> bool {
+        true
+    }
+}
+
+impl AsyncSystem<'_> {
+    /// Reads one encoded state off `r` into `into`; `None` on truncated
+    /// or corrupt bytes, with `into` half-written. What follows the state
+    /// is the caller's to judge.
+    pub(crate) fn parse_into(&self, r: &mut Reader<'_>, into: &mut AsyncState) -> Option<()> {
+        let home = &mut into.home;
+        home.phase = match r.u8()? {
+            0 => HomePhase::At(StateId(r.u16()? as u32)),
             1 => {
-                let state = StateId(take_u16(&mut off)? as u32);
-                let branch = take_u8(&mut off)? as u32;
-                let target = RemoteId(take_u16(&mut off)? as u32);
+                let state = StateId(r.u16()? as u32);
+                let branch = r.u8()? as u32;
+                let target = RemoteId(r.u16()? as u32);
                 HomePhase::Awaiting { state, branch, target }
             }
             _ => return None,
         };
-        let env = take_env(&mut off, home_vars)?;
-        let cursor = take_u8(&mut off)? as u32;
-        let buf_len = take_u8(&mut off)? as usize;
-        let mut buf = InlineVec::new();
-        for _ in 0..buf_len {
-            let from = RemoteId(take_u16(&mut off)? as u32);
-            let msg = MsgType(take_u8(&mut off)? as u32);
-            let val = take_val(&mut off)?;
-            buf.push(BufEntry { from, msg, val });
+        r.env(&mut home.env, self.spec().home.vars.len())?;
+        home.cursor = r.u8()? as u32;
+        home.buf.clear();
+        for _ in 0..r.u8()? {
+            let from = RemoteId(r.u16()? as u32);
+            let msg = MsgType(r.u8()? as u32);
+            home.buf.push(BufEntry { from, msg, val: r.payload()? });
         }
-        let home = HomeState { phase, env, buf, cursor };
 
         let n = self.n as usize;
-        let mut remotes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let phase = match take_u8(&mut off)? {
-                0 => RemotePhase::At(StateId(take_u16(&mut off)? as u32)),
+        if into.remotes.len() != n {
+            into.remotes = self.initial().remotes;
+        }
+        let remote_vars = self.spec().remote.vars.len();
+        for remote in &mut into.remotes {
+            remote.phase = match r.u8()? {
+                0 => RemotePhase::At(StateId(r.u16()? as u32)),
                 1 => {
-                    let state = StateId(take_u16(&mut off)? as u32);
-                    let branch = take_u8(&mut off)? as u32;
+                    let state = StateId(r.u16()? as u32);
+                    let branch = r.u8()? as u32;
                     RemotePhase::Awaiting { state, branch }
                 }
                 _ => return None,
             };
-            let env = take_env(&mut off, remote_vars)?;
-            let buf = match take_u8(&mut off)? {
+            r.env(&mut remote.env, remote_vars)?;
+            remote.buf = match r.u8()? {
                 0 => None,
                 1 => {
-                    let msg = MsgType(take_u8(&mut off)? as u32);
-                    Some((msg, take_val(&mut off)?))
+                    let msg = MsgType(r.u8()? as u32);
+                    Some((msg, r.payload()?))
                 }
                 _ => return None,
             };
-            let to_home = take_link(&mut off)?;
-            let to_remote = take_link(&mut off)?;
-            remotes.push(RemoteState { phase, env, buf, to_home, to_remote });
+            r.link(&mut remote.to_home)?;
+            r.link(&mut remote.to_remote)?;
         }
-        if off != bytes.len() {
-            return None; // trailing garbage: not a canonical encoding
-        }
-        Some(AsyncState { home, remotes })
+        Some(())
     }
 }

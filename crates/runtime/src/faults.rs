@@ -36,7 +36,7 @@ use crate::error::Result;
 use crate::sched::Scheduler;
 use crate::sim::Simulator;
 use crate::system::{Label, LabelKind, TransitionSystem};
-use crate::wire::{Link, Wire};
+use crate::wire::{Link, Reader, Wire};
 use ccr_core::ids::{MsgType, ProcessId, RemoteId};
 use ccr_faults::{FaultKind, FaultPlan, FaultStats};
 use ccr_trace::{TraceEvent, TraceSink};
@@ -661,7 +661,7 @@ impl<'a> FaultClosure<'a> {
 
 /// A state of the fault closure: the base configuration plus the fault
 /// budget left and the recovery ledger.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultState {
     /// The underlying asynchronous configuration.
     pub base: AsyncState,
@@ -832,6 +832,62 @@ impl TransitionSystem for FaultClosure<'_> {
         for b in ghosts {
             out.extend_from_slice(&b);
         }
+    }
+
+    /// The key above with the ledger as it stands: entry order decides
+    /// how retransmissions are numbered, so a pending state restored from
+    /// sorted entries would label its successors differently. Widths as
+    /// in `encode`, but for the budget and remote indices, written whole.
+    fn snapshot_into(&self, s: &FaultState, out: &mut Vec<u8>) {
+        fn put_link(l: LinkRef, out: &mut Vec<u8>) {
+            out.push(u8::from(l.to_home));
+            out.extend_from_slice(&(l.idx as u16).to_le_bytes());
+        }
+        self.base.encode(&s.base, out);
+        out.extend_from_slice(&s.faults_left.to_le_bytes());
+        out.push(s.ledger.lost.len() as u8);
+        for e in &s.ledger.lost {
+            debug_assert_eq!((e.due, e.attempt), (0, 0), "the closure keeps no timers");
+            put_link(e.link, out);
+            out.push(e.ahead as u8);
+            out.push(e.holes_ahead as u8);
+            e.wire.encode(out);
+        }
+        out.push(s.ledger.ghosts.len() as u8);
+        for g in &s.ledger.ghosts {
+            put_link(g.link, out);
+            out.push(g.pos as u8);
+        }
+    }
+
+    fn restore_into(&self, bytes: &[u8], into: &mut FaultState) -> bool {
+        fn link(r: &mut Reader<'_>) -> Option<LinkRef> {
+            let to_home = match r.u8()? {
+                0 => false,
+                1 => true,
+                _ => return None,
+            };
+            Some(LinkRef { to_home, idx: r.u16()? as usize })
+        }
+        let mut r = Reader::new(bytes);
+        let mut parse = || -> Option<()> {
+            self.base.parse_into(&mut r, &mut into.base)?;
+            into.faults_left = r.u32()?;
+            let ledger = &mut into.ledger;
+            ledger.lost.clear();
+            for _ in 0..r.u8()? {
+                let link = link(&mut r)?;
+                let (ahead, holes_ahead) = (r.u8()? as usize, r.u8()? as usize);
+                let wire = r.wire()?;
+                ledger.lost.push(LostMsg { link, wire, ahead, holes_ahead, due: 0, attempt: 0 });
+            }
+            ledger.ghosts.clear();
+            for _ in 0..r.u8()? {
+                ledger.ghosts.push(Ghost { link: link(&mut r)?, pos: r.u8()? as usize });
+            }
+            Some(())
+        };
+        parse().is_some() && r.at_end()
     }
 
     fn link_occupancy(&self, s: &FaultState, from: ProcessId, to: ProcessId) -> Option<u32> {

@@ -7,6 +7,7 @@
 
 use crate::error::{Result, RuntimeError};
 use crate::system::{Label, LabelKind, TransitionSystem};
+use crate::wire::Reader;
 use ccr_core::encode::{Identity, Renaming, Sink, SliceSink};
 use ccr_core::expr::EvalCtx;
 use ccr_core::ids::{MsgType, ProcessId, RemoteId, StateId};
@@ -361,31 +362,30 @@ impl<'a> TransitionSystem for RendezvousSystem<'a> {
     }
 
     fn decode(&self, bytes: &[u8]) -> Option<RvState> {
-        let home_vars = self.spec.home.initial_env().len();
-        let remote_vars = self.spec.remote.initial_env().len();
-        let mut off = 0;
-        let take_state = |off: &mut usize| -> Option<StateId> {
-            let b: [u8; 2] = bytes.get(*off..*off + 2)?.try_into().ok()?;
-            *off += 2;
-            Some(StateId(u16::from_le_bytes(b) as u32))
-        };
-        let take_env = |off: &mut usize, n: usize| -> Option<Env> {
-            let (env, used) = Env::decode(bytes.get(*off..)?, n)?;
-            *off += used;
-            Some(env)
-        };
-        let home = Local { state: take_state(&mut off)?, env: take_env(&mut off, home_vars)? };
-        let mut remotes = Vec::with_capacity(self.n as usize);
-        for _ in 0..self.n {
-            remotes.push(Local {
-                state: take_state(&mut off)?,
-                env: take_env(&mut off, remote_vars)?,
-            });
+        let mut s = self.initial();
+        self.decode_into(bytes, &mut s).then_some(s)
+    }
+
+    /// The one reader of the layout [`RendezvousSystem::encode_renamed`]
+    /// writes.
+    fn decode_into(&self, bytes: &[u8], into: &mut RvState) -> bool {
+        if into.remotes.len() != self.n as usize {
+            into.remotes = self.initial().remotes;
         }
-        if off != bytes.len() {
-            return None; // trailing garbage: not a canonical encoding
-        }
-        Some(RvState { home, remotes })
+        let mut r = Reader::new(bytes);
+        let mut local = |l: &mut Local, vars: usize| -> Option<()> {
+            l.state = StateId(r.u16()? as u32);
+            r.env(&mut l.env, vars)
+        };
+        let remote_vars = self.spec.remote.vars.len();
+        let parsed = local(&mut into.home, self.spec.home.vars.len()).is_some()
+            && into.remotes.iter_mut().all(|l| local(l, remote_vars).is_some());
+        // Trailing garbage is not a canonical encoding.
+        parsed && r.at_end()
+    }
+
+    fn key_is_snapshot(&self) -> bool {
+        true
     }
 }
 

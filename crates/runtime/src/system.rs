@@ -7,6 +7,7 @@
 use crate::error::Result;
 use ccr_core::ids::{MsgType, ProcessId};
 use serde::Serialize;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Classification of a global transition, used for reporting and for the
@@ -143,8 +144,9 @@ impl Label {
 
 /// A labelled transition system with encodable states.
 pub trait TransitionSystem {
-    /// Global configuration type.
-    type State: Clone;
+    /// Global configuration type. (Compared only by checks that a state
+    /// lent out for rewriting came back as it was.)
+    type State: Clone + PartialEq;
 
     /// The unique initial configuration.
     fn initial(&self) -> Self::State;
@@ -152,6 +154,33 @@ pub trait TransitionSystem {
     /// Pushes every successor of `s` (with its label) into `out`.
     /// `out` is cleared by the callee.
     fn successors(&self, s: &Self::State, out: &mut Vec<(Label, Self::State)>) -> Result<()>;
+
+    /// Shows `visit` every successor of `s` with its label, in the order
+    /// of [`TransitionSystem::successors`], until it breaks. `scratch`
+    /// equals `s` on entry and on return, and is the implementation's to
+    /// work in meanwhile: a system whose transitions rewrite a small part
+    /// of a large state builds each successor there, lends it to `visit`
+    /// and undoes what it wrote — no copy of the state per transition,
+    /// which is what the model checker's sweep runs on. On an error,
+    /// `visit` has seen the successors [`TransitionSystem::successors`]
+    /// would have left in `out`.
+    ///
+    /// The default goes through `successors` and never looks at `scratch`.
+    fn for_each_successor(
+        &self,
+        s: &Self::State,
+        _scratch: &mut Self::State,
+        mut visit: impl FnMut(Label, &Self::State) -> ControlFlow<()>,
+    ) -> Result<()> {
+        let mut out = Vec::new();
+        let generated = self.successors(s, &mut out);
+        for (label, next) in out {
+            if visit(label, &next).is_break() {
+                break;
+            }
+        }
+        generated
+    }
 
     /// Writes a canonical byte encoding of `s` into `out` (cleared first).
     fn encode(&self, s: &Self::State, out: &mut Vec<u8>);
@@ -203,6 +232,42 @@ pub trait TransitionSystem {
     /// `decode(encoded(s))` succeeds and re-encodes to the same bytes.
     fn decode(&self, _bytes: &[u8]) -> Option<Self::State> {
         None
+    }
+
+    /// [`TransitionSystem::decode`] into a state that already exists —
+    /// any state of this system, every part of it overwritten. `false`
+    /// where `decode` returns `None`, and `into` is then unspecified. The
+    /// sweep refills its one expanded state through this once per pending
+    /// state, so a system explored at scale overrides it to reuse what
+    /// `into` has allocated.
+    fn decode_into(&self, bytes: &[u8], into: &mut Self::State) -> bool {
+        self.decode(bytes).map(|s| *into = s).is_some()
+    }
+
+    /// Whether a stored key is the state: `decode_into` of `encode`'s
+    /// bytes gives back exactly the state that was encoded, so a pending
+    /// state can be read back from the visited set and need not be kept
+    /// anywhere else. False (the default) where `encode` forgets
+    /// something a trail must keep — which member of its orbit the state
+    /// was, the order of a ledger — and where there is no decoder.
+    fn key_is_snapshot(&self) -> bool {
+        false
+    }
+
+    /// Writes into `out` (cleared first) bytes from which
+    /// [`TransitionSystem::restore_into`] rebuilds exactly `s`: what the
+    /// sweep keeps of a pending state when its key will not do.
+    fn snapshot_into(&self, s: &Self::State, out: &mut Vec<u8>) {
+        self.encode(s, out);
+    }
+
+    /// Rebuilds into `into` the state [`TransitionSystem::snapshot_into`]
+    /// wrote as `bytes`; `false` on anything else, except that a system
+    /// with a decoder also takes its `encode` bytes here and gives the
+    /// state `decode` gives (a resumed sweep has only those of the states
+    /// it recovers).
+    fn restore_into(&self, bytes: &[u8], into: &mut Self::State) -> bool {
+        self.decode_into(bytes, into)
     }
 
     /// Observability hook: the number of messages in flight on the directed

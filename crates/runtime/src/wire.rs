@@ -10,7 +10,7 @@ use ccr_core::encode::{Identity, Renaming, Sink};
 use ccr_core::ids::MsgType;
 use ccr_core::ids::{ProcessId, RemoteId};
 use ccr_core::inline::InlineVec;
-use ccr_core::value::Value;
+use ccr_core::value::{Env, Value};
 use serde::{Serialize, Serializer};
 
 /// A message on the wire.
@@ -147,6 +147,11 @@ impl Link {
         Self::default()
     }
 
+    /// Empties the link.
+    pub fn clear(&mut self) {
+        self.queue.clear();
+    }
+
     /// Appends a message; the caller enforces the capacity bound.
     pub fn push(&mut self, w: Wire) {
         self.queue.push(w);
@@ -230,20 +235,90 @@ impl Link {
     }
 
     /// Inverse of [`Link::encode`]: reads one link from the front of
-    /// `bytes`, returning it and the number of bytes consumed. Truncated
-    /// or corrupt input is a structured error, never a panic.
-    pub fn decode(bytes: &[u8]) -> crate::Result<(Link, usize)> {
+    /// `bytes` into this link, replacing its queue (nothing is allocated
+    /// while the messages fit inline), and returns the number of bytes
+    /// consumed. Truncated or corrupt input is a structured error, never a
+    /// panic, and leaves the queue unspecified.
+    pub fn decode_into(&mut self, bytes: &[u8]) -> crate::Result<usize> {
         use crate::RuntimeError::Decode;
         let len = *bytes.first().ok_or(Decode { detail: "missing link length", offset: 0 })?;
-        let mut queue = InlineVec::new();
+        self.clear();
         let mut off = 1;
         for _ in 0..len {
             let rest = bytes.get(off..).ok_or(Decode { detail: "truncated link", offset: off })?;
             let (w, used) = Wire::decode(rest)?;
-            queue.push(w);
+            self.queue.push(w);
             off += used;
         }
-        Ok((Link { queue }, off))
+        Ok(off)
+    }
+}
+
+/// A cursor over encoded bytes; every `take` is `None` past the end.
+pub(crate) struct Reader<'b> {
+    bytes: &'b [u8],
+    off: usize,
+}
+
+impl<'b> Reader<'b> {
+    pub(crate) fn new(bytes: &'b [u8]) -> Self {
+        Reader { bytes, off: 0 }
+    }
+
+    pub(crate) fn u8(&mut self) -> Option<u8> {
+        let b = *self.bytes.get(self.off)?;
+        self.off += 1;
+        Some(b)
+    }
+
+    pub(crate) fn u16(&mut self) -> Option<u16> {
+        let b: [u8; 2] = self.bytes.get(self.off..self.off + 2)?.try_into().ok()?;
+        self.off += 2;
+        Some(u16::from_le_bytes(b))
+    }
+
+    pub(crate) fn u32(&mut self) -> Option<u32> {
+        let b: [u8; 4] = self.bytes.get(self.off..self.off + 4)?.try_into().ok()?;
+        self.off += 4;
+        Some(u32::from_le_bytes(b))
+    }
+
+    pub(crate) fn wire(&mut self) -> Option<Wire> {
+        let (w, used) = Wire::decode(self.rest()).ok()?;
+        self.off += used;
+        Some(w)
+    }
+
+    /// The unread bytes.
+    fn rest(&self) -> &'b [u8] {
+        self.bytes.get(self.off..).unwrap_or_default()
+    }
+
+    pub(crate) fn at_end(&self) -> bool {
+        self.off == self.bytes.len()
+    }
+
+    /// An optional payload: a presence flag, then the value.
+    pub(crate) fn payload(&mut self) -> Option<Option<Value>> {
+        match self.u8()? {
+            0 => Some(None),
+            1 => {
+                let (v, used) = Value::decode(self.rest())?;
+                self.off += used;
+                Some(Some(v))
+            }
+            _ => None,
+        }
+    }
+
+    pub(crate) fn env(&mut self, env: &mut Env, vars: usize) -> Option<()> {
+        self.off += env.decode_into(self.rest(), vars)?;
+        Some(())
+    }
+
+    pub(crate) fn link(&mut self, link: &mut Link) -> Option<()> {
+        self.off += link.decode_into(self.rest()).ok()?;
+        Some(())
     }
 }
 

@@ -129,6 +129,43 @@ fn home_c2_reserves_ack_buffer_and_t6_nacks_overflow() {
     let _ = s;
 }
 
+/// Table 2 row C2 with a full buffer: the oldest ordinary request is
+/// nacked to make room for the ack. No shipped spec reaches it at n ≤ 3
+/// — the progress buffer admits nothing a `gr`-state could not consume —
+/// so the configuration is built by hand. It is the one rule that writes
+/// two remotes (the victim's link and the target's), which the in-place
+/// emitter has to put back both.
+#[test]
+fn home_c2_nacks_a_victim_and_restores_both_links_in_place() {
+    use ccr_runtime::asynch::BufEntry;
+    use std::ops::ControlFlow;
+    let refined = plain_token();
+    let sys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
+    let req = refined.spec.msg_by_name("req").unwrap();
+    let mut s = sys.initial();
+    s.home.phase = HomePhase::At(refined.spec.home.state_by_name("G1").unwrap());
+    for from in [RemoteId(1), RemoteId(2)] {
+        s.home.buf.push(BufEntry { from, msg: req, val: None });
+    }
+    let (label, next) = fire(&sys, &s, by_rule(H, "C2"), "home C2 with a full buffer");
+    let sent: Vec<_> = label.emissions().map(|m| (m.to, m.is_nack)).collect();
+    assert_eq!(sent, [(R1, true), (R0, false)], "nack the oldest, then request");
+    assert_eq!(next.home.buf.len(), 1);
+    assert_eq!((next.remotes[0].to_remote.len(), next.remotes[1].to_remote.len()), (1, 1));
+
+    let mut owned = Vec::new();
+    sys.successors(&s, &mut owned).unwrap();
+    let mut scratch = s.clone();
+    let mut lent = Vec::new();
+    sys.for_each_successor(&s, &mut scratch, |label, next| {
+        lent.push((label, next.clone()));
+        ControlFlow::Continue(())
+    })
+    .unwrap();
+    assert_eq!(lent, owned);
+    assert_eq!(scratch, s);
+}
+
 #[test]
 fn remote_t3_ignores_home_request_and_home_t3_implicit_nacks() {
     // Use an *optimized* migratory protocol (inlined here since

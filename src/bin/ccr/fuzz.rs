@@ -10,7 +10,8 @@ use std::process::ExitCode;
 
 /// `ccr fuzz`: generate `--count` specs from the seeded zoo stream and run
 /// each through the differential derivation pipeline (round-trip → refine →
-/// Equation 1 → serial/2t/4t/symmetry cross-check → fault closure). Exits
+/// in-place vs owned successors → Equation 1 → serial/2t/4t/symmetry
+/// cross-check → fault closure). Exits
 /// nonzero iff any spec fails; `--shrink` minimizes failures and writes
 /// them as `.ccp`. Fully deterministic for a given seed and config.
 pub fn run(p: &Parsed) -> Result<ExitCode, String> {

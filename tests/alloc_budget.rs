@@ -4,16 +4,22 @@
 //! exact and repeat run to run. This binary installs a counting global
 //! allocator (which is why it is its own test binary with a single test:
 //! nothing else may allocate while the count is taken) and pins the cost
-//! of one asynchronous transition of a traced serial exploration — successor
-//! generation, encoding, store and frontier growth, trail table — at no
-//! more than 1.1 heap allocations. The one allocation in the budget is the
-//! successor's `remotes` vector; home slice, environments, links and
-//! buffers are inline (see DESIGN.md, "State layout").
+//! of one asynchronous transition of a traced serial exploration —
+//! successor generation, encoding, store and frontier growth, trail table
+//! — at no more than 0.02 heap allocations. A transition allocates
+//! nothing: the successor is written into the sweep's one scratch state
+//! and encoded straight into the store, and a pending state is an index
+//! (DESIGN.md, "What the sweep holds"). What is counted is the doubling
+//! of the store's arena and tables, the frontier and the trail vector —
+//! a few dozen allocations a run. One `clone()` per successor on this
+//! path is one allocation per transition (the `remotes` vector) and fails
+//! the test fifty times over.
 //!
-//! The same run under [`Reduced`] must stay inside that budget plus 0.1:
-//! canonicalizing is one sort and one encode into the store's slot, from
-//! per-thread buffers that stop growing after the first few states (it
-//! used to be at least a dozen allocations per state).
+//! The same run under [`Reduced`] gets 0.12: canonicalizing is one sort
+//! and one encode into the store's slot, from per-thread buffers that stop
+//! growing after the first few states, and the pending states' concrete
+//! snapshots go through one reused buffer into one byte queue — but the
+//! space is a twentieth the size, so the same few dozen weigh more.
 
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
@@ -96,12 +102,12 @@ where
 fn serial_explore_stays_within_the_allocation_budget() {
     let invalidate = load("invalidate.ccp");
     let sys = AsyncSystem::new(&invalidate, 2, AsyncConfig::default());
-    assert_budget(&sys, (9_304, 20_996), 1.1, "invalidate n=2");
+    assert_budget(&sys, (9_304, 20_996), 0.02, "invalidate n=2");
 
     let migratory = load("migratory.ccp");
     let sys = AsyncSystem::new(&migratory, 4, AsyncConfig::default());
     let reduced = Reduced::new(&sys);
     assert!(reduced.active());
-    assert_budget(&reduced, (1_095, 4_050), 1.2, "migratory n=4 reduced");
+    assert_budget(&reduced, (1_095, 4_050), 0.12, "migratory n=4 reduced");
     assert_eq!(reduced.canon_total(), 4_051, "one canonicalization per transition + the root");
 }

@@ -1,0 +1,101 @@
+//! The sweep's in-place successors against the owned ones.
+//!
+//! `ccr_mc`'s sweep never holds a successor: it lends the rules of
+//! Tables 1–2 one scratch state through
+//! `TransitionSystem::for_each_successor` and gets it back as it was.
+//! Everything else — the simulators, the DSM machine, the `--threads`
+//! workers, trail replay — calls `successors()` and owns what it gets.
+//! Both are the same rule bodies behind two emitters, and this suite pins
+//! that on every shipped spec: same labels, same targets, same order, at
+//! every reachable state, and the scratch state equal to the parent after
+//! every expansion (`ccr fuzz` runs the same comparison over the zoo as
+//! its `inplace` stage).
+
+use ccr_core::refine::{refine, RefineOptions, ReqRepMode};
+use ccr_core::text::parse_validated;
+use ccr_mc::inplace_divergence;
+use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
+use ccr_runtime::rendezvous::RendezvousSystem;
+use ccr_runtime::{FaultClosure, TransitionSystem};
+use std::ops::ControlFlow;
+use std::path::Path;
+
+/// States walked per configuration, breadth-first. An optimized build —
+/// CI's release smoke job — walks every space whole but invalidate and
+/// update at n = 3 (636,456 and more than two million states), and goes
+/// a quarter of a million states into those; a debug build stops at a
+/// prefix of anything larger than migratory.
+const MAX_STATES: usize = if cfg!(debug_assertions) { 15_000 } else { 250_000 };
+
+fn specs() -> Vec<(String, ccr_core::process::ProtocolSpec)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("specs/")
+        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .filter(|n| n.ends_with(".ccp"))
+        .collect();
+    names.sort();
+    assert!(names.iter().any(|n| n == "migratory_broken.ccp"), "{names:?}");
+    names
+        .into_iter()
+        .map(|name| {
+            let text = std::fs::read_to_string(dir.join(&name)).expect("read spec");
+            let spec = parse_validated(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name, spec)
+        })
+        .collect()
+}
+
+#[test]
+fn in_place_successors_are_the_owned_ones_on_every_shipped_spec() {
+    for (name, spec) in specs() {
+        for reqrep in [ReqRepMode::Off, ReqRepMode::Auto] {
+            let options = RefineOptions { reqrep };
+            let refined = refine(&spec, &options).expect("refine");
+            for n in [2, 3] {
+                let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+                if let Some(divergence) = inplace_divergence(&sys, MAX_STATES) {
+                    panic!("{name} n={n} {options:?}: {divergence}");
+                }
+            }
+        }
+    }
+}
+
+/// Systems without an in-place generator answer through `successors`:
+/// the default must show the same sequence and never touch the scratch
+/// state.
+#[test]
+fn the_default_goes_through_successors() {
+    let (_, spec) = specs().into_iter().find(|(n, _)| n == "migratory.ccp").expect("migratory");
+    let refined = refine(&spec, &RefineOptions::default()).expect("refine");
+    let rv = RendezvousSystem::new(&spec, 3);
+    assert_eq!(inplace_divergence(&rv, MAX_STATES), None);
+    let asys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
+    assert_eq!(inplace_divergence(&FaultClosure::new(asys, 1), MAX_STATES), None);
+}
+
+#[test]
+fn a_visitor_that_breaks_sees_no_more_and_gets_its_scratch_state_back() {
+    let (_, spec) = specs().into_iter().find(|(n, _)| n == "invalidate.ccp").expect("invalidate");
+    let refined = refine(&spec, &RefineOptions::default()).expect("refine");
+    let sys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
+    let s = sys.initial();
+    let mut all = Vec::new();
+    sys.successors(&s, &mut all).expect("successors");
+    assert!(all.len() > 2, "the initial state has a successor per remote");
+    let mut scratch = s.clone();
+    let mut seen = 0;
+    sys.for_each_successor(&s, &mut scratch, |label, next| {
+        assert_eq!((&label, next), (&all[seen].0, &all[seen].1));
+        seen += 1;
+        if seen == 2 {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
+    .expect("for_each_successor");
+    assert_eq!(seen, 2);
+    assert_eq!(scratch, s);
+}

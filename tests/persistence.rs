@@ -152,6 +152,58 @@ fn spill_and_crash_resume_match_uninterrupted_parallel() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The benchmark's spill shape, token at n = 5 under a 64 KiB cap: the
+/// arena is released tens of thousands of times while thousands of states
+/// wait in the frontier, so nearly every state is expanded after its key
+/// has left memory — from the snapshot the frontier took when it was
+/// stored — and a resumed run starts from states of which the log's key
+/// is all there is. Both must print what the uninterrupted run prints.
+#[test]
+fn pending_states_outlive_the_eviction_of_their_keys() {
+    let dir = tmp("evicted");
+    let shape = ["verify", "specs/token.ccp", "-n", "5", "--symmetry", "off", "--async", "--json"];
+    let spilling = |d: &Path, extra: &[&str]| {
+        let d = d.display().to_string();
+        let mut args = shape.to_vec();
+        args.extend(["--spill-dir", &d, "--spill-bytes", "65536"]);
+        args.extend(extra);
+        ccr(&args)
+    };
+    // Everything a run reports, past the echo of its own flags.
+    let report = |out: &Output| {
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let at = text.find("\"rendezvous\"").unwrap_or_else(|| {
+            panic!("no report in {text:?}, stderr: {}", String::from_utf8_lossy(&out.stderr))
+        });
+        text[at..].to_string()
+    };
+    let base = ccr(&shape);
+    assert!(base.status.success());
+    assert!(report(&base).contains(r#""states":66250,"transitions":318750"#), "{}", report(&base));
+
+    let spill_dir = dir.join("spill");
+    let spill =
+        spilling(&spill_dir, &["--metrics", &dir.join("metrics.json").display().to_string()]);
+    assert_eq!(report(&spill), report(&base));
+    let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
+    let metrics = Json::parse(&metrics).expect("metrics JSON");
+    let evictions = metrics
+        .get("counters")
+        .and_then(|c| c.get("mc_persist_evictions_total"))
+        .and_then(Json::as_u64)
+        .expect("eviction counter");
+    assert!(evictions > 10_000, "{evictions} evictions: the cap no longer bites");
+
+    // Killed well past the first eviction, with a frontier of snapshots.
+    let crash_dir = dir.join("crash");
+    let crash =
+        spilling(&crash_dir, &["--checkpoint-interval", "0.05", "--crash-after-states", "30000"]);
+    assert!(!crash.status.success(), "the crash run must die");
+    let resumed = ccr(&["verify", "--resume", &crash_dir.display().to_string(), "--json"]);
+    assert_eq!(report(&resumed), report(&base));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A crashed run resumes at any thread count, serial included: the
 /// checkpoint cuts between expansions of the one sweep, which is the
 /// same sweep whoever generates its successors. Each resume must be
