@@ -11,11 +11,12 @@ use crate::metrics::MachineReport;
 use crate::workload::Workload;
 use ccr_core::ids::{MsgType, ProcessId};
 use ccr_core::refine::RefinedProtocol;
-use ccr_runtime::asynch::{AsyncConfig, AsyncState, AsyncSystem};
+use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::error::Result;
 use ccr_runtime::sched::Scheduler;
 use ccr_runtime::sim::Simulator;
-use ccr_runtime::system::{LabelKind, TransitionSystem};
+use ccr_runtime::system::{Label, LabelKind};
+use ccr_runtime::FaultHarness;
 use ccr_trace::{NullSink, TraceEvent, TraceSink};
 use std::time::Instant;
 
@@ -83,30 +84,62 @@ impl<'a> Machine<'a> {
         sched: &mut dyn Scheduler,
         sink: &mut dyn TraceSink,
     ) -> Result<MachineReport> {
+        self.run_loop(variant, workload, sched, None, sink)
+    }
+
+    /// [`Machine::run_observed`] through a fault harness: `harness`
+    /// injects its plan's wire faults during the run and recovers dropped
+    /// messages by timeout and retransmission. The report carries the
+    /// harness's [`ccr_faults::FaultStats`].
+    ///
+    /// With an inactive plan this produces the same transitions, trace
+    /// bytes and counters as [`Machine::run_observed`] — fault handling is
+    /// zero-cost when off.
+    pub fn run_faulted(
+        &self,
+        variant: &str,
+        workload: &mut dyn Workload,
+        sched: &mut dyn Scheduler,
+        harness: &mut FaultHarness,
+        sink: &mut dyn TraceSink,
+    ) -> Result<MachineReport> {
+        let report = self.run_loop(variant, workload, sched, Some(harness), sink)?;
+        Ok(report.with_faults(*harness.stats()))
+    }
+
+    /// The run behind both entry points: up to `max_steps` scheduling
+    /// polls of one simulator, each stepped through `harness` if there is
+    /// one.
+    fn run_loop(
+        &self,
+        variant: &str,
+        workload: &mut dyn Workload,
+        sched: &mut dyn Scheduler,
+        mut harness: Option<&mut FaultHarness>,
+        sink: &mut dyn TraceSink,
+    ) -> Result<MachineReport> {
         let started = Instant::now();
         let sys = AsyncSystem::new(self.refined, self.config.n, self.config.asynch.clone());
         let mut sim = Simulator::new(&sys);
         let mut steps = 0u64;
-        let mut idle = false;
         let mut ops = 0u64;
         let mut deadlocked = false;
+        // Autonomous CPU decisions are the workload's; the protocol's own
+        // steps are always enabled.
+        let mut enabled = |label: &Label| match (label.kind, &label.tag, label.actor) {
+            (LabelKind::Tau, Some(tag), ProcessId::Remote(r)) => workload.enable(r, tag),
+            _ => true,
+        };
         while steps < self.config.max_steps {
-            let fired = sim.step_observed(
-                sched,
-                |label| {
-                    if label.kind != LabelKind::Tau {
-                        return true;
-                    }
-                    match (&label.tag, label.actor) {
-                        (Some(tag), ProcessId::Remote(r)) => workload.enable(r, tag),
-                        _ => true,
-                    }
-                },
-                sink,
-            )?;
+            let fired = match harness.as_deref_mut() {
+                Some(harness) => harness.step(&mut sim, sched, &mut enabled, sink)?,
+                None => sim.step_observed(sched, &mut enabled, sink)?,
+            };
+            // A poll that fires nothing still counts, so that
+            // probabilistic workloads get more chances.
+            steps += 1;
             match fired {
                 Some(label) => {
-                    steps += 1;
                     if let Some((_, msg)) = label.completes {
                         if self.config.ops.contains(&msg) {
                             ops += 1;
@@ -114,24 +147,19 @@ impl<'a> Machine<'a> {
                     }
                 }
                 None => {
-                    // Nothing enabled under this workload right now. The
-                    // protocol machinery is quiescent; only the workload can
-                    // wake it. Count as an idle poll and keep going so that
-                    // probabilistic workloads get more chances.
-                    steps += 1;
-                    idle = true;
-                    // Distinguish true deadlock (no transitions at all, even
-                    // unfiltered) from workload-imposed quiescence.
-                    let mut probe = Vec::new();
-                    sys.successors(sim.state(), &mut probe)?;
-                    if probe.is_empty() {
+                    // A quiet network that still owes retransmissions is
+                    // recovering, not stuck.
+                    let recovering = harness.as_deref().is_some_and(|h| h.pending_recoveries() > 0);
+                    // True deadlock is no transition at all, even
+                    // unfiltered; anything else is quiescence only the
+                    // workload can end.
+                    if !recovering && sim.last_fanout() == 0 {
                         deadlocked = true;
                         break;
                     }
                 }
             }
         }
-        let _ = idle;
         if sink.enabled() {
             sink.emit(&TraceEvent::Outcome {
                 outcome: if deadlocked { "Deadlock".into() } else { "Complete".into() },
@@ -150,134 +178,6 @@ impl<'a> Machine<'a> {
             sim.stats(),
             started.elapsed(),
         ))
-    }
-
-    /// [`Machine::run_observed`] through a fault harness: `harness`
-    /// injects its plan's wire faults during the run and recovers dropped
-    /// messages by timeout and retransmission. The report carries the
-    /// harness's [`ccr_faults::FaultStats`].
-    ///
-    /// With an inactive plan this produces the same transitions, trace
-    /// bytes and counters as [`Machine::run_observed`] — fault handling is
-    /// zero-cost when off.
-    pub fn run_faulted(
-        &self,
-        variant: &str,
-        workload: &mut dyn Workload,
-        sched: &mut dyn Scheduler,
-        harness: &mut ccr_runtime::FaultHarness,
-        sink: &mut dyn TraceSink,
-    ) -> Result<MachineReport> {
-        let started = Instant::now();
-        let sys = AsyncSystem::new(self.refined, self.config.n, self.config.asynch.clone());
-        let mut sim = Simulator::new(&sys);
-        let mut steps = 0u64;
-        let mut ops = 0u64;
-        let mut deadlocked = false;
-        while steps < self.config.max_steps {
-            let fired = harness.step(
-                &mut sim,
-                sched,
-                |label| {
-                    if label.kind != LabelKind::Tau {
-                        return true;
-                    }
-                    match (&label.tag, label.actor) {
-                        (Some(tag), ProcessId::Remote(r)) => workload.enable(r, tag),
-                        _ => true,
-                    }
-                },
-                sink,
-            )?;
-            match fired {
-                Some(label) => {
-                    steps += 1;
-                    if let Some((_, msg)) = label.completes {
-                        if self.config.ops.contains(&msg) {
-                            ops += 1;
-                        }
-                    }
-                }
-                None => {
-                    steps += 1;
-                    if harness.pending_recoveries() > 0 {
-                        // A quiet network that still owes retransmissions
-                        // is recovering, not stuck.
-                        continue;
-                    }
-                    let mut probe = Vec::new();
-                    sys.successors(sim.state(), &mut probe)?;
-                    if probe.is_empty() {
-                        deadlocked = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if sink.enabled() {
-            sink.emit(&TraceEvent::Outcome {
-                outcome: if deadlocked { "Deadlock".into() } else { "Complete".into() },
-                detail: None,
-                steps: Some(steps),
-            });
-            sink.flush();
-        }
-        Ok(MachineReport::from_stats(
-            &self.refined.spec.name,
-            variant,
-            self.config.n,
-            steps,
-            deadlocked,
-            ops,
-            sim.stats(),
-            started.elapsed(),
-        )
-        .with_faults(*harness.stats()))
-    }
-
-    /// Runs and returns the final asynchronous state alongside the report
-    /// (used by tests that inspect the end configuration).
-    pub fn run_with_state(
-        &self,
-        variant: &str,
-        workload: &mut dyn Workload,
-        sched: &mut dyn Scheduler,
-    ) -> Result<(MachineReport, AsyncState)> {
-        let started = Instant::now();
-        let sys = AsyncSystem::new(self.refined, self.config.n, self.config.asynch.clone());
-        let mut sim = Simulator::new(&sys);
-        let mut steps = 0u64;
-        let mut ops = 0u64;
-        while steps < self.config.max_steps {
-            let fired = sim.step_filtered(sched, |label| {
-                if label.kind != LabelKind::Tau {
-                    return true;
-                }
-                match (&label.tag, label.actor) {
-                    (Some(tag), ProcessId::Remote(r)) => workload.enable(r, tag),
-                    _ => true,
-                }
-            })?;
-            steps += 1;
-            if let Some(label) = fired {
-                if let Some((_, msg)) = label.completes {
-                    if self.config.ops.contains(&msg) {
-                        ops += 1;
-                    }
-                }
-            }
-        }
-        let report = MachineReport::from_stats(
-            &self.refined.spec.name,
-            variant,
-            self.config.n,
-            steps,
-            false,
-            ops,
-            sim.stats(),
-            started.elapsed(),
-        );
-        Ok((report, sim.state().clone()))
     }
 }
 

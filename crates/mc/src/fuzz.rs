@@ -54,7 +54,7 @@ use ccr_core::text::{parse_validated, to_text};
 use ccr_core::zoo::ZooSpec;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
-use ccr_runtime::{EncodeBuf, FaultClosure, TransitionSystem};
+use ccr_runtime::{EncodeBuf, FaultClosure, Label, TransitionSystem};
 use ccr_trace::NullSink;
 use std::collections::VecDeque;
 use std::fmt;
@@ -235,7 +235,10 @@ pub fn inject_unsound(refined: &mut RefinedProtocol) -> bool {
 /// [`TransitionSystem::successors`] returns — the same labels on the same
 /// states (so the same encodings) in the same order, and the same error
 /// if there is one — and leave its scratch state equal to the state
-/// expanded. Returns the first divergence, described.
+/// expanded; and [`TransitionSystem::fire`] must turn the state into each
+/// of those successors in turn, under the same label, with its scratch
+/// state following, and into nothing one past the last. Returns the first
+/// divergence, described.
 pub fn inplace_divergence<T: TransitionSystem>(sys: &T, max_states: usize) -> Option<String> {
     let mut seen = StateStore::new();
     let mut queue = VecDeque::from([sys.initial()]);
@@ -271,12 +274,55 @@ pub fn inplace_divergence<T: TransitionSystem>(sys: &T, max_states: usize) -> Op
                 "{at}: successors {rules:?}, in place {shown:?}, the first {same} alike"
             ));
         }
+        // What `fire` is asked on a state whose enumeration failed is
+        // left open (a simulator enumerates first and stops there).
+        if generated.is_ok() {
+            if let Some(divergence) = fire_divergence(sys, &s, &mut scratch, &owned) {
+                return Some(format!("{at}: {divergence}"));
+            }
+        }
         expanded += 1;
         for (_, next) in owned.drain(..) {
             if seen.len() < max_states && seen.insert(key.fill(sys, &next)).1 {
                 queue.push_back(next);
             }
         }
+    }
+    None
+}
+
+/// [`TransitionSystem::fire`] on `s`, whose successors are `owned` and
+/// which `scratch` equals, at every ordinal and one past the end.
+fn fire_divergence<T: TransitionSystem>(
+    sys: &T,
+    s: &T::State,
+    scratch: &mut T::State,
+    owned: &[(Label, T::State)],
+) -> Option<String> {
+    let mut from = s.clone();
+    for (ordinal, (label, next)) in owned.iter().enumerate() {
+        let fired = sys.fire(&mut from, scratch, ordinal);
+        if fired.as_ref().ok().and_then(Option::as_ref) != Some(label) {
+            return Some(format!("fire({ordinal}) gave {fired:?}, successors {label:?}"));
+        }
+        if from != *next || *scratch != *next {
+            return Some(format!(
+                "fire({ordinal}) by {:?}: state {:02x?}, scratch {:02x?}, successor {:02x?}",
+                label.rule,
+                sys.encoded(&from),
+                sys.encoded(scratch),
+                sys.encoded(next)
+            ));
+        }
+        from.clone_from(s);
+        scratch.clone_from(s);
+    }
+    let past = sys.fire(&mut from, scratch, owned.len());
+    if !matches!(past, Ok(None)) {
+        return Some(format!("fire({}), past the last successor, gave {past:?}", owned.len()));
+    }
+    if from != *s || *scratch != *s {
+        return Some(format!("fire({}), past the last successor, wrote a state", owned.len()));
     }
     None
 }

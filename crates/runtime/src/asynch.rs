@@ -1024,12 +1024,26 @@ impl<'a> AsyncSystem<'a> {
 
     /// Every rule of Tables 1–2 over `s`, in the order successors are
     /// numbered: the home's own step, then per remote the two deliveries
-    /// and its step.
+    /// and its step. The walk ends with the emitter: once a visitor broke
+    /// or the wanted successor is built, no later guard is evaluated. That
+    /// can only hide an error a later rule would have raised, and neither
+    /// caller would report it — the sweep reports what its visitor broke
+    /// for, and the simulator fires only after a whole enumeration of the
+    /// same state has come back without one.
     fn step_all(&self, s: &AsyncState, em: &mut impl Emitter) -> Result<()> {
         self.home_step(s, em)?;
         for i in 0..s.remotes.len() {
+            if em.finished() {
+                break;
+            }
             self.deliver_to_home(s, i, em)?;
+            if em.finished() {
+                break;
+            }
             self.deliver_to_remote(s, i, em)?;
+            if em.finished() {
+                break;
+            }
             self.remote_step(s, i, em)?;
         }
         Ok(())
@@ -1050,9 +1064,11 @@ trait Slices {
 /// reading. A rule hands over a closure that rewrites the slices it needs
 /// and returns the label; it cannot tell whether those slices belong to a
 /// fresh copy of the parent ([`Owned`], behind
-/// [`TransitionSystem::successors`]) or to the sweep's one scratch state,
+/// [`TransitionSystem::successors`]), to the sweep's one scratch state,
 /// lent out and then put back as it was ([`InPlace`], behind
-/// [`TransitionSystem::for_each_successor`]).
+/// [`TransitionSystem::for_each_successor`]), or to a simulator's scratch
+/// state on its way to becoming the next configuration ([`Fire`], behind
+/// [`TransitionSystem::fire`]) — nor whether the closure is run at all.
 trait Emitter {
     /// What `build` writes to.
     type Next: Slices;
@@ -1060,11 +1076,14 @@ trait Emitter {
     /// One successor: `build` turns a state equal to the parent into it
     /// and names the transition. An error from `build` is the rule's.
     fn successor(&mut self, build: impl FnOnce(&mut Self::Next) -> Result<Label>) -> Result<()>;
+
+    /// Whether the emitter will take no further successor, so that the
+    /// rules still to come need not be walked.
+    fn finished(&self) -> bool;
 }
 
 /// Emits owned successors: one clone of the parent per successor, made
-/// for a consumer that keeps it (a simulator's next configuration, a
-/// worker's list).
+/// for a consumer that keeps it (a worker's list, a trail replay).
 struct Owned<'a> {
     parent: &'a AsyncState,
     out: &'a mut Vec<(Label, AsyncState)>,
@@ -1090,66 +1109,143 @@ impl Emitter for Owned<'_> {
         self.out.push((label, next));
         Ok(())
     }
+
+    fn finished(&self) -> bool {
+        false
+    }
 }
 
-/// Emits each successor in one scratch state that equals the parent
-/// between successors: the accessors record which slices a rule took, and
-/// after the visit exactly those are copied back from the parent. A rule
-/// touches the home and at most two remotes (the C2 victim's link and the
-/// target's); past that the whole remote vector is restored.
-struct InPlace<'a, V> {
-    parent: &'a AsyncState,
-    scratch: &'a mut AsyncState,
-    visit: V,
-    stopped: bool,
+/// Which slices of a state a rule has taken to write in. A rule touches
+/// the home and at most two remotes (the C2 victim's link and the
+/// target's); past that the whole remote vector counts as taken.
+#[derive(Default)]
+struct Taken {
     home: bool,
     remotes: [usize; 2],
-    taken: usize,
+    count: usize,
 }
 
-impl<V> Slices for InPlace<'_, V> {
+impl Taken {
+    /// Makes every slice taken equal in `to` to what it is in `from`.
+    #[inline]
+    fn copy(&self, from: &AsyncState, to: &mut AsyncState) {
+        if self.home {
+            to.home.clone_from(&from.home);
+        }
+        match self.remotes.get(..self.count) {
+            Some(taken) => {
+                for &i in taken {
+                    to.remotes[i].clone_from(&from.remotes[i]);
+                }
+            }
+            None => to.remotes.clone_from(&from.remotes),
+        }
+    }
+}
+
+/// A state lent to the rules to build successors in, where another state
+/// is kept equal to it: the accessors record which slices a rule took,
+/// and only those are copied between the two afterwards.
+struct Lent<'a> {
+    state: &'a mut AsyncState,
+    taken: Taken,
+}
+
+impl<'a> Lent<'a> {
+    fn new(state: &'a mut AsyncState) -> Self {
+        Lent { state, taken: Taken::default() }
+    }
+
+    /// Undoes what was written: the slices taken are `from`'s again.
+    #[inline]
+    fn reset(&mut self, from: &AsyncState) {
+        self.taken.copy(from, self.state);
+        self.taken = Taken::default();
+    }
+
+    /// Carries what was written over to `to`.
+    fn publish(&self, to: &mut AsyncState) {
+        self.taken.copy(self.state, to);
+    }
+}
+
+impl Slices for Lent<'_> {
     fn home_mut(&mut self) -> &mut HomeState {
-        self.home = true;
-        &mut self.scratch.home
+        self.taken.home = true;
+        &mut self.state.home
     }
 
     fn remote_mut(&mut self, i: usize) -> &mut RemoteState {
-        if !self.remotes.iter().take(self.taken).any(|&t| t == i) {
-            if let Some(free) = self.remotes.get_mut(self.taken) {
+        let taken = &mut self.taken;
+        if !taken.remotes.iter().take(taken.count).any(|&t| t == i) {
+            if let Some(free) = taken.remotes.get_mut(taken.count) {
                 *free = i;
             }
-            self.taken += 1;
+            taken.count += 1;
         }
-        &mut self.scratch.remotes[i]
+        &mut self.state.remotes[i]
     }
 }
 
-impl<V: FnMut(Label, &AsyncState) -> ControlFlow<()>> Emitter for InPlace<'_, V> {
-    type Next = Self;
+/// Emits each successor in one scratch state that equals the parent
+/// between successors: after the visit, the slices the rule took are
+/// copied back from the parent.
+struct InPlace<'a, V> {
+    parent: &'a AsyncState,
+    scratch: Lent<'a>,
+    visit: V,
+    stopped: bool,
+}
+
+impl<'a, V: FnMut(Label, &AsyncState) -> ControlFlow<()>> Emitter for InPlace<'a, V> {
+    type Next = Lent<'a>;
 
     #[inline]
-    fn successor(&mut self, build: impl FnOnce(&mut Self) -> Result<Label>) -> Result<()> {
-        let built = build(self).map(|label| {
+    fn successor(&mut self, build: impl FnOnce(&mut Self::Next) -> Result<Label>) -> Result<()> {
+        let built = build(&mut self.scratch).map(|label| {
             if !self.stopped {
-                self.stopped = (self.visit)(label, self.scratch).is_break();
+                self.stopped = (self.visit)(label, self.scratch.state).is_break();
             }
         });
         // Put back every slice taken, whether or not the rule got as far
         // as a successor.
-        if self.home {
-            self.scratch.home.clone_from(&self.parent.home);
-            self.home = false;
-        }
-        match self.remotes.get(..self.taken) {
-            Some(taken) => {
-                for &i in taken {
-                    self.scratch.remotes[i].clone_from(&self.parent.remotes[i]);
-                }
-            }
-            None => self.scratch.remotes.clone_from(&self.parent.remotes),
-        }
-        self.taken = 0;
+        self.scratch.reset(self.parent);
         built
+    }
+
+    fn finished(&self) -> bool {
+        self.stopped
+    }
+}
+
+/// Builds one successor, the `skip`-th from here, in a scratch state that
+/// equals the parent, and leaves it there: the rules before it are walked
+/// for their guards alone — each `build` passed over is a successor
+/// counted, not made.
+struct Fire<'a> {
+    scratch: Lent<'a>,
+    skip: usize,
+    fired: Option<Label>,
+}
+
+impl<'a> Emitter for Fire<'a> {
+    type Next = Lent<'a>;
+
+    #[inline]
+    fn successor(&mut self, build: impl FnOnce(&mut Lent<'a>) -> Result<Label>) -> Result<()> {
+        if self.fired.is_some() {
+            return Ok(());
+        }
+        if self.skip > 0 {
+            self.skip -= 1;
+            return Ok(());
+        }
+        self.fired = Some(build(&mut self.scratch)?);
+        Ok(())
+    }
+
+    fn finished(&self) -> bool {
+        self.fired.is_some()
     }
 }
 
@@ -1193,16 +1289,28 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
         scratch: &mut AsyncState,
         visit: impl FnMut(Label, &AsyncState) -> ControlFlow<()>,
     ) -> Result<()> {
-        let mut em = InPlace {
-            parent: s,
-            scratch,
-            visit,
-            stopped: false,
-            home: false,
-            remotes: [0; 2],
-            taken: 0,
-        };
+        let mut em = InPlace { parent: s, scratch: Lent::new(scratch), visit, stopped: false };
         self.step_all(s, &mut em)
+    }
+
+    fn fire(
+        &self,
+        s: &mut AsyncState,
+        scratch: &mut AsyncState,
+        ordinal: usize,
+    ) -> Result<Option<Label>> {
+        debug_assert!(*scratch == *s, "the scratch state must equal the state fired from");
+        let mut em = Fire { scratch: Lent::new(scratch), skip: ordinal, fired: None };
+        match self.step_all(s, &mut em) {
+            Ok(()) => {
+                em.scratch.publish(s);
+                Ok(em.fired)
+            }
+            Err(e) => {
+                em.scratch.reset(s);
+                Err(e)
+            }
+        }
     }
 
     fn link_occupancy(&self, s: &AsyncState, from: ProcessId, to: ProcessId) -> Option<u32> {
@@ -1324,5 +1432,45 @@ impl AsyncSystem<'_> {
             r.link(&mut remote.to_remote)?;
         }
         Some(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::tests::token_spec;
+    use ccr_core::refine::{refine, RefineOptions, ReqRepMode};
+
+    /// A remote serving a buffered grant (C3) empties its buffer and then
+    /// acks — onto a link that, with room for one message, its own
+    /// request still fills: `LinkOverflow` from inside the `build`, after
+    /// the rule has written. `fire` aimed at that successor reports the
+    /// error and hands both states back as they were.
+    #[test]
+    fn an_error_in_the_fired_rule_leaves_both_states_as_they_were() {
+        let spec = token_spec();
+        let refined = refine(&spec, &RefineOptions { reqrep: ReqRepMode::Off }).unwrap();
+        let config = AsyncConfig { link_capacity: 1, ..AsyncConfig::default() };
+        let sys = AsyncSystem::new(&refined, 2, config);
+        let (req, gr) = (spec.msg_by_name("req").unwrap(), spec.msg_by_name("gr").unwrap());
+        let mut s = sys.initial();
+        let r0 = &mut s.remotes[0];
+        r0.phase = RemotePhase::At(spec.remote.state_by_name("W").unwrap());
+        r0.buf = Some((gr, None));
+        r0.to_home.push(Wire::Req { msg: req, val: None });
+
+        // The owned list stops at the failing rule, short of it.
+        let mut out = Vec::new();
+        let error = sys.successors(&s, &mut out).unwrap_err();
+        assert!(matches!(error, RuntimeError::LinkOverflow { .. }), "{error:?}");
+        let rules: Vec<_> = out.iter().map(|(l, _)| l.rule).collect();
+        assert_eq!(rules, ["T4"], "the home takes the request; then r0's C3 fails");
+
+        let (mut from, mut scratch) = (s.clone(), s.clone());
+        assert_eq!(sys.fire(&mut from, &mut scratch, out.len()), Err(error));
+        assert_eq!((&from, &scratch), (&s, &s));
+        // The successor before it is still there to be fired.
+        let label = sys.fire(&mut from, &mut scratch, 0).unwrap().expect("T4");
+        assert_eq!((&label, &from, &scratch), (&out[0].0, &out[0].1, &out[0].1));
     }
 }

@@ -332,8 +332,7 @@ impl FaultHarness {
                     self.ledger.on_remove_at(lr, 0);
                 }
             }
-            let sent: Vec<_> = label.emissions().copied().collect();
-            for m in sent {
+            for m in label.emissions() {
                 let Some(lr) = LinkRef::of(m.from, m.to) else { continue };
                 if let Some(kind) = self.plan.decide_send(now, m.from, m.to) {
                     self.apply_fault(sim, sink, lr, kind, seq, cap, now, false);

@@ -13,6 +13,7 @@ use crate::stats::MsgStats;
 use crate::system::{Label, TransitionSystem};
 use ccr_trace::{NullSink, TraceEvent, TraceSink};
 use serde::Serialize;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// Outcome of a simulation run.
@@ -28,12 +29,28 @@ pub struct SimReport {
     pub elapsed: Duration,
 }
 
-/// A simulation driver owning the current state.
+/// A simulation driver owning the current state. It never holds a
+/// successor list: a step enumerates the current state's transitions in
+/// place, keeping their labels, and then fires the chosen one
+/// ([`TransitionSystem::for_each_successor`], then
+/// [`TransitionSystem::fire`]).
 pub struct Simulator<'s, T: TransitionSystem> {
     sys: &'s T,
     state: T::State,
+    /// The state the system generates in; equal to `state` between steps
+    /// unless `stale`.
+    scratch: T::State,
+    /// Set by an out-of-band write to `state`: `scratch` is copied afresh
+    /// before the next step.
+    stale: bool,
     stats: MsgStats,
-    scratch: Vec<(Label, T::State)>,
+    /// The labels `filter` accepted in the step under way, as the
+    /// scheduler sees them, and which successor each one is. Kept for
+    /// their capacity.
+    labels: Vec<Label>,
+    ordinals: Vec<usize>,
+    /// Transitions the last enumeration counted, accepted or not.
+    fanout: usize,
     /// Last reported home-buffer occupancy, so `HomeBuffer` events are
     /// emitted only on change.
     last_home_buf: Option<u32>,
@@ -43,7 +60,17 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
     /// Starts a simulation from the initial state.
     pub fn new(sys: &'s T) -> Self {
         let state = sys.initial();
-        Self { sys, state, stats: MsgStats::new(), scratch: Vec::new(), last_home_buf: None }
+        Self {
+            sys,
+            scratch: state.clone(),
+            state,
+            stale: false,
+            stats: MsgStats::new(),
+            labels: Vec::new(),
+            ordinals: Vec::new(),
+            fanout: 0,
+            last_home_buf: None,
+        }
     }
 
     /// Read access to the current state.
@@ -61,9 +88,17 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
         self.sys
     }
 
+    /// How many transitions the state of the last step had before
+    /// `filter` saw them. A step that returned `None` with a fan-out of 0
+    /// met a deadlock; with more, everything enabled was filtered out.
+    pub fn last_fanout(&self) -> usize {
+        self.fanout
+    }
+
     /// Mutable access to the current state, for the fault layer: injecting
     /// a wire fault *is* an out-of-band state mutation.
     pub(crate) fn state_mut(&mut self) -> &mut T::State {
+        self.stale = true;
         &mut self.state
     }
 
@@ -75,7 +110,9 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
 
     /// Executes one step chosen by `sched` among transitions passing
     /// `filter`, narrating it to `sink`. Returns the fired label, or `None`
-    /// if nothing was enabled (after filtering).
+    /// if nothing was enabled (after filtering). `filter` sees every
+    /// transition of the current state exactly once, in the order
+    /// [`TransitionSystem::successors`] lists them.
     ///
     /// Link-occupancy high-water marks are folded into [`MsgStats`]
     /// unconditionally (they are cheap and always useful); per-event
@@ -87,32 +124,41 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
         mut filter: impl FnMut(&Label) -> bool,
         sink: &mut dyn TraceSink,
     ) -> Result<Option<Label>> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.sys.successors(&self.state, &mut scratch)?;
-        scratch.retain(|(l, _)| filter(l));
-        let labels: Vec<Label> = scratch.iter().map(|(l, _)| l.clone()).collect();
-        let picked = sched.pick(&labels);
-        let result = match picked {
-            Some(idx) if idx < scratch.len() => {
-                let (label, next) = scratch.swap_remove(idx);
-                let seq = self.stats.steps;
-                self.stats.record(&label);
-                self.state = next;
-                for m in label.emissions() {
-                    if let Some(occ) = self.sys.link_occupancy(&self.state, m.from, m.to) {
-                        self.stats.record_occupancy(m.from, m.to, occ);
-                    }
-                }
-                if sink.enabled() {
-                    self.narrate(sink, seq, &label);
-                }
-                Some(label)
+        if self.stale {
+            self.scratch.clone_from(&self.state);
+            self.stale = false;
+        }
+        self.labels.clear();
+        self.ordinals.clear();
+        self.fanout = 0;
+        let (labels, ordinals, fanout) = (&mut self.labels, &mut self.ordinals, &mut self.fanout);
+        self.sys.for_each_successor(&self.state, &mut self.scratch, |label, _| {
+            if filter(&label) {
+                labels.push(label);
+                ordinals.push(*fanout);
             }
-            _ => None,
+            *fanout += 1;
+            ControlFlow::Continue(())
+        })?;
+        let Some(idx) = sched.pick(&self.labels).filter(|&idx| idx < self.labels.len()) else {
+            return Ok(None);
         };
-        scratch.clear();
-        self.scratch = scratch;
-        Ok(result)
+        let label = self
+            .sys
+            .fire(&mut self.state, &mut self.scratch, self.ordinals[idx])?
+            .expect("the enumeration just counted this successor");
+        debug_assert_eq!(label, self.labels[idx], "fired another transition than the one chosen");
+        let seq = self.stats.steps;
+        self.stats.record(&label);
+        for m in label.emissions() {
+            if let Some(occ) = self.sys.link_occupancy(&self.state, m.from, m.to) {
+                self.stats.record_occupancy(m.from, m.to, occ);
+            }
+        }
+        if sink.enabled() {
+            self.narrate(sink, seq, &label);
+        }
+        Ok(Some(label))
     }
 
     /// Emits the events describing one fired step (post-state already
@@ -185,7 +231,7 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::asynch::{AsyncConfig, AsyncSystem};
     use crate::rendezvous::RendezvousSystem;
@@ -196,7 +242,7 @@ mod tests {
     use ccr_core::refine::{refine, RefineOptions};
     use ccr_core::value::Value;
 
-    fn token_spec() -> ccr_core::process::ProtocolSpec {
+    pub(crate) fn token_spec() -> ccr_core::process::ProtocolSpec {
         let mut b = ProtocolBuilder::new("token");
         let req = b.msg("req");
         let gr = b.msg("gr");

@@ -182,6 +182,38 @@ pub trait TransitionSystem {
         generated
     }
 
+    /// Replaces `s` by its `ordinal`-th successor, counted in the order of
+    /// [`TransitionSystem::successors`], and returns that transition's
+    /// label; `None`, and nothing written, if `s` has no more than
+    /// `ordinal` successors. `scratch` equals `s` on entry and on return
+    /// — with the new state, that is, after a step. This is how a
+    /// simulator takes the one step it chose from an enumeration: a
+    /// system that generates in place walks its rules again for their
+    /// guards alone, builds that one successor in `scratch` and copies
+    /// over to `s` the part the rule wrote.
+    ///
+    /// An error is one `successors(s)` returns, and leaves `s` and
+    /// `scratch` as they were. An implementation that stops at the
+    /// successor it was asked for need not meet the error of a later rule.
+    ///
+    /// The default generates the whole list and keeps one.
+    fn fire(
+        &self,
+        s: &mut Self::State,
+        scratch: &mut Self::State,
+        ordinal: usize,
+    ) -> Result<Option<Label>> {
+        let mut out = Vec::new();
+        self.successors(s, &mut out)?;
+        if ordinal >= out.len() {
+            return Ok(None);
+        }
+        let (label, next) = out.swap_remove(ordinal);
+        scratch.clone_from(&next);
+        *s = next;
+        Ok(Some(label))
+    }
+
     /// Writes a canonical byte encoding of `s` into `out` (cleared first).
     fn encode(&self, s: &Self::State, out: &mut Vec<u8>);
 

@@ -28,34 +28,10 @@ use ccr_mc::Reduced;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::TransitionSystem;
 use ccr_trace::NullSink;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a statistic and
-// publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: the caller's obligations are passed through as-is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: the caller's obligations are passed through as-is.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocations, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -77,9 +53,9 @@ where
     let mut obs = SearchObserver::new(&mut null);
     let search = Search { check_deadlock: true, trails: true, ..Search::default() };
 
-    let before = ALLOCS.load(Relaxed);
+    let before = allocations();
     let report = search.explore(sys, &Budget::default(), |_| None, &mut obs);
-    let allocs = ALLOCS.load(Relaxed) - before;
+    let allocs = allocations() - before;
 
     assert!(report.outcome.is_complete(), "{what}: {:?}", report.outcome);
     assert_eq!((report.states, report.transitions), counts, "{what}");

@@ -1,24 +1,29 @@
-//! The sweep's in-place successors against the owned ones.
+//! The in-place successors, and the one fired, against the owned ones.
 //!
 //! `ccr_mc`'s sweep never holds a successor: it lends the rules of
 //! Tables 1–2 one scratch state through
-//! `TransitionSystem::for_each_successor` and gets it back as it was.
-//! Everything else — the simulators, the DSM machine, the `--threads`
-//! workers, trail replay — calls `successors()` and owns what it gets.
-//! Both are the same rule bodies behind two emitters, and this suite pins
-//! that on every shipped spec: same labels, same targets, same order, at
-//! every reachable state, and the scratch state equal to the parent after
-//! every expansion (`ccr fuzz` runs the same comparison over the zoo as
-//! its `inplace` stage).
+//! `TransitionSystem::for_each_successor` and gets it back as it was. The
+//! simulator enumerates a state the same way and then takes the step it
+//! chose through `TransitionSystem::fire`, which builds that one successor
+//! and no other. The rest — the `--threads` workers, trail replay — call
+//! `successors()` and own what they get. All three are the same rule
+//! bodies behind three emitters, and this suite pins that on every
+//! shipped spec: same labels, same targets, same order, at every
+//! reachable state, the scratch state equal to the parent after every
+//! expansion, and `fire` landing on each successor in turn and on nothing
+//! past the last (`ccr fuzz` runs the same comparison over the zoo as its
+//! `inplace` stage).
 
 use ccr_core::refine::{refine, RefineOptions, ReqRepMode};
-use ccr_core::text::parse_validated;
 use ccr_mc::inplace_divergence;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::{FaultClosure, TransitionSystem};
 use std::ops::ControlFlow;
-use std::path::Path;
+
+#[path = "support/specs.rs"]
+mod specs;
+use specs::shipped_specs;
 
 /// States walked per configuration, breadth-first. An optimized build —
 /// CI's release smoke job — walks every space whole but invalidate and
@@ -27,28 +32,9 @@ use std::path::Path;
 /// prefix of anything larger than migratory.
 const MAX_STATES: usize = if cfg!(debug_assertions) { 15_000 } else { 250_000 };
 
-fn specs() -> Vec<(String, ccr_core::process::ProtocolSpec)> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
-    let mut names: Vec<String> = std::fs::read_dir(&dir)
-        .expect("specs/")
-        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
-        .filter(|n| n.ends_with(".ccp"))
-        .collect();
-    names.sort();
-    assert!(names.iter().any(|n| n == "migratory_broken.ccp"), "{names:?}");
-    names
-        .into_iter()
-        .map(|name| {
-            let text = std::fs::read_to_string(dir.join(&name)).expect("read spec");
-            let spec = parse_validated(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-            (name, spec)
-        })
-        .collect()
-}
-
 #[test]
 fn in_place_successors_are_the_owned_ones_on_every_shipped_spec() {
-    for (name, spec) in specs() {
+    for (name, spec) in shipped_specs() {
         for reqrep in [ReqRepMode::Off, ReqRepMode::Auto] {
             let options = RefineOptions { reqrep };
             let refined = refine(&spec, &options).expect("refine");
@@ -63,11 +49,13 @@ fn in_place_successors_are_the_owned_ones_on_every_shipped_spec() {
 }
 
 /// Systems without an in-place generator answer through `successors`:
-/// the default must show the same sequence and never touch the scratch
-/// state.
+/// the default enumeration must show the same sequence and never touch
+/// the scratch state, and the default `fire` keep the right one of the
+/// list.
 #[test]
 fn the_default_goes_through_successors() {
-    let (_, spec) = specs().into_iter().find(|(n, _)| n == "migratory.ccp").expect("migratory");
+    let (_, spec) =
+        shipped_specs().into_iter().find(|(n, _)| n == "migratory.ccp").expect("migratory");
     let refined = refine(&spec, &RefineOptions::default()).expect("refine");
     let rv = RendezvousSystem::new(&spec, 3);
     assert_eq!(inplace_divergence(&rv, MAX_STATES), None);
@@ -77,7 +65,8 @@ fn the_default_goes_through_successors() {
 
 #[test]
 fn a_visitor_that_breaks_sees_no_more_and_gets_its_scratch_state_back() {
-    let (_, spec) = specs().into_iter().find(|(n, _)| n == "invalidate.ccp").expect("invalidate");
+    let (_, spec) =
+        shipped_specs().into_iter().find(|(n, _)| n == "invalidate.ccp").expect("invalidate");
     let refined = refine(&spec, &RefineOptions::default()).expect("refine");
     let sys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
     let s = sys.initial();
