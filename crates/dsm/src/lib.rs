@@ -13,10 +13,11 @@
 //!   All message accounting (the paper's efficiency criterion) comes from
 //!   here.
 //! * [`threaded`] — a deployment-style runner: one OS thread per node,
-//!   communicating over crossbeam channels through per-role protocol
-//!   engines ([`engine::HomeEngine`], [`engine::RemoteEngine`]) that
-//!   implement Tables 1 and 2 directly, the way a microcoded protocol
-//!   processor would.
+//!   communicating over crossbeam channels. Each node steps its own
+//!   share of the same verified semantics
+//!   ([`ccr_runtime::asynch::AsyncSystem::restricted_to`]) — Tables 1
+//!   and 2 are implemented once — the way a microcoded protocol processor
+//!   would run its side of them.
 //!
 //! The workloads mirror the sharing patterns DSM papers motivate:
 //! migratory access, producer/consumer, read-mostly and hot-spot.
@@ -24,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod engine;
 pub mod machine;
 pub mod metrics;
 pub mod threaded;

@@ -38,11 +38,22 @@ impl MachineConfig {
     /// Standard configuration: derive the op set from well-known request
     /// names present in the spec (`req`, `rreq`, `wreq`).
     pub fn standard(refined: &RefinedProtocol, n: u32, max_steps: u64) -> Self {
-        let ops = ["req", "rreq", "wreq"]
-            .iter()
-            .filter_map(|name| refined.spec.msg_by_name(name))
-            .collect();
-        Self { n, asynch: AsyncConfig::default(), ops, max_steps }
+        Self { n, asynch: AsyncConfig::default(), ops: standard_ops(refined), max_steps }
+    }
+}
+
+/// The well-known acquisition requests present in the spec.
+pub(crate) fn standard_ops(refined: &RefinedProtocol) -> Vec<MsgType> {
+    ["req", "rreq", "wreq"].iter().filter_map(|name| refined.spec.msg_by_name(name)).collect()
+}
+
+/// Whether `workload` lets the transition `label` names be taken now:
+/// autonomous CPU decisions are the workload's, the protocol's own steps
+/// are always enabled.
+pub(crate) fn enabled(workload: &mut dyn Workload, label: &Label) -> bool {
+    match (label.kind, &label.tag, label.actor) {
+        (LabelKind::Tau, Some(tag), ProcessId::Remote(r)) => workload.enable(r, tag),
+        _ => true,
     }
 }
 
@@ -124,16 +135,11 @@ impl<'a> Machine<'a> {
         let mut steps = 0u64;
         let mut ops = 0u64;
         let mut deadlocked = false;
-        // Autonomous CPU decisions are the workload's; the protocol's own
-        // steps are always enabled.
-        let mut enabled = |label: &Label| match (label.kind, &label.tag, label.actor) {
-            (LabelKind::Tau, Some(tag), ProcessId::Remote(r)) => workload.enable(r, tag),
-            _ => true,
-        };
+        let mut filter = |label: &Label| enabled(workload, label);
         while steps < self.config.max_steps {
             let fired = match harness.as_deref_mut() {
-                Some(harness) => harness.step(&mut sim, sched, &mut enabled, sink)?,
-                None => sim.step_observed(sched, &mut enabled, sink)?,
+                Some(harness) => harness.step(&mut sim, sched, &mut filter, sink)?,
+                None => sim.step_observed(sched, &mut filter, sink)?,
             };
             // A poll that fires nothing still counts, so that
             // probabilistic workloads get more chances.

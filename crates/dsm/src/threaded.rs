@@ -1,27 +1,34 @@
 //! Deployment-style execution: one OS thread per node over channels.
 //!
-//! The home engine and each remote engine run on their own threads,
-//! exchanging [`Wire`] messages over crossbeam channels — one channel per
-//! directed link, preserving the paper's reliable in-order point-to-point
-//! network assumption (§2.2); unbounded channels play the role of the
-//! paper's infinitely-buffered network. CPU decisions are sampled from a
-//! per-remote seeded RNG, approximating the migratory workload.
+//! Every node — the home and each remote — runs on its own thread the
+//! share of Tables 1 and 2 that names it as the actor
+//! ([`AsyncSystem::restricted_to`]): the rules the model checker verified,
+//! not a second copy of them, "directly ... in microcode" (§2.3). A node
+//! owns a whole [`AsyncState`] of which only its own slice and its ends of
+//! the links are live, and a [`Simulator`] over its share. The network is
+//! one crossbeam channel per directed link, which keeps the paper's
+//! reliable in-order point-to-point assumption (§2.2); unbounded channels
+//! play the role of its infinite buffering. CPU decisions are a per-node
+//! seeded [`Migrating`] workload behind the filter [`crate::Machine`] uses.
 //!
-//! This runner demonstrates that the *derived* protocol is directly
-//! implementable per node ("for example in microcode", §2.3), and the
-//! integration suite cross-validates its behaviour against the verified
-//! global semantics by comparing operation and message counts.
+//! That the nodes compose to the verified global semantics is checked:
+//! `ccr_mc::inplace_divergence` holds the shares to three facts at every
+//! state it visits, and `tests/engines_cross_check.rs` runs the nodes in
+//! lockstep with the global executor.
 
-use crate::engine::{HomeEngine, RemoteEngine};
-use ccr_core::ids::RemoteId;
+use crate::machine::{enabled, standard_ops};
+use crate::workload::Migrating;
+use ccr_core::ids::{ProcessId, RemoteId};
 use ccr_core::refine::RefinedProtocol;
-use ccr_runtime::error::RuntimeError;
-use ccr_runtime::wire::Wire;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ccr_runtime::asynch::{AsyncConfig, AsyncState, AsyncSystem, RemoteState};
+use ccr_runtime::error::{Result, RuntimeError};
+use ccr_runtime::sched::{RandomSched, Scheduler};
+use ccr_runtime::sim::Simulator;
+use ccr_runtime::system::Label;
+use ccr_runtime::wire::{Link, Wire};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Parameters for a threaded run.
@@ -74,162 +81,180 @@ pub struct ThreadedReport {
     pub error: Option<RuntimeError>,
 }
 
+/// One node of the machine: a simulator over the share of the rules that
+/// names `who` as the actor, and the node's ends of the links. What is
+/// delivered waits on an inbound link until a rule takes it; what a step
+/// sends has left the outbound links when the step returns, so between
+/// steps those are empty.
+pub struct Node<'s, 'a> {
+    who: ProcessId,
+    sim: Simulator<'s, AsyncSystem<'a>>,
+}
+
+/// `who`'s two ends of the links in remote slice `r`: the one it receives
+/// on and the one it sends on.
+fn ends(who: ProcessId, r: &mut RemoteState) -> (&mut Link, &mut Link) {
+    match who {
+        ProcessId::Home => (&mut r.to_home, &mut r.to_remote),
+        ProcessId::Remote(_) => (&mut r.to_remote, &mut r.to_home),
+    }
+}
+
+impl<'s, 'a> Node<'s, 'a> {
+    /// The node of the process `sys` is
+    /// [restricted](AsyncSystem::restricted_to) to, in its initial state.
+    pub fn new(sys: &'s AsyncSystem<'a>) -> Self {
+        let who = sys.restriction().expect("a node runs one process's share of the rules");
+        Node { who, sim: Simulator::new(sys) }
+    }
+
+    /// The node's configuration: its own slice and its ends of the links
+    /// are live, every other slice is as it was initially.
+    pub fn state(&self) -> &AsyncState {
+        self.sim.state()
+    }
+
+    /// The remote slices whose links end at this node: every one for the
+    /// home, its own for a remote.
+    pub fn slices(&self) -> std::ops::Range<usize> {
+        match self.who {
+            ProcessId::Home => 0..self.sim.state().n(),
+            ProcessId::Remote(r) => r.index()..r.index() + 1,
+        }
+    }
+
+    /// The network has brought `w` on the link of slice `i`.
+    pub fn deliver(&mut self, i: usize, w: Wire) {
+        ends(self.who, &mut self.sim.state_mut().remotes[i]).0.push(w);
+    }
+
+    /// One step of [`Simulator::step_filtered`]; each message the step
+    /// sent goes to `send` with the slice whose link it was put on.
+    pub fn step(
+        &mut self,
+        sched: &mut dyn Scheduler,
+        filter: impl FnMut(&Label) -> bool,
+        mut send: impl FnMut(usize, Wire),
+    ) -> Result<Option<Label>> {
+        let fired = self.sim.step_filtered(sched, filter)?;
+        // (A write to the state costs the simulator a copy of it.)
+        if fired.as_ref().is_some_and(|label| label.emissions().next().is_some()) {
+            let (who, slices) = (self.who, self.slices());
+            let state = self.sim.state_mut();
+            for i in slices {
+                while let Some(w) = ends(who, &mut state.remotes[i]).1.pop() {
+                    send(i, w);
+                }
+            }
+        }
+        Ok(fired)
+    }
+}
+
+/// What the threads of one run share.
+struct Run<'a> {
+    config: &'a ThreadedConfig,
+    started: Instant,
+    /// Raised by whichever node ends first — target reached, time up or
+    /// failed — and read by every node before each step.
+    stop: AtomicBool,
+    /// The error of the node that failed first.
+    error: Mutex<Option<RuntimeError>>,
+}
+
+impl Run<'_> {
+    /// Runs `node`, the `index`-th of the machine, until the run stops or
+    /// `done` says so of a label the node fired. `arrivals` and
+    /// `departures` are the network's ends of the node's links, one of each
+    /// per slice of [`Node::slices`].
+    fn drive(
+        &self,
+        mut node: Node<'_, '_>,
+        index: u64,
+        arrivals: &[Receiver<Wire>],
+        departures: &[Sender<Wire>],
+        mut done: impl FnMut(&Label) -> bool,
+    ) {
+        // Two streams a node: which enabled rule fires, what its CPU wants.
+        let seed = self.config.seed.wrapping_add(2 * index);
+        let mut sched = RandomSched::new(seed);
+        let mut workload =
+            Migrating::new(seed.wrapping_add(1), self.config.access_prob, self.config.evict_prob);
+        let first = node.slices().start;
+        // A send to a node that has ended, and so ended the run, is dropped.
+        let mut send = |i: usize, w| {
+            let _ = departures[i - first].send(w);
+        };
+        while !self.stop.load(Ordering::SeqCst) && self.started.elapsed() <= self.config.time_limit
+        {
+            for (i, arrived) in node.slices().zip(arrivals) {
+                while let Ok(w) = arrived.try_recv() {
+                    node.deliver(i, w);
+                }
+            }
+            match node.step(&mut sched, |label| enabled(&mut workload, label), &mut send) {
+                Ok(Some(label)) if done(&label) => break,
+                Ok(Some(_)) => {}
+                Ok(None) => std::thread::yield_now(),
+                Err(e) => {
+                    self.error.lock().expect("no thread panics holding it").get_or_insert(e);
+                    break;
+                }
+            }
+        }
+        self.stop.store(true, Ordering::SeqCst);
+    }
+}
+
 /// Runs the refined protocol on real threads until `target_ops` operations
 /// complete (or the time limit expires).
 pub fn run_threaded(refined: &RefinedProtocol, config: &ThreadedConfig) -> ThreadedReport {
-    let n = config.n;
-    let stop = Arc::new(AtomicBool::new(false));
-    let started = Instant::now();
+    let n = config.n as usize;
+    let sys =
+        AsyncSystem::new(refined, config.n, AsyncConfig::with_home_buffer(config.home_buffer));
+    let run = Run {
+        config,
+        started: Instant::now(),
+        stop: AtomicBool::new(false),
+        error: Mutex::new(None),
+    };
+    // One channel per directed link.
+    let (to_home_tx, to_home_rx): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded::<Wire>()).unzip();
+    let (to_remote_tx, to_remote_rx): (Vec<_>, Vec<_>) =
+        (0..n).map(|_| unbounded::<Wire>()).unzip();
 
-    // Channels: remote i -> home (tagged), home -> remote i.
-    type HomeChannel = (Sender<(RemoteId, Wire)>, Receiver<(RemoteId, Wire)>);
-    let (to_home_tx, to_home_rx): HomeChannel = unbounded();
-    let mut to_remote_tx: Vec<Sender<Wire>> = Vec::new();
-    let mut to_remote_rx: Vec<Option<Receiver<Wire>>> = Vec::new();
-    for _ in 0..n {
-        let (tx, rx) = unbounded();
-        to_remote_tx.push(tx);
-        to_remote_rx.push(Some(rx));
-    }
-
-    // The op set: well-known acquisition requests present in the spec.
-    let op_msgs: Vec<_> =
-        ["req", "rreq", "wreq"].iter().filter_map(|m| refined.spec.msg_by_name(m)).collect();
-
-    let report = std::thread::scope(|scope| {
-        // Remote threads.
-        let mut handles = Vec::new();
-        for i in 0..n {
-            let rx = to_remote_rx[i as usize].take().expect("rx taken once");
-            let tx = to_home_tx.clone();
-            let stop = Arc::clone(&stop);
-            let seed = config.seed.wrapping_add(i as u64 + 1);
-            let access_prob = config.access_prob;
-            let evict_prob = config.evict_prob;
-            handles.push(scope.spawn(move || -> Result<(), RuntimeError> {
-                let mut engine = RemoteEngine::new(refined, RemoteId(i));
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut out: Vec<Wire> = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
-                    // Drain incoming messages.
-                    loop {
-                        match rx.try_recv() {
-                            Ok(w) => engine.handle(w, &mut out)?,
-                            Err(TryRecvError::Empty) => break,
-                            Err(TryRecvError::Disconnected) => return Ok(()),
-                        }
-                    }
-                    // One autonomous step.
-                    let mut decide = |tag: &str| match tag {
-                        "access" | "read" | "write" => rng.random_bool(access_prob),
-                        "evict" => rng.random_bool(evict_prob),
-                        _ => true,
-                    };
-                    let progressed = engine.poll(&mut decide, &mut out)?;
-                    for w in out.drain(..) {
-                        if tx.send((RemoteId(i), w)).is_err() {
-                            return Ok(());
-                        }
-                    }
-                    if !progressed {
-                        std::thread::yield_now();
-                    }
-                }
-                Ok(())
-            }));
+    let op_msgs = standard_ops(refined);
+    let mut ops = 0u64;
+    let mut home_messages = 0u64;
+    let mut per_remote = vec![0u64; n];
+    std::thread::scope(|scope| {
+        let (run, sys) = (&run, &sys);
+        for (i, (arrived, tx)) in to_remote_rx.into_iter().zip(to_home_tx).enumerate() {
+            scope.spawn(move || {
+                let sys = sys.clone().restricted_to(ProcessId::Remote(RemoteId(i as u32)));
+                run.drive(Node::new(&sys), i as u64 + 1, &[arrived], &[tx], |_| false);
+            });
         }
-        drop(to_home_tx);
 
-        // Home runs on this thread.
-        let mut home = HomeEngine::new(refined, n, config.home_buffer, 0);
-        let mut out: Vec<(RemoteId, Wire)> = Vec::new();
-        let mut home_messages = 0u64;
-        let mut error = None;
-        loop {
-            if started.elapsed() > config.time_limit {
-                break;
-            }
-            let ops: u64 = op_msgs.iter().map(|m| home.completions.of(*m)).sum();
-            if ops >= config.target_ops {
-                break;
-            }
-            // Drain a batch of incoming messages, then poll.
-            let mut worked = false;
-            for _ in 0..64 {
-                match to_home_rx.try_recv() {
-                    Ok((from, w)) => {
-                        home_messages += 1;
-                        if let Err(e) = home.handle(from, w, &mut out) {
-                            error = Some(e);
-                        }
-                        worked = true;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => break,
+        // The home runs on this thread and keeps the run's books.
+        let sys = sys.clone().restricted_to(ProcessId::Home);
+        run.drive(Node::new(&sys), 0, &to_home_rx, &to_remote_tx, |label| {
+            home_messages += label.recv.iter().chain(label.emissions()).count() as u64;
+            if let Some((active, msg)) = label.completes {
+                ops += u64::from(op_msgs.contains(&msg));
+                if let ProcessId::Remote(r) = active {
+                    per_remote[r.index()] += 1;
                 }
             }
-            match home.poll(&mut out) {
-                Ok(p) => worked |= p,
-                Err(e) => error = Some(e),
-            }
-            for (to, w) in out.drain(..) {
-                home_messages += 1;
-                let _ = to_remote_tx[to.index()].send(w);
-            }
-            if error.is_some() {
-                break;
-            }
-            if !worked {
-                std::thread::yield_now();
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        drop(to_remote_tx);
-        for h in handles {
-            if let Ok(Err(e)) = h.join().map_err(|_| ()) {
-                error.get_or_insert(e);
-            }
-        }
-        let ops: u64 = op_msgs.iter().map(|m| home.completions.of(*m)).sum();
-        let per_remote = (0..n).map(|i| home.per_remote.get(&i).copied().unwrap_or(0)).collect();
-        ThreadedReport {
-            ops,
-            home_messages,
-            elapsed: started.elapsed(),
-            reached_target: ops >= config.target_ops,
-            per_remote,
-            error,
-        }
+            ops >= config.target_ops
+        });
     });
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ccr_core::refine::{refine, RefineOptions};
-    use ccr_protocols::migratory::{migratory_refined, MigratoryOptions};
-    use ccr_protocols::token::token;
-
-    #[test]
-    fn threaded_token_reaches_target() {
-        let refined = refine(&token(), &RefineOptions::default()).unwrap();
-        let config = ThreadedConfig { n: 2, target_ops: 200, ..Default::default() };
-        let report = run_threaded(&refined, &config);
-        assert!(report.error.is_none(), "{:?}", report.error);
-        assert!(report.reached_target, "{report:?}");
-        assert!(report.ops >= 200);
-    }
-
-    #[test]
-    fn threaded_migratory_reaches_target() {
-        let refined = migratory_refined(&MigratoryOptions { data_domain: Some(8), cpu_gate: true });
-        let config = ThreadedConfig { n: 4, target_ops: 500, ..Default::default() };
-        let report = run_threaded(&refined, &config);
-        assert!(report.error.is_none(), "{:?}", report.error);
-        assert!(report.reached_target, "{report:?}");
-        // Every remote should have completed something under the fair-ish
-        // random workload.
-        assert!(report.per_remote.iter().filter(|&&c| c > 0).count() >= 3);
+    ThreadedReport {
+        ops,
+        home_messages,
+        elapsed: run.started.elapsed(),
+        reached_target: ops >= config.target_ops,
+        per_remote,
+        error: run.error.into_inner().expect("no thread panicked holding it"),
     }
 }

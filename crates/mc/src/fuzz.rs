@@ -8,8 +8,9 @@
 //!    [`ccr_core::text`];
 //! 3. **refine** (both with and without the req/repl optimization), the
 //!    **inplace** check — successors built in the sweep's scratch state
-//!    must be the owned ones, and the scratch state must come back as it
-//!    was ([`inplace_divergence`]) — and the **Equation 1** check: no reachable asynchronous transition may fall
+//!    must be the owned ones, the scratch state must come back as it
+//!    was, and the per-process shares of the rules must compose to the
+//!    whole ([`inplace_divergence`]) — and the **Equation 1** check: no reachable asynchronous transition may fall
 //!    outside the stuttering simulation — and the **fused** re-check:
 //!    Equation 1 and the progress check riding the exploration's sweep
 //!    ([`Search::verify`], and [`Search::explore_progress`] on the
@@ -48,12 +49,14 @@ use crate::search::{explore, Budget, Search, SearchObserver};
 use crate::simrel::check_simulation;
 use crate::store::StateStore;
 use crate::symmetry::{spec_permutable, Reduced};
+use ccr_core::ids::{ProcessId, RemoteId};
 use ccr_core::process::{CommAction, ProtocolSpec};
 use ccr_core::refine::{refine, BranchKey, RefineOptions, RefinedProtocol, ReqRepMode};
 use ccr_core::text::{parse_validated, to_text};
 use ccr_core::zoo::ZooSpec;
-use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
+use ccr_runtime::asynch::{AsyncConfig, AsyncState, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
+use ccr_runtime::wire::Link;
 use ccr_runtime::{EncodeBuf, FaultClosure, Label, TransitionSystem};
 use ccr_trace::NullSink;
 use std::collections::VecDeque;
@@ -235,11 +238,13 @@ pub fn inject_unsound(refined: &mut RefinedProtocol) -> bool {
 /// [`TransitionSystem::successors`] returns — the same labels on the same
 /// states (so the same encodings) in the same order, and the same error
 /// if there is one — and leave its scratch state equal to the state
-/// expanded; and [`TransitionSystem::fire`] must turn the state into each
+/// expanded; [`TransitionSystem::fire`] must turn the state into each
 /// of those successors in turn, under the same label, with its scratch
-/// state following, and into nothing one past the last. Returns the first
-/// divergence, described.
-pub fn inplace_divergence<T: TransitionSystem>(sys: &T, max_states: usize) -> Option<String> {
+/// state following, and into nothing one past the last; and the system's
+/// per-process shares, if it has any, must compose to it
+/// ([`Shares::shares_check`]). Returns the first divergence, described.
+pub fn inplace_divergence<T: Shares>(sys: &T, max_states: usize) -> Option<String> {
+    let mut shares = sys.shares_check();
     let mut seen = StateStore::new();
     let mut queue = VecDeque::from([sys.initial()]);
     let mut key = EncodeBuf::new();
@@ -277,7 +282,9 @@ pub fn inplace_divergence<T: TransitionSystem>(sys: &T, max_states: usize) -> Op
         // What `fire` is asked on a state whose enumeration failed is
         // left open (a simulator enumerates first and stops there).
         if generated.is_ok() {
-            if let Some(divergence) = fire_divergence(sys, &s, &mut scratch, &owned) {
+            let divergence =
+                fire_divergence(sys, &s, &mut scratch, &owned).or_else(|| shares(&s, &owned));
+            if let Some(divergence) = divergence {
                 return Some(format!("{at}: {divergence}"));
             }
         }
@@ -325,6 +332,109 @@ fn fire_divergence<T: TransitionSystem>(
         return Some(format!("fire({}), past the last successor, wrote a state", owned.len()));
     }
     None
+}
+
+/// A system [`inplace_divergence`] can walk. One whose rules are also run
+/// a process at a time, each node of a machine stepping its own share
+/// ([`AsyncSystem::restricted_to`]), says here what makes the whole
+/// system the composition of those shares.
+pub trait Shares: TransitionSystem {
+    /// A check to run at every visited state, given the state and its
+    /// successors: the first way, described, in which the shares fail to
+    /// compose to them. The default, for a system that has no shares,
+    /// finds nothing.
+    fn shares_check(&self) -> impl FnMut(&Self::State, &Listed<Self>) -> Option<String> + '_ {
+        |_, _| None
+    }
+}
+
+/// A state's successors, as [`TransitionSystem::successors`] lists them.
+type Listed<T> = [(Label, <T as TransitionSystem>::State)];
+
+impl Shares for RendezvousSystem<'_> {}
+impl Shares for FaultClosure<'_> {}
+
+/// The three facts that make the nodes of a machine, each holding its own
+/// slice and its ends of the links, the system itself (DESIGN.md, "Three
+/// emitters, one set of rules"): **partition** — a share's walk is the
+/// whole walk's successors with its process as the actor, in their order
+/// there; **write-locality** — a step changes its process's slice, pops
+/// links that end at the process, pushes links that start at it, and
+/// nothing else; **read-locality** — with every slice the process does
+/// not own blanked (as it was initially, which is how a node holds it),
+/// its share shows the same labels and writes the same.
+impl Shares for AsyncSystem<'_> {
+    fn shares_check(&self) -> impl FnMut(&AsyncState, &Listed<Self>) -> Option<String> + '_ {
+        let nodes: Vec<_> = std::iter::once(ProcessId::Home)
+            .chain((0..self.n()).map(|i| ProcessId::Remote(RemoteId(i))))
+            .map(|who| (who, self.clone().restricted_to(who)))
+            .collect();
+        // A node holds every slice it does not own as it was initially.
+        let blank = self.initial();
+        let (mut own, mut blind) = (Vec::new(), Vec::new());
+        move |s, all| {
+            nodes.iter().find_map(|&(who, ref node)| {
+                let walked = node.successors(s, &mut own);
+                if walked.is_err() || !own.iter().eq(all.iter().filter(|(l, _)| l.actor == who)) {
+                    let rules: Vec<_> = own.iter().map(|(l, _)| l.rule).collect();
+                    return Some(format!("{who}'s share is {rules:?} ({walked:?})"));
+                }
+                for (label, next) in &own {
+                    let mut kept = next.clone();
+                    graft(who, s, &mut kept);
+                    let links_kept = ends(who, s).zip(ends(who, next)).all(|(was, is)| {
+                        let popped = was.0.len().saturating_sub(is.0.len());
+                        is.0.iter().eq(was.0.iter().skip(popped))
+                            && was.1.iter().eq(is.1.iter().take(was.1.len()))
+                    });
+                    if kept != *next || !links_kept {
+                        return Some(format!("{who}'s {:?} wrote what is not its own", label.rule));
+                    }
+                }
+                let mut blanked = s.clone();
+                graft(who, &blank, &mut blanked);
+                let walked = node.successors(&blanked, &mut blind);
+                blind.iter_mut().for_each(|(_, next)| graft(who, s, next));
+                (walked.is_err() || blind != own).then(|| {
+                    let rules: Vec<_> = blind.iter().map(|(l, _)| l.rule).collect();
+                    format!(
+                        "{who}'s share reads what is not its own: blind, {rules:?} ({walked:?})"
+                    )
+                })
+            })
+        }
+    }
+}
+
+/// `who`'s ends of the links of `s`, a pair for each remote slice that
+/// holds any: the link it receives on, the link it sends on.
+fn ends(who: ProcessId, s: &AsyncState) -> impl Iterator<Item = (&Link, &Link)> {
+    s.remotes.iter().enumerate().filter_map(move |(i, r)| match who {
+        ProcessId::Home => Some((&r.to_home, &r.to_remote)),
+        ProcessId::Remote(own) => (own.index() == i).then_some((&r.to_remote, &r.to_home)),
+    })
+}
+
+/// Copies every slice that `who` does not own from `from` onto `onto`:
+/// for the home each remote's control state, variables and buffer, for a
+/// remote the home and every other remote with its links.
+fn graft(who: ProcessId, from: &AsyncState, onto: &mut AsyncState) {
+    match who {
+        ProcessId::Home => {
+            for (a, b) in from.remotes.iter().zip(&mut onto.remotes) {
+                (b.phase, b.buf) = (a.phase, a.buf);
+                b.env.clone_from(&a.env);
+            }
+        }
+        ProcessId::Remote(r) => {
+            onto.home.clone_from(&from.home);
+            for (j, (a, b)) in from.remotes.iter().zip(&mut onto.remotes).enumerate() {
+                if j != r.index() {
+                    b.clone_from(a);
+                }
+            }
+        }
+    }
 }
 
 /// Threads are invisible: `threaded` must be `serial`, field for field.

@@ -51,7 +51,7 @@ pub mod trace;
 pub use faultmode::{check_fault_closure, FaultClosureReport};
 pub use fuzz::{
     fuzz_one, inject_unsound, inplace_divergence, run_shape, run_spec, shrink_failing, FuzzConfig,
-    FuzzFailure, ShrinkResult, SpecVerdict,
+    FuzzFailure, Shares, ShrinkResult, SpecVerdict,
 };
 pub use parallel::ParallelConfig;
 pub use persist::{

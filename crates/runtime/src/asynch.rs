@@ -196,6 +196,9 @@ pub struct AsyncSystem<'a> {
     n: u32,
     config: AsyncConfig,
     notes: Annotations,
+    /// The one process whose rules are walked, where the system stands
+    /// for a single node ([`AsyncSystem::restricted_to`]).
+    only: Option<ProcessId>,
 }
 
 /// The refinement's annotations as the rules read them: one flag per
@@ -289,7 +292,30 @@ impl<'a> AsyncSystem<'a> {
             "link capacity {}, but the state encoding stores a link's length in 1 byte",
             config.link_capacity
         );
-        Self { refined, n, config, notes: Annotations::new(refined) }
+        Self { refined, n, config, notes: Annotations::new(refined), only: None }
+    }
+
+    /// This system with the rules of every process but `who` left out:
+    /// what one node of a machine runs. Its transitions at `s` are those
+    /// of the whole system that `who` fires, in the same order; they read
+    /// and write `who`'s slice of `s`, pop the links that end at `who` and
+    /// push the ones that start there, so every other slice may hold
+    /// anything. The system as a whole is the composition of these `n + 1`
+    /// shares (`ccr_mc::inplace_divergence` checks the three facts that
+    /// make it so at every state it visits). Panics on a remote past `n`.
+    pub fn restricted_to(mut self, who: ProcessId) -> Self {
+        assert!(
+            !matches!(who, ProcessId::Remote(r) if r.0 >= self.n),
+            "{who} is not one of {} remotes",
+            self.n
+        );
+        self.only = Some(who);
+        self
+    }
+
+    /// The process this system is restricted to, if it is.
+    pub fn restriction(&self) -> Option<ProcessId> {
+        self.only
     }
 
     /// The refined protocol being executed.
@@ -1024,27 +1050,42 @@ impl<'a> AsyncSystem<'a> {
 
     /// Every rule of Tables 1–2 over `s`, in the order successors are
     /// numbered: the home's own step, then per remote the two deliveries
-    /// and its step. The walk ends with the emitter: once a visitor broke
-    /// or the wanted successor is built, no later guard is evaluated. That
+    /// and its step — of a system restricted to one process, those of
+    /// these calls whose transitions that process fires, so a share keeps
+    /// the order of the whole (and each rule group has its one call, made
+    /// or not). The walk ends with the emitter: once a visitor broke or
+    /// the wanted successor is built, no later guard is evaluated. That
     /// can only hide an error a later rule would have raised, and neither
     /// caller would report it — the sweep reports what its visitor broke
     /// for, and the simulator fires only after a whole enumeration of the
     /// same state has come back without one.
     fn step_all(&self, s: &AsyncState, em: &mut impl Emitter) -> Result<()> {
-        self.home_step(s, em)?;
-        for i in 0..s.remotes.len() {
+        let n = s.remotes.len();
+        let (home, remotes) = match self.only {
+            None => (true, 0..n),
+            Some(ProcessId::Home) => (true, 0..0),
+            Some(ProcessId::Remote(r)) => (false, r.index()..r.index() + 1),
+        };
+        if home {
+            self.home_step(s, em)?;
+        }
+        for i in 0..n {
             if em.finished() {
                 break;
             }
-            self.deliver_to_home(s, i, em)?;
-            if em.finished() {
-                break;
+            if home {
+                self.deliver_to_home(s, i, em)?;
+                if em.finished() {
+                    break;
+                }
             }
-            self.deliver_to_remote(s, i, em)?;
-            if em.finished() {
-                break;
+            if remotes.contains(&i) {
+                self.deliver_to_remote(s, i, em)?;
+                if em.finished() {
+                    break;
+                }
+                self.remote_step(s, i, em)?;
             }
-            self.remote_step(s, i, em)?;
         }
         Ok(())
     }
@@ -1472,5 +1513,50 @@ mod tests {
         // The successor before it is still there to be fired.
         let label = sys.fire(&mut from, &mut scratch, 0).unwrap().expect("T4");
         assert_eq!((&label, &from, &scratch), (&out[0].0, &out[0].1, &out[0].1));
+    }
+
+    /// A home request that finds the remote's one-slot buffer occupied
+    /// waits on the link — at a node running its share of the rules as in
+    /// the whole system — and is buffered once the first has been served.
+    #[test]
+    fn a_node_leaves_a_request_on_the_link_while_its_buffer_is_full() {
+        let spec = token_spec();
+        let refined = refine(&spec, &RefineOptions { reqrep: ReqRepMode::Off }).unwrap();
+        let node = AsyncSystem::new(&refined, 2, AsyncConfig::default())
+            .restricted_to(ProcessId::Remote(RemoteId(1)));
+        let gr = spec.msg_by_name("gr").unwrap();
+        let mut s = node.initial();
+        s.remotes[1].phase = RemotePhase::At(spec.remote.state_by_name("W").unwrap());
+        s.remotes[1].buf = Some((gr, None));
+        s.remotes[1].to_remote.push(Wire::Req { msg: gr, val: None });
+
+        let rules =
+            |out: &[(Label, AsyncState)]| out.iter().map(|(l, _)| l.rule).collect::<Vec<_>>();
+        let mut out = Vec::new();
+        node.successors(&s, &mut out).unwrap();
+        assert_eq!(rules(&out), ["C3"], "the second grant is not delivered yet");
+        let served = out.swap_remove(0).1;
+        assert_eq!(served.remotes[1].to_remote.len(), 1, "it is still on the link");
+        node.successors(&served, &mut out).unwrap();
+        assert_eq!(rules(&out), ["buf", "C1"]);
+        assert_eq!(out[0].1.remotes[1].buf, Some((gr, None)));
+        assert!(out[0].1.remotes[1].to_remote.is_empty());
+    }
+
+    /// A second ordinary request from a remote whose first is still
+    /// buffered is an error at a node-local home, as it is globally.
+    #[test]
+    fn a_node_local_home_refuses_a_duplicate_request() {
+        let spec = token_spec();
+        let refined = refine(&spec, &RefineOptions::default()).unwrap();
+        let sys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
+        let req = spec.msg_by_name("req").unwrap();
+        let mut s = sys.initial();
+        s.home.buf.push(BufEntry { from: RemoteId(0), msg: req, val: None });
+        s.remotes[0].to_home.push(Wire::Req { msg: req, val: None });
+        let duplicate = Err(RuntimeError::DuplicateRequest { from: RemoteId(0) });
+        let mut out = Vec::new();
+        assert_eq!(sys.successors(&s, &mut out), duplicate);
+        assert_eq!(sys.clone().restricted_to(ProcessId::Home).successors(&s, &mut out), duplicate);
     }
 }

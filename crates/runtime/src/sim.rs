@@ -95,9 +95,10 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
         self.fanout
     }
 
-    /// Mutable access to the current state, for the fault layer: injecting
-    /// a wire fault *is* an out-of-band state mutation.
-    pub(crate) fn state_mut(&mut self) -> &mut T::State {
+    /// Mutable access to the current state, for writes that are no
+    /// transition of the system: the fault layer injecting a wire fault, a
+    /// node moving messages between its ends of the links and a network.
+    pub fn state_mut(&mut self) -> &mut T::State {
         self.stale = true;
         &mut self.state
     }
