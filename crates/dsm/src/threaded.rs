@@ -137,7 +137,9 @@ impl<'s, 'a> Node<'s, 'a> {
         mut send: impl FnMut(usize, Wire),
     ) -> Result<Option<Label>> {
         let fired = self.sim.step_filtered(sched, filter)?;
-        // (A write to the state costs the simulator a copy of it.)
+        // (A write to the state costs the simulator a copy of it, and a
+        // walk of every rule group of the share at its next step: a
+        // node's deliveries and sends invalidate all of its labels.)
         if fired.as_ref().is_some_and(|label| label.emissions().next().is_some()) {
             let (who, slices) = (self.who, self.slices());
             let state = self.sim.state_mut();

@@ -9,8 +9,9 @@
 //! 3. **refine** (both with and without the req/repl optimization), the
 //!    **inplace** check — successors built in the sweep's scratch state
 //!    must be the owned ones, the scratch state must come back as it
-//!    was, and the per-process shares of the rules must compose to the
-//!    whole ([`inplace_divergence`]) — and the **Equation 1** check: no reachable asynchronous transition may fall
+//!    was, a fired step must leave the rule groups it does not flag as
+//!    they were, and the per-process shares of the rules must compose to
+//!    the whole ([`inplace_divergence`]) — and the **Equation 1** check: no reachable asynchronous transition may fall
 //!    outside the stuttering simulation — and the **fused** re-check:
 //!    Equation 1 and the progress check riding the exploration's sweep
 //!    ([`Search::verify`], and [`Search::explore_progress`] on the
@@ -238,11 +239,15 @@ pub fn inject_unsound(refined: &mut RefinedProtocol) -> bool {
 /// [`TransitionSystem::successors`] returns — the same labels on the same
 /// states (so the same encodings) in the same order, and the same error
 /// if there is one — and leave its scratch state equal to the state
-/// expanded; [`TransitionSystem::fire`] must turn the state into each
-/// of those successors in turn, under the same label, with its scratch
-/// state following, and into nothing one past the last; and the system's
-/// per-process shares, if it has any, must compose to it
-/// ([`Shares::shares_check`]). Returns the first divergence, described.
+/// expanded; so must its rule groups, walked one at a time
+/// ([`TransitionSystem::for_each_successor_in`]) and taken in order;
+/// [`TransitionSystem::fire`] must turn the state into each of those
+/// successors in turn, named by group and ordinal, under the same label,
+/// with its scratch state following, and into nothing one past each
+/// group's last; every group a fired step does not flag must list what it
+/// listed before the step; and the system's per-process shares, if it has
+/// any, must compose to it ([`Shares::shares_check`]). Returns the first
+/// divergence, described.
 pub fn inplace_divergence<T: Shares>(sys: &T, max_states: usize) -> Option<String> {
     let mut shares = sys.shares_check();
     let mut seen = StateStore::new();
@@ -279,11 +284,15 @@ pub fn inplace_divergence<T: Shares>(sys: &T, max_states: usize) -> Option<Strin
                 "{at}: successors {rules:?}, in place {shown:?}, the first {same} alike"
             ));
         }
+        let groups = match walk_groups(sys, &s, &mut scratch, &owned, &generated) {
+            Ok(groups) => groups,
+            Err(divergence) => return Some(format!("{at}: {divergence}")),
+        };
         // What `fire` is asked on a state whose enumeration failed is
         // left open (a simulator enumerates first and stops there).
         if generated.is_ok() {
-            let divergence =
-                fire_divergence(sys, &s, &mut scratch, &owned).or_else(|| shares(&s, &owned));
+            let divergence = fire_divergence(sys, &s, &mut scratch, &owned, &groups)
+                .or_else(|| shares(&s, &owned));
             if let Some(divergence) = divergence {
                 return Some(format!("{at}: {divergence}"));
             }
@@ -298,38 +307,114 @@ pub fn inplace_divergence<T: Shares>(sys: &T, max_states: usize) -> Option<Strin
     None
 }
 
-/// [`TransitionSystem::fire`] on `s`, whose successors are `owned` and
-/// which `scratch` equals, at every ordinal and one past the end.
+/// The rule groups of `s`, whose successors are `owned` (`generated` how
+/// listing them ended) and which `scratch` equals, walked one at a time
+/// through [`TransitionSystem::for_each_successor_in`]: taken in order up
+/// to the first that fails, they must show `owned` and end as `generated`
+/// did, each successor said to be of the group walked, and give
+/// `scratch` back. Returns each group's labels, or the divergence.
+fn walk_groups<T: TransitionSystem>(
+    sys: &T,
+    s: &T::State,
+    scratch: &mut T::State,
+    owned: &[(Label, T::State)],
+    generated: &ccr_runtime::Result<()>,
+) -> Result<Vec<Vec<Label>>, String> {
+    let mut wanted = vec![false; sys.groups()];
+    let (mut groups, mut ended) = (Vec::new(), Ok(()));
+    let mut listed = 0;
+    for g in 0..wanted.len() {
+        wanted[g] = true;
+        let mut labels = Vec::new();
+        let mut alike = true;
+        let walked = sys.for_each_successor_in(s, scratch, &wanted, |of, label, next| {
+            let expected = owned.get(listed + labels.len());
+            alike &= of == g && expected.is_some_and(|(l, n)| *l == label && n == next);
+            labels.push(label);
+            ControlFlow::Continue(())
+        });
+        wanted[g] = false;
+        if !alike || *scratch != *s {
+            let rules: Vec<_> = labels.iter().map(|l| l.rule).collect();
+            return Err(format!("group {g} walks {rules:?}, not successors' from #{listed} on"));
+        }
+        listed += labels.len();
+        groups.push(labels);
+        if walked.is_err() {
+            ended = walked;
+            break;
+        }
+    }
+    if listed != owned.len() || ended != *generated {
+        return Err(format!(
+            "the groups list {listed} successors ({ended:?}), successors {} ({generated:?})",
+            owned.len()
+        ));
+    }
+    Ok(groups)
+}
+
+/// [`TransitionSystem::fire`] on `s`, whose successors are `owned`, in
+/// `groups` as [`walk_groups`] found them, and which `scratch` equals, at
+/// every `(group, ordinal)` and one past each group's last: it must turn
+/// `s` into that successor, under its label, with `scratch` following —
+/// or into nothing, flagging nothing — and every group it does not flag
+/// must list at the new state the labels it listed at `s`, and not fail.
 fn fire_divergence<T: TransitionSystem>(
     sys: &T,
     s: &T::State,
     scratch: &mut T::State,
     owned: &[(Label, T::State)],
+    groups: &[Vec<Label>],
 ) -> Option<String> {
     let mut from = s.clone();
-    for (ordinal, (label, next)) in owned.iter().enumerate() {
-        let fired = sys.fire(&mut from, scratch, ordinal);
-        if fired.as_ref().ok().and_then(Option::as_ref) != Some(label) {
-            return Some(format!("fire({ordinal}) gave {fired:?}, successors {label:?}"));
+    let mut dirty = vec![false; groups.len()];
+    let mut successors = owned.iter();
+    for (group, labels) in groups.iter().enumerate() {
+        for ordinal in 0..=labels.len() {
+            dirty.fill(false);
+            let fired = sys.fire(&mut from, scratch, group, ordinal, &mut dirty);
+            let at = format!("fire({group}, {ordinal})");
+            let Some((label, next)) = (ordinal < labels.len()).then(|| successors.next()).flatten()
+            else {
+                if !matches!(fired, Ok(None)) || dirty.contains(&true) {
+                    return Some(format!("{at}, past the group's last, gave {fired:?}, {dirty:?}"));
+                }
+                if from != *s || *scratch != *s {
+                    return Some(format!("{at}, past the group's last, wrote a state"));
+                }
+                continue;
+            };
+            if fired.as_ref().ok().and_then(Option::as_ref) != Some(label) {
+                return Some(format!("{at} gave {fired:?}, successors {label:?}"));
+            }
+            if from != *next || *scratch != *next {
+                return Some(format!(
+                    "{at} by {:?}: state {:02x?}, scratch {:02x?}, successor {:02x?}",
+                    label.rule,
+                    sys.encoded(&from),
+                    sys.encoded(scratch),
+                    sys.encoded(next)
+                ));
+            }
+            let clean: Vec<bool> = dirty.iter().map(|d| !d).collect();
+            let mut after = Vec::new();
+            let walked = sys.for_each_successor_in(&from, scratch, &clean, |g, label, _| {
+                after.push((g, label));
+                ControlFlow::Continue(())
+            });
+            let before = groups.iter().enumerate().filter(|&(g, _)| clean[g]);
+            let before = before.flat_map(|(g, labels)| labels.iter().map(move |l| (g, l)));
+            if walked.is_err() || !before.eq(after.iter().map(|(g, l)| (*g, l))) {
+                let rules: Vec<_> = after.iter().map(|(g, l)| (g, l.rule)).collect();
+                return Some(format!(
+                    "{at} by {:?} leaves {clean:?} clean, but they list {rules:?} ({walked:?})",
+                    label.rule
+                ));
+            }
+            from.clone_from(s);
+            scratch.clone_from(s);
         }
-        if from != *next || *scratch != *next {
-            return Some(format!(
-                "fire({ordinal}) by {:?}: state {:02x?}, scratch {:02x?}, successor {:02x?}",
-                label.rule,
-                sys.encoded(&from),
-                sys.encoded(scratch),
-                sys.encoded(next)
-            ));
-        }
-        from.clone_from(s);
-        scratch.clone_from(s);
-    }
-    let past = sys.fire(&mut from, scratch, owned.len());
-    if !matches!(past, Ok(None)) {
-        return Some(format!("fire({}), past the last successor, gave {past:?}", owned.len()));
-    }
-    if from != *s || *scratch != *s {
-        return Some(format!("fire({}), past the last successor, wrote a state", owned.len()));
     }
     None
 }

@@ -1053,12 +1053,15 @@ impl<'a> AsyncSystem<'a> {
     /// and its step — of a system restricted to one process, those of
     /// these calls whose transitions that process fires, so a share keeps
     /// the order of the whole (and each rule group has its one call, made
-    /// or not). The walk ends with the emitter: once a visitor broke or
-    /// the wanted successor is built, no later guard is evaluated. That
-    /// can only hide an error a later rule would have raised, and neither
-    /// caller would report it — the sweep reports what its visitor broke
-    /// for, and the simulator fires only after a whole enumeration of the
-    /// same state has come back without one.
+    /// or not); of those, the groups the emitter [wants](Emitter::wants).
+    /// The groups are `home_step` (0), `deliver_to_home(i)` (`1 + 2i`) and
+    /// `deliver_to_remote(i)` with `remote_step(i)` (`2 + 2i`); what each
+    /// reads is [`Taken::dirty`]'s to know. The walk ends with the
+    /// emitter: once a visitor broke or the wanted successor is built, no
+    /// later guard is evaluated. That can only hide an error a later rule
+    /// would have raised, and neither caller would report it — the sweep
+    /// reports what its visitor broke for, and the simulator fires only
+    /// after an enumeration of the same state has come back without one.
     fn step_all(&self, s: &AsyncState, em: &mut impl Emitter) -> Result<()> {
         let n = s.remotes.len();
         let (home, remotes) = match self.only {
@@ -1066,20 +1069,20 @@ impl<'a> AsyncSystem<'a> {
             Some(ProcessId::Home) => (true, 0..0),
             Some(ProcessId::Remote(r)) => (false, r.index()..r.index() + 1),
         };
-        if home {
+        if home && em.wants(0) {
             self.home_step(s, em)?;
         }
         for i in 0..n {
             if em.finished() {
                 break;
             }
-            if home {
+            if home && em.wants(1 + 2 * i) {
                 self.deliver_to_home(s, i, em)?;
                 if em.finished() {
                     break;
                 }
             }
-            if remotes.contains(&i) {
+            if remotes.contains(&i) && em.wants(2 + 2 * i) {
                 self.deliver_to_remote(s, i, em)?;
                 if em.finished() {
                     break;
@@ -1088,6 +1091,19 @@ impl<'a> AsyncSystem<'a> {
             }
         }
         Ok(())
+    }
+
+    /// The in-place walk of the groups `wanted` selects.
+    fn walk(
+        &self,
+        s: &AsyncState,
+        scratch: &mut AsyncState,
+        wanted: impl Fn(usize) -> bool,
+        visit: impl FnMut(usize, Label, &AsyncState) -> ControlFlow<()>,
+    ) -> Result<()> {
+        let scratch = Lent::new(scratch);
+        let mut em = InPlace { parent: s, scratch, wanted, group: 0, visit, stopped: false };
+        self.step_all(s, &mut em)
     }
 }
 
@@ -1121,6 +1137,10 @@ trait Emitter {
     /// Whether the emitter will take no further successor, so that the
     /// rules still to come need not be walked.
     fn finished(&self) -> bool;
+
+    /// Whether to walk rule group `group`, whose successors, if it does,
+    /// are the next ones handed over.
+    fn wants(&mut self, group: usize) -> bool;
 }
 
 /// Emits owned successors: one clone of the parent per successor, made
@@ -1154,6 +1174,10 @@ impl Emitter for Owned<'_> {
     fn finished(&self) -> bool {
         false
     }
+
+    fn wants(&mut self, _: usize) -> bool {
+        true
+    }
 }
 
 /// Which slices of a state a rule has taken to write in. A rule touches
@@ -1180,6 +1204,28 @@ impl Taken {
                 }
             }
             None => to.remotes.clone_from(&from.remotes),
+        }
+    }
+
+    /// Flags the rule groups of [`AsyncSystem::step_all`] that read a
+    /// slice taken. `home_step` reads the home and the length of every
+    /// home → remote link (the room for its ack, its request and its
+    /// victim nack), so it is flagged after any step; `deliver_to_home(i)`
+    /// reads the home and remote `i`'s slice; `deliver_to_remote(i)` and
+    /// `remote_step(i)` read remote `i`'s slice alone.
+    fn dirty(&self, dirty: &mut [bool]) {
+        dirty[0] = true;
+        if self.home {
+            dirty.iter_mut().skip(1).step_by(2).for_each(|d| *d = true);
+        }
+        match self.remotes.get(..self.count) {
+            Some(taken) => {
+                for &i in taken {
+                    dirty[1 + 2 * i] = true;
+                    dirty[2 + 2 * i] = true;
+                }
+            }
+            None => dirty.fill(true),
         }
     }
 }
@@ -1228,24 +1274,31 @@ impl Slices for Lent<'_> {
     }
 }
 
-/// Emits each successor in one scratch state that equals the parent
-/// between successors: after the visit, the slices the rule took are
-/// copied back from the parent.
-struct InPlace<'a, V> {
+/// Emits each successor of the groups `wanted` selects in one scratch
+/// state that equals the parent between successors: after the visit, the
+/// slices the rule took are copied back from the parent.
+struct InPlace<'a, W, V> {
     parent: &'a AsyncState,
     scratch: Lent<'a>,
+    wanted: W,
+    /// The group being walked.
+    group: usize,
     visit: V,
     stopped: bool,
 }
 
-impl<'a, V: FnMut(Label, &AsyncState) -> ControlFlow<()>> Emitter for InPlace<'a, V> {
+impl<'a, W, V> Emitter for InPlace<'a, W, V>
+where
+    W: Fn(usize) -> bool,
+    V: FnMut(usize, Label, &AsyncState) -> ControlFlow<()>,
+{
     type Next = Lent<'a>;
 
     #[inline]
     fn successor(&mut self, build: impl FnOnce(&mut Self::Next) -> Result<Label>) -> Result<()> {
         let built = build(&mut self.scratch).map(|label| {
             if !self.stopped {
-                self.stopped = (self.visit)(label, self.scratch.state).is_break();
+                self.stopped = (self.visit)(self.group, label, self.scratch.state).is_break();
             }
         });
         // Put back every slice taken, whether or not the rule got as far
@@ -1257,14 +1310,21 @@ impl<'a, V: FnMut(Label, &AsyncState) -> ControlFlow<()>> Emitter for InPlace<'a
     fn finished(&self) -> bool {
         self.stopped
     }
+
+    fn wants(&mut self, group: usize) -> bool {
+        self.group = group;
+        (self.wanted)(group)
+    }
 }
 
-/// Builds one successor, the `skip`-th from here, in a scratch state that
-/// equals the parent, and leaves it there: the rules before it are walked
-/// for their guards alone — each `build` passed over is a successor
-/// counted, not made.
+/// Builds one successor, the `skip`-th of rule group `group`, in a
+/// scratch state that equals the parent, and leaves it there: the rules
+/// of the group before it are walked for their guards alone — each
+/// `build` passed over is a successor counted, not made — and no other
+/// group is walked.
 struct Fire<'a> {
     scratch: Lent<'a>,
+    group: usize,
     skip: usize,
     fired: Option<Label>,
 }
@@ -1287,6 +1347,10 @@ impl<'a> Emitter for Fire<'a> {
 
     fn finished(&self) -> bool {
         self.fired.is_some()
+    }
+
+    fn wants(&mut self, group: usize) -> bool {
+        group == self.group
     }
 }
 
@@ -1328,23 +1392,44 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
         &self,
         s: &AsyncState,
         scratch: &mut AsyncState,
-        visit: impl FnMut(Label, &AsyncState) -> ControlFlow<()>,
+        mut visit: impl FnMut(Label, &AsyncState) -> ControlFlow<()>,
     ) -> Result<()> {
-        let mut em = InPlace { parent: s, scratch: Lent::new(scratch), visit, stopped: false };
-        self.step_all(s, &mut em)
+        self.walk(s, scratch, |_| true, |_, label, next| visit(label, next))
+    }
+
+    /// `1 + 2n`: `home_step`, then per remote `i` `deliver_to_home(i)` and
+    /// `deliver_to_remote(i)` with `remote_step(i)` ([`Taken::dirty`] says
+    /// what each reads).
+    fn groups(&self) -> usize {
+        1 + 2 * self.n as usize
+    }
+
+    fn for_each_successor_in(
+        &self,
+        s: &AsyncState,
+        scratch: &mut AsyncState,
+        wanted: &[bool],
+        visit: impl FnMut(usize, Label, &AsyncState) -> ControlFlow<()>,
+    ) -> Result<()> {
+        self.walk(s, scratch, |group| wanted[group], visit)
     }
 
     fn fire(
         &self,
         s: &mut AsyncState,
         scratch: &mut AsyncState,
+        group: usize,
         ordinal: usize,
+        dirty: &mut [bool],
     ) -> Result<Option<Label>> {
         debug_assert!(*scratch == *s, "the scratch state must equal the state fired from");
-        let mut em = Fire { scratch: Lent::new(scratch), skip: ordinal, fired: None };
+        let mut em = Fire { scratch: Lent::new(scratch), group, skip: ordinal, fired: None };
         match self.step_all(s, &mut em) {
             Ok(()) => {
                 em.scratch.publish(s);
+                if em.fired.is_some() {
+                    em.scratch.taken.dirty(dirty);
+                }
                 Ok(em.fired)
             }
             Err(e) => {
@@ -1507,12 +1592,18 @@ mod tests {
         let rules: Vec<_> = out.iter().map(|(l, _)| l.rule).collect();
         assert_eq!(rules, ["T4"], "the home takes the request; then r0's C3 fails");
 
+        // The request is `deliver_to_home(0)`'s (group 1), the grant r0's
+        // own (group 2).
         let (mut from, mut scratch) = (s.clone(), s.clone());
-        assert_eq!(sys.fire(&mut from, &mut scratch, out.len()), Err(error));
+        let mut dirty = vec![false; sys.groups()];
+        assert_eq!(sys.fire(&mut from, &mut scratch, 2, 0, &mut dirty), Err(error));
         assert_eq!((&from, &scratch), (&s, &s));
+        assert_eq!(dirty, [false; 5], "a failed step changes nothing");
         // The successor before it is still there to be fired.
-        let label = sys.fire(&mut from, &mut scratch, 0).unwrap().expect("T4");
+        let label = sys.fire(&mut from, &mut scratch, 1, 0, &mut dirty).unwrap().expect("T4");
         assert_eq!((&label, &from, &scratch), (&out[0].0, &out[0].1, &out[0].1));
+        // It wrote the home and r0: every group but r1's own may differ.
+        assert_eq!(dirty, [true, true, true, true, false]);
     }
 
     /// A home request that finds the remote's one-slot buffer occupied

@@ -94,10 +94,6 @@ impl BiasedSched {
     pub fn new(victims: Vec<RemoteId>, seed: u64) -> Self {
         Self { victims, rng: StdRng::seed_from_u64(seed) }
     }
-
-    fn is_victim(&self, a: ProcessId) -> bool {
-        matches!(a, ProcessId::Remote(r) if self.victims.contains(&r))
-    }
 }
 
 impl Scheduler for BiasedSched {
@@ -105,16 +101,17 @@ impl Scheduler for BiasedSched {
         if choices.is_empty() {
             return None;
         }
-        let preferred: Vec<usize> = choices
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !self.is_victim(l.actor))
-            .map(|(i, _)| i)
-            .collect();
-        if preferred.is_empty() {
-            Some(self.rng.random_range(0..choices.len()))
-        } else {
-            Some(preferred[self.rng.random_range(0..preferred.len())])
+        // Count the preferred, draw, and find the drawn one in a second
+        // pass: a pick allocates nothing (E4 picks once per step).
+        let victims = &self.victims;
+        let preferred =
+            |l: &&Label| !matches!(l.actor, ProcessId::Remote(r) if victims.contains(&r));
+        match choices.iter().filter(preferred).count() {
+            0 => Some(self.rng.random_range(0..choices.len())),
+            count => {
+                let nth = self.rng.random_range(0..count);
+                choices.iter().enumerate().filter(|(_, l)| preferred(l)).nth(nth).map(|(i, _)| i)
+            }
         }
     }
 }

@@ -5,6 +5,15 @@
 //! enabled set (the DSM workload harness uses the filter to enable
 //! autonomous `tau` decisions — CPU accesses, evictions — only when the
 //! workload wants them).
+//!
+//! A step does not re-walk every rule. The simulator keeps the labels of
+//! the current state's transitions per rule group
+//! ([`TransitionSystem::groups`]) and re-enumerates only the groups the
+//! last step may have changed — the ones [`TransitionSystem::fire`]
+//! flagged, every one after a write through [`Simulator::state_mut`], and
+//! any that failed to enumerate. On `AsyncSystem` a step by remote `i`
+//! re-walks the home's own step and remote `i`'s two groups, not the other
+//! `2n - 2` (DESIGN.md, "A simulated step builds one successor").
 
 use crate::error::Result;
 use crate::observe::emit_label_events;
@@ -30,9 +39,9 @@ pub struct SimReport {
 }
 
 /// A simulation driver owning the current state. It never holds a
-/// successor list: a step enumerates the current state's transitions in
-/// place, keeping their labels, and then fires the chosen one
-/// ([`TransitionSystem::for_each_successor`], then
+/// successor list: a step enumerates in place the transitions of the rule
+/// groups the last step may have changed, keeping their labels, and then
+/// fires the chosen one ([`TransitionSystem::for_each_successor_in`], then
 /// [`TransitionSystem::fire`]).
 pub struct Simulator<'s, T: TransitionSystem> {
     sys: &'s T,
@@ -44,12 +53,17 @@ pub struct Simulator<'s, T: TransitionSystem> {
     /// before the next step.
     stale: bool,
     stats: MsgStats,
+    /// Per rule group, the labels of the current state's transitions, in
+    /// order — unless the group is `dirty`, and so enumerated afresh
+    /// before the next step. Kept for their capacity.
+    cached: Vec<Vec<Label>>,
+    dirty: Vec<bool>,
     /// The labels `filter` accepted in the step under way, as the
-    /// scheduler sees them, and which successor each one is. Kept for
-    /// their capacity.
+    /// scheduler sees them, and which successor — group and ordinal in
+    /// it — each one is. Kept for their capacity.
     labels: Vec<Label>,
-    ordinals: Vec<usize>,
-    /// Transitions the last enumeration counted, accepted or not.
+    picks: Vec<(usize, usize)>,
+    /// Transitions the last step's state had, accepted or not.
     fanout: usize,
     /// Last reported home-buffer occupancy, so `HomeBuffer` events are
     /// emitted only on change.
@@ -60,14 +74,17 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
     /// Starts a simulation from the initial state.
     pub fn new(sys: &'s T) -> Self {
         let state = sys.initial();
+        let groups = sys.groups();
         Self {
             sys,
             scratch: state.clone(),
             state,
             stale: false,
             stats: MsgStats::new(),
+            cached: vec![Vec::new(); groups],
+            dirty: vec![true; groups],
             labels: Vec::new(),
-            ordinals: Vec::new(),
+            picks: Vec::new(),
             fanout: 0,
             last_home_buf: None,
         }
@@ -98,8 +115,10 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
     /// Mutable access to the current state, for writes that are no
     /// transition of the system: the fault layer injecting a wire fault, a
     /// node moving messages between its ends of the links and a network.
+    /// Every rule group is enumerated afresh at the next step.
     pub fn state_mut(&mut self) -> &mut T::State {
         self.stale = true;
+        self.dirty.fill(true);
         &mut self.state
     }
 
@@ -130,24 +149,26 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
             self.stale = false;
         }
         self.labels.clear();
-        self.ordinals.clear();
+        self.picks.clear();
         self.fanout = 0;
-        let (labels, ordinals, fanout) = (&mut self.labels, &mut self.ordinals, &mut self.fanout);
-        self.sys.for_each_successor(&self.state, &mut self.scratch, |label, _| {
-            if filter(&label) {
-                labels.push(label);
-                ordinals.push(*fanout);
+        self.enumerate_dirty()?;
+        for (group, cached) in self.cached.iter().enumerate() {
+            for (ordinal, label) in cached.iter().enumerate() {
+                if filter(label) {
+                    self.labels.push(label.clone());
+                    self.picks.push((group, ordinal));
+                }
             }
-            *fanout += 1;
-            ControlFlow::Continue(())
-        })?;
+            self.fanout += cached.len();
+        }
         let Some(idx) = sched.pick(&self.labels).filter(|&idx| idx < self.labels.len()) else {
             return Ok(None);
         };
+        let (group, ordinal) = self.picks[idx];
         let label = self
             .sys
-            .fire(&mut self.state, &mut self.scratch, self.ordinals[idx])?
-            .expect("the enumeration just counted this successor");
+            .fire(&mut self.state, &mut self.scratch, group, ordinal, &mut self.dirty)?
+            .expect("the enumeration counted this successor");
         debug_assert_eq!(label, self.labels[idx], "fired another transition than the one chosen");
         let seq = self.stats.steps;
         self.stats.record(&label);
@@ -160,6 +181,31 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
             self.narrate(sink, seq, &label);
         }
         Ok(Some(label))
+    }
+
+    /// Lists afresh the labels of every dirty group. On an error every
+    /// one of them stays dirty, the failing group among them.
+    fn enumerate_dirty(&mut self) -> Result<()> {
+        if !self.dirty.contains(&true) {
+            return Ok(());
+        }
+        for (cached, &dirty) in self.cached.iter_mut().zip(&self.dirty) {
+            if dirty {
+                cached.clear();
+            }
+        }
+        let cached = &mut self.cached;
+        self.sys.for_each_successor_in(
+            &self.state,
+            &mut self.scratch,
+            &self.dirty,
+            |g, label, _| {
+                cached[g].push(label);
+                ControlFlow::Continue(())
+            },
+        )?;
+        self.dirty.fill(false);
+        Ok(())
     }
 
     /// Emits the events describing one fired step (post-state already

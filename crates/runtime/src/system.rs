@@ -182,18 +182,53 @@ pub trait TransitionSystem {
         generated
     }
 
-    /// Replaces `s` by its `ordinal`-th successor, counted in the order of
-    /// [`TransitionSystem::successors`], and returns that transition's
-    /// label; `None`, and nothing written, if `s` has no more than
-    /// `ordinal` successors. `scratch` equals `s` on entry and on return
-    /// — with the new state, that is, after a step. This is how a
-    /// simulator takes the one step it chose from an enumeration: a
-    /// system that generates in place walks its rules again for their
-    /// guards alone, builds that one successor in `scratch` and copies
-    /// over to `s` the part the rule wrote.
+    /// How many *rule groups* the transitions of a state fall into. The
+    /// successors of a state are those of group 0, then group 1, and so
+    /// on, each group's in the order [`TransitionSystem::successors`] has
+    /// them; a group's transitions, and whether it fails, depend only on
+    /// the part of the state its rules read, so after a step that wrote
+    /// none of that part they are what they were (see
+    /// [`TransitionSystem::fire`]). The default is one group, which every
+    /// step changes.
+    fn groups(&self) -> usize {
+        1
+    }
+
+    /// [`TransitionSystem::for_each_successor`] for the groups `wanted`
+    /// selects — one flag per group — in group order, telling `visit`
+    /// which group each successor is of. On an error, `visit` has seen the
+    /// selected groups' successors up to it, as
+    /// [`TransitionSystem::successors`] lists them.
     ///
-    /// An error is one `successors(s)` returns, and leaves `s` and
-    /// `scratch` as they were. An implementation that stops at the
+    /// The default is the one group's walk.
+    fn for_each_successor_in(
+        &self,
+        s: &Self::State,
+        scratch: &mut Self::State,
+        wanted: &[bool],
+        mut visit: impl FnMut(usize, Label, &Self::State) -> ControlFlow<()>,
+    ) -> Result<()> {
+        if !wanted[0] {
+            return Ok(());
+        }
+        self.for_each_successor(s, scratch, |label, next| visit(0, label, next))
+    }
+
+    /// Replaces `s` by the `ordinal`-th successor of rule group `group`,
+    /// counted in the order of [`TransitionSystem::successors`], and
+    /// returns that transition's label; `None`, and nothing written, if
+    /// the group has no more than `ordinal` successors. `scratch` equals
+    /// `s` on entry and on return — with the new state, that is, after a
+    /// step. Sets `dirty[g]` for every group `g` whose successors the step
+    /// may have changed — those whose rules read a part of the state it
+    /// wrote — and leaves the other flags alone. This is how a simulator
+    /// takes the one step it chose from an enumeration: a system that
+    /// generates in place walks that group's rules again for their guards
+    /// alone, builds that one successor in `scratch` and copies over to
+    /// `s` the part the rule wrote.
+    ///
+    /// An error is one `successors(s)` returns, and leaves `s`, `scratch`
+    /// and `dirty` as they were. An implementation that stops at the
     /// successor it was asked for need not meet the error of a later rule.
     ///
     /// The default generates the whole list and keeps one.
@@ -201,16 +236,21 @@ pub trait TransitionSystem {
         &self,
         s: &mut Self::State,
         scratch: &mut Self::State,
+        group: usize,
         ordinal: usize,
+        dirty: &mut [bool],
     ) -> Result<Option<Label>> {
         let mut out = Vec::new();
-        self.successors(s, &mut out)?;
+        if group == 0 {
+            self.successors(s, &mut out)?;
+        }
         if ordinal >= out.len() {
             return Ok(None);
         }
         let (label, next) = out.swap_remove(ordinal);
         scratch.clone_from(&next);
         *s = next;
+        dirty[0] = true;
         Ok(Some(label))
     }
 

@@ -164,6 +164,27 @@ fn home_c2_nacks_a_victim_and_restores_both_links_in_place() {
     .unwrap();
     assert_eq!(lent, owned);
     assert_eq!(scratch, s);
+
+    // Fired — the home's own step, its first successor — it flags every
+    // rule group that reads the home, r0 or r1: all but r2's own, which
+    // lists what it listed.
+    let r2_group = |state: &AsyncState, scratch: &mut AsyncState| {
+        let mut wanted = vec![false; sys.groups()];
+        wanted[6] = true;
+        let mut rules = Vec::new();
+        sys.for_each_successor_in(state, scratch, &wanted, |_, label, _| {
+            rules.push(label.rule);
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        rules
+    };
+    let before = r2_group(&s, &mut scratch);
+    let (mut from, mut dirty) = (s.clone(), vec![false; sys.groups()]);
+    let fired = sys.fire(&mut from, &mut scratch, 0, 0, &mut dirty).unwrap();
+    assert_eq!((fired.as_ref(), &from, &scratch), (Some(&label), &next, &next));
+    assert_eq!(dirty, [true, true, true, true, true, true, false]);
+    assert_eq!(r2_group(&from, &mut scratch), before);
 }
 
 #[test]

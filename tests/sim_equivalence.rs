@@ -2,22 +2,31 @@
 //!
 //! `Simulator::step_observed` used to own the whole successor list of the
 //! current state: `successors()`, `retain(filter)`, `pick`, `swap_remove`.
-//! It now enumerates labels in place and fires the chosen ordinal in a
-//! scratch state (`TransitionSystem::fire`). The reference stepper below
-//! *is* the old algorithm, written out; the two must agree on every step —
-//! label, state, counters, and the `None` of a quiet step — on every
-//! shipped spec, under every scheduler, with a filter that draws from its
-//! random generator on every call (so showing a label to the filter
-//! twice, or in another order, would send the two runs apart: that is the
-//! property the workloads' bit-exact benchmark outputs rest on).
+//! It now keeps the labels of each rule group, enumerates in place only
+//! the groups the last step may have changed, and fires the chosen
+//! transition in a scratch state (`TransitionSystem::fire`). The reference
+//! stepper below *is* the old algorithm, written out; the two must agree
+//! on every step — label, state, counters, and the `None` of a quiet step
+//! — on every shipped spec, under every scheduler, with a filter that
+//! draws from its random generator on every call (so showing a label to
+//! the filter twice, or in another order, would send the two runs apart:
+//! that is the property the workloads' bit-exact benchmark outputs rest
+//! on). So must they on what else `dsm_sim` and the nodes run: the hand
+//! baseline's executor configuration, a node's share of the rules with the
+//! rest of the system moving its state between steps, and a protocol that
+//! fails, which must fail at the same step with the same error — and
+//! again at the next, the failing group not taken for listed.
 //!
 //! The fault harness writes to the simulator's state between steps, which
 //! the scratch state has to follow; that path is pinned by a `ccr verify
 //! --faults` report written by the commit before the change.
 
-use ccr_core::ids::RemoteId;
+use ccr_core::ids::{ProcessId, RemoteId};
 use ccr_core::refine::{refine, RefineOptions, ReqRepMode};
-use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
+use ccr_mc::inject_unsound;
+use ccr_protocols::hand::{hand_async_config, migratory_hand};
+use ccr_protocols::migratory::MigratoryOptions;
+use ccr_runtime::asynch::{AsyncConfig, AsyncState, AsyncSystem};
 use ccr_runtime::sched::{BiasedSched, RandomSched, RoundRobinSched, Scheduler};
 use ccr_runtime::sim::Simulator;
 use ccr_runtime::stats::MsgStats;
@@ -41,7 +50,7 @@ fn root() -> &'static Path {
 /// filtered, one entry kept.
 struct Reference<'s, 'a> {
     sys: &'s AsyncSystem<'a>,
-    state: <AsyncSystem<'a> as TransitionSystem>::State,
+    state: AsyncState,
     stats: MsgStats,
 }
 
@@ -87,56 +96,163 @@ fn schedulers(n: u32, seed: u64) -> Vec<(&'static str, Box<dyn Scheduler>)> {
     ]
 }
 
+/// What the lockstep runs met between them.
+#[derive(Default)]
+struct Met {
+    compared: usize,
+    quiet: usize,
+    errors: usize,
+}
+
+/// Steps the reference and a simulator over `sys` side by side for up to
+/// `steps` steps, each under a scheduler from `schedulers`, until both
+/// fail. Before each step, `env` may move the state by a step of its own,
+/// which both then take.
+fn lockstep(
+    at: &str,
+    sys: &AsyncSystem<'_>,
+    seed: u64,
+    steps: usize,
+    mut env: impl FnMut(&AsyncState) -> Option<AsyncState>,
+    met: &mut Met,
+) {
+    let n = sys.n();
+    for ((sched_name, mut sched_ref), (_, mut sched_sim)) in
+        schedulers(n, seed).into_iter().zip(schedulers(n, seed))
+    {
+        let at = format!("{at} {sched_name}");
+        let mut reference = Reference { sys, state: sys.initial(), stats: MsgStats::new() };
+        let mut sim = Simulator::new(sys);
+        let (mut rng_ref, mut rng_sim) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        for step in 0..steps {
+            if let Some(moved) = env(&reference.state) {
+                sim.state_mut().clone_from(&moved);
+                reference.state = moved;
+            }
+            let want = reference.step(sched_ref.as_mut(), drawing(&mut rng_ref));
+            let got = sim.step_filtered(sched_sim.as_mut(), drawing(&mut rng_sim));
+            let (label, fanout) = match (want, got) {
+                (Ok((label, fanout)), Ok(got)) => {
+                    assert_eq!(got, label, "{at}: step {step}");
+                    (label, fanout)
+                }
+                (Err(want), Err(got)) => {
+                    assert_eq!(got, want, "{at}: step {step}");
+                    let again = sim.step_filtered(sched_sim.as_mut(), |_| true);
+                    assert_eq!(again, Err(want), "{at}: step {step}, stepped again");
+                    met.errors += 1;
+                    break;
+                }
+                (want, got) => panic!("{at}: step {step}: {want:?} vs {got:?}"),
+            };
+            assert_eq!(sim.last_fanout(), fanout, "{at}: step {step}: fan-out");
+            assert_eq!(
+                sys.encoded(sim.state()),
+                sys.encoded(&reference.state),
+                "{at}: step {step}: state"
+            );
+            assert_eq!(sim.stats(), &reference.stats, "{at}: step {step}: counters");
+            met.compared += 1;
+            met.quiet += usize::from(label.is_none());
+        }
+    }
+}
+
 #[test]
 fn the_simulator_steps_as_the_owned_list_did() {
-    let mut compared = 0usize;
-    let mut quiet = 0usize;
+    let mut met = Met::default();
     for (name, spec) in shipped_specs() {
         for reqrep in [ReqRepMode::Auto, ReqRepMode::Off] {
             let options = RefineOptions { reqrep };
             let refined = refine(&spec, &options).expect("refine");
             for n in 1..=4u32 {
                 let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
-                let seed = 1998 + u64::from(n);
-                for ((sched_name, mut sched_ref), (_, mut sched_sim)) in
-                    schedulers(n, seed).into_iter().zip(schedulers(n, seed))
-                {
-                    let at = format!("{name} {options:?} n={n} {sched_name}");
-                    let mut reference =
-                        Reference { sys: &sys, state: sys.initial(), stats: MsgStats::new() };
-                    let mut sim = Simulator::new(&sys);
-                    let (mut rng_ref, mut rng_sim) =
-                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                    for step in 0..STEPS {
-                        let want = reference.step(sched_ref.as_mut(), drawing(&mut rng_ref));
-                        let got = sim.step_filtered(sched_sim.as_mut(), drawing(&mut rng_sim));
-                        let (label, fanout) = match (want, got) {
-                            (Ok((label, fanout)), Ok(got)) => {
-                                assert_eq!(got, label, "{at}: step {step}");
-                                (label, fanout)
-                            }
-                            (Err(want), Err(got)) => {
-                                assert_eq!(got, want, "{at}: step {step}");
-                                break;
-                            }
-                            (want, got) => panic!("{at}: step {step}: {want:?} vs {got:?}"),
-                        };
-                        assert_eq!(sim.last_fanout(), fanout, "{at}: step {step}: fan-out");
-                        assert_eq!(
-                            sys.encoded(sim.state()),
-                            sys.encoded(&reference.state),
-                            "{at}: step {step}: state"
-                        );
-                        assert_eq!(sim.stats(), &reference.stats, "{at}: step {step}: counters");
-                        compared += 1;
-                        quiet += usize::from(label.is_none());
-                    }
-                }
+                let at = format!("{name} {options:?} n={n}");
+                lockstep(&at, &sys, 1998 + u64::from(n), STEPS, |_| None, &mut met);
             }
         }
     }
     // Both kinds of step were met, in number.
+    let Met { compared, quiet, .. } = met;
     assert!(compared > 500_000 && quiet > 1_000, "{compared} steps, {quiet} quiet");
+}
+
+/// The hand baseline runs with an unacknowledged allowance in the home
+/// buffer and drops the home requests it cannot match, rules no derived
+/// protocol reaches.
+#[test]
+fn the_hand_baseline_steps_as_the_owned_list_did() {
+    let hand = migratory_hand(&MigratoryOptions::default());
+    let mut met = Met::default();
+    for n in 1..=4u32 {
+        let sys = AsyncSystem::new(&hand, n, hand_async_config(n));
+        lockstep(&format!("hand n={n}"), &sys, 7 + u64::from(n), STEPS, |_| None, &mut met);
+    }
+    let Met { compared, errors, .. } = met;
+    assert!(compared > 50_000 && errors == 0, "{compared} steps, {errors} errors");
+}
+
+/// A node steps its share of the rules while the rest of the system moves
+/// the state under it — about every other step, through `state_mut`, as a
+/// node's deliveries do.
+#[test]
+fn a_node_steps_as_its_owned_list_did() {
+    let mut met = Met::default();
+    for (name, spec) in shipped_specs() {
+        for reqrep in [ReqRepMode::Auto, ReqRepMode::Off] {
+            let options = RefineOptions { reqrep };
+            let refined = refine(&spec, &options).expect("refine");
+            for n in [2u32, 3] {
+                let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+                let processes = std::iter::once(ProcessId::Home)
+                    .chain((0..n).map(|i| ProcessId::Remote(RemoteId(i))));
+                for who in processes {
+                    let node = sys.clone().restricted_to(who);
+                    let mut rng = StdRng::seed_from_u64(u64::from(n));
+                    let mut others = Vec::new();
+                    let env = |s: &AsyncState| {
+                        if !rng.random_bool(0.5) {
+                            return None;
+                        }
+                        sys.successors(s, &mut others).ok()?;
+                        others.retain(|(l, _)| l.actor != who);
+                        if others.is_empty() {
+                            return None;
+                        }
+                        Some(others.swap_remove(rng.random_range(0..others.len())).1)
+                    };
+                    let at = format!("{name} {options:?} n={n} {who}'s node");
+                    lockstep(&at, &node, 5 + u64::from(n), 1_000, env, &mut met);
+                }
+            }
+        }
+    }
+    let Met { compared, quiet, .. } = met;
+    assert!(compared > 100_000 && quiet > 1_000, "{compared} steps, {quiet} quiet");
+}
+
+/// A refinement doctored as `ccr fuzz --inject-broken` doctors one — a
+/// remote request that awaits an ack marked fire-and-forget — fails, and
+/// the simulator reports the reference's error at the reference's step.
+#[test]
+fn a_doctored_protocol_fails_at_the_same_step() {
+    let mut met = Met::default();
+    for (name, spec) in shipped_specs() {
+        for reqrep in [ReqRepMode::Auto, ReqRepMode::Off] {
+            let options = RefineOptions { reqrep };
+            let mut refined = refine(&spec, &options).expect("refine");
+            if !inject_unsound(&mut refined) {
+                continue;
+            }
+            for n in 1..=3u32 {
+                let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+                let at = format!("doctored {name} {options:?} n={n}");
+                lockstep(&at, &sys, 3 + u64::from(n), STEPS, |_| None, &mut met);
+            }
+        }
+    }
+    // The error path was taken, and not once by luck.
+    assert!(met.errors > 20, "{} errors in {} steps", met.errors, met.compared);
 }
 
 /// `ccr verify --faults` walks the simulator through the fault harness,
