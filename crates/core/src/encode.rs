@@ -11,6 +11,11 @@
 use crate::ids::RemoteId;
 use crate::value::Value;
 
+/// Upper bound on the bytes [`Sink::put_id`] writes for an id below
+/// 2^16, the widest a state layout stores (`ccr_core::validate` caps the
+/// states of a process, and the executors the remotes, at 2^16).
+pub const ID_MAX_ENCODED_LEN: usize = 3;
+
 /// A destination for encoded bytes.
 pub trait Sink {
     /// Appends one byte.
@@ -18,6 +23,20 @@ pub trait Sink {
 
     /// Appends `bytes` in order.
     fn put_all(&mut self, bytes: &[u8]);
+
+    /// Appends an id — a process state id, a remote id — in its one
+    /// canonical form, unsigned LEB128: seven bits a byte, low bits
+    /// first, the high bit set on every byte but the last. An id below
+    /// 128 is one byte, the id itself. The executors' readers refuse a
+    /// longer form of an id that has a shorter one.
+    #[inline(always)]
+    fn put_id(&mut self, mut id: u32) {
+        while id >= 0x80 {
+            self.put(id as u8 | 0x80);
+            id >>= 7;
+        }
+        self.put(id as u8);
+    }
 }
 
 impl Sink for Vec<u8> {
@@ -156,6 +175,21 @@ mod tests {
         assert_eq!(n, 5);
         assert_eq!(&buf[..n], &v[..]);
         assert_eq!(buf[n], 0xAA, "nothing past the cursor is touched");
+    }
+
+    #[test]
+    fn ids_below_128_take_one_byte() {
+        let bytes = |id: u32| {
+            let mut v = Vec::new();
+            v.put_id(id);
+            v
+        };
+        assert_eq!(bytes(0), [0]);
+        assert_eq!(bytes(127), [127]);
+        assert_eq!(bytes(128), [0x80, 1]);
+        assert_eq!(bytes(300), [0xAC, 2]);
+        assert_eq!(bytes(65535), [0xFF, 0xFF, 3]);
+        assert!((0..1 << 16).all(|id| bytes(id).len() <= ID_MAX_ENCODED_LEN));
     }
 
     #[test]

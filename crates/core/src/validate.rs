@@ -29,8 +29,9 @@ pub const MAX_MSG_TYPES: usize = 1 << 8;
 /// and the home's retry cursor, which runs one past the last branch — in
 /// one byte.
 pub const MAX_BRANCHES: usize = (1 << 8) - 1;
-/// Most states one process may have: the encoding stores a state id in
-/// two bytes.
+/// Most states one process may have: the encoding stores a state id
+/// below 2^16, in one byte below 128 and at most
+/// [`ID_MAX_ENCODED_LEN`](crate::encode::ID_MAX_ENCODED_LEN) bytes.
 pub const MAX_STATES: usize = 1 << 16;
 
 fn check_size(what: &'static str, count: usize, max: usize) -> Result<()> {

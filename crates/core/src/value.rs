@@ -98,12 +98,21 @@ impl Value {
     }
 
     /// Upper bound on the encoded size of any value: the widest forms
-    /// (`Int` outside `i8`, `Mask`) take a tag byte plus 8 payload bytes.
+    /// (`Int` outside `i8`, `Mask` from 256 on) take a tag byte plus 8
+    /// payload bytes.
     pub const MAX_ENCODED_LEN: usize = 9;
 
     /// [`Value::encode`] of `ren.value(self)`. This is the one place the
     /// byte layout of a value is written down; a [`SliceSink`] caller
     /// guarantees [`Value::MAX_ENCODED_LEN`] bytes of room.
+    ///
+    /// Every value has exactly one encoding, its shortest: an `Int` in
+    /// `i8` range, a `Node` or a `Mask` below 256 take a tag and one byte
+    /// (the small forms are the common ones — data values, remote ids,
+    /// sharer sets of up to eight remotes), and only larger ones take the
+    /// long forms. [`Value::decode`] refuses a long form of a value that
+    /// has a short one, so equal values are equal bytes and a state has
+    /// one store key.
     ///
     /// [`SliceSink`]: crate::encode::SliceSink
     // Always inlined, like every encoder below a system's: a sink handed
@@ -116,45 +125,68 @@ impl Value {
             Value::Unit => out.put(0),
             Value::Bool(false) => out.put(1),
             Value::Bool(true) => out.put(2),
-            Value::Int(i) => {
-                if let Ok(b) = i8::try_from(i) {
-                    // Small integers (data values, counters) dominate; a
-                    // one-byte form keeps model-checker state keys compact.
+            Value::Int(i) => match i8::try_from(i) {
+                Ok(b) => {
                     out.put(6);
                     out.put(b as u8);
-                } else {
+                }
+                Err(_) => {
                     out.put(3);
                     out.put_all(&i.to_le_bytes());
                 }
-            }
-            Value::Node(n) => {
-                out.put(4);
-                out.put_all(&(n.0 as u16).to_le_bytes());
-            }
-            Value::Mask(m) => {
-                out.put(5);
-                out.put_all(&m.to_le_bytes());
-            }
+            },
+            Value::Node(n) => match u8::try_from(n.0) {
+                Ok(b) => {
+                    out.put(7);
+                    out.put(b);
+                }
+                Err(_) => {
+                    out.put(4);
+                    out.put_all(&(n.0 as u16).to_le_bytes());
+                }
+            },
+            Value::Mask(m) => match u8::try_from(m) {
+                Ok(b) => {
+                    out.put(8);
+                    out.put(b);
+                }
+                Err(_) => {
+                    out.put(5);
+                    out.put_all(&m.to_le_bytes());
+                }
+            },
         }
     }
 
     /// Inverse of [`Value::encode`]: reads one value from the front of
     /// `bytes`, returning it and the number of bytes consumed, or `None`
-    /// when the input is truncated or carries an unknown tag.
+    /// when the input is truncated, carries an unknown tag, or holds the
+    /// long form of a value that has a short one (not an encoding
+    /// [`Value::encode`] writes).
     pub fn decode(bytes: &[u8]) -> Option<(Value, usize)> {
         fn take<const N: usize>(bytes: &[u8]) -> Option<[u8; N]> {
             bytes.get(1..1 + N)?.try_into().ok()
         }
-        match *bytes.first()? {
-            0 => Some((Value::Unit, 1)),
-            1 => Some((Value::Bool(false), 1)),
-            2 => Some((Value::Bool(true), 1)),
-            3 => take::<8>(bytes).map(|b| (Value::Int(i64::from_le_bytes(b)), 9)),
-            4 => take::<2>(bytes).map(|b| (Value::Node(RemoteId(u16::from_le_bytes(b) as u32)), 3)),
-            5 => take::<8>(bytes).map(|b| (Value::Mask(u64::from_le_bytes(b)), 9)),
-            6 => bytes.get(1).map(|&b| (Value::Int(b as i8 as i64), 2)),
-            _ => None,
-        }
+        let byte = || bytes.get(1).copied();
+        let (v, used) = match *bytes.first()? {
+            0 => (Value::Unit, 1),
+            1 => (Value::Bool(false), 1),
+            2 => (Value::Bool(true), 1),
+            3 => (Value::Int(i64::from_le_bytes(take::<8>(bytes)?)), 9),
+            4 => (Value::Node(RemoteId(u16::from_le_bytes(take::<2>(bytes)?) as u32)), 3),
+            5 => (Value::Mask(u64::from_le_bytes(take::<8>(bytes)?)), 9),
+            6 => (Value::Int(byte()? as i8 as i64), 2),
+            7 => (Value::Node(RemoteId(byte()? as u32)), 2),
+            8 => (Value::Mask(byte()? as u64), 2),
+            _ => return None,
+        };
+        let long_form_of_short = match v {
+            Value::Int(i) => used > 2 && i8::try_from(i).is_ok(),
+            Value::Node(n) => used > 2 && n.0 < 256,
+            Value::Mask(m) => used > 2 && m < 256,
+            _ => false,
+        };
+        (!long_form_of_short).then_some((v, used))
     }
 }
 
@@ -329,8 +361,12 @@ mod tests {
             Value::Int(1 << 40),
             Value::Int(i64::MIN),
             Value::Node(RemoteId(0)),
+            Value::Node(RemoteId(255)),
+            Value::Node(RemoteId(256)),
             Value::Node(RemoteId(65535)),
             Value::Mask(0),
+            Value::Mask(255),
+            Value::Mask(256),
             Value::Mask(u64::MAX),
         ];
         for v in values {
@@ -352,6 +388,33 @@ mod tests {
         env.encode(&mut slot);
         let end = slot.written();
         assert_eq!(&buf[..end], &reference[..]);
+    }
+
+    #[test]
+    fn each_value_has_one_encoding_its_shortest() {
+        let bytes = |v: Value| {
+            let mut b = Vec::new();
+            v.encode(&mut b);
+            b
+        };
+        assert_eq!(bytes(Value::Node(RemoteId(3))), [7, 3]);
+        assert_eq!(bytes(Value::Node(RemoteId(256))), [4, 0, 1]);
+        assert_eq!(bytes(Value::Mask(0b101)), [8, 5]);
+        assert_eq!(bytes(Value::Mask(256)).len(), 9);
+        assert_eq!(bytes(Value::Int(-1)), [6, 0xFF]);
+        // The long forms of values that have short ones decode to nothing.
+        for long in [
+            vec![4, 3, 0],
+            vec![4, 255, 0],
+            vec![5, 5, 0, 0, 0, 0, 0, 0, 0],
+            vec![3, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF],
+            vec![3, 127, 0, 0, 0, 0, 0, 0, 0],
+        ] {
+            assert_eq!(Value::decode(&long), None, "{long:?}");
+        }
+        for v in [Value::Node(RemoteId(256)), Value::Mask(256), Value::Int(128), Value::Int(-129)] {
+            assert_eq!(Value::decode(&bytes(v)), Some((v, bytes(v).len())));
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests for the core IR: expression evaluation, value
-//! encodings, and the textual round-trip over randomly generated specs.
+//! encodings (one key per value: each value has one encoding, its
+//! shortest, and nothing else decodes), and the textual round-trip over
+//! randomly generated specs.
 
 use ccr_core::builder::ProtocolBuilder;
 use ccr_core::expr::{EvalCtx, Expr};
@@ -23,6 +25,45 @@ fn arb_value() -> impl Strategy<Value = Value> {
         (0u32..8).prop_map(|n| Value::Node(RemoteId(n))),
         (0u64..256).prop_map(Value::Mask),
     ]
+}
+
+/// Values of every width: each short form's range and its edges, and the
+/// long forms past them.
+fn arb_wide_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Unit),
+        any::<bool>().prop_map(Value::Bool),
+        (-300i64..300).prop_map(Value::Int),
+        any::<i64>().prop_map(Value::Int),
+        (0u32..300).prop_map(|n| Value::Node(RemoteId(n))),
+        (0u32..1 << 16).prop_map(|n| Value::Node(RemoteId(n))),
+        (0u64..300).prop_map(Value::Mask),
+        any::<u64>().prop_map(Value::Mask),
+    ]
+}
+
+/// The one length `v`'s encoding may have: its shortest form's.
+fn shortest_len(v: Value) -> usize {
+    match v {
+        Value::Unit | Value::Bool(_) => 1,
+        Value::Int(i) if i8::try_from(i).is_ok() => 2,
+        Value::Node(n) if n.0 < 256 => 2,
+        Value::Mask(m) if m < 256 => 2,
+        Value::Node(_) => 3,
+        Value::Int(_) | Value::Mask(_) => 9,
+    }
+}
+
+/// The long form of `v` (tag, then the fixed-width payload), whether or
+/// not it is the one `encode` writes.
+fn long_form(v: Value) -> Option<Vec<u8>> {
+    let (tag, payload) = match v {
+        Value::Int(i) => (3, i.to_le_bytes().to_vec()),
+        Value::Node(n) => (4, (n.0 as u16).to_le_bytes().to_vec()),
+        Value::Mask(m) => (5, m.to_le_bytes().to_vec()),
+        _ => return None,
+    };
+    Some([vec![tag], payload].concat())
 }
 
 fn arb_expr(nvars: usize) -> impl Strategy<Value = Expr> {
@@ -132,16 +173,56 @@ proptest! {
     }
 
     /// `Value::decode` is total on arbitrary bytes: it either rejects with
-    /// `None` or yields a value whose re-encoding decodes back to itself.
+    /// `None` or yields a value whose encoding is exactly the bytes it
+    /// read — no byte string but a value's one key decodes.
     #[test]
     fn value_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..24)) {
         if let Some((v, used)) = Value::decode(&bytes) {
             prop_assert!(used <= bytes.len());
             let mut re = Vec::new();
             v.encode(&mut re);
-            let (v2, _) = Value::decode(&re).expect("re-encoded value decodes");
-            prop_assert_eq!(v2, v);
+            prop_assert_eq!(&re[..], &bytes[..used], "a second encoding of {:?}", v);
         }
+    }
+
+    /// Every value, of every width, round-trips in its shortest form, which
+    /// fits `Value::MAX_ENCODED_LEN`.
+    #[test]
+    fn every_value_round_trips_in_its_shortest_form(
+        v in arb_wide_value(),
+        suffix in proptest::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let mut bytes = Vec::new();
+        v.encode(&mut bytes);
+        prop_assert_eq!(bytes.len(), shortest_len(v), "{:?} is not in its shortest form", v);
+        prop_assert!(bytes.len() <= Value::MAX_ENCODED_LEN);
+        let len = bytes.len();
+        bytes.extend_from_slice(&suffix);
+        prop_assert_eq!(Value::decode(&bytes), Some((v, len)));
+    }
+
+    /// A long form is the encoding of exactly the values that have no
+    /// short one; for every other value it is refused.
+    #[test]
+    fn long_forms_of_short_values_are_refused(v in arb_wide_value()) {
+        if let Some(long) = long_form(v) {
+            let expected = (shortest_len(v) == long.len()).then_some((v, long.len()));
+            prop_assert_eq!(Value::decode(&long), expected, "{:?}", v);
+        }
+    }
+
+    /// An environment of any values round-trips within its bound.
+    #[test]
+    fn env_round_trips_within_its_bound(
+        values in proptest::collection::vec(arb_wide_value(), 0..8),
+    ) {
+        let env = Env::new(values.clone());
+        let mut bytes = Vec::new();
+        env.encode(&mut bytes);
+        prop_assert!(bytes.len() <= env.max_encoded_len());
+        let mut back = Env::new(vec![]);
+        prop_assert_eq!(back.decode_into(&bytes, values.len()), Some(bytes.len()));
+        prop_assert_eq!(back, env);
     }
 
     /// `add_mod` keeps results in `[0, m)`.

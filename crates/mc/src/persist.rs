@@ -9,18 +9,17 @@
 //!
 //! * **`log`** — an append-only record log: a 16-byte versioned header
 //!   (`CCRLOG1\0`, version, reserved) followed by records of
-//!   `[payload_len u32][check u32][depth u32][payload]`, all
-//!   little-endian. `check` is the truncated splitmix-finalized FxHash
-//!   of `depth ‖ payload`, so torn or corrupted records are detected
-//!   individually. Record order is store insertion order: record `i`
-//!   *is* dense state index `i`. (`depth` is always 0: it told the
-//!   deleted sharded engine which BFS level a recovered state belonged
-//!   to; the sweep's frontier is a cursor.)
+//!   `[payload_len u32][check u32][payload]`, all little-endian. `check`
+//!   is the truncated splitmix-finalized FxHash of the payload, so torn
+//!   or corrupted records are detected individually. A payload is a
+//!   state's store key, in the layout of the binary that wrote it.
+//!   Record order is store insertion order: record `i` *is* dense state
+//!   index `i`.
 //! * **`idx`** — the hash64 → offset index,
 //!   rewritten at every checkpoint: header (`CCRIDX1\0`, version,
 //!   record count, covered log bytes) then one
-//!   `[hash u64][offset u64][depth u32][len u32]` row per record and a
-//!   trailing checksum. Missing or stale index files are not an error —
+//!   `[hash u64][offset u64][len u32]` row per record and a trailing
+//!   checksum. Missing or stale index files are not an error —
 //!   the index is rebuilt from the log by a full checksum scan.
 //! * **`manifest.json`** — the checkpoint: committed log bytes and
 //!   record count, search counters, and the frontier cursor (`head`:
@@ -33,6 +32,17 @@
 //!   (`mc_persist_compacted_bytes_total`).
 //! * **`lock`** — a pid lock file refusing concurrent writers; stale
 //!   locks (dead pid) are broken automatically.
+//!
+//! # Format versions
+//!
+//! [`FORMAT_VERSION`] stamps the log header, the index header and the
+//! manifest, and moves whenever any of them or the key layout changes:
+//! a directory of another version is refused on open, never decoded.
+//! Version 2 has one canonical short form per value and id in its keys
+//! (version 1 keys took a fixed two bytes per state id), and drops the
+//! fields version 1 always wrote as constants: the `depth` column of log
+//! records and index rows, and the manifest's `level`, `threads` and
+//! `shards`.
 //!
 //! # Recovery rules
 //!
@@ -80,12 +90,15 @@ use std::sync::Arc;
 pub const LOG_MAGIC: &[u8; 8] = b"CCRLOG1\0";
 /// Magic bytes opening every index file.
 pub const IDX_MAGIC: &[u8; 8] = b"CCRIDX1\0";
-/// On-disk format version (log, index and manifest move together).
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version (log, index, manifest and key layout move
+/// together; see the module docs).
+pub const FORMAT_VERSION: u32 = 2;
 /// Log/idx file header size: magic + version + reserved word.
 pub const FILE_HEADER: u64 = 16;
-/// Per-record header: payload length, checksum, depth.
-pub const RECORD_HEADER: usize = 12;
+/// Per-record header: payload length, checksum.
+pub const RECORD_HEADER: usize = 8;
+/// Bytes of one index row: hash, record offset, payload length.
+const IDX_ROW: usize = 8 + 8 + 4;
 /// Buffered-tail size that triggers a write to the log file.
 const TAIL_FLUSH: usize = 256 * 1024;
 
@@ -188,20 +201,22 @@ pub struct RecInfo {
     pub offset: u64,
     /// Payload length.
     pub len: u32,
-    /// The record's depth column (always 0, see the module docs).
-    pub depth: u32,
     /// Full 64-bit hash of the payload ([`crate::store::hash_encoded`]).
     pub hash: u64,
 }
 
-/// Checksum of one record: truncated splitmix-finalized FxHash over
-/// `depth ‖ payload`, so a record torn anywhere — header or body —
-/// fails verification.
-pub fn record_check(depth: u32, payload: &[u8]) -> u32 {
+/// Checksum of one record: truncated splitmix-finalized FxHash of the
+/// payload, so a record torn anywhere — header or body — fails
+/// verification.
+pub fn record_check(payload: &[u8]) -> u32 {
     let mut h = FxHasher::default();
-    h.write(&depth.to_le_bytes());
     h.write(payload);
     mix(h.finish()) as u32
+}
+
+/// The refusal of a file stamped with another [`FORMAT_VERSION`].
+fn unsupported_version(what: &str, found: u64) -> String {
+    format!("unsupported {what} format version {found} (this build reads version {FORMAT_VERSION})")
 }
 
 fn file_header() -> [u8; FILE_HEADER as usize] {
@@ -237,8 +252,6 @@ pub struct LogTier {
     offsets: Vec<u64>,
     /// Payload lengths, by record index.
     lens: Vec<u32>,
-    /// Recorded depths, by record index.
-    depths: Vec<u32>,
     /// Payload hashes, by record index (the in-memory hash64 → offset
     /// index; persisted to the idx file at checkpoints).
     hashes: Vec<u64>,
@@ -278,7 +291,6 @@ impl LogTier {
             tail: Vec::new(),
             offsets: Vec::new(),
             lens: Vec::new(),
-            depths: Vec::new(),
             hashes: Vec::new(),
             evict_at,
             err: RefCell::new(None),
@@ -328,7 +340,7 @@ impl LogTier {
         }
         let version = u32::from_le_bytes(hdr[8..12].try_into().expect("4 bytes"));
         if version != FORMAT_VERSION {
-            return Err(PersistError::new(&path, format!("unsupported log version {version}")));
+            return Err(PersistError::new(&path, unsupported_version("log", version.into())));
         }
         if let Some(committed) = committed {
             if file_len < committed {
@@ -352,7 +364,6 @@ impl LogTier {
             tail: Vec::new(),
             offsets: Vec::new(),
             lens: Vec::new(),
-            depths: Vec::new(),
             hashes: Vec::new(),
             evict_at,
             err: RefCell::new(None),
@@ -366,7 +377,6 @@ impl LogTier {
                 for r in &recs {
                     tier.offsets.push(r.offset);
                     tier.lens.push(r.len);
-                    tier.depths.push(r.depth);
                     tier.hashes.push(r.hash);
                     on_record(*r, None);
                 }
@@ -383,13 +393,12 @@ impl LogTier {
                     f.read_exact(&mut hdr).map_err(|e| PersistError::io(&path, e))?;
                     let len = u32::from_le_bytes(hdr[0..4].try_into().expect("4 bytes"));
                     let check = u32::from_le_bytes(hdr[4..8].try_into().expect("4 bytes"));
-                    let depth = u32::from_le_bytes(hdr[8..12].try_into().expect("4 bytes"));
                     let end = off + RECORD_HEADER as u64 + len as u64;
                     let mut ok = end <= scan_end;
                     if ok {
                         payload.resize(len as usize, 0);
                         f.read_exact(&mut payload).map_err(|e| PersistError::io(&path, e))?;
-                        ok = record_check(depth, &payload) == check;
+                        ok = record_check(&payload) == check;
                     }
                     if !ok {
                         if committed.is_some() {
@@ -404,15 +413,10 @@ impl LogTier {
                         }
                         break; // torn tail: keep the valid prefix
                     }
-                    let rec = RecInfo {
-                        offset: off,
-                        len,
-                        depth,
-                        hash: crate::store::hash_encoded(&payload),
-                    };
+                    let rec =
+                        RecInfo { offset: off, len, hash: crate::store::hash_encoded(&payload) };
                     tier.offsets.push(rec.offset);
                     tier.lens.push(rec.len);
-                    tier.depths.push(rec.depth);
                     tier.hashes.push(rec.hash);
                     on_record(rec, Some(&payload));
                     off = end;
@@ -445,18 +449,13 @@ impl LogTier {
         self.offsets.len()
     }
 
-    /// The depth recorded with record `i`.
-    pub fn depth(&self, i: u32) -> u32 {
-        self.depths[i as usize]
-    }
-
     /// Bytes this tier's in-memory index costs (offsets, lengths,
-    /// depths, hashes): 24 per record, charged to the fronting store's
+    /// hashes): 20 per record, charged to the fronting store's
     /// `approx_bytes`. The write tail is deliberately *excluded* — it
     /// is bounded (≤ [`TAIL_FLUSH`]) and including it would make
     /// byte-budget checks depend on flush timing.
     pub fn mem_bytes(&self) -> usize {
-        self.offsets.len() * (8 + 4 + 4 + 8)
+        self.offsets.len() * IDX_ROW
     }
 
     /// Takes the sticky I/O error, if one occurred.
@@ -493,15 +492,13 @@ impl LogTier {
     /// Appends one record; the caller guarantees `payload` is a state
     /// not seen before (the store's insert path). Write errors go to
     /// the sticky error slot.
-    pub fn append(&mut self, depth: u32, payload: &[u8]) {
+    pub fn append(&mut self, payload: &[u8]) {
         let offset = self.flushed + self.tail.len() as u64;
         self.tail.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.tail.extend_from_slice(&record_check(depth, payload).to_le_bytes());
-        self.tail.extend_from_slice(&depth.to_le_bytes());
+        self.tail.extend_from_slice(&record_check(payload).to_le_bytes());
         self.tail.extend_from_slice(payload);
         self.offsets.push(offset);
         self.lens.push(payload.len() as u32);
-        self.depths.push(depth);
         self.hashes.push(crate::store::hash_encoded(payload));
         self.stats.records_appended += 1;
         self.stats.bytes_appended += payload.len() as u64;
@@ -632,7 +629,8 @@ impl LogTier {
         if self.has_err() {
             return;
         }
-        let mut buf = Vec::with_capacity(FILE_HEADER as usize + 12 + self.offsets.len() * 24 + 4);
+        let mut buf =
+            Vec::with_capacity(FILE_HEADER as usize + 12 + self.offsets.len() * IDX_ROW + 4);
         buf.extend_from_slice(IDX_MAGIC);
         buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         buf.extend_from_slice(&[0u8; 4]); // reserved, as in the log header
@@ -641,7 +639,6 @@ impl LogTier {
         for i in 0..self.offsets.len() {
             buf.extend_from_slice(&self.hashes[i].to_le_bytes());
             buf.extend_from_slice(&self.offsets[i].to_le_bytes());
-            buf.extend_from_slice(&self.depths[i].to_le_bytes());
             buf.extend_from_slice(&self.lens[i].to_le_bytes());
         }
         let mut h = FxHasher::default();
@@ -668,7 +665,7 @@ pub fn read_idx(path: &Path, log_bytes: u64) -> Option<Vec<RecInfo>> {
     }
     let records = u32::from_le_bytes(buf[16..20].try_into().ok()?) as usize;
     let covered = u64::from_le_bytes(buf[20..28].try_into().ok()?);
-    if covered != log_bytes || buf.len() != hdr + records * 24 + 4 {
+    if covered != log_bytes || buf.len() != hdr + records * IDX_ROW + 4 {
         return None;
     }
     let body = &buf[..buf.len() - 4];
@@ -683,10 +680,9 @@ pub fn read_idx(path: &Path, log_bytes: u64) -> Option<Vec<RecInfo>> {
         out.push(RecInfo {
             hash: u64::from_le_bytes(buf[at..at + 8].try_into().ok()?),
             offset: u64::from_le_bytes(buf[at + 8..at + 16].try_into().ok()?),
-            depth: u32::from_le_bytes(buf[at + 16..at + 20].try_into().ok()?),
-            len: u32::from_le_bytes(buf[at + 20..at + 24].try_into().ok()?),
+            len: u32::from_le_bytes(buf[at + 16..at + 20].try_into().ok()?),
         });
-        at += 24;
+        at += IDX_ROW;
     }
     Some(out)
 }
@@ -765,15 +761,10 @@ pub struct Manifest {
     pub peak_frontier: u64,
     /// Milliseconds of search time accumulated (across resumes).
     pub elapsed_ms: u64,
-    /// Dense index of the next frontier state to expand.
+    /// Dense index of the next frontier state to expand. (A checkpoint
+    /// does not depend on `--threads`: the sweep is the same at every
+    /// thread count.)
     pub head: u64,
-    /// Always 0 (the sharded engine's BFS depth of the frontier).
-    pub level: u64,
-    /// Always 1, whatever `--threads` was: a checkpoint does not depend
-    /// on it.
-    pub threads: u64,
-    /// Always 1 (the sharded engine's log count).
-    pub shards: u64,
     /// Committed `(bytes, records)` of the log (one entry; the sharded
     /// engine wrote one per shard).
     pub committed: Vec<(u64, u64)>,
@@ -798,9 +789,6 @@ impl Manifest {
             map.entry("peak_frontier", &self.peak_frontier);
             map.entry("elapsed_ms", &self.elapsed_ms);
             map.entry("head", &self.head);
-            map.entry("level", &self.level);
-            map.entry("threads", &self.threads);
-            map.entry("shards", &self.shards);
             map.entry_with("committed", |ser| {
                 let mut seq = ser.begin_seq();
                 for (bytes, records) in &self.committed {
@@ -820,8 +808,18 @@ impl Manifest {
     }
 
     /// Parses a document produced by [`Manifest::to_json`].
+    /// A manifest of another [`FORMAT_VERSION`] is refused by its
+    /// version before any other field is read; any other failure is
+    /// reported as corruption.
     pub fn parse(text: &str) -> std::result::Result<Manifest, String> {
-        let json = Json::parse(text)?;
+        let json = Json::parse(text).map_err(|e| format!("corrupt manifest: {e}"))?;
+        match json.get("version").and_then(Json::as_u64) {
+            Some(v) if v != u64::from(FORMAT_VERSION) => Err(unsupported_version("manifest", v)),
+            _ => Self::from_json(&json).map_err(|e| format!("corrupt manifest: {e}")),
+        }
+    }
+
+    fn from_json(json: &Json) -> std::result::Result<Manifest, String> {
         let u64_of = |key: &str| {
             json.get(key).and_then(Json::as_u64).ok_or_else(|| format!("manifest missing `{key}`"))
         };
@@ -834,12 +832,8 @@ impl Manifest {
                 e.get("records").and_then(Json::as_u64).ok_or("committed entry records")?;
             committed.push((bytes, records));
         }
-        let version = u64_of("version")? as u32;
-        if version != FORMAT_VERSION {
-            return Err(format!("unsupported manifest version {version}"));
-        }
         Ok(Manifest {
-            version,
+            version: u64_of("version")? as u32,
             kind: json
                 .get("kind")
                 .and_then(Json::as_str)
@@ -857,9 +851,6 @@ impl Manifest {
             peak_frontier: u64_of("peak_frontier")?,
             elapsed_ms: u64_of("elapsed_ms")?,
             head: u64_of("head")?,
-            level: u64_of("level")?,
-            threads: u64_of("threads")?,
-            shards: u64_of("shards")?,
             committed,
             evict: json.get("evict").and_then(Json::as_bool).unwrap_or(false),
         })
@@ -874,9 +865,7 @@ impl Manifest {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(PersistError::io(path, e)),
         };
-        Manifest::parse(&text)
-            .map(Some)
-            .map_err(|e| PersistError::new(path, format!("corrupt manifest: {e}")))
+        Manifest::parse(&text).map(Some).map_err(|e| PersistError::new(path, e))
     }
 }
 
@@ -1012,16 +1001,16 @@ mod tests {
         dir
     }
 
-    fn payloads() -> Vec<(u32, Vec<u8>)> {
-        (0..40u32).map(|i| (i / 7, (0..=i as u8).map(|b| b.wrapping_mul(37)).collect())).collect()
+    fn payloads() -> Vec<Vec<u8>> {
+        (0..40u8).map(|i| (0..=i).map(|b| b.wrapping_mul(37)).collect()).collect()
     }
 
     fn filled_log(dir: &Path) -> (PathBuf, PathBuf, u64, u64) {
         let log = dir.join("log");
         let idx = dir.join("idx");
         let mut tier = LogTier::create(&log, 0).unwrap();
-        for (depth, p) in payloads() {
-            tier.append(depth, &p);
+        for p in payloads() {
+            tier.append(&p);
         }
         let (bytes, records) = tier.sync();
         tier.write_idx(&idx);
@@ -1034,15 +1023,15 @@ mod tests {
         let dir = tmp("roundtrip");
         let (log, idx, bytes, records) = filled_log(&dir);
         assert_eq!(records as usize, payloads().len());
-        let mut seen: Vec<(u32, Vec<u8>)> = Vec::new();
-        let tier = LogTier::recover(&log, &idx, Some(bytes), 0, false, |rec, payload| {
-            seen.push((rec.depth, payload.expect("full scan carries payloads").to_vec()));
+        let mut seen: Vec<Vec<u8>> = Vec::new();
+        let tier = LogTier::recover(&log, &idx, Some(bytes), 0, false, |_, payload| {
+            seen.push(payload.expect("full scan carries payloads").to_vec());
         })
         .unwrap();
         assert_eq!(seen, payloads());
         assert_eq!(tier.records() as u64, records);
         // Payloads read back individually too (the spill read path).
-        for (i, (_, p)) in payloads().iter().enumerate() {
+        for (i, p) in payloads().iter().enumerate() {
             assert_eq!(tier.read_payload(i as u32).as_deref(), Some(p.as_slice()));
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1086,7 +1075,7 @@ mod tests {
         let mut tier = LogTier::recover(&log, &idx, Some(bytes), 0, false, |_, _| {}).unwrap();
         assert_eq!(tier.stats().torn_bytes, 200);
         // New appends land at the live boundary, overwriting dead bytes.
-        tier.append(9, b"fresh-payload");
+        tier.append(b"fresh-payload");
         let (committed, recs) = tier.sync();
         assert_eq!(recs, records + 1);
         // Compaction trimmed the file to exactly the new live prefix.
@@ -1095,11 +1084,11 @@ mod tests {
         assert_eq!(reclaimed, 200 - (RECORD_HEADER as u64 + 13));
         // The compacted log recovers cleanly, torn tail gone.
         let mut seen = Vec::new();
-        let back = LogTier::recover(&log, &idx, Some(committed), 0, false, |rec, p| {
-            seen.push((rec.depth, p.unwrap().to_vec()));
+        let back = LogTier::recover(&log, &idx, Some(committed), 0, false, |_, p| {
+            seen.push(p.unwrap().to_vec());
         })
         .unwrap();
-        assert_eq!(seen.last(), Some(&(9u32, b"fresh-payload".to_vec())));
+        assert_eq!(seen.last(), Some(&b"fresh-payload".to_vec()));
         assert_eq!(back.stats().torn_bytes, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1127,6 +1116,25 @@ mod tests {
         let err = LogTier::recover(&log, &idx, Some(bytes), 0, false, |_, _| {})
             .expect_err("a log shorter than its manifest must fail the open");
         assert!(err.to_string().contains("truncated below"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_or_index_of_another_version_is_refused() {
+        use std::io::{Seek, Write};
+        let dir = tmp("version");
+        let (log, idx, bytes, _) = filled_log(&dir);
+        for path in [&log, &idx] {
+            let mut f = OpenOptions::new().write(true).open(path).unwrap();
+            f.seek(SeekFrom::Start(8)).unwrap();
+            f.write_all(&1u32.to_le_bytes()).unwrap();
+        }
+        assert!(read_idx(&idx, bytes).is_none(), "an index of version 1 is not trusted");
+        let mut records = 0;
+        let err = LogTier::recover(&log, &idx, Some(bytes), 0, false, |_, _| records += 1)
+            .expect_err("a log of version 1 must be refused");
+        assert!(err.to_string().contains("unsupported log format version 1"), "{err}");
+        assert_eq!(records, 0, "nothing of it is decoded");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1185,9 +1193,6 @@ mod tests {
             transitions: 456,
             peak_frontier: 78,
             elapsed_ms: 9001,
-            level: 5,
-            threads: 4,
-            shards: 8,
             committed: vec![(16, 0), (300, 7)],
             evict: true,
             ..Manifest::default()
@@ -1207,6 +1212,12 @@ mod tests {
         std::fs::write(&path, "{not json").unwrap();
         let err = Manifest::read(&path).expect_err("garbage manifest must fail");
         assert!(err.to_string().contains("corrupt manifest"), "{err}");
+        // Another format version is refused by its version, whatever else
+        // the document holds.
+        let v1 = m.to_json().replace(r#""version":2"#, r#""version":1"#);
+        std::fs::write(&path, v1).unwrap();
+        let err = Manifest::read(&path).expect_err("a version-1 manifest must be refused");
+        assert!(err.to_string().contains("unsupported manifest format version 1"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

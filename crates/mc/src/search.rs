@@ -601,9 +601,6 @@ impl SerialPersist {
             peak_frontier,
             elapsed_ms: (self.elapsed_base + elapsed).as_millis() as u64,
             head: head as u64,
-            level: 0,
-            threads: 1,
-            shards: 1,
             committed: vec![(bytes, records)],
             evict,
             ..Manifest::default()

@@ -7,8 +7,12 @@
 //! the store adds no external dependency; a threaded search computes the
 //! same 64-bit hash on its workers and hands it to the store.
 //!
-//! Two deliberate layout choices keep the constant factors down:
+//! Three deliberate layout choices keep the constant factors down:
 //!
+//! * **Eight-byte probe slots.** A slot holds the high half of the key's
+//!   hash (its *tag*) beside the key's dense index. The home slot is read
+//!   off the tag, so growing the table rehashes nothing; a tag match is
+//!   confirmed by comparing the full key bytes.
 //! * **Single-probe insertion.** [`StateStore::insert`] walks the probe
 //!   sequence once, returning the existing index or claiming the first
 //!   empty slot — no separate `get` + `insert` double probe, and no
@@ -76,8 +80,8 @@ pub(crate) fn mix(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Hashes an encoded state. The same value is used for slot probing and
-/// duplicate detection (full 64-bit compare before any byte compare).
+/// Hashes an encoded state. Its high half is the store's tag: the home
+/// slot, and the 32 bits a probe compares before any key bytes.
 #[inline]
 pub fn hash_encoded(enc: &[u8]) -> u64 {
     let mut h = FxHasher::default();
@@ -85,7 +89,9 @@ pub fn hash_encoded(enc: &[u8]) -> u64 {
     mix(h.finish())
 }
 
-const EMPTY: u32 = u32::MAX;
+/// A probe slot nobody holds. Every held slot has an index below
+/// `u32::MAX` in its low half, so no held slot is all ones.
+const EMPTY: u64 = u64::MAX;
 /// Arena-offset sentinel marking an entry whose key bytes were evicted
 /// to the log tier. A legitimate offset of `u32::MAX` cannot occur:
 /// eviction thresholds sit far below a 4 GB arena, and the store
@@ -110,10 +116,12 @@ pub struct ArenaSlot {
 /// is discovery order, used by the progress checker to address states).
 #[derive(Debug, Default)]
 pub struct StateStore {
-    /// Slot → full hash of the occupying entry (valid where `slots` is).
-    hashes: Vec<u64>,
-    /// Slot → dense entry index, or `EMPTY`.
-    slots: Vec<u32>,
+    /// The probe table: each slot is `EMPTY` or `tag << 32 | index`,
+    /// where `tag` is the high half of the entry's hash and `index` its
+    /// dense index. The home slot is the tag's low bits, so the table
+    /// grows without rehashing a key, and eight bytes a slot are all a
+    /// probe reads before it compares key bytes.
+    slots: Vec<u64>,
     /// Dense index → `(arena offset, length)`.
     entries: Vec<(u32, u32)>,
     /// Bump arena holding every key's bytes back to back. Committed data
@@ -166,40 +174,65 @@ impl StateStore {
     /// [`StateStore::insert`] with the hash precomputed by
     /// [`hash_encoded`] — a threaded search's workers hash each successor
     /// ahead of the sweep, which inserts by that value. With a disk tier
-    /// attached, new states are appended to its log (the record's depth
-    /// column is always 0: the sweep's frontier is a cursor, not a
-    /// level), and crossing the tier's eviction threshold releases the
-    /// arena wholesale.
+    /// attached, new states are appended to its log, and crossing the
+    /// tier's eviction threshold releases the arena wholesale.
     pub fn insert_hashed(&mut self, hash: u64, enc: &[u8]) -> (u32, bool) {
-        if self.slots.is_empty() || (self.len as usize + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
-        loop {
-            let idx = self.slots[i];
-            if idx == EMPTY {
-                let new_idx = self.len;
-                self.slots[i] = new_idx;
-                self.hashes[i] = hash;
-                let off = self.data;
-                debug_assert!(off + enc.len() <= u32::MAX as usize, "arena overflow");
-                self.push_bytes(enc);
-                self.entries.push((off as u32, enc.len() as u32));
-                self.len += 1;
-                if let Some(tier) = self.tier.as_deref_mut() {
-                    tier.append(0, enc);
-                    let evict_at = tier.evict_at;
-                    if evict_at > 0 && self.data > 0 && self.approx_bytes() > evict_at {
-                        self.evict_arena();
-                    }
-                }
-                return (new_idx, true);
+        self.reserve_one();
+        let slot = match self.probe(hash, |idx| self.stored_eq(idx, enc)) {
+            Ok(idx) => return (idx, false),
+            Err(slot) => slot,
+        };
+        let new_idx = self.claim(slot, hash);
+        let off = self.data;
+        debug_assert!(off + enc.len() <= u32::MAX as usize, "arena overflow");
+        self.push_bytes(enc);
+        self.entries.push((off as u32, enc.len() as u32));
+        if let Some(tier) = self.tier.as_deref_mut() {
+            tier.append(enc);
+            let evict_at = tier.evict_at;
+            if evict_at > 0 && self.data > 0 && self.approx_bytes() > evict_at {
+                self.evict_arena();
             }
-            if self.hashes[i] == hash && self.stored_eq(idx, enc) {
-                return (idx, false);
+        }
+        (new_idx, true)
+    }
+
+    /// Walks `hash`'s probe sequence: `Ok(index)` of the first entry
+    /// whose tag matches and for which `eq` holds (the caller compares
+    /// the full key bytes), or `Err(slot)` of the first empty slot. The
+    /// table must have one.
+    #[inline]
+    fn probe(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Result<u32, usize> {
+        let tag = hash >> 32;
+        let mask = self.slots.len() - 1;
+        let mut i = tag as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot == EMPTY {
+                return Err(i);
+            }
+            if slot >> 32 == tag && eq(slot as u32) {
+                return Ok(slot as u32);
             }
             i = (i + 1) & mask;
+        }
+    }
+
+    /// Gives empty slot `slot` to a new entry with `hash` and returns the
+    /// entry's dense index; the caller records its bytes.
+    #[inline]
+    fn claim(&mut self, slot: usize, hash: u64) -> u32 {
+        let idx = self.len;
+        self.slots[slot] = (hash >> 32) << 32 | u64::from(idx);
+        self.len += 1;
+        idx
+    }
+
+    /// Grows the table if one more entry would pass its 7/8 load factor.
+    #[inline]
+    fn reserve_one(&mut self) {
+        if (self.len as usize + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
         }
     }
 
@@ -246,42 +279,29 @@ impl StateStore {
         let start = slot.start;
         debug_assert_eq!(start, self.data, "slots must be resolved in open order");
         let hash = hash_encoded(&self.arena[start..start + written]);
-        if self.slots.is_empty() || (self.len as usize + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
+        self.reserve_one();
+        let slot = match self.probe(hash, |idx| self.slot_eq(idx, start, written)) {
+            // Rollback: the bump pointer never moved, so the committed
+            // arena is byte-identical to the moment the slot was opened.
+            Ok(idx) => return (idx, false),
+            Err(slot) => slot,
+        };
+        let new_idx = self.claim(slot, hash);
+        debug_assert!(start + written <= u32::MAX as usize, "arena overflow");
+        if let Some(tier) = self.tier.as_deref_mut() {
+            tier.append(&self.arena[start..start + written]);
         }
-        let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
-        loop {
-            let idx = self.slots[i];
-            if idx == EMPTY {
-                let new_idx = self.len;
-                self.slots[i] = new_idx;
-                self.hashes[i] = hash;
-                debug_assert!(start + written <= u32::MAX as usize, "arena overflow");
-                self.len += 1;
-                if let Some(tier) = self.tier.as_deref_mut() {
-                    tier.append(0, &self.arena[start..start + written]);
-                }
-                // Commit: advance the bump pointer past the slot — the
-                // encode was the arena write.
-                self.data = start + written;
-                self.entries.push((start as u32, written as u32));
-                if let Some(tier) = self.tier.as_deref() {
-                    let evict_at = tier.evict_at;
-                    if evict_at > 0 && self.data > 0 && self.approx_bytes() > evict_at {
-                        self.evict_arena();
-                    }
-                }
-                return (new_idx, true);
+        // Commit: advance the bump pointer past the slot — the encode was
+        // the arena write.
+        self.data = start + written;
+        self.entries.push((start as u32, written as u32));
+        if let Some(tier) = self.tier.as_deref() {
+            let evict_at = tier.evict_at;
+            if evict_at > 0 && self.data > 0 && self.approx_bytes() > evict_at {
+                self.evict_arena();
             }
-            if self.hashes[i] == hash && self.slot_eq(idx, start, written) {
-                // Rollback: the bump pointer never moved, so the
-                // committed arena is byte-identical to the moment the
-                // slot was opened.
-                return (idx, false);
-            }
-            i = (i + 1) & mask;
         }
+        (new_idx, true)
     }
 
     /// Whether stored entry `idx` equals the open slot's bytes at
@@ -338,16 +358,9 @@ impl StateStore {
     /// insert when appended). `payload == None` rebuilds an
     /// already-evicted entry from the index alone.
     pub fn rebuild_insert(&mut self, hash: u64, payload: Option<&[u8]>, len: u32) {
-        if self.slots.is_empty() || (self.len as usize + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
-        while self.slots[i] != EMPTY {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = self.len;
-        self.hashes[i] = hash;
+        self.reserve_one();
+        let Err(slot) = self.probe(hash, |_| false) else { unreachable!("no entry is equal") };
+        self.claim(slot, hash);
         match payload {
             Some(p) => {
                 debug_assert_eq!(p.len(), len as usize);
@@ -357,7 +370,6 @@ impl StateStore {
             }
             None => self.entries.push((EVICTED, len)),
         }
-        self.len += 1;
     }
 
     /// Looks up an encoded state.
@@ -365,19 +377,7 @@ impl StateStore {
         if self.slots.is_empty() {
             return None;
         }
-        let hash = hash_encoded(enc);
-        let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
-        loop {
-            let idx = self.slots[i];
-            if idx == EMPTY {
-                return None;
-            }
-            if self.hashes[i] == hash && self.stored_eq(idx, enc) {
-                return Some(idx);
-            }
-            i = (i + 1) & mask;
-        }
+        self.probe(hash_encoded(enc), |idx| self.stored_eq(idx, enc)).ok()
     }
 
     /// The encoded bytes of state `idx`, or `None` when the entry was
@@ -408,21 +408,18 @@ impl StateStore {
         self.tier.as_deref()?.read_payload(idx)
     }
 
+    /// Doubles the table. Every slot carries the tag its home slot is
+    /// read off, so no key is hashed again.
     fn grow(&mut self) {
         let new_cap = (self.slots.len() * 2).max(MIN_CAP);
         let old_slots = std::mem::replace(&mut self.slots, vec![EMPTY; new_cap]);
-        let old_hashes = std::mem::replace(&mut self.hashes, vec![0; new_cap]);
         let mask = new_cap - 1;
-        for (slot, hash) in old_slots.into_iter().zip(old_hashes) {
-            if slot == EMPTY {
-                continue;
-            }
-            let mut i = (hash as usize) & mask;
+        for slot in old_slots.into_iter().filter(|&slot| slot != EMPTY) {
+            let mut i = (slot >> 32) as usize & mask;
             while self.slots[i] != EMPTY {
                 i = (i + 1) & mask;
             }
             self.slots[i] = slot;
-            self.hashes[i] = hash;
         }
     }
 
@@ -441,7 +438,7 @@ impl StateStore {
     /// allocation within 2× (asserted by a unit test).
     pub fn approx_bytes(&self) -> usize {
         self.data
-            + self.slots.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<u64>())
+            + self.slots.len() * std::mem::size_of::<u64>()
             + self.entries.len() * std::mem::size_of::<(u32, u32)>()
             + std::mem::size_of::<Self>()
             + self.tier.as_deref().map_or(0, LogTier::mem_bytes)
@@ -453,8 +450,8 @@ impl StateStore {
     /// search's hot path nothing.
     pub fn probe_displacements(&self) -> impl Iterator<Item = u64> + '_ {
         let mask = self.slots.len().wrapping_sub(1);
-        self.slots.iter().enumerate().filter(|(_, &slot)| slot != EMPTY).map(move |(i, _)| {
-            let home = (self.hashes[i] as usize) & mask;
+        self.slots.iter().enumerate().filter(|(_, &slot)| slot != EMPTY).map(move |(i, &slot)| {
+            let home = (slot >> 32) as usize & mask;
             (i.wrapping_sub(home) & mask) as u64
         })
     }
@@ -526,6 +523,32 @@ mod tests {
     }
 
     #[test]
+    fn tag_collisions_compare_key_bytes_and_survive_growth() {
+        // Two hashes with one high half: every slot a probe meets carries
+        // the tag it looks for, so only the key bytes tell entries apart,
+        // and every entry's home slot is the same through four doublings.
+        let mut st = StateStore::new();
+        let hash = |i: usize| 0xDEAD_BEEF_0000_0000 | (i % 2) as u64;
+        let keys: Vec<[u8; 4]> = (0u32..200).map(u32::to_le_bytes).collect();
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(st.insert_hashed(hash(i), k), (i as u32, true), "key {i}");
+        }
+        assert_eq!(st.slots.len(), 256, "the table grew from 16 slots");
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(st.insert_hashed(hash(i), k), (i as u32, false), "key {i}");
+            assert_eq!(st.key_bytes(i as u32), Some(&k[..]));
+        }
+        assert_eq!(st.insert_hashed(hash(0), b"fresh"), (200, true));
+        // A replay of the same hashes rebuilds the same table.
+        let mut rebuilt = StateStore::new();
+        for (i, k) in keys.iter().enumerate() {
+            rebuilt.rebuild_insert(hash(i), Some(k), 4);
+        }
+        rebuilt.rebuild_insert(hash(0), Some(b"fresh"), 5);
+        assert_eq!(rebuilt.slots, st.slots);
+    }
+
+    #[test]
     fn store_handles_variable_length_and_prefix_keys() {
         let mut st = StateStore::new();
         // Keys that are prefixes of each other must not be conflated by the
@@ -553,8 +576,7 @@ mod tests {
         }
         // The real heap allocation behind the store, from capacities.
         let actual = st.arena.capacity()
-            + st.slots.capacity() * std::mem::size_of::<u32>()
-            + st.hashes.capacity() * std::mem::size_of::<u64>()
+            + st.slots.capacity() * std::mem::size_of::<u64>()
             + st.entries.capacity() * std::mem::size_of::<(u32, u32)>()
             + std::mem::size_of::<StateStore>();
         let approx = st.approx_bytes();

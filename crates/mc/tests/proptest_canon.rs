@@ -44,7 +44,14 @@ use std::sync::OnceLock;
 const N: u32 = 3;
 
 fn shipped(name: &str) -> ProtocolSpec {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs").join(name);
+    // This crate's directory, or the repository root when the root
+    // package includes this file (`tests/crate_suites.rs`).
+    let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let specs = [here.join("../../specs"), here.join("specs")]
+        .into_iter()
+        .find(|dir| dir.is_dir())
+        .expect("the repository's specs/");
+    let path = specs.join(name);
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     parse_validated(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
 }

@@ -33,10 +33,10 @@ fn tmp(tag: &str) -> PathBuf {
 /// Builds a synced log from `payloads` and returns its total byte
 /// length plus the record geometry (recovered back, which also
 /// round-trip-checks the happy path).
-fn build_log(log: &Path, payloads: &[(u32, Vec<u8>)]) -> (u64, Vec<RecInfo>) {
+fn build_log(log: &Path, payloads: &[Vec<u8>]) -> (u64, Vec<RecInfo>) {
     let mut tier = LogTier::create(log, 0).unwrap();
-    for (depth, p) in payloads {
-        tier.append(*depth, p);
+    for p in payloads {
+        tier.append(p);
     }
     let (bytes, records) = tier.sync();
     assert!(tier.take_err().is_none(), "test log must build cleanly");
@@ -45,7 +45,7 @@ fn build_log(log: &Path, payloads: &[(u32, Vec<u8>)]) -> (u64, Vec<RecInfo>) {
     let mut recs = Vec::new();
     let missing_idx = log.with_extension("no-idx");
     LogTier::recover(log, &missing_idx, Some(bytes), 0, false, |rec, payload| {
-        assert_eq!(payload, Some(&payloads[recs.len()].1[..]));
+        assert_eq!(payload, Some(&payloads[recs.len()][..]));
         recs.push(rec);
     })
     .unwrap();
@@ -65,7 +65,7 @@ fn survivors(recs: &[RecInfo], full: u64, t: u64) -> usize {
 fn check_cut(
     log: &Path,
     scratch: &Path,
-    payloads: &[(u32, Vec<u8>)],
+    payloads: &[Vec<u8>],
     full: u64,
     recs: &[RecInfo],
     t: u64,
@@ -78,8 +78,8 @@ fn check_cut(
     // Manifest-less recovery: the longest clean prefix, bit-exact.
     let mut seen = 0usize;
     let recovered = LogTier::recover(scratch, &missing_idx, None, 0, false, |rec, payload| {
-        assert_eq!(payload, Some(&payloads[seen].1[..]), "cut at {t}: payload {seen} differs");
-        assert_eq!(rec.depth, payloads[seen].0, "cut at {t}: depth {seen} differs");
+        assert_eq!(payload, Some(&payloads[seen][..]), "cut at {t}: payload {seen} differs");
+        assert_eq!(rec.len as usize, payloads[seen].len(), "cut at {t}: length {seen} differs");
         seen += 1;
     });
     if t < header {
@@ -131,8 +131,7 @@ fn every_truncation_offset_recovers_cleanly_or_reports() {
     let dir = tmp("sweep");
     let log = dir.join("log");
     let scratch = dir.join("cut");
-    let payloads: Vec<(u32, Vec<u8>)> =
-        (0..12u32).map(|i| (i / 3, (0..(i * 5) as u8).collect())).collect();
+    let payloads: Vec<Vec<u8>> = (0..12u8).map(|i| (0..i * 5).collect()).collect();
     let (full, recs) = build_log(&log, &payloads);
     for t in 0..=full {
         check_cut(&log, &scratch, &payloads, full, &recs, t);
@@ -145,10 +144,7 @@ proptest! {
 
     #[test]
     fn random_logs_random_cuts(
-        payloads in prop::collection::vec(
-            (0u32..64, prop::collection::vec(any::<u8>(), 0..48)),
-            1..24,
-        ),
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 1..24),
         cut in any::<u64>(),
     ) {
         let dir = tmp("random");
@@ -162,10 +158,7 @@ proptest! {
 
     #[test]
     fn bit_rot_in_the_committed_region_is_reported(
-        payloads in prop::collection::vec(
-            (0u32..64, prop::collection::vec(any::<u8>(), 1..32)),
-            1..16,
-        ),
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..32), 1..16),
         at in any::<u64>(),
         flip in 1u8..=255,
     ) {

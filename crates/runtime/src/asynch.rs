@@ -20,7 +20,7 @@
 use crate::error::{Result, RuntimeError};
 use crate::system::{Label, LabelKind, SentMsg, TransitionSystem};
 use crate::wire::{encode_payload, Link, Reader, Wire};
-use ccr_core::encode::{Identity, Renaming, Sink, SliceSink};
+use ccr_core::encode::{Identity, Renaming, Sink, SliceSink, ID_MAX_ENCODED_LEN};
 use ccr_core::expr::EvalCtx;
 use ccr_core::ids::{MsgType, ProcessId, RemoteId, StateId};
 use ccr_core::inline::InlineVec;
@@ -276,12 +276,12 @@ fn slot<V: Copy + Default>(table: &[Vec<V>], state: StateId, branch: u32) -> V {
 impl<'a> AsyncSystem<'a> {
     /// Creates the system. Panics if `config.home_buffer < 2` (§3.2), or
     /// if `n` or a configured capacity is past what the state encoding can
-    /// count: remote ids take two bytes, the home-buffer and link lengths
-    /// one. (The spec-side widths are checked by
+    /// count: remote ids below 2^16 (at most three bytes, one below 128),
+    /// the home-buffer and link lengths one byte. (The spec-side widths are checked by
     /// [`ccr_core::validate::validate`].)
     pub fn new(refined: &'a RefinedProtocol, n: u32, config: AsyncConfig) -> Self {
         assert!(config.home_buffer >= 2, "the home buffer must hold at least 2 messages (§3.2)");
-        assert!(n <= 1 << 16, "{n} remotes, but the state encoding stores a remote id in 2 bytes");
+        assert!(n <= 1 << 16, "{n} remotes, but the state encoding stores remote ids below 2^16");
         let buf_cap = config.home_buffer.saturating_add(config.unacked_allowance);
         assert!(
             buf_cap <= u8::MAX as usize,
@@ -351,20 +351,20 @@ impl<'a> AsyncSystem<'a> {
         match s.home.phase {
             HomePhase::At(st) => {
                 out.put(0);
-                out.put_all(&(st.0 as u16).to_le_bytes());
+                out.put_id(st.0);
             }
             HomePhase::Awaiting { state, branch, target } => {
                 out.put(1);
-                out.put_all(&(state.0 as u16).to_le_bytes());
+                out.put_id(state.0);
                 out.put(branch as u8);
-                out.put_all(&(ren.remote(target).0 as u16).to_le_bytes());
+                out.put_id(ren.remote(target).0);
             }
         }
         s.home.env.encode_renamed(ren, out);
         out.put(s.home.cursor as u8);
         out.put(s.home.buf.len() as u8);
         for e in &s.home.buf {
-            out.put_all(&(ren.remote(e.from).0 as u16).to_le_bytes());
+            out.put_id(ren.remote(e.from).0);
             out.put(e.msg.0 as u8);
             encode_payload(e.val, ren, out);
         }
@@ -373,11 +373,11 @@ impl<'a> AsyncSystem<'a> {
             match r.phase {
                 RemotePhase::At(st) => {
                     out.put(0);
-                    out.put_all(&(st.0 as u16).to_le_bytes());
+                    out.put_id(st.0);
                 }
                 RemotePhase::Awaiting { state, branch } => {
                     out.put(1);
-                    out.put_all(&(state.0 as u16).to_le_bytes());
+                    out.put_id(state.0);
                     out.put(branch as u8);
                 }
             }
@@ -1470,14 +1470,22 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
         let remote_vars = self.spec().remote.initial_env().len();
         let buf_cap = self.config.home_buffer + self.config.unacked_allowance;
         let link = Link::max_encoded_len(self.config.link_capacity);
-        // Home: phase (≤ 6) + env + cursor + buffer length + entries,
-        // each `from` u16 + msg + payload flag + payload value.
-        let home =
-            6 + home_vars * Value::MAX_ENCODED_LEN + 2 + buf_cap * (4 + Value::MAX_ENCODED_LEN);
-        // Remote: phase (≤ 4) + env + parked message (≤ 3 + value) + the
-        // two directed links.
-        let remote =
-            4 + remote_vars * Value::MAX_ENCODED_LEN + 3 + Value::MAX_ENCODED_LEN + 2 * link;
+        // Home: phase (tag, state id, branch, target id) + env + cursor +
+        // buffer length + entries, each `from` id + msg + payload flag +
+        // payload value.
+        let home = 2
+            + 2 * ID_MAX_ENCODED_LEN
+            + home_vars * Value::MAX_ENCODED_LEN
+            + 2
+            + buf_cap * (ID_MAX_ENCODED_LEN + 2 + Value::MAX_ENCODED_LEN);
+        // Remote: phase (tag, state id, branch) + env + parked message
+        // (≤ 3 + value) + the two directed links.
+        let remote = 2
+            + ID_MAX_ENCODED_LEN
+            + remote_vars * Value::MAX_ENCODED_LEN
+            + 3
+            + Value::MAX_ENCODED_LEN
+            + 2 * link;
         Some(home + self.n as usize * remote)
     }
 
@@ -1512,11 +1520,11 @@ impl AsyncSystem<'_> {
     pub(crate) fn parse_into(&self, r: &mut Reader<'_>, into: &mut AsyncState) -> Option<()> {
         let home = &mut into.home;
         home.phase = match r.u8()? {
-            0 => HomePhase::At(StateId(r.u16()? as u32)),
+            0 => HomePhase::At(StateId(r.id()?)),
             1 => {
-                let state = StateId(r.u16()? as u32);
+                let state = StateId(r.id()?);
                 let branch = r.u8()? as u32;
-                let target = RemoteId(r.u16()? as u32);
+                let target = RemoteId(r.id()?);
                 HomePhase::Awaiting { state, branch, target }
             }
             _ => return None,
@@ -1525,7 +1533,7 @@ impl AsyncSystem<'_> {
         home.cursor = r.u8()? as u32;
         home.buf.clear();
         for _ in 0..r.u8()? {
-            let from = RemoteId(r.u16()? as u32);
+            let from = RemoteId(r.id()?);
             let msg = MsgType(r.u8()? as u32);
             home.buf.push(BufEntry { from, msg, val: r.payload()? });
         }
@@ -1537,9 +1545,9 @@ impl AsyncSystem<'_> {
         let remote_vars = self.spec().remote.vars.len();
         for remote in &mut into.remotes {
             remote.phase = match r.u8()? {
-                0 => RemotePhase::At(StateId(r.u16()? as u32)),
+                0 => RemotePhase::At(StateId(r.id()?)),
                 1 => {
-                    let state = StateId(r.u16()? as u32);
+                    let state = StateId(r.id()?);
                     let branch = r.u8()? as u32;
                     RemotePhase::Awaiting { state, branch }
                 }

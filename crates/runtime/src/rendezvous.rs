@@ -8,7 +8,7 @@
 use crate::error::{Result, RuntimeError};
 use crate::system::{Label, LabelKind, TransitionSystem};
 use crate::wire::Reader;
-use ccr_core::encode::{Identity, Renaming, Sink, SliceSink};
+use ccr_core::encode::{Identity, Renaming, Sink, SliceSink, ID_MAX_ENCODED_LEN};
 use ccr_core::expr::EvalCtx;
 use ccr_core::ids::{MsgType, ProcessId, RemoteId, StateId};
 use ccr_core::process::{Branch, CommAction, Peer, Process, ProtocolSpec, StateKind};
@@ -67,11 +67,11 @@ impl<'a> RendezvousSystem<'a> {
     /// `ren` (see `AsyncSystem::encode_renamed`); `encode` and
     /// `encode_into` are the [`Identity`] instances.
     pub fn encode_renamed(&self, s: &RvState, ren: &impl Renaming, out: &mut impl Sink) {
-        out.put_all(&(s.home.state.0 as u16).to_le_bytes());
+        out.put_id(s.home.state.0);
         s.home.env.encode_renamed(ren, out);
         for slot in 0..s.remotes.len() {
             let r = &s.remotes[ren.source(slot)];
-            out.put_all(&(r.state.0 as u16).to_le_bytes());
+            out.put_id(r.state.0);
             r.env.encode_renamed(ren, out);
         }
     }
@@ -350,8 +350,9 @@ impl<'a> TransitionSystem for RendezvousSystem<'a> {
         let home_vars = self.spec.home.initial_env().len();
         let remote_vars = self.spec.remote.initial_env().len();
         Some(
-            2 + home_vars * Value::MAX_ENCODED_LEN
-                + self.n as usize * (2 + remote_vars * Value::MAX_ENCODED_LEN),
+            ID_MAX_ENCODED_LEN
+                + home_vars * Value::MAX_ENCODED_LEN
+                + self.n as usize * (ID_MAX_ENCODED_LEN + remote_vars * Value::MAX_ENCODED_LEN),
         )
     }
 
@@ -374,7 +375,7 @@ impl<'a> TransitionSystem for RendezvousSystem<'a> {
         }
         let mut r = Reader::new(bytes);
         let mut local = |l: &mut Local, vars: usize| -> Option<()> {
-            l.state = StateId(r.u16()? as u32);
+            l.state = StateId(r.id()?);
             r.env(&mut l.env, vars)
         };
         let remote_vars = self.spec.remote.vars.len();

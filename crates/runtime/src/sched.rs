@@ -5,17 +5,21 @@
 //! adversarial spread of policies: uniformly random, rotating round-robin,
 //! and a biased scheduler that can starve chosen remotes — used by the §6
 //! buffer/fairness experiments.
+//!
+//! A scheduler sees each enabled transition as the process that would
+//! take it: that is all any policy here reads, and it is what the
+//! simulator can hand over without copying a label.
 
-use crate::system::Label;
 use ccr_core::ids::{ProcessId, RemoteId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A scheduling policy over enabled transitions.
 pub trait Scheduler {
-    /// Picks the index of the transition to fire among `choices`, or `None`
-    /// to halt (only meaningful for bounded policies).
-    fn pick(&mut self, choices: &[Label]) -> Option<usize>;
+    /// Picks the index of the transition to fire among the enabled ones,
+    /// given as the actor of each (`choices[i]` takes transition `i`), or
+    /// `None` to halt (only meaningful for bounded policies).
+    fn pick(&mut self, choices: &[ProcessId]) -> Option<usize>;
 }
 
 /// Chooses uniformly at random (seeded, reproducible).
@@ -32,7 +36,7 @@ impl RandomSched {
 }
 
 impl Scheduler for RandomSched {
-    fn pick(&mut self, choices: &[Label]) -> Option<usize> {
+    fn pick(&mut self, choices: &[ProcessId]) -> Option<usize> {
         if choices.is_empty() {
             None
         } else {
@@ -64,14 +68,14 @@ impl RoundRobinSched {
 }
 
 impl Scheduler for RoundRobinSched {
-    fn pick(&mut self, choices: &[Label]) -> Option<usize> {
+    fn pick(&mut self, choices: &[ProcessId]) -> Option<usize> {
         if choices.is_empty() {
             return None;
         }
         let total = self.n + 1;
         for off in 0..total {
             let want = (self.next + off) % total;
-            if let Some(idx) = choices.iter().position(|l| self.actor_index(l.actor) == want) {
+            if let Some(idx) = choices.iter().position(|&a| self.actor_index(a) == want) {
                 self.next = (want + 1) % total;
                 return Some(idx);
             }
@@ -97,20 +101,19 @@ impl BiasedSched {
 }
 
 impl Scheduler for BiasedSched {
-    fn pick(&mut self, choices: &[Label]) -> Option<usize> {
+    fn pick(&mut self, choices: &[ProcessId]) -> Option<usize> {
         if choices.is_empty() {
             return None;
         }
         // Count the preferred, draw, and find the drawn one in a second
         // pass: a pick allocates nothing (E4 picks once per step).
         let victims = &self.victims;
-        let preferred =
-            |l: &&Label| !matches!(l.actor, ProcessId::Remote(r) if victims.contains(&r));
+        let preferred = |a: &&ProcessId| !matches!(a, ProcessId::Remote(r) if victims.contains(r));
         match choices.iter().filter(preferred).count() {
             0 => Some(self.rng.random_range(0..choices.len())),
             count => {
                 let nth = self.rng.random_range(0..count);
-                choices.iter().enumerate().filter(|(_, l)| preferred(l)).nth(nth).map(|(i, _)| i)
+                choices.iter().enumerate().filter(|(_, a)| preferred(a)).nth(nth).map(|(i, _)| i)
             }
         }
     }
@@ -119,15 +122,16 @@ impl Scheduler for BiasedSched {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::LabelKind;
 
-    fn lbl(a: ProcessId) -> Label {
-        Label::new(a, LabelKind::Tau, "tau")
+    const HOME: ProcessId = ProcessId::Home;
+
+    fn remote(i: u32) -> ProcessId {
+        ProcessId::Remote(RemoteId(i))
     }
 
     #[test]
     fn random_sched_is_reproducible_and_in_range() {
-        let choices = vec![lbl(ProcessId::Home), lbl(ProcessId::Remote(RemoteId(0)))];
+        let choices = [HOME, remote(0)];
         let mut a = RandomSched::new(42);
         let mut b = RandomSched::new(42);
         for _ in 0..50 {
@@ -141,11 +145,7 @@ mod tests {
 
     #[test]
     fn round_robin_rotates_actors() {
-        let choices = vec![
-            lbl(ProcessId::Home),
-            lbl(ProcessId::Remote(RemoteId(0))),
-            lbl(ProcessId::Remote(RemoteId(1))),
-        ];
+        let choices = [HOME, remote(0), remote(1)];
         let mut s = RoundRobinSched::new(2);
         let picks: Vec<usize> = (0..3).map(|_| s.pick(&choices).unwrap()).collect();
         assert_eq!(picks, vec![0, 1, 2]);
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn round_robin_skips_absent_actors() {
-        let choices = vec![lbl(ProcessId::Remote(RemoteId(1)))];
+        let choices = [remote(1)];
         let mut s = RoundRobinSched::new(2);
         assert_eq!(s.pick(&choices), Some(0));
         assert_eq!(s.pick(&[]), None);
@@ -163,15 +163,14 @@ mod tests {
 
     #[test]
     fn biased_starves_victims_when_alternatives_exist() {
-        let choices =
-            vec![lbl(ProcessId::Remote(RemoteId(0))), lbl(ProcessId::Remote(RemoteId(1)))];
+        let choices = [remote(0), remote(1)];
         let mut s = BiasedSched::new(vec![RemoteId(0)], 7);
         for _ in 0..50 {
             assert_eq!(s.pick(&choices), Some(1));
         }
         // Only victim transitions available: must still pick one (weak
         // fairness of the whole system).
-        let only_victim = vec![lbl(ProcessId::Remote(RemoteId(0)))];
+        let only_victim = [remote(0)];
         assert_eq!(s.pick(&only_victim), Some(0));
     }
 }

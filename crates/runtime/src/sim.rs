@@ -20,6 +20,7 @@ use crate::observe::emit_label_events;
 use crate::sched::Scheduler;
 use crate::stats::MsgStats;
 use crate::system::{Label, TransitionSystem};
+use ccr_core::ids::ProcessId;
 use ccr_trace::{NullSink, TraceEvent, TraceSink};
 use serde::Serialize;
 use std::ops::ControlFlow;
@@ -58,10 +59,10 @@ pub struct Simulator<'s, T: TransitionSystem> {
     /// before the next step. Kept for their capacity.
     cached: Vec<Vec<Label>>,
     dirty: Vec<bool>,
-    /// The labels `filter` accepted in the step under way, as the
-    /// scheduler sees them, and which successor — group and ordinal in
-    /// it — each one is. Kept for their capacity.
-    labels: Vec<Label>,
+    /// The actors of the transitions `filter` accepted in the step under
+    /// way — all a scheduler reads of them — and which successor, group
+    /// and ordinal in it, each one is. Kept for their capacity.
+    actors: Vec<ProcessId>,
     picks: Vec<(usize, usize)>,
     /// Transitions the last step's state had, accepted or not.
     fanout: usize,
@@ -83,7 +84,7 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
             stats: MsgStats::new(),
             cached: vec![Vec::new(); groups],
             dirty: vec![true; groups],
-            labels: Vec::new(),
+            actors: Vec::new(),
             picks: Vec::new(),
             fanout: 0,
             last_home_buf: None,
@@ -148,20 +149,20 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
             self.scratch.clone_from(&self.state);
             self.stale = false;
         }
-        self.labels.clear();
+        self.actors.clear();
         self.picks.clear();
         self.fanout = 0;
         self.enumerate_dirty()?;
         for (group, cached) in self.cached.iter().enumerate() {
             for (ordinal, label) in cached.iter().enumerate() {
                 if filter(label) {
-                    self.labels.push(label.clone());
+                    self.actors.push(label.actor);
                     self.picks.push((group, ordinal));
                 }
             }
             self.fanout += cached.len();
         }
-        let Some(idx) = sched.pick(&self.labels).filter(|&idx| idx < self.labels.len()) else {
+        let Some(idx) = sched.pick(&self.actors).filter(|&idx| idx < self.actors.len()) else {
             return Ok(None);
         };
         let (group, ordinal) = self.picks[idx];
@@ -169,7 +170,10 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
             .sys
             .fire(&mut self.state, &mut self.scratch, group, ordinal, &mut self.dirty)?
             .expect("the enumeration counted this successor");
-        debug_assert_eq!(label, self.labels[idx], "fired another transition than the one chosen");
+        debug_assert_eq!(
+            label, self.cached[group][ordinal],
+            "fired another transition than the one chosen"
+        );
         let seq = self.stats.steps;
         self.stats.record(&label);
         for m in label.emissions() {
@@ -352,7 +356,6 @@ pub(crate) mod tests {
 
     #[test]
     fn filter_can_freeze_a_remote() {
-        use ccr_core::ids::ProcessId;
         let spec = token_spec();
         let refined = refine(&spec, &RefineOptions::default()).unwrap();
         let sys = AsyncSystem::new(&refined, 2, AsyncConfig::default());

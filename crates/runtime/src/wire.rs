@@ -6,7 +6,7 @@
 //! and *check* (rather than assume) that the bound is never exceeded — an
 //! overflow surfaces as [`crate::RuntimeError::LinkOverflow`].
 
-use ccr_core::encode::{Identity, Renaming, Sink};
+use ccr_core::encode::{Identity, Renaming, Sink, ID_MAX_ENCODED_LEN};
 use ccr_core::ids::MsgType;
 use ccr_core::ids::{ProcessId, RemoteId};
 use ccr_core::inline::InlineVec;
@@ -277,6 +277,21 @@ impl<'b> Reader<'b> {
         Some(u16::from_le_bytes(b))
     }
 
+    /// An id as [`Sink::put_id`] writes it; `None` past the end, past
+    /// [`ID_MAX_ENCODED_LEN`] bytes, or on a longer form of an id that
+    /// has a shorter one (a last byte of 0 after the first).
+    pub(crate) fn id(&mut self) -> Option<u32> {
+        let mut id = 0;
+        for shift in (0..ID_MAX_ENCODED_LEN as u32).map(|i| 7 * i) {
+            let b = self.u8()?;
+            id |= u32::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                return (shift == 0 || b != 0).then_some(id);
+            }
+        }
+        None
+    }
+
     pub(crate) fn u32(&mut self) -> Option<u32> {
         let b: [u8; 4] = self.bytes.get(self.off..self.off + 4)?.try_into().ok()?;
         self.off += 4;
@@ -512,6 +527,21 @@ mod tests {
             Err(crate::RuntimeError::Decode { offset: 3, .. })
         ));
         assert!(Wire::decode(&[99]).is_err());
+    }
+
+    #[test]
+    fn ids_read_back_and_longer_forms_are_refused() {
+        for id in 0..1u32 << 16 {
+            let mut buf = Vec::new();
+            buf.put_id(id);
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.id(), Some(id));
+            assert!(r.at_end());
+        }
+        // 5 written as two and three bytes; four bytes; a truncated form.
+        for bad in [&[0x85, 0][..], &[0x85, 0x80, 0], &[0x80, 0x80, 0x80, 1], &[0x80]] {
+            assert_eq!(Reader::new(bad).id(), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property tests for the zero-copy insert path: the fixed-width
+//! Property tests for the zero-copy insert path: the slot
 //! `encode_into` fast path must be **byte-identical** to the reference
 //! `encode` on randomly reached states of every shipped spec (both
 //! protocol levels), and a duplicate resolved through the arena-slot
@@ -11,7 +11,8 @@
 //! Random walks, not the full reachable set: proptest drives the step
 //! choices, so each case exercises a different slice of the space —
 //! including deep states whose queue/link occupancy stresses the
-//! fixed-width layout harder than the initial-state neighborhood.
+//! layout harder than the initial-state neighborhood — and two walks
+//! that reach the long forms of masks and remote ids.
 
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
@@ -104,6 +105,75 @@ fn walk_and_check<T: TransitionSystem>(sys: &T, steps: &[usize], context: &str) 
     for idx in 0..store.len() as u32 {
         assert!(store.key_bytes(idx).is_some(), "{context}: entry {idx} lost its bytes");
     }
+}
+
+/// Walks `sys` for up to `steps` transitions — at step `i` successor
+/// `pick(i, count)` — and checks at every state that both encoders agree
+/// within `max_encoded_len` and that the key reads back. Returns how many
+/// of the states `wide` held for.
+fn wide_walk<T: TransitionSystem>(
+    sys: &T,
+    steps: usize,
+    pick: impl Fn(usize, usize) -> usize,
+    wide: impl Fn(&T::State) -> bool,
+) -> usize {
+    let bound = sys.max_encoded_len().expect("shipped systems advertise a bound");
+    let (mut state, mut succs, mut back) = (sys.initial(), Vec::new(), sys.initial());
+    let mut slot = vec![0; bound];
+    let mut seen = 0;
+    for i in 0..steps {
+        let key = sys.encoded(&state);
+        assert!(key.len() <= bound, "step {i}: {} bytes past the bound {bound}", key.len());
+        let written = sys.encode_into(&state, &mut slot);
+        assert_eq!(&slot[..written], &key[..], "step {i}: slot path");
+        assert!(sys.decode_into(&key, &mut back) && back == state, "step {i}: key reads back");
+        seen += usize::from(wide(&state));
+        sys.successors(&state, &mut succs).expect("shipped specs step");
+        let Some((_, next)) = succs.get(pick(i, succs.len())) else { break };
+        state = next.clone();
+    }
+    seen
+}
+
+/// The long forms in reached states: sharer masks of nine remotes reach
+/// bit 8 (a mask ≥ 256), and past 128 remotes a remote id takes two
+/// bytes as an `Awaiting` target, a home-buffer sender and a node value.
+#[test]
+fn keys_with_long_forms_fit_their_bound_and_read_back() {
+    use ccr_core::value::Value;
+    use ccr_runtime::asynch::HomePhase;
+    let wide_mask = |env: &ccr_core::value::Env| env.values().any(|v| v.as_mask() >= Some(256));
+    let far = |v: Value| v.as_node().is_some_and(|r| r.0 >= 128);
+    let spread = |i: usize, count: usize| ((i * 2_654_435_761) >> 7) % count.max(1);
+    for name in ["invalidate.ccp", "update.ccp"] {
+        let spec = load(name);
+        let rv = RendezvousSystem::new(&spec, 9);
+        assert!(
+            wide_walk(&rv, 600, spread, |s| wide_mask(&s.home.env)) > 0,
+            "{name}: no mask ≥ 256"
+        );
+        let refined = refine(&spec, &RefineOptions::default()).expect("refines");
+        let sys = AsyncSystem::new(&refined, 9, AsyncConfig::default());
+        assert!(
+            wide_walk(&sys, 1500, spread, |s| wide_mask(&s.home.env)) > 0,
+            "{name}: no mask ≥ 256"
+        );
+    }
+    let refined = refine(&load("migratory.ccp"), &RefineOptions::default()).expect("refines");
+    let sys = AsyncSystem::new(&refined, 130, AsyncConfig::default());
+    // Every other step the last successor listed: the highest remote's.
+    let high = |i: usize, count: usize| {
+        if i.is_multiple_of(2) {
+            count.saturating_sub(1)
+        } else {
+            spread(i, count)
+        }
+    };
+    let far_ids = wide_walk(&sys, 600, high, |s| {
+        let target = matches!(s.home.phase, HomePhase::Awaiting { target, .. } if target.0 >= 128);
+        target || s.home.buf.iter().any(|e| e.from.0 >= 128) || s.home.env.values().any(far)
+    });
+    assert!(far_ids > 0, "no remote id ≥ 128 reached");
 }
 
 proptest! {

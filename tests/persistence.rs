@@ -10,9 +10,9 @@
 //! * a checkpoint is the same at every thread count, so a crashed run
 //!   resumes at any other — serial included;
 //! * corruption inside the committed region (bit rot, truncation below
-//!   the manifest, a garbled manifest) and a manifest of the deleted
-//!   sharded format fail safe with a diagnostic and a nonzero exit
-//!   instead of wrong answers.
+//!   the manifest, a garbled manifest), a manifest of the deleted
+//!   sharded format and a directory of an older format version fail safe
+//!   with a diagnostic and a nonzero exit instead of wrong answers.
 
 use ccr_metrics::jsonval::Json;
 use std::path::{Path, PathBuf};
@@ -255,7 +255,10 @@ fn resume_across_thread_counts() {
 /// A spill directory written by a binary that still had the sharded
 /// engine says `"kind":"parallel"` in its manifest (and keeps one log per
 /// shard). Nothing reads that format any more: `--resume` must refuse it
-/// with the typed diagnostic — the path and the kind — not guess.
+/// with the typed diagnostic — the path and why — not guess. Those
+/// binaries wrote format version 1, which is refused by its version; a
+/// manifest of the current version that names that kind is refused by
+/// the kind.
 #[test]
 fn a_sharded_era_manifest_is_refused_by_name() {
     let dir = tmp("sharded");
@@ -270,15 +273,73 @@ fn a_sharded_era_manifest_is_refused_by_name() {
     let current = std::fs::read_to_string(&manifest).unwrap();
     assert!(current.contains(r#""kind":"serial""#), "{current}");
     for (finished, outcome) in [("false", "null"), ("true", r#""Complete""#)] {
-        let old = format!(
-            r#"{{"version":1,"kind":"parallel","seq":8,"finished":{finished},"outcome_name":{outcome},"outcome_detail":null,"states":31,"transitions":53,"peak_frontier":5,"elapsed_ms":113,"head":0,"level":8,"threads":2,"shards":2,"committed":[{{"bytes":16,"records":0}},{{"bytes":53,"records":1}}],"evict":false}}"#
-        );
-        std::fs::write(&manifest, format!("{old}\n")).unwrap();
-        let out = ccr(&["verify", "--resume", &d.display().to_string()]);
-        assert_eq!(out.status.code(), Some(1), "finished={finished}");
+        for (version, refusal) in [
+            (1, "unsupported manifest format version 1"),
+            (2, "manifest kind `parallel`, expected `serial`"),
+        ] {
+            let old = format!(
+                r#"{{"version":{version},"kind":"parallel","seq":8,"finished":{finished},"outcome_name":{outcome},"outcome_detail":null,"states":31,"transitions":53,"peak_frontier":5,"elapsed_ms":113,"head":0,"level":8,"threads":2,"shards":2,"committed":[{{"bytes":16,"records":0}},{{"bytes":53,"records":1}}],"evict":false}}"#
+            );
+            std::fs::write(&manifest, format!("{old}\n")).unwrap();
+            let out = ccr(&["verify", "--resume", &d.display().to_string()]);
+            assert_eq!(out.status.code(), Some(1), "finished={finished} version={version}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(refusal), "{err}");
+            assert!(err.contains("async/manifest.json"), "{err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A spill directory of format version 1 — written before keys took
+/// their short forms, with a `depth` column in every log record and
+/// `level`/`threads`/`shards` in every manifest — is refused on
+/// `--resume` with the version error, whether it stopped mid-run or
+/// finished, and whether the manifest or only the log says so: its keys
+/// are never decoded as this build's.
+#[test]
+fn a_format_version_1_spill_dir_is_refused_on_resume() {
+    use std::io::{Seek, SeekFrom, Write};
+    let dir = tmp("v1");
+    for (tag, crash) in [("stopped", Some("40")), ("finished", None)] {
+        let d = dir.join(tag);
+        let mut args = vec!["verify", "specs/token.ccp", "-n", "2"];
+        let spill = d.display().to_string();
+        args.extend(["--spill-dir", &spill, "--checkpoint-interval", "0"]);
+        if let Some(after) = crash {
+            args.extend(["--crash-after-states", after]);
+        }
+        let first = ccr(&args);
+        assert_eq!(first.status.success(), crash.is_none(), "{tag} run");
+
+        // The log and index headers say version 1, as the old writer's
+        // did; the manifest, still this version's, commits them.
+        for file in ["async/log", "async/idx"] {
+            let mut f = std::fs::OpenOptions::new().write(true).open(d.join(file)).unwrap();
+            f.seek(SeekFrom::Start(8)).unwrap();
+            f.write_all(&1u32.to_le_bytes()).unwrap();
+        }
+        let out = ccr(&["verify", "--resume", &spill]);
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("manifest kind `parallel`, expected `serial`"), "{err}");
-        assert!(err.contains("async/manifest.json"), "{err}");
+        if crash.is_some() {
+            assert_eq!(out.status.code(), Some(1), "{tag}: {err}");
+            assert!(err.contains("unsupported log format version 1"), "{tag}: {err}");
+            assert!(err.contains("async/log"), "{tag}: {err}");
+        }
+
+        // The manifest in the old writer's form.
+        let manifest = d.join("async/manifest.json");
+        let current = std::fs::read_to_string(&manifest).unwrap();
+        assert!(current.contains(r#""version":2,"#), "{current}");
+        let old = current
+            .replace(r#""version":2,"#, r#""version":1,"#)
+            .replace(r#""committed":"#, r#""level":0,"threads":1,"shards":1,"committed":"#);
+        std::fs::write(&manifest, old).unwrap();
+        let out = ccr(&["verify", "--resume", &spill]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {err}");
+        assert!(err.contains("unsupported manifest format version 1"), "{tag}: {err}");
+        assert!(err.contains("async/manifest.json"), "{tag}: {err}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

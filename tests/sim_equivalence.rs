@@ -66,8 +66,8 @@ impl Reference<'_, '_> {
         self.sys.successors(&self.state, &mut succs)?;
         let fanout = succs.len();
         succs.retain(|(l, _)| filter(l));
-        let labels: Vec<Label> = succs.iter().map(|(l, _)| l.clone()).collect();
-        let Some(idx) = sched.pick(&labels).filter(|&idx| idx < succs.len()) else {
+        let actors: Vec<ProcessId> = succs.iter().map(|(l, _)| l.actor).collect();
+        let Some(idx) = sched.pick(&actors).filter(|&idx| idx < succs.len()) else {
             return Ok((None, fanout));
         };
         let (label, next) = succs.swap_remove(idx);
