@@ -29,7 +29,7 @@ use ccr_metrics::timeseries::{Recorder, SampleInput};
 use ccr_metrics::Registry;
 use ccr_runtime::asynch::{AsyncState, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
-use ccr_runtime::{Label, RuntimeError, TransitionSystem};
+use ccr_runtime::{next_parent_id, Label, Origin, RuntimeError, TransitionSystem, Written};
 use ccr_trace::{NullSink, TraceEvent, TraceSink};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
@@ -935,43 +935,46 @@ pub(crate) trait Source<T: TransitionSystem> {
 
     /// Shows `visit` — which gets the source back, to [`Source::insert`]
     /// and [`Source::push`] with — the successors of `state`, the state
-    /// last popped, in order until it breaks. `scratch` is a second state
-    /// to build them in.
+    /// last popped, in order until it breaks, each with what its step
+    /// wrote. `scratch` is a second state to build them in.
     fn expand(
         &mut self,
         sys: &T,
         state: &T::State,
         scratch: &mut T::State,
-        visit: impl FnMut(&mut Self, Label, &T::State) -> ControlFlow<()>,
+        visit: impl FnMut(&mut Self, Label, &T::State, Written) -> ControlFlow<()>,
     ) -> ccr_runtime::Result<()>;
 
-    /// Looks `next` — the successor being visited — up in `store`,
-    /// storing it when new.
+    /// Looks `next` — the successor being visited, reached by the step
+    /// `from` — up in `store`, storing it when new.
     fn insert(
         &mut self,
         sys: &T,
         store: &mut StateStore,
         next: &T::State,
+        from: Origin<'_, T::State>,
         timer: &mut SpanTimer,
     ) -> (u32, bool);
 }
 
-/// Encodes `state` and looks it up in `store`, storing it when new. With
-/// a size bound (`fast_cap`) the state is encoded exactly once, directly
-/// into the store's bump arena, and a duplicate rolls the bump pointer
-/// back; systems without one keep the reference encode-to-`Vec` path.
+/// Encodes `state`, reached by the step `from` if it was, and looks it up
+/// in `store`, storing it when new. With a size bound (`fast_cap`) the
+/// state is encoded exactly once, directly into the store's bump arena,
+/// and a duplicate rolls the bump pointer back; systems without one keep
+/// the reference encode-to-`Vec` path.
 #[inline]
 fn encode_insert<T: TransitionSystem>(
     sys: &T,
     store: &mut StateStore,
     state: &T::State,
+    from: Option<Origin<'_, T::State>>,
     fast_cap: Option<usize>,
     enc: &mut Vec<u8>,
     timer: &mut SpanTimer,
 ) -> (u32, bool) {
     if let Some(cap) = fast_cap {
         let slot = store.begin_insert(cap);
-        let written = sys.encode_into(state, store.slot_buf(&slot));
+        let written = sys.encode_into(state, from, store.slot_buf(&slot));
         timer.lap(SpanKind::Encode, 1);
         let r = store.commit_insert(slot, written);
         timer.lap(SpanKind::Insert, 1);
@@ -1096,11 +1099,12 @@ impl<T: TransitionSystem> Source<T> for Inline {
         sys: &T,
         state: &T::State,
         scratch: &mut T::State,
-        mut visit: impl FnMut(&mut Self, Label, &T::State) -> ControlFlow<()>,
+        mut visit: impl FnMut(&mut Self, Label, &T::State, Written) -> ControlFlow<()>,
     ) -> ccr_runtime::Result<()> {
         scratch.clone_from(state);
-        let generated =
-            sys.for_each_successor(state, scratch, |label, next| visit(self, label, next));
+        let generated = sys.for_each_successor(state, scratch, |label, next, written| {
+            visit(self, label, next, written)
+        });
         debug_assert!(*scratch == *state, "an expansion must leave its scratch state as it was");
         generated
     }
@@ -1111,9 +1115,10 @@ impl<T: TransitionSystem> Source<T> for Inline {
         sys: &T,
         store: &mut StateStore,
         next: &T::State,
+        from: Origin<'_, T::State>,
         timer: &mut SpanTimer,
     ) -> (u32, bool) {
-        encode_insert(sys, store, next, self.fast_cap, &mut self.enc, timer)
+        encode_insert(sys, store, next, Some(from), self.fast_cap, &mut self.enc, timer)
     }
 }
 
@@ -1185,7 +1190,7 @@ impl<T: TransitionSystem> Chunk<T> {
                 let start = self.bytes.len();
                 if let Some(cap) = fast_cap {
                     self.bytes.resize(start + cap, 0);
-                    let written = sys.encode_into(next, &mut self.bytes[start..]);
+                    let written = sys.encode_into(next, None, &mut self.bytes[start..]);
                     self.bytes.truncate(start + written);
                 } else {
                     sys.encode(next, enc);
@@ -1397,7 +1402,7 @@ impl<T: TransitionSystem> Source<T> for Fed<T> {
         _sys: &T,
         _state: &T::State,
         _scratch: &mut T::State,
-        mut visit: impl FnMut(&mut Self, Label, &T::State) -> ControlFlow<()>,
+        mut visit: impl FnMut(&mut Self, Label, &T::State, Written) -> ControlFlow<()>,
     ) -> ccr_runtime::Result<()> {
         let i = self.at;
         self.at += 1;
@@ -1405,7 +1410,7 @@ impl<T: TransitionSystem> Source<T> for Fed<T> {
         let mut visiting = true;
         self.showing = true;
         for (label, next) in succs.drain(..) {
-            visiting = visiting && visit(self, label, &next).is_continue();
+            visiting = visiting && visit(self, label, &next, Written::ALL).is_continue();
             match self.kept.take() {
                 Some(idx) => self.frontier.push_back((next, idx)),
                 None => self.cur.spent.push(next),
@@ -1424,6 +1429,7 @@ impl<T: TransitionSystem> Source<T> for Fed<T> {
         _sys: &T,
         store: &mut StateStore,
         _next: &T::State,
+        _from: Origin<'_, T::State>,
         timer: &mut SpanTimer,
     ) -> (u32, bool) {
         let (hash, end) = self.cur.keys[self.key];
@@ -1585,7 +1591,7 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
         // source, and charged to no span.
         let mut unprofiled = Profiler::disabled().worker(0);
         let cap = sys.max_encoded_len();
-        encode_insert(sys, &mut store, &state, cap, &mut Vec::new(), &mut unprofiled);
+        encode_insert(sys, &mut store, &state, None, cap, &mut Vec::new(), &mut unprofiled);
         if track_trails {
             parents.push(ROOT);
         }
@@ -1646,11 +1652,13 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
         // state a trail to it leads to.
         let mut ended: Option<(Outcome, Option<u32>)> = None;
         let mut ordinal = 0u32;
-        let generated = src.expand(sys, &state, &mut scratch, |src, label, next| {
+        let parent_id = next_parent_id();
+        let generated = src.expand(sys, &state, &mut scratch, |src, label, next, written| {
             // Since the last lap, the source made this successor.
             timer.lap(SpanKind::Compute, 0);
             transitions += 1;
-            let (nidx, is_new) = src.insert(sys, &mut store, next, &mut timer);
+            let from = Origin { parent: &state, parent_id, written };
+            let (nidx, is_new) = src.insert(sys, &mut store, next, from, &mut timer);
             let judged = checker.on_edge(idx, &state, &label, nidx, next, is_new);
             C::lap(&mut timer);
             let nth = ordinal;

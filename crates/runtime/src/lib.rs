@@ -38,4 +38,6 @@ pub mod wire;
 pub use error::{Result, RuntimeError};
 pub use faults::{FaultClosure, FaultHarness, FaultState};
 pub use observe::emit_label_events;
-pub use system::{EncodeBuf, Label, LabelKind, SentMsg, TransitionSystem};
+pub use system::{
+    next_parent_id, EncodeBuf, Label, LabelKind, Origin, SentMsg, TransitionSystem, Written,
+};

@@ -6,7 +6,7 @@
 //! matching output/input guard pair, atomically transferring the payload.
 
 use crate::error::{Result, RuntimeError};
-use crate::system::{Label, LabelKind, TransitionSystem};
+use crate::system::{Label, LabelKind, Origin, TransitionSystem};
 use crate::wire::Reader;
 use ccr_core::encode::{Identity, Renaming, Sink, SliceSink, ID_MAX_ENCODED_LEN};
 use ccr_core::expr::EvalCtx;
@@ -65,15 +65,20 @@ impl<'a> RendezvousSystem<'a> {
 
     /// Appends to `out` the encoding of `s` with its remotes renamed by
     /// `ren` (see `AsyncSystem::encode_renamed`); `encode` and
-    /// `encode_into` are the [`Identity`] instances.
+    /// `encode_into` are the [`Identity`] instances. The home's segment
+    /// and each slot's are one process's [`Local`], written alike.
     pub fn encode_renamed(&self, s: &RvState, ren: &impl Renaming, out: &mut impl Sink) {
-        out.put_id(s.home.state.0);
-        s.home.env.encode_renamed(ren, out);
+        Self::encode_local_renamed(&s.home, ren, out);
         for slot in 0..s.remotes.len() {
-            let r = &s.remotes[ren.source(slot)];
-            out.put_id(r.state.0);
-            r.env.encode_renamed(ren, out);
+            Self::encode_local_renamed(&s.remotes[ren.source(slot)], ren, out);
         }
+    }
+
+    /// One process's segment of [`RendezvousSystem::encode_renamed`].
+    #[inline(always)]
+    pub fn encode_local_renamed(l: &Local, ren: &impl Renaming, out: &mut impl Sink) {
+        out.put_id(l.state.0);
+        l.env.encode_renamed(ren, out);
     }
 
     fn home_state<'s>(&'s self, s: &RvState) -> Result<&'s ccr_core::process::State> {
@@ -356,7 +361,12 @@ impl<'a> TransitionSystem for RendezvousSystem<'a> {
         )
     }
 
-    fn encode_into(&self, s: &RvState, buf: &mut [u8]) -> usize {
+    fn encode_into(
+        &self,
+        s: &RvState,
+        _from: Option<Origin<'_, RvState>>,
+        buf: &mut [u8],
+    ) -> usize {
         let mut slot = SliceSink::new(buf);
         self.encode_renamed(s, &Identity, &mut slot);
         slot.written()

@@ -334,7 +334,7 @@ fn round_trip<T: TransitionSystem>(sys: &T, s: &T::State) -> Vec<u8> {
     let bound = sys.max_encoded_len().expect("both executors bound their keys");
     assert!(bytes.len() <= bound, "{} bytes past the bound of {bound}", bytes.len());
     let mut slot = vec![0xAA; bound];
-    let written = sys.encode_into(s, &mut slot);
+    let written = sys.encode_into(s, None, &mut slot);
     assert_eq!(&slot[..written], &bytes[..], "slot path vs Vec path");
     bytes
 }

@@ -61,13 +61,13 @@ fn walk_and_check<T: TransitionSystem>(sys: &T, steps: &[usize], context: &str) 
         sys.encode(&state, &mut reference);
         assert!(reference.len() <= bound, "{context} step {i}: encode exceeds max_encoded_len");
         let mut buf = vec![0xAAu8; bound];
-        let written = sys.encode_into(&state, &mut buf);
+        let written = sys.encode_into(&state, None, &mut buf);
         assert_eq!(written, reference.len(), "{context} step {i}: fast-path length differs");
         assert_eq!(&buf[..written], &reference[..], "{context} step {i}: fast-path bytes differ");
 
         // First slot insert: may be new (commit) or a revisit (rollback).
         let slot = store.begin_insert(bound);
-        let n = sys.encode_into(&state, store.slot_buf(&slot));
+        let n = sys.encode_into(&state, None, store.slot_buf(&slot));
         let (idx, _) = store.commit_insert(slot, n);
 
         // Duplicate slot inserts of the same bytes must roll back without
@@ -80,7 +80,7 @@ fn walk_and_check<T: TransitionSystem>(sys: &T, steps: &[usize], context: &str) 
         let mut bytes_committed = 0;
         for round in 0..2 {
             let slot = store.begin_insert(bound);
-            let n = sys.encode_into(&state, store.slot_buf(&slot));
+            let n = sys.encode_into(&state, None, store.slot_buf(&slot));
             let (dup_idx, dup_new) = store.commit_insert(slot, n);
             assert!(!dup_new, "{context} step {i}: duplicate commit must not insert");
             assert_eq!(dup_idx, idx, "{context} step {i}: duplicate must find the entry");
@@ -124,7 +124,7 @@ fn wide_walk<T: TransitionSystem>(
     for i in 0..steps {
         let key = sys.encoded(&state);
         assert!(key.len() <= bound, "step {i}: {} bytes past the bound {bound}", key.len());
-        let written = sys.encode_into(&state, &mut slot);
+        let written = sys.encode_into(&state, None, &mut slot);
         assert_eq!(&slot[..written], &key[..], "step {i}: slot path");
         assert!(sys.decode_into(&key, &mut back) && back == state, "step {i}: key reads back");
         seen += usize::from(wide(&state));

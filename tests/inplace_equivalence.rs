@@ -75,7 +75,7 @@ fn a_visitor_that_breaks_sees_no_more_and_gets_its_scratch_state_back() {
     assert!(all.len() > 2, "the initial state has a successor per remote");
     let mut scratch = s.clone();
     let mut seen = 0;
-    sys.for_each_successor(&s, &mut scratch, |label, next| {
+    sys.for_each_successor(&s, &mut scratch, |label, next, _| {
         assert_eq!((&label, next), (&all[seen].0, &all[seen].1));
         seen += 1;
         if seen == 2 {
