@@ -64,6 +64,7 @@ pub use search::{
     SerialPersist, SerialPersistOpen, Telemetry, DEFAULT_HEARTBEAT_INTERVAL,
 };
 pub use symmetry::{
-    apply_perm, canonical_encode, canonicalize, spec_permutable, OrbitSample, Reduced, Symmetric,
+    apply_perm, canonical_encode, canonicalize, derived_encode, spec_permutable, DeriveAudit,
+    OrbitSample, Reduced, Symmetric,
 };
 pub use trace::{export_trail, replay_trail, TracedReport};

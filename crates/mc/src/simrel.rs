@@ -29,7 +29,7 @@
 use crate::report::{Outcome, SimRelReport};
 use crate::search::{record_search_run, Budget, Checker, Riding, Search, SearchObserver};
 use crate::store::StateStore;
-use ccr_runtime::abstraction::abs;
+use ccr_runtime::abstraction::abs_into;
 use ccr_runtime::asynch::{AsyncState, AsyncSystem};
 use ccr_runtime::rendezvous::{RendezvousSystem, RvState};
 use ccr_runtime::{EncodeBuf, Label, RuntimeError, TransitionSystem};
@@ -56,6 +56,9 @@ pub(crate) struct Equation1<'a, 's> {
     steps: Vec<Option<Vec<u32>>>,
     // Reused across the whole sweep: one allocation each.
     rv_succs: Vec<(Label, RvState)>,
+    /// `abs` of the state being judged, written in place; cloned into
+    /// `rv_states` only when it is a new image.
+    abs_buf: Option<RvState>,
     buf: EncodeBuf,
     transitions: usize,
     stutters: usize,
@@ -78,6 +81,7 @@ impl<'a, 's> Equation1<'a, 's> {
             rv_states: Vec::new(),
             steps: Vec::new(),
             rv_succs: Vec::new(),
+            abs_buf: None,
             buf: EncodeBuf::new(),
             transitions: 0,
             stutters: 0,
@@ -87,10 +91,10 @@ impl<'a, 's> Equation1<'a, 's> {
         }
     }
 
-    fn intern(&mut self, rv: RvState) -> u32 {
-        let (id, is_new) = self.ids.insert(self.buf.fill(self.rv_sys, &rv));
+    fn intern(&mut self, rv: &RvState) -> u32 {
+        let (id, is_new) = self.ids.insert(self.buf.fill(self.rv_sys, rv));
         if is_new {
-            self.rv_states.push(rv);
+            self.rv_states.push(rv.clone());
             self.steps.push(None);
         }
         id
@@ -102,7 +106,10 @@ impl<'a, 's> Equation1<'a, 's> {
         {
             self.abs_calls += 1;
         }
-        abs(self.async_sys, q).map(|rv| self.intern(rv))
+        let mut image = self.abs_buf.take().unwrap_or_else(|| self.rv_sys.initial());
+        let id = abs_into(self.async_sys, q, &mut image).map(|()| self.intern(&image));
+        self.abs_buf = Some(image);
+        id
     }
 
     /// Whether `a ->h a2` is a rendezvous step.
@@ -110,7 +117,7 @@ impl<'a, 's> Equation1<'a, 's> {
         if self.steps[a as usize].is_none() {
             let mut succs = std::mem::take(&mut self.rv_succs);
             self.rv_sys.successors(&self.rv_states[a as usize], &mut succs)?;
-            let ids = succs.drain(..).map(|(_, r)| self.intern(r)).collect();
+            let ids = succs.drain(..).map(|(_, r)| self.intern(&r)).collect();
             self.rv_succs = succs;
             self.steps[a as usize] = Some(ids);
         }
@@ -268,6 +275,7 @@ mod tests {
     use ccr_core::refine::{refine, RefineOptions, ReqRepMode};
     use ccr_core::value::Value;
     use ccr_core::zoo::ZooSpec;
+    use ccr_runtime::abstraction::abs;
     use ccr_runtime::asynch::AsyncConfig;
 
     /// Equation 1 as it was checked before the memo, kept as the

@@ -18,13 +18,14 @@
 //!
 //! [`abs`] returns an error when the asynchronous configuration cannot be
 //! classified — which the simulation checker reports as a refinement bug.
+//! [`abs_into`] writes the image into a state the caller reuses.
 
 use crate::asynch::{AsyncState, AsyncSystem, HomePhase, RemotePhase};
 use crate::error::{Result, RuntimeError};
 use crate::rendezvous::{Local, RvState};
 use crate::wire::Wire;
 use ccr_core::expr::EvalCtx;
-use ccr_core::ids::{ProcessId, RemoteId};
+use ccr_core::ids::{ProcessId, RemoteId, StateId};
 use ccr_core::process::{Branch, CommAction, Peer};
 use ccr_core::value::{Env, Value};
 
@@ -46,11 +47,19 @@ fn apply_assigns(
 /// Maps an asynchronous configuration to the rendezvous configuration it
 /// implements.
 pub fn abs(sys: &AsyncSystem<'_>, s: &AsyncState) -> Result<RvState> {
+    let home = Local { state: StateId(0), env: Env::new(Vec::new()) };
+    let mut out = RvState { home, remotes: Vec::with_capacity(s.remotes.len()) };
+    abs_into(sys, s, &mut out).map(|()| out)
+}
+
+/// [`abs`], written over `out`: its remote vector is reused, so an image
+/// costs no allocation once `out` has held one. On an error `out` holds
+/// some of the image.
+pub fn abs_into(sys: &AsyncSystem<'_>, s: &AsyncState, out: &mut RvState) -> Result<()> {
     let spec = sys.spec();
-    let refined = sys.refined();
 
     // --- Remotes -----------------------------------------------------------
-    let mut remotes = Vec::with_capacity(s.remotes.len());
+    out.remotes.clear();
     for (i, r) in s.remotes.iter().enumerate() {
         let rid = RemoteId(i as u32);
         let who = ProcessId::Remote(rid);
@@ -78,7 +87,7 @@ pub fn abs(sys: &AsyncSystem<'_>, s: &AsyncState) -> Result<RvState> {
                 } else if r.to_remote.any(|w| *w == Wire::Nack) {
                     // Rule 3: discard the nack, revert.
                     Local { state, env: r.env.clone() }
-                } else if let Some(&repl) = refined.remote_reply.get(&(state, branch)) {
+                } else if let Some(repl) = sys.remote_reply(state, branch) {
                     // Optimized request: consumed by home. The request
                     // rendezvous completed; if the reply is already in
                     // flight it acts as an ack for the reply rendezvous too.
@@ -117,11 +126,11 @@ pub fn abs(sys: &AsyncSystem<'_>, s: &AsyncState) -> Result<RvState> {
                 }
             }
         };
-        remotes.push(local);
+        out.remotes.push(local);
     }
 
     // --- Home ---------------------------------------------------------------
-    let home = match s.home.phase {
+    out.home = match s.home.phase {
         HomePhase::At(st) => Local { state: st, env: s.home.env.clone() },
         HomePhase::Awaiting { state, branch, target } => {
             let who = ProcessId::Home;
@@ -142,7 +151,7 @@ pub fn abs(sys: &AsyncSystem<'_>, s: &AsyncState) -> Result<RvState> {
                 Local { state: br.target, env }
             } else if s.remotes[t].to_home.any(|w| *w == Wire::Nack) {
                 Local { state, env: s.home.env.clone() }
-            } else if let Some(&repl) = refined.home_reply.get(&(state, branch)) {
+            } else if let Some(repl) = sys.home_reply(state, branch) {
                 let reply_val = s.remotes[t].to_home.iter().find_map(|w| match w {
                     Wire::Req { msg, val } if *msg == repl => Some(*val),
                     _ => None,
@@ -155,7 +164,8 @@ pub fn abs(sys: &AsyncSystem<'_>, s: &AsyncState) -> Result<RvState> {
                     // happened — revert, exactly as if the request were
                     // still in the medium. The home learns of this via the
                     // implicit nack when the remote's own request arrives.
-                    return Ok(RvState { home: Local { state, env: s.home.env.clone() }, remotes });
+                    out.home = Local { state, env: s.home.env.clone() };
+                    return Ok(());
                 }
                 let mut env = s.home.env.clone();
                 apply_assigns(br, &mut env, None, who)?;
@@ -196,8 +206,7 @@ pub fn abs(sys: &AsyncSystem<'_>, s: &AsyncState) -> Result<RvState> {
             }
         }
     };
-
-    Ok(RvState { home, remotes })
+    Ok(())
 }
 
 #[cfg(test)]

@@ -15,9 +15,11 @@
 //! path is one allocation per transition (the `remotes` vector) and fails
 //! the test fifty times over.
 //!
-//! The same run under [`Reduced`] gets 0.12: canonicalizing is one sort
-//! and one encode into the store's slot, from per-thread buffers that stop
-//! growing after the first few states, and the pending states' concrete
+//! The same run under [`Reduced`] gets 0.12: a successor's key is derived
+//! from its parent's orbit, or canonicalized with one sort and one encode,
+//! into the store's slot, from per-thread buffers that stop growing after
+//! the first few states (a derived key counts as a canonicalization), and
+//! the pending states' concrete
 //! snapshots go through one reused buffer into one byte queue — but the
 //! space is a twentieth the size, so the same few dozen weigh more.
 

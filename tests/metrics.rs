@@ -153,6 +153,28 @@ fn cli_run_totals_say_who_rode_which_sweep() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The orbit counters of migratory's reduced asynchronous sweep at eight
+/// remotes, as they read when every key was canonicalized in full: a key
+/// derived from its parent's orbit counts as one canonicalization, with
+/// the sample the full path reports.
+#[test]
+fn cli_orbit_counters_of_a_reduced_sweep_are_pinned() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ccr"))
+        .args(["verify", "specs/migratory.ccp", "-n", "8", "--symmetry", "on", "--async"])
+        .args(["--metrics", "-"])
+        .current_dir(repo_root())
+        .output()
+        .expect("run ccr");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    let last = stdout.lines().last().expect("snapshot line");
+    let snap = Json::parse(last).unwrap_or_else(|e| panic!("{e}: {last}"));
+    let counter = |name: &str| snap.path(&format!("counters.{name}")).and_then(Json::as_u64);
+    assert_eq!(counter("mc_symmetry_orbit_states_total"), Some(120_821));
+    assert_eq!(counter("mc_symmetry_orbit_moved_total"), Some(120_205));
+    assert_eq!(counter("mc_symmetry_orbit_candidates_total"), Some(120_821));
+}
+
 #[test]
 fn cli_prometheus_file_output_validates() {
     let dir = tmp_dir("prom");

@@ -19,18 +19,27 @@
 //! permutation's state, encode it, take the least). On the shipped specs
 //! that pins the lemma the collapse rests on; on [`FORWARD`], a spec
 //! whose remotes hold each other's ids, it pins the enumerating fallback.
+//!
+//! The keys the reduced sweep derives from a parent's orbit are held to the
+//! full canonicalization too ([`Reduced::audited`]): on every permutable
+//! shipped spec, on remotes that hold their own ids, on `FORWARD`'s
+//! fallback, on 250 zoo specs and on the C2-victim step built by hand.
 
-use ccr_core::refine::{refine, RefineOptions};
+use ccr_core::ids::RemoteId;
+use ccr_core::process::ProtocolSpec;
+use ccr_core::refine::{refine, RefineOptions, ReqRepMode};
 use ccr_core::text::parse_validated;
+use ccr_core::zoo::ZooSpec;
 use ccr_mc::search::Search;
 use ccr_mc::{
-    canonical_encode, explore, replay_trail, Budget, Outcome, Reduced, SearchObserver,
-    SearchReport, Symmetric,
+    canonical_encode, derived_encode, explore, replay_trail, Budget, DeriveAudit, Outcome, Reduced,
+    SearchObserver, SearchReport, Symmetric,
 };
-use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
+use ccr_runtime::asynch::{AsyncConfig, AsyncSystem, BufEntry, HomePhase};
 use ccr_runtime::rendezvous::RendezvousSystem;
-use ccr_runtime::TransitionSystem;
+use ccr_runtime::{next_parent_id, Origin, TransitionSystem};
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::path::Path;
 
 const HEALTHY: [&str; 5] =
@@ -421,4 +430,126 @@ fn forwarding_spec_enumerates_ties_and_agrees_with_the_oracle() {
     }
     let asys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
     assert_quotient(&asys, &budget, "forward async n=3");
+}
+
+/// A token protocol whose remotes hold their own ids: a request carries
+/// its sender's id, and a remote granted the token adds itself to a set
+/// it keeps. Every signature is exact — each remote names only itself —
+/// yet a remote's segment of the encoding holds remote ids, so a key
+/// derived from a parent's orbit must write it again under the
+/// successor's renaming instead of copying the parent's bytes.
+const SELF_NAMING: &str = "\
+protocol self_naming {
+  messages req, gr, rel;
+  home {
+    var o: node := r0;
+    var who: node := r0;
+    state F init { r(* -> o) ? req (bind who) -> G; }
+    state G { r(o) ! gr -> E; }
+    state E { r(o) ? rel -> F; }
+  }
+  remote {
+    var held: mask := mask(0);
+    state I init { h ! req (self) -> W; }
+    state W { h ? gr { held := madd(held, self); } -> V; }
+    state V { h ! rel -> I; }
+  }
+}";
+
+/// A reduced exploration of `sys` that holds every key the sweep derives
+/// from a parent's orbit to `canonical_encode`.
+fn audit<T: Symmetric>(sys: &T, budget: &Budget, context: &str) -> DeriveAudit {
+    let audited = Reduced::audited(sys);
+    explore(&audited, budget, |_| None, true);
+    let audit = audited.audit().expect("an audited wrapper");
+    assert_eq!(audit.mismatch, None, "{context}");
+    audit
+}
+
+/// Every key the reduced sweep derives from its parent's orbit is the
+/// full canonicalization's, bytes and sample: on every permutable shipped
+/// spec and on remotes that hold their own ids, at two to five remotes,
+/// home-writing steps included; and on `FORWARD`, whose inexact
+/// signatures must send some steps back to the full path.
+#[test]
+fn derived_keys_are_the_full_canonicalization() {
+    let mut specs: Vec<(&str, ProtocolSpec)> = [
+        "migratory.ccp",
+        "migratory_gated.ccp",
+        "migratory_broken.ccp",
+        "token.ccp",
+        "zoo_chain.ccp",
+        "zoo_unsound_pair.ccp",
+    ]
+    .into_iter()
+    .map(|name| (name, load(name)))
+    .collect();
+    specs.push(("self_naming", parse_validated(SELF_NAMING).expect("self_naming parses")));
+    let (mut derived, mut home) = (0, 0);
+    for (name, spec) in &specs {
+        assert!(ccr_mc::spec_permutable(spec), "{name}");
+        let refined = refine(spec, &RefineOptions::default()).expect("refines");
+        for n in 2u32..=5 {
+            let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+            let a = audit(&sys, &Budget::states(2_000), &format!("{name} n={n}"));
+            assert!(a.derived > 0, "{name} n={n}: no key derived");
+            (derived, home) = (derived + a.derived, home + a.home);
+        }
+    }
+    assert!(0 < home && home < derived, "{home} of {derived} derived keys wrote the home");
+
+    let forward = parse_validated(FORWARD).expect("forward parses");
+    let refined = refine(&forward, &RefineOptions::default()).expect("forward refines");
+    let sys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
+    let a = audit(&sys, &Budget::states(2_000), "forward n=3");
+    assert!(a.derived < a.steps, "forward: no step took the full path: {a:?}");
+}
+
+/// The same on 250 specs of the CI zoo stream, at three remotes.
+#[test]
+fn derived_keys_are_the_full_canonicalization_on_the_zoo() {
+    let mut derived = 0;
+    for index in 0..250 {
+        let Ok(spec) = ZooSpec::generate(1998, index).build() else { continue };
+        let Ok(refined) = refine(&spec, &RefineOptions::default()) else { continue };
+        if ccr_mc::spec_permutable(&spec) {
+            let sys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
+            derived += audit(&sys, &Budget::states(300), &format!("zoo_1998_{index}")).derived;
+        }
+    }
+    assert!(derived > 0, "no zoo spec derived a key");
+}
+
+/// Table 2 row C2 with a full buffer, built by hand as in
+/// `crates/runtime/tests/table_rules.rs`: the one rule that writes two
+/// remotes (the victim's link and the target's) besides the home, reached
+/// by no shipped spec. Its key, derived from its parent's orbit, is the
+/// full canonicalization's, and so is every other successor's.
+#[test]
+fn the_c2_victim_step_derives_its_key() {
+    let spec = load("token.ccp");
+    let refined = refine(&spec, &RefineOptions { reqrep: ReqRepMode::Off }).expect("refines");
+    let sys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
+    let req = spec.msg_by_name("req").expect("req");
+    let mut s = sys.initial();
+    s.home.phase = HomePhase::At(spec.home.state_by_name("G1").expect("G1"));
+    for from in [RemoteId(1), RemoteId(2)] {
+        s.home.buf.push(BufEntry { from, msg: req, val: None });
+    }
+    let parent_id = next_parent_id();
+    let (mut scratch, mut derived, mut full) = (s.clone(), Vec::new(), Vec::new());
+    let mut victim_steps = 0;
+    sys.for_each_successor(&s, &mut scratch, |label, next, written| {
+        let from = Origin { parent: &s, parent_id, written };
+        let sample = derived_encode(&sys, next, from, &mut derived).expect("exact signatures");
+        let canonical = canonical_encode(&sys, next, &mut full);
+        assert_eq!((sample, &derived), (canonical, &full), "{}", label.rule);
+        if written.remotes().is_some_and(|r| r.len() == 2) {
+            assert_eq!((label.rule, written.home()), ("C2", true));
+            victim_steps += 1;
+        }
+        ControlFlow::Continue(())
+    })
+    .expect("the state steps");
+    assert_eq!(victim_steps, 1);
 }
