@@ -69,6 +69,7 @@ pub mod dot;
 pub mod encode;
 pub mod error;
 pub mod expr;
+pub mod hash;
 pub mod ids;
 pub mod inline;
 pub mod pretty;

@@ -21,7 +21,9 @@
 //! 4. **serial model-check** of the rendezvous and asynchronous systems
 //!    (safety: no executor runtime failure; deadlock/livelock are allowed —
 //!    random protocols block all the time — but must be *reported*, not
-//!    crashed on);
+//!    crashed on), every key the sweeps store or find read back from the
+//!    visited set's tuple of segments and held to the plain encoding
+//!    ([`KeyAudit`]);
 //! 5. **threaded re-check** at 2 and 4 threads — states, transitions and
 //!    outcome must equal the serial run's on every outcome, violating and
 //!    unfinished runs included, and so must the whole progress report;
@@ -29,7 +31,8 @@
 //!    reduced system must report the same with and without threads and
 //!    agree with the full system on the verdict, and every key its serial
 //!    sweep derives from a parent's orbit must be the full
-//!    canonicalization's ([`Reduced::audited`]);
+//!    canonicalization's ([`Reduced::audited`]) and read back from its
+//!    tuple as itself;
 //! 7. **bounded fault-closure** — the serial and the threaded closure
 //!    reports must be equal.
 //!
@@ -48,9 +51,9 @@
 use crate::faultmode::check_fault_closure;
 use crate::progress::check_progress_default;
 use crate::report::{ExploreReport, Outcome, SearchReport, SimRelReport};
-use crate::search::{explore, Budget, Search, SearchObserver};
+use crate::search::{Budget, Search, SearchObserver};
 use crate::simrel::check_simulation;
-use crate::store::StateStore;
+use crate::store::{KeyAudit, StateStore};
 use crate::symmetry::{spec_permutable, Reduced};
 use ccr_core::ids::{ProcessId, RemoteId};
 use ccr_core::process::{CommAction, ProtocolSpec};
@@ -677,9 +680,14 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
         return SpecVerdict::failed(&name, FuzzFailure::Soundness { mode: "auto", detail: v });
     }
 
-    // Stage 4: serial model checks.
-    let rv_serial = explore(&rv, &budget, |_| None, true);
-    let a_serial = explore(&asys, &budget, |_| None, true);
+    // Stage 4: serial model checks, every key their sweeps store or find
+    // read back from its tuple of segments and held to the plain encoding.
+    let audit = KeyAudit::new();
+    let audited = Search { check_deadlock: true, audit: Some(&audit), ..Search::default() };
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    let rv_serial = audited.explore(&rv, &budget, |_| None, &mut obs).explore_report();
+    let a_serial = audited.explore(&asys, &budget, |_| None, &mut obs).explore_report();
     let mut verdict = SpecVerdict {
         name: name.clone(),
         permutable,
@@ -697,11 +705,13 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
             return verdict;
         }
     }
+    if let Some(detail) = audit.report().mismatch {
+        verdict.failure = Some(FuzzFailure::Mismatch { what: "collapsed-keys".into(), detail });
+        return verdict;
+    }
 
     // Stage 5: threaded re-checks, exploration and progress.
     let threaded = |threads| Search { check_deadlock: true, threads, ..Search::default() };
-    let mut null = NullSink;
-    let mut obs = SearchObserver::new(&mut null);
     for &t in &cfg.threads {
         let fed = threaded(t).explore(&asys, &budget, |_| None, &mut obs).explore_report();
         if let Some(f) = cmp_threaded(format!("async-{t}t"), &key_of(&a_serial), &key_of(&fed)) {
@@ -725,9 +735,13 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
     // both finished. The serial sweep audits the keys it derives.
     if permutable {
         let red = Reduced::audited(&asys);
-        let r_serial = explore(&red, &budget, |_| None, true);
+        let r_serial = audited.explore(&red, &budget, |_| None, &mut obs).explore_report();
         if let Some(detail) = red.audit().and_then(|a| a.mismatch) {
             verdict.failure = Some(FuzzFailure::Mismatch { what: "sym-derived".into(), detail });
+            return verdict;
+        }
+        if let Some(detail) = audit.report().mismatch {
+            verdict.failure = Some(FuzzFailure::Mismatch { what: "collapsed-keys".into(), detail });
             return verdict;
         }
         if let Some(&t) = cfg.threads.first() {

@@ -74,13 +74,13 @@
 //! uninterrupted in-memory run — the property `tests/persistence.rs`
 //! enforces with a kill -9 differential harness.
 
-use crate::store::{mix, FxHasher};
+use ccr_core::encode::Segment;
+use ccr_core::hash::hash_bytes;
 use ccr_metrics::jsonval::Json;
 use ccr_metrics::Registry;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::hash::Hasher;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,7 +92,7 @@ pub const LOG_MAGIC: &[u8; 8] = b"CCRLOG1\0";
 pub const IDX_MAGIC: &[u8; 8] = b"CCRIDX1\0";
 /// On-disk format version (log, index, manifest and key layout move
 /// together; see the module docs).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// Log/idx file header size: magic + version + reserved word.
 pub const FILE_HEADER: u64 = 16;
 /// Per-record header: payload length, checksum.
@@ -209,9 +209,7 @@ pub struct RecInfo {
 /// payload, so a record torn anywhere — header or body — fails
 /// verification.
 pub fn record_check(payload: &[u8]) -> u32 {
-    let mut h = FxHasher::default();
-    h.write(payload);
-    mix(h.finish()) as u32
+    hash_bytes(payload) as u32
 }
 
 /// The refusal of a file stamped with another [`FORMAT_VERSION`].
@@ -641,9 +639,8 @@ impl LogTier {
             buf.extend_from_slice(&self.offsets[i].to_le_bytes());
             buf.extend_from_slice(&self.lens[i].to_le_bytes());
         }
-        let mut h = FxHasher::default();
-        h.write(&buf);
-        buf.extend_from_slice(&(mix(h.finish()) as u32).to_le_bytes());
+        let check = hash_bytes(&buf) as u32;
+        buf.extend_from_slice(&check.to_le_bytes());
         if let Err(e) = std::fs::write(idx_path, &buf) {
             self.set_err(PersistError::io(idx_path, e));
         }
@@ -669,9 +666,7 @@ pub fn read_idx(path: &Path, log_bytes: u64) -> Option<Vec<RecInfo>> {
         return None;
     }
     let body = &buf[..buf.len() - 4];
-    let mut h = FxHasher::default();
-    h.write(body);
-    if mix(h.finish()) as u32 != u32::from_le_bytes(buf[buf.len() - 4..].try_into().ok()?) {
+    if hash_bytes(body) as u32 != u32::from_le_bytes(buf[buf.len() - 4..].try_into().ok()?) {
         return None;
     }
     let mut out = Vec::with_capacity(records);
@@ -924,6 +919,14 @@ impl PhaseDir {
     /// The log path.
     pub fn log(&self) -> PathBuf {
         self.root.join("log")
+    }
+
+    /// The log of `kind`'s segments, which the state log's tuples name.
+    pub fn segments(&self, kind: Segment) -> PathBuf {
+        self.root.join(match kind {
+            Segment::Home => "home-segments",
+            Segment::Remote => "remote-segments",
+        })
     }
 
     /// The index path.
@@ -1214,10 +1217,14 @@ mod tests {
         assert!(err.to_string().contains("corrupt manifest"), "{err}");
         // Another format version is refused by its version, whatever else
         // the document holds.
-        let v1 = m.to_json().replace(r#""version":2"#, r#""version":1"#);
-        std::fs::write(&path, v1).unwrap();
-        let err = Manifest::read(&path).expect_err("a version-1 manifest must be refused");
-        assert!(err.to_string().contains("unsupported manifest format version 1"), "{err}");
+        for old in 1..FORMAT_VERSION {
+            let current = format!(r#""version":{FORMAT_VERSION}"#);
+            let stale = m.to_json().replace(&current, &format!(r#""version":{old}"#));
+            std::fs::write(&path, stale).unwrap();
+            let err = Manifest::read(&path).expect_err("an older manifest must be refused");
+            let refusal = format!("unsupported manifest format version {old}");
+            assert!(err.to_string().contains(&refusal), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -27,7 +27,7 @@
 //! every tested state is reachable; permutations are random swap
 //! sequences over the remote indices.
 
-use ccr_core::encode::Perm;
+use ccr_core::encode::{Perm, SliceSink};
 use ccr_core::ids::StateId;
 use ccr_core::process::ProtocolSpec;
 use ccr_core::refine::{refine, RefineOptions, RefinedProtocol};
@@ -126,7 +126,9 @@ fn assert_one_layout<T: Symmetric>(sys: &T, s: &T::State, perm: &[usize]) {
     let red = Reduced::new(sys);
     let bound = red.max_encoded_len().expect("both executors bound their encodings");
     let mut slot = vec![0xAA; bound];
-    let written = red.encode_into(s, None, &mut slot);
+    let mut sink = SliceSink::new(&mut slot);
+    red.encode_into(s, None, &mut sink);
+    let written = sink.written();
     assert_eq!(&slot[..written], &red.encoded(s)[..], "Reduced slot path vs Vec path");
 }
 

@@ -17,11 +17,29 @@
 //! * **Bit rot inside the committed region** — flipping a byte the
 //!   manifest vouches for fails the open with a diagnostic instead of
 //!   resurrecting damaged states.
+//!
+//! And two on whole persisted sweeps, whose state log holds tuples of
+//! segment ids naming the records of two segment logs:
+//!
+//! * **Torn segment and state logs** — a sweep crashed at any state,
+//!   with garbage past the committed end of any one of its three logs,
+//!   resumes to the uninterrupted run's states, transitions and outcome.
+//! * **A segment that is not durable** — a manifest committing fewer
+//!   segments than its committed tuples name is refused on resume, not
+//!   read as other states.
 
-use ccr_mc::persist::RecInfo;
-use ccr_mc::LogTier;
+use ccr_core::encode::Segment;
+use ccr_core::refine::{refine, RefineOptions, RefinedProtocol};
+use ccr_core::text::parse_validated;
+use ccr_mc::persist::{Manifest, ManifestWriter, PhaseDir, RecInfo};
+use ccr_mc::search::{PersistOpts, Search};
+use ccr_mc::{Budget, LogTier, Outcome, SearchObserver};
+use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::OnceLock;
+use std::time::Duration;
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ccr-prop-persist-{tag}-{}", std::process::id()));
@@ -183,4 +201,107 @@ proptest! {
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Migratory, refined, from the repository's `specs/`: its asynchronous
+/// system at two remotes has 156 states.
+fn migratory() -> &'static RefinedProtocol {
+    static REFINED: OnceLock<RefinedProtocol> = OnceLock::new();
+    REFINED.get_or_init(|| {
+        // This crate's directory, or the repository root when the root
+        // package includes this file (`tests/crate_suites.rs`).
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let specs = [here.join("../../specs"), here.join("specs")]
+            .into_iter()
+            .find(|dir| dir.is_dir())
+            .expect("the repository's specs/");
+        let text = std::fs::read_to_string(specs.join("migratory.ccp")).expect("migratory.ccp");
+        let spec = parse_validated(&text).expect("migratory parses");
+        refine(&spec, &RefineOptions::default()).expect("migratory refines")
+    })
+}
+
+/// A sweep of migratory's asynchronous system at n = 2, persisted into
+/// `dir` under `opts` when given, that panics — unwinding past the sweep
+/// without concluding it, as a kill would leave it — once it has stored
+/// `crash_at` states. `(states, transitions, outcome)` when it ends.
+fn sweep(
+    dir: Option<(&Path, &PersistOpts)>,
+    crash_at: Option<usize>,
+) -> Option<(usize, usize, Outcome)> {
+    let sys = AsyncSystem::new(migratory(), 2, AsyncConfig::default());
+    let stored = AtomicUsize::new(0);
+    let invariant = |_: &_| {
+        let now = stored.fetch_add(1, Relaxed) + 1;
+        assert!(Some(now) != crash_at, "crash at {now} states");
+        None
+    };
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut null = ccr_trace::NullSink;
+        let mut obs = SearchObserver::new(&mut null);
+        let search = Search { persist: dir, ..Search::default() };
+        search.explore(&sys, &Budget::default(), invariant, &mut obs)
+    }));
+    run.ok().map(|r| (r.states, r.transitions, r.outcome))
+}
+
+/// The first leg of a resume: a sweep checkpointed at every expansion,
+/// crashed at `crash_at` states.
+fn crashed(dir: &Path, evict_at: usize, crash_at: usize) -> PersistOpts {
+    let opts = PersistOpts { interval: Duration::ZERO, evict_at, ..PersistOpts::default() };
+    assert_eq!(sweep(Some((dir, &opts)), Some(crash_at)), None, "the first leg must crash");
+    PersistOpts { resume: true, ..opts }
+}
+
+/// The phase directory's three logs: states, home and remote segments.
+fn logs(dir: &Path) -> [PathBuf; 3] {
+    let phase = PhaseDir { root: dir.to_path_buf() };
+    [phase.log(), phase.segments(Segment::Home), phase.segments(Segment::Remote)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12 })]
+
+    #[test]
+    fn crashed_sweeps_with_torn_logs_resume_to_the_uninterrupted_counts(
+        crash_at in 2usize..150,
+        log in 0usize..3,
+        torn in prop::collection::vec(any::<u8>(), 0..40),
+        evict in any::<bool>(),
+    ) {
+        use std::io::Write;
+        let plain = sweep(None, None).expect("the plain sweep finishes");
+        let dir = tmp("torn-sweep");
+        let resume = crashed(&dir, if evict { 256 } else { 0 }, crash_at);
+        let mut f = std::fs::OpenOptions::new().append(true).open(&logs(&dir)[log]).unwrap();
+        f.write_all(&torn).unwrap();
+        drop(f);
+        prop_assert_eq!(sweep(Some((&dir, &resume)), None), Some(plain));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn a_tuple_naming_a_segment_that_is_not_durable_is_refused() {
+    let dir = tmp("undurable");
+    let resume = crashed(&dir, 0, 100);
+    // Commit one home segment only: the committed tuples name more.
+    let mut offsets = Vec::new();
+    let home = &logs(&dir)[1];
+    let missing_idx = home.with_extension("no-idx");
+    LogTier::recover(home, &missing_idx, None, 0, false, |rec, _| offsets.push(rec.offset))
+        .unwrap();
+    assert!(offsets.len() > 2, "{} home segments", offsets.len());
+    let path = dir.join("manifest.json");
+    let mut m = Manifest::read(&path).unwrap().expect("a checkpoint");
+    assert_eq!(m.committed.len(), 3, "states, home and remote segments");
+    m.committed[1] = (offsets[1], 1);
+    ManifestWriter::create(&path, m.seq).write(&mut m).unwrap();
+    let (states, _, outcome) = sweep(Some((&dir, &resume)), None).expect("the resume ends");
+    assert!(
+        matches!(&outcome, Outcome::PersistFailure(d) if d.contains("names a segment")),
+        "{outcome:?}"
+    );
+    assert!(states > 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

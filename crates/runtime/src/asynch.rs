@@ -20,7 +20,7 @@
 use crate::error::{Result, RuntimeError};
 use crate::system::{Label, LabelKind, Origin, SentMsg, TransitionSystem, Written};
 use crate::wire::{encode_payload, Link, Reader, Wire};
-use ccr_core::encode::{Identity, Renaming, Sink, SliceSink, ID_MAX_ENCODED_LEN};
+use ccr_core::encode::{Identity, Renaming, Segment, Sink, ID_MAX_ENCODED_LEN};
 use ccr_core::expr::EvalCtx;
 use ccr_core::ids::{MsgType, ProcessId, RemoteId, StateId};
 use ccr_core::inline::InlineVec;
@@ -359,7 +359,8 @@ impl<'a> AsyncSystem<'a> {
     /// are the [`Identity`] instances, so the state's byte layout is
     /// written down here and nowhere else: the home's segment
     /// ([`AsyncSystem::encode_home_renamed`]), then one segment per slot
-    /// ([`AsyncSystem::encode_remote_renamed`]).
+    /// ([`AsyncSystem::encode_remote_renamed`]), each ending with its
+    /// [`Sink::end_segment`].
     pub fn encode_renamed(&self, s: &AsyncState, ren: &impl Renaming, out: &mut impl Sink) {
         self.encode_home_renamed(s, ren, out);
         for slot in 0..s.remotes.len() {
@@ -390,6 +391,7 @@ impl<'a> AsyncSystem<'a> {
             out.put(e.msg.0 as u8);
             encode_payload(e.val, ren, out);
         }
+        out.end_segment(Segment::Home);
     }
 
     /// One remote's segment of [`AsyncSystem::encode_renamed`]: its slice
@@ -418,6 +420,7 @@ impl<'a> AsyncSystem<'a> {
         }
         r.to_home.encode_renamed(ren, out);
         r.to_remote.encode_renamed(ren, out);
+        out.end_segment(Segment::Remote);
     }
 
     fn eval_err(who: ProcessId) -> impl Fn(ccr_core::CoreError) -> RuntimeError {
@@ -1507,15 +1510,25 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
         Some(home + self.n as usize * remote)
     }
 
+    /// [`AsyncSystem::encode_renamed`] under the identity, except that a
+    /// slice the step `from` did not write is offered to `out` as the
+    /// parent's segment in the same place, and written only where `out`
+    /// declines it.
     fn encode_into(
         &self,
         s: &AsyncState,
-        _from: Option<Origin<'_, AsyncState>>,
-        buf: &mut [u8],
-    ) -> usize {
-        let mut slot = SliceSink::new(buf);
-        self.encode_renamed(s, &Identity, &mut slot);
-        slot.written()
+        from: Option<Origin<'_, AsyncState>>,
+        out: &mut impl Sink,
+    ) {
+        let written = from.map_or(Written::ALL, |from| from.written);
+        if written.home() || !out.reuse(0) {
+            self.encode_home_renamed(s, &Identity, out);
+        }
+        for (i, r) in s.remotes.iter().enumerate() {
+            if written.remote(i) || !out.reuse(1 + i) {
+                self.encode_remote_renamed(r, &Identity, out);
+            }
+        }
     }
 
     fn decode(&self, bytes: &[u8]) -> Option<AsyncState> {

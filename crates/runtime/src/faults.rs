@@ -35,8 +35,9 @@ use crate::asynch::{AsyncState, AsyncSystem};
 use crate::error::Result;
 use crate::sched::Scheduler;
 use crate::sim::Simulator;
-use crate::system::{Label, LabelKind, TransitionSystem};
+use crate::system::{Label, LabelKind, Origin, TransitionSystem};
 use crate::wire::{Link, Reader, Wire};
+use ccr_core::encode::{Segment, Sink};
 use ccr_core::ids::{MsgType, ProcessId, RemoteId};
 use ccr_faults::{FaultKind, FaultPlan, FaultStats};
 use ccr_trace::{TraceEvent, TraceSink};
@@ -681,6 +682,54 @@ impl FaultState {
     }
 }
 
+impl FaultClosure<'_> {
+    /// Appends the fault budget and the ledger to `out`, the ledger in a
+    /// canonical order.
+    fn encode_ledger(s: &FaultState, out: &mut Vec<u8>) {
+        out.push(s.faults_left as u8);
+        // Canonicalize ledger order so states reached by different fault
+        // interleavings dedup. `due`/`attempt` are timer bookkeeping with
+        // no meaning here (always 0) and are excluded. Entries are
+        // encoded straight into `out` (variable length — the wire may
+        // carry a value) with their byte ranges recorded; when more than
+        // one entry landed out of order, the tail is rewritten through a
+        // single scratch copy instead of allocating one `Vec` per entry.
+        out.push(s.ledger.lost.len() as u8);
+        let lost_base = out.len();
+        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(s.ledger.lost.len());
+        for e in &s.ledger.lost {
+            let start = out.len();
+            out.push(u8::from(e.link.to_home));
+            out.push(e.link.idx as u8);
+            out.push(e.ahead as u8);
+            out.push(e.holes_ahead as u8);
+            e.wire.encode(out);
+            ranges.push((start, out.len()));
+        }
+        let sorted = ranges.windows(2).all(|w| out[w[0].0..w[0].1] <= out[w[1].0..w[1].1]);
+        if !sorted {
+            ranges.sort_by(|a, b| out[a.0..a.1].cmp(&out[b.0..b.1]));
+            let mut tmp = Vec::with_capacity(out.len() - lost_base);
+            for &(a, b) in &ranges {
+                tmp.extend_from_slice(&out[a..b]);
+            }
+            out.truncate(lost_base);
+            out.extend_from_slice(&tmp);
+        }
+        let mut ghosts: Vec<[u8; 3]> = s
+            .ledger
+            .ghosts
+            .iter()
+            .map(|g| [u8::from(g.link.to_home), g.link.idx as u8, g.pos as u8])
+            .collect();
+        ghosts.sort();
+        out.push(ghosts.len() as u8);
+        for b in ghosts {
+            out.extend_from_slice(&b);
+        }
+    }
+}
+
 impl TransitionSystem for FaultClosure<'_> {
     type State = FaultState;
 
@@ -789,50 +838,24 @@ impl TransitionSystem for FaultClosure<'_> {
     }
 
     fn encode(&self, s: &FaultState, out: &mut Vec<u8>) {
-        self.base.encode(&s.base, out);
-        out.push(s.faults_left as u8);
-        // Canonicalize ledger order so states reached by different fault
-        // interleavings dedup. `due`/`attempt` are timer bookkeeping with
-        // no meaning here (always 0) and are excluded. Entries are
-        // encoded straight into `out` (variable length — the wire may
-        // carry a value) with their byte ranges recorded; when more than
-        // one entry landed out of order, the tail is rewritten through a
-        // single scratch copy instead of allocating one `Vec` per entry.
-        out.push(s.ledger.lost.len() as u8);
-        let lost_base = out.len();
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(s.ledger.lost.len());
-        for e in &s.ledger.lost {
-            let start = out.len();
-            out.push(u8::from(e.link.to_home));
-            out.push(e.link.idx as u8);
-            out.push(e.ahead as u8);
-            out.push(e.holes_ahead as u8);
-            e.wire.encode(out);
-            ranges.push((start, out.len()));
-        }
-        let sorted = ranges.windows(2).all(|w| out[w[0].0..w[0].1] <= out[w[1].0..w[1].1]);
-        if !sorted {
-            ranges.sort_by(|a, b| out[a.0..a.1].cmp(&out[b.0..b.1]));
-            let mut tmp = Vec::with_capacity(out.len() - lost_base);
-            for &(a, b) in &ranges {
-                tmp.extend_from_slice(&out[a..b]);
-            }
-            out.truncate(lost_base);
-            out.extend_from_slice(&tmp);
-        }
-        let mut ghosts: Vec<[u8; 3]> = s
-            .ledger
-            .ghosts
-            .iter()
-            .map(|g| [u8::from(g.link.to_home), g.link.idx as u8, g.pos as u8])
-            .collect();
-        ghosts.sort();
-        out.push(ghosts.len() as u8);
-        for b in ghosts {
-            out.extend_from_slice(&b);
-        }
+        out.clear();
+        self.encode_into(s, None, out);
     }
 
+    /// The base state's segments, then the fault budget and ledger as one
+    /// more segment, interned with the homes'.
+    fn encode_into(
+        &self,
+        s: &FaultState,
+        _from: Option<Origin<'_, FaultState>>,
+        out: &mut impl Sink,
+    ) {
+        self.base.encode_into(&s.base, None, out);
+        let mut ledger = Vec::new();
+        Self::encode_ledger(s, &mut ledger);
+        out.put_all(&ledger);
+        out.end_segment(Segment::Home);
+    }
     /// The key above with the ledger as it stands: entry order decides
     /// how retransmissions are numbered, so a pending state restored from
     /// sorted entries would label its successors differently. Widths as

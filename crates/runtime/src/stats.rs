@@ -8,24 +8,27 @@
 
 use crate::system::Label;
 use crate::wire::Network;
+use ccr_core::hash::FxBuild;
 use ccr_core::ids::{MsgType, ProcessId};
 use serde::Serialize;
 use std::collections::HashMap;
 
-/// Accumulated counters over a run.
+/// Accumulated counters over a run. The maps are keyed through
+/// [`FxBuild`]: a simulated step updates up to three of them, and their
+/// small integer keys need no SipHash.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct MsgStats {
     /// Requests sent (including optimized replies), per message type.
-    pub requests: HashMap<MsgType, u64>,
+    pub requests: HashMap<MsgType, u64, FxBuild>,
     /// Total acks sent.
     pub acks: u64,
     /// Total nacks sent.
     pub nacks: u64,
     /// Completed rendezvous, per message type.
-    pub completed: HashMap<MsgType, u64>,
+    pub completed: HashMap<MsgType, u64, FxBuild>,
     /// Completed rendezvous per remote (only counted when the remote is the
     /// active party) — the starvation/fairness metric of §6.
-    pub per_remote: HashMap<u32, u64>,
+    pub per_remote: HashMap<u32, u64, FxBuild>,
     /// Total transitions observed.
     pub steps: u64,
     /// Per-link occupancy high-water marks, recorded by simulators whose

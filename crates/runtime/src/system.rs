@@ -5,6 +5,7 @@
 //! on the rendezvous and the asynchronous semantics.
 
 use crate::error::Result;
+use ccr_core::encode::Sink;
 use ccr_core::ids::{MsgType, ProcessId};
 use serde::Serialize;
 use std::ops::ControlFlow;
@@ -174,6 +175,12 @@ impl Written {
     #[inline]
     pub fn remotes(&self) -> Option<&[usize]> {
         self.remotes.get(..self.count)
+    }
+
+    /// Whether remote `i`'s slice was written.
+    #[inline]
+    pub fn remote(&self, i: usize) -> bool {
+        self.remotes().is_none_or(|written| written.contains(&i))
     }
 
     /// Records that the home's slice was taken to write in.
@@ -355,35 +362,33 @@ pub trait TransitionSystem {
 
     /// Upper bound (in bytes) on [`TransitionSystem::encode`] output for
     /// any reachable state, when the system can compute one from its
-    /// configuration. A `Some` bound unlocks the engines' zero-copy
-    /// insert path: successors are encoded once, directly into the state
-    /// store's bump arena, through [`TransitionSystem::encode_into`].
-    /// `None` (the default) keeps the reference `Vec` path.
+    /// configuration: what a caller encoding into a fixed slot
+    /// ([`ccr_core::encode::SliceSink`]) has to reserve. `None` (the
+    /// default) where there is none.
     fn max_encoded_len(&self) -> Option<usize> {
         None
     }
 
-    /// Fast-path encoding: writes the canonical encoding of `s` into the
-    /// front of `buf` and returns the number of bytes written. Must be
-    /// byte-identical to [`TransitionSystem::encode`]; callers guarantee
-    /// `buf.len() >= max_encoded_len()` (the engines only take this path
-    /// when [`TransitionSystem::max_encoded_len`] returns a bound).
-    /// `from`, when the caller has it, is the step that reached `s`: an
-    /// encoder may use it to write the same bytes with less work.
+    /// Writes the canonical encoding of `s` to `out`, marking where each
+    /// segment of it ends ([`Sink::end_segment`]): the bytes
+    /// [`TransitionSystem::encode`] produces, on every sink. `from`, when
+    /// the caller has it, is the step that reached `s`: an encoder may use
+    /// it to write the same bytes with less work, and to offer the sink,
+    /// in place of a segment the step did not write, that segment of the
+    /// key of the state it was reached from ([`Sink::reuse`]).
     ///
-    /// The default is a reference fallback through a scratch `Vec` —
-    /// correct for any system, but allocating; systems that report a
-    /// bound should override it with a real slot writer.
+    /// The default is a reference fallback through a scratch `Vec`: one
+    /// segment, ended by whoever reads the sink, and an allocation per
+    /// call. The executors override it with their segment writers.
     fn encode_into(
         &self,
         s: &Self::State,
         _from: Option<Origin<'_, Self::State>>,
-        buf: &mut [u8],
-    ) -> usize {
+        out: &mut impl Sink,
+    ) {
         let mut v = Vec::new();
         self.encode(s, &mut v);
-        buf[..v.len()].copy_from_slice(&v);
-        v.len()
+        out.put_all(&v);
     }
 
     /// Inverse of [`TransitionSystem::encode`], when the system supports

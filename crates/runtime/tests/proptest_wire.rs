@@ -6,7 +6,7 @@
 //! through exactly one key that fits the executor's `max_encoded_len`.
 
 use ccr_core::builder::ProtocolBuilder;
-use ccr_core::encode::{Identity, Sink};
+use ccr_core::encode::{Identity, Sink, SliceSink};
 use ccr_core::expr::Expr;
 use ccr_core::ids::{MsgType, RemoteId, StateId};
 use ccr_core::inline::InlineVec;
@@ -334,7 +334,9 @@ fn round_trip<T: TransitionSystem>(sys: &T, s: &T::State) -> Vec<u8> {
     let bound = sys.max_encoded_len().expect("both executors bound their keys");
     assert!(bytes.len() <= bound, "{} bytes past the bound of {bound}", bytes.len());
     let mut slot = vec![0xAA; bound];
-    let written = sys.encode_into(s, None, &mut slot);
+    let mut sink = SliceSink::new(&mut slot);
+    sys.encode_into(s, None, &mut sink);
+    let written = sink.written();
     assert_eq!(&slot[..written], &bytes[..], "slot path vs Vec path");
     bytes
 }

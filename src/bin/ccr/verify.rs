@@ -358,7 +358,7 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
         trails: true,
         threads: engine_threads(p),
         stall_ms: p.num("--inject-stall-ms"),
-        persist: None,
+        ..Search::default()
     };
     let phase_dir = |phase: &str| spill_root.as_ref().map(|root| root.join(phase));
     // What every level says about itself once swept.

@@ -1,12 +1,11 @@
-//! Property tests for the zero-copy insert path: the slot
-//! `encode_into` fast path must be **byte-identical** to the reference
-//! `encode` on randomly reached states of every shipped spec (both
-//! protocol levels), and a duplicate resolved through the arena-slot
-//! protocol (`begin_insert` → encode in place → `commit_insert`) must
-//! roll the bump pointer back so cleanly that the store is
-//! indistinguishable from one that never saw the duplicate: exact
-//! `approx_bytes`, unchanged entry count, and every committed entry's
-//! bytes untouched.
+//! Property tests for the visited set's insert path: the segment writer
+//! `encode_into` must be **byte-identical** to the reference `encode` on
+//! randomly reached states of every shipped spec (both protocol levels),
+//! within `max_encoded_len`, and a state inserted into the collapsed
+//! visited set (`Visited`: each segment interned once, the state stored
+//! as the tuple of its segments' ids) must read back as its key, and
+//! find itself on a second insert without a trace: same index, no new
+//! entry, exact `approx_bytes`.
 //!
 //! Random walks, not the full reachable set: proptest drives the step
 //! choices, so each case exercises a different slice of the space —
@@ -14,9 +13,10 @@
 //! layout harder than the initial-state neighborhood — and two walks
 //! that reach the long forms of masks and remote ids.
 
+use ccr_core::encode::SliceSink;
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
-use ccr_mc::store::StateStore;
+use ccr_mc::store::Visited;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::TransitionSystem;
@@ -33,19 +33,32 @@ fn load(name: &str) -> ccr_core::process::ProtocolSpec {
     parse_validated(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
+/// `encode_into` of `state` through a slot of `bound` bytes: what it
+/// wrote.
+fn slot_encode<T: TransitionSystem>(sys: &T, state: &T::State, bound: usize) -> Vec<u8> {
+    let mut buf = vec![0xAAu8; bound];
+    let mut slot = SliceSink::new(&mut buf);
+    sys.encode_into(state, None, &mut slot);
+    let written = slot.written();
+    buf.truncate(written);
+    buf
+}
+
 /// Walks `sys` for up to `steps.len()` transitions (each entry picks the
 /// successor by index) and checks, at every state reached:
 ///
 /// 1. `encode_into` writes exactly the bytes `encode` produces, within
 ///    the advertised `max_encoded_len` bound;
-/// 2. inserting the state twice through the arena-slot protocol commits
-///    once and rolls back once, leaving the store byte-identical.
+/// 2. inserting the state into the visited set stores it once, reads it
+///    back as its key, and a second insert finds it and leaves the set
+///    as it was.
 fn walk_and_check<T: TransitionSystem>(sys: &T, steps: &[usize], context: &str) {
     let bound = sys
         .max_encoded_len()
         .unwrap_or_else(|| panic!("{context}: shipped systems must advertise a bound"));
-    let mut store = StateStore::new();
+    let mut store = Visited::new();
     let mut reference = Vec::new();
+    let mut back = Vec::new();
     let mut succs = Vec::new();
     let mut state = sys.initial();
     for (i, &pick) in std::iter::once(&0usize).chain(steps).enumerate() {
@@ -57,53 +70,42 @@ fn walk_and_check<T: TransitionSystem>(sys: &T, steps: &[usize], context: &str) 
             state = succs[pick % succs.len()].1.clone();
         }
 
-        // Fast path vs reference path, byte for byte.
+        // Segment writer vs reference path, byte for byte.
         sys.encode(&state, &mut reference);
         assert!(reference.len() <= bound, "{context} step {i}: encode exceeds max_encoded_len");
-        let mut buf = vec![0xAAu8; bound];
-        let written = sys.encode_into(&state, None, &mut buf);
-        assert_eq!(written, reference.len(), "{context} step {i}: fast-path length differs");
-        assert_eq!(&buf[..written], &reference[..], "{context} step {i}: fast-path bytes differ");
+        let written = slot_encode(sys, &state, bound);
+        assert_eq!(written, reference, "{context} step {i}: slot bytes differ");
 
-        // First slot insert: may be new (commit) or a revisit (rollback).
-        let slot = store.begin_insert(bound);
-        let n = sys.encode_into(&state, None, store.slot_buf(&slot));
-        let (idx, _) = store.commit_insert(slot, n);
+        // First insert: may be new or a revisit; either way the tuple
+        // reads back as the key.
+        let (idx, _) = store.insert_state(sys, &state, None);
+        assert!(store.expand_into(idx, &mut back), "{context} step {i}: entry {idx} reads back");
+        assert_eq!(back, reference, "{context} step {i}: the tuple is not the key");
 
-        // Duplicate slot inserts of the same bytes must roll back without
-        // a trace: same index, no new entry, committed bytes untouched.
-        // The first duplicate may still grow the hash table (the
-        // load-factor check runs before the probe), so the exact-bytes
-        // assertion measures across the *second* duplicate, where the
-        // only possible footprint change would be a genuine arena leak.
+        // Duplicate inserts find the entry without a trace. The first may
+        // still grow a hash table (the load-factor check runs before the
+        // probe), so the exact-bytes assertion measures across the
+        // second.
         let entries = store.len();
         let mut bytes_committed = 0;
         for round in 0..2 {
-            let slot = store.begin_insert(bound);
-            let n = sys.encode_into(&state, None, store.slot_buf(&slot));
-            let (dup_idx, dup_new) = store.commit_insert(slot, n);
-            assert!(!dup_new, "{context} step {i}: duplicate commit must not insert");
+            let (dup_idx, dup_new) = store.insert_state(sys, &state, None);
+            assert!(!dup_new, "{context} step {i}: duplicate must not insert");
             assert_eq!(dup_idx, idx, "{context} step {i}: duplicate must find the entry");
-            assert_eq!(store.len(), entries, "{context} step {i}: rollback added entries");
+            assert_eq!(store.len(), entries, "{context} step {i}: a duplicate added entries");
             if round > 0 {
                 assert_eq!(
                     store.approx_bytes(),
                     bytes_committed,
-                    "{context} step {i}: rollback must restore the byte footprint exactly"
+                    "{context} step {i}: a duplicate must leave the byte footprint exactly"
                 );
             }
             bytes_committed = store.approx_bytes();
         }
-        assert_eq!(
-            store.key_bytes(idx),
-            Some(&reference[..]),
-            "{context} step {i}: committed bytes must survive the rollback"
-        );
     }
-    // The arena holds exactly the committed entries, nothing leaked from
-    // the rolled-back duplicates.
+    // Every entry still reads back.
     for idx in 0..store.len() as u32 {
-        assert!(store.key_bytes(idx).is_some(), "{context}: entry {idx} lost its bytes");
+        assert!(store.expand_into(idx, &mut back), "{context}: entry {idx} lost its bytes");
     }
 }
 
@@ -119,13 +121,11 @@ fn wide_walk<T: TransitionSystem>(
 ) -> usize {
     let bound = sys.max_encoded_len().expect("shipped systems advertise a bound");
     let (mut state, mut succs, mut back) = (sys.initial(), Vec::new(), sys.initial());
-    let mut slot = vec![0; bound];
     let mut seen = 0;
     for i in 0..steps {
         let key = sys.encoded(&state);
         assert!(key.len() <= bound, "step {i}: {} bytes past the bound {bound}", key.len());
-        let written = sys.encode_into(&state, None, &mut slot);
-        assert_eq!(&slot[..written], &key[..], "step {i}: slot path");
+        assert_eq!(slot_encode(sys, &state, bound), key, "step {i}: slot path");
         assert!(sys.decode_into(&key, &mut back) && back == state, "step {i}: key reads back");
         seen += usize::from(wide(&state));
         sys.successors(&state, &mut succs).expect("shipped specs step");

@@ -175,6 +175,32 @@ fn cli_orbit_counters_of_a_reduced_sweep_are_pinned() {
     assert_eq!(counter("mc_symmetry_orbit_candidates_total"), Some(120_821));
 }
 
+/// What the collapsed visited set holds of migratory's asynchronous
+/// sweep at three remotes, serial and threaded alike: 2,082 states made
+/// of 153 distinct home and 23 distinct remote segments, interned one
+/// table per kind, each state stored as a tuple of four ids: one byte
+/// each, but for the 120 states whose home segment's id is past 127.
+#[test]
+fn cli_segment_gauges_of_a_collapsed_sweep_are_pinned() {
+    for threads in [None, Some("2")] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_ccr"));
+        cmd.args(["verify", "specs/migratory.ccp", "-n", "3", "--symmetry", "off", "--async"]);
+        cmd.args(["--metrics", "-"]).args(threads.map(|t| ["--threads", t]).iter().flatten());
+        let out = cmd.current_dir(repo_root()).output().expect("run ccr");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        let last = stdout.lines().last().expect("snapshot line");
+        let snap = Json::parse(last).unwrap_or_else(|e| panic!("{e}: {last}"));
+        let get = |path: &str| snap.path(path).and_then(Json::as_u64);
+        assert_eq!(get("counters.mc_states_total"), Some(2_082), "{threads:?}");
+        assert_eq!(get("gauges.mc_store_home_segments"), Some(153), "{threads:?}");
+        assert_eq!(get("gauges.mc_store_remote_segments"), Some(23), "{threads:?}");
+        assert_eq!(get("gauges.mc_store_home_segment_bytes"), Some(1_752), "{threads:?}");
+        assert_eq!(get("gauges.mc_store_remote_segment_bytes"), Some(183), "{threads:?}");
+        assert_eq!(get("histograms.mc_state_bytes.sum"), Some(4 * 2_082 + 120), "{threads:?}");
+    }
+}
+
 #[test]
 fn cli_prometheus_file_output_validates() {
     let dir = tmp_dir("prom");
