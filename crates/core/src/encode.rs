@@ -84,43 +84,6 @@ impl Sink for Vec<u8> {
     }
 }
 
-/// A [`Sink`] writing from the front of a preallocated slot. The caller
-/// sizes the slot from the encoder's `max_encoded_len`; running past its
-/// end is a bug and panics.
-#[derive(Debug)]
-pub struct SliceSink<'a> {
-    buf: &'a mut [u8],
-    pos: usize,
-}
-
-impl<'a> SliceSink<'a> {
-    /// A sink over `buf`, positioned at its first byte.
-    #[inline]
-    pub fn new(buf: &'a mut [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes written so far.
-    #[inline]
-    pub fn written(&self) -> usize {
-        self.pos
-    }
-}
-
-impl Sink for SliceSink<'_> {
-    #[inline]
-    fn put(&mut self, byte: u8) {
-        self.buf[self.pos] = byte;
-        self.pos += 1;
-    }
-
-    #[inline]
-    fn put_all(&mut self, bytes: &[u8]) {
-        self.buf[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
-        self.pos += bytes.len();
-    }
-}
-
 /// A renaming of the remotes, applied while a state is encoded: under it
 /// an encoder emits the bytes of the *renamed* state without building it.
 pub trait Renaming {
@@ -193,22 +156,6 @@ impl Renaming for Perm<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slice_sink_writes_what_a_vec_collects() {
-        let mut v = Vec::new();
-        let mut buf = [0xAAu8; 8];
-        let mut s = SliceSink::new(&mut buf);
-        for sink in [&mut v as &mut dyn Sink, &mut s] {
-            sink.put(7);
-            sink.put_all(&[1, 2, 3]);
-            sink.put(9);
-        }
-        let n = s.written();
-        assert_eq!(n, 5);
-        assert_eq!(&buf[..n], &v[..]);
-        assert_eq!(buf[n], 0xAA, "nothing past the cursor is touched");
-    }
 
     #[test]
     fn ids_below_128_take_one_byte() {

@@ -97,14 +97,8 @@ impl Value {
         self.encode_renamed(&Identity, out);
     }
 
-    /// Upper bound on the encoded size of any value: the widest forms
-    /// (`Int` outside `i8`, `Mask` from 256 on) take a tag byte plus 8
-    /// payload bytes.
-    pub const MAX_ENCODED_LEN: usize = 9;
-
     /// [`Value::encode`] of `ren.value(self)`. This is the one place the
-    /// byte layout of a value is written down; a [`SliceSink`] caller
-    /// guarantees [`Value::MAX_ENCODED_LEN`] bytes of room.
+    /// byte layout of a value is written down.
     ///
     /// Every value has exactly one encoding, its shortest: an `Int` in
     /// `i8` range, a `Node` or a `Mask` below 256 take a tag and one byte
@@ -113,8 +107,6 @@ impl Value {
     /// long forms. [`Value::decode`] refuses a long form of a value that
     /// has a short one, so equal values are equal bytes and a state has
     /// one store key.
-    ///
-    /// [`SliceSink`]: crate::encode::SliceSink
     // Always inlined, like every encoder below a system's: a sink handed
     // to an out-of-line callee has to live in memory, and its cursor is
     // then stored and reloaded around every call (measured: 13% of
@@ -258,12 +250,6 @@ impl Env {
         self.encode_renamed(&Identity, out);
     }
 
-    /// Upper bound on the encoded size of this environment.
-    #[inline]
-    pub fn max_encoded_len(&self) -> usize {
-        self.slots.len() * Value::MAX_ENCODED_LEN
-    }
-
     /// [`Env::encode`] with every value renamed by `ren`.
     #[inline(always)]
     pub fn encode_renamed(&self, ren: &impl Renaming, out: &mut impl Sink) {
@@ -349,8 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn slot_encoding_matches_the_vec_for_every_variant() {
-        use crate::encode::SliceSink;
+    fn every_variant_reads_back_from_its_bytes() {
         let values = [
             Value::Unit,
             Value::Bool(false),
@@ -370,24 +355,16 @@ mod tests {
             Value::Mask(u64::MAX),
         ];
         for v in values {
-            let mut reference = Vec::new();
-            v.encode(&mut reference);
-            assert!(reference.len() <= Value::MAX_ENCODED_LEN);
-            let mut buf = [0xAAu8; Value::MAX_ENCODED_LEN];
-            let mut slot = SliceSink::new(&mut buf);
-            v.encode(&mut slot);
-            let end = slot.written();
-            assert_eq!(&buf[..end], &reference[..], "{v:?}");
+            let mut bytes = Vec::new();
+            v.encode(&mut bytes);
+            assert_eq!(Value::decode(&bytes), Some((v, bytes.len())), "{v:?}");
         }
         let env = Env::new(values.to_vec());
-        let mut reference = Vec::new();
-        env.encode(&mut reference);
-        assert!(reference.len() <= env.max_encoded_len());
-        let mut buf = vec![0u8; env.max_encoded_len()];
-        let mut slot = SliceSink::new(&mut buf);
-        env.encode(&mut slot);
-        let end = slot.written();
-        assert_eq!(&buf[..end], &reference[..]);
+        let mut bytes = Vec::new();
+        env.encode(&mut bytes);
+        let mut back = Env::new(Vec::new());
+        assert_eq!(back.decode_into(&bytes, values.len()), Some(bytes.len()));
+        assert_eq!(back, env);
     }
 
     #[test]

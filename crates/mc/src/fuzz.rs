@@ -63,7 +63,7 @@ use ccr_core::zoo::ZooSpec;
 use ccr_runtime::asynch::{AsyncConfig, AsyncState, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::wire::Link;
-use ccr_runtime::{EncodeBuf, FaultClosure, Label, TransitionSystem};
+use ccr_runtime::{FaultClosure, Label, RuntimeError, TransitionSystem};
 use ccr_trace::NullSink;
 use std::collections::VecDeque;
 use std::fmt;
@@ -239,72 +239,59 @@ pub fn inject_unsound(refined: &mut RefinedProtocol) -> bool {
 }
 
 /// The `inplace` stage, over at most `max_states` states of `sys` in
-/// breadth-first order: at each one
-/// [`TransitionSystem::for_each_successor`] must show exactly what
-/// [`TransitionSystem::successors`] returns — the same labels on the same
-/// states (so the same encodings) in the same order, and the same error
-/// if there is one — and leave its scratch state equal to the state
-/// expanded; so must its rule groups, walked one at a time
-/// ([`TransitionSystem::for_each_successor_in`]) and taken in order;
-/// [`TransitionSystem::fire`] must turn the state into each of those
-/// successors in turn, named by group and ordinal, under the same label,
-/// with its scratch state following, and into nothing one past each
-/// group's last; every group a fired step does not flag must list what it
-/// listed before the step; and the system's per-process shares, if it has
-/// any, must compose to it ([`Shares::shares_check`]). Returns the first
-/// divergence, described.
+/// breadth-first order. At each one the reference is what
+/// [`TransitionSystem::fire`] makes of it at every `(group, ordinal)`,
+/// each fired from a fresh copy. Against it, the walk over every group
+/// ([`TransitionSystem::for_each_successor_in`]) must show those
+/// successors — the same labels on the same states, in the same order —
+/// and end as they do, leaving its scratch state equal to the state
+/// expanded; so must the rule groups, walked one at a time, each
+/// successor said to be of the group walked; every group a fired step
+/// does not flag must list at the new state the labels it listed before
+/// the step; and the system's per-process shares, if it has any, must
+/// compose to it ([`Shares::shares_check`]). Where the reference ends in
+/// an error, a walk must end in it too, after showing the reference's
+/// successors and at most one more: the one whose rule failed once it
+/// was built. Returns the first divergence, described.
 pub fn inplace_divergence<T: Shares>(sys: &T, max_states: usize) -> Option<String> {
     let mut shares = sys.shares_check();
     let mut seen = StateStore::new();
     let mut queue = VecDeque::from([sys.initial()]);
-    let mut key = EncodeBuf::new();
-    seen.insert(key.fill(sys, &queue[0]));
-    let mut owned = Vec::new();
-    // The rules of the successors shown in place, and how many of them
-    // came as `owned` has them.
-    let mut shown = Vec::new();
+    let mut key = Vec::new();
+    sys.encode(&queue[0], &mut key);
+    seen.insert(&key);
     let mut expanded = 0usize;
     while let Some(s) = queue.pop_front() {
-        let generated = sys.successors(&s, &mut owned);
-        let mut scratch = s.clone();
-        shown.clear();
-        let mut same = 0;
-        let lent = sys.for_each_successor(&s, &mut scratch, |label, next, _| {
-            if owned.get(shown.len()).is_some_and(|(l, n)| *l == label && n == next) {
-                same += 1;
-            }
-            shown.push(label.rule);
-            ControlFlow::Continue(())
-        });
         let at = format!("state #{expanded} ({:02x?})", sys.encoded(&s));
-        if scratch != s {
-            return Some(format!("{at}: the scratch state was not put back"));
-        }
-        if generated != lent {
-            return Some(format!("{at}: successors {generated:?}, in place {lent:?}"));
-        }
-        if same != owned.len() || same != shown.len() {
-            let rules: Vec<_> = owned.iter().map(|(l, _)| l.rule).collect();
-            return Some(format!(
-                "{at}: successors {rules:?}, in place {shown:?}, the first {same} alike"
-            ));
-        }
-        let groups = match walk_groups(sys, &s, &mut scratch, &owned, &generated) {
-            Ok(groups) => groups,
+        let mut fired = match fire_all(sys, &s) {
+            Ok(fired) => fired,
             Err(divergence) => return Some(format!("{at}: {divergence}")),
         };
-        // What `fire` is asked on a state whose enumeration failed is
-        // left open (a simulator enumerates first and stops there).
-        if generated.is_ok() {
-            let divergence = fire_divergence(sys, &s, &mut scratch, &owned, &groups)
-                .or_else(|| shares(&s, &owned));
-            if let Some(divergence) = divergence {
-                return Some(format!("{at}: {divergence}"));
-            }
+        let ended = fired.ended(None);
+        let mut scratch = s.clone();
+        let walked = walk(sys, &s, &mut scratch, &|_| true, &fired.owned);
+        let divergence = if scratch != s {
+            Some("the scratch state was not put back".to_string())
+        } else if !walked.shows(fired.owned.len(), &ended) {
+            Some(format!("fired {:?} ({ended:?}), {walked}", rules(&fired.owned)))
+        } else {
+            group_divergence(sys, &s, &mut scratch, &fired)
+        };
+        // What a fired step leaves clean, and how the shares compose, is
+        // left open on a state whose enumeration failed (a simulator
+        // enumerates first and stops there).
+        let divergence = divergence.or_else(|| {
+            ended.is_ok().then(|| clean_divergence(sys, &mut scratch, &fired)).flatten()
+        });
+        let divergence =
+            divergence.or_else(|| ended.is_ok().then(|| shares(&s, &fired.owned)).flatten());
+        if let Some(divergence) = divergence {
+            return Some(format!("{at}: {divergence}"));
         }
         expanded += 1;
-        for (_, next) in owned.drain(..) {
-            if seen.len() < max_states && seen.insert(key.fill(sys, &next)).1 {
+        for (_, next) in fired.owned.drain(..) {
+            sys.encode(&next, &mut key);
+            if seen.len() < max_states && seen.insert(&key).1 {
                 queue.push_back(next);
             }
         }
@@ -312,113 +299,166 @@ pub fn inplace_divergence<T: Shares>(sys: &T, max_states: usize) -> Option<Strin
     None
 }
 
-/// The rule groups of `s`, whose successors are `owned` (`generated` how
-/// listing them ended) and which `scratch` equals, walked one at a time
-/// through [`TransitionSystem::for_each_successor_in`]: taken in order up
-/// to the first that fails, they must show `owned` and end as `generated`
-/// did, each successor said to be of the group walked, and give
-/// `scratch` back. Returns each group's labels, or the divergence.
-fn walk_groups<T: TransitionSystem>(
-    sys: &T,
-    s: &T::State,
-    scratch: &mut T::State,
-    owned: &[(Label, T::State)],
-    generated: &ccr_runtime::Result<()>,
-) -> Result<Vec<Vec<Label>>, String> {
-    let mut wanted = vec![false; sys.groups()];
-    let (mut groups, mut ended) = (Vec::new(), Ok(()));
-    let mut listed = 0;
-    for g in 0..wanted.len() {
-        wanted[g] = true;
-        let mut labels = Vec::new();
-        let mut alike = true;
-        let walked = sys.for_each_successor_in(s, scratch, &wanted, |of, label, next| {
-            let expected = owned.get(listed + labels.len());
-            alike &= of == g && expected.is_some_and(|(l, n)| *l == label && n == next);
-            labels.push(label);
-            ControlFlow::Continue(())
-        });
-        wanted[g] = false;
-        if !alike || *scratch != *s {
-            let rules: Vec<_> = labels.iter().map(|l| l.rule).collect();
-            return Err(format!("group {g} walks {rules:?}, not successors' from #{listed} on"));
-        }
-        listed += labels.len();
-        groups.push(labels);
-        if walked.is_err() {
-            ended = walked;
-            break;
-        }
-    }
-    if listed != owned.len() || ended != *generated {
-        return Err(format!(
-            "the groups list {listed} successors ({ended:?}), successors {} ({generated:?})",
-            owned.len()
-        ));
-    }
-    Ok(groups)
+/// What [`TransitionSystem::fire`] makes of a state: its successors in
+/// group order, each with its group and the groups its step flagged, up
+/// to the error the walk of a group met, if one did.
+struct Fired<T: TransitionSystem> {
+    owned: Vec<(Label, T::State)>,
+    of: Vec<(usize, Vec<bool>)>,
+    /// The group whose walk failed, and how.
+    failed: Option<(usize, RuntimeError)>,
 }
 
-/// [`TransitionSystem::fire`] on `s`, whose successors are `owned`, in
-/// `groups` as [`walk_groups`] found them, and which `scratch` equals, at
-/// every `(group, ordinal)` and one past each group's last: it must turn
-/// `s` into that successor, under its label, with `scratch` following —
-/// or into nothing, flagging nothing — and every group it does not flag
-/// must list at the new state the labels it listed at `s`, and not fail.
-fn fire_divergence<T: TransitionSystem>(
+impl<T: TransitionSystem> Fired<T> {
+    /// How the walk of group `group` — of every group, if `None` — ends.
+    fn ended(&self, group: Option<usize>) -> ccr_runtime::Result<()> {
+        match &self.failed {
+            Some((g, e)) if group.is_none_or(|group| group == *g) => Err(e.clone()),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The rules of the transitions in `list`.
+fn rules<S>(list: &[(Label, S)]) -> Vec<&'static str> {
+    list.iter().map(|(l, _)| l.rule).collect()
+}
+
+/// Fires `s` at every `(group, ordinal)`, each from a fresh copy: up to
+/// one past each group's last, which must write nothing and flag nothing,
+/// or to the first error, which must leave both states and the flags as
+/// they were. Every step must leave the scratch state equal to the state
+/// it wrote.
+fn fire_all<T: TransitionSystem>(sys: &T, s: &T::State) -> Result<Fired<T>, String> {
+    let mut fired = Fired { owned: Vec::new(), of: Vec::new(), failed: None };
+    let (mut from, mut scratch) = (s.clone(), s.clone());
+    let mut dirty = vec![false; sys.groups()];
+    for group in 0..dirty.len() {
+        for ordinal in 0.. {
+            dirty.fill(false);
+            let step = sys.fire(&mut from, &mut scratch, group, ordinal, &mut dirty);
+            let at = format!("fire({group}, {ordinal})");
+            let Ok(Some(label)) = step else {
+                if from != *s || scratch != *s || dirty.contains(&true) {
+                    return Err(format!(
+                        "{at} gave {step:?}, yet wrote a state or flagged {dirty:?}"
+                    ));
+                }
+                if let Err(e) = step {
+                    fired.failed = Some((group, e));
+                    return Ok(fired);
+                }
+                break;
+            };
+            if scratch != from {
+                return Err(format!(
+                    "{at} by {:?}: state {:02x?}, scratch {:02x?}",
+                    label.rule,
+                    sys.encoded(&from),
+                    sys.encoded(&scratch)
+                ));
+            }
+            fired.owned.push((label, std::mem::replace(&mut from, s.clone())));
+            fired.of.push((group, dirty.clone()));
+            scratch.clone_from(s);
+        }
+    }
+    Ok(fired)
+}
+
+/// What a walk showed, each label with the group it was said to be of;
+/// how many of those came as the reference it was held to has them,
+/// label and state; and how it ended.
+struct Walked {
+    shown: Vec<(usize, Label)>,
+    alike: usize,
+    ended: ccr_runtime::Result<()>,
+}
+
+impl Walked {
+    /// Whether this is a reference of `len` successors that ended as
+    /// `ended`: the same successors and ending — or, where that is an
+    /// error, the same error after those successors and at most one more.
+    fn shows(&self, len: usize, ended: &ccr_runtime::Result<()>) -> bool {
+        let extra = usize::from(ended.is_err());
+        self.ended == *ended && self.alike == len && self.shown.len() <= len + extra
+    }
+}
+
+impl fmt::Display for Walked {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rules: Vec<_> = self.shown.iter().map(|(g, l)| (g, l.rule)).collect();
+        write!(f, "walked {rules:?} ({:?}), the first {} alike", self.ended, self.alike)
+    }
+}
+
+/// The walk of the groups `wanted` selects, held to `reference`.
+/// (`wanted` is a trait object so that the three callers share one
+/// instance of the walk.)
+fn walk<T: TransitionSystem>(
     sys: &T,
     s: &T::State,
     scratch: &mut T::State,
-    owned: &[(Label, T::State)],
-    groups: &[Vec<Label>],
+    wanted: &dyn Fn(usize) -> bool,
+    reference: &Listed<T>,
+) -> Walked {
+    let (mut shown, mut alike) = (Vec::new(), 0);
+    let ended = sys.for_each_successor_in(s, scratch, wanted, |g, label, next, _| {
+        if reference.get(shown.len()).is_some_and(|(l, n)| *l == label && n == next) {
+            alike += 1;
+        }
+        shown.push((g, label));
+        ControlFlow::Continue(())
+    });
+    Walked { shown, alike, ended }
+}
+
+/// The rule groups of `s`, which `scratch` equals, walked one at a time
+/// up to the one that fails: each must show what `fired` has of it,
+/// every successor said to be of the group walked, and give `scratch`
+/// back.
+fn group_divergence<T: TransitionSystem>(
+    sys: &T,
+    s: &T::State,
+    scratch: &mut T::State,
+    fired: &Fired<T>,
 ) -> Option<String> {
-    let mut from = s.clone();
-    let mut dirty = vec![false; groups.len()];
-    let mut successors = owned.iter();
-    for (group, labels) in groups.iter().enumerate() {
-        for ordinal in 0..=labels.len() {
-            dirty.fill(false);
-            let fired = sys.fire(&mut from, scratch, group, ordinal, &mut dirty);
-            let at = format!("fire({group}, {ordinal})");
-            let Some((label, next)) = (ordinal < labels.len()).then(|| successors.next()).flatten()
-            else {
-                if !matches!(fired, Ok(None)) || dirty.contains(&true) {
-                    return Some(format!("{at}, past the group's last, gave {fired:?}, {dirty:?}"));
-                }
-                if from != *s || *scratch != *s {
-                    return Some(format!("{at}, past the group's last, wrote a state"));
-                }
-                continue;
-            };
-            if fired.as_ref().ok().and_then(Option::as_ref) != Some(label) {
-                return Some(format!("{at} gave {fired:?}, successors {label:?}"));
-            }
-            if from != *next || *scratch != *next {
-                return Some(format!(
-                    "{at} by {:?}: state {:02x?}, scratch {:02x?}, successor {:02x?}",
-                    label.rule,
-                    sys.encoded(&from),
-                    sys.encoded(scratch),
-                    sys.encoded(next)
-                ));
-            }
-            let clean: Vec<bool> = dirty.iter().map(|d| !d).collect();
-            let mut after = Vec::new();
-            let walked = sys.for_each_successor_in(&from, scratch, &clean, |g, label, _| {
-                after.push((g, label));
-                ControlFlow::Continue(())
-            });
-            let before = groups.iter().enumerate().filter(|&(g, _)| clean[g]);
-            let before = before.flat_map(|(g, labels)| labels.iter().map(move |l| (g, l)));
-            if walked.is_err() || !before.eq(after.iter().map(|(g, l)| (*g, l))) {
-                let rules: Vec<_> = after.iter().map(|(g, l)| (g, l.rule)).collect();
-                return Some(format!(
-                    "{at} by {:?} leaves {clean:?} clean, but they list {rules:?} ({walked:?})",
-                    label.rule
-                ));
-            }
-            from.clone_from(s);
-            scratch.clone_from(s);
+    let mut listed = 0;
+    for g in 0..sys.groups() {
+        let mine = fired.of[listed..].iter().take_while(|(of, _)| *of == g).count();
+        let reference = &fired.owned[listed..listed + mine];
+        let ended = fired.ended(Some(g));
+        let walked = walk(sys, s, scratch, &|of| of == g, reference);
+        let tagged = walked.shown.iter().all(|(of, _)| *of == g);
+        if !tagged || *scratch != *s || !walked.shows(mine, &ended) {
+            return Some(format!("group {g}: fired {:?} ({ended:?}), {walked}", rules(reference)));
+        }
+        if ended.is_err() {
+            break;
+        }
+        listed += mine;
+    }
+    None
+}
+
+/// For every successor in `fired`, of a state whose walk did not fail:
+/// every group the step did not flag must list at the new state, which
+/// `scratch` is made equal to, the labels it listed before, and not fail.
+fn clean_divergence<T: TransitionSystem>(
+    sys: &T,
+    scratch: &mut T::State,
+    fired: &Fired<T>,
+) -> Option<String> {
+    for ((label, next), (group, dirty)) in fired.owned.iter().zip(&fired.of) {
+        scratch.clone_from(next);
+        let after = walk(sys, next, scratch, &|g| !dirty[g], &[]);
+        let before = fired.owned.iter().zip(&fired.of).filter(|(_, (g, _))| !dirty[*g]);
+        let before = before.map(|((l, _), (g, _))| (*g, l));
+        if after.ended.is_err() || !before.eq(after.shown.iter().map(|(g, l)| (*g, l))) {
+            return Some(format!(
+                "fire({group}) by {:?} flags {dirty:?}, but the groups it leaves clean list: {after}",
+                label.rule
+            ));
         }
     }
     None

@@ -450,7 +450,7 @@ impl LogTier {
     /// Bytes this tier's in-memory index costs (offsets, lengths,
     /// hashes): 20 per record, charged to the fronting store's
     /// `approx_bytes`. The write tail is deliberately *excluded* — it
-    /// is bounded (≤ [`TAIL_FLUSH`]) and including it would make
+    /// is bounded (≤ `TAIL_FLUSH`) and including it would make
     /// byte-budget checks depend on flush timing.
     pub fn mem_bytes(&self) -> usize {
         self.offsets.len() * IDX_ROW

@@ -5,11 +5,11 @@
 //! memory limit — exceeding it yields [`Outcome::Unfinished`], matching the
 //! paper's "Unfinished" table entries.
 //!
-//! There is one sweep, [`drive`], on the calling thread at every thread
+//! There is one sweep, `drive`, on the calling thread at every thread
 //! count. What [`Search::threads`] selects is only where a state's
 //! successors and their encodings come from: generated inline
-//! ([`Inline`]), or by worker threads that expand the frontier ahead of
-//! the sweep in chunks it merges strictly in discovery order ([`Fed`]) —
+//! (`Inline`), or by worker threads that expand the frontier ahead of
+//! the sweep in chunks it merges strictly in discovery order (`Fed`) —
 //! see `docs/parallel_checking.md`. What a sweep is *for* is its
 //! checker's business, and checkers share: [`Search::verify`] answers
 //! reachability, Equation 1 and forward progress on one call of it
@@ -473,7 +473,7 @@ pub enum SerialPersistOpen {
 
 /// The sweep's persistence: the phase directory, its writer lock, the
 /// recovered (or fresh) store, and the checkpoint cadence. Opened by
-/// [`Search::explore`] and threaded through [`drive`]; checkpoints cut
+/// [`Search::explore`] and threaded through `drive`; checkpoints cut
 /// between expansions, so they are the same at every thread count and a
 /// run resumes at any other.
 pub struct SerialPersist {
@@ -1111,21 +1111,19 @@ impl<T: TransitionSystem> Source<T> for Inline<'_> {
         let next =
             if self.depth_first { self.frontier.pop_back() } else { self.frontier.pop_front() };
         let Some((idx, len)) = next else { return Ok(None) };
-        let restored = if self.reads_store(store) {
-            store.expand_into(idx, &mut self.enc) && sys.decode_into(&self.enc, into)
+        let read = if self.reads_store(store) {
+            store.expand_into(idx, &mut self.enc)
         } else {
             let len = len as usize;
             let at = if self.depth_first { self.side.len() - len } else { 0 };
             self.enc.clear();
             self.enc.extend(self.side.drain(at..at + len));
-            sys.restore_into(&self.enc, into)
+            true
         };
-        if restored {
+        if read && sys.restore_into(&self.enc, into) {
             Ok(Some(idx))
         } else {
-            Err(Outcome::PersistFailure(format!(
-                "pending state {idx} does not decode (system without decode support?)"
-            )))
+            Err(Outcome::PersistFailure(format!("pending state {idx} does not decode")))
         }
     }
 
@@ -1404,11 +1402,10 @@ impl<T: TransitionSystem> Source<T> for Fed<'_, T> {
 
     fn requeue(&mut self, sys: &T, store: &Visited, idx: u32) -> Result<(), Outcome> {
         let key = store.read_entry(idx).ok_or_else(|| unreadable(idx))?;
-        let state = sys.decode(&key).ok_or_else(|| {
-            Outcome::PersistFailure(format!(
-                "recovered state {idx} does not decode (system without decode support?)"
-            ))
-        })?;
+        let mut state = sys.initial();
+        if !sys.restore_into(&key, &mut state) {
+            return Err(Outcome::PersistFailure(format!("recovered state {idx} does not decode")));
+        }
         self.frontier.push_back((state, idx));
         self.pending += 1;
         Ok(())
@@ -2082,6 +2079,7 @@ pub fn explore_dfs<T: TransitionSystem>(
 mod tests {
     use super::*;
     use ccr_core::builder::ProtocolBuilder;
+    use ccr_core::encode::Sink;
     use ccr_core::expr::Expr;
     use ccr_core::ids::RemoteId;
     use ccr_core::value::Value;
@@ -2450,11 +2448,26 @@ mod tests {
             0
         }
 
-        fn successors(&self, s: &u32, out: &mut Vec<(Label, u32)>) -> ccr_runtime::Result<()> {
+        fn for_each_successor_in(
+            &self,
+            s: &u32,
+            scratch: &mut u32,
+            wanted: impl Fn(usize) -> bool,
+            mut visit: impl FnMut(usize, Label, &u32, Written) -> ControlFlow<()>,
+        ) -> ccr_runtime::Result<()> {
             use ccr_core::ids::ProcessId;
-            out.clear();
+            if !wanted(0) {
+                return Ok(());
+            }
             let label = Label::new(ProcessId::Home, ccr_runtime::LabelKind::Tau, "step");
-            out.extend([1, 2].map(|step| (label.clone(), (s + step) % self.n)));
+            for step in [1, 2] {
+                *scratch = (s + step) % self.n;
+                let flow = visit(0, label.clone(), scratch, Written::ALL);
+                *scratch = *s;
+                if flow.is_break() {
+                    return Ok(());
+                }
+            }
             if *s == self.bad {
                 assert!(!self.panics, "the marked state was expanded");
                 return Err(RuntimeError::BadState { who: ProcessId::Home });
@@ -2462,13 +2475,16 @@ mod tests {
             Ok(())
         }
 
-        fn encode(&self, s: &u32, out: &mut Vec<u8>) {
-            out.clear();
-            out.extend_from_slice(&s.to_le_bytes());
+        fn encode_into(&self, s: &u32, _: Option<Origin<'_, u32>>, out: &mut impl Sink) {
+            out.put_all(&s.to_le_bytes());
         }
 
-        fn decode(&self, bytes: &[u8]) -> Option<u32> {
-            bytes.try_into().ok().map(u32::from_le_bytes)
+        fn restore_into(&self, bytes: &[u8], into: &mut u32) -> bool {
+            bytes.try_into().map(|b| *into = u32::from_le_bytes(b)).is_ok()
+        }
+
+        fn msg_name(&self, m: ccr_core::ids::MsgType) -> String {
+            m.to_string()
         }
     }
 

@@ -32,7 +32,7 @@ use crate::store::StateStore;
 use ccr_runtime::abstraction::abs_into;
 use ccr_runtime::asynch::{AsyncState, AsyncSystem};
 use ccr_runtime::rendezvous::{RendezvousSystem, RvState};
-use ccr_runtime::{EncodeBuf, Label, RuntimeError, TransitionSystem};
+use ccr_runtime::{Label, RuntimeError, TransitionSystem};
 use ccr_trace::NullSink;
 
 /// Equation 1 as a checker on the sweep: every edge must map to a
@@ -59,7 +59,7 @@ pub(crate) struct Equation1<'a, 's> {
     /// `abs` of the state being judged, written in place; cloned into
     /// `rv_states` only when it is a new image.
     abs_buf: Option<RvState>,
-    buf: EncodeBuf,
+    buf: Vec<u8>,
     transitions: usize,
     stutters: usize,
     mapped_steps: usize,
@@ -82,7 +82,7 @@ impl<'a, 's> Equation1<'a, 's> {
             steps: Vec::new(),
             rv_succs: Vec::new(),
             abs_buf: None,
-            buf: EncodeBuf::new(),
+            buf: Vec::new(),
             transitions: 0,
             stutters: 0,
             mapped_steps: 0,
@@ -92,7 +92,8 @@ impl<'a, 's> Equation1<'a, 's> {
     }
 
     fn intern(&mut self, rv: &RvState) -> u32 {
-        let (id, is_new) = self.ids.insert(self.buf.fill(self.rv_sys, rv));
+        self.rv_sys.encode(rv, &mut self.buf);
+        let (id, is_new) = self.ids.insert(&self.buf);
         if is_new {
             self.rv_states.push(rv.clone());
             self.steps.push(None);
@@ -288,9 +289,9 @@ mod tests {
         rv_sys: &'a RendezvousSystem<'s>,
         a: Option<RvState>,
         rv_succs: Vec<(Label, RvState)>,
-        a_buf: EncodeBuf,
-        a2_buf: EncodeBuf,
-        r_buf: EncodeBuf,
+        a_buf: Vec<u8>,
+        a2_buf: Vec<u8>,
+        r_buf: Vec<u8>,
         stored: usize,
         transitions: usize,
         stutters: usize,
@@ -308,7 +309,7 @@ mod tests {
             self.abs_calls += 1;
             match abs(self.async_sys, state) {
                 Ok(a) => {
-                    self.a_buf.fill(self.rv_sys, &a);
+                    self.rv_sys.encode(&a, &mut self.a_buf);
                     self.a = Some(a);
                     None
                 }
@@ -332,16 +333,19 @@ mod tests {
                 Ok(a2) => a2,
                 Err(e) => return violated(format!("abs failed after rule {}: {e}", label.rule)),
             };
-            self.a2_buf.fill(self.rv_sys, &a2);
-            if self.a_buf.bytes() == self.a2_buf.bytes() {
+            self.rv_sys.encode(&a2, &mut self.a2_buf);
+            if self.a_buf == self.a2_buf {
                 self.stutters += 1;
                 return None;
             }
             if self.rv_sys.successors(a, &mut self.rv_succs).is_err() {
                 return violated("rendezvous successor generation failed".into());
             }
-            let (rv_sys, r_buf, want) = (self.rv_sys, &mut self.r_buf, self.a2_buf.bytes());
-            if !self.rv_succs.iter().any(|(_, r)| r_buf.fill(rv_sys, r) == want) {
+            let (rv_sys, r_buf, want) = (self.rv_sys, &mut self.r_buf, &self.a2_buf);
+            if !self.rv_succs.iter().any(|(_, r)| {
+                rv_sys.encode(r, r_buf);
+                r_buf == want
+            }) {
                 return violated(format!(
                     "async rule {} (actor {}) maps to an impossible rendezvous step:\n  abs(q)  = {:?}\n  abs(q') = {:?}\n  async q = {:?}\n  async q' = {:?}",
                     label.rule, label.actor, a, a2, state, next
@@ -363,9 +367,9 @@ mod tests {
             rv_sys,
             a: None,
             rv_succs: Vec::new(),
-            a_buf: EncodeBuf::new(),
-            a2_buf: EncodeBuf::new(),
-            r_buf: EncodeBuf::new(),
+            a_buf: Vec::new(),
+            a2_buf: Vec::new(),
+            r_buf: Vec::new(),
             stored: 0,
             transitions: 0,
             stutters: 0,

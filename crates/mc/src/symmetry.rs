@@ -10,10 +10,11 @@
 //! bytes.
 //!
 //! The [`Reduced`] wrapper plugs the reduction in under every check at
-//! once. The sweep ([`crate::search::drive`], whose store indices are the
-//! progress checker's CSR ids) identifies states solely through `encode`;
-//! `Reduced` delegates everything except `encode`, which it redirects to
-//! the canonical representative's bytes — on whichever thread encodes.
+//! once. The sweep (`search::drive`, whose store indices are the
+//! progress checker's CSR ids) identifies states solely through their
+//! keys; `Reduced` delegates everything but the writer,
+//! [`TransitionSystem::encode_into`], which it redirects to the canonical
+//! representative's bytes — on whichever thread encodes.
 //! Frontier states stay *concrete* (the first-discovered member of each
 //! orbit), and recorded labels are real transitions fired from those
 //! concrete states — so counterexample trails are genuine executions that
@@ -833,12 +834,11 @@ pub fn apply_perm<T: Symmetric>(sys: &T, s: &T::State, perm: &[usize]) -> T::Sta
 }
 
 /// A [`TransitionSystem`] adapter that explores `T` modulo remote
-/// symmetry: identical to the inner system except that [`encode`]
-/// produces the canonical orbit representative's bytes, so every engine
-/// that deduplicates on encodings (all of them) visits one state per
-/// orbit. See the module docs for why frontiers and trails stay concrete.
-///
-/// [`encode`]: TransitionSystem::encode
+/// symmetry: identical to the inner system except that its writer
+/// ([`TransitionSystem::encode_into`], and so `encode`) produces the
+/// canonical orbit representative's bytes, so every engine that
+/// deduplicates on encodings (all of them) visits one state per orbit.
+/// See the module docs for why frontiers and trails stay concrete.
 pub struct Reduced<'a, T: Symmetric> {
     inner: &'a T,
     active: bool,
@@ -994,33 +994,29 @@ impl<T: Symmetric> TransitionSystem for Reduced<'_, T> {
         self.inner.initial()
     }
 
-    fn successors(
-        &self,
-        s: &T::State,
-        out: &mut Vec<(Label, T::State)>,
-    ) -> ccr_runtime::Result<()> {
-        self.inner.successors(s, out)
+    fn groups(&self) -> usize {
+        self.inner.groups()
     }
 
-    fn for_each_successor(
+    fn for_each_successor_in(
         &self,
         s: &T::State,
         scratch: &mut T::State,
-        visit: impl FnMut(Label, &T::State, Written) -> ControlFlow<()>,
+        wanted: impl Fn(usize) -> bool,
+        visit: impl FnMut(usize, Label, &T::State, Written) -> ControlFlow<()>,
     ) -> ccr_runtime::Result<()> {
-        self.inner.for_each_successor(s, scratch, visit)
+        self.inner.for_each_successor_in(s, scratch, wanted, visit)
     }
 
-    fn encode(&self, s: &T::State, out: &mut Vec<u8>) {
-        if !self.active {
-            return self.inner.encode(s, out);
-        }
-        self.record(canonical_encode(self.inner, s, out));
-    }
-
-    fn max_encoded_len(&self) -> Option<usize> {
-        // A renaming moves bytes around but never lengthens them.
-        self.inner.max_encoded_len()
+    fn fire(
+        &self,
+        s: &mut T::State,
+        scratch: &mut T::State,
+        group: usize,
+        ordinal: usize,
+        dirty: &mut [bool],
+    ) -> ccr_runtime::Result<Option<Label>> {
+        self.inner.fire(s, scratch, group, ordinal, dirty)
     }
 
     /// With the step that reached `s`, the key is derived from the
@@ -1036,18 +1032,6 @@ impl<T: Symmetric> TransitionSystem for Reduced<'_, T> {
         self.record(canonical_into(self.inner, s, from, out));
     }
 
-    fn decode(&self, bytes: &[u8]) -> Option<T::State> {
-        // Canonical bytes are the verbatim encoding of the orbit
-        // representative, which is itself a real state — the inner
-        // decoder reconstructs it, and re-encoding canonicalizes to the
-        // same bytes (canonicalization is idempotent).
-        self.inner.decode(bytes)
-    }
-
-    fn decode_into(&self, bytes: &[u8], into: &mut T::State) -> bool {
-        self.inner.decode_into(bytes, into)
-    }
-
     /// A key is the orbit's representative, not the member that was
     /// reached: the sweep has to keep that one itself.
     fn key_is_snapshot(&self) -> bool {
@@ -1058,6 +1042,10 @@ impl<T: Symmetric> TransitionSystem for Reduced<'_, T> {
         self.inner.snapshot_into(s, out);
     }
 
+    /// Canonical bytes are the verbatim encoding of the orbit
+    /// representative, which is itself a real state: the inner reader
+    /// rebuilds it, and re-encoding canonicalizes to the same bytes
+    /// (canonicalization is idempotent).
     fn restore_into(&self, bytes: &[u8], into: &mut T::State) -> bool {
         self.inner.restore_into(bytes, into)
     }

@@ -18,8 +18,9 @@
 //!
 //! * **One layout** — the renaming encoder writes exactly the bytes of
 //!   the materialised permuted state, `encode(permute(s, π))`;
-//! * **Slot path** — `Reduced::encode_into` writes exactly what
-//!   `Reduced::encode` does, within `max_encoded_len`;
+//! * **Read-back** — a `Reduced` key reads back, through
+//!   `Reduced::restore_into`, as the orbit's representative, whose key it
+//!   is (what a resumed reduced sweep rebuilds its frontier from);
 //! * **Derived keys** — every successor's key that `Reduced` derives from
 //!   its parent's orbit is `canonical_encode`'s, bytes and sample.
 //!
@@ -27,7 +28,7 @@
 //! every tested state is reachable; permutations are random swap
 //! sequences over the remote indices.
 
-use ccr_core::encode::{Perm, SliceSink};
+use ccr_core::encode::Perm;
 use ccr_core::ids::StateId;
 use ccr_core::process::ProtocolSpec;
 use ccr_core::refine::{refine, RefineOptions, RefinedProtocol};
@@ -124,12 +125,11 @@ fn assert_one_layout<T: Symmetric>(sys: &T, s: &T::State, perm: &[usize]) {
     assert_eq!(renamed, sys.encoded(&apply_perm(sys, s, perm)), "renamed encode vs permute");
 
     let red = Reduced::new(sys);
-    let bound = red.max_encoded_len().expect("both executors bound their encodings");
-    let mut slot = vec![0xAA; bound];
-    let mut sink = SliceSink::new(&mut slot);
-    red.encode_into(s, None, &mut sink);
-    let written = sink.written();
-    assert_eq!(&slot[..written], &red.encoded(s)[..], "Reduced slot path vs Vec path");
+    let key = red.encoded(s);
+    let mut back = red.initial();
+    assert!(red.restore_into(&key, &mut back), "a Reduced key reads back");
+    assert_eq!(red.encoded(&back), key, "as a member of the orbit it is the key of");
+    assert_eq!(sys.encoded(&back), key, "the representative itself");
 }
 
 /// Builds a permutation of `0..n` from a random swap sequence (each word

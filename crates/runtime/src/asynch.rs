@@ -20,7 +20,7 @@
 use crate::error::{Result, RuntimeError};
 use crate::system::{Label, LabelKind, Origin, SentMsg, TransitionSystem, Written};
 use crate::wire::{encode_payload, Link, Reader, Wire};
-use ccr_core::encode::{Identity, Renaming, Segment, Sink, ID_MAX_ENCODED_LEN};
+use ccr_core::encode::{Identity, Renaming, Segment, Sink};
 use ccr_core::expr::EvalCtx;
 use ccr_core::ids::{MsgType, ProcessId, RemoteId, StateId};
 use ccr_core::inline::InlineVec;
@@ -153,8 +153,8 @@ pub struct RemoteState {
 /// A global asynchronous configuration. Cloning one — which
 /// [`TransitionSystem::successors`] does once per transition, for callers
 /// that keep the successor — is a flat copy of `home` plus one allocation
-/// for `remotes`; the model checker's sweep rewrites one in place instead
-/// (see DESIGN.md, "State layout").
+/// for `remotes`; the walk rewrites one in place instead (see DESIGN.md,
+/// "State layout").
 #[derive(Debug, PartialEq, Eq)]
 pub struct AsyncState {
     /// The home node.
@@ -355,9 +355,9 @@ impl<'a> AsyncSystem<'a> {
     /// remote slices come out in their new order and every remote-valued
     /// datum (`Awaiting` target, buffer senders, payloads, variables) under
     /// its new name; the home buffer keeps its slots, because the C1 scan
-    /// and the victim nack pick by position. `encode` and `encode_into`
-    /// are the [`Identity`] instances, so the state's byte layout is
-    /// written down here and nowhere else: the home's segment
+    /// and the victim nack pick by position. `encode_into` is the
+    /// [`Identity`] instance, so the state's byte layout is written down
+    /// here and nowhere else: the home's segment
     /// ([`AsyncSystem::encode_home_renamed`]), then one segment per slot
     /// ([`AsyncSystem::encode_remote_renamed`]), each ending with its
     /// [`Sink::end_segment`].
@@ -528,7 +528,7 @@ impl<'a> AsyncSystem<'a> {
     /// consumed silently (request/reply-optimized or unacked).
     fn home_consume(
         &self,
-        next: &mut impl Slices,
+        next: &mut Lent<'_>,
         idx: usize,
         hb: &Branch,
     ) -> Result<Option<SentMsg>> {
@@ -1120,47 +1120,20 @@ impl<'a> AsyncSystem<'a> {
         }
         Ok(())
     }
-
-    /// The in-place walk of the groups `wanted` selects.
-    fn walk(
-        &self,
-        s: &AsyncState,
-        scratch: &mut AsyncState,
-        wanted: impl Fn(usize) -> bool,
-        visit: impl FnMut(usize, Label, &AsyncState, Written) -> ControlFlow<()>,
-    ) -> Result<()> {
-        let scratch = Lent::new(scratch);
-        let mut em = InPlace { parent: s, scratch, wanted, group: 0, visit, stopped: false };
-        self.step_all(s, &mut em)
-    }
-}
-
-/// The writable slices of a successor under construction. They start out
-/// as the parent's.
-trait Slices {
-    /// The home slice.
-    fn home_mut(&mut self) -> &mut HomeState;
-
-    /// Remote `i`'s slice, links included.
-    fn remote_mut(&mut self, i: usize) -> &mut RemoteState;
 }
 
 /// Where the rules of Tables 1–2 put the successors of the state they are
 /// reading. A rule hands over a closure that rewrites the slices it needs
-/// and returns the label; it cannot tell whether those slices belong to a
-/// fresh copy of the parent ([`Owned`], behind
-/// [`TransitionSystem::successors`]), to the sweep's one scratch state,
-/// lent out and then put back as it was ([`InPlace`], behind
-/// [`TransitionSystem::for_each_successor`]), or to a simulator's scratch
+/// in a [`Lent`] state equal to the parent, and returns the label; it
+/// cannot tell whether that state is the walk's scratch state, put back
+/// as it was after the visit ([`InPlace`], behind
+/// [`TransitionSystem::for_each_successor_in`]), or a simulator's scratch
 /// state on its way to becoming the next configuration ([`Fire`], behind
 /// [`TransitionSystem::fire`]) — nor whether the closure is run at all.
 trait Emitter {
-    /// What `build` writes to.
-    type Next: Slices;
-
     /// One successor: `build` turns a state equal to the parent into it
     /// and names the transition. An error from `build` is the rule's.
-    fn successor(&mut self, build: impl FnOnce(&mut Self::Next) -> Result<Label>) -> Result<()>;
+    fn successor(&mut self, build: impl FnOnce(&mut Lent<'_>) -> Result<Label>) -> Result<()>;
 
     /// Whether the emitter will take no further successor, so that the
     /// rules still to come need not be walked.
@@ -1169,43 +1142,6 @@ trait Emitter {
     /// Whether to walk rule group `group`, whose successors, if it does,
     /// are the next ones handed over.
     fn wants(&mut self, group: usize) -> bool;
-}
-
-/// Emits owned successors: one clone of the parent per successor, made
-/// for a consumer that keeps it (a worker's list, a trail replay).
-struct Owned<'a> {
-    parent: &'a AsyncState,
-    out: &'a mut Vec<(Label, AsyncState)>,
-}
-
-impl Slices for AsyncState {
-    fn home_mut(&mut self) -> &mut HomeState {
-        &mut self.home
-    }
-
-    fn remote_mut(&mut self, i: usize) -> &mut RemoteState {
-        &mut self.remotes[i]
-    }
-}
-
-impl Emitter for Owned<'_> {
-    type Next = AsyncState;
-
-    #[inline]
-    fn successor(&mut self, build: impl FnOnce(&mut AsyncState) -> Result<Label>) -> Result<()> {
-        let mut next = self.parent.clone();
-        let label = build(&mut next)?;
-        self.out.push((label, next));
-        Ok(())
-    }
-
-    fn finished(&self) -> bool {
-        false
-    }
-
-    fn wants(&mut self, _: usize) -> bool {
-        true
-    }
 }
 
 /// What a rule took to write in is a [`Written`]: the copy between a
@@ -1274,14 +1210,14 @@ impl<'a> Lent<'a> {
     fn publish(&self, to: &mut AsyncState) {
         self.taken.copy(self.state, to);
     }
-}
 
-impl Slices for Lent<'_> {
+    /// The home slice, to write in.
     fn home_mut(&mut self) -> &mut HomeState {
         self.taken.take_home();
         &mut self.state.home
     }
 
+    /// Remote `i`'s slice, links included, to write in.
     fn remote_mut(&mut self, i: usize) -> &mut RemoteState {
         self.taken.take_remote(i);
         &mut self.state.remotes[i]
@@ -1302,15 +1238,13 @@ struct InPlace<'a, W, V> {
     stopped: bool,
 }
 
-impl<'a, W, V> Emitter for InPlace<'a, W, V>
+impl<W, V> Emitter for InPlace<'_, W, V>
 where
     W: Fn(usize) -> bool,
     V: FnMut(usize, Label, &AsyncState, Written) -> ControlFlow<()>,
 {
-    type Next = Lent<'a>;
-
     #[inline]
-    fn successor(&mut self, build: impl FnOnce(&mut Self::Next) -> Result<Label>) -> Result<()> {
+    fn successor(&mut self, build: impl FnOnce(&mut Lent<'_>) -> Result<Label>) -> Result<()> {
         let built = build(&mut self.scratch).map(|label| {
             if !self.stopped {
                 let (state, written) = (&*self.scratch.state, self.scratch.taken);
@@ -1345,11 +1279,9 @@ struct Fire<'a> {
     fired: Option<Label>,
 }
 
-impl<'a> Emitter for Fire<'a> {
-    type Next = Lent<'a>;
-
+impl Emitter for Fire<'_> {
     #[inline]
-    fn successor(&mut self, build: impl FnOnce(&mut Lent<'a>) -> Result<Label>) -> Result<()> {
+    fn successor(&mut self, build: impl FnOnce(&mut Lent<'_>) -> Result<Label>) -> Result<()> {
         if self.fired.is_some() {
             return Ok(());
         }
@@ -1399,40 +1331,25 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
         }
     }
 
-    fn successors(&self, s: &AsyncState, out: &mut Vec<(Label, AsyncState)>) -> Result<()> {
-        out.clear();
-        self.step_all(s, &mut Owned { parent: s, out })
-    }
-
-    fn for_each_successor(
-        &self,
-        s: &AsyncState,
-        scratch: &mut AsyncState,
-        mut visit: impl FnMut(Label, &AsyncState, Written) -> ControlFlow<()>,
-    ) -> Result<()> {
-        self.walk(s, scratch, |_| true, |_, label, next, written| visit(label, next, written))
-    }
-
     /// `1 + 2n`: `home_step`, then per remote `i` `deliver_to_home(i)` and
-    /// `deliver_to_remote(i)` with `remote_step(i)` ([`Written::dirty`] says
-    /// what each reads).
+    /// `deliver_to_remote(i)` with `remote_step(i)` (DESIGN.md, "Rule
+    /// groups", says what each reads).
     fn groups(&self) -> usize {
         1 + 2 * self.n as usize
     }
 
+    /// Every rule of `step_all` in the groups `wanted` selects, through
+    /// the `InPlace` emitter.
     fn for_each_successor_in(
         &self,
         s: &AsyncState,
         scratch: &mut AsyncState,
-        wanted: &[bool],
-        mut visit: impl FnMut(usize, Label, &AsyncState) -> ControlFlow<()>,
+        wanted: impl Fn(usize) -> bool,
+        visit: impl FnMut(usize, Label, &AsyncState, Written) -> ControlFlow<()>,
     ) -> Result<()> {
-        self.walk(
-            s,
-            scratch,
-            |group| wanted[group],
-            |group, label, next, _| visit(group, label, next),
-        )
+        let scratch = Lent::new(scratch);
+        let mut em = InPlace { parent: s, scratch, wanted, group: 0, visit, stopped: false };
+        self.step_all(s, &mut em)
     }
 
     fn fire(
@@ -1481,35 +1398,6 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
         self.refined.spec.msg_name(m).to_string()
     }
 
-    fn encode(&self, s: &AsyncState, out: &mut Vec<u8>) {
-        out.clear();
-        self.encode_renamed(s, &Identity, out);
-    }
-
-    fn max_encoded_len(&self) -> Option<usize> {
-        let home_vars = self.spec().home.initial_env().len();
-        let remote_vars = self.spec().remote.initial_env().len();
-        let buf_cap = self.config.home_buffer + self.config.unacked_allowance;
-        let link = Link::max_encoded_len(self.config.link_capacity);
-        // Home: phase (tag, state id, branch, target id) + env + cursor +
-        // buffer length + entries, each `from` id + msg + payload flag +
-        // payload value.
-        let home = 2
-            + 2 * ID_MAX_ENCODED_LEN
-            + home_vars * Value::MAX_ENCODED_LEN
-            + 2
-            + buf_cap * (ID_MAX_ENCODED_LEN + 2 + Value::MAX_ENCODED_LEN);
-        // Remote: phase (tag, state id, branch) + env + parked message
-        // (≤ 3 + value) + the two directed links.
-        let remote = 2
-            + ID_MAX_ENCODED_LEN
-            + remote_vars * Value::MAX_ENCODED_LEN
-            + 3
-            + Value::MAX_ENCODED_LEN
-            + 2 * link;
-        Some(home + self.n as usize * remote)
-    }
-
     /// [`AsyncSystem::encode_renamed`] under the identity, except that a
     /// slice the step `from` did not write is offered to `out` as the
     /// parent's segment in the same place, and written only where `out`
@@ -1531,15 +1419,11 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
         }
     }
 
-    fn decode(&self, bytes: &[u8]) -> Option<AsyncState> {
-        let mut s = self.initial();
-        self.decode_into(bytes, &mut s).then_some(s)
-    }
-
     /// The one reader of the layout [`AsyncSystem::encode_renamed`]
-    /// writes. Allocates only to give `into` its `n` remotes if it has
-    /// another number, or where a buffer outgrows its inline room.
-    fn decode_into(&self, bytes: &[u8], into: &mut AsyncState) -> bool {
+    /// writes, which is also the snapshot. Allocates only to give `into`
+    /// its `n` remotes if it has another number, or where a buffer
+    /// outgrows its inline room.
+    fn restore_into(&self, bytes: &[u8], into: &mut AsyncState) -> bool {
         let mut r = Reader::new(bytes);
         self.parse_into(&mut r, into).is_some() && r.at_end()
     }

@@ -35,12 +35,13 @@ use crate::asynch::{AsyncState, AsyncSystem};
 use crate::error::Result;
 use crate::sched::Scheduler;
 use crate::sim::Simulator;
-use crate::system::{Label, LabelKind, Origin, TransitionSystem};
+use crate::system::{walk_dyn, DynVisit, Label, LabelKind, Origin, TransitionSystem, Written};
 use crate::wire::{Link, Reader, Wire};
 use ccr_core::encode::{Segment, Sink};
 use ccr_core::ids::{MsgType, ProcessId, RemoteId};
 use ccr_faults::{FaultKind, FaultPlan, FaultStats};
 use ccr_trace::{TraceEvent, TraceSink};
+use std::ops::ControlFlow;
 
 /// Identifies one directed link of the star topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -683,90 +684,51 @@ impl FaultState {
 }
 
 impl FaultClosure<'_> {
-    /// Appends the fault budget and the ledger to `out`, the ledger in a
-    /// canonical order.
-    fn encode_ledger(s: &FaultState, out: &mut Vec<u8>) {
-        out.push(s.faults_left as u8);
-        // Canonicalize ledger order so states reached by different fault
-        // interleavings dedup. `due`/`attempt` are timer bookkeeping with
-        // no meaning here (always 0) and are excluded. Entries are
-        // encoded straight into `out` (variable length — the wire may
-        // carry a value) with their byte ranges recorded; when more than
-        // one entry landed out of order, the tail is rewritten through a
-        // single scratch copy instead of allocating one `Vec` per entry.
-        out.push(s.ledger.lost.len() as u8);
-        let lost_base = out.len();
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(s.ledger.lost.len());
-        for e in &s.ledger.lost {
-            let start = out.len();
-            out.push(u8::from(e.link.to_home));
-            out.push(e.link.idx as u8);
-            out.push(e.ahead as u8);
-            out.push(e.holes_ahead as u8);
-            e.wire.encode(out);
-            ranges.push((start, out.len()));
-        }
-        let sorted = ranges.windows(2).all(|w| out[w[0].0..w[0].1] <= out[w[1].0..w[1].1]);
-        if !sorted {
-            ranges.sort_by(|a, b| out[a.0..a.1].cmp(&out[b.0..b.1]));
-            let mut tmp = Vec::with_capacity(out.len() - lost_base);
-            for &(a, b) in &ranges {
-                tmp.extend_from_slice(&out[a..b]);
-            }
-            out.truncate(lost_base);
-            out.extend_from_slice(&tmp);
-        }
-        let mut ghosts: Vec<[u8; 3]> = s
-            .ledger
-            .ghosts
-            .iter()
-            .map(|g| [u8::from(g.link.to_home), g.link.idx as u8, g.pos as u8])
-            .collect();
-        ghosts.sort();
-        out.push(ghosts.len() as u8);
-        for b in ghosts {
-            out.extend_from_slice(&b);
-        }
-    }
-}
-
-impl TransitionSystem for FaultClosure<'_> {
-    type State = FaultState;
-
-    fn initial(&self) -> FaultState {
-        FaultState {
-            base: self.base.initial(),
-            faults_left: self.budget,
-            ledger: Ledger::default(),
-        }
-    }
-
-    fn successors(&self, s: &FaultState, out: &mut Vec<(Label, FaultState)>) -> Result<()> {
-        out.clear();
+    /// The base system's walk on `s.base`, each successor it shows
+    /// wrapped in the ledger in `scratch`, less the deliveries the
+    /// resequencer holds back; then the retransmissions, drops and
+    /// duplicates, each built in `scratch` too. Every step counts as
+    /// writing everything. Not generic over the visitor, so it is
+    /// compiled once whoever walks it.
+    fn walk(
+        &self,
+        s: &FaultState,
+        scratch: &mut FaultState,
+        visit: &mut DynVisit<'_, FaultState>,
+    ) -> Result<()> {
         let cap = self.base.config().link_capacity;
         let n = self.base.n() as usize;
+        // Shows the successor built in `scratch`, then makes it `s` again;
+        // true when `visit` broke.
+        let mut show = |scratch: &mut FaultState, label: Label| {
+            self.normalize(scratch);
+            let flow = visit(0, label, scratch, Written::ALL);
+            scratch.clone_from(s);
+            flow.is_break()
+        };
 
         // Base protocol transitions, minus deliveries from links whose
         // head frame is lost (the resequencer holds successors back).
-        let mut base_out = Vec::new();
-        self.base.successors(&s.base, &mut base_out)?;
-        for (label, nb) in base_out {
-            if let Some(r) = &label.recv {
-                if let Some(lr) = LinkRef::of(r.from, r.to) {
-                    if s.ledger.blocked(lr) {
-                        continue;
-                    }
-                }
+        let mut stopped = false;
+        let mut base = s.base.clone();
+        walk_dyn(&self.base, &s.base, &mut base, &|_| true, &mut |_, label, next, _| {
+            let consumed = label.recv.and_then(|r| LinkRef::of(r.from, r.to));
+            if consumed.is_some_and(|lr| s.ledger.blocked(lr)) {
+                return ControlFlow::Continue(());
             }
-            let mut ns =
-                FaultState { base: nb, faults_left: s.faults_left, ledger: s.ledger.clone() };
-            if let Some(r) = &label.recv {
-                if let Some(lr) = LinkRef::of(r.from, r.to) {
-                    ns.ledger.on_remove_at(lr, 0);
-                }
+            scratch.base.clone_from(next);
+            if let Some(lr) = consumed {
+                scratch.ledger.on_remove_at(lr, 0);
             }
-            self.normalize(&mut ns);
-            out.push((label, ns));
+            stopped = show(scratch, label);
+            if stopped {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })?;
+        if stopped {
+            return Ok(());
         }
 
         // Recovery: retransmit any lost frame into its original position.
@@ -782,14 +744,14 @@ impl TransitionSystem for FaultClosure<'_> {
                 continue;
             }
             let (from, to) = e.link.endpoints();
-            let mut ns = s.clone();
             let pos = e.ahead.min(len);
-            e.link.link_mut(&mut ns.base).insert(pos, e.wire);
-            ns.ledger.on_retransmit(i);
-            ns.ledger.on_insert_at(e.link, pos);
-            self.normalize(&mut ns);
+            e.link.link_mut(&mut scratch.base).insert(pos, e.wire);
+            scratch.ledger.on_retransmit(i);
+            scratch.ledger.on_insert_at(e.link, pos);
             let tag = Some(format!("{from}->{to}#{i}").into());
-            out.push((Label::new(from, LabelKind::Fault, "fault/retransmit").tagged(&tag), ns));
+            if show(scratch, Label::new(from, LabelKind::Fault, "fault/retransmit").tagged(&tag)) {
+                return Ok(());
+            }
         }
 
         // Adversary: drop or duplicate the tail of any link, while budget
@@ -807,39 +769,105 @@ impl TransitionSystem for FaultClosure<'_> {
                 }
                 let (from, to) = l.endpoints();
                 let tag = Some(format!("{from}->{to}").into());
-                {
-                    let mut ns = s.clone();
-                    ns.faults_left -= 1;
-                    let wire = l.link_mut(&mut ns.base).remove_at(tail).expect("tail");
-                    let holes_ahead = ns.ledger.on_drop_tail(l, tail);
-                    ns.ledger.lost.push(LostMsg {
-                        link: l,
-                        wire,
-                        ahead: tail,
-                        holes_ahead,
-                        due: 0,
-                        attempt: 0,
-                    });
-                    self.normalize(&mut ns);
-                    out.push((Label::new(from, LabelKind::Fault, "fault/drop").tagged(&tag), ns));
+                scratch.faults_left -= 1;
+                let wire = l.link_mut(&mut scratch.base).remove_at(tail).expect("tail");
+                let holes_ahead = scratch.ledger.on_drop_tail(l, tail);
+                scratch.ledger.lost.push(LostMsg {
+                    link: l,
+                    wire,
+                    ahead: tail,
+                    holes_ahead,
+                    due: 0,
+                    attempt: 0,
+                });
+                if show(scratch, Label::new(from, LabelKind::Fault, "fault/drop").tagged(&tag)) {
+                    return Ok(());
                 }
                 if len + 1 < cap {
-                    let mut ns = s.clone();
-                    ns.faults_left -= 1;
-                    let wire = *l.link(&ns.base).get(tail).expect("tail");
-                    l.link_mut(&mut ns.base).push(wire);
-                    ns.ledger.ghosts.push(Ghost { link: l, pos: len });
-                    self.normalize(&mut ns);
-                    out.push((Label::new(from, LabelKind::Fault, "fault/dup").tagged(&tag), ns));
+                    scratch.faults_left -= 1;
+                    let wire = *l.link(&scratch.base).get(tail).expect("tail");
+                    l.link_mut(&mut scratch.base).push(wire);
+                    scratch.ledger.ghosts.push(Ghost { link: l, pos: len });
+                    if show(scratch, Label::new(from, LabelKind::Fault, "fault/dup").tagged(&tag)) {
+                        return Ok(());
+                    }
                 }
             }
         }
         Ok(())
     }
 
-    fn encode(&self, s: &FaultState, out: &mut Vec<u8>) {
-        out.clear();
-        self.encode_into(s, None, out);
+    /// Appends the fault budget and the ledger to `out`, the ledger in a
+    /// canonical order. The budget, the counts, link indices and hole
+    /// counts can pass 255 (`--fault-budget`, `-n`), so they are written
+    /// as [`Sink::put_id`] writes an id: one byte below 128, never two
+    /// values alike.
+    fn encode_ledger(s: &FaultState, out: &mut Vec<u8>) {
+        out.put_id(s.faults_left);
+        // Canonicalize ledger order so states reached by different fault
+        // interleavings dedup. `due`/`attempt` are timer bookkeeping with
+        // no meaning here (always 0) and are excluded. Entries are
+        // encoded straight into `out` (variable length — the wire may
+        // carry a value) with their byte ranges recorded; when more than
+        // one entry landed out of order, the tail is rewritten through a
+        // single scratch copy instead of allocating one `Vec` per entry.
+        out.put_id(s.ledger.lost.len() as u32);
+        let lost_base = out.len();
+        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(s.ledger.lost.len());
+        for e in &s.ledger.lost {
+            let start = out.len();
+            out.push(u8::from(e.link.to_home));
+            out.put_id(e.link.idx as u32);
+            out.push(e.ahead as u8);
+            out.put_id(e.holes_ahead as u32);
+            e.wire.encode(out);
+            ranges.push((start, out.len()));
+        }
+        let sorted = ranges.windows(2).all(|w| out[w[0].0..w[0].1] <= out[w[1].0..w[1].1]);
+        if !sorted {
+            ranges.sort_by(|a, b| out[a.0..a.1].cmp(&out[b.0..b.1]));
+            let mut tmp = Vec::with_capacity(out.len() - lost_base);
+            for &(a, b) in &ranges {
+                tmp.extend_from_slice(&out[a..b]);
+            }
+            out.truncate(lost_base);
+            out.extend_from_slice(&tmp);
+        }
+        let mut ghosts: Vec<(bool, usize, usize)> =
+            s.ledger.ghosts.iter().map(|g| (g.link.to_home, g.link.idx, g.pos)).collect();
+        ghosts.sort();
+        out.put_id(ghosts.len() as u32);
+        for (to_home, idx, pos) in ghosts {
+            out.push(u8::from(to_home));
+            out.put_id(idx as u32);
+            out.push(pos as u8);
+        }
+    }
+}
+
+impl TransitionSystem for FaultClosure<'_> {
+    type State = FaultState;
+
+    fn initial(&self) -> FaultState {
+        FaultState {
+            base: self.base.initial(),
+            faults_left: self.budget,
+            ledger: Ledger::default(),
+        }
+    }
+
+    /// The transitions of `FaultClosure::walk`, one group.
+    fn for_each_successor_in(
+        &self,
+        s: &FaultState,
+        scratch: &mut FaultState,
+        wanted: impl Fn(usize) -> bool,
+        mut visit: impl FnMut(usize, Label, &FaultState, Written) -> ControlFlow<()>,
+    ) -> Result<()> {
+        if !wanted(0) {
+            return Ok(());
+        }
+        self.walk(s, scratch, &mut visit)
     }
 
     /// The base state's segments, then the fault budget and ledger as one
@@ -856,6 +884,7 @@ impl TransitionSystem for FaultClosure<'_> {
         out.put_all(&ledger);
         out.end_segment(Segment::Home);
     }
+
     /// The key above with the ledger as it stands: entry order decides
     /// how retransmissions are numbered, so a pending state restored from
     /// sorted entries would label its successors differently. Widths as
@@ -867,15 +896,15 @@ impl TransitionSystem for FaultClosure<'_> {
         }
         self.base.encode(&s.base, out);
         out.extend_from_slice(&s.faults_left.to_le_bytes());
-        out.push(s.ledger.lost.len() as u8);
+        out.put_id(s.ledger.lost.len() as u32);
         for e in &s.ledger.lost {
             debug_assert_eq!((e.due, e.attempt), (0, 0), "the closure keeps no timers");
             put_link(e.link, out);
             out.push(e.ahead as u8);
-            out.push(e.holes_ahead as u8);
+            out.put_id(e.holes_ahead as u32);
             e.wire.encode(out);
         }
-        out.push(s.ledger.ghosts.len() as u8);
+        out.put_id(s.ledger.ghosts.len() as u32);
         for g in &s.ledger.ghosts {
             put_link(g.link, out);
             out.push(g.pos as u8);
@@ -897,14 +926,14 @@ impl TransitionSystem for FaultClosure<'_> {
             into.faults_left = r.u32()?;
             let ledger = &mut into.ledger;
             ledger.lost.clear();
-            for _ in 0..r.u8()? {
+            for _ in 0..r.id()? {
                 let link = link(&mut r)?;
-                let (ahead, holes_ahead) = (r.u8()? as usize, r.u8()? as usize);
+                let (ahead, holes_ahead) = (r.u8()? as usize, r.id()? as usize);
                 let wire = r.wire()?;
                 ledger.lost.push(LostMsg { link, wire, ahead, holes_ahead, due: 0, attempt: 0 });
             }
             ledger.ghosts.clear();
-            for _ in 0..r.u8()? {
+            for _ in 0..r.id()? {
                 ledger.ghosts.push(Ghost { link: link(&mut r)?, pos: r.u8()? as usize });
             }
             Some(())
@@ -1114,6 +1143,35 @@ mod tests {
         assert_eq!(plain.state(), faulted.state());
         assert_eq!(plain.stats(), faulted.stats());
         assert_eq!(harness.stats(), &FaultStats::default());
+    }
+
+    /// A budget or a remote index past 255 is a key of its own, not the
+    /// key of the value it would wrap to in a byte; and the snapshot
+    /// gives back each state.
+    #[test]
+    fn keys_tell_budgets_and_remotes_past_255_apart() {
+        let spec = token_spec();
+        let refined = refine(&spec, &RefineOptions::default()).unwrap();
+        let base = AsyncSystem::new(&refined, 257, AsyncConfig::default());
+        let closure = FaultClosure::new(base, 256);
+        let full = closure.initial();
+        let spent = FaultState { faults_left: 0, ..full.clone() };
+        let lost_on = |idx| {
+            let mut s = full.clone();
+            let link = LinkRef { to_home: true, idx };
+            let (wire, ahead, holes_ahead) = (Wire::Ack, 0, 0);
+            s.ledger.lost.push(LostMsg { link, wire, ahead, holes_ahead, due: 0, attempt: 0 });
+            s
+        };
+        let (r0, r256) = (lost_on(0), lost_on(256));
+        assert_ne!(closure.encoded(&full), closure.encoded(&spent));
+        assert_ne!(closure.encoded(&r0), closure.encoded(&r256));
+        let (mut bytes, mut back) = (Vec::new(), closure.initial());
+        for s in [full.clone(), spent, r0, r256] {
+            closure.snapshot_into(&s, &mut bytes);
+            assert!(closure.restore_into(&bytes, &mut back));
+            assert_eq!(back, s);
+        }
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! matching output/input guard pair, atomically transferring the payload.
 
 use crate::error::{Result, RuntimeError};
-use crate::system::{Label, LabelKind, Origin, TransitionSystem, Written};
+use crate::system::{DynVisit, Label, LabelKind, Origin, TransitionSystem, Written};
 use crate::wire::Reader;
-use ccr_core::encode::{Identity, Renaming, Segment, Sink, ID_MAX_ENCODED_LEN};
+use ccr_core::encode::{Identity, Renaming, Segment, Sink};
 use ccr_core::expr::EvalCtx;
 use ccr_core::ids::{MsgType, ProcessId, RemoteId, StateId};
-use ccr_core::process::{Branch, CommAction, Peer, Process, ProtocolSpec, StateKind};
+use ccr_core::process::{Branch, CommAction, Peer, ProtocolSpec, StateKind};
 use ccr_core::value::{Env, Value};
 use std::ops::ControlFlow;
 
@@ -65,8 +65,8 @@ impl<'a> RendezvousSystem<'a> {
     }
 
     /// Appends to `out` the encoding of `s` with its remotes renamed by
-    /// `ren` (see `AsyncSystem::encode_renamed`); `encode` and
-    /// `encode_into` are the [`Identity`] instances. The home's segment
+    /// `ren` (see `AsyncSystem::encode_renamed`); `encode_into` is the
+    /// [`Identity`] instance. The home's segment
     /// and each slot's are one process's [`Local`], written alike and
     /// ended as the segment of its kind.
     pub fn encode_renamed(&self, s: &RvState, ren: &impl Renaming, out: &mut impl Sink) {
@@ -114,13 +114,11 @@ impl<'a> RendezvousSystem<'a> {
     }
 
     fn apply_assigns(
-        proc_: &Process,
         branch: &Branch,
         env: &mut Env,
         self_id: Option<RemoteId>,
         who: ProcessId,
     ) -> Result<()> {
-        let _ = proc_;
         for (v, e) in &branch.assigns {
             let val = e
                 .eval(EvalCtx { env, self_id })
@@ -131,9 +129,15 @@ impl<'a> RendezvousSystem<'a> {
     }
 
     /// Executes a rendezvous where the *home* is active (home `Send` branch
-    /// `hb`, remote `i` `Recv` branch `rb`), producing the successor.
-    fn do_home_active(&self, s: &RvState, hb: &Branch, i: usize, rb: &Branch) -> Result<RvState> {
-        let mut next = s.clone();
+    /// `hb`, remote `i` `Recv` branch `rb`), writing the successor into
+    /// `next`, which equals `s`.
+    fn do_home_active(
+        s: &RvState,
+        next: &mut RvState,
+        hb: &Branch,
+        i: usize,
+        rb: &Branch,
+    ) -> Result<()> {
         let hctx = EvalCtx { env: &s.home.env, self_id: None };
         let payload = match &hb.action {
             CommAction::Send { payload: Some(e), .. } => Some(
@@ -148,23 +152,24 @@ impl<'a> RendezvousSystem<'a> {
                 next.remotes[i].env.set(v.index(), val);
             }
         }
-        Self::apply_assigns(
-            &self.spec.remote,
-            rb,
-            &mut next.remotes[i].env,
-            Some(RemoteId(i as u32)),
-            ProcessId::Remote(RemoteId(i as u32)),
-        )?;
+        let rid = RemoteId(i as u32);
+        Self::apply_assigns(rb, &mut next.remotes[i].env, Some(rid), ProcessId::Remote(rid))?;
         next.remotes[i].state = rb.target;
         // Sender side.
-        Self::apply_assigns(&self.spec.home, hb, &mut next.home.env, None, ProcessId::Home)?;
+        Self::apply_assigns(hb, &mut next.home.env, None, ProcessId::Home)?;
         next.home.state = hb.target;
-        Ok(next)
+        Ok(())
     }
 
-    /// Executes a rendezvous where remote `i` is active.
-    fn do_remote_active(&self, s: &RvState, i: usize, rb: &Branch, hb: &Branch) -> Result<RvState> {
-        let mut next = s.clone();
+    /// Executes a rendezvous where remote `i` is active, writing the
+    /// successor into `next`, which equals `s`.
+    fn do_remote_active(
+        s: &RvState,
+        next: &mut RvState,
+        i: usize,
+        rb: &Branch,
+        hb: &Branch,
+    ) -> Result<()> {
         let rid = RemoteId(i as u32);
         let rctx = EvalCtx { env: &s.remotes[i].env, self_id: Some(rid) };
         let payload = match &rb.action {
@@ -183,18 +188,12 @@ impl<'a> RendezvousSystem<'a> {
                 next.home.env.set(v.index(), val);
             }
         }
-        Self::apply_assigns(&self.spec.home, hb, &mut next.home.env, None, ProcessId::Home)?;
+        Self::apply_assigns(hb, &mut next.home.env, None, ProcessId::Home)?;
         next.home.state = hb.target;
         // Remote sender.
-        Self::apply_assigns(
-            &self.spec.remote,
-            rb,
-            &mut next.remotes[i].env,
-            Some(rid),
-            ProcessId::Remote(rid),
-        )?;
+        Self::apply_assigns(rb, &mut next.remotes[i].env, Some(rid), ProcessId::Remote(rid))?;
         next.remotes[i].state = rb.target;
-        Ok(next)
+        Ok(())
     }
 
     /// Whether home `Recv` branch `hb` accepts a message `msg` from remote
@@ -229,36 +228,31 @@ impl<'a> RendezvousSystem<'a> {
         }
     }
 
-    /// Shows `emit` every successor of `s` with its label and the slices
-    /// the step wrote, in the order [`TransitionSystem::successors`] lists
-    /// them; on an error, the ones before it.
-    fn generate(&self, s: &RvState, emit: &mut impl FnMut(Label, RvState, Written)) -> Result<()> {
-        let home = || {
-            let mut written = Written::NOTHING;
-            written.take_home();
-            written
-        };
-        let remote = |i: usize, with_home: bool| {
-            let mut written = if with_home { home() } else { Written::NOTHING };
-            written.take_remote(i);
-            written
-        };
+    /// The home's `tau` steps, then per remote its `tau` steps and its
+    /// rendezvous with the home, home-active first, each built in
+    /// `scratch`: a rendezvous writes the home's slice and its partner's,
+    /// a `tau` its process's. Not generic over the visitor, so the rules
+    /// are compiled once whoever walks them.
+    fn walk(
+        &self,
+        s: &RvState,
+        scratch: &mut RvState,
+        visit: &mut DynVisit<'_, RvState>,
+    ) -> Result<()> {
         let home_st = self.home_state(s)?;
         let hctx = EvalCtx { env: &s.home.env, self_id: None };
 
         // Home tau steps (internal states).
         for br in &home_st.branches {
             if br.action.is_tau() && Self::guard_ok(&br.guard, hctx, ProcessId::Home)? {
-                let mut next = s.clone();
-                Self::apply_assigns(
-                    &self.spec.home,
-                    br,
-                    &mut next.home.env,
-                    None,
-                    ProcessId::Home,
-                )?;
-                next.home.state = br.target;
-                emit(Label::new(ProcessId::Home, LabelKind::Tau, "tau"), next, home());
+                let build = |next: &mut RvState| {
+                    Self::apply_assigns(br, &mut next.home.env, None, ProcessId::Home)?;
+                    next.home.state = br.target;
+                    Ok(Label::new(ProcessId::Home, LabelKind::Tau, "tau"))
+                };
+                if Self::lend(s, scratch, wrote(true, None), build, visit)?.is_break() {
+                    return Ok(());
+                }
             }
         }
 
@@ -271,16 +265,14 @@ impl<'a> RendezvousSystem<'a> {
             // Remote tau steps.
             for br in &rst.branches {
                 if br.action.is_tau() && Self::guard_ok(&br.guard, rctx, pid)? {
-                    let mut next = s.clone();
-                    Self::apply_assigns(
-                        &self.spec.remote,
-                        br,
-                        &mut next.remotes[i].env,
-                        Some(rid),
-                        pid,
-                    )?;
-                    next.remotes[i].state = br.target;
-                    emit(Label::new(pid, LabelKind::Tau, "tau"), next, remote(i, false));
+                    let build = |next: &mut RvState| {
+                        Self::apply_assigns(br, &mut next.remotes[i].env, Some(rid), pid)?;
+                        next.remotes[i].state = br.target;
+                        Ok(Label::new(pid, LabelKind::Tau, "tau"))
+                    };
+                    if Self::lend(s, scratch, wrote(false, Some(i)), build, visit)?.is_break() {
+                        return Ok(());
+                    }
                 }
             }
 
@@ -314,13 +306,14 @@ impl<'a> RendezvousSystem<'a> {
                     if !ok || !Self::guard_ok(&rb.guard, rctx, pid)? {
                         continue;
                     }
-                    let next = self.do_home_active(s, hb, i, rb)?;
-                    emit(
-                        Label::new(ProcessId::Home, LabelKind::Rendezvous, "rendezvous")
-                            .completing(ProcessId::Home, msg),
-                        next,
-                        remote(i, true),
-                    );
+                    let build = |next: &mut RvState| {
+                        Self::do_home_active(s, next, hb, i, rb)?;
+                        Ok(Label::new(ProcessId::Home, LabelKind::Rendezvous, "rendezvous")
+                            .completing(ProcessId::Home, msg))
+                    };
+                    if Self::lend(s, scratch, wrote(true, Some(i)), build, visit)?.is_break() {
+                        return Ok(());
+                    }
                 }
             }
 
@@ -335,19 +328,54 @@ impl<'a> RendezvousSystem<'a> {
                 };
                 for (_, hb) in home_st.recvs() {
                     if self.home_recv_matches(s, hb, i, msg)? {
-                        let next = self.do_remote_active(s, i, rb, hb)?;
-                        emit(
-                            Label::new(pid, LabelKind::Rendezvous, "rendezvous")
-                                .completing(pid, msg),
-                            next,
-                            remote(i, true),
-                        );
+                        let build = |next: &mut RvState| {
+                            Self::do_remote_active(s, next, i, rb, hb)?;
+                            Ok(Label::new(pid, LabelKind::Rendezvous, "rendezvous")
+                                .completing(pid, msg))
+                        };
+                        if Self::lend(s, scratch, wrote(true, Some(i)), build, visit)?.is_break() {
+                            return Ok(());
+                        }
                     }
                 }
             }
         }
         Ok(())
     }
+
+    /// Lends `scratch`, equal to `s`, to `build`, shows `visit` the
+    /// successor `build` writes there and names — a step that writes the
+    /// slices `written` names — and puts those slices back, also where
+    /// `build` fails halfway.
+    fn lend(
+        s: &RvState,
+        scratch: &mut RvState,
+        written: Written,
+        build: impl FnOnce(&mut RvState) -> Result<Label>,
+        visit: &mut DynVisit<'_, RvState>,
+    ) -> Result<ControlFlow<()>> {
+        let shown = build(scratch).map(|label| visit(0, label, scratch, written));
+        if written.home() {
+            scratch.home.clone_from(&s.home);
+        }
+        for &i in written.remotes().expect("a rendezvous step names the remote it writes") {
+            scratch.remotes[i].clone_from(&s.remotes[i]);
+        }
+        shown
+    }
+}
+
+/// What a step of the rendezvous level writes: the home's slice, remote
+/// `i`'s, or both.
+fn wrote(home: bool, remote: Option<usize>) -> Written {
+    let mut written = Written::NOTHING;
+    if home {
+        written.take_home();
+    }
+    if let Some(i) = remote {
+        written.take_remote(i);
+    }
+    written
 }
 
 impl<'a> TransitionSystem for RendezvousSystem<'a> {
@@ -365,49 +393,22 @@ impl<'a> TransitionSystem for RendezvousSystem<'a> {
         }
     }
 
-    fn successors(&self, s: &RvState, out: &mut Vec<(Label, RvState)>) -> Result<()> {
-        out.clear();
-        self.generate(s, &mut |label, next, _| out.push((label, next)))
-    }
-
-    /// The successors of `successors`, each with the slices its step
-    /// wrote: a rendezvous the home's and its partner's, a `tau` its
-    /// process's.
-    fn for_each_successor(
+    /// The rules of `RendezvousSystem::walk`, one group.
+    fn for_each_successor_in(
         &self,
         s: &RvState,
-        _scratch: &mut RvState,
-        mut visit: impl FnMut(Label, &RvState, Written) -> ControlFlow<()>,
+        scratch: &mut RvState,
+        wanted: impl Fn(usize) -> bool,
+        mut visit: impl FnMut(usize, Label, &RvState, Written) -> ControlFlow<()>,
     ) -> Result<()> {
-        let mut out = Vec::new();
-        let generated = self.generate(s, &mut |label, next, written| {
-            out.push((label, next, written));
-        });
-        for (label, next, written) in out {
-            if visit(label, &next, written).is_break() {
-                break;
-            }
+        if !wanted(0) {
+            return Ok(());
         }
-        generated
+        self.walk(s, scratch, &mut visit)
     }
 
     fn msg_name(&self, m: MsgType) -> String {
         self.spec.msg_name(m).to_string()
-    }
-
-    fn encode(&self, s: &RvState, out: &mut Vec<u8>) {
-        out.clear();
-        self.encode_renamed(s, &Identity, out);
-    }
-
-    fn max_encoded_len(&self) -> Option<usize> {
-        let home_vars = self.spec.home.initial_env().len();
-        let remote_vars = self.spec.remote.initial_env().len();
-        Some(
-            ID_MAX_ENCODED_LEN
-                + home_vars * Value::MAX_ENCODED_LEN
-                + self.n as usize * (ID_MAX_ENCODED_LEN + remote_vars * Value::MAX_ENCODED_LEN),
-        )
     }
 
     /// [`RendezvousSystem::encode_renamed`] under the identity, except
@@ -426,14 +427,9 @@ impl<'a> TransitionSystem for RendezvousSystem<'a> {
         }
     }
 
-    fn decode(&self, bytes: &[u8]) -> Option<RvState> {
-        let mut s = self.initial();
-        self.decode_into(bytes, &mut s).then_some(s)
-    }
-
     /// The one reader of the layout [`RendezvousSystem::encode_renamed`]
-    /// writes.
-    fn decode_into(&self, bytes: &[u8], into: &mut RvState) -> bool {
+    /// writes, which is also the snapshot.
+    fn restore_into(&self, bytes: &[u8], into: &mut RvState) -> bool {
         if into.remotes.len() != self.n as usize {
             into.remotes = self.initial().remotes;
         }

@@ -198,12 +198,12 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
                 cached.clear();
             }
         }
-        let cached = &mut self.cached;
+        let (cached, dirty) = (&mut self.cached, &self.dirty);
         self.sys.for_each_successor_in(
             &self.state,
             &mut self.scratch,
-            &self.dirty,
-            |g, label, _| {
+            |g| dirty[g],
+            |g, label, _, _| {
                 cached[g].push(label);
                 ControlFlow::Continue(())
             },

@@ -233,7 +233,33 @@ pub fn next_parent_id() -> u64 {
     NEXT.fetch_add(1, Relaxed)
 }
 
-/// A labelled transition system with encodable states.
+/// The walk of `sys` with its filter and its visitor behind trait objects.
+/// A walk is the rules of a whole level — 16 KB of code for
+/// [`crate::asynch::AsyncSystem`] — and each visitor type it is called
+/// with compiles another copy of it, so every caller that does not need
+/// its visitor inlined into the walk (the model checker's sweep and the
+/// simulator do) shares this one instance per system.
+pub(crate) fn walk_dyn<T: TransitionSystem + ?Sized>(
+    sys: &T,
+    s: &T::State,
+    scratch: &mut T::State,
+    wanted: &dyn Fn(usize) -> bool,
+    visit: &mut DynVisit<'_, T::State>,
+) -> Result<()> {
+    sys.for_each_successor_in(s, scratch, wanted, visit)
+}
+
+/// A visitor of the walk as [`walk_dyn`] takes it.
+pub(crate) type DynVisit<'a, S> = dyn FnMut(usize, Label, &S, Written) -> ControlFlow<()> + 'a;
+
+/// A labelled transition system with encodable states: the rendezvous
+/// spec and its asynchronous refinement, each a set of guarded actions
+/// under one semantics. A system writes three things besides its initial
+/// state and its message names — the walk
+/// ([`TransitionSystem::for_each_successor_in`]), the writer
+/// ([`TransitionSystem::encode_into`]) and the reader
+/// ([`TransitionSystem::restore_into`]) — and every other way to
+/// enumerate, encode or read a state back is provided, built on those.
 pub trait TransitionSystem {
     /// Global configuration type. (Compared only by checks that a state
     /// lent out for rewriting came back as it was.)
@@ -242,43 +268,9 @@ pub trait TransitionSystem {
     /// The unique initial configuration.
     fn initial(&self) -> Self::State;
 
-    /// Pushes every successor of `s` (with its label) into `out`.
-    /// `out` is cleared by the callee.
-    fn successors(&self, s: &Self::State, out: &mut Vec<(Label, Self::State)>) -> Result<()>;
-
-    /// Shows `visit` every successor of `s` with its label and the slices
-    /// of `s` the step wrote, in the order of
-    /// [`TransitionSystem::successors`], until it breaks. `scratch`
-    /// equals `s` on entry and on return, and is the implementation's to
-    /// work in meanwhile: a system whose transitions rewrite a small part
-    /// of a large state builds each successor there, lends it to `visit`
-    /// and undoes what it wrote — no copy of the state per transition,
-    /// which is what the model checker's sweep runs on. On an error,
-    /// `visit` has seen the successors [`TransitionSystem::successors`]
-    /// would have left in `out`.
-    ///
-    /// The default goes through `successors`, never looks at `scratch`
-    /// and reports every slice written.
-    fn for_each_successor(
-        &self,
-        s: &Self::State,
-        _scratch: &mut Self::State,
-        mut visit: impl FnMut(Label, &Self::State, Written) -> ControlFlow<()>,
-    ) -> Result<()> {
-        let mut out = Vec::new();
-        let generated = self.successors(s, &mut out);
-        for (label, next) in out {
-            if visit(label, &next, Written::ALL).is_break() {
-                break;
-            }
-        }
-        generated
-    }
-
     /// How many *rule groups* the transitions of a state fall into. The
     /// successors of a state are those of group 0, then group 1, and so
-    /// on, each group's in the order [`TransitionSystem::successors`] has
-    /// them; a group's transitions, and whether it fails, depend only on
+    /// on; a group's transitions, and whether it fails, depend only on
     /// the part of the state its rules read, so after a step that wrote
     /// none of that part they are what they were (see
     /// [`TransitionSystem::fire`]). The default is one group, which every
@@ -287,44 +279,68 @@ pub trait TransitionSystem {
         1
     }
 
-    /// [`TransitionSystem::for_each_successor`] for the groups `wanted`
-    /// selects — one flag per group — in group order, telling `visit`
-    /// which group each successor is of. On an error, `visit` has seen the
-    /// selected groups' successors up to it, as
-    /// [`TransitionSystem::successors`] lists them.
-    ///
-    /// The default is the one group's walk.
+    /// The walk: shows `visit` every successor of `s` in the rule groups
+    /// `wanted` selects, in group order, with its group, its label and the
+    /// slices of `s` the step wrote, until `visit` breaks; after that it
+    /// shows nothing more and need not walk the rules still to come.
+    /// `scratch` equals `s` on entry and on return, and is the
+    /// implementation's to work in meanwhile: a system whose transitions
+    /// rewrite a small part of a large state builds each successor there,
+    /// lends it to `visit` and puts back what the step wrote — no copy of
+    /// the state per transition, which is what the model checker's sweep
+    /// and the simulator run on. On an error, `visit` has seen the
+    /// selected successors before it.
     fn for_each_successor_in(
         &self,
         s: &Self::State,
         scratch: &mut Self::State,
-        wanted: &[bool],
-        mut visit: impl FnMut(usize, Label, &Self::State) -> ControlFlow<()>,
+        wanted: impl Fn(usize) -> bool,
+        visit: impl FnMut(usize, Label, &Self::State, Written) -> ControlFlow<()>,
+    ) -> Result<()>;
+
+    /// The walk over every rule group.
+    fn for_each_successor(
+        &self,
+        s: &Self::State,
+        scratch: &mut Self::State,
+        mut visit: impl FnMut(Label, &Self::State, Written) -> ControlFlow<()>,
     ) -> Result<()> {
-        if !wanted[0] {
-            return Ok(());
-        }
-        self.for_each_successor(s, scratch, |label, next, _| visit(0, label, next))
+        self.for_each_successor_in(
+            s,
+            scratch,
+            |_| true,
+            |_, label, next, written| visit(label, next, written),
+        )
+    }
+
+    /// Pushes every successor of `s` (with its label) into `out`, in the
+    /// walk's order; `out` is cleared by the callee. On an error, `out`
+    /// holds the successors before it. One copy of `s` to walk in, and one
+    /// per successor kept, for callers that own what they get.
+    fn successors(&self, s: &Self::State, out: &mut Vec<(Label, Self::State)>) -> Result<()> {
+        out.clear();
+        let mut scratch = s.clone();
+        walk_dyn(self, s, &mut scratch, &|_| true, &mut |_, label, next, _| {
+            out.push((label, next.clone()));
+            ControlFlow::Continue(())
+        })
     }
 
     /// Replaces `s` by the `ordinal`-th successor of rule group `group`,
-    /// counted in the order of [`TransitionSystem::successors`], and
-    /// returns that transition's label; `None`, and nothing written, if
-    /// the group has no more than `ordinal` successors. `scratch` equals
-    /// `s` on entry and on return — with the new state, that is, after a
-    /// step. Sets `dirty[g]` for every group `g` whose successors the step
-    /// may have changed — those whose rules read a part of the state it
-    /// wrote — and leaves the other flags alone. This is how a simulator
-    /// takes the one step it chose from an enumeration: a system that
-    /// generates in place walks that group's rules again for their guards
-    /// alone, builds that one successor in `scratch` and copies over to
-    /// `s` the part the rule wrote.
+    /// counted in the walk's order, and returns that transition's label;
+    /// `None`, and nothing written, if the group has no more than
+    /// `ordinal` successors. `scratch` equals `s` on entry and on return —
+    /// with the new state, that is, after a step. Sets `dirty[g]` for
+    /// every group `g` whose successors the step may have changed — those
+    /// whose rules read a part of the state it wrote — and leaves the
+    /// other flags alone. This is how a simulator takes the one step it
+    /// chose from an enumeration.
     ///
-    /// An error is one `successors(s)` returns, and leaves `s`, `scratch`
-    /// and `dirty` as they were. An implementation that stops at the
-    /// successor it was asked for need not meet the error of a later rule.
+    /// An error is one the walk of `group` meets before that successor,
+    /// and leaves `s`, `scratch` and `dirty` as they were.
     ///
-    /// The default generates the whole list and keeps one.
+    /// The default walks `group` up to that successor, copies it into
+    /// both states and flags every group.
     fn fire(
         &self,
         s: &mut Self::State,
@@ -333,112 +349,79 @@ pub trait TransitionSystem {
         ordinal: usize,
         dirty: &mut [bool],
     ) -> Result<Option<Label>> {
-        let mut out = Vec::new();
-        if group == 0 {
-            self.successors(s, &mut out)?;
-        }
-        if ordinal >= out.len() {
-            return Ok(None);
-        }
-        let (label, next) = out.swap_remove(ordinal);
+        let (mut skip, mut fired) = (ordinal, None);
+        walk_dyn(self, s, scratch, &|g| g == group, &mut |_, label, next, _| {
+            if skip > 0 {
+                skip -= 1;
+                return ControlFlow::Continue(());
+            }
+            fired = Some((label, next.clone()));
+            ControlFlow::Break(())
+        })?;
+        let Some((label, next)) = fired else { return Ok(None) };
         scratch.clone_from(&next);
         *s = next;
-        dirty[0] = true;
+        dirty.fill(true);
         Ok(Some(label))
     }
 
-    /// Writes a canonical byte encoding of `s` into `out` (cleared first).
-    fn encode(&self, s: &Self::State, out: &mut Vec<u8>);
+    /// The writer: writes the canonical encoding of `s` to `out`, marking
+    /// where each segment of it ends ([`Sink::end_segment`]) — the same
+    /// bytes on every sink. `from`, when the caller has it, is the step
+    /// that reached `s`: an encoder may use it to write the same bytes
+    /// with less work, and to offer the sink, in place of a segment the
+    /// step did not write, that segment of the key of the state it was
+    /// reached from ([`Sink::reuse`]).
+    fn encode_into(
+        &self,
+        s: &Self::State,
+        from: Option<Origin<'_, Self::State>>,
+        out: &mut impl Sink,
+    );
 
-    /// Convenience: encoded bytes as a fresh vector. Hot paths (the
-    /// search engines, the Equation 1 checker) should prefer
-    /// [`TransitionSystem::encode`] with a reused buffer or an
-    /// [`EncodeBuf`] — one heap allocation per *search*, not per state.
+    /// Writes the canonical encoding of `s` into `out` (cleared first).
+    fn encode(&self, s: &Self::State, out: &mut Vec<u8>) {
+        out.clear();
+        self.encode_into(s, None, out);
+    }
+
+    /// Convenience: encoded bytes as a fresh vector. Hot paths encode
+    /// into a reused buffer instead — one heap allocation per *search*,
+    /// not per state.
     fn encoded(&self, s: &Self::State) -> Vec<u8> {
         let mut v = Vec::new();
         self.encode(s, &mut v);
         v
     }
 
-    /// Upper bound (in bytes) on [`TransitionSystem::encode`] output for
-    /// any reachable state, when the system can compute one from its
-    /// configuration: what a caller encoding into a fixed slot
-    /// ([`ccr_core::encode::SliceSink`]) has to reserve. `None` (the
-    /// default) where there is none.
-    fn max_encoded_len(&self) -> Option<usize> {
-        None
-    }
-
-    /// Writes the canonical encoding of `s` to `out`, marking where each
-    /// segment of it ends ([`Sink::end_segment`]): the bytes
-    /// [`TransitionSystem::encode`] produces, on every sink. `from`, when
-    /// the caller has it, is the step that reached `s`: an encoder may use
-    /// it to write the same bytes with less work, and to offer the sink,
-    /// in place of a segment the step did not write, that segment of the
-    /// key of the state it was reached from ([`Sink::reuse`]).
-    ///
-    /// The default is a reference fallback through a scratch `Vec`: one
-    /// segment, ended by whoever reads the sink, and an allocation per
-    /// call. The executors override it with their segment writers.
-    fn encode_into(
-        &self,
-        s: &Self::State,
-        _from: Option<Origin<'_, Self::State>>,
-        out: &mut impl Sink,
-    ) {
-        let mut v = Vec::new();
-        self.encode(s, &mut v);
-        out.put_all(&v);
-    }
-
-    /// Inverse of [`TransitionSystem::encode`], when the system supports
-    /// it: reconstructs the state whose canonical encoding is exactly
-    /// `bytes`. Returns `None` on systems without a decoder, and on
-    /// truncated, corrupt or trailing-garbage input — persistence uses
-    /// this to rebuild checkpointed frontiers, so bad bytes must surface
-    /// as a recovery failure, never a panic or a wrong state.
-    ///
-    /// Contract for implementations: for every reachable state `s`,
-    /// `decode(encoded(s))` succeeds and re-encodes to the same bytes.
-    fn decode(&self, _bytes: &[u8]) -> Option<Self::State> {
-        None
-    }
-
-    /// [`TransitionSystem::decode`] into a state that already exists —
-    /// any state of this system, every part of it overwritten. `false`
-    /// where `decode` returns `None`, and `into` is then unspecified. The
-    /// sweep refills its one expanded state through this once per pending
-    /// state, so a system explored at scale overrides it to reuse what
-    /// `into` has allocated.
-    fn decode_into(&self, bytes: &[u8], into: &mut Self::State) -> bool {
-        self.decode(bytes).map(|s| *into = s).is_some()
-    }
-
-    /// Whether a stored key is the state: `decode_into` of `encode`'s
+    /// Whether a stored key is the state: `restore_into` of `encode`'s
     /// bytes gives back exactly the state that was encoded, so a pending
     /// state can be read back from the visited set and need not be kept
     /// anywhere else. False (the default) where `encode` forgets
     /// something a trail must keep — which member of its orbit the state
-    /// was, the order of a ledger — and where there is no decoder.
+    /// was, the order of a ledger.
     fn key_is_snapshot(&self) -> bool {
         false
     }
 
     /// Writes into `out` (cleared first) bytes from which
     /// [`TransitionSystem::restore_into`] rebuilds exactly `s`: what the
-    /// sweep keeps of a pending state when its key will not do.
+    /// sweep keeps of a pending state when its key will not do. The
+    /// default is the key.
     fn snapshot_into(&self, s: &Self::State, out: &mut Vec<u8>) {
         self.encode(s, out);
     }
 
-    /// Rebuilds into `into` the state [`TransitionSystem::snapshot_into`]
-    /// wrote as `bytes`; `false` on anything else, except that a system
-    /// with a decoder also takes its `encode` bytes here and gives the
-    /// state `decode` gives (a resumed sweep has only those of the states
-    /// it recovers).
-    fn restore_into(&self, bytes: &[u8], into: &mut Self::State) -> bool {
-        self.decode_into(bytes, into)
-    }
+    /// The reader: rebuilds into `into` — any state of this system, every
+    /// part of it overwritten — the state whose snapshot
+    /// ([`TransitionSystem::snapshot_into`]) is `bytes`; `false`, with
+    /// `into` unspecified, on truncated, corrupt or trailing-garbage
+    /// input. Persistence rebuilds checkpointed frontiers through this, so
+    /// bad bytes must surface as a recovery failure, never a panic or a
+    /// wrong state. A system whose snapshot is its key (the default) reads
+    /// its keys here, then: a resumed sweep has only the keys of the
+    /// states it recovers.
+    fn restore_into(&self, bytes: &[u8], into: &mut Self::State) -> bool;
 
     /// Observability hook: the number of messages in flight on the directed
     /// link `from → to` in configuration `s`, when the semantics models
@@ -453,40 +436,9 @@ pub trait TransitionSystem {
         None
     }
 
-    /// Observability hook: a human-readable name for a message type.
-    /// Systems carrying a spec override this with the spec's symbol table.
-    fn msg_name(&self, m: MsgType) -> String {
-        m.to_string()
-    }
-}
-
-/// A reusable state-encoding buffer.
-///
-/// [`TransitionSystem::encoded`] allocates a fresh `Vec` per call, which
-/// on checker hot paths means one heap allocation per visited state.
-/// `EncodeBuf` keeps one growable buffer alive across calls: after the
-/// first few states it stops allocating entirely (encodings of a given
-/// system have near-constant size).
-#[derive(Debug, Default)]
-pub struct EncodeBuf(Vec<u8>);
-
-impl EncodeBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Encodes `s` into the buffer (replacing any previous contents) and
-    /// returns the encoded bytes.
-    pub fn fill<'a, T: TransitionSystem>(&'a mut self, sys: &T, s: &T::State) -> &'a [u8] {
-        sys.encode(s, &mut self.0);
-        &self.0
-    }
-
-    /// The bytes of the most recent [`EncodeBuf::fill`].
-    pub fn bytes(&self) -> &[u8] {
-        &self.0
-    }
+    /// A human-readable name for a message type, from the spec's symbol
+    /// table.
+    fn msg_name(&self, m: MsgType) -> String;
 }
 
 #[cfg(test)]

@@ -67,10 +67,6 @@ impl Wire {
         self.encode_renamed(&Identity, out);
     }
 
-    /// Upper bound on the encoded size of any wire message: a `Req` with
-    /// a payload takes tag + msg + flag + one value.
-    pub const MAX_ENCODED_LEN: usize = 3 + Value::MAX_ENCODED_LEN;
-
     /// [`Wire::encode`] with the payload renamed by `ren`.
     #[inline(always)]
     pub fn encode_renamed(&self, ren: &impl Renaming, out: &mut impl Sink) {
@@ -214,14 +210,6 @@ impl Link {
     #[inline]
     pub fn encode(&self, out: &mut impl Sink) {
         self.encode_renamed(&Identity, out);
-    }
-
-    /// Upper bound on the encoded size of a link that never exceeds
-    /// `capacity` in-flight messages (the checker errors with
-    /// [`crate::RuntimeError::LinkOverflow`] before a fuller link is
-    /// ever encoded).
-    pub const fn max_encoded_len(capacity: usize) -> usize {
-        1 + capacity * Wire::MAX_ENCODED_LEN
     }
 
     /// [`Link::encode`] with every payload renamed by `ren` (FIFO order

@@ -2,9 +2,9 @@
 //! configurations too large for exhaustive checking: every visited state
 //! must abstract cleanly (the §4 function is total on reachable states),
 //! every step must satisfy Equation 1 locally, and the executor must never
-//! report a runtime error. The same walks pin the two byte forms a state
-//! has beside its key — the snapshot a pending state waits as, and
-//! `decode_into`, which refills a state the sweep already holds.
+//! report a runtime error. The same walks pin the reader, `restore_into`,
+//! on the two byte forms a state has — the snapshot a pending state waits
+//! as, and its key, which it refills a state the sweep already holds from.
 
 use ccr_core::refine::{refine, RefineOptions, ReqRepMode};
 use ccr_runtime::abstraction::abs;
@@ -175,11 +175,11 @@ fn reachable<T: TransitionSystem>(sys: &T) -> Vec<T::State> {
     states
 }
 
-/// `decode_into` is the one reader of a system's byte layout: on every
+/// `restore_into` is the one reader of a system's byte layout: on every
 /// reachable state it must give back the state — over whatever the target
-/// held — and what `decode` gives, and it must reject every strict prefix
-/// of an encoding and anything after one.
-fn decode_into_inverts_encode<T: TransitionSystem>(sys: &T)
+/// held, and over a fresh initial state — and it must reject every strict
+/// prefix of an encoding and anything after one.
+fn restore_into_inverts_encode<T: TransitionSystem>(sys: &T)
 where
     T::State: std::fmt::Debug,
 {
@@ -190,26 +190,28 @@ where
     let mut into = states[states.len() / 2].clone();
     for s in &states {
         let mut bytes = sys.encoded(s);
-        assert!(sys.decode_into(&bytes, &mut into));
+        assert!(sys.restore_into(&bytes, &mut into));
         assert_eq!(&into, s);
-        assert_eq!(sys.decode(&bytes).as_ref(), Some(s));
+        let mut fresh = sys.initial();
+        assert!(sys.restore_into(&bytes, &mut fresh));
+        assert_eq!(&fresh, s);
         for cut in 0..bytes.len() {
-            assert!(!sys.decode_into(&bytes[..cut], &mut into), "prefix of {cut} bytes accepted");
+            assert!(!sys.restore_into(&bytes[..cut], &mut into), "prefix of {cut} bytes accepted");
         }
         bytes.push(0);
-        assert!(!sys.decode_into(&bytes, &mut into), "trailing byte accepted");
+        assert!(!sys.restore_into(&bytes, &mut into), "trailing byte accepted");
     }
 }
 
 #[test]
-fn decode_into_inverts_encode_on_every_reachable_state() {
+fn restore_into_inverts_encode_on_every_reachable_state() {
     let spec = common::mini_migratory();
-    decode_into_inverts_encode(&RendezvousSystem::new(&spec, 3));
+    restore_into_inverts_encode(&RendezvousSystem::new(&spec, 3));
     for mode in [ReqRepMode::Auto, ReqRepMode::Off] {
         let refined = refine(&spec, &RefineOptions { reqrep: mode }).unwrap();
-        decode_into_inverts_encode(&AsyncSystem::new(&refined, 2, AsyncConfig::default()));
-        // A buffer past its inline room decodes through the heap.
-        decode_into_inverts_encode(&AsyncSystem::new(
+        restore_into_inverts_encode(&AsyncSystem::new(&refined, 2, AsyncConfig::default()));
+        // A buffer past its inline room is read back through the heap.
+        restore_into_inverts_encode(&AsyncSystem::new(
             &refined,
             3,
             AsyncConfig::with_home_buffer(4),

@@ -1,11 +1,10 @@
-//! Property tests for the visited set's insert path: the segment writer
-//! `encode_into` must be **byte-identical** to the reference `encode` on
-//! randomly reached states of every shipped spec (both protocol levels),
-//! within `max_encoded_len`, and a state inserted into the collapsed
-//! visited set (`Visited`: each segment interned once, the state stored
-//! as the tuple of its segments' ids) must read back as its key, and
-//! find itself on a second insert without a trace: same index, no new
-//! entry, exact `approx_bytes`.
+//! Property tests for the visited set's insert path: on randomly reached
+//! states of every shipped spec (both protocol levels) a state's key must
+//! read back as the state (`restore_into`), and a state inserted into the
+//! collapsed visited set (`Visited`: each segment interned once, the
+//! state stored as the tuple of its segments' ids) must read back as its
+//! key, and find itself on a second insert without a trace: same index,
+//! no new entry, exact `approx_bytes`.
 //!
 //! Random walks, not the full reachable set: proptest drives the step
 //! choices, so each case exercises a different slice of the space —
@@ -13,7 +12,6 @@
 //! layout harder than the initial-state neighborhood — and two walks
 //! that reach the long forms of masks and remote ids.
 
-use ccr_core::encode::SliceSink;
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
 use ccr_mc::store::Visited;
@@ -33,32 +31,21 @@ fn load(name: &str) -> ccr_core::process::ProtocolSpec {
     parse_validated(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
-/// `encode_into` of `state` through a slot of `bound` bytes: what it
-/// wrote.
-fn slot_encode<T: TransitionSystem>(sys: &T, state: &T::State, bound: usize) -> Vec<u8> {
-    let mut buf = vec![0xAAu8; bound];
-    let mut slot = SliceSink::new(&mut buf);
-    sys.encode_into(state, None, &mut slot);
-    let written = slot.written();
-    buf.truncate(written);
-    buf
-}
-
 /// Walks `sys` for up to `steps.len()` transitions (each entry picks the
 /// successor by index) and checks, at every state reached:
 ///
-/// 1. `encode_into` writes exactly the bytes `encode` produces, within
-///    the advertised `max_encoded_len` bound;
+/// 1. its key reads back as the state;
 /// 2. inserting the state into the visited set stores it once, reads it
 ///    back as its key, and a second insert finds it and leaves the set
 ///    as it was.
-fn walk_and_check<T: TransitionSystem>(sys: &T, steps: &[usize], context: &str) {
-    let bound = sys
-        .max_encoded_len()
-        .unwrap_or_else(|| panic!("{context}: shipped systems must advertise a bound"));
+fn walk_and_check<T: TransitionSystem>(sys: &T, steps: &[usize], context: &str)
+where
+    T::State: std::fmt::Debug,
+{
     let mut store = Visited::new();
     let mut reference = Vec::new();
     let mut back = Vec::new();
+    let mut restored = sys.initial();
     let mut succs = Vec::new();
     let mut state = sys.initial();
     for (i, &pick) in std::iter::once(&0usize).chain(steps).enumerate() {
@@ -70,11 +57,9 @@ fn walk_and_check<T: TransitionSystem>(sys: &T, steps: &[usize], context: &str) 
             state = succs[pick % succs.len()].1.clone();
         }
 
-        // Segment writer vs reference path, byte for byte.
         sys.encode(&state, &mut reference);
-        assert!(reference.len() <= bound, "{context} step {i}: encode exceeds max_encoded_len");
-        let written = slot_encode(sys, &state, bound);
-        assert_eq!(written, reference, "{context} step {i}: slot bytes differ");
+        assert!(sys.restore_into(&reference, &mut restored), "{context} step {i}: key rejected");
+        assert_eq!(restored, state, "{context} step {i}: the key reads back as another state");
 
         // First insert: may be new or a revisit; either way the tuple
         // reads back as the key.
@@ -110,23 +95,19 @@ fn walk_and_check<T: TransitionSystem>(sys: &T, steps: &[usize], context: &str) 
 }
 
 /// Walks `sys` for up to `steps` transitions — at step `i` successor
-/// `pick(i, count)` — and checks at every state that both encoders agree
-/// within `max_encoded_len` and that the key reads back. Returns how many
-/// of the states `wide` held for.
+/// `pick(i, count)` — and checks at every state that the key reads back.
+/// Returns how many of the states `wide` held for.
 fn wide_walk<T: TransitionSystem>(
     sys: &T,
     steps: usize,
     pick: impl Fn(usize, usize) -> usize,
     wide: impl Fn(&T::State) -> bool,
 ) -> usize {
-    let bound = sys.max_encoded_len().expect("shipped systems advertise a bound");
     let (mut state, mut succs, mut back) = (sys.initial(), Vec::new(), sys.initial());
     let mut seen = 0;
     for i in 0..steps {
         let key = sys.encoded(&state);
-        assert!(key.len() <= bound, "step {i}: {} bytes past the bound {bound}", key.len());
-        assert_eq!(slot_encode(sys, &state, bound), key, "step {i}: slot path");
-        assert!(sys.decode_into(&key, &mut back) && back == state, "step {i}: key reads back");
+        assert!(sys.restore_into(&key, &mut back) && back == state, "step {i}: key reads back");
         seen += usize::from(wide(&state));
         sys.successors(&state, &mut succs).expect("shipped specs step");
         let Some((_, next)) = succs.get(pick(i, succs.len())) else { break };

@@ -1,17 +1,17 @@
-//! The in-place successors, and the one fired, against the owned ones.
+//! The walk against the steps `fire` takes.
 //!
-//! `ccr_mc`'s sweep never holds a successor: it lends the rules of
-//! Tables 1–2 one scratch state through
-//! `TransitionSystem::for_each_successor` and gets it back as it was. The
-//! simulator enumerates a state the same way and then takes the step it
-//! chose through `TransitionSystem::fire`, which builds that one successor
-//! and no other. The rest — the `--threads` workers, trail replay — call
-//! `successors()` and own what they get. All three are the same rule
-//! bodies behind three emitters, and this suite pins that on every
-//! shipped spec: same labels, same targets, same order, at every
-//! reachable state, the scratch state equal to the parent after every
-//! expansion, and `fire` landing on each successor in turn and on nothing
-//! past the last (`ccr fuzz` runs the same comparison over the zoo as its
+//! `ccr_mc`'s sweep never holds a successor: it lends the rules one
+//! scratch state through the walk, `TransitionSystem::for_each_successor`,
+//! and gets it back as it was. The simulator enumerates a state the same
+//! way and then takes the step it chose through `TransitionSystem::fire`,
+//! which builds that one successor and no other. The rest — the
+//! `--threads` workers, trail replay — call `successors()`, the walk with
+//! each successor copied, and own what they get. This suite holds the
+//! walk to `fire` fired at every `(group, ordinal)` on every shipped spec,
+//! at both levels and under the fault closure: same labels, same targets,
+//! same order, at every reachable state, the scratch state equal to the
+//! parent after every walk, and `fire` landing on nothing past each
+//! group's last (`ccr fuzz` runs the same comparison over the zoo as its
 //! `inplace` stage).
 
 use ccr_core::refine::{refine, RefineOptions, ReqRepMode};
@@ -48,19 +48,25 @@ fn in_place_successors_are_the_owned_ones_on_every_shipped_spec() {
     }
 }
 
-/// Systems without an in-place generator answer through `successors`:
-/// the default enumeration must show the same sequence and never touch
-/// the scratch state, and the default `fire` keep the right one of the
-/// list.
+/// The rendezvous level walks in place too, putting back the home and
+/// the partner a step wrote, and the fault closure wraps the asynchronous
+/// walk in its ledger; both take the default `fire`, which walks the
+/// group up to the successor it was asked for.
 #[test]
-fn the_default_goes_through_successors() {
-    let (_, spec) =
-        shipped_specs().into_iter().find(|(n, _)| n == "migratory.ccp").expect("migratory");
-    let refined = refine(&spec, &RefineOptions::default()).expect("refine");
-    let rv = RendezvousSystem::new(&spec, 3);
-    assert_eq!(inplace_divergence(&rv, MAX_STATES), None);
-    let asys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
-    assert_eq!(inplace_divergence(&FaultClosure::new(asys, 1), MAX_STATES), None);
+fn the_rendezvous_level_and_the_fault_closure_walk_in_place() {
+    for (name, spec) in shipped_specs() {
+        let refined = refine(&spec, &RefineOptions::default()).expect("refine");
+        for n in [2, 3] {
+            let rv = RendezvousSystem::new(&spec, n);
+            if let Some(divergence) = inplace_divergence(&rv, MAX_STATES) {
+                panic!("{name} rendezvous n={n}: {divergence}");
+            }
+            let asys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+            if let Some(divergence) = inplace_divergence(&FaultClosure::new(asys, 1), MAX_STATES) {
+                panic!("{name} fault closure n={n}: {divergence}");
+            }
+        }
+    }
 }
 
 #[test]

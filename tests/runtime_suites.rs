@@ -1,7 +1,7 @@
 //! The `ccr-runtime` crate's own suites, run with the root package's.
 //!
 //! Tables 1–2 row by row, the random walks (Equation 1 at sizes past
-//! exhaustive checking, snapshots, `decode_into`) and the wire codec's
+//! exhaustive checking, snapshots, `restore_into`) and the wire codec's
 //! properties call the rules and the codec directly — the layer every
 //! emitter, `fire` included, stands on — but as `crates/runtime/tests/`
 //! they are test targets of that crate, which only `cargo test
