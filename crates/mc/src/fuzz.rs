@@ -14,10 +14,10 @@
 //!    the whole ([`inplace_divergence`]) — and the **Equation 1** check: no reachable asynchronous transition may fall
 //!    outside the stuttering simulation — and the **fused** re-check:
 //!    Equation 1 and the progress check riding the exploration's sweep
-//!    ([`Search::verify`], and [`Search::explore_progress`] on the
-//!    symmetry quotient) must report what the three report on sweeps of
+//!    ([`Search::verify`]) must report what the three report on sweeps of
 //!    their own, with and without threads, whether or not the refinement
-//!    is sound;
+//!    is sound — and on the symmetry quotient's sweep Equation 1 must
+//!    reach the concrete verdict;
 //! 4. **serial model-check** of the rendezvous and asynchronous systems
 //!    (safety: no executor runtime failure; deadlock/livelock are allowed —
 //!    random protocols block all the time — but must be *reported*, not
@@ -598,9 +598,10 @@ fn key_of(r: &ExploreReport) -> (usize, usize, usize, usize, &Outcome) {
 /// checked alone) and the progress check on one sweep of `asys` must
 /// report what each reports on a sweep of its own — with the deadlock
 /// check off, so that the riders see the whole space, and on, where a
-/// deadlock ends the sweep and only the exploration is comparable — and
-/// so must the exploration and the progress check on one sweep of the
-/// symmetry quotient.
+/// deadlock ends the sweep and only the exploration is comparable. On one
+/// sweep of the symmetry quotient the exploration and the progress check
+/// must report what their quotient sweeps do, and Equation 1 must reach
+/// the concrete verdict wherever both sweeps ran to their end.
 fn fused_mismatch(
     asys: &AsyncSystem<'_>,
     rv: &RendezvousSystem<'_>,
@@ -616,6 +617,9 @@ fn fused_mismatch(
     // Whether a sweep the exploration ended this way showed its riders
     // what sweeps of their own would have seen.
     let rode_it_all = |o: &Outcome| !matches!(o, Outcome::Deadlock | Outcome::InvariantViolated(_));
+    // Whether it swept on until the space or the executor ran out.
+    let swept_to_end = |o: &Outcome| matches!(o, Outcome::Complete | Outcome::RuntimeFailure(_));
+    let verdict = |s: &SimRelReport| (s.holds(), s.violation.is_some(), s.complete);
     let prog = check_progress_default(asys, budget);
     let red = Reduced::new(asys);
     let red_prog = permutable.then(|| check_progress_default(&red, budget));
@@ -626,7 +630,7 @@ fn fused_mismatch(
         for threads in std::iter::once(0).chain(cfg.threads.first().copied()) {
             let search = Search { threads, ..alone };
             let what = |on: &str| format!("fused-{on}-{threads}t");
-            let (fa, fsim, graph) = search.verify(asys, rv, budget, |_| None, completes, &mut obs);
+            let (fa, fsim, graph) = search.verify(asys, asys, rv, budget, completes, &mut obs);
             let fa = timeless(fa);
             let mut failure = cmp_threaded(what("explore"), &a, &fa);
             if rode_it_all(&a.outcome) {
@@ -636,14 +640,18 @@ fn fused_mismatch(
                     .or_else(|| cmp_threaded(what("progress"), &prog, &fprog));
             }
             if let (Some(red_a), Some(red_prog)) = (&red_a, &red_prog) {
-                let (fa, graph) =
-                    search.explore_progress(&red, budget, |_| None, completes, &mut obs);
+                let (ra, rsim, graph) = search.verify(&red, asys, rv, budget, completes, &mut obs);
                 failure =
-                    failure.or_else(|| cmp_threaded(what("sym-explore"), red_a, &timeless(fa)));
+                    failure.or_else(|| cmp_threaded(what("sym-explore"), red_a, &timeless(ra)));
                 if rode_it_all(&red_a.outcome) {
                     let fprog = graph.check(&red, &mut obs);
                     failure =
                         failure.or_else(|| cmp_threaded(what("sym-progress"), red_prog, &fprog));
+                }
+                if swept_to_end(&a.outcome) && swept_to_end(&red_a.outcome) {
+                    failure = failure.or_else(|| {
+                        cmp_threaded(what("sym-equation1"), &verdict(&fsim), &verdict(&rsim))
+                    });
                 }
             }
             if failure.is_some() {

@@ -25,12 +25,11 @@
 //!
 //! One sweep ([`search`]'s `drive`) serves all three questions —
 //! reachability, Equation 1 and progress are checkers observing it, each
-//! on a call of its own or, with [`search::Search::verify`] and
-//! [`search::Search::explore_progress`], all on the same one — at
-//! every thread count: `threads > 0` moves successor generation and
-//! encoding to worker threads and changes nothing else, so a threaded
-//! search reports exactly what the serial one does
-//! (`docs/parallel_checking.md`).
+//! on a call of its own or, with [`search::Search::verify`], all on the
+//! same one, concrete or symmetry-reduced — at every thread count:
+//! `threads > 0` moves successor generation and encoding to worker
+//! threads and changes nothing else, so a threaded search reports
+//! exactly what the serial one does (`docs/parallel_checking.md`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

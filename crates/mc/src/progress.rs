@@ -20,8 +20,7 @@
 //! state — at every thread count, since
 //! [`crate::search::Search::threads`] only moves successor generation off
 //! the sweep's thread — and it need not be a sweep of its own either:
-//! [`crate::search::Search::explore_progress`] and
-//! [`crate::search::Search::verify`] record the same [`ProgressGraph`]
+//! [`crate::search::Search::verify`] records the same [`ProgressGraph`]
 //! off the exploration's sweep. The backward propagation runs
 //! single-threaded on the CSR (it is a fraction of the forward-sweep
 //! cost), whenever the graph's owner asks for the report.

@@ -1933,100 +1933,54 @@ impl Search<'_> {
         progress::swept_alone(sys, graph, run, obs)
     }
 
-    /// [`Search::explore`] with riders on its sweep, in memory. Only the
-    /// exploration ends the sweep, and its ending and report are those of
-    /// [`Search::explore`]; what the riders saw comes back with the
-    /// parent table, which is always kept (the progress witness is read
-    /// off it) while the exploration's own trail still answers to
-    /// `trails`.
-    fn explore_ridden<T, F, R>(
-        &self,
-        sys: &T,
-        budget: &Budget,
-        invariant: &F,
-        riders: R,
-        obs: &mut SearchObserver<'_>,
-    ) -> (SearchReport, R, Vec<Parent>)
-    where
-        T: TransitionSystem + Sync,
-        T::State: Send,
-        F: Fn(&T::State) -> Option<String> + Sync,
-        R: Checker<T>,
-    {
-        let invariant: &dyn Fn(&T::State) -> Option<String> = invariant;
-        let mut checker = (Explore { invariant, check_deadlock: self.check_deadlock }, riders);
-        let mut run = self.sweep(sys, budget, &mut checker, true, obs, None);
-        if !self.trails {
-            run.trail = None;
-        }
-        let (report, parents) = explored(sys, run, obs, None);
-        (report, checker.1, parents)
-    }
-
-    /// [`Search::explore`] with the progress check riding the same sweep:
-    /// one expansion of every state answers both. The report is the one
-    /// `explore` gives, and the returned graph is what
-    /// [`Search::progress`] would have recorded on a sweep of its own, as
-    /// long as the exploration ran out (`Complete`) or out of budget — a
-    /// violation that ends the exploration leaves a prefix nobody should
-    /// judge. [`ProgressGraph::check`] turns it into the report, whenever
-    /// the caller gets to it.
+    /// All three questions `ccr verify` asks of the asynchronous level on
+    /// one sweep of `sys` — `async_sys` itself or its
+    /// [`crate::symmetry::Reduced`] quotient: [`Search::explore`] with no
+    /// invariant, Equation 1 into `rv_sys`
+    /// ([`crate::simrel::check_simulation`]) and the progress check, with
+    /// every state expanded once. Only the exploration ends the sweep,
+    /// and its report is `explore`'s, its own trail answering to
+    /// `trails`. The Equation 1 report is `check_simulation`'s — a
+    /// violating edge is latched with the counts as they stood, and the
+    /// sweep goes on — unless the exploration found something of its own
+    /// first, which reads as an incomplete check. On a quotient its counts
+    /// are of orbits and its verdict is the concrete space's
+    /// (`docs/symmetry.md`, "Equation 1 on the quotient"). The returned
+    /// graph is what [`Search::progress`] would have recorded on a sweep
+    /// of its own, as long as the exploration ran out (`Complete`) or out
+    /// of budget — a violation that ends the exploration leaves a prefix
+    /// nobody should judge. [`ProgressGraph::check`] turns it into the
+    /// report, whenever the caller gets to it.
     ///
     /// `persist` is not consulted: riders must be shown every state, and
     /// a resumed sweep does not re-announce the ones it recovered.
     /// Checkpointed runs explore with [`Search::explore`] and check
     /// separately.
-    pub fn explore_progress<T, F, G>(
+    pub fn verify<T, G>(
         &self,
         sys: &T,
-        budget: &Budget,
-        invariant: F,
-        is_progress: G,
-        obs: &mut SearchObserver<'_>,
-    ) -> (SearchReport, ProgressGraph)
-    where
-        T: TransitionSystem + Sync,
-        T::State: Send,
-        F: Fn(&T::State) -> Option<String> + Sync,
-        G: Fn(&Label) -> bool + Sync,
-    {
-        let graph = ForwardGraph::new(is_progress);
-        let (report, graph, parents) = self.explore_ridden(sys, budget, &invariant, graph, obs);
-        let complete = report.outcome.is_complete();
-        (report, graph.swept(parents, complete))
-    }
-
-    /// All three questions `ccr verify` asks of the asynchronous level on
-    /// one sweep of it: [`Search::explore`], Equation 1 into `rv_sys`
-    /// ([`crate::simrel::check_simulation`]) and the progress check, with
-    /// every state expanded once and abstracted once. The exploration's
-    /// report is `explore`'s; the Equation 1 report is
-    /// `check_simulation`'s — a violating edge is latched with the counts
-    /// as they stood, and the sweep goes on — unless the exploration
-    /// found something of its own first, which reads as an incomplete
-    /// check; the graph is as for [`Search::explore_progress`], `persist`
-    /// likewise.
-    ///
-    /// Only the concrete system can be swept this way: Equation 1's memo
-    /// is keyed by stored index, and under [`crate::symmetry::Reduced`]
-    /// an index is an orbit, not a state.
-    pub fn verify<F, G>(
-        &self,
         async_sys: &AsyncSystem<'_>,
         rv_sys: &RendezvousSystem<'_>,
         budget: &Budget,
-        invariant: F,
         is_progress: G,
         obs: &mut SearchObserver<'_>,
     ) -> (SearchReport, SimRelReport, ProgressGraph)
     where
-        F: Fn(&AsyncState) -> Option<String> + Sync,
+        T: TransitionSystem<State = AsyncState> + Sync,
         G: Fn(&Label) -> bool + Sync,
     {
-        let riders =
-            (Riding::new(Equation1::new(async_sys, rv_sys)), ForwardGraph::new(is_progress));
-        let (report, (equation1, graph), parents) =
-            self.explore_ridden(async_sys, budget, &invariant, riders, obs);
+        let invariant = |_: &AsyncState| None;
+        let explore = Explore { invariant, check_deadlock: self.check_deadlock };
+        let equation1 = Riding::new(Equation1::new(sys, async_sys, rv_sys));
+        let mut checker = (explore, (equation1, ForwardGraph::new(is_progress)));
+        // The parent table is always kept: the progress witness is read
+        // off it.
+        let mut run = self.sweep(sys, budget, &mut checker, true, obs, None);
+        if !self.trails {
+            run.trail = None;
+        }
+        let (report, parents) = explored(sys, run, obs, None);
+        let (equation1, graph) = checker.1;
         let equation1 = equation1.report(&report.outcome);
         let complete = report.outcome.is_complete();
         (report, equation1, graph.swept(parents, complete))

@@ -19,12 +19,18 @@
 //! to a small id by its rendezvous encoding, and an edge is judged on
 //! ids — equal for a stutter, else a member of the source image's
 //! successor ids, which are generated once per distinct rendezvous state.
-//! The memo is keyed by stored index, which identifies a state because
-//! the visited set compares full encodings and [`AsyncSystem`]'s is
-//! injective; it would not under [`crate::symmetry::Reduced`], where an
-//! index is an orbit and `abs` of its members differ by a renaming — the
-//! checker is therefore one of [`AsyncSystem`] sweeps only
-//! (`docs/symmetry.md`).
+//! The memo is keyed by stored index, and the sweep expands exactly the
+//! member of each class that the checker saw stored, so a source's image
+//! is always exact. A *found* edge target's is exact only where an index
+//! names one state: on the concrete space, whose key is the state. On a
+//! [`crate::symmetry::Reduced`] quotient an index names an orbit, and
+//! `abs` of the member the edge reached is computed for that edge.
+//!
+//! Checking the edges out of one member of each reachable orbit checks
+//! every concrete edge up to a renaming of the remotes: both levels are
+//! symmetric when the spec is permutable, and `abs` commutes with remote
+//! renaming, `abs(π·q) = π·abs(q)` (`docs/symmetry.md`, "Equation 1 on
+//! the quotient").
 
 use crate::report::{Outcome, SimRelReport};
 use crate::search::{record_search_run, Budget, Checker, Riding, Search, SearchObserver};
@@ -45,6 +51,10 @@ use ccr_trace::NullSink;
 pub(crate) struct Equation1<'a, 's> {
     async_sys: &'a AsyncSystem<'s>,
     rv_sys: &'a RendezvousSystem<'s>,
+    /// Whether a found edge target is the state its stored index names
+    /// (the swept system's key is a snapshot); else its image is computed
+    /// per edge.
+    found_is_stored: bool,
     /// `image[i]` is the id of `abs` of stored state `i`.
     image: Vec<u32>,
     /// The rendezvous states met so far — images, and successors of
@@ -72,10 +82,17 @@ fn violated(edge: String) -> Option<Outcome> {
 }
 
 impl<'a, 's> Equation1<'a, 's> {
-    pub(crate) fn new(async_sys: &'a AsyncSystem<'s>, rv_sys: &'a RendezvousSystem<'s>) -> Self {
+    /// The checker for a sweep of `swept`: `async_sys` itself or its
+    /// quotient.
+    pub(crate) fn new(
+        swept: &impl TransitionSystem,
+        async_sys: &'a AsyncSystem<'s>,
+        rv_sys: &'a RendezvousSystem<'s>,
+    ) -> Self {
         Equation1 {
             async_sys,
             rv_sys,
+            found_is_stored: swept.key_is_snapshot(),
             image: Vec::new(),
             ids: StateStore::new(),
             rv_states: Vec::new(),
@@ -101,7 +118,8 @@ impl<'a, 's> Equation1<'a, 's> {
         id
     }
 
-    /// The id of `abs(q)` — the one call of `abs` per stored state.
+    /// The id of `abs(q)` — the one call of `abs` per stored state, and
+    /// per found edge target on a quotient.
     fn image_of(&mut self, q: &AsyncState) -> Result<u32, RuntimeError> {
         #[cfg(test)]
         {
@@ -166,7 +184,7 @@ impl Riding<Equation1<'_, '_>> {
     }
 }
 
-impl<'s> Checker<AsyncSystem<'s>> for Equation1<'_, 's> {
+impl<T: TransitionSystem<State = AsyncState>> Checker<T> for Equation1<'_, '_> {
     const CHECKS: bool = true;
 
     /// The root's image. Every other state's is computed by the edge that
@@ -199,7 +217,7 @@ impl<'s> Checker<AsyncSystem<'s>> for Equation1<'_, 's> {
     ) -> Option<Outcome> {
         self.transitions += 1;
         let a = self.image[src as usize];
-        let a2 = if is_new {
+        let a2 = if is_new || !self.found_is_stored {
             match self.image_of(next) {
                 Ok(a2) => a2,
                 Err(e) => return violated(format!("abs failed after rule {}: {e}", label.rule)),
@@ -257,7 +275,7 @@ pub fn check_simulation_observed(
     budget: &Budget,
     obs: &mut SearchObserver<'_>,
 ) -> SimRelReport {
-    let mut checker = Equation1::new(async_sys, rv_sys);
+    let mut checker = Equation1::new(async_sys, async_sys, rv_sys);
     let run = Search::default().sweep(async_sys, budget, &mut checker, false, obs, None);
     let reg = &obs.telemetry().registry;
     record_search_run(reg, run.store.len(), run.transitions, run.peak_frontier, &run.store);
@@ -461,7 +479,7 @@ mod tests {
         let refined = refine(&spec, &RefineOptions::default()).unwrap();
         let rv = RendezvousSystem::new(&spec, 3);
         let asys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
-        let mut checker = Equation1::new(&asys, &rv);
+        let mut checker = Equation1::new(&asys, &asys, &rv);
         let mut null = NullSink;
         let mut obs = SearchObserver::new(&mut null);
         let run =

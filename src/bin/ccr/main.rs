@@ -54,11 +54,11 @@
 //!
 //! `--threads T` (verify/table) has `T` worker threads generate and
 //! encode successors ahead of the sweep, for the explorations and the
-//! progress check — see `docs/parallel_checking.md`. The sweep itself
-//! stays on one thread, so every count, outcome, trail, witness and
-//! checkpoint is the one a run without the flag reports; Equation 1
-//! runs without workers (it is cheap relative to the asynchronous
-//! sweep).
+//! checks riding them — see `docs/parallel_checking.md`. The sweep
+//! itself stays on one thread, so every count, outcome, trail, witness
+//! and checkpoint is the one a run without the flag reports. Only under
+//! `--spill-dir`/`--resume`, where nothing rides, do Equation 1 and the
+//! progress check sweep alone, Equation 1 without workers.
 //!
 //! `--symmetry on|off|auto` (verify/table, default `auto`) dedupes
 //! permutation-equivalent global states — the remotes are identical, so
@@ -71,8 +71,10 @@
 //! Specs that fail the scalarset check — order-sensitive primitives
 //! such as `first(mask)`, as in `invalidate.ccp`/`update.ccp` — are
 //! never reduced, even under `on`: the reduction would be unsound.
-//! Equation 1 always runs on the concrete state spaces. Counterexample
-//! trails stay concrete executions and replay on the unreduced engine.
+//! Equation 1 rides the reduced sweep too, with the concrete verdict:
+//! the abstraction function commutes with renaming the remotes.
+//! Counterexample trails stay concrete executions and replay on the
+//! unreduced engine.
 //!
 //! Observability flags (verify/table):
 //!

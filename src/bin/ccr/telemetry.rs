@@ -16,7 +16,7 @@ use ccr_metrics::timeseries::{process_rss_bytes, Recorder};
 use ccr_metrics::Registry;
 use ccr_runtime::asynch::AsyncSystem;
 use ccr_runtime::rendezvous::RendezvousSystem;
-use ccr_runtime::{Label, TransitionSystem};
+use ccr_runtime::TransitionSystem;
 use ccr_trace::{JsonlSink, TraceEvent, TraceSink};
 use serde::MapSer;
 use std::fs::File;
@@ -205,12 +205,10 @@ impl Run {
         })
     }
 
-    /// The asynchronous level's reachability phase with the checks that
-    /// can ride its sweep on it (DESIGN.md, "who rides which sweep"): the
-    /// progress check always — its graph comes back for
-    /// [`Run::progress_of`] — and Equation 1 when the sweep is over the
-    /// concrete space, where its by-index memo is sound. Under `reduce`
-    /// it keeps a sweep of its own ([`Run::equation1`]).
+    /// The asynchronous level's reachability phase with Equation 1 and
+    /// the progress check riding its sweep (DESIGN.md, "who rides which
+    /// sweep"), on the concrete space or its quotient under `reduce`. The
+    /// progress graph comes back for [`Run::progress_of`].
     pub fn explore_ridden(
         &mut self,
         search: &Search<'_>,
@@ -219,25 +217,18 @@ impl Run {
         reduce: bool,
         phase: &str,
         budget: &Budget,
-    ) -> (SearchReport, Option<SimRelReport>, ProgressGraph) {
+    ) -> (SearchReport, SimRelReport, ProgressGraph) {
         let registry = &self.telemetry.registry;
         let _p = registry.phase(phase);
         let mut obs = SearchObserver::for_phase(&mut self.sink, &self.telemetry, phase);
-        let completes = |l: &Label| l.completes.is_some();
-        if reduce {
-            let red = Reduced::new(asys);
-            let (report, graph) =
-                search.explore_progress(&red, budget, |_| None, completes, &mut obs);
-            red.record_metrics(registry, search.threads == 0 || report.outcome.is_complete());
-            (report, None, graph)
-        } else {
-            let (report, equation1, graph) =
-                search.verify(asys, rv, budget, |_| None, completes, &mut obs);
-            (report, Some(equation1), graph)
-        }
+        let exact = |r: &(SearchReport, _, _)| search.threads == 0 || r.0.outcome.is_complete();
+        with_symmetry!(asys, reduce, registry, exact, |s| {
+            search.verify(s, asys, rv, budget, |l| l.completes.is_some(), &mut obs)
+        })
     }
 
-    /// Equation 1 on a sweep of its own, over the concrete space.
+    /// Equation 1 on a sweep of its own, over the concrete space: where
+    /// nothing rides, under `--spill-dir`/`--resume`.
     pub fn equation1(
         &mut self,
         asys: &AsyncSystem<'_>,

@@ -408,7 +408,7 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
         let (ar, rode, graph) = if ride {
             let (ar, rode, graph) =
                 run.explore_ridden(&search, &asys, &rv, reduce, "explore/async", &budget);
-            (ar, rode, Some(graph))
+            (ar, Some(rode), Some(graph))
         } else {
             let dir = phase_dir("async");
             let persisted = Search { persist: dir.as_deref().map(|d| (d, &popts)), ..search };

@@ -35,8 +35,8 @@ use ccr_mc::parallel::{explore_parallel_traced_observed, ParallelConfig, Paralle
 use ccr_mc::progress::check_progress_observed;
 use ccr_mc::report::{ExploreReport, ProgressReport, SimRelReport};
 use ccr_mc::search::{
-    explore_plain, report_from_manifest, Budget, PersistOpts, SearchObserver, SerialPersist,
-    SerialPersistOpen,
+    explore_plain, report_from_manifest, Budget, PersistOpts, Search, SearchObserver,
+    SerialPersist, SerialPersistOpen,
 };
 use ccr_mc::simrel::check_simulation;
 use ccr_mc::store::StateStore;
@@ -230,10 +230,12 @@ fn the_benchmark_adapter_surface_compiles() {}
 
 /// `benchmark/src/layers.rs::verify` without its spans: the `ccr verify
 /// --json` line for `--symmetry on|off [--async] --budget B`, composed
-/// phase by phase from the separate pinned entry points. One cell is the
-/// CLI's rather than the adapter's: under `--symmetry on` the progress
-/// check runs on the quotient, where the adapter would run it on the
-/// concrete system (no workload pairs symmetry with a full verify).
+/// phase by phase from the separate pinned entry points. Two cells are
+/// the CLI's rather than the adapter's: under `--symmetry on` Equation 1
+/// and the progress check run on the quotient, where the adapter would
+/// run them on the concrete system (no workload pairs symmetry with a
+/// full verify). Equation 1 has no quotient entry of its own, so that
+/// cell is read off `Search::verify`'s sweep of the quotient.
 fn composed_verify_line(
     path: &str,
     n: u32,
@@ -279,7 +281,15 @@ fn composed_verify_line(
         let a_ok = a.outcome == Outcome::Complete;
         asynchronous = Some(a);
         if a_ok && !async_only {
-            let s = check_simulation(&asys, &rv, &budget);
+            let s = if reduce {
+                let mut null = NullSink;
+                let mut obs = SearchObserver::new(&mut null);
+                let completes = |l: &Label| l.completes.is_some();
+                let red = Reduced::new(&asys);
+                Search::default().verify(&red, &asys, &rv, &budget, completes, &mut obs).1
+            } else {
+                check_simulation(&asys, &rv, &budget)
+            };
             let s_ok = s.holds();
             equation1 = Some(s);
             if s_ok {

@@ -1,12 +1,15 @@
 //! Riders are invisible: Equation 1 and the progress check riding the
-//! exploration's sweep (`Search::verify`; `Search::explore_progress` on
-//! the symmetry quotient) report what each reports on a sweep of its own
-//! — whole reports, field for field — on every shipped spec, with and
-//! without threads, complete or cut by a budget; and the exploration
-//! reports what it reports alone, whatever rode along. The cases a
-//! healthy spec never reaches are pinned separately: a deadlock that ends
-//! the sweep under its riders, a livelock witness, and an unsound
-//! refinement whose violating edge is latched while the sweep goes on.
+//! exploration's sweep (`Search::verify`) report what each reports on a
+//! sweep of its own — whole reports, field for field — on every shipped
+//! spec, with and without threads, complete or cut by a budget; and the
+//! exploration reports what it reports alone, whatever rode along. On the
+//! symmetry quotient the exploration and the progress check report what
+//! their quotient sweeps do, and Equation 1 — which has no quotient sweep
+//! of its own to be compared with — reaches the concrete verdict on every
+//! permutable shipped spec, sound or made unsound. The cases a healthy
+//! spec never reaches are pinned separately: a deadlock that ends the
+//! sweep under its riders, a livelock witness, and an unsound refinement
+//! whose violating edge is latched while the sweep goes on.
 
 use ccr_core::process::ProtocolSpec;
 use ccr_core::refine::{refine, RefineOptions};
@@ -17,7 +20,7 @@ use ccr_mc::{
     inject_unsound, replay_trail, spec_permutable, Outcome, ProgressReport, Reduced, SearchReport,
     SimRelReport,
 };
-use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
+use ccr_runtime::asynch::{AsyncConfig, AsyncState, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::{Label, TransitionSystem};
 use std::path::Path;
@@ -79,19 +82,25 @@ where
     )
 }
 
-/// All three on one sweep of the concrete space.
-fn fused(
+/// All three on one sweep of `sys`: `asys` itself or its quotient.
+fn fused<T>(
+    sys: &T,
     asys: &AsyncSystem<'_>,
     rv: &RendezvousSystem<'_>,
     budget: &Budget,
     check_deadlock: bool,
     threads: usize,
     is_progress: impl Fn(&Label) -> bool + Sync,
-) -> (SearchReport, SimRelReport, ProgressReport) {
+) -> (SearchReport, SimRelReport, ProgressReport)
+where
+    T: TransitionSystem<State = AsyncState> + Sync,
+{
     let mut null = ccr_trace::NullSink;
     let mut obs = SearchObserver::new(&mut null);
     let (a, equation1, graph) =
-        search(check_deadlock, threads).verify(asys, rv, budget, |_| None, is_progress, &mut obs);
+        search(check_deadlock, threads).verify(sys, asys, rv, budget, is_progress, &mut obs);
+    // The witness is replayed on the concrete system: on a quotient the
+    // sweep's states and steps are real ones.
     (timeless(a), equation1, graph.check(asys, &mut obs))
 }
 
@@ -101,9 +110,21 @@ fn rode_it_all(a: &SearchReport) -> bool {
     !matches!(a.outcome, Outcome::Deadlock | Outcome::InvariantViolated(_))
 }
 
+/// Whether the exploration swept on until the space or the executor ran
+/// out: then every edge a rider could judge was shown to it.
+fn swept_to_end(a: &SearchReport) -> bool {
+    matches!(a.outcome, Outcome::Complete | Outcome::RuntimeFailure(_))
+}
+
+/// What an Equation 1 report concludes: whether it holds, whether it
+/// found a violation, whether it finished.
+fn verdict(s: &SimRelReport) -> (bool, bool, bool) {
+    (s.holds(), s.violation.is_some(), s.complete)
+}
+
 #[test]
 fn fused_reports_equal_the_three_separate_ones_on_every_shipped_spec() {
-    let (mut triples, mut pairs, mut cut_short) = (0, 0, 0);
+    let (mut triples, mut pairs, mut verdicts, mut cut_short) = (0, 0, 0, 0);
     for name in SPECS {
         let spec = load(name);
         let refined = refine(&spec, &RefineOptions::default())
@@ -125,7 +146,7 @@ fn fused_reports_equal_the_three_separate_ones_on_every_shipped_spec() {
                             budget.max_states
                         );
                         let (fa, fequation1, fprogress) =
-                            fused(&asys, &rv, &budget, check_deadlock, threads, completes);
+                            fused(&asys, &asys, &rv, &budget, check_deadlock, threads, completes);
                         assert_eq!(fa, a, "{context}");
                         if rode_it_all(&a) {
                             assert_eq!(fequation1, equation1, "{context}");
@@ -137,31 +158,75 @@ fn fused_reports_equal_the_three_separate_ones_on_every_shipped_spec() {
                             assert!(!fequation1.holds() && !fprogress.holds(), "{context}");
                             cut_short += 1;
                         }
-                        // `--symmetry on`: the exploration and the
-                        // progress check share the quotient sweep.
+                        // `--symmetry on`: all three share the quotient
+                        // sweep.
                         let Some((ra, rprogress)) = &on_quotient else { continue };
-                        let mut null = ccr_trace::NullSink;
-                        let mut obs = SearchObserver::new(&mut null);
-                        let (fa, graph) = search(check_deadlock, threads).explore_progress(
-                            &red,
-                            &budget,
-                            |_| None,
-                            completes,
-                            &mut obs,
-                        );
-                        assert_eq!(&timeless(fa), ra, "{context} sym");
+                        let (fa, requation1, rfprogress) =
+                            fused(&red, &asys, &rv, &budget, check_deadlock, threads, completes);
+                        assert_eq!(&fa, ra, "{context} sym");
                         if rode_it_all(ra) {
-                            // The witness is replayed on the system the
-                            // quotient wraps: same states, same steps.
-                            assert_eq!(&graph.check(&asys, &mut obs), rprogress, "{context} sym");
+                            assert_eq!(&rfprogress, rprogress, "{context} sym");
                             pairs += 1;
+                        }
+                        if swept_to_end(&a) && swept_to_end(ra) {
+                            assert_eq!(verdict(&requation1), verdict(&fequation1), "{context} sym");
+                            verdicts += 1;
                         }
                     }
                 }
             }
         }
     }
-    assert!(triples > 100 && pairs > 50 && cut_short > 0, "{triples} {pairs} {cut_short}");
+    assert!(
+        triples > 100 && pairs > 50 && verdicts > 30 && cut_short > 0,
+        "{triples} {pairs} {verdicts} {cut_short}"
+    );
+}
+
+/// `ccr verify`'s default shape: Equation 1 riding the quotient sweep
+/// reaches the verdict the concrete fused run reaches — holds, violated,
+/// finished — on every permutable shipped spec at n in {2, 3, 4}, as
+/// derived and with one acked send made fire-and-forget, with and without
+/// threads. The deadlock check is off so that every sweep runs on to the
+/// end of its space or of the executor.
+#[test]
+fn equation_1_on_the_quotient_reaches_the_concrete_verdict() {
+    let (mut compared, mut violated) = (0, 0);
+    for name in SPECS {
+        let spec = load(name);
+        if !spec_permutable(&spec) {
+            continue;
+        }
+        for inject in [false, true] {
+            let mut refined = refine(&spec, &RefineOptions::default())
+                .unwrap_or_else(|e| panic!("{name}: refine: {e}"));
+            if inject && !inject_unsound(&mut refined) {
+                continue;
+            }
+            for n in [2u32, 3, 4] {
+                let rv = RendezvousSystem::new(&spec, n);
+                let asys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+                let red = Reduced::new(&asys);
+                for threads in [0usize, 2] {
+                    let context = format!("{name} n={n} inject={inject} t={threads}");
+                    let search = search(false, threads);
+                    let budget = Budget::default();
+                    let mut null = ccr_trace::NullSink;
+                    let mut obs = SearchObserver::new(&mut null);
+                    let (a, concrete, _) =
+                        search.verify(&asys, &asys, &rv, &budget, completes, &mut obs);
+                    let (ra, quotient, _) =
+                        search.verify(&red, &asys, &rv, &budget, completes, &mut obs);
+                    assert!(swept_to_end(&a) && swept_to_end(&ra), "{context}");
+                    assert_eq!(verdict(&quotient), verdict(&concrete), "{context}");
+                    assert!(quotient.async_states <= concrete.async_states, "{context}");
+                    compared += 1;
+                    violated += usize::from(concrete.violation.is_some());
+                }
+            }
+        }
+    }
+    assert!(compared >= 48 && violated >= 12, "{compared} {violated}");
 }
 
 /// `migratory_broken` deadlocks at the asynchronous level too. The
@@ -178,7 +243,7 @@ fn a_deadlock_ends_the_sweep_and_leaves_the_riders_nothing_to_report() {
     let (a, _) = separate(&asys, &budget, true, completes);
     assert_eq!(a.outcome, Outcome::Deadlock);
     for threads in [0usize, 2] {
-        let (fa, equation1, progress) = fused(&asys, &rv, &budget, true, threads, completes);
+        let (fa, equation1, progress) = fused(&asys, &asys, &rv, &budget, true, threads, completes);
         assert_eq!(fa, a, "t={threads}");
         let end = replay_trail(&asys, fa.trail.as_deref().expect("trail")).expect("replays");
         let mut succs = Vec::new();
@@ -237,23 +302,23 @@ fn a_livelock_witness_rides_as_it_sweeps_alone() {
     let equation1 = check_simulation(&asys, &rv, &budget);
     assert!(equation1.holds(), "{equation1:?}");
     for threads in [0usize, 2] {
-        let (fa, fequation1, fprogress) = fused(&asys, &rv, &budget, true, threads, completes_m);
+        let (fa, fequation1, fprogress) =
+            fused(&asys, &asys, &rv, &budget, true, threads, completes_m);
         assert_eq!((&fa, &fequation1), (&a, &equation1), "t={threads}");
         assert_eq!(fprogress, progress, "t={threads}: counts, witness and trail");
         let trail = fprogress.witness.as_deref().expect("witness");
         assert!(!trail.is_empty(), "the initial state can still complete m");
         replay_trail(&asys, trail).expect("the witness replays");
     }
-    // The same on the quotient, where only the progress check rides.
+    // The same on the quotient: the progress check reports what its
+    // quotient sweep does, and Equation 1 still holds.
     assert!(spec_permutable(&spec));
     let red = Reduced::new(&asys);
     let (ra, rprogress) = separate(&red, &budget, true, completes_m);
-    let mut null = ccr_trace::NullSink;
-    let mut obs = SearchObserver::new(&mut null);
-    let (fa, graph) =
-        search(true, 2).explore_progress(&red, &budget, |_| None, completes_m, &mut obs);
-    assert_eq!(timeless(fa), ra);
-    assert_eq!(graph.check(&red, &mut obs), rprogress);
+    let (fa, requation1, fprogress) = fused(&red, &asys, &rv, &budget, true, 2, completes_m);
+    assert_eq!(fa, ra);
+    assert_eq!(fprogress, rprogress);
+    assert!(requation1.holds(), "{requation1:?}");
     assert_eq!(rprogress.witness_outcome, Some(Outcome::Livelock));
 }
 
@@ -281,7 +346,8 @@ fn an_equation_1_violation_is_latched_and_the_sweep_goes_on() {
         assert!(rode_it_all(&a), "{:?}", a.outcome);
         assert!(a.states > equation1.async_states && a.transitions > equation1.transitions_checked);
         for threads in [0usize, 2] {
-            let (fa, fequation1, fprogress) = fused(&asys, &rv, &budget, false, threads, completes);
+            let (fa, fequation1, fprogress) =
+                fused(&asys, &asys, &rv, &budget, false, threads, completes);
             assert_eq!(fequation1, equation1, "n={n} t={threads}");
             assert_eq!((fa, fprogress), (a.clone(), progress.clone()), "n={n} t={threads}");
         }

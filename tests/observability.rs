@@ -117,17 +117,20 @@ fn cli_json_report_is_valid_and_holds() {
     assert!(line.contains("\"equation1\""), "{line}");
 }
 
-/// Equation 1 runs unreduced, so under the default `--symmetry auto` a
-/// budget that covers the 210 asynchronous orbits of token at n=3 runs
-/// out inside it. That refutes nothing and must not read as a refutation;
-/// the run still fails (exit 1, `"holds":false`) because nothing was
-/// proven.
+/// Under `--spill-dir` nothing rides, and Equation 1 sweeps the concrete
+/// space alone. Under the default `--symmetry auto` a budget that covers
+/// the 210 asynchronous orbits of token at n=3 therefore runs out inside
+/// it. That refutes nothing and must not read as a refutation; the run
+/// still fails (exit 1, `"holds":false`) because nothing was proven.
 #[test]
 fn cli_budget_exhaustion_in_equation1_reads_incomplete_not_violated() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = std::env::temp_dir().join(format!("ccr-obs-eq1-{}", std::process::id()));
     let run = |extra: &[&str]| {
+        let spill = dir.join(extra.len().to_string());
         std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
-            .args(["verify", "specs/token.ccp", "-n", "3", "--budget", "300"])
+            .args(["verify", "specs/token.ccp", "-n", "3", "--budget", "300", "--spill-dir"])
+            .arg(&spill)
             .args(extra)
             .current_dir(root)
             .output()
@@ -136,6 +139,7 @@ fn cli_budget_exhaustion_in_equation1_reads_incomplete_not_violated() {
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("asynchronous level (n=3): 210 states, Complete"), "{stdout}");
     assert!(stdout.contains("Equation 1: INCOMPLETE (budget exhausted at 300 states)"), "{stdout}");
     assert!(!stdout.contains("VIOLATED"), "{stdout}");
 
@@ -144,6 +148,7 @@ fn cli_budget_exhaustion_in_equation1_reads_incomplete_not_violated() {
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("\"violation\":null,\"complete\":false"), "{stdout}");
     assert!(stdout.contains("\"holds\":false"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

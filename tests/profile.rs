@@ -139,7 +139,7 @@ fn the_check_span_is_lapped_once_per_edge_for_riders_and_never_for_a_plain_explo
         let transitions = plain.2;
         assert!(transitions > 0);
         let ridden = profiled(|obs| {
-            search.verify(&asys, &rv, &budget, |_| None, completes, obs);
+            search.verify(&asys, &asys, &rv, &budget, completes, obs);
         });
         assert_eq!((ridden.0, ridden.2), (transitions, transitions), "t={threads}");
         assert!(ridden.1 > 0, "t={threads}: the riders' time has a row of its own");

@@ -24,7 +24,13 @@
 //! full canonicalization too ([`Reduced::audited`]): on every permutable
 //! shipped spec, on remotes that hold their own ids, on `FORWARD`'s
 //! fallback, on 250 zoo specs and on the C2-victim step built by hand.
+//!
+//! Equation 1 rides the quotient sweep on one premise, checked here on
+//! every reachable state of every permutable shipped spec and of a zoo
+//! sample: the abstraction function commutes with renaming the remotes,
+//! `abs(π·q) = π·abs(q)`.
 
+use ccr_core::encode::Perm;
 use ccr_core::ids::RemoteId;
 use ccr_core::process::ProtocolSpec;
 use ccr_core::refine::{refine, RefineOptions, ReqRepMode};
@@ -35,6 +41,7 @@ use ccr_mc::{
     canonical_encode, derived_encode, explore, replay_trail, Budget, DeriveAudit, Outcome, Reduced,
     SearchObserver, SearchReport, Symmetric,
 };
+use ccr_runtime::abstraction::abs;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem, BufEntry, HomePhase};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::{next_parent_id, Origin, TransitionSystem};
@@ -552,4 +559,113 @@ fn the_c2_victim_step_derives_its_key() {
     })
     .expect("the state steps");
     assert_eq!(victim_steps, 1);
+}
+
+/// Every permutation of `0..n`, as `perm[i]` = the new index of remote `i`.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut all = Vec::new();
+    for shorter in permutations(n - 1) {
+        for at in 0..n {
+            let mut perm: Vec<usize> = shorter.iter().map(|&p| p + usize::from(p >= at)).collect();
+            perm.push(at);
+            all.push(perm);
+        }
+    }
+    all
+}
+
+/// Holds `abs(π·q)` to `π·abs(q)` on the first `cap` states of the
+/// asynchronous system `refined` derives at `n` remotes, for every
+/// permutation `π` of the remotes: `π·q` is built by the asynchronous
+/// renamed writer and read back, `π·abs(q)` is written by the rendezvous
+/// one. Returns the (state, permutation) pairs checked.
+fn assert_abs_commutes_with_renaming(
+    spec: &ProtocolSpec,
+    refined: &ccr_core::refine::RefinedProtocol,
+    n: u32,
+    cap: usize,
+    context: &str,
+) -> usize {
+    let asys = AsyncSystem::new(refined, n, AsyncConfig::default());
+    let rv = RendezvousSystem::new(spec, n);
+    let (mut bytes, mut want, mut got) = (Vec::new(), Vec::new(), Vec::new());
+    let mut renamed = asys.initial();
+    let mut pairs = 0;
+    for q in reachable(&asys, cap) {
+        let image = abs(&asys, &q);
+        for perm in permutations(n as usize) {
+            let mut order = vec![0; perm.len()];
+            for (old, &slot) in perm.iter().enumerate() {
+                order[slot] = old;
+            }
+            let pi = Perm::new(&perm, &order);
+            bytes.clear();
+            asys.encode_renamed(&q, &pi, &mut bytes);
+            assert!(asys.restore_into(&bytes, &mut renamed), "{context}: π·q reads back");
+            match (&image, abs(&asys, &renamed)) {
+                (Ok(image), Ok(renamed_image)) => {
+                    want.clear();
+                    rv.encode_renamed(image, &pi, &mut want);
+                    rv.encode(&renamed_image, &mut got);
+                    assert_eq!(
+                        got, want,
+                        "{context}: abs(π·q) != π·abs(q) for π = {perm:?}, q = {q:?}"
+                    );
+                }
+                (Err(_), Err(_)) => {}
+                (image, renamed_image) => panic!(
+                    "{context}: abs fails on one side only for π = {perm:?}: \
+                     {image:?} vs {renamed_image:?}"
+                ),
+            }
+            pairs += 1;
+        }
+    }
+    pairs
+}
+
+/// The premise of Equation 1 on the quotient (`docs/symmetry.md`):
+/// renaming the remotes of a reachable asynchronous state renames its
+/// abstraction the same way, on every reachable state of every
+/// permutable shipped spec at two and three remotes, under every
+/// permutation.
+#[test]
+fn abs_commutes_with_remote_renaming_on_the_shipped_specs() {
+    let mut pairs = 0;
+    for name in [
+        "migratory.ccp",
+        "migratory_broken.ccp",
+        "migratory_gated.ccp",
+        "token.ccp",
+        "zoo_chain.ccp",
+        "zoo_unsound_pair.ccp",
+    ] {
+        let spec = load(name);
+        assert!(ccr_mc::spec_permutable(&spec), "{name}");
+        let refined = refine(&spec, &RefineOptions::default()).expect("refines");
+        for n in [2u32, 3] {
+            let context = format!("{name} n={n}");
+            pairs += assert_abs_commutes_with_renaming(&spec, &refined, n, usize::MAX, &context);
+        }
+    }
+    assert!(pairs > 100_000, "{pairs}");
+}
+
+/// The same on the permutable specs of a seeded zoo sample, at three
+/// remotes, on a prefix of each space.
+#[test]
+fn abs_commutes_with_remote_renaming_on_the_zoo() {
+    let mut specs = 0;
+    for index in 0..100 {
+        let Ok(spec) = ZooSpec::generate(34, index).build() else { continue };
+        let Ok(refined) = refine(&spec, &RefineOptions::default()) else { continue };
+        if ccr_mc::spec_permutable(&spec) {
+            assert_abs_commutes_with_renaming(&spec, &refined, 3, 300, &format!("zoo_34_{index}"));
+            specs += 1;
+        }
+    }
+    assert!(specs > 20, "{specs} permutable zoo specs");
 }

@@ -174,19 +174,19 @@ fn cli_timeline_round_trips_a_run_dir() {
     assert_eq!(merged.path("timeline.spec").and_then(Json::as_str), Some("specs/migratory.ccp"));
 }
 
-/// Under `--symmetry on` Equation 1 still sweeps the concrete space on
-/// its own — the longest phase of a default `ccr verify` — and that sweep
-/// is sampled like any other; when it rides the exploration's sweep
-/// there is no such phase, and `check/progress` is an analysis that
-/// expands nothing.
+/// Equation 1 rides the exploration's sweep on the concrete space and on
+/// the quotient alike: no phase of its own, and `check/progress` is an
+/// analysis that expands nothing. Under `--spill-dir` nothing rides, and
+/// the sweep Equation 1 then has to itself is sampled like any other.
 #[test]
 fn equation_1_is_sampled_when_it_sweeps_alone() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let dir = tmp_dir("equation1");
-    let phases = |symmetry: &str| {
-        let path = dir.join(format!("{symmetry}.jsonl"));
+    let phases = |run: &str, flags: &[&str]| {
+        let path = dir.join(format!("{run}.jsonl"));
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
-            .args(["verify", "specs/migratory.ccp", "-n", "3", "--symmetry", symmetry])
+            .args(["verify", "specs/migratory.ccp", "-n", "3"])
+            .args(flags)
             .args(["--progress-interval", "0", "--timeline"])
             .arg(&path)
             .current_dir(root)
@@ -199,16 +199,25 @@ fn equation_1_is_sampled_when_it_sweeps_alone() {
         let names = timeline.phases.iter().map(|(_, name)| name.clone());
         names.enumerate().map(|(i, name)| (name, samples(i))).collect::<Vec<_>>()
     };
-    let on = phases("on");
-    let names: Vec<&str> = on.iter().map(|(name, _)| name.as_str()).collect();
-    assert_eq!(names, ["explore/rendezvous", "explore/async", "check/equation1", "check/progress"]);
-    // One sample per expansion at interval 0: the 2,082 concrete states.
-    assert_eq!(on[2].1, 2082, "{on:?}");
-    assert_eq!(on[3].1, 0, "{on:?}");
-    let off = phases("off");
-    let names: Vec<&str> = off.iter().map(|(name, _)| name.as_str()).collect();
-    assert_eq!(names, ["explore/rendezvous", "explore/async", "check/progress"]);
+    let names = |phases: &[(String, usize)]| -> Vec<String> {
+        phases.iter().map(|(name, _)| name.clone()).collect()
+    };
+    let off = phases("off", &["--symmetry", "off"]);
+    assert_eq!(names(&off), ["explore/rendezvous", "explore/async", "check/progress"]);
     assert_eq!((off[1].1, off[2].1), (2082, 0), "{off:?}");
+    let on = phases("on", &["--symmetry", "on"]);
+    assert_eq!(names(&on), names(&off));
+    // One sample per expansion at interval 0: the 367 orbits.
+    assert_eq!((on[1].1, on[2].1), (367, 0), "{on:?}");
+    let spill = dir.join("spill");
+    let spill = spill.to_str().expect("utf-8 path");
+    let alone = phases("spill", &["--symmetry", "off", "--spill-dir", spill]);
+    assert_eq!(
+        names(&alone),
+        ["explore/rendezvous", "explore/async", "check/equation1", "check/progress"]
+    );
+    // One sample per expansion at interval 0: the 2,082 concrete states.
+    assert_eq!(alone[2].1, 2082, "{alone:?}");
 }
 
 #[test]
