@@ -21,7 +21,7 @@ use crate::persist::{
 use crate::progress::{self, ForwardGraph, ProgressGraph};
 use crate::report::{ExploreReport, Outcome, ProgressReport, SearchReport, SimRelReport};
 use crate::simrel::Equation1;
-use crate::store::{KeyAudit, Marking, Visited};
+use crate::store::{hash_encoded, KeyAudit, Marking, Visited};
 use crate::trace::{conclude_with_trail, rebuild_trail, Parent, ROOT};
 use ccr_core::encode::Segment;
 use ccr_metrics::profile::{Profiler, SpanKind, SpanTimer};
@@ -440,8 +440,9 @@ pub struct PersistOpts {
     /// Wall-clock checkpoint cadence; `Duration::ZERO` checkpoints at
     /// every opportunity (every expansion).
     pub interval: Duration,
-    /// Store-byte threshold that evicts the arena to disk; 0 keeps all
-    /// state bytes in RAM (log-only mode: crash-safe, not RAM-capped).
+    /// Arena-byte threshold past which the stored tuples are evicted to
+    /// disk; 0 keeps all state bytes in RAM (log-only mode: crash-safe,
+    /// not RAM-capped).
     pub evict_at: usize,
     /// Attempt to resume from an existing manifest instead of starting
     /// fresh.
@@ -471,13 +472,12 @@ pub enum SerialPersistOpen {
     Finished(Manifest),
 }
 
-/// The sweep's persistence: the phase directory, its writer lock, the
-/// recovered (or fresh) store, and the checkpoint cadence. Opened by
-/// [`Search::explore`] and threaded through `drive`; checkpoints cut
-/// between expansions, so they are the same at every thread count and a
-/// run resumes at any other.
+/// The sweep's persistence: the phase directory's writer lock and
+/// manifest writer, the recovered (or fresh) store, and the checkpoint
+/// cadence. Opened by [`Search::explore`] and threaded through `drive`;
+/// checkpoints cut between expansions, so they are the same at every
+/// thread count and a run resumes at any other.
 pub struct SerialPersist {
-    dir: PhaseDir,
     _lock: LockGuard,
     writer: ManifestWriter,
     interval: Duration,
@@ -502,15 +502,6 @@ impl SerialPersist {
         let dir = PhaseDir::create(root)?;
         let lock = LockGuard::acquire(dir.lock())?;
         let prior = if opts.resume { Manifest::read(&dir.manifest())? } else { None };
-        // The one manifest kind. (Binaries that still had the sharded
-        // engine wrote `parallel` ones, one log per shard; their stopped
-        // runs counted differently, so not even a finished one is read.)
-        if let Some(m) = prior.as_ref().filter(|m| m.kind != "serial") {
-            return Err(PersistError::new(
-                dir.manifest(),
-                format!("manifest kind `{}`, expected `serial`", m.kind),
-            ));
-        }
         let (store, resumed, head0, transitions0, peak0, elapsed_base, seq0) = match prior {
             Some(m) if m.finished => return Ok(SerialPersistOpen::Finished(m)),
             Some(m) => {
@@ -526,32 +517,21 @@ impl SerialPersist {
                 for (kind, (bytes, records)) in [(Segment::Home, home), (Segment::Remote, remote)] {
                     let table = store.segments_mut(kind);
                     let path = dir.segments(kind);
-                    let tier = LogTier::recover(
-                        &path,
-                        &dir.idx(),
-                        Some(bytes),
-                        0,
-                        false,
-                        |rec, payload| {
-                            table.rebuild_insert(rec.hash, payload, rec.len);
-                        },
-                    )?;
+                    let tier = LogTier::recover(&path, Some(bytes), 0, |_, payload| {
+                        table.rebuild_insert(hash_encoded(payload), payload, true);
+                    })?;
                     committed_records(&tier, records, path)?;
                     table.attach_tier(Box::new(tier));
                 }
                 let (bytes, records) = tuples;
+                // A spilling run keeps no recovered tuple in memory: every
+                // one is checksummed, then left to the log.
                 let keep_payloads = opts.evict_at == 0;
                 let table = store.tuples_mut();
-                let tier = LogTier::recover(
-                    dir.log(),
-                    &dir.idx(),
-                    Some(bytes),
-                    opts.evict_at,
-                    !keep_payloads,
-                    |rec, payload| {
-                        table.rebuild_insert(rec.hash, payload.filter(|_| keep_payloads), rec.len);
-                    },
-                )?;
+                let tier =
+                    LogTier::recover(dir.log(), Some(bytes), opts.evict_at, |_, payload| {
+                        table.rebuild_insert(hash_encoded(payload), payload, keep_payloads);
+                    })?;
                 committed_records(&tier, records, dir.log())?;
                 table.attach_tier(Box::new(tier));
                 (
@@ -579,7 +559,6 @@ impl SerialPersist {
         };
         let writer = ManifestWriter::create(dir.manifest(), seq0);
         Ok(SerialPersistOpen::Run(Box::new(SerialPersist {
-            dir,
             _lock: lock,
             writer,
             interval: opts.interval,
@@ -610,9 +589,9 @@ impl SerialPersist {
     }
 
     /// Syncs the logs — the segment logs first, so that every segment a
-    /// committed tuple names is durable before the tuple is — rewrites the
-    /// index and atomically replaces the manifest with frontier cursor
-    /// `head`, the three logs' committed geometry and the counters so far.
+    /// committed tuple names is durable before the tuple is — and
+    /// atomically replaces the manifest with frontier cursor `head`, the
+    /// three logs' committed geometry and the counters so far.
     fn checkpoint(
         &mut self,
         store: &mut Visited,
@@ -627,20 +606,12 @@ impl SerialPersist {
             let committed = tier.sync();
             tier.take_err().map_or(Ok(committed), Err)
         }
-        let idx_path = self.dir.idx();
         let states = store.len() as u64;
         let home = synced(store.segments_mut(Segment::Home).tier_mut())?;
         let remote = synced(store.segments_mut(Segment::Remote).tier_mut())?;
-        let tier = store.tier_mut().expect("persist run without a tier");
-        let (bytes, records) = tier.sync();
-        tier.write_idx(&idx_path);
-        if let Some(e) = tier.take_err() {
-            return Err(e);
-        }
-        tier.stats_mut().checkpoints += 1;
-        let evict = tier.evict_at > 0;
+        let tuples = synced(store.tier_mut())?;
+        store.tier_mut().expect("persist run without a tier").stats_mut().checkpoints += 1;
         let mut m = Manifest {
-            kind: "serial".to_string(),
             finished: finished.is_some(),
             outcome_name: finished.map(|o| o.name().to_string()),
             outcome_detail: finished.and_then(Outcome::detail),
@@ -649,8 +620,7 @@ impl SerialPersist {
             peak_frontier,
             elapsed_ms: (self.elapsed_base + elapsed).as_millis() as u64,
             head: head as u64,
-            committed: vec![(bytes, records), home, remote],
-            evict,
+            committed: vec![tuples, home, remote],
             ..Manifest::default()
         };
         self.writer.write(&mut m)?;
@@ -2236,15 +2206,12 @@ mod tests {
         let spec = token_spec();
         let sys = RendezvousSystem::new(&spec, 4);
         let plain = explore_plain(&sys, &Budget::default());
-        // Log-only (no eviction), then a spilling run (tiny eviction
-        // threshold); both checkpoint every expansion, without threads
-        // and with.
-        for (tag, evict_at, threads) in [
-            ("basic", 0usize, 0usize),
-            ("spill", 1024, 0),
-            ("basic-2t", 0, 2),
-            ("spill-2t", 1024, 2),
-        ] {
+        // Log-only (no eviction), then a spilling run (an eviction
+        // threshold of a few of its dozen tuples); both checkpoint every
+        // expansion, without threads and with.
+        for (tag, evict_at, threads) in
+            [("basic", 0usize, 0usize), ("spill", 8, 0), ("basic-2t", 0, 2), ("spill-2t", 8, 2)]
+        {
             let dir = persist_dir(tag);
             let opts = PersistOpts { interval: Duration::ZERO, evict_at, ..PersistOpts::default() };
             let r = explore_persisted(&sys, &Budget::default(), &dir, &opts, threads);
@@ -2319,7 +2286,7 @@ mod tests {
         // A checkpoint is the same at every thread count, serial
         // included, so any leg resumes any other.
         for (crash_threads, resume_threads, evict_at) in
-            [(0usize, 0usize, 0usize), (0, 0, 512), (0, 2, 0), (4, 0, 512), (2, 4, 0)]
+            [(0usize, 0usize, 0usize), (0, 0, 8), (0, 2, 0), (4, 0, 8), (2, 4, 0)]
         {
             let tag = format!("resume-{crash_threads}-{resume_threads}-{evict_at}");
             let dir = persist_dir(&tag);

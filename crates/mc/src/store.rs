@@ -140,8 +140,9 @@ impl StateStore {
         self.entries.push((off as u32, enc.len() as u32));
         if let Some(tier) = self.tier.as_deref_mut() {
             tier.append(enc);
-            let evict_at = tier.evict_at;
-            if evict_at > 0 && self.data > 0 && self.approx_bytes() > evict_at {
+            // The arena is the one thing eviction frees: the slots, the
+            // entries and the tier's offsets stay whatever the budget.
+            if tier.evict_at > 0 && self.data > tier.evict_at {
                 self.evict_arena();
             }
         }
@@ -235,22 +236,21 @@ impl StateStore {
     /// Re-inserts one recovered record during log replay: claims the
     /// first empty slot on `hash`'s probe path with *no* duplicate
     /// check (log records are distinct by construction — each was a new
-    /// insert when appended). `payload == None` rebuilds an
-    /// already-evicted entry from the index alone.
-    pub fn rebuild_insert(&mut self, hash: u64, payload: Option<&[u8]>, len: u32) {
+    /// insert when appended). With `keep == false` the entry is rebuilt
+    /// as already evicted: its bytes stay in the log.
+    pub fn rebuild_insert(&mut self, hash: u64, enc: &[u8], keep: bool) {
         if self.full() {
             self.grow();
         }
         let slot = self.empty_slot(hash);
         self.claim(slot, hash);
-        match payload {
-            Some(p) => {
-                debug_assert_eq!(p.len(), len as usize);
-                let off = self.data;
-                self.push_bytes(p);
-                self.entries.push((off as u32, len));
-            }
-            None => self.entries.push((EVICTED, len)),
+        let len = enc.len() as u32;
+        if keep {
+            let off = self.data;
+            self.push_bytes(enc);
+            self.entries.push((off as u32, len));
+        } else {
+            self.entries.push((EVICTED, len));
         }
     }
 
@@ -287,7 +287,7 @@ impl StateStore {
         if off != EVICTED {
             return Some(self.arena[off as usize..off as usize + len as usize].to_vec());
         }
-        self.tier.as_deref()?.read_payload(idx)
+        self.tier.as_deref()?.read_payload(idx, len)
     }
 
     /// Doubles the table. Every slot carries the tag its home slot is
@@ -802,9 +802,9 @@ mod tests {
         // A replay of the same hashes rebuilds the same table.
         let mut rebuilt = StateStore::new();
         for (i, k) in keys.iter().enumerate() {
-            rebuilt.rebuild_insert(hash(i), Some(k), 4);
+            rebuilt.rebuild_insert(hash(i), k, true);
         }
-        rebuilt.rebuild_insert(hash(0), Some(b"fresh"), 5);
+        rebuilt.rebuild_insert(hash(0), b"fresh", true);
         assert_eq!(rebuilt.slots, st.slots);
     }
 
