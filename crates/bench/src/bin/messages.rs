@@ -52,7 +52,7 @@ fn main() {
     println!("Migratory message efficiency on a migrating workload");
     println!("(one line, {} machine steps, random scheduler):", configs::MESSAGE_RUN_STEPS);
     println!();
-    let opts = MigratoryOptions { data_domain: None, cpu_gate: true };
+    let opts = MigratoryOptions::CpuGated;
     let spec = migratory(&opts);
     let derived = refine(&spec, &RefineOptions::default()).expect("refine");
     let noopt = refine(&spec, &RefineOptions { reqrep: ReqRepMode::Off }).expect("refine");

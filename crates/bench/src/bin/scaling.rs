@@ -21,7 +21,7 @@ fn main() {
     let search = Search { threads: threads_from_args(), ..Search::default() };
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    let opts = MigratoryOptions::checking_with_data(configs::DATA_DOMAIN);
+    let opts = MigratoryOptions::Data2;
     let spec = migratory(&opts);
     if search.threads > 0 {
         println!("({} worker threads)", search.threads);

@@ -48,12 +48,12 @@ fn main() {
     );
     println!("|{:-<12}|{:-<4}|{:-<24}|{:-<24}|", "", "", "", "");
 
-    let mig = migratory_refined(&MigratoryOptions::checking_with_data(configs::DATA_DOMAIN));
+    let mig = migratory_refined(&MigratoryOptions::Data2);
     for n in configs::MIGRATORY_NS {
         let (a, r) = row(&mig, n, &search);
         println!("| {:<10} | {:>2} | {:>22} | {:>22} |", "Migratory", n, a, r);
     }
-    let inv = invalidate_refined(&InvalidateOptions { data_domain: Some(configs::DATA_DOMAIN) });
+    let inv = invalidate_refined(&InvalidateOptions::Data2);
     for n in configs::INVALIDATE_NS {
         let (a, r) = row(&inv, n, &search);
         println!("| {:<10} | {:>2} | {:>22} | {:>22} |", "Invalidate", n, a, r);

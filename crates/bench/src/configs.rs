@@ -19,9 +19,6 @@ pub const MIGRATORY_NS: [u32; 3] = [2, 4, 8];
 /// occurs at smaller N — we report 2/3/4 and document the shift.
 pub const INVALIDATE_NS: [u32; 3] = [2, 3, 4];
 
-/// Data domain used for the checking runs (writes count modulo this).
-pub const DATA_DOMAIN: i64 = 2;
-
 /// The §5 scaling experiment: rendezvous migratory up to 64 nodes.
 pub const SCALING_NS: [u32; 7] = [2, 4, 8, 16, 24, 32, 64];
 

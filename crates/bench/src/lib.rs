@@ -10,8 +10,6 @@
 //! * `messages` — E3, §3.3/§5 message efficiency: derived (optimized) vs
 //!   derived (no request/reply optimization) vs the hand-written baseline.
 //! * `buffers` — E4, §6 buffer-size sweep: nack rate, fairness, starvation.
-//! * `gen_specs` — regenerates the textual `.ccp` specs under `specs/`
-//!   from the protocol constructors (kept in sync by `tests/shipped_specs.rs`).
 //!
 //! The reachability binaries (`table3`, `scaling`) take `--threads N` to
 //! feed the exploration from `N` worker threads; see [`cli`] for the

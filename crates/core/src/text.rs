@@ -203,62 +203,54 @@ const PUNCTS: [&str; 20] = [
     "%", "+",
 ];
 
+/// Splits `src` into tokens, one `char` at a time: identifiers are a
+/// Unicode letter or `_` followed by letters, digits and `_`; any other
+/// character outside the token set is a line-numbered error.
 fn lex(src: &str) -> Result<Lexer> {
     let mut toks = Vec::new();
-    let bytes = src.as_bytes();
-    let mut i = 0;
+    let mut chars = src.char_indices().peekable();
     let mut line = 1;
-    'outer: while i < bytes.len() {
-        let c = bytes[i] as char;
+    while let Some((i, c)) = chars.next() {
         if c == '\n' {
             line += 1;
-            i += 1;
             continue;
         }
         if c.is_whitespace() {
-            i += 1;
             continue;
         }
-        if c == '/' && bytes.get(i + 1) == Some(&b'/') {
-            while i < bytes.len() && bytes[i] != b'\n' {
-                i += 1;
+        let rest = &src[i..];
+        if rest.starts_with("//") {
+            while chars.next_if(|&(_, c)| c != '\n').is_some() {}
+            continue;
+        }
+        if let Some(p) = PUNCTS.into_iter().find(|p| rest.starts_with(p)) {
+            toks.push((Tok::Punct(p), line));
+            // Every punctuator is ASCII: one char per byte.
+            for _ in 1..p.len() {
+                chars.next();
             }
             continue;
         }
-        for p in PUNCTS {
-            if src[i..].starts_with(p) {
-                toks.push((Tok::Punct(p), line));
-                i += p.len();
-                continue 'outer;
+        // The token begun at `i`, extended while `more` holds.
+        let mut token = |more: fn(char) -> bool| {
+            let mut end = i + c.len_utf8();
+            while let Some((j, d)) = chars.next_if(|&(_, d)| more(d)) {
+                end = j + d.len_utf8();
             }
-        }
-        if c == '-' || c.is_ascii_digit() {
-            let start = i;
-            if c == '-' {
-                i += 1;
-                if !(i < bytes.len() && (bytes[i] as char).is_ascii_digit()) {
-                    toks.push((Tok::Punct("-"), line));
-                    continue;
-                }
-            }
-            while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                i += 1;
-            }
-            let n: i64 = src[start..i]
+            &src[i..end]
+        };
+        if c.is_ascii_digit() || c == '-' && rest[1..].starts_with(|d: char| d.is_ascii_digit()) {
+            let n: i64 = token(|d| d.is_ascii_digit())
                 .parse()
                 .map_err(|_| CoreError::Builder(format!("line {line}: bad integer")))?;
             toks.push((Tok::Int(n), line));
-            continue;
+        } else if c == '-' {
+            toks.push((Tok::Punct("-"), line));
+        } else if c.is_alphabetic() || c == '_' {
+            toks.push((Tok::Ident(token(|d| d.is_alphanumeric() || d == '_').to_string()), line));
+        } else {
+            return Err(CoreError::Builder(format!("line {line}: unexpected character {c:?}")));
         }
-        if c.is_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len() && ((bytes[i] as char).is_alphanumeric() || bytes[i] == b'_') {
-                i += 1;
-            }
-            toks.push((Tok::Ident(src[start..i].to_string()), line));
-            continue;
-        }
-        return Err(CoreError::Builder(format!("line {line}: unexpected character {c:?}")));
     }
     toks.push((Tok::Eof, line));
     Ok(Lexer { toks, pos: 0 })
@@ -388,7 +380,8 @@ pub fn parse_validated(src: &str) -> Result<ProtocolSpec> {
 
 struct Names {
     vars: Vec<String>,
-    states: Vec<String>,
+    /// Each state's name and the line it is first mentioned on.
+    states: Vec<(String, usize)>,
 }
 
 impl Names {
@@ -400,11 +393,11 @@ impl Names {
             .ok_or_else(|| CoreError::Builder(format!("line {line}: unknown variable `{name}`")))
     }
 
-    fn state(&mut self, name: &str) -> StateId {
-        if let Some(i) = self.states.iter().position(|s| s == name) {
+    fn state(&mut self, name: &str, line: usize) -> StateId {
+        if let Some(i) = self.states.iter().position(|(s, _)| s == name) {
             StateId(i as u32)
         } else {
-            self.states.push(name.to_string());
+            self.states.push((name.to_string(), line));
             StateId((self.states.len() - 1) as u32)
         }
     }
@@ -445,8 +438,8 @@ fn parse_process(
                 Tok::Punct("{") => depth += 1,
                 Tok::Punct("}") => depth -= 1,
                 Tok::Ident(kw) if depth == 1 && (kw == "state" || kw == "internal") => {
-                    if let Some((Tok::Ident(name), _)) = lx.toks.get(i + 1) {
-                        names.state(name);
+                    if let Some((Tok::Ident(name), line)) = lx.toks.get(i + 1) {
+                        names.state(name, *line);
                     }
                 }
                 _ => {}
@@ -463,8 +456,9 @@ fn parse_process(
         } else {
             break;
         };
+        let line = lx.line();
         let sname = lx.ident()?;
-        let sid = names.state(&sname);
+        let sid = names.state(&sname, line);
         let is_init = lx.try_keyword("init");
         lx.eat_punct("{")?;
         let mut branches = Vec::new();
@@ -496,9 +490,9 @@ fn parse_process(
         .enumerate()
         .map(|(i, s)| {
             s.ok_or_else(|| {
+                let (name, line) = &names.states[i];
                 CoreError::Builder(format!(
-                    "{pname}: state `{}` referenced but never defined",
-                    names.states[i]
+                    "line {line}: {pname}: state `{name}` referenced but never defined"
                 ))
             })
         })
@@ -604,8 +598,9 @@ fn parse_branch(
         }
     }
     lx.eat_punct("->")?;
+    let line = lx.line();
     let target_name = lx.ident()?;
-    let target = names.state(&target_name);
+    let target = names.state(&target_name, line);
     lx.eat_punct(";")?;
     Ok(Branch { guard, action, assigns, target, tag })
 }

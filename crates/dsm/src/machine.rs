@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn unconstrained_workload_still_safe() {
-        let refined = migratory_refined(&MigratoryOptions { data_domain: Some(4), cpu_gate: true });
+        let refined = migratory_refined(&MigratoryOptions::GatedData2);
         let config = MachineConfig::standard(&refined, 3, 10_000);
         let machine = Machine::new(&refined, config);
         let mut wl = Always;

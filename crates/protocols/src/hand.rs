@@ -25,14 +25,13 @@
 //! (Table 3), while derived protocols are verified once at the rendezvous
 //! level.
 
-use crate::migratory::{migratory, MigratoryOptions};
-use ccr_core::refine::{refine, RefineOptions, RefinedProtocol};
+use crate::migratory::{migratory_refined, MigratoryOptions};
+use ccr_core::refine::RefinedProtocol;
 use ccr_runtime::asynch::AsyncConfig;
 
 /// Builds the hand-designed asynchronous migratory baseline.
 pub fn migratory_hand(opts: &MigratoryOptions) -> RefinedProtocol {
-    let spec = migratory(opts);
-    let mut refined = refine(&spec, &RefineOptions::default()).expect("migratory refines");
+    let mut refined = migratory_refined(opts);
     let lr = refined.spec.msg_by_name("LR").expect("migratory has LR");
     refined.make_unacked(lr).expect("LR is a remote-sent plain rendezvous");
     refined

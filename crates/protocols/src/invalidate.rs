@@ -16,261 +16,33 @@
 //!   against home-initiated invalidations (`invs` to sharers, `inv`/`ID`
 //!   to owners).
 //!
-//! Refinement detects three request/reply pairs — `rreq/gr`, `wreq/grx`,
-//! `inv/ID` — while `invs`, `rel` and `wb` remain plain request/ack
-//! rendezvous.
+//! Refinement pairs `rreq/gr`, `wreq/grx` and `inv/ID`; `invs`, `rel` and
+//! `wb` remain plain request/ack rendezvous.
 
-use ccr_core::builder::ProtocolBuilder;
-use ccr_core::expr::Expr;
-use ccr_core::ids::RemoteId;
 use ccr_core::process::ProtocolSpec;
 use ccr_core::refine::{refine, RefineOptions, RefinedProtocol};
-use ccr_core::value::Value;
 
-/// Construction options.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct InvalidateOptions {
-    /// `Some(d)` tracks line data modulo `d`; `None` is abstract.
-    pub data_domain: Option<i64>,
+/// Which shipped invalidate spec to load, one variant per `specs/` file.
+/// With data, `#write` bumps `data` modulo 2 and a copy resets it on leaving.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum InvalidateOptions {
+    /// Abstract data (payload-free messages): `specs/invalidate_nodata.ccp`.
+    #[default]
+    NoData,
+    /// Line data tracked modulo 2: `specs/invalidate.ccp`.
+    Data2,
 }
 
-/// Builds the rendezvous invalidate specification.
+/// The rendezvous invalidate specification.
 pub fn invalidate(opts: &InvalidateOptions) -> ProtocolSpec {
-    let mut b = ProtocolBuilder::new("invalidate");
-    let rreq = b.msg("rreq");
-    let wreq = b.msg("wreq");
-    let gr = b.msg("gr");
-    let grx = b.msg("grx");
-    let invs = b.msg("invs");
-    let inv = b.msg("inv");
-    let id = b.msg("ID");
-    let rel = b.msg("rel");
-    let wb = b.msg("wb");
-
-    let track = opts.data_domain;
-
-    // ---- Home node ----------------------------------------------------------
-    let s = b.home_var("s", Value::Mask(0));
-    let o = b.home_var("o", Value::Node(RemoteId(0)));
-    let j = b.home_var("j", Value::Node(RemoteId(0)));
-    let k = b.home_var("k", Value::Node(RemoteId(0)));
-    let d = track.map(|_| b.home_var("d", Value::Int(0)));
-
-    let f = b.home_state("F");
-    let gs = b.home_state("GS");
-    let gx = b.home_state("GX");
-    let st_s = b.home_state("S");
-    let schk = b.home_internal("SCHK");
-    let inv_st = b.home_state("INV");
-    let invc = b.home_internal("INVC");
-    let e = b.home_state("E");
-    let rvs = b.home_state("RVS");
-    let rvs2 = b.home_state("RVS2");
-    let rvx = b.home_state("RVX");
-    let rvx2 = b.home_state("RVX2");
-
-    fn opt_payload(
-        br: ccr_core::builder::BranchBuilder<'_>,
-        d: Option<ccr_core::ids::VarId>,
-    ) -> ccr_core::builder::BranchBuilder<'_> {
-        match d {
-            Some(dv) => br.payload(Expr::Var(dv)),
-            None => br,
-        }
-    }
-    fn opt_bind(
-        br: ccr_core::builder::BranchBuilder<'_>,
-        d: Option<ccr_core::ids::VarId>,
-    ) -> ccr_core::builder::BranchBuilder<'_> {
-        match d {
-            Some(dv) => br.bind(dv),
-            None => br,
-        }
-    }
-
-    // F: no copies anywhere.
-    b.home(f).recv_any(rreq).bind_sender(j).goto(gs);
-    b.home(f).recv_any(wreq).bind_sender(j).goto(gx);
-    // GS: grant a read copy.
-    opt_payload(b.home(gs).send_to(Expr::Var(j), gr), d)
-        .assign(s, Expr::MaskAdd(Box::new(Expr::Var(s)), Box::new(Expr::Var(j))))
-        .goto(st_s);
-    // GX: grant exclusive ownership.
-    opt_payload(b.home(gx).send_to(Expr::Var(j), grx), d).assign(o, Expr::Var(j)).goto(e);
-    // S: read-shared; sharers come and go, writers trigger invalidation.
-    b.home(st_s).recv_any(rreq).bind_sender(j).goto(gs);
-    b.home(st_s).recv_any(wreq).bind_sender(j).goto(inv_st);
-    b.home(st_s)
-        .recv_any(rel)
-        .bind_sender(k)
-        .assign(s, Expr::MaskDel(Box::new(Expr::Var(s)), Box::new(Expr::Var(k))))
-        .goto(schk);
-    // SCHK: did the last sharer leave?
-    b.home(schk).when(Expr::MaskIsEmpty(Box::new(Expr::Var(s)))).tau().goto(f);
-    b.home(schk)
-        .when(Expr::Not(Box::new(Expr::MaskIsEmpty(Box::new(Expr::Var(s))))))
-        .tau()
-        .goto(st_s);
-    // INV: invalidate sharers one at a time for the waiting writer `j`.
-    b.home(inv_st)
-        .when(Expr::Not(Box::new(Expr::MaskIsEmpty(Box::new(Expr::Var(s))))))
-        .send_to(Expr::MaskFirst(Box::new(Expr::Var(s))), invs)
-        .assign(
-            s,
-            Expr::MaskDel(
-                Box::new(Expr::Var(s)),
-                Box::new(Expr::MaskFirst(Box::new(Expr::Var(s)))),
-            ),
-        )
-        .goto(invc);
-    b.home(inv_st)
-        .recv_any(rel)
-        .bind_sender(k)
-        .assign(s, Expr::MaskDel(Box::new(Expr::Var(s)), Box::new(Expr::Var(k))))
-        .goto(invc);
-    // INVC: all sharers gone?
-    b.home(invc).when(Expr::MaskIsEmpty(Box::new(Expr::Var(s)))).tau().goto(gx);
-    b.home(invc)
-        .when(Expr::Not(Box::new(Expr::MaskIsEmpty(Box::new(Expr::Var(s))))))
-        .tau()
-        .goto(inv_st);
-    // E: exclusive owner `o`.
-    b.home(e).recv_any(rreq).bind_sender(j).goto(rvs);
-    b.home(e).recv_any(wreq).bind_sender(j).goto(rvx);
-    opt_bind(b.home(e).recv_exact(wb, Expr::Var(o)), d).goto(f);
-    // RVS: revoke the owner for a reader.
-    b.home(rvs).send_to(Expr::Var(o), inv).goto(rvs2);
-    opt_bind(b.home(rvs).recv_exact(wb, Expr::Var(o)), d).goto(gs);
-    opt_bind(b.home(rvs2).recv_exact(id, Expr::Var(o)), d).goto(gs);
-    opt_bind(b.home(rvs2).recv_exact(wb, Expr::Var(o)), d).goto(gs);
-    // RVX: revoke the owner for a writer.
-    b.home(rvx).send_to(Expr::Var(o), inv).goto(rvx2);
-    opt_bind(b.home(rvx).recv_exact(wb, Expr::Var(o)), d).goto(gx);
-    opt_bind(b.home(rvx2).recv_exact(id, Expr::Var(o)), d).goto(gx);
-    opt_bind(b.home(rvx2).recv_exact(wb, Expr::Var(o)), d).goto(gx);
-
-    // ---- Remote node ----------------------------------------------------------
-    let data = track.map(|_| b.remote_var("data", Value::Int(0)));
-
-    let i = b.remote_state("I");
-    let rrq = b.remote_state("RRQ");
-    let wr = b.remote_state("WR");
-    let wrq = b.remote_state("WRQ");
-    let ww = b.remote_state("WW");
-    let sh = b.remote_state("Sh");
-    let rels = b.remote_state("RELS");
-    let m = b.remote_state("M");
-    let ids = b.remote_state("IDS");
-    let wbs = b.remote_state("WBS");
-
-    b.remote(i).tau().tag("read").goto(rrq);
-    b.remote(i).tau().tag("write").goto(wrq);
-    b.remote(rrq).send(rreq).goto(wr);
-    opt_bind(b.remote(wr).recv(gr), data).goto(sh);
-    b.remote(wrq).send(wreq).goto(ww);
-    opt_bind(b.remote(ww).recv(grx), data).goto(m);
-    // Sh: read copy. Invalid lines carry no data: reset on leaving.
-    {
-        let br = b.remote(sh).recv(invs);
-        let br = match data {
-            Some(dv) => br.assign(dv, Expr::int(0)),
-            None => br,
-        };
-        br.goto(i);
-    }
-    b.remote(sh).tau().tag("evict").goto(rels);
-    {
-        let br = b.remote(rels).send(rel);
-        let br = match data {
-            Some(dv) => br.assign(dv, Expr::int(0)),
-            None => br,
-        };
-        br.goto(i);
-    }
-    // M: writable copy.
-    if let (Some(dv), Some(dom)) = (data, track) {
-        b.remote(m)
-            .tau()
-            .tag("write")
-            .assign(dv, Expr::add_mod(Expr::Var(dv), Expr::int(1), dom))
-            .goto(m);
-    }
-    b.remote(m).recv(inv).goto(ids);
-    b.remote(m).tau().tag("evict").goto(wbs);
-    {
-        let br = opt_payload(b.remote(ids).send(id), data);
-        let br = match data {
-            Some(dv) => br.assign(dv, Expr::int(0)),
-            None => br,
-        };
-        br.goto(i);
-    }
-    {
-        let br = opt_payload(b.remote(wbs).send(wb), data);
-        let br = match data {
-            Some(dv) => br.assign(dv, Expr::int(0)),
-            None => br,
-        };
-        br.goto(i);
-    }
-
-    b.finish().expect("the invalidate spec satisfies the §2.4 restrictions")
+    crate::load(match opts {
+        InvalidateOptions::NoData => include_str!("../../../specs/invalidate_nodata.ccp"),
+        InvalidateOptions::Data2 => include_str!("../../../specs/invalidate.ccp"),
+    })
 }
 
-/// Builds and refines the invalidate protocol with automatic request/reply
-/// detection.
+/// The invalidate protocol refined with automatic request/reply detection.
 pub fn invalidate_refined(opts: &InvalidateOptions) -> RefinedProtocol {
     refine(&invalidate(opts), &RefineOptions::default())
         .expect("invalidate refines under the default options")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ccr_core::refine::PairDirection;
-    use ccr_core::validate::validate;
-
-    #[test]
-    fn spec_is_valid_both_variants() {
-        validate(&invalidate(&InvalidateOptions::default())).unwrap();
-        validate(&invalidate(&InvalidateOptions { data_domain: Some(2) })).unwrap();
-    }
-
-    #[test]
-    fn detects_three_pairs() {
-        let refined = invalidate_refined(&InvalidateOptions::default());
-        let spec = &refined.spec;
-        let mut names: Vec<(String, String, PairDirection)> = refined
-            .pairs
-            .iter()
-            .map(|p| {
-                (spec.msg_name(p.req).to_string(), spec.msg_name(p.repl).to_string(), p.direction)
-            })
-            .collect();
-        names.sort();
-        assert_eq!(
-            names,
-            vec![
-                ("inv".to_string(), "ID".to_string(), PairDirection::HomeRequests),
-                ("rreq".to_string(), "gr".to_string(), PairDirection::RemoteRequests),
-                ("wreq".to_string(), "grx".to_string(), PairDirection::RemoteRequests),
-            ]
-        );
-    }
-
-    #[test]
-    fn plain_messages_cost_two() {
-        let refined = invalidate_refined(&InvalidateOptions::default());
-        for name in ["invs", "rel", "wb"] {
-            let m = refined.spec.msg_by_name(name).unwrap();
-            assert_eq!(refined.message_cost(m), 2, "{name} should be unoptimized");
-        }
-    }
-
-    #[test]
-    fn state_inventory() {
-        let spec = invalidate(&InvalidateOptions::default());
-        assert_eq!(spec.home.states.len(), 12);
-        assert_eq!(spec.remote.states.len(), 10);
-    }
 }

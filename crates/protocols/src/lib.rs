@@ -1,7 +1,8 @@
 //! # ccr-protocols — concrete DSM cache-coherence protocols
 //!
 //! Rendezvous specifications of the protocols the paper studies, plus the
-//! baselines its evaluation compares against:
+//! baselines its evaluation compares against. Each protocol is a file under
+//! `specs/`, compiled in and parsed per call; option enums name the files.
 //!
 //! * [`mod@migratory`] — the Avalanche *migratory* protocol of paper Figures 2
 //!   and 3: a single line migrates between remotes; the home records the
@@ -29,10 +30,14 @@ pub mod migratory;
 pub mod props;
 pub mod token;
 pub mod update;
-pub mod zoo;
 
 pub use hand::migratory_hand;
 pub use invalidate::{invalidate, InvalidateOptions};
 pub use migratory::{migratory, MigratoryOptions};
 pub use token::token;
-pub use update::{update, UpdateOptions};
+pub use update::update;
+
+/// Parses a spec compiled in from `specs/`; `text_roundtrip` checks them all.
+fn load(text: &str) -> ccr_core::process::ProtocolSpec {
+    ccr_core::text::parse_validated(text).unwrap_or_else(|e| panic!("shipped spec: {e}"))
+}

@@ -13,280 +13,43 @@
 //! request/reply pairs the paper derives by hand: `req/gr` and `inv/ID`
 //! (§5), producing the automata of Figures 4 and 5.
 
-use ccr_core::builder::ProtocolBuilder;
-use ccr_core::expr::Expr;
-use ccr_core::ids::RemoteId;
 use ccr_core::process::ProtocolSpec;
 use ccr_core::refine::{refine, RefineOptions, RefinedProtocol};
-use ccr_core::value::Value;
 
-/// Construction options.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MigratoryOptions {
-    /// `Some(d)` tracks line data as an integer written modulo `d` by the
-    /// owner (enables data-integrity checking at the cost of state-space
-    /// size); `None` models data abstractly (payload-free messages).
-    pub data_domain: Option<i64>,
-    /// When set, the remote idles in `I` until an autonomous `access`
-    /// decision fires (used by the DSM workload harness to gate CPU
-    /// activity). When clear, remotes contend for the line continuously —
-    /// the standard model-checking configuration, matching the paper's
-    /// Table 3 models, and substantially smaller (no independent idle/want
-    /// bit per remote).
-    pub cpu_gate: bool,
+/// Which shipped migratory spec to load, one variant per `specs/` file.
+/// *Gated* remotes idle in `I` until a `#access` step fires (the DSM CPU
+/// gate); ungated ones contend continuously, as in Table 3. *Data*
+/// variants carry the line's value modulo the domain: `#write` bumps it,
+/// `ID`/`LR` send then reset it. The others have payload-free messages.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum MigratoryOptions {
+    /// Gated, abstract data: `specs/migratory_cpu.ccp`.
+    #[default]
+    CpuGated,
+    /// Ungated, abstract data (Table 3): `specs/migratory.ccp`.
+    Checking,
+    /// Ungated, data modulo 2: `specs/migratory_data2.ccp`.
+    Data2,
+    /// Ungated, data modulo 4: `specs/migratory_data4.ccp`.
+    Data4,
+    /// Gated, data modulo 2: `specs/migratory_gated.ccp`.
+    GatedData2,
 }
 
-impl Default for MigratoryOptions {
-    fn default() -> Self {
-        Self { data_domain: None, cpu_gate: true }
-    }
-}
-
-impl MigratoryOptions {
-    /// The Table 3 configuration: continuous contention, abstract data.
-    pub fn checking() -> Self {
-        Self { data_domain: None, cpu_gate: false }
-    }
-
-    /// Checking configuration with data tracked modulo `d`.
-    pub fn checking_with_data(d: i64) -> Self {
-        Self { data_domain: Some(d), cpu_gate: false }
-    }
-}
-
-/// Builds the rendezvous migratory specification (Figures 2 and 3).
+/// The rendezvous migratory specification (Figures 2 and 3).
 pub fn migratory(opts: &MigratoryOptions) -> ProtocolSpec {
-    let mut b = ProtocolBuilder::new("migratory");
-    let req = b.msg("req");
-    let gr = b.msg("gr");
-    let lr = b.msg("LR");
-    let inv = b.msg("inv");
-    let id = b.msg("ID");
-
-    let track = opts.data_domain;
-
-    // ---- Home node (Figure 2) ---------------------------------------------
-    let o = b.home_var("o", Value::Node(RemoteId(0)));
-    let j = b.home_var("j", Value::Node(RemoteId(0)));
-    let d = track.map(|_| b.home_var("d", Value::Int(0)));
-
-    let f = b.home_state("F");
-    let g1 = b.home_state("G1");
-    let e = b.home_state("E");
-    let i1 = b.home_state("I1");
-    let i2 = b.home_state("I2");
-    let i3 = b.home_state("I3");
-
-    // F: r(i)?req -> grant
-    b.home(f).recv_any(req).bind_sender(j).goto(g1);
-    // G1: r(j)!gr(d); o := j -> E
-    {
-        let br = b.home(g1).send_to(Expr::Var(j), gr);
-        let br = match d {
-            Some(dv) => br.payload(Expr::Var(dv)),
-            None => br,
-        };
-        br.assign(o, Expr::Var(j)).goto(e);
-    }
-    // E: new requester, or owner relinquishes.
-    b.home(e).recv_any(req).bind_sender(j).goto(i1);
-    {
-        let br = b.home(e).recv_exact(lr, Expr::Var(o));
-        let br = match d {
-            Some(dv) => br.bind(dv),
-            None => br,
-        };
-        br.goto(f);
-    }
-    // I1: revoke the owner, or accept its racing LR.
-    b.home(i1).send_to(Expr::Var(o), inv).goto(i2);
-    {
-        let br = b.home(i1).recv_exact(lr, Expr::Var(o));
-        let br = match d {
-            Some(dv) => br.bind(dv),
-            None => br,
-        };
-        br.goto(i3);
-    }
-    // I2: wait for the owner's ID (or its racing LR).
-    {
-        let br = b.home(i2).recv_exact(id, Expr::Var(o));
-        let br = match d {
-            Some(dv) => br.bind(dv),
-            None => br,
-        };
-        br.goto(i3);
-    }
-    {
-        let br = b.home(i2).recv_exact(lr, Expr::Var(o));
-        let br = match d {
-            Some(dv) => br.bind(dv),
-            None => br,
-        };
-        br.goto(i3);
-    }
-    // I3: grant to the recorded requester.
-    {
-        let br = b.home(i3).send_to(Expr::Var(j), gr);
-        let br = match d {
-            Some(dv) => br.payload(Expr::Var(dv)),
-            None => br,
-        };
-        br.assign(o, Expr::Var(j)).goto(e);
-    }
-
-    // ---- Remote node (Figure 3) --------------------------------------------
-    let data = track.map(|_| b.remote_var("data", Value::Int(0)));
-
-    let (i, rq) = if opts.cpu_gate {
-        let i = b.remote_state("I");
-        let rq = b.remote_state("RQ");
-        (Some(i), rq)
-    } else {
-        (None, b.remote_state("RQ"))
-    };
-    let w = b.remote_state("W");
-    let v = b.remote_state("V");
-    let id_s = b.remote_state("IDS");
-    let lr_s = b.remote_state("LRS");
-    // When gated, `I` idles until the CPU decides to access the line; when
-    // ungated, the remote re-requests as soon as it is invalid.
-    let invalid = i.unwrap_or(rq);
-
-    if let Some(i) = i {
-        b.remote(i).tau().tag("access").goto(rq);
-    }
-    // RQ: h!req -> wait for grant.
-    b.remote(rq).send(req).goto(w);
-    // W: h?gr(data) -> Valid.
-    {
-        let br = b.remote(w).recv(gr);
-        let br = match data {
-            Some(dv) => br.bind(dv),
-            None => br,
-        };
-        br.goto(v);
-    }
-    // V: CPU reads/writes locally; eviction and invalidation compete.
-    if let (Some(dv), Some(dom)) = (data, track) {
-        b.remote(v)
-            .tau()
-            .tag("write")
-            .assign(dv, Expr::add_mod(Expr::Var(dv), Expr::int(1), dom))
-            .goto(v);
-    }
-    b.remote(v).recv(inv).goto(id_s);
-    b.remote(v).tau().tag("evict").goto(lr_s);
-    // IDS: h!ID(data) -> I. The payload is evaluated before the reset
-    // assignment runs; clearing `data` keeps invalid lines from carrying
-    // stale values (and keeps the rendezvous state space compact).
-    {
-        let br = b.remote(id_s).send(id);
-        let br = match data {
-            Some(dv) => br.payload(Expr::Var(dv)).assign(dv, Expr::int(0)),
-            None => br,
-        };
-        br.goto(invalid);
-    }
-    // LRS: h!LR(data) -> I.
-    {
-        let br = b.remote(lr_s).send(lr);
-        let br = match data {
-            Some(dv) => br.payload(Expr::Var(dv)).assign(dv, Expr::int(0)),
-            None => br,
-        };
-        br.goto(invalid);
-    }
-
-    b.finish().expect("the migratory spec satisfies the §2.4 restrictions")
+    crate::load(match opts {
+        MigratoryOptions::CpuGated => include_str!("../../../specs/migratory_cpu.ccp"),
+        MigratoryOptions::Checking => include_str!("../../../specs/migratory.ccp"),
+        MigratoryOptions::Data2 => include_str!("../../../specs/migratory_data2.ccp"),
+        MigratoryOptions::Data4 => include_str!("../../../specs/migratory_data4.ccp"),
+        MigratoryOptions::GatedData2 => include_str!("../../../specs/migratory_gated.ccp"),
+    })
 }
 
-/// Builds and refines the migratory protocol with automatic request/reply
-/// detection — the derived asynchronous protocol of Figures 4 and 5.
+/// The migratory protocol refined with automatic request/reply detection —
+/// the derived asynchronous protocol of Figures 4 and 5.
 pub fn migratory_refined(opts: &MigratoryOptions) -> RefinedProtocol {
     refine(&migratory(opts), &RefineOptions::default())
         .expect("migratory refines under the default options")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ccr_core::refine::PairDirection;
-    use ccr_core::validate::validate;
-
-    #[test]
-    fn spec_is_valid_both_variants() {
-        validate(&migratory(&MigratoryOptions::default())).unwrap();
-        validate(&migratory(&MigratoryOptions { data_domain: Some(2), cpu_gate: true })).unwrap();
-    }
-
-    #[test]
-    fn detects_exactly_the_papers_two_pairs() {
-        for opts in
-            [MigratoryOptions::default(), MigratoryOptions { data_domain: Some(2), cpu_gate: true }]
-        {
-            let refined = migratory_refined(&opts);
-            let spec = &refined.spec;
-            assert_eq!(refined.pairs.len(), 2, "req/gr and inv/ID");
-            let names: Vec<(String, String, PairDirection)> = refined
-                .pairs
-                .iter()
-                .map(|p| {
-                    (
-                        spec.msg_name(p.req).to_string(),
-                        spec.msg_name(p.repl).to_string(),
-                        p.direction,
-                    )
-                })
-                .collect();
-            assert!(names.contains(&("req".into(), "gr".into(), PairDirection::RemoteRequests)));
-            assert!(names.contains(&("inv".into(), "ID".into(), PairDirection::HomeRequests)));
-        }
-    }
-
-    #[test]
-    fn lr_is_a_plain_rendezvous_in_the_derived_protocol() {
-        let refined = migratory_refined(&MigratoryOptions::default());
-        let lr = refined.spec.msg_by_name("LR").unwrap();
-        assert_eq!(refined.message_cost(lr), 2, "LR costs req+ack when derived");
-        assert!(refined.unacked.is_empty());
-    }
-
-    #[test]
-    fn figure_counts_match_the_paper_shape() {
-        // Figure 5 shows two transient states on the remote (for req and
-        // LR); ID is fire-and-forget so it gets none.
-        let refined = migratory_refined(&MigratoryOptions::default());
-        assert_eq!(refined.remote.transient_count(), 2);
-        // Figure 4 shows one transient on the home (for inv); gr sends are
-        // fire-and-forget replies.
-        assert_eq!(refined.home.transient_count(), 1);
-    }
-
-    #[test]
-    fn home_state_names_match_figure_2() {
-        let spec = migratory(&MigratoryOptions::default());
-        for name in ["F", "G1", "E", "I1", "I2", "I3"] {
-            assert!(spec.home.state_by_name(name).is_some(), "missing {name}");
-        }
-        for name in ["I", "RQ", "W", "V", "IDS", "LRS"] {
-            assert!(spec.remote.state_by_name(name).is_some(), "missing {name}");
-        }
-        let checking = migratory(&MigratoryOptions::checking());
-        assert!(checking.remote.state_by_name("I").is_none(), "no idle state when ungated");
-        assert!(checking.remote.state_by_name("RQ").is_some());
-    }
-
-    #[test]
-    fn static_cost_with_and_without_optimization() {
-        let spec = migratory(&MigratoryOptions::default());
-        let derived = migratory_refined(&MigratoryOptions::default());
-        let unopt =
-            refine(&spec, &RefineOptions { reqrep: ccr_core::refine::ReqRepMode::Off }).unwrap();
-        // 5 distinct sent messages: req, gr, LR, inv, ID.
-        // Optimized: req(1)+gr(1)+LR(2)+inv(1)+ID(1) = 6.
-        // Unoptimized: 5 * 2 = 10.
-        assert_eq!(derived.total_static_cost(), 6);
-        assert_eq!(unopt.total_static_cost(), 10);
-    }
 }

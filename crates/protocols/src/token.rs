@@ -7,51 +7,9 @@
 //! request/reply pair, `rel` is a plain rendezvous, so the derived
 //! protocol exercises both refinement schemes.
 
-use ccr_core::builder::ProtocolBuilder;
-use ccr_core::expr::Expr;
-use ccr_core::ids::RemoteId;
 use ccr_core::process::ProtocolSpec;
-use ccr_core::value::Value;
 
-/// Builds the token rendezvous specification.
+/// The token rendezvous specification, `specs/token.ccp`.
 pub fn token() -> ProtocolSpec {
-    let mut b = ProtocolBuilder::new("token");
-    let req = b.msg("req");
-    let gr = b.msg("gr");
-    let rel = b.msg("rel");
-
-    let o = b.home_var("o", Value::Node(RemoteId(0)));
-    let f = b.home_state("F");
-    let g1 = b.home_state("G1");
-    let e = b.home_state("E");
-    b.home(f).recv_any(req).bind_sender(o).goto(g1);
-    b.home(g1).send_to(Expr::Var(o), gr).goto(e);
-    b.home(e).recv_exact(rel, Expr::Var(o)).goto(f);
-
-    let i = b.remote_state("I");
-    let rq = b.remote_state("RQ");
-    let w = b.remote_state("W");
-    let v = b.remote_state("V");
-    b.remote(i).tau().tag("acquire").goto(rq);
-    b.remote(rq).send(req).goto(w);
-    b.remote(w).recv(gr).goto(v);
-    b.remote(v).send(rel).goto(i);
-
-    b.finish().expect("the token spec satisfies the §2.4 restrictions")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ccr_core::refine::{refine, PairDirection, RefineOptions};
-
-    #[test]
-    fn token_is_valid_and_optimizes_req_gr() {
-        let spec = token();
-        let refined = refine(&spec, &RefineOptions::default()).unwrap();
-        assert_eq!(refined.pairs.len(), 1);
-        assert_eq!(refined.pairs[0].direction, PairDirection::RemoteRequests);
-        assert_eq!(spec.msg_name(refined.pairs[0].req), "req");
-        assert_eq!(spec.msg_name(refined.pairs[0].repl), "gr");
-    }
+    crate::load(include_str!("../../../specs/token.ccp"))
 }

@@ -18,198 +18,38 @@
 //! state *absorbs* competing `upd`s by restarting the round with the newest
 //! value (last-writer-wins within a round).
 //!
-//! Refinement finds the `rreq/gr` request/reply pair; `upd`, `push` and
-//! `rel` stay plain request/ack rendezvous. The mid-push races (a sharer
-//! evicting or writing while a push is in flight) are absorbed by exactly
-//! the same transient-state machinery as migratory's `inv`/`LR` crossing.
+//! Refinement pairs `rreq/gr` only; the mid-push races (a sharer evicting or
+//! writing during a push) fall to migratory's `inv`/`LR` transient states.
 
-use ccr_core::builder::ProtocolBuilder;
-use ccr_core::expr::Expr;
-use ccr_core::ids::RemoteId;
 use ccr_core::process::ProtocolSpec;
 use ccr_core::refine::{refine, RefineOptions, RefinedProtocol};
 use ccr_core::value::Value;
+use ccr_runtime::rendezvous::RvState;
 
-/// Construction options.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UpdateOptions {
-    /// `Some(d)` tracks line data modulo `d`; `None` is abstract. Unlike
-    /// the other protocols, data tracking is the whole point here — the
-    /// coherence property is that sharers agree on the pushed value.
-    pub data_domain: Option<i64>,
+/// The rendezvous write-update specification, `specs/update.ccp`, with
+/// data tracked modulo 2: sharers agreeing on the pushed value is the
+/// coherence property. In `PUSH` a competing `upd` restarts the round with
+/// the newer value (without it the two-writer deadlock above reappears).
+pub fn update() -> ProtocolSpec {
+    crate::load(include_str!("../../../specs/update.ccp"))
 }
 
-/// Builds the rendezvous write-update specification.
-pub fn update(opts: &UpdateOptions) -> ProtocolSpec {
-    let mut b = ProtocolBuilder::new("update");
-    let rreq = b.msg("rreq");
-    let gr = b.msg("gr");
-    let upd = b.msg("upd");
-    let push = b.msg("push");
-    let rel = b.msg("rel");
-
-    let track = opts.data_domain;
-
-    // ---- Home node ----------------------------------------------------------
-    let s = b.home_var("s", Value::Mask(0));
-    let t = b.home_var("t", Value::Mask(0));
-    let j = b.home_var("j", Value::Node(RemoteId(0)));
-    let k = b.home_var("k", Value::Node(RemoteId(0)));
-    let w = b.home_var("w", Value::Node(RemoteId(0)));
-    let d = track.map(|_| b.home_var("d", Value::Int(0)));
-
-    let f = b.home_state("F");
-    let grs = b.home_state("GR");
-    let st_s = b.home_state("S");
-    let schk = b.home_internal("SCHK");
-    let push_st = b.home_state("PUSH");
-    let pushc = b.home_internal("PUSHC");
-
-    let not_empty = |v| Expr::Not(Box::new(Expr::MaskIsEmpty(Box::new(Expr::Var(v)))));
-    let is_empty = |v| Expr::MaskIsEmpty(Box::new(Expr::Var(v)));
-
-    // F: no copies.
-    b.home(f).recv_any(rreq).bind_sender(j).goto(grs);
-    // GR: grant a read copy.
-    {
-        let br = b.home(grs).send_to(Expr::Var(j), gr);
-        let br = match d {
-            Some(dv) => br.payload(Expr::Var(dv)),
-            None => br,
-        };
-        br.assign(s, Expr::MaskAdd(Box::new(Expr::Var(s)), Box::new(Expr::Var(j)))).goto(st_s);
-    }
-    // S: shared. Readers join, sharers leave, a sharer may write.
-    b.home(st_s).recv_any(rreq).bind_sender(j).goto(grs);
-    b.home(st_s)
-        .recv_any(rel)
-        .bind_sender(k)
-        .assign(s, Expr::MaskDel(Box::new(Expr::Var(s)), Box::new(Expr::Var(k))))
-        .goto(schk);
-    {
-        // upd carries the new value; schedule pushes to everyone else.
-        let br = b.home(st_s).recv_any(upd).bind_sender(w);
-        let br = match d {
-            Some(dv) => br.bind(dv),
-            None => br,
-        };
-        br.assign(t, Expr::MaskDel(Box::new(Expr::Var(s)), Box::new(Expr::Var(w)))).goto(pushc);
-    }
-    b.home(schk).when(is_empty(s)).tau().goto(f);
-    b.home(schk).when(not_empty(s)).tau().goto(st_s);
-    // PUSH: propagate the value to the next sharer; racing evictions shrink
-    // both the sharer set and the push set.
-    {
-        let br = b
-            .home(push_st)
-            .when(not_empty(t))
-            .send_to(Expr::MaskFirst(Box::new(Expr::Var(t))), push);
-        let br = match d {
-            Some(dv) => br.payload(Expr::Var(dv)),
-            None => br,
-        };
-        br.assign(
-            t,
-            Expr::MaskDel(
-                Box::new(Expr::Var(t)),
-                Box::new(Expr::MaskFirst(Box::new(Expr::Var(t)))),
-            ),
-        )
-        .goto(pushc);
-    }
-    b.home(push_st)
-        .recv_any(rel)
-        .bind_sender(k)
-        .assign(s, Expr::MaskDel(Box::new(Expr::Var(s)), Box::new(Expr::Var(k))))
-        .assign(t, Expr::MaskDel(Box::new(Expr::Var(t)), Box::new(Expr::Var(k))))
-        .goto(pushc);
-    b.home(pushc).when(is_empty(t)).tau().goto(st_s);
-    b.home(pushc).when(not_empty(t)).tau().goto(push_st);
-    // PUSH also absorbs competing writes: restart the round with the newer
-    // value (without this guard the two-writer deadlock above reappears).
-    {
-        let br = b.home(push_st).recv_any(upd).bind_sender(w);
-        let br = match d {
-            Some(dv) => br.bind(dv),
-            None => br,
-        };
-        br.assign(t, Expr::MaskDel(Box::new(Expr::Var(s)), Box::new(Expr::Var(w)))).goto(pushc);
-    }
-
-    // ---- Remote node ----------------------------------------------------------
-    let data = track.map(|_| b.remote_var("data", Value::Int(0)));
-
-    let i = b.remote_state("I");
-    let rrq = b.remote_state("RRQ");
-    let wr = b.remote_state("WR");
-    let sh = b.remote_state("Sh");
-    let upds = b.remote_state("UPDS");
-    let rels = b.remote_state("RELS");
-
-    b.remote(i).tau().tag("read").goto(rrq);
-    b.remote(rrq).send(rreq).goto(wr);
-    {
-        let br = b.remote(wr).recv(gr);
-        let br = match data {
-            Some(dv) => br.bind(dv),
-            None => br,
-        };
-        br.goto(sh);
-    }
-    // Sh: live read copy; absorbs pushes, may write or evict.
-    {
-        let br = b.remote(sh).recv(push);
-        let br = match data {
-            Some(dv) => br.bind(dv),
-            None => br,
-        };
-        br.goto(sh);
-    }
-    b.remote(sh).tau().tag("write").goto(upds);
-    b.remote(sh).tau().tag("evict").goto(rels);
-    // UPDS: send the new value and resume reading at once (non-blocking
-    // writes — see the deadlock note in the module docs).
-    {
-        let br = b.remote(upds).send(upd);
-        let br = match (data, track) {
-            (Some(dv), Some(dom)) => br
-                .payload(Expr::add_mod(Expr::Var(dv), Expr::int(1), dom))
-                .assign(dv, Expr::add_mod(Expr::Var(dv), Expr::int(1), dom)),
-            _ => br,
-        };
-        br.goto(sh);
-    }
-    {
-        let br = b.remote(rels).send(rel);
-        let br = match data {
-            Some(dv) => br.assign(dv, Expr::int(0)),
-            None => br,
-        };
-        br.goto(i);
-    }
-
-    b.finish().expect("the update spec satisfies the §2.4 restrictions")
-}
-
-/// Builds and refines the update protocol.
-pub fn update_refined(opts: &UpdateOptions) -> RefinedProtocol {
-    refine(&update(opts), &RefineOptions::default())
-        .expect("update refines under the default options")
+/// The update protocol refined with automatic request/reply detection.
+pub fn update_refined() -> RefinedProtocol {
+    refine(&update(), &RefineOptions::default()).expect("update refines under the default options")
 }
 
 /// Rendezvous-level coherence invariant: whenever the home is quiescent
 /// (`F` or `S`), every sharer agrees with the home's data value, and the
 /// sharer mask covers every remote holding a copy.
-pub fn update_rv_invariant(
-    spec: &ProtocolSpec,
-) -> impl FnMut(&ccr_runtime::rendezvous::RvState) -> Option<String> {
+pub fn update_rv_invariant(spec: &ProtocolSpec) -> impl FnMut(&RvState) -> Option<String> {
     let sh = spec.remote.state_by_name("Sh").expect("remote Sh");
     let f = spec.home.state_by_name("F").expect("home F");
     let s_state = spec.home.state_by_name("S").expect("home S");
     let s_var = spec.home.vars.iter().position(|v| v.name == "s").expect("mask");
     let d_var = spec.home.vars.iter().position(|v| v.name == "d");
     let data_var = spec.remote.vars.iter().position(|v| v.name == "data");
-    move |st: &ccr_runtime::rendezvous::RvState| {
+    move |st: &RvState| {
         let quiescent = st.home.state == f || st.home.state == s_state;
         let sharers: Vec<usize> =
             st.remotes.iter().enumerate().filter(|(_, r)| r.state == sh).map(|(i, _)| i).collect();
@@ -235,41 +75,5 @@ pub fn update_rv_invariant(
             }
         }
         None
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ccr_core::refine::PairDirection;
-    use ccr_core::validate::validate;
-
-    #[test]
-    fn spec_is_valid() {
-        validate(&update(&UpdateOptions::default())).unwrap();
-        validate(&update(&UpdateOptions { data_domain: Some(2) })).unwrap();
-    }
-
-    #[test]
-    fn detects_rreq_gr_pair() {
-        let refined = update_refined(&UpdateOptions { data_domain: Some(2) });
-        let spec = &refined.spec;
-        let mut names: Vec<(String, String, PairDirection)> = refined
-            .pairs
-            .iter()
-            .map(|p| {
-                (spec.msg_name(p.req).to_string(), spec.msg_name(p.repl).to_string(), p.direction)
-            })
-            .collect();
-        names.sort();
-        assert_eq!(
-            names,
-            vec![("rreq".to_string(), "gr".to_string(), PairDirection::RemoteRequests)]
-        );
-        // upd, push and rel stay plain.
-        for m in ["upd", "push", "rel"] {
-            let mt = spec.msg_by_name(m).unwrap();
-            assert_eq!(refined.message_cost(mt), 2, "{m}");
-        }
     }
 }

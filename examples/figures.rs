@@ -19,7 +19,7 @@ fn main() {
         std::env::args().nth(1).map(PathBuf::from).unwrap_or_else(|| PathBuf::from("figures-out"));
     fs::create_dir_all(&out).expect("create output directory");
 
-    let opts = MigratoryOptions::checking();
+    let opts = MigratoryOptions::Checking;
     let spec = migratory(&opts);
     let refined = migratory_refined(&opts);
 

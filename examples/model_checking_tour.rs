@@ -10,7 +10,7 @@ use coherence_refinement::prelude::*;
 
 fn main() {
     println!("== 1. Reachability under a memory budget (the Table 3 setup) ==");
-    let opts = MigratoryOptions::checking_with_data(2);
+    let opts = MigratoryOptions::Data2;
     let refined = migratory_refined(&opts);
     for n in [2u32, 3, 4] {
         let rv = RendezvousSystem::new(&refined.spec, n);
@@ -27,7 +27,7 @@ fn main() {
     println!();
 
     println!("== 2. Coherence safety invariants, checked while exploring ==");
-    let inv_opts = InvalidateOptions { data_domain: Some(2) };
+    let inv_opts = InvalidateOptions::Data2;
     let inv = invalidate(&inv_opts);
     let rv = RendezvousSystem::new(&inv, 2);
     let r = ccr_mc::search::explore(
@@ -61,7 +61,7 @@ fn main() {
 
     println!("== 4. Equation 1 — the machine-checked §4 soundness argument ==");
     for (name, refined) in [
-        ("migratory", migratory_refined(&MigratoryOptions::checking())),
+        ("migratory", migratory_refined(&MigratoryOptions::Checking)),
         ("invalidate", invalidate_refined(&InvalidateOptions::default())),
     ] {
         let rv = RendezvousSystem::new(&refined.spec, 2);
@@ -79,7 +79,7 @@ fn main() {
 
     println!("== 5. Forward progress (§2.5): no reachable livelock, k = 2 suffices ==");
     for k in [2usize, 3] {
-        let refined = migratory_refined(&MigratoryOptions::checking());
+        let refined = migratory_refined(&MigratoryOptions::Checking);
         let asys = AsyncSystem::new(&refined, 2, AsyncConfig::with_home_buffer(k));
         let prog = check_progress_default(&asys, &Budget::default());
         println!(

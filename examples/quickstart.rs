@@ -9,7 +9,7 @@ use coherence_refinement::prelude::*;
 fn main() {
     // 1. The rendezvous specification of the migratory protocol — the
     //    atomic-transaction view of Figures 2 and 3.
-    let opts = MigratoryOptions::checking();
+    let opts = MigratoryOptions::Checking;
     let spec = migratory(&opts);
     println!("=== Rendezvous specification (CSP-like) ===");
     println!("{}", render_spec(&spec));

@@ -27,7 +27,7 @@
 //! use coherence_refinement::prelude::*;
 //!
 //! // The paper's migratory protocol (Figures 2 and 3).
-//! let refined = migratory_refined(&MigratoryOptions::checking());
+//! let refined = migratory_refined(&MigratoryOptions::Checking);
 //!
 //! // Refinement found the paper's two request/reply pairs automatically.
 //! assert_eq!(refined.pairs.len(), 2);

@@ -44,7 +44,7 @@ fn any_nack_reachable(sys: &AsyncSystem<'_>) -> bool {
 #[test]
 fn minimal_buffer_preserves_progress_for_all_protocols() {
     let tok = refine(&token(), &RefineOptions::default()).unwrap();
-    let mig = migratory_refined(&MigratoryOptions::checking());
+    let mig = migratory_refined(&MigratoryOptions::Checking);
     for (name, refined) in [("token", &tok), ("migratory", &mig)] {
         for n in [2u32, 3] {
             let sys = AsyncSystem::new(refined, n, AsyncConfig::default());
@@ -56,7 +56,7 @@ fn minimal_buffer_preserves_progress_for_all_protocols() {
 
 #[test]
 fn n_plus_two_buffer_eliminates_nacks() {
-    let refined = migratory_refined(&MigratoryOptions::checking());
+    let refined = migratory_refined(&MigratoryOptions::Checking);
     for n in [2u32, 3] {
         let sys = AsyncSystem::new(&refined, n, AsyncConfig::with_home_buffer(n as usize + 2));
         assert!(!any_nack_reachable(&sys), "n={n}: no nack should be reachable with k = n + 2");
@@ -67,14 +67,14 @@ fn n_plus_two_buffer_eliminates_nacks() {
 fn small_buffer_does_produce_nacks() {
     // Sanity for the previous theorem: with k = 2 and three contenders,
     // nacks are reachable.
-    let refined = migratory_refined(&MigratoryOptions::checking());
+    let refined = migratory_refined(&MigratoryOptions::Checking);
     let sys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
     assert!(any_nack_reachable(&sys));
 }
 
 #[test]
 fn progress_holds_across_buffer_sizes() {
-    let refined = migratory_refined(&MigratoryOptions::checking());
+    let refined = migratory_refined(&MigratoryOptions::Checking);
     for k in [2usize, 3, 4, 6] {
         let sys = AsyncSystem::new(&refined, 2, AsyncConfig::with_home_buffer(k));
         let r = check_progress_default(&sys, &Budget::default());

@@ -3,11 +3,13 @@
 //!
 //! They test the value codec, the inline vectors every state is built
 //! from, the canonicalization behind the symmetry reduction, the spill
-//! log's crash recovery and the shipped protocols' text round trip. As
+//! log's crash recovery, the shipped protocols' text round trip and what
+//! refinement derives from each protocol. As
 //! `crates/*/tests/` they are test targets of their crates, which only
 //! `cargo test --workspace` builds. Included here, `cargo test` runs them
 //! too, under their file names: `proptest_core::…`, `proptest_inline::…`,
-//! `proptest_canon::…`, `proptest_persist::…`, `text_roundtrip::…`.
+//! `proptest_canon::…`, `proptest_persist::…`, `text_roundtrip::…`,
+//! `protocol_shapes::…`.
 //! (`tests/runtime_suites.rs` does the same for `ccr-runtime`.)
 
 #[path = "../crates/core/tests/proptest_core.rs"]
@@ -24,3 +26,6 @@ mod proptest_persist;
 
 #[path = "../crates/protocols/tests/text_roundtrip.rs"]
 mod text_roundtrip;
+
+#[path = "../crates/protocols/tests/protocol_shapes.rs"]
+mod protocol_shapes;

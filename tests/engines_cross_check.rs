@@ -16,7 +16,7 @@ use ccr_dsm::threaded::{run_threaded, Node, ThreadedConfig};
 use ccr_protocols::invalidate::{invalidate, InvalidateOptions};
 use ccr_protocols::migratory::{migratory, migratory_refined, MigratoryOptions};
 use ccr_protocols::token::token;
-use ccr_protocols::update::{update, UpdateOptions};
+use ccr_protocols::update::update;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::sched::RandomSched;
 use ccr_runtime::sim::Simulator;
@@ -124,13 +124,13 @@ fn migratory_engines_run() {
 
 #[test]
 fn invalidate_engines_run() {
-    let spec = invalidate(&InvalidateOptions { data_domain: Some(4) });
+    let spec = invalidate(&InvalidateOptions::Data2);
     saw_nacks_and_replies(&lockstep_matrix(&spec, &[ReqRepMode::Auto, ReqRepMode::Off]));
 }
 
 #[test]
 fn update_engines_run() {
-    let spec = update(&UpdateOptions { data_domain: Some(2) });
+    let spec = update();
     saw_nacks_and_replies(&lockstep_matrix(&spec, &[ReqRepMode::Auto, ReqRepMode::Off]));
 }
 
@@ -151,7 +151,7 @@ fn threaded_token_reaches_target() {
 
 #[test]
 fn threaded_migratory_reaches_target() {
-    let refined = migratory_refined(&MigratoryOptions { data_domain: Some(8), cpu_gate: true });
+    let refined = migratory_refined(&MigratoryOptions::GatedData2);
     let per_remote = reaches_target(&refined, 4, 500);
     // Every remote should have completed something under the fair-ish
     // random workload.

@@ -13,7 +13,7 @@ use ccr_protocols::props;
 use ccr_runtime::asynch::AsyncSystem;
 
 fn opts() -> MigratoryOptions {
-    MigratoryOptions::checking()
+    MigratoryOptions::Checking
 }
 
 #[test]

@@ -22,7 +22,7 @@ fn rendezvous_reachability_and_safety() {
 
 #[test]
 fn rendezvous_safety_with_data_tracking() {
-    let spec = invalidate(&InvalidateOptions { data_domain: Some(2) });
+    let spec = invalidate(&InvalidateOptions::Data2);
     let sys = RendezvousSystem::new(&spec, 2);
     let r = explore(&sys, &Budget::default(), props::invalidate_rv_invariant(&spec), true);
     assert!(r.outcome.is_complete(), "{:?}", r.outcome);

@@ -1,17 +1,16 @@
-//! The `.ccp` spec files shipped under `specs/` stay in sync with the
-//! protocol constructors, parse cleanly, validate, and verify end to end.
+//! The `.ccp` spec files shipped under `specs/` parse cleanly, validate,
+//! and verify end to end; malformed text is a line-numbered error.
+
+#[path = "support/specs.rs"]
+mod specs;
 
 use ccr_core::refine::{refine, RefineOptions};
-use ccr_core::text::{parse_validated, to_text};
+use ccr_core::text::{parse, parse_validated};
 use ccr_mc::search::Budget;
 use ccr_mc::simrel::check_simulation;
-use ccr_protocols::invalidate::{invalidate, InvalidateOptions};
-use ccr_protocols::migratory::{migratory, MigratoryOptions};
-use ccr_protocols::token::token;
-use ccr_protocols::update::{update, UpdateOptions};
-use ccr_protocols::zoo::{zoo_chain, zoo_unsound_pair};
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
+use specs::shipped_specs;
 use std::path::Path;
 
 fn read(name: &str) -> String {
@@ -20,36 +19,53 @@ fn read(name: &str) -> String {
 }
 
 #[test]
-fn shipped_specs_match_constructors() {
-    assert_eq!(read("token.ccp"), to_text(&token()));
-    assert_eq!(read("migratory.ccp"), to_text(&migratory(&MigratoryOptions::checking())));
-    assert_eq!(
-        read("migratory_gated.ccp"),
-        to_text(&migratory(&MigratoryOptions { data_domain: Some(2), cpu_gate: true }))
-    );
-    assert_eq!(
-        read("invalidate.ccp"),
-        to_text(&invalidate(&InvalidateOptions { data_domain: Some(2) }))
-    );
-    assert_eq!(read("update.ccp"), to_text(&update(&UpdateOptions { data_domain: Some(2) })));
-    assert_eq!(read("zoo_chain.ccp"), to_text(&zoo_chain()));
-    assert_eq!(read("zoo_unsound_pair.ccp"), to_text(&zoo_unsound_pair()));
+fn shipped_specs_parse_and_validate() {
+    let specs = shipped_specs();
+    assert!(specs.len() >= 12, "{} specs", specs.len());
+    for (name, spec) in specs {
+        assert!(!spec.name.is_empty(), "{name}");
+    }
+}
+
+/// `specs/token.ccp` with one arrow typed as `→`, and with the remote's
+/// `W` declared as `É`: the lexer used to step through UTF-8 a byte at a
+/// time and slice in the middle of a character.
+fn non_ascii_mutants() -> [(String, &'static str); 2] {
+    let text = read("token.ccp");
+    let arrow = text.replacen("h ! req -> W;", "h ! req \u{2192} W;", 1);
+    let state = text.replacen("state W {", "state \u{c9} {", 1);
+    assert!(arrow != text && state != text, "the mutation sites moved");
+    [(arrow, "line 20: unexpected character '\u{2192}'"), (state, "line 20:")]
 }
 
 #[test]
-fn shipped_specs_parse_and_validate() {
-    for name in [
-        "token.ccp",
-        "migratory.ccp",
-        "migratory_gated.ccp",
-        "invalidate.ccp",
-        "update.ccp",
-        "zoo_chain.ccp",
-        "zoo_unsound_pair.ccp",
-    ] {
-        let spec = parse_validated(&read(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(!spec.name.is_empty());
+fn non_ascii_input_is_a_line_numbered_error() {
+    for (text, expected) in non_ascii_mutants() {
+        let err = parse(&text).expect_err("a mutant must not parse");
+        assert!(err.to_string().contains(expected), "{err} (expected {expected:?})");
     }
+    // Non-ASCII letters are identifier characters.
+    let renamed = read("token.ccp").replace("RQ", "\u{c9}t\u{e9}");
+    assert_eq!(parse_validated(&renamed).expect("parses").remote.states[1].name, "\u{c9}t\u{e9}");
+}
+
+#[test]
+fn cli_rejects_non_ascii_input_with_exit_one() {
+    let dir = std::env::temp_dir().join(format!("ccr-non-ascii-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (i, (text, expected)) in non_ascii_mutants().into_iter().enumerate() {
+        let path = dir.join(format!("mutant{i}.ccp"));
+        std::fs::write(&path, text).expect("write mutant");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+            .arg("verify")
+            .arg(&path)
+            .output()
+            .expect("spawn ccr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(expected), "{stderr} (expected {expected:?})");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -73,6 +89,7 @@ fn zoo_unsound_pair_regression() {
     let spec = parse_validated(&read("zoo_unsound_pair.ccp")).unwrap();
     let refined = refine(&spec, &RefineOptions::default()).unwrap();
     assert!(refined.pairs.is_empty(), "unsound pair re-accepted: {:?}", refined.pairs);
+    assert!(refined.remote_fire_forget.is_empty());
     let verdict = ccr_mc::run_spec(&spec, &ccr_mc::FuzzConfig::default());
     assert!(verdict.passed(), "pipeline failure: {:?}", verdict.failure);
 }
@@ -84,6 +101,8 @@ fn zoo_chain_verifies_end_to_end() {
     let spec = parse_validated(&read("zoo_chain.ccp")).unwrap();
     let refined = refine(&spec, &RefineOptions::default()).unwrap();
     assert_eq!(refined.pairs.len(), 1);
+    assert_eq!(spec.msg_name(refined.pairs[0].req), "req");
+    assert_eq!(spec.msg_name(refined.pairs[0].repl), "a");
     let rv = RendezvousSystem::new(&spec, 2);
     let asys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
     let sim = check_simulation(&asys, &rv, &Budget::default());

@@ -49,6 +49,10 @@ use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::path::Path;
 
+#[path = "support/specs.rs"]
+mod specs;
+use specs::shipped_specs;
+
 const HEALTHY: [&str; 5] =
     ["invalidate.ccp", "migratory.ccp", "migratory_gated.ccp", "token.ccp", "update.ccp"];
 const BROKEN: &str = "migratory_broken.ccp";
@@ -120,23 +124,36 @@ fn healthy_specs_rendezvous_level_reduced_matches_full() {
     }
 }
 
-/// The scalarset discipline over the shipped specs: `invalidate.ccp` and
-/// `update.ccp` walk their sharer sets with `first(...)` (order-sensitive
-/// — the lowest-*numbered* sharer goes first), so their remotes are not
-/// interchangeable and the reduction must refuse to touch them. The
-/// migratory family and `token.ccp` are clean and reduce.
+/// The scalarset discipline over the shipped specs: the invalidate files
+/// and `update.ccp` walk their sharer sets with `first(...)`
+/// (order-sensitive — the lowest-*numbered* sharer goes first), so their
+/// remotes are not interchangeable and the reduction must refuse to touch
+/// them. The migratory family, `token.ccp` and the zoo members are clean
+/// and reduce. Every file under `specs/` must be in the table, so a new
+/// spec cannot ship unclassified.
 #[test]
 fn scalarset_detection_matches_the_shipped_specs() {
     let expected = [
         ("invalidate.ccp", false),
+        ("invalidate_nodata.ccp", false),
         ("update.ccp", false),
         ("migratory.ccp", true),
-        ("migratory_gated.ccp", true),
         ("migratory_broken.ccp", true),
+        ("migratory_cpu.ccp", true),
+        ("migratory_data2.ccp", true),
+        ("migratory_data4.ccp", true),
+        ("migratory_gated.ccp", true),
         ("token.ccp", true),
+        ("zoo_chain.ccp", true),
+        ("zoo_unsound_pair.ccp", true),
     ];
-    for (name, permutable) in expected {
-        assert_eq!(ccr_mc::spec_permutable(&load(name)), permutable, "{name}");
+    for (name, spec) in shipped_specs() {
+        let permutable = expected
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("{name} is missing from the scalarset table"))
+            .1;
+        assert_eq!(ccr_mc::spec_permutable(&spec), permutable, "{name}");
     }
 }
 

@@ -4,13 +4,13 @@
 use ccr_mc::progress::check_progress_default;
 use ccr_mc::search::{explore, Budget};
 use ccr_mc::simrel::check_simulation;
-use ccr_protocols::update::{update, update_refined, update_rv_invariant, UpdateOptions};
+use ccr_protocols::update::{update, update_refined, update_rv_invariant};
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 
 #[test]
 fn rendezvous_reachability_and_sharer_agreement() {
-    let spec = update(&UpdateOptions { data_domain: Some(2) });
+    let spec = update();
     for n in [1u32, 2, 3] {
         let sys = RendezvousSystem::new(&spec, n);
         let r = explore(&sys, &Budget::default(), update_rv_invariant(&spec), true);
@@ -21,7 +21,7 @@ fn rendezvous_reachability_and_sharer_agreement() {
 
 #[test]
 fn async_reachability_and_deadlock_freedom() {
-    let refined = update_refined(&UpdateOptions { data_domain: Some(2) });
+    let refined = update_refined();
     for n in [1u32, 2] {
         let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
         let r = explore(&sys, &Budget::default(), |_| None, true);
@@ -32,7 +32,7 @@ fn async_reachability_and_deadlock_freedom() {
 
 #[test]
 fn equation_one_holds_for_update() {
-    let refined = update_refined(&UpdateOptions { data_domain: Some(2) });
+    let refined = update_refined();
     let rv = RendezvousSystem::new(&refined.spec, 2);
     let asys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
     let r = check_simulation(&asys, &rv, &Budget::default());
@@ -41,7 +41,7 @@ fn equation_one_holds_for_update() {
 
 #[test]
 fn progress_holds_for_update() {
-    let refined = update_refined(&UpdateOptions::default());
+    let refined = update_refined();
     let asys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
     let r = check_progress_default(&asys, &Budget::default());
     assert!(r.holds(), "{r:?}");
@@ -53,7 +53,7 @@ fn update_runs_on_the_dsm_machine() {
     use ccr_dsm::workload::ReadMostly;
     use ccr_runtime::sched::RandomSched;
 
-    let refined = update_refined(&UpdateOptions { data_domain: Some(8) });
+    let refined = update_refined();
     let mut config = MachineConfig::standard(&refined, 4, 50_000);
     // Ops for the update protocol: read acquisitions and committed writes.
     config.ops.push(refined.spec.msg_by_name("upd").unwrap());
