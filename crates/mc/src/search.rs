@@ -25,7 +25,6 @@ use crate::store::{hash_encoded, KeyAudit, Marking, Visited};
 use crate::trace::{conclude_with_trail, rebuild_trail, Parent, ROOT};
 use ccr_core::encode::Segment;
 use ccr_metrics::profile::{Profiler, SpanKind, SpanTimer};
-use ccr_metrics::status::{RunStatus, StatusWriter};
 use ccr_metrics::timeseries::{Recorder, SampleInput};
 use ccr_metrics::Registry;
 use ccr_runtime::asynch::{AsyncState, AsyncSystem};
@@ -152,33 +151,22 @@ const PROBE_EVERY: u32 = 16;
 /// each phase, and end the run with [`Telemetry::finish`].
 ///
 /// Every part is a null object when off — a disabled registry, profiler
-/// and recorder, no status file — so [`Telemetry::off`] costs a search
-/// nothing and leaves no trace in its outputs.
+/// and recorder — so [`Telemetry::off`] costs a search nothing and leaves
+/// no trace in its outputs.
 #[derive(Clone)]
 pub struct Telemetry {
     /// Metrics registry searches fold their run totals and store-shape
     /// histograms into.
     pub registry: Registry,
-    /// Span profiler the sweep and its workers time themselves into; status snapshots
-    /// and timeline samples carry its per-kind split.
+    /// Span profiler the sweep and its workers time themselves into;
+    /// samples carry its per-kind split.
     pub profiler: Profiler,
-    /// Live status file (atomic rename, see [`ccr_metrics::status`]) that
-    /// `ccr watch` follows from another process, rewritten on the
-    /// heartbeat interval even when the trace sink is disabled.
-    pub status: Option<StatusWriter>,
-    /// Flight recorder: one delta-encoded sample per heartbeat interval.
+    /// Flight recorder: one sample per heartbeat interval, to the
+    /// timeline and the live status file `ccr watch` follows.
     pub timeline: Recorder,
-    /// Wall-clock cadence of heartbeats, status snapshots and timeline
-    /// samples. `Duration::ZERO` beats on every tick (test use).
+    /// Wall-clock cadence of heartbeats and samples. `Duration::ZERO`
+    /// beats on every tick (test use).
     pub interval: Duration,
-    /// Spec name stamped on status snapshots.
-    pub spec: String,
-    /// State count ETAs are computed against: a finite budget cap, so an
-    /// upper bound on remaining work, not a prediction (`None`: no ETA).
-    pub eta_target: Option<u64>,
-    /// When the run began: the terminal status snapshot reports elapsed
-    /// time and the whole-run rate from here.
-    pub started: Instant,
 }
 
 impl Telemetry {
@@ -187,142 +175,51 @@ impl Telemetry {
         Telemetry {
             registry: Registry::disabled(),
             profiler: Profiler::disabled(),
-            status: None,
             timeline: Recorder::disabled(),
             interval: DEFAULT_HEARTBEAT_INTERVAL,
-            spec: String::new(),
-            eta_target: None,
-            started: Instant::now(),
         }
     }
 
     /// Ends the run, in the order the artifacts depend on each other:
     /// the profiler's (nondeterministic-tagged) counters go into the
-    /// registry, the flight record gets its end record and folds its own
-    /// counters in — so a metrics snapshot taken afterwards is complete —
-    /// and the terminal status snapshot (`finished`, exact final counts,
-    /// whole-run average rate) is written last. A sticky timeline write
+    /// registry, then the recorder ends the timeline, writes the terminal
+    /// status document (the final `states`, `transitions` and
+    /// `store_bytes`) and folds its own counters in — so a metrics
+    /// snapshot taken afterwards is complete. A sticky timeline write
     /// error is the only failure; recording never aborts a search, so
     /// this is where it surfaces.
-    pub fn finish(&self, outcome: &Outcome, states: u64, transitions: u64) -> Result<(), String> {
-        self.profiler.publish(&self.registry);
-        self.timeline.finish(outcome.name(), states, transitions);
-        self.timeline.publish(&self.registry);
-        if let Some(e) = self.timeline.take_error() {
-            return Err(format!("timeline: {e}"));
-        }
-        if let Some(writer) = &self.status {
-            StatusReporter::new(writer.clone(), &self.spec, "done", None).finalize(
-                outcome,
-                states,
-                transitions,
-                self.started.elapsed(),
-                &self.profiler,
-            );
-        }
-        Ok(())
-    }
-}
-
-/// Maintains the [`RunStatus`] document of one phase and rewrites the
-/// status file behind it.
-struct StatusReporter {
-    writer: StatusWriter,
-    status: RunStatus,
-    target_states: Option<u64>,
-}
-
-impl StatusReporter {
-    fn new(writer: StatusWriter, spec: &str, phase: &str, target_states: Option<u64>) -> Self {
-        StatusReporter {
-            writer,
-            status: RunStatus {
-                spec: spec.to_string(),
-                phase: phase.to_string(),
-                pid: Some(std::process::id() as u64),
-                ..RunStatus::default()
-            },
-            target_states,
-        }
-    }
-
-    /// Writes one live snapshot.
-    fn update(
-        &mut self,
-        at: &SampleInput<'_>,
-        states_per_sec: f64,
-        elapsed: Duration,
-        profiler: &Profiler,
-    ) {
-        let states = at.states;
-        self.status.states = states;
-        self.status.transitions = at.transitions;
-        self.status.frontier = at.frontier;
-        self.status.depth = at.depth;
-        self.status.states_per_sec = states_per_sec;
-        self.status.store_bytes = at.store_bytes;
-        self.status.elapsed_ms = elapsed.as_millis() as u64;
-        self.status.eta_ms = match (self.target_states, states_per_sec > 0.0) {
-            (Some(target), true) if target > states => {
-                Some(((target - states) as f64 / states_per_sec * 1e3) as u64)
-            }
-            _ => None,
-        };
-        self.write(profiler);
-    }
-
-    /// Rewrites the file with the profiler's current split folded in.
-    /// Write errors are deliberately dropped: status is advisory and
-    /// must never abort a verification.
-    fn write(&mut self, profiler: &Profiler) {
-        if profiler.enabled() {
-            self.status.set_spans(&profiler.aggregate());
-        }
-        let _ = self.writer.write(&mut self.status);
-    }
-
-    /// Writes the terminal snapshot: exact final counts, `finished`,
-    /// and the outcome name.
-    fn finalize(
-        &mut self,
+    pub fn finish(
+        &self,
         outcome: &Outcome,
         states: u64,
         transitions: u64,
-        elapsed: Duration,
-        profiler: &Profiler,
-    ) {
-        self.status.states = states;
-        self.status.transitions = transitions;
-        self.status.frontier = 0;
-        self.status.eta_ms = Some(0);
-        // Whole-run average, so a run too quick for any live snapshot
-        // still reports a rate.
-        self.status.states_per_sec =
-            if elapsed.as_secs_f64() > 0.0 { states as f64 / elapsed.as_secs_f64() } else { 0.0 };
-        self.status.elapsed_ms = elapsed.as_millis() as u64;
-        self.status.finished = true;
-        self.status.outcome = Some(outcome.name().to_string());
-        self.write(profiler);
+        store_bytes: u64,
+    ) -> Result<(), String> {
+        self.profiler.publish(&self.registry);
+        self.timeline.finish(outcome.name(), states, transitions, store_bytes, &self.profiler);
+        self.timeline.publish(&self.registry);
+        match self.timeline.take_error() {
+            Some(e) => Err(format!("timeline: {e}")),
+            None => Ok(()),
+        }
     }
 }
 
 /// One search phase's view of the run's [`Telemetry`]: periodic
 /// [`TraceEvent::Heartbeat`] events (states visited, frontier size,
-/// store bytes, exploration rate) to a [`TraceSink`], live status
-/// snapshots and timeline samples, all on one wall-clock interval, plus
+/// store bytes, exploration rate) to a [`TraceSink`] and recorder
+/// samples, both on one wall-clock interval and one clock reading, plus
 /// the registry and profiler the search records into.
 ///
-/// With a disabled sink, no status file and no recorder the
-/// per-expansion cost is the one comparison at the top of
-/// [`SearchObserver::tick`].
+/// With a disabled sink and no recorder the per-expansion cost is the
+/// one comparison at the top of [`SearchObserver::tick`].
 pub struct SearchObserver<'s> {
     sink: &'s mut dyn TraceSink,
     beats: bool,
-    /// Whether a tick has anywhere to report to: the sink, a status
-    /// file or the flight recorder.
+    /// Whether a tick has anywhere to report to: the sink or the
+    /// recorder.
     live: bool,
     telemetry: Telemetry,
-    status: Option<StatusReporter>,
     started: Instant,
     last_states: u64,
     last_time: Instant,
@@ -337,21 +234,17 @@ impl<'s> SearchObserver<'s> {
     }
 
     /// The observer of one named phase of a run: heartbeats to `sink`,
-    /// everything else as `telemetry` says. Status snapshots are stamped
-    /// with `phase`, and the flight recorder starts a new phase record.
+    /// everything else as `telemetry` says. The recorder starts a new
+    /// phase named `phase`.
     pub fn for_phase(sink: &'s mut dyn TraceSink, telemetry: &Telemetry, phase: &str) -> Self {
         let now = Instant::now();
         let beats = sink.enabled();
-        let status = telemetry.status.as_ref().map(|writer| {
-            StatusReporter::new(writer.clone(), &telemetry.spec, phase, telemetry.eta_target)
-        });
-        telemetry.timeline.set_phase(phase);
+        telemetry.timeline.set_phase(phase, now);
         Self {
             sink,
             beats,
-            live: beats || status.is_some() || telemetry.timeline.enabled(),
+            live: beats || telemetry.timeline.enabled(),
             telemetry: telemetry.clone(),
-            status,
             started: now,
             last_states: 0,
             last_time: now,
@@ -380,7 +273,8 @@ impl<'s> SearchObserver<'s> {
     }
 
     /// The live half of [`SearchObserver::tick`]: probe the clock when
-    /// the countdown says so, and report once per interval.
+    /// the countdown says so, and report once per interval. That one
+    /// reading times the heartbeat and the recorder's sample alike.
     fn beat(&mut self, at: &SampleInput<'_>, paced: bool) {
         if !paced {
             self.probe_countdown -= 1;
@@ -398,20 +292,16 @@ impl<'s> SearchObserver<'s> {
         let dt = now.duration_since(self.last_time).as_secs_f64();
         let rate =
             if dt > 0.0 { at.states.saturating_sub(self.last_states) as f64 / dt } else { 0.0 };
-        let elapsed = now.duration_since(self.started);
         if self.beats {
             self.sink.emit(&TraceEvent::Heartbeat {
                 states: at.states,
                 frontier: at.frontier,
                 store_bytes: at.store_bytes,
                 states_per_sec: rate as u64,
-                elapsed_ms: elapsed.as_millis() as u64,
+                elapsed_ms: now.duration_since(self.started).as_millis() as u64,
             });
         }
-        if let Some(status) = &mut self.status {
-            status.update(at, rate, elapsed, &self.telemetry.profiler);
-        }
-        self.telemetry.timeline.sample(at, &self.telemetry.profiler);
+        self.telemetry.timeline.sample(at, now, rate, &self.telemetry.profiler);
         self.last_states = at.states;
         self.last_time = now;
     }

@@ -34,7 +34,6 @@ pub mod diff;
 pub mod jsonval;
 pub mod profile;
 pub mod promcheck;
-pub mod status;
 pub mod timeseries;
 
 use serde::Serialize;

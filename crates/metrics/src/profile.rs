@@ -391,10 +391,16 @@ impl ProfileAgg {
 
     /// Rebuilds per-worker, per-kind totals from parsed folded stacks
     /// (the inverse of [`Profiler::folded`] up to unit counts, which the
-    /// folded format does not carry).
+    /// folded format does not carry). Stacks whose values sum past `u64`
+    /// are refused: every total of the aggregate — per kind, per worker
+    /// and overall — must fit.
     pub fn from_folded(entries: &[FoldedEntry]) -> Result<ProfileAgg, String> {
         let mut map: BTreeMap<usize, Row> = BTreeMap::new();
+        let mut grand = 0u64;
         for e in entries {
+            grand = grand.checked_add(e.value).ok_or_else(|| {
+                format!("stack `{}`: the profile's total leaves u64", e.frames.join(";"))
+            })?;
             let (first, last) = match (e.frames.first(), e.frames.last()) {
                 (Some(f), Some(l)) if e.frames.len() >= 2 => (f, l),
                 _ => {
@@ -521,6 +527,25 @@ mod tests {
         assert!(parse_folded("a;b notanumber").is_err());
         assert!(parse_folded(" 5").is_err());
         assert!(parse_folded("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn from_folded_refuses_totals_past_u64() {
+        let max = u64::MAX;
+        // One kind, two kinds of one worker, and two workers.
+        for text in [
+            format!("worker0;compute {max}\nworker0;compute 2"),
+            format!("worker0;compute {max}\nworker0;encode 2"),
+            format!("worker0;compute {max}\nworker1;compute 2"),
+        ] {
+            let err = ProfileAgg::from_folded(&parse_folded(&text).unwrap()).unwrap_err();
+            assert!(err.starts_with("stack `worker"), "{err}");
+        }
+        let fits = format!("worker0;compute {}\nworker1;encode 1", max - 1);
+        assert_eq!(
+            ProfileAgg::from_folded(&parse_folded(&fits).unwrap()).unwrap().total_nanos(),
+            max
+        );
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! onset, termination-detection pathology, allocator thrash) looks
 //! identical to one that ran flat. This module closes that gap: a
 //! [`Recorder`] rides the engines' existing heartbeat cadence (the
-//! `SearchObserver` wall-clock gate — one clock probe serves
-//! heartbeats, status snapshots and the flight record alike) and
-//! appends one delta-encoded sample per interval to an append-only
-//! `timeline.jsonl` in the run directory.
+//! `SearchObserver` wall-clock gate — one clock reading serves the
+//! heartbeat, the timeline and the status file alike) and builds one
+//! sample per interval. It appends the sample, delta-encoded, to an
+//! append-only `timeline.jsonl`, and rewrites the live status file with
+//! the same sample in absolute form. It is the only writer of
+//! per-heartbeat telemetry.
 //!
 //! The recorder follows the same null-object discipline as the
 //! registry and the profiler: [`Recorder::disabled`] carries no
@@ -21,29 +23,47 @@
 //! observer's wall-clock interval gate passes, so the per-expansion
 //! cost with a recorder attached is unchanged.
 //!
-//! # The record stream
+//! # The timeline (version 2)
 //!
 //! One JSON object per line, discriminated by a `"k"` tag:
 //!
-//! * `run` — header: spec, sampling interval, watchdog threshold.
+//! * `run` — header: `version` (2), spec, sampling interval, watchdog
+//!   threshold.
 //! * `phase` — a named phase begins (`explore/async`, …); cumulative
 //!   counters restart from zero for the new phase.
 //! * `s` — one sample. Monotone cumulative counters (elapsed time,
 //!   states, transitions, spill/compaction bytes) are **delta-encoded**
-//!   against the previous record; instantaneous gauges (frontier,
-//!   store bytes, RSS, checkpoint seq, epoch) are absolute. Per-kind
-//!   span occupancy shares over the interval come from the profiler.
+//!   against the previous record (`dt_ms`, `ds`, `dx`, `dspill`,
+//!   `dcompact`); gauges (`frontier`, `store_bytes`, `ckpt`,
+//!   `rss_bytes`) are absolute. `spans` holds the per-kind share of
+//!   profiled time over the interval.
 //! * `stall` — the watchdog: no forward progress (neither states nor
 //!   transitions advanced) across `stall_after` consecutive samples.
 //!   Carries the evidence a stuck run needs: per-worker dominant span
-//!   over the stalled window, chunk-queue depths, frontier (`epoch`
-//!   stays in the schema for files written by the sharded engine; the
-//!   sweep has none and writes `null`).
-//!   Emitted once per stall episode; progress re-arms it.
+//!   over the stalled window, chunk-queue depths and frontier. Emitted
+//!   once per stall episode; progress re-arms it.
 //! * `end` — terminal record: outcome, final absolutes of the last
 //!   phase, total sample/stall counts. [`Timeline::validate`] checks
 //!   the delta sums reconstruct exactly to these totals, which is what
 //!   makes the file self-validating.
+//!
+//! Version 1 also carried the BFS level and termination counter of the
+//! deleted sharded engine, `null` ever since; this build refuses it
+//! rather than misread it.
+//!
+//! # The status document (version 2)
+//!
+//! One JSON object, replaced by rename at every sample so a concurrent
+//! reader (`ccr watch`) sees the previous document or the new one,
+//! never a torn mix. It is the latest sample in absolute form —
+//! `elapsed_ms` (since the run began), `states`, `transitions`,
+//! `spill_bytes`, `compacted_bytes` and `states_per_sec` in place of the
+//! deltas, then the same gauges and `spans` — plus `version`, `spec`,
+//! `phase`, `eta_ms` (against the state budget), `finished`, `outcome`,
+//! a `seq` that grows with every write and the writer's `pid`.
+//! [`Recorder::finish`] writes the terminal document (`finished`, the
+//! exact final counts, the whole-run average rate). [`Status`] reads it
+//! with the timeline's sample parser.
 //!
 //! [`Timeline`] is the reader half: it parses a `timeline.jsonl`,
 //! reconstructs absolute series per phase, validates the encoding, and
@@ -54,16 +74,20 @@
 use crate::jsonval::Json;
 use crate::profile::{ProfileAgg, Profiler, SpanKind};
 use crate::Registry;
-use serde::Serializer;
+use serde::{MapSer, Serializer};
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Number of span kinds tracked per worker.
 const N_KINDS: usize = SpanKind::ALL.len();
 
 /// Default number of no-progress samples before the watchdog fires.
 pub const DEFAULT_STALL_AFTER: u32 = 5;
+
+/// The timeline and status schema version this build writes and reads.
+pub const VERSION: u64 = 2;
 
 /// Resident set size of the current process in bytes, from
 /// `/proc/self/statm` (field 2, resident pages). Returns `None` off
@@ -88,17 +112,12 @@ pub struct SampleInput<'a> {
     pub frontier: u64,
     /// Approximate store footprint in bytes.
     pub store_bytes: u64,
-    /// Current BFS depth / level, when the engine tracks it.
-    pub depth: Option<u64>,
     /// Cumulative bytes appended to the spill log (`--spill-dir` runs).
     pub spill_bytes: u64,
     /// Cumulative dead log bytes reclaimed by compaction.
     pub compacted_bytes: u64,
     /// Checkpoints (manifests) committed so far.
     pub checkpoint_seq: u64,
-    /// Always `None`: the termination-detection epoch of the deleted
-    /// sharded engine, kept because the schema (version 1) names it.
-    pub epoch: Option<u64>,
     /// A threaded sweep waiting for its workers: `[chunks handed out and
     /// not yet back, chunks back and waiting their turn]`. Empty
     /// otherwise.
@@ -112,22 +131,39 @@ impl<'a> SampleInput<'a> {
     }
 }
 
-/// Cumulative counters the recorder delta-encodes, tracked per phase.
-#[derive(Debug, Clone, Copy, Default)]
-struct Cumulative {
-    t_ms: u64,
-    states: u64,
-    transitions: u64,
-    spill_bytes: u64,
-    compacted_bytes: u64,
+/// Refuses a timeline header or status document (`what`) whose `version`
+/// is not [`VERSION`].
+fn check_version(j: &Json, what: &str) -> Result<(), String> {
+    match j.get("version").and_then(Json::as_u64) {
+        Some(VERSION) => Ok(()),
+        found => Err(format!(
+            "{what} version {} is not supported (this build reads {VERSION})",
+            found.map_or_else(|| "none".to_string(), |v| v.to_string())
+        )),
+    }
+}
+
+/// A status file and the hidden sibling it is written through (`.{name}.tmp`,
+/// so the rename stays on one filesystem).
+struct StatusFile {
+    path: PathBuf,
+    tmp: PathBuf,
 }
 
 struct Inner {
-    out: Box<dyn Write + Send>,
+    /// The timeline stream, when one is recorded.
+    timeline: Option<Box<dyn Write + Send>>,
+    /// The first timeline write error; the status file's are dropped.
     err: Option<io::Error>,
-    started: std::time::Instant,
+    status: Option<StatusFile>,
+    started: Instant,
+    spec: String,
+    /// State count the status ETA is computed against.
+    budget: Option<u64>,
     stall_after: u32,
-    prev: Cumulative,
+    phase: String,
+    /// The last sample, or the zero baseline a phase starts from.
+    prev: TimelinePoint,
     /// Per-worker span nanos at the previous sample, for occupancy
     /// shares over the interval (worker id → nanos per kind).
     prev_spans: Vec<(usize, [u64; N_KINDS])>,
@@ -135,31 +171,60 @@ struct Inner {
     stalls: u64,
     no_progress: u32,
     stall_open: bool,
+    /// Status documents written so far.
+    seq: u64,
 }
 
 impl Inner {
     fn write_line(&mut self, line: String) {
+        let Some(out) = &mut self.timeline else { return };
         if self.err.is_some() {
             return;
         }
         let mut doc = line;
         doc.push('\n');
-        if let Err(e) = self.out.write_all(doc.as_bytes()) {
+        if let Err(e) = out.write_all(doc.as_bytes()) {
             self.err = Some(e);
         }
     }
 
-    /// Milliseconds since the recorder was created.
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
+    /// Milliseconds from the start of the run to `now`, never before the
+    /// previous record.
+    fn ms(&self, now: Instant) -> u64 {
+        (now.saturating_duration_since(self.started).as_millis() as u64).max(self.prev.t_ms)
+    }
+
+    /// Replaces the status file with `point` in absolute form. Errors
+    /// are dropped: status is advisory and never fails a run.
+    fn write_status(&mut self, point: &TimelinePoint, eta_ms: Option<u64>, outcome: Option<&str>) {
+        let Some(file) = &self.status else { return };
+        self.seq += 1;
+        let mut ser = Serializer::new();
+        {
+            let mut map = ser.begin_map();
+            map.entry("version", &VERSION);
+            map.entry("spec", &self.spec);
+            map.entry("phase", &self.phase);
+            point.write(&mut map, None);
+            map.entry("eta_ms", &eta_ms);
+            map.entry("finished", &outcome.is_some());
+            map.entry("outcome", &outcome);
+            map.entry("seq", &self.seq);
+            map.entry("pid", &(std::process::id() as u64));
+            map.end();
+        }
+        let mut doc = ser.into_string();
+        doc.push('\n');
+        let _ =
+            std::fs::write(&file.tmp, doc).and_then(|()| std::fs::rename(&file.tmp, &file.path));
     }
 }
 
-/// The flight recorder: appends delta-encoded telemetry records to a
-/// writer (normally `timeline.jsonl` in a `--run-dir` bundle) and runs
-/// the stall watchdog over them. Cheap to clone; all clones share one
-/// stream, so the several phases of a `ccr verify` run append to the
-/// same timeline.
+/// The flight recorder: builds one sample per heartbeat, appends it
+/// delta-encoded to the timeline, rewrites the status file with it, and
+/// runs the stall watchdog over the samples. Cheap to clone; all clones
+/// share one recording, so the several phases of a `ccr verify` run
+/// append to the same timeline.
 #[derive(Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Mutex<Inner>>>,
@@ -171,51 +236,69 @@ impl Recorder {
         Recorder { inner: None }
     }
 
-    /// A recorder appending to `out`, with the `run` header written
-    /// immediately (an empty run still leaves a valid timeline).
-    /// `interval_ms` is advisory — the observer owns the cadence — and
-    /// is recorded in the header for the analyzer.
-    pub fn to_writer(
-        out: Box<dyn Write + Send>,
+    /// A recorder appending the timeline to `timeline` (its `run` header
+    /// is written at once, so an empty run still leaves a valid timeline)
+    /// and keeping the status document at `status`; [`Recorder::disabled`]
+    /// when both are `None`. `interval_ms` is advisory — the observer
+    /// owns the cadence — and is recorded in the header for the analyzer;
+    /// `budget` is the state count the status ETA is computed against.
+    /// The run's clock starts here.
+    pub fn new(
         spec: &str,
         interval_ms: u64,
         stall_after: u32,
+        budget: Option<u64>,
+        timeline: Option<Box<dyn Write + Send>>,
+        status: Option<PathBuf>,
     ) -> Recorder {
+        if timeline.is_none() && status.is_none() {
+            return Recorder::disabled();
+        }
+        let status = status.map(|path| {
+            let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+            let tmp = path.with_file_name(format!(".{}.tmp", name.unwrap_or_default()));
+            StatusFile { path, tmp }
+        });
         let mut inner = Inner {
-            out,
+            timeline,
             err: None,
-            started: std::time::Instant::now(),
+            status,
+            started: Instant::now(),
+            spec: spec.to_string(),
+            budget,
             stall_after: stall_after.max(1),
-            prev: Cumulative::default(),
+            phase: String::new(),
+            prev: TimelinePoint::default(),
             prev_spans: Vec::new(),
             samples: 0,
             stalls: 0,
             no_progress: 0,
             stall_open: false,
+            seq: 0,
         };
         let mut ser = Serializer::new();
         {
             let mut map = ser.begin_map();
             map.entry("k", "run");
-            map.entry("version", &1u64);
+            map.entry("version", &VERSION);
             map.entry("spec", spec);
             map.entry("interval_ms", &interval_ms);
-            map.entry("stall_after", &(stall_after.max(1) as u64));
+            map.entry("stall_after", &(inner.stall_after as u64));
             map.end();
         }
         inner.write_line(ser.into_string());
         Recorder { inner: Some(Arc::new(Mutex::new(inner))) }
     }
 
-    /// A recorder appending to a fresh file at `path`.
+    /// A recorder appending the timeline alone to a fresh file at `path`.
     pub fn create(
         path: &Path,
         spec: &str,
         interval_ms: u64,
         stall_after: u32,
     ) -> io::Result<Recorder> {
-        let file = std::fs::File::create(path)?;
-        Ok(Recorder::to_writer(Box::new(io::BufWriter::new(file)), spec, interval_ms, stall_after))
+        let out = io::BufWriter::new(std::fs::File::create(path)?);
+        Ok(Recorder::new(spec, interval_ms, stall_after, None, Some(Box::new(out)), None))
     }
 
     /// Whether this recorder is live (false for [`Recorder::disabled`]).
@@ -224,75 +307,77 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// Marks the start of a named phase. Cumulative counters restart
-    /// from zero: each phase is its own delta-encoded series.
-    pub fn set_phase(&self, name: &str) {
+    /// Marks the start of a named phase at `now`. Cumulative counters
+    /// restart from zero: each phase is its own delta-encoded series.
+    pub fn set_phase(&self, name: &str, now: Instant) {
         let Some(inner) = &self.inner else { return };
         let mut g = inner.lock().expect("recorder");
-        let now = g.now_ms();
-        let dt = now.saturating_sub(g.prev.t_ms);
+        let t_ms = g.ms(now);
         let mut ser = Serializer::new();
         {
             let mut map = ser.begin_map();
             map.entry("k", "phase");
-            map.entry("dt_ms", &dt);
+            map.entry("dt_ms", &(t_ms - g.prev.t_ms));
             map.entry("name", name);
             map.end();
         }
         g.write_line(ser.into_string());
-        g.prev = Cumulative { t_ms: now, ..Cumulative::default() };
+        g.phase = name.to_string();
+        g.prev = TimelinePoint { t_ms, ..TimelinePoint::default() };
         g.no_progress = 0;
         g.stall_open = false;
     }
 
-    /// Appends one sample, delta-encoding the cumulative counters and
-    /// folding in span occupancy shares from `profiler` and the process
-    /// RSS. Runs the stall watchdog: `stall_after` consecutive samples
-    /// without forward progress emit one `stall` diagnostic record.
-    pub fn sample(&self, input: &SampleInput<'_>, profiler: &Profiler) {
+    /// Takes one sample at `now`, when the observer measured
+    /// `states_per_sec` since its previous gate: folds in span occupancy
+    /// shares from `profiler` and the process RSS, appends the
+    /// delta-encoded line to the timeline and rewrites the status file.
+    /// Runs the stall watchdog: `stall_after` consecutive samples without
+    /// forward progress emit one `stall` diagnostic record.
+    pub fn sample(
+        &self,
+        input: &SampleInput<'_>,
+        now: Instant,
+        states_per_sec: f64,
+        profiler: &Profiler,
+    ) {
         let Some(inner) = &self.inner else { return };
         let mut g = inner.lock().expect("recorder");
-        let now = g.now_ms();
-        let dt = now.saturating_sub(g.prev.t_ms);
-        let ds = input.states.saturating_sub(g.prev.states);
-        let dx = input.transitions.saturating_sub(g.prev.transitions);
-        let dspill = input.spill_bytes.saturating_sub(g.prev.spill_bytes);
-        let dcompact = input.compacted_bytes.saturating_sub(g.prev.compacted_bytes);
         let agg = if profiler.enabled() { Some(profiler.aggregate()) } else { None };
-        let spans = agg.as_ref().map(|a| span_shares(a, &g.prev_spans));
-        let rss = process_rss_bytes();
+        let point = TimelinePoint {
+            t_ms: g.ms(now),
+            phase: 0,
+            states: input.states,
+            transitions: input.transitions,
+            frontier: input.frontier,
+            store_bytes: input.store_bytes,
+            spill_bytes: input.spill_bytes,
+            compacted_bytes: input.compacted_bytes,
+            checkpoint_seq: input.checkpoint_seq,
+            rss_bytes: process_rss_bytes(),
+            states_per_sec,
+            spans: agg.as_ref().map(|a| span_shares(a, &g.prev_spans)).unwrap_or_default(),
+        };
         let mut ser = Serializer::new();
         {
             let mut map = ser.begin_map();
             map.entry("k", "s");
-            map.entry("dt_ms", &dt);
-            map.entry("ds", &ds);
-            map.entry("dx", &dx);
-            map.entry("frontier", &input.frontier);
-            map.entry("store_bytes", &input.store_bytes);
-            map.entry("dspill", &dspill);
-            map.entry("dcompact", &dcompact);
-            map.entry("ckpt", &input.checkpoint_seq);
-            map.entry("rss_bytes", &rss);
-            map.entry("depth", &input.depth);
-            map.entry("epoch", &input.epoch);
-            map.entry_with("spans", |ser| {
-                let mut m = ser.begin_map();
-                if let Some(shares) = &spans {
-                    for (name, share) in shares {
-                        m.entry(name, share);
-                    }
-                }
-                m.end();
-            });
+            point.write(&mut map, Some(&g.prev));
             map.end();
         }
         g.write_line(ser.into_string());
+        let eta_ms = match g.budget {
+            Some(budget) if budget > point.states && states_per_sec > 0.0 => {
+                Some(((budget - point.states) as f64 / states_per_sec * 1e3) as u64)
+            }
+            _ => None,
+        };
+        g.write_status(&point, eta_ms, None);
         g.samples += 1;
         // The watchdog: forward progress is new states *or* new
         // transitions (a frontier churning through duplicates still
         // counts as alive).
-        if ds == 0 && dx == 0 {
+        if point.states <= g.prev.states && point.transitions <= g.prev.transitions {
             g.no_progress += 1;
             if g.no_progress >= g.stall_after && !g.stall_open {
                 g.stall_open = true;
@@ -307,28 +392,30 @@ impl Recorder {
         if let Some(a) = &agg {
             g.prev_spans = worker_nanos(a);
         }
-        g.prev = Cumulative {
-            t_ms: now,
-            states: input.states,
-            transitions: input.transitions,
-            spill_bytes: input.spill_bytes,
-            compacted_bytes: input.compacted_bytes,
-        };
+        g.prev = point;
     }
 
-    /// Writes the terminal `end` record and flushes. The absolutes are
-    /// the final counts of the last phase; the analyzer validates its
-    /// delta reconstruction against them.
-    pub fn finish(&self, outcome: &str, states: u64, transitions: u64) {
+    /// Ends the recording: the timeline's `end` record (flushed) and the
+    /// terminal status document — `finished`, the exact final counts and
+    /// store footprint of the last phase, the whole-run average rate, the
+    /// last sample's other gauges and the span shares since it.
+    pub fn finish(
+        &self,
+        outcome: &str,
+        states: u64,
+        transitions: u64,
+        store_bytes: u64,
+        profiler: &Profiler,
+    ) {
         let Some(inner) = &self.inner else { return };
-        let mut g = inner.lock().expect("recorder");
-        let now = g.now_ms();
-        let dt = now.saturating_sub(g.prev.t_ms);
+        let mut guard = inner.lock().expect("recorder");
+        let g = &mut *guard;
+        let t_ms = g.ms(Instant::now());
         let mut ser = Serializer::new();
         {
             let mut map = ser.begin_map();
             map.entry("k", "end");
-            map.entry("dt_ms", &dt);
+            map.entry("dt_ms", &(t_ms - g.prev.t_ms));
             map.entry("outcome", outcome);
             map.entry("states", &states);
             map.entry("transitions", &transitions);
@@ -337,31 +424,52 @@ impl Recorder {
             map.end();
         }
         g.write_line(ser.into_string());
-        if g.err.is_none() {
-            if let Err(e) = g.out.flush() {
+        if let (Some(out), None) = (&mut g.timeline, &g.err) {
+            if let Err(e) = out.flush() {
                 g.err = Some(e);
             }
         }
+        let spans = if profiler.enabled() {
+            span_shares(&profiler.aggregate(), &g.prev_spans)
+        } else {
+            Vec::new()
+        };
+        let point = TimelinePoint {
+            t_ms,
+            states,
+            transitions,
+            frontier: 0,
+            store_bytes,
+            rss_bytes: process_rss_bytes(),
+            // Whole-run average, so a run too quick for any live sample
+            // still reports a rate.
+            states_per_sec: if t_ms > 0 { states as f64 / (t_ms as f64 / 1e3) } else { 0.0 },
+            spans,
+            ..g.prev.clone()
+        };
+        g.phase = "done".to_string();
+        g.write_status(&point, Some(0), Some(outcome));
     }
 
-    /// Folds the recorder's own counters into `reg`. Sample and stall
-    /// counts are wall-clock artifacts, so both register
-    /// nondeterministic — the deterministic snapshot view is unchanged
-    /// by recording (the invisibility guarantee).
+    /// Folds the recorder's own counters into `reg` when it records a
+    /// timeline. Sample and stall counts are wall-clock artifacts, so
+    /// both register nondeterministic — the deterministic snapshot view
+    /// is unchanged by recording (the invisibility guarantee).
     pub fn publish(&self, reg: &Registry) {
         let Some(inner) = &self.inner else { return };
-        if !reg.enabled() {
+        let g = inner.lock().expect("recorder");
+        if !reg.enabled() || g.timeline.is_none() {
             return;
         }
-        let g = inner.lock().expect("recorder");
         reg.counter_nondet("mc_timeline_samples_total", "Flight-recorder samples written")
             .add(g.samples);
         reg.counter_nondet("mc_timeline_stalls_total", "Stall-watchdog diagnostics emitted")
             .add(g.stalls);
     }
 
-    /// The first sticky write error, if any. Recording is advisory and
-    /// never aborts a verification; the CLI surfaces this at the end.
+    /// The first sticky timeline write error, if any. Recording is
+    /// advisory and never aborts a verification; the CLI surfaces this at
+    /// the end.
     pub fn take_error(&self) -> Option<io::Error> {
         let inner = self.inner.as_ref()?;
         inner.lock().expect("recorder").err.take()
@@ -370,7 +478,7 @@ impl Recorder {
 
 /// Per-kind share of profiled time over the interval since `prev`,
 /// summed across workers. Only kinds with activity in the window.
-fn span_shares(agg: &ProfileAgg, prev: &[(usize, [u64; N_KINDS])]) -> Vec<(&'static str, f64)> {
+fn span_shares(agg: &ProfileAgg, prev: &[(usize, [u64; N_KINDS])]) -> Vec<(String, f64)> {
     let mut delta = [0u64; N_KINDS];
     for w in &agg.workers {
         let base = prev.iter().find(|(id, _)| *id == w.worker).map(|(_, row)| *row);
@@ -388,7 +496,7 @@ fn span_shares(agg: &ProfileAgg, prev: &[(usize, [u64; N_KINDS])]) -> Vec<(&'sta
         .iter()
         .enumerate()
         .filter(|(k, _)| delta[*k] > 0)
-        .map(|(k, kind)| (kind.name(), delta[k] as f64 / total as f64))
+        .map(|(k, kind)| (kind.name().to_string(), delta[k] as f64 / total as f64))
         .collect()
 }
 
@@ -418,8 +526,6 @@ fn stall_record(g: &Inner, input: &SampleInput<'_>, agg: Option<&ProfileAgg>) ->
         map.entry("states", &input.states);
         map.entry("transitions", &input.transitions);
         map.entry("frontier", &input.frontier);
-        map.entry("depth", &input.depth);
-        map.entry("epoch", &input.epoch);
         map.entry_with("queues", |ser| {
             let mut seq = ser.begin_seq();
             for q in input.queues {
@@ -461,12 +567,14 @@ fn stall_record(g: &Inner, input: &SampleInput<'_>, agg: Option<&ProfileAgg>) ->
 
 // ---- reader / analyzer -----------------------------------------------------
 
-/// One reconstructed (absolute) sample point.
-#[derive(Debug, Clone, PartialEq)]
+/// One sample in absolute form: a reconstructed timeline point, or the
+/// sample a status document holds.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimelinePoint {
-    /// Milliseconds since the recorder started.
+    /// Milliseconds since the run started.
     pub t_ms: u64,
-    /// Index into [`Timeline::phases`] of the phase this point is in.
+    /// Index into [`Timeline::phases`] of the phase this point is in (0
+    /// in a status document, which names its phase).
     pub phase: usize,
     /// States discovered so far in the phase.
     pub states: u64,
@@ -484,20 +592,161 @@ pub struct TimelinePoint {
     pub checkpoint_seq: u64,
     /// Process RSS at the sample, when procfs was readable.
     pub rss_bytes: Option<u64>,
-    /// BFS depth, when the engine tracked it.
-    pub depth: Option<u64>,
     /// Exploration rate over the interval ending at this point.
     pub states_per_sec: f64,
-    /// Transition rate over the interval ending at this point.
-    pub transitions_per_sec: f64,
     /// Span occupancy shares over the interval (kind name → share).
     pub spans: Vec<(String, f64)>,
+}
+
+/// `total` plus the delta `key` of record `j`, or a `line N:` error when
+/// the sum leaves `u64`.
+fn plus(total: u64, j: &Json, key: &str, line: usize) -> Result<u64, String> {
+    total
+        .checked_add(req_u64(j, key, line)?)
+        .ok_or_else(|| format!("line {line}: `{key}` overflows the running total"))
+}
+
+impl TimelinePoint {
+    /// Writes this sample into `map`: its cumulative counters as deltas
+    /// on `base` (a timeline `s` line, whose rate they imply), or
+    /// absolute with the rate (a status document) when `base` is `None`;
+    /// then the gauges and span shares both forms share.
+    fn write(&self, map: &mut MapSer<'_>, base: Option<&TimelinePoint>) {
+        match base {
+            Some(b) => {
+                map.entry("dt_ms", &self.t_ms.saturating_sub(b.t_ms));
+                map.entry("ds", &self.states.saturating_sub(b.states));
+                map.entry("dx", &self.transitions.saturating_sub(b.transitions));
+                map.entry("dspill", &self.spill_bytes.saturating_sub(b.spill_bytes));
+                map.entry("dcompact", &self.compacted_bytes.saturating_sub(b.compacted_bytes));
+            }
+            None => {
+                map.entry("elapsed_ms", &self.t_ms);
+                map.entry("states", &self.states);
+                map.entry("transitions", &self.transitions);
+                map.entry("spill_bytes", &self.spill_bytes);
+                map.entry("compacted_bytes", &self.compacted_bytes);
+                map.entry("states_per_sec", &self.states_per_sec);
+            }
+        }
+        map.entry("frontier", &self.frontier);
+        map.entry("store_bytes", &self.store_bytes);
+        map.entry("ckpt", &self.checkpoint_seq);
+        map.entry("rss_bytes", &self.rss_bytes);
+        map.entry_with("spans", |ser| {
+            let mut m = ser.begin_map();
+            for (name, share) in &self.spans {
+                m.entry(name, share);
+            }
+            m.end();
+        });
+    }
+
+    /// The inverse of [`TimelinePoint::write`]: record `j` (line `line`)
+    /// read as deltas on `base`, whose phase it inherits, or as a status
+    /// document's absolutes when `base` is `None`.
+    fn parse(j: &Json, line: usize, base: Option<&TimelinePoint>) -> Result<TimelinePoint, String> {
+        let mut point = match base {
+            Some(b) => {
+                let mut p = TimelinePoint {
+                    t_ms: plus(b.t_ms, j, "dt_ms", line)?,
+                    phase: b.phase,
+                    states: plus(b.states, j, "ds", line)?,
+                    transitions: plus(b.transitions, j, "dx", line)?,
+                    spill_bytes: plus(b.spill_bytes, j, "dspill", line)?,
+                    compacted_bytes: plus(b.compacted_bytes, j, "dcompact", line)?,
+                    ..TimelinePoint::default()
+                };
+                let secs = (p.t_ms - b.t_ms) as f64 / 1e3;
+                if secs > 0.0 {
+                    p.states_per_sec = (p.states - b.states) as f64 / secs;
+                }
+                p
+            }
+            None => TimelinePoint {
+                t_ms: req_u64(j, "elapsed_ms", line)?,
+                states: req_u64(j, "states", line)?,
+                transitions: req_u64(j, "transitions", line)?,
+                spill_bytes: req_u64(j, "spill_bytes", line)?,
+                compacted_bytes: req_u64(j, "compacted_bytes", line)?,
+                states_per_sec: j
+                    .get("states_per_sec")
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| format!("line {line}: missing `states_per_sec`"))?,
+                ..TimelinePoint::default()
+            },
+        };
+        point.frontier = req_u64(j, "frontier", line)?;
+        point.store_bytes = req_u64(j, "store_bytes", line)?;
+        point.checkpoint_seq = req_u64(j, "ckpt", line)?;
+        point.rss_bytes = j.get("rss_bytes").and_then(Json::as_u64);
+        if let Some(obj) = j.get("spans").and_then(Json::as_object) {
+            for (name, v) in obj {
+                let share =
+                    v.as_f64().ok_or_else(|| format!("line {line}: span `{name}` not a number"))?;
+                point.spans.push((name.clone(), share));
+            }
+        }
+        Ok(point)
+    }
+}
+
+/// A parsed status document: the recorder's latest sample in absolute
+/// form, with the run it belongs to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Status {
+    /// Spec path or workload name the run is verifying.
+    pub spec: String,
+    /// Current phase (`explore/async`, …; `done` once finished).
+    pub phase: String,
+    /// The sample; its `t_ms` counts from the start of the run.
+    pub sample: TimelinePoint,
+    /// Estimated milliseconds until the state budget is reached, when
+    /// the rate is known.
+    pub eta_ms: Option<u64>,
+    /// The run's outcome name, once it has finished.
+    pub outcome: Option<String>,
+    /// Write sequence number: grows with every document.
+    pub seq: u64,
+    /// PID of the writing process, so a watcher can tell a stalled run
+    /// from a dead one (`/proc/<pid>` gone ⇒ the run died).
+    pub pid: u64,
+}
+
+impl Status {
+    /// Reads a status document already parsed as JSON; any version but
+    /// [`VERSION`] is refused.
+    pub fn from_json(j: &Json) -> Result<Status, String> {
+        check_version(j, "status")?;
+        let str_of = |key: &str| {
+            j.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("status missing `{key}`"))
+        };
+        Ok(Status {
+            spec: str_of("spec")?,
+            phase: str_of("phase")?,
+            sample: TimelinePoint::parse(j, 1, None)?,
+            eta_ms: j.get("eta_ms").and_then(Json::as_u64),
+            outcome: j.get("outcome").and_then(Json::as_str).map(str::to_string),
+            seq: req_u64(j, "seq", 1)?,
+            pid: req_u64(j, "pid", 1)?,
+        })
+    }
+
+    /// Reads and parses a status file.
+    pub fn read(path: &Path) -> Result<Status, String> {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        Status::from_json(&Json::parse(&text)?)
+    }
 }
 
 /// One parsed `stall` diagnostic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StallRecord {
-    /// Milliseconds since recorder start.
+    /// Milliseconds since the run started.
     pub t_ms: u64,
     /// No-progress sampling intervals that tripped the watchdog.
     pub intervals: u64,
@@ -505,10 +754,7 @@ pub struct StallRecord {
     pub states: u64,
     /// Frontier at the stall.
     pub frontier: u64,
-    /// Termination-detection epoch, in files the sharded engine wrote.
-    pub epoch: Option<u64>,
-    /// Chunk-queue depths `[handed out, back and waiting]` (per-worker
-    /// inbox depths in files the sharded engine wrote).
+    /// Chunk-queue depths `[handed out, back and waiting]`.
     pub queues: Vec<u64>,
     /// Per-worker `(worker, dominant span, share)` over the window.
     pub workers: Vec<(u64, String, f64)>,
@@ -517,7 +763,7 @@ pub struct StallRecord {
 /// The parsed `end` record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndRecord {
-    /// Milliseconds since recorder start.
+    /// Milliseconds since the run started.
     pub t_ms: u64,
     /// Outcome name of the run.
     pub outcome: String,
@@ -556,11 +802,13 @@ fn req_u64(j: &Json, key: &str, line: usize) -> Result<u64, String> {
 
 impl Timeline {
     /// Parses a `timeline.jsonl` document, reconstructing absolutes
-    /// from the delta encoding. Unknown record kinds are an error:
-    /// the format carries its own version in the header.
+    /// from the delta encoding. A header of another version, an unknown
+    /// record kind and a running total that leaves `u64` are errors.
     pub fn parse(text: &str) -> Result<Timeline, String> {
         let mut tl = Timeline::default();
-        let mut cum = Cumulative::default();
+        // The running totals deltas add to: the last sample, or the zero
+        // baseline of a phase.
+        let mut base = TimelinePoint::default();
         let mut saw_header = false;
         for (i, raw) in text.lines().enumerate() {
             let line = i + 1;
@@ -581,63 +829,26 @@ impl Timeline {
                         return Err(format!("line {line}: duplicate `run` header"));
                     }
                     saw_header = true;
+                    check_version(&j, "timeline").map_err(|e| format!("line {line}: {e}"))?;
                     tl.spec = j.get("spec").and_then(Json::as_str).unwrap_or_default().to_string();
                     tl.interval_ms = req_u64(&j, "interval_ms", line)?;
                     tl.stall_after = req_u64(&j, "stall_after", line)?;
                 }
                 "phase" => {
-                    cum.t_ms += req_u64(&j, "dt_ms", line)?;
+                    let t_ms = plus(base.t_ms, &j, "dt_ms", line)?;
                     let name = j
                         .get("name")
                         .and_then(Json::as_str)
                         .ok_or_else(|| format!("line {line}: phase without `name`"))?;
-                    tl.phases.push((cum.t_ms, name.to_string()));
-                    cum = Cumulative { t_ms: cum.t_ms, ..Cumulative::default() };
+                    tl.phases.push((t_ms, name.to_string()));
+                    base = TimelinePoint { t_ms, phase: tl.phases.len() - 1, ..Default::default() };
                 }
                 "s" => {
-                    let dt = req_u64(&j, "dt_ms", line)?;
-                    cum.t_ms += dt;
-                    cum.states += req_u64(&j, "ds", line)?;
-                    cum.transitions += req_u64(&j, "dx", line)?;
-                    cum.spill_bytes += req_u64(&j, "dspill", line)?;
-                    cum.compacted_bytes += req_u64(&j, "dcompact", line)?;
-                    let secs = dt as f64 / 1e3;
-                    let mut spans = Vec::new();
-                    if let Some(obj) = j.get("spans").and_then(Json::as_object) {
-                        for (name, v) in obj {
-                            let share = v.as_f64().ok_or_else(|| {
-                                format!("line {line}: span `{name}` not a number")
-                            })?;
-                            spans.push((name.clone(), share));
-                        }
-                    }
-                    tl.points.push(TimelinePoint {
-                        t_ms: cum.t_ms,
-                        phase: tl.phases.len().saturating_sub(1),
-                        states: cum.states,
-                        transitions: cum.transitions,
-                        frontier: req_u64(&j, "frontier", line)?,
-                        store_bytes: req_u64(&j, "store_bytes", line)?,
-                        spill_bytes: cum.spill_bytes,
-                        compacted_bytes: cum.compacted_bytes,
-                        checkpoint_seq: req_u64(&j, "ckpt", line)?,
-                        rss_bytes: j.get("rss_bytes").and_then(Json::as_u64),
-                        depth: j.get("depth").and_then(Json::as_u64),
-                        states_per_sec: if secs > 0.0 {
-                            req_u64(&j, "ds", line)? as f64 / secs
-                        } else {
-                            0.0
-                        },
-                        transitions_per_sec: if secs > 0.0 {
-                            req_u64(&j, "dx", line)? as f64 / secs
-                        } else {
-                            0.0
-                        },
-                        spans,
-                    });
+                    base = TimelinePoint::parse(&j, line, Some(&base))?;
+                    tl.points.push(base.clone());
                 }
                 "stall" => {
-                    cum.t_ms += req_u64(&j, "dt_ms", line)?;
+                    base.t_ms = plus(base.t_ms, &j, "dt_ms", line)?;
                     let queues = j
                         .get("queues")
                         .and_then(Json::as_array)
@@ -654,11 +865,10 @@ impl Timeline {
                         }
                     }
                     tl.stalls.push(StallRecord {
-                        t_ms: cum.t_ms,
+                        t_ms: base.t_ms,
                         intervals: req_u64(&j, "intervals", line)?,
                         states: req_u64(&j, "states", line)?,
                         frontier: req_u64(&j, "frontier", line)?,
-                        epoch: j.get("epoch").and_then(Json::as_u64),
                         queues,
                         workers,
                     });
@@ -667,9 +877,8 @@ impl Timeline {
                     if tl.end.is_some() {
                         return Err(format!("line {line}: duplicate `end` record"));
                     }
-                    cum.t_ms += req_u64(&j, "dt_ms", line)?;
                     tl.end = Some(EndRecord {
-                        t_ms: cum.t_ms,
+                        t_ms: plus(base.t_ms, &j, "dt_ms", line)?,
                         outcome: j
                             .get("outcome")
                             .and_then(Json::as_str)
@@ -697,16 +906,12 @@ impl Timeline {
         Timeline::parse(&text)
     }
 
-    /// Self-validation: sample timestamps are monotone, and when an
-    /// `end` record exists its totals match the delta reconstruction —
-    /// the sample count, the stall count, and the final phase's
-    /// reconstructed states/transitions (when that phase was sampled).
+    /// Self-validation against the `end` record, when one exists: the
+    /// sample count, the stall count, and the final phase's reconstructed
+    /// states/transitions (when that phase was sampled). Timestamps need
+    /// no check: [`Timeline::parse`] builds them from unsigned deltas
+    /// with checked adds, so they never regress.
     pub fn validate(&self) -> Result<(), String> {
-        for pair in self.points.windows(2) {
-            if pair[1].t_ms < pair[0].t_ms {
-                return Err(format!("timestamps regress: {} -> {} ms", pair[0].t_ms, pair[1].t_ms));
-            }
-        }
         let Some(end) = &self.end else { return Ok(()) };
         if end.samples != self.points.len() as u64 {
             return Err(format!(
@@ -788,7 +993,7 @@ impl Timeline {
 /// A detected rate shift: windowed mean throughput before vs after.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RateShift {
-    /// Milliseconds since recorder start at the shift point.
+    /// Milliseconds since the run started at the shift point.
     pub t_ms: u64,
     /// Mean states/sec over the window before the shift.
     pub before: f64,
@@ -801,9 +1006,9 @@ pub struct RateShift {
 pub struct PhaseStats {
     /// Phase name (`explore/async`, …).
     pub name: String,
-    /// Phase start, ms since recorder start.
+    /// Phase start, ms since the run started.
     pub start_ms: u64,
-    /// Last sample of the phase, ms since recorder start.
+    /// Last sample of the phase, ms since the run started.
     pub end_ms: u64,
     /// Samples taken within the phase.
     pub samples: usize,
@@ -915,7 +1120,6 @@ impl Analysis {
                         m.entry("intervals", &s.intervals);
                         m.entry("states", &s.states);
                         m.entry("frontier", &s.frontier);
-                        m.entry("epoch", &s.epoch);
                         m.entry_with("queues", |ser| {
                             let mut q = ser.begin_seq();
                             for d in &s.queues {
@@ -1026,16 +1230,28 @@ mod tests {
     }
 
     fn recorder(buf: &SharedBuf, stall_after: u32) -> Recorder {
-        Recorder::to_writer(Box::new(buf.clone()), "specs/test.ccp", 0, stall_after)
+        Recorder::new("specs/test.ccp", 0, stall_after, None, Some(Box::new(buf.clone())), None)
+    }
+
+    /// One sample taken now, at a rate of zero.
+    fn sample(rec: &Recorder, input: &SampleInput<'_>, prof: &Profiler) {
+        rec.sample(input, Instant::now(), 0.0, prof);
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ccr-timeseries-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn disabled_recorder_is_a_no_op() {
         let rec = Recorder::disabled();
         assert!(!rec.enabled());
-        rec.set_phase("explore");
-        rec.sample(&SampleInput::basic(1, 1, 1, 1), &Profiler::disabled());
-        rec.finish("Complete", 1, 1);
+        assert!(!Recorder::new("x", 0, 5, None, None, None).enabled());
+        rec.set_phase("explore", Instant::now());
+        sample(&rec, &SampleInput::basic(1, 1, 1, 1), &Profiler::disabled());
+        rec.finish("Complete", 1, 1, 64, &Profiler::disabled());
         assert!(rec.take_error().is_none());
         let reg = Registry::new();
         rec.publish(&reg);
@@ -1046,11 +1262,11 @@ mod tests {
     fn samples_are_delta_encoded_and_reconstruct() {
         let buf = SharedBuf::default();
         let rec = recorder(&buf, 5);
-        rec.set_phase("explore/async");
+        rec.set_phase("explore/async", Instant::now());
         let prof = Profiler::disabled();
-        rec.sample(&SampleInput::basic(10, 25, 4, 800), &prof);
-        rec.sample(&SampleInput::basic(30, 70, 9, 1600), &prof);
-        rec.finish("Complete", 30, 70);
+        sample(&rec, &SampleInput::basic(10, 25, 4, 800), &prof);
+        sample(&rec, &SampleInput::basic(30, 70, 9, 1600), &prof);
+        rec.finish("Complete", 30, 70, 64, &prof);
         let text = buf.text();
         // The second sample's cumulative fields are raw deltas on disk.
         let second = text.lines().nth(3).unwrap();
@@ -1072,11 +1288,11 @@ mod tests {
         let buf = SharedBuf::default();
         let rec = recorder(&buf, 5);
         let prof = Profiler::disabled();
-        rec.set_phase("explore/rendezvous");
-        rec.sample(&SampleInput::basic(100, 200, 1, 64), &prof);
-        rec.set_phase("explore/async");
-        rec.sample(&SampleInput::basic(40, 90, 2, 64), &prof);
-        rec.finish("Complete", 40, 90);
+        rec.set_phase("explore/rendezvous", Instant::now());
+        sample(&rec, &SampleInput::basic(100, 200, 1, 64), &prof);
+        rec.set_phase("explore/async", Instant::now());
+        sample(&rec, &SampleInput::basic(40, 90, 2, 64), &prof);
+        rec.finish("Complete", 40, 90, 64, &prof);
         let tl = Timeline::parse(&buf.text()).unwrap();
         tl.validate().unwrap();
         assert_eq!(tl.phases.len(), 2);
@@ -1087,23 +1303,97 @@ mod tests {
         assert_eq!(tl.points[1].states, 40);
     }
 
+    /// The status file and the timeline are one recording: the status
+    /// clock runs from the start of the run across phases, and the
+    /// terminal document states what the `end` record states.
+    #[test]
+    fn status_follows_the_run_clock_across_phases_and_ends_with_the_end_record() {
+        let dir = tmp_dir("phases");
+        let path = dir.join("status.json");
+        let buf = SharedBuf::default();
+        let rec = Recorder::new(
+            "specs/test.ccp",
+            0,
+            5,
+            Some(1000),
+            Some(Box::new(buf.clone())),
+            Some(path.clone()),
+        );
+        let prof = Profiler::disabled();
+        // Reads the status document, which must not have gone back in time.
+        let mut last = 0;
+        let mut read = || {
+            let st = Status::read(&path).unwrap();
+            assert!(
+                st.sample.t_ms >= last,
+                "elapsed_ms went back: {} after {last}",
+                st.sample.t_ms
+            );
+            last = st.sample.t_ms;
+            st
+        };
+        rec.set_phase("explore/rendezvous", Instant::now());
+        let mut before = 0;
+        for states in [10, 20] {
+            std::thread::sleep(std::time::Duration::from_millis(3));
+            let at = SampleInput::basic(states, 2 * states, 1, 4096);
+            rec.sample(&at, Instant::now(), 50.0, &prof);
+            before = read().sample.t_ms;
+        }
+        rec.set_phase("explore/async", Instant::now());
+        rec.sample(&SampleInput::basic(5, 7, 3, 8192), Instant::now(), 25.0, &prof);
+        let live = read();
+        assert!(before >= 6, "the first phase ran for two 3 ms sleeps");
+        assert_eq!((live.phase.as_str(), live.sample.states), ("explore/async", 5));
+        assert_eq!(live.sample.states_per_sec, 25.0, "the observer's rate");
+        assert_eq!(live.eta_ms, Some(((1000 - 5) as f64 / 25.0 * 1e3) as u64));
+        assert_eq!(live.seq, 3);
+        rec.finish("Complete", 9, 11, 16384, &prof);
+        let done = read();
+        let end = Timeline::parse(&buf.text()).unwrap().end.unwrap();
+        assert_eq!(done.outcome.as_deref(), Some(end.outcome.as_str()));
+        assert_eq!((done.sample.states, done.sample.transitions), (end.states, end.transitions));
+        assert_eq!(done.sample.t_ms, end.t_ms, "one clock");
+        assert_eq!(done.sample.store_bytes, 16384, "the final store bytes");
+        assert_eq!((done.phase.as_str(), done.eta_ms, done.seq), ("done", Some(0), 4));
+        assert_eq!(done.pid, std::process::id() as u64);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_status_only_recorder_writes_no_timeline_and_publishes_nothing() {
+        let dir = tmp_dir("status-only");
+        let path = dir.join("status.json");
+        let rec = Recorder::new("specs/test.ccp", 0, 5, None, None, Some(path.clone()));
+        assert!(rec.enabled());
+        rec.set_phase("explore", Instant::now());
+        sample(&rec, &SampleInput::basic(3, 4, 1, 64), &Profiler::disabled());
+        assert_eq!(Status::read(&path).unwrap().sample.states, 3);
+        rec.finish("Complete", 3, 4, 64, &Profiler::disabled());
+        let reg = Registry::new();
+        rec.publish(&reg);
+        assert!(reg.snapshot().counters.is_empty());
+        assert!(!dir.join(".status.json.tmp").exists(), "temp file renamed away");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn watchdog_fires_once_per_episode_and_rearms() {
         let buf = SharedBuf::default();
         let rec = recorder(&buf, 3);
         let prof = Profiler::disabled();
-        rec.set_phase("explore");
-        rec.sample(&SampleInput::basic(5, 9, 1, 64), &prof);
+        rec.set_phase("explore", Instant::now());
+        sample(&rec, &SampleInput::basic(5, 9, 1, 64), &prof);
         // Three stuck samples: the third trips the watchdog, once.
         for _ in 0..5 {
-            rec.sample(&SampleInput::basic(5, 9, 1, 64), &prof);
+            sample(&rec, &SampleInput::basic(5, 9, 1, 64), &prof);
         }
         // Progress re-arms it; three more stuck samples trip it again.
-        rec.sample(&SampleInput::basic(6, 11, 1, 64), &prof);
+        sample(&rec, &SampleInput::basic(6, 11, 1, 64), &prof);
         for _ in 0..3 {
-            rec.sample(&SampleInput::basic(6, 11, 1, 64), &prof);
+            sample(&rec, &SampleInput::basic(6, 11, 1, 64), &prof);
         }
-        rec.finish("Complete", 6, 11);
+        rec.finish("Complete", 6, 11, 64, &prof);
         let tl = Timeline::parse(&buf.text()).unwrap();
         tl.validate().unwrap();
         assert_eq!(tl.stalls.len(), 2);
@@ -1120,17 +1410,15 @@ mod tests {
         let mut t = prof.worker(3);
         t.lap(SpanKind::BarrierWait, 1);
         drop(t);
-        rec.set_phase("explore");
-        let input =
-            SampleInput { epoch: Some(17), queues: &[4, 0], ..SampleInput::basic(5, 9, 2, 64) };
+        rec.set_phase("explore", Instant::now());
+        let input = SampleInput { queues: &[4, 0], ..SampleInput::basic(5, 9, 2, 64) };
         for _ in 0..3 {
-            rec.sample(&input, &prof);
+            sample(&rec, &input, &prof);
         }
-        rec.finish("Unfinished", 5, 9);
+        rec.finish("Unfinished", 5, 9, 64, &prof);
         let tl = Timeline::parse(&buf.text()).unwrap();
         assert_eq!(tl.stalls.len(), 1);
         let stall = &tl.stalls[0];
-        assert_eq!(stall.epoch, Some(17));
         assert_eq!(stall.queues, vec![4, 0]);
         assert_eq!(stall.workers.len(), 1);
         assert_eq!(stall.workers[0].0, 3);
@@ -1141,15 +1429,15 @@ mod tests {
         assert!(Timeline::parse("").is_err());
         assert!(Timeline::parse("{\"k\":\"s\"}").is_err());
         assert!(Timeline::parse(
-            "{\"k\":\"run\",\"interval_ms\":0,\"stall_after\":1}\n{\"k\":\"wat\"}"
+            "{\"k\":\"run\",\"version\":2,\"interval_ms\":0,\"stall_after\":1}\n{\"k\":\"wat\"}"
         )
         .is_err());
         // An end record lying about the sample count fails validation.
         let buf = SharedBuf::default();
         let rec = recorder(&buf, 5);
-        rec.set_phase("explore");
-        rec.sample(&SampleInput::basic(1, 1, 1, 1), &Profiler::disabled());
-        rec.finish("Complete", 1, 1);
+        rec.set_phase("explore", Instant::now());
+        sample(&rec, &SampleInput::basic(1, 1, 1, 1), &Profiler::disabled());
+        rec.finish("Complete", 1, 1, 64, &Profiler::disabled());
         let mut text = buf.text();
         text = text.replace("\"samples\":1", "\"samples\":7");
         let tl = Timeline::parse(&text).unwrap();
@@ -1157,11 +1445,60 @@ mod tests {
     }
 
     #[test]
+    fn running_totals_that_leave_u64_are_line_numbered_errors() {
+        let head = "{\"k\":\"run\",\"version\":2,\"interval_ms\":0,\"stall_after\":1}\n\
+                    {\"k\":\"phase\",\"dt_ms\":0,\"name\":\"explore\"}\n";
+        let s = |key: &str, v: u64| {
+            let mut fields = [("dt_ms", 0), ("ds", 0), ("dx", 0), ("dspill", 0), ("dcompact", 0)];
+            fields.iter_mut().find(|(k, _)| *k == key).unwrap().1 = v;
+            let deltas: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            format!(
+                "{{\"k\":\"s\",{},\"frontier\":0,\"store_bytes\":0,\"ckpt\":0,\"spans\":{{}}}}\n",
+                deltas.join(",")
+            )
+        };
+        for key in ["dt_ms", "ds", "dx", "dspill", "dcompact"] {
+            let text = format!("{head}{}{}", s(key, u64::MAX), s(key, 5));
+            let err = Timeline::parse(&text).unwrap_err();
+            assert_eq!(err, format!("line 4: `{key}` overflows the running total"));
+        }
+        let stall = "{\"k\":\"stall\",\"dt_ms\":2,\"intervals\":1,\"states\":0,\"frontier\":0}\n";
+        let text = format!("{head}{}{stall}", s("dt_ms", u64::MAX));
+        assert_eq!(
+            Timeline::parse(&text).unwrap_err(),
+            "line 4: `dt_ms` overflows the running total"
+        );
+    }
+
+    #[test]
+    fn other_versions_are_refused_not_misread() {
+        let v1 =
+            "{\"k\":\"run\",\"version\":1,\"spec\":\"x\",\"interval_ms\":1000,\"stall_after\":5}";
+        assert_eq!(
+            Timeline::parse(v1).unwrap_err(),
+            "line 1: timeline version 1 is not supported (this build reads 2)"
+        );
+        let bare = "{\"k\":\"run\",\"spec\":\"x\",\"interval_ms\":1000,\"stall_after\":5}";
+        assert!(Timeline::parse(bare).unwrap_err().contains("version none is not supported"));
+        // The status document the previous build wrote carried no version.
+        let old = Json::parse(
+            "{\"spec\":\"x\",\"phase\":\"explore\",\"states\":1,\"transitions\":0,\"frontier\":1,\
+             \"depth\":null,\"states_per_sec\":0.0,\"store_bytes\":0,\"elapsed_ms\":10,\
+             \"eta_ms\":null,\"spans\":{},\"finished\":false,\"outcome\":null,\"seq\":1,\"pid\":1}",
+        )
+        .unwrap();
+        assert_eq!(
+            Status::from_json(&old).unwrap_err(),
+            "status version none is not supported (this build reads 2)"
+        );
+    }
+
+    #[test]
     fn analysis_detects_a_rate_collapse_and_round_trips_json() {
         let buf = SharedBuf::default();
         let rec = recorder(&buf, 50);
         let prof = Profiler::disabled();
-        rec.set_phase("explore/async");
+        rec.set_phase("explore/async", Instant::now());
         // Fast regime then a 10x collapse; dt is 0 in-process, so feed
         // the detector via parse-level rates by spacing the deltas.
         let mut states = 0u64;
@@ -1171,9 +1508,9 @@ mod tests {
             series.push(states);
         }
         for s in &series {
-            rec.sample(&SampleInput::basic(*s, *s * 2, 5, 64), &prof);
+            sample(&rec, &SampleInput::basic(*s, *s * 2, 5, 64), &prof);
         }
-        rec.finish("Complete", states, states * 2);
+        rec.finish("Complete", states, states * 2, 64, &prof);
         let mut tl = Timeline::parse(&buf.text()).unwrap();
         tl.validate().unwrap();
         // In-process dt is ~0 ms, so synthesize per-sample timing to
@@ -1213,8 +1550,8 @@ mod tests {
     fn publish_tags_everything_nondeterministic() {
         let buf = SharedBuf::default();
         let rec = recorder(&buf, 5);
-        rec.sample(&SampleInput::basic(1, 2, 1, 1), &Profiler::disabled());
-        rec.finish("Complete", 1, 2);
+        sample(&rec, &SampleInput::basic(1, 2, 1, 1), &Profiler::disabled());
+        rec.finish("Complete", 1, 2, 64, &Profiler::disabled());
         let reg = Registry::new();
         rec.publish(&reg);
         let snap = reg.snapshot();

@@ -6,8 +6,7 @@ use crate::timeline::render_analysis;
 use crate::watch::render_status;
 use ccr_metrics::jsonval::Json;
 use ccr_metrics::profile::{parse_folded, ProfileAgg};
-use ccr_metrics::status::RunStatus;
-use ccr_metrics::timeseries::Timeline;
+use ccr_metrics::timeseries::{Status, Timeline};
 use serde::Serializer;
 use std::process::ExitCode;
 
@@ -33,6 +32,10 @@ pub fn run(p: &Parsed) -> Result<ExitCode, String> {
     let verify = read_artifact(dir, "verify.json")?;
     let metrics = read_artifact(dir, "metrics.json")?;
     let status = read_artifact(dir, "status.json")?;
+    let status_doc = match &status {
+        Some((_, json)) => Some(Status::from_json(json).map_err(|e| format!("status.json: {e}"))?),
+        None => None,
+    };
     let profile = match std::fs::read_to_string(format!("{dir}/profile.folded")) {
         Ok(text) => Some(
             parse_folded(&text)
@@ -106,15 +109,11 @@ pub fn run(p: &Parsed) -> Result<ExitCode, String> {
     }
 
     // Markdown rendering.
-    let spec = status
-        .as_ref()
-        .map(|(_, j)| j.get("spec").and_then(Json::as_str).unwrap_or("?").to_string())
-        .or_else(|| {
-            verify
-                .as_ref()
-                .map(|(_, j)| j.get("spec").and_then(Json::as_str).unwrap_or("?").to_string())
-        })
-        .unwrap_or_else(|| "?".to_string());
+    let spec = match (&status_doc, &verify) {
+        (Some(st), _) => st.spec.clone(),
+        (None, Some((_, v))) => v.get("spec").and_then(Json::as_str).unwrap_or("?").to_string(),
+        (None, None) => "?".to_string(),
+    };
     println!("# Run report: {spec}");
     println!("\nArtifacts: `{dir}`");
     if let Some((_, v)) = &verify {
@@ -136,10 +135,9 @@ pub fn run(p: &Parsed) -> Result<ExitCode, String> {
             }
         }
     }
-    if let Some((raw, _)) = &status {
+    if let Some(st) = &status_doc {
         println!("\n## Final status\n");
-        let st = RunStatus::parse(raw).map_err(|e| format!("status.json: {e}"))?;
-        println!("```\n{}\n```", render_status(&st));
+        println!("```\n{}\n```", render_status(st));
     }
     if let Some((_, mjson)) = &metrics {
         if let Some(phases) = mjson.get("phases").and_then(Json::as_object) {

@@ -6,7 +6,6 @@ use crate::verify::NOT_PERMUTABLE;
 use crate::{engine_threads, refined};
 use ccr_core::process::ProtocolSpec;
 use ccr_mc::search::{Budget, Search};
-use ccr_mc::Outcome;
 use ccr_metrics::Registry;
 use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
@@ -71,9 +70,6 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
         println!("{}", s.into_string());
     }
     run.profile_out(!json)?;
-    match rows.last() {
-        Some((_, asy, _)) => run.finish(&asy.outcome, asy.states as u64, asy.transitions as u64)?,
-        None => run.finish(&Outcome::Unfinished, 0, 0)?,
-    }
+    run.finish(rows.last().map(|(_, asy, _)| asy.clone()))?;
     Ok(ExitCode::SUCCESS)
 }

@@ -6,12 +6,11 @@
 //! snapshot writer and the profile renderings `report` shares.
 
 use crate::flags::Parsed;
-use ccr_mc::report::{ProgressReport, SearchReport, SimRelReport};
+use ccr_mc::report::{ExploreReport, ProgressReport, SearchReport, SimRelReport};
 use ccr_mc::search::{Budget, Search, SearchObserver, Telemetry};
 use ccr_mc::simrel::check_simulation_observed;
 use ccr_mc::{Outcome, ProgressGraph, Reduced, Symmetric};
 use ccr_metrics::profile::{ProfileAgg, Profiler, SpanKind};
-use ccr_metrics::status::StatusWriter;
 use ccr_metrics::timeseries::{process_rss_bytes, Recorder};
 use ccr_metrics::Registry;
 use ccr_runtime::asynch::AsyncSystem;
@@ -20,9 +19,9 @@ use ccr_runtime::TransitionSystem;
 use ccr_trace::{JsonlSink, TraceEvent, TraceSink};
 use serde::MapSer;
 use std::fs::File;
-use std::path::Path;
+use std::io::{BufWriter, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// Prints `ccr: cannot <verb> <path>: <error>` and yields the failure
 /// exit code — the shape of every artifact I/O error.
@@ -142,36 +141,39 @@ impl Run {
             }
             None => None,
         };
-        let started = Instant::now();
         let profile = artifact(p, "--profile", "profile.folded");
         let interval = p.secs("--progress-interval");
         let status = match artifact(p, "--status", "status.json") {
             Some(path) => {
                 create_parent(&path)?;
-                Some(StatusWriter::create(path.as_str()))
+                Some(PathBuf::from(path))
             }
             None => None,
         };
-        let timeline = match artifact(p, "--timeline", "timeline.jsonl") {
-            Some(path) => {
-                create_parent(&path)?;
-                let stall_after = p.num("--stall-after") as u32;
-                Recorder::create(Path::new(&path), spec, interval.as_millis() as u64, stall_after)
-                    .map_err(|e| io_failure("create", &path, e))?
-            }
-            None => Recorder::disabled(),
-        };
+        let timeline: Option<Box<dyn Write + Send>> =
+            match artifact(p, "--timeline", "timeline.jsonl") {
+                Some(path) => {
+                    create_parent(&path)?;
+                    let file = File::create(&path).map_err(|e| io_failure("create", &path, e))?;
+                    Some(Box::new(BufWriter::new(file)))
+                }
+                None => None,
+            };
         let telemetry = Telemetry {
             registry,
             profiler: if profile.is_some() { Profiler::new() } else { Profiler::disabled() },
-            status,
-            timeline,
+            timeline: Recorder::new(
+                spec,
+                interval.as_millis() as u64,
+                p.num("--stall-after") as u32,
+                // ETA against the state budget: an upper bound on
+                // remaining work, not a prediction of the reachable-set
+                // size.
+                Some(p.num("--budget")),
+                timeline,
+                status,
+            ),
             interval,
-            spec: spec.clone(),
-            // ETA against the state budget: an upper bound on remaining
-            // work, not a prediction of the reachable-set size.
-            eta_target: Some(p.num("--budget")),
-            started,
         };
         Ok(Run {
             sink: RunSink { file, progress: p.on("--progress") },
@@ -296,11 +298,19 @@ impl Run {
         Ok(agg)
     }
 
-    /// Ends the run with its terminal counts: [`Telemetry::finish`], then
-    /// the `--metrics` snapshot, which by then holds the profiler's and
-    /// the flight recorder's own counters.
-    pub fn finish(&self, outcome: &Outcome, states: u64, transitions: u64) -> Result<(), ExitCode> {
-        self.telemetry.finish(outcome, states, transitions).map_err(|e| {
+    /// Ends the run with the terminal counts of its `last` search (none:
+    /// an unfinished run with nothing counted): [`Telemetry::finish`],
+    /// then the `--metrics` snapshot, which by then holds the profiler's
+    /// and the flight recorder's own counters.
+    pub fn finish(&self, last: Option<ExploreReport>) -> Result<(), ExitCode> {
+        let done = match &last {
+            Some(x) => {
+                let (states, transitions) = (x.states as u64, x.transitions as u64);
+                self.telemetry.finish(&x.outcome, states, transitions, x.store_bytes as u64)
+            }
+            None => self.telemetry.finish(&Outcome::Unfinished, 0, 0, 0),
+        };
+        done.map_err(|e| {
             eprintln!("ccr: {e}");
             ExitCode::FAILURE
         })?;

@@ -564,9 +564,6 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
     // Terminal counts for the status snapshot and the flight record: the
     // exact async-level numbers (what the verify JSON reports), falling
     // back to the rendezvous level.
-    match a.as_ref().or(r.as_ref()) {
-        Some(x) => run.finish(&x.outcome, x.states as u64, x.transitions as u64)?,
-        None => run.finish(&Outcome::Unfinished, 0, 0)?,
-    }
+    run.finish(a.as_ref().or(r.as_ref()).map(SearchReport::explore_report))?;
     Ok(if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }

@@ -10,7 +10,8 @@
 //! * the `check` span is the riders': a sweep that carries Equation 1 or
 //!   the progress check laps it once per edge, so their work is not
 //!   charged to `encode`, and a plain exploration has no such row;
-//! * the folded-stack encoding round-trips.
+//! * the folded-stack encoding round-trips, and `ccr report` refuses a
+//!   hostile one whose totals leave `u64`.
 
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
@@ -58,7 +59,12 @@ fn traced_metered_run(profile: bool) -> (Vec<u8>, String) {
         Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs)
     };
     telemetry
-        .finish(&report.outcome, report.states as u64, report.transitions as u64)
+        .finish(
+            &report.outcome,
+            report.states as u64,
+            report.transitions as u64,
+            report.store_bytes as u64,
+        )
         .expect("nothing to fail without a recorder");
     (sink.into_inner().expect("vec sink"), telemetry.registry.snapshot().to_json())
 }
@@ -179,5 +185,27 @@ fn folded_stacks_round_trip_through_the_parser() {
                 kind.name()
             );
         }
+    }
+}
+
+/// A folded profile whose totals leave `u64` (the same kind twice, or two
+/// kinds of one worker) is refused by `ccr report` with exit 1 and the
+/// offending stack, never a panic or a wrapped `0.0000 s` total.
+#[test]
+fn report_refuses_a_profile_whose_totals_leave_u64() {
+    let dir = std::env::temp_dir().join(format!("ccr-profile-overflow-{}", std::process::id()));
+    for second in ["worker0;compute 2", "worker0;encode 2"] {
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let folded = format!("worker0;compute {}\n{second}\n", u64::MAX);
+        std::fs::write(dir.join("profile.folded"), folded).expect("write profile");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+            .arg("report")
+            .arg(&dir)
+            .output()
+            .expect("run report");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{second}: {err}");
+        let stack = second.split(' ').next().unwrap();
+        assert!(err.contains(&format!("profile.folded: stack `{stack}`")), "{err}");
     }
 }

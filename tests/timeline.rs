@@ -55,7 +55,12 @@ fn traced_metered_run(timeline: Option<&Path>) -> (Vec<u8>, String) {
         Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs)
     };
     telemetry
-        .finish(&report.outcome, report.states as u64, report.transitions as u64)
+        .finish(
+            &report.outcome,
+            report.states as u64,
+            report.transitions as u64,
+            report.store_bytes as u64,
+        )
         .expect("no timeline write error");
     (sink.into_inner().expect("vec sink"), telemetry.registry.snapshot().to_json())
 }
@@ -94,7 +99,12 @@ fn zero_interval_timeline(dir: &Path, rep: usize) -> Timeline {
         Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs)
     };
     telemetry
-        .finish(&report.outcome, report.states as u64, report.transitions as u64)
+        .finish(
+            &report.outcome,
+            report.states as u64,
+            report.transitions as u64,
+            report.store_bytes as u64,
+        )
         .expect("no timeline write error");
     let timeline = Timeline::read(&path).expect("read timeline");
     timeline.validate().expect("timeline validates");
@@ -252,4 +262,59 @@ fn injected_stall_trips_the_watchdog_through_the_cli() {
     let stall = &timeline.stalls[0];
     assert!(stall.intervals >= 4, "diagnostic carries the interval count");
     assert!(!stall.queues.is_empty(), "diagnostic carries per-worker queue depths");
+}
+
+/// Runs `ccr <verb> <target>` and returns (exit code, stderr).
+fn ccr_on(verb: &str, target: &Path) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+        .arg(verb)
+        .arg(target)
+        .output()
+        .unwrap_or_else(|e| panic!("run ccr {verb}: {e}"));
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// A hostile timeline whose delta sums leave `u64` is a line-numbered
+/// error with exit 1 for both readers, never a panic or a wrapped sum.
+#[test]
+fn a_running_total_past_u64_is_a_line_numbered_error() {
+    let dir = tmp_dir("overflow");
+    let sample = |dt_ms: u64| {
+        format!(
+            "{{\"k\":\"s\",\"dt_ms\":{dt_ms},\"ds\":1,\"dx\":1,\"frontier\":1,\"store_bytes\":0,\
+             \"dspill\":0,\"dcompact\":0,\"ckpt\":0,\"rss_bytes\":null,\"spans\":{{}}}}\n"
+        )
+    };
+    let text = format!(
+        "{{\"k\":\"run\",\"version\":2,\"spec\":\"x\",\"interval_ms\":1000,\"stall_after\":5}}\n\
+         {{\"k\":\"phase\",\"dt_ms\":0,\"name\":\"explore\"}}\n{}{}",
+        sample(u64::MAX),
+        sample(5)
+    );
+    std::fs::write(dir.join("timeline.jsonl"), text).expect("write timeline");
+    // `ccr report` wants one more artifact than the timeline.
+    std::fs::write(dir.join("verify.json"), "{\"holds\":true}\n").expect("write verify.json");
+    for verb in ["timeline", "report"] {
+        let (code, err) = ccr_on(verb, &dir);
+        assert_eq!(code, Some(1), "ccr {verb}: {err}");
+        assert!(err.contains("line 4: `dt_ms` overflows the running total"), "ccr {verb}: {err}");
+    }
+}
+
+/// The header line docs/observability.md showed for version 1 (which
+/// carried the sharded engine's `depth` and `epoch`) is refused by
+/// version, not analysed as this build's format.
+#[test]
+fn a_version_1_timeline_is_refused() {
+    let dir = tmp_dir("v1");
+    let path = dir.join("timeline.jsonl");
+    std::fs::write(
+        &path,
+        "{\"k\":\"run\",\"version\":1,\"spec\":\"specs/migratory.ccp\",\"interval_ms\":1000,\
+         \"stall_after\":5}\n",
+    )
+    .expect("write timeline");
+    let (code, err) = ccr_on("timeline", &path);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("timeline version 1 is not supported (this build reads 2)"), "{err}");
 }
