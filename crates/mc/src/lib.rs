@@ -60,7 +60,7 @@ pub use progress::{check_progress_default, ProgressGraph};
 pub use report::{ExploreReport, Outcome, ProgressReport, SearchReport, SimRelReport};
 pub use search::{
     explore, explore_dfs, report_from_manifest, Budget, PersistOpts, Search, SearchObserver,
-    SerialPersist, SerialPersistOpen, Telemetry, DEFAULT_HEARTBEAT_INTERVAL,
+    SerialPersist, SerialPersistOpen, Telemetry,
 };
 pub use symmetry::{
     apply_perm, canonical_encode, canonicalize, derived_encode, spec_permutable, DeriveAudit,

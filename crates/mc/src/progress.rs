@@ -237,7 +237,7 @@ pub(crate) fn swept_alone<T: TransitionSystem, G>(
     graph.swept(parents, outcome.is_complete()).check(sys, obs)
 }
 
-/// [`Search::progress`] without threads, with heartbeats and
+/// [`Search::progress`] without threads, with samples and
 /// witness export to `obs`. Kept for `benchmark/src/layers.rs`
 /// (`benchmark/README.md`, "Entry points into `ccr-*`").
 #[doc(hidden)]

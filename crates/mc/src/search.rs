@@ -135,14 +135,11 @@ impl Budget {
     }
 }
 
-/// Wall-clock heartbeat cadence when none is configured.
-pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
-
-/// Expansions between clock probes. Heartbeats are wall-clock-interval
+/// Expansions between clock probes. Samples are wall-clock-interval
 /// based, but reading the clock on every expansion of a fast in-memory
 /// search would be measurable, so the observer only probes every
 /// `PROBE_EVERY` ticks (a zero interval drops the countdown to 1 so
-/// tests can demand a beat per tick).
+/// tests can demand a sample per tick).
 const PROBE_EVERY: u32 = 16;
 
 /// Which telemetry is on for a run: the one decision every search phase
@@ -161,22 +158,19 @@ pub struct Telemetry {
     /// Span profiler the sweep and its workers time themselves into;
     /// samples carry its per-kind split.
     pub profiler: Profiler,
-    /// Flight recorder: one sample per heartbeat interval, to the
-    /// timeline and the live status file `ccr watch` follows.
+    /// Flight recorder: one sample per interval of its own cadence, to
+    /// the timeline, the live status file `ccr watch` follows and the
+    /// `--progress` line.
     pub timeline: Recorder,
-    /// Wall-clock cadence of heartbeats and samples. `Duration::ZERO`
-    /// beats on every tick (test use).
-    pub interval: Duration,
 }
 
 impl Telemetry {
-    /// All telemetry off, heartbeats at [`DEFAULT_HEARTBEAT_INTERVAL`].
+    /// All telemetry off.
     pub fn off() -> Self {
         Telemetry {
             registry: Registry::disabled(),
             profiler: Profiler::disabled(),
             timeline: Recorder::disabled(),
-            interval: DEFAULT_HEARTBEAT_INTERVAL,
         }
     }
 
@@ -205,48 +199,44 @@ impl Telemetry {
     }
 }
 
-/// One search phase's view of the run's [`Telemetry`]: periodic
-/// [`TraceEvent::Heartbeat`] events (states visited, frontier size,
-/// store bytes, exploration rate) to a [`TraceSink`] and recorder
-/// samples, both on one wall-clock interval and one clock reading, plus
-/// the registry and profiler the search records into.
+/// One search phase's view of the run's [`Telemetry`]: the [`TraceSink`]
+/// its sweeps narrate their endings to, the registry and profiler they
+/// record into, and the clock gate that hands the recorder one sample
+/// per interval of the recorder's cadence.
 ///
-/// With a disabled sink and no recorder the per-expansion cost is the
-/// one comparison at the top of [`SearchObserver::tick`].
+/// Without a recorder the per-expansion cost is the one comparison at
+/// the top of [`SearchObserver::tick`].
 pub struct SearchObserver<'s> {
     sink: &'s mut dyn TraceSink,
-    beats: bool,
-    /// Whether a tick has anywhere to report to: the sink or the
-    /// recorder.
+    /// Whether a tick has anywhere to report to: the recorder is live.
     live: bool,
     telemetry: Telemetry,
-    started: Instant,
-    last_states: u64,
+    /// The recorder phase the sweeps report under, and whether one has
+    /// already run in it.
+    phase: String,
+    swept: bool,
     last_time: Instant,
     probe_countdown: u32,
 }
 
 impl<'s> SearchObserver<'s> {
-    /// Heartbeats to `sink` at [`DEFAULT_HEARTBEAT_INTERVAL`] (silenced
-    /// by a disabled sink) and nothing else: [`Telemetry::off`].
+    /// Endings to `sink` and nothing else: [`Telemetry::off`].
     pub fn new(sink: &'s mut dyn TraceSink) -> Self {
         Self::for_phase(sink, &Telemetry::off(), "")
     }
 
-    /// The observer of one named phase of a run: heartbeats to `sink`,
+    /// The observer of one named phase of a run: endings to `sink`,
     /// everything else as `telemetry` says. The recorder starts a new
     /// phase named `phase`.
     pub fn for_phase(sink: &'s mut dyn TraceSink, telemetry: &Telemetry, phase: &str) -> Self {
         let now = Instant::now();
-        let beats = sink.enabled();
         telemetry.timeline.set_phase(phase, now);
         Self {
             sink,
-            beats,
-            live: beats || telemetry.timeline.enabled(),
+            live: telemetry.timeline.enabled(),
             telemetry: telemetry.clone(),
-            started: now,
-            last_states: 0,
+            phase: phase.to_string(),
+            swept: false,
             last_time: now,
             probe_countdown: 1,
         }
@@ -256,6 +246,17 @@ impl<'s> SearchObserver<'s> {
     /// unless built with [`SearchObserver::for_phase`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// Called by [`drive`] as a sweep starts. The recorder's counters are
+    /// the sweep's own, so a second sweep under one observer opens the
+    /// phase again rather than restart them inside it.
+    fn sweep_starts(&mut self) {
+        if std::mem::replace(&mut self.swept, true) {
+            let now = Instant::now();
+            self.telemetry.timeline.set_phase(&self.phase, now);
+            self.last_time = now;
+        }
     }
 
     /// Called by the sweep once per expanded state with what it knows at
@@ -268,41 +269,28 @@ impl<'s> SearchObserver<'s> {
     #[inline]
     pub fn tick(&mut self, at: &SampleInput<'_>, paced: bool) {
         if self.live {
-            self.beat(at, paced);
+            self.gate(at, paced);
         }
     }
 
     /// The live half of [`SearchObserver::tick`]: probe the clock when
-    /// the countdown says so, and report once per interval. That one
-    /// reading times the heartbeat and the recorder's sample alike.
-    fn beat(&mut self, at: &SampleInput<'_>, paced: bool) {
+    /// the countdown says so, and hand the recorder one sample per
+    /// interval, with that one clock reading.
+    fn gate(&mut self, at: &SampleInput<'_>, paced: bool) {
         if !paced {
             self.probe_countdown -= 1;
             if self.probe_countdown != 0 {
                 return;
             }
         }
-        let interval = self.telemetry.interval;
+        let interval = self.telemetry.timeline.interval();
         let now = Instant::now();
         if now.duration_since(self.last_time) < interval {
             self.probe_countdown = PROBE_EVERY;
             return;
         }
         self.probe_countdown = if interval.is_zero() { 1 } else { PROBE_EVERY };
-        let dt = now.duration_since(self.last_time).as_secs_f64();
-        let rate =
-            if dt > 0.0 { at.states.saturating_sub(self.last_states) as f64 / dt } else { 0.0 };
-        if self.beats {
-            self.sink.emit(&TraceEvent::Heartbeat {
-                states: at.states,
-                frontier: at.frontier,
-                store_bytes: at.store_bytes,
-                states_per_sec: rate as u64,
-                elapsed_ms: now.duration_since(self.started).as_millis() as u64,
-            });
-        }
-        self.telemetry.timeline.sample(at, now, rate, &self.telemetry.profiler);
-        self.last_states = at.states;
+        self.telemetry.timeline.sample(at, now, &self.telemetry.profiler);
         self.last_time = now;
     }
 
@@ -465,7 +453,7 @@ impl SerialPersist {
     }
 
     /// Whether a checkpoint is due (wall-clock cadence, probed every few
-    /// expansions like the observer's heartbeat).
+    /// expansions like the observer's sampling gate).
     fn due(&mut self) -> bool {
         if self.interval.is_zero() {
             return true;
@@ -593,7 +581,7 @@ pub fn report_from_manifest(m: &Manifest) -> SearchReport {
 
 /// What a search does besides reaching states. [`drive`] owns the sweep
 /// — frontier, visited set, budget, parent table, checkpoints,
-/// heartbeats — and calls these hooks as it goes; a checker keeps
+/// samples — and calls these hooks as it goes; a checker keeps
 /// whatever it wants to say about the graph afterwards. Every hook
 /// defaults to "nothing to add", so a checker names only the events it
 /// judges, and a hook that returns an outcome ends the sweep with it
@@ -841,7 +829,7 @@ pub(crate) trait Source<T: TransitionSystem> {
 
     /// Leaves the next state to expand in `into` and returns its index;
     /// `Ok(None)` once the frontier is spent. A source that has to wait
-    /// calls `idle` once per heartbeat quantum with its queue depths, and
+    /// calls `idle` once per waiting quantum with its queue depths, and
     /// gives up with `Err` when that returns true.
     fn pop(
         &mut self,
@@ -1216,7 +1204,7 @@ impl<T: TransitionSystem> Fed<'_, T> {
     }
 
     /// Makes the next chunk in sequence the current one, waiting for it a
-    /// heartbeat quantum at a time.
+    /// waiting quantum at a time.
     fn next_chunk(
         &mut self,
         timer: &mut SpanTimer,
@@ -1378,6 +1366,15 @@ where
 {
     let (jobs, queued) = unbounded();
     let (outbox, done) = unbounded();
+    // The wait between two looks at the budget and the recorder: its
+    // cadence, within [1 ms, 100 ms]; without a recorder only the
+    // wall-clock budget is looked at.
+    let most = Duration::from_millis(100);
+    let quantum = if telemetry.timeline.enabled() {
+        telemetry.timeline.interval().clamp(Duration::from_millis(1), most)
+    } else {
+        most
+    };
     telemetry
         .registry
         .gauge_nondet("mc_workers", "Worker threads used by the widest threaded search")
@@ -1396,7 +1393,7 @@ where
             queued,
             done,
             workers: threads as u64,
-            quantum: telemetry.interval.clamp(Duration::from_millis(1), Duration::from_millis(100)),
+            quantum,
             sent: 0,
             received: 0,
             merged: 0,
@@ -1453,6 +1450,7 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
     // byte-identical, the counterexample path is only available from an
     // uninterrupted (or fresh) run.
     let track_trails = track_trails && !resumed;
+    obs.sweep_starts();
 
     // Ends the sweep with `$outcome`; `$at`, when given, is the state a
     // tracked trail leads to.
@@ -1518,7 +1516,7 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
 
     loop {
         // While the source waits for its workers the sweep stays alive to
-        // its observer — heartbeats, status, the stall watchdog — and to
+        // its observer — samples, status, the stall watchdog — and to
         // the wall-clock budget.
         let popped = src.pop(sys, &store, &mut state, &mut timer, &mut |queues| {
             obs.tick(&SampleInput { queues, ..at.clone() }, true);
@@ -1730,8 +1728,8 @@ impl Search<'_> {
     /// Explores the reachable state space of `sys` breadth-first.
     /// `invariant` is evaluated on every newly discovered state;
     /// returning `Some(description)` aborts with
-    /// [`Outcome::InvariantViolated`]. `obs` receives heartbeats and the
-    /// run's ending.
+    /// [`Outcome::InvariantViolated`]. `obs` samples the sweep and receives
+    /// the run's ending.
     ///
     /// With `persist`, new states are logged (and spilled past the
     /// eviction threshold), the frontier is checkpointed on the
@@ -2020,26 +2018,18 @@ mod tests {
     }
 
     #[test]
-    fn observer_emits_heartbeats_and_terminal_outcome() {
+    fn observer_emits_the_terminal_outcome_and_nothing_periodic() {
         use ccr_trace::{RingSink, TraceEvent};
         let spec = token_spec();
         let sys = RendezvousSystem::new(&spec, 3);
         let mut sink = RingSink::new(256);
-        let mut obs = SearchObserver::for_phase(
-            &mut sink,
-            &Telemetry { interval: Duration::ZERO, ..Telemetry::off() },
-            "explore",
-        );
+        let mut obs = SearchObserver::for_phase(&mut sink, &Telemetry::off(), "explore");
         let r = Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs);
         assert!(r.outcome.is_complete());
         let events = sink.into_events();
-        assert!(
-            events.iter().any(|e| matches!(e, TraceEvent::Heartbeat { .. })),
-            "heartbeats every state expansion"
-        );
         assert!(matches!(
-            events.last(),
-            Some(TraceEvent::Outcome { outcome, .. }) if outcome == "Complete"
+            &events[..],
+            [TraceEvent::Outcome { outcome, .. }] if outcome == "Complete"
         ));
     }
 

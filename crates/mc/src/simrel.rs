@@ -266,8 +266,8 @@ pub fn check_simulation(
     check_simulation_observed(async_sys, rv_sys, budget, &mut SearchObserver::new(&mut null))
 }
 
-/// [`check_simulation`] with heartbeats, status snapshots and timeline
-/// samples to `obs` while it sweeps, and the sweep folded into its
+/// [`check_simulation`] with the flight recorder's samples (timeline,
+/// status, `--progress`) to `obs` while it sweeps, and the sweep folded into its
 /// metrics. Nothing is concluded on the sink: the verdict is the report.
 pub fn check_simulation_observed(
     async_sys: &AsyncSystem<'_>,

@@ -6,15 +6,20 @@
 //! Object members keep their source order (and may repeat); [`Json::get`]
 //! returns the first match, which is what the comparator wants.
 
-/// A parsed JSON value. Numbers are kept as `f64` — every number this
-/// workspace writes fits (counts are well below 2^53).
-#[derive(Debug, Clone, PartialEq)]
+/// A parsed JSON value. An integer literal that fits `u64` is kept
+/// exactly ([`Json::Int`]), so a counter past 2^53 reads back as
+/// written; any other number is an `f64`. Numbers compare by value:
+/// `Int(7) == Num(7.0)`.
+#[derive(Debug, Clone)]
 pub enum Json {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number.
+    /// A nonnegative integer literal (no fraction, no exponent) within
+    /// `u64`.
+    Int(u64),
+    /// Any other number.
     Num(f64),
     /// A string.
     Str(String),
@@ -22,6 +27,24 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in source order.
     Obj(Vec<(String, Json)>),
+}
+
+impl PartialEq for Json {
+    fn eq(&self, other: &Json) -> bool {
+        match (self, other) {
+            (Json::Null, Json::Null) => true,
+            (Json::Bool(a), Json::Bool(b)) => a == b,
+            (Json::Int(a), Json::Int(b)) => a == b,
+            (Json::Num(a), Json::Num(b)) => a == b,
+            (Json::Int(a), n @ Json::Num(_)) | (n @ Json::Num(_), Json::Int(a)) => {
+                n.as_u64() == Some(*a)
+            }
+            (Json::Str(a), Json::Str(b)) => a == b,
+            (Json::Arr(a), Json::Arr(b)) => a == b,
+            (Json::Obj(a), Json::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl Json {
@@ -46,21 +69,25 @@ impl Json {
         }
     }
 
-    /// The value as a float, if it is a number.
+    /// The value as a float, if it is a number (an integer past 2^53
+    /// rounds).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The value as an unsigned integer, if it is a whole nonnegative
-    /// number.
+    /// The value as an unsigned integer: an integer literal as written,
+    /// or a float that is a whole number below 2^53, where every whole
+    /// number is exact. `None` for anything else — a fraction, a
+    /// negative number, one past `u64`.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Int(n) => Some(*n),
+            Json::Num(n) if (0.0..EXACT).contains(n) && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
@@ -299,7 +326,8 @@ impl Parser<'_> {
 
     /// RFC 8259 `number`: no leading zeros, and a fraction or exponent,
     /// once begun, has at least one digit — stricter than `f64::from_str`,
-    /// which the scanned text is handed to.
+    /// which the scanned text is handed to unless it is a nonnegative
+    /// integer within `u64` ([`Json::Int`]).
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -326,6 +354,9 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Int(n));
+        }
         text.parse::<f64>().map(Json::Num).map_err(|_| self.err("invalid number"))
     }
 }
@@ -356,8 +387,25 @@ mod tests {
     #[test]
     fn as_u64_rejects_fractions_and_negatives() {
         assert_eq!(Json::parse("7").unwrap().as_u64(), Some(7));
+        assert_eq!(Json::parse("7.0").unwrap().as_u64(), Some(7));
         assert_eq!(Json::parse("7.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-7").unwrap().as_u64(), None);
+    }
+
+    /// Integers are read as written: 2^53 + 1 and `u64::MAX` exactly,
+    /// and 2^64 — one past `u64` — not at all.
+    #[test]
+    fn integers_keep_every_digit_and_stop_at_u64() {
+        let read = |text: &str| Json::parse(text).unwrap().as_u64();
+        assert_eq!(read("9007199254740993"), Some(9_007_199_254_740_993));
+        assert_eq!(read("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(read("18446744073709551616"), None);
+        assert_eq!(read("1e300"), None);
+        assert_eq!(read("9007199254740993.0"), None, "a float past 2^53 is not exact");
+        // Equality is by value, across the two representations.
+        assert_eq!(Json::parse("7").unwrap(), Json::Num(7.0));
+        assert_ne!(Json::parse("9007199254740993").unwrap(), Json::Num(9_007_199_254_740_992.0));
+        assert_eq!(Json::parse("-0").unwrap(), Json::Num(0.0));
     }
 
     /// The accept corpus of the syntax validator this parser replaced

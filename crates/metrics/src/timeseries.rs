@@ -5,13 +5,15 @@
 //! ten-hour search that collapses to a crawl at hour three (spill
 //! onset, termination-detection pathology, allocator thrash) looks
 //! identical to one that ran flat. This module closes that gap: a
-//! [`Recorder`] rides the engines' existing heartbeat cadence (the
-//! `SearchObserver` wall-clock gate — one clock reading serves the
-//! heartbeat, the timeline and the status file alike) and builds one
-//! sample per interval. It appends the sample, delta-encoded, to an
-//! append-only `timeline.jsonl`, and rewrites the live status file with
-//! the same sample in absolute form. It is the only writer of
-//! per-heartbeat telemetry.
+//! [`Recorder`] owns the run's sampling cadence, and the engines'
+//! `SearchObserver` reads the clock against it and hands it one sample
+//! per interval. The recorder appends the sample, delta-encoded, to an
+//! append-only `timeline.jsonl`, rewrites the live status file with the
+//! same sample in absolute form, and prints it as the `--progress` line
+//! on stderr — three renderings of one sample, timed by one clock
+//! reading from the start of the run. It is the only periodic record of
+//! a run: the trace (`ccr-trace`) holds only what the run deterministically
+//! did.
 //!
 //! The recorder follows the same null-object discipline as the
 //! registry and the profiler: [`Recorder::disabled`] carries no
@@ -23,12 +25,22 @@
 //! observer's wall-clock interval gate passes, so the per-expansion
 //! cost with a recorder attached is unchanged.
 //!
+//! A sample's `states_per_sec` is the recorder's own: the states gained
+//! since its previous sample (or since the phase began) over the time
+//! between the two.
+//!
+//! # The `--progress` line
+//!
+//! `  [{elapsed_ms:>7} ms] S states, frontier F, K KB, R states/s`, one
+//! per sample: `elapsed_ms` counts from the start of the run, `K` is the
+//! store footprint in KiB and `R` the sample's rate.
+//!
 //! # The timeline (version 2)
 //!
 //! One JSON object per line, discriminated by a `"k"` tag:
 //!
-//! * `run` — header: `version` (2), spec, sampling interval, watchdog
-//!   threshold.
+//! * `run` — header: `version` (2), spec, sampling interval (the
+//!   recorder's cadence), watchdog threshold.
 //! * `phase` — a named phase begins (`explore/async`, …); cumulative
 //!   counters restart from zero for the new phase.
 //! * `s` — one sample. Monotone cumulative counters (elapsed time,
@@ -78,13 +90,10 @@ use serde::{MapSer, Serializer};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Number of span kinds tracked per worker.
 const N_KINDS: usize = SpanKind::ALL.len();
-
-/// Default number of no-progress samples before the watchdog fires.
-pub const DEFAULT_STALL_AFTER: u32 = 5;
 
 /// The timeline and status schema version this build writes and reads.
 pub const VERSION: u64 = 2;
@@ -100,7 +109,7 @@ pub fn process_rss_bytes() -> Option<u64> {
 }
 
 /// Everything one sample needs from the engine, gathered by the
-/// observer at its heartbeat gate. Cumulative fields are absolute here;
+/// observer at its sampling gate. Cumulative fields are absolute here;
 /// the recorder delta-encodes them itself.
 #[derive(Debug, Clone, Default)]
 pub struct SampleInput<'a> {
@@ -156,14 +165,19 @@ struct Inner {
     /// The first timeline write error; the status file's are dropped.
     err: Option<io::Error>,
     status: Option<StatusFile>,
+    /// Whether each sample is also printed as the `--progress` line.
+    progress: bool,
     started: Instant,
     spec: String,
     /// State count the status ETA is computed against.
     budget: Option<u64>,
     stall_after: u32,
     phase: String,
-    /// The last sample, or the zero baseline a phase starts from.
+    /// The last sample, or the zero baseline a phase starts from, and
+    /// when it was taken: the rate of the next sample is measured
+    /// against it.
     prev: TimelinePoint,
+    prev_at: Instant,
     /// Per-worker span nanos at the previous sample, for occupancy
     /// shares over the interval (worker id → nanos per kind).
     prev_spans: Vec<(usize, [u64; N_KINDS])>,
@@ -220,38 +234,41 @@ impl Inner {
     }
 }
 
-/// The flight recorder: builds one sample per heartbeat, appends it
-/// delta-encoded to the timeline, rewrites the status file with it, and
-/// runs the stall watchdog over the samples. Cheap to clone; all clones
-/// share one recording, so the several phases of a `ccr verify` run
-/// append to the same timeline.
+/// The flight recorder: owns the sampling cadence, builds one sample
+/// per interval, appends it delta-encoded to the timeline, rewrites the
+/// status file with it, prints it as the `--progress` line, and runs the
+/// stall watchdog over the samples. Cheap to clone; all clones share one
+/// recording, so the several phases of a `ccr verify` run append to the
+/// same timeline.
 #[derive(Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Mutex<Inner>>>,
+    interval: Duration,
 }
 
 impl Recorder {
     /// A null recorder: every operation is a no-op costing one branch.
     pub fn disabled() -> Recorder {
-        Recorder { inner: None }
+        Recorder::default()
     }
 
-    /// A recorder appending the timeline to `timeline` (its `run` header
-    /// is written at once, so an empty run still leaves a valid timeline)
-    /// and keeping the status document at `status`; [`Recorder::disabled`]
-    /// when both are `None`. `interval_ms` is advisory — the observer
-    /// owns the cadence — and is recorded in the header for the analyzer;
-    /// `budget` is the state count the status ETA is computed against.
-    /// The run's clock starts here.
+    /// A recorder sampling once per `interval` (zero: at every gate),
+    /// appending the timeline to `timeline` (its `run` header is written
+    /// at once, so an empty run still leaves a valid timeline), keeping
+    /// the status document at `status` and, with `progress`, printing
+    /// each sample on stderr; [`Recorder::disabled`] when it has none of
+    /// the three to write. `budget` is the state count the status ETA is
+    /// computed against. The run's clock starts here.
     pub fn new(
         spec: &str,
-        interval_ms: u64,
+        interval: Duration,
         stall_after: u32,
         budget: Option<u64>,
         timeline: Option<Box<dyn Write + Send>>,
         status: Option<PathBuf>,
+        progress: bool,
     ) -> Recorder {
-        if timeline.is_none() && status.is_none() {
+        if timeline.is_none() && status.is_none() && !progress {
             return Recorder::disabled();
         }
         let status = status.map(|path| {
@@ -259,16 +276,19 @@ impl Recorder {
             let tmp = path.with_file_name(format!(".{}.tmp", name.unwrap_or_default()));
             StatusFile { path, tmp }
         });
+        let started = Instant::now();
         let mut inner = Inner {
             timeline,
             err: None,
             status,
-            started: Instant::now(),
+            progress,
+            started,
             spec: spec.to_string(),
             budget,
             stall_after: stall_after.max(1),
             phase: String::new(),
             prev: TimelinePoint::default(),
+            prev_at: started,
             prev_spans: Vec::new(),
             samples: 0,
             stalls: 0,
@@ -282,15 +302,16 @@ impl Recorder {
             map.entry("k", "run");
             map.entry("version", &VERSION);
             map.entry("spec", spec);
-            map.entry("interval_ms", &interval_ms);
+            map.entry("interval_ms", &(interval.as_millis() as u64));
             map.entry("stall_after", &(inner.stall_after as u64));
             map.end();
         }
         inner.write_line(ser.into_string());
-        Recorder { inner: Some(Arc::new(Mutex::new(inner))) }
+        Recorder { inner: Some(Arc::new(Mutex::new(inner))), interval }
     }
 
-    /// A recorder appending the timeline alone to a fresh file at `path`.
+    /// A recorder appending the timeline alone to a fresh file at `path`,
+    /// sampling every `interval_ms` milliseconds.
     pub fn create(
         path: &Path,
         spec: &str,
@@ -298,13 +319,21 @@ impl Recorder {
         stall_after: u32,
     ) -> io::Result<Recorder> {
         let out = io::BufWriter::new(std::fs::File::create(path)?);
-        Ok(Recorder::new(spec, interval_ms, stall_after, None, Some(Box::new(out)), None))
+        let interval = Duration::from_millis(interval_ms);
+        Ok(Recorder::new(spec, interval, stall_after, None, Some(Box::new(out)), None, false))
     }
 
     /// Whether this recorder is live (false for [`Recorder::disabled`]).
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// The sampling cadence: the least wall-clock time between two
+    /// samples (zero for [`Recorder::disabled`], which takes none).
+    #[inline]
+    pub fn interval(&self) -> Duration {
+        self.interval
     }
 
     /// Marks the start of a named phase at `now`. Cumulative counters
@@ -324,26 +353,24 @@ impl Recorder {
         g.write_line(ser.into_string());
         g.phase = name.to_string();
         g.prev = TimelinePoint { t_ms, ..TimelinePoint::default() };
+        g.prev_at = now;
         g.no_progress = 0;
         g.stall_open = false;
     }
 
-    /// Takes one sample at `now`, when the observer measured
-    /// `states_per_sec` since its previous gate: folds in span occupancy
-    /// shares from `profiler` and the process RSS, appends the
-    /// delta-encoded line to the timeline and rewrites the status file.
-    /// Runs the stall watchdog: `stall_after` consecutive samples without
+    /// Takes one sample at `now`: the rate since the previous sample (or
+    /// the start of the phase), span occupancy shares from `profiler` and
+    /// the process RSS. Appends the delta-encoded line to the timeline,
+    /// rewrites the status file and prints the `--progress` line. Runs
+    /// the stall watchdog: `stall_after` consecutive samples without
     /// forward progress emit one `stall` diagnostic record.
-    pub fn sample(
-        &self,
-        input: &SampleInput<'_>,
-        now: Instant,
-        states_per_sec: f64,
-        profiler: &Profiler,
-    ) {
+    pub fn sample(&self, input: &SampleInput<'_>, now: Instant, profiler: &Profiler) {
         let Some(inner) = &self.inner else { return };
         let mut g = inner.lock().expect("recorder");
         let agg = if profiler.enabled() { Some(profiler.aggregate()) } else { None };
+        let dt = now.saturating_duration_since(g.prev_at).as_secs_f64();
+        let gained = input.states.saturating_sub(g.prev.states);
+        let states_per_sec = if dt > 0.0 { gained as f64 / dt } else { 0.0 };
         let point = TimelinePoint {
             t_ms: g.ms(now),
             phase: 0,
@@ -366,6 +393,16 @@ impl Recorder {
             map.end();
         }
         g.write_line(ser.into_string());
+        if g.progress {
+            eprintln!(
+                "  [{:>7} ms] {} states, frontier {}, {} KB, {} states/s",
+                point.t_ms,
+                point.states,
+                point.frontier,
+                point.store_bytes / 1024,
+                states_per_sec as u64
+            );
+        }
         let eta_ms = match g.budget {
             Some(budget) if budget > point.states && states_per_sec > 0.0 => {
                 Some(((budget - point.states) as f64 / states_per_sec * 1e3) as u64)
@@ -393,6 +430,7 @@ impl Recorder {
             g.prev_spans = worker_nanos(a);
         }
         g.prev = point;
+        g.prev_at = now;
     }
 
     /// Ends the recording: the timeline's `end` record (flushed) and the
@@ -782,7 +820,7 @@ pub struct EndRecord {
 pub struct Timeline {
     /// Spec or workload name from the header.
     pub spec: String,
-    /// Advisory sampling interval from the header.
+    /// Sampling interval from the header.
     pub interval_ms: u64,
     /// Watchdog threshold from the header.
     pub stall_after: u64,
@@ -796,8 +834,10 @@ pub struct Timeline {
     pub end: Option<EndRecord>,
 }
 
+/// Member `key` of record `j` (line `line`) as an unsigned integer.
 fn req_u64(j: &Json, key: &str, line: usize) -> Result<u64, String> {
-    j.get(key).and_then(Json::as_u64).ok_or_else(|| format!("line {line}: missing `{key}`"))
+    let value = j.get(key).ok_or_else(|| format!("line {line}: missing `{key}`"))?;
+    value.as_u64().ok_or_else(|| format!("line {line}: `{key}` is not a whole number within u64"))
 }
 
 impl Timeline {
@@ -1033,7 +1073,7 @@ pub struct PhaseStats {
 pub struct Analysis {
     /// Spec or workload name.
     pub spec: String,
-    /// Advisory sampling interval.
+    /// Sampling interval.
     pub interval_ms: u64,
     /// Total recorded duration.
     pub duration_ms: u64,
@@ -1230,12 +1270,13 @@ mod tests {
     }
 
     fn recorder(buf: &SharedBuf, stall_after: u32) -> Recorder {
-        Recorder::new("specs/test.ccp", 0, stall_after, None, Some(Box::new(buf.clone())), None)
+        let out: Box<dyn Write + Send> = Box::new(buf.clone());
+        Recorder::new("specs/test.ccp", Duration::ZERO, stall_after, None, Some(out), None, false)
     }
 
-    /// One sample taken now, at a rate of zero.
+    /// One sample taken now.
     fn sample(rec: &Recorder, input: &SampleInput<'_>, prof: &Profiler) {
-        rec.sample(input, Instant::now(), 0.0, prof);
+        rec.sample(input, Instant::now(), prof);
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -1248,7 +1289,7 @@ mod tests {
     fn disabled_recorder_is_a_no_op() {
         let rec = Recorder::disabled();
         assert!(!rec.enabled());
-        assert!(!Recorder::new("x", 0, 5, None, None, None).enabled());
+        assert!(!Recorder::new("x", Duration::ZERO, 5, None, None, None, false).enabled());
         rec.set_phase("explore", Instant::now());
         sample(&rec, &SampleInput::basic(1, 1, 1, 1), &Profiler::disabled());
         rec.finish("Complete", 1, 1, 64, &Profiler::disabled());
@@ -1313,11 +1354,12 @@ mod tests {
         let buf = SharedBuf::default();
         let rec = Recorder::new(
             "specs/test.ccp",
-            0,
+            Duration::ZERO,
             5,
             Some(1000),
             Some(Box::new(buf.clone())),
             Some(path.clone()),
+            false,
         );
         let prof = Profiler::disabled();
         // Reads the status document, which must not have gone back in time.
@@ -1337,16 +1379,18 @@ mod tests {
         for states in [10, 20] {
             std::thread::sleep(std::time::Duration::from_millis(3));
             let at = SampleInput::basic(states, 2 * states, 1, 4096);
-            rec.sample(&at, Instant::now(), 50.0, &prof);
+            rec.sample(&at, Instant::now(), &prof);
             before = read().sample.t_ms;
         }
         rec.set_phase("explore/async", Instant::now());
-        rec.sample(&SampleInput::basic(5, 7, 3, 8192), Instant::now(), 25.0, &prof);
+        std::thread::sleep(std::time::Duration::from_millis(3));
+        rec.sample(&SampleInput::basic(5, 7, 3, 8192), Instant::now(), &prof);
         let live = read();
         assert!(before >= 6, "the first phase ran for two 3 ms sleeps");
         assert_eq!((live.phase.as_str(), live.sample.states), ("explore/async", 5));
-        assert_eq!(live.sample.states_per_sec, 25.0, "the observer's rate");
-        assert_eq!(live.eta_ms, Some(((1000 - 5) as f64 / 25.0 * 1e3) as u64));
+        let rate = live.sample.states_per_sec;
+        assert!(rate > 0.0 && rate <= 5.0 / 0.003, "5 states since the phase began: {rate}");
+        assert_eq!(live.eta_ms, Some(((1000 - 5) as f64 / rate * 1e3) as u64));
         assert_eq!(live.seq, 3);
         rec.finish("Complete", 9, 11, 16384, &prof);
         let done = read();
@@ -1364,7 +1408,8 @@ mod tests {
     fn a_status_only_recorder_writes_no_timeline_and_publishes_nothing() {
         let dir = tmp_dir("status-only");
         let path = dir.join("status.json");
-        let rec = Recorder::new("specs/test.ccp", 0, 5, None, None, Some(path.clone()));
+        let status = Some(path.clone());
+        let rec = Recorder::new("specs/test.ccp", Duration::ZERO, 5, None, None, status, false);
         assert!(rec.enabled());
         rec.set_phase("explore", Instant::now());
         sample(&rec, &SampleInput::basic(3, 4, 1, 64), &Profiler::disabled());
@@ -1374,6 +1419,29 @@ mod tests {
         rec.publish(&reg);
         assert!(reg.snapshot().counters.is_empty());
         assert!(!dir.join(".status.json.tmp").exists(), "temp file renamed away");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The rate is the recorder's own: states gained since its previous
+    /// sample, or since the phase began, over the time between them — so
+    /// the first sample of a phase whose counters restart is not zero.
+    #[test]
+    fn the_rate_is_measured_from_the_previous_sample_or_the_phase_start() {
+        let dir = tmp_dir("rate");
+        let path = dir.join("status.json");
+        let rec = Recorder::new("x", Duration::ZERO, 5, None, None, Some(path.clone()), false);
+        let prof = Profiler::disabled();
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let rate = |states: u64, ms: u64| {
+            rec.sample(&SampleInput::basic(states, 2 * states, 1, 64), at(ms), &prof);
+            Status::read(&path).unwrap().sample.states_per_sec
+        };
+        rec.set_phase("explore/async", at(0));
+        assert_eq!(rate(100, 100), 1000.0);
+        assert_eq!(rate(400, 300), 1500.0);
+        rec.set_phase("check/progress", at(300));
+        assert_eq!(rate(50, 400), 500.0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -671,18 +671,6 @@ pub struct FaultState {
     ledger: Ledger,
 }
 
-impl FaultState {
-    /// Dropped messages not yet retransmitted in this configuration.
-    pub fn lost_in_flight(&self) -> usize {
-        self.ledger.lost.len()
-    }
-
-    /// Duplicate copies still sitting in link queues.
-    pub fn ghosts_in_flight(&self) -> usize {
-        self.ledger.ghosts.len()
-    }
-}
-
 impl FaultClosure<'_> {
     /// The base system's walk on `s.base`, each successor it shows
     /// wrapped in the ledger in `scratch`, less the deliveries the

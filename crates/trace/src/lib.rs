@@ -16,8 +16,10 @@
 //!   CLI's `--trace` flag and the model checker's counterexample export.
 //!
 //! Event producers live in `ccr-runtime` (per-step simulator events),
-//! `ccr-mc` (search heartbeats and counterexample paths) and `ccr-dsm`
-//! (machine runs). See `docs/observability.md` for the schema.
+//! `ccr-mc` (counterexample paths and search outcomes) and `ccr-dsm`
+//! (machine runs). Every event is a deterministic function of the run:
+//! periodic progress is the flight recorder's (`ccr-metrics`), not the
+//! trace's. See `docs/observability.md` for the schema.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -110,20 +112,6 @@ pub enum TraceEvent {
         /// Configured capacity `k`.
         capacity: u32,
     },
-    /// Periodic search progress (model checker only; never part of a
-    /// deterministic run trace).
-    Heartbeat {
-        /// States explored so far.
-        states: u64,
-        /// Current frontier length.
-        frontier: u64,
-        /// Approximate state-store bytes.
-        store_bytes: u64,
-        /// Exploration rate since the previous heartbeat.
-        states_per_sec: u64,
-        /// Wall-clock ms since the search began.
-        elapsed_ms: u64,
-    },
     /// The fault layer perturbed a link: a message was dropped,
     /// duplicated, reordered, or delivery was delayed for a step.
     FaultInjected {
@@ -214,14 +202,12 @@ impl TraceSink for NullSink {
 pub struct RingSink {
     cap: usize,
     buf: VecDeque<TraceEvent>,
-    /// Total events offered, including ones the ring has since dropped.
-    seen: u64,
 }
 
 impl RingSink {
     /// Ring keeping the last `cap` events (`cap` ≥ 1).
     pub fn new(cap: usize) -> Self {
-        RingSink { cap: cap.max(1), buf: VecDeque::new(), seen: 0 }
+        RingSink { cap: cap.max(1), buf: VecDeque::new() }
     }
 
     /// The retained tail, oldest first.
@@ -239,11 +225,6 @@ impl RingSink {
         self.buf.is_empty()
     }
 
-    /// Total events offered to the sink, including dropped ones.
-    pub fn total_seen(&self) -> u64 {
-        self.seen
-    }
-
     /// Consume the ring, yielding the retained tail oldest first.
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.buf.into()
@@ -252,7 +233,6 @@ impl RingSink {
 
 impl TraceSink for RingSink {
     fn emit(&mut self, ev: &TraceEvent) {
-        self.seen += 1;
         if self.buf.len() == self.cap {
             self.buf.pop_front();
         }
@@ -323,30 +303,6 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     }
 }
 
-/// Fans every event out to two sinks — e.g. a JSONL file plus a live
-/// progress printer. Enabled when either half is; each half only sees
-/// events while it is itself enabled.
-#[derive(Debug)]
-pub struct TeeSink<A, B>(pub A, pub B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-    fn emit(&mut self, ev: &TraceEvent) {
-        if self.0.enabled() {
-            self.0.emit(ev);
-        }
-        if self.1.enabled() {
-            self.1.emit(ev);
-        }
-    }
-    fn flush(&mut self) {
-        self.0.flush();
-        self.1.flush();
-    }
-}
-
 /// Forwarding impl so `&mut S` is itself a sink (handy for passing a
 /// sink down through several layers without giving it up).
 impl<S: TraceSink + ?Sized> TraceSink for &mut S {
@@ -389,7 +345,6 @@ mod tests {
             s.emit(&ev(i));
         }
         assert_eq!(s.len(), 3);
-        assert_eq!(s.total_seen(), 10);
         let seqs: Vec<u64> = s
             .into_events()
             .iter()
@@ -424,22 +379,5 @@ mod tests {
             json,
             "{\"Step\":{\"seq\":3,\"actor\":\"h\",\"kind\":\"Tau\",\"rule\":\"tau\",\"tag\":null}}"
         );
-    }
-
-    #[test]
-    fn tee_fans_out_and_respects_per_half_enabledness() {
-        let mut tee = TeeSink(RingSink::new(8), NullSink);
-        assert!(tee.enabled(), "one enabled half enables the tee");
-        tee.emit(&ev(1));
-        tee.emit(&ev(2));
-        assert_eq!(tee.0.len(), 2);
-
-        let both_off = TeeSink(NullSink, NullSink);
-        assert!(!both_off.enabled());
-
-        let mut both_on = TeeSink(RingSink::new(8), RingSink::new(8));
-        both_on.emit(&ev(5));
-        assert_eq!(both_on.0.len(), 1);
-        assert_eq!(both_on.1.len(), 1);
     }
 }

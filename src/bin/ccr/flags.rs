@@ -164,11 +164,11 @@ pub const FLAGS: &[Flag] = &[
     flag("--json", "", Switch, None, JSON,
         "one machine-readable JSON document on stdout instead of the human rendering"),
     flag("--trace", "FILE", Text, None, SEARCH,
-        "write heartbeats and any counterexample as a JSONL event stream"),
+        "write each search's outcome and any counterexample as a JSONL event stream"),
     flag("--progress", "", Switch, None, SEARCH,
-        "print live heartbeats (states, frontier, rate) to stderr"),
+        "print each flight-recorder sample (elapsed, states, frontier, rate) to stderr"),
     flag("--progress-interval", "SECS", Seconds(0.0), Some("1.0"), SEARCH,
-        "wall-clock heartbeat, status and timeline cadence"),
+        "wall-clock sampling cadence of --progress, --status and --timeline"),
     flag("--metrics", "PATH|-", Text, None, SEARCH | FUZZ,
         "collect pipeline metrics and write the snapshot (- = stdout, as the final line)"),
     flag("--metrics-format", "FORMAT", Choice(&["json", "prometheus"]), Some("json"), SEARCH | FUZZ,

@@ -78,12 +78,13 @@
 //!
 //! Observability flags (verify/table):
 //!
-//! * `--trace FILE` — write a JSONL event stream to FILE: search
-//!   heartbeats and, on a violation, the full counterexample replayed as
-//!   `Step`/`Send`/`Recv`/... events ending with an `Outcome` line (the
-//!   schema is documented in `docs/observability.md`).
-//! * `--progress` — print live heartbeats (states, frontier, rate) to
-//!   stderr during long explorations.
+//! * `--trace FILE` — write a JSONL event stream to FILE: each search's
+//!   `Outcome` and, on a violation, the full counterexample replayed as
+//!   `Step`/`Send`/`Recv`/... events before it (the schema is documented
+//!   in `docs/observability.md`). The stream is deterministic: the same
+//!   bytes at every `--progress-interval` and `--threads`.
+//! * `--progress` — print each flight-recorder sample (elapsed ms since
+//!   the run began, states, frontier, store KB, rate) to stderr.
 //! * `--json` — emit the reports as a single machine-readable JSON
 //!   document on stdout instead of the human tables (suitable for
 //!   `docs/results/`).
@@ -99,12 +100,13 @@
 //!   folded stacks to PATH (`-` = stdout), plus an attribution summary
 //!   (human output and the `profile` key of the JSON report). See
 //!   docs/observability.md, "Profiling and live runs".
-//! * `--progress-interval SECS` — wall-clock heartbeat/status interval
+//! * `--progress-interval SECS` — the flight recorder's wall-clock
+//!   sampling interval for `--progress`, `--status` and `--timeline`
 //!   (fractional seconds, default 1.0).
 //! * `--status PATH` — maintain a live status file (atomic-rename JSON)
 //!   that `ccr watch PATH` can follow from another process.
 //! * `--timeline PATH` — flight recorder: append one delta-encoded
-//!   JSONL sample per heartbeat interval (rates, frontier, store and
+//!   JSONL sample per sampling interval (rates, frontier, store and
 //!   spill bytes, per-worker span shares, checkpoint seq, process RSS)
 //!   to PATH, for `ccr timeline` analysis. Off by default; when off the
 //!   run is byte-identical to one without the flag.
@@ -129,8 +131,8 @@
 //!
 //! * `--spill-dir DIR` — checkpoint the two reachability sweeps into
 //!   per-phase subdirectories of DIR (`rendezvous/`, `async/`): an
-//!   append-only state log with a hash index, a writer lock, and an
-//!   atomically renamed manifest, plus a `meta.json` recording the
+//!   append-only state log (recovery re-reads it; there is no index
+//!   file), a writer lock, and an atomically renamed manifest, plus a `meta.json` recording the
 //!   engine shape for `--resume`. A killed run restarts from its last
 //!   checkpoint and finishes with byte-identical counts.
 //! * `--spill-bytes B` — in-memory byte budget for each sweep's visited

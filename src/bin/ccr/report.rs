@@ -46,7 +46,8 @@ pub fn run(p: &Parsed) -> Result<ExitCode, String> {
     };
     // Trace summary: events per variant (externally tagged JSONL).
     let mut trace_counts: Vec<(String, u64)> = Vec::new();
-    if let Ok(text) = std::fs::read_to_string(format!("{dir}/trace.jsonl")) {
+    let trace = std::fs::read_to_string(format!("{dir}/trace.jsonl")).ok();
+    if let Some(text) = &trace {
         for (i, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
             let ev = Json::parse(line).map_err(|e| format!("trace.jsonl line {}: {e}", i + 1))?;
             let variant = ev
@@ -69,7 +70,8 @@ pub fn run(p: &Parsed) -> Result<ExitCode, String> {
         }
         Err(_) => None,
     };
-    if verify.is_none() && metrics.is_none() && status.is_none() && profile.is_none() {
+    let found = verify.is_some() || metrics.is_some() || status.is_some() || profile.is_some();
+    if !found && trace.is_none() && timeline.is_none() {
         return Err(format!("no run artifacts found under {dir}"));
     }
 

@@ -16,7 +16,7 @@ use ccr_metrics::Registry;
 use ccr_runtime::asynch::AsyncSystem;
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::TransitionSystem;
-use ccr_trace::{JsonlSink, TraceEvent, TraceSink};
+use ccr_trace::{JsonlSink, NullSink, TraceSink};
 use serde::MapSer;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -28,45 +28,6 @@ use std::process::ExitCode;
 pub fn io_failure(verb: &str, path: impl std::fmt::Display, e: impl std::fmt::Display) -> ExitCode {
     eprintln!("ccr: cannot {verb} {path}: {e}");
     ExitCode::FAILURE
-}
-
-/// The event sink of a run: the `--trace` file and, with `--progress`,
-/// heartbeat lines on stderr. Each half only sees events while it is on.
-pub struct RunSink {
-    file: Option<JsonlSink<File>>,
-    progress: bool,
-}
-
-impl TraceSink for RunSink {
-    fn enabled(&self) -> bool {
-        self.file.is_some() || self.progress
-    }
-
-    fn emit(&mut self, ev: &TraceEvent) {
-        if let Some(file) = &mut self.file {
-            file.emit(ev);
-        }
-        if let (
-            true,
-            TraceEvent::Heartbeat { states, frontier, store_bytes, states_per_sec, elapsed_ms },
-        ) = (self.progress, ev)
-        {
-            eprintln!(
-                "  [{:>7} ms] {} states, frontier {}, {} KB, {} states/s",
-                elapsed_ms,
-                states,
-                frontier,
-                store_bytes / 1024,
-                states_per_sec
-            );
-        }
-    }
-
-    fn flush(&mut self) {
-        if let Some(file) = &mut self.file {
-            file.flush();
-        }
-    }
 }
 
 /// Evaluates `$run` with `$s` bound to the system a search phase should
@@ -118,10 +79,10 @@ pub fn artifact(p: &Parsed, flag: &str, name: &str) -> Option<String> {
     p.text(flag).or_else(|| p.text("--run-dir").map(|dir| format!("{dir}/{name}")))
 }
 
-/// One invocation's sink and telemetry, and where its end-of-run
-/// artifacts go.
+/// One invocation's sink — the `--trace` file, else a [`NullSink`] —
+/// and telemetry, and where its end-of-run artifacts go.
 pub struct Run {
-    pub sink: RunSink,
+    pub sink: Box<dyn TraceSink>,
     pub telemetry: Telemetry,
     profile: Option<String>,
     metrics: Option<String>,
@@ -135,14 +96,13 @@ impl Run {
     /// invocation's (it already timed the parse).
     pub fn start(p: &Parsed, registry: Registry) -> Result<Self, ExitCode> {
         let spec = &p.positionals[0];
-        let file = match artifact(p, "--trace", "trace.jsonl") {
+        let sink: Box<dyn TraceSink> = match artifact(p, "--trace", "trace.jsonl") {
             Some(path) => {
-                Some(JsonlSink::create(&path).map_err(|e| io_failure("create", &path, e))?)
+                Box::new(JsonlSink::create(&path).map_err(|e| io_failure("create", &path, e))?)
             }
-            None => None,
+            None => Box::new(NullSink),
         };
         let profile = artifact(p, "--profile", "profile.folded");
-        let interval = p.secs("--progress-interval");
         let status = match artifact(p, "--status", "status.json") {
             Some(path) => {
                 create_parent(&path)?;
@@ -164,7 +124,7 @@ impl Run {
             profiler: if profile.is_some() { Profiler::new() } else { Profiler::disabled() },
             timeline: Recorder::new(
                 spec,
-                interval.as_millis() as u64,
+                p.secs("--progress-interval"),
                 p.num("--stall-after") as u32,
                 // ETA against the state budget: an upper bound on
                 // remaining work, not a prediction of the reachable-set
@@ -172,11 +132,11 @@ impl Run {
                 Some(p.num("--budget")),
                 timeline,
                 status,
+                p.on("--progress"),
             ),
-            interval,
         };
         Ok(Run {
-            sink: RunSink { file, progress: p.on("--progress") },
+            sink,
             telemetry,
             profile,
             metrics: artifact(p, "--metrics", "metrics.json"),
@@ -200,7 +160,7 @@ impl Run {
     {
         let registry = &self.telemetry.registry;
         let _p = registry.phase(phase);
-        let mut obs = SearchObserver::for_phase(&mut self.sink, &self.telemetry, phase);
+        let mut obs = SearchObserver::for_phase(&mut *self.sink, &self.telemetry, phase);
         let exact = |r: &SearchReport| search.threads == 0 || r.outcome.is_complete();
         with_symmetry!(sys, reduce, registry, exact, |s| {
             search.explore(s, budget, |_| None, &mut obs)
@@ -222,7 +182,7 @@ impl Run {
     ) -> (SearchReport, SimRelReport, ProgressGraph) {
         let registry = &self.telemetry.registry;
         let _p = registry.phase(phase);
-        let mut obs = SearchObserver::for_phase(&mut self.sink, &self.telemetry, phase);
+        let mut obs = SearchObserver::for_phase(&mut *self.sink, &self.telemetry, phase);
         let exact = |r: &(SearchReport, _, _)| search.threads == 0 || r.0.outcome.is_complete();
         with_symmetry!(asys, reduce, registry, exact, |s| {
             search.verify(s, asys, rv, budget, |l| l.completes.is_some(), &mut obs)
@@ -239,7 +199,7 @@ impl Run {
         budget: &Budget,
     ) -> SimRelReport {
         let _p = self.telemetry.registry.phase(phase);
-        let mut obs = SearchObserver::for_phase(&mut self.sink, &self.telemetry, phase);
+        let mut obs = SearchObserver::for_phase(&mut *self.sink, &self.telemetry, phase);
         check_simulation_observed(asys, rv, budget, &mut obs)
     }
 
@@ -252,7 +212,7 @@ impl Run {
         phase: &str,
     ) -> ProgressReport {
         let _p = self.telemetry.registry.phase(phase);
-        let mut obs = SearchObserver::for_phase(&mut self.sink, &self.telemetry, phase);
+        let mut obs = SearchObserver::for_phase(&mut *self.sink, &self.telemetry, phase);
         graph.check(sys, &mut obs)
     }
 
@@ -272,7 +232,7 @@ impl Run {
     {
         let registry = &self.telemetry.registry;
         let _p = registry.phase(phase);
-        let mut obs = SearchObserver::for_phase(&mut self.sink, &self.telemetry, phase);
+        let mut obs = SearchObserver::for_phase(&mut *self.sink, &self.telemetry, phase);
         let exact = |r: &ProgressReport| search.threads == 0 || r.complete;
         with_symmetry!(sys, reduce, registry, exact, |s| {
             search.progress(s, budget, |l| l.completes.is_some(), &mut obs)

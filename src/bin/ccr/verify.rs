@@ -472,20 +472,25 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
     // would only bury the primary counterexample. `--async` skips them
     // with the rest of the checks.
     let mut fclosure = None;
+    // The closure's exploration, whose counts end the run when it ran.
+    let mut closure_swept = None;
     if let (true, false, Some(f)) = (clean_ok, async_only, fault_budget) {
         let fc = {
             let _p = run.telemetry.registry.phase("check/fault-closure");
             let mut obs =
-                SearchObserver::for_phase(&mut run.sink, &run.telemetry, "check/fault-closure");
+                SearchObserver::for_phase(&mut *run.sink, &run.telemetry, "check/fault-closure");
             // Safety, then progress, over every placement of up to `f`
             // faults: the closure is one more transition system for the
-            // same two checks.
+            // same two checks, each sweep opening the phase afresh.
             let closure = FaultClosure::new(asys.clone(), f);
-            FaultClosureReport {
+            let explored = search.explore(&closure, &budget, |_| None, &mut obs);
+            let fc = FaultClosureReport {
                 budget_faults: f,
-                explore: search.explore(&closure, &budget, |_| None, &mut obs).traced_report(),
+                explore: explored.traced_report(),
                 progress: search.progress(&closure, &budget, |l| l.completes.is_some(), &mut obs),
-            }
+            };
+            closure_swept = Some(explored.explore_report());
+            fc
         };
         if human {
             println!(
@@ -508,7 +513,7 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
             let w = {
                 let registry = &run.telemetry.registry;
                 let _p = registry.phase("check/fault-walks");
-                run_fault_walks(&asys, rates, spec_text, p.num("--seed"), &mut run.sink, registry)
+                run_fault_walks(&asys, rates, spec_text, p.num("--seed"), &mut *run.sink, registry)
             };
             if human {
                 w.print();
@@ -562,8 +567,12 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
         }
     }
     // Terminal counts for the status snapshot and the flight record: the
-    // exact async-level numbers (what the verify JSON reports), falling
-    // back to the rendezvous level.
-    run.finish(a.as_ref().or(r.as_ref()).map(SearchReport::explore_report))?;
+    // last search's. That is the fault closure when it ran — its progress
+    // sweep, which repeats the exploration's counts whenever that ran to
+    // the end or to the budget — else the asynchronous level (what the
+    // verify JSON reports), falling back to the rendezvous level.
+    let last =
+        closure_swept.or_else(|| a.as_ref().or(r.as_ref()).map(SearchReport::explore_report));
+    run.finish(last)?;
     Ok(if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }

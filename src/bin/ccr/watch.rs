@@ -98,7 +98,7 @@ pub fn run(p: &Parsed) -> ExitCode {
                 }
                 // Dead-run detection: the snapshot stopped advancing and
                 // its writer is gone. A *stalled but alive* run keeps
-                // bumping `seq` (status writes ride the heartbeat, not
+                // bumping `seq` (status writes ride the sampling gate, not
                 // forward progress), so this fires only when the process
                 // truly died between snapshots.
                 if last_advance.elapsed() > stale_timeout

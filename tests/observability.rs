@@ -165,3 +165,86 @@ fn cli_json_table_is_valid() {
     assert!(Json::parse(line).is_ok(), "{line}");
     assert!(line.contains("\"rows\""), "{line}");
 }
+
+/// Runs `ccr verify <spec> -n 3` with `flags` in the repository root and
+/// returns (exit code, stdout, stderr).
+fn verify_n3(spec: &str, flags: &[&str]) -> (Option<i32>, Vec<u8>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+        .args(["verify", spec, "-n", "3"])
+        .args(flags)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("spawn ccr");
+    (out.status.code(), out.stdout, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// The trace is the deterministic record of what a run did: the same
+/// bytes whatever the sampling cadence and however many threads feed the
+/// sweep — on a passing spec and on one whose trace carries a trail.
+#[test]
+fn cli_traces_are_byte_identical_at_every_interval_and_thread_count() {
+    let dir = std::env::temp_dir().join(format!("ccr-obs-det-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    for (spec, code) in [("specs/migratory.ccp", 0), ("specs/migratory_broken.ccp", 1)] {
+        let traces: Vec<Vec<u8>> =
+            [&["--progress-interval", "0"][..], &[][..], &["--threads", "2"][..]]
+                .iter()
+                .enumerate()
+                .map(|(i, flags)| {
+                    let path = dir.join(format!("trace{i}.jsonl"));
+                    let mut args = flags.to_vec();
+                    args.extend(["--trace", path.to_str().expect("utf-8 path")]);
+                    let (exit, _, err) = verify_n3(spec, &args);
+                    assert_eq!(exit, Some(code), "{spec} {flags:?}: {err}");
+                    std::fs::read(&path).expect("trace written")
+                })
+                .collect();
+        assert!(!traces[0].is_empty(), "{spec}: the trace holds at least the outcomes");
+        for (other, what) in [(&traces[1], "the default interval"), (&traces[2], "--threads 2")] {
+            let at = traces[0].iter().zip(other).position(|(a, b)| a != b);
+            assert!(
+                at.is_none() && traces[0].len() == other.len(),
+                "{spec}: interval 0 and {what} differ at byte {}",
+                at.unwrap_or(traces[0].len().min(other.len()))
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--progress` prints the flight recorder's samples on stderr, one line
+/// per sample in the documented shape, timed from the start of the run:
+/// across the phases of a multi-phase run the elapsed time never goes
+/// back, although each phase's counters start again. The report on
+/// stdout is the one a run without the flag prints.
+#[test]
+fn progress_lines_are_timed_from_the_start_of_the_run() {
+    let (exit, plain, _) = verify_n3("specs/migratory.ccp", &["--fault-budget", "1"]);
+    assert_eq!(exit, Some(0));
+    let flags = ["--fault-budget", "1", "--progress", "--progress-interval", "0"];
+    let (exit, stdout, stderr) = verify_n3("specs/migratory.ccp", &flags);
+    assert_eq!(exit, Some(0), "{stderr}");
+    assert_eq!(stdout, plain, "--progress changes nothing on stdout");
+    let mut last = (0u64, 0u64);
+    let mut restarts = 0;
+    for line in stderr.lines() {
+        // `  [{ms:>7} ms] S states, frontier F, K KB, R states/s`
+        let shape = line.strip_prefix("  [").and_then(|l| l.split_once(" ms] "));
+        let (ms, rest) = shape.unwrap_or_else(|| panic!("not a progress line: {line:?}"));
+        let words: Vec<&str> = rest.split(' ').collect();
+        assert!(
+            ms.len() >= 7
+                && matches!(words[..], [_, "states,", "frontier", _, _, "KB,", _, "states/s"]),
+            "not a progress line: {line:?}"
+        );
+        let num = |w: &str| w.trim_end_matches(',').parse::<u64>().expect(line);
+        for count in [words[3], words[4], words[6]] {
+            num(count);
+        }
+        let (ms, states) = (num(ms.trim_start()), num(words[0]));
+        assert!(ms >= last.0, "elapsed went back from {} to {ms} ms: {line:?}", last.0);
+        restarts += usize::from(states < last.1);
+        last = (ms, states);
+    }
+    assert!(restarts >= 2, "lines from every phase that sweeps:\n{stderr}");
+}

@@ -22,7 +22,6 @@ use ccr_metrics::Registry;
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_trace::JsonlSink;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 fn spec_text(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs").join(name);
@@ -90,7 +89,6 @@ fn zero_interval_timeline(dir: &Path, rep: usize) -> Timeline {
     let path = dir.join(format!("rep{rep}.jsonl"));
     let telemetry = Telemetry {
         timeline: Recorder::create(&path, "migratory", 0, 5).expect("create recorder"),
-        interval: Duration::ZERO,
         ..Telemetry::off()
     };
     let mut null = ccr_trace::NullSink;
@@ -317,4 +315,97 @@ fn a_version_1_timeline_is_refused() {
     let (code, err) = ccr_on("timeline", &path);
     assert_eq!(code, Some(1), "{err}");
     assert!(err.contains("timeline version 1 is not supported (this build reads 2)"), "{err}");
+}
+
+/// A `--fault-budget` run sweeps the fault closure twice under one
+/// phase name, exploration then progress. Each sweep opens the phase
+/// afresh, so no counter restarts inside a phase, and the end record
+/// holds the closure's counts: `ccr timeline` and `ccr report` read the
+/// recording back.
+#[test]
+fn a_fault_budget_recording_reads_back() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = tmp_dir("fault-budget");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+        .args(["verify", "specs/migratory.ccp", "-n", "2", "--fault-budget", "1"])
+        .args(["--progress-interval", "0", "--run-dir"])
+        .arg(&dir)
+        .current_dir(root)
+        .output()
+        .expect("run ccr");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for verb in ["timeline", "report"] {
+        let (code, err) = ccr_on(verb, &dir);
+        assert_eq!(code, Some(0), "ccr {verb}: {err}");
+    }
+    let timeline = Timeline::read(&dir.join("timeline.jsonl")).expect("timeline written");
+    let names: Vec<&str> = timeline.phases.iter().map(|(_, name)| name.as_str()).collect();
+    assert_eq!(names[names.len() - 2..], ["check/fault-closure", "check/fault-closure"]);
+    let verify = std::fs::read_to_string(dir.join("verify.json")).expect("verify.json");
+    let verify = Json::parse(verify.trim()).expect("verify.json parses");
+    let closure = |key: &str| verify.path(&format!("fault_closure.explore.{key}"));
+    let end = timeline.end.expect("end record");
+    assert_eq!(Some(end.states), closure("states").and_then(Json::as_u64));
+    assert_eq!(Some(end.transitions), closure("transitions").and_then(Json::as_u64));
+}
+
+/// A recorder header, one phase and one sample whose `ds` is `ds`.
+fn one_sample_timeline(ds: &str) -> String {
+    format!(
+        "{{\"k\":\"run\",\"version\":2,\"spec\":\"x\",\"interval_ms\":1000,\"stall_after\":5}}\n\
+         {{\"k\":\"phase\",\"dt_ms\":0,\"name\":\"explore\"}}\n\
+         {{\"k\":\"s\",\"dt_ms\":5,\"ds\":{ds},\"dx\":1,\"frontier\":1,\"store_bytes\":0,\
+         \"dspill\":0,\"dcompact\":0,\"ckpt\":0,\"rss_bytes\":null,\"spans\":{{}}}}\n"
+    )
+}
+
+/// Counters are read as written: 2^53 + 1 states come back as 2^53 + 1,
+/// and 2^64 — one past `u64` — is a line-numbered error, not `u64::MAX`.
+#[test]
+fn counters_keep_every_digit_and_stop_at_u64() {
+    let dir = tmp_dir("exact");
+    let path = dir.join("timeline.jsonl");
+    std::fs::write(&path, one_sample_timeline("9007199254740993")).expect("write timeline");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+        .arg("timeline")
+        .arg(&path)
+        .arg("--json")
+        .output()
+        .expect("run ccr timeline");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let doc = Json::parse(std::str::from_utf8(&out.stdout).unwrap().trim()).expect("valid JSON");
+    let phase = &doc.path("timeline.phases").and_then(Json::as_array).expect("phases")[0];
+    assert_eq!(phase.get("states").and_then(Json::as_u64), Some(9_007_199_254_740_993));
+
+    std::fs::write(&path, one_sample_timeline("18446744073709551616")).expect("write timeline");
+    let (code, err) = ccr_on("timeline", &path);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("line 3: `ds` is not a whole number within u64"), "{err}");
+}
+
+/// `ccr report` reads a run directory that holds one artifact alone,
+/// whichever it is — the timeline or the trace included.
+#[test]
+fn report_reads_a_timeline_or_a_trace_alone() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let full = tmp_dir("alone-full");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+        .args(["verify", "specs/migratory.ccp", "-n", "2", "--run-dir"])
+        .arg(&full)
+        .current_dir(root)
+        .output()
+        .expect("run ccr");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for (name, heading) in [("timeline.jsonl", "## Timeline"), ("trace.jsonl", "## Trace")] {
+        let dir = tmp_dir(&format!("alone-{name}"));
+        std::fs::copy(full.join(name), dir.join(name)).expect("copy artifact");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+            .arg("report")
+            .arg(&dir)
+            .output()
+            .expect("run ccr report");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{name}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout.contains(heading), "{name}: {stdout}");
+    }
 }

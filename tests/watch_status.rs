@@ -19,7 +19,8 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 /// A recorder keeping the status file at `path` alone, in phase
 /// `explore/async`.
 fn status_recorder(path: &Path) -> Recorder {
-    let rec = Recorder::new("specs/migratory.ccp", 0, 5, None, None, Some(path.to_path_buf()));
+    let status = Some(path.to_path_buf());
+    let rec = Recorder::new("specs/migratory.ccp", Duration::ZERO, 5, None, None, status, false);
     rec.set_phase("explore/async", Instant::now());
     rec
 }
@@ -27,7 +28,7 @@ fn status_recorder(path: &Path) -> Recorder {
 /// One sample of `states` states taken now.
 fn sample(rec: &Recorder, states: u64) {
     let at = SampleInput::basic(states, states * 3, states % 97, 64);
-    rec.sample(&at, Instant::now(), states as f64 * 3.25, &Profiler::disabled());
+    rec.sample(&at, Instant::now(), &Profiler::disabled());
 }
 
 #[test]
