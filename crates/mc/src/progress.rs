@@ -8,16 +8,23 @@
 //! backwards; any state left unmarked is a livelock witness, and any state
 //! with no successors at all is a deadlock.
 //!
-//! The reverse graph is stored in flat CSR form (an offsets array plus a
-//! targets array, two `Vec<u32>`s) rather than one `Vec` per state: edges
-//! are collected as `(dst, src)` pairs during the forward sweep and
-//! bucketed by a counting sort afterwards, so the backward BFS walks one
-//! contiguous slice per state instead of chasing per-state heap
-//! allocations.
+//! The sweep records the graph forward, in flat CSR form, as it goes: a
+//! breadth-first sweep expands states in index order, so per expanded
+//! state one `u32` offset and per transition one `u32` target — the
+//! successor lists back to back — is the whole adjacency, plus one
+//! progress flag per state. Whether a state has a successor is read off
+//! its offsets. The check turns it into the reverse CSR (an offsets
+//! array plus a sources array, bucketed by a counting sort) for the
+//! backward BFS, which walks one contiguous slice per state instead of
+//! chasing per-state heap allocations.
+//!
+//! The forward graph is also the witness's parent table: states are
+//! numbered in discovery order, so a state's first appearance among the
+//! targets is the edge the sweep first reached it by. The witness is read
+//! off it and replayed on the system; nothing else is kept per state.
 //!
 //! The forward sweep is not this module's: the check is a checker on the
-//! one sweep (`search::drive`) that keeps the edge list and two flags per
-//! state — at every thread count, since
+//! one sweep (`search::drive`) — at every thread count, since
 //! [`crate::search::Search::threads`] only moves successor generation off
 //! the sweep's thread — and it need not be a sweep of its own either:
 //! [`crate::search::Search::verify`] records the same [`ProgressGraph`]
@@ -29,31 +36,34 @@ use crate::report::{Outcome, ProgressReport};
 use crate::search::{
     drive, record_search_run, Budget, Checker, DriveRun, Inline, Search, SearchObserver,
 };
-use crate::trace::{conclude_with_trail, rebuild_trail, Parent};
+use crate::trace::{conclude_with_trail, trail_along};
 use ccr_metrics::profile::SpanKind;
 use ccr_runtime::{Label, TransitionSystem};
 use ccr_trace::NullSink;
 use std::collections::VecDeque;
 
-/// Builds the CSR adjacency `(offsets, targets)` over `n` nodes from
-/// `(node, target)` pairs — for the reverse graph, `node` is the edge's
-/// destination and `target` its source.
-fn build_csr(n: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = vec![0u32; n + 1];
-    for &(node, _) in edges {
-        offsets[node as usize + 1] += 1;
+/// The reverse of the forward CSR `(offsets, targets)` over `n` nodes —
+/// node `i`'s successors are `targets[offsets[i]..offsets[i + 1]]`, for
+/// the `offsets.len() - 1` nodes that have a list — as a CSR of its own:
+/// node `j`'s predecessors, in the order the forward lists name them.
+fn reverse_csr(n: usize, offsets: &[u32], targets: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut rev = vec![0u32; n + 1];
+    for &t in targets {
+        rev[t as usize + 1] += 1;
     }
     for i in 0..n {
-        offsets[i + 1] += offsets[i];
+        rev[i + 1] += rev[i];
     }
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    let mut targets = vec![0u32; edges.len()];
-    for &(node, tgt) in edges {
-        let c = &mut cursor[node as usize];
-        targets[*c as usize] = tgt;
-        *c += 1;
+    let mut cursor: Vec<u32> = rev[..n].to_vec();
+    let mut sources = vec![0u32; targets.len()];
+    for (src, w) in offsets.windows(2).enumerate() {
+        for &t in &targets[w[0] as usize..w[1] as usize] {
+            let c = &mut cursor[t as usize];
+            sources[*c as usize] = src as u32;
+            *c += 1;
+        }
     }
-    (offsets, targets)
+    (rev, sources)
 }
 
 /// Backward BFS over a reverse-graph CSR: marks every state from which a
@@ -79,22 +89,52 @@ fn propagate_good(n: usize, offsets: &[u32], targets: &[u32], seed: &[bool]) -> 
     good
 }
 
+/// The ordinals along the path by which the sweep first reached state
+/// `idx`, root first, read off its forward CSR (`offsets` closed by the
+/// total). New states are numbered in the order they are met, so state
+/// `j > 0` first appears among the targets where it was stored: at the
+/// `j`-th point where the next number shows up.
+fn first_path(offsets: &[u32], targets: &[u32], idx: u32) -> Vec<u32> {
+    let mut found = vec![0u32; idx as usize + 1];
+    let mut next = 1;
+    for (at, &t) in targets.iter().enumerate() {
+        if next > idx {
+            break;
+        }
+        if t == next {
+            found[t as usize] = at as u32;
+            next += 1;
+        }
+    }
+    let mut ordinals = Vec::new();
+    let mut cur = idx;
+    while cur != 0 {
+        let at = found[cur as usize];
+        let src = offsets.partition_point(|&o| o <= at) - 1;
+        ordinals.push(at - offsets[src]);
+        cur = src as u32;
+    }
+    ordinals.reverse();
+    ordinals
+}
+
 /// What the progress check keeps of a sweep — its own, or an
-/// exploration's it rode: the reverse graph as a flat `(dst, src)` edge
-/// list — CSR-bucketed by [`ProgressGraph::check`] — and, per state,
-/// whether it has a successor and whether one of its edges is a progress
-/// event; then the sweep's parent table, for the witness.
+/// exploration's it rode: the forward graph in CSR form, recorded in
+/// sweep order — per expanded state where its successors start, per
+/// transition its target — and per state whether one of its edges is a
+/// progress event.
 ///
-/// The edge list is eight bytes per transition for as long as the graph
-/// lives, which on a shared sweep includes the exploration itself.
+/// That is four bytes per transition, four per expanded state and one
+/// per state, for as long as the graph lives, which on a shared sweep
+/// includes the exploration itself (`mc_progress_graph_bytes`).
 pub struct ProgressGraph {
-    edges: Vec<(u32, u32)>,
-    has_progress_edge: Vec<bool>,
-    has_successor: Vec<bool>,
-    /// States whose expansion began. Only these have complete successor
+    /// Per state whose expansion began, in index order, where its
+    /// successors start in `targets`. Only these have complete successor
     /// information; unexpanded frontier states are not judged.
-    expanded: usize,
-    parents: Vec<Parent>,
+    offsets: Vec<u32>,
+    /// Every edge's target, the successor lists back to back.
+    targets: Vec<u32>,
+    has_progress_edge: Vec<bool>,
     /// Whether the sweep ran out of states rather than budget.
     complete: bool,
 }
@@ -108,20 +148,17 @@ pub(crate) struct ForwardGraph<G> {
 impl<G> ForwardGraph<G> {
     pub(crate) fn new(is_progress: G) -> Self {
         let seen = ProgressGraph {
-            edges: Vec::new(),
+            offsets: Vec::new(),
+            targets: Vec::new(),
             has_progress_edge: Vec::new(),
-            has_successor: Vec::new(),
-            expanded: 0,
-            parents: Vec::new(),
             complete: false,
         };
         ForwardGraph { is_progress, seen }
     }
 
-    /// The graph of a finished sweep, given the parent table it kept and
-    /// whether it saw everything.
-    pub(crate) fn swept(self, parents: Vec<Parent>, complete: bool) -> ProgressGraph {
-        ProgressGraph { parents, complete, ..self.seen }
+    /// The graph of a finished sweep, given whether it saw everything.
+    pub(crate) fn swept(self, complete: bool) -> ProgressGraph {
+        ProgressGraph { complete, ..self.seen }
     }
 }
 
@@ -130,13 +167,13 @@ impl<T: TransitionSystem, G: Fn(&Label) -> bool> Checker<T> for ForwardGraph<G> 
 
     fn on_new(&mut self, _state: &T::State, _idx: u32) -> Option<Outcome> {
         self.seen.has_progress_edge.push(false);
-        self.seen.has_successor.push(false);
         None
     }
 
     fn on_expand(&mut self, _state: &T::State, idx: u32) -> Option<Outcome> {
         // A breadth-first sweep expands states in index order.
-        self.seen.expanded = idx as usize + 1;
+        debug_assert_eq!(self.seen.offsets.len(), idx as usize);
+        self.seen.offsets.push(self.seen.targets.len() as u32);
         None
     }
 
@@ -149,8 +186,7 @@ impl<T: TransitionSystem, G: Fn(&Label) -> bool> Checker<T> for ForwardGraph<G> 
         _next: &T::State,
         _is_new: bool,
     ) -> Option<Outcome> {
-        self.seen.has_successor[src as usize] = true;
-        self.seen.edges.push((dst, src));
+        self.seen.targets.push(dst);
         if (self.is_progress)(label) {
             self.seen.has_progress_edge[src as usize] = true;
         }
@@ -166,41 +202,47 @@ impl ProgressGraph {
     /// replayed along the witness. `obs` gets the check's ending on its
     /// sink — the witness trail (shortest path to the first stuck state)
     /// as a replayed event stream ending with its outcome, or the bare
-    /// `Complete`/`Unfinished` event when nothing is stuck.
+    /// `Complete`/`Unfinished` event when nothing is stuck — and the
+    /// graph's size on its registry.
     pub fn check<T: TransitionSystem>(
         self,
         sys: &T,
         obs: &mut SearchObserver<'_>,
     ) -> ProgressReport {
-        let ProgressGraph { edges, has_progress_edge, has_successor, expanded, parents, complete } =
-            self;
+        let ProgressGraph { mut offsets, targets, has_progress_edge, complete } = self;
+        let n = has_progress_edge.len();
+        let expanded = offsets.len();
+        let bytes = 4 * targets.len() + 4 * expanded + n;
+        let help = "Bytes of the largest progress graph checked";
+        obs.telemetry().registry.gauge("mc_progress_graph_bytes", help).record_max(bytes as u64);
+        // Closed by the total, state `i`'s successors are
+        // `targets[offsets[i]..offsets[i + 1]]`.
+        offsets.push(targets.len() as u32);
+        let has_successor = |i: usize| offsets[i + 1] > offsets[i];
 
         // Backward propagation from progress states over the CSR reverse
         // graph.
         let mut timer = obs.telemetry().profiler.worker(0);
-        let n = has_successor.len();
-        let (offsets, targets) = build_csr(n, &edges);
-        drop(edges);
-        let good = propagate_good(n, &offsets, &targets, &has_progress_edge);
+        let (rev, sources) = reverse_csr(n, &offsets, &targets);
+        let good = propagate_good(n, &rev, &sources, &has_progress_edge);
+        drop((rev, sources));
         timer.lap(SpanKind::Progress, 1);
 
-        let deadlocked = (0..expanded).filter(|&i| !has_successor[i]).count();
-        let livelocked = (0..expanded).filter(|&i| has_successor[i] && !good[i]).count();
+        let deadlocked = (0..expanded).filter(|&i| !has_successor(i)).count();
+        let livelocked = (0..expanded).filter(|&i| has_successor(i) && !good[i]).count();
 
         // Witness: shortest trail (BFS order = insertion order) to the
         // first stuck state of either kind.
-        let first_dead = (0..expanded).find(|&i| !has_successor[i]);
-        let first_live = (0..expanded).find(|&i| has_successor[i] && !good[i]);
-        let bad = match (first_dead, first_live) {
-            (Some(d), Some(l)) => {
-                Some(if d <= l { (d, Outcome::Deadlock) } else { (l, Outcome::Livelock) })
-            }
-            (Some(d), None) => Some((d, Outcome::Deadlock)),
-            (None, Some(l)) => Some((l, Outcome::Livelock)),
-            (None, None) => None,
-        };
+        let bad = (0..expanded).find_map(|i| match (has_successor(i), good[i]) {
+            (false, _) => Some((i, Outcome::Deadlock)),
+            (true, false) => Some((i, Outcome::Livelock)),
+            (true, true) => None,
+        });
         let (witness, witness_outcome) = match bad {
-            Some((idx, out)) => (Some(rebuild_trail(sys, &parents, idx as u32)), Some(out)),
+            Some((idx, out)) => {
+                let ordinals = first_path(&offsets, &targets, idx as u32);
+                (Some(trail_along(sys, &ordinals)), Some(out))
+            }
             None => (None, None),
         };
         let swept = if complete { Outcome::Complete } else { Outcome::Unfinished };
@@ -223,18 +265,18 @@ impl ProgressGraph {
 }
 
 /// The ending of a sweep the check had to itself: the run's metrics,
-/// then the report. The visited set is let go first; only the graph and
-/// the parent table outlive the sweep.
+/// then the report. The visited set is let go first; only the graph
+/// outlives the sweep.
 pub(crate) fn swept_alone<T: TransitionSystem, G>(
     sys: &T,
     graph: ForwardGraph<G>,
     run: DriveRun,
     obs: &mut SearchObserver<'_>,
 ) -> ProgressReport {
-    let DriveRun { store, parents, transitions, peak_frontier, outcome, .. } = run;
+    let DriveRun { store, transitions, peak_frontier, outcome, .. } = run;
     record_search_run(&obs.telemetry().registry, store.len(), transitions, peak_frontier, &store);
     drop(store);
-    graph.swept(parents, outcome.is_complete()).check(sys, obs)
+    graph.swept(outcome.is_complete()).check(sys, obs)
 }
 
 /// [`Search::progress`] without threads, with samples and
@@ -260,7 +302,7 @@ pub fn check_progress_default<T: TransitionSystem>(sys: &T, budget: &Budget) -> 
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
     let mut graph = ForwardGraph::new(|l: &Label| l.completes.is_some());
-    let run = drive(sys, budget, &mut graph, Inline::new(sys, false), true, &mut obs, None);
+    let run = drive(sys, budget, &mut graph, Inline::new(sys, false), &mut obs, None);
     swept_alone(sys, graph, run, &mut obs)
 }
 

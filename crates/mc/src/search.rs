@@ -22,7 +22,7 @@ use crate::progress::{self, ForwardGraph, ProgressGraph};
 use crate::report::{ExploreReport, Outcome, ProgressReport, SearchReport, SimRelReport};
 use crate::simrel::Equation1;
 use crate::store::{hash_encoded, KeyAudit, Marking, Visited};
-use crate::trace::{conclude_with_trail, rebuild_trail, Parent, ROOT};
+use crate::trace::{conclude_with_trail, trail_to};
 use ccr_core::encode::Segment;
 use ccr_metrics::profile::{Profiler, SpanKind, SpanTimer};
 use ccr_metrics::timeseries::{Recorder, SampleInput};
@@ -580,13 +580,12 @@ pub fn report_from_manifest(m: &Manifest) -> SearchReport {
 }
 
 /// What a search does besides reaching states. [`drive`] owns the sweep
-/// — frontier, visited set, budget, parent table, checkpoints,
-/// samples — and calls these hooks as it goes; a checker keeps
-/// whatever it wants to say about the graph afterwards. Every hook
-/// defaults to "nothing to add", so a checker names only the events it
-/// judges, and a hook that returns an outcome ends the sweep with it
-/// (the trail, when tracked, leads to the state the hook was called
-/// for).
+/// — frontier, visited set, budget, checkpoints, samples — and calls
+/// these hooks as it goes; a checker keeps whatever it wants to say
+/// about the graph afterwards. Every hook defaults to "nothing to add",
+/// so a checker names only the events it judges, and a hook that returns
+/// an outcome ends the sweep with it (its trail leads to the state the
+/// hook was called for).
 ///
 /// Call order, per sweep: `on_new(root, 0)`; then for each state popped
 /// from the frontier `on_expand`, then for each successor in order, as
@@ -768,13 +767,10 @@ impl<T: TransitionSystem, F: FnMut(&T::State) -> Option<String>> Checker<T> for 
 }
 
 /// The raw result of one [`drive`] run: what the sweep itself counted,
-/// plus the visited set and parent table a checker may need afterwards.
+/// plus the visited set a checker may need afterwards.
 pub(crate) struct DriveRun {
     /// The visited set as it stood when the search ended.
     pub(crate) store: Visited,
-    /// With `track_trails`: one `(parent, ordinal)` entry per stored
-    /// state, for [`rebuild_trail`]. Empty otherwise.
-    pub(crate) parents: Vec<Parent>,
     /// Transitions generated.
     pub(crate) transitions: usize,
     /// Largest frontier (BFS queue or DFS stack) observed.
@@ -783,13 +779,19 @@ pub(crate) struct DriveRun {
     pub(crate) elapsed: Duration,
     /// How the search ended.
     pub(crate) outcome: Outcome,
-    /// With `track_trails`: labels along the path to the offending state
-    /// for violating outcomes, `None` otherwise.
-    pub(crate) trail: Option<Vec<Label>>,
+    /// For a violating outcome, the stored state its trail leads to:
+    /// [`trail_to`] replays the sweep to it. `None` for every other
+    /// outcome, and for a resumed sweep, whose recovered states were
+    /// never reached by this process.
+    pub(crate) leads_to: Option<u32>,
+    /// Whether the source expanded states in index order, rather than
+    /// from a stack: a replay has to take the same order.
+    pub(crate) breadth_first: bool,
 }
 
 impl DriveRun {
-    /// The public view of this run.
+    /// The public view of this run, without a trail; the visited set is
+    /// released here.
     pub(crate) fn report(self) -> SearchReport {
         SearchReport {
             states: self.store.len(),
@@ -798,9 +800,24 @@ impl DriveRun {
             store_bytes: self.store.approx_bytes(),
             peak_frontier: self.peak_frontier,
             outcome: self.outcome,
-            trail: self.trail,
+            trail: None,
             restored: false,
         }
+    }
+
+    /// [`DriveRun::report`], with the trail to the state the outcome
+    /// names when `trails` asks for one. The trail is replayed only once
+    /// the visited set is gone, so a violating run peaks no higher than
+    /// its sweep did.
+    pub(crate) fn report_with_trail<T: TransitionSystem>(
+        self,
+        sys: &T,
+        trails: bool,
+    ) -> SearchReport {
+        let (leads_to, breadth_first) = (self.leads_to.filter(|_| trails), self.breadth_first);
+        let mut report = self.report();
+        report.trail = leads_to.map(|at| trail_to(sys, at, breadth_first));
+        report
     }
 }
 
@@ -1412,12 +1429,12 @@ where
 
 /// The one sweep: reachability over `sys` within `budget`, expanding the
 /// states `src` hands back — in BFS order, or DFS from an [`Inline`]
-/// stack — with optional parent tracking (`track_trails`, eight bytes per
-/// state — see [`crate::trace::Parent`]) for shortest-counterexample
-/// reconstruction. What the sweep is *for* is the `checker`'s business
-/// ([`Checker`]): plain exploration, Equation 1 ([`crate::simrel`]) and
-/// the progress check ([`crate::progress`]) are three checkers on this
-/// loop.
+/// stack. It keeps no parent table: a violating run ends with the index
+/// of the state its trail leads to, and [`trail_to`] replays the sweep
+/// to that state when a trail is wanted. What the sweep is *for* is the
+/// `checker`'s business ([`Checker`]): plain exploration, Equation 1
+/// ([`crate::simrel`]) and the progress check ([`crate::progress`]) are
+/// three checkers on this loop.
 ///
 /// Keeping the expansion loop in one place is also what lets a
 /// state-space reduction (e.g. [`crate::symmetry`]) slot in under every
@@ -1429,13 +1446,11 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
     budget: &Budget,
     checker: &mut C,
     mut src: S,
-    track_trails: bool,
     obs: &mut SearchObserver<'_>,
     mut persist: Option<&mut SerialPersist>,
 ) -> DriveRun {
     let started = Instant::now();
     let mut store = persist.as_deref_mut().and_then(|p| p.store.take()).unwrap_or_default();
-    let mut parents: Vec<Parent> = Vec::new();
     // The two decoded states of the sweep: the one being expanded, and
     // the one its successors are built in.
     let mut state = sys.initial();
@@ -1445,15 +1460,13 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
     let mut timer = obs.telemetry().profiler.worker(0);
     let mut at = SampleInput::default();
     let resumed = persist.as_deref().is_some_and(|p| p.resumed);
-    // A resumed run has no parent pointers for recovered states, so
-    // trail reconstruction is disabled: the counts and outcome are
-    // byte-identical, the counterexample path is only available from an
-    // uninterrupted (or fresh) run.
-    let track_trails = track_trails && !resumed;
+    let breadth_first = src.breadth_first();
     obs.sweep_starts();
 
-    // Ends the sweep with `$outcome`; `$at`, when given, is the state a
-    // tracked trail leads to.
+    // Ends the sweep with `$outcome`; `$at`, when given, is the state its
+    // trail leads to. A resumed run names none: the counts and outcome
+    // are byte-identical, the counterexample path is only available from
+    // an uninterrupted (or fresh) run.
     macro_rules! done {
         ($outcome:expr) => {
             done!($outcome, None::<u32>)
@@ -1464,9 +1477,9 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
                 peak_frontier,
                 elapsed: started.elapsed(),
                 outcome: $outcome,
-                trail: $at.filter(|_| track_trails).map(|at| rebuild_trail(sys, &parents, at)),
+                leads_to: $at.filter(|_| !resumed),
+                breadth_first,
                 store,
-                parents,
             }
         };
     }
@@ -1479,7 +1492,7 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
         };
     }
 
-    if persist.is_some() && !src.breadth_first() {
+    if persist.is_some() && !breadth_first {
         done!(Outcome::PersistFailure("depth-first search does not support persistence".into()));
     }
 
@@ -1506,9 +1519,6 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
         store.insert_state(sys, &state, None);
         if let Some(audit) = src.audit() {
             audit.check(sys, &store, &state, 0);
-        }
-        if track_trails {
-            parents.push(ROOT);
         }
         check!(checker.on_new(&state, 0), 0);
         src.push(sys, &store, &state, 0);
@@ -1580,16 +1590,12 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
             }
             let judged = checker.on_edge(idx, &state, &label, nidx, next, is_new);
             C::lap(&mut timer);
-            let nth = ordinal;
             ordinal += 1;
             if let Some(outcome) = judged {
                 ended = Some((outcome, Some(idx)));
             } else if is_new {
                 if let Some(p) = persist.as_deref() {
                     p.crash.tick();
-                }
-                if track_trails {
-                    parents.push((idx, nth));
                 }
                 if let Some(outcome) = checker.on_new(next, nidx) {
                     ended = Some((outcome, Some(nidx)));
@@ -1617,28 +1623,28 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
 }
 
 /// The exploration's ending, whatever rode its sweep — in this order:
-/// the terminal manifest of a persisted run, the observer's ending (the
-/// counterexample replayed to its sink when there is a trail, the bare
-/// outcome event otherwise) and the run's metrics. Returns the report
-/// and the parent table the sweep kept (empty without trails).
+/// the terminal manifest of a persisted run, the run's metrics, the
+/// trail when `trails` asks for one (replayed once the visited set is
+/// released) and the observer's ending (the counterexample replayed to
+/// its sink when there is a trail, the bare outcome event otherwise).
 fn explored<T: TransitionSystem>(
     sys: &T,
     mut run: DriveRun,
+    trails: bool,
     obs: &mut SearchObserver<'_>,
     mut persist: Option<&mut SerialPersist>,
-) -> (SearchReport, Vec<Parent>) {
+) -> SearchReport {
     if let Some(p) = persist.as_deref_mut() {
         p.conclude(&mut run, &obs.telemetry().registry);
     }
-    conclude_with_trail(sys, &run.outcome, run.trail.as_deref(), obs);
     let reg = &obs.telemetry().registry;
     record_search_run(reg, run.store.len(), run.transitions, run.peak_frontier, &run.store);
-    let parents = std::mem::take(&mut run.parents);
-    let mut report = run.report();
+    let mut report = run.report_with_trail(sys, trails);
+    conclude_with_trail(sys, &report.outcome, report.trail.as_deref(), obs);
     if let Some(p) = persist {
         report.elapsed += p.elapsed_base();
     }
-    (report, parents)
+    report
 }
 
 /// An unthreaded exploration from sweep to report: [`drive`] under the
@@ -1658,8 +1664,8 @@ pub(crate) fn explore_with<T: TransitionSystem>(
     let invariant: &mut dyn FnMut(&T::State) -> Option<String> = &mut invariant;
     let mut checker = Explore { invariant, check_deadlock };
     let src = Inline::new(sys, false);
-    let run = drive(sys, budget, &mut checker, src, trails, obs, persist.as_deref_mut());
-    explored(sys, run, obs, persist).0
+    let run = drive(sys, budget, &mut checker, src, obs, persist.as_deref_mut());
+    explored(sys, run, trails, obs, persist)
 }
 
 /// How to run a search — the one options value behind every exploration
@@ -1670,9 +1676,11 @@ pub struct Search<'a> {
     /// Abort with [`Outcome::Deadlock`] on a state with no successors
     /// (protocols in the paper's model run forever).
     pub check_deadlock: bool,
-    /// Keep a parent pointer per state so a violating run carries a
-    /// shortest counterexample trail, exported to the observer's sink as
-    /// a replayed event stream.
+    /// Give a violating run its shortest counterexample trail, exported
+    /// to the observer's sink as a replayed event stream. The sweep keeps
+    /// no parent table for it: the trail comes from a second sweep, up to
+    /// the offending state, once the first has let its visited set go
+    /// ([`crate::trace`]).
     pub trails: bool,
     /// Worker threads generating and encoding successors ahead of the
     /// sweep; 0 does both inline. The sweep itself — and so every count,
@@ -1705,7 +1713,6 @@ impl Search<'_> {
         sys: &T,
         budget: &Budget,
         checker: &mut C,
-        trails: bool,
         obs: &mut SearchObserver<'_>,
         persist: Option<&mut SerialPersist>,
     ) -> DriveRun
@@ -1716,11 +1723,11 @@ impl Search<'_> {
     {
         if self.threads == 0 {
             let src = Inline { audit: self.audit, ..Inline::new(sys, false) };
-            drive(sys, budget, checker, src, trails, obs, persist)
+            drive(sys, budget, checker, src, obs, persist)
         } else {
             let telemetry = obs.telemetry().clone();
             feed(sys, self.threads, self.stall_ms, self.audit, &telemetry, |src| {
-                drive(sys, budget, checker, src, trails, obs, persist)
+                drive(sys, budget, checker, src, obs, persist)
             })
         }
     }
@@ -1764,15 +1771,15 @@ impl Search<'_> {
         // source, not once more per caller's closure.
         let invariant: &dyn Fn(&T::State) -> Option<String> = &invariant;
         let mut checker = Explore { invariant, check_deadlock: self.check_deadlock };
-        let run = self.sweep(sys, budget, &mut checker, self.trails, obs, persist.as_deref_mut());
-        explored(sys, run, obs, persist.as_deref_mut()).0
+        let run = self.sweep(sys, budget, &mut checker, obs, persist.as_deref_mut());
+        explored(sys, run, self.trails, obs, persist.as_deref_mut())
     }
 
     /// The §2.5 forward-progress check ([`crate::progress`]) on a sweep
     /// of its own; `is_progress` classifies labels as progress events. Of
-    /// the options only `threads` applies: the check always keeps parents
-    /// for its witness, never persists, and is not a stall-injection
-    /// site.
+    /// the options only `threads` applies: the check always reads its
+    /// witness off the graph it records, never persists, and is not a
+    /// stall-injection site.
     pub fn progress<T, G>(
         &self,
         sys: &T,
@@ -1787,7 +1794,7 @@ impl Search<'_> {
     {
         let mut graph = ForwardGraph::new(is_progress);
         let alone = Search { stall_ms: 0, ..*self };
-        let run = alone.sweep(sys, budget, &mut graph, true, obs, None);
+        let run = alone.sweep(sys, budget, &mut graph, obs, None);
         progress::swept_alone(sys, graph, run, obs)
     }
 
@@ -1810,6 +1817,12 @@ impl Search<'_> {
     /// nobody should judge. [`ProgressGraph::check`] turns it into the
     /// report, whenever the caller gets to it.
     ///
+    /// No parent table is kept, for either: the exploration's trail is
+    /// replayed once the sweep's visited set is released, when `trails`
+    /// wants one, and the progress witness is read off the graph. The
+    /// sweep holds the visited set, the frontier and the graph's four
+    /// bytes per transition, four per expanded state and one per state.
+    ///
     /// `persist` is not consulted: riders must be shown every state, and
     /// a resumed sweep does not re-announce the ones it recovered.
     /// Checkpointed runs explore with [`Search::explore`] and check
@@ -1831,17 +1844,12 @@ impl Search<'_> {
         let explore = Explore { invariant, check_deadlock: self.check_deadlock };
         let equation1 = Riding::new(Equation1::new(sys, async_sys, rv_sys));
         let mut checker = (explore, (equation1, ForwardGraph::new(is_progress)));
-        // The parent table is always kept: the progress witness is read
-        // off it.
-        let mut run = self.sweep(sys, budget, &mut checker, true, obs, None);
-        if !self.trails {
-            run.trail = None;
-        }
-        let (report, parents) = explored(sys, run, obs, None);
+        let run = self.sweep(sys, budget, &mut checker, obs, None);
+        let report = explored(sys, run, self.trails, obs, None);
         let (equation1, graph) = checker.1;
         let equation1 = equation1.report(&report.outcome);
-        let complete = report.outcome.is_complete();
-        (report, equation1, graph.swept(parents, complete))
+        let graph = graph.swept(report.outcome.is_complete());
+        (report, equation1, graph)
     }
 }
 
@@ -1882,7 +1890,7 @@ pub fn explore_dfs<T: TransitionSystem>(
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
     let mut checker = Explore { invariant, check_deadlock };
-    drive(sys, budget, &mut checker, Inline::new(sys, true), false, &mut obs, None)
+    drive(sys, budget, &mut checker, Inline::new(sys, true), &mut obs, None)
         .report()
         .explore_report()
 }
@@ -2157,7 +2165,7 @@ mod tests {
             let mut obs = SearchObserver::new(&mut null);
             let mut checker = Explore { invariant: |_: &_| None, check_deadlock: false };
             let truncated =
-                drive(sys, &Budget::states(states), &mut checker, src, false, &mut obs, Some(p));
+                drive(sys, &Budget::states(states), &mut checker, src, &mut obs, Some(p));
             assert_eq!(truncated.outcome, Outcome::Unfinished);
         }
         let spec = token_spec();

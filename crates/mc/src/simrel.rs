@@ -276,7 +276,7 @@ pub fn check_simulation_observed(
     obs: &mut SearchObserver<'_>,
 ) -> SimRelReport {
     let mut checker = Equation1::new(async_sys, async_sys, rv_sys);
-    let run = Search::default().sweep(async_sys, budget, &mut checker, false, obs, None);
+    let run = Search::default().sweep(async_sys, budget, &mut checker, obs, None);
     let reg = &obs.telemetry().registry;
     record_search_run(reg, run.store.len(), run.transitions, run.peak_frontier, &run.store);
     checker.report(run.outcome)
@@ -397,7 +397,7 @@ mod tests {
         let mut null = NullSink;
         let mut obs = SearchObserver::new(&mut null);
         let src = Inline::new(async_sys, false);
-        let run = drive(async_sys, budget, &mut checker, src, false, &mut obs, None);
+        let run = drive(async_sys, budget, &mut checker, src, &mut obs, None);
         // A violating edge's target was stored by the sweep, but is not
         // among the states examined.
         let (complete, violation) = ending(run.outcome);
@@ -482,8 +482,7 @@ mod tests {
         let mut checker = Equation1::new(&asys, &asys, &rv);
         let mut null = NullSink;
         let mut obs = SearchObserver::new(&mut null);
-        let run =
-            Search::default().sweep(&asys, &Budget::default(), &mut checker, false, &mut obs, None);
+        let run = Search::default().sweep(&asys, &Budget::default(), &mut checker, &mut obs, None);
         let report = checker.report(run.outcome);
         assert!(report.holds(), "{report:?}");
         assert_eq!(checker.abs_calls, run.store.len());

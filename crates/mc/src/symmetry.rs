@@ -1026,6 +1026,10 @@ impl<T: Symmetric> TransitionSystem for Reduced<'_, T> {
         if !self.active {
             return self.inner.encode_into(s, from, out);
         }
+        if crate::trace::replaying() {
+            canonical_into(self.inner, s, from, out);
+            return;
+        }
         if let (Some(audit), Some(from)) = (&self.audit, from) {
             audit.lock().expect("audit lock").check(self.inner, s, from);
         }

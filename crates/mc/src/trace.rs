@@ -1,11 +1,15 @@
-//! Counterexample extraction: reachability with parent tracking.
+//! Counterexample extraction: trails by replay.
 //!
 //! When an invariant fails or a deadlock is found, a bare verdict is far
 //! less useful than the *path* that leads there — SPIN prints a trail, and
-//! so do we. With [`crate::search::Search::trails`] the breadth-first
-//! search keeps one eight-byte parent pointer per state (no label — a
-//! passing run never reads one), reconstructing the shortest event trace
-//! to the first violation by replay.
+//! so do we. The sweep itself keeps nothing for it — a passing run never
+//! reads a trail — and ends with the index of the offending state. With
+//! [`crate::search::Search::trails`] the same system is then swept again,
+//! in the same order, this time with an eight-byte `(parent, ordinal)`
+//! per state, until that index is stored (`trail_to`); walking those
+//! entries back and replaying `successors` forward gives the shortest
+//! event trace to the first violation (the path a depth-first sweep took,
+//! for one of those).
 //! [`export_trail`] replays that trail through the system while
 //! narrating every step to a [`TraceSink`], producing a JSONL
 //! counterexample that uses the exact event expansion of a live simulator
@@ -13,10 +17,11 @@
 //! sceptical users) can confirm the final state really is the bad one.
 
 use crate::report::Outcome;
-use crate::search::{explore_with, Budget, SearchObserver, SerialPersist};
+use crate::search::{drive, explore_with, Budget, Checker, Inline, SearchObserver, SerialPersist};
 use ccr_runtime::observe::emit_label_events;
 use ccr_runtime::{Label, TransitionSystem};
-use ccr_trace::{TraceEvent, TraceSink};
+use ccr_trace::{NullSink, TraceEvent, TraceSink};
+use std::cell::Cell;
 
 /// A reachability result carrying an optional counterexample trail.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
@@ -69,41 +74,120 @@ pub(crate) fn trail_text(trail: Option<&[Label]>) -> String {
     }
 }
 
-/// One entry of a search's trail table, indexed like the state store:
-/// `(parent, ordinal)` — the state this one was first reached from, and
-/// the position of that edge in the parent's successor list.
-pub(crate) type Parent = (u32, u32);
+/// One entry of a replayed sweep's parent table, indexed like the state
+/// store: `(parent, ordinal)` — the state this one was first reached
+/// from, and the position of that edge in the parent's successor list.
+type Parent = (u32, u32);
 
-/// The trail-table entry of the initial state (store index 0), which has
-/// no parent; never followed.
-pub(crate) const ROOT: Parent = (0, 0);
+/// The replay's checker: the parent table of the sweep up to `target`,
+/// which ends the sweep as soon as it is stored.
+struct Trailing {
+    parents: Vec<Parent>,
+    target: u32,
+    /// The position of the next edge in its source's successor list.
+    ordinal: u32,
+}
 
-/// Rebuilds the label trail from the initial state to state `idx`, in
-/// firing order: walks the parent entries back to the root, then replays
-/// `successors` forward from `initial()`, taking the recorded ordinal at
-/// each step.
+impl<T: TransitionSystem> Checker<T> for Trailing {
+    fn on_expand(&mut self, _state: &T::State, _idx: u32) -> Option<Outcome> {
+        self.ordinal = 0;
+        None
+    }
+
+    fn on_edge(
+        &mut self,
+        src: u32,
+        _state: &T::State,
+        _label: &Label,
+        dst: u32,
+        _next: &T::State,
+        is_new: bool,
+    ) -> Option<Outcome> {
+        let nth = self.ordinal;
+        self.ordinal += 1;
+        if !is_new {
+            return None;
+        }
+        self.parents.push((src, nth));
+        (dst == self.target).then_some(Outcome::Complete)
+    }
+}
+
+thread_local! {
+    /// Whether this thread is sweeping for a trail ([`trail_to`]).
+    static REPLAYING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is replaying a sweep for its trail. The
+/// replay encodes states the sweep already encoded, so a system that
+/// counts its encodings ([`crate::symmetry::Reduced`]'s orbit counters
+/// and audit) leaves these out: its counts stay the sweep's own.
+pub(crate) fn replaying() -> bool {
+    REPLAYING.with(Cell::get)
+}
+
+/// Marks the calling thread as replaying until dropped.
+struct Replay;
+
+impl Replay {
+    fn start() -> Self {
+        REPLAYING.with(|r| r.set(true));
+        Replay
+    }
+}
+
+impl Drop for Replay {
+    fn drop(&mut self) {
+        REPLAYING.with(|r| r.set(false));
+    }
+}
+
+/// The label trail from the initial state to state `idx` of a finished
+/// sweep of `sys`, in firing order. `sys` is swept again — breadth-first,
+/// or depth-first like a stack-driven sweep, on the calling thread,
+/// unobserved and without a budget — keeping a parent table until `idx`
+/// is stored; the table's entries are then walked back to the root.
 ///
-/// The replay visits exactly the states the search did, because a
-/// frontier only ever holds states produced this way — the *actual*
-/// successors (under [`crate::symmetry::Reduced`] too: only the store key
-/// is canonical) — and because successor order is a pure function of the
-/// state, which every pinned state and transition count already rests on.
-pub(crate) fn rebuild_trail<T: TransitionSystem>(
-    sys: &T,
-    parents: &[Parent],
-    idx: u32,
-) -> Vec<Label> {
+/// The replay stores the same states under the same indices as the
+/// sweep it repeats, up to `idx` and whatever its thread count: an index
+/// depends only on the system (its keys, canonical under
+/// [`crate::symmetry::Reduced`]) and the order states are expanded in,
+/// and the sweep got this far without ending.
+pub(crate) fn trail_to<T: TransitionSystem>(sys: &T, idx: u32, breadth_first: bool) -> Vec<Label> {
+    // The root's entry is never followed.
+    let mut trailing = Trailing { parents: vec![(0, 0)], target: idx, ordinal: 0 };
+    if idx != 0 {
+        let _replay = Replay::start();
+        let mut null = NullSink;
+        let mut obs = SearchObserver::new(&mut null);
+        let src = Inline::new(sys, !breadth_first);
+        drive(sys, &Budget::default(), &mut trailing, src, &mut obs, None);
+    }
     let mut ordinals = Vec::new();
     let mut cur = idx;
     while cur != 0 {
-        let (parent, ordinal) = parents[cur as usize];
+        let (parent, ordinal) = trailing.parents[cur as usize];
         ordinals.push(ordinal);
         cur = parent;
     }
+    drop(trailing);
+    ordinals.reverse();
+    trail_along(sys, &ordinals)
+}
+
+/// The labels of the path from the initial state that takes, at step
+/// `i`, the `ordinals[i]`-th successor, in firing order.
+///
+/// This visits exactly the states the search did, because a frontier
+/// only ever holds states produced this way — the *actual* successors
+/// (under [`crate::symmetry::Reduced`] too: only the store key is
+/// canonical) — and because successor order is a pure function of the
+/// state, which every pinned state and transition count already rests on.
+pub(crate) fn trail_along<T: TransitionSystem>(sys: &T, ordinals: &[u32]) -> Vec<Label> {
     let mut state = sys.initial();
     let mut succs = Vec::new();
     let mut labels = Vec::with_capacity(ordinals.len());
-    for &ordinal in ordinals.iter().rev() {
+    for &ordinal in ordinals {
         sys.successors(&state, &mut succs).expect("the search already expanded this state");
         let (label, next) = succs.swap_remove(ordinal as usize);
         labels.push(label);
@@ -327,7 +411,7 @@ mod tests {
     }
 
     /// Depth-first order reaches states along long, non-shortest paths and
-    /// pops the frontier from the back — the rebuilt trail must still be
+    /// pops the frontier from the back — the replayed trail must still be
     /// the path the search took. (No public entry point pairs DFS with
     /// trails, so this drives the engine directly.)
     #[test]
@@ -341,17 +425,9 @@ mod tests {
             let mut checker =
                 crate::search::Explore { invariant: |_: &T::State| None, check_deadlock: true };
             let stack = crate::search::Inline::new(sys, true);
-            let run = crate::search::drive(
-                sys,
-                &Budget::default(),
-                &mut checker,
-                stack,
-                true,
-                &mut obs,
-                None,
-            );
+            let run = drive(sys, &Budget::default(), &mut checker, stack, &mut obs, None);
             assert_eq!(run.outcome, Outcome::Deadlock);
-            let trail = run.trail.expect("trail");
+            let trail = run.report_with_trail(sys, true).trail.expect("trail");
             let end = replay_trail(sys, &trail).expect("trail must replay");
             let mut succs = Vec::new();
             sys.successors(&end, &mut succs).unwrap();
@@ -368,6 +444,64 @@ mod tests {
             2,
             AsyncConfig::default(),
         )));
+    }
+
+    /// The depth-first trails of the test above, and of an invariant a
+    /// depth-first sweep of the correct migratory spec breaks deep down,
+    /// as the sweep that kept a parent table gave them
+    /// (`tests/golden/depth_first_trails.jsonl`). A replay in any other
+    /// order stores other states under these indices, and leads elsewhere.
+    #[test]
+    fn depth_first_trails_equal_the_golden() {
+        use ccr_core::refine::{refine, RefineOptions};
+        use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
+
+        fn dfs_trail<T: TransitionSystem>(
+            sys: &T,
+            invariant: impl FnMut(&T::State) -> Option<String>,
+            check_deadlock: bool,
+        ) -> Vec<Label> {
+            let mut null = NullSink;
+            let mut obs = SearchObserver::new(&mut null);
+            let mut checker = crate::search::Explore { invariant, check_deadlock };
+            let stack = crate::search::Inline::new(sys, true);
+            let run = drive(sys, &Budget::default(), &mut checker, stack, &mut obs, None);
+            assert!(!run.outcome.is_complete());
+            run.report_with_trail(sys, true).trail.expect("trail")
+        }
+
+        let spec_of = |text: &str| ccr_core::text::parse_validated(text).expect("parse");
+        let broken = spec_of(include_str!("../../../specs/migratory_broken.ccp"));
+        let refined = refine(&broken, &RefineOptions::default()).expect("refine");
+        let asys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
+        let migratory = spec_of(include_str!("../../../specs/migratory.ccp"));
+        let ids = migratory.remote.state_by_name("IDS").expect("IDS");
+        let cases = [
+            (
+                "broken rv n=3 deadlock",
+                dfs_trail(&RendezvousSystem::new(&broken, 3), |_| None, true),
+            ),
+            ("broken async n=2 deadlock", dfs_trail(&asys, |_| None, true)),
+            (
+                "broken async n=2 quotient deadlock",
+                dfs_trail(&crate::symmetry::Reduced::new(&asys), |_| None, true),
+            ),
+            (
+                "migratory rv n=3 r2 reaches IDS",
+                dfs_trail(
+                    &RendezvousSystem::new(&migratory, 3),
+                    |s| (s.remotes[2].state == ids).then(|| "r2 in IDS".to_string()),
+                    false,
+                ),
+            ),
+        ];
+        let text: String = cases
+            .iter()
+            .map(|(case, trail)| {
+                format!("{{\"case\":\"{case}\",\"trail\":{}}}\n", serde::json::to_string(trail))
+            })
+            .collect();
+        assert_eq!(text, include_str!("../../../tests/golden/depth_first_trails.jsonl"));
     }
 
     #[test]

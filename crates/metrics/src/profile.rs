@@ -20,7 +20,7 @@
 //! | `compute`      | `successors()` per expanded state (threaded: the count only) | `successors()`, time only |
 //! | `encode`       | successor encode into the arena slot (threaded: the count only) | successor encode + hash, time only |
 //! | `insert`       | duplicate probe + commit, per successor    | —                   |
-//! | `check`        | a checker's per-edge work (Equation 1, the progress check's edge list), per successor; absent from a plain exploration | — |
+//! | `check`        | a checker's per-edge work (Equation 1, the progress check's graph), per successor; absent from a plain exploration | — |
 //! | `ship`         | threaded: handing a chunk of frontier states out | handing an expanded chunk back |
 //! | `drain`        | threaded: waiting for the next chunk in order | —                |
 //! | `barrier_wait` | —                                          | waiting for a chunk to expand |
@@ -66,7 +66,7 @@ pub enum SpanKind {
     /// in-place slot commit; threaded: insert by the worker's hash).
     Insert,
     /// What a checker other than plain exploration does with each edge:
-    /// Equation 1's judgement, the progress check's edge list. A plain
+    /// Equation 1's judgement, the progress check's graph. A plain
     /// exploration never laps it.
     Check,
     /// Handing a chunk between the sweep and a worker.

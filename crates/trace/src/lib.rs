@@ -179,6 +179,13 @@ pub trait TraceSink {
 
     /// Flush any buffered output.
     fn flush(&mut self) {}
+
+    /// The first write error, if any occurred since the last call. A
+    /// sink never fails an emit; whoever owns it asks here once the run
+    /// is over. Sinks that cannot fail have none.
+    fn take_error(&mut self) -> Option<io::Error> {
+        None
+    }
 }
 
 /// A sink that drops everything; `enabled()` is `false`, so callers skip
@@ -243,7 +250,7 @@ impl TraceSink for RingSink {
 /// A buffered JSONL writer: one serde-serialized [`TraceEvent`] per line.
 ///
 /// I/O errors are sticky: the first failure disables further writes and
-/// is reported by [`JsonlSink::take_error`].
+/// is reported by [`TraceSink::take_error`].
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     out: BufWriter<W>,
@@ -267,11 +274,6 @@ impl<W: Write> JsonlSink<W> {
     /// Lines successfully written so far.
     pub fn lines(&self) -> u64 {
         self.lines
-    }
-
-    /// The first I/O error, if any occurred.
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
     }
 
     /// Flush and return the underlying writer.
@@ -301,6 +303,10 @@ impl<W: Write> TraceSink for JsonlSink<W> {
             }
         }
     }
+
+    fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
+    }
 }
 
 /// Forwarding impl so `&mut S` is itself a sink (handy for passing a
@@ -314,6 +320,9 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     }
     fn flush(&mut self) {
         (**self).flush();
+    }
+    fn take_error(&mut self) -> Option<io::Error> {
+        (**self).take_error()
     }
 }
 

@@ -83,6 +83,8 @@ pub fn artifact(p: &Parsed, flag: &str, name: &str) -> Option<String> {
 /// and telemetry, and where its end-of-run artifacts go.
 pub struct Run {
     pub sink: Box<dyn TraceSink>,
+    /// The `--trace` file's path, for its write error.
+    trace: Option<String>,
     pub telemetry: Telemetry,
     profile: Option<String>,
     metrics: Option<String>,
@@ -96,9 +98,10 @@ impl Run {
     /// invocation's (it already timed the parse).
     pub fn start(p: &Parsed, registry: Registry) -> Result<Self, ExitCode> {
         let spec = &p.positionals[0];
-        let sink: Box<dyn TraceSink> = match artifact(p, "--trace", "trace.jsonl") {
+        let trace = artifact(p, "--trace", "trace.jsonl");
+        let sink: Box<dyn TraceSink> = match &trace {
             Some(path) => {
-                Box::new(JsonlSink::create(&path).map_err(|e| io_failure("create", &path, e))?)
+                Box::new(JsonlSink::create(path).map_err(|e| io_failure("create", path, e))?)
             }
             None => Box::new(NullSink),
         };
@@ -137,6 +140,7 @@ impl Run {
         };
         Ok(Run {
             sink,
+            trace,
             telemetry,
             profile,
             metrics: artifact(p, "--metrics", "metrics.json"),
@@ -260,9 +264,11 @@ impl Run {
 
     /// Ends the run with the terminal counts of its `last` search (none:
     /// an unfinished run with nothing counted): [`Telemetry::finish`],
-    /// then the `--metrics` snapshot, which by then holds the profiler's
-    /// and the flight recorder's own counters.
-    pub fn finish(&self, last: Option<ExploreReport>) -> Result<(), ExitCode> {
+    /// the `--trace` file's sticky write error, then the `--metrics`
+    /// snapshot, which by then holds the profiler's and the flight
+    /// recorder's own counters. A trace or timeline that could not be
+    /// written fails the run.
+    pub fn finish(&mut self, last: Option<ExploreReport>) -> Result<(), ExitCode> {
         let done = match &last {
             Some(x) => {
                 let (states, transitions) = (x.states as u64, x.transitions as u64);
@@ -274,6 +280,10 @@ impl Run {
             eprintln!("ccr: {e}");
             ExitCode::FAILURE
         })?;
+        self.sink.flush();
+        if let (Some(path), Some(e)) = (&self.trace, self.sink.take_error()) {
+            return Err(io_failure("write", path, e));
+        }
         let Some(path) = &self.metrics else {
             return Ok(());
         };

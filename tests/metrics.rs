@@ -176,6 +176,30 @@ fn cli_orbit_counters_of_a_reduced_sweep_are_pinned() {
     assert_eq!(counter("mc_symmetry_orbit_candidates_total"), Some(120_821));
 }
 
+/// A violating reduced sweep's trail comes from a second sweep up to the
+/// violating state; the orbit counters leave that replay out and read as
+/// the sweep alone: migratory_broken's quotient at two remotes stores 65
+/// orbits, one canonicalization per transition and the root's, 113 in
+/// all, before it deadlocks.
+#[test]
+fn cli_orbit_counters_of_a_violating_sweep_leave_out_its_trail_replay() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ccr"))
+        .args(["verify", "specs/migratory_broken.ccp", "-n", "2", "--symmetry", "on"])
+        .args(["--async", "--metrics", "-"])
+        .current_dir(repo_root())
+        .output()
+        .expect("run ccr");
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("65 states, Deadlock\n   1: r0 [C1]\n"), "{stdout}");
+    let last = stdout.lines().last().expect("snapshot line");
+    let snap = Json::parse(last).unwrap_or_else(|e| panic!("{e}: {last}"));
+    let counter = |name: &str| snap.path(&format!("counters.{name}")).and_then(Json::as_u64);
+    assert_eq!(counter("mc_states_total"), Some(65));
+    assert_eq!(counter("mc_symmetry_orbit_states_total"), Some(113));
+    assert_eq!(counter("mc_symmetry_orbit_candidates_total"), Some(113));
+}
+
 /// What the collapsed visited set holds of migratory's asynchronous
 /// sweep at three remotes, serial and threaded alike: 2,082 states made
 /// of 153 distinct home and 23 distinct remote segments, interned one
@@ -199,6 +223,26 @@ fn cli_segment_gauges_of_a_collapsed_sweep_are_pinned() {
         assert_eq!(get("gauges.mc_store_home_segment_bytes"), Some(1_752), "{threads:?}");
         assert_eq!(get("gauges.mc_store_remote_segment_bytes"), Some(183), "{threads:?}");
         assert_eq!(get("histograms.mc_state_bytes.sum"), Some(4 * 2_082 + 120), "{threads:?}");
+    }
+}
+
+/// The progress graph migratory's asynchronous sweep at two remotes
+/// records, counted from its lengths — four bytes per transition, four
+/// per expanded state, one per state — on the concrete space (156
+/// states, 292 transitions) and on the quotient (78 and 146), serial
+/// and threaded alike.
+#[test]
+fn cli_progress_graph_bytes_are_pinned() {
+    for (symmetry, states, transitions) in [("off", 156, 292), ("on", 78, 146)] {
+        for threads in [&[][..], &["--threads", "2"]] {
+            let snap = cli_snapshot(&[&["--symmetry", symmetry][..], threads].concat());
+            let bytes = snap.path("gauges.mc_progress_graph_bytes").and_then(Json::as_u64);
+            assert_eq!(
+                bytes,
+                Some(4 * transitions + 4 * states + states),
+                "{symmetry} {threads:?}"
+            );
+        }
     }
 }
 

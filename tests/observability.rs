@@ -117,6 +117,28 @@ fn cli_json_report_is_valid_and_holds() {
     assert!(line.contains("\"equation1\""), "{line}");
 }
 
+/// A trace that cannot be written fails a run that holds, naming the
+/// file, as a timeline that cannot be written does; the report is still
+/// printed whole.
+#[test]
+fn cli_trace_write_errors_fail_the_run() {
+    let full = Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+        .args(["verify", "specs/migratory.ccp", "-n", "2", "--json", "--trace"])
+        .arg(full)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("spawn ccr");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write /dev/full"), "{stderr}");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.trim().contains("\"holds\":true"), "{stdout}");
+}
+
 /// Under `--spill-dir` nothing rides, and Equation 1 sweeps the concrete
 /// space alone. Under the default `--symmetry auto` a budget that covers
 /// the 210 asynchronous orbits of token at n=3 therefore runs out inside
