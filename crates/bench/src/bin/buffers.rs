@@ -10,11 +10,13 @@
 //! Run: `cargo run --release -p ccr-bench --bin buffers`
 //!
 //! Pass `--trace <file>` to narrate every run to `<file>` as JSONL trace
-//! events (one run after another, each ending with an `Outcome` line).
+//! events (one run after another, each ending with an `Outcome` line); a
+//! file that cannot be written fails the run (exit 1) once the tables are
+//! printed.
 //! Pass `--seed <N>` to shift the workload and scheduler seeds by `N`
 //! (default 0, reproducing the canonical run).
 
-use ccr_bench::cli::{seed_from_args, sink_from_args};
+use ccr_bench::cli::{finish_trace, seed_from_args, sink_from_args};
 use ccr_bench::configs;
 use ccr_core::ids::RemoteId;
 use ccr_dsm::machine::{Machine, MachineConfig};
@@ -73,4 +75,5 @@ fn main() {
     println!("Expected shape (§6): global progress (ops > 0) at every k >= 2; nacks");
     println!("shrink as k grows; the adversarial schedule cannot deadlock the system");
     println!("(weak fairness holds by construction) even at k=2.");
+    finish_trace(&mut *sink);
 }

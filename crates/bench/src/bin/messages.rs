@@ -13,11 +13,13 @@
 //! Run: `cargo run --release -p ccr-bench --bin messages`
 //!
 //! Pass `--trace <file>` to narrate every run to `<file>` as JSONL trace
-//! events (one run after another, each ending with an `Outcome` line).
+//! events (one run after another, each ending with an `Outcome` line); a
+//! file that cannot be written fails the run (exit 1) once the tables are
+//! printed.
 //! Pass `--seed <N>` to shift every workload and scheduler seed by `N`
 //! (default 0, reproducing the canonical run).
 
-use ccr_bench::cli::{seed_from_args, sink_from_args};
+use ccr_bench::cli::{finish_trace, seed_from_args, sink_from_args};
 use ccr_bench::configs;
 use ccr_core::refine::{refine, RefineOptions, RefinedProtocol, ReqRepMode};
 use ccr_dsm::machine::{Machine, MachineConfig};
@@ -79,4 +81,5 @@ fn main() {
     println!("Paper §5: the hand design saves exactly the LR ack; 'the loss of");
     println!("efficiency due to the extra ack is small'. §3.3: the optimization");
     println!("halves req/gr and inv/ID from 4 messages to 2 per pair.");
+    finish_trace(&mut *sink);
 }

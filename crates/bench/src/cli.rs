@@ -30,6 +30,18 @@ pub fn sink_from_args() -> Box<dyn TraceSink> {
     }
 }
 
+/// Ends a run traced through [`sink_from_args`]: flushes the sink, and
+/// if a write to the `--trace` file failed on the way, fails the process
+/// (exit 1) naming the file, as `ccr` does. Call it once every table is
+/// printed.
+pub fn finish_trace(sink: &mut dyn TraceSink) {
+    sink.flush();
+    if let (Some(path), Some(e)) = (value_of("--trace"), sink.take_error()) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// `--seed <N>` from the command line (0 when absent: the canonical run).
 pub fn seed_from_args() -> u64 {
     value_of("--seed")

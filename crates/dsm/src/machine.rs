@@ -16,7 +16,6 @@ use ccr_runtime::error::Result;
 use ccr_runtime::sched::Scheduler;
 use ccr_runtime::sim::Simulator;
 use ccr_runtime::system::{Label, LabelKind};
-use ccr_runtime::FaultHarness;
 use ccr_trace::{NullSink, TraceEvent, TraceSink};
 use std::time::Instant;
 
@@ -95,52 +94,14 @@ impl<'a> Machine<'a> {
         sched: &mut dyn Scheduler,
         sink: &mut dyn TraceSink,
     ) -> Result<MachineReport> {
-        self.run_loop(variant, workload, sched, None, sink)
-    }
-
-    /// [`Machine::run_observed`] through a fault harness: `harness`
-    /// injects its plan's wire faults during the run and recovers dropped
-    /// messages by timeout and retransmission. The report carries the
-    /// harness's [`ccr_faults::FaultStats`].
-    ///
-    /// With an inactive plan this produces the same transitions, trace
-    /// bytes and counters as [`Machine::run_observed`] — fault handling is
-    /// zero-cost when off.
-    pub fn run_faulted(
-        &self,
-        variant: &str,
-        workload: &mut dyn Workload,
-        sched: &mut dyn Scheduler,
-        harness: &mut FaultHarness,
-        sink: &mut dyn TraceSink,
-    ) -> Result<MachineReport> {
-        let report = self.run_loop(variant, workload, sched, Some(harness), sink)?;
-        Ok(report.with_faults(*harness.stats()))
-    }
-
-    /// The run behind both entry points: up to `max_steps` scheduling
-    /// polls of one simulator, each stepped through `harness` if there is
-    /// one.
-    fn run_loop(
-        &self,
-        variant: &str,
-        workload: &mut dyn Workload,
-        sched: &mut dyn Scheduler,
-        mut harness: Option<&mut FaultHarness>,
-        sink: &mut dyn TraceSink,
-    ) -> Result<MachineReport> {
         let started = Instant::now();
         let sys = AsyncSystem::new(self.refined, self.config.n, self.config.asynch.clone());
         let mut sim = Simulator::new(&sys);
         let mut steps = 0u64;
         let mut ops = 0u64;
         let mut deadlocked = false;
-        let mut filter = |label: &Label| enabled(workload, label);
         while steps < self.config.max_steps {
-            let fired = match harness.as_deref_mut() {
-                Some(harness) => harness.step(&mut sim, sched, &mut filter, sink)?,
-                None => sim.step_observed(sched, &mut filter, sink)?,
-            };
+            let fired = sim.step_observed(sched, |label| enabled(workload, label), sink)?;
             // A poll that fires nothing still counts, so that
             // probabilistic workloads get more chances.
             steps += 1;
@@ -152,18 +113,13 @@ impl<'a> Machine<'a> {
                         }
                     }
                 }
-                None => {
-                    // A quiet network that still owes retransmissions is
-                    // recovering, not stuck.
-                    let recovering = harness.as_deref().is_some_and(|h| h.pending_recoveries() > 0);
-                    // True deadlock is no transition at all, even
-                    // unfiltered; anything else is quiescence only the
-                    // workload can end.
-                    if !recovering && sim.last_fanout() == 0 {
-                        deadlocked = true;
-                        break;
-                    }
+                // True deadlock is no transition at all, even unfiltered;
+                // anything else is quiescence only the workload can end.
+                None if sim.last_fanout() == 0 => {
+                    deadlocked = true;
+                    break;
                 }
+                None => {}
             }
         }
         if sink.enabled() {
@@ -252,61 +208,6 @@ mod tests {
             events.last(),
             Some(TraceEvent::Outcome { steps: Some(s), .. }) if *s == report.steps
         ));
-    }
-
-    #[test]
-    fn faulted_migratory_run_completes_and_recovers() {
-        use ccr_faults::{FaultPlan, FaultRates, FaultSpec};
-        use ccr_runtime::FaultHarness;
-        let refined = migratory_refined(&MigratoryOptions::default());
-        let config = MachineConfig::standard(&refined, 4, 30_000);
-        let machine = Machine::new(&refined, config);
-        let mut wl = Migrating::new(11, 0.8, 0.5);
-        let mut sched = RandomSched::new(12);
-        let plan = FaultPlan::new(
-            FaultSpec::with_rates(FaultRates { drop: 0.05, dup: 0.02, ..FaultRates::default() }),
-            7,
-        );
-        let mut harness = FaultHarness::new(plan);
-        let report = machine
-            .run_faulted("derived", &mut wl, &mut sched, &mut harness, &mut ccr_trace::NullSink)
-            .unwrap();
-        assert!(!report.deadlocked, "faults must not wedge the machine");
-        assert!(report.ops > 100, "ops={}", report.ops);
-        let faults = report.faults.expect("faulted run reports counters");
-        assert!(faults.drops > 0 && faults.recovered > 0, "{faults:?}");
-    }
-
-    #[test]
-    fn inactive_fault_harness_reproduces_plain_run() {
-        use ccr_faults::FaultPlan;
-        use ccr_runtime::FaultHarness;
-        use ccr_trace::RingSink;
-        let refined = migratory_refined(&MigratoryOptions::default());
-        let run = |faulted: bool| -> (MachineReport, Vec<TraceEvent>) {
-            let config = MachineConfig::standard(&refined, 3, 4_000);
-            let machine = Machine::new(&refined, config);
-            let mut wl = Migrating::new(5, 0.8, 0.5);
-            let mut sched = RandomSched::new(6);
-            let mut sink = RingSink::new(1 << 16);
-            let report = if faulted {
-                let mut harness = FaultHarness::new(FaultPlan::inactive());
-                machine
-                    .run_faulted("derived", &mut wl, &mut sched, &mut harness, &mut sink)
-                    .unwrap()
-            } else {
-                machine.run_observed("derived", &mut wl, &mut sched, &mut sink).unwrap()
-            };
-            (report, sink.into_events())
-        };
-        let (plain, plain_events) = run(false);
-        let (faulted, faulted_events) = run(true);
-        assert_eq!(plain_events, faulted_events, "traces must match byte for byte");
-        assert_eq!(plain.steps, faulted.steps);
-        assert_eq!(plain.ops, faulted.ops);
-        assert_eq!(plain.messages, faulted.messages);
-        assert_eq!(plain.msgs_per_op, faulted.msgs_per_op);
-        assert_eq!(faulted.faults, Some(ccr_faults::FaultStats::default()));
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Machine-level result reporting.
 
-use ccr_faults::FaultStats;
 use ccr_metrics::Registry;
 use ccr_runtime::stats::MsgStats;
 use serde::Serialize;
 use std::time::Duration;
 
 /// Outcome of a machine run, serializable for the experiment harness.
-/// The fault fields are *omitted* — not `null` — when absent, so
-/// plain-run reports stay byte-identical to their pre-fault form.
 #[derive(Debug, Clone, Serialize)]
 pub struct MachineReport {
     /// Protocol name.
@@ -40,15 +37,6 @@ pub struct MachineReport {
     /// Highest post-enqueue occupancy observed on any link — the margin
     /// against the bounded-buffer (`LinkOverflow`) assumption.
     pub max_link_occupancy: u32,
-    /// Fault-injection counters when the run went through the fault
-    /// harness (`None` for plain runs, keeping their reports unchanged).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub faults: Option<FaultStats>,
-    /// `msgs_per_op` of this run divided by the same ratio of a clean
-    /// baseline run — how much the faults cost per completed acquisition.
-    /// Set by [`MachineReport::with_degradation_vs`].
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub degradation: Option<f64>,
 }
 
 impl MachineReport {
@@ -83,31 +71,7 @@ impl MachineReport {
             starved: stats.starved(n as usize),
             elapsed,
             max_link_occupancy: stats.max_link_occupancy(),
-            faults: None,
-            degradation: None,
         }
-    }
-
-    /// Attaches fault-injection counters (builder style).
-    pub fn with_faults(mut self, faults: FaultStats) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// The ratio of this run's messages-per-operation to `baseline`'s,
-    /// when both are measurable: 1.0 means the faults were free, 1.3 means
-    /// each acquisition cost 30% more messages.
-    pub fn degradation_vs(&self, baseline: &MachineReport) -> Option<f64> {
-        match (self.msgs_per_op, baseline.msgs_per_op) {
-            (Some(a), Some(b)) if b > 0.0 => Some(a / b),
-            _ => None,
-        }
-    }
-
-    /// Records [`MachineReport::degradation_vs`] `baseline` on the report.
-    pub fn with_degradation_vs(mut self, baseline: &MachineReport) -> Self {
-        self.degradation = self.degradation_vs(baseline);
-        self
     }
 
     /// Folds this report's counters into the shared metrics registry
@@ -130,23 +94,6 @@ impl MachineReport {
         if self.deadlocked {
             reg.counter("dsm_deadlocks_total", "Runs that wedged with no enabled transition").inc();
         }
-        if let Some(f) = &self.faults {
-            reg.counter("dsm_fault_drops_total", "Messages dropped by the fault plan").add(f.drops);
-            reg.counter("dsm_fault_dups_total", "Messages duplicated by the fault plan")
-                .add(f.dups);
-            reg.counter("dsm_fault_reorders_total", "Adjacent-pair reorders performed")
-                .add(f.reorders);
-            reg.counter("dsm_fault_delays_total", "Per-step delivery delays imposed").add(f.delays);
-            reg.counter(
-                "dsm_retransmits_total",
-                "Retransmissions attempted by the recovery harness",
-            )
-            .add(f.retransmits);
-            reg.counter("dsm_recovered_total", "Dropped messages restored to their link")
-                .add(f.recovered);
-            reg.counter("dsm_absorbed_total", "Duplicate copies absorbed by receiver-side dedup")
-                .add(f.absorbed);
-        }
     }
 
     /// Steps executed per wall-clock second, when measurable.
@@ -159,23 +106,8 @@ impl MachineReport {
         }
     }
 
-    /// One-line human-readable summary. Fault counters are appended only
-    /// when present, so plain runs print exactly as before.
+    /// One-line human-readable summary.
     pub fn summary(&self) -> String {
-        let mut line = self.base_summary();
-        if let Some(f) = &self.faults {
-            line.push_str(&format!(
-                " | faults: drop={} dup={} reorder={} delay={} rexmit={} recovered={} absorbed={}",
-                f.drops, f.dups, f.reorders, f.delays, f.retransmits, f.recovered, f.absorbed
-            ));
-        }
-        if let Some(d) = self.degradation {
-            line.push_str(&format!(" degr={d:.2}x"));
-        }
-        line
-    }
-
-    fn base_summary(&self) -> String {
         format!(
             "{:<12} {:<14} n={:<3} ops={:<7} msgs={:<8} acks={:<6} nacks={:<6} msgs/op={} fair={} starved={} linkhw={} secs={:.3} steps/s={}",
             self.protocol,
@@ -230,37 +162,8 @@ mod tests {
         assert_eq!(r.steps_per_sec(), None, "zero elapsed is unmeasurable");
     }
 
-    #[test]
-    fn fault_counters_and_degradation_are_opt_in() {
-        let mut stats = MsgStats::new();
-        stats.acks = 12;
-        let clean =
-            MachineReport::from_stats("token", "derived", 2, 50, false, 6, &stats, Duration::ZERO);
-        assert!(clean.faults.is_none());
-        assert!(!clean.summary().contains("faults:"), "{}", clean.summary());
-
-        let mut stats = MsgStats::new();
-        stats.acks = 18;
-        let faulted =
-            MachineReport::from_stats("token", "derived", 2, 70, false, 6, &stats, Duration::ZERO)
-                .with_faults(FaultStats { drops: 3, recovered: 3, ..FaultStats::default() })
-                .with_degradation_vs(&clean);
-        assert_eq!(faulted.degradation, Some(1.5));
-        let line = faulted.summary();
-        assert!(line.contains("drop=3") && line.contains("degr=1.50x"), "{line}");
-
-        let ser = |r: &MachineReport| serde::json::to_string(r);
-        assert!(
-            !ser(&clean).contains("faults"),
-            "plain reports must serialize without fault fields: {}",
-            ser(&clean)
-        );
-        assert!(ser(&faulted).contains("\"recovered\":3"), "{}", ser(&faulted));
-    }
-
     /// The hand-written serializer the derive replaced, kept verbatim as
-    /// a golden reference: the derived output must match byte for byte,
-    /// including omitting (not nulling) the absent fault fields.
+    /// a golden reference: the derived output must match byte for byte.
     fn hand_serialize(r: &MachineReport) -> String {
         let mut s = serde::Serializer::new();
         let mut m = s.begin_map();
@@ -278,12 +181,6 @@ mod tests {
         m.entry("starved", &r.starved);
         m.entry("elapsed", &r.elapsed);
         m.entry("max_link_occupancy", &r.max_link_occupancy);
-        if let Some(f) = &r.faults {
-            m.entry("faults", f);
-        }
-        if let Some(d) = r.degradation {
-            m.entry("degradation", &d);
-        }
         m.end();
         s.into_string()
     }
@@ -292,30 +189,13 @@ mod tests {
     fn derived_serializer_is_byte_compatible_with_hand_written() {
         let mut stats = MsgStats::new();
         stats.acks = 12;
-        let clean =
+        let r =
             MachineReport::from_stats("token", "derived", 2, 50, false, 6, &stats, Duration::ZERO);
-        // Omitted-field case: no faults, no degradation.
-        assert_eq!(serde::json::to_string(&clean), hand_serialize(&clean));
-        assert!(!serde::json::to_string(&clean).contains("faults"));
-
-        // Faults present, degradation absent.
-        let faulted = clean.clone().with_faults(FaultStats {
-            drops: 3,
-            recovered: 3,
-            ..FaultStats::default()
-        });
-        assert_eq!(serde::json::to_string(&faulted), hand_serialize(&faulted));
-
-        // Both present (and an unmeasurable ratio staying null).
-        let degraded = faulted.clone().with_degradation_vs(&clean);
-        assert_eq!(serde::json::to_string(&degraded), hand_serialize(&degraded));
-
-        // Degradation present without faults.
-        let mut odd = clean.clone();
-        odd.degradation = Some(1.25);
-        assert_eq!(serde::json::to_string(&odd), hand_serialize(&odd));
-        assert!(!serde::json::to_string(&odd).contains("faults"));
-        assert!(serde::json::to_string(&odd).contains("\"degradation\":1.25"));
+        assert_eq!(serde::json::to_string(&r), hand_serialize(&r));
+        // An unmeasurable ratio stays null.
+        let idle =
+            MachineReport::from_stats("token", "derived", 2, 50, false, 0, &stats, Duration::ZERO);
+        assert_eq!(serde::json::to_string(&idle), hand_serialize(&idle));
     }
 
     #[test]
@@ -325,16 +205,13 @@ mod tests {
         stats.acks = 10;
         stats.nacks = 2;
         let report =
-            MachineReport::from_stats("token", "derived", 2, 50, false, 6, &stats, Duration::ZERO)
-                .with_faults(FaultStats { drops: 3, retransmits: 4, ..FaultStats::default() });
+            MachineReport::from_stats("token", "derived", 2, 50, false, 6, &stats, Duration::ZERO);
         report.publish(&reg);
         report.publish(&reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["dsm_runs_total"], 2);
         assert_eq!(snap.counters["dsm_steps_total"], 100);
         assert_eq!(snap.counters["dsm_messages_total"], 24);
-        assert_eq!(snap.counters["dsm_fault_drops_total"], 6);
-        assert_eq!(snap.counters["dsm_retransmits_total"], 8);
         // A null registry stays empty.
         let null = ccr_metrics::Registry::disabled();
         report.publish(&null);

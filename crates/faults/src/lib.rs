@@ -10,10 +10,10 @@
 //! and a run is reproducible from `(spec, schedule seed, fault seed)` alone.
 //! The draw is a `splitmix64`-style bit mix, not a stateful generator.
 //!
-//! The plan only *decides*; the mechanics of applying a fault to a link
-//! queue (and of recovering from it by timeout and retransmission) live in
-//! `ccr-runtime`'s fault harness, which also keeps the [`FaultStats`]
-//! ledger defined here.
+//! The plan only *decides*; the faults themselves are transitions of
+//! `ccr-runtime`'s fault closure, and a seeded walk over that closure
+//! (`ccr_runtime::faults::fault_walk`) asks the plan which of them to take
+//! and keeps the [`FaultStats`] defined here.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -21,8 +21,9 @@
 use ccr_core::ids::ProcessId;
 use serde::Serialize;
 
-/// The kinds of wire fault the plan can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// The fates the plan can draw for a message just sent. (Delay is drawn
+/// per link and step instead: [`FaultPlan::delayed`].)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The message vanishes from the link (recovered by retransmission).
     Drop,
@@ -30,20 +31,6 @@ pub enum FaultKind {
     Duplicate,
     /// The message overtakes its immediate predecessor in the queue.
     Reorder,
-    /// Delivery from the link is suppressed for one scheduling step.
-    Delay,
-}
-
-impl FaultKind {
-    /// Lower-case name used in trace events and CLI specs.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Duplicate => "dup",
-            FaultKind::Reorder => "reorder",
-            FaultKind::Delay => "delay",
-        }
-    }
 }
 
 /// Per-kind fault probabilities, each in `[0, 1]`.
@@ -61,64 +48,6 @@ pub struct FaultRates {
     pub reorder: f64,
     /// Per-step probability that delivery from a link is held back.
     pub delay: f64,
-}
-
-impl FaultRates {
-    /// True when every rate is zero.
-    pub fn is_zero(&self) -> bool {
-        self.drop == 0.0 && self.dup == 0.0 && self.reorder == 0.0 && self.delay == 0.0
-    }
-}
-
-/// A fault scripted to hit a specific link at a specific step,
-/// deterministically and regardless of the probabilistic rates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScriptedFault {
-    /// The harness step at which the fault fires.
-    pub step: u64,
-    /// Sender side of the targeted link.
-    pub from: ProcessId,
-    /// Receiver side of the targeted link.
-    pub to: ProcessId,
-    /// What to do to the link.
-    pub kind: FaultKind,
-}
-
-/// A per-link override of the global [`FaultRates`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkRates {
-    /// Sender side of the link the override applies to.
-    pub from: ProcessId,
-    /// Receiver side of the link the override applies to.
-    pub to: ProcessId,
-    /// The rates used for this link instead of the global ones.
-    pub rates: FaultRates,
-}
-
-/// The full description of which faults a run should suffer: global rates,
-/// per-link overrides, and explicitly scripted faults.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultSpec {
-    /// Rates applied to every link without an override.
-    pub rates: FaultRates,
-    /// Per-link rate overrides.
-    pub per_link: Vec<LinkRates>,
-    /// Faults that fire unconditionally at their step.
-    pub scripted: Vec<ScriptedFault>,
-}
-
-impl FaultSpec {
-    /// A spec with the given global rates and nothing else.
-    pub fn with_rates(rates: FaultRates) -> Self {
-        Self { rates, ..Self::default() }
-    }
-
-    /// True when the spec can never produce a fault.
-    pub fn is_inert(&self) -> bool {
-        self.rates.is_zero()
-            && self.per_link.iter().all(|l| l.rates.is_zero())
-            && self.scripted.is_empty()
-    }
 }
 
 /// Parses a CLI fault spec of the form `drop=0.05,dup=0.02,reorder=0.01,delay=0.1`.
@@ -151,21 +80,22 @@ pub fn parse_fault_spec(s: &str) -> Result<FaultRates, String> {
     Ok(rates)
 }
 
-/// Counters kept by the fault harness: what was injected, and how much of
-/// it was recovered.
+/// Counters kept by a seeded fault walk: what it injected, and how much
+/// of it was recovered. Drops, dups, reorders, successful retransmissions
+/// and absorbed ghosts count fired closure transitions; delays and lost
+/// retransmissions count decisions of the walk's policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct FaultStats {
-    /// Messages dropped from a link (including re-dropped retransmissions).
+    /// Messages dropped from a link, plus retransmissions the plan lost
+    /// again (declined by the policy, which backs off).
     pub drops: u64,
     /// Messages duplicated onto a link.
     pub dups: u64,
     /// Adjacent-pair reorders performed.
     pub reorders: u64,
-    /// Per-step delivery delays imposed.
+    /// Per-poll delivery delays imposed (policy decisions).
     pub delays: u64,
-    /// Faults that fired from the scripted list rather than the rates.
-    pub scripted: u64,
-    /// Retransmissions attempted (successful or dropped again).
+    /// Retransmissions attempted (successful or lost again).
     pub retransmits: u64,
     /// Dropped messages successfully restored to their link.
     pub recovered: u64,
@@ -185,21 +115,20 @@ impl FaultStats {
         self.dups += other.dups;
         self.reorders += other.reorders;
         self.delays += other.delays;
-        self.scripted += other.scripted;
         self.retransmits += other.retransmits;
         self.recovered += other.recovered;
         self.absorbed += other.absorbed;
     }
 }
 
-/// A seeded, deterministic fault plan: the [`FaultSpec`] plus the seed that
-/// makes its probabilistic clauses concrete.
+/// A seeded, deterministic fault plan: the rates plus the seed that makes
+/// them concrete.
 ///
 /// All decision methods are pure — the plan can be shared freely and asked
 /// in any order without perturbing the outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    spec: FaultSpec,
+    rates: FaultRates,
     seed: u64,
 }
 
@@ -209,53 +138,19 @@ const SALT_DELAY: u64 = 0x02;
 const SALT_RETRANSMIT: u64 = 0x100;
 
 impl FaultPlan {
-    /// Builds a plan from a spec and a seed.
-    pub fn new(spec: FaultSpec, seed: u64) -> Self {
-        Self { spec, seed }
+    /// Builds a plan from its rates and a seed.
+    pub fn new(rates: FaultRates, seed: u64) -> Self {
+        Self { rates, seed }
     }
 
-    /// A plan that never injects anything (rates zero, no script).
+    /// A plan that never injects anything (every rate zero).
     pub fn inactive() -> Self {
-        Self::new(FaultSpec::default(), 0)
+        Self::new(FaultRates::default(), 0)
     }
 
-    /// The seed the plan draws from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The underlying spec.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
-    /// True when the plan can produce at least one fault.
-    pub fn is_active(&self) -> bool {
-        !self.spec.is_inert()
-    }
-
-    /// Adds a scripted fault to the plan.
-    pub fn script(&mut self, fault: ScriptedFault) {
-        self.spec.scripted.push(fault);
-    }
-
-    /// Sets a per-link rate override.
-    pub fn set_link_rates(&mut self, from: ProcessId, to: ProcessId, rates: FaultRates) {
-        if let Some(l) = self.spec.per_link.iter_mut().find(|l| l.from == from && l.to == to) {
-            l.rates = rates;
-        } else {
-            self.spec.per_link.push(LinkRates { from, to, rates });
-        }
-    }
-
-    /// The rates in force for the link `from → to`.
-    pub fn rates_for(&self, from: ProcessId, to: ProcessId) -> FaultRates {
-        self.spec
-            .per_link
-            .iter()
-            .find(|l| l.from == from && l.to == to)
-            .map(|l| l.rates)
-            .unwrap_or(self.spec.rates)
+    /// The rates the plan draws with.
+    pub fn rates(&self) -> &FaultRates {
+        &self.rates
     }
 
     /// Decides the fate of a message just sent on `from → to` at `step`:
@@ -263,7 +158,7 @@ impl FaultPlan {
     /// uniform draw partitions `[0, 1)` so the kinds are mutually
     /// exclusive per message.
     pub fn decide_send(&self, step: u64, from: ProcessId, to: ProcessId) -> Option<FaultKind> {
-        let r = self.rates_for(from, to);
+        let r = self.rates;
         if r.drop == 0.0 && r.dup == 0.0 && r.reorder == 0.0 {
             return None;
         }
@@ -281,7 +176,7 @@ impl FaultPlan {
 
     /// Whether delivery from `from → to` is held back for this step.
     pub fn delayed(&self, step: u64, from: ProcessId, to: ProcessId) -> bool {
-        let r = self.rates_for(from, to);
+        let r = self.rates;
         r.delay > 0.0 && self.unit(step, from, to, SALT_DELAY) < r.delay
     }
 
@@ -295,13 +190,8 @@ impl FaultPlan {
         to: ProcessId,
         attempt: u32,
     ) -> bool {
-        let r = self.rates_for(from, to);
+        let r = self.rates;
         r.drop > 0.0 && self.unit(step, from, to, SALT_RETRANSMIT + attempt as u64) < r.drop
-    }
-
-    /// Scripted faults that fire at `step`.
-    pub fn scripted_at(&self, step: u64) -> impl Iterator<Item = &ScriptedFault> {
-        self.spec.scripted.iter().filter(move |f| f.step == step)
     }
 
     fn unit(&self, step: u64, from: ProcessId, to: ProcessId, salt: u64) -> f64 {
@@ -344,7 +234,7 @@ mod tests {
     fn parse_accepts_all_keys_in_any_order() {
         let r = parse_fault_spec("dup=0.02, drop=0.05,reorder=0.01,delay=0.5").unwrap();
         assert_eq!(r, FaultRates { drop: 0.05, dup: 0.02, reorder: 0.01, delay: 0.5 });
-        assert!(parse_fault_spec("").unwrap().is_zero());
+        assert_eq!(parse_fault_spec("").unwrap(), FaultRates::default());
     }
 
     #[test]
@@ -357,10 +247,10 @@ mod tests {
 
     #[test]
     fn draws_are_deterministic_and_seed_sensitive() {
-        let spec = FaultSpec::with_rates(FaultRates { drop: 0.5, ..FaultRates::default() });
-        let a = FaultPlan::new(spec.clone(), 7);
-        let b = FaultPlan::new(spec.clone(), 7);
-        let c = FaultPlan::new(spec, 8);
+        let rates = FaultRates { drop: 0.5, ..FaultRates::default() };
+        let a = FaultPlan::new(rates, 7);
+        let b = FaultPlan::new(rates, 7);
+        let c = FaultPlan::new(rates, 8);
         let seq = |p: &FaultPlan| -> Vec<Option<FaultKind>> {
             (0..64).map(|s| p.decide_send(s, R0, H)).collect()
         };
@@ -372,8 +262,7 @@ mod tests {
 
     #[test]
     fn links_draw_independently() {
-        let spec = FaultSpec::with_rates(FaultRates { drop: 0.5, ..FaultRates::default() });
-        let p = FaultPlan::new(spec, 42);
+        let p = FaultPlan::new(FaultRates { drop: 0.5, ..FaultRates::default() }, 42);
         let on = |from, to| -> Vec<bool> {
             (0..64).map(|s| p.decide_send(s, from, to).is_some()).collect()
         };
@@ -384,7 +273,6 @@ mod tests {
     #[test]
     fn inactive_plan_never_fires() {
         let p = FaultPlan::inactive();
-        assert!(!p.is_active());
         for s in 0..256 {
             assert_eq!(p.decide_send(s, R0, H), None);
             assert!(!p.delayed(s, H, R0));
@@ -393,31 +281,9 @@ mod tests {
     }
 
     #[test]
-    fn per_link_overrides_win() {
-        let spec = FaultSpec::with_rates(FaultRates { drop: 1.0, ..FaultRates::default() });
-        let mut p = FaultPlan::new(spec, 3);
-        p.set_link_rates(R0, H, FaultRates::default());
-        assert_eq!(p.decide_send(0, R0, H), None, "override silences the link");
-        assert_eq!(p.decide_send(0, R1, H), Some(FaultKind::Drop));
-        assert!(p.is_active());
-    }
-
-    #[test]
-    fn scripted_faults_fire_at_their_step() {
-        let mut p = FaultPlan::inactive();
-        p.script(ScriptedFault { step: 5, from: H, to: R0, kind: FaultKind::Drop });
-        assert!(p.is_active());
-        assert_eq!(p.scripted_at(4).count(), 0);
-        let at5: Vec<_> = p.scripted_at(5).collect();
-        assert_eq!(at5.len(), 1);
-        assert_eq!(at5[0].kind, FaultKind::Drop);
-    }
-
-    #[test]
     fn rates_partition_is_exclusive_and_roughly_proportional() {
-        let spec =
-            FaultSpec::with_rates(FaultRates { drop: 0.2, dup: 0.2, reorder: 0.2, delay: 0.0 });
-        let p = FaultPlan::new(spec, 99);
+        let rates = FaultRates { drop: 0.2, dup: 0.2, reorder: 0.2, delay: 0.0 };
+        let p = FaultPlan::new(rates, 99);
         let mut counts = [0u32; 4];
         for s in 0..4096 {
             match p.decide_send(s, R0, H) {

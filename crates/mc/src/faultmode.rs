@@ -5,7 +5,7 @@
 //! adversary with a bounded budget of drop/duplicate faults plus an
 //! always-available recovery transition (retransmission into the original
 //! FIFO position). This module runs the standard exploration and progress
-//! machinery over that closure and packages the result:
+//! machinery over that closure, on one sweep, and packages the result:
 //!
 //! * **Safety**: the user invariant holds in every reachable base
 //!   configuration, no matter where the adversary spends its budget;
@@ -14,12 +14,12 @@
 //!   because once the budget is spent and the lost frames are
 //!   retransmitted the network has quiesced.
 
-use crate::progress::check_progress_default;
-use crate::report::{Outcome, ProgressReport};
-use crate::search::{explore_with, Budget, SearchObserver};
+use crate::progress::ForwardGraph;
+use crate::report::{ExploreReport, Outcome, ProgressReport};
+use crate::search::{explored, Budget, Explore, Search, SearchObserver};
 use crate::trace::TracedReport;
 use ccr_runtime::asynch::{AsyncState, AsyncSystem};
-use ccr_runtime::FaultClosure;
+use ccr_runtime::{FaultClosure, FaultState, Label};
 use ccr_trace::NullSink;
 use serde::Serialize;
 
@@ -44,28 +44,54 @@ impl FaultClosureReport {
 
 /// Explores the fault closure of `sys` with budget `faults` on the
 /// calling thread, checking `invariant` on every reachable base configuration
-/// (and deadlock freedom, with a counterexample trail), then checks
-/// progress over the same closure.
-///
-/// The closure is an ordinary transition system, so any other way of
-/// running the two checks — threads, an observer — is
-/// [`crate::search::Search::explore`] and
-/// [`crate::search::Search::progress`] over
-/// [`FaultClosure::new`], assembled into the same report.
+/// (and deadlock freedom, with a counterexample trail), and progress
+/// over the same closure: [`prove`] with deadlock checks and trails on.
 pub fn check_fault_closure(
     sys: &AsyncSystem<'_>,
     faults: u32,
     budget: &Budget,
-    mut invariant: impl FnMut(&AsyncState) -> Option<String>,
+    invariant: impl FnMut(&AsyncState) -> Option<String>,
 ) -> FaultClosureReport {
     let closure = FaultClosure::new(sys.clone(), faults);
+    let search = Search { check_deadlock: true, trails: true, ..Search::default() };
     let mut null = NullSink;
-    let mut obs = SearchObserver::new(&mut null);
-    let safety = |fs: &ccr_runtime::FaultState| invariant(&fs.base);
-    let explore =
-        explore_with(&closure, budget, safety, true, true, &mut obs, None).traced_report();
-    let progress = check_progress_default(&closure, budget);
-    FaultClosureReport { budget_faults: faults, explore, progress }
+    prove(&search, &closure, budget, invariant, &mut SearchObserver::new(&mut null)).0
+}
+
+/// Safety and progress of `closure` on one sweep: `search` explores it,
+/// checking `invariant` on every reachable base configuration, and the
+/// progress check (progress = a completed rendezvous) records its graph
+/// on the same sweep, as in [`Search::verify`]. The exploration's report
+/// comes back beside the closure's, for its terminal counts.
+///
+/// A graph is only judged when the exploration ran out of states or of
+/// budget: an invariant, deadlock or executor failure stops the sweep
+/// with a prefix of the graph, and the progress check then sweeps alone.
+pub fn prove(
+    search: &Search<'_>,
+    closure: &FaultClosure<'_>,
+    budget: &Budget,
+    mut invariant: impl FnMut(&AsyncState) -> Option<String>,
+    obs: &mut SearchObserver<'_>,
+) -> (FaultClosureReport, ExploreReport) {
+    let is_progress = |l: &Label| l.completes.is_some();
+    let invariant: &mut dyn FnMut(&FaultState) -> Option<String> = &mut |s| invariant(&s.base);
+    let explore = Explore { invariant, check_deadlock: search.check_deadlock };
+    let mut checker = (explore, ForwardGraph::new(is_progress));
+    let run = search.sweep(closure, budget, &mut checker, obs, None);
+    let explored = explored(closure, run, search.trails, obs, None);
+    let progress = match explored.outcome {
+        Outcome::Complete | Outcome::Unfinished => {
+            checker.1.swept(explored.outcome.is_complete()).check(closure, obs)
+        }
+        _ => search.progress(closure, budget, is_progress, obs),
+    };
+    let report = FaultClosureReport {
+        budget_faults: closure.budget(),
+        explore: explored.traced_report(),
+        progress,
+    };
+    (report, explored.explore_report())
 }
 
 #[cfg(test)]

@@ -1627,7 +1627,7 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
 /// trail when `trails` asks for one (replayed once the visited set is
 /// released) and the observer's ending (the counterexample replayed to
 /// its sink when there is a trail, the bare outcome event otherwise).
-fn explored<T: TransitionSystem>(
+pub(crate) fn explored<T: TransitionSystem>(
     sys: &T,
     mut run: DriveRun,
     trails: bool,

@@ -31,8 +31,9 @@
 //! allocated. Otherwise the `Π gᵢ!` orderings of the equal-signature
 //! groups are encoded and compared. See [`Symmetric`] for the contract and
 //! `docs/symmetry.md` for the lemma, the soundness argument and the
-//! fault-mode interaction (scripted per-link faults break symmetry;
-//! `--symmetry auto` falls back to `off`).
+//! fault-mode interaction (fault draws and the fault closure's ledger
+//! name concrete links, which breaks symmetry; `--symmetry auto` falls
+//! back to `off`).
 
 use ccr_core::encode::{Identity, Perm, Renaming, Segment, Sink};
 use ccr_core::ids::{MsgType, ProcessId, RemoteId};

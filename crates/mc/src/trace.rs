@@ -58,7 +58,7 @@ impl TracedReport {
 
 /// Formats a trail as SPIN-like numbered lines (`actor rule`), or a note
 /// that none exists.
-pub(crate) fn trail_text(trail: Option<&[Label]>) -> String {
+pub fn trail_text(trail: Option<&[Label]>) -> String {
     match trail {
         None => "(no counterexample)".to_string(),
         Some(labels) => labels

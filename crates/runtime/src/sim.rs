@@ -114,19 +114,13 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
     }
 
     /// Mutable access to the current state, for writes that are no
-    /// transition of the system: the fault layer injecting a wire fault, a
-    /// node moving messages between its ends of the links and a network.
-    /// Every rule group is enumerated afresh at the next step.
+    /// transition of the system: a node moving messages between its ends
+    /// of the links and a network. Every rule group is enumerated afresh
+    /// at the next step.
     pub fn state_mut(&mut self) -> &mut T::State {
         self.stale = true;
         self.dirty.fill(true);
         &mut self.state
-    }
-
-    /// Mutable access to the counters, for the fault layer's occupancy
-    /// bookkeeping after it mutates links.
-    pub(crate) fn stats_mut(&mut self) -> &mut MsgStats {
-        &mut self.stats
     }
 
     /// Executes one step chosen by `sched` among transitions passing

@@ -39,9 +39,10 @@ use std::path::Path;
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum TraceEvent {
     /// A transition fired: which process moved, under which rule of the
-    /// paper's Tables 1–2 (`C1`–`C3`, `T1`–`T6`, `buf`, `tau`), and the
-    /// label kind (`Tau`, `Rendezvous`, `Request`, `Deliver`, `Complete`,
-    /// `Nacked`).
+    /// paper's Tables 1–2 (`C1`–`C3`, `T1`–`T6`, `buf`, `tau`) or of the
+    /// fault closure (`fault/drop`, `fault/dup`, `fault/reorder`,
+    /// `fault/retransmit`), and the label kind (`Tau`, `Rendezvous`,
+    /// `Request`, `Deliver`, `Complete`, `Nacked`, `Fault`).
     Step {
         /// Step index within the run.
         seq: u64,
@@ -111,41 +112,6 @@ pub enum TraceEvent {
         used: u32,
         /// Configured capacity `k`.
         capacity: u32,
-    },
-    /// The fault layer perturbed a link: a message was dropped,
-    /// duplicated, reordered, or delivery was delayed for a step.
-    FaultInjected {
-        /// Step index within the run.
-        seq: u64,
-        /// Fault kind: `drop`, `dup`, `reorder` or `delay`.
-        kind: String,
-        /// Sender side of the faulted link.
-        from: String,
-        /// Receiver side of the faulted link.
-        to: String,
-        /// Wire kind of the affected message: `Req`, `Ack` or `Nack`.
-        wire: String,
-        /// Message type name for `Req` wires.
-        msg: Option<String>,
-    },
-    /// A retransmission timer fired for a dropped message: the sender
-    /// re-offers the frame (which may itself be lost again).
-    RetransmitTimeout {
-        /// Step index within the run.
-        seq: u64,
-        /// Sender side of the recovering link.
-        from: String,
-        /// Receiver side of the recovering link.
-        to: String,
-        /// Wire kind of the retransmitted message.
-        wire: String,
-        /// Message type name for `Req` wires.
-        msg: Option<String>,
-        /// 1-based retransmission attempt number.
-        attempt: u32,
-        /// Steps until the next attempt if this one is lost (capped
-        /// exponential backoff).
-        backoff: u64,
     },
     /// Terminal event: how the run or search ended.
     Outcome {

@@ -152,10 +152,11 @@
 //!
 //! Fault-injection flags (verify only, see `docs/fault_injection.md`):
 //!
-//! * `--faults SPEC` — after the clean pipeline passes, run seeded random
-//!   walks through the wire-fault harness. SPEC is comma-separated
-//!   `kind=rate` pairs, e.g. `drop=0.05,dup=0.02`; kinds are `drop`,
-//!   `dup`, `reorder`, `delay`.
+//! * `--faults SPEC` — after the clean pipeline passes, run seeded walks
+//!   of the fault closure, the rates deciding which faults a walk takes.
+//!   SPEC is comma-separated `kind=rate` pairs, e.g. `drop=0.05,dup=0.02`;
+//!   kinds are `drop`, `dup`, `reorder`, `delay`. A failing walk prints
+//!   its trail.
 //! * `--seed N` — base seed for the fault walks (default 0); the same
 //!   spec + seed reproduces the same faults byte for byte.
 //! * `--fault-budget F` — model-check the fault closure: prove safety and

@@ -7,8 +7,8 @@ use crate::flags::{Parsed, Value};
 use crate::telemetry::{io_failure, profile_entry, Run};
 use crate::{engine_threads, misuse, refined};
 use ccr_core::process::ProtocolSpec;
-use ccr_faults::{parse_fault_spec, FaultPlan, FaultRates, FaultSpec, FaultStats};
-use ccr_mc::faultmode::FaultClosureReport;
+use ccr_faults::{parse_fault_spec, FaultPlan, FaultRates, FaultStats};
+use ccr_mc::faultmode;
 use ccr_mc::report::SearchReport;
 use ccr_mc::search::{Budget, PersistOpts, Search, SearchObserver};
 use ccr_mc::{CrashSwitch, Outcome};
@@ -18,7 +18,7 @@ use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
 use ccr_runtime::sched::RandomSched;
 use ccr_runtime::sim::Simulator;
-use ccr_runtime::{FaultClosure, FaultHarness, TransitionSystem};
+use ccr_runtime::{fault_walk, FaultClosure, Label};
 use ccr_trace::TraceSink;
 use serde::{Serialize, Serializer};
 use std::path::{Path, PathBuf};
@@ -33,7 +33,7 @@ pub const NOT_PERMUTABLE: &str = "spec uses order-sensitive primitives; \
 /// Number of seeded random walks run by `verify --faults`.
 const FAULT_WALKS: u32 = 3;
 
-/// Steps per fault walk (scheduler decisions, including recovery waits).
+/// Polls per fault walk (scheduler draws offered, recovery waits included).
 const FAULT_WALK_STEPS: u64 = 20_000;
 
 /// Replays the engine shape a `--spill-dir` run recorded in
@@ -113,7 +113,7 @@ struct FaultWalkReport {
     rates: String,
     /// Number of independent walks.
     walks: u32,
-    /// Scheduler decisions per walk (recovery waits included).
+    /// Polls per walk (scheduler draws offered, recovery waits included).
     steps_per_walk: u64,
     /// Rendezvous completions across all faulted walks.
     completed: u64,
@@ -126,13 +126,17 @@ struct FaultWalkReport {
     clean_msgs_per_completion: Option<f64>,
     /// Faulted over clean messages-per-completion.
     degradation: Option<f64>,
-    /// True if any walk wedged with no recovery pending.
+    /// True if a walk wedged with no recovery pending.
     deadlocked: bool,
     /// Runtime error that aborted a walk — typically a reorder fault
     /// surfacing the protocol's FIFO assumption (e.g. a request overtaking
     /// a writeback). Unlike drops and duplicates, reorders are not masked
     /// by the recovery layer, so this is the probe working as intended.
     error: Option<String>,
+    /// The failing walk's labels, from the initial state of the fault
+    /// closure the walk stepped (`FaultClosure::for_plan`) to the state
+    /// that wedged or failed: a trail `replay_trail` replays.
+    trail: Option<Vec<Label>>,
     /// Aggregated injection/recovery counters.
     faults: FaultStats,
 }
@@ -174,6 +178,9 @@ impl FaultWalkReport {
         if let Some(e) = &self.error {
             println!("fault walk error: {e}");
         }
+        if let Some(trail) = &self.trail {
+            println!("{}", ccr_mc::trace::trail_text(Some(trail)));
+        }
     }
 }
 
@@ -194,9 +201,11 @@ fn publish_fault_stats(reg: &Registry, fs: &FaultStats) {
     c("fault_absorbed_total", "Faults absorbed without a retransmission", fs.absorbed);
 }
 
-/// Runs `FAULT_WALKS` seeded random walks of `asys` through the fault
-/// harness, plus a clean twin per walk (same scheduler seed, no faults)
-/// for the degradation baseline. Fault events stream to `sink`.
+/// Runs `FAULT_WALKS` seeded walks of `asys`'s fault closure under
+/// `rates` ([`fault_walk`]), plus a clean twin per walk (same scheduler
+/// seed, no faults) for the degradation baseline. Every fired transition,
+/// faults included, streams to `sink`. The first walk that fails ends the
+/// phase with its trail.
 fn run_fault_walks(
     asys: &AsyncSystem<'_>,
     rates: FaultRates,
@@ -212,6 +221,7 @@ fn run_fault_walks(
     let mut clean_messages = 0u64;
     let mut deadlocked = false;
     let mut error = None;
+    let mut trail = None;
     for w in 0..FAULT_WALKS {
         let wseed = seed.wrapping_add(u64::from(w));
         let sched_seed = wseed ^ 0x5EED_CAB1;
@@ -229,35 +239,19 @@ fn run_fault_walks(
             }
         }
 
-        let plan = FaultPlan::new(FaultSpec::with_rates(rates), wseed);
-        let mut harness = FaultHarness::new(plan);
-        let mut sim = Simulator::new(asys);
+        let plan = FaultPlan::new(rates, wseed);
+        let closure = FaultClosure::for_plan(asys.clone(), &plan);
+        let mut sim = Simulator::new(&closure);
         let mut sched = RandomSched::new(sched_seed);
-        for _ in 0..FAULT_WALK_STEPS {
-            let fired = match harness.step(&mut sim, &mut sched, |_| true, sink) {
-                Ok(f) => f,
-                Err(e) => {
-                    error = Some(e.to_string());
-                    break;
-                }
-            };
-            if fired.is_none() && harness.pending_recoveries() == 0 {
-                let mut succ = Vec::new();
-                if let Err(e) = asys.successors(sim.state(), &mut succ) {
-                    error = Some(e.to_string());
-                    succ.clear();
-                }
-                if succ.is_empty() {
-                    deadlocked = error.is_none();
-                    break;
-                }
-            }
-        }
+        let walk = fault_walk(&mut sim, &plan, &mut sched, FAULT_WALK_STEPS, sink);
         completed += sim.stats().total_completed();
-        messages += sim.stats().total_messages() + harness.stats().retransmits;
-        faults.merge(harness.stats());
+        messages += sim.stats().total_messages() + walk.stats.retransmits;
+        faults.merge(&walk.stats);
         sim.stats().publish(reg);
-        if error.is_some() {
+        if walk.deadlocked || walk.error.is_some() {
+            deadlocked = walk.deadlocked;
+            error = walk.error.map(|e| e.to_string());
+            trail = Some(walk.trail);
             break;
         }
     }
@@ -281,6 +275,7 @@ fn run_fault_walks(
         degradation,
         deadlocked,
         error,
+        trail,
         faults,
     }
 }
@@ -479,17 +474,11 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
             let _p = run.telemetry.registry.phase("check/fault-closure");
             let mut obs =
                 SearchObserver::for_phase(&mut *run.sink, &run.telemetry, "check/fault-closure");
-            // Safety, then progress, over every placement of up to `f`
-            // faults: the closure is one more transition system for the
-            // same two checks, each sweep opening the phase afresh.
+            // Safety and progress over every placement of up to `f`
+            // faults, on one sweep of the closure.
             let closure = FaultClosure::new(asys.clone(), f);
-            let explored = search.explore(&closure, &budget, |_| None, &mut obs);
-            let fc = FaultClosureReport {
-                budget_faults: f,
-                explore: explored.traced_report(),
-                progress: search.progress(&closure, &budget, |l| l.completes.is_some(), &mut obs),
-            };
-            closure_swept = Some(explored.explore_report());
+            let (fc, swept) = faultmode::prove(&search, &closure, &budget, |_| None, &mut obs);
+            closure_swept = Some(swept);
             fc
         };
         if human {
@@ -567,10 +556,9 @@ pub fn run(p: &Parsed, spec: &ProtocolSpec, registry: Registry) -> Result<ExitCo
         }
     }
     // Terminal counts for the status snapshot and the flight record: the
-    // last search's. That is the fault closure when it ran — its progress
-    // sweep, which repeats the exploration's counts whenever that ran to
-    // the end or to the budget — else the asynchronous level (what the
-    // verify JSON reports), falling back to the rendezvous level.
+    // last search's. That is the fault closure's sweep when it ran, else
+    // the asynchronous level (what the verify JSON reports), falling back
+    // to the rendezvous level.
     let last =
         closure_swept.or_else(|| a.as_ref().or(r.as_ref()).map(SearchReport::explore_report));
     run.finish(last)?;

@@ -124,6 +124,8 @@ fn cli_parallel_snapshot_counters_equal_the_serial_runs() {
 /// progress check, on the concrete space and on the quotient alike, with
 /// or without threads; a checkpointed run carries nothing.
 /// `check/progress` is the post-sweep analysis whenever the check rode.
+/// The fault closure's exploration carries its progress check too: a
+/// `--fault-budget` run adds one sweep.
 #[test]
 fn cli_run_totals_say_who_rode_which_sweep() {
     let dir = tmp_dir("riders");
@@ -136,6 +138,7 @@ fn cli_run_totals_say_who_rode_which_sweep() {
         (&["--symmetry", "off", "--threads", "2"], 2, false),
         (&["--symmetry", "off", "--spill-dir", spill], 4, true),
         (&["--symmetry", "off", "--async"], 1, false),
+        (&["--symmetry", "off", "--fault-budget", "1"], 3, false),
     ] {
         let snap = cli_snapshot(flags);
         let counter = |name: &str| snap.path(&format!("counters.{name}")).and_then(Json::as_u64);

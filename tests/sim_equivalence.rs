@@ -17,9 +17,9 @@
 //! fails, which must fail at the same step with the same error — and
 //! again at the next, the failing group not taken for listed.
 //!
-//! The fault harness writes to the simulator's state between steps, which
-//! the scratch state has to follow; that path is pinned by a `ccr verify
-//! --faults` report written by the commit before the change.
+//! A seeded fault walk steps a simulator over the fault closure, whose
+//! one rule group is re-walked after every step; that path is pinned by a
+//! `ccr verify --faults` report.
 
 use ccr_core::ids::{ProcessId, RemoteId};
 use ccr_core::refine::{refine, RefineOptions, ReqRepMode};
@@ -255,11 +255,14 @@ fn a_doctored_protocol_fails_at_the_same_step() {
     assert!(met.errors > 20, "{} errors in {} steps", met.errors, met.compared);
 }
 
-/// `ccr verify --faults` walks the simulator through the fault harness,
-/// whose drops, duplicates and reorderings are written into the current
-/// state behind the simulator's back. The report — every counter of three
-/// 20,000-step walks, and the protocol error the reordering provokes in
-/// the end — was written by the binary of the parent commit.
+/// `ccr verify --faults` walks a simulator over the fault closure, its
+/// drops, duplicates, reorderings and retransmissions fired as the
+/// closure's own transitions. The report — every counter of three
+/// 20,000-poll walks, the protocol error the reordering provokes in the
+/// end and the failing walk's trail — was written by the binary of the
+/// commit that made the walk a path of the closure; the harness it
+/// replaced reported the same error, with the counts EXPERIMENTS.md
+/// puts beside these.
 #[test]
 fn a_faulted_walk_reports_what_the_parent_commit_reported() {
     let out = Command::new(env!("CARGO_BIN_EXE_ccr"))

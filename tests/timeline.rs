@@ -317,11 +317,10 @@ fn a_version_1_timeline_is_refused() {
     assert!(err.contains("timeline version 1 is not supported (this build reads 2)"), "{err}");
 }
 
-/// A `--fault-budget` run sweeps the fault closure twice under one
-/// phase name, exploration then progress. Each sweep opens the phase
-/// afresh, so no counter restarts inside a phase, and the end record
-/// holds the closure's counts: `ccr timeline` and `ccr report` read the
-/// recording back.
+/// A `--fault-budget` run sweeps the fault closure once, its progress
+/// check riding the exploration, so the recording holds one
+/// `check/fault-closure` phase, and the end record holds the closure's
+/// counts: `ccr timeline` and `ccr report` read the recording back.
 #[test]
 fn a_fault_budget_recording_reads_back() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -340,7 +339,7 @@ fn a_fault_budget_recording_reads_back() {
     }
     let timeline = Timeline::read(&dir.join("timeline.jsonl")).expect("timeline written");
     let names: Vec<&str> = timeline.phases.iter().map(|(_, name)| name.as_str()).collect();
-    assert_eq!(names[names.len() - 2..], ["check/fault-closure", "check/fault-closure"]);
+    assert_eq!(names[names.len() - 2..], ["check/progress", "check/fault-closure"]);
     let verify = std::fs::read_to_string(dir.join("verify.json")).expect("verify.json");
     let verify = Json::parse(verify.trim()).expect("verify.json parses");
     let closure = |key: &str| verify.path(&format!("fault_closure.explore.{key}"));
