@@ -224,7 +224,7 @@ impl<'a> BranchBuilder<'a> {
         self
     }
 
-    /// Home-side generalized input from any remote: `r(i)?msg`.
+    /// Home-side generalized input from any remote: `r(*) ? msg`.
     pub fn recv_any(mut self, msg: MsgType) -> Self {
         if self.role != Role::Home {
             self.err("recv_any is home-only".into());

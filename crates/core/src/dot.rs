@@ -2,18 +2,21 @@
 //!
 //! `dot_spec` reproduces the style of the paper's Figures 2 and 3 (solid
 //! circles, rendezvous labels); `dot_automaton` reproduces Figures 4 and 5
-//! (transient states drawn dotted, `!!`/`??` labels).
+//! (transient states drawn dotted, `!!`/`??` labels). Every label is in
+//! the `.ccp` notation of [`crate::text`].
 
-use crate::pretty::render_action;
 use crate::process::{Process, ProtocolSpec, StateKind};
 use crate::refine::{ANodeKind, AsyncAutomaton};
+use crate::text::render_branch;
 use std::fmt::Write as _;
 
 fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Renders one process of a rendezvous spec as a DOT digraph.
+/// Renders one process of a rendezvous spec as a DOT digraph. Each edge
+/// is labelled with its branch as [`crate::text::to_text`] writes it, up
+/// to the ` -> target;` the edge draws.
 pub fn dot_process(spec: &ProtocolSpec, p: &Process, title: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph \"{}\" {{", esc(title));
@@ -33,12 +36,8 @@ pub fn dot_process(spec: &ProtocolSpec, p: &Process, title: &str) -> String {
     }
     for (si, st) in p.states.iter().enumerate() {
         for br in &st.branches {
-            let mut label = String::new();
-            if let Some(g) = &br.guard {
-                let _ = write!(label, "[{g}] ");
-            }
-            let _ = write!(label, "{}", render_action(spec, &br.action));
-            let _ = writeln!(out, "  s{si} -> s{} [label=\"{}\"];", br.target.index(), esc(&label));
+            let label = esc(&render_branch(spec, p, br));
+            let _ = writeln!(out, "  s{si} -> s{} [label=\"{label}\"];", br.target.index());
         }
     }
     let _ = writeln!(out, "}}");
@@ -116,7 +115,7 @@ mod tests {
         let d = dot_spec(&s);
         assert!(d.contains("digraph \"token home\""));
         assert!(d.contains("digraph \"token remote\""));
-        assert!(d.contains("h!req"));
+        assert!(d.contains("label=\"h ! req\""));
         assert!(d.matches("digraph").count() == 2);
     }
 

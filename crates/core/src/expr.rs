@@ -8,7 +8,6 @@
 use crate::error::{CoreError, Result};
 use crate::ids::{RemoteId, VarId};
 use crate::value::{Env, Value};
-use std::fmt;
 
 /// An expression tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,30 +264,6 @@ impl Expr {
     }
 }
 
-impl fmt::Display for Expr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Expr::Const(v) => write!(f, "{v}"),
-            Expr::Var(v) => write!(f, "{v}"),
-            Expr::SelfId => write!(f, "self"),
-            Expr::Not(e) => write!(f, "!({e})"),
-            Expr::And(a, b) => write!(f, "({a} && {b})"),
-            Expr::Or(a, b) => write!(f, "({a} || {b})"),
-            Expr::Eq(a, b) => write!(f, "({a} == {b})"),
-            Expr::Ne(a, b) => write!(f, "({a} != {b})"),
-            Expr::Lt(a, b) => write!(f, "({a} < {b})"),
-            Expr::Add(a, b) => write!(f, "({a} + {b})"),
-            Expr::Sub(a, b) => write!(f, "({a} - {b})"),
-            Expr::Mod(a, b) => write!(f, "({a} % {b})"),
-            Expr::MaskHas(m, n) => write!(f, "({n} in {m})"),
-            Expr::MaskAdd(m, n) => write!(f, "({m} + {{{n}}})"),
-            Expr::MaskDel(m, n) => write!(f, "({m} - {{{n}}})"),
-            Expr::MaskIsEmpty(m) => write!(f, "empty({m})"),
-            Expr::MaskFirst(m) => write!(f, "first({m})"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,11 +371,5 @@ mod tests {
         let nested =
             Expr::And(Box::new(Expr::bool(true)), Box::new(Expr::MaskFirst(Box::new(var_mask))));
         assert!(!nested.is_equivariant(), "order sensitivity propagates up");
-    }
-
-    #[test]
-    fn display_round_trips_visually() {
-        let e = Expr::Eq(Box::new(Expr::Var(VarId(0))), Box::new(Expr::SelfId));
-        assert_eq!(e.to_string(), "(v0 == self)");
     }
 }

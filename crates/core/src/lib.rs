@@ -72,7 +72,6 @@ pub mod expr;
 pub mod hash;
 pub mod ids;
 pub mod inline;
-pub mod pretty;
 pub mod process;
 pub mod refine;
 pub mod text;

@@ -20,7 +20,7 @@ pub enum Peer {
     /// A specific remote, named by a node-valued expression — e.g. `r(o)`
     /// where `o` is the home's owner variable. Only legal in the home.
     Remote(Expr),
-    /// Any remote (generalized input guard `r(i)?msg`), optionally binding
+    /// Any remote (generalized input guard `r(*) ? msg`), optionally binding
     /// the sender's identity to a home variable. Only legal in home inputs.
     AnyRemote {
         /// Variable receiving the sender's identity.

@@ -5,6 +5,7 @@ use super::automaton::{AEdge, AEdgeKind, ANode, ANodeKind, AsyncAutomaton, Role}
 use super::BranchKey;
 use crate::ids::{MsgType, StateId};
 use crate::process::{CommAction, Peer, Process, ProtocolSpec, StateKind};
+use crate::text::{render_expr, var_name};
 use std::collections::{HashMap, HashSet};
 
 /// Borrowed view of the annotation tables while building.
@@ -40,13 +41,13 @@ impl<'a> Annotations<'a> {
     }
 }
 
-fn peer_label(role: Role, peer: &Peer) -> String {
+/// The peer of an edge label, named in `p` as the `.ccp` printer names it.
+fn peer_label(role: Role, p: &Process, peer: &Peer) -> String {
     match (role, peer) {
-        (Role::Remote, _) => "h".to_string(),
-        (Role::Home, Peer::Remote(e)) => format!("r({e})"),
-        (Role::Home, Peer::AnyRemote { bind: Some(v) }) => format!("r({v})"),
-        (Role::Home, Peer::AnyRemote { bind: None }) => "r(i)".to_string(),
-        (Role::Home, Peer::Home) => "h".to_string(),
+        (Role::Remote, _) | (Role::Home, Peer::Home) => "h".to_string(),
+        (Role::Home, Peer::Remote(e)) => format!("r({})", render_expr(p, e)),
+        (Role::Home, Peer::AnyRemote { bind: Some(v) }) => format!("r({})", var_name(p, *v)),
+        (Role::Home, Peer::AnyRemote { bind: None }) => "r(*)".to_string(),
     }
 }
 
@@ -87,7 +88,7 @@ pub(super) fn build_automaton(
                     });
                 }
                 CommAction::Recv { from, msg, .. } => {
-                    let pl = peer_label(role, from);
+                    let pl = peer_label(role, proc_, from);
                     let mname = spec.msg_name(*msg);
                     if ann.noack_recv(role, *msg) {
                         edges.push(AEdge {
@@ -106,7 +107,7 @@ pub(super) fn build_automaton(
                     }
                 }
                 CommAction::Send { to, msg, .. } => {
-                    let pl = peer_label(role, to);
+                    let pl = peer_label(role, proc_, to);
                     let mname = spec.msg_name(*msg);
                     if ann.fire_forget(role, key) {
                         // Reply sends complete immediately.
@@ -173,7 +174,7 @@ pub(super) fn build_automaton(
                             edges.push(AEdge {
                                 from: tnode,
                                 to: si,
-                                label: format!("{pl}??req [implicit nack]"),
+                                label: format!("{pl}??* [implicit nack]"),
                                 kind: AEdgeKind::ImplicitNack,
                             });
                             // Rows T4–T6: requests from other remotes are
@@ -181,7 +182,7 @@ pub(super) fn build_automaton(
                             edges.push(AEdge {
                                 from: tnode,
                                 to: tnode,
-                                label: "r(x)??msg / buffer|nack".into(),
+                                label: "r(*)??* / buffer|nack".into(),
                                 kind: AEdgeKind::SendNack,
                             });
                         }

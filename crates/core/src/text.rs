@@ -74,7 +74,8 @@ fn render_process(spec: &ProtocolSpec, p: &Process, label: &str, out: &mut Strin
         let init = if si == p.initial.index() { " init" } else { "" };
         let _ = writeln!(out, "    {kw} {}{init} {{", st.name);
         for br in &st.branches {
-            let _ = writeln!(out, "      {}", render_branch(spec, p, br));
+            let target = p.state(br.target).map(|t| t.name.as_str()).unwrap_or("?");
+            let _ = writeln!(out, "      {} -> {target};", render_branch(spec, p, br));
         }
         let _ = writeln!(out, "    }}");
     }
@@ -91,11 +92,14 @@ fn render_literal(v: Value) -> (&'static str, String) {
     }
 }
 
-fn var_name(p: &Process, v: VarId) -> String {
+/// The name `p` declares for `v` (`?v<i>` for an id it does not declare).
+pub(crate) fn var_name(p: &Process, v: VarId) -> String {
     p.vars.get(v.index()).map(|d| d.name.clone()).unwrap_or_else(|| format!("?v{}", v.0))
 }
 
-fn render_branch(spec: &ProtocolSpec, p: &Process, br: &Branch) -> String {
+/// A branch of `p` as [`to_text`] writes it, up to its ` -> target;`:
+/// guard, action, tag, payload and assignments, names resolved in `p`.
+pub(crate) fn render_branch(spec: &ProtocolSpec, p: &Process, br: &Branch) -> String {
     let mut s = String::new();
     if let Some(g) = &br.guard {
         let _ = write!(s, "when {} ", render_expr(p, g));
@@ -150,12 +154,11 @@ fn render_branch(spec: &ProtocolSpec, p: &Process, br: &Branch) -> String {
         }
         s.push('}');
     }
-    let target = p.state(br.target).map(|t| t.name.as_str()).unwrap_or("?");
-    let _ = write!(s, " -> {target};");
     s
 }
 
-fn render_expr(p: &Process, e: &Expr) -> String {
+/// An expression as [`to_text`] writes it, variables named in `p`.
+pub(crate) fn render_expr(p: &Process, e: &Expr) -> String {
     match e {
         Expr::Const(Value::Unit) => "unitlit".into(),
         Expr::Const(Value::Bool(b)) => b.to_string(),

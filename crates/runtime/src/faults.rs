@@ -702,7 +702,7 @@ impl Walker<'_, '_, '_> {
                 FaultKind::Duplicate => DUP,
                 FaultKind::Reorder => REORDER,
             };
-            if !self.force(rule, &format!("{}->{}", m.from, m.to))? {
+            if !self.force(rule, m.from, m.to, &format!("{}->{}", m.from, m.to))? {
                 continue;
             }
             let stats = &mut self.run.stats;
@@ -741,7 +741,7 @@ impl Walker<'_, '_, '_> {
                 self.run.stats.retransmits += 1;
                 self.run.stats.drops += 1;
                 i += 1;
-            } else if self.force(RETRANSMIT, &format!("{from}->{to}#{i}"))? {
+            } else if self.force(RETRANSMIT, from, to, &format!("{from}->{to}#{i}"))? {
                 self.timers.remove(i);
                 self.run.stats.retransmits += 1;
                 self.run.stats.recovered += 1;
@@ -768,9 +768,13 @@ impl Walker<'_, '_, '_> {
     }
 
     /// Fires the closure's fault transition `rule` on the link or hole
-    /// `tag` names, if it is enabled.
-    fn force(&mut self, rule: &str, tag: &str) -> Result<bool> {
+    /// `tag` names, if it is enabled, and records the occupancy it left
+    /// on that link `from → to`: a fault writes a link but sends nothing.
+    fn force(&mut self, rule: &str, from: ProcessId, to: ProcessId, tag: &str) -> Result<bool> {
         let fired = self.fire(&mut First, |l| l.rule == rule && l.tag.as_deref() == Some(tag))?;
+        if fired.is_some() {
+            self.sim.observe_link(from, to);
+        }
         Ok(fired.is_some())
     }
 

@@ -181,6 +181,16 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
         Ok(Some(label))
     }
 
+    /// Folds the occupancy of the link `from → to` into the high-water
+    /// marks: for a step that wrote the link without emitting a message
+    /// (a fault of the closure), which [`Self::step_observed`] records
+    /// nothing for.
+    pub(crate) fn observe_link(&mut self, from: ProcessId, to: ProcessId) {
+        if let Some(occ) = self.sys.link_occupancy(&self.state, from, to) {
+            self.stats.record_occupancy(from, to, occ);
+        }
+    }
+
     /// Lists afresh the labels of every dirty group. On an error every
     /// one of them stays dirty, the failing group among them.
     fn enumerate_dirty(&mut self) -> Result<()> {

@@ -14,6 +14,8 @@
 //! * [`JsonlSink`] — a buffered writer emitting one serde-serialized
 //!   JSON object per line (JSONL), the interchange format of the `ccr`
 //!   CLI's `--trace` flag and the model checker's counterexample export.
+//!   Its first line is the versioned [`HEADER`]; readers take the events
+//!   after it with [`events`], which refuses any other version.
 //!
 //! Event producers live in `ccr-runtime` (per-step simulator events),
 //! `ccr-mc` (counterexample paths and search outcomes) and `ccr-dsm`
@@ -29,6 +31,27 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+
+/// The trace schema version this build writes and reads.
+pub const VERSION: u64 = 1;
+
+/// The first line of every JSONL trace: `{"trace":{"version":1}}`.
+pub const HEADER: &str = "{\"trace\":{\"version\":1}}";
+
+/// The event lines of a JSONL trace `text`, after its [`HEADER`]. A trace
+/// without that header, or with another version's, is refused.
+pub fn events(text: &str) -> Result<std::str::Lines<'_>, String> {
+    let mut lines = text.lines();
+    let first = lines.next().unwrap_or("");
+    if first == HEADER {
+        return Ok(lines);
+    }
+    let version = first
+        .strip_prefix("{\"trace\":{\"version\":")
+        .and_then(|rest| rest.strip_suffix("}}"))
+        .unwrap_or("none");
+    Err(format!("trace version {version} is not supported (this build reads {VERSION})"))
+}
 
 /// One observable event in a protocol execution or a state-space search.
 ///
@@ -213,7 +236,8 @@ impl TraceSink for RingSink {
     }
 }
 
-/// A buffered JSONL writer: one serde-serialized [`TraceEvent`] per line.
+/// A buffered JSONL writer: the [`HEADER`] line, then one
+/// serde-serialized [`TraceEvent`] per line.
 ///
 /// I/O errors are sticky: the first failure disables further writes and
 /// is reported by [`TraceSink::take_error`].
@@ -232,12 +256,14 @@ impl JsonlSink<File> {
 }
 
 impl<W: Write> JsonlSink<W> {
-    /// Wrap any writer.
+    /// Wrap any writer, writing the [`HEADER`] line first.
     pub fn new(w: W) -> Self {
-        JsonlSink { out: BufWriter::new(w), lines: 0, error: None }
+        let mut out = BufWriter::new(w);
+        let error = writeln!(out, "{HEADER}").err();
+        JsonlSink { out, lines: 0, error }
     }
 
-    /// Lines successfully written so far.
+    /// Event lines successfully written so far (the header not counted).
     pub fn lines(&self) -> u64 {
         self.lines
     }
@@ -340,11 +366,29 @@ mod tests {
         assert_eq!(s.lines(), 2);
         let bytes = s.into_inner().unwrap();
         let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        assert!(text.starts_with(&format!("{HEADER}\n")), "{text}");
+        let lines: Vec<&str> = events(&text).unwrap().collect();
         assert_eq!(lines.len(), 2);
-        for line in lines {
+        for line in text.lines() {
             assert!(ccr_metrics::jsonval::Json::parse(line).is_ok(), "{line}");
         }
+    }
+
+    #[test]
+    fn other_versions_are_refused() {
+        let body = format!("{}\n", ev(0).to_json());
+        assert_eq!(events(&format!("{HEADER}\n{body}")).unwrap().count(), 1);
+        let newer = format!("{{\"trace\":{{\"version\":2}}}}\n{body}");
+        assert_eq!(
+            events(&newer).unwrap_err(),
+            "trace version 2 is not supported (this build reads 1)"
+        );
+        // The traces of the previous build began with their first event.
+        assert_eq!(
+            events(&body).unwrap_err(),
+            "trace version none is not supported (this build reads 1)"
+        );
+        assert!(events("").is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use ccr_core::pretty::render_spec;
+use ccr_core::text::to_text;
 use coherence_refinement::prelude::*;
 
 fn main() {
@@ -11,8 +11,9 @@ fn main() {
     //    atomic-transaction view of Figures 2 and 3.
     let opts = MigratoryOptions::Checking;
     let spec = migratory(&opts);
-    println!("=== Rendezvous specification (CSP-like) ===");
-    println!("{}", render_spec(&spec));
+    println!("=== Rendezvous specification (.ccp) ===");
+    print!("{}", to_text(&spec));
+    println!();
 
     // 2. Refine it: every rendezvous becomes request + ack/nack, transient
     //    states absorb races, and the request/reply optimization elides the

@@ -44,12 +44,14 @@ pub fn run(p: &Parsed) -> Result<ExitCode, String> {
         ),
         Err(_) => None,
     };
-    // Trace summary: events per variant (externally tagged JSONL).
+    // Trace summary: events per variant (externally tagged JSONL, after
+    // the versioned header).
     let mut trace_counts: Vec<(String, u64)> = Vec::new();
     let trace = std::fs::read_to_string(format!("{dir}/trace.jsonl")).ok();
     if let Some(text) = &trace {
-        for (i, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
-            let ev = Json::parse(line).map_err(|e| format!("trace.jsonl line {}: {e}", i + 1))?;
+        let events = ccr_trace::events(text).map_err(|e| format!("trace.jsonl: {e}"))?;
+        for (i, line) in events.enumerate().filter(|(_, l)| !l.trim().is_empty()) {
+            let ev = Json::parse(line).map_err(|e| format!("trace.jsonl line {}: {e}", i + 2))?;
             let variant = ev
                 .as_object()
                 .and_then(|o| o.first())

@@ -5,6 +5,7 @@
 //! trace as the closure's own steps, and a walk with faults disabled stays
 //! byte-identical to a plain run.
 
+use ccr_core::ids::{ProcessId, RemoteId};
 use ccr_core::refine::{refine, RefineOptions, RefinedProtocol};
 use ccr_core::text::parse_validated;
 use ccr_faults::{FaultPlan, FaultRates, FaultStats};
@@ -12,6 +13,7 @@ use ccr_mc::faultmode::check_fault_closure;
 use ccr_mc::report::Outcome;
 use ccr_mc::search::{explore, Budget, Search, SearchObserver};
 use ccr_mc::trace::replay_trail;
+use ccr_metrics::Registry;
 use ccr_protocols::invalidate::{invalidate_refined, InvalidateOptions};
 use ccr_protocols::migratory::{migratory_refined, MigratoryOptions};
 use ccr_protocols::props::migratory_async_invariant;
@@ -175,7 +177,8 @@ fn inactive_plan_is_byte_identical_to_a_plain_run() {
     let walk = fault_walk(&mut walked, &plan, &mut RandomSched::new(SEED), POLLS, &mut sink);
     let walked_trace = sink.into_inner().expect("vec sink");
 
-    assert!(!plain_trace.is_empty());
+    let text = std::str::from_utf8(&plain_trace).expect("utf-8");
+    assert!(ccr_trace::events(text).expect("a versioned trace").count() > 0);
     assert_eq!(plain_trace, walked_trace, "fault handling must be zero-cost when off");
     assert_eq!(plain.stats(), walked.stats());
     assert_eq!(walk.stats, FaultStats::default());
@@ -224,6 +227,53 @@ fn every_walk_is_a_path_of_the_closure() {
     }
     assert!(fault_steps > 1000, "the walks must actually fault: {fault_steps}");
     assert!(failed > 0, "some reorder walk must fail, and its trail replay to the failure");
+}
+
+/// A walk's published link high-water marks are what its trail shows:
+/// replayed through the closure it stepped, every link's highest
+/// occupancy along the path is the `runtime_link_high_water_*` gauge the
+/// walk publishes. A duplicate or a retransmission adds a frame to a link
+/// without sending a message, so the marks must count the frames faults
+/// add as well as the messages sent. The walks are the three of `ccr
+/// verify specs/migratory.ccp -n 2 --faults drop=0.05,dup=0.02 --seed 7`;
+/// in the second, `r0 -> h` reaches 3 only through a fault.
+#[test]
+fn published_high_water_is_the_trails_highest_occupancy() {
+    let spec = parse_validated(&spec_text("migratory.ccp")).expect("parse");
+    let refined = refine(&spec, &RefineOptions::default()).expect("refine");
+    let asys = AsyncSystem::new(&refined, 2, AsyncConfig::default());
+    let links: Vec<(ProcessId, ProcessId)> = (0..2)
+        .map(|i| ProcessId::Remote(RemoteId(i)))
+        .flat_map(|r| [(r, ProcessId::Home), (ProcessId::Home, r)])
+        .collect();
+    for seed in SEED..SEED + 3 {
+        let plan = FaultPlan::new(RATES, seed);
+        let closure = FaultClosure::for_plan(asys.clone(), &plan);
+        let mut sim = Simulator::new(&closure);
+        let mut sched = RandomSched::new(seed ^ 0x5EED_CAB1);
+        let walk = fault_walk(&mut sim, &plan, &mut sched, 20_000, &mut NullSink);
+        assert!(walk.error.is_none() && !walk.deadlocked, "seed {seed}: {walk:?}");
+        let reg = Registry::new();
+        sim.stats().publish(&reg);
+        let published = reg.snapshot().gauges;
+
+        let mut highest = vec![0u64; links.len()];
+        let (mut state, mut succ) = (closure.initial(), Vec::new());
+        for (i, want) in walk.trail.iter().enumerate() {
+            closure.successors(&state, &mut succ).expect("a trail state");
+            let at = succ.iter().position(|(l, _)| l == want);
+            state = succ.swap_remove(at.unwrap_or_else(|| panic!("step {i} is no closure step"))).1;
+            for (high, &(from, to)) in highest.iter_mut().zip(&links) {
+                let occ = closure.link_occupancy(&state, from, to).expect("a link");
+                *high = (*high).max(u64::from(occ));
+            }
+        }
+        assert!(walk.stats.dups > 0 && walk.stats.recovered > 0, "seed {seed}: {:?}", walk.stats);
+        for (&(from, to), &high) in links.iter().zip(&highest) {
+            let gauge = published.get(&format!("runtime_link_high_water_{from}_{to}")).copied();
+            assert_eq!(gauge.unwrap_or(0), high, "seed {seed}: {from}->{to}");
+        }
+    }
 }
 
 /// The reorder probe bites, and leaves a trail: `ccr verify --faults

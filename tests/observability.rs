@@ -36,10 +36,11 @@ fn traced_run(seed: u64) -> Vec<u8> {
 fn same_seed_yields_byte_identical_jsonl_traces() {
     let a = traced_run(42);
     let b = traced_run(42);
-    assert!(!a.is_empty());
     assert_eq!(a, b, "traced runs with the same seed must be byte-identical");
     let text = String::from_utf8(a).expect("utf8");
-    for line in text.lines() {
+    let events: Vec<&str> = ccr_trace::events(&text).expect("a versioned trace").collect();
+    assert!(!events.is_empty());
+    for line in events {
         assert!(Json::parse(line).is_ok(), "{line}");
     }
 }
@@ -89,7 +90,7 @@ fn cli_trace_flag_writes_a_replayable_counterexample() {
     assert!(!out.status.success(), "broken spec must fail verification");
     let text = std::fs::read_to_string(&cex).expect("trace file written");
     std::fs::remove_dir_all(&dir).ok();
-    let lines: Vec<&str> = text.lines().collect();
+    let lines: Vec<&str> = ccr_trace::events(&text).expect("a versioned trace").collect();
     assert!(!lines.is_empty(), "counterexample trace must be non-empty");
     for line in &lines {
         assert!(Json::parse(line).is_ok(), "{line}");

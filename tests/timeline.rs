@@ -69,7 +69,8 @@ fn recording_off_is_invisible_in_traces_and_deterministic_snapshots() {
     let dir = tmp_dir("invisible");
     let (trace_off, snap_off) = traced_metered_run(None);
     let (trace_on, snap_on) = traced_metered_run(Some(&dir.join("timeline.jsonl")));
-    assert!(!trace_off.is_empty());
+    let text = std::str::from_utf8(&trace_off).expect("utf-8");
+    assert!(ccr_trace::events(text).expect("a versioned trace").count() > 0);
     assert_eq!(trace_off, trace_on, "recording must not perturb the trace stream byte for byte");
     // The recorder publishes only nondeterministic-tagged counters, so
     // the deterministic view of the two snapshots must be identical
@@ -406,5 +407,48 @@ fn report_reads_a_timeline_or_a_trace_alone() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(out.status.success(), "{name}: {}", String::from_utf8_lossy(&out.stderr));
         assert!(stdout.contains(heading), "{name}: {stdout}");
+    }
+}
+
+/// `ccr report` counts the events after the trace's versioned header,
+/// and refuses a trace with no header (as the previous build wrote) or
+/// with another version's.
+#[test]
+fn report_refuses_a_trace_of_another_version() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let full = tmp_dir("trace-version");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+        .args(["verify", "specs/migratory_broken.ccp", "-n", "2", "--run-dir"])
+        .arg(&full)
+        .current_dir(root)
+        .output()
+        .expect("run ccr");
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let trace = std::fs::read_to_string(full.join("trace.jsonl")).expect("trace.jsonl");
+    let body = trace.strip_prefix(&format!("{}\n", ccr_trace::HEADER)).expect("the header first");
+    let report = |text: &str, tag: &str| {
+        let dir = tmp_dir(tag);
+        std::fs::write(dir.join("trace.jsonl"), text).expect("write trace");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccr"))
+            .args(["report", "--json"])
+            .arg(&dir)
+            .output()
+            .expect("run ccr report");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        (out.status.code(), format!("{stdout}{}", String::from_utf8_lossy(&out.stderr)))
+    };
+    let (code, out) = report(&trace, "trace-v1");
+    assert_eq!(code, Some(0), "{out}");
+    let doc = Json::parse(out.trim()).expect("report --json");
+    let counts = doc.path("trace_events").and_then(Json::as_object).expect("trace_events");
+    let counted: u64 = counts.iter().map(|(_, n)| n.as_u64().expect("a count")).sum();
+    assert_eq!(counted, body.lines().count() as u64, "every event counted, the header not: {out}");
+    assert!(counts.iter().all(|(k, _)| k != "trace"), "{out}");
+    for (text, version) in [(body.to_string(), "none"), (trace.replacen(":1}}", ":2}}", 1), "2")] {
+        let (code, err) = report(&text, &format!("trace-v{version}"));
+        assert_eq!(code, Some(1), "{err}");
+        let want =
+            format!("trace.jsonl: trace version {version} is not supported (this build reads 1)");
+        assert!(err.contains(&want), "{err}");
     }
 }
