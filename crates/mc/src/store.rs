@@ -1,7 +1,7 @@
 //! The visited-state store: [`StateStore`], an open-addressed hash table
-//! over byte keys with arena-backed keys, and [`Visited`], the sweep's
-//! visited set built from three of them — a state stored as the tuple of
-//! its key's interned segments.
+//! over byte keys, and [`Visited`], the sweep's visited set built from
+//! three of them — a state stored as the tuple of its key's interned
+//! segments.
 //!
 //! Keys are hashed with the workspace's FxHash-style multiply-xor hasher
 //! (`ccr_core::hash`: fast on short byte strings, per the Rust perf-book
@@ -9,7 +9,7 @@
 //! external dependency; a threaded search computes the same 64-bit hashes
 //! of segments on its workers and hands them to the sweep.
 //!
-//! Three deliberate layout choices keep a [`StateStore`]'s constant
+//! Four deliberate layout choices keep a [`StateStore`]'s constant
 //! factors down:
 //!
 //! * **Eight-byte probe slots.** A slot holds the high half of the key's
@@ -21,14 +21,27 @@
 //!   empty slot — no separate `get` + `insert` double probe, and no
 //!   `enc.to_vec()` allocation per *hit* the way a `HashMap<Vec<u8>, _>`
 //!   key forces. Only a new entry grows the table.
-//! * **Arena-backed keys.** Key bytes live contiguously in one bump arena
-//!   addressed by `(offset, len)` pairs, eliminating the per-key `Vec`
-//!   header and allocator round-trip (~48 bytes of overhead per state in
-//!   the old layout).
+//! * **Eight-byte entries, short keys inline.** An entry is one eight-byte
+//!   cell: a key of at most seven bytes lives in it, its length in the
+//!   last byte, and a probe hit on it compares the cell without reading
+//!   the arena. A longer key lives in one bump arena, its cell holding a
+//!   32-bit offset and a 24-bit length under a marker byte — no per-key
+//!   `Vec` header and allocator round-trip (~48 bytes of overhead per
+//!   state in the old layout). A visited state's tuple of segment ids is
+//!   about five bytes, so it costs one entry and one probe slot. A store
+//!   with a disk tier keeps every key in the arena, which is what it
+//!   evicts.
+//! * **Growth in place.** Doubling the table resizes the slot vector —
+//!   the allocator moves a large block's pages rather than copying them —
+//!   and re-places the old entries within it, so the store never holds
+//!   two tables at once.
 //!
 //! The store tracks its memory footprint from the real capacities of its
 //! buffers so searches can enforce a byte budget the way the paper's SPIN
-//! runs enforced 64 MB.
+//! runs enforced 64 MB. Its limits — arena offsets of 32 bits, key
+//! lengths of 24 bits and at most 2^32 − 1 entries — are checked on
+//! every insert, in release builds too, and a store past one fails with a
+//! message naming it.
 
 use crate::persist::LogTier;
 use ccr_core::encode::{Segment, Sink};
@@ -48,12 +61,132 @@ pub fn hash_encoded(enc: &[u8]) -> u64 {
 /// `u32::MAX` in its low half, so no held slot is all ones.
 const EMPTY: u64 = u64::MAX;
 /// Arena-offset sentinel marking an entry whose key bytes were evicted
-/// to the log tier. A legitimate offset of `u32::MAX` cannot occur:
-/// eviction thresholds sit far below a 4 GB arena, and the store
-/// debug-asserts against arena overflow long before that.
+/// to the log tier. No stored key has this offset: [`Cell::arena`]
+/// refuses it.
 const EVICTED: u32 = u32::MAX;
 /// Initial slot-table capacity (power of two).
 const MIN_CAP: usize = 16;
+/// The longest key an entry holds inline.
+const INLINE_MAX: usize = 7;
+/// The last byte of an entry whose key is in the arena; an inline
+/// entry's last byte is its key's length, at most [`INLINE_MAX`].
+const ARENA: u8 = 0xFF;
+/// The longest key an arena entry can name: its length has 24 bits.
+const ARENA_LEN_MAX: usize = (1 << 24) - 1;
+
+/// A [`StateStore`] entry: a key's bytes, or where they are, in eight
+/// bytes.
+///
+/// * **Inline:** bytes `0..7` hold a key of at most [`INLINE_MAX`] bytes,
+///   zero-padded, and byte 7 its length — so two inline cells are equal
+///   exactly when their keys are.
+/// * **Arena:** byte 7 is [`ARENA`], bytes `0..4` the key's arena offset
+///   ([`EVICTED`] once the arena went to the disk tier) and bytes `4..7`
+///   its length, both little-endian.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Cell([u8; 8]);
+
+/// Where a [`Cell`]'s key is.
+#[derive(Debug, PartialEq, Eq)]
+enum Stored<'a> {
+    /// In the cell.
+    Inline(&'a [u8]),
+    /// At `off` in the arena, `len` bytes.
+    Arena { off: usize, len: usize },
+    /// In the disk tier's log, `len` bytes.
+    Evicted(usize),
+}
+
+impl Cell {
+    /// The inline cell of `key`, if it is short enough to have one.
+    #[inline]
+    fn inline(key: &[u8]) -> Option<Cell> {
+        (key.len() <= INLINE_MAX).then(|| {
+            let mut cell = [0; 8];
+            cell[..key.len()].copy_from_slice(key);
+            cell[7] = key.len() as u8;
+            Cell(cell)
+        })
+    }
+
+    /// The cell of a `len`-byte key at `off` in the arena. Panics past
+    /// the store's limits: an offset must fit in 32 bits (and not be
+    /// [`EVICTED`]), a length in 24.
+    fn arena(off: usize, len: usize) -> Cell {
+        assert!(
+            off < EVICTED as usize,
+            "state store limit: arena offset {off} does not fit in 32 bits (the arena passed 4 GiB)"
+        );
+        Cell::pack(off as u32, len)
+    }
+
+    /// The cell of a `len`-byte key evicted to the disk tier.
+    fn evicted(len: usize) -> Cell {
+        Cell::pack(EVICTED, len)
+    }
+
+    fn pack(off: u32, len: usize) -> Cell {
+        assert!(
+            len <= ARENA_LEN_MAX,
+            "state store limit: a key of {len} bytes is longer than 2^24 - 1, what an entry can name"
+        );
+        let mut cell = [0; 8];
+        cell[..4].copy_from_slice(&off.to_le_bytes());
+        cell[4..7].copy_from_slice(&(len as u32).to_le_bytes()[..3]);
+        cell[7] = ARENA;
+        Cell(cell)
+    }
+
+    /// Where the key is.
+    #[inline]
+    fn stored(&self) -> Stored<'_> {
+        let c = &self.0;
+        if c[7] != ARENA {
+            return Stored::Inline(&c[..c[7] as usize]);
+        }
+        let len = u32::from_le_bytes([c[4], c[5], c[6], 0]) as usize;
+        match u32::from_le_bytes([c[0], c[1], c[2], c[3]]) {
+            EVICTED => Stored::Evicted(len),
+            off => Stored::Arena { off: off as usize, len },
+        }
+    }
+
+    /// The key's length in bytes.
+    fn key_len(&self) -> usize {
+        match self.stored() {
+            Stored::Inline(key) => key.len(),
+            Stored::Arena { len, .. } | Stored::Evicted(len) => len,
+        }
+    }
+}
+
+/// One bit per slot of a table being doubled in place: set while the
+/// slot holds an entry not yet re-placed ([`StateStore::grow`]). Slots
+/// past the bits are never pending.
+struct Pending(Vec<u64>);
+
+impl Pending {
+    /// Every held slot of `slots` pending.
+    fn held(slots: &[u64]) -> Pending {
+        let mut bits = vec![0u64; slots.len().div_ceil(64)];
+        for (i, &slot) in slots.iter().enumerate() {
+            if slot != EMPTY {
+                bits[i / 64] |= 1 << (i % 64);
+            }
+        }
+        Pending(bits)
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|&word| word >> (i % 64) & 1 == 1)
+    }
+
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+}
 
 /// A visited set mapping encoded states to dense indices (the index order
 /// is discovery order, used by the progress checker to address states).
@@ -65,11 +198,12 @@ pub struct StateStore {
     /// grows without rehashing a key, and eight bytes a slot are all a
     /// probe reads before it compares key bytes.
     slots: Vec<u64>,
-    /// Dense index → `(arena offset, length)`.
-    entries: Vec<(u32, u32)>,
-    /// Bump arena holding every key's bytes back to back. Committed data
-    /// occupies `arena[..data]`; the vector's length is a high-water mark,
-    /// so bytes are zero-initialized once per high-water byte.
+    /// Dense index → the key, inline, or where it is ([`Cell`]).
+    entries: Vec<Cell>,
+    /// Bump arena holding the bytes of every key not inline, back to
+    /// back. Committed data occupies `arena[..data]`; the vector's length
+    /// is a high-water mark, so bytes are zero-initialized once per
+    /// high-water byte.
     arena: Vec<u8>,
     /// Logical length of committed arena data (the bump pointer).
     data: usize,
@@ -77,7 +211,8 @@ pub struct StateStore {
     /// Optional disk tier: every new state is appended to its log, and
     /// when the tier's eviction threshold is crossed the arena is
     /// released wholesale — evicted entries keep their dense index and
-    /// are compared against the log on a probe hit.
+    /// are compared against the log on a probe hit. A store with a tier
+    /// keeps every key in the arena, so the threshold counts them all.
     tier: Option<Box<LogTier>>,
 }
 
@@ -121,7 +256,8 @@ impl StateStore {
         if self.slots.is_empty() {
             self.grow();
         }
-        let slot = match self.probe(hash, |idx| self.stored_eq(idx, enc)) {
+        let inline = Cell::inline(enc);
+        let slot = match self.probe(hash, |idx| self.stored_eq(idx, enc, inline)) {
             Ok(idx) => return (idx, false),
             Err(slot) => slot,
         };
@@ -134,10 +270,10 @@ impl StateStore {
             slot
         };
         let new_idx = self.claim(slot, hash);
-        let off = self.data;
-        debug_assert!(off + enc.len() <= u32::MAX as usize, "arena overflow");
-        self.push_bytes(enc);
-        self.entries.push((off as u32, enc.len() as u32));
+        match inline {
+            Some(cell) if self.tier.is_none() => self.entries.push(cell),
+            _ => self.push_arena(enc),
+        }
         if let Some(tier) = self.tier.as_deref_mut() {
             tier.append(enc);
             // The arena is the one thing eviction frees: the slots, the
@@ -171,10 +307,13 @@ impl StateStore {
     }
 
     /// Gives empty slot `slot` to a new entry with `hash` and returns the
-    /// entry's dense index; the caller records its bytes.
+    /// entry's dense index; the caller records its key. Panics when the
+    /// store holds `u32::MAX` entries already: an index of all ones would
+    /// read as an empty slot.
     #[inline]
     fn claim(&mut self, slot: usize, hash: u64) -> u32 {
         let idx = self.len;
+        assert!(idx < u32::MAX, "state store limit: 2^32 - 1 entries (32-bit state indices)");
         self.slots[slot] = (hash >> 32) << 32 | u64::from(idx);
         self.len += 1;
         idx
@@ -193,36 +332,43 @@ impl StateStore {
         slot
     }
 
-    /// Appends `bytes` at the bump pointer, reusing high-water capacity.
-    fn push_bytes(&mut self, bytes: &[u8]) {
+    /// Appends an entry whose key `bytes` go to the arena's bump pointer,
+    /// reusing high-water capacity.
+    fn push_arena(&mut self, bytes: &[u8]) {
+        let cell = Cell::arena(self.data, bytes.len());
         let end = self.data + bytes.len();
         if self.arena.len() < end {
             self.arena.resize(end, 0);
         }
         self.arena[self.data..end].copy_from_slice(bytes);
         self.data = end;
+        self.entries.push(cell);
     }
 
-    /// Whether stored entry `idx` equals `enc`, consulting the disk
-    /// tier for evicted entries.
-    fn stored_eq(&self, idx: u32, enc: &[u8]) -> bool {
-        let (off, len) = self.entries[idx as usize];
-        if len as usize != enc.len() {
-            return false;
+    /// Whether stored entry `idx` equals `enc`, whose inline cell is
+    /// `inline`, consulting the disk tier for evicted entries.
+    #[inline]
+    fn stored_eq(&self, idx: u32, enc: &[u8], inline: Option<Cell>) -> bool {
+        let cell = self.entries[idx as usize];
+        match cell.stored() {
+            Stored::Inline(_) => Some(cell) == inline,
+            Stored::Arena { off, len } => len == enc.len() && &self.arena[off..off + len] == enc,
+            Stored::Evicted(len) => {
+                let tier = self.tier.as_deref().expect("evicted entry without a tier");
+                len == enc.len() && tier.payload_eq(idx, enc)
+            }
         }
-        if off != EVICTED {
-            return &self.arena[off as usize..off as usize + len as usize] == enc;
-        }
-        self.tier.as_deref().expect("evicted entry without a tier").payload_eq(idx, enc)
     }
 
-    /// Releases the whole arena to the disk tier: every entry keeps its
-    /// dense index and length but its offset becomes [`EVICTED`], so
-    /// later probe hits compare against the log instead.
+    /// Releases the whole arena to the disk tier: every arena entry keeps
+    /// its dense index and length but becomes evicted, so later probe
+    /// hits compare against the log instead.
     fn evict_arena(&mut self) {
         let released = self.data as u64;
-        for e in &mut self.entries {
-            e.0 = EVICTED;
+        for cell in &mut self.entries {
+            if let Stored::Arena { len, .. } = cell.stored() {
+                *cell = Cell::evicted(len);
+            }
         }
         self.arena = Vec::new();
         self.data = 0;
@@ -236,21 +382,19 @@ impl StateStore {
     /// Re-inserts one recovered record during log replay: claims the
     /// first empty slot on `hash`'s probe path with *no* duplicate
     /// check (log records are distinct by construction — each was a new
-    /// insert when appended). With `keep == false` the entry is rebuilt
-    /// as already evicted: its bytes stay in the log.
+    /// insert when appended). The key goes to the arena, as every key of
+    /// a store with a tier does; with `keep == false` the entry is
+    /// rebuilt as already evicted: its bytes stay in the log.
     pub fn rebuild_insert(&mut self, hash: u64, enc: &[u8], keep: bool) {
         if self.full() {
             self.grow();
         }
         let slot = self.empty_slot(hash);
         self.claim(slot, hash);
-        let len = enc.len() as u32;
         if keep {
-            let off = self.data;
-            self.push_bytes(enc);
-            self.entries.push((off as u32, len));
+            self.push_arena(enc);
         } else {
-            self.entries.push((EVICTED, len));
+            self.entries.push(Cell::evicted(enc.len()));
         }
     }
 
@@ -259,49 +403,67 @@ impl StateStore {
         if self.slots.is_empty() {
             return None;
         }
-        self.probe(hash_encoded(enc), |idx| self.stored_eq(idx, enc)).ok()
+        let inline = Cell::inline(enc);
+        self.probe(hash_encoded(enc), |idx| self.stored_eq(idx, enc, inline)).ok()
     }
 
     /// The encoded bytes of state `idx`, or `None` when the entry was
     /// evicted to the disk tier ([`StateStore::read_entry`] reads those
     /// back).
     pub fn key_bytes(&self, idx: u32) -> Option<&[u8]> {
-        if idx >= self.len {
-            return None;
+        match self.entries.get(idx as usize)?.stored() {
+            Stored::Inline(key) => Some(key),
+            Stored::Arena { off, len } => Some(&self.arena[off..off + len]),
+            Stored::Evicted(_) => None,
         }
-        let (off, len) = self.entries[idx as usize];
-        if off == EVICTED {
-            return None;
-        }
-        Some(&self.arena[off as usize..off as usize + len as usize])
     }
 
     /// The encoded bytes of state `idx` as an owned copy, read back from
     /// the disk tier when the entry was evicted. `None` out of range or
     /// on a tier read error (which also sets the tier's sticky error).
     pub fn read_entry(&self, idx: u32) -> Option<Vec<u8>> {
-        if idx >= self.len {
-            return None;
+        match self.entries.get(idx as usize)?.stored() {
+            Stored::Evicted(len) => self.tier.as_deref()?.read_payload(idx, len as u32),
+            _ => self.key_bytes(idx).map(<[u8]>::to_vec),
         }
-        let (off, len) = self.entries[idx as usize];
-        if off != EVICTED {
-            return Some(self.arena[off as usize..off as usize + len as usize].to_vec());
-        }
-        self.tier.as_deref()?.read_payload(idx, len)
     }
 
-    /// Doubles the table. Every slot carries the tag its home slot is
-    /// read off, so no key is hashed again.
+    /// Doubles the table in place. The slot vector is resized to twice
+    /// its length — the allocator moves a large block's pages rather than
+    /// copying them — and the entries of the old half are re-placed in
+    /// one pass, each at the first slot on its new probe path that is
+    /// empty or still *pending* (holds an entry not yet re-placed): into
+    /// an empty slot it moves, with a pending one it swaps and the pass
+    /// goes on placing the entry that was there (hashbrown's in-place
+    /// rehash). A placed entry never moves again and every slot before it
+    /// on its path was placed when it was, so afterwards every entry's
+    /// probe path crosses only placed entries. Every slot carries the
+    /// tag its home slot is read off, so no key is hashed again.
     fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(MIN_CAP);
-        let old_slots = std::mem::replace(&mut self.slots, vec![EMPTY; new_cap]);
+        let old_cap = self.slots.len();
+        let new_cap = (old_cap * 2).max(MIN_CAP);
+        self.slots.reserve_exact(new_cap - old_cap);
+        self.slots.resize(new_cap, EMPTY);
         let mask = new_cap - 1;
-        for slot in old_slots.into_iter().filter(|&slot| slot != EMPTY) {
-            let mut i = (slot >> 32) as usize & mask;
-            while self.slots[i] != EMPTY {
-                i = (i + 1) & mask;
+        let mut pending = Pending::held(&self.slots[..old_cap]);
+        for i in 0..old_cap {
+            while pending.get(i) {
+                let entry = self.slots[i];
+                let mut j = (entry >> 32) as usize & mask;
+                while self.slots[j] != EMPTY && !pending.get(j) {
+                    j = (j + 1) & mask;
+                }
+                if j == i {
+                    pending.clear(i);
+                } else if self.slots[j] == EMPTY {
+                    self.slots[j] = entry;
+                    self.slots[i] = EMPTY;
+                    pending.clear(i);
+                } else {
+                    self.slots.swap(i, j);
+                    pending.clear(j);
+                }
             }
-            self.slots[i] = slot;
         }
     }
 
@@ -321,7 +483,7 @@ impl StateStore {
     pub fn approx_bytes(&self) -> usize {
         self.data
             + self.slots.len() * std::mem::size_of::<u64>()
-            + self.entries.len() * std::mem::size_of::<(u32, u32)>()
+            + self.entries.len() * std::mem::size_of::<Cell>()
             + std::mem::size_of::<Self>()
             + self.tier.as_deref().map_or(0, LogTier::mem_bytes)
     }
@@ -340,7 +502,7 @@ impl StateStore {
 
     /// Encoded length in bytes of every stored state, in insertion order.
     pub fn entry_lengths(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|&(_, len)| u64::from(len))
+        self.entries.iter().map(|cell| cell.key_len() as u64)
     }
 }
 
@@ -809,6 +971,45 @@ mod tests {
     }
 
     #[test]
+    fn cells_pack_at_their_edges() {
+        // Seven bytes are inline, eight are not; zero padding is not a key.
+        let seven = Cell::inline(&[0xFF; 7]).expect("a 7-byte key is inline");
+        assert_eq!(seven.stored(), Stored::Inline(&[0xFF; 7]));
+        assert_eq!(Cell::inline(&[0xFF; 8]), None, "an 8-byte key is not");
+        assert_ne!(Cell::inline(b""), Cell::inline(&[0]));
+        assert_eq!(Cell::inline(b"").map(|c| c.key_len()), Some(0));
+        // The arena form's fields at their widest.
+        let widest = Cell::arena(EVICTED as usize - 1, ARENA_LEN_MAX);
+        assert_eq!(
+            widest.stored(),
+            Stored::Arena { off: EVICTED as usize - 1, len: (1 << 24) - 1 }
+        );
+        assert_eq!(Cell::arena(0, 0).stored(), Stored::Arena { off: 0, len: 0 });
+        assert_eq!(Cell::evicted(ARENA_LEN_MAX).stored(), Stored::Evicted(ARENA_LEN_MAX));
+        // In a store without a tier a short key costs no arena byte.
+        let mut st = StateStore::new();
+        st.insert(b"1234567");
+        assert_eq!(st.data, 0);
+        st.insert(b"12345678");
+        assert_eq!(st.data, 8);
+        assert_eq!(st.key_bytes(0), Some(&b"1234567"[..]));
+        assert_eq!(st.key_bytes(1), Some(&b"12345678"[..]));
+        assert_eq!(st.entry_lengths().collect::<Vec<_>>(), [7, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "longer than 2^24 - 1")]
+    fn an_arena_length_of_2_pow_24_is_refused() {
+        Cell::arena(0, 1 << 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in 32 bits")]
+    fn an_arena_offset_past_32_bits_is_refused() {
+        Cell::arena(EVICTED as usize, 0);
+    }
+
+    #[test]
     fn store_handles_variable_length_and_prefix_keys() {
         let mut st = StateStore::new();
         // Keys that are prefixes of each other must not be conflated by the
@@ -837,7 +1038,7 @@ mod tests {
         // The real heap allocation behind the store, from capacities.
         let actual = st.arena.capacity()
             + st.slots.capacity() * std::mem::size_of::<u64>()
-            + st.entries.capacity() * std::mem::size_of::<(u32, u32)>()
+            + st.entries.capacity() * std::mem::size_of::<Cell>()
             + std::mem::size_of::<StateStore>();
         let approx = st.approx_bytes();
         assert!(
@@ -966,7 +1167,7 @@ mod tests {
         let table = |st: &StateStore| {
             st.arena.capacity()
                 + st.slots.capacity() * std::mem::size_of::<u64>()
-                + st.entries.capacity() * std::mem::size_of::<(u32, u32)>()
+                + st.entries.capacity() * std::mem::size_of::<Cell>()
                 + std::mem::size_of::<StateStore>()
         };
         let actual = table(&v.tuples) + v.segments.iter().map(table).sum::<usize>();

@@ -2,14 +2,14 @@
 //! with the root package's.
 //!
 //! They test the value codec, the inline vectors every state is built
-//! from, the canonicalization behind the symmetry reduction, the spill
-//! log's crash recovery, the shipped protocols' text round trip and what
-//! refinement derives from each protocol. As
-//! `crates/*/tests/` they are test targets of their crates, which only
-//! `cargo test --workspace` builds. Included here, `cargo test` runs them
-//! too, under their file names: `proptest_core::…`, `proptest_inline::…`,
-//! `proptest_canon::…`, `proptest_persist::…`, `text_roundtrip::…`,
-//! `protocol_shapes::…`.
+//! from, the canonicalization behind the symmetry reduction, the visited
+//! set's table against a `HashMap` model, the spill log's crash recovery,
+//! the shipped protocols' text round trip and what refinement derives
+//! from each protocol. As `crates/*/tests/` they are test targets of their
+//! crates, which only `cargo test --workspace` builds. Included here,
+//! `cargo test` runs them too, under their file names: `proptest_core::…`,
+//! `proptest_inline::…`, `proptest_canon::…`, `proptest_store::…`,
+//! `proptest_persist::…`, `text_roundtrip::…`, `protocol_shapes::…`.
 //! (`tests/runtime_suites.rs` does the same for `ccr-runtime`.)
 
 #[path = "../crates/core/tests/proptest_core.rs"]
@@ -20,6 +20,9 @@ mod proptest_inline;
 
 #[path = "../crates/mc/tests/proptest_canon.rs"]
 mod proptest_canon;
+
+#[path = "../crates/mc/tests/proptest_store.rs"]
+mod proptest_store;
 
 #[path = "../crates/mc/tests/proptest_persist.rs"]
 mod proptest_persist;

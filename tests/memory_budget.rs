@@ -9,13 +9,21 @@
 //! concrete sweep of migratory's asynchronous level at four remotes, and
 //! the progress graph is checked.
 //!
-//! The sweep holds the visited set (about 27 B a state), the frontier and
-//! the progress graph — four bytes a transition, four an expanded state,
-//! one a state — and no parent table: a passing run needs no trail. The
-//! budget is 10 % over what that measures. An eight-byte `(parent,
-//! ordinal)` per state and an eight-byte `(dst, src)` pair per
+//! The sweep holds the visited set (about 21 B a state: a state's tuple
+//! of segment ids, five bytes or so, lives in its eight-byte entry), the
+//! frontier and the progress graph — four bytes a transition, four an
+//! expanded state, one a state — and no parent table: a passing run needs
+//! no trail. The budget is 10 % over what that measures. An eight-byte
+//! `(parent, ordinal)` per state and an eight-byte `(dst, src)` pair per
 //! transition do not fit in it: with them the same run peaks at
-//! 2,779,168 bytes.
+//! 2,779,168 bytes. Nor does a copy of every tuple in the arena behind
+//! its entry: with it the run peaked at 1,828,896 bytes.
+//!
+//! The counting allocator charges a reallocation as a move — the new
+//! block live before the old one is given back — so a probe table that
+//! doubles in place is charged as much as one built beside the old. The
+//! resident set saves that copy (the allocator moves a large block's
+//! pages); this test pins only what the entries save.
 
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
@@ -33,7 +41,7 @@ static GLOBAL: Counting = Counting;
 
 /// The most heap bytes live at once above the start, as measured; the
 /// budget is 10 % over it.
-const MEASURED: u64 = 1_828_896;
+const MEASURED: u64 = 1_697_712;
 
 #[test]
 fn verify_stays_within_the_memory_budget() {
