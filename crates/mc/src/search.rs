@@ -127,10 +127,15 @@ impl Budget {
     }
 
     /// The one budget test: [`drive`] asks it after every newly stored
-    /// state.
+    /// state. The byte budget is held before the next insert: the sweep
+    /// ends once one more state could take the visited set past
+    /// `max_bytes` ([`Visited::headroom`]) — a probe table doubling
+    /// included — so a sweep's store never reads more than its budget
+    /// while no key is longer than the longest before it.
     fn exceeded(&self, store: &Visited, started: Instant) -> bool {
         store.len() >= self.max_states
-            || store.approx_bytes() >= self.max_bytes
+            || (self.max_bytes < usize::MAX
+                && store.approx_bytes().saturating_add(store.headroom()) > self.max_bytes)
             || self.max_time.map(|t| started.elapsed() >= t).unwrap_or(false)
     }
 }
@@ -1820,8 +1825,9 @@ impl Search<'_> {
     /// No parent table is kept, for either: the exploration's trail is
     /// replayed once the sweep's visited set is released, when `trails`
     /// wants one, and the progress witness is read off the graph. The
-    /// sweep holds the visited set, the frontier and the graph's four
-    /// bytes per transition, four per expanded state and one per state.
+    /// sweep holds the visited set, the frontier and the graph: about 2.4
+    /// bytes per transition (a delta-coded target), four per expanded
+    /// state and one bit per state.
     ///
     /// `persist` is not consulted: riders must be shown every state, and
     /// a resumed sweep does not re-announce the ones it recovered.
@@ -1952,6 +1958,40 @@ mod tests {
 
         let tiny = explore_plain(&sys, &Budget::bytes(64));
         assert_eq!(tiny.outcome, Outcome::Unfinished);
+    }
+
+    /// A byte budget is held before the insert that would pass it, a
+    /// probe table doubling included: the store a budget-cut sweep
+    /// reports never reads more than its budget, serial or threaded.
+    #[test]
+    fn a_bytes_budgeted_sweep_never_reports_store_bytes_above_its_budget() {
+        use ccr_core::refine::{refine, RefineOptions};
+        use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
+        for (name, n) in [("migratory", 4), ("invalidate", 3)] {
+            let path = format!("{}/../../specs/{name}.ccp", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("read spec");
+            let spec = ccr_core::text::parse_validated(&text).expect("parses");
+            let refined = refine(&spec, &RefineOptions::default()).expect("refines");
+            let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+            for kib in [2usize, 16, 40, 100, 256, 600] {
+                let budget = Budget::bytes(kib << 10);
+                for threads in [0usize, 2] {
+                    let mut null = NullSink;
+                    let mut obs = SearchObserver::new(&mut null);
+                    let search = Search { threads, ..Search::default() };
+                    let r = search.explore(&sys, &budget, |_| None, &mut obs);
+                    if kib <= 100 {
+                        assert_eq!(r.outcome, Outcome::Unfinished, "{name} {kib} KiB t={threads}");
+                    }
+                    assert!(
+                        r.store_bytes <= budget.max_bytes,
+                        "{name} n={n}, {kib} KiB, t={threads}: {} bytes after {} states",
+                        r.store_bytes,
+                        r.states
+                    );
+                }
+            }
+        }
     }
 
     #[test]

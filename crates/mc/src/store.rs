@@ -208,6 +208,8 @@ pub struct StateStore {
     /// Logical length of committed arena data (the bump pointer).
     data: usize,
     len: u32,
+    /// The longest key the arena took so far.
+    widest: u32,
     /// Optional disk tier: every new state is appended to its log, and
     /// when the tier's eviction threshold is crossed the arena is
     /// released wholesale — evicted entries keep their dense index and
@@ -336,6 +338,7 @@ impl StateStore {
     /// reusing high-water capacity.
     fn push_arena(&mut self, bytes: &[u8]) {
         let cell = Cell::arena(self.data, bytes.len());
+        self.widest = self.widest.max(bytes.len() as u32);
         let end = self.data + bytes.len();
         if self.arena.len() < end {
             self.arena.resize(end, 0);
@@ -488,6 +491,25 @@ impl StateStore {
             + self.tier.as_deref().map_or(0, LogTier::mem_bytes)
     }
 
+    /// The most bytes `k` more entries can add to
+    /// [`StateStore::approx_bytes`], their keys no longer than the
+    /// longest the arena took so far: every doubling of the probe table
+    /// they take it through, their entries, their keys and their disk
+    /// tier offsets. What a byte budget is held to before the next
+    /// insert.
+    pub(crate) fn headroom(&self, k: usize) -> usize {
+        let slot = std::mem::size_of::<u64>();
+        let mut cap = self.slots.len();
+        let mut growth = 0;
+        while (self.len as usize + k) * 8 > cap * 7 {
+            let next = (cap * 2).max(MIN_CAP);
+            growth += (next - cap) * slot;
+            cap = next;
+        }
+        let tier = if self.tier.is_some() { slot } else { 0 };
+        growth + k * (std::mem::size_of::<Cell>() + self.widest as usize + tier)
+    }
+
     /// Probe displacement (distance from the hash's home slot, in slots)
     /// of every occupied slot, in table order. Computed post-hoc by
     /// rescanning the table, so histogramming probe lengths costs the
@@ -552,7 +574,7 @@ fn table(kind: Segment) -> usize {
 
 /// Reads one LEB128 id off the front of `bytes`.
 #[inline]
-fn next_id(bytes: &mut &[u8]) -> Option<u32> {
+pub(crate) fn next_id(bytes: &mut &[u8]) -> Option<u32> {
     let (&first, rest) = bytes.split_first()?;
     *bytes = rest;
     if first < 0x80 {
@@ -828,6 +850,14 @@ impl Visited {
     pub fn approx_bytes(&self) -> usize {
         self.tuples.approx_bytes()
             + self.segments.iter().map(StateStore::approx_bytes).sum::<usize>()
+    }
+
+    /// The most bytes storing one more state can add to
+    /// [`Visited::approx_bytes`] ([`StateStore::headroom`]): its tuple,
+    /// and a new segment in every position of its key, in either table.
+    pub(crate) fn headroom(&self) -> usize {
+        let k = self.layout.len().max(1);
+        self.tuples.headroom(1) + self.segments.iter().map(|t| t.headroom(k)).sum::<usize>()
     }
 
     /// The tuples' table: dense state indices, and the disk tier a spilling

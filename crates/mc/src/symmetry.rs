@@ -11,7 +11,7 @@
 //!
 //! The [`Reduced`] wrapper plugs the reduction in under every check at
 //! once. The sweep (`search::drive`, whose store indices are the
-//! progress checker's CSR ids) identifies states solely through their
+//! progress graph's state ids) identifies states solely through their
 //! keys; `Reduced` delegates everything but the writer,
 //! [`TransitionSystem::encode_into`], which it redirects to the canonical
 //! representative's bytes — on whichever thread encodes.

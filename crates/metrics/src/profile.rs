@@ -75,7 +75,7 @@ pub enum SpanKind {
     Drain,
     /// A worker waiting for a chunk to expand.
     BarrierWait,
-    /// Livelock-check graph work (CSR build + backward propagation).
+    /// Livelock-check graph work (the components pass over the progress graph).
     Progress,
     /// Persistence: log sync, index rewrite and manifest checkpointing.
     Checkpoint,
