@@ -39,7 +39,7 @@ fn main() {
     };
     for n in configs::SCALING_NS {
         let sys = RendezvousSystem::new(&spec, n);
-        let r = search.explore(&sys, &budget, |_| None, &mut obs);
+        let r = search.explore(&sys, &budget, None, &mut obs);
         println!(
             "| {:>3} | {:>10} | {:>12} | {:>10} | {:>9.3} |{}",
             n,
@@ -58,7 +58,7 @@ fn main() {
     let refined = migratory_refined(&opts);
     for n in [2u32, 3, 4, 5] {
         let sys = AsyncSystem::new(&refined, n, AsyncConfig::default());
-        let r = search.explore(&sys, &budget, |_| None, &mut obs);
+        let r = search.explore(&sys, &budget, None, &mut obs);
         println!(
             "| {:>3} | {:>10} | {:>10} | {:>9.3} | {} |",
             n,

@@ -23,9 +23,9 @@ fn row(refined: &RefinedProtocol, n: u32, search: &Search<'_>) -> (String, Strin
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
     let asys = AsyncSystem::new(refined, n, AsyncConfig::default());
-    let a = search.explore(&asys, &budget, |_| None, &mut obs);
+    let a = search.explore(&asys, &budget, None, &mut obs);
     let rsys = RendezvousSystem::new(&refined.spec, n);
-    let r = search.explore(&rsys, &budget, |_| None, &mut obs);
+    let r = search.explore(&rsys, &budget, None, &mut obs);
     (a.explore_report().table_cell(), r.explore_report().table_cell())
 }
 

@@ -76,7 +76,7 @@ pub fn prove(
 ) -> (FaultClosureReport, ExploreReport) {
     let is_progress = |l: &Label| l.completes.is_some();
     let invariant: &mut dyn FnMut(&FaultState) -> Option<String> = &mut |s| invariant(&s.base);
-    let explore = Explore { invariant, check_deadlock: search.check_deadlock };
+    let explore = Explore { invariant: Some(invariant), check_deadlock: search.check_deadlock };
     let mut checker = (explore, ForwardGraph::new(is_progress));
     let run = search.sweep(closure, budget, &mut checker, obs, None);
     let explored = explored(closure, run, search.trails, obs, None);
@@ -160,7 +160,7 @@ mod tests {
             let budget = Budget::states(2_000_000);
             let par = FaultClosureReport {
                 budget_faults: 1,
-                explore: search.explore(&closure, &budget, |_| None, &mut obs).traced_report(),
+                explore: search.explore(&closure, &budget, None, &mut obs).traced_report(),
                 progress: search.progress(&closure, &budget, |l| l.completes.is_some(), &mut obs),
             };
             assert!(par.holds(), "t={threads}");

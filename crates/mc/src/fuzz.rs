@@ -23,7 +23,10 @@
 //!    random protocols block all the time — but must be *reported*, not
 //!    crashed on), every key the sweeps store or find read back from the
 //!    visited set's tuple of segments and held to the plain encoding
-//!    ([`KeyAudit`]);
+//!    ([`KeyAudit`]), and the **local-steps** re-check: the asynchronous
+//!    exploration by the local-step table must report what the walking
+//!    sweep did, and every rule group the table answers, walked again at
+//!    the state, must give the table's steps ([`StepAudit`]);
 //! 5. **threaded re-check** at 2 and 4 threads — states, transitions and
 //!    outcome must equal the serial run's on every outcome, violating and
 //!    unfinished runs included, and so must the whole progress report;
@@ -53,6 +56,7 @@ use crate::progress::check_progress_default;
 use crate::report::{ExploreReport, Outcome, SearchReport, SimRelReport};
 use crate::search::{Budget, Search, SearchObserver};
 use crate::simrel::check_simulation;
+use crate::steps::StepAudit;
 use crate::store::{KeyAudit, StateStore};
 use crate::symmetry::{spec_permutable, Reduced};
 use ccr_core::ids::{ProcessId, RemoteId};
@@ -625,8 +629,8 @@ fn fused_mismatch(
     let red_prog = permutable.then(|| check_progress_default(&red, budget));
     for check_deadlock in [false, true] {
         let alone = Search { check_deadlock, trails: true, ..Search::default() };
-        let a = timeless(alone.explore(asys, budget, |_| None, &mut obs));
-        let red_a = permutable.then(|| timeless(alone.explore(&red, budget, |_| None, &mut obs)));
+        let a = timeless(alone.explore(asys, budget, None, &mut obs));
+        let red_a = permutable.then(|| timeless(alone.explore(&red, budget, None, &mut obs)));
         for threads in std::iter::once(0).chain(cfg.threads.first().copied()) {
             let search = Search { threads, ..alone };
             let what = |on: &str| format!("fused-{on}-{threads}t");
@@ -734,8 +738,8 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
     let audited = Search { check_deadlock: true, audit: Some(&audit), ..Search::default() };
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    let rv_serial = audited.explore(&rv, &budget, |_| None, &mut obs).explore_report();
-    let a_serial = audited.explore(&asys, &budget, |_| None, &mut obs).explore_report();
+    let rv_serial = audited.explore(&rv, &budget, None, &mut obs).explore_report();
+    let a_serial = audited.explore(&asys, &budget, None, &mut obs).explore_report();
     let mut verdict = SpecVerdict {
         name: name.clone(),
         permutable,
@@ -757,11 +761,25 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
         verdict.failure = Some(FuzzFailure::Mismatch { what: "collapsed-keys".into(), detail });
         return verdict;
     }
+    // The same exploration by the local-step table (the key audit above
+    // keeps that sweep walking), every step it takes from the table
+    // walked again.
+    let steps = StepAudit::new();
+    let tabled = Search { check_deadlock: true, step_audit: Some(&steps), ..Search::default() };
+    let t_serial = tabled.explore(&asys, &budget, None, &mut obs).explore_report();
+    if let Some(detail) = steps.report().first {
+        verdict.failure = Some(FuzzFailure::Mismatch { what: "local-steps".into(), detail });
+        return verdict;
+    }
+    if let Some(f) = cmp_threaded("local-steps".into(), &key_of(&a_serial), &key_of(&t_serial)) {
+        verdict.failure = Some(f);
+        return verdict;
+    }
 
     // Stage 5: threaded re-checks, exploration and progress.
     let threaded = |threads| Search { check_deadlock: true, threads, ..Search::default() };
     for &t in &cfg.threads {
-        let fed = threaded(t).explore(&asys, &budget, |_| None, &mut obs).explore_report();
+        let fed = threaded(t).explore(&asys, &budget, None, &mut obs).explore_report();
         if let Some(f) = cmp_threaded(format!("async-{t}t"), &key_of(&a_serial), &key_of(&fed)) {
             verdict.failure = Some(f);
             return verdict;
@@ -783,7 +801,7 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
     // both finished. The serial sweep audits the keys it derives.
     if permutable {
         let red = Reduced::audited(&asys);
-        let r_serial = audited.explore(&red, &budget, |_| None, &mut obs).explore_report();
+        let r_serial = audited.explore(&red, &budget, None, &mut obs).explore_report();
         if let Some(detail) = red.audit().and_then(|a| a.mismatch) {
             verdict.failure = Some(FuzzFailure::Mismatch { what: "sym-derived".into(), detail });
             return verdict;
@@ -793,7 +811,7 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
             return verdict;
         }
         if let Some(&t) = cfg.threads.first() {
-            let fed = threaded(t).explore(&red, &budget, |_| None, &mut obs).explore_report();
+            let fed = threaded(t).explore(&red, &budget, None, &mut obs).explore_report();
             if let Some(f) = cmp_threaded(format!("sym-{t}t"), &key_of(&r_serial), &key_of(&fed)) {
                 verdict.failure = Some(f);
                 return verdict;
@@ -836,7 +854,7 @@ pub fn run_spec(spec: &ProtocolSpec, cfg: &FuzzConfig) -> SpecVerdict {
             let closure = FaultClosure::new(asys.clone(), cfg.fault_budget);
             let search = Search { trails: true, ..threaded(t) };
             let fed = (
-                search.explore(&closure, &budget, |_| None, &mut obs).traced_report(),
+                search.explore(&closure, &budget, None, &mut obs).traced_report(),
                 search.progress(&closure, &budget, |l| l.completes.is_some(), &mut obs),
             );
             let serial = (fc.explore, fc.progress);

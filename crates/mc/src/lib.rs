@@ -29,7 +29,10 @@
 //! same one, concrete or symmetry-reduced — at every thread count:
 //! `threads > 0` moves successor generation and encoding to worker
 //! threads and changes nothing else, so a threaded search reports
-//! exactly what the serial one does (`docs/parallel_checking.md`).
+//! exactly what the serial one does (`docs/parallel_checking.md`). A
+//! serial sweep that no checker needs decoded states for takes the steps
+//! it has taken before from a table ([`steps`]) instead of walking them
+//! again.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -43,6 +46,7 @@ pub mod props;
 pub mod report;
 pub mod search;
 pub mod simrel;
+pub mod steps;
 pub mod store;
 pub mod symmetry;
 pub mod trace;
@@ -62,6 +66,7 @@ pub use search::{
     explore, explore_dfs, report_from_manifest, Budget, PersistOpts, Search, SearchObserver,
     SerialPersist, SerialPersistOpen, Telemetry,
 };
+pub use steps::{StepAudit, StepAuditReport};
 pub use symmetry::{
     apply_perm, canonical_encode, canonicalize, derived_encode, spec_permutable, DeriveAudit,
     OrbitSample, Reduced, Symmetric,

@@ -52,6 +52,10 @@ where
     T::State: Send,
     F: Fn(&T::State) -> Option<String> + Sync,
 {
-    Search { check_deadlock, trails: true, threads: cfg.threads, ..Search::default() }
-        .explore(sys, budget, invariant, obs)
+    Search { check_deadlock, trails: true, threads: cfg.threads, ..Search::default() }.explore(
+        sys,
+        budget,
+        Some(&invariant),
+        obs,
+    )
 }

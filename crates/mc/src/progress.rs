@@ -159,6 +159,10 @@ impl<G> ForwardGraph<G> {
 impl<T: TransitionSystem, G: Fn(&Label) -> bool> Checker<T> for ForwardGraph<G> {
     const CHECKS: bool = true;
 
+    fn reads_states(&self) -> bool {
+        false
+    }
+
     fn on_new(&mut self, _state: &T::State, idx: u32) -> Option<Outcome> {
         self.seen.stored(idx);
         None
@@ -483,10 +487,10 @@ pub(crate) fn swept_alone<T: TransitionSystem, G>(
     run: DriveRun,
     obs: &mut SearchObserver<'_>,
 ) -> ProgressReport {
-    let DriveRun { store, transitions, peak_frontier, outcome, .. } = run;
-    record_search_run(&obs.telemetry().registry, store.len(), transitions, peak_frontier, &store);
-    drop(store);
-    graph.swept(outcome.is_complete()).check(sys, obs)
+    record_search_run(&obs.telemetry().registry, &run);
+    let complete = run.outcome.is_complete();
+    drop(run);
+    graph.swept(complete).check(sys, obs)
 }
 
 /// [`Search::progress`] without threads, with samples and

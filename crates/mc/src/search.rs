@@ -21,6 +21,7 @@ use crate::persist::{
 use crate::progress::{self, ForwardGraph, ProgressGraph};
 use crate::report::{ExploreReport, Outcome, ProgressReport, SearchReport, SimRelReport};
 use crate::simrel::Equation1;
+use crate::steps::{LocalSteps, StepAudit, StepStats, Taken};
 use crate::store::{hash_encoded, KeyAudit, Marking, Visited};
 use crate::trace::{conclude_with_trail, trail_to};
 use ccr_core::encode::Segment;
@@ -33,7 +34,7 @@ use ccr_runtime::{next_parent_id, Label, Origin, RuntimeError, TransitionSystem,
 use ccr_trace::{NullSink, TraceEvent, TraceSink};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -46,18 +47,15 @@ pub(crate) const STATE_BYTES_BOUNDS: &[u64] = &[8, 16, 24, 32, 48, 64, 96, 128];
 /// the deterministic run totals plus the post-hoc store-shape
 /// histograms — probe displacements (tagged nondeterministic: a property
 /// of the table layout, not of the state space) and stored tuple lengths
-/// (a multiset property of the reachable set) — and the segment tables'
-/// sizes behind the tuples.
-pub(crate) fn record_search_run(
-    reg: &Registry,
-    states: usize,
-    transitions: usize,
-    peak_frontier: usize,
-    store: &Visited,
-) {
+/// (a multiset property of the reachable set) — the segment tables'
+/// sizes behind the tuples, and the local-step table's figures.
+pub(crate) fn record_search_run(reg: &Registry, run: &DriveRun) {
     if !reg.enabled() {
         return;
     }
+    let (store, transitions, peak_frontier) = (&run.store, run.transitions, run.peak_frontier);
+    let states = store.len();
+    run.steps.record(reg);
     reg.counter("mc_runs_total", "Search runs folded into this registry").inc();
     reg.counter("mc_states_total", "Distinct states stored, summed over runs").add(states as u64);
     reg.counter("mc_transitions_total", "Transitions generated, summed over runs")
@@ -139,6 +137,16 @@ impl Budget {
             || self.max_time.map(|t| started.elapsed() >= t).unwrap_or(false)
     }
 }
+
+/// A visitor of a walk behind a trait object.
+pub(crate) type DynVisit<'a, S> = dyn FnMut(usize, Label, &S, Written) -> ControlFlow<()> + 'a;
+
+/// An invariant [`Search::explore`] holds every new state to: `Some`
+/// describes a violation.
+pub type Invariant<'a, S> = dyn Fn(&S) -> Option<String> + 'a;
+
+/// An invariant that may keep state of its own between calls.
+pub(crate) type InvariantMut<'a, S> = dyn FnMut(&S) -> Option<String> + 'a;
 
 /// Expansions between clock probes. Samples are wall-clock-interval
 /// based, but reading the clock on every expansion of a fast in-memory
@@ -614,6 +622,14 @@ pub(crate) trait Checker<T: TransitionSystem> {
     /// the lap.
     const CHECKS: bool = false;
 
+    /// Whether a hook reads the states it is shown. A sweep whose checker
+    /// reads none may take a successor from the local-step table
+    /// ([`crate::steps`]) without decoding it, and show the hooks some
+    /// other state in its place.
+    fn reads_states(&self) -> bool {
+        true
+    }
+
     /// `state` was stored for the first time, as `idx` (the root is 0).
     #[inline]
     fn on_new(&mut self, _state: &T::State, _idx: u32) -> Option<Outcome> {
@@ -660,6 +676,10 @@ pub(crate) trait Checker<T: TransitionSystem> {
 
 impl<T: TransitionSystem, A: Checker<T>, B: Checker<T>> Checker<T> for (A, B) {
     const CHECKS: bool = A::CHECKS || B::CHECKS;
+
+    fn reads_states(&self) -> bool {
+        self.0.reads_states() || self.1.reads_states()
+    }
 
     #[inline]
     fn on_new(&mut self, state: &T::State, idx: u32) -> Option<Outcome> {
@@ -711,6 +731,10 @@ impl<C> Riding<C> {
 impl<T: TransitionSystem, C: Checker<T>> Checker<T> for Riding<C> {
     const CHECKS: bool = C::CHECKS;
 
+    fn reads_states(&self) -> bool {
+        self.checker.reads_states()
+    }
+
     #[inline]
     fn on_new(&mut self, state: &T::State, idx: u32) -> Option<Outcome> {
         if self.verdict.is_none() {
@@ -752,17 +776,24 @@ impl<T: TransitionSystem, C: Checker<T>> Checker<T> for Riding<C> {
     }
 }
 
-/// Plain reachability as a checker: an invariant on every new state and,
-/// optionally, "no state without successors".
+/// Plain reachability as a checker: an invariant, if any, on every new
+/// state and, optionally, "no state without successors".
 pub(crate) struct Explore<F> {
-    pub(crate) invariant: F,
+    pub(crate) invariant: Option<F>,
     pub(crate) check_deadlock: bool,
 }
 
 impl<T: TransitionSystem, F: FnMut(&T::State) -> Option<String>> Checker<T> for Explore<F> {
+    fn reads_states(&self) -> bool {
+        self.invariant.is_some()
+    }
+
     #[inline]
     fn on_new(&mut self, state: &T::State, _idx: u32) -> Option<Outcome> {
-        (self.invariant)(state).map(Outcome::InvariantViolated)
+        self.invariant
+            .as_mut()
+            .and_then(|invariant| invariant(state))
+            .map(Outcome::InvariantViolated)
     }
 
     #[inline]
@@ -792,6 +823,8 @@ pub(crate) struct DriveRun {
     /// Whether the source expanded states in index order, rather than
     /// from a stack: a replay has to take the same order.
     pub(crate) breadth_first: bool,
+    /// What the local-step table did, and the states decoded.
+    pub(crate) steps: StepStats,
 }
 
 impl DriveRun {
@@ -849,10 +882,23 @@ pub(crate) trait Source<T: TransitionSystem> {
     /// States queued and not yet handed back by [`Source::pop`].
     fn len(&self) -> usize;
 
-    /// Leaves the next state to expand in `into` and returns its index;
-    /// `Ok(None)` once the frontier is spent. A source that has to wait
-    /// calls `idle` once per waiting quantum with its queue depths, and
-    /// gives up with `Err` when that returns true.
+    /// Whether this kind of source can leave popped states in the store
+    /// ([`Source::lazy`]).
+    const LAZY: bool = false;
+
+    /// Whether a popped state may stay in `store` until the sweep asks
+    /// for it ([`Source::restore`]): its key is the state and is in
+    /// memory, and nothing holds the sweep to decoding every state.
+    fn lazy(&self, _store: &Visited) -> bool {
+        false
+    }
+
+    /// Returns the index of the next state to expand, `Ok(None)` once the
+    /// frontier is spent; a source that hands over decoded states leaves
+    /// it in `into`, and one that does not leaves that to
+    /// [`Source::restore`]. A source that has to wait calls `idle` once
+    /// per waiting quantum with its queue depths, and gives up with `Err`
+    /// when that returns true.
     fn pop(
         &mut self,
         sys: &T,
@@ -861,6 +907,12 @@ pub(crate) trait Source<T: TransitionSystem> {
         timer: &mut SpanTimer,
         idle: &mut dyn FnMut(&[u64]) -> bool,
     ) -> Result<Option<u32>, Outcome>;
+
+    /// Leaves state `idx`, the one last popped, in `into`, decoded; false
+    /// when its bytes do not decode. Asked at most once per pop.
+    fn restore(&mut self, _sys: &T, _store: &Visited, _idx: u32, _into: &mut T::State) -> bool {
+        true
+    }
 
     /// Shows `visit` — which gets the source back, to [`Source::insert`]
     /// and [`Source::push`] with — the successors of `state`, the state
@@ -890,6 +942,12 @@ pub(crate) trait Source<T: TransitionSystem> {
     fn audit(&self) -> Option<&KeyAudit> {
         None
     }
+
+    /// The audit every step the local-step table hands out is held to,
+    /// if any ([`Search::step_audit`]).
+    fn step_audit(&self) -> Option<&StepAudit> {
+        None
+    }
 }
 
 /// The serial source: a queue (or, `depth_first`, a stack) of pending
@@ -898,11 +956,17 @@ pub(crate) trait Source<T: TransitionSystem> {
 /// the visited set's own copy wherever that is the state
 /// ([`Inline::reads_store`]), and otherwise a snapshot taken when it was
 /// stored, in the one byte queue beside the indices. No decoded state
-/// waits here.
+/// waits here. A breadth-first sweep that reads pending states from the
+/// store queues exactly the indices it has stored and not yet expanded,
+/// in order, so its frontier is a cursor over them.
 pub(crate) struct Inline<'a> {
     /// Per pending state its stored index and the length of its snapshot
-    /// in `side` (nothing, when it is read back from the store).
+    /// in `side` (nothing, when it is read back from the store) — unless
+    /// the pending states are `cursor`'s.
     frontier: VecDeque<(u32, u32)>,
+    /// The pending states of a breadth-first sweep that reads them from
+    /// the store: every index in the range.
+    cursor: Range<u32>,
     /// The pending states' snapshots, back to back in frontier order.
     side: VecDeque<u8>,
     depth_first: bool,
@@ -911,17 +975,21 @@ pub(crate) struct Inline<'a> {
     enc: Vec<u8>,
     /// Holds every key stored or found to the system's plain encoding.
     audit: Option<&'a KeyAudit>,
+    /// Holds every step the local-step table hands out to the walk's.
+    step_audit: Option<&'a StepAudit>,
 }
 
 impl Inline<'_> {
     pub(crate) fn new<T: TransitionSystem>(sys: &T, depth_first: bool) -> Self {
         Inline {
             frontier: VecDeque::new(),
+            cursor: 0..0,
             side: VecDeque::new(),
             depth_first,
             key_is_snapshot: sys.key_is_snapshot(),
             enc: Vec::new(),
             audit: None,
+            step_audit: None,
         }
     }
 
@@ -931,70 +999,90 @@ impl Inline<'_> {
     fn reads_store(&self, store: &Visited) -> bool {
         self.key_is_snapshot && store.tier().is_none()
     }
+
+    /// Queues stored state `idx`, read back from the store when popped.
+    fn queue(&mut self, idx: u32) {
+        if self.depth_first {
+            self.frontier.push_back((idx, 0));
+        } else if self.cursor.is_empty() {
+            self.cursor = idx..idx + 1;
+        } else {
+            debug_assert_eq!(idx, self.cursor.end, "a cursor's states are queued in index order");
+            self.cursor.end = idx + 1;
+        }
+    }
 }
 
 impl<T: TransitionSystem> Source<T> for Inline<'_> {
+    const LAZY: bool = true;
+
     fn breadth_first(&self) -> bool {
         !self.depth_first
     }
 
     #[inline]
     fn push(&mut self, sys: &T, store: &Visited, state: &T::State, idx: u32) {
-        let snapshot = if self.reads_store(store) {
-            0
+        if self.reads_store(store) {
+            self.queue(idx);
         } else {
             sys.snapshot_into(state, &mut self.enc);
             self.side.extend(&self.enc);
-            self.enc.len()
-        };
-        self.frontier.push_back((idx, snapshot as u32));
+            self.frontier.push_back((idx, self.enc.len() as u32));
+        }
     }
 
     fn requeue(&mut self, _sys: &T, store: &Visited, idx: u32) -> Result<(), Outcome> {
-        let snapshot = if self.reads_store(store) {
-            0
+        if self.reads_store(store) {
+            self.queue(idx);
         } else {
             // The key stands in for the snapshot nobody took: the state
             // it decodes to is the one a resumed sweep has always used.
             let key = store.read_entry(idx).ok_or_else(|| unreadable(idx))?;
             self.side.extend(&key);
-            key.len()
-        };
-        self.frontier.push_back((idx, snapshot as u32));
+            self.frontier.push_back((idx, key.len() as u32));
+        }
         Ok(())
     }
 
     #[inline]
     fn len(&self) -> usize {
-        self.frontier.len()
+        self.cursor.len() + self.frontier.len()
+    }
+
+    fn lazy(&self, store: &Visited) -> bool {
+        self.reads_store(store) && self.audit.is_none()
     }
 
     #[inline]
     fn pop(
         &mut self,
-        sys: &T,
+        _sys: &T,
         store: &Visited,
-        into: &mut T::State,
+        _into: &mut T::State,
         _timer: &mut SpanTimer,
         _idle: &mut dyn FnMut(&[u64]) -> bool,
     ) -> Result<Option<u32>, Outcome> {
+        if let Some(idx) = self.cursor.next() {
+            return Ok(Some(idx));
+        }
         let next =
             if self.depth_first { self.frontier.pop_back() } else { self.frontier.pop_front() };
         let Some((idx, len)) = next else { return Ok(None) };
-        let read = if self.reads_store(store) {
-            store.expand_into(idx, &mut self.enc)
-        } else {
+        // A snapshot leaves the side queue now; a stored key is read when
+        // the state is restored.
+        if !self.reads_store(store) {
             let len = len as usize;
             let at = if self.depth_first { self.side.len() - len } else { 0 };
             self.enc.clear();
             self.enc.extend(self.side.drain(at..at + len));
-            true
-        };
-        if read && sys.restore_into(&self.enc, into) {
-            Ok(Some(idx))
-        } else {
-            Err(Outcome::PersistFailure(format!("pending state {idx} does not decode")))
         }
+        Ok(Some(idx))
+    }
+
+    #[inline]
+    fn restore(&mut self, sys: &T, store: &Visited, idx: u32, into: &mut T::State) -> bool {
+        let read = !self.reads_store(store) || store.expand_into(idx, &mut self.enc);
+        read && sys.restore_into(&self.enc, into)
     }
 
     #[inline]
@@ -1031,6 +1119,10 @@ impl<T: TransitionSystem> Source<T> for Inline<'_> {
 
     fn audit(&self) -> Option<&KeyAudit> {
         self.audit
+    }
+
+    fn step_audit(&self) -> Option<&StepAudit> {
+        self.step_audit
     }
 }
 
@@ -1466,6 +1558,22 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
     let mut at = SampleInput::default();
     let resumed = persist.as_deref().is_some_and(|p| p.resumed);
     let breadth_first = src.breadth_first();
+    // Successors from the steps already taken, where no checker reads a
+    // state, the system says what its rule groups read and the source can
+    // leave states in the store: a state is then decoded only if one of
+    // its groups has to be walked. (Written so that a sweep that can never
+    // take this path compiles without it.)
+    let groups = sys.groups();
+    let by_table = S::LAZY
+        && !checker.reads_states()
+        && (0..groups).any(|g| sys.group_reads(g).is_some())
+        && src.lazy(&store);
+    let mut steps = LocalSteps::new(sys);
+    // A group's steps from the table; the ids of a successor just stored;
+    // the keys of the table's successors, for the step audit.
+    let mut taken: Vec<Taken> = Vec::new();
+    let mut next_ids: Vec<u32> = Vec::new();
+    let mut audited: Vec<(u16, Vec<u8>)> = Vec::new();
     obs.sweep_starts();
 
     // Ends the sweep with `$outcome`; `$at`, when given, is the state its
@@ -1484,6 +1592,7 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
                 outcome: $outcome,
                 leads_to: $at.filter(|_| !resumed),
                 breadth_first,
+                steps: steps.stats(),
                 store,
             }
         };
@@ -1542,6 +1651,14 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
             Ok(None) => done!(Outcome::Complete),
             Err(outcome) => done!(outcome),
         };
+        // Decoded now, unless the table expands it.
+        let mut restored = !by_table;
+        if restored {
+            if !src.restore(sys, &store, idx, &mut state) {
+                done!(undecodable(idx));
+            }
+            steps.stats.restores += u64::from(S::LAZY);
+        }
         peak_frontier = peak_frontier.max(src.len() + 1);
         store.expanding(idx);
         if let Some(p) = persist.as_deref_mut() {
@@ -1582,40 +1699,131 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
         // What ended the sweep in the middle of this expansion, and the
         // state a trail to it leads to.
         let mut ended: Option<(Outcome, Option<u32>)> = None;
+        let mut generated: ccr_runtime::Result<()> = Ok(());
         let mut ordinal = 0u32;
         let parent_id = next_parent_id();
-        let generated = src.expand(sys, &state, &mut scratch, |src, label, next, written| {
-            // Since the last lap, the source made this successor.
-            timer.lap(SpanKind::Compute, 0);
-            transitions += 1;
-            let from = Origin { parent: &state, parent_id, written };
-            let (nidx, is_new) = src.insert(sys, &mut store, next, from, &mut timer);
-            if let Some(audit) = src.audit() {
-                audit.check(sys, &store, next, nidx);
-            }
-            let judged = checker.on_edge(idx, &state, &label, nidx, next, is_new);
-            C::lap(&mut timer);
-            ordinal += 1;
-            if let Some(outcome) = judged {
-                ended = Some((outcome, Some(idx)));
-            } else if is_new {
-                if let Some(p) = persist.as_deref() {
-                    p.crash.tick();
+        // The rest of a successor's visit, once it is stored as `$nidx`
+        // (new when `$is_new`): `$next` is the successor, or — taken from
+        // the table — a stand-in no checker reads.
+        macro_rules! visit {
+            ($src:expr, $label:expr, $next:expr, $nidx:expr, $is_new:expr) => {{
+                let (nidx, is_new) = ($nidx, $is_new);
+                if let Some(audit) = $src.audit() {
+                    audit.check(sys, &store, $next, nidx);
                 }
-                if let Some(outcome) = checker.on_new(next, nidx) {
-                    ended = Some((outcome, Some(nidx)));
-                } else if budget.exceeded(&store, started) {
-                    ended = Some((Outcome::Unfinished, None));
+                let judged = checker.on_edge(idx, &state, $label, nidx, $next, is_new);
+                C::lap(&mut timer);
+                ordinal += 1;
+                if let Some(outcome) = judged {
+                    ended = Some((outcome, Some(idx)));
+                } else if is_new {
+                    if let Some(p) = persist.as_deref() {
+                        p.crash.tick();
+                    }
+                    if let Some(outcome) = checker.on_new($next, nidx) {
+                        ended = Some((outcome, Some(nidx)));
+                    } else if budget.exceeded(&store, started) {
+                        ended = Some((Outcome::Unfinished, None));
+                    } else {
+                        $src.push(sys, &store, $next, nidx);
+                    }
+                }
+                if ended.is_some() {
+                    ControlFlow::Break(())
                 } else {
-                    src.push(sys, &store, next, nidx);
+                    ControlFlow::Continue(())
+                }
+            }};
+        }
+        // Decodes the state being expanded, once, for a walk.
+        macro_rules! restore {
+            () => {
+                if !restored {
+                    if !src.restore(sys, &store, idx, &mut state) {
+                        ended = Some((undecodable(idx), None));
+                        break;
+                    }
+                    scratch.clone_from(&state);
+                    restored = true;
+                    steps.stats.restores += 1;
+                }
+            };
+        }
+        if by_table {
+            // One rule group at a time, in the walk's order: from the
+            // table where it holds the group's steps at this state, by
+            // the walk otherwise — which fills the table.
+            for group in 0..groups {
+                if steps.lookup(group, store.parent_ids(), &mut taken) {
+                    let walked = if src.step_audit().is_some() {
+                        restore!();
+                        audited.clear();
+                        Some(StepAudit::walk(sys, &state, &mut scratch, group))
+                    } else {
+                        None
+                    };
+                    for step in &taken {
+                        // The table made this successor: its segments are
+                        // the parent's, a few replaced.
+                        timer.lap(SpanKind::Compute, 0);
+                        transitions += 1;
+                        store.build_replaced(step.writes());
+                        timer.lap(SpanKind::Encode, 1);
+                        let (nidx, is_new) = store.insert_tuple();
+                        timer.lap(SpanKind::Insert, 1);
+                        if walked.is_some() {
+                            audited.push((step.label, store.read_entry(nidx).unwrap_or_default()));
+                        }
+                        if visit!(src, steps.label(step.label), &state, nidx, is_new).is_break() {
+                            break;
+                        }
+                    }
+                    if let (Some(walked), Some(audit)) = (walked, src.step_audit()) {
+                        if ended.is_none() {
+                            let taken: Vec<_> =
+                                audited.drain(..).map(|(l, key)| (steps.label(l), key)).collect();
+                            audit.check(idx, group, walked, &taken);
+                        }
+                    }
+                } else {
+                    restore!();
+                    steps.begin();
+                    // Behind trait objects: a miss is rare, and the walk
+                    // is then compiled once per system, not once per sweep.
+                    let wanted: &dyn Fn(usize) -> bool = &|g| g == group;
+                    let walk: &mut DynVisit<'_, T::State> = &mut |_, label, next, written| {
+                        timer.lap(SpanKind::Compute, 0);
+                        transitions += 1;
+                        let from = Origin { parent: &state, parent_id, written };
+                        let (nidx, is_new) = src.insert(sys, &mut store, next, from, &mut timer);
+                        store.tuple_ids(nidx, &mut next_ids);
+                        let remotes = store.segments(Segment::Remote);
+                        steps.note(group, &label, store.parent_ids(), &next_ids, remotes);
+                        visit!(src, &label, next, nidx, is_new)
+                    };
+                    generated = sys.for_each_successor_in(&state, &mut scratch, wanted, walk);
+                    debug_assert!(
+                        scratch == state,
+                        "a walk must leave its scratch state as it was"
+                    );
+                    if generated.is_ok() && ended.is_none() {
+                        steps.commit(group, store.parent_ids());
+                    }
+                }
+                if ended.is_some() || generated.is_err() {
+                    break;
                 }
             }
-            if ended.is_some() {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
+        } else {
+            generated = src.expand(sys, &state, &mut scratch, |src, label, next, written| {
+                // Since the last lap, the source made this successor.
+                timer.lap(SpanKind::Compute, 0);
+                transitions += 1;
+                let from = Origin { parent: &state, parent_id, written };
+                let (nidx, is_new) = src.insert(sys, &mut store, next, from, &mut timer);
+                visit!(src, &label, next, nidx, is_new)
+            });
+        }
         if let Some((outcome, leads_to)) = ended {
             done!(outcome, leads_to);
         }
@@ -1625,6 +1833,11 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
         timer.lap(SpanKind::Compute, 1);
         check!(checker.on_successors(idx, ordinal as usize), idx);
     }
+}
+
+/// A pending state whose bytes do not decode.
+fn undecodable(idx: u32) -> Outcome {
+    Outcome::PersistFailure(format!("pending state {idx} does not decode"))
 }
 
 /// The exploration's ending, whatever rode its sweep — in this order:
@@ -1643,7 +1856,7 @@ pub(crate) fn explored<T: TransitionSystem>(
         p.conclude(&mut run, &obs.telemetry().registry);
     }
     let reg = &obs.telemetry().registry;
-    record_search_run(reg, run.store.len(), run.transitions, run.peak_frontier, &run.store);
+    record_search_run(reg, &run);
     let mut report = run.report_with_trail(sys, trails);
     conclude_with_trail(sys, &report.outcome, report.trail.as_deref(), obs);
     if let Some(p) = persist {
@@ -1658,7 +1871,7 @@ pub(crate) fn explored<T: TransitionSystem>(
 pub(crate) fn explore_with<T: TransitionSystem>(
     sys: &T,
     budget: &Budget,
-    mut invariant: impl FnMut(&T::State) -> Option<String>,
+    invariant: Option<&mut InvariantMut<'_, T::State>>,
     check_deadlock: bool,
     trails: bool,
     obs: &mut SearchObserver<'_>,
@@ -1666,7 +1879,6 @@ pub(crate) fn explore_with<T: TransitionSystem>(
 ) -> SearchReport {
     // Type-erased, so the sweep is compiled once per system and source,
     // not once more per caller's closure.
-    let invariant: &mut dyn FnMut(&T::State) -> Option<String> = &mut invariant;
     let mut checker = Explore { invariant, check_deadlock };
     let src = Inline::new(sys, false);
     let run = drive(sys, budget, &mut checker, src, obs, persist.as_deref_mut());
@@ -1706,6 +1918,12 @@ pub struct Search<'a> {
     /// unaudited run's (a [`crate::symmetry::Reduced`] system's orbit
     /// counters also count the audit's canonicalizations).
     pub audit: Option<&'a KeyAudit>,
+    /// Test hook of the local-step table ([`crate::steps`]): every rule
+    /// group whose steps a serial sweep takes from the table is walked
+    /// again at the state itself, and each step's label and successor
+    /// key held to the table's ([`StepAudit`]). Costs a decode and a walk
+    /// per group the table answers; the reports are the unaudited run's.
+    pub step_audit: Option<&'a StepAudit>,
 }
 
 impl Search<'_> {
@@ -1727,7 +1945,11 @@ impl Search<'_> {
         C: Checker<T>,
     {
         if self.threads == 0 {
-            let src = Inline { audit: self.audit, ..Inline::new(sys, false) };
+            let src = Inline {
+                audit: self.audit,
+                step_audit: self.step_audit,
+                ..Inline::new(sys, false)
+            };
             drive(sys, budget, checker, src, obs, persist)
         } else {
             let telemetry = obs.telemetry().clone();
@@ -1738,10 +1960,12 @@ impl Search<'_> {
     }
 
     /// Explores the reachable state space of `sys` breadth-first.
-    /// `invariant` is evaluated on every newly discovered state;
+    /// `invariant`, if any, is evaluated on every newly discovered state;
     /// returning `Some(description)` aborts with
     /// [`Outcome::InvariantViolated`]. `obs` samples the sweep and receives
-    /// the run's ending.
+    /// the run's ending. Without an invariant nothing reads a state the
+    /// sweep reaches, and a serial sweep takes the steps it has taken
+    /// before from its local-step table ([`crate::steps`]).
     ///
     /// With `persist`, new states are logged (and spilled past the
     /// eviction threshold), the frontier is checkpointed on the
@@ -1754,17 +1978,16 @@ impl Search<'_> {
     /// log truncated below its committed prefix, unwritable directory —
     /// the message names the offending path) reports
     /// [`Outcome::PersistFailure`] with zero counts.
-    pub fn explore<T, F>(
+    pub fn explore<T>(
         &self,
         sys: &T,
         budget: &Budget,
-        invariant: F,
+        invariant: Option<&Invariant<'_, T::State>>,
         obs: &mut SearchObserver<'_>,
     ) -> SearchReport
     where
         T: TransitionSystem + Sync,
         T::State: Send,
-        F: Fn(&T::State) -> Option<String> + Sync,
     {
         let mut persist = match self.persist.map(|(root, opts)| SerialPersist::open(root, opts)) {
             None => None,
@@ -1772,9 +1995,6 @@ impl Search<'_> {
             Some(Ok(SerialPersistOpen::Finished(m))) => return report_from_manifest(&m),
             Some(Err(e)) => return SearchReport::persist_failure(&e),
         };
-        // Type-erased, so the sweep is compiled once per system and
-        // source, not once more per caller's closure.
-        let invariant: &dyn Fn(&T::State) -> Option<String> = &invariant;
         let mut checker = Explore { invariant, check_deadlock: self.check_deadlock };
         let run = self.sweep(sys, budget, &mut checker, obs, persist.as_deref_mut());
         explored(sys, run, self.trails, obs, persist.as_deref_mut())
@@ -1846,7 +2066,7 @@ impl Search<'_> {
         T: TransitionSystem<State = AsyncState> + Sync,
         G: Fn(&Label) -> bool + Sync,
     {
-        let invariant = |_: &AsyncState| None;
+        let invariant = None::<&Invariant<'_, AsyncState>>;
         let explore = Explore { invariant, check_deadlock: self.check_deadlock };
         let equation1 = Riding::new(Equation1::new(sys, async_sys, rv_sys));
         let mut checker = (explore, (equation1, ForwardGraph::new(is_progress)));
@@ -1870,17 +2090,20 @@ impl Search<'_> {
 pub fn explore<T: TransitionSystem>(
     sys: &T,
     budget: &Budget,
-    invariant: impl FnMut(&T::State) -> Option<String>,
+    mut invariant: impl FnMut(&T::State) -> Option<String>,
     check_deadlock: bool,
 ) -> ExploreReport {
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    explore_with(sys, budget, invariant, check_deadlock, false, &mut obs, None).explore_report()
+    explore_with(sys, budget, Some(&mut invariant), check_deadlock, false, &mut obs, None)
+        .explore_report()
 }
 
 /// Convenience: explore with no invariant and no deadlock check.
 pub fn explore_plain<T: TransitionSystem>(sys: &T, budget: &Budget) -> ExploreReport {
-    explore(sys, budget, |_| None, false)
+    let mut null = NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    explore_with(sys, budget, None, false, false, &mut obs, None).explore_report()
 }
 
 /// Depth-first exploration. Visits the same reachable set as [`explore`]
@@ -1895,7 +2118,7 @@ pub fn explore_dfs<T: TransitionSystem>(
 ) -> ExploreReport {
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    let mut checker = Explore { invariant, check_deadlock };
+    let mut checker = Explore { invariant: Some(invariant), check_deadlock };
     drive(sys, budget, &mut checker, Inline::new(sys, true), &mut obs, None)
         .report()
         .explore_report()
@@ -1979,7 +2202,7 @@ mod tests {
                     let mut null = NullSink;
                     let mut obs = SearchObserver::new(&mut null);
                     let search = Search { threads, ..Search::default() };
-                    let r = search.explore(&sys, &budget, |_| None, &mut obs);
+                    let r = search.explore(&sys, &budget, None, &mut obs);
                     if kib <= 100 {
                         assert_eq!(r.outcome, Outcome::Unfinished, "{name} {kib} KiB t={threads}");
                     }
@@ -2072,7 +2295,7 @@ mod tests {
         let sys = RendezvousSystem::new(&spec, 3);
         let mut sink = RingSink::new(256);
         let mut obs = SearchObserver::for_phase(&mut sink, &Telemetry::off(), "explore");
-        let r = Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs);
+        let r = Search::default().explore(&sys, &Budget::default(), None, &mut obs);
         assert!(r.outcome.is_complete());
         let events = sink.into_events();
         assert!(matches!(
@@ -2088,7 +2311,7 @@ mod tests {
         let sys = RendezvousSystem::new(&spec, 2);
         let mut null = NullSink;
         let mut obs = SearchObserver::new(&mut null);
-        let r = Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs);
+        let r = Search::default().explore(&sys, &Budget::default(), None, &mut obs);
         assert!(r.outcome.is_complete());
     }
 
@@ -2108,12 +2331,8 @@ mod tests {
     ) -> SearchReport {
         let mut null = NullSink;
         let mut obs = SearchObserver::new(&mut null);
-        Search { threads, persist: Some((root, opts)), ..Search::default() }.explore(
-            sys,
-            budget,
-            |_| None,
-            &mut obs,
-        )
+        Search { threads, persist: Some((root, opts)), ..Search::default() }
+            .explore(sys, budget, None, &mut obs)
     }
 
     /// `search` over `sys`, unobserved, with its wall time zeroed so
@@ -2125,7 +2344,7 @@ mod tests {
     {
         let mut null = NullSink;
         let mut obs = SearchObserver::new(&mut null);
-        let report = search.explore(sys, budget, |_| None, &mut obs);
+        let report = search.explore(sys, budget, None, &mut obs);
         SearchReport { elapsed: Duration::ZERO, ..report }
     }
 
@@ -2203,7 +2422,7 @@ mod tests {
         ) {
             let mut null = NullSink;
             let mut obs = SearchObserver::new(&mut null);
-            let mut checker = Explore { invariant: |_: &_| None, check_deadlock: false };
+            let mut checker = Explore { invariant: Some(|_: &_| None), check_deadlock: false };
             let truncated =
                 drive(sys, &Budget::states(states), &mut checker, src, &mut obs, Some(p));
             assert_eq!(truncated.outcome, Outcome::Unfinished);
@@ -2262,7 +2481,7 @@ mod tests {
             let r = Search { threads, ..traced }.explore(
                 &sys,
                 &Budget::default(),
-                |_| Some("always".into()),
+                Some(&|_| Some("always".into())),
                 &mut obs,
             );
             assert!(matches!(r.outcome, Outcome::InvariantViolated(_)), "t={threads}");

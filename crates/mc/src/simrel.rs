@@ -278,7 +278,7 @@ pub fn check_simulation_observed(
     let mut checker = Equation1::new(async_sys, async_sys, rv_sys);
     let run = Search::default().sweep(async_sys, budget, &mut checker, obs, None);
     let reg = &obs.telemetry().registry;
-    record_search_run(reg, run.store.len(), run.transitions, run.peak_frontier, &run.store);
+    record_search_run(reg, &run);
     checker.report(run.outcome)
 }
 

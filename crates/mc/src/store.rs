@@ -787,6 +787,39 @@ impl Visited {
         }
     }
 
+    /// The segment ids of the state last announced by
+    /// [`Visited::expanding`], when its tuple is in memory; empty
+    /// otherwise.
+    #[inline]
+    pub(crate) fn parent_ids(&self) -> &[u32] {
+        &self.parent
+    }
+
+    /// Builds, for [`Visited::insert_tuple`], the tuple of the state last
+    /// announced by [`Visited::expanding`] with the segment at each
+    /// position of `writes` replaced by the id beside it: a successor
+    /// whose new segments are interned already.
+    #[inline]
+    pub(crate) fn build_replaced(&mut self, writes: &[(u32, u32)]) {
+        debug_assert_eq!(self.parent.len(), self.layout.len(), "no parent tuple to replace in");
+        for (pos, &id) in self.parent.iter().enumerate() {
+            let id = writes.iter().find(|&&(at, _)| at as usize == pos).map_or(id, |&(_, id)| id);
+            self.tuple.put_id(id);
+        }
+        self.pos = self.layout.len();
+    }
+
+    /// The segment ids of stored state `idx` into `out` (cleared first);
+    /// empty when its tuple is not in memory.
+    pub(crate) fn tuple_ids(&self, idx: u32, out: &mut Vec<u32>) {
+        out.clear();
+        if let Some(mut tuple) = self.tuples.key_bytes(idx) {
+            while let Some(id) = next_id(&mut tuple) {
+                out.push(id);
+            }
+        }
+    }
+
     /// Writes the key of state `idx` into `out` (cleared first): its
     /// segments, concatenated. False when there is no such state, or its
     /// tuple cannot be read back or names a segment the tables do not

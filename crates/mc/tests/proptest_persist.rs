@@ -229,7 +229,7 @@ fn sweep(
         let mut null = ccr_trace::NullSink;
         let mut obs = SearchObserver::new(&mut null);
         let search = Search { persist: dir, ..Search::default() };
-        search.explore(&sys, &Budget::default(), invariant, &mut obs)
+        search.explore(&sys, &Budget::default(), Some(&invariant), &mut obs)
     }));
     run.ok().map(|r| (r.states, r.transitions, r.outcome))
 }

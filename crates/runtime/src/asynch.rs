@@ -18,7 +18,7 @@
 //! here; labels carry the row name (`"C1"`, `"T3"`, ...) for traces.
 
 use crate::error::{Result, RuntimeError};
-use crate::system::{Label, LabelKind, Origin, SentMsg, TransitionSystem, Written};
+use crate::system::{GroupReads, Label, LabelKind, Origin, SentMsg, TransitionSystem, Written};
 use crate::wire::{encode_payload, Link, Reader, Wire};
 use ccr_core::encode::{Identity, Renaming, Segment, Sink};
 use ccr_core::expr::EvalCtx;
@@ -1336,6 +1336,25 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
     /// groups", says what each reads).
     fn groups(&self) -> usize {
         1 + 2 * self.n as usize
+    }
+
+    /// What `Written::dirty` says each group reads, as segments: the
+    /// home's alone for `home_step`, whose writes to a remote are pushes
+    /// onto its home → remote link — the last part of a remote's segment
+    /// — and which reads the link's length only to know there is room;
+    /// the home's and remote `i`'s for `deliver_to_home(i)`, which has no
+    /// step while remote `i`'s home-bound link is empty; remote `i`'s
+    /// alone for its own group. Only of the whole system: a share
+    /// restricted to one process keeps the default.
+    fn group_reads(&self, group: usize) -> Option<GroupReads> {
+        if self.only.is_some() || group >= self.groups() {
+            return None;
+        }
+        Some(match group {
+            0 => GroupReads::Home,
+            g if g % 2 == 1 => GroupReads::HomeAndRemote((g - 1) / 2),
+            g => GroupReads::Remote((g - 2) / 2),
+        })
     }
 
     /// Every rule of `step_all` in the groups `wanted` selects, through

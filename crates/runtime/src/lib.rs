@@ -38,4 +38,6 @@ pub mod wire;
 pub use error::{Result, RuntimeError};
 pub use faults::{fault_walk, FaultClosure, FaultState, FaultWalk};
 pub use observe::emit_label_events;
-pub use system::{next_parent_id, Label, LabelKind, Origin, SentMsg, TransitionSystem, Written};
+pub use system::{
+    next_parent_id, GroupReads, Label, LabelKind, Origin, SentMsg, TransitionSystem, Written,
+};

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 /// Classification of a global transition, used for reporting and for the
 /// progress checker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum LabelKind {
     /// An autonomous local step (`tau`, including internal states).
     Tau,
@@ -35,7 +35,7 @@ pub enum LabelKind {
 }
 
 /// A wire message emitted during a step, for message accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct SentMsg {
     /// Sender.
     pub from: ProcessId,
@@ -79,7 +79,7 @@ impl SentMsg {
 }
 
 /// Label attached to each generated transition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Label {
     /// The process that took the step.
     pub actor: ProcessId,
@@ -201,6 +201,28 @@ impl Written {
     }
 }
 
+/// Which segments of a state's key — in [`TransitionSystem::encode_into`]'s
+/// order, the home's at position 0 and remote `i`'s at `1 + i` — decide
+/// the steps of one rule group ([`TransitionSystem::group_reads`]): two
+/// states that agree on those segments have the same steps in that group,
+/// with the same labels, writing the same new segments there, and fail in
+/// it alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GroupReads {
+    /// The home's segment alone. A step writes the home's, and of a
+    /// remote's only a push of one message onto its home → remote link,
+    /// which leaves that remote's segment ending in the message's bytes;
+    /// whether the link has room for it is the one thing the remote's
+    /// segment decides.
+    Home,
+    /// The home's segment and remote `i`'s, which are all a step writes.
+    /// Whether the group has any step at all is decided by remote `i`'s
+    /// segment alone.
+    HomeAndRemote(usize),
+    /// Remote `i`'s segment alone, which is all a step writes.
+    Remote(usize),
+}
+
 /// How a state handed to [`TransitionSystem::encode_into`] was reached,
 /// where the caller knows: a step from `parent` that wrote `written`, in
 /// the expansion numbered `parent_id`. An encoder may derive the key from
@@ -277,6 +299,15 @@ pub trait TransitionSystem {
     /// step changes.
     fn groups(&self) -> usize {
         1
+    }
+
+    /// Which segments of the key decide the steps of rule group `group`,
+    /// where a step is local to a few of them ([`GroupReads`]): what lets
+    /// the model checker's sweep take a step it has taken before from a
+    /// table of its results, without reading the state back. `None` (the
+    /// default): the group's steps may depend on the whole state.
+    fn group_reads(&self, _group: usize) -> Option<GroupReads> {
+        None
     }
 
     /// The walk: shows `visit` every successor of `s` in the rule groups

@@ -167,7 +167,7 @@ impl Run {
         let mut obs = SearchObserver::for_phase(&mut *self.sink, &self.telemetry, phase);
         let exact = |r: &SearchReport| search.threads == 0 || r.outcome.is_complete();
         with_symmetry!(sys, reduce, registry, exact, |s| {
-            search.explore(s, budget, |_| None, &mut obs)
+            search.explore(s, budget, None, &mut obs)
         })
     }
 

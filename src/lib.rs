@@ -49,7 +49,7 @@
 //! let mut sink = ccr_trace::NullSink;
 //! let mut obs = SearchObserver::new(&mut sink);
 //! let search = Search { check_deadlock: true, trails: true, threads: 2, ..Search::default() };
-//! let r3 = search.explore(&asys, &Budget::default(), |_| None, &mut obs);
+//! let r3 = search.explore(&asys, &Budget::default(), None, &mut obs);
 //! assert_eq!((r3.states, r3.transitions), (r2.states, r2.transitions));
 //! assert!(search.progress(&asys, &Budget::default(), |l| l.completes.is_some(), &mut obs).holds());
 //! ```

@@ -56,7 +56,7 @@ where
     let search = Search { check_deadlock: true, trails: true, ..Search::default() };
 
     let before = allocations();
-    let report = search.explore(sys, &Budget::default(), |_| None, &mut obs);
+    let report = search.explore(sys, &Budget::default(), None, &mut obs);
     let allocs = allocations() - before;
 
     assert!(report.outcome.is_complete(), "{what}: {:?}", report.outcome);

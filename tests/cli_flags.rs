@@ -291,7 +291,7 @@ fn new_is_for_phase_with_telemetry_off() {
             } else {
                 SearchObserver::for_phase(&mut sink, &Telemetry::off(), "x")
             };
-            search.explore(&sys, &Budget::default(), |_| None, &mut obs)
+            search.explore(&sys, &Budget::default(), None, &mut obs)
         };
         let events: Vec<String> = sink.into_events().iter().map(|e| e.to_json()).collect();
         (report.states, report.transitions, report.outcome, report.trail, events)
@@ -304,6 +304,6 @@ fn new_is_for_phase_with_telemetry_off() {
     // ... and with a disabled sink the sink stays empty.
     let mut null = ccr_trace::NullSink;
     let mut obs = SearchObserver::for_phase(&mut null, &Telemetry::off(), "x");
-    let quiet = search.explore(&sys, &Budget::default(), |_| None, &mut obs);
+    let quiet = search.explore(&sys, &Budget::default(), None, &mut obs);
     assert_eq!((quiet.states, quiet.transitions), (a.0, a.1));
 }

@@ -148,7 +148,7 @@ where
         assert!(Some(now) != stop, "crash at {now} states");
         None
     };
-    let report = search.explore(sys, &Budget::states(max_states), invariant, &mut obs);
+    let report = search.explore(sys, &Budget::states(max_states), Some(&invariant), &mut obs);
     let seen = audit.report();
     assert_eq!(seen.mismatch, None, "{context}");
     assert!(seen.keys > 0, "{context}: nothing audited");
@@ -277,15 +277,9 @@ fn collapsed_keys_are_the_plain_keys_on_the_zoo() {
                 ..Search::default()
             };
             let (report, expected) = if reduce {
-                (
-                    search.explore(&red, &Budget::states(budget), |_| None, &mut obs),
-                    plain(&red, budget),
-                )
+                (search.explore(&red, &Budget::states(budget), None, &mut obs), plain(&red, budget))
             } else {
-                (
-                    search.explore(&sys, &Budget::states(budget), |_| None, &mut obs),
-                    plain(&sys, budget),
-                )
+                (search.explore(&sys, &Budget::states(budget), None, &mut obs), plain(&sys, budget))
             };
             let context = format!("zoo_1998_{index} reduce={reduce}");
             let seen = audit.report();

@@ -348,7 +348,7 @@ fn broken_spec_yields_replayable_async_deadlock_witness() {
     let report = Search { check_deadlock: true, trails: true, ..Search::default() }.explore(
         &sys,
         &Budget::states(2_000_000),
-        |_| None,
+        None,
         &mut obs,
     );
     assert!(

@@ -9,16 +9,19 @@
 //! permutable shipped spec, sound or made unsound. The cases a healthy
 //! spec never reaches are pinned separately: a deadlock that ends the
 //! sweep under its riders, a livelock witness, and an unsound refinement
-//! whose violating edge is latched while the sweep goes on.
+//! whose violating edge is latched while the sweep goes on. A sweep that
+//! takes its steps from the local-step table reports what the walking
+//! sweep does, and every step the table hands out is the walk's.
 
 use ccr_core::process::ProtocolSpec;
 use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
+use ccr_core::zoo::ZooSpec;
 use ccr_mc::search::{Budget, Search, SearchObserver};
 use ccr_mc::simrel::check_simulation;
 use ccr_mc::{
     inject_unsound, replay_trail, spec_permutable, Outcome, ProgressReport, Reduced, SearchReport,
-    SimRelReport,
+    SimRelReport, StepAudit,
 };
 use ccr_runtime::asynch::{AsyncConfig, AsyncState, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
@@ -77,7 +80,7 @@ where
     let mut obs = SearchObserver::new(&mut null);
     let alone = search(check_deadlock, 0);
     (
-        timeless(alone.explore(sys, budget, |_| None, &mut obs)),
+        timeless(alone.explore(sys, budget, None, &mut obs)),
         alone.progress(sys, budget, is_progress, &mut obs),
     )
 }
@@ -352,4 +355,57 @@ fn an_equation_1_violation_is_latched_and_the_sweep_goes_on() {
             assert_eq!((fa, fprogress), (a.clone(), progress.clone()), "n={n} t={threads}");
         }
     }
+}
+
+/// States an audited table sweep may visit: every step it takes from the
+/// table is walked again, so the debug build visits fewer.
+const AUDITED: usize = if cfg!(debug_assertions) { 3_000 } else { 100_000 };
+
+/// The exploration of `asys` by the local-step table, every rule group it
+/// answers walked again at the state itself, against the walking
+/// exploration (an invariant reads states, so the sweep walks): whole
+/// reports, and no step of the table's other than the walk's. Returns the
+/// groups the table answered.
+fn table_against_walk(asys: &AsyncSystem<'_>, budget: &Budget, context: &str) -> u64 {
+    let audit = StepAudit::new();
+    let mut null = ccr_trace::NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    let tabled = Search { step_audit: Some(&audit), ..search(true, 0) };
+    let tabled = timeless(tabled.explore(asys, budget, None, &mut obs));
+    let seen = audit.report();
+    assert_eq!((seen.disagreements, seen.first), (0, None), "{context}");
+    let walked = search(true, 0).explore(asys, budget, Some(&|_: &AsyncState| None), &mut obs);
+    assert_eq!(tabled, timeless(walked), "{context}");
+    seen.hits
+}
+
+#[test]
+fn the_local_step_table_gives_the_walks_steps_on_every_shipped_spec_and_the_zoo() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
+    let mut shipped: Vec<String> = std::fs::read_dir(&dir)
+        .expect("specs/")
+        .filter_map(|e| e.ok()?.path().file_stem()?.to_str().map(str::to_string))
+        .collect();
+    shipped.sort();
+    assert_eq!(shipped.len(), 12, "every shipped spec: {shipped:?}");
+    let mut hits = 0;
+    for name in &shipped {
+        let spec = load(name);
+        let refined = refine(&spec, &RefineOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: refine: {e}"));
+        for n in [2u32, 3] {
+            let asys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+            hits += table_against_walk(&asys, &Budget::states(AUDITED), &format!("{name} n={n}"));
+        }
+    }
+    let zoo_budget = Budget::states(if cfg!(debug_assertions) { 300 } else { 3_000 });
+    let mut swept = 0;
+    for index in 0..200 {
+        let Ok(spec) = ZooSpec::generate(1998, index).build() else { continue };
+        let Ok(refined) = refine(&spec, &RefineOptions::default()) else { continue };
+        let asys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
+        hits += table_against_walk(&asys, &zoo_budget, &format!("zoo_1998_{index}"));
+        swept += 1;
+    }
+    assert!(swept >= 150 && hits > 0, "{swept} zoo specs swept, {hits} groups from the table");
 }

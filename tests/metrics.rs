@@ -22,7 +22,7 @@ fn parallel_snapshot(n: u32, threads: usize) -> ccr_metrics::Snapshot {
     let telemetry = Telemetry { registry: reg.clone(), ..Telemetry::off() };
     let mut obs = SearchObserver::for_phase(&mut null, &telemetry, "explore");
     let search = Search { threads, ..Search::default() };
-    let r = search.explore(&sys, &Budget::default(), |_| None, &mut obs);
+    let r = search.explore(&sys, &Budget::default(), None, &mut obs);
     assert!(r.outcome.is_complete());
     reg.snapshot()
 }

@@ -63,7 +63,7 @@ fn broken_spec_counterexample_replays_to_a_stuck_state() {
     let report = Search { check_deadlock: true, trails: true, ..Search::default() }.explore(
         &rv,
         &Budget::states(100_000),
-        |_| None,
+        None,
         &mut obs,
     );
     let trail = report.trail.as_ref().expect("broken spec must yield a counterexample");

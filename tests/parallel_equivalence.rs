@@ -59,7 +59,7 @@ where
     let mut null = ccr_trace::NullSink;
     let mut obs = SearchObserver::new(&mut null);
     let search = Search { check_deadlock: true, trails: true, threads, ..Search::default() };
-    let report = search.explore(sys, budget, |_| None, &mut obs);
+    let report = search.explore(sys, budget, None, &mut obs);
     SearchReport { elapsed: Duration::ZERO, ..report }
 }
 

@@ -56,7 +56,7 @@ fn traced_metered_run(profile: bool) -> (Vec<u8>, String) {
     let mut sink = JsonlSink::new(Vec::new());
     let report = {
         let mut obs = SearchObserver::for_phase(&mut sink, &telemetry, "explore");
-        Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs)
+        Search::default().explore(&sys, &Budget::default(), None, &mut obs)
     };
     telemetry
         .finish(
@@ -93,7 +93,7 @@ fn span_counts(sys: &RendezvousSystem<'_>, threads: usize) -> (u64, u64, u64) {
     {
         let mut obs = SearchObserver::for_phase(&mut null, &telemetry, "explore");
         let search = Search { threads, ..Search::default() };
-        search.explore(sys, &Budget::default(), |_| None, &mut obs);
+        search.explore(sys, &Budget::default(), None, &mut obs);
     }
     let agg = telemetry.profiler.aggregate();
     (
@@ -140,7 +140,7 @@ fn the_check_span_is_lapped_once_per_edge_for_riders_and_never_for_a_plain_explo
     for threads in [0usize, 2] {
         let search = Search { threads, ..Search::default() };
         let plain = profiled(|obs| {
-            search.explore(&asys, &budget, |_| None, obs);
+            search.explore(&asys, &budget, None, obs);
         });
         assert_eq!((plain.0, plain.1), (0, 0), "t={threads}: no row, no lap");
         let transitions = plain.2;
@@ -167,7 +167,7 @@ fn folded_stacks_round_trip_through_the_parser() {
     {
         let mut obs = SearchObserver::for_phase(&mut null, &telemetry, "explore");
         let search = Search { threads: 2, ..Search::default() };
-        search.explore(&sys, &Budget::default(), |_| None, &mut obs);
+        search.explore(&sys, &Budget::default(), None, &mut obs);
     }
     let agg = profiler.aggregate();
     let folded = profiler.folded();

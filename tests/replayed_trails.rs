@@ -12,7 +12,7 @@ use ccr_core::refine::{refine, RefineOptions};
 use ccr_core::text::parse_validated;
 use ccr_mc::search::{Search, SearchObserver};
 use ccr_mc::{replay_trail, Budget, Outcome, Reduced};
-use ccr_runtime::asynch::{AsyncConfig, AsyncSystem};
+use ccr_runtime::asynch::{AsyncConfig, AsyncState, AsyncSystem};
 use ccr_runtime::TransitionSystem;
 use ccr_trace::NullSink;
 use std::path::Path;
@@ -75,7 +75,7 @@ fn threaded_exploration_trails_equal_the_goldens() {
     let report = search.explore(
         &asys,
         &Budget::default(),
-        |s| (s.in_flight() >= 4).then(|| "four messages in flight".to_string()),
+        Some(&|s: &AsyncState| (s.in_flight() >= 4).then(|| "four messages in flight".into())),
         &mut obs,
     );
     assert!(matches!(report.outcome, Outcome::InvariantViolated(_)), "{:?}", report.outcome);

@@ -249,7 +249,7 @@ mod one_sweep {
 
         // A violating run, so the trail is compared too.
         let rv = RendezvousSystem::new(&spec, 2);
-        let new = traced.explore(&rv, &budget, |_| None, &mut obs).traced_report();
+        let new = traced.explore(&rv, &budget, None, &mut obs).traced_report();
         let shim = explore_traced_observed(&rv, &budget, |_| None, true, &mut obs);
         assert_eq!(new.outcome, Outcome::Deadlock);
         assert_eq!(
@@ -257,7 +257,7 @@ mod one_sweep {
             (shim.states, shim.transitions, &shim.outcome, &shim.trail)
         );
 
-        let par = Search { threads: 2, ..traced }.explore(&rv, &budget, |_| None, &mut obs);
+        let par = Search { threads: 2, ..traced }.explore(&rv, &budget, None, &mut obs);
         let cfg = ParallelConfig::threads(2);
         let shim = explore_parallel_traced_observed(&rv, &budget, |_| None, true, &cfg, &mut obs);
         assert_eq!(
@@ -274,7 +274,7 @@ mod one_sweep {
         let dir = std::env::temp_dir().join(format!("ccr-one-sweep-{}", std::process::id()));
         let opts = PersistOpts::default();
         let new = Search { persist: Some((&dir.join("new"), &opts)), ..traced }
-            .explore(&asys, &budget, |_| None, &mut obs)
+            .explore(&asys, &budget, None, &mut obs)
             .traced_report();
         let SerialPersistOpen::Run(mut p) =
             SerialPersist::open(&dir.join("shim"), &opts).expect("open")

@@ -72,12 +72,8 @@ where
 {
     let mut null = ccr_trace::NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    Search { check_deadlock: true, trails: true, threads, ..Search::default() }.explore(
-        sys,
-        budget,
-        |_| None,
-        &mut obs,
-    )
+    Search { check_deadlock: true, trails: true, threads, ..Search::default() }
+        .explore(sys, budget, None, &mut obs)
 }
 
 /// Full vs reduced exploration of `sys`, serial and at 4 threads. The

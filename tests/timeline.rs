@@ -51,7 +51,7 @@ fn traced_metered_run(timeline: Option<&Path>) -> (Vec<u8>, String) {
     let mut sink = JsonlSink::new(Vec::new());
     let report = {
         let mut obs = SearchObserver::for_phase(&mut sink, &telemetry, "explore");
-        Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs)
+        Search::default().explore(&sys, &Budget::default(), None, &mut obs)
     };
     telemetry
         .finish(
@@ -95,7 +95,7 @@ fn zero_interval_timeline(dir: &Path, rep: usize) -> Timeline {
     let mut null = ccr_trace::NullSink;
     let report = {
         let mut obs = SearchObserver::for_phase(&mut null, &telemetry, "explore");
-        Search::default().explore(&sys, &Budget::default(), |_| None, &mut obs)
+        Search::default().explore(&sys, &Budget::default(), None, &mut obs)
     };
     telemetry
         .finish(

@@ -50,11 +50,11 @@ where
     let search = Search { check_deadlock: true, trails: true, ..Search::default() };
     let mut null = NullSink;
     let mut obs = SearchObserver::new(&mut null);
-    let full = search.explore(sys, &budget, |_| None, &mut obs);
+    let full = search.explore(sys, &budget, None, &mut obs);
     assert_eq!(full.outcome, Outcome::Deadlock, "{context}");
     assert_replays_to_a_stuck_state(sys, full.trail.as_deref().expect("trail"), context);
 
-    let reduced = search.explore(&Reduced::new(sys), &budget, |_| None, &mut obs);
+    let reduced = search.explore(&Reduced::new(sys), &budget, None, &mut obs);
     assert_eq!(reduced.outcome, Outcome::Deadlock, "{context} (reduced)");
     let trail = reduced.trail.as_deref().expect("reduced trail");
     assert_replays_to_a_stuck_state(sys, trail, &format!("{context} (reduced)"));
