@@ -16,8 +16,9 @@
 //!    Equation 1 and the progress check riding the exploration's sweep
 //!    ([`Search::verify`]) must report what the three report on sweeps of
 //!    their own, with and without threads, whether or not the refinement
-//!    is sound — and on the symmetry quotient's sweep Equation 1 must
-//!    reach the concrete verdict;
+//!    is sound, every image Equation 1's memo hands out being `abs` of its
+//!    state ([`ImageAudit`]) — and on the symmetry quotient's sweep
+//!    Equation 1 must reach the concrete verdict;
 //! 4. **serial model-check** of the rendezvous and asynchronous systems
 //!    (safety: no executor runtime failure; deadlock/livelock are allowed —
 //!    random protocols block all the time — but must be *reported*, not
@@ -55,7 +56,7 @@ use crate::faultmode::check_fault_closure;
 use crate::progress::check_progress_default;
 use crate::report::{ExploreReport, Outcome, SearchReport, SimRelReport};
 use crate::search::{Budget, Search, SearchObserver};
-use crate::simrel::check_simulation;
+use crate::simrel::{check_simulation, ImageAudit};
 use crate::steps::StepAudit;
 use crate::store::{KeyAudit, StateStore};
 use crate::symmetry::{spec_permutable, Reduced};
@@ -627,6 +628,8 @@ fn fused_mismatch(
     let prog = check_progress_default(asys, budget);
     let red = Reduced::new(asys);
     let red_prog = permutable.then(|| check_progress_default(&red, budget));
+    // Every image the concrete sweeps' memo hands out, held to `abs`.
+    let images = ImageAudit::new();
     for check_deadlock in [false, true] {
         let alone = Search { check_deadlock, trails: true, ..Search::default() };
         let a = timeless(alone.explore(asys, budget, None, &mut obs));
@@ -634,7 +637,8 @@ fn fused_mismatch(
         for threads in std::iter::once(0).chain(cfg.threads.first().copied()) {
             let search = Search { threads, ..alone };
             let what = |on: &str| format!("fused-{on}-{threads}t");
-            let (fa, fsim, graph) = search.verify(asys, asys, rv, budget, completes, &mut obs);
+            let audited = Search { image_audit: Some(&images), ..search };
+            let (fa, fsim, graph) = audited.verify(asys, asys, rv, budget, completes, &mut obs);
             let fa = timeless(fa);
             let mut failure = cmp_threaded(what("explore"), &a, &fa);
             if rode_it_all(&a.outcome) {
@@ -660,6 +664,9 @@ fn fused_mismatch(
             }
             if failure.is_some() {
                 return failure;
+            }
+            if let Some(detail) = images.report().first {
+                return Some(FuzzFailure::Mismatch { what: what("image-memo"), detail });
             }
         }
     }

@@ -66,6 +66,7 @@ pub use search::{
     explore, explore_dfs, report_from_manifest, Budget, PersistOpts, Search, SearchObserver,
     SerialPersist, SerialPersistOpen, Telemetry,
 };
+pub use simrel::{ImageAudit, ImageAuditReport};
 pub use steps::{StepAudit, StepAuditReport};
 pub use symmetry::{
     apply_perm, canonical_encode, canonicalize, derived_encode, spec_permutable, DeriveAudit,

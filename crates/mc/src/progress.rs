@@ -54,7 +54,7 @@ use crate::report::{Outcome, ProgressReport};
 use crate::search::{
     drive, record_search_run, Budget, Checker, DriveRun, Inline, Search, SearchObserver,
 };
-use crate::store::next_id;
+use crate::store::{next_id, Visited};
 use crate::trace::{conclude_with_trail, trail_along};
 use ccr_core::encode::Sink;
 use ccr_metrics::profile::SpanKind;
@@ -163,7 +163,7 @@ impl<T: TransitionSystem, G: Fn(&Label) -> bool> Checker<T> for ForwardGraph<G> 
         false
     }
 
-    fn on_new(&mut self, _state: &T::State, idx: u32) -> Option<Outcome> {
+    fn on_new(&mut self, _store: &Visited, _state: &T::State, idx: u32) -> Option<Outcome> {
         self.seen.stored(idx);
         None
     }
@@ -175,6 +175,7 @@ impl<T: TransitionSystem, G: Fn(&Label) -> bool> Checker<T> for ForwardGraph<G> 
 
     fn on_edge(
         &mut self,
+        _store: &Visited,
         src: u32,
         _state: &T::State,
         label: &Label,

@@ -20,7 +20,7 @@ use crate::persist::{
 };
 use crate::progress::{self, ForwardGraph, ProgressGraph};
 use crate::report::{ExploreReport, Outcome, ProgressReport, SearchReport, SimRelReport};
-use crate::simrel::Equation1;
+use crate::simrel::{Equation1, ImageAudit};
 use crate::steps::{LocalSteps, StepAudit, StepStats, Taken};
 use crate::store::{hash_encoded, KeyAudit, Marking, Visited};
 use crate::trace::{conclude_with_trail, trail_to};
@@ -605,10 +605,11 @@ pub fn report_from_manifest(m: &Manifest) -> SearchReport {
 /// it is generated, the store lookup, `on_edge`, and — when the target
 /// was new — `on_new` followed by the budget test; then `on_successors`.
 /// A successor is lent to these hooks for the call and is gone (rewritten
-/// into the next one) when they return. State indices are dense in
-/// discovery order, and a breadth-first sweep expands them in index
-/// order. A resumed persisted sweep does not re-announce recovered states
-/// through `on_new`.
+/// into the next one) when they return. `on_new` and `on_edge` are also
+/// shown the visited set, which holds every state they name by then.
+/// State indices are dense in discovery order, and a breadth-first sweep
+/// expands them in index order. A resumed persisted sweep does not
+/// re-announce recovered states through `on_new`.
 ///
 /// Checkers compose: a pair `(A, B)` is the checker that shows every
 /// event to `A`, then to `B`, and ends the sweep with the first outcome
@@ -625,14 +626,17 @@ pub(crate) trait Checker<T: TransitionSystem> {
     /// Whether a hook reads the states it is shown. A sweep whose checker
     /// reads none may take a successor from the local-step table
     /// ([`crate::steps`]) without decoding it, and show the hooks some
-    /// other state in its place.
+    /// other state in its place. Such a checker may still read the
+    /// visited set the hooks are shown: a state's tuple of segment ids,
+    /// or the state read back (Equation 1 on the concrete space does
+    /// both, [`crate::simrel`]).
     fn reads_states(&self) -> bool {
         true
     }
 
     /// `state` was stored for the first time, as `idx` (the root is 0).
     #[inline]
-    fn on_new(&mut self, _state: &T::State, _idx: u32) -> Option<Outcome> {
+    fn on_new(&mut self, _store: &Visited, _state: &T::State, _idx: u32) -> Option<Outcome> {
         None
     }
 
@@ -653,8 +657,10 @@ pub(crate) trait Checker<T: TransitionSystem> {
     /// looked up: `state` is stored as `src` and `next` as `dst` — just
     /// now when `is_new`, in which case its `on_new` follows.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     fn on_edge(
         &mut self,
+        _store: &Visited,
         _src: u32,
         _state: &T::State,
         _label: &Label,
@@ -682,8 +688,8 @@ impl<T: TransitionSystem, A: Checker<T>, B: Checker<T>> Checker<T> for (A, B) {
     }
 
     #[inline]
-    fn on_new(&mut self, state: &T::State, idx: u32) -> Option<Outcome> {
-        self.0.on_new(state, idx).or_else(|| self.1.on_new(state, idx))
+    fn on_new(&mut self, store: &Visited, state: &T::State, idx: u32) -> Option<Outcome> {
+        self.0.on_new(store, state, idx).or_else(|| self.1.on_new(store, state, idx))
     }
 
     #[inline]
@@ -699,6 +705,7 @@ impl<T: TransitionSystem, A: Checker<T>, B: Checker<T>> Checker<T> for (A, B) {
     #[inline]
     fn on_edge(
         &mut self,
+        store: &Visited,
         src: u32,
         state: &T::State,
         label: &Label,
@@ -707,8 +714,8 @@ impl<T: TransitionSystem, A: Checker<T>, B: Checker<T>> Checker<T> for (A, B) {
         is_new: bool,
     ) -> Option<Outcome> {
         self.0
-            .on_edge(src, state, label, dst, next, is_new)
-            .or_else(|| self.1.on_edge(src, state, label, dst, next, is_new))
+            .on_edge(store, src, state, label, dst, next, is_new)
+            .or_else(|| self.1.on_edge(store, src, state, label, dst, next, is_new))
     }
 }
 
@@ -736,9 +743,9 @@ impl<T: TransitionSystem, C: Checker<T>> Checker<T> for Riding<C> {
     }
 
     #[inline]
-    fn on_new(&mut self, state: &T::State, idx: u32) -> Option<Outcome> {
+    fn on_new(&mut self, store: &Visited, state: &T::State, idx: u32) -> Option<Outcome> {
         if self.verdict.is_none() {
-            self.verdict = self.checker.on_new(state, idx);
+            self.verdict = self.checker.on_new(store, state, idx);
         }
         None
     }
@@ -762,6 +769,7 @@ impl<T: TransitionSystem, C: Checker<T>> Checker<T> for Riding<C> {
     #[inline]
     fn on_edge(
         &mut self,
+        store: &Visited,
         src: u32,
         state: &T::State,
         label: &Label,
@@ -770,7 +778,7 @@ impl<T: TransitionSystem, C: Checker<T>> Checker<T> for Riding<C> {
         is_new: bool,
     ) -> Option<Outcome> {
         if self.verdict.is_none() {
-            self.verdict = self.checker.on_edge(src, state, label, dst, next, is_new);
+            self.verdict = self.checker.on_edge(store, src, state, label, dst, next, is_new);
         }
         None
     }
@@ -789,7 +797,7 @@ impl<T: TransitionSystem, F: FnMut(&T::State) -> Option<String>> Checker<T> for 
     }
 
     #[inline]
-    fn on_new(&mut self, state: &T::State, _idx: u32) -> Option<Outcome> {
+    fn on_new(&mut self, _store: &Visited, state: &T::State, _idx: u32) -> Option<Outcome> {
         self.invariant
             .as_mut()
             .and_then(|invariant| invariant(state))
@@ -1634,7 +1642,7 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
         if let Some(audit) = src.audit() {
             audit.check(sys, &store, &state, 0);
         }
-        check!(checker.on_new(&state, 0), 0);
+        check!(checker.on_new(&store, &state, 0), 0);
         src.push(sys, &store, &state, 0);
     }
 
@@ -1711,7 +1719,7 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
                 if let Some(audit) = $src.audit() {
                     audit.check(sys, &store, $next, nidx);
                 }
-                let judged = checker.on_edge(idx, &state, $label, nidx, $next, is_new);
+                let judged = checker.on_edge(&store, idx, &state, $label, nidx, $next, is_new);
                 C::lap(&mut timer);
                 ordinal += 1;
                 if let Some(outcome) = judged {
@@ -1720,7 +1728,7 @@ pub(crate) fn drive<T: TransitionSystem, C: Checker<T>, S: Source<T>>(
                     if let Some(p) = persist.as_deref() {
                         p.crash.tick();
                     }
-                    if let Some(outcome) = checker.on_new($next, nidx) {
+                    if let Some(outcome) = checker.on_new(&store, $next, nidx) {
                         ended = Some((outcome, Some(nidx)));
                     } else if budget.exceeded(&store, started) {
                         ended = Some((Outcome::Unfinished, None));
@@ -1924,6 +1932,12 @@ pub struct Search<'a> {
     /// key held to the table's ([`StepAudit`]). Costs a decode and a walk
     /// per group the table answers; the reports are the unaudited run's.
     pub step_audit: Option<&'a StepAudit>,
+    /// Test hook of Equation 1 on the concrete space
+    /// ([`Search::verify`]): every image its memo gives a state is held
+    /// to `abs` of the state read back, computed whole ([`ImageAudit`]).
+    /// Costs a decode and an `abs` per edge; the reports are the
+    /// unaudited run's.
+    pub image_audit: Option<&'a ImageAudit>,
 }
 
 impl Search<'_> {
@@ -2068,11 +2082,12 @@ impl Search<'_> {
     {
         let invariant = None::<&Invariant<'_, AsyncState>>;
         let explore = Explore { invariant, check_deadlock: self.check_deadlock };
-        let equation1 = Riding::new(Equation1::new(sys, async_sys, rv_sys));
+        let equation1 = Riding::new(Equation1::new(sys, async_sys, rv_sys, self.image_audit));
         let mut checker = (explore, (equation1, ForwardGraph::new(is_progress)));
         let run = self.sweep(sys, budget, &mut checker, obs, None);
         let report = explored(sys, run, self.trails, obs, None);
         let (equation1, graph) = checker.1;
+        equation1.checker.record(&obs.telemetry().registry);
         let equation1 = equation1.report(&report.outcome);
         let graph = graph.swept(report.outcome.is_complete());
         (report, equation1, graph)

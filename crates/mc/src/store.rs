@@ -809,6 +809,19 @@ impl Visited {
         self.pos = self.layout.len();
     }
 
+    /// Looks up the state whose tuple of segment ids is `ids`, in its
+    /// system's layout, storing it when new: a state whose segments are
+    /// interned already. Returns `(index, is_new)` like
+    /// [`StateStore::insert`].
+    pub(crate) fn insert_ids(&mut self, ids: &[u32]) -> (u32, bool) {
+        assert_eq!(ids.len(), self.layout.len(), "a key off its system's layout");
+        for &id in ids {
+            self.tuple.put_id(id);
+        }
+        self.pos = self.layout.len();
+        self.insert_tuple()
+    }
+
     /// The segment ids of stored state `idx` into `out` (cleared first);
     /// empty when its tuple is not in memory.
     pub(crate) fn tuple_ids(&self, idx: u32, out: &mut Vec<u32>) {

@@ -18,6 +18,7 @@
 
 use crate::report::Outcome;
 use crate::search::{drive, explore_with, Budget, Checker, Inline, SearchObserver, SerialPersist};
+use crate::store::Visited;
 use ccr_runtime::observe::emit_label_events;
 use ccr_runtime::{Label, TransitionSystem};
 use ccr_trace::{NullSink, TraceEvent, TraceSink};
@@ -100,6 +101,7 @@ impl<T: TransitionSystem> Checker<T> for Trailing {
 
     fn on_edge(
         &mut self,
+        _store: &Visited,
         src: u32,
         _state: &T::State,
         _label: &Label,

@@ -11,7 +11,9 @@
 //! sweep under its riders, a livelock witness, and an unsound refinement
 //! whose violating edge is latched while the sweep goes on. A sweep that
 //! takes its steps from the local-step table reports what the walking
-//! sweep does, and every step the table hands out is the walk's.
+//! sweep does, and every step the table hands out is the walk's; every
+//! image Equation 1's memo hands out on the concrete space is `abs` of
+//! the state.
 
 use ccr_core::process::ProtocolSpec;
 use ccr_core::refine::{refine, RefineOptions};
@@ -20,8 +22,8 @@ use ccr_core::zoo::ZooSpec;
 use ccr_mc::search::{Budget, Search, SearchObserver};
 use ccr_mc::simrel::check_simulation;
 use ccr_mc::{
-    inject_unsound, replay_trail, spec_permutable, Outcome, ProgressReport, Reduced, SearchReport,
-    SimRelReport, StepAudit,
+    inject_unsound, replay_trail, spec_permutable, ImageAudit, Outcome, ProgressReport, Reduced,
+    SearchReport, SimRelReport, StepAudit,
 };
 use ccr_runtime::asynch::{AsyncConfig, AsyncState, AsyncSystem};
 use ccr_runtime::rendezvous::RendezvousSystem;
@@ -408,4 +410,61 @@ fn the_local_step_table_gives_the_walks_steps_on_every_shipped_spec_and_the_zoo(
         swept += 1;
     }
     assert!(swept >= 150 && hits > 0, "{swept} zoo specs swept, {hits} groups from the table");
+}
+
+/// `ccr verify`'s sweep of `asys` with every image Equation 1's memo
+/// hands out held to `abs` of the state read back, against the unaudited
+/// sweep: whole reports, and no image other than `abs`'s. Returns the
+/// images audited.
+fn memo_against_abs(
+    asys: &AsyncSystem<'_>,
+    rv: &RendezvousSystem<'_>,
+    budget: &Budget,
+    context: &str,
+) -> u64 {
+    let audit = ImageAudit::new();
+    let audited = Search { image_audit: Some(&audit), ..search(false, 0) };
+    let (a, equation1, progress) = fused(asys, asys, rv, budget, false, 0, completes);
+    let mut null = ccr_trace::NullSink;
+    let mut obs = SearchObserver::new(&mut null);
+    let (aa, aequation1, agraph) = audited.verify(asys, asys, rv, budget, completes, &mut obs);
+    let seen = audit.report();
+    assert_eq!((seen.disagreements, seen.first), (0, None), "{context}");
+    assert_eq!((timeless(aa), aequation1), (a, equation1), "{context}");
+    assert_eq!(agraph.check(asys, &mut obs), progress, "{context}");
+    seen.images
+}
+
+#[test]
+fn the_image_memo_gives_abs_on_every_shipped_spec_and_the_zoo() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
+    let mut shipped: Vec<String> = std::fs::read_dir(&dir)
+        .expect("specs/")
+        .filter_map(|e| e.ok()?.path().file_stem()?.to_str().map(str::to_string))
+        .collect();
+    shipped.sort();
+    assert_eq!(shipped.len(), 12, "every shipped spec: {shipped:?}");
+    let mut images = 0;
+    for name in &shipped {
+        let spec = load(name);
+        let refined = refine(&spec, &RefineOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: refine: {e}"));
+        for n in [2u32, 3] {
+            let rv = RendezvousSystem::new(&spec, n);
+            let asys = AsyncSystem::new(&refined, n, AsyncConfig::default());
+            images +=
+                memo_against_abs(&asys, &rv, &Budget::states(AUDITED), &format!("{name} n={n}"));
+        }
+    }
+    let zoo_budget = Budget::states(if cfg!(debug_assertions) { 300 } else { 3_000 });
+    let mut swept = 0;
+    for index in 0..200 {
+        let Ok(spec) = ZooSpec::generate(1998, index).build() else { continue };
+        let Ok(refined) = refine(&spec, &RefineOptions::default()) else { continue };
+        let rv = RendezvousSystem::new(&spec, 3);
+        let asys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
+        images += memo_against_abs(&asys, &rv, &zoo_budget, &format!("zoo_1998_{index}"));
+        swept += 1;
+    }
+    assert!(swept >= 150 && images > 0, "{swept} zoo specs swept, {images} images audited");
 }

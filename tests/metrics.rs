@@ -251,6 +251,31 @@ fn cli_progress_graph_bytes_are_pinned() {
     }
 }
 
+/// `ccr verify`'s concrete sweep takes its successors from the
+/// local-step table: Equation 1 judges edges by segment ids and the
+/// progress check records indices, so no checker on it reads a state,
+/// and the sweep decodes one only where a rule group misses the table —
+/// 6,403 of migratory's 181,820 states at five remotes. A checker that
+/// starts reading states turns the table off and fails this.
+#[test]
+fn cli_verify_sweep_takes_its_successors_from_the_local_step_table() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ccr"))
+        .args(["verify", "specs/migratory.ccp", "-n", "5", "--symmetry", "off", "--metrics", "-"])
+        .current_dir(repo_root())
+        .output()
+        .expect("run ccr");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    let last = stdout.lines().last().expect("snapshot line");
+    let snap = Json::parse(last).unwrap_or_else(|e| panic!("{e}: {last}"));
+    let counter = |name: &str| {
+        snap.path(&format!("counters.{name}")).and_then(Json::as_u64).expect("counted")
+    };
+    let (states, restores) = (counter("mc_states_total"), counter("mc_sweep_restores_total"));
+    assert!(counter("mc_local_step_hits_total") > 0, "the sweep walked every rule group");
+    assert!(restores * 20 < states, "{restores} of {states} states decoded: 5 % or more");
+}
+
 #[test]
 fn cli_prometheus_file_output_validates() {
     let dir = tmp_dir("prom");
