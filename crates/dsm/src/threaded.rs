@@ -24,7 +24,7 @@ use ccr_runtime::asynch::{AsyncConfig, AsyncState, AsyncSystem, RemoteState};
 use ccr_runtime::error::{Result, RuntimeError};
 use ccr_runtime::sched::{RandomSched, Scheduler};
 use ccr_runtime::sim::Simulator;
-use ccr_runtime::system::{Label, Written};
+use ccr_runtime::system::Label;
 use ccr_runtime::wire::{Link, Wire};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -123,12 +123,9 @@ impl<'s, 'a> Node<'s, 'a> {
         }
     }
 
-    /// The network has brought `w` on the link of slice `i`: a write to
-    /// that slice alone, so only the rule groups that read it are
-    /// enumerated afresh at the next step.
+    /// The network has brought `w` on the link of slice `i`.
     pub fn deliver(&mut self, i: usize, w: Wire) {
-        let state = self.sim.state_mut_written(Written::remote_slice(i));
-        ends(self.who, &mut state.remotes[i]).0.push(w);
+        ends(self.who, &mut self.sim.state_mut().remotes[i]).0.push(w);
     }
 
     /// One step of [`Simulator::step_filtered`]; each message the step
@@ -140,9 +137,9 @@ impl<'s, 'a> Node<'s, 'a> {
         mut send: impl FnMut(usize, Wire),
     ) -> Result<Option<Label>> {
         let fired = self.sim.step_filtered(sched, filter)?;
-        // (A write to the state costs the simulator a copy of it; draining
-        // the sends also costs a walk of every rule group of the share at
-        // its next step, where a delivery costs the groups of its slice.)
+        // (A write to the state costs the simulator a copy of it, and a
+        // walk of every rule group of the share at its next step: a
+        // node's deliveries and sends invalidate all of its labels.)
         if fired.as_ref().is_some_and(|label| label.emissions().next().is_some()) {
             let (who, slices) = (self.who, self.slices());
             let state = self.sim.state_mut();

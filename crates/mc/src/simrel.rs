@@ -48,9 +48,10 @@
 //! for its message.
 //!
 //! On a [`crate::symmetry::Reduced`] quotient an index names an orbit, and
-//! the checker reads the states it is shown: `abs` of the expanded member
-//! once per expansion — the sweep expands the member it stored — and of
-//! the member an edge reached, per edge.
+//! the checker reads the states it is shown: `abs` of the member an edge
+//! reached, once per edge. The image of an orbit's stored member is kept
+//! by its index, and is the image of the edges out of it: the sweep
+//! expands the member it stored.
 //!
 //! Checking the edges out of one member of each reachable orbit checks
 //! every concrete edge up to a renaming of the remotes: both levels are
@@ -98,6 +99,11 @@ struct Images<'a, 's> {
     /// images — each the tuple of its processes' interned segments; a
     /// state's index is its id, and indexes the two tables below.
     ids: Visited,
+    /// The states [`Images::intern`] has met, flat-encoded, and
+    /// `interned[i]` the id of the `i`th: one lookup per state where
+    /// `ids` takes one per segment.
+    flat: StateStore,
+    interned: Vec<u32>,
     rv_states: Vec<RvState>,
     /// `steps[a]`: the ids of `a`'s rendezvous successors, generated when
     /// an edge out of an `a`-state first fails to stutter.
@@ -129,11 +135,17 @@ struct Images<'a, 's> {
 
 impl<'a, 's> Images<'a, 's> {
     fn intern(&mut self, rv: &RvState) -> u32 {
+        self.rv_sys.encode(rv, &mut self.buf);
+        let (at, is_new) = self.flat.insert(&self.buf);
+        if !is_new {
+            return self.interned[at as usize];
+        }
         let (id, is_new) = self.ids.insert_state(self.rv_sys, rv, None);
         if is_new {
             self.rv_states.push(rv.clone());
             self.steps.push(None);
         }
+        self.interned.push(id);
         id
     }
 
@@ -367,6 +379,9 @@ pub(crate) struct Equation1<'a, 's> {
     /// a snapshot): then images come from segment ids, and no state the
     /// sweep shows is read.
     by_ids: bool,
+    /// On a quotient, `stored_images[i]`: the image id of stored state
+    /// `i`'s member, computed by the edge that stored it.
+    stored_images: Vec<u32>,
     src: Source,
     /// An edge target's segment ids and its processes' images'.
     dst_ids: Vec<u32>,
@@ -398,6 +413,8 @@ impl<'a, 's> Equation1<'a, 's> {
                 async_sys,
                 rv_sys,
                 ids,
+                flat: StateStore::new(),
+                interned: Vec::new(),
                 rv_states: Vec::new(),
                 steps: Vec::new(),
                 homes: Vec::new(),
@@ -413,6 +430,7 @@ impl<'a, 's> Equation1<'a, 's> {
                 abs_calls: 0,
             },
             by_ids: swept.key_is_snapshot(),
+            stored_images: Vec::new(),
             src: Source { idx: u32::MAX, ..Source::default() },
             dst_ids: Vec::new(),
             dst_parts: Vec::new(),
@@ -423,20 +441,15 @@ impl<'a, 's> Equation1<'a, 's> {
         }
     }
 
-    /// The image id of the state being expanded, `idx`, shown as `state`.
-    fn source(
-        &mut self,
-        store: &Visited,
-        idx: u32,
-        state: &AsyncState,
-    ) -> Result<u32, RuntimeError> {
+    /// The image id of the state being expanded, `idx`.
+    fn source(&mut self, store: &Visited, idx: u32) -> Result<u32, RuntimeError> {
         if self.src.idx != idx {
             let src = &mut self.src;
             src.image = if self.by_ids {
                 store.tuple_ids(idx, &mut src.ids);
                 self.images.by_ids(store, idx, &src.ids, None, &mut src.parts)?
             } else {
-                self.images.image_of(state)?
+                self.stored_images[idx as usize]
             };
             src.idx = idx;
         }
@@ -543,8 +556,12 @@ impl<T: TransitionSystem<State = AsyncState>> Checker<T> for Equation1<'_, '_> {
         }
         // Stored all the same.
         self.stored += 1;
-        match self.source(store, idx, state) {
-            Ok(_) => None,
+        let image = if self.by_ids { self.source(store, idx) } else { self.images.image_of(state) };
+        match image {
+            Ok(image) => {
+                self.stored_images.extend((!self.by_ids).then_some(image));
+                None
+            }
             Err(e) => violated(format!("abs failed on source state: {e}")),
         }
     }
@@ -560,7 +577,7 @@ impl<T: TransitionSystem<State = AsyncState>> Checker<T> for Equation1<'_, '_> {
         is_new: bool,
     ) -> Option<Outcome> {
         self.transitions += 1;
-        let a = match self.source(store, src, state) {
+        let a = match self.source(store, src) {
             Ok(a) => a,
             Err(e) => return violated(format!("abs failed on source state: {e}")),
         };
@@ -588,7 +605,10 @@ impl<T: TransitionSystem<State = AsyncState>> Checker<T> for Equation1<'_, '_> {
         }
         // Judged first, stored second: a violating edge's target is not
         // among the states examined.
-        self.stored += usize::from(is_new);
+        if is_new {
+            self.stored += 1;
+            self.stored_images.extend((!self.by_ids).then_some(a2));
+        }
         None
     }
 }
@@ -888,6 +908,25 @@ mod tests {
         let images = &checker.images;
         assert!(images.rv_states.len() < report.async_states / 10, "{}", images.rv_states.len());
         assert!(images.steps.iter().flatten().count() <= images.rv_states.len());
+    }
+
+    /// On a quotient `abs` is called once for the root and once per edge,
+    /// for the member the edge reached; an expansion reads its orbit's
+    /// image off the index.
+    #[test]
+    fn abs_is_called_once_per_edge_on_the_quotient() {
+        let spec = shipped("migratory");
+        let refined = refine(&spec, &RefineOptions::default()).unwrap();
+        let rv = RendezvousSystem::new(&spec, 3);
+        let asys = AsyncSystem::new(&refined, 3, AsyncConfig::default());
+        let red = crate::symmetry::Reduced::new(&asys);
+        let mut checker = Equation1::new(&red, &asys, &rv, None);
+        let mut null = NullSink;
+        let mut obs = SearchObserver::new(&mut null);
+        let run = Search::default().sweep(&red, &Budget::default(), &mut checker, &mut obs, None);
+        let report = checker.report(run.outcome);
+        assert!(report.holds(), "{report:?}");
+        assert_eq!(checker.images.abs_calls, 1 + report.transitions_checked);
     }
 
     fn token_spec() -> ccr_core::process::ProtocolSpec {

@@ -1396,11 +1396,6 @@ impl<'a> TransitionSystem for AsyncSystem<'a> {
         }
     }
 
-    /// The rule [`TransitionSystem::fire`] flags by ([`Written`]'s `dirty`).
-    fn flag_written(&self, written: Written, dirty: &mut [bool]) {
-        written.dirty(dirty);
-    }
-
     fn link_occupancy(&self, s: &AsyncState, from: ProcessId, to: ProcessId) -> Option<u32> {
         match (from, to) {
             (ProcessId::Remote(r), ProcessId::Home) => {

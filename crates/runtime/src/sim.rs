@@ -19,7 +19,7 @@ use crate::error::Result;
 use crate::observe::emit_label_events;
 use crate::sched::Scheduler;
 use crate::stats::MsgStats;
-use crate::system::{Label, TransitionSystem, Written};
+use crate::system::{Label, TransitionSystem};
 use ccr_core::ids::ProcessId;
 use ccr_trace::{NullSink, TraceEvent, TraceSink};
 use serde::Serialize;
@@ -118,15 +118,8 @@ impl<'s, T: TransitionSystem> Simulator<'s, T> {
     /// of the links and a network. Every rule group is enumerated afresh
     /// at the next step.
     pub fn state_mut(&mut self) -> &mut T::State {
-        self.state_mut_written(Written::ALL)
-    }
-
-    /// [`Simulator::state_mut`] for a write that touches only `written`:
-    /// the rule groups that read none of it keep their labels
-    /// ([`TransitionSystem::flag_written`]).
-    pub fn state_mut_written(&mut self, written: Written) -> &mut T::State {
         self.stale = true;
-        self.sys.flag_written(written, &mut self.dirty);
+        self.dirty.fill(true);
         &mut self.state
     }
 

@@ -183,13 +183,6 @@ impl Written {
         self.remotes().is_none_or(|written| written.contains(&i))
     }
 
-    /// Remote `i`'s slice alone, links included: what a write of one
-    /// message onto one of its links touches.
-    #[inline]
-    pub fn remote_slice(i: usize) -> Written {
-        Written { home: false, remotes: [i, 0], count: 1 }
-    }
-
     /// Records that the home's slice was taken to write in.
     #[inline]
     pub(crate) fn take_home(&mut self) {
@@ -401,16 +394,6 @@ pub trait TransitionSystem {
         *s = next;
         dirty.fill(true);
         Ok(Some(label))
-    }
-
-    /// Sets `dirty[g]` for every rule group `g` whose rules read a part of
-    /// the state a write of `written` touched — the groups
-    /// [`TransitionSystem::fire`] flags after a step that wrote it — and
-    /// leaves the other flags alone: how a simulator learns of a write
-    /// that is no transition of the system. The default flags every
-    /// group.
-    fn flag_written(&self, _written: Written, dirty: &mut [bool]) {
-        dirty.fill(true);
     }
 
     /// The writer: writes the canonical encoding of `s` to `out`, marking

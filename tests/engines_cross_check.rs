@@ -6,16 +6,12 @@
 //! steps and of what the network has delivered by then, while the global
 //! simulator fires the same labels beside them: after every step the
 //! nodes' own slices and link ends, with the queues between them, must be
-//! the global configuration. A node told of a delivery enumerates afresh
-//! only the rule groups that read the slice it landed in, and still
-//! offers what a full enumeration of its share gives. The real threads
-//! are then held to the protocol's message economy, to a deadline, and to
-//! ending on an error.
+//! the global configuration. The real threads are then held to the
+//! protocol's message economy, to a deadline, and to ending on an error.
 
 use ccr_core::ids::{ProcessId, RemoteId};
 use ccr_core::process::ProtocolSpec;
 use ccr_core::refine::{refine, RefineOptions, RefinedProtocol, ReqRepMode};
-use ccr_core::text::parse_validated;
 use ccr_dsm::threaded::{run_threaded, Node, ThreadedConfig};
 use ccr_protocols::invalidate::{invalidate, InvalidateOptions};
 use ccr_protocols::migratory::{migratory, migratory_refined, MigratoryOptions};
@@ -29,7 +25,6 @@ use ccr_runtime::{RuntimeError, TransitionSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, VecDeque};
-use std::path::Path;
 
 /// Steps fired per configuration.
 const STEPS: usize = 5_000;
@@ -137,94 +132,6 @@ fn invalidate_engines_run() {
 fn update_engines_run() {
     let spec = update();
     saw_nacks_and_replies(&lockstep_matrix(&spec, &[ReqRepMode::Auto, ReqRepMode::Off]));
-}
-
-/// Runs `refined` over `n` remotes as `n + 1` nodes, as [`lockstep`] does
-/// but with no global simulator beside them, and after every delivery
-/// holds the labels the node offers — every label its next step's filter
-/// is shown — to a full enumeration of its share at its state. Returns
-/// the deliveries checked.
-fn deliveries_keep_the_labels(
-    refined: &RefinedProtocol,
-    n: u32,
-    seed: u64,
-    context: &str,
-) -> usize {
-    let sys = AsyncSystem::new(refined, n, AsyncConfig::default());
-    let shares: Vec<_> = std::iter::once(ProcessId::Home)
-        .chain((0..n).map(|i| ProcessId::Remote(RemoteId(i))))
-        .map(|who| sys.clone().restricted_to(who))
-        .collect();
-    let mut nodes: Vec<_> = shares.iter().map(Node::new).collect();
-    let mut scheds: Vec<_> = (0..=n).map(|p| RandomSched::new(seed + u64::from(p))).collect();
-    let mut to_home = vec![VecDeque::<Wire>::new(); n as usize];
-    let mut to_remote = to_home.clone();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (mut offered, mut full, mut delivered) = (Vec::new(), Vec::new(), 0);
-    for poll in 0..STEPS {
-        let p = rng.random_range(0..nodes.len());
-        let (inbound, outbound) =
-            if p == 0 { (&mut to_home, &mut to_remote) } else { (&mut to_remote, &mut to_home) };
-        for i in nodes[p].slices() {
-            if !rng.random_bool(0.5) {
-                continue;
-            }
-            let Some(w) = inbound[i].pop_front() else { continue };
-            nodes[p].deliver(i, w);
-            delivered += 1;
-            offered.clear();
-            let nothing_sent = |_, _| unreachable!("a step that fires nothing sends nothing");
-            let seen = nodes[p].step(
-                &mut scheds[p],
-                |l| {
-                    offered.push(l.clone());
-                    false
-                },
-                nothing_sent,
-            );
-            let whole = shares[p].successors(nodes[p].state(), &mut full);
-            let at = format!("{context}: poll {poll}, node {p}, slice {i}");
-            match (seen, whole) {
-                (Ok(None), Ok(())) => {
-                    let labels: Vec<_> = full.iter().map(|(l, _)| l.clone()).collect();
-                    assert_eq!(offered, labels, "{at}");
-                }
-                // The executor traps at this state (an unsound spec):
-                // both ways.
-                (Err(_), Err(_)) => return delivered,
-                (seen, whole) => panic!("{at}: the node gave {seen:?}, the enumeration {whole:?}"),
-            }
-        }
-        if nodes[p].step(&mut scheds[p], |_| true, |i, w| outbound[i].push_back(w)).is_err() {
-            return delivered;
-        }
-    }
-    delivered
-}
-
-#[test]
-fn a_delivery_leaves_the_labels_a_full_enumeration_gives() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
-    let mut shipped: Vec<_> = std::fs::read_dir(&dir)
-        .expect("specs/")
-        .filter_map(|e| Some(e.ok()?.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "ccp"))
-        .collect();
-    shipped.sort();
-    assert_eq!(shipped.len(), 12, "every shipped spec: {shipped:?}");
-    let mut delivered = 0;
-    for path in &shipped {
-        let text = std::fs::read_to_string(path).expect("readable spec");
-        let spec = parse_validated(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let refined = refine(&spec, &RefineOptions::default()).expect("refine");
-        for n in [2, 4] {
-            let context = format!("{} n={n}", spec.name);
-            let checked = deliveries_keep_the_labels(&refined, n, 1998 + u64::from(n), &context);
-            assert!(checked > 0, "{context}: no delivery");
-            delivered += checked;
-        }
-    }
-    assert!(delivered > 10_000, "{delivered} deliveries checked");
 }
 
 /// The real threads complete `target` operations well inside the
